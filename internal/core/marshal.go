@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/timeseries"
@@ -12,14 +14,24 @@ import (
 // artifactJSON is the serialized form of an Artifact. Time series are
 // stored as raw value arrays with grid parameters; the call graph as an
 // edge list. The format is versioned so persisted artifacts from older
-// releases fail loudly instead of decoding garbage.
+// releases fail loudly instead of decoding garbage. The series sit
+// between two embedded halves because MarshalArtifact writes them itself
+// and leaves only the halves to encoding/json.
 type artifactJSON struct {
-	Version   int                  `json:"version"`
-	App       string               `json:"app"`
-	StepMS    int64                `json:"step_ms"`
-	Start     int64                `json:"start"`
-	End       int64                `json:"end"`
-	Series    []seriesJSON         `json:"series"`
+	artifactHead
+	Series []seriesJSON `json:"series"`
+	artifactTail
+}
+
+type artifactHead struct {
+	Version int    `json:"version"`
+	App     string `json:"app"`
+	StepMS  int64  `json:"step_ms"`
+	Start   int64  `json:"start"`
+	End     int64  `json:"end"`
+}
+
+type artifactTail struct {
 	CallGraph []callEdgeJSON       `json:"call_graph"`
 	Reduction []reductionJSON      `json:"reduction"`
 	Edges     []DependencyEdge     `json:"dependency_edges"`
@@ -57,43 +69,37 @@ type dependencyGraphStats struct {
 // artifactFormatVersion guards persisted artifacts against format drift.
 const artifactFormatVersion = 1
 
-// MarshalArtifact serializes an artifact to JSON. NaN values cannot occur
-// in pipeline outputs (the reducer rejects NaN series), so the standard
-// JSON encoder suffices.
+// MarshalArtifact serializes an artifact to JSON, one-space indented.
+// The series' value arrays are nearly all of the output (hundreds of
+// thousands of floats per artifact), so they are formatted straight into
+// the indented output under encoding/json's float rules; everything else
+// goes through encoding/json. The bytes are exactly those
+// json.MarshalIndent(artifactJSON, "", " ") produces, including its
+// refusal of NaN and infinite values.
 func MarshalArtifact(a *Artifact) ([]byte, error) {
 	if a == nil || a.Dataset == nil {
 		return nil, errors.New("core: nil artifact or dataset")
 	}
-	out := artifactJSON{
+	head := artifactHead{
 		Version: artifactFormatVersion,
 		App:     a.App,
 		StepMS:  a.Dataset.StepMS,
 		Start:   a.Dataset.Start,
 		End:     a.Dataset.End,
 	}
-	for _, comp := range a.Dataset.Components() {
-		for _, metric := range a.Dataset.MetricNames(comp) {
-			s := a.Dataset.Series[comp][metric]
-			out.Series = append(out.Series, seriesJSON{
-				Component: comp,
-				Metric:    metric,
-				Start:     s.Start,
-				StepMS:    s.StepMS,
-				Values:    s.Values,
-			})
-		}
-	}
+	var tail artifactTail
 	if a.Dataset.CallGraph != nil {
 		for _, e := range a.Dataset.CallGraph.Edges() {
-			out.CallGraph = append(out.CallGraph, callEdgeJSON{Caller: e.Caller, Callee: e.Callee, Calls: e.Calls})
+			tail.CallGraph = append(tail.CallGraph, callEdgeJSON{Caller: e.Caller, Callee: e.Callee, Calls: e.Calls})
 		}
 	}
-	for _, comp := range a.Dataset.Components() {
+	components := a.Dataset.Components()
+	for _, comp := range components {
 		cr := a.Reduction[comp]
 		if cr == nil {
 			continue
 		}
-		out.Reduction = append(out.Reduction, reductionJSON{
+		tail.Reduction = append(tail.Reduction, reductionJSON{
 			Component:  cr.Component,
 			Total:      cr.Total,
 			Filtered:   cr.Filtered,
@@ -103,10 +109,113 @@ func MarshalArtifact(a *Artifact) ([]byte, error) {
 		})
 	}
 	if a.Graph != nil {
-		out.Edges = a.Graph.Edges
-		out.GraphMeta = dependencyGraphStats{Bidirectional: a.Graph.Bidirectional, Tested: a.Graph.Tested}
+		tail.Edges = a.Graph.Edges
+		tail.GraphMeta = dependencyGraphStats{Bidirectional: a.Graph.Bidirectional, Tested: a.Graph.Tested}
 	}
-	return json.MarshalIndent(out, "", " ")
+
+	headJSON, err := json.MarshalIndent(head, "", " ")
+	if err != nil {
+		return nil, err
+	}
+	tailJSON, err := json.MarshalIndent(tail, "", " ")
+	if err != nil {
+		return nil, err
+	}
+
+	// A value line is a newline, four spaces, up to 24 digits and a
+	// comma; most are far shorter.
+	series, values := 0, 0
+	for _, byMetric := range a.Dataset.Series {
+		for _, s := range byMetric {
+			series++
+			values += len(s.Values)
+		}
+	}
+	out := make([]byte, 0, len(headJSON)+len(tailJSON)+16*values+256*series)
+
+	// Splice: the head object minus its closing "\n}", the series member,
+	// the tail object minus its opening "{".
+	out = append(out, headJSON[:len(headJSON)-2]...)
+	out = append(out, ",\n \"series\": "...)
+	if series == 0 {
+		out = append(out, "null"...)
+	} else {
+		out = append(out, '[')
+		first := true
+		for _, comp := range components {
+			for _, metric := range a.Dataset.MetricNames(comp) {
+				if !first {
+					out = append(out, ',')
+				}
+				first = false
+				if out, err = appendSeriesJSON(out, comp, metric, a.Dataset.Series[comp][metric]); err != nil {
+					return nil, err
+				}
+			}
+		}
+		out = append(out, "\n ]"...)
+	}
+	out = append(out, ',')
+	return append(out, tailJSON[1:]...), nil
+}
+
+// appendSeriesJSON appends one element of the "series" array — a
+// seriesJSON at nesting depth two — the way json.MarshalIndent lays it
+// out.
+func appendSeriesJSON(out []byte, component, metric string, s *timeseries.Regular) ([]byte, error) {
+	out = append(out, "\n  {\n   \"component\": "...)
+	out = appendJSONString(out, component)
+	out = append(out, ",\n   \"metric\": "...)
+	out = appendJSONString(out, metric)
+	out = append(out, ",\n   \"start\": "...)
+	out = strconv.AppendInt(out, s.Start, 10)
+	out = append(out, ",\n   \"step_ms\": "...)
+	out = strconv.AppendInt(out, s.StepMS, 10)
+	out = append(out, ",\n   \"values\": "...)
+	switch {
+	case s.Values == nil:
+		out = append(out, "null"...)
+	case len(s.Values) == 0:
+		out = append(out, "[]"...)
+	default:
+		out = append(out, '[')
+		for i, v := range s.Values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("core: series %s/%s value %d: json: unsupported value: %v", component, metric, i, v)
+			}
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = append(out, "\n    "...)
+			out = appendJSONFloat(out, v)
+		}
+		out = append(out, "\n   ]"...)
+	}
+	return append(out, "\n  }"...), nil
+}
+
+// appendJSONString appends s as encoding/json quotes it (HTML-safe
+// escapes, invalid UTF-8 replaced).
+func appendJSONString(out []byte, s string) []byte {
+	quoted, _ := json.Marshal(s) // a string cannot fail to marshal
+	return append(out, quoted...)
+}
+
+// appendJSONFloat appends a finite float64 as encoding/json writes it:
+// the shortest decimal that round-trips, in exponent form only below
+// 1e-6 and from 1e21 up (as ES6 does), with a two-digit exponent's
+// leading zero dropped.
+func appendJSONFloat(out []byte, v float64) []byte {
+	abs := math.Abs(v)
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		out = strconv.AppendFloat(out, v, 'e', -1, 64)
+		if n := len(out); n >= 4 && out[n-4] == 'e' && (out[n-3] == '-' || out[n-3] == '+') && out[n-2] == '0' {
+			out[n-2] = out[n-1]
+			out = out[:n-1]
+		}
+		return out
+	}
+	return strconv.AppendFloat(out, v, 'f', -1, 64)
 }
 
 // UnmarshalArtifact reconstructs an artifact serialized by

@@ -1,12 +1,146 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/app"
+	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
+	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
+
+// referenceMarshalArtifact is MarshalArtifact as it was before the value
+// arrays were written by hand: the whole artifact through
+// json.MarshalIndent. MarshalArtifact must reproduce its bytes exactly.
+func referenceMarshalArtifact(a *Artifact) ([]byte, error) {
+	out := artifactJSON{artifactHead: artifactHead{
+		Version: artifactFormatVersion,
+		App:     a.App,
+		StepMS:  a.Dataset.StepMS,
+		Start:   a.Dataset.Start,
+		End:     a.Dataset.End,
+	}}
+	for _, comp := range a.Dataset.Components() {
+		for _, metric := range a.Dataset.MetricNames(comp) {
+			s := a.Dataset.Series[comp][metric]
+			out.Series = append(out.Series, seriesJSON{
+				Component: comp,
+				Metric:    metric,
+				Start:     s.Start,
+				StepMS:    s.StepMS,
+				Values:    s.Values,
+			})
+		}
+	}
+	if a.Dataset.CallGraph != nil {
+		for _, e := range a.Dataset.CallGraph.Edges() {
+			out.CallGraph = append(out.CallGraph, callEdgeJSON{Caller: e.Caller, Callee: e.Callee, Calls: e.Calls})
+		}
+	}
+	for _, comp := range a.Dataset.Components() {
+		cr := a.Reduction[comp]
+		if cr == nil {
+			continue
+		}
+		out.Reduction = append(out.Reduction, reductionJSON{
+			Component:  cr.Component,
+			Total:      cr.Total,
+			Filtered:   cr.Filtered,
+			K:          cr.K,
+			Silhouette: cr.Silhouette,
+			Clusters:   cr.Clusters,
+		})
+	}
+	if a.Graph != nil {
+		out.Edges = a.Graph.Edges
+		out.GraphMeta = dependencyGraphStats{Bidirectional: a.Graph.Bidirectional, Tested: a.Graph.Tested}
+	}
+	return json.MarshalIndent(out, "", " ")
+}
+
+func requireReferenceBytes(t *testing.T, a *Artifact) {
+	t.Helper()
+	got, err := MarshalArtifact(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceMarshalArtifact(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		lo := max(i-40, 0)
+		t.Fatalf("MarshalArtifact differs from json.MarshalIndent at byte %d (%d vs %d bytes):\n got  %q\n want %q",
+			i, len(got), len(want), got[lo:min(i+40, len(got))], want[lo:min(i+40, len(want))])
+	}
+}
+
+// TestMarshalArtifactMatchesEncodingJSON holds the hand-written series
+// encoder to json.MarshalIndent byte for byte: on a real pipeline
+// artifact, and on floats at every branch of encoding/json's number
+// format plus names it has to escape.
+func TestMarshalArtifactMatchesEncodingJSON(t *testing.T) {
+	a, err := app.New(chainSpec(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, _, err := Run(a, loadgen.Random(5, 150, 100, 1500), PipelineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireReferenceBytes(t, art)
+
+	edge := []float64{
+		0, math.Copysign(0, -1), 1, -1, 42, 1e6, 123456789012345680000, 1e20, 999999999999999900000, 1e21, -1e21, 1.5e300, math.MaxFloat64,
+		1e-6, 9.999999999999999e-7, 1e-7, -1e-7, 1.5e-9, 1e-10, 2.5e-100, math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1e-320,
+		0.1, 1.0 / 3, 100.25, -273.15, 1e15, 1e15 + 0.5, 4503599627370497.5,
+	}
+	reg := func(name string, vals []float64) *timeseries.Regular {
+		return &timeseries.Regular{Name: name, Start: -1500, StepMS: 500, Values: vals}
+	}
+	cg := callgraph.New()
+	cg.AddCall("a<b>", "plain", 3)
+	odd := &Artifact{
+		App: "edge \"cases\" & <html>",
+		Dataset: &Dataset{
+			App: "edge", StepMS: 500, Start: -1500, End: 0, CallGraph: cg,
+			Series: map[string]map[string]*timeseries.Regular{
+				"a<b>": {
+					"q\"uote\\back":     reg("q", edge),
+					"tab\tnew\nline":    reg("t", []float64{7}),
+					"bad\xffutf8\u2028": reg("u", []float64{}),
+					"nil-values":        reg("n", nil),
+				},
+				"plain": {"m": reg("m", edge[:3])},
+				"empty": {},
+			},
+		},
+		Reduction: Reduction{"plain": {Component: "plain", Total: 1, K: 1, Clusters: []Cluster{{ID: 0, Metrics: []string{"m"}, Representative: "m"}}}},
+		Graph:     &DependencyGraph{},
+	}
+	requireReferenceBytes(t, odd)
+
+	// No series at all, no call graph, no graph: every optional part absent.
+	requireReferenceBytes(t, &Artifact{App: "bare", Dataset: &Dataset{App: "bare"}})
+
+	// Both encoders refuse what JSON cannot carry.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		odd.Dataset.Series["plain"]["m"].Values = []float64{1, bad}
+		if _, err := MarshalArtifact(odd); err == nil {
+			t.Errorf("MarshalArtifact accepted %v", bad)
+		}
+		if _, err := referenceMarshalArtifact(odd); err == nil {
+			t.Errorf("json.MarshalIndent accepted %v", bad)
+		}
+	}
+}
 
 func TestArtifactMarshalRoundTrip(t *testing.T) {
 	a, err := app.New(chainSpec(), 11)

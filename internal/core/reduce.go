@@ -18,7 +18,8 @@ type ReduceOptions struct {
 	// VarianceThreshold drops unvarying metrics; 0 means the paper's
 	// 0.002.
 	VarianceThreshold float64
-	// Seed drives the deterministic clustering restarts.
+	// Seed drives the random initial assignments (and their restarts)
+	// when NameSeeding is off; a name-seeded sweep draws nothing from it.
 	Seed int64
 	// NameSeeding uses metric-name similarity for initial assignments
 	// (the paper's convergence optimization). Defaults to true via
@@ -147,7 +148,19 @@ func ReduceContext(ctx context.Context, ds *Dataset, opts ReduceOptions) (Reduct
 	// by the component-level fan-out (usually 1 — see innerBudget).
 	sweepOpts := opts
 	sweepOpts.Parallelism = innerBudget(opts.Parallelism, len(components))
-	err := runTasks(ctx, opts.Parallelism, len(components), func(ctx context.Context, i int) error {
+	// Widest component first: a sweep's cost grows with its series count,
+	// and a wide component picked up last would leave the other workers
+	// idle while it finishes. Slots stay addressed by name order, so the
+	// dispatch order never shows in the result.
+	order := make([]int, len(components))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return len(ds.Series[components[order[a]]]) > len(ds.Series[components[order[b]]])
+	})
+	err := runTasks(ctx, opts.Parallelism, len(components), func(ctx context.Context, task int) error {
+		i := order[task]
 		cr, err := reduceComponent(ctx, ds, components[i], sweepOpts)
 		if err != nil {
 			return fmt.Errorf("core: reducing %s: %w", components[i], err)

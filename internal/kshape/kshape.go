@@ -32,7 +32,10 @@ type Options struct {
 	// Restarts runs the algorithm this many times from different random
 	// initializations (seeds Seed, Seed+1, ...) and keeps the run with the
 	// lowest total within-cluster SBD, mitigating local optima. 0 or 1
-	// means a single run. Ignored when InitialAssignments is set.
+	// means a single run. Ignored when InitialAssignments is set: a fixed
+	// starting point has nothing to restart from, so the name-seeded
+	// silhouette sweep (Sieve's default) runs each k once, not k x
+	// restarts.
 	Restarts int
 }
 
@@ -189,11 +192,14 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile,
 	}
 
 	centProfiles := make([]*sbdProfile, opts.K)
+	var history orbitHistory
 	iterations := 0
 	for iter := 0; iter < maxIter; iter++ {
 		iterations = iter + 1
 
-		// Refinement: re-extract each cluster's centroid.
+		// Refinement: re-extract each cluster's centroid, aligning members
+		// to the previous centroid, whose profile the previous iteration's
+		// assignment step built.
 		for c := 0; c < opts.K; c++ {
 			members := s.members[:0]
 			memberProfiles := s.memberProfiles[:0]
@@ -204,20 +210,28 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile,
 				}
 			}
 			s.members, s.memberProfiles = members, memberProfiles
-			centroids[c] = shapeExtraction(members, memberProfiles, centroids[c], s)
+			centroids[c] = shapeExtraction(members, memberProfiles, centroids[c], centProfiles[c], s)
 		}
 
-		// Assignment: move every series to its closest centroid. Member
-		// FFTs are cached, so each distance costs one spectrum product.
+		// Assignment: move every series to its closest centroid, the
+		// lowest-indexed one on a tie. Member FFTs are cached, so each
+		// distance costs one fused spectrum product and inverse transform
+		// — and most are not computed at all: the series' distance to its
+		// own centroid seeds the running minimum, and a candidate whose
+		// spectral lower bound already exceeds the minimum by more than
+		// the kernel's rounding error can neither win nor tie.
 		for c := range centProfiles {
 			centProfiles[c] = newSBDProfile(centroids[c])
 		}
 		changed := false
-		for i := range p.norm {
-			best, bestC := 2.1, assign[i] // SBD is bounded by 2
-			for c := 0; c < opts.K; c++ {
-				d := centProfiles[c].dist(p.profiles[i], s)
-				if d < best {
+		for i, x := range p.profiles {
+			bestC := assign[i]
+			best := centProfiles[bestC].dist(x, s)
+			for c, cp := range centProfiles {
+				if c == assign[i] || cp.lowerBound(x) > best+pruneMargin {
+					continue
+				}
+				if d := cp.dist(x, s); d < best || (d == best && c < bestC) {
 					best, bestC = d, c
 				}
 			}
@@ -252,6 +266,21 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile,
 		if !changed {
 			break
 		}
+
+		// An iteration is a pure function of (assign, centroids). When the
+		// state repeats an earlier one bit for bit, every later iteration
+		// repeats too — none of them converges, or the loop would have
+		// ended inside the first lap — so the state after maxIter
+		// iterations is already known: take it and stop.
+		if final := history.closes(iterations, maxIter, assign, centroids); final != nil {
+			copy(assign, final.assign)
+			copy(centroids, final.centroids)
+			for c := range centProfiles {
+				centProfiles[c] = newSBDProfile(centroids[c])
+			}
+			iterations = maxIter
+			break
+		}
 	}
 
 	return &Result{
@@ -266,21 +295,18 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile,
 // to the current centroid, and the new centroid is the dominant
 // eigenvector of Q·AᵀA·Q (A = aligned member rows, Q = centering matrix),
 // which maximizes the summed squared cross-correlation to all members.
-// The result is z-normalized and sign-fixed against the reference. All
+// refProfile is the reference's profile, nil before the first assignment
+// step has built one (the reference is then all zeros). The result is
+// z-normalized and sign-fixed against the reference. All
 // intermediates (aligned rows, centering buffers, power-iteration
 // vectors) come from the scratch; only the returned centroid is a fresh
 // slice.
-func shapeExtraction(members [][]float64, memberProfiles []*sbdProfile, reference []float64, s *Scratch) []float64 {
+func shapeExtraction(members [][]float64, memberProfiles []*sbdProfile, reference []float64, refProfile *sbdProfile, s *Scratch) []float64 {
 	sLen := len(reference)
 	if len(members) == 0 {
 		return make([]float64, sLen)
 	}
-	refIsZero := l2(reference) == 0
-
-	var refProfile *sbdProfile
-	if !refIsZero {
-		refProfile = newSBDProfile(reference)
-	}
+	refIsZero := refProfile == nil || refProfile.norm == 0
 	aligned := s.aligned(len(members), sLen)
 	for i, m := range members {
 		if refIsZero {
@@ -360,4 +386,58 @@ func countOf(assign []int, c int) int {
 		}
 	}
 	return n
+}
+
+// orbitDepth is how many past states the refinement loop remembers, and
+// so the longest oscillation period it recognizes. Every orbit seen on
+// application windows has period 1 — the assignment step empties a
+// cluster, the re-seed hands it the series that just left, and `changed`
+// is set on a state that did not change; the depth leaves room for the
+// short genuine oscillations a k-means-style loop can fall into. A
+// longer orbit simply runs to MaxIterations as before.
+const orbitDepth = 8
+
+// orbitState is the refinement loop's state after one iteration. Each
+// iteration allocates fresh centroid slices, so keeping the K slice
+// headers keeps the values.
+type orbitState struct {
+	assign    []int
+	centroids [][]float64
+}
+
+// orbitHistory is a ring of the last orbitDepth states, the state after
+// iteration t at index t % orbitDepth.
+type orbitHistory [orbitDepth]orbitState
+
+// closes records the state after iteration iter and reports whether it
+// equals, bit for bit, the state after an earlier remembered iteration j.
+// If so the loop is on an orbit of period iter-j, and closes returns the
+// state iteration maxIter would end on: the remembered state at the same
+// phase of the orbit. Otherwise it returns nil.
+func (h *orbitHistory) closes(iter, maxIter int, assign []int, centroids [][]float64) *orbitState {
+	for j := iter - 1; j >= iter-orbitDepth && j >= 1; j-- {
+		if h[j%orbitDepth].equals(assign, centroids) {
+			return &h[(j+(maxIter-j)%(iter-j))%orbitDepth]
+		}
+	}
+	st := &h[iter%orbitDepth]
+	st.assign = append(st.assign[:0], assign...)
+	st.centroids = append(st.centroids[:0], centroids...)
+	return nil
+}
+
+func (st *orbitState) equals(assign []int, centroids [][]float64) bool {
+	for i, a := range assign {
+		if st.assign[i] != a {
+			return false
+		}
+	}
+	for c, cent := range centroids {
+		for j, v := range cent {
+			if math.Float64bits(st.centroids[c][j]) != math.Float64bits(v) {
+				return false
+			}
+		}
+	}
+	return true
 }

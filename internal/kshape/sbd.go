@@ -85,14 +85,14 @@ func alignInto(dst, y []float64, shift int) []float64 {
 	return dst
 }
 
-// Scratch pools one goroutine's SBD and clustering buffers: the spectrum
-// product and inverse-transform slices behind every cached-spectrum
+// Scratch pools one goroutine's SBD and clustering buffers: the re-packed
+// spectrum and inverse-transform slices behind every cached-spectrum
 // distance, plus the centroid-extraction workspace. The zero value is
 // ready to use. A Scratch must not be shared between concurrent
 // goroutines — fan-outs (the silhouette sweep, the pipeline executor)
 // keep one per worker, indexed by parallel.ForEachWorker's worker id.
 type Scratch struct {
-	prod []complex128
+	work []complex128
 	inv  []float64
 
 	// Centroid-extraction workspace (shape extraction + power iteration).
@@ -105,11 +105,11 @@ type Scratch struct {
 	memberProfiles []*sbdProfile
 }
 
-func (s *Scratch) prodBuf(m int) []complex128 {
-	if cap(s.prod) < m {
-		s.prod = make([]complex128, m)
+func (s *Scratch) workBuf(h int) []complex128 {
+	if cap(s.work) < h {
+		s.work = make([]complex128, h)
 	}
-	return s.prod[:m]
+	return s.work[:h]
 }
 
 func (s *Scratch) invBuf(m int) []float64 {
@@ -137,16 +137,21 @@ func (s *Scratch) aligned(rows, cols int) [][]float64 {
 }
 
 // sbdProfile is a series' cached real-FFT spectrum used to batch pairwise
-// SBD computations: the cross-correlation of any pair is one spectrum
-// product plus one inverse real FFT. A profile depends only on its own
-// series (spectra are never packed pairwise), so distances over cached
-// profiles are bit-identical to SBD on the raw series. Profiles are
-// immutable after creation and safe to share across goroutines.
+// SBD computations: the cross-correlation of any pair is one fused
+// spectrum product and inverse real FFT. A profile depends only on its
+// own series (spectra are never packed pairwise), so distances over
+// cached profiles are bit-identical to SBD on the raw series. Profiles
+// are immutable after creation and safe to share across goroutines.
 type sbdProfile struct {
 	spectrum []complex128
-	norm     float64
-	n        int
-	padded   int
+	// mags holds |spectrum[k]| for k = 0..padded/2, the bins strictly
+	// between the ends scaled by sqrt(2): the spectrum of a real series
+	// is conjugate-symmetric, so the dot product of two profiles' mags
+	// is the sum of |C_k|·|X_k| over all padded bins.
+	mags   []float64
+	norm   float64
+	n      int
+	padded int
 }
 
 func newSBDProfile(x []float64) *sbdProfile {
@@ -154,13 +159,90 @@ func newSBDProfile(x []float64) *sbdProfile {
 	m := mathx.NextPow2(2*n - 1)
 	buf := make([]complex128, m)
 	mathx.RealFFT(buf, x, m)
-	return &sbdProfile{spectrum: buf, norm: l2(x), n: n, padded: m}
+	h := m / 2
+	mags := make([]float64, h+1)
+	for k := range mags {
+		mags[k] = math.Hypot(real(buf[k]), imag(buf[k]))
+		if k > 0 && k < h {
+			mags[k] *= math.Sqrt2
+		}
+	}
+	return &sbdProfile{spectrum: buf, mags: mags, norm: l2(x), n: n, padded: m}
 }
 
-// dist computes SBD between the two profiled series (lengths must match).
+// pruneMargin is how far lowerBound may exceed a distance computed
+// through the FFT. In exact arithmetic it never does; the inverse
+// transform's rounding error on NCC is a few log2(padded) ulps (~1e-15
+// at the window lengths in use) and the bound's own dot product rounds
+// within padded/2 ulps (~1e-13 worst case), so 1e-9 dominates both by
+// four orders of magnitude while giving away nothing measurable in
+// pruning power — distances between distinct shapes differ in the first
+// few digits.
+const pruneMargin = 1e-9
+
+// lowerBound returns a value no greater than p.dist(q) + pruneMargin
+// without transforming anything. Every cross-correlation coefficient is
+// an inverse-DFT entry of the spectrum product, so
+//
+//	CC_w(p,q) = (1/m) Σ_k P_k·conj(Q_k)·e^(2πikw/m) <= (1/m) Σ_k |P_k|·|Q_k|
+//
+// for every shift w, hence SBD = 1 - max_w CC_w/(‖p‖‖q‖) is at least
+// 1 - Σ_k |P_k||Q_k| / (m‖p‖‖q‖). A zero-norm operand yields 0, which
+// bounds nothing.
+func (p *sbdProfile) lowerBound(q *sbdProfile) float64 {
+	if p.norm == 0 || q.norm == 0 {
+		return 0
+	}
+	qm := q.mags[:len(p.mags)]
+	var sum float64
+	for k, v := range p.mags {
+		sum += v * qm[k]
+	}
+	return 1 - sum/(float64(p.padded)*p.norm*q.norm)
+}
+
+// correlate returns the circular cross-correlation of the two profiled
+// series (lengths must match, norms non-zero) in the scratch's inverse
+// buffer: shift w >= 0 at index w, shift w < 0 at index padded+w.
+func (p *sbdProfile) correlate(q *sbdProfile, s *Scratch) []float64 {
+	if p.n != q.n {
+		panic("kshape: profiled series length mismatch")
+	}
+	return mathx.CorrelateSpectra(s.invBuf(p.padded), p.spectrum, q.spectrum, s.workBuf(p.padded/2))
+}
+
+// degenerate handles SBD's zero-norm conventions.
+func (p *sbdProfile) degenerate(q *sbdProfile) (dist float64, ok bool) {
+	switch {
+	case p.norm == 0 && q.norm == 0:
+		return 0, true
+	case p.norm == 0 || q.norm == 0:
+		return 1, true
+	}
+	return 0, false
+}
+
+// dist computes SBD between the two profiled series, bit-identical to
+// distShift's distance. Division by the positive norm product is
+// monotone, so the largest quotient is the quotient of the largest
+// coefficient: one division instead of one per shift.
 func (p *sbdProfile) dist(q *sbdProfile, s *Scratch) float64 {
-	d, _ := p.distShift(q, s)
-	return d
+	if d, ok := p.degenerate(q); ok {
+		return d
+	}
+	inv := p.correlate(q, s)
+	best := math.Inf(-1)
+	for _, v := range inv[:p.n] {
+		if v > best {
+			best = v
+		}
+	}
+	for _, v := range inv[p.padded-(p.n-1):] {
+		if v > best {
+			best = v
+		}
+	}
+	return 1 - best/(p.norm*q.norm)
 }
 
 // distShift computes SBD and the aligning shift, matching SBD(p, q): the
@@ -169,21 +251,10 @@ func (p *sbdProfile) dist(q *sbdProfile, s *Scratch) float64 {
 // spectra, so the result is bit-identical; with a warm scratch it
 // allocates nothing.
 func (p *sbdProfile) distShift(q *sbdProfile, s *Scratch) (float64, int) {
-	if p.n != q.n {
-		panic("kshape: profiled series length mismatch")
+	if d, ok := p.degenerate(q); ok {
+		return d, 0
 	}
-	if p.norm == 0 && q.norm == 0 {
-		return 0, 0
-	}
-	if p.norm == 0 || q.norm == 0 {
-		return 1, 0
-	}
-	prod := s.prodBuf(p.padded)
-	for i := range prod {
-		prod[i] = p.spectrum[i] * complex(real(q.spectrum[i]), -imag(q.spectrum[i]))
-	}
-	inv := s.invBuf(p.padded)
-	mathx.RealIFFT(inv, prod)
+	inv := p.correlate(q, s)
 	denom := p.norm * q.norm
 	best, bestShift := math.Inf(-1), 0
 	for sh := -(p.n - 1); sh <= p.n-1; sh++ {

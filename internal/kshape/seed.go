@@ -13,13 +13,28 @@ import (
 // ("cpu_usage", "cpu_usage_percentile"), so this starts k-Shape close to
 // a fixed point (§3.2); it affects convergence speed only.
 func NameSeeds(names []string, k int) []int {
+	return newNameSeeding(names, k).assignments(k)
+}
+
+// nameSeeding is the farthest-point traversal over a set of metric names,
+// run once to kMax seeds. The traversal picks seed c from the names and
+// the seeds before it alone, so the seeds for k clusters are the first k
+// of the seeds for any larger count; a silhouette sweep traverses once
+// and reads every candidate k's assignment off the cached similarities.
+type nameSeeding struct {
+	n int
+	// sim[c][i] is the Jaro-Winkler similarity of name i to seed c.
+	sim [][]float64
+}
+
+func newNameSeeding(names []string, kMax int) *nameSeeding {
 	n := len(names)
-	assign := make([]int, n)
-	if n == 0 || k <= 1 {
-		return assign
+	ns := &nameSeeding{n: n}
+	if n == 0 || kMax <= 1 {
+		return ns
 	}
-	if k > n {
-		k = n
+	if kMax > n {
+		kMax = n
 	}
 
 	// Deterministic order regardless of input permutation: work on the
@@ -30,50 +45,51 @@ func NameSeeds(names []string, k int) []int {
 	}
 	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
 
-	seeds := make([]int, 0, k)
-	seeds = append(seeds, order[0])
-	for len(seeds) < k {
-		bestIdx, bestDist := -1, -1.0
+	// closest[i] is name i's distance to the closest seed chosen so far.
+	closest := make([]float64, n)
+	for i := range closest {
+		closest[i] = 2
+	}
+	isSeed := make([]bool, n)
+	seed := order[0]
+	for {
+		isSeed[seed] = true
+		col := make([]float64, n)
+		for i, name := range names {
+			col[i] = strdist.JaroWinkler(name, names[seed])
+			if d := 1 - col[i]; d < closest[i] {
+				closest[i] = d
+			}
+		}
+		ns.sim = append(ns.sim, col)
+		if len(ns.sim) == kMax {
+			return ns
+		}
+		// Next seed: the name farthest from every seed so far, the first
+		// in name order on a tie.
+		bestDist := -1.0
 		for _, i := range order {
-			if containsInt(seeds, i) {
-				continue
-			}
-			// Distance to the closest already-chosen seed.
-			closest := 2.0
-			for _, s := range seeds {
-				d := 1 - strdist.JaroWinkler(names[i], names[s])
-				if d < closest {
-					closest = d
-				}
-			}
-			if closest > bestDist {
-				bestDist, bestIdx = closest, i
+			if !isSeed[i] && closest[i] > bestDist {
+				bestDist, seed = closest[i], i
 			}
 		}
-		if bestIdx < 0 {
-			break
-		}
-		seeds = append(seeds, bestIdx)
 	}
-
-	for i, name := range names {
-		bestC, bestSim := 0, -1.0
-		for c, s := range seeds {
-			sim := strdist.JaroWinkler(name, names[s])
-			if sim > bestSim {
-				bestSim, bestC = sim, c
-			}
-		}
-		assign[i] = bestC
-	}
-	return assign
 }
 
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
+// assignments maps every name to the most similar of the first k seeds,
+// the earliest-chosen one on a tie.
+func (ns *nameSeeding) assignments(k int) []int {
+	assign := make([]int, ns.n)
+	if k > len(ns.sim) {
+		k = len(ns.sim)
+	}
+	for i := range assign {
+		bestSim := -1.0
+		for c, col := range ns.sim[:k] {
+			if col[i] > bestSim {
+				bestSim, assign[i] = col[i], c
+			}
 		}
 	}
-	return false
+	return assign
 }

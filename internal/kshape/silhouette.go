@@ -83,7 +83,9 @@ type SweepResult struct {
 // ChooseK clusters the series for every k in [kMin, kMax] and returns the
 // clustering with the highest silhouette score. The paper found k <= 7
 // sufficient for components with up to 300 metrics. names, when non-nil,
-// seeds the initial assignments by metric-name similarity.
+// seeds the initial assignments by metric-name similarity, and each k is
+// then clustered exactly once; with nil names each k is the best of three
+// randomly initialized runs (Options.Restarts).
 func ChooseK(series [][]float64, names []string, kMin, kMax int, seed int64) (*SweepResult, error) {
 	return ChooseKContext(context.Background(), series, names, kMin, kMax, seed, 1)
 }
@@ -160,10 +162,18 @@ func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, 
 	}
 	attempts := make([]attempt, kMax-kMin+1)
 	scratches := make([]Scratch, parallel.Workers(workers))
+	// One farthest-point traversal over the names serves every k: the
+	// seeds for k clusters are a prefix of the seeds for kMax.
+	var seeding *nameSeeding
+	if names != nil {
+		seeding = newNameSeeding(names, kMax)
+	}
 	err = parallel.ForEachWorker(ctx, workers, len(attempts), func(_ context.Context, worker, i int) error {
+		// Name seeding fixes the starting point, so each k is clustered
+		// once; only the unseeded sweep has random starts to restart.
 		opts := Options{K: kMin + i, Seed: seed, Restarts: 3}
-		if names != nil {
-			opts.InitialAssignments = NameSeeds(names, opts.K)
+		if seeding != nil {
+			opts.InitialAssignments = seeding.assignments(opts.K)
 		}
 		res, _, err := clusterPrepared(p, opts, &scratches[worker])
 		if err != nil {

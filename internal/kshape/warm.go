@@ -12,7 +12,7 @@ import (
 // and scores the single result. On a sliding window whose content drifts
 // slowly the previous fixed point is an excellent starting point, so the
 // refinement loop converges in a fraction of the iterations and the
-// (kMax-kMin+1) x restarts sweep is skipped entirely. The caller compares
+// sweep over kMin..kMax is skipped entirely. The caller compares
 // the returned silhouette against the last full sweep's score to decide
 // when the shortcut has degraded and a re-sweep is due.
 //

@@ -15,11 +15,11 @@
 // The pure entry points — FFT, IFFT, RealFFT, RealIFFT, CrossCorrelate,
 // Convolve, SolveLeastSquares, DominantEigen, and the distribution
 // functions — are safe for concurrent use: their only shared state is
-// the process-wide twiddle-table cache, which is internally locked and
-// holds immutable tables. The scratch-carrying variants
+// the process-wide table of per-size FFT plans, which are immutable and
+// published through atomic pointers. The scratch-carrying variants
 // (CrossCorrelateInto, ConvolveInto, SolveLeastSquaresInto,
-// DominantEigenWith) are safe for concurrent use with DISTINCT scratch
-// values; the scratch types themselves (FFTScratch, LSScratch,
+// DominantEigenWith) and CorrelateSpectra, whose caller passes the work
+// buffer, are safe for concurrent use with DISTINCT scratch values; the scratch types themselves (FFTScratch, LSScratch,
 // EigenScratch — and the Scratch types layered on them in
 // internal/stats, internal/granger, and internal/kshape) must never be
 // shared between goroutines. Fan-outs keep one scratch per worker,

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
+	"sync/atomic"
 )
 
 // NextPow2 returns the smallest power of two that is >= n. It returns 1 for
@@ -21,63 +21,74 @@ func IsPow2(n int) bool {
 	return n > 0 && n&(n-1) == 0
 }
 
-// twiddleCache holds one twiddle table per butterfly stage size and
-// direction, shared by every transform in the process. A stage table is
-// immutable after creation, so concurrent transforms only contend on the
-// RWMutex read path. Tables are small (size/2 entries) and only one per
-// power of two ever exists per direction, so the cache is effectively
-// bounded by the largest transform the process has seen.
-var twiddleCache struct {
-	sync.RWMutex
-	fwd map[int][]complex128
-	inv map[int][]complex128
+// fftPlan is everything a transform of one size reads besides its input:
+// the bit-reversal permutation as a list of swaps, and one twiddle table
+// per butterfly stage and direction. Entry k of a stage table holds the
+// k-th factor produced by the multiplicative recurrence
+// w *= exp(sign*2*pi*i/size) starting from 1. The recurrence — including
+// its accumulated rounding — is exactly what the pre-table transform
+// computed inline per butterfly column, so table-driven output is
+// bit-identical to the historical inline form.
+//
+// A plan is immutable once published. The plan of size n shares the stage
+// tables of size n/2's plan and adds its own top stage, so one table
+// exists per stage size and direction and the whole cache is bounded by
+// the largest transform the process has seen.
+type fftPlan struct {
+	swaps    [][2]int32
+	fwd, inv [][]complex128 // stage s (butterfly size 2<<s) at index s
 }
 
-// stageTwiddles returns the twiddle table for one butterfly stage of the
-// given size: entry k holds the k-th factor produced by the multiplicative
-// recurrence w *= exp(sign*2*pi*i/size) starting from 1. The recurrence —
-// including its accumulated rounding — is exactly what the pre-table
-// transform computed inline per butterfly column, so table-driven output
-// is bit-identical to the historical inline form.
-func stageTwiddles(size int, inverse bool) []complex128 {
-	twiddleCache.RLock()
-	m := twiddleCache.fwd
-	if inverse {
-		m = twiddleCache.inv
-	}
-	tab := m[size]
-	twiddleCache.RUnlock()
-	if tab != nil {
-		return tab
+// fftPlans is indexed by log2 of the transform size. Lookups are one
+// atomic load; two goroutines racing to build the same plan compute
+// identical tables and the first to publish wins.
+var fftPlans [bits.UintSize]atomic.Pointer[fftPlan]
+
+// planFor returns the plan for transforms of size n (a power of two >= 2).
+func planFor(n int) *fftPlan {
+	lg := bits.TrailingZeros(uint(n))
+	if p := fftPlans[lg].Load(); p != nil {
+		return p
 	}
 
-	sign := -1.0
-	if inverse {
-		sign = 1.0
+	p := &fftPlan{}
+	if n > 2 {
+		sub := planFor(n / 2)
+		p.fwd = append(p.fwd, sub.fwd...)
+		p.inv = append(p.inv, sub.inv...)
 	}
+	p.fwd = append(p.fwd, stageTable(n, -1))
+	p.inv = append(p.inv, stageTable(n, 1))
+	shift := bits.UintSize - uint(lg)
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse(uint(i)) >> shift); j > i {
+			p.swaps = append(p.swaps, [2]int32{int32(i), int32(j)})
+		}
+	}
+	fftPlans[lg].CompareAndSwap(nil, p)
+	return fftPlans[lg].Load()
+}
+
+func stageTable(size int, sign float64) []complex128 {
 	step := sign * 2 * math.Pi / float64(size)
 	wStep := complex(math.Cos(step), math.Sin(step))
-	tab = make([]complex128, size/2)
+	tab := make([]complex128, size/2)
 	w := complex(1, 0)
 	for k := range tab {
 		tab[k] = w
 		w *= wStep
 	}
-
-	twiddleCache.Lock()
-	if inverse {
-		if twiddleCache.inv == nil {
-			twiddleCache.inv = map[int][]complex128{}
-		}
-		twiddleCache.inv[size] = tab
-	} else {
-		if twiddleCache.fwd == nil {
-			twiddleCache.fwd = map[int][]complex128{}
-		}
-		twiddleCache.fwd[size] = tab
-	}
-	twiddleCache.Unlock()
 	return tab
+}
+
+// stageTwiddles returns the twiddle table of the butterfly stage of the
+// given size, i.e. exp(sign*2*pi*i*k/size) for k < size/2.
+func stageTwiddles(size int, inverse bool) []complex128 {
+	p := planFor(size)
+	if inverse {
+		return p.inv[len(p.inv)-1]
+	}
+	return p.fwd[len(p.fwd)-1]
 }
 
 // FFT computes the forward discrete Fourier transform of x in place and
@@ -101,8 +112,9 @@ func IFFT(x []complex128) []complex128 {
 }
 
 // fft is an iterative radix-2 Cooley-Tukey transform. inverse selects the
-// conjugate twiddle factors (without the 1/n normalization). Twiddles come
-// from the per-stage cache, so a steady-state transform allocates nothing.
+// conjugate twiddle factors (without the 1/n normalization). Permutation
+// and twiddles come from the size's plan, so a steady-state transform
+// allocates nothing and takes no lock.
 func fft(x []complex128, inverse bool) []complex128 {
 	n := len(x)
 	if !IsPow2(n) {
@@ -112,24 +124,51 @@ func fft(x []complex128, inverse bool) []complex128 {
 		return x
 	}
 
-	// Bit-reversal permutation.
-	shift := bits.UintSize - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse(uint(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+	p := planFor(n)
+	for _, sw := range p.swaps {
+		x[sw[0]], x[sw[1]] = x[sw[1]], x[sw[0]]
+	}
+	stages := p.fwd
+	if inverse {
+		stages = p.inv
+	}
+	// Two stages per pass: a block of 4q values goes through its two
+	// stage-q butterflies and then its two stage-2q butterflies while the
+	// four operands are in registers. Every butterfly is the one the
+	// stage-at-a-time loop performs, on the same operands, so the output
+	// is bit-identical; only the loads and stores between the paired
+	// stages are gone.
+	st := 0
+	for ; st+1 < len(stages); st += 2 {
+		t1, t2 := stages[st], stages[st+1]
+		q := len(t1)
+		t2lo, t2hi := t2[:q:q], t2[q:][:q:q]
+		for start := 0; start < n; start += 4 * q {
+			blk := x[start:][: 4*q : 4*q]
+			x0, x1, x2, x3 := blk[:q:q], blk[q:][:q:q], blk[2*q:][:q:q], blk[3*q:][:q:q]
+			for k, w := range t1 {
+				a, c := x0[k], x2[k]
+				b, d := x1[k]*w, x3[k]*w
+				a, b = a+b, a-b
+				c, d = c+d, c-d
+				c *= t2lo[k]
+				d *= t2hi[k]
+				x0[k], x2[k] = a+c, a-c
+				x1[k], x3[k] = b+d, b-d
+			}
 		}
 	}
-
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		tab := stageTwiddles(size, inverse)
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * tab[k]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+	if st < len(stages) {
+		tab := stages[st]
+		half := len(tab)
+		for start := 0; start < n; start += 2 * half {
+			blk := x[start:][: 2*half : 2*half]
+			lo, hi := blk[:half:half], blk[half:][:half:half]
+			for k, w := range tab {
+				a := lo[k]
+				b := hi[k] * w
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}
@@ -220,31 +259,79 @@ func RealIFFT(dst []float64, spec []complex128) []float64 {
 		dst[0] = real(spec[0])
 		return dst
 	}
-
-	// Re-pack the spectrum of the interleaved half-size signal:
-	//   E_k = (P[k] + P[k+h]) / 2
-	//   O_k = (P[k] - P[k+h]) / 2 * exp(+2*pi*i*k/m)
-	//   Z[k] = E_k + i*O_k
-	// then one half-size inverse transform recovers z[j] whose real and
-	// imaginary parts are the even and odd output samples. Each slot k is
-	// read before it is written, so the re-pack is in-place.
+	// Each slot k is read before it is written, so the re-pack is
+	// in-place.
 	h := m / 2
-	tab := stageTwiddles(m, true)
-	for k := 0; k < h; k++ {
-		pk, ph := spec[k], spec[k+h]
-		ek := complex((real(pk)+real(ph))/2, (imag(pk)+imag(ph))/2)
-		ok := complex((real(pk)-real(ph))/2, (imag(pk)-imag(ph))/2) * tab[k]
-		spec[k] = complex(real(ek)-imag(ok), imag(ek)+real(ok))
+	lo, hi := spec[:h], spec[h:]
+	for k, w := range stageTwiddles(m, true) {
+		lo[k] = repack(lo[k], hi[k], w)
 	}
-	z := spec[:h]
+	return inverseHalf(dst, lo)
+}
+
+// CorrelateSpectra writes into dst[:m] the circular cross-correlation of
+// two real signals given their RealFFT spectra a and b (both of length
+// m, a power of two): the inverse transform of a[k]·conj(b[k]), entry j
+// holding sum_t x_a[t+j]·x_b[t] with indices mod m. work needs capacity
+// for m/2 values; a and b are only read. It is the spectrum product, the
+// half-size re-pack, the inverse transform and the unpack of
+// CrossCorrelateInto in one routine that forms each product bin where
+// the re-pack consumes it — the same floating-point operations in the
+// same order as multiplying into a buffer and calling RealIFFT, minus
+// one pass over the spectrum.
+func CorrelateSpectra(dst []float64, a, b, work []complex128) []float64 {
+	m := len(a)
+	if !IsPow2(m) || len(b) != m {
+		panic(fmt.Sprintf("mathx: CorrelateSpectra needs equal power-of-two lengths, got %d and %d", m, len(b)))
+	}
+	dst = dst[:m]
+	if m == 1 {
+		dst[0] = real(a[0] * conj(b[0]))
+		return dst
+	}
+	h := m / 2
+	alo, ahi, blo, bhi := a[:h], a[h:], b[:h], b[h:]
+	z := work[:h]
+	for k, w := range stageTwiddles(m, true) {
+		z[k] = repack(alo[k]*conj(blo[k]), ahi[k]*conj(bhi[k]), w)
+	}
+	return inverseHalf(dst, z)
+}
+
+func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
+
+// repack folds bins k and k+h of a conjugate-symmetric spectrum P of
+// length 2h into bin k of the spectrum of the interleaved half-size
+// signal z[j] = p[2j] + i*p[2j+1]:
+//
+//	E_k = (P[k] + P[k+h]) / 2
+//	O_k = (P[k] - P[k+h]) / 2 * exp(+2*pi*i*k/2h)
+//	Z[k] = E_k + i*O_k
+//
+// w is the inverse stage-2h twiddle exp(+2*pi*i*k/2h).
+func repack(pk, ph, w complex128) complex128 {
+	ek := complex((real(pk)+real(ph))/2, (imag(pk)+imag(ph))/2)
+	ok := complex((real(pk)-real(ph))/2, (imag(pk)-imag(ph))/2) * w
+	return complex(real(ek)-imag(ok), imag(ek)+real(ok))
+}
+
+// inverseHalf is the one inverse path behind RealIFFT and
+// CorrelateSpectra: a half-size inverse transform of the re-packed
+// spectrum z (consumed), whose real and imaginary parts are the even and
+// odd output samples. The /2 folded into repack plus the /h here totals
+// the 1/m normalization of a full-size IFFT.
+func inverseHalf(dst []float64, z []complex128) []float64 {
+	h := len(z)
 	fft(z, true)
-	// The /2 folded into E and O above plus this /h totals the 1/m
-	// normalization of a full-size IFFT.
-	nh := complex(float64(h), 0)
-	for j := 0; j < h; j++ {
-		v := z[j] / nh
-		dst[2*j] = real(v)
-		dst[2*j+1] = imag(v)
+	// h is a power of two, so multiplying by 1/h rounds exactly like
+	// dividing by h. The v*0 terms are what complex division by h+0i
+	// adds to each part; they keep the sign of a zero result, and a
+	// non-finite part's spread into the other, identical to z[j]/h.
+	rh := 1 / float64(h)
+	dst = dst[:2*h]
+	for j, v := range z {
+		dst[2*j] = (real(v) + imag(v)*0) * rh
+		dst[2*j+1] = (imag(v) - real(v)*0) * rh
 	}
 	return dst
 }
@@ -254,8 +341,8 @@ func RealIFFT(dst []float64, spec []complex128) []float64 {
 // largest padded size seen and are reused across calls. A scratch must
 // not be used concurrently — fan-outs keep one per worker.
 type FFTScratch struct {
-	fa, fb []complex128
-	rt     []float64
+	fa, fb, z []complex128
+	rt        []float64
 }
 
 // spectra returns the two padded spectrum buffers at size m.
@@ -267,6 +354,14 @@ func (s *FFTScratch) spectra(m int) (fa, fb []complex128) {
 		s.fb = make([]complex128, m)
 	}
 	return s.fa[:m], s.fb[:m]
+}
+
+// work returns the re-packed half-size spectrum buffer at size h.
+func (s *FFTScratch) work(h int) []complex128 {
+	if cap(s.z) < h {
+		s.z = make([]complex128, h)
+	}
+	return s.z[:h]
 }
 
 // realBuf returns the real inverse-transform output buffer at size m.
@@ -310,14 +405,10 @@ func CrossCorrelateInto(dst []float64, a, b []float64, s *FFTScratch) []float64 
 	n := len(a)
 	m := NextPow2(2*n - 1)
 	fa, fb := realSpectra(a, b, m, s)
-	for i := range fa {
-		// Correlation uses the conjugate of the second operand's spectrum.
-		fa[i] *= complex(real(fb[i]), -imag(fb[i]))
-	}
-	// The product spectrum is conjugate-symmetric (both inputs are real),
-	// so the real inverse transform applies.
-	inv := s.realBuf(m)
-	RealIFFT(inv, fa)
+	// Correlation uses the conjugate of the second operand's spectrum;
+	// the product is conjugate-symmetric (both inputs are real), so the
+	// real inverse transform applies.
+	inv := CorrelateSpectra(s.realBuf(m), fa, fb, s.work(m/2))
 
 	// The circular correlation wraps negative shifts to the tail of the
 	// buffer; unwrap into [-(n-1), n-1] order.

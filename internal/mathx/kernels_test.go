@@ -1,9 +1,11 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -140,5 +142,153 @@ func TestKernelCrossCorrelateScratchAllocs(t *testing.T) {
 		ConvolveInto(conv, a, b, &s)
 	}); allocs != 0 {
 		t.Fatalf("warm ConvolveInto allocates %v times per call, want 0", allocs)
+	}
+}
+
+// referenceRealIFFT is the inverse real transform as it stood before the
+// fused kernel: re-pack with the inline twiddle recurrence, the
+// inline-recurrence inverse transform, and a complex division by the
+// half size. Nothing in it is shared with the production path.
+func referenceRealIFFT(dst []float64, spec []complex128) []float64 {
+	m := len(spec)
+	dst = dst[:m]
+	if m == 1 {
+		dst[0] = real(spec[0])
+		return dst
+	}
+	h := m / 2
+	step := 2 * math.Pi / float64(m)
+	wStep := complex(math.Cos(step), math.Sin(step))
+	w := complex(1, 0)
+	for k := 0; k < h; k++ {
+		pk, ph := spec[k], spec[k+h]
+		ek := complex((real(pk)+real(ph))/2, (imag(pk)+imag(ph))/2)
+		ok := complex((real(pk)-real(ph))/2, (imag(pk)-imag(ph))/2) * w
+		spec[k] = complex(real(ek)-imag(ok), imag(ek)+real(ok))
+		w *= wStep
+	}
+	z := referenceFFT(spec[:h], true)
+	nh := complex(float64(h), 0)
+	for j := 0; j < h; j++ {
+		v := z[j] / nh
+		dst[2*j] = real(v)
+		dst[2*j+1] = imag(v)
+	}
+	return dst
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, reference has %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d = %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// kernelInputs are the series shapes the fused kernel is pinned on, at
+// one length: noise, a constant (its z-normalized form is all zeros, so
+// every product bin is a signed zero), all zeros, a ramp and an impulse.
+func kernelInputs(rng *rand.Rand, n int) map[string][]float64 {
+	noise, noise2, constant, ramp, impulse := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		noise[i], noise2[i] = rng.NormFloat64(), rng.NormFloat64()*1e3
+		constant[i] = -3.25
+		ramp[i] = float64(i) - float64(n)/2
+	}
+	impulse[n/2] = -1
+	return map[string][]float64{
+		"noise": noise, "noise2": noise2, "constant": constant, "zero": make([]float64, n), "ramp": ramp, "impulse": impulse,
+	}
+}
+
+// TestKernelCorrelateSpectraBitIdentical pins the fused correlation —
+// and RealIFFT, which shares its inverse core — to the sequence they
+// replaced: multiply the spectra into a buffer, then the reference
+// inverse real transform. Every output bit must match, the sign of a
+// zero included, from the shortest series to the pipeline's window.
+func TestKernelCorrelateSpectraBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 2, 3, 16, 73, 240, 500} {
+		m := NextPow2(2*n - 1)
+		in := kernelInputs(rng, n)
+		for an, a := range in {
+			for bn, b := range in {
+				fa := RealFFT(make([]complex128, m), a, m)
+				fb := RealFFT(make([]complex128, m), b, m)
+				prod := make([]complex128, m)
+				for i := range prod {
+					prod[i] = fa[i] * complex(real(fb[i]), -imag(fb[i]))
+				}
+				want := referenceRealIFFT(make([]float64, m), append([]complex128(nil), prod...))
+
+				got := CorrelateSpectra(make([]float64, m), fa, fb, make([]complex128, m/2))
+				requireSameBits(t, fmt.Sprintf("CorrelateSpectra n=%d %s x %s", n, an, bn), got, want)
+
+				inv := RealIFFT(make([]float64, m), prod)
+				requireSameBits(t, fmt.Sprintf("RealIFFT n=%d %s x %s", n, an, bn), inv, want)
+			}
+		}
+	}
+
+	// Spectra of signed zeros and a few small values: outputs that are
+	// zero reach every combination of signs, which is where multiplying
+	// by 1/h and dividing by h+0i differ unless the kernel reproduces the
+	// division's cross terms.
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 0.5}
+	draw := func(m int) []complex128 {
+		out := make([]complex128, m)
+		for i := range out {
+			out[i] = complex(pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))])
+		}
+		return out
+	}
+	for _, m := range []int{2, 4, 8, 32} {
+		for trial := 0; trial < 200; trial++ {
+			fa, fb := draw(m), draw(m)
+			prod := make([]complex128, m)
+			for i := range prod {
+				prod[i] = fa[i] * complex(real(fb[i]), -imag(fb[i]))
+			}
+			want := referenceRealIFFT(make([]float64, m), append([]complex128(nil), prod...))
+			got := CorrelateSpectra(make([]float64, m), fa, fb, make([]complex128, m/2))
+			requireSameBits(t, fmt.Sprintf("CorrelateSpectra m=%d signed-zero trial %d", m, trial), got, want)
+			inv := RealIFFT(make([]float64, m), prod)
+			requireSameBits(t, fmt.Sprintf("RealIFFT m=%d signed-zero trial %d", m, trial), inv, want)
+		}
+	}
+}
+
+// TestKernelFFTPlanConcurrentFirstUse races many goroutines into the
+// first transform of sizes nothing else in the package touches: whoever
+// publishes the plan, every transform must see complete tables and
+// reproduce the reference.
+func TestKernelFFTPlanConcurrentFirstUse(t *testing.T) {
+	for _, size := range []int{1 << 13, 1 << 14} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		x := make([]complex128, size)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		want := referenceFFT(append([]complex128(nil), x...), true)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := fft(append([]complex128(nil), x...), true)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("size %d: entry %d = %v, reference %v", size, i, got[i], want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -1,6 +1,7 @@
 package sieve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -18,9 +19,10 @@ import (
 // Kernel microbenchmarks: the hot analysis primitives this repo's
 // pipeline is built from, measured in isolation so BENCH_kernels.json
 // tracks their cost trajectory the way BENCH_online.json tracks whole
-// cycles — FFT (complex vs the half-size real path), the SBD distance
-// matrix over cached spectra, one pooled Granger pair, and a streaming
-// full-window rebuild.
+// cycles — FFT (complex vs the half-size real path), one SBD distance,
+// the SBD distance matrix over cached spectra, the k-selection sweep,
+// shape extraction, one pooled Granger pair, and a streaming full-window
+// rebuild.
 
 // kernelRow is one BENCH_kernels.json entry.
 type kernelRow struct {
@@ -142,6 +144,59 @@ func BenchmarkKernels(b *testing.B) {
 		runKernelCase(b, name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := kshape.PairwiseSBD(series); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	// One shape-based distance from raw series: two forward real
+	// transforms plus the fused product-and-inverse kernel.
+	{
+		x := kernelSeries(0, 0, obWindowSteps)
+		y := kernelSeries(3, 1, obWindowSteps)
+		name := fmt.Sprintf("sbd_dist/len=%d", obWindowSteps)
+		order = append(order, name)
+		runKernelCase(b, name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kshape.SBD(x, y)
+			}
+		})
+	}
+
+	// The k-selection sweep of one component: distance matrix, then
+	// name-seeded k-Shape at k = 2..7 scored by silhouette, one worker.
+	for _, width := range []int{16, 64} {
+		series := make([][]float64, width)
+		names := make([]string, width)
+		for i := range series {
+			series[i] = kernelSeries(i, i%5, obWindowSteps)
+			names[i] = fmt.Sprintf("family%d_metric_%02d", i%5, i)
+		}
+		name := fmt.Sprintf("sweep/width=%d/len=%d", width, obWindowSteps)
+		order = append(order, name)
+		runKernelCase(b, name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := kshape.ChooseKFromDist(context.Background(), series, nil, names, 2, 7, 0, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	// Shape extraction of one 32-member cluster: a K=1 run is one
+	// refinement (the 240-wide power iteration over all members) plus
+	// the members' transforms and their 32 distances to the result.
+	{
+		series := make([][]float64, 32)
+		for i := range series {
+			series[i] = kernelSeries(i, 2*(i%3), obWindowSteps)
+		}
+		name := fmt.Sprintf("shape_extraction/members=32/len=%d", obWindowSteps)
+		order = append(order, name)
+		runKernelCase(b, name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := kshape.Cluster(series, kshape.Options{K: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
