@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
+	"github.com/sieve-microservices/sieve/internal/jsonenc"
 	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
 
@@ -164,9 +165,9 @@ func MarshalArtifact(a *Artifact) ([]byte, error) {
 // out.
 func appendSeriesJSON(out []byte, component, metric string, s *timeseries.Regular) ([]byte, error) {
 	out = append(out, "\n  {\n   \"component\": "...)
-	out = appendJSONString(out, component)
+	out = jsonenc.AppendString(out, component)
 	out = append(out, ",\n   \"metric\": "...)
-	out = appendJSONString(out, metric)
+	out = jsonenc.AppendString(out, metric)
 	out = append(out, ",\n   \"start\": "...)
 	out = strconv.AppendInt(out, s.Start, 10)
 	out = append(out, ",\n   \"step_ms\": "...)
@@ -187,35 +188,11 @@ func appendSeriesJSON(out []byte, component, metric string, s *timeseries.Regula
 				out = append(out, ',')
 			}
 			out = append(out, "\n    "...)
-			out = appendJSONFloat(out, v)
+			out = jsonenc.AppendFloat(out, v)
 		}
 		out = append(out, "\n   ]"...)
 	}
 	return append(out, "\n  }"...), nil
-}
-
-// appendJSONString appends s as encoding/json quotes it (HTML-safe
-// escapes, invalid UTF-8 replaced).
-func appendJSONString(out []byte, s string) []byte {
-	quoted, _ := json.Marshal(s) // a string cannot fail to marshal
-	return append(out, quoted...)
-}
-
-// appendJSONFloat appends a finite float64 as encoding/json writes it:
-// the shortest decimal that round-trips, in exponent form only below
-// 1e-6 and from 1e21 up (as ES6 does), with a two-digit exponent's
-// leading zero dropped.
-func appendJSONFloat(out []byte, v float64) []byte {
-	abs := math.Abs(v)
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		out = strconv.AppendFloat(out, v, 'e', -1, 64)
-		if n := len(out); n >= 4 && out[n-4] == 'e' && (out[n-3] == '-' || out[n-3] == '+') && out[n-2] == '0' {
-			out[n-2] = out[n-1]
-			out = out[:n-1]
-		}
-		return out
-	}
-	return strconv.AppendFloat(out, v, 'f', -1, 64)
 }
 
 // UnmarshalArtifact reconstructs an artifact serialized by

@@ -311,6 +311,10 @@ type Server struct {
 	// payload size. Safe to pool: IngestParsed retains nothing (the WAL
 	// copies bytes, the shards copy points and build fresh key strings).
 	rwScratch sync.Pool
+
+	// rangeBuf recycles /query_range response buffers (*[]byte), so a warm
+	// handler formats its body without allocating per point.
+	rangeBuf sync.Pool
 }
 
 // New creates a Server with its backing sharded store. With
@@ -628,10 +632,26 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	if results == nil {
 		results = []tsdb.SeriesResult{}
 	}
-	writeJSON(w, QueryRangeResponse{
+	// The body is built whole before the first byte goes out: nothing is
+	// on the wire yet when the store or the encoder fails, so either can
+	// still choose the status code.
+	buf, _ := s.rangeBuf.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	body, err := appendQueryRangeJSON((*buf)[:0], QueryRangeResponse{
 		From: q.From, To: q.To, Agg: q.Agg.String(), StepMS: q.StepMS,
 		Results: results,
 	})
+	if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = w.Write(body) // a client that hung up is not the server's error
+	}
+	*buf = body
+	s.rangeBuf.Put(buf)
 }
 
 // StatsResponse is the GET /stats body.

@@ -618,9 +618,23 @@ func dropSupersededBlocks(blocks []*block) ([]*block, error) {
 		if err := b.close(); err != nil {
 			return nil, err
 		}
-		if err := os.RemoveAll(b.dir); err != nil {
+		if err := removeBlockDir(b.dir); err != nil {
 			return nil, err
 		}
 	}
 	return kept, nil
+}
+
+// removeBlockDir deletes a published block directory so that a crash at
+// any instant leaves either the whole directory under its published name
+// or a tmp- leftover the next open sweeps. Deleting in place would not:
+// RemoveAll unlinks file by file, and a process killed between two
+// unlinks leaves a b- directory without its meta.json, which openBlocks
+// rightly refuses to serve — the store then fails to open at all.
+func removeBlockDir(dir string) error {
+	doomed := filepath.Join(filepath.Dir(dir), blockTmpPrefix+filepath.Base(dir))
+	if err := os.Rename(dir, doomed); err != nil {
+		return err
+	}
+	return os.RemoveAll(doomed)
 }

@@ -41,9 +41,11 @@ import (
 //     a tmp- dir the next open removes; a crash after the rename but
 //     before the sources are deleted leaves blocks whose ranges the
 //     merged block covers — openBlocks removes them, completing the
-//     interrupted compaction (dropSupersededBlocks). Companion files
-//     are written tmp + rename inside the block directory and die with
-//     it.
+//     interrupted compaction (dropSupersededBlocks). Sources are
+//     deleted through removeBlockDir (rename to tmp-, then remove), so
+//     a crash mid-deletion never leaves a half-emptied b- directory.
+//     Companion files are written tmp + rename inside the block
+//     directory and die with it.
 //   - Accounting. A compaction moves points between blocks but never
 //     changes the point set, so Stats.Points (basePoints) is untouched;
 //     retention accounts a merged block's points exactly once when it
@@ -137,12 +139,15 @@ func downsampleSeries(pts []Point, resMS int64) []dsRef {
 // (which would delete the directory) via flushMu.
 func buildDownsampled(b *block, resMS int64) (map[string][]dsRef, error) {
 	series := make(map[string][]dsRef, len(b.index))
+	// One decode buffer for every series: downsampleSeries keeps nothing
+	// of its input.
+	var scratch rawSink
 	for key := range b.index {
-		pts, err := b.query(key, math.MinInt64, math.MaxInt64, nil)
-		if err != nil {
+		scratch.pts = scratch.pts[:0]
+		if err := b.scan(key, math.MinInt64, math.MaxInt64, &scratch, nil); err != nil {
 			return nil, fmt.Errorf("downsampling %s %q: %w", b.dir, key, err)
 		}
-		if refs := downsampleSeries(pts, resMS); len(refs) > 0 {
+		if refs := downsampleSeries(scratch.pts, resMS); len(refs) > 0 {
 			series[key] = refs
 		}
 	}
@@ -280,17 +285,21 @@ func mergeRun(blocksDir string, seq uint64, run []*block) (*block, error) {
 	}
 	series := make(map[string][][]Point, len(keySet))
 	for key := range keySet {
-		var stream []Point
+		// The source indexes say how many points the stream holds, so it is
+		// allocated once and every block decodes straight into it.
+		n := 0
 		for _, b := range run {
-			if !b.hasSeries(key) {
-				continue
+			for _, ref := range b.index[key] {
+				n += ref.Count
 			}
-			pts, err := b.query(key, math.MinInt64, math.MaxInt64, nil)
-			if err != nil {
+		}
+		sink := rawSink{pts: make([]Point, 0, n)}
+		for _, b := range run {
+			if err := b.scan(key, math.MinInt64, math.MaxInt64, &sink, nil); err != nil {
 				return nil, fmt.Errorf("tsdb: compacting %s %q: %w", b.dir, key, err)
 			}
-			stream = append(stream, pts...)
 		}
+		stream := sink.pts
 		if len(stream) == 0 {
 			continue
 		}
@@ -333,7 +342,7 @@ func mergeRun(blocksDir string, seq uint64, run []*block) (*block, error) {
 		// Defensive: a miscount here would silently corrupt Stats.Points
 		// and retention accounting; fail the compaction instead.
 		_ = merged.close()
-		_ = os.RemoveAll(merged.dir)
+		_ = removeBlockDir(merged.dir)
 		return nil, fmt.Errorf("tsdb: merged block holds %d points, sources held %d", merged.meta.Points, totalPts)
 	}
 	return merged, nil
@@ -436,6 +445,7 @@ func (d *durable) compactRun(run []*block) error {
 		}
 	}
 	d.blocks = kept
+	d.keyGen.Add(1)
 	if tel != nil {
 		tel.CompactionMergedBlocks.Add(uint64(len(run)))
 		if reclaimed := sourceBytes - merged.meta.ChunkBytes; reclaimed > 0 {
@@ -454,7 +464,7 @@ func (d *durable) compactRun(run []*block) error {
 		if err := b.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if err := os.RemoveAll(b.dir); err != nil && firstErr == nil {
+		if err := removeBlockDir(b.dir); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

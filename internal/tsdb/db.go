@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -135,11 +136,16 @@ type DB struct {
 	// tel, when non-nil, receives chunk-fate counts from scans; set via
 	// setTelemetry (under mu) before the store serves traffic.
 	tel *StoreTelemetry
+
+	// keyGen is bumped whenever the set of keys in data changes. A shard
+	// of a Sharded store points it at the store's catalog generation (see
+	// Sharded.catalogKeys); a standalone DB counts into its own.
+	keyGen *atomic.Uint64
 }
 
 // New creates an empty DB.
 func New() *DB {
-	return &DB{data: map[string]*series{}}
+	return &DB{data: map[string]*series{}, keyGen: new(atomic.Uint64)}
 }
 
 // ackBytes is the fixed response size per write batch (status line),
@@ -245,6 +251,7 @@ func (db *DB) insertLocked(s Sample) {
 		sr = &series{}
 		db.data[key] = sr
 		db.stats.Series++
+		db.keyGen.Add(1)
 	}
 	sr.tail = append(sr.tail, Point{T: s.T, V: s.V})
 	if s.T > db.maxT {
@@ -304,6 +311,7 @@ func (db *DB) cutSnapshot(into map[string]*series) (cutSeq uint64, err error) {
 		}
 	}
 	db.data = map[string]*series{}
+	db.keyGen.Add(1)
 	return cutSeq, nil
 }
 
@@ -317,6 +325,7 @@ func (db *DB) cutSnapshot(into map[string]*series) (cutSeq uint64, err error) {
 func (db *DB) reinsertSeries(key string, old *series) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.keyGen.Add(1)
 	cur := db.data[key]
 	if cur == nil {
 		db.data[key] = old
@@ -396,12 +405,26 @@ func (db *DB) scanSeries(key string, from, to int64, sink pointSink) error {
 func (db *DB) SeriesKeys() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.sortedKeysLocked()
+}
+
+// sortedKeysLocked lists the DB's keys in sorted order. Caller holds mu.
+func (db *DB) sortedKeysLocked() []string {
 	keys := make([]string, 0, len(db.data))
 	for k := range db.data {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// addSeriesKeys unions the shard's in-memory series keys into set.
+func (db *DB) addSeriesKeys(set map[string]struct{}) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for k := range db.data {
+		set[k] = struct{}{}
+	}
 }
 
 // Stats returns a snapshot of the accounting counters; StorageBytes is

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -88,6 +89,9 @@ type durable struct {
 	// queries while their block is being written.
 	flushing map[string]*series
 	nextSeq  uint64
+	// keyGen is the owning store's catalog generation (Sharded.keyGen),
+	// bumped under mu wherever blocks or flushing change.
+	keyGen *atomic.Uint64
 
 	// cutMu excludes readers during the cut itself: a checkpoint holds
 	// the write side from the first shard drain until the drained set is
@@ -163,7 +167,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	// dir would look like leftovers from a bigger previous life and the
 	// first checkpoint would delete them out from under their writers.
 	n = s.NumShards()
-	d := &durable{opts: opts, blocksDir: filepath.Join(opts.Dir, "blocks"), stop: make(chan struct{})}
+	d := &durable{opts: opts, blocksDir: filepath.Join(opts.Dir, "blocks"), stop: make(chan struct{}), keyGen: &s.keyGen}
 
 	blocks, err := openBlocks(d.blocksDir)
 	if err != nil {
@@ -427,6 +431,7 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 		seq = d.nextSeq
 		d.nextSeq++
 		d.flushing = snap
+		d.keyGen.Add(1)
 		d.mu.Unlock()
 	}
 	// Readers may run again: the stolen series stay visible through the
@@ -451,6 +456,7 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 			d.cutMu.Lock()
 			d.mu.Lock()
 			d.flushing = nil
+			d.keyGen.Add(1)
 			d.mu.Unlock()
 			s.reinsert(snap)
 			d.cutMu.Unlock()
@@ -461,6 +467,7 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 		d.mu.Lock()
 		d.flushing = nil
 		d.blocks = append(d.blocks, blk)
+		d.keyGen.Add(1)
 		if d.tel != nil {
 			d.tel.CheckpointPoints.Add(uint64(points))
 			d.tel.BlockPublishes.Inc()
@@ -554,11 +561,14 @@ func (d *durable) enforceRetention(maxTime int64) error {
 		if err := b.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if err := os.RemoveAll(b.dir); err != nil && firstErr == nil {
+		if err := removeBlockDir(b.dir); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	d.blocks = kept
+	if len(kept) != len(d.blocks) {
+		d.blocks = kept
+		d.keyGen.Add(1)
+	}
 	return firstErr
 }
 

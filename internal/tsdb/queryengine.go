@@ -344,6 +344,11 @@ type aggregator struct {
 	step     uint64
 	pushdown bool
 	buckets  map[uint64]*bucket
+	// last is the bucket the previous contribution landed in (index
+	// lastIdx): points arrive in time order within a chunk, so consecutive
+	// ones almost always share a bucket and skip the map.
+	last    *bucket
+	lastIdx uint64
 }
 
 func newAggregator(agg Agg, from, stepMS int64) *aggregator {
@@ -372,14 +377,32 @@ func (a *aggregator) bucketStart(idx uint64) int64 {
 	return int64(uint64(a.from) + idx*a.step)
 }
 
+// lookup returns the bucket at idx, nil if nothing has landed there yet.
+func (a *aggregator) lookup(idx uint64) *bucket {
+	if a.last != nil && a.lastIdx == idx {
+		return a.last
+	}
+	b := a.buckets[idx]
+	if b != nil {
+		a.last, a.lastIdx = b, idx
+	}
+	return b
+}
+
+// open starts the bucket at idx with its first contribution.
+func (a *aggregator) open(idx uint64, b *bucket) {
+	a.buckets[idx] = b
+	a.last, a.lastIdx = b, idx
+}
+
 func (a *aggregator) add(p Point) {
 	idx := a.bucketIdx(p.T)
-	b := a.buckets[idx]
+	b := a.lookup(idx)
 	if b == nil {
-		a.buckets[idx] = &bucket{
+		a.open(idx, &bucket{
 			count: 1, min: p.V, max: p.V, sum: p.V,
 			firstT: p.T, firstV: p.V, lastT: p.T, lastV: p.V,
-		}
+		})
 		return
 	}
 	b.count++
@@ -407,12 +430,12 @@ func (a *aggregator) chunk(c chunkAgg) bool {
 		// The chunk straddles a bucket boundary; decode it.
 		return false
 	}
-	b := a.buckets[idx]
+	b := a.lookup(idx)
 	if b == nil {
-		a.buckets[idx] = &bucket{
+		a.open(idx, &bucket{
 			count: int64(c.Count), min: c.MinV, max: c.MaxV,
 			firstT: c.MinT, firstV: c.FirstV, lastT: c.MaxT, lastV: c.LastV,
-		}
+		})
 		return true
 	}
 	b.count += int64(c.Count)
@@ -473,15 +496,16 @@ func (a *aggregator) points() []Point {
 	return out
 }
 
-// matchedKeys filters and sorts the series keys the query matches.
-func matchedKeys(set map[string]struct{}, q RangeQuery) []string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
+// matchKeys filters sorted series keys down to those the query matches,
+// preserving their order. The input is not modified (Sharded passes its
+// shared catalog).
+func (q RangeQuery) matchKeys(sorted []string) []string {
+	var keys []string
+	for _, k := range sorted {
 		if q.matchKey(k) {
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
 	return keys
 }
 
@@ -509,11 +533,7 @@ func (db *DB) QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult, err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	set := make(map[string]struct{}, len(db.data))
-	for k := range db.data {
-		set[k] = struct{}{}
-	}
-	keys := matchedKeys(set, q)
+	keys := q.matchKeys(db.sortedKeysLocked())
 	results := make([]SeriesResult, len(keys))
 	for i, key := range keys {
 		if err := ctx.Err(); err != nil {
@@ -582,7 +602,7 @@ func (s *Sharded) QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult,
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	keys := matchedKeys(s.seriesKeySet(), q)
+	keys := q.matchKeys(s.catalogKeys())
 	results := make([]SeriesResult, len(keys))
 	err := parallel.ForEach(ctx, q.Parallelism, len(keys), func(ctx context.Context, i int) error {
 		key := keys[i]
@@ -674,11 +694,7 @@ func (db *DB) ScanMatch(componentGlob, metricGlob string, from, to int64, begin 
 	q := RangeQuery{Component: componentGlob, Metric: metricGlob, From: from, To: to}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	set := make(map[string]struct{}, len(db.data))
-	for k := range db.data {
-		set[k] = struct{}{}
-	}
-	keys := matchedKeys(set, q)
+	keys := q.matchKeys(db.sortedKeysLocked())
 	if begin != nil {
 		begin(keys)
 	}
@@ -702,7 +718,7 @@ func (db *DB) ScanMatch(componentGlob, metricGlob string, from, to int64, begin 
 // checkpoint-cut lock is held per series, not across the fan-out.
 func (s *Sharded) ScanMatch(componentGlob, metricGlob string, from, to int64, begin func(keys []string), visit SeriesVisitor) error {
 	q := RangeQuery{Component: componentGlob, Metric: metricGlob, From: from, To: to}
-	keys := matchedKeys(s.seriesKeySet(), q)
+	keys := q.matchKeys(s.catalogKeys())
 	if begin != nil {
 		begin(keys)
 	}

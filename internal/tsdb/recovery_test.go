@@ -783,6 +783,66 @@ func TestDurableRecoveryCompactionCrashWindow(t *testing.T) {
 	}
 }
 
+// TestDurableRecoveryKilledMidBlockRemoval covers the third compaction
+// crash window: the sources are being deleted when the process dies.
+// removeBlockDir first renames a source to a tmp- name, so what a kill
+// leaves is a partly emptied tmp- directory, which recovery sweeps. The
+// test also pins why the rename is there: the same partly emptied
+// directory under its published b- name makes the store refuse to open
+// (sievebench's SIGKILL check hit exactly that once compaction got fast
+// enough to end where the kill lands).
+func TestDurableRecoveryKilledMidBlockRemoval(t *testing.T) {
+	dir := t.TempDir()
+	s := openCrashable(t, dir, 2)
+	twin := openCrashable(t, t.TempDir(), 2)
+	for i := 0; i < 4; i++ {
+		recoveryWrite(t, recoveryBatch(i, 4, 3), s, twin)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocksDir := filepath.Join(dir, "blocks")
+	sources := listBlockDirs(t, blocksDir)
+	victim := t.TempDir()
+	copyDirRecursive(t, filepath.Join(blocksDir, sources[0]), filepath.Join(victim, sources[0]))
+	if err := os.Remove(filepath.Join(victim, sources[0], blockMetaName)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	merged := listBlockDirs(t, blocksDir)
+	if len(merged) != 1 {
+		t.Fatalf("compaction left %v", merged)
+	}
+	entries, err := os.ReadDir(blocksDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("retired sources left something behind: %v", entries)
+	}
+
+	// Killed after the rename, between two unlinks.
+	leftover := filepath.Join(blocksDir, blockTmpPrefix+sources[0])
+	copyDirRecursive(t, filepath.Join(victim, sources[0]), leftover)
+	re := openCrashable(t, dir, 2)
+	if _, err := os.Stat(leftover); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("half-removed source survived recovery: %v", err)
+	}
+	assertSameContents(t, re, twin, "killed mid block removal")
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same directory under its published name is not recoverable.
+	copyDirRecursive(t, filepath.Join(victim, sources[0]), filepath.Join(blocksDir, sources[0]))
+	if bad, err := OpenSharded(2, DurabilityOptions{Dir: dir, Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1}); err == nil {
+		bad.Close()
+		t.Fatal("a b- directory without meta.json opened")
+	}
+}
+
 // TestDurableRecoveryCompanionTmpFile simulates a hard stop while a
 // downsampled companion file was being written: the tmp- file inside the
 // block directory must be removed on open and the block must serve its

@@ -33,6 +33,17 @@ type Sharded struct {
 	// checkpoints, and retention. nil for a pure in-memory store.
 	dur *durable
 
+	// The series catalog: the sorted union of every series key in shard
+	// memory, the checkpoint overlay and the persisted blocks, shared
+	// read-only by QueryRange, ScanMatch, SeriesKeys and Stats. keyGen is
+	// bumped wherever that union can change (the shards and the durable
+	// engine hold a pointer to it); a reader whose cached catalog carries
+	// an older generation rebuilds it under catMu. The write path pays one
+	// atomic add per series birth and nothing per sample.
+	keyGen atomic.Uint64
+	catMu  sync.Mutex
+	cat    atomic.Pointer[catalog]
+
 	// scratchPool recycles the partition scratch (index, counts, backing
 	// array, per-shard error slots) across ingests, so steady-state
 	// ingest allocation is flat in batch size. Safe to reuse after an
@@ -52,6 +63,12 @@ type ingestScratch struct {
 	errs    []error
 }
 
+// catalog is one generation's sorted series keys.
+type catalog struct {
+	gen  uint64
+	keys []string
+}
+
 // NewSharded creates a store with n shards; n <= 0 uses GOMAXPROCS.
 func NewSharded(n int) *Sharded {
 	if n <= 0 {
@@ -60,6 +77,7 @@ func NewSharded(n int) *Sharded {
 	s := &Sharded{shards: make([]*DB, n)}
 	for i := range s.shards {
 		s.shards[i] = New()
+		s.shards[i].keyGen = &s.keyGen
 	}
 	return s
 }
@@ -321,45 +339,53 @@ func (s *Sharded) queryKeyLocked(key, component, metric string, from, to int64) 
 // SeriesKeys returns all component/metric keys across shards — and, on a
 // durable store, persisted blocks — in sorted order.
 func (s *Sharded) SeriesKeys() []string {
-	if s.dur == nil {
-		var keys []string
-		for _, sh := range s.shards {
-			keys = append(keys, sh.SeriesKeys()...)
-		}
-		sort.Strings(keys)
-		return keys
+	return append([]string(nil), s.catalogKeys()...)
+}
+
+// catalogKeys returns the sorted series keys, rebuilding them only when
+// the key set may have changed since the cached generation. The slice is
+// shared: callers must not modify it.
+//
+// The generation is read before the keys are collected, so a change that
+// races the collection leaves the cached entry already stale and the next
+// reader rebuilds; a change that finished before the read is visible to
+// the collection through the lock that guarded it.
+func (s *Sharded) catalogKeys() []string {
+	gen := s.keyGen.Load()
+	if c := s.cat.Load(); c != nil && c.gen == gen {
+		return c.keys
 	}
-	set := s.seriesKeySet()
+	s.catMu.Lock()
+	defer s.catMu.Unlock()
+	gen = s.keyGen.Load()
+	sizeHint := 0
+	if c := s.cat.Load(); c != nil {
+		if c.gen == gen {
+			return c.keys
+		}
+		sizeHint = len(c.keys)
+	}
+	set := make(map[string]struct{}, sizeHint)
+	if s.dur != nil {
+		// One cut-lock hold across memory and blocks: a checkpoint cut
+		// moves keys from the shards to the overlay, and a collection that
+		// straddled it could miss them on both sides.
+		s.dur.cutMu.RLock()
+	}
+	for _, sh := range s.shards {
+		sh.addSeriesKeys(set)
+	}
+	if s.dur != nil {
+		s.dur.addSeriesKeys(set)
+		s.dur.cutMu.RUnlock()
+	}
 	keys := make([]string, 0, len(set))
 	for k := range set {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	s.cat.Store(&catalog{gen: gen, keys: keys})
 	return keys
-}
-
-// seriesKeySet unions in-memory and persisted series keys.
-func (s *Sharded) seriesKeySet() map[string]struct{} {
-	if s.dur != nil {
-		s.dur.cutMu.RLock()
-		defer s.dur.cutMu.RUnlock()
-	}
-	return s.seriesKeySetLocked()
-}
-
-// seriesKeySetLocked is seriesKeySet for callers already holding cutMu
-// (an RWMutex read lock must not be re-acquired while a writer waits).
-func (s *Sharded) seriesKeySetLocked() map[string]struct{} {
-	set := map[string]struct{}{}
-	for _, sh := range s.shards {
-		for _, k := range sh.SeriesKeys() {
-			set[k] = struct{}{}
-		}
-	}
-	if s.dur != nil {
-		s.dur.addSeriesKeys(set)
-	}
-	return set
 }
 
 // MaxTime returns the largest timestamp ingested across shards and, on a
@@ -414,7 +440,7 @@ func (s *Sharded) Stats() Stats {
 		for _, sh := range s.shards {
 			out.StorageBytes += int(sh.wal.sizeBytes())
 		}
-		out.Series = len(s.seriesKeySet())
+		out.Series = len(s.catalogKeys())
 		out.CheckpointFailures, out.LastCheckpointError = s.dur.checkpointStats()
 	}
 	return out

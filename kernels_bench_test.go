@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -22,7 +24,8 @@ import (
 // cycles — FFT (complex vs the half-size real path), one SBD distance,
 // the SBD distance matrix over cached spectra, the k-selection sweep,
 // shape extraction, one pooled Granger pair, and a streaming full-window
-// rebuild.
+// rebuild — and the Gorilla chunk codec under every read, seal,
+// checkpoint and compaction.
 
 // kernelRow is one BENCH_kernels.json entry.
 type kernelRow struct {
@@ -240,7 +243,67 @@ func BenchmarkKernels(b *testing.B) {
 		})
 	}
 
+	// Gorilla codec, ns per point (one op is one point: b.N counts points,
+	// rounded up to whole chunks) on sievebench's two dashboard value
+	// shapes, at a hot-head chunk length and at the block writer's cap.
+	for _, shape := range []struct {
+		name string
+		gen  func(n int) []tsdb.Point
+	}{{"walk2dec", benchWalk2Dec}, {"counter", benchCounter}} {
+		for _, n := range []int{240, 4096} {
+			pts := shape.gen(n)
+			chunk, err := tsdb.CompressBlock(pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			name := fmt.Sprintf("gorilla/encode/%s/points=%d", shape.name, n)
+			order = append(order, name)
+			runKernelCase(b, name, func(b *testing.B) {
+				for i := 0; i < b.N; i += n {
+					if _, err := tsdb.CompressBlock(pts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			name = fmt.Sprintf("gorilla/decode/%s/points=%d", shape.name, n)
+			order = append(order, name)
+			runKernelCase(b, name, func(b *testing.B) {
+				for i := 0; i < b.N; i += n {
+					if _, err := tsdb.DecompressBlock(chunk); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+
 	flushKernelsJSON(order)
+}
+
+// benchWalk2Dec is sievebench's gauge shape: a random walk rounded to two
+// decimals on a 15 s scrape grid.
+func benchWalk2Dec(n int) []tsdb.Point {
+	rng := rand.New(rand.NewSource(1))
+	v := math.Round(rng.Float64()*1000*100) / 100
+	pts := make([]tsdb.Point, n)
+	for i := range pts {
+		v = math.Round((v+rng.NormFloat64()*3)*100) / 100
+		pts[i] = tsdb.Point{T: 1_699_999_200_000 + int64(i)*15_000, V: v}
+	}
+	return pts
+}
+
+// benchCounter is sievebench's counter shape: an integer growing by 0..63
+// per scrape.
+func benchCounter(n int) []tsdb.Point {
+	rng := rand.New(rand.NewSource(2))
+	var v float64
+	pts := make([]tsdb.Point, n)
+	for i := range pts {
+		v += float64(rng.Intn(64))
+		pts[i] = tsdb.Point{T: 1_699_999_200_000 + int64(i)*15_000, V: v}
+	}
+	return pts
 }
 
 // newBenchStore prefills a sharded store with one window of the online
