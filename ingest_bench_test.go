@@ -113,15 +113,16 @@ func flushIngestJSON() {
 }
 
 // BenchmarkShardedIngest compares concurrent line-protocol write
-// throughput of the single-mutex DB against the sharded store at
-// increasing shard counts. Every variant stores identical points (pinned
-// by TestShardedMatchesDBAtAnyShardCount in internal/tsdb); only lock
+// throughput of the store at increasing shard counts; shards=1 (one
+// lock) is the baseline the other rows' ratios are taken against. Every
+// variant stores identical points (pinned by
+// TestShardedMatchesDBAtAnyShardCount in internal/tsdb); only lock
 // contention changes. Results are also written to BENCH_ingest.json.
 func BenchmarkShardedIngest(b *testing.B) {
 	payloads := ingestPayloads()
 	type tc struct {
 		name    string
-		shards  int  // 0 marks the plain DB baseline
+		shards  int
 		durable bool // WAL-enabled store (tracks the durability overhead)
 		fsync   tsdb.FsyncPolicy
 		// writers: 0 = RunParallel at default parallelism (the legacy
@@ -129,7 +130,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 		// concurrent writer goroutines regardless of GOMAXPROCS.
 		writers int
 	}
-	cases := []tc{{name: "db-single-mutex"}, {name: "shards=1", shards: 1}, {name: "shards=2", shards: 2}, {name: "shards=4", shards: 4}, {name: "shards=8", shards: 8}}
+	cases := []tc{{name: "shards=1", shards: 1}, {name: "shards=2", shards: 2}, {name: "shards=4", shards: 4}, {name: "shards=8", shards: 8}}
 	if p := runtime.GOMAXPROCS(0); p > 8 {
 		cases = append(cases, tc{name: fmt.Sprintf("shards=%d", p), shards: p})
 	}
@@ -149,12 +150,11 @@ func BenchmarkShardedIngest(b *testing.B) {
 
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var store tsdb.Store
-			var durStore *tsdb.Sharded
+			var store *tsdb.Sharded
 			var storeTel *tsdb.StoreTelemetry
-			switch {
-			case c.durable:
-				ds, err := tsdb.OpenSharded(c.shards, tsdb.DurabilityOptions{
+			if c.durable {
+				var err error
+				store, err = tsdb.OpenSharded(c.shards, tsdb.DurabilityOptions{
 					Dir:           b.TempDir(),
 					Fsync:         c.fsync,
 					FlushInterval: -1, // measure the WAL alone, not block flushes
@@ -162,14 +162,10 @@ func BenchmarkShardedIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer ds.Close()
+				defer store.Close()
 				storeTel = tsdb.NewStoreTelemetry(telemetry.NewRegistry())
-				ds.SetTelemetry(storeTel)
-				durStore = ds
-				store = ds
-			case c.shards == 0:
-				store = tsdb.New()
-			default:
+				store.SetTelemetry(storeTel)
+			} else {
 				store = tsdb.NewSharded(c.shards)
 			}
 			var idx atomic.Int64
@@ -203,8 +199,8 @@ func BenchmarkShardedIngest(b *testing.B) {
 			}
 			b.StopTimer()
 			var walBytesPerSample float64
-			if durStore != nil && b.N > 0 {
-				walBytesPerSample = float64(durStore.WALSizeBytes()) / (float64(b.N) * ingestPointsPerBatch)
+			if c.durable && b.N > 0 {
+				walBytesPerSample = float64(store.WALSizeBytes()) / (float64(b.N) * ingestPointsPerBatch)
 			}
 			if c.fsync == tsdb.FsyncAlways && b.N >= 200 {
 				// The group-commit telemetry must move under FsyncAlways

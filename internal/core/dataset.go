@@ -81,7 +81,7 @@ type CaptureResult struct {
 	// Dataset is the resampled capture.
 	Dataset *Dataset
 	// DB is the backing store with its resource accounting.
-	DB *tsdb.DB
+	DB *tsdb.Sharded
 	// Collector reports the scrape-side accounting.
 	Collector *metrics.Collector
 	// Tracer is the syscall tracer used for the call graph.
@@ -131,7 +131,7 @@ func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, op
 		capacity = 1 << 18
 	}
 
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	coll, err := metrics.NewCollector(db, a.Registries()...)
 	if err != nil {
 		return nil, err
@@ -174,18 +174,23 @@ func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, op
 // including the sharded server store — resamples it onto the given grid,
 // and assembles a Dataset (without a call graph).
 //
-// Stores that provide the streaming scan (tsdb.SeriesScanner: DB,
-// Sharded) decode chunks directly into the bucket grid — no []Point or
-// SeriesResult materializes. Stores that only provide the query engine
-// (tsdb.RangeQuerier) are read with ONE matcher query over the whole
-// window instead of a SeriesKeys call plus one Query round trip per
-// series. All three paths produce bit-identical datasets.
+// The store's streaming scan decodes chunks directly into one flat bucket
+// grid (series i owns sums[i*n:(i+1)*n]) — no []Point or SeriesResult
+// materializes — then each occupied row goes through the same
+// timeseries.FromBuckets second half Resample uses. The accumulation
+// (skip guards, += order) is statement-for-statement Resample's own loop,
+// so the assembled dataset is bit-identical to resampling each series'
+// raw query result. Rows are disjoint, so the store may visit different
+// series concurrently.
 //
 // Online callers that assemble overlapping windows cycle after cycle
 // should use a WindowCache instead: it keeps per-series bucket state
 // across calls and reads only the window's new tail, producing the same
 // bytes this full read would.
 func DatasetFromDB(db tsdb.ReadStore, appName string, stepMS, start, end int64) (*Dataset, error) {
+	if stepMS <= 0 {
+		return nil, fmt.Errorf("core: dataset assembly has non-positive step %d", stepMS)
+	}
 	if end <= start {
 		return nil, fmt.Errorf("core: empty capture window [%d,%d)", start, end)
 	}
@@ -196,54 +201,13 @@ func DatasetFromDB(db tsdb.ReadStore, appName string, stepMS, start, end int64) 
 		End:    end,
 		Series: map[string]map[string]*timeseries.Regular{},
 	}
-	if sc, ok := db.(tsdb.SeriesScanner); ok && stepMS > 0 {
-		if err := datasetFromScan(ds, sc, start, end, stepMS); err != nil {
-			return nil, err
-		}
-	} else if rq, ok := db.(tsdb.RangeQuerier); ok {
-		results, err := rq.QueryMatch("*", "*", start, end)
-		if err != nil {
-			return nil, fmt.Errorf("core: matcher query over window: %w", err)
-		}
-		for _, res := range results {
-			addResampled(ds, res.Component, res.Metric, res.Points, start, end, stepMS)
-		}
-	} else {
-		for _, key := range db.SeriesKeys() {
-			component, metric, ok := seriesKeyParts(key)
-			if !ok {
-				return nil, fmt.Errorf("core: malformed series key %q", key)
-			}
-			pts, err := db.Query(component, metric, start, end)
-			if err != nil {
-				return nil, fmt.Errorf("core: reading %q: %w", key, err)
-			}
-			addResampled(ds, component, metric, pts, start, end, stepMS)
-		}
-	}
-	if len(ds.Series) == 0 {
-		return nil, ErrNoSeries
-	}
-	return ds, nil
-}
-
-// datasetFromScan assembles the dataset through the store's streaming
-// scan: every matched series' points decode straight into one flat
-// bucket grid (series i owns sums[i*n:(i+1)*n]), then each occupied row
-// goes through the same timeseries.FromBuckets second half Resample
-// uses. The accumulation (skip guards, += order) is statement-for-
-// statement Resample's own loop, so the assembled dataset is
-// bit-identical to the QueryMatch path — without materializing a single
-// []Point or SeriesResult. Rows are disjoint, so the store may visit
-// different series concurrently.
-func datasetFromScan(ds *Dataset, sc tsdb.SeriesScanner, start, end, stepMS int64) error {
 	n := timeseries.GridBuckets(start, end, stepMS)
 	var (
 		keys   []string
 		sums   []float64
 		counts []int
 	)
-	err := sc.ScanMatch("*", "*", start, end, func(ks []string) {
+	err := db.ScanMatch("*", "*", start, end, func(ks []string) {
 		keys = ks
 		sums = make([]float64, len(ks)*n)
 		counts = make([]int, len(ks)*n)
@@ -256,7 +220,7 @@ func datasetFromScan(ds *Dataset, sc tsdb.SeriesScanner, start, end, stepMS int6
 		counts[i*n+b]++
 	})
 	if err != nil {
-		return fmt.Errorf("core: matcher scan over window: %w", err)
+		return nil, fmt.Errorf("core: matcher scan over window: %w", err)
 	}
 	for i, key := range keys {
 		component, metric := splitStoreKey(key)
@@ -269,23 +233,8 @@ func datasetFromScan(ds *Dataset, sc tsdb.SeriesScanner, start, end, stepMS int6
 		}
 		ds.Series[component][metric] = reg
 	}
-	return nil
-}
-
-// addResampled resamples one series' raw points onto the grid and adds
-// it to the dataset. Series with no usable points in the window (e.g.
-// created at the very end) are skipped, not fatal.
-func addResampled(ds *Dataset, component, metric string, pts []tsdb.Point, start, end, stepMS int64) {
-	raw := &timeseries.Series{Name: metric}
-	for _, p := range pts {
-		raw.Append(p.T, p.V)
+	if len(ds.Series) == 0 {
+		return nil, ErrNoSeries
 	}
-	reg, err := timeseries.Resample(raw, start, end, stepMS)
-	if err != nil {
-		return
-	}
-	if ds.Series[component] == nil {
-		ds.Series[component] = map[string]*timeseries.Regular{}
-	}
-	ds.Series[component][metric] = reg
+	return ds, nil
 }

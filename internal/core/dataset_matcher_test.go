@@ -2,28 +2,54 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"github.com/sieve-microservices/sieve/internal/timeseries"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
-// legacyReadStore hides the query engine from DatasetFromDB, forcing the
-// pre-matcher path: SeriesKeys plus one Query round trip per series.
-type legacyReadStore struct{ s tsdb.ReadStore }
-
-func (l legacyReadStore) Query(component, metric string, from, to int64) ([]tsdb.Point, error) {
-	return l.s.Query(component, metric, from, to)
+// refDataset is the materializing reference for dataset assembly: one raw
+// QueryRange over the window, then timeseries.Resample per series — what
+// DatasetFromDB did before it streamed, and what its scan (and the window
+// cache's) must still equal bit for bit.
+func refDataset(t *testing.T, store *tsdb.Sharded, appName string, stepMS, start, end int64) *Dataset {
+	t.Helper()
+	results, err := store.QueryRange(context.Background(), tsdb.RangeQuery{Component: "*", Metric: "*", From: start, To: end})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &Dataset{
+		App:    appName,
+		StepMS: stepMS,
+		Start:  start,
+		End:    end,
+		Series: map[string]map[string]*timeseries.Regular{},
+	}
+	for _, res := range results {
+		raw := &timeseries.Series{Name: res.Metric}
+		for _, p := range res.Points {
+			raw.Append(p.T, p.V)
+		}
+		reg, err := timeseries.Resample(raw, start, end, stepMS)
+		if err != nil {
+			continue // no usable points in the window: skipped, not fatal
+		}
+		if ds.Series[res.Component] == nil {
+			ds.Series[res.Component] = map[string]*timeseries.Regular{}
+		}
+		ds.Series[res.Component][res.Metric] = reg
+	}
+	return ds
 }
-func (l legacyReadStore) SeriesKeys() []string { return l.s.SeriesKeys() }
 
-// TestDatasetFromDBMatcherEquivalence pins the matcher-query rewrite of
-// DatasetFromDB: the single QueryMatch over the window must produce a
-// dataset — and a marshaled pipeline artifact — bit-identical to the
-// legacy per-series round-trip path, on both the single-mutex DB and the
-// sharded store.
+// TestDatasetFromDBMatcherEquivalence pins DatasetFromDB's streaming scan
+// against the materializing reference: the dataset — and a marshaled
+// pipeline artifact — must be bit-identical to resampling each series'
+// raw query result, at shard counts {1, 4}.
 func TestDatasetFromDBMatcherEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var samples []tsdb.Sample
@@ -42,25 +68,22 @@ func TestDatasetFromDBMatcherEquivalence(t *testing.T) {
 	// One series entirely outside the window: both paths must skip it.
 	samples = append(samples, tsdb.Sample{Component: "svc-0", Metric: "late", T: 10_000_000, V: 1})
 
-	stores := map[string]tsdb.Store{"db": tsdb.New(), "sharded": tsdb.NewSharded(4)}
+	stores := map[string]*tsdb.Sharded{"shards=1": tsdb.NewSharded(1), "sharded": tsdb.NewSharded(4)}
 	for name, store := range stores {
 		t.Run(name, func(t *testing.T) {
 			if err := store.WriteSamples(samples, 0); err != nil {
 				t.Fatal(err)
 			}
 			const start, end, step = 0, 450_000, 500
-			viaMatcher, err := DatasetFromDB(store, "app", step, start, end)
+			viaScan, err := DatasetFromDB(store, "app", step, start, end)
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaLegacy, err := DatasetFromDB(legacyReadStore{store}, "app", step, start, end)
-			if err != nil {
-				t.Fatal(err)
+			viaRef := refDataset(t, store, "app", step, start, end)
+			if !reflect.DeepEqual(viaScan.Series, viaRef.Series) {
+				t.Fatal("scanned dataset differs from the resample-per-series reference")
 			}
-			if !reflect.DeepEqual(viaMatcher.Series, viaLegacy.Series) {
-				t.Fatal("matcher-path dataset differs from legacy per-series path")
-			}
-			if viaMatcher.Get("svc-0", "late") != nil {
+			if viaScan.Get("svc-0", "late") != nil {
 				t.Fatal("out-of-window series must be skipped")
 			}
 
@@ -78,19 +101,17 @@ func TestDatasetFromDBMatcherEquivalence(t *testing.T) {
 				}
 				return data
 			}
-			if a, b := marshal(viaMatcher), marshal(viaLegacy); !bytes.Equal(a, b) {
-				t.Fatal("marshaled artifacts differ between matcher and legacy dataset paths")
+			if a, b := marshal(viaScan), marshal(viaRef); !bytes.Equal(a, b) {
+				t.Fatal("marshaled artifacts differ between the scanned and reference datasets")
 			}
 		})
 	}
 }
 
-// TestDatasetFromDBUsesSingleMatcherQuery verifies the fast path is
-// actually taken: a RangeQuerier store records the calls it serves, and
-// dataset assembly must issue exactly one matcher query and zero
-// per-series Query round trips.
+// TestDatasetFromDBUsesSingleMatcherQuery pins the store traffic of one
+// assembly: exactly one matcher scan, over exactly the window.
 func TestDatasetFromDBUsesSingleMatcherQuery(t *testing.T) {
-	store := &countingStore{Store: tsdb.NewSharded(2)}
+	store := &countingStore{Sharded: tsdb.NewSharded(2)}
 	if err := store.WriteSamples([]tsdb.Sample{
 		{Component: "a", Metric: "m", T: 0, V: 1},
 		{Component: "a", Metric: "m", T: 500, V: 2},
@@ -102,32 +123,22 @@ func TestDatasetFromDBUsesSingleMatcherQuery(t *testing.T) {
 	if _, err := DatasetFromDB(store, "app", 500, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if store.matchCalls != 1 || store.queryCalls != 0 || store.keysCalls != 0 {
-		t.Fatalf("want 1 matcher call and no per-series round trips, got match=%d query=%d keys=%d",
-			store.matchCalls, store.queryCalls, store.keysCalls)
+	if store.matchCalls != 1 || store.matchRanges[0] != [2]int64{0, 1000} {
+		t.Fatalf("want 1 matcher scan over the window, got %d over %v", store.matchCalls, store.matchRanges)
 	}
 }
 
+// countingStore records the matcher scans a store serves.
 type countingStore struct {
-	tsdb.Store
-	matchCalls, queryCalls, keysCalls int
-	// matchRanges records each matcher query's [from, to) so the window
-	// cache tests can pin tail-only reads.
+	*tsdb.Sharded
+	matchCalls int
+	// matchRanges records each scan's [from, to) so the window cache
+	// tests can pin tail-only reads.
 	matchRanges [][2]int64
 }
 
-func (c *countingStore) QueryMatch(componentGlob, metricGlob string, from, to int64) ([]tsdb.SeriesResult, error) {
+func (c *countingStore) ScanMatch(componentGlob, metricGlob string, from, to int64, begin func(keys []string), visit tsdb.SeriesVisitor) error {
 	c.matchCalls++
 	c.matchRanges = append(c.matchRanges, [2]int64{from, to})
-	return c.Store.QueryMatch(componentGlob, metricGlob, from, to)
-}
-
-func (c *countingStore) Query(component, metric string, from, to int64) ([]tsdb.Point, error) {
-	c.queryCalls++
-	return c.Store.Query(component, metric, from, to)
-}
-
-func (c *countingStore) SeriesKeys() []string {
-	c.keysCalls++
-	return c.Store.SeriesKeys()
+	return c.Sharded.ScanMatch(componentGlob, metricGlob, from, to, begin, visit)
 }

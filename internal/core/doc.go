@@ -15,13 +15,14 @@
 // pair, and results are bit-identical at any worker count.
 //
 // Batch mode drives all three steps from a simulated load session
-// (Run); online mode skips step 1 and assembles the Dataset from any
-// tsdb.ReadStore over a sliding window (DatasetFromDB), which is how
-// the sieved server re-runs steps 2-3 over live ingested data.
+// (Run); online mode skips step 1 and assembles the Dataset from a
+// store's streaming scan (tsdb.ReadStore) over a sliding window
+// (DatasetFromDB), which is how the sieved server re-runs steps 2-3 over
+// live ingested data.
 //
 // For overlapping windows the online path has incremental counterparts:
 // WindowCache assembles each cycle from ring-buffered bucket state with
-// one tail-only store query (bit-identical to DatasetFromDB), and
+// one tail-only store scan (bit-identical to DatasetFromDB), and
 // ReduceWarmContext carries clustering state across cycles via
 // WarmState, skipping the silhouette sweep while quality holds
 // (opt-in: warm results may differ from batch).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestReduceSurvivesPathologicalSeries(t *testing.T) {
 // TestDatasetFromDBSkipsUnusableSeries covers series entirely outside
 // the capture window.
 func TestDatasetFromDBSkipsUnusableSeries(t *testing.T) {
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	db.WriteSamples([]tsdb.Sample{
 		{Component: "a", Metric: "inside", T: 100, V: 1},
 		{Component: "a", Metric: "inside", T: 600, V: 2},
@@ -183,7 +184,18 @@ func TestDatasetFromDBSkipsUnusableSeries(t *testing.T) {
 	if ds.Get("b", "outside") != nil {
 		t.Error("out-of-window series must be skipped")
 	}
-	if _, err := DatasetFromDB(db, "x", 500, 1000, 1000); err == nil {
-		t.Error("expected error for empty window")
+	// Malformed requests are rejected as such — never as ErrNoSeries,
+	// which the online driver reads as "waiting for data".
+	for _, bad := range []struct {
+		name             string
+		step, start, end int64
+	}{
+		{"empty window", 500, 1000, 1000},
+		{"zero step", 0, 0, 1000},
+		{"negative step", -500, 0, 1000},
+	} {
+		if _, err := DatasetFromDB(db, "x", bad.step, bad.start, bad.end); err == nil || errors.Is(err, ErrNoSeries) {
+			t.Errorf("%s: err = %v, want a rejection distinct from ErrNoSeries", bad.name, err)
+		}
 	}
 }

@@ -8,16 +8,9 @@ import (
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
-// queryOnlyStore hides the streaming scan, forcing consumers down the
-// materializing QueryMatch path for equivalence comparisons.
-type queryOnlyStore struct {
-	tsdb.ReadStore
-	tsdb.RangeQuerier
-}
-
-func scanEquivStore(t *testing.T, points int) *tsdb.DB {
+func scanEquivStore(t *testing.T, shards, points int) *tsdb.Sharded {
 	t.Helper()
-	db := tsdb.New()
+	db := tsdb.NewSharded(shards)
 	var samples []tsdb.Sample
 	for c := 0; c < 3; c++ {
 		for m := 0; m < 3; m++ {
@@ -70,64 +63,48 @@ func requireSameDataset(t *testing.T, got, want *Dataset) {
 }
 
 // TestScanMatchRebuildMatchesQueryMatch pins the streaming decode paths
-// bit-for-bit against the materializing ones: a WindowCache full rebuild
-// and a DatasetFromDB assembly through ScanMatch must equal the same
-// operations through QueryMatch, including incremental tail advances.
+// bit-for-bit against the materializing reference (raw QueryRange +
+// Resample per series, refDataset): a DatasetFromDB assembly, a
+// WindowCache full rebuild and its incremental tail advances must all
+// equal it, at shard counts {1, 4}.
 func TestScanMatchRebuildMatchesQueryMatch(t *testing.T) {
 	const stepMS, points = 500, 700
-	db := scanEquivStore(t, points)
-	qo := queryOnlyStore{ReadStore: db, RangeQuerier: db}
-	windowEnd := int64(points) * 50
-	start, mid := int64(0), windowEnd-10*stepMS
+	for _, shards := range []int{1, 4} {
+		db := scanEquivStore(t, shards, points)
+		windowEnd := int64(points) * 50
+		start, mid := int64(0), windowEnd-10*stepMS
 
-	// Full-window dataset assembly.
-	wantDS, err := DatasetFromDB(qo, "app", stepMS, start, windowEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotDS, err := DatasetFromDB(db, "app", stepMS, start, windowEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameDataset(t, gotDS, wantDS)
-
-	// WindowCache: full rebuild, then an incremental tail advance, both
-	// compared against the query-only cache at every step.
-	scanCache := NewWindowCache("app", stepMS)
-	queryCache := NewWindowCache("app", stepMS)
-
-	width := mid - start
-	gotWin, gotStats, err := scanCache.Advance(db, start, mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWin, wantStats, err := queryCache.Advance(qo, start, mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotStats.FullRebuild || !wantStats.FullRebuild {
-		t.Fatalf("first advance was not a full rebuild: %+v vs %+v", gotStats, wantStats)
-	}
-	requireSameDataset(t, gotWin, wantWin)
-
-	for slide := int64(1); slide <= 4; slide++ {
-		s := start + slide*2*stepMS
-		gotWin, gotStats, err = scanCache.Advance(db, s, s+width)
+		// Full-window dataset assembly.
+		gotDS, err := DatasetFromDB(db, "app", stepMS, start, windowEnd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantWin, wantStats, err = queryCache.Advance(qo, s, s+width)
+		requireSameDataset(t, gotDS, refDataset(t, db, "app", stepMS, start, windowEnd))
+
+		// WindowCache: full rebuild, then incremental tail advances, each
+		// compared against the reference over the same window.
+		cache := NewWindowCache("app", stepMS)
+		width := mid - start
+		gotWin, st, err := cache.Advance(db, start, mid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotStats.FullRebuild || wantStats.FullRebuild {
-			t.Fatalf("slide %d fell back to a full rebuild: %+v vs %+v", slide, gotStats, wantStats)
+		if !st.FullRebuild {
+			t.Fatalf("shards=%d: first advance was not a full rebuild: %+v", shards, st)
 		}
-		if gotStats.SeriesBorn != wantStats.SeriesBorn || gotStats.SeriesDied != wantStats.SeriesDied ||
-			gotStats.CachedSeries != wantStats.CachedSeries {
-			t.Fatalf("slide %d stats diverged: %+v vs %+v", slide, gotStats, wantStats)
+		requireSameDataset(t, gotWin, refDataset(t, db, "app", stepMS, start, mid))
+
+		for slide := int64(1); slide <= 4; slide++ {
+			s := start + slide*2*stepMS
+			gotWin, st, err = cache.Advance(db, s, s+width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.FullRebuild {
+				t.Fatalf("shards=%d: slide %d fell back to a full rebuild: %+v", shards, slide, st)
+			}
+			requireSameDataset(t, gotWin, refDataset(t, db, "app", stepMS, s, s+width))
 		}
-		requireSameDataset(t, gotWin, wantWin)
 	}
 }
 
@@ -138,8 +115,8 @@ func TestScanMatchRebuildMatchesQueryMatch(t *testing.T) {
 // series or per grid bucket, never per decoded point.
 func TestScanMatchRebuildAllocs(t *testing.T) {
 	const stepMS, windowMS = 500, 30_000
-	build := func(density int) *tsdb.DB {
-		db := tsdb.New()
+	build := func(density int) *tsdb.Sharded {
+		db := tsdb.NewSharded(1)
 		var samples []tsdb.Sample
 		points := int(windowMS) / 50 * density
 		for c := 0; c < 3; c++ {
@@ -160,7 +137,7 @@ func TestScanMatchRebuildAllocs(t *testing.T) {
 		db.Flush()
 		return db
 	}
-	measure := func(db *tsdb.DB) float64 {
+	measure := func(db *tsdb.Sharded) float64 {
 		c := NewWindowCache("app", stepMS)
 		if _, _, err := c.Advance(db, 0, windowMS); err != nil {
 			t.Fatal(err)

@@ -13,15 +13,15 @@ import (
 // re-querying and re-bucketing the whole window every cycle, it keeps a
 // ring buffer of per-series bucket state (sum and observation count per
 // grid slot) and, when the window slides forward on the same grid, issues
-// ONE matcher query for just the new tail [prevEnd, newEnd), rolls every
+// ONE matcher scan for just the new tail [prevEnd, newEnd), rolls every
 // ring forward, and evicts the expired head buckets.
 //
 // Equivalence contract: the Dataset returned by Advance is bit-identical
 // to DatasetFromDB over the same window, provided no point inside the
 // already-cached region was written after that region was queried
 // (append-mostly ingest). Each bucket's sum accumulates its points in
-// store order across tail queries — the same order a single full-window
-// query would deliver them — and the gap fill runs from scratch on the
+// store order across tail scans — the same order a single full-window
+// scan would deliver them — and the gap fill runs from scratch on the
 // assembled buckets every cycle, so sliding the window cannot perturb a
 // single bit relative to batch assembly. Late writes that land behind the
 // cached frontier are invisible until Invalidate (or the server's
@@ -30,10 +30,9 @@ import (
 // Incremental reuse requires the new window to stay on the cached grid:
 // same step, same width, and a forward slide by a whole number of steps.
 // Any other shape (first cycle, width change, backward jump, slide past
-// the whole overlap, a store without matcher queries) falls back to the
-// full-rebuild path, which is one whole-window query and repopulates the
-// rings. A WindowCache is not safe for concurrent use; the online driver
-// serializes cycles.
+// the whole overlap) falls back to the full-rebuild path, which is one
+// whole-window scan and repopulates the rings. A WindowCache is not safe
+// for concurrent use; the online driver serializes cycles.
 type WindowCache struct {
 	appName string
 	stepMS  int64
@@ -99,20 +98,10 @@ func (c *WindowCache) Advance(db tsdb.ReadStore, start, end int64) (*Dataset, Ad
 	if end <= start {
 		return nil, st, fmt.Errorf("core: empty capture window [%d,%d)", start, end)
 	}
-	rq, ok := db.(tsdb.RangeQuerier)
-	if !ok {
-		// No matcher queries: nothing to cache a tail from. Stay on the
-		// plain batch path every cycle.
-		st.FullRebuild, st.RebuildReason = true, "store lacks matcher queries"
-		st.FullQueries = 1
-		ds, err := DatasetFromDB(db, c.appName, c.stepMS, start, end)
-		return ds, st, err
-	}
-
 	if reason := c.rollable(start, end); reason != "" {
 		st.FullRebuild, st.RebuildReason = true, reason
 		st.FullQueries = 1
-		ds, err := c.rebuild(rq, start, end)
+		ds, err := c.rebuild(db, start, end)
 		st.CachedSeries = len(c.series)
 		return ds, st, err
 	}
@@ -124,38 +113,16 @@ func (c *WindowCache) Advance(db tsdb.ReadStore, start, end int64) (*Dataset, Ad
 		for _, r := range c.series {
 			r.roll(d)
 		}
-		// One matcher query for the new tail only. [c.end, end) starts on
-		// a bucket boundary of the new window (delta is a whole number of
+		// One matcher scan for the new tail only. [c.end, end) starts on a
+		// bucket boundary of the new window (delta is a whole number of
 		// steps and the width is unchanged), so every tail point lands in
 		// one of the d freshly-zeroed slots — or tops up the last partial
-		// bucket — in the same store order a full-window query would have
-		// delivered it. Stores with a streaming scan decode straight into
-		// the rings; others materialize the tail once through QueryMatch.
+		// bucket — in the same store order a full-window scan would have
+		// delivered it, decoded straight into the rings.
 		st.TailQueries = 1
-		if sc, ok := rq.(tsdb.SeriesScanner); ok {
-			if err := c.scanTail(sc, start, end, &st); err != nil {
-				c.Invalidate()
-				return nil, st, fmt.Errorf("core: matcher scan over tail: %w", err)
-			}
-		} else {
-			results, err := rq.QueryMatch("*", "*", c.end, end)
-			if err != nil {
-				c.Invalidate()
-				return nil, st, fmt.Errorf("core: matcher query over tail: %w", err)
-			}
-			for _, res := range results {
-				key := res.Component + "/" + res.Metric
-				r := c.series[key]
-				if r == nil {
-					// Born: first points ever inside the window. Everything
-					// this series has in [start, c.end) would already be
-					// cached if it existed there, so an empty head is exact.
-					r = newSeriesRing(res.Component, res.Metric, c.buckets)
-					c.series[key] = r
-					st.SeriesBorn++
-				}
-				r.add(res.Points, start, c.stepMS)
-			}
+		if err := c.scanTail(db, start, end, &st); err != nil {
+			c.Invalidate()
+			return nil, st, fmt.Errorf("core: matcher scan over tail: %w", err)
 		}
 		// Death: every cached point expired and nothing arrived.
 		for key, r := range c.series {
@@ -193,56 +160,26 @@ func (c *WindowCache) rollable(start, end int64) string {
 	return ""
 }
 
-// rebuild reads the whole window once and repopulates the rings. Stores
-// with a streaming scan (both local tsdb stores) decode chunks directly
-// into the rings — no []Point or SeriesResult materializes between the
-// store and the bucket state; others fall back to one QueryMatch.
-func (c *WindowCache) rebuild(rq tsdb.RangeQuerier, start, end int64) (*Dataset, error) {
+// rebuild streams the whole window once, straight into freshly-created
+// rings — no []Point or SeriesResult materializes between the store and
+// the bucket state. Rings are created lazily on a series' first streamed
+// point — different series may be visited concurrently, but slot i is
+// written only by series i's (single) visiting goroutine, so the lazy
+// creation is race-free. One series' points arrive in the same canonical
+// storage order a raw query stably sorts, so the assembled buckets are
+// bit-identical to DatasetFromDB's under the cache's append-mostly
+// contract.
+func (c *WindowCache) rebuild(db tsdb.ReadStore, start, end int64) (*Dataset, error) {
 	c.valid = false
 	c.start, c.end = start, end
 	c.buckets = timeseries.GridBuckets(start, end, c.stepMS)
 	c.series = map[string]*seriesRing{}
 
-	if sc, ok := rq.(tsdb.SeriesScanner); ok {
-		if err := c.rebuildScan(sc, start, end); err != nil {
-			return nil, err
-		}
-	} else {
-		results, err := rq.QueryMatch("*", "*", start, end)
-		if err != nil {
-			return nil, fmt.Errorf("core: matcher query over window: %w", err)
-		}
-		for _, res := range results {
-			r := newSeriesRing(res.Component, res.Metric, c.buckets)
-			r.add(res.Points, start, c.stepMS)
-			if r.empty() {
-				continue // every point was NaN: batch assembly skips it too
-			}
-			c.series[res.Component+"/"+res.Metric] = r
-		}
-	}
-	ds, err := c.assemble()
-	if err != nil {
-		return nil, err
-	}
-	c.valid = true
-	return ds, nil
-}
-
-// rebuildScan streams the whole window straight into freshly-created
-// rings. Rings are created lazily on a series' first streamed point —
-// different series may be visited concurrently, but slot i is written
-// only by series i's (single) visiting goroutine, so the lazy creation
-// is race-free. Accumulation order within a ring equals the QueryMatch
-// path's: one series' points arrive in the same canonical storage order
-// the raw query stably sorts, so the assembled buckets are bit-identical
-// under the cache's append-mostly contract.
-func (c *WindowCache) rebuildScan(sc tsdb.SeriesScanner, start, end int64) error {
 	var (
 		keys  []string
 		rings []*seriesRing
 	)
-	err := sc.ScanMatch("*", "*", start, end, func(ks []string) {
+	err := db.ScanMatch("*", "*", start, end, func(ks []string) {
 		keys = ks
 		rings = make([]*seriesRing, len(ks))
 	}, func(i int, t int64, v float64) {
@@ -255,7 +192,7 @@ func (c *WindowCache) rebuildScan(sc tsdb.SeriesScanner, start, end int64) error
 		r.addPoint(t, v, start, c.stepMS)
 	})
 	if err != nil {
-		return fmt.Errorf("core: matcher scan over window: %w", err)
+		return nil, fmt.Errorf("core: matcher scan over window: %w", err)
 	}
 	for _, r := range rings {
 		if r == nil || r.empty() {
@@ -263,20 +200,24 @@ func (c *WindowCache) rebuildScan(sc tsdb.SeriesScanner, start, end int64) error
 		}
 		c.series[r.component+"/"+r.metric] = r
 	}
-	return nil
+	ds, err := c.assemble()
+	if err != nil {
+		return nil, err
+	}
+	c.valid = true
+	return ds, nil
 }
 
 // scanTail streams the tail range [c.end, end) into the existing rings,
-// creating rings for newborn series exactly as the QueryMatch tail path
-// does. Tail timestamps all sit at or past c.end > start, so no point
-// can land behind the cached frontier.
-func (c *WindowCache) scanTail(sc tsdb.SeriesScanner, start, end int64, st *AdvanceStats) error {
+// creating rings for newborn series. Tail timestamps all sit at or past
+// c.end > start, so no point can land behind the cached frontier.
+func (c *WindowCache) scanTail(db tsdb.ReadStore, start, end int64, st *AdvanceStats) error {
 	var (
 		keys  []string
 		rings []*seriesRing
 		born  []bool
 	)
-	err := sc.ScanMatch("*", "*", c.end, end, func(ks []string) {
+	err := db.ScanMatch("*", "*", c.end, end, func(ks []string) {
 		keys = ks
 		rings = make([]*seriesRing, len(ks))
 		born = make([]bool, len(ks))
@@ -362,13 +303,6 @@ func (r *seriesRing) roll(d int) {
 	r.head = (r.head + d) % n
 }
 
-// add buckets raw points into the ring in delivery order.
-func (r *seriesRing) add(pts []tsdb.Point, start, stepMS int64) {
-	for _, p := range pts {
-		r.addPoint(p.T, p.V, start, stepMS)
-	}
-}
-
 // addPoint buckets one raw point into the ring, mirroring Resample's
 // accumulation exactly (NaN and out-of-window points skipped, sum += in
 // delivery order). The t < start guard must precede the index
@@ -429,20 +363,10 @@ func AlignWindowEnd(maxTime, stepMS int64) int64 {
 	return (maxTime + 1) / stepMS * stepMS
 }
 
-// seriesKeyParts splits a "component/metric" key (helper shared with the
-// legacy dataset path).
-func seriesKeyParts(key string) (component, metric string, ok bool) {
-	slash := strings.IndexByte(key, '/')
-	if slash < 0 {
-		return "", "", false
-	}
-	return key[:slash], key[slash+1:], true
-}
-
 // splitStoreKey splits a series key the way the tsdb query engine does:
 // at the first slash, or (component, "") when there is none — so keys
-// streamed by ScanMatch resolve to the same component/metric pair
-// QueryMatch results carry.
+// streamed by ScanMatch resolve to the same component/metric pair query
+// results carry.
 func splitStoreKey(key string) (component, metric string) {
 	if i := strings.IndexByte(key, '/'); i >= 0 {
 		return key[:i], key[i+1:]

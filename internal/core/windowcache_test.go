@@ -10,22 +10,12 @@ import (
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
-// legacyStore hides the matcher surface, leaving only the plain
-// ReadStore interface. (countingStore, shared with the dataset matcher
-// tests, records matcher calls and their ranges.)
-type legacyStore struct{ inner tsdb.Store }
-
-func (l *legacyStore) Query(component, metric string, from, to int64) ([]tsdb.Point, error) {
-	return l.inner.Query(component, metric, from, to)
-}
-func (l *legacyStore) SeriesKeys() []string { return l.inner.SeriesKeys() }
-
 // writeWindowFixture ingests a deterministic multi-series stream into
 // the store, in time order, covering [0, upToMS): dense and sparse
 // series (sparse buckets exercise the spline gap fill), a series born
 // mid-stream, one that dies, and an occasional NaN sample (skipped by
 // resampling).
-func writeWindowFixture(t *testing.T, db tsdb.Store, fromMS, upToMS int64) {
+func writeWindowFixture(t *testing.T, db *tsdb.Sharded, fromMS, upToMS int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	var samples []tsdb.Sample
@@ -88,7 +78,7 @@ func assertDatasetEqual(t *testing.T, got, want *Dataset, label string) {
 // from-scratch DatasetFromDB over the same window — across rolls, series
 // births and deaths, spline-filled gaps, and full-rebuild fallbacks.
 func TestWindowCacheMatchesBatchAssembly(t *testing.T) {
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	cache := NewWindowCache("test", 500)
 
 	windows := []struct {
@@ -131,13 +121,12 @@ func TestWindowCacheMatchesBatchAssembly(t *testing.T) {
 }
 
 // TestWindowCacheQueryCounts pins the work a warm advance is allowed to
-// do: exactly one matcher query covering only the new tail, never the
-// full window, and no legacy per-series round trips; an unchanged window
-// touches the store not at all.
+// do: exactly one matcher scan covering only the new tail, never the
+// full window; an unchanged window touches the store not at all.
 func TestWindowCacheQueryCounts(t *testing.T) {
-	inner := tsdb.New()
+	inner := tsdb.NewSharded(1)
 	writeWindowFixture(t, inner, 0, 30000)
-	db := &countingStore{Store: inner}
+	db := &countingStore{Sharded: inner}
 	cache := NewWindowCache("test", 500)
 
 	if _, st, err := cache.Advance(db, 0, 20000); err != nil || !st.FullRebuild {
@@ -161,9 +150,6 @@ func TestWindowCacheQueryCounts(t *testing.T) {
 	if got, want := db.matchRanges[0], [2]int64{20000, 30000}; got != want {
 		t.Fatalf("warm cycle queried %v, want only the tail %v", got, want)
 	}
-	if db.queryCalls != 0 {
-		t.Fatalf("warm cycle issued %d per-series queries, want 0", db.queryCalls)
-	}
 
 	// Unchanged window: zero store traffic.
 	db.matchCalls, db.matchRanges = 0, nil
@@ -179,36 +165,12 @@ func TestWindowCacheQueryCounts(t *testing.T) {
 	}
 }
 
-// TestWindowCacheLegacyStoreFallsBack keeps plain ReadStores working:
-// every cycle is a batch assembly, still bit-identical.
-func TestWindowCacheLegacyStoreFallsBack(t *testing.T) {
-	inner := tsdb.New()
-	writeWindowFixture(t, inner, 0, 26000)
-	db := &legacyStore{inner: inner}
-	cache := NewWindowCache("test", 500)
-
-	for _, w := range [][2]int64{{0, 20000}, {6000, 26000}} {
-		ds, st, err := cache.Advance(db, w[0], w[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.FullRebuild || st.RebuildReason != "store lacks matcher queries" {
-			t.Fatalf("legacy store advance: %+v, want full rebuild via batch path", st)
-		}
-		want, err := DatasetFromDB(db, "test", 500, w[0], w[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertDatasetEqual(t, ds, want, "legacy")
-	}
-}
-
 // TestWindowCacheLateWriteRepairedByInvalidate documents the engine's
 // one blind spot and its remedy: a write landing behind the cached
 // frontier is invisible to tail queries, and a forced full rebuild (the
 // -full-recompute-every self-heal) restores batch equality.
 func TestWindowCacheLateWriteRepairedByInvalidate(t *testing.T) {
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	writeWindowFixture(t, db, 0, 22000)
 	cache := NewWindowCache("test", 500)
 	if _, _, err := cache.Advance(db, 0, 20000); err != nil {
@@ -247,7 +209,7 @@ func TestWindowCacheLateWriteRepairedByInvalidate(t *testing.T) {
 // after assembly abandons the run but not the cache — the next advance
 // rolls from the already-advanced state and still matches batch.
 func TestWindowCacheSurvivesFailedCycle(t *testing.T) {
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	writeWindowFixture(t, db, 0, 26000)
 	cache := NewWindowCache("test", 500)
 	if _, _, err := cache.Advance(db, 0, 20000); err != nil {

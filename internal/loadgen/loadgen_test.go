@@ -170,7 +170,7 @@ func TestBootAndDeleteFailsOnFaultyCloud(t *testing.T) {
 
 // failingWriter rejects every write after the first n.
 type failingWriter struct {
-	db    *tsdb.DB
+	db    *tsdb.Sharded
 	okay  int
 	calls int
 }
@@ -188,7 +188,7 @@ func TestDriveCollectorScrapesEveryTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	coll, err := metrics.NewCollector(db, a.Registries()...)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestDriveCollectorStopsOnScrapeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := &failingWriter{db: tsdb.New(), okay: 5}
+	fw := &failingWriter{db: tsdb.NewSharded(1), okay: 5}
 	coll, err := metrics.NewCollector(fw, a.Registries()...)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestDriveCollectorHonorsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	coll, err := metrics.NewCollector(db, a.Registries()...)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 // Collector scrapes a set of registries and ships the readings to a tsdb
 // writer over the line-protocol wire format, mirroring the paper's
 // Telegraf -> InfluxDB pipeline. The writer can be an in-process store
-// (tsdb.DB, tsdb.Sharded) or the sieved HTTP client, so the same
+// (tsdb.Sharded) or the sieved HTTP client, so the same
 // collector drives both the offline pipeline and a remote server. An
 // optional allowlist restricts which series are shipped; Sieve installs
 // its representative-metric set here to realize the Table 3 overhead

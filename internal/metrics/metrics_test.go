@@ -97,7 +97,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 }
 
 func TestCollectorScrapesIntoDB(t *testing.T) {
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	web := NewRegistry("web")
 	redis := NewRegistry("redis")
 	web.Gauge("cpu").Set(0.5)
@@ -141,7 +141,7 @@ func TestCollectorAllowlistReducesTraffic(t *testing.T) {
 		return []*Registry{web}
 	}
 
-	full := tsdb.New()
+	full := tsdb.NewSharded(1)
 	cFull, err := NewCollector(full, mkTargets()...)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestCollectorAllowlistReducesTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reduced := tsdb.New()
+	reduced := tsdb.NewSharded(1)
 	cRed, err := NewCollector(reduced, mkTargets()...)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestKindString(t *testing.T) {
 // TestScrapeOnceEmptyAllowlistSkipsWrite: an allowlist matching nothing
 // must not ship an empty payload (remote writers reject empty bodies).
 func TestScrapeOnceEmptyAllowlistSkipsWrite(t *testing.T) {
-	db := tsdb.New()
+	db := tsdb.NewSharded(1)
 	web := NewRegistry("web")
 	web.Gauge("cpu").Set(0.5)
 	c, err := NewCollector(db, web)

@@ -422,58 +422,16 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // analysisStore is the online pipeline's view of the store while
-// self-scrape is enabled: every read surface (ReadStore, RangeQuerier,
-// SeriesScanner) minus the reserved component, so dogfooded telemetry
-// series are queryable over HTTP but invisible to dataset assembly —
-// artifacts stay byte-identical with self-scrape on or off (pinned by
-// TestSelfScrapeEquivalence).
+// self-scrape is enabled: the store's ReadStore minus the reserved
+// component, so dogfooded telemetry series are queryable over HTTP but
+// invisible to dataset assembly — artifacts stay byte-identical with
+// self-scrape on or off (pinned by TestSelfScrapeEquivalence).
 type analysisStore struct {
 	st *tsdb.Sharded
 }
 
 func reservedKey(key string) bool {
 	return strings.HasPrefix(key, ReservedComponent+"/")
-}
-
-func (a analysisStore) Query(component, metric string, from, to int64) ([]tsdb.Point, error) {
-	return a.st.Query(component, metric, from, to)
-}
-
-func (a analysisStore) SeriesKeys() []string {
-	keys := a.st.SeriesKeys()
-	out := keys[:0:0]
-	for _, k := range keys {
-		if !reservedKey(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func dropReserved(results []tsdb.SeriesResult) []tsdb.SeriesResult {
-	out := results[:0]
-	for _, r := range results {
-		if r.Component != ReservedComponent {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (a analysisStore) QueryRange(ctx context.Context, q tsdb.RangeQuery) ([]tsdb.SeriesResult, error) {
-	results, err := a.st.QueryRange(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return dropReserved(results), nil
-}
-
-func (a analysisStore) QueryMatch(componentGlob, metricGlob string, from, to int64) ([]tsdb.SeriesResult, error) {
-	results, err := a.st.QueryMatch(componentGlob, metricGlob, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return dropReserved(results), nil
 }
 
 // ScanMatch filters the reserved component out of a streamed scan:

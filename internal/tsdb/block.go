@@ -133,7 +133,7 @@ type blockIndex struct {
 // (count/min/max/first/last with the bucket's actual first and last
 // point timestamps) plus the sequential-fold sum. Unlike chunkRef it
 // references no chunk bytes — a downsampled bucket is consumed from the
-// summary alone or not at all (see scanDownsampled).
+// summary alone or not at all (see aggregator.companion).
 type dsRef struct {
 	Count int   `json:"count"`
 	MinT  int64 `json:"min_t"`
@@ -496,16 +496,6 @@ func (b *block) scan(key string, from, to int64, sink pointSink, tel *StoreTelem
 	}
 	tel.noteChunks(skipped, summarized, decoded)
 	return nil
-}
-
-// query returns the block's points for key with T in [from, to), reading
-// and CRC-checking only the chunks whose time range overlaps.
-func (b *block) query(key string, from, to int64, tel *StoreTelemetry) ([]Point, error) {
-	var out rawSink
-	if err := b.scan(key, from, to, &out, tel); err != nil {
-		return nil, err
-	}
-	return out.pts, nil
 }
 
 // hasSeries reports whether the block indexes key.

@@ -15,6 +15,14 @@ func blockPoints(n int, base int64) []Point {
 	return out
 }
 
+// blockQuery collects one block's points for key with T in [from, to)
+// through the block scanner.
+func blockQuery(b *block, key string, from, to int64) ([]Point, error) {
+	var out rawSink
+	err := b.scan(key, from, to, &out, nil)
+	return out.pts, err
+}
+
 func TestBlockWriteQueryRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	series := map[string][]Point{
@@ -36,7 +44,7 @@ func TestBlockWriteQueryRoundtrip(t *testing.T) {
 		t.Errorf("WALCuts not persisted: %v", blk.meta.WALCuts)
 	}
 	for key, want := range series {
-		got, err := blk.query(key, 0, 1<<40, nil)
+		got, err := blockQuery(blk, key, 0, 1<<40)
 		if err != nil {
 			t.Fatalf("query %s: %v", key, err)
 		}
@@ -45,7 +53,7 @@ func TestBlockWriteQueryRoundtrip(t *testing.T) {
 		}
 	}
 	// Range query touches only the overlapping chunk.
-	got, err := blk.query("web/cpu", 1000, 2000, nil)
+	got, err := blockQuery(blk, "web/cpu", 1000, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestBlockChunkCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reblk.close()
-	if _, err := reblk.query("a/b", 0, 1<<40, nil); err == nil {
+	if _, err := blockQuery(reblk, "a/b", 0, 1<<40); err == nil {
 		t.Fatal("expected CRC error on corrupted chunk")
 	}
 }

@@ -169,71 +169,68 @@ func buildDownsampled(b *block, resMS int64) (map[string][]dsRef, error) {
 	return series, nil
 }
 
-// scanDownsampled tries to answer one block's contribution to an
-// aggregated query from a downsampled companion instead of the chunks.
-// Resolution selection: the coarsest companion whose bucket width
-// divides the query step (a step below 5m divides neither resolution,
-// so those queries stay raw — per-resolution eligibility then decides
-// authoritatively). Only pushdown-capable aggregations (min/max/count/
-// rate) participate: sum and avg fold per-bucket partial sums in a
-// different order than the point-by-point reference, so they always
-// decode raw to keep the bit-exactness contract. Returns true when the
-// block was fully consumed from a companion; false means the caller
-// must scan the chunks (never a partial mix within one block).
-func scanDownsampled(b *block, key string, q RangeQuery, acc *aggregator, tel *StoreTelemetry) bool {
-	if !acc.pushdown || len(b.ds) == 0 {
-		return false
+// companion is the aggregator's side of pointSink's companion offer: it
+// tries to take one block's contribution to the query from a downsampled
+// companion instead of the chunks. Resolution selection: the coarsest
+// companion whose bucket width divides the query step (a step below 5m
+// divides neither resolution, so those queries stay raw —
+// per-resolution eligibility then decides authoritatively). Only
+// pushdown-capable aggregations (min/max/count/rate) participate: sum and
+// avg fold per-bucket partial sums in a different order than the
+// point-by-point reference, so they always decode raw to keep the
+// bit-exactness contract. ok means the block was fully consumed from a
+// companion; otherwise the scanner must scan the chunks (never a partial
+// mix within one block).
+func (a *aggregator) companion(b *block, key string, from, to int64) (buckets int, ok bool) {
+	if !a.pushdown || len(b.ds) == 0 {
+		return 0, false
 	}
 	for i := len(downsampleResolutions) - 1; i >= 0; i-- {
 		res := downsampleResolutions[i]
-		if q.StepMS%res != 0 {
+		if a.step%uint64(res) != 0 {
 			continue
 		}
 		refs := b.ds[res][key]
 		if len(refs) == 0 {
-			// hasSeries was true, so a companion at this resolution that
-			// lacks the key cannot represent the block; try a finer one.
+			// The block indexes the key, so a companion at this resolution
+			// that lacks it cannot represent the block; try a finer one.
 			continue
 		}
-		if feedDownsampled(refs, q, acc, tel) {
-			return true
+		if n, ok := a.feedDownsampled(refs, from, to); ok {
+			return n, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // feedDownsampled feeds a companion's bucket summaries for one series
 // into the accumulator — but only if every bucket overlapping the query
-// range is provably consumable: fully inside [From, To) (a partially
+// range is provably consumable: fully inside [from, to) (a partially
 // overlapping bucket would contribute points the summary cannot split
 // out), mapping to a single query bucket (companion buckets sit on the
 // absolute grid, query buckets are anchored at From, so an unaligned
 // From can make a 5m bucket straddle a 10m query bucket), and carrying
 // a trustworthy summary (no NaN, no non-finite facts). One ineligible
-// bucket rejects the whole block — all or nothing, so the caller's raw
+// bucket rejects the whole block — all or nothing, so the scanner's raw
 // fallback never double-feeds.
-func feedDownsampled(refs []dsRef, q RangeQuery, acc *aggregator, tel *StoreTelemetry) bool {
+func (a *aggregator) feedDownsampled(refs []dsRef, from, to int64) (buckets int, ok bool) {
 	for _, r := range refs {
-		if r.MaxT < q.From || r.MinT >= q.To {
+		if r.MaxT < from || r.MinT >= to {
 			continue
 		}
-		if r.NoSummary || r.MinT < q.From || r.MaxT >= q.To ||
-			acc.bucketIdx(r.MinT) != acc.bucketIdx(r.MaxT) {
-			return false
+		if r.NoSummary || r.MinT < from || r.MaxT >= to ||
+			a.bucketIdx(r.MinT) != a.bucketIdx(r.MaxT) {
+			return 0, false
 		}
 	}
-	n := 0
 	for _, r := range refs {
-		if r.MaxT < q.From || r.MinT >= q.To {
+		if r.MaxT < from || r.MinT >= to {
 			continue
 		}
-		acc.chunk(r.agg())
-		n++
+		a.chunk(r.agg())
+		buckets++
 	}
-	if tel != nil {
-		tel.DownsampledBucketsRead.Add(uint64(n))
-	}
-	return true
+	return buckets, true
 }
 
 // planCompactRuns groups a snapshot of the block list (ordered by

@@ -80,7 +80,7 @@ func TestLineProtocolMalformed(t *testing.T) {
 }
 
 func TestDBWriteQueryRoundTrip(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	var samples []Sample
 	for i := 0; i < 100; i++ {
 		samples = append(samples, Sample{Component: "web", Metric: "cpu", T: int64(i) * 500, V: float64(i)})
@@ -112,7 +112,7 @@ func TestDBWriteQueryRoundTrip(t *testing.T) {
 }
 
 func TestDBQuerySpansSealedBlocks(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	// More than blockSize points forces at least one sealed block.
 	total := blockSize + 100
 	var samples []Sample
@@ -137,7 +137,7 @@ func TestDBQuerySpansSealedBlocks(t *testing.T) {
 }
 
 func TestDBStatsAccounting(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	var samples []Sample
 	for i := 0; i < 600; i++ {
 		samples = append(samples, Sample{Component: "c", Metric: "m", T: int64(i) * 500, V: float64(i % 7)})
@@ -179,7 +179,7 @@ func TestDBStatsAccounting(t *testing.T) {
 }
 
 func TestDBWriteSamples(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	samples := []Sample{{Component: "a", Metric: "m", T: 1, V: 2}}
 	db.WriteSamples(samples, 42)
 	st := db.Stats()
@@ -193,7 +193,7 @@ func TestDBWriteSamples(t *testing.T) {
 }
 
 func TestDBWriteRejectsGarbage(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	if _, err := db.Write([]byte("garbage")); err == nil {
 		t.Error("expected parse error")
 	}

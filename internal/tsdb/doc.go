@@ -6,11 +6,11 @@
 // the paper's Table 3 reports: ingest CPU time, stored bytes, and
 // network bytes in and out.
 //
-// Two stores implement the Store interface: DB, a single-mutex
-// in-memory store, and Sharded, which FNV-hashes series keys onto N
-// independent DB shards so concurrent writers contend per shard rather
-// than on one lock. Stored points and query results are identical at
-// any shard count; sharding changes scheduling, never data.
+// There is one store, Sharded, which FNV-hashes series keys onto N
+// independent shards so concurrent writers contend per shard rather
+// than on one lock; NewSharded(1) is the standalone single-lock store.
+// Stored points and query results are identical at any shard count;
+// sharding changes scheduling, never data.
 //
 // # Durable storage engine
 //
@@ -49,17 +49,25 @@
 //
 // # Query engine
 //
-// The read side (queryengine.go) serves matcher queries — QueryMatch
-// and QueryRange over component/metric globs — with chunk-skipping
-// reads and aggregation push-down. Every sealed chunk, in memory and in
-// a block's index, carries its time range and a value summary: reads
-// skip chunks disjoint from the query without decoding them, and
-// order-independent aggregations (min/max/count/rate) consume whole
-// in-bucket chunks from the summary alone, with no file read or decode.
-// Chunks that must be decoded stream point by point through chunkIter
-// into the consumer, so aggregated queries never materialize raw-point
-// slices. Matched series fan out across an internal/parallel worker
-// pool and merge in series-key order; results are byte-identical to a
-// naive decode-everything reference at any shard count, parallelism,
-// and durability state (queryengine_equiv_test.go, FuzzQueryRange).
+// The read side (queryengine.go) has one primitive, Sharded.scanSeries:
+// stream one series in canonical storage order — persisted blocks by
+// sequence, the checkpoint overlay, then shard memory — into a sink,
+// under that series' own checkpoint-cut hold. The three read entry
+// points select keys from the series catalog and differ only in the
+// sink: Query (one key, raw points, ErrUnknownSeries when the key is
+// nowhere), QueryRange (component/metric globs, raw points or a
+// per-step aggregator) and ScanMatch (globs, a visitor that receives
+// each decoded point).
+//
+// Every sealed chunk, in memory and in a block's index, carries its time
+// range and a value summary: reads skip chunks disjoint from the query
+// without decoding them, and order-independent aggregations
+// (min/max/count/rate) consume whole in-bucket chunks from the summary
+// alone, with no file read or decode. Chunks that must be decoded stream
+// point by point through chunkIter into the sink, so aggregated queries
+// never materialize raw-point slices. Matched series fan out across an
+// internal/parallel worker pool and merge in series-key order; results
+// are byte-identical to a naive decode-everything reference at any shard
+// count, parallelism, and durability state (queryengine_equiv_test.go,
+// FuzzQueryRange).
 package tsdb

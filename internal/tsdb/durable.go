@@ -74,7 +74,7 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 
 // durable is the persistence side of a Sharded store: the block list,
 // the checkpoint machinery, and the background tickers. The per-shard
-// WALs live inside the shard DBs, whose locks order every append against
+// WALs live inside the shards, whose locks order every append against
 // the checkpoint cut.
 type durable struct {
 	opts      DurabilityOptions
@@ -497,10 +497,11 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 func buildBlock(blocksDir string, seq uint64, walCuts map[string]uint64, snap map[string]*series) (*block, error) {
 	series := make(map[string][]Point, len(snap))
 	for key, sr := range snap {
-		pts, err := sr.pointsInRange(math.MinInt64, math.MaxInt64, nil)
-		if err != nil {
+		var raw rawSink
+		if err := sr.scanRange(math.MinInt64, math.MaxInt64, &raw, nil); err != nil {
 			return nil, fmt.Errorf("decoding snapshot of %q: %w", key, err)
 		}
+		pts := raw.pts
 		// Stable by time: preserves arrival order among equal timestamps,
 		// so queries after a flush (and after recovery) return the same
 		// bytes as before it.
@@ -572,89 +573,39 @@ func (d *durable) enforceRetention(maxTime int64) error {
 	return firstErr
 }
 
-// queryBlocks returns the persisted points for key with T in [from, to),
-// including any stolen snapshot currently being written out by a
-// checkpoint, plus whether the key exists anywhere on the persisted side.
-func (d *durable) queryBlocks(key string, from, to int64) (pts []Point, known bool, err error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, b := range d.blocks {
-		if !b.hasSeries(key) {
-			continue
-		}
-		known = true
-		if b.meta.MaxT < from || b.meta.MinT >= to {
-			continue
-		}
-		got, err := b.query(key, from, to, d.tel)
-		if err != nil {
-			return nil, true, err
-		}
-		pts = append(pts, got...)
-	}
-	if sr, ok := d.flushing[key]; ok {
-		known = true
-		mid, err := sr.pointsInRange(from, to, d.tel)
-		if err != nil {
-			return nil, true, fmt.Errorf("tsdb: corrupt block in flushing %q: %w", key, err)
-		}
-		pts = append(pts, mid...)
-	}
-	return pts, known, nil
-}
-
 // scanBlocks streams the persisted points for key with T in [from, to)
 // to sink in canonical order: blocks by sequence number, then any stolen
 // snapshot a checkpoint is writing out. Blocks whose meta time range is
-// disjoint are skipped without touching their chunk index.
+// disjoint are skipped without touching their chunk index. A block that
+// holds the series is first offered to the sink as its downsampled
+// companions (an aggregating sink whose step the companion provably
+// reproduces consumes it there — which is how coarse-step queries over
+// compacted history skip chunk reads entirely) and otherwise scanned
+// chunk by chunk. Downsampled-bucket reads are counted once per scan.
 func (d *durable) scanBlocks(key string, from, to int64, sink pointSink) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	var dsBuckets int
 	for _, b := range d.blocks {
 		if b.meta.MaxT < from || b.meta.MinT >= to {
 			continue
 		}
 		if !b.hasSeries(key) {
+			continue
+		}
+		if n, ok := sink.companion(b, key, from, to); ok {
+			dsBuckets += n
 			continue
 		}
 		if err := b.scan(key, from, to, sink, d.tel); err != nil {
 			return err
 		}
 	}
+	if dsBuckets > 0 && d.tel != nil {
+		d.tel.DownsampledBucketsRead.Add(uint64(dsBuckets))
+	}
 	if sr, ok := d.flushing[key]; ok {
 		if err := sr.scanRange(from, to, sink, d.tel); err != nil {
-			return fmt.Errorf("tsdb: corrupt block in flushing %q: %w", key, err)
-		}
-	}
-	return nil
-}
-
-// scanBlocksAgg streams the persisted points for key with T in
-// [q.From, q.To) into an aggregated query's accumulator, in the same
-// canonical order as scanBlocks — but a block whose downsampled
-// companion provably reproduces what decoding would feed is consumed
-// from the companion's bucket summaries instead of its chunks (see
-// scanDownsampled), which is how coarse-step queries over compacted
-// history skip chunk reads entirely.
-func (d *durable) scanBlocksAgg(key string, q RangeQuery, acc *aggregator) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, b := range d.blocks {
-		if b.meta.MaxT < q.From || b.meta.MinT >= q.To {
-			continue
-		}
-		if !b.hasSeries(key) {
-			continue
-		}
-		if scanDownsampled(b, key, q, acc, d.tel) {
-			continue
-		}
-		if err := b.scan(key, q.From, q.To, acc, d.tel); err != nil {
-			return err
-		}
-	}
-	if sr, ok := d.flushing[key]; ok {
-		if err := sr.scanRange(q.From, q.To, acc, d.tel); err != nil {
 			return fmt.Errorf("tsdb: corrupt block in flushing %q: %w", key, err)
 		}
 	}

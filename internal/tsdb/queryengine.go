@@ -31,10 +31,16 @@ import (
 //     a step grid anchored at the query's From. Raw points never
 //     materialize for aggregated queries — every source streams into
 //     the accumulator.
-//   - DB.QueryRange / Sharded.QueryRange: matcher evaluation. The
-//     sharded form fans the matched series out across a worker pool
-//     (internal/parallel) and merges results in series-key order, so
-//     output is identical at any shard count and parallelism.
+//   - Sharded.scanSeries: the one read primitive. It streams one series
+//     in canonical storage order — persisted blocks by sequence, the
+//     checkpoint overlay, then shard memory — into a pointSink under that
+//     series' own checkpoint-cut hold.
+//   - Query / QueryRange / ScanMatch: the read entry points, each a
+//     selection of keys from the catalog plus a sink over scanSeries
+//     (rawSink, aggregator, visitSink). The matcher forms fan the matched
+//     series out across a worker pool (internal/parallel) and merge in
+//     series-key order, so output is identical at any shard count and
+//     parallelism.
 
 // Agg selects the aggregation a range query applies per step bucket.
 // AggNone returns raw points.
@@ -273,21 +279,36 @@ func summarizeChunk(pts []Point) chunkAgg {
 	return a
 }
 
-// pointSink consumes a streamed scan. chunk offers a whole chunk that
-// lies entirely inside the query range as its summary; a sink returns
-// true to consume it without decoding (aggregation push-down) or false
-// to receive the chunk's points through add instead.
+// pointSink consumes a streamed scan. Besides single points it is
+// offered two kinds of summary, each standing for data that lies entirely
+// inside the scan range: chunk, one sealed chunk's summary, and
+// companion, one persisted block's downsampled companions for the scanned
+// series. A sink returns true to consume the summary in place of the
+// points behind it (aggregation push-down), or false to receive those
+// points through add instead.
 type pointSink interface {
 	add(Point)
 	chunk(chunkAgg) bool
+	// companion reports, when it consumes, how many companion buckets it
+	// read (the downsampled-buckets counter).
+	companion(b *block, key string, from, to int64) (buckets int, ok bool)
 }
 
-// rawSink collects raw points; chunk summaries are always declined
-// (raw reads need the actual points).
-type rawSink struct{ pts []Point }
+// decodeOnly is embedded by the sinks that need the actual points: every
+// summary offer is declined.
+type decodeOnly struct{}
 
-func (r *rawSink) add(p Point)         { r.pts = append(r.pts, p) }
-func (r *rawSink) chunk(chunkAgg) bool { return false }
+func (decodeOnly) chunk(chunkAgg) bool { return false }
+
+func (decodeOnly) companion(*block, string, int64, int64) (int, bool) { return 0, false }
+
+// rawSink collects raw points.
+type rawSink struct {
+	decodeOnly
+	pts []Point
+}
+
+func (r *rawSink) add(p Point) { r.pts = append(r.pts, p) }
 
 // scanChunk streams a compressed chunk's points with T in [from, to) to
 // sink. The chunk is time-ordered, so the scan returns at the first
@@ -521,102 +542,95 @@ func compactResults(results []SeriesResult) []SeriesResult {
 	return out
 }
 
-// QueryRange evaluates a matcher/aggregation query against the DB: every
-// series matching the globs, raw or bucket-aggregated, in series-key
-// order. Series with no points in the range are omitted. The whole
-// evaluation runs under one lock hold, so the result is a consistent
-// snapshot. Result sizes are charged to network-out as /query responses
-// are.
-func (db *DB) QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	keys := q.matchKeys(db.sortedKeysLocked())
-	results := make([]SeriesResult, len(keys))
-	for i, key := range keys {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// scanSeries is the store's one read primitive: it streams the points of
+// one series with T in [from, to) into sink in canonical storage order —
+// persisted blocks by sequence number, the checkpoint overlay, then shard
+// memory — which is arrival order, so a stable sort by T of the stream is
+// the same before and after any checkpoint, compaction or restart. On a
+// durable store the checkpoint-cut read lock is held for exactly this one
+// series: it is read from one consistent side of any concurrent cut
+// (never duplicated, never partially drained), while a wide fan-out over
+// cold blocks cannot stall a pending checkpoint — and, through the
+// RWMutex writer queue, every other reader — for its full duration. A key
+// that is nowhere streams nothing; callers select keys from the catalog.
+func (s *Sharded) scanSeries(key string, from, to int64, sink pointSink) error {
+	if s.dur != nil {
+		s.dur.cutMu.RLock()
+		defer s.dur.cutMu.RUnlock()
+		if err := s.dur.scanBlocks(key, from, to, sink); err != nil {
+			return err
 		}
-		component, metric := splitKey(key)
-		pts, err := scanOneSeries(db.data[key], q, db.tel)
-		if err != nil {
-			return nil, fmt.Errorf("tsdb: corrupt block in %q: %w", key, err)
-		}
-		db.stats.NetworkOutBytes += 16 * len(pts)
-		results[i] = SeriesResult{Component: component, Metric: metric, Points: pts}
 	}
-	return compactResults(results), nil
+	return s.shards[s.shardIndex(key)].scan(key, from, to, sink)
 }
 
-// scanOneSeries evaluates one series under the caller's lock: raw points
-// stably sorted by time, or aggregated buckets.
-func scanOneSeries(sr *series, q RangeQuery, tel *StoreTelemetry) ([]Point, error) {
+// evalSeries answers a query for one series: raw points stably sorted by
+// time (equal timestamps keep arrival order), or one point per non-empty
+// step bucket — aggregated queries never materialize raw points. The
+// response size is charged to network-out once, here: 16 bytes per
+// returned point (timestamp + float64).
+func (s *Sharded) evalSeries(key string, q RangeQuery) ([]Point, error) {
+	var pts []Point
 	if q.Agg == AggNone {
-		pts, err := sr.pointsInRange(q.From, q.To, tel)
-		if err != nil {
+		var raw rawSink
+		if err := s.scanSeries(key, q.From, q.To, &raw); err != nil {
 			return nil, err
 		}
+		pts = raw.pts
 		sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
-		return pts, nil
+	} else {
+		acc := newAggregator(q.Agg, q.From, q.StepMS)
+		if err := s.scanSeries(key, q.From, q.To, acc); err != nil {
+			return nil, err
+		}
+		pts = acc.points()
 	}
-	acc := newAggregator(q.Agg, q.From, q.StepMS)
-	if err := sr.scanRange(q.From, q.To, acc, tel); err != nil {
-		return nil, err
-	}
-	return acc.points(), nil
+	s.netOut.Add(16 * int64(len(pts)))
+	return pts, nil
 }
 
-// QueryMatch is the raw-points matcher query: every series matching the
-// globs with T in [from, to), in series-key order.
-func (db *DB) QueryMatch(componentGlob, metricGlob string, from, to int64) ([]SeriesResult, error) {
-	return db.QueryRange(context.Background(), RangeQuery{
-		Component: componentGlob, Metric: metricGlob, From: from, To: to,
-	})
+// Query returns the points of component/metric with T in [from, to) in
+// time order, merged across persisted blocks, any mid-checkpoint overlay
+// and memory. A key the catalog does not hold is ErrUnknownSeries; a known
+// series with nothing in range is an empty result.
+func (s *Sharded) Query(component, metric string, from, to int64) ([]Point, error) {
+	key := component + "/" + metric
+	keys := s.catalogKeys()
+	if i := sort.SearchStrings(keys, key); i == len(keys) || keys[i] != key {
+		return nil, fmt.Errorf("%w %q", ErrUnknownSeries, key)
+	}
+	return s.evalSeries(key, RangeQuery{From: from, To: to})
 }
 
-// QueryRange evaluates a matcher/aggregation query against the sharded
-// store: the matched series (in-memory, persisted blocks, and any
-// mid-checkpoint overlay) are fanned out across a worker pool and merged
-// in series-key order, so the result is identical at any shard count and
-// parallelism. Series with no points in the range are omitted;
-// aggregated queries never materialize raw points.
+// QueryRange evaluates a matcher/aggregation query: the matched series
+// are fanned out across a worker pool and merged in series-key order, so
+// the result is identical at any shard count and parallelism. Series with
+// no points in the range are omitted.
 //
-// On a durable store the checkpoint-cut read lock is held per series,
-// not across the whole fan-out: each series is read from one consistent
-// side of any concurrent cut (never duplicated, never partially
-// drained), while a wide query over cold blocks cannot stall a pending
-// checkpoint — and, through the RWMutex writer queue, every other
-// reader — for its full duration. Against the cut itself, per-series
-// holds cost no observable consistency: a cut only moves points between
-// memory and blocks, and reads are byte-identical on either side
-// (pinned by the equivalence suite), so a result mixing pre- and
-// post-cut series equals the all-pre and all-post results. Retention is
-// the exception: a checkpoint racing the fan-out may drop expired
-// blocks midway, so with RetentionMS set a single response can reflect
-// different history depths across series (concurrent ingest advancing
-// the horizon has the same effect); per-query atomicity against data
-// expiry is not part of the contract.
+// Each series is read under its own checkpoint-cut hold (see scanSeries),
+// not one hold across the fan-out. Against the cut itself that costs no
+// observable consistency: a cut only moves points between memory and
+// blocks, and reads are byte-identical on either side (pinned by the
+// equivalence suite), so a result mixing pre- and post-cut series equals
+// the all-pre and all-post results. It is not a snapshot against
+// anything else: ingest racing the fan-out may reach some series and not
+// others, and with RetentionMS set a checkpoint may drop expired blocks
+// midway, so a single response can reflect different history depths
+// across series (a series that vanishes that way is simply omitted).
+// Per-query atomicity is not part of the contract — the standalone
+// single-lock store that offered it is gone.
 func (s *Sharded) QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	keys := q.matchKeys(s.catalogKeys())
 	results := make([]SeriesResult, len(keys))
-	err := parallel.ForEach(ctx, q.Parallelism, len(keys), func(ctx context.Context, i int) error {
-		key := keys[i]
-		component, metric := splitKey(key)
-		pts, err := s.querySeries(key, component, metric, q)
+	err := parallel.ForEach(ctx, q.Parallelism, len(keys), func(_ context.Context, i int) error {
+		pts, err := s.evalSeries(keys[i], q)
 		if err != nil {
-			// A series enumerated a moment ago can disappear when block
-			// retention races the scan; absence is an empty result, not a
-			// failure.
-			if errors.Is(err, ErrUnknownSeries) {
-				return nil
-			}
 			return err
 		}
+		component, metric := splitKey(keys[i])
 		results[i] = SeriesResult{Component: component, Metric: metric, Points: pts}
 		return nil
 	})
@@ -626,50 +640,10 @@ func (s *Sharded) QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult,
 	return compactResults(results), nil
 }
 
-// querySeries reads one series under its own checkpoint-cut hold.
-func (s *Sharded) querySeries(key, component, metric string, q RangeQuery) ([]Point, error) {
-	if s.dur != nil {
-		s.dur.cutMu.RLock()
-		defer s.dur.cutMu.RUnlock()
-	}
-	if q.Agg == AggNone {
-		return s.queryKeyLocked(key, component, metric, q.From, q.To)
-	}
-	return s.aggregateKeyLocked(key, q)
-}
-
-// aggregateKeyLocked streams one series through an aggregator in
-// canonical storage order — persisted blocks (in sequence order), the
-// checkpoint overlay, then shard memory — which is the same order the
-// raw path stably sorts. Caller holds cutMu (durable stores).
-func (s *Sharded) aggregateKeyLocked(key string, q RangeQuery) ([]Point, error) {
-	acc := newAggregator(q.Agg, q.From, q.StepMS)
-	if s.dur != nil {
-		if err := s.dur.scanBlocksAgg(key, q, acc); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.shards[s.shardIndex(key)].scanSeries(key, q.From, q.To, acc); err != nil {
-		return nil, err
-	}
-	pts := acc.points()
-	s.netOut.Add(16 * int64(len(pts)))
-	return pts, nil
-}
-
-// QueryMatch is the raw-points matcher query: every series matching the
-// globs with T in [from, to), in series-key order, fanned out across
-// shards and series.
-func (s *Sharded) QueryMatch(componentGlob, metricGlob string, from, to int64) ([]SeriesResult, error) {
-	return s.QueryRange(context.Background(), RangeQuery{
-		Component: componentGlob, Metric: metricGlob, From: from, To: to,
-	})
-}
-
 // visitSink adapts one series' streamed scan to a SeriesVisitor: every
-// decoded point is forwarded with the series' index, and chunk summaries
-// are always declined (visitors need the actual points).
+// decoded point is forwarded with the series' index.
 type visitSink struct {
+	decodeOnly
 	idx   int
 	n     int
 	visit SeriesVisitor
@@ -680,74 +654,26 @@ func (s *visitSink) add(p Point) {
 	s.n++
 }
 
-func (s *visitSink) chunk(chunkAgg) bool { return false }
-
-// ScanMatch streams every matching series' points with T in [from, to)
+// ScanMatch streams every series matching the globs with T in [from, to)
 // directly from chunk decode into visit — no []Point or SeriesResult
-// materializes. Points arrive in storage order (sealed chunks, then
-// tail), which for the in-order ingest the pipeline produces equals
-// QueryMatch's stably time-sorted order. The whole scan runs under one
-// lock hold, so the result is a consistent snapshot; visits are
-// sequential. Streamed volume is charged to network-out as query
-// responses are.
-func (db *DB) ScanMatch(componentGlob, metricGlob string, from, to int64, begin func(keys []string), visit SeriesVisitor) error {
-	q := RangeQuery{Component: componentGlob, Metric: metricGlob, From: from, To: to}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	keys := q.matchKeys(db.sortedKeysLocked())
-	if begin != nil {
-		begin(keys)
-	}
-	sink := visitSink{visit: visit}
-	for i, key := range keys {
-		sink.idx = i
-		if err := db.data[key].scanRange(from, to, &sink, db.tel); err != nil {
-			return fmt.Errorf("tsdb: corrupt block in %q: %w", key, err)
-		}
-	}
-	db.stats.NetworkOutBytes += 16 * sink.n
-	return nil
-}
-
-// ScanMatch streams every matching series' points with T in [from, to)
-// into visit, fanning the matched series out across a worker pool: one
-// series' points arrive in canonical storage order (persisted blocks,
-// checkpoint overlay, then shard memory) from a single goroutine, but
-// different series are visited concurrently — per-seriesIdx visitor
-// state needs no locking, shared state does. Like QueryRange, the
-// checkpoint-cut lock is held per series, not across the fan-out.
+// materializes (the ReadStore contract). The matched series are fanned
+// out across a worker pool, per the SeriesVisitor contract: one series'
+// points arrive in canonical storage order (see scanSeries), which for
+// the in-order ingest the pipeline produces equals a raw QueryRange's
+// stably time-sorted order. Streamed volume is charged to network-out as
+// query responses are.
 func (s *Sharded) ScanMatch(componentGlob, metricGlob string, from, to int64, begin func(keys []string), visit SeriesVisitor) error {
-	q := RangeQuery{Component: componentGlob, Metric: metricGlob, From: from, To: to}
+	q := RangeQuery{Component: componentGlob, Metric: metricGlob}
 	keys := q.matchKeys(s.catalogKeys())
 	if begin != nil {
 		begin(keys)
 	}
-	return parallel.ForEach(context.Background(), q.Parallelism, len(keys), func(_ context.Context, i int) error {
+	return parallel.ForEach(context.Background(), 0, len(keys), func(_ context.Context, i int) error {
 		sink := visitSink{idx: i, visit: visit}
-		if err := s.scanKey(keys[i], from, to, &sink); err != nil {
-			// A series enumerated a moment ago can disappear when block
-			// retention races the scan; absence is an empty scan, not a
-			// failure.
-			if errors.Is(err, ErrUnknownSeries) {
-				return nil
-			}
+		if err := s.scanSeries(keys[i], from, to, &sink); err != nil {
 			return err
 		}
 		s.netOut.Add(16 * int64(sink.n))
 		return nil
 	})
-}
-
-// scanKey streams one series under its own checkpoint-cut hold, in the
-// same canonical order aggregateKeyLocked consumes: persisted blocks (in
-// sequence order), the checkpoint overlay, then shard memory.
-func (s *Sharded) scanKey(key string, from, to int64, sink pointSink) error {
-	if s.dur != nil {
-		s.dur.cutMu.RLock()
-		defer s.dur.cutMu.RUnlock()
-		if err := s.dur.scanBlocks(key, from, to, sink); err != nil {
-			return err
-		}
-	}
-	return s.shards[s.shardIndex(key)].scanSeries(key, from, to, sink)
 }

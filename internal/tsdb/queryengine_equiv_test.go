@@ -68,39 +68,30 @@ func refSeriesPoints(t *testing.T, sr *series) []Point {
 // refStorePoints returns every point of key in the store's canonical
 // storage order — durable blocks by sequence, the checkpoint overlay,
 // then shard memory — decompressing everything.
-func refStorePoints(t *testing.T, store Store, key string) []Point {
+func refStorePoints(t *testing.T, st *Sharded, key string) []Point {
 	t.Helper()
 	var out []Point
-	switch st := store.(type) {
-	case *DB:
-		if sr := st.data[key]; sr != nil {
-			out = refSeriesPoints(t, sr)
-		}
-	case *Sharded:
-		if st.dur != nil {
-			for _, b := range st.dur.blocks {
-				for _, ref := range b.index[key] {
-					payload, err := b.readChunk(key, ref)
-					if err != nil {
-						t.Fatalf("reference chunk read: %v", err)
-					}
-					pts, err := DecompressBlock(payload)
-					if err != nil {
-						t.Fatalf("reference decode: %v", err)
-					}
-					out = append(out, pts...)
+	if st.dur != nil {
+		for _, b := range st.dur.blocks {
+			for _, ref := range b.index[key] {
+				payload, err := b.readChunk(key, ref)
+				if err != nil {
+					t.Fatalf("reference chunk read: %v", err)
 				}
-			}
-			if sr := st.dur.flushing[key]; sr != nil {
-				out = append(out, refSeriesPoints(t, sr)...)
+				pts, err := DecompressBlock(payload)
+				if err != nil {
+					t.Fatalf("reference decode: %v", err)
+				}
+				out = append(out, pts...)
 			}
 		}
-		sh := st.shards[st.shardIndex(key)]
-		if sr := sh.data[key]; sr != nil {
+		if sr := st.dur.flushing[key]; sr != nil {
 			out = append(out, refSeriesPoints(t, sr)...)
 		}
-	default:
-		t.Fatalf("reference: unsupported store %T", store)
+	}
+	sh := st.shards[st.shardIndex(key)]
+	if sr := sh.data[key]; sr != nil {
+		out = append(out, refSeriesPoints(t, sr)...)
 	}
 	return out
 }
@@ -181,7 +172,7 @@ func refAggregate(pts []Point, q RangeQuery) []Point {
 }
 
 // refQueryRange is the decode-everything reference for QueryRange.
-func refQueryRange(t *testing.T, store Store, q RangeQuery) []SeriesResult {
+func refQueryRange(t *testing.T, store *Sharded, q RangeQuery) []SeriesResult {
 	t.Helper()
 	keys := store.SeriesKeys()
 	var out []SeriesResult
@@ -301,7 +292,7 @@ func equivQueries(span int64) []RangeQuery {
 	return qs
 }
 
-func engineQuery(t *testing.T, store Store, q RangeQuery) []SeriesResult {
+func engineQuery(t *testing.T, store *Sharded, q RangeQuery) []SeriesResult {
 	t.Helper()
 	got, err := store.QueryRange(context.Background(), q)
 	if err != nil {
@@ -310,9 +301,16 @@ func engineQuery(t *testing.T, store Store, q RangeQuery) []SeriesResult {
 	return got
 }
 
-// TestQueryEngineEquivalenceInMemory checks engine vs reference on the
-// single-mutex DB and on in-memory sharded stores at shard counts
-// {1, 4, GOMAXPROCS} and parallelism {0, 1, 4}, on both a fully ordered
+// queryMatch is the raw-points matcher query: QueryRange with no
+// aggregation over every series matching the globs.
+func queryMatch(s *Sharded, componentGlob, metricGlob string, from, to int64) ([]SeriesResult, error) {
+	return s.QueryRange(context.Background(), RangeQuery{
+		Component: componentGlob, Metric: metricGlob, From: from, To: to,
+	})
+}
+
+// TestQueryEngineEquivalenceInMemory checks engine vs reference on
+// in-memory stores at shard counts {1, 4, GOMAXPROCS} and parallelism {0, 1, 4}, on both a fully ordered
 // and an out-of-order dataset. All stores must agree with their own
 // reference AND with each other byte for byte.
 func TestQueryEngineEquivalenceInMemory(t *testing.T) {
@@ -329,13 +327,12 @@ func TestQueryEngineEquivalenceInMemory(t *testing.T) {
 					span = s.T
 				}
 			}
-			stores := map[string]Store{
-				"db":        New(),
+			stores := map[string]*Sharded{
 				"shards=1":  NewSharded(1),
 				"shards=4":  NewSharded(4),
 				"shards=np": NewSharded(runtime.GOMAXPROCS(0)),
 			}
-			order := []string{"db", "shards=1", "shards=4", "shards=np"}
+			order := []string{"shards=1", "shards=4", "shards=np"}
 			for _, st := range stores {
 				if err := st.WriteSamples(samples, 0); err != nil {
 					t.Fatal(err)
@@ -401,7 +398,7 @@ func TestQueryEngineEquivalenceDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(label string, st Store) {
+	check := func(label string, st *Sharded) {
 		t.Helper()
 		for _, q := range equivQueries(span) {
 			got := engineQuery(t, st, q)

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -95,7 +96,7 @@ func TestAggRoundTripNames(t *testing.T) {
 // decoded — the old pointsInRange decompressed everything and would
 // fail), while a query overlapping it must surface the corruption.
 func TestQueryEngineSkipsDisjointChunks(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	samples := make([]Sample, 2*blockSize)
 	for i := range samples {
 		samples[i] = Sample{Component: "web", Metric: "cpu", T: int64(i), V: float64(i)}
@@ -103,7 +104,7 @@ func TestQueryEngineSkipsDisjointChunks(t *testing.T) {
 	if err := db.WriteSamples(samples, 0); err != nil {
 		t.Fatal(err)
 	}
-	sr := db.data["web/cpu"]
+	sr := db.shards[0].data["web/cpu"]
 	if len(sr.chunks) != 2 {
 		t.Fatalf("want 2 sealed chunks, got %d", len(sr.chunks))
 	}
@@ -387,4 +388,72 @@ func TestQueryEngineExtremeTimestamps(t *testing.T) {
 			t.Fatalf("%+v: engine %s != reference %s", q, describeResults(got), describeResults(ref))
 		}
 	}
+}
+
+// TestQueryKnownSeriesAndNetworkOut pins Query's two contracts on a
+// durable store wherever a series' points happen to live: a key that is
+// nowhere is ErrUnknownSeries, a key the catalog holds answers with a nil
+// error even when nothing is in range, and network-out grows by exactly
+// 16 bytes per returned point, charged once whichever side served them.
+func TestQueryKnownSeriesAndNetworkOut(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Sharded {
+		t.Helper()
+		s, err := OpenSharded(2, DurabilityOptions{Dir: dir, FlushInterval: -1, CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	const n = 40
+	var samples []Sample
+	for i := 0; i < n; i++ {
+		samples = append(samples, Sample{Component: "web", Metric: "cpu", T: int64(i) * 10, V: float64(i)})
+	}
+	check := func(s *Sharded, where string) {
+		t.Helper()
+		for _, r := range []struct {
+			from, to int64
+			want     int
+		}{
+			{0, n * 10, n},
+			{100, 200, 10},
+			{n * 10, n * 20, 0}, // known series, nothing in range
+		} {
+			before := s.Stats().NetworkOutBytes
+			pts, err := s.Query("web", "cpu", r.from, r.to)
+			if err != nil {
+				t.Fatalf("%s [%d,%d): %v", where, r.from, r.to, err)
+			}
+			if len(pts) != r.want {
+				t.Fatalf("%s [%d,%d): %d points, want %d", where, r.from, r.to, len(pts), r.want)
+			}
+			if got := s.Stats().NetworkOutBytes - before; got != 16*r.want {
+				t.Fatalf("%s [%d,%d): network-out grew by %d, want %d", where, r.from, r.to, got, 16*r.want)
+			}
+		}
+		before := s.Stats().NetworkOutBytes
+		if _, err := s.Query("web", "nope", 0, n*10); !errors.Is(err, ErrUnknownSeries) {
+			t.Fatalf("%s: unknown key: err = %v, want ErrUnknownSeries", where, err)
+		}
+		if got := s.Stats().NetworkOutBytes; got != before {
+			t.Fatalf("%s: unknown key charged %d bytes of network-out", where, got-before)
+		}
+	}
+
+	s := open()
+	if err := s.WriteSamples(samples, 0); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "memory only")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "block only after checkpoint")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = open()
+	defer s.Close()
+	check(s, "block only after reopen")
 }

@@ -28,7 +28,7 @@ func openCrashable(t *testing.T, dir string, shards int) *Sharded {
 }
 
 // recoveryWrite sends one line-protocol batch to every given store.
-func recoveryWrite(t *testing.T, samples []Sample, stores ...Store) {
+func recoveryWrite(t *testing.T, samples []Sample, stores ...*Sharded) {
 	t.Helper()
 	payload := EncodeLineProtocol(samples)
 	for _, st := range stores {
@@ -40,7 +40,7 @@ func recoveryWrite(t *testing.T, samples []Sample, stores ...Store) {
 
 // assertSameContents asserts both stores serve byte-identical series
 // keys, per-series query results over the full time range, and MaxTime.
-func assertSameContents(t *testing.T, got, want ReadStore, label string) {
+func assertSameContents(t *testing.T, got, want *Sharded, label string) {
 	t.Helper()
 	gk, wk := got.SeriesKeys(), want.SeriesKeys()
 	if !reflect.DeepEqual(gk, wk) {
@@ -589,7 +589,7 @@ func TestDurableConcurrentIngestCheckpointQuery(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			res, err := s.QueryMatch("stable", "*", 0, 1<<62)
+			res, err := queryMatch(s, "stable", "*", 0, 1<<62)
 			if err != nil {
 				t.Errorf("stable matcher query: %v", err)
 				return
@@ -613,7 +613,7 @@ func TestDurableConcurrentIngestCheckpointQuery(t *testing.T) {
 			// Matcher fan-out across everything, including half-written
 			// series: counts per series may grow but must never exceed
 			// what a writer has acked.
-			all, err := s.QueryMatch("*", "*", 0, 1<<62)
+			all, err := queryMatch(s, "*", "*", 0, 1<<62)
 			if err != nil {
 				t.Errorf("wildcard matcher: %v", err)
 				return

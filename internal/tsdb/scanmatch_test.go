@@ -8,8 +8,8 @@ import (
 )
 
 // scanToResults replays a ScanMatch into per-series point slices so the
-// stream can be compared against QueryMatch output.
-func scanToResults(t *testing.T, sc SeriesScanner, component, metric string, from, to int64) []SeriesResult {
+// stream can be compared against raw QueryRange output.
+func scanToResults(t *testing.T, sc *Sharded, component, metric string, from, to int64) []SeriesResult {
 	t.Helper()
 	var (
 		mu   sync.Mutex
@@ -40,12 +40,13 @@ func scanToResults(t *testing.T, sc SeriesScanner, component, metric string, fro
 	return out
 }
 
-// TestScanMatchMatchesQueryMatch pins the streaming contract on both
-// stores: under in-order ingest, the per-series point streams delivered
-// by ScanMatch are bit-identical to QueryMatch's stably sorted results —
-// same keys, same order, same bits — across sealed chunks and tails.
+// TestScanMatchMatchesQueryMatch pins the streaming contract at shard
+// counts {1, 4}: under in-order ingest, the per-series point streams
+// delivered by ScanMatch are bit-identical to a raw QueryRange's stably
+// sorted results — same keys, same order, same bits — across sealed
+// chunks and tails.
 func TestScanMatchMatchesQueryMatch(t *testing.T) {
-	build := func(st Store) {
+	build := func(st *Sharded) {
 		var samples []Sample
 		for c := 0; c < 3; c++ {
 			for m := 0; m < 4; m++ {
@@ -68,14 +69,13 @@ func TestScanMatchMatchesQueryMatch(t *testing.T) {
 		}
 	}
 
-	stores := map[string]Store{
-		"db":      New(),
-		"sharded": NewSharded(4),
+	stores := map[string]*Sharded{
+		"shards=1": NewSharded(1),
+		"sharded":  NewSharded(4),
 	}
 	for name, st := range stores {
 		t.Run(name, func(t *testing.T) {
 			build(st)
-			sc := st.(SeriesScanner)
 			for _, r := range []struct {
 				comp, met string
 				from, to  int64
@@ -85,11 +85,11 @@ func TestScanMatchMatchesQueryMatch(t *testing.T) {
 				{"*", "metric2", 0, 50},
 				{"comp0", "metric0", 400, 400}, // empty range
 			} {
-				want, err := st.QueryMatch(r.comp, r.met, r.from, r.to)
+				want, err := queryMatch(st, r.comp, r.met, r.from, r.to)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := scanToResults(t, sc, r.comp, r.met, r.from, r.to)
+				got := scanToResults(t, st, r.comp, r.met, r.from, r.to)
 				if len(got) != len(want) {
 					t.Fatalf("%+v: %d series streamed, %d queried", r, len(got), len(want))
 				}
@@ -118,8 +118,8 @@ func TestScanMatchMatchesQueryMatch(t *testing.T) {
 // at zero: growing the sealed data 8x must not change the allocation
 // count of a full scan (per-series and per-key costs stay).
 func TestScanMatchAllocs(t *testing.T) {
-	build := func(points int) *DB {
-		db := New()
+	build := func(points int) *Sharded {
+		db := NewSharded(1)
 		samples := make([]Sample, 0, points)
 		for i := 0; i < points; i++ {
 			samples = append(samples, Sample{
@@ -132,7 +132,7 @@ func TestScanMatchAllocs(t *testing.T) {
 		db.Flush()
 		return db
 	}
-	measure := func(db *DB, points int) float64 {
+	measure := func(db *Sharded, points int) float64 {
 		sink := 0.0
 		return testing.AllocsPerRun(20, func() {
 			err := db.ScanMatch("*", "*", 0, int64(points), nil, func(_ int, _ int64, v float64) {

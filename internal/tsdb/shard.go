@@ -24,7 +24,7 @@ var ErrStorage = errors.New("tsdb: storage failure")
 // is compressed into a Gorilla block.
 const blockSize = 512
 
-// Stats summarizes a DB's resource consumption; these are the quantities
+// Stats summarizes a store's resource consumption; these are the quantities
 // Table 3 of the paper compares before/after metric reduction.
 type Stats struct {
 	// Points is the total number of stored observations.
@@ -108,25 +108,15 @@ func (sr *series) scanRange(from, to int64, sink pointSink, tel *StoreTelemetry)
 	return nil
 }
 
-// pointsInRange collects the series' points with T in [from, to) in
-// storage order (a rawSink over scanRange).
-func (sr *series) pointsInRange(from, to int64, tel *StoreTelemetry) ([]Point, error) {
-	var out rawSink
-	if err := sr.scanRange(from, to, &out, tel); err != nil {
-		return nil, err
-	}
-	return out.pts, nil
-}
-
-// DB is an in-memory time-series store with InfluxDB-like write/query
-// semantics and explicit resource accounting. It is safe for concurrent
-// use.
-type DB struct {
-	mu     sync.Mutex
-	data   map[string]*series // key: component/metric
-	stats  Stats
-	maxT   int64
-	sealed bool
+// shard is one hash partition of a Sharded store: the in-memory series
+// of the keys that hash to it, behind its own lock. It has no read or
+// write surface of its own — Sharded routes ingest through appendSamples
+// and every read through scan.
+type shard struct {
+	mu    sync.Mutex
+	data  map[string]*series // key: component/metric
+	stats Stats
+	maxT  int64
 
 	// wal, when non-nil, is the shard's write-ahead log: set only by
 	// OpenSharded, appended to (under mu, before the memory insert) on
@@ -137,58 +127,19 @@ type DB struct {
 	// setTelemetry (under mu) before the store serves traffic.
 	tel *StoreTelemetry
 
-	// keyGen is bumped whenever the set of keys in data changes. A shard
-	// of a Sharded store points it at the store's catalog generation (see
-	// Sharded.catalogKeys); a standalone DB counts into its own.
+	// keyGen is the owning store's catalog generation (see
+	// Sharded.catalogKeys), bumped whenever the set of keys in data
+	// changes.
 	keyGen *atomic.Uint64
 }
 
-// New creates an empty DB.
-func New() *DB {
-	return &DB{data: map[string]*series{}, keyGen: new(atomic.Uint64)}
+func newShard(keyGen *atomic.Uint64) *shard {
+	return &shard{data: map[string]*series{}, keyGen: keyGen}
 }
 
 // ackBytes is the fixed response size per write batch (status line),
 // counted as network-out traffic like a real HTTP 204 from InfluxDB.
 const ackBytes = 32
-
-// Write ingests a line-protocol payload, returning the number of samples
-// stored. Wire size, ack size, and parse/store CPU time are accounted.
-func (db *DB) Write(payload []byte) (int, error) {
-	start := time.Now()
-	samples, err := ParseLineProtocol(payload)
-	if err != nil {
-		return 0, err
-	}
-
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, s := range samples {
-		db.insertLocked(s)
-	}
-	db.stats.Points += len(samples)
-	db.stats.NetworkInBytes += len(payload)
-	db.stats.NetworkOutBytes += ackBytes
-	db.stats.IngestCPU += time.Since(start)
-	return len(samples), nil
-}
-
-// WriteSamples ingests samples that are already decoded (used by
-// in-process collectors that still want the wire cost accounted: pass the
-// encoded size explicitly).
-func (db *DB) WriteSamples(samples []Sample, wireBytes int) error {
-	start := time.Now()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, s := range samples {
-		db.insertLocked(s)
-	}
-	db.stats.Points += len(samples)
-	db.stats.NetworkInBytes += wireBytes
-	db.stats.NetworkOutBytes += ackBytes
-	db.stats.IngestCPU += time.Since(start)
-	return nil
-}
 
 // appendSamples ingests decoded samples with point and CPU accounting
 // but no network accounting: the entry point used by Sharded, whose
@@ -204,30 +155,30 @@ func (db *DB) WriteSamples(samples []Sample, wireBytes int) error {
 // fsync and the next leader commits them all with a single sync, so the
 // request still returns only once its own batch is durable but the
 // fsync count scales with coalesced groups, not with requests.
-func (db *DB) appendSamples(samples []Sample) error {
+func (sh *shard) appendSamples(samples []Sample) error {
 	start := time.Now()
-	db.mu.Lock()
+	sh.mu.Lock()
 	var seq uint64
-	if db.wal != nil {
+	if sh.wal != nil {
 		var err error
-		if seq, err = db.wal.append(samples); err != nil {
-			db.mu.Unlock()
+		if seq, err = sh.wal.append(samples); err != nil {
+			sh.mu.Unlock()
 			return err
 		}
 	}
 	for _, s := range samples {
-		db.insertLocked(s)
+		sh.insertLocked(s)
 	}
-	db.stats.Points += len(samples)
-	db.stats.IngestCPU += time.Since(start)
-	db.mu.Unlock()
-	if db.wal != nil && db.wal.policy == FsyncAlways {
+	sh.stats.Points += len(samples)
+	sh.stats.IngestCPU += time.Since(start)
+	sh.mu.Unlock()
+	if sh.wal != nil && sh.wal.policy == FsyncAlways {
 		// A commitWait error means durability is unconfirmed, not that
 		// the batch was dropped: the frames are in the log and the points
 		// are in memory, but the fsync covering them failed. Callers see
 		// a storage error; a crash before a later successful fsync loses
 		// the batch, a client retry may duplicate it.
-		return db.wal.commitWait(seq)
+		return sh.wal.commitWait(seq)
 	}
 	return nil
 }
@@ -235,39 +186,39 @@ func (db *DB) appendSamples(samples []Sample) error {
 // replaySamples re-inserts WAL-recovered samples: memory and counters
 // update as on ingest, but nothing is re-logged — the records are already
 // in the segments being replayed.
-func (db *DB) replaySamples(samples []Sample) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+func (sh *shard) replaySamples(samples []Sample) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for _, s := range samples {
-		db.insertLocked(s)
+		sh.insertLocked(s)
 	}
-	db.stats.Points += len(samples)
+	sh.stats.Points += len(samples)
 }
 
-func (db *DB) insertLocked(s Sample) {
+func (sh *shard) insertLocked(s Sample) {
 	key := s.Key()
-	sr := db.data[key]
+	sr := sh.data[key]
 	if sr == nil {
 		sr = &series{}
-		db.data[key] = sr
-		db.stats.Series++
-		db.keyGen.Add(1)
+		sh.data[key] = sr
+		sh.stats.Series++
+		sh.keyGen.Add(1)
 	}
 	sr.tail = append(sr.tail, Point{T: s.T, V: s.V})
-	if s.T > db.maxT {
-		db.maxT = s.T
+	if s.T > sh.maxT {
+		sh.maxT = s.T
 	}
 	if len(sr.tail) >= blockSize {
-		db.sealLocked(sr)
+		sh.sealLocked(sr)
 	}
 }
 
 // MaxTime returns the largest timestamp ingested so far (0 when empty),
 // the high-water mark sliding-window readers anchor to.
-func (db *DB) MaxTime() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.maxT
+func (sh *shard) MaxTime() int64 {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.maxT
 }
 
 // sealLocked compresses the tail into a chunk, recording its time range
@@ -275,7 +226,7 @@ func (db *DB) MaxTime() int64 {
 // decompressing. Errors (unordered timestamps) leave the tail
 // uncompressed; storage accounting then counts it raw, which only
 // overstates our footprint.
-func (db *DB) sealLocked(sr *series) {
+func (sh *shard) sealLocked(sr *series) {
 	// Points may arrive slightly out of order across scrape batches; sort
 	// the tail before sealing, as real TSDBs do per block.
 	sort.SliceStable(sr.tail, func(i, j int) bool { return sr.tail[i].T < sr.tail[j].T })
@@ -298,20 +249,20 @@ func (db *DB) sealLocked(sr *series) {
 // them without locking. The returned sequence number is the cut: all
 // stolen points live in WAL segments below it, all later appends in
 // segments at or above it. On error the shard is left untouched.
-func (db *DB) cutSnapshot(into map[string]*series) (cutSeq uint64, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	cutSeq, err = db.wal.rotate()
+func (sh *shard) cutSnapshot(into map[string]*series) (cutSeq uint64, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cutSeq, err = sh.wal.rotate()
 	if err != nil {
 		return 0, err
 	}
-	for key, sr := range db.data {
+	for key, sr := range sh.data {
 		if sr.blockPts+len(sr.tail) > 0 {
 			into[key] = sr
 		}
 	}
-	db.data = map[string]*series{}
-	db.keyGen.Add(1)
+	sh.data = map[string]*series{}
+	sh.keyGen.Add(1)
 	return cutSeq, nil
 }
 
@@ -322,15 +273,15 @@ func (db *DB) cutSnapshot(into map[string]*series) (cutSeq uint64, err error) {
 // their pre-flush query order. Series counters were never reset by the
 // cut (Stats.Series is recomputed at the Sharded level for durable
 // stores), so only the raw data returns.
-func (db *DB) reinsertSeries(key string, old *series) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.keyGen.Add(1)
-	cur := db.data[key]
+func (sh *shard) reinsertSeries(key string, old *series) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.keyGen.Add(1)
+	cur := sh.data[key]
 	if cur == nil {
-		db.data[key] = old
+		sh.data[key] = old
 		if len(old.tail) >= blockSize {
-			db.sealLocked(old)
+			sh.sealLocked(old)
 		}
 		return
 	}
@@ -342,99 +293,61 @@ func (db *DB) reinsertSeries(key string, old *series) {
 	}
 	if len(merged.tail) > 0 {
 		// Seal the snapshot's tail so the newer chunks can follow it.
-		db.sealLocked(merged)
+		sh.sealLocked(merged)
 	}
 	merged.chunks = append(merged.chunks, cur.chunks...)
 	merged.blockPts += cur.blockPts
 	merged.compBytes += cur.compBytes
 	merged.tail = cur.tail
-	db.data[key] = merged
+	sh.data[key] = merged
 }
 
 // Flush seals every series' tail so Stats reflects compressed storage.
-func (db *DB) Flush() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, sr := range db.data {
+func (sh *shard) Flush() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, sr := range sh.data {
 		if len(sr.tail) > 0 {
-			db.sealLocked(sr)
+			sh.sealLocked(sr)
 		}
 	}
 }
 
-// Query returns the points of component/metric with T in [from, to),
-// merged across blocks and tail in time order. The response size is
-// charged to network-out.
-func (db *DB) Query(component, metric string, from, to int64) ([]Point, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := component + "/" + metric
-	sr := db.data[key]
-	if sr == nil {
-		return nil, fmt.Errorf("%w %q", ErrUnknownSeries, key)
-	}
-	out, err := sr.pointsInRange(from, to, db.tel)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: corrupt block in %q: %w", key, err)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-	// 16 bytes per point on the wire (timestamp + float64).
-	db.stats.NetworkOutBytes += 16 * len(out)
-	return out, nil
-}
-
-// scanSeries streams one series' in-memory points with T in [from, to)
-// to sink in storage order (sealed chunks, then tail), skipping chunks
-// disjoint from the range. A key the shard has never seen is simply an
-// empty scan — the query engine enumerates keys up front, and the
-// persisted side may own all of this one's points.
-func (db *DB) scanSeries(key string, from, to int64, sink pointSink) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	sr := db.data[key]
+// scan streams one series' in-memory points with T in [from, to) to sink
+// in storage order (sealed chunks, then tail), skipping chunks disjoint
+// from the range. A key the shard does not hold is simply an empty scan:
+// readers select keys from the store's catalog, and the persisted side
+// may own all of this one's points.
+func (sh *shard) scan(key string, from, to int64, sink pointSink) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sr := sh.data[key]
 	if sr == nil {
 		return nil
 	}
-	if err := sr.scanRange(from, to, sink, db.tel); err != nil {
+	if err := sr.scanRange(from, to, sink, sh.tel); err != nil {
 		return fmt.Errorf("tsdb: corrupt block in %q: %w", key, err)
 	}
 	return nil
 }
 
-// SeriesKeys returns all component/metric keys in sorted order.
-func (db *DB) SeriesKeys() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.sortedKeysLocked()
-}
-
-// sortedKeysLocked lists the DB's keys in sorted order. Caller holds mu.
-func (db *DB) sortedKeysLocked() []string {
-	keys := make([]string, 0, len(db.data))
-	for k := range db.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // addSeriesKeys unions the shard's in-memory series keys into set.
-func (db *DB) addSeriesKeys(set map[string]struct{}) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for k := range db.data {
+func (sh *shard) addSeriesKeys(set map[string]struct{}) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for k := range sh.data {
 		set[k] = struct{}{}
 	}
 }
 
 // Stats returns a snapshot of the accounting counters; StorageBytes is
 // recomputed from current blocks and tails.
-func (db *DB) Stats() Stats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s := db.stats
+func (sh *shard) Stats() Stats {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	s := sh.stats
 	storage := 0
-	for _, sr := range db.data {
+	for _, sr := range sh.data {
 		storage += sr.compBytes + 16*len(sr.tail)
 	}
 	s.StorageBytes = storage

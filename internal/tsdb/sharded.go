@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -14,13 +13,14 @@ import (
 )
 
 // Sharded is a hash-partitioned store: series keys are FNV-hashed onto N
-// independent DB shards, each with its own lock, so concurrent writers
+// independent shards, each with its own lock, so concurrent writers
 // contend only when they touch the same shard instead of serializing on
 // one global mutex. Every series lives entirely inside one shard, so
-// query results and stored points are identical to a single DB at any
-// shard count — sharding changes scheduling, never data.
+// query results and stored points are identical at any shard count —
+// sharding changes scheduling, never data. NewSharded(1) is the
+// standalone single-lock store.
 type Sharded struct {
-	shards []*DB
+	shards []*shard
 
 	// Wire-level accounting lives at the front door (the shards see only
 	// decoded samples); atomics keep the hot write path lock-free here.
@@ -35,7 +35,7 @@ type Sharded struct {
 
 	// The series catalog: the sorted union of every series key in shard
 	// memory, the checkpoint overlay and the persisted blocks, shared
-	// read-only by QueryRange, ScanMatch, SeriesKeys and Stats. keyGen is
+	// read-only by every read entry point and Stats. keyGen is
 	// bumped wherever that union can change (the shards and the durable
 	// engine hold a pointer to it); a reader whose cached catalog carries
 	// an older generation rebuilds it under catMu. The write path pays one
@@ -74,10 +74,9 @@ func NewSharded(n int) *Sharded {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	s := &Sharded{shards: make([]*DB, n)}
+	s := &Sharded{shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = New()
-		s.shards[i].keyGen = &s.keyGen
+		s.shards[i] = newShard(&s.keyGen)
 	}
 	return s
 }
@@ -291,51 +290,6 @@ func (s *Sharded) IngestParsed(samples []Sample, wireBytes int, parseStart time.
 	return s.ingest(samples, wireBytes, parseStart)
 }
 
-// Query returns the points of component/metric with T in [from, to): the
-// owning shard's in-memory points merged, on a durable store, with every
-// overlapping persisted block (and any drained set mid-checkpoint).
-func (s *Sharded) Query(component, metric string, from, to int64) ([]Point, error) {
-	if s.dur != nil {
-		// Hold the cut lock across both reads so a concurrent checkpoint
-		// cannot drain memory between them (points missed) or publish a
-		// block between them (points duplicated).
-		s.dur.cutMu.RLock()
-		defer s.dur.cutMu.RUnlock()
-	}
-	return s.queryKeyLocked(component+"/"+metric, component, metric, from, to)
-}
-
-// queryKeyLocked is Query's body, factored out so the query engine's
-// fan-out (which already holds cutMu for all its series) can reuse the
-// exact single-series read path. Caller holds cutMu on durable stores.
-func (s *Sharded) queryKeyLocked(key, component, metric string, from, to int64) ([]Point, error) {
-	pts, err := s.shards[s.shardIndex(key)].Query(component, metric, from, to)
-	if err != nil && !errors.Is(err, ErrUnknownSeries) {
-		return nil, err
-	}
-	if s.dur == nil {
-		return pts, err
-	}
-	memKnown := err == nil
-	blkPts, blkKnown, berr := s.dur.queryBlocks(key, from, to)
-	if berr != nil {
-		return nil, berr
-	}
-	if !memKnown && !blkKnown {
-		return nil, err // the shard's ErrUnknownSeries
-	}
-	if len(blkPts) > 0 {
-		// Persisted points were drained earlier than anything still in
-		// memory; keeping them first and sorting stably preserves arrival
-		// order among equal timestamps, so results match the pre-flush
-		// (and pre-restart) store byte for byte.
-		s.netOut.Add(16 * int64(len(blkPts)))
-		pts = append(blkPts, pts...)
-		sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
-	}
-	return pts, nil
-}
-
 // SeriesKeys returns all component/metric keys across shards — and, on a
 // durable store, persisted blocks — in sorted order.
 func (s *Sharded) SeriesKeys() []string {
@@ -414,8 +368,8 @@ func (s *Sharded) Flush() {
 }
 
 // Stats sums the per-shard accounting and adds the front door's wire
-// counters. Query-side network-out is charged inside the shards. On a
-// durable store, Points also counts points recovered from blocks (prior
+// counters (ingest bytes and acks, 16 B per point returned by a read). On
+// a durable store, Points also counts points recovered from blocks (prior
 // lives' ingests), Series is the union of in-memory and persisted keys
 // (a series does not double-count when it spans both), and StorageBytes
 // adds the on-disk block chunks and live WAL segments.
@@ -426,12 +380,10 @@ func (s *Sharded) Stats() Stats {
 		out.Points += st.Points
 		out.Series += st.Series
 		out.StorageBytes += st.StorageBytes
-		out.NetworkInBytes += st.NetworkInBytes
-		out.NetworkOutBytes += st.NetworkOutBytes
 		out.IngestCPU += st.IngestCPU
 	}
-	out.NetworkInBytes += int(s.netIn.Load())
-	out.NetworkOutBytes += int(s.netOut.Load())
+	out.NetworkInBytes = int(s.netIn.Load())
+	out.NetworkOutBytes = int(s.netOut.Load())
 	out.IngestCPU += time.Duration(s.ingestCPU.Load())
 	if s.dur != nil {
 		blockBytes, basePoints, _ := s.dur.diskStats()

@@ -25,7 +25,7 @@ func shardedTestSamples(seed int64, n int) []Sample {
 }
 
 // storeDump reads every series fully back out of a store.
-func storeDump(t *testing.T, st Store) map[string][]Point {
+func storeDump(t *testing.T, st *Sharded) map[string][]Point {
 	t.Helper()
 	out := map[string][]Point{}
 	for _, key := range st.SeriesKeys() {
@@ -46,16 +46,16 @@ func storeDump(t *testing.T, st Store) map[string][]Point {
 }
 
 // TestShardedMatchesDBAtAnyShardCount is the acceptance invariant: the
-// same ingest stream stored through 1, 3, or 8 shards (and through the
-// single-mutex DB) yields identical series keys, identical points, and
-// identical point/series counts. Sharding must never change data.
+// same ingest stream stored through 1, 3, or 8 shards yields identical
+// series keys, identical points, and identical point/series counts (the
+// single-shard store is the reference). Sharding must never change data.
 func TestShardedMatchesDBAtAnyShardCount(t *testing.T) {
 	samples := shardedTestSamples(7, 4000)
 	payload := EncodeLineProtocol(samples)
 
-	ref := New()
+	ref := NewSharded(1)
 	if n, err := ref.Write(payload); err != nil || n != len(samples) {
-		t.Fatalf("DB.Write = %d, %v", n, err)
+		t.Fatalf("reference Write = %d, %v", n, err)
 	}
 	want := storeDump(t, ref)
 	refStats := ref.Stats()
@@ -70,7 +70,7 @@ func TestShardedMatchesDBAtAnyShardCount(t *testing.T) {
 				t.Fatalf("Sharded.Write = %d, %v", n, err)
 			}
 			if got := storeDump(t, st); !reflect.DeepEqual(got, want) {
-				t.Fatal("sharded store contents differ from single-mutex DB")
+				t.Fatal("sharded store contents differ from the single-shard reference")
 			}
 			stats := st.Stats()
 			if stats.Points != refStats.Points || stats.Series != refStats.Series {

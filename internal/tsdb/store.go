@@ -1,38 +1,13 @@
 package tsdb
 
-import "context"
-
 // Writer is the ingest half of a store: anything that accepts
-// line-protocol payloads. Both local stores (DB, Sharded) and the HTTP
+// line-protocol payloads. Both the local store (Sharded) and the HTTP
 // client in internal/server implement it, so a metrics.Collector can ship
 // scrapes to an in-process store or across the network without changing.
 type Writer interface {
 	// Write ingests a line-protocol payload and returns the number of
 	// samples stored.
 	Write(payload []byte) (int, error)
-}
-
-// ReadStore is the query half of a store: what dataset assembly needs to
-// pull every series back out.
-type ReadStore interface {
-	// Query returns the points of component/metric with T in [from, to).
-	Query(component, metric string, from, to int64) ([]Point, error)
-	// SeriesKeys returns all component/metric keys in sorted order.
-	SeriesKeys() []string
-}
-
-// RangeQuerier is the query-engine surface: matcher queries over many
-// series at once, raw or aggregated per step bucket, with chunk-skipping
-// reads. Dataset assembly prefers it over per-series ReadStore round
-// trips when the store provides it.
-type RangeQuerier interface {
-	// QueryRange returns every series matching the query's globs with
-	// points (raw, or one per non-empty step bucket) in [From, To),
-	// sorted by series key; series with no points in range are omitted.
-	QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult, error)
-	// QueryMatch is QueryRange for raw points: every matching series'
-	// points with T in [from, to).
-	QueryMatch(componentGlob, metricGlob string, from, to int64) ([]SeriesResult, error)
 }
 
 // SeriesVisitor receives one streamed point during a ScanMatch.
@@ -43,46 +18,21 @@ type RangeQuerier interface {
 // state does.
 type SeriesVisitor func(seriesIdx int, t int64, v float64)
 
-// SeriesScanner is the streaming read surface: a visitor-style scan that
-// decodes chunks directly into the caller's accumulators (window rings,
-// bucket grids) with no intermediate []Point or SeriesResult
-// materialization. Both local stores implement it; dataset assembly and
-// the window cache prefer it over QueryMatch when available.
-type SeriesScanner interface {
+// ReadStore is the read half of a store as dataset assembly consumes it:
+// a visitor-style scan that decodes chunks directly into the caller's
+// accumulators (window rings, bucket grids) with no intermediate []Point
+// or SeriesResult materialization.
+type ReadStore interface {
 	// ScanMatch streams every series matching the globs with T in
 	// [from, to). begin runs once, before any visit, with the sorted
 	// matched keys (the slice is shared with the store — callers must not
-	// modify or retain it past the call; unlike QueryMatch's compacted
-	// results it may include series with no points in range). visit then
-	// receives each in-range point, per the SeriesVisitor contract.
+	// modify or retain it past the call; it may include series with no
+	// points in range). visit then receives each in-range point, per the
+	// SeriesVisitor contract.
 	ScanMatch(componentGlob, metricGlob string, from, to int64, begin func(keys []string), visit SeriesVisitor) error
 }
 
-// Store is the full surface shared by the single-mutex DB and the
-// sharded store: ingest, query, sealing, and resource accounting.
-type Store interface {
-	Writer
-	ReadStore
-	RangeQuerier
-	// WriteSamples ingests already-decoded samples, accounting wireBytes
-	// as network-in traffic. On a durable store a write-ahead-log failure
-	// rejects the batch.
-	WriteSamples(samples []Sample, wireBytes int) error
-	// MaxTime returns the largest timestamp ingested so far, or 0 when
-	// the store is empty — the high-water mark windowed readers slide
-	// against.
-	MaxTime() int64
-	// Flush seals every series' tail so Stats reflects compressed
-	// storage.
-	Flush()
-	// Stats returns a snapshot of the accounting counters.
-	Stats() Stats
-}
-
 var (
-	_ Store = (*DB)(nil)
-	_ Store = (*Sharded)(nil)
-
-	_ SeriesScanner = (*DB)(nil)
-	_ SeriesScanner = (*Sharded)(nil)
+	_ Writer    = (*Sharded)(nil)
+	_ ReadStore = (*Sharded)(nil)
 )

@@ -141,18 +141,18 @@ func (s *Sharded) SetTelemetry(t *StoreTelemetry) {
 	}
 }
 
-func (db *DB) setTelemetry(t *StoreTelemetry) {
-	db.mu.Lock()
-	db.tel = t
-	db.mu.Unlock()
-	if db.wal != nil {
+func (sh *shard) setTelemetry(t *StoreTelemetry) {
+	sh.mu.Lock()
+	sh.tel = t
+	sh.mu.Unlock()
+	if sh.wal != nil {
 		var appendH, syncH, groupH *telemetry.Histogram
 		var saved, bytes *telemetry.Counter
 		if t != nil {
 			appendH, syncH, groupH = t.WALAppendSeconds, t.WALFsyncSeconds, t.WALGroupCommitBatches
 			saved, bytes = t.WALFsyncsSaved, t.WALBytesWritten
 		}
-		db.wal.setTelemetry(appendH, syncH, groupH, saved, bytes)
+		sh.wal.setTelemetry(appendH, syncH, groupH, saved, bytes)
 	}
 }
 

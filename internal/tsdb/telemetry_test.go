@@ -198,8 +198,8 @@ func TestIngestParsedMatchesWrite(t *testing.T) {
 	if na != nb {
 		t.Fatalf("stored counts differ: Write=%d IngestParsed=%d", na, nb)
 	}
-	qa, _ := a.QueryMatch("*", "*", 0, 1<<40)
-	qb, _ := b.QueryMatch("*", "*", 0, 1<<40)
+	qa, _ := queryMatch(a, "*", "*", 0, 1<<40)
+	qb, _ := queryMatch(b, "*", "*", 0, 1<<40)
 	aj, _ := json.Marshal(qa)
 	bj, _ := json.Marshal(qb)
 	if string(aj) != string(bj) {

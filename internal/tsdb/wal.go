@@ -87,26 +87,12 @@ const (
 	walRecSamples = 0x02
 )
 
-// appendWALSamples encodes a batch as one v1 record payload: a uvarint
-// count followed by, per sample, length-prefixed component and metric
-// strings, a zigzag-varint timestamp, and the raw float64 bits. The
-// writer emits v2 (see appendFramesV2); the v1 encoder is kept because
-// replay must keep decoding pre-dictionary segments forever and the
-// mixed-version tests need to produce them.
-func appendWALSamples(buf []byte, samples []Sample) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(samples)))
-	for _, s := range samples {
-		buf = binary.AppendUvarint(buf, uint64(len(s.Component)))
-		buf = append(buf, s.Component...)
-		buf = binary.AppendUvarint(buf, uint64(len(s.Metric)))
-		buf = append(buf, s.Metric...)
-		buf = binary.AppendVarint(buf, s.T)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.V))
-	}
-	return buf
-}
-
-// decodeWALSamples decodes one record payload written by appendWALSamples.
+// decodeWALSamples decodes one v1 record payload: a uvarint count
+// followed by, per sample, length-prefixed component and metric strings,
+// a zigzag-varint timestamp, and the raw float64 bits. The writer emits
+// v2 (see appendFramesV2); replay must keep decoding pre-dictionary
+// segments forever, so the decoder stays (the v1 encoder lives with the
+// mixed-version tests that need to produce such segments).
 func decodeWALSamples(payload []byte) ([]Sample, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {

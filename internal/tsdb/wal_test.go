@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +16,22 @@ func walBatch(comp string, n int, base int64) []Sample {
 		out[i] = Sample{Component: comp, Metric: fmt.Sprintf("m%d", i%4), T: base + int64(i)*500, V: float64(i) * 1.5}
 	}
 	return out
+}
+
+// appendWALSamples encodes a batch as one v1 record payload (the format
+// decodeWALSamples reads). The writer emits v2; this encoder exists so
+// the codec and mixed-version tests can produce pre-dictionary segments.
+func appendWALSamples(buf []byte, samples []Sample) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(samples)))
+	for _, s := range samples {
+		buf = binary.AppendUvarint(buf, uint64(len(s.Component)))
+		buf = append(buf, s.Component...)
+		buf = binary.AppendUvarint(buf, uint64(len(s.Metric)))
+		buf = append(buf, s.Metric...)
+		buf = binary.AppendVarint(buf, s.T)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.V))
+	}
+	return buf
 }
 
 func replayAll(t *testing.T, dir string) ([]Sample, walReplayStats) {

@@ -369,8 +369,8 @@ func NewServerClient(baseURL string) *ServerClient {
 // server: every series whose component and metric match the globs
 // ('*' any run, '?' any byte), restricted to [From, To), either raw or
 // aggregated per StepMS bucket (Agg selects min/max/avg/sum/count/rate).
-// Served by GET /query_range and ServerClient.QueryRange; locally by any
-// store's QueryRange/QueryMatch.
+// Served by GET /query_range and ServerClient.QueryRange; locally by a
+// store's QueryRange.
 type RangeQuery = tsdb.RangeQuery
 
 // SeriesResult is one matched series' answer to a RangeQuery: raw
