@@ -168,11 +168,14 @@ func cbStores(b *testing.B) (*tsdb.Sharded, *tsdb.Sharded) {
 // compactRow is one BENCH_compact.json entry.
 type compactRow struct {
 	Name         string  `json:"name"`
-	Store        string  `json:"store"` // uncompacted | compacted | merge
+	Store        string  `json:"store"` // uncompacted | compacted | merge | checkpoint
 	NsPerOp      float64 `json:"ns_per_op"`
-	PointsPerSec float64 `json:"points_per_sec,omitempty"` // merge throughput / logical query coverage
-	DsBucketsOp  int64   `json:"downsampled_buckets_per_op,omitempty"`
-	SpeedupVsRaw float64 `json:"speedup_vs_uncompacted,omitempty"`
+	PointsPerSec float64 `json:"points_per_sec,omitempty"` // merge / checkpoint throughput, logical query coverage
+	// AllocPerPoint is the heap the timed call allocated (TotalAlloc
+	// delta) per point it moved: the background passes' memory cost.
+	AllocPerPoint float64 `json:"alloc_bytes_per_point,omitempty"`
+	DsBucketsOp   int64   `json:"downsampled_buckets_per_op,omitempty"`
+	SpeedupVsRaw  float64 `json:"speedup_vs_uncompacted,omitempty"`
 }
 
 var compactBench struct {
@@ -201,7 +204,7 @@ func flushCompactJSON(order []string, baseline string) {
 		if !ok {
 			continue
 		}
-		if base > 0 && r.Store != "merge" && name != baseline {
+		if base > 0 && (r.Store == "uncompacted" || r.Store == "compacted") && name != baseline {
 			r.SpeedupVsRaw = base / r.NsPerOp
 		}
 		rows = append(rows, r)
@@ -237,8 +240,23 @@ func flushCompactJSON(order []string, baseline string) {
 	_ = os.WriteFile("BENCH_compact.json", append(data, '\n'), 0o644)
 }
 
+// cbTotalAlloc reads the cumulative heap allocation counter; the
+// write-pass rows difference it around their timed call.
+func cbTotalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// Checkpoint row fixture: the dashboard preload's shape, one cut.
+const (
+	cbCkptSeries = 4096
+	cbCkptTicks  = 240
+)
+
 // BenchmarkCompaction measures what the compactor buys on a
-// long-retention store: the cost of a merge+downsample pass itself, and
+// long-retention store: the cost of a merge+downsample pass itself (and
+// of one checkpoint, the other producer of blocks), and
 // a cold month-window aggregate query answered three ways — decoding
 // 120 small blocks, decoding the merged blocks (sum never uses
 // summaries), and reading the 5m/1h downsampled companions. Blocks on
@@ -247,6 +265,8 @@ func BenchmarkCompaction(b *testing.B) {
 	b.Run("merge-pass", func(b *testing.B) {
 		un, _ := cbStores(b)
 		_ = un
+		b.ReportAllocs()
+		var allocated uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -256,11 +276,13 @@ func BenchmarkCompaction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			before := cbTotalAlloc()
 			b.StartTimer()
 			if err := s.Compact(); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
+			allocated += cbTotalAlloc() - before
 			if err := s.Close(); err != nil {
 				b.Fatal(err)
 			}
@@ -272,8 +294,67 @@ func BenchmarkCompaction(b *testing.B) {
 		if elapsed > 0 {
 			putCompactRow(compactRow{
 				Name: "merge-pass", Store: "merge",
-				NsPerOp:      elapsed * 1e9 / float64(b.N),
-				PointsPerSec: float64(cbTotalPoints) * float64(b.N) / elapsed,
+				NsPerOp:       elapsed * 1e9 / float64(b.N),
+				PointsPerSec:  float64(cbTotalPoints) * float64(b.N) / elapsed,
+				AllocPerPoint: float64(allocated) / (float64(cbTotalPoints) * float64(b.N)),
+			})
+		}
+	})
+
+	// One Checkpoint() sealing 4096 series x 240 points: the cut, the
+	// decode of the stolen snapshot, the block write and the WAL pruning.
+	b.Run("checkpoint-pass", func(b *testing.B) {
+		root, err := os.MkdirTemp("", "sieve-cbench-ckpt-*")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(root)
+		tick := make([]tsdb.Sample, cbCkptSeries)
+		for i := range tick {
+			tick[i].Component = fmt.Sprintf("comp-%02d", i%64)
+			tick[i].Metric = fmt.Sprintf("metric_%d", i)
+		}
+		b.ReportAllocs()
+		var allocated uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir := filepath.Join(root, fmt.Sprintf("ckpt-%d", i))
+			s, err := tsdb.OpenSharded(4, cbOpts(dir))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < cbCkptTicks; k++ {
+				for j := range tick {
+					tick[j].T = int64(k) * 15_000
+					tick[j].V = float64((k*7+j*31)%1009) * 0.25
+				}
+				if err := s.WriteSamples(tick, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			before := cbTotalAlloc()
+			b.StartTimer()
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			allocated += cbTotalAlloc() - before
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			_ = os.RemoveAll(dir)
+			b.StartTimer()
+		}
+		b.StopTimer()
+		const points = cbCkptSeries * cbCkptTicks
+		elapsed := b.Elapsed().Seconds()
+		if elapsed > 0 {
+			putCompactRow(compactRow{
+				Name: "checkpoint-pass", Store: "checkpoint",
+				NsPerOp:       elapsed * 1e9 / float64(b.N),
+				PointsPerSec:  points * float64(b.N) / elapsed,
+				AllocPerPoint: float64(allocated) / (points * float64(b.N)),
 			})
 		}
 	})
@@ -336,7 +417,7 @@ func BenchmarkCompaction(b *testing.B) {
 		})
 	}
 
-	order := []string{"merge-pass"}
+	order := []string{"merge-pass", "checkpoint-pass"}
 	for _, c := range cases {
 		order = append(order, c.name)
 	}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,7 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+
+	"github.com/sieve-microservices/sieve/internal/jsonenc"
 )
 
 // Block directory layout. A checkpoint writes one immutable directory per
@@ -173,7 +177,7 @@ type dsIndex struct {
 	Series       map[string][]dsRef `json:"series"`
 }
 
-// blockVersion is the version written by writeBlock. Version 2 added the
+// blockVersion is the version written by blockWriter. Version 2 added the
 // per-chunk value summaries that aggregation push-down reads; chunks of
 // older blocks are decoded instead (hasAggs gates it).
 const blockVersion = 2
@@ -208,153 +212,383 @@ func blockDirName(seq uint64, minT, maxT int64) string {
 	return fmt.Sprintf("b-%08d-%d-%d", seq, minT, maxT)
 }
 
-// writeBlock persists series -> time-sorted points as one immutable block
-// under blocksDir and returns it opened for reading. walCuts records the
-// per-shard WAL coverage in the block's meta (nil is fine for tests).
-// The write is atomic: everything goes to a tmp- directory whose files
-// and entries are fsynced before the rename publishes it.
-func writeBlock(blocksDir string, seq uint64, walCuts map[string]uint64, series map[string][]Point) (*block, error) {
-	parts := make(map[string][][]Point, len(series))
-	for k, pts := range series {
-		if len(pts) > 0 {
-			parts[k] = [][]Point{pts}
-		}
-	}
-	return writeBlockParts(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts}, parts)
+// blockWriteBuffer is the bufio size in front of a block's files and
+// the companion files: large enough that a series' chunks usually
+// leave in one write, small beside any block.
+const blockWriteBuffer = 256 << 10
+
+// blockWriter is the one producer of block directories: checkpoints and
+// compaction stream a block through it one series at a time, so neither
+// holds more than one decoded series plus the index — the chunk bytes go
+// to chunks.dat as they are encoded. The on-disk result depends only on
+// the (key, segments) sequence it is fed, never on who feeds it.
+//
+// Everything is written under a tmp- directory that publish fsyncs and
+// renames into place; any failure, in addSeries or in publish, removes
+// that directory before the error is returned (abort), so a write that
+// fails on every retry — a full disk — leaves nothing behind to fill it
+// further. The tmp name carries only the sequence number (the time
+// range is not known until the last series); openBlocks sweeps anything
+// tmp-prefixed.
+type blockWriter struct {
+	blocksDir string
+	tmp       string // "" once published or aborted
+	meta      blockMeta
+	keys      []string // in addSeries order, which is ascending
+	index     map[string][]chunkRef
+	f         *os.File
+	w         *bufio.Writer // on chunks.dat, then reused for index.json and meta.json
+	frame     []byte        // one chunk's header + payload, reused
 }
 
-// writeBlockParts is the general block writer: each series is given as a
-// list of segments, each individually time-sorted, chunked separately so
-// no chunk straddles a segment boundary. A checkpoint passes one sorted
-// segment per series; compaction passes one segment per monotone run of
-// the source-order concatenation, preserving the exact point order a
-// scan of the source blocks would produce (chunks only require internal
-// time order — chunk-level skip checks handle overlapping chunk ranges).
+// newBlockWriter creates the tmp- directory and opens its chunks.dat.
 // meta carries the caller's identity fields (Seq, WALCuts, MinSeq,
-// MaxSeq, Level); the content fields are computed here.
-func writeBlockParts(blocksDir string, meta blockMeta, series map[string][][]Point) (*block, error) {
-	keys := make([]string, 0, len(series))
-	for k, segs := range series {
-		for _, seg := range segs {
-			if len(seg) > 0 {
-				keys = append(keys, k)
-				break
-			}
-		}
-	}
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("tsdb: writeBlock: no points")
-	}
-	sort.Strings(keys)
-
-	var chunks []byte
-	index := blockIndex{Series: make(map[string][]chunkRef, len(keys))}
-	meta.Version = blockVersion
-	meta.MinT, meta.MaxT = int64(1)<<62-1, -int64(1)<<62
-	meta.Points, meta.Series, meta.ChunkBytes = 0, len(keys), 0
-	for _, key := range keys {
-		for _, pts := range series[key] {
-			for start := 0; start < len(pts); start += maxChunkPoints {
-				end := start + maxChunkPoints
-				if end > len(pts) {
-					end = len(pts)
-				}
-				part := pts[start:end]
-				payload, err := CompressBlock(part)
-				if err != nil {
-					return nil, fmt.Errorf("tsdb: writeBlock %q: %w", key, err)
-				}
-				sum := summarizeChunk(part)
-				ref := chunkRef{
-					Offset: int64(len(chunks)),
-					Length: len(payload),
-					Count:  len(part),
-					MinT:   part[0].T,
-					MaxT:   part[len(part)-1].T,
-					MinV:   sum.MinV,
-					MaxV:   sum.MaxV,
-					FirstV: sum.FirstV,
-					LastV:  sum.LastV,
-				}
-				if sum.NoSummary ||
-					!isFinite(ref.MinV) || !isFinite(ref.MaxV) ||
-					!isFinite(ref.FirstV) || !isFinite(ref.LastV) {
-					// JSON cannot carry NaN/Inf; zero the placeholders and
-					// flag the ref so they are never consumed.
-					ref.NoSummary = true
-					ref.MinV, ref.MaxV, ref.FirstV, ref.LastV = 0, 0, 0, 0
-				}
-				var hdr [chunkHeader]byte
-				binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-				binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-				chunks = append(chunks, hdr[:]...)
-				chunks = append(chunks, payload...)
-				index.Series[key] = append(index.Series[key], ref)
-				meta.Points += ref.Count
-				if ref.MinT < meta.MinT {
-					meta.MinT = ref.MinT
-				}
-				if ref.MaxT > meta.MaxT {
-					meta.MaxT = ref.MaxT
-				}
-			}
-		}
-	}
-	meta.ChunkBytes = int64(len(chunks))
-
-	tmp := filepath.Join(blocksDir, blockTmpPrefix+blockDirName(meta.Seq, meta.MinT, meta.MaxT))
+// MaxSeq, Level); the content fields are computed as series arrive.
+func newBlockWriter(blocksDir string, meta blockMeta) (*blockWriter, error) {
+	tmp := filepath.Join(blocksDir, fmt.Sprintf("%sb-%08d", blockTmpPrefix, meta.Seq))
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return nil, err
 	}
-	if err := writeFileSync(filepath.Join(tmp, blockChunksName), chunks); err != nil {
-		return nil, err
-	}
-	idxData, err := json.MarshalIndent(&index, "", " ")
+	f, err := os.OpenFile(filepath.Join(tmp, blockChunksName), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
+		_ = os.RemoveAll(tmp)
 		return nil, err
 	}
-	if err := writeFileSync(filepath.Join(tmp, blockIndexName), idxData); err != nil {
-		return nil, err
-	}
-	metaData, err := json.MarshalIndent(&meta, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	if err := writeFileSync(filepath.Join(tmp, blockMetaName), metaData); err != nil {
-		return nil, err
-	}
-	// fsync the tmp directory itself: the rename below must not publish
-	// a directory whose entries could vanish on power loss — the WAL
-	// segments covering this data are deleted once the block is live.
-	if err := syncDir(tmp); err != nil {
-		return nil, err
-	}
-	final := filepath.Join(blocksDir, blockDirName(meta.Seq, meta.MinT, meta.MaxT))
-	if err := os.Rename(tmp, final); err != nil {
-		return nil, err
-	}
-	if err := syncDir(blocksDir); err != nil {
-		return nil, err
-	}
-	return openBlock(final)
+	meta.Version = blockVersion
+	meta.MinT, meta.MaxT = int64(1)<<62-1, -int64(1)<<62
+	meta.Points, meta.Series, meta.ChunkBytes = 0, 0, 0
+	return &blockWriter{
+		blocksDir: blocksDir,
+		tmp:       tmp,
+		meta:      meta,
+		index:     map[string][]chunkRef{},
+		f:         f,
+		w:         bufio.NewWriterSize(f, blockWriteBuffer),
+	}, nil
 }
 
-// writeFileSync writes data and fsyncs before closing, so the rename that
-// publishes the block never exposes half-written files.
-func writeFileSync(path string, data []byte) error {
+// addSeries appends one series. Keys must arrive in ascending order (the
+// order chunks.dat and index.json are laid out in). Each segment is
+// individually time-sorted and chunked separately, so no chunk straddles
+// a segment boundary: a checkpoint passes one sorted segment, compaction
+// one segment per monotone run of the source-order concatenation,
+// preserving the exact point order a scan of the source blocks would
+// produce (chunks only require internal time order — chunk-level skip
+// checks handle overlapping chunk ranges). The segments are not retained.
+// A series without points is skipped. On error the writer has aborted.
+func (bw *blockWriter) addSeries(key string, segs ...[]Point) error {
+	if n := len(bw.keys); n > 0 && key <= bw.keys[n-1] {
+		bw.abort()
+		return fmt.Errorf("tsdb: block writer: series %q after %q", key, bw.keys[n-1])
+	}
+	nChunks := 0
+	for _, seg := range segs {
+		nChunks += (len(seg) + maxChunkPoints - 1) / maxChunkPoints
+	}
+	if nChunks == 0 {
+		return nil
+	}
+	refs := make([]chunkRef, 0, nChunks)
+	for _, seg := range segs {
+		for start := 0; start < len(seg); start += maxChunkPoints {
+			end := start + maxChunkPoints
+			if end > len(seg) {
+				end = len(seg)
+			}
+			part := seg[start:end]
+			var hdr [chunkHeader]byte
+			frame, err := appendCompressed(append(bw.frame[:0], hdr[:]...), part)
+			if err != nil {
+				bw.abort()
+				return fmt.Errorf("tsdb: block writer: %q: %w", key, err)
+			}
+			bw.frame = frame
+			payload := frame[chunkHeader:]
+			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+			if _, err := bw.w.Write(frame); err != nil {
+				bw.abort()
+				return err
+			}
+			sum := summarizeChunk(part)
+			ref := chunkRef{
+				Offset: bw.meta.ChunkBytes,
+				Length: len(payload),
+				Count:  len(part),
+				MinT:   part[0].T,
+				MaxT:   part[len(part)-1].T,
+				MinV:   sum.MinV,
+				MaxV:   sum.MaxV,
+				FirstV: sum.FirstV,
+				LastV:  sum.LastV,
+			}
+			if sum.NoSummary ||
+				!isFinite(ref.MinV) || !isFinite(ref.MaxV) ||
+				!isFinite(ref.FirstV) || !isFinite(ref.LastV) {
+				// JSON cannot carry NaN/Inf; zero the placeholders and
+				// flag the ref so they are never consumed.
+				ref.NoSummary = true
+				ref.MinV, ref.MaxV, ref.FirstV, ref.LastV = 0, 0, 0, 0
+			}
+			refs = append(refs, ref)
+			bw.meta.ChunkBytes += int64(len(frame))
+			bw.meta.Points += ref.Count
+			if ref.MinT < bw.meta.MinT {
+				bw.meta.MinT = ref.MinT
+			}
+			if ref.MaxT > bw.meta.MaxT {
+				bw.meta.MaxT = ref.MaxT
+			}
+		}
+	}
+	bw.keys = append(bw.keys, key)
+	bw.index[key] = refs
+	bw.meta.Series++
+	return nil
+}
+
+// publish makes the block durable and visible, in the order every crash
+// suite relies on: chunks.dat flushed and fsynced, index.json written
+// and fsynced, meta.json written and fsynced, the tmp directory fsynced
+// (the rename must not publish a directory whose entries could vanish on
+// power loss — the WAL segments covering this data are deleted once the
+// block is live), rename to b-<seq>-<minT>-<maxT>, blocks/ fsynced. The
+// returned block is built from the index the writer already holds, its
+// chunks.dat handle opened before the rename so that only the final
+// directory fsync can fail past the publish point — and then the block
+// is taken back, because the caller will treat the write as failed and
+// write the same points again under another sequence number.
+func (bw *blockWriter) publish() (*block, error) {
+	if len(bw.keys) == 0 {
+		bw.abort()
+		return nil, fmt.Errorf("tsdb: block writer: no points")
+	}
+	blk, err := bw.finish()
+	if err != nil {
+		bw.abort()
+		return nil, err
+	}
+	bw.tmp = ""
+	if err := syncDir(bw.blocksDir); err != nil {
+		_ = blk.close()
+		_ = removeBlockDir(blk.dir)
+		return nil, err
+	}
+	return blk, nil
+}
+
+// finish is publish up to and including the rename.
+func (bw *blockWriter) finish() (*block, error) {
+	if err := bw.w.Flush(); err != nil {
+		return nil, err
+	}
+	if err := bw.f.Sync(); err != nil {
+		return nil, err
+	}
+	err := bw.f.Close()
+	bw.f = nil
+	if err != nil {
+		return nil, err
+	}
+	if err := bw.writeIndex(); err != nil {
+		return nil, err
+	}
+	metaData, err := json.MarshalIndent(&bw.meta, "", " ")
+	if err != nil {
+		return nil, err
+	}
+	err = writeStreamSync(filepath.Join(bw.tmp, blockMetaName), bw.w, func() error {
+		_, err := bw.w.Write(metaData)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(bw.tmp); err != nil {
+		return nil, err
+	}
+	f, err := os.Open(filepath.Join(bw.tmp, blockChunksName))
+	if err != nil {
+		return nil, err
+	}
+	final := filepath.Join(bw.blocksDir, blockDirName(bw.meta.Seq, bw.meta.MinT, bw.meta.MaxT))
+	if err := os.Rename(bw.tmp, final); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return &block{dir: final, meta: bw.meta, index: bw.index, f: f, hasAggs: bw.meta.Version >= 2}, nil
+}
+
+// writeIndex streams index.json from the refs collected so far.
+func (bw *blockWriter) writeIndex() error {
+	return writeStreamSync(filepath.Join(bw.tmp, blockIndexName), bw.w, func() error {
+		j := newSeriesJSON(bw.w, "")
+		for _, key := range bw.keys {
+			refs := bw.index[key]
+			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendChunkRefJSON(dst, refs[i]) }); err != nil {
+				return err
+			}
+		}
+		return j.end()
+	})
+}
+
+// abort removes whatever the writer has put on disk. It is idempotent
+// and a no-op once publish has succeeded.
+func (bw *blockWriter) abort() {
+	if bw.tmp == "" {
+		return
+	}
+	if bw.f != nil {
+		_ = bw.f.Close()
+		bw.f = nil
+	}
+	// Best effort: a directory that cannot be removed is still tmp-
+	// prefixed, and the next open sweeps it.
+	_ = os.RemoveAll(bw.tmp)
+	bw.tmp = ""
+}
+
+// seriesJSON streams a `{<header> "series": {key: [object, ...], ...}}`
+// document — index.json, a ds-<res>.json companion — one series at a
+// time, byte for byte what json.MarshalIndent(v, "", " ") produces for
+// the struct it mirrors (blockIndex, dsIndex): keys in ascending order
+// as encoding/json sorts a map, one-space indent, no trailing newline.
+// Marshalling those maps whole costs several times the file size in
+// encoder buffers; this holds at most blockWriteBuffer of text.
+type seriesJSON struct {
+	w   *bufio.Writer
+	buf []byte
+	n   int // series written
+}
+
+// newSeriesJSON writes the document head to w; header is the already
+// formatted run of fields that precede "series" (each line
+// ` "name": value,\n`), empty for none.
+func newSeriesJSON(w *bufio.Writer, header string) *seriesJSON {
+	w.WriteString("{\n" + header + ` "series": {`) // an error is sticky in w and returned by the next series or end
+	return &seriesJSON{w: w}
+}
+
+// series writes one key's list of n > 0 objects; object appends the
+// i-th one's fields through appendJSONField.
+func (j *seriesJSON) series(key string, n int, object func(dst []byte, i int) []byte) error {
+	buf := j.buf[:0]
+	if j.n > 0 {
+		buf = append(buf, ',')
+	}
+	j.n++
+	buf = append(buf, "\n  "...)
+	buf = jsonenc.AppendString(buf, key)
+	buf = append(buf, ": ["...)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, "\n   {"...)
+		buf = object(buf, i)
+		buf = append(buf, "\n   }"...)
+		if len(buf) >= blockWriteBuffer { // a long list leaves in pieces
+			if _, err := j.w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	buf = append(buf, "\n  ]"...)
+	j.buf = buf
+	_, err := j.w.Write(buf)
+	return err
+}
+
+// end closes the series map and the document.
+func (j *seriesJSON) end() error {
+	tail := "}\n}"
+	if j.n > 0 {
+		tail = "\n }\n}"
+	}
+	_, err := j.w.WriteString(tail)
+	return err
+}
+
+// appendJSONField appends one `"name": value` line of a series object;
+// first marks the object's first field (no comma before it).
+func appendJSONField(dst []byte, first bool, name string) []byte {
+	if !first {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, "\n    \""...)
+	dst = append(dst, name...)
+	return append(dst, "\": "...)
+}
+
+func appendJSONInt(dst []byte, first bool, name string, v int64) []byte {
+	return strconv.AppendInt(appendJSONField(dst, first, name), v, 10)
+}
+
+// appendJSONFloat appends a float field; v is finite (chunkRef and dsRef
+// zero their non-finite facts before they are persisted).
+func appendJSONFloat(dst []byte, name string, v float64) []byte {
+	return jsonenc.AppendFloat(appendJSONField(dst, false, name), v)
+}
+
+// appendAggJSON appends the run of fields chunkRef and dsRef share
+// (count through last_v), in the order both structs declare them.
+func appendAggJSON(dst []byte, first bool, a chunkAgg) []byte {
+	dst = appendJSONInt(dst, first, "count", int64(a.Count))
+	dst = appendJSONInt(dst, false, "min_t", a.MinT)
+	dst = appendJSONInt(dst, false, "max_t", a.MaxT)
+	dst = appendJSONFloat(dst, "min_v", a.MinV)
+	dst = appendJSONFloat(dst, "max_v", a.MaxV)
+	dst = appendJSONFloat(dst, "first_v", a.FirstV)
+	return appendJSONFloat(dst, "last_v", a.LastV)
+}
+
+// appendNoSummaryJSON appends the omitempty flag that ends both structs.
+func appendNoSummaryJSON(dst []byte, noSummary bool) []byte {
+	if noSummary {
+		dst = append(appendJSONField(dst, false, "no_summary"), "true"...)
+	}
+	return dst
+}
+
+// appendChunkRefJSON appends r's fields as encoding/json orders them.
+func appendChunkRefJSON(dst []byte, r chunkRef) []byte {
+	dst = appendJSONInt(dst, true, "offset", r.Offset)
+	dst = appendJSONInt(dst, false, "length", int64(r.Length))
+	dst = appendAggJSON(dst, false, r.agg())
+	return appendNoSummaryJSON(dst, r.NoSummary)
+}
+
+// appendDsRefJSON is appendChunkRefJSON for a companion bucket.
+func appendDsRefJSON(dst []byte, r dsRef) []byte {
+	dst = appendAggJSON(dst, true, r.agg())
+	dst = appendJSONFloat(dst, "sum_v", r.SumV)
+	return appendNoSummaryJSON(dst, r.NoSummary)
+}
+
+// writeStreamSync creates path, lets fill write it through w (the
+// caller's buffer, reset onto the new file), then flushes, fsyncs and
+// closes, so the rename that publishes the file (or its directory) never
+// exposes a half-written one. On error the file is left for the caller
+// to remove.
+func writeStreamSync(path string, w *bufio.Writer, fill func() error) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	w.Reset(f)
+	err = fill()
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so renames within it are durable.
@@ -452,9 +686,16 @@ func (b *block) covers(other *block) bool {
 		other.meta.maxSeq() <= b.meta.maxSeq()
 }
 
-// readChunk reads and CRC-checks one chunk's payload.
-func (b *block) readChunk(key string, ref chunkRef) ([]byte, error) {
-	buf := make([]byte, chunkHeader+ref.Length)
+// readChunk reads and CRC-checks one chunk's payload into *scratch,
+// growing it as needed: the payload is valid until the caller's next
+// read through the same scratch, so a loop over many chunks allocates
+// once, not per chunk.
+func (b *block) readChunk(key string, ref chunkRef, scratch *[]byte) ([]byte, error) {
+	n := chunkHeader + ref.Length
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	buf := (*scratch)[:n]
 	if _, err := b.f.ReadAt(buf, ref.Offset); err != nil {
 		return nil, fmt.Errorf("tsdb: block %s: reading chunk of %q: %w", b.dir, key, err)
 	}
@@ -473,8 +714,9 @@ func (b *block) readChunk(key string, ref chunkRef) ([]byte, error) {
 // index alone; chunks that lie entirely inside the range are offered to
 // the sink as a summary first (version >= 2 blocks), so an aggregating
 // sink consumes them without a file read; the rest are read, CRC-checked,
-// and streamed through the chunk iterator.
-func (b *block) scan(key string, from, to int64, sink pointSink, tel *StoreTelemetry) error {
+// and streamed through the chunk iterator. scratch is the caller's chunk
+// read buffer (see readChunk).
+func (b *block) scan(key string, from, to int64, sink pointSink, tel *StoreTelemetry, scratch *[]byte) error {
 	var skipped, summarized, decoded int
 	for _, ref := range b.index[key] {
 		if ref.MaxT < from || ref.MinT >= to {
@@ -486,7 +728,7 @@ func (b *block) scan(key string, from, to int64, sink pointSink, tel *StoreTelem
 			continue
 		}
 		decoded++
-		payload, err := b.readChunk(key, ref)
+		payload, err := b.readChunk(key, ref, scratch)
 		if err != nil {
 			return err
 		}

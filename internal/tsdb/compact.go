@@ -1,7 +1,7 @@
 package tsdb
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"log/slog"
 	"math"
@@ -83,23 +83,50 @@ func downsampleSeries(pts []Point, resMS int64) []dsRef {
 	if len(pts) == 0 {
 		return nil
 	}
-	buckets := map[int64]*dsRef{}
-	idxs := make([]int64, 0, 8)
+	// The occupied buckets lie in [floorDiv(minT), floorDiv(maxT)]: an
+	// upper bound on their number, exact for regular scrapes (unsigned:
+	// the span of two int64 quotients can exceed int64).
+	minT, maxT := pts[0].T, pts[0].T
+	for _, p := range pts {
+		if p.T < minT {
+			minT = p.T
+		}
+		if p.T > maxT {
+			maxT = p.T
+		}
+	}
+	size := len(pts)
+	if span := uint64(floorDiv(maxT, resMS)) - uint64(floorDiv(minT, resMS)); span < uint64(size) {
+		size = int(span) + 1
+	}
+	// out stays sorted by bucket; cur is the position the previous point
+	// landed at and curIdx its bucket. Storage order is almost always time
+	// order, so a point usually lands in that bucket or opens the next
+	// one at the end; only late data searches (a bucket's index is
+	// floorDiv of any timestamp in it) and inserts.
+	out := make([]dsRef, 0, size)
+	cur, curIdx := -1, int64(0)
 	for _, p := range pts {
 		idx := floorDiv(p.T, resMS)
-		b := buckets[idx]
-		if b == nil {
-			b = &dsRef{
-				Count: 1, MinT: p.T, MaxT: p.T,
-				MinV: p.V, MaxV: p.V, FirstV: p.V, LastV: p.V, SumV: p.V,
+		if cur < 0 || idx != curIdx {
+			n := len(out)
+			pos := n
+			if n > 0 && idx <= floorDiv(out[n-1].MinT, resMS) {
+				pos = sort.Search(n, func(i int) bool { return floorDiv(out[i].MinT, resMS) >= idx })
 			}
-			if p.V != p.V { // NaN
-				b.NoSummary = true
+			cur, curIdx = pos, idx
+			if pos == n || floorDiv(out[pos].MinT, resMS) != idx {
+				out = append(out, dsRef{})
+				copy(out[pos+1:], out[pos:])
+				out[pos] = dsRef{
+					Count: 1, MinT: p.T, MaxT: p.T,
+					MinV: p.V, MaxV: p.V, FirstV: p.V, LastV: p.V, SumV: p.V,
+					NoSummary: p.V != p.V, // NaN
+				}
+				continue
 			}
-			buckets[idx] = b
-			idxs = append(idxs, idx)
-			continue
 		}
+		b := &out[cur]
 		b.Count++
 		if p.V != p.V {
 			b.NoSummary = true
@@ -118,49 +145,70 @@ func downsampleSeries(pts []Point, resMS int64) []dsRef {
 			b.MaxT, b.LastV = p.T, p.V
 		}
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	out := make([]dsRef, 0, len(idxs))
-	for _, idx := range idxs {
-		r := *buckets[idx]
+	for i := range out {
+		r := &out[i]
 		if r.NoSummary ||
 			!isFinite(r.MinV) || !isFinite(r.MaxV) ||
 			!isFinite(r.FirstV) || !isFinite(r.LastV) || !isFinite(r.SumV) {
 			r.NoSummary = true
 			r.MinV, r.MaxV, r.FirstV, r.LastV, r.SumV = 0, 0, 0, 0, 0
 		}
-		out = append(out, r)
 	}
 	return out
 }
 
+// sortedKeys returns m's series keys in ascending order: the catalog's
+// order, and the order the block writer takes them in and chunks.dat is
+// laid out in, so a pass over a block's series in this order reads the
+// file front to back.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // buildDownsampled computes and atomically persists one companion file
-// for b, returning the series map to attach. The block is immutable, so
-// no lock is needed to read it; the caller serializes against retention
-// (which would delete the directory) via flushMu.
+// for b, returning the series map to attach. The file is streamed one
+// series at a time (decode into a reused buffer, fold, append that
+// series' buckets to the tmp file), so beyond the returned map — which
+// the block keeps — the pass holds one series. The block is immutable,
+// so no lock is needed to read it; the caller serializes against
+// retention (which would delete the directory) via flushMu.
 func buildDownsampled(b *block, resMS int64) (map[string][]dsRef, error) {
-	series := make(map[string][]dsRef, len(b.index))
-	// One decode buffer for every series: downsampleSeries keeps nothing
-	// of its input.
-	var scratch rawSink
-	for key := range b.index {
-		scratch.pts = scratch.pts[:0]
-		if err := b.scan(key, math.MinInt64, math.MaxInt64, &scratch, nil); err != nil {
-			return nil, fmt.Errorf("downsampling %s %q: %w", b.dir, key, err)
-		}
-		if refs := downsampleSeries(scratch.pts, resMS); len(refs) > 0 {
-			series[key] = refs
-		}
-	}
-	data, err := json.MarshalIndent(dsIndex{Version: 1, ResolutionMS: resMS, Series: series}, "", " ")
-	if err != nil {
-		return nil, err
-	}
 	name := downsampledName(resMS)
 	tmp := filepath.Join(b.dir, blockTmpPrefix+name)
-	if err := writeFileSync(tmp, data); err != nil {
-		return nil, err
+	series := make(map[string][]dsRef, len(b.index))
+	w := bufio.NewWriterSize(nil, blockWriteBuffer)
+	err := writeStreamSync(tmp, w, func() error {
+		j := newSeriesJSON(w, fmt.Sprintf(" \"version\": 1,\n \"resolution_ms\": %d,\n", resMS))
+		// One decode buffer and one chunk buffer for every series:
+		// downsampleSeries keeps nothing of its input.
+		var pts rawSink
+		var chunk []byte
+		for _, key := range sortedKeys(b.index) {
+			pts.pts = pts.pts[:0]
+			if err := b.scan(key, math.MinInt64, math.MaxInt64, &pts, nil, &chunk); err != nil {
+				return fmt.Errorf("downsampling %s %q: %w", b.dir, key, err)
+			}
+			refs := downsampleSeries(pts.pts, resMS)
+			if len(refs) == 0 {
+				continue
+			}
+			series[key] = refs
+			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendDsRefJSON(dst, refs[i]) }); err != nil {
+				return err
+			}
+		}
+		return j.end()
+	})
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(b.dir, name))
 	}
-	if err := os.Rename(tmp, filepath.Join(b.dir, name)); err != nil {
+	if err != nil {
+		_ = os.Remove(tmp)
 		return nil, err
 	}
 	if err := syncDir(b.dir); err != nil {
@@ -266,53 +314,23 @@ func planCompactRuns(blocks []*block, maxBytes int64) [][]*block {
 }
 
 // mergeRun builds one merged block from an adjacent run of source
-// blocks. Per series, the sources' full scan streams are concatenated
-// in run order — exactly the order a query's block loop feeds them —
-// and split into monotone segments wherever a timestamp strictly
-// decreases (late data across checkpoints), so writeBlockParts keeps
-// every chunk internally sorted without ever reordering the stream.
+// blocks, one series at a time in ascending key order. Per series, the
+// sources' full scan streams are concatenated in run order — exactly
+// the order a query's block loop feeds them — and split into monotone
+// segments wherever a timestamp strictly decreases (late data across
+// checkpoints), so the block writer keeps every chunk internally sorted
+// without ever reordering the stream. The pass holds one decoded series
+// and the merged index, whatever the size of the run.
 func mergeRun(blocksDir string, seq uint64, run []*block) (*block, error) {
-	keySet := map[string]struct{}{}
+	union := map[string]struct{}{}
 	var totalPts int
-	for _, b := range run {
-		totalPts += b.meta.Points
-		for k := range b.index {
-			keySet[k] = struct{}{}
-		}
-	}
-	series := make(map[string][][]Point, len(keySet))
-	for key := range keySet {
-		// The source indexes say how many points the stream holds, so it is
-		// allocated once and every block decodes straight into it.
-		n := 0
-		for _, b := range run {
-			for _, ref := range b.index[key] {
-				n += ref.Count
-			}
-		}
-		sink := rawSink{pts: make([]Point, 0, n)}
-		for _, b := range run {
-			if err := b.scan(key, math.MinInt64, math.MaxInt64, &sink, nil); err != nil {
-				return nil, fmt.Errorf("tsdb: compacting %s %q: %w", b.dir, key, err)
-			}
-		}
-		stream := sink.pts
-		if len(stream) == 0 {
-			continue
-		}
-		var segs [][]Point
-		start := 0
-		for i := 1; i < len(stream); i++ {
-			if stream[i].T < stream[i-1].T {
-				segs = append(segs, stream[start:i])
-				start = i
-			}
-		}
-		series[key] = append(segs, stream[start:])
-	}
 	cuts := map[string]uint64{}
 	level := 0
 	for _, b := range run {
+		totalPts += b.meta.Points
+		for k := range b.index {
+			union[k] = struct{}{}
+		}
 		for k, c := range b.meta.WALCuts {
 			if c > cuts[k] {
 				cuts[k] = c
@@ -325,22 +343,50 @@ func mergeRun(blocksDir string, seq uint64, run []*block) (*block, error) {
 	if len(cuts) == 0 {
 		cuts = nil
 	}
-	merged, err := writeBlockParts(blocksDir, blockMeta{
+	bw, err := newBlockWriter(blocksDir, blockMeta{
 		Seq:     seq,
 		WALCuts: cuts,
 		MinSeq:  run[0].meta.minSeq(),
 		MaxSeq:  run[len(run)-1].meta.maxSeq(),
 		Level:   level + 1,
-	}, series)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: writing merged block: %w", err)
 	}
-	if merged.meta.Points != totalPts {
+	var stream rawSink
+	var chunk []byte
+	var segs [][]Point
+	for _, key := range sortedKeys(union) {
+		stream.pts = stream.pts[:0]
+		for _, b := range run {
+			if err := b.scan(key, math.MinInt64, math.MaxInt64, &stream, nil, &chunk); err != nil {
+				bw.abort()
+				return nil, fmt.Errorf("tsdb: compacting %s %q: %w", b.dir, key, err)
+			}
+		}
+		pts := stream.pts
+		segs = segs[:0]
+		start := 0
+		for i := 1; i < len(pts); i++ {
+			if pts[i].T < pts[i-1].T {
+				segs = append(segs, pts[start:i])
+				start = i
+			}
+		}
+		segs = append(segs, pts[start:])
+		if err := bw.addSeries(key, segs...); err != nil {
+			return nil, fmt.Errorf("tsdb: writing merged block: %w", err)
+		}
+	}
+	if bw.meta.Points != totalPts {
 		// Defensive: a miscount here would silently corrupt Stats.Points
 		// and retention accounting; fail the compaction instead.
-		_ = merged.close()
-		_ = removeBlockDir(merged.dir)
-		return nil, fmt.Errorf("tsdb: merged block holds %d points, sources held %d", merged.meta.Points, totalPts)
+		bw.abort()
+		return nil, fmt.Errorf("tsdb: merged block holds %d points, sources held %d", bw.meta.Points, totalPts)
+	}
+	merged, err := bw.publish()
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: writing merged block: %w", err)
 	}
 	return merged, nil
 }

@@ -11,8 +11,11 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // bigFloorDiv is the overflow-proof reference for bucket assignment:
@@ -107,6 +110,120 @@ func refDownsampleSeries(pts []Point, resMS int64) []dsRef {
 		out = append(out, r)
 	}
 	return out
+}
+
+// mapDownsampleSeries is downsampleSeries as it was before it folded
+// into a sorted slice: a map of bucket pointers, sorted at the end. Kept
+// verbatim as the second reference — same single-pass displacement
+// rules, different container — beside the from-scratch one above.
+func mapDownsampleSeries(pts []Point, resMS int64) []dsRef {
+	if len(pts) == 0 {
+		return nil
+	}
+	buckets := map[int64]*dsRef{}
+	idxs := make([]int64, 0, 8)
+	for _, p := range pts {
+		idx := floorDiv(p.T, resMS)
+		b := buckets[idx]
+		if b == nil {
+			b = &dsRef{
+				Count: 1, MinT: p.T, MaxT: p.T,
+				MinV: p.V, MaxV: p.V, FirstV: p.V, LastV: p.V, SumV: p.V,
+			}
+			if p.V != p.V { // NaN
+				b.NoSummary = true
+			}
+			buckets[idx] = b
+			idxs = append(idxs, idx)
+			continue
+		}
+		b.Count++
+		if p.V != p.V {
+			b.NoSummary = true
+		}
+		if p.V < b.MinV {
+			b.MinV = p.V
+		}
+		if p.V > b.MaxV {
+			b.MaxV = p.V
+		}
+		b.SumV += p.V
+		if p.T < b.MinT {
+			b.MinT, b.FirstV = p.T, p.V
+		}
+		if p.T >= b.MaxT {
+			b.MaxT, b.LastV = p.T, p.V
+		}
+	}
+	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	out := make([]dsRef, 0, len(idxs))
+	for _, idx := range idxs {
+		r := *buckets[idx]
+		if r.NoSummary ||
+			!isFinite(r.MinV) || !isFinite(r.MaxV) ||
+			!isFinite(r.FirstV) || !isFinite(r.LastV) || !isFinite(r.SumV) {
+			r.NoSummary = true
+			r.MinV, r.MaxV, r.FirstV, r.LastV, r.SumV = 0, 0, 0, 0, 0
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestDownsampleSeriesMatchesMapReference drives the slice fold through
+// the feed orders that take its different paths — in order (append at
+// the end), late segments (search, then insert or revisit), heavy
+// duplication, shuffled — at ordinary, negative and extreme timestamps,
+// with NaN, infinities and sums that overflow.
+func TestDownsampleSeriesMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	bases := []int64{0, -7_200_000, 1_700_000_000_000, math.MinInt64 + 1, math.MaxInt64 - 8*3_600_000}
+	for iter := 0; iter < 400; iter++ {
+		resMS := downsampleResolutions[iter%len(downsampleResolutions)]
+		base := bases[iter%len(bases)]
+		n := 1 + rng.Intn(600)
+		pts := make([]Point, 0, n)
+		ts := base
+		for len(pts) < n {
+			ts += int64(rng.Intn(4)) * resMS / 8 // steps of 0: duplicate timestamps
+			v := rng.NormFloat64() * 1000
+			switch rng.Intn(24) {
+			case 0:
+				v = math.NaN()
+			case 1:
+				v = math.Inf(1)
+			case 2:
+				v = math.Inf(-1)
+			case 3:
+				v = -math.MaxFloat64
+			}
+			pts = append(pts, Point{T: ts, V: v})
+		}
+		switch iter % 4 {
+		case 1: // late segments: later stretches of the stream replay earlier time
+			for cut := rng.Intn(n); cut < n; cut += 1 + rng.Intn(n) {
+				back := int64(1+rng.Intn(6)) * resMS / 2
+				for i := cut; i < n; i++ {
+					pts[i].T -= back
+				}
+			}
+		case 2:
+			rng.Shuffle(n, func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		case 3: // everything in one or two buckets
+			for i := range pts {
+				pts[i].T = base + int64(rng.Intn(2))*resMS + int64(rng.Intn(3))
+			}
+		}
+		got, want := downsampleSeries(pts, resMS), mapDownsampleSeries(pts, resMS)
+		if len(got) != len(want) {
+			t.Fatalf("iter %d res=%d: %d buckets, map reference has %d", iter, resMS, len(got), len(want))
+		}
+		for i := range got {
+			if !dsRefsEqual(got[i], want[i]) {
+				t.Fatalf("iter %d res=%d bucket %d:\n got %+v\nwant %+v", iter, resMS, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 func dsRefsEqual(a, b dsRef) bool {
@@ -313,5 +430,105 @@ func TestDownsampledResolutionSelection(t *testing.T) {
 	unaligned.From, unaligned.To = 137, span+137 // grid buckets straddle query buckets
 	if n := run(unaligned); n != 0 {
 		t.Errorf("unaligned From consumed %d downsampled buckets, want 0 (raw fallback)", n)
+	}
+}
+
+// compactionWorkingSet builds a store of nSeries series × 4 checkpointed
+// rounds × perRound points at 1 s scrapes (dense: a handful of 5m buckets
+// per series, so the companions stay small beside the points), compacts
+// it, and returns the Go heap's high-water above its level just before
+// the pass, the bytes the pass allocated, and the points it moved.
+func compactionWorkingSet(t *testing.T, nSeries, perRound int) (highWater, allocated uint64, points int) {
+	t.Helper()
+	const rounds = 4
+	s, _ := openCompactable(t, t.TempDir(), 2, FsyncNever, 0)
+	defer s.Close()
+	batch := make([]Sample, 0, nSeries*perRound)
+	for r := 0; r < rounds; r++ {
+		batch = batch[:0]
+		for i := 0; i < nSeries; i++ {
+			comp, metric := fmt.Sprintf("svc-%03d", i%64), fmt.Sprintf("metric_%d", i)
+			for k := 0; k < perRound; k++ {
+				batch = append(batch, Sample{
+					Component: comp, Metric: metric,
+					T: int64(r*perRound+k) * 1000,
+					V: float64((k*7 + i*31) % 1009),
+				})
+			}
+		}
+		if err := s.WriteSamples(batch, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch = nil
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	var peak atomic.Uint64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			if ms.HeapInuse > peak.Load() {
+				peak.Store(ms.HeapInuse)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}()
+	err := s.Compact()
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.BlockCount(); n != 1 {
+		t.Fatalf("compaction left %d blocks, want 1", n)
+	}
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	if p := peak.Load(); p > before.HeapInuse {
+		highWater = p - before.HeapInuse
+	}
+	return highWater, after.TotalAlloc - before.TotalAlloc, nSeries * rounds * perRound
+}
+
+// TestCompactionWorkingSetBounded pins the memory shape of a compaction
+// pass (merge plus both companions): it holds one decoded series, the
+// merged index and the companion maps — not the block. Quadrupling the
+// series at the same points per series therefore grows the heap's
+// high-water by the index and companions of the added series only, far
+// below the 16 B a decoded Point costs for each added point, and the
+// pass allocates a small multiple of the codec's own working set per
+// point moved. A pass that decodes the run into one map before writing
+// (173 B allocated per point, high-water linear in the block) fails
+// both.
+func TestCompactionWorkingSetBounded(t *testing.T) {
+	const perRound = 1000
+	small, smallAlloc, smallPts := compactionWorkingSet(t, 96, perRound)
+	large, largeAlloc, largePts := compactionWorkingSet(t, 4*96, perRound)
+	added := uint64(largePts - smallPts)
+	t.Logf("high-water above start: %d series %.2f MiB, %d series %.2f MiB; allocated %.1f / %.1f B per point moved",
+		96, float64(small)/(1<<20), 4*96, float64(large)/(1<<20),
+		float64(smallAlloc)/float64(smallPts), float64(largeAlloc)/float64(largePts))
+	var growth uint64
+	if large > small {
+		growth = large - small
+	}
+	if limit := 16 * added / 4; growth > limit {
+		t.Errorf("heap high-water grew %.2f MiB for %d added points (%.1f B/point); a streaming pass stays under %.2f MiB",
+			float64(growth)/(1<<20), added, float64(growth)/float64(added), float64(limit)/(1<<20))
+	}
+	if perPoint := float64(largeAlloc) / float64(largePts); perPoint > 16 {
+		t.Errorf("compaction allocated %.1f B per point moved, want at most 16 (one decoded Point)", perPoint)
 	}
 }

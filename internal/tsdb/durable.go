@@ -492,13 +492,19 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 	return d.enforceRetention(s.MaxTime())
 }
 
-// buildBlock decodes a stolen snapshot into time-sorted points and
-// persists them as one immutable block.
+// buildBlock persists a stolen snapshot as one immutable block, one
+// series at a time in ascending key order: decode into a reused buffer,
+// stable-sort by time, hand to the block writer.
 func buildBlock(blocksDir string, seq uint64, walCuts map[string]uint64, snap map[string]*series) (*block, error) {
-	series := make(map[string][]Point, len(snap))
-	for key, sr := range snap {
-		var raw rawSink
-		if err := sr.scanRange(math.MinInt64, math.MaxInt64, &raw, nil); err != nil {
+	bw, err := newBlockWriter(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts})
+	if err != nil {
+		return nil, fmt.Errorf("writing block: %w", err)
+	}
+	var raw rawSink
+	for _, key := range sortedKeys(snap) {
+		raw.pts = raw.pts[:0]
+		if err := snap[key].scanRange(math.MinInt64, math.MaxInt64, &raw, nil); err != nil {
+			bw.abort()
 			return nil, fmt.Errorf("decoding snapshot of %q: %w", key, err)
 		}
 		pts := raw.pts
@@ -506,9 +512,11 @@ func buildBlock(blocksDir string, seq uint64, walCuts map[string]uint64, snap ma
 		// so queries after a flush (and after recovery) return the same
 		// bytes as before it.
 		sort.SliceStable(pts, func(a, b int) bool { return pts[a].T < pts[b].T })
-		series[key] = pts
+		if err := bw.addSeries(key, pts); err != nil {
+			return nil, fmt.Errorf("writing block: %w", err)
+		}
 	}
-	blk, err := writeBlock(blocksDir, seq, walCuts, series)
+	blk, err := bw.publish()
 	if err != nil {
 		return nil, fmt.Errorf("writing block: %w", err)
 	}
@@ -586,6 +594,7 @@ func (d *durable) scanBlocks(key string, from, to int64, sink pointSink) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var dsBuckets int
+	var chunk []byte // one read buffer for every chunk of the scan
 	for _, b := range d.blocks {
 		if b.meta.MaxT < from || b.meta.MinT >= to {
 			continue
@@ -597,7 +606,7 @@ func (d *durable) scanBlocks(key string, from, to int64, sink pointSink) error {
 			dsBuckets += n
 			continue
 		}
-		if err := b.scan(key, from, to, sink, d.tel); err != nil {
+		if err := b.scan(key, from, to, sink, d.tel, &chunk); err != nil {
 			return err
 		}
 	}

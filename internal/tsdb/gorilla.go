@@ -22,10 +22,16 @@ type Point struct {
 // with leading/trailing-zero windows. Points must be in non-decreasing
 // time order (enforced); an empty batch encodes to an empty block.
 func CompressBlock(points []Point) ([]byte, error) {
+	return appendCompressed(nil, points)
+}
+
+// appendCompressed appends the encoding of points to dst, so a writer of
+// many chunks reuses one buffer; on error dst's contents are undefined.
+func appendCompressed(dst []byte, points []Point) ([]byte, error) {
 	if len(points) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	w := &bitWriter{}
+	w := &bitWriter{buf: dst}
 
 	// Header: count (32 bits), first timestamp (64), first value (64).
 	w.writeBits(uint64(len(points)), 32)

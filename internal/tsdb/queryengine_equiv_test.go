@@ -74,7 +74,8 @@ func refStorePoints(t *testing.T, st *Sharded, key string) []Point {
 	if st.dur != nil {
 		for _, b := range st.dur.blocks {
 			for _, ref := range b.index[key] {
-				payload, err := b.readChunk(key, ref)
+				var scratch []byte // fresh per chunk: the reference shares nothing
+				payload, err := b.readChunk(key, ref, &scratch)
 				if err != nil {
 					t.Fatalf("reference chunk read: %v", err)
 				}

@@ -282,6 +282,68 @@ func TestDurableCheckpointFailureSurfaced(t *testing.T) {
 	}
 }
 
+// TestDurableCheckpointFailureLeavesNoTmpDir fails a checkpoint at the
+// last step that can fail before the publish point — the rename, onto a
+// pre-created non-empty directory of the block's final name — once per
+// retry, as a flusher against a sick disk would. Every attempt takes a
+// fresh sequence number, so a writer that does not clean up leaves one
+// partly written tmp- directory per retry on the disk that is already
+// in trouble.
+func TestDurableCheckpointFailureLeavesNoTmpDir(t *testing.T) {
+	dir := t.TempDir()
+	s := openCrashable(t, dir, 2)
+	twin := openCrashable(t, t.TempDir(), 2)
+	var batches []Sample
+	for i := 0; i < 6; i++ {
+		batch := recoveryBatch(i, 4, 3)
+		recoveryWrite(t, batch, s, twin)
+		batches = append(batches, batch...)
+	}
+	blocksDir := filepath.Join(dir, "blocks")
+	minT, maxT := batches[0].T, maxSampleT(batches)
+	var obstacles []string
+	for seq := uint64(1); seq <= 3; seq++ {
+		obstacle := filepath.Join(blocksDir, blockDirName(seq, minT, maxT))
+		if err := os.MkdirAll(filepath.Join(obstacle, "occupied"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		obstacles = append(obstacles, obstacle)
+	}
+	for range obstacles {
+		if err := s.Checkpoint(); err == nil {
+			t.Fatal("checkpoint renaming onto a non-empty directory should fail")
+		}
+		entries, err := os.ReadDir(blocksDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), blockTmpPrefix) {
+				t.Fatalf("failed checkpoint left %s behind", e.Name())
+			}
+		}
+		assertSameContents(t, s, twin, "after failed checkpoint")
+	}
+	for _, obstacle := range obstacles {
+		if err := os.RemoveAll(obstacle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range []*Sharded{s, twin} {
+		if err := st.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint with the way clear: %v", err)
+		}
+	}
+	if got := listBlockDirs(t, blocksDir); len(got) != 1 {
+		t.Fatalf("blocks after recovery = %v, want one", got)
+	}
+	assertSameContents(t, s, twin, "after recovered checkpoint")
+	// Hard stop and reopen: the block alone must carry everything.
+	re := openCrashable(t, dir, 2)
+	defer re.Close()
+	assertSameContents(t, re, twin, "reopened after recovered checkpoint")
+}
+
 // TestDurablePartialWriteReportsStored kills one shard's WAL and writes
 // a batch spanning all shards: Write must report exactly the samples the
 // healthy shards stored alongside the error, so a client can tell a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -333,11 +332,7 @@ func (s *Sharded) catalogKeys() []string {
 		s.dur.addSeriesKeys(set)
 		s.dur.cutMu.RUnlock()
 	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(set)
 	s.cat.Store(&catalog{gen: gen, keys: keys})
 	return keys
 }
