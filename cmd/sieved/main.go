@@ -7,16 +7,13 @@
 //
 //	sieved [-addr :8086] [-shards N] [-window 240s] [-interval 30s]
 //	       [-step 500ms] [-app NAME] [-parallelism N]
-//	       [-query-parallelism N] [-data-dir DIR] [-retention 24h]
-//	       [-fsync interval] [-compact-interval 5m] [-compact-max-block 64MiB]
-//	       [-downsample] [-incremental] [-full-recompute-every N]
-//	       [-warm-start] [-warm-resweep-every N]
-//	       [-warm-silhouette-tolerance F] [-pprof-addr :6060]
+//	       [-data-dir DIR] [-retention 24h] [-fsync interval]
+//	       [-flush-interval 60s] [-compact-interval 5m]
+//	       [-compact-max-block 64MiB] [-downsample]
+//	       [-incremental] [-full-recompute-every N] [-pprof-addr :6060]
 //	       [-self-scrape-interval 15s] [-slow-op-threshold 1s]
 //	       [-remote-write-component-label job] [-remote-write-max-bytes N]
-//	       [-remote-write-max-samples N] [-remote-write-retry-after 1s]
-//	       [-read-header-timeout 10s] [-read-timeout 5m] [-idle-timeout 2m]
-//	       [-shutdown-timeout 5s] [-log-level info]
+//	       [-remote-write-max-samples N] [-log-level info]
 //
 // Besides the line-protocol POST /write, sieved accepts Prometheus
 // remote write 1.0 on POST /api/v1/write (snappy-compressed protobuf),
@@ -44,15 +41,13 @@
 // answer without touching chunk data, keeping month-window queries over
 // long -retention affordable.
 //
-// With -incremental the online pipeline carries state across cycles:
-// each run queries only the window's new tail and rolls a ring-buffered
-// bucket cache forward, and Granger tests on unchanged series are served
-// from a content-fingerprint cache — bit-identical to recomputing, as
-// long as writes do not land behind the already-analyzed frontier
-// (-full-recompute-every N self-heals from such late data every N
-// cycles). -warm-start additionally seeds clustering from the previous
-// cycle's assignments and skips the silhouette sweep while quality holds
-// (an approximation, hence a separate opt-in).
+// With -incremental the online pipeline carries its window across
+// cycles: each run queries only the window's new tail and rolls a
+// ring-buffered bucket cache forward — bit-identical to reassembling
+// the window, as long as writes do not land behind the already-analyzed
+// frontier (-full-recompute-every N invalidates the cache every N cycles
+// to self-heal from such late data). Reduction and dependency
+// identification are recomputed exactly every cycle either way.
 //
 // sieved observes itself: GET /metrics serves the Prometheus text
 // exposition of its internal telemetry (ingest, WAL, checkpoint, query,
@@ -104,7 +99,6 @@ func main() {
 	step := flag.Duration("step", 500*time.Millisecond, "analysis sampling grid")
 	appName := flag.String("app", "sieved", "application label on artifacts")
 	parallelism := flag.Int("parallelism", 0, "analysis worker-pool size (0 = GOMAXPROCS)")
-	queryParallelism := flag.Int("query-parallelism", 0, "per-series fan-out of /query_range matcher reads (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 	retention := flag.Duration("retention", 0, "drop on-disk blocks older than this much ingest time (0 = keep forever)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
@@ -112,22 +106,14 @@ func main() {
 	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence (0 = default 5m, negative = disabled)")
 	compactMaxBlock := flag.Int64("compact-max-block", 0, "merged-block chunk-byte cap (0 = default 64 MiB)")
 	downsample := flag.Bool("downsample", false, "build 5m/1h downsampled summaries on compacted blocks for coarse-step queries")
-	incremental := flag.Bool("incremental", false, "carry pipeline state across cycles: tail-only window queries + Granger result cache")
-	fullRecomputeEvery := flag.Int("full-recompute-every", 0, "with -incremental, drop all carried state and recompute from scratch every N cycles (0 = never)")
-	warmStart := flag.Bool("warm-start", false, "seed clustering from the previous cycle and skip the silhouette sweep while quality holds")
-	warmResweepEvery := flag.Int("warm-resweep-every", 0, "with -warm-start, force a full silhouette sweep every N cycles (0 = default 10, negative = never on cadence alone)")
-	warmSilhouetteTolerance := flag.Float64("warm-silhouette-tolerance", 0, "with -warm-start, allowed silhouette drop vs the last full sweep before re-sweeping (0 = default 0.05)")
+	incremental := flag.Bool("incremental", false, "carry the analysis window across cycles: tail-only store queries into a ring-buffered window cache")
+	fullRecomputeEvery := flag.Int("full-recompute-every", 0, "with -incremental, invalidate the window cache and reassemble the window from the store every N cycles (0 = never)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	selfScrapeInterval := flag.Duration("self-scrape-interval", 0, "write own telemetry into the store under the reserved \"sieve\" component every interval (0 = disabled)")
 	slowOpThreshold := flag.Duration("slow-op-threshold", 0, "retain requests and pipeline cycles slower than this in /debug/traces (0 = default 1s, negative = disabled)")
 	remoteWriteComponentLabel := flag.String("remote-write-component-label", "", "Prometheus label mapped to sieve's component on /api/v1/write (empty = default \"job\")")
 	remoteWriteMaxBytes := flag.Int64("remote-write-max-bytes", 0, "decompressed-size cap per /api/v1/write request, rejected with 413 (0 = default 64 MiB)")
 	remoteWriteMaxSamples := flag.Int("remote-write-max-samples", 0, "sample cap per /api/v1/write request, rejected with 429 + Retry-After (0 = default 1000000)")
-	remoteWriteRetryAfter := flag.Duration("remote-write-retry-after", 0, "backoff advertised by the 429 Retry-After header (0 = default 1s)")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 0, "HTTP header read timeout, the slowloris bound (0 = default 10s, negative = disabled)")
-	readTimeout := flag.Duration("read-timeout", 0, "HTTP full-request read timeout (0 = default 5m, negative = disabled)")
-	idleTimeout := flag.Duration("idle-timeout", 0, "HTTP keep-alive idle timeout (0 = default 2m, negative = disabled)")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 0, "graceful drain bound before in-flight connections are force-closed (0 = default 5s)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	flag.Parse()
 
@@ -139,36 +125,27 @@ func main() {
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
 
 	opts := sieve.ServerOptions{
-		AppName:                 *appName,
-		Shards:                  *shards,
-		StepMS:                  step.Milliseconds(),
-		WindowMS:                window.Milliseconds(),
-		Interval:                *interval,
-		Parallelism:             *parallelism,
-		QueryParallelism:        *queryParallelism,
-		DataDir:                 *dataDir,
-		Retention:               *retention,
-		Fsync:                   *fsync,
-		FlushInterval:           *flushInterval,
-		CompactInterval:         *compactInterval,
-		CompactMaxBlockBytes:    *compactMaxBlock,
-		Downsample:              *downsample,
-		Incremental:             *incremental,
-		FullRecomputeEvery:      *fullRecomputeEvery,
-		WarmStart:               *warmStart,
-		WarmResweepEvery:        *warmResweepEvery,
-		WarmSilhouetteTolerance: *warmSilhouetteTolerance,
-		SelfScrapeInterval:      *selfScrapeInterval,
-		SlowOpThreshold:         *slowOpThreshold,
+		AppName:              *appName,
+		Shards:               *shards,
+		StepMS:               step.Milliseconds(),
+		WindowMS:             window.Milliseconds(),
+		Interval:             *interval,
+		Parallelism:          *parallelism,
+		DataDir:              *dataDir,
+		Retention:            *retention,
+		Fsync:                *fsync,
+		FlushInterval:        *flushInterval,
+		CompactInterval:      *compactInterval,
+		CompactMaxBlockBytes: *compactMaxBlock,
+		Downsample:           *downsample,
+		Incremental:          *incremental,
+		FullRecomputeEvery:   *fullRecomputeEvery,
+		SelfScrapeInterval:   *selfScrapeInterval,
+		SlowOpThreshold:      *slowOpThreshold,
 
 		RemoteWriteComponentLabel: *remoteWriteComponentLabel,
 		RemoteWriteMaxBytes:       *remoteWriteMaxBytes,
 		RemoteWriteMaxSamples:     *remoteWriteMaxSamples,
-		RemoteWriteRetryAfter:     *remoteWriteRetryAfter,
-		ReadHeaderTimeout:         *readHeaderTimeout,
-		ReadTimeout:               *readTimeout,
-		IdleTimeout:               *idleTimeout,
-		ShutdownTimeout:           *shutdownTimeout,
 	}
 	srv, err := sieve.NewServer(opts)
 	if err != nil {
@@ -201,11 +178,6 @@ func main() {
 	engine := "batch recompute"
 	if *incremental {
 		engine = "incremental"
-		if *warmStart {
-			engine = "incremental+warm-start"
-		}
-	} else if *warmStart {
-		engine = "warm-start"
 	}
 	fmt.Printf("sieved listening on %s (%d shards, window %s, interval %s, %s, %s pipeline)\n",
 		*addr, srv.Store().NumShards(), *window, *interval, durability, engine)

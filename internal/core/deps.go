@@ -163,30 +163,6 @@ type pairResult struct {
 // final sort (whose comparator is tie-free over the edge fields), so the
 // graph is bit-identical to the sequential path at any worker count.
 func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction, opts DepOptions) (*DependencyGraph, error) {
-	return identifyDependencies(ctx, ds, red, opts, granger.DirectionWith)
-}
-
-// IdentifyDependenciesCached is IdentifyDependenciesContext running every
-// pair test through a granger.Cache: pairs whose representative series
-// are byte-identical to a previous cycle (unchanged window content, or a
-// re-run without new data) reuse the memoized direction instead of
-// re-fitting the OLS models. Results are bit-identical to the uncached
-// path — the cache keys on series content, so only truly dirty edges
-// recompute. The call advances the cache's eviction generation; passing a
-// nil cache degrades to the uncached path.
-func IdentifyDependenciesCached(ctx context.Context, ds *Dataset, red Reduction, opts DepOptions, cache *granger.Cache) (*DependencyGraph, error) {
-	if cache == nil {
-		return identifyDependencies(ctx, ds, red, opts, granger.DirectionWith)
-	}
-	cache.NextGeneration()
-	return identifyDependencies(ctx, ds, red, opts, cache.DirectionWith)
-}
-
-// directionFunc is granger.DirectionWith or a cache's memoized
-// equivalent; the scratch is the executing worker's pooled buffer set.
-type directionFunc func(x, y []float64, opts granger.Options, s *granger.Scratch) (granger.Causality, *granger.TestResult, *granger.TestResult, error)
-
-func identifyDependencies(ctx context.Context, ds *Dataset, red Reduction, opts DepOptions, direction directionFunc) (*DependencyGraph, error) {
 	opts = opts.withDefaults()
 	if ds.CallGraph == nil {
 		return nil, fmt.Errorf("core: dataset has no call graph")
@@ -218,7 +194,7 @@ func identifyDependencies(ctx context.Context, ds *Dataset, red Reduction, opts 
 					continue
 				}
 				res.tested++
-				dir, xy, yx, err := direction(sa.Values, sb.Values, gopts, scratch)
+				dir, xy, yx, err := granger.DirectionWith(sa.Values, sb.Values, gopts, scratch)
 				if err != nil {
 					// Series too short or degenerate for this pair; skip.
 					continue

@@ -20,10 +20,9 @@
 // (DatasetFromDB), which is how the sieved server re-runs steps 2-3 over
 // live ingested data.
 //
-// For overlapping windows the online path has incremental counterparts:
-// WindowCache assembles each cycle from ring-buffered bucket state with
-// one tail-only store scan (bit-identical to DatasetFromDB), and
-// ReduceWarmContext carries clustering state across cycles via
-// WarmState, skipping the silhouette sweep while quality holds
-// (opt-in: warm results may differ from batch).
+// For overlapping windows the online path has one incremental
+// counterpart: WindowCache assembles each cycle from ring-buffered
+// bucket state with one tail-only store scan (bit-identical to
+// DatasetFromDB). Steps 2 and 3 have no carried state: every cycle
+// runs ReduceContext and IdentifyDependenciesContext exactly.
 package core

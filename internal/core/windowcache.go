@@ -37,7 +37,10 @@ type WindowCache struct {
 	appName string
 	stepMS  int64
 
-	valid      bool
+	valid bool
+	// built records that a rebuild has succeeded at least once, so a
+	// later !valid cache is reported as dropped rather than new.
+	built      bool
 	start, end int64
 	buckets    int
 	series     map[string]*seriesRing
@@ -146,6 +149,8 @@ func (c *WindowCache) Advance(db tsdb.ReadStore, start, end int64) (*Dataset, Ad
 // returning "" when they can and the rebuild reason when they cannot.
 func (c *WindowCache) rollable(start, end int64) string {
 	switch {
+	case !c.valid && c.built:
+		return "invalidated"
 	case !c.valid:
 		return "first cycle"
 	case end-start != c.end-c.start:
@@ -204,7 +209,7 @@ func (c *WindowCache) rebuild(db tsdb.ReadStore, start, end int64) (*Dataset, er
 	if err != nil {
 		return nil, err
 	}
-	c.valid = true
+	c.valid, c.built = true, true
 	return ds, nil
 }
 

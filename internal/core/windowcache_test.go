@@ -129,8 +129,8 @@ func TestWindowCacheQueryCounts(t *testing.T) {
 	db := &countingStore{Sharded: inner}
 	cache := NewWindowCache("test", 500)
 
-	if _, st, err := cache.Advance(db, 0, 20000); err != nil || !st.FullRebuild {
-		t.Fatalf("first advance: err=%v rebuild=%v", err, st.FullRebuild)
+	if _, st, err := cache.Advance(db, 0, 20000); err != nil || !st.FullRebuild || st.RebuildReason != "first cycle" {
+		t.Fatalf("first advance: err=%v stats=%+v, want a \"first cycle\" rebuild", err, st)
 	}
 	if db.matchCalls != 1 || db.matchRanges[0] != [2]int64{0, 20000} {
 		t.Fatalf("cold cycle: %d matcher calls %v, want 1 over the window", db.matchCalls, db.matchRanges)
@@ -157,11 +157,11 @@ func TestWindowCacheQueryCounts(t *testing.T) {
 		t.Fatalf("no-op cycle: err=%v stats=%+v calls=%d, want zero queries", err, st, db.matchCalls)
 	}
 
-	// Invalidate forces the full path again.
+	// Invalidate forces the full path again, and says why.
 	cache.Invalidate()
 	db.matchCalls, db.matchRanges = 0, nil
-	if _, st, err = cache.Advance(db, 10000, 30000); err != nil || !st.FullRebuild || db.matchCalls != 1 {
-		t.Fatalf("post-invalidate: err=%v stats=%+v calls=%d, want one full rebuild", err, st, db.matchCalls)
+	if _, st, err = cache.Advance(db, 10000, 30000); err != nil || !st.FullRebuild || st.RebuildReason != "invalidated" || db.matchCalls != 1 {
+		t.Fatalf("post-invalidate: err=%v stats=%+v calls=%d, want one \"invalidated\" full rebuild", err, st, db.matchCalls)
 	}
 }
 

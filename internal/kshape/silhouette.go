@@ -101,10 +101,9 @@ func ChooseKContext(ctx context.Context, series [][]float64, names []string, kMi
 
 // ChooseKFromDist is ChooseKContext with an optional caller-supplied
 // distance matrix (PairwiseSBD over the z-normalized series, the one the
-// sweep would compute itself when dist is nil). The warm-start
-// degradation fallback uses it so a component that just scored its warm
-// clustering does not pay the O(n^2) matrix a second time for the
-// re-sweep.
+// sweep would compute itself when dist is nil). sievebench's traced
+// replay passes the matrix it has just timed, so the sweep's own cost
+// is measured apart from the O(n^2) matrix.
 func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, names []string, kMin, kMax int, seed int64, workers int) (*SweepResult, error) {
 	n := len(series)
 	if n == 0 {

@@ -351,6 +351,14 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return s.serveListener(ctx, ln)
 }
 
+// Full-request read and keep-alive idle bounds of the listener's
+// http.Server; with ReadHeaderTimeout they cap what one misbehaving
+// client can hold.
+const (
+	readTimeout = 5 * time.Minute
+	idleTimeout = 2 * time.Minute
+)
+
 // timeoutOrOff maps the Options convention (0 = default applied in
 // withDefaults, negative = disabled) onto http.Server's (0 = no
 // timeout).
@@ -369,8 +377,8 @@ func (s *Server) serveListener(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: timeoutOrOff(s.opts.ReadHeaderTimeout),
-		ReadTimeout:       timeoutOrOff(s.opts.ReadTimeout),
-		IdleTimeout:       timeoutOrOff(s.opts.IdleTimeout),
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -31,15 +31,14 @@
 //
 // # Incremental execution
 //
-// With Options.Incremental the online driver carries state across
-// cycles (onlineState in online.go): dataset assembly rolls a
-// ring-buffered window cache forward with one tail-only store query,
-// and Granger pair tests are memoized by series-content fingerprints —
-// both bit-identical to a from-scratch run under append-mostly ingest,
-// with Options.FullRecomputeEvery as the periodic self-heal. The
-// opt-in Options.WarmStart additionally seeds clustering from the
-// previous cycle and skips the silhouette sweep while quality holds.
-// RunInfo and /stats break every cycle down per stage and report cache
-// hit/recompute counts. The carried state is memory-only: a restarted
+// With Options.Incremental the online driver carries the analysis
+// window across cycles (onlineState in online.go): dataset assembly
+// rolls a ring-buffered window cache forward with one tail-only store
+// query — bit-identical to a from-scratch assembly under append-mostly
+// ingest, with Options.FullRecomputeEvery invalidating the cache as the
+// periodic self-heal. Reduce and Granger run the same exact computation
+// every cycle, whichever way the window was assembled. RunInfo and
+// /stats break every cycle down per stage and report the cache's
+// rebuild and tail-query counts. The cache is memory-only: a restarted
 // server rebuilds it through the full path on its first cycle.
 package server

@@ -14,6 +14,7 @@ import (
 	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 	"github.com/sieve-microservices/sieve/internal/metrics"
+	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
 // chainGraph is the static topology of chainSpec, configured identically
@@ -25,8 +26,8 @@ func chainGraph() *callgraph.Graph {
 	return g
 }
 
-// incrementalOptions are the equivalence-suite server options: warm
-// start OFF (bit-identity required), everything else incremental.
+// incrementalOptions are the equivalence-suite server options: window
+// assembly through the window cache.
 func incrementalOptions(shards int) Options {
 	return Options{
 		AppName:          "chain",
@@ -39,9 +40,9 @@ func incrementalOptions(shards int) Options {
 }
 
 // driveChunk advances the app by one pattern chunk, shipping scrapes
-// over the client's /write. The same app instance keeps its clock across
+// over c (a Client's /write). The same app instance keeps its clock across
 // chunks, so an incremental server sees a continuous stream.
-func driveChunk(t *testing.T, a *app.App, c *Client, chunk loadgen.Pattern) {
+func driveChunk(t *testing.T, a *app.App, c tsdb.Writer, chunk loadgen.Pattern) {
 	t.Helper()
 	coll, err := metrics.NewCollector(c, a.Registries()...)
 	if err != nil {
@@ -90,12 +91,11 @@ func referenceArtifact(t *testing.T, opts Options, pattern loadgen.Pattern, seed
 	return marshaledArtifact(t, ref), info
 }
 
-// TestIncrementalEquivalence is the suite's core pin: with warm start
-// disabled, the artifact (and its marshaled bytes) published after K
-// incremental cycles must bit-equal a from-scratch run over the same
-// window — at multiple shard counts — while each warm cycle does
-// asymptotically less work: exactly one tail store query, zero
-// full-window queries.
+// TestIncrementalEquivalence is the suite's core pin: the artifact (and
+// its marshaled bytes) published after K incremental cycles must
+// bit-equal a from-scratch run over the same window — at multiple shard
+// counts — while each cycle after the first does asymptotically less
+// assembly work: exactly one tail store query, zero full-window queries.
 func TestIncrementalEquivalence(t *testing.T) {
 	// The first chunk fills the 50-step window; later chunks slide it by
 	// 20 steps, keeping a 60% overlap for the rings to reuse.
@@ -142,17 +142,14 @@ func TestIncrementalEquivalence(t *testing.T) {
 					t.Fatalf("cycle %d (shards=%d): incremental artifact diverged from from-scratch run (%d vs %d bytes)",
 						cycle, shards, len(got), len(want))
 				}
-				if cycle > 0 && info.GrangerCacheHits+info.GrangerCacheMisses == 0 {
-					t.Fatalf("cycle %d: granger cache saw no traffic", cycle)
-				}
 			}
 		})
 	}
 }
 
-// TestIncrementalRerunWithoutNewData: a cycle on an unchanged window
-// costs no store queries and memoizes every Granger pair, and the
-// artifact bytes stay identical.
+// TestIncrementalRerunWithoutNewData: a second POST /run over an
+// unchanged window issues no store scan, still publishes (the generation
+// moves), and the artifact bytes stay identical.
 func TestIncrementalRerunWithoutNewData(t *testing.T) {
 	s, _, c := newTestServer(t, incrementalOptions(2))
 	a, err := app.New(chainSpec(), 3)
@@ -160,22 +157,22 @@ func TestIncrementalRerunWithoutNewData(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveChunk(t, a, c, loadgen.Random(5, 80, 100, 1500))
-	if _, err := s.RunPipelineOnce(context.Background()); err != nil {
+	firstInfo, err := c.RunPipeline()
+	if err != nil {
 		t.Fatal(err)
 	}
 	first := marshaledArtifact(t, s)
 
-	info, err := s.RunPipelineOnce(context.Background())
+	info, err := c.RunPipeline()
 	if err != nil {
 		t.Fatal(err)
 	}
 	asm := info.Assembly
-	if asm.FullRebuild || asm.TailQueries != 0 || asm.FullQueries != 0 {
+	if asm == nil || asm.FullRebuild || asm.TailQueries != 0 || asm.FullQueries != 0 {
 		t.Fatalf("no-new-data cycle still queried the store: %+v", asm)
 	}
-	if info.GrangerCacheMisses != 0 || info.GrangerCacheHits == 0 {
-		t.Fatalf("no-new-data cycle recomputed Granger pairs: hits=%d misses=%d",
-			info.GrangerCacheHits, info.GrangerCacheMisses)
+	if info.Generation != firstInfo.Generation+1 {
+		t.Fatalf("generation %d after %d, want the re-run to publish the next one", info.Generation, firstInfo.Generation)
 	}
 	if !bytes.Equal(first, marshaledArtifact(t, s)) {
 		t.Fatal("unchanged window produced different artifact bytes")
@@ -183,8 +180,8 @@ func TestIncrementalRerunWithoutNewData(t *testing.T) {
 }
 
 // TestIncrementalForcedFullRecompute: the FullRecomputeEvery cadence
-// drops all carried state — the cycle full-rebuilds, re-tests every
-// pair — and still lands on the same bytes as the reference.
+// invalidates the window cache — the cycle full-rebuilds, says why — and
+// still lands on the same bytes as the reference.
 func TestIncrementalForcedFullRecompute(t *testing.T) {
 	const seed, chunkTicks = 17, 60
 	opts := incrementalOptions(2)
@@ -210,8 +207,11 @@ func TestIncrementalForcedFullRecompute(t *testing.T) {
 	if !infos[2].ForcedFullRecompute || !infos[2].Assembly.FullRebuild {
 		t.Fatalf("cycle 2 should force a full recompute: %+v", infos[2])
 	}
-	if infos[2].GrangerCacheHits != 0 {
-		t.Fatalf("forced recompute should start from a flushed granger cache, got %d hits", infos[2].GrangerCacheHits)
+	if got := infos[0].Assembly.RebuildReason; got != "first cycle" {
+		t.Fatalf("cycle 0 rebuild reason %q, want \"first cycle\"", got)
+	}
+	if got := infos[2].Assembly.RebuildReason; got != "invalidated" {
+		t.Fatalf("forced recompute rebuild reason %q, want \"invalidated\"", got)
 	}
 	got := marshaledArtifact(t, s)
 	want, _ := referenceArtifact(t, incrementalOptions(1), pattern, seed)
@@ -289,73 +289,6 @@ func TestIncrementalRestartMidSequence(t *testing.T) {
 	}
 }
 
-// TestIncrementalWarmStartOnline: with warm start ON the pipeline keeps
-// publishing, warm cycles engage (skipping the sweep), reported
-// silhouettes stay within the configured tolerance of each component's
-// last sweep baseline, and the cumulative warm/swept counters feed
-// /stats. (The acceptance rule itself — warm quality vs baseline, and
-// re-sweep reconvergence to the batch reduction — is pinned bitwise by
-// the core warm-reduce tests; this exercises the wiring on live HTTP
-// ingest.)
-func TestIncrementalWarmStartOnline(t *testing.T) {
-	// First chunk fills the window, later chunks slide it by 20 of 50
-	// steps so cluster shapes persist across cycles.
-	cuts := []int{60, 80, 100, 120}
-	opts := incrementalOptions(2)
-	opts.WarmStart = true
-	opts.WarmResweepEvery = 2
-	s, _, c := newTestServer(t, opts)
-	a, err := app.New(chainSpec(), 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pattern := loadgen.Random(21, cuts[len(cuts)-1], 100, 1500)
-
-	// A sweep (re)sets a component's baseline; warm cycles must hold
-	// within tolerance of it. Sweeps can legitimately happen off-cadence
-	// (metric-set change, quality degradation), so track per component
-	// by comparing each cycle's K: equal K + warm accounting means the
-	// invariant the core layer enforces was applied here too.
-	baseline := map[string]float64{}
-	prev := 0
-	for cycle, cut := range cuts {
-		driveChunk(t, a, c, pattern[prev:cut])
-		prev = cut
-		info, err := s.RunPipelineOnce(context.Background())
-		if err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
-		}
-		if info.WarmReduce == nil {
-			t.Fatalf("cycle %d: warm-start run missing WarmReduce stats", cycle)
-		}
-		if cycle == 0 && info.WarmReduce.WarmComponents != 0 {
-			t.Fatalf("cycle 0 cannot be warm: %+v", info.WarmReduce)
-		}
-		art, _ := s.Artifact()
-		if info.WarmReduce.SweptComponents > 0 {
-			for comp, cr := range art.Reduction {
-				baseline[comp] = cr.Silhouette
-			}
-			continue
-		}
-		for comp, cr := range art.Reduction {
-			if len(cr.Clusters) < 2 {
-				continue // trivial components carry no silhouette
-			}
-			if cr.Silhouette < baseline[comp]-core.DefaultWarmSilhouetteTolerance-1e-12 {
-				t.Fatalf("cycle %d: %s silhouette %.4f fell beyond tolerance below baseline %.4f",
-					cycle, comp, cr.Silhouette, baseline[comp])
-			}
-		}
-	}
-	if s.warmComponents.Load() == 0 {
-		t.Fatal("warm path never engaged over four overlapping cycles")
-	}
-	if s.sweptComponents.Load() == 0 {
-		t.Fatal("no component ever swept (cycle 0 must sweep)")
-	}
-}
-
 // TestIncrementalCancelledRunIsNotFailure: a caller abandoning a run
 // (disconnected POST /run, shutdown mid-cycle) must not flip the
 // pipeline into the failing state or trigger the failing/recovered log
@@ -384,12 +317,11 @@ func TestIncrementalCancelledRunIsNotFailure(t *testing.T) {
 	}
 }
 
-// TestOnlineStateRacesIngestAndReaders exercises the incremental
-// engine's carried state against concurrent ingest, /artifact readers,
+// TestOnlineStateRacesIngestAndReaders exercises the state carried
+// across cycles against concurrent ingest, /artifact readers,
 // and /stats polls (run under -race in CI).
 func TestOnlineStateRacesIngestAndReaders(t *testing.T) {
 	opts := incrementalOptions(4)
-	opts.WarmStart = true
 	opts.FullRecomputeEvery = 3
 	s, hs, c := newTestServer(t, opts)
 	a, err := app.New(chainSpec(), 31)

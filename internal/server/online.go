@@ -9,7 +9,6 @@ import (
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/core"
-	"github.com/sieve-microservices/sieve/internal/granger"
 	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
 
@@ -58,55 +57,28 @@ type RunInfo struct {
 	Clusters int `json:"clusters"`
 	Edges    int `json:"edges"`
 
-	// Incremental reports whether the run used the incremental engine;
-	// the remaining fields describe what it reused vs recomputed.
+	// Incremental reports whether the run assembled its dataset through
+	// the window cache.
 	Incremental bool `json:"incremental,omitempty"`
 	// ForcedFullRecompute is true when this cycle hit the
-	// FullRecomputeEvery cadence and dropped all carried state first.
+	// FullRecomputeEvery cadence and invalidated the window cache first.
 	ForcedFullRecompute bool `json:"forced_full_recompute,omitempty"`
 	// Assembly reports the window cache's work (tail vs full queries,
 	// rolled buckets, series births/deaths). Nil on batch runs.
 	Assembly *core.AdvanceStats `json:"assembly,omitempty"`
-	// WarmReduce reports how many components were warm-started vs fully
-	// re-swept. Nil when warm start is off.
-	WarmReduce *core.WarmStats `json:"warm_reduce,omitempty"`
-	// GrangerCacheHits/Misses count this run's memoized vs freshly
-	// computed pair tests (zero when the cache is off).
-	GrangerCacheHits   int64 `json:"granger_cache_hits,omitempty"`
-	GrangerCacheMisses int64 `json:"granger_cache_misses,omitempty"`
 }
 
-// onlineState is the state the incremental engine carries from one
-// pipeline cycle to the next. It is guarded by Server.runMu (cycles are
-// serialized) and lives only in memory: a restarted server starts cold
-// and the first cycle rebuilds everything through the full path.
+// onlineState is what the online pipeline carries from one cycle to the
+// next. It is guarded by Server.runMu (cycles are serialized) and lives
+// only in memory: a restarted server starts cold and the first cycle
+// rebuilds the window through the full path.
 type onlineState struct {
 	// cache is the ring-buffered sliding-window dataset cache (nil
 	// unless Options.Incremental).
 	cache *core.WindowCache
-	// gcache memoizes Granger pair tests by series content (nil unless
-	// Options.Incremental); hits are bit-identical to recomputation.
-	gcache *granger.Cache
-	// warm carries clustering assignments across cycles (nil unless
-	// Options.WarmStart).
-	warm *core.WarmState
 	// cycles counts completed runs since the state was created, driving
 	// the FullRecomputeEvery cadence.
 	cycles int64
-}
-
-// reset drops all carried state so the next cycle recomputes from
-// scratch (the periodic full recompute).
-func (o *onlineState) reset() {
-	if o.cache != nil {
-		o.cache.Invalidate()
-	}
-	if o.gcache != nil {
-		o.gcache.Flush()
-	}
-	if o.warm != nil {
-		o.warm.Reset()
-	}
 }
 
 // snapshotGraph returns the current topology, or an empty graph when
@@ -161,13 +133,10 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 // publish the new artifact. Runs are serialized; readers keep seeing the
 // previous artifact until the new one is swapped in.
 //
-// With Options.Incremental the cycle carries state: dataset assembly
-// reads only the window's new tail through the ring-buffered cache,
-// Granger pair tests whose inputs did not change byte-for-byte are
-// served from the fingerprint cache (both bit-identical to a
-// from-scratch run under append-mostly ingest), and — opt-in via
-// Options.WarmStart — clustering is seeded from the previous cycle's
-// assignments, skipping the silhouette sweep while quality holds.
+// With Options.Incremental dataset assembly reads only the window's new
+// tail through the ring-buffered cache (bit-identical to a from-scratch
+// assembly under append-mostly ingest); reduction and dependency
+// identification are the same exact computation either way.
 func (s *Server) RunPipelineOnce(ctx context.Context) (*RunInfo, error) {
 	sp := s.tel.opCycle.Start()
 	info, err := s.runPipelineOnce(ctx, &sp)
@@ -200,13 +169,12 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	}
 
 	info := RunInfo{Incremental: s.opts.Incremental}
-	carriesState := s.online.cache != nil || s.online.gcache != nil || s.online.warm != nil
-	if carriesState && s.opts.FullRecomputeEvery > 0 && s.online.cycles > 0 &&
+	if s.online.cache != nil && s.opts.FullRecomputeEvery > 0 && s.online.cycles > 0 &&
 		s.online.cycles%int64(s.opts.FullRecomputeEvery) == 0 {
-		// Periodic self-heal: drop every cache so this cycle recomputes
-		// from scratch (repairs drift from late-arriving writes behind
-		// the cached frontier, and re-sweeps every component).
-		s.online.reset()
+		// Periodic self-heal: invalidate the window cache so this cycle
+		// reassembles the window from the store (repairs drift from
+		// late-arriving writes behind the cached frontier).
+		s.online.cache.Invalidate()
 		info.ForcedFullRecompute = true
 	}
 
@@ -236,36 +204,14 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	ds.CallGraph = s.snapshotGraph()
 
 	stage = time.Now()
-	var red core.Reduction
-	if s.online.warm != nil {
-		var wst core.WarmStats
-		red, wst, err = core.ReduceWarmContext(ctx, ds, *s.opts.Reduce, core.WarmOptions{
-			ResweepEvery:        s.opts.WarmResweepEvery,
-			SilhouetteTolerance: s.opts.WarmSilhouetteTolerance,
-		}, s.online.warm)
-		info.WarmReduce = &wst
-		s.warmComponents.Add(int64(wst.WarmComponents))
-		s.sweptComponents.Add(int64(wst.SweptComponents))
-	} else {
-		red, err = core.ReduceContext(ctx, ds, *s.opts.Reduce)
-	}
+	red, err := core.ReduceContext(ctx, ds, *s.opts.Reduce)
 	info.Stages.Reduce = time.Since(stage)
 	if err != nil {
 		return nil, s.recordErr(fmt.Errorf("reduce: %w", err))
 	}
 
 	stage = time.Now()
-	var graph *core.DependencyGraph
-	if s.online.gcache != nil {
-		h0, m0, _ := s.online.gcache.Stats()
-		graph, err = core.IdentifyDependenciesCached(ctx, ds, red, s.opts.Deps, s.online.gcache)
-		h1, m1, _ := s.online.gcache.Stats()
-		info.GrangerCacheHits, info.GrangerCacheMisses = int64(h1-h0), int64(m1-m0)
-		s.grangerHits.Add(info.GrangerCacheHits)
-		s.grangerMisses.Add(info.GrangerCacheMisses)
-	} else {
-		graph, err = core.IdentifyDependenciesContext(ctx, ds, red, s.opts.Deps)
-	}
+	graph, err := core.IdentifyDependenciesContext(ctx, ds, red, s.opts.Deps)
 	info.Stages.Deps = time.Since(stage)
 	if err != nil {
 		return nil, s.recordErr(fmt.Errorf("identify dependencies: %w", err))
@@ -298,8 +244,7 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	if info.ForcedFullRecompute {
 		s.tel.forcedRecomputes.Inc()
 	}
-	s.tel.grangerHits.Add(uint64(info.GrangerCacheHits))
-	s.tel.grangerMisses.Add(uint64(info.GrangerCacheMisses))
+	s.tel.grangerTests.Add(uint64(graph.Tested))
 	sp.Stage("assemble", info.Stages.Assemble)
 	sp.Stage("reduce", info.Stages.Reduce)
 	sp.Stage("deps", info.Stages.Deps)
@@ -314,7 +259,6 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	metric, relations := graph.MostFrequentMetric()
 
 	s.online.cycles++
-	s.runs.Add(1)
 	s.mu.Lock()
 	s.artifact = art
 	s.artifactJSON = data

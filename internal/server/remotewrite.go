@@ -164,7 +164,6 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	n, err := s.store.IngestParsed(samples, len(body), start)
 	if err != nil {
 		s.writeErrors.Add(1)
-		s.samples.Add(int64(n))
 		s.tel.remoteIngestSamples.Add(uint64(n))
 		status := http.StatusBadRequest
 		if errors.Is(err, tsdb.ErrStorage) {
@@ -175,7 +174,6 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writes.Add(1)
-	s.samples.Add(int64(n))
 	s.tel.remoteIngestSamples.Add(uint64(n))
 	if s.selfScrapeEnabled() {
 		s.advanceAppMaxTime(batchMaxT)

@@ -13,7 +13,6 @@ import (
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/core"
-	"github.com/sieve-microservices/sieve/internal/granger"
 	"github.com/sieve-microservices/sieve/internal/promremote"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
@@ -40,11 +39,6 @@ type Options struct {
 	MinWindowSamples int
 	// Parallelism sizes the analysis worker pools (0 = GOMAXPROCS).
 	Parallelism int
-	// QueryParallelism sizes the per-series fan-out of /query_range
-	// matcher queries against the sharded store (0 = GOMAXPROCS).
-	// Results are identical at any value; this only bounds how many
-	// series are read concurrently per request.
-	QueryParallelism int
 	// Reduce overrides the step-2 options; nil means the paper's
 	// defaults (core.DefaultReduceOptions, including name seeding). A
 	// non-nil value is used exactly as given.
@@ -79,50 +73,34 @@ type Options struct {
 	// 1s; sub-second values round up to the header's 1s floor).
 	RemoteWriteRetryAfter time.Duration
 
-	// ReadHeaderTimeout, ReadTimeout, and IdleTimeout configure the
-	// listener's http.Server (defaults 10s, 5m, 2m; negative disables
-	// one). Without them a single slow-headers client (slowloris) holds
-	// a connection — and eventually the whole accept queue — forever.
+	// ReadHeaderTimeout bounds how long the listener's http.Server waits
+	// for a request's headers (default 10s; negative disables it).
+	// Without it a single slow-headers client (slowloris) holds a
+	// connection — and eventually the whole accept queue — forever. The
+	// full-request read and keep-alive idle bounds are the constants
+	// readTimeout and idleTimeout.
 	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	IdleTimeout       time.Duration
 	// ShutdownTimeout bounds the graceful drain on shutdown (default
 	// 5s): past it, in-flight connections are force-closed before the
 	// store checkpoints, so a stalled writer can never race the final
 	// WAL checkpoint.
 	ShutdownTimeout time.Duration
 
-	// Incremental switches the online pipeline to the incremental
-	// engine: window ends are aligned down to the sampling grid so
-	// consecutive cycles slide by whole steps, dataset assembly keeps a
-	// ring-buffered bucket cache and queries only the window's new tail,
-	// and Granger pair tests are memoized by series content. Results are
-	// bit-identical to a from-scratch run on the same window as long as
-	// ingest is append-mostly (no writes landing behind the cached
-	// frontier); FullRecomputeEvery bounds the drift when it is not.
+	// Incremental switches the online pipeline's dataset assembly to the
+	// window cache: window ends are aligned down to the sampling grid so
+	// consecutive cycles slide by whole steps, and assembly keeps a
+	// ring-buffered bucket cache and queries only the window's new tail.
+	// Results are bit-identical to a from-scratch run on the same window
+	// as long as ingest is append-mostly (no writes landing behind the
+	// cached frontier); FullRecomputeEvery bounds the drift when it is
+	// not.
 	Incremental bool
-	// FullRecomputeEvery, with Incremental, drops all carried state
-	// every N cycles so the pipeline recomputes from scratch — the
-	// self-heal against late-arriving writes the tail queries missed.
-	// 0 never forces a recompute.
+	// FullRecomputeEvery, with Incremental, invalidates the window cache
+	// every N cycles so that cycle reassembles the window from the store
+	// — the self-heal against late-arriving writes the tail queries
+	// missed. The window cache is the only state a cycle carries, so
+	// that is all it resets. 0 never forces a recompute.
 	FullRecomputeEvery int
-	// WarmStart seeds each component's clustering from the previous
-	// cycle's assignments at the previously chosen k, skipping the
-	// silhouette sweep while quality holds (re-sweeping every
-	// WarmResweepEvery cycles, or when the warm silhouette drops more
-	// than WarmSilhouetteTolerance below the last full sweep's score).
-	// Opt-in: warm results may differ from a from-scratch reduction.
-	WarmStart bool
-	// WarmResweepEvery is the forced full-sweep cadence in cycles
-	// (0 = core.DefaultWarmResweepEvery, negative = never on cadence
-	// alone — degradation and metric-set changes still re-sweep). Only
-	// meaningful with WarmStart.
-	WarmResweepEvery int
-	// WarmSilhouetteTolerance is the allowed warm-cycle silhouette drop
-	// before a re-sweep (0 = core.DefaultWarmSilhouetteTolerance,
-	// negative = any degradation re-sweeps). Only meaningful with
-	// WarmStart.
-	WarmSilhouetteTolerance float64
 
 	// DataDir, when non-empty, makes the store durable: every write is
 	// appended to a per-shard CRC-checked WAL under DataDir before it is
@@ -213,12 +191,6 @@ func (o Options) withDefaults() Options {
 	if o.ReadHeaderTimeout == 0 {
 		o.ReadHeaderTimeout = 10 * time.Second
 	}
-	if o.ReadTimeout == 0 {
-		o.ReadTimeout = 5 * time.Minute
-	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 2 * time.Minute
-	}
 	if o.ShutdownTimeout <= 0 {
 		o.ShutdownTimeout = 5 * time.Second
 	}
@@ -274,9 +246,10 @@ type Server struct {
 	lastNoDataNS  atomic.Int64
 
 	// Ingest counters (atomics: the write path must not serialize).
+	// Accepted samples have no counter here: /stats sums the registry's
+	// two ingest-sample counters.
 	writes      atomic.Int64
 	writeErrors atomic.Int64
-	samples     atomic.Int64
 
 	// mu guards the published artifact and the topology.
 	mu           sync.RWMutex
@@ -289,20 +262,15 @@ type Server struct {
 	runFailing   bool // drives once-per-state-change pipeline logging
 
 	// runMu serializes pipeline runs (driver tick vs POST /run) and
-	// guards the incremental engine's carried state.
+	// guards the state carried across cycles.
 	runMu      sync.Mutex
 	online     onlineState
 	generation atomic.Int64
-	runs       atomic.Int64
 
-	// Cumulative incremental-engine counters for /stats (atomics: read
-	// by handlers while a run is in flight).
-	fullRebuilds    atomic.Int64
-	tailQueries     atomic.Int64
-	grangerHits     atomic.Int64
-	grangerMisses   atomic.Int64
-	warmComponents  atomic.Int64
-	sweptComponents atomic.Int64
+	// Cumulative window-cache counters for /stats (atomics: read by
+	// handlers while a run is in flight).
+	fullRebuilds atomic.Int64
+	tailQueries  atomic.Int64
 
 	// rwScratch recycles the remote-write request scratch (body and
 	// decompress buffers, decoded WriteRequest, mapped samples) across
@@ -372,15 +340,11 @@ func New(opts Options) (*Server, error) {
 	} else {
 		s.analysis = store
 	}
-	// The incremental engine's carried state. It lives only in memory:
-	// after a restart the caches start cold and the first cycle goes
-	// through the full-rebuild path against the recovered store.
+	// The window cache lives only in memory: after a restart it starts
+	// cold and the first cycle goes through the full-rebuild path against
+	// the recovered store.
 	if opts.Incremental {
 		s.online.cache = core.NewWindowCache(opts.AppName, opts.StepMS)
-		s.online.gcache = granger.NewCache()
-	}
-	if opts.WarmStart {
-		s.online.warm = core.NewWarmState()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /write", s.handleWrite)
@@ -495,7 +459,6 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		// a full disk must not read as "malformed payload" to a client
 		// that drops 4xx as permanent.
 		s.writeErrors.Add(1)
-		s.samples.Add(int64(n))
 		s.tel.ingestSamples.Add(uint64(n))
 		status := http.StatusBadRequest
 		if errors.Is(err, tsdb.ErrStorage) {
@@ -506,7 +469,6 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writes.Add(1)
-	s.samples.Add(int64(n))
 	s.tel.ingestSamples.Add(uint64(n))
 	if s.selfScrapeEnabled() {
 		s.advanceAppMaxTime(batchMaxT)
@@ -618,7 +580,6 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	sp.Field("component", q.Component)
 	sp.Field("metric", q.Metric)
 	sp.Field("agg", q.Agg.String())
-	q.Parallelism = s.opts.QueryParallelism
 	results, err := s.store.QueryRange(r.Context(), q)
 	sp.FieldInt("results", int64(len(results)))
 	if err != nil {
@@ -685,20 +646,14 @@ type StatsResponse struct {
 	PipelineRuns int64  `json:"pipeline_runs"`
 	LastError    string `json:"last_error,omitempty"`
 
-	// Incremental-engine health: cumulative counts since boot of full
-	// window rebuilds vs tail-only advances, memoized vs recomputed
-	// Granger pair tests, and warm-started vs fully re-swept component
-	// reductions. LastRun carries the most recent run's per-stage
-	// elapsed breakdown so cycle-time regressions are attributable.
-	Incremental        bool     `json:"incremental,omitempty"`
-	WarmStart          bool     `json:"warm_start,omitempty"`
-	FullRebuilds       int64    `json:"full_rebuilds,omitempty"`
-	TailQueries        int64    `json:"tail_queries,omitempty"`
-	GrangerCacheHits   int64    `json:"granger_cache_hits,omitempty"`
-	GrangerCacheMisses int64    `json:"granger_cache_misses,omitempty"`
-	WarmComponents     int64    `json:"warm_components,omitempty"`
-	SweptComponents    int64    `json:"swept_components,omitempty"`
-	LastRun            *RunInfo `json:"last_run,omitempty"`
+	// Window-cache health: cumulative counts since boot of full window
+	// rebuilds and tail-only store queries. LastRun carries the most
+	// recent run's per-stage elapsed breakdown so cycle-time regressions
+	// are attributable.
+	Incremental  bool     `json:"incremental,omitempty"`
+	FullRebuilds int64    `json:"full_rebuilds,omitempty"`
+	TailQueries  int64    `json:"tail_queries,omitempty"`
+	LastRun      *RunInfo `json:"last_run,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -729,18 +684,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LastCheckpointError: st.LastCheckpointError,
 		Writes:              s.writes.Load(),
 		WriteErrors:         s.writeErrors.Load(),
-		Samples:             s.samples.Load(),
+		Samples:             int64(s.tel.ingestSamples.Value() + s.tel.remoteIngestSamples.Value()),
 		Generation:          s.generation.Load(),
-		PipelineRuns:        s.runs.Load(),
+		PipelineRuns:        int64(s.tel.pipelineRuns.Value()),
 		LastError:           lastErr,
 		Incremental:         s.opts.Incremental,
-		WarmStart:           s.opts.WarmStart,
 		FullRebuilds:        s.fullRebuilds.Load(),
 		TailQueries:         s.tailQueries.Load(),
-		GrangerCacheHits:    s.grangerHits.Load(),
-		GrangerCacheMisses:  s.grangerMisses.Load(),
-		WarmComponents:      s.warmComponents.Load(),
-		SweptComponents:     s.sweptComponents.Load(),
 		LastRun:             lastRun,
 	})
 }

@@ -322,12 +322,10 @@ type Server = server.Server
 // policy ("always", "interval", "never"), CompactInterval/
 // CompactMaxBlockBytes control the background block compactor, and
 // Downsample adds 5m/1h summaries for coarse-step aggregated queries
-// over long retention — and the incremental online
-// engine: Incremental carries window-cache + Granger-cache state across
-// pipeline cycles (tail-only store reads, bit-identical results),
-// WarmStart seeds clustering from the previous cycle and skips the
-// silhouette sweep while quality holds, FullRecomputeEvery periodically
-// drops all carried state as a self-heal.
+// over long retention — and incremental window assembly: Incremental
+// carries the window cache across pipeline cycles (tail-only store
+// reads, bit-identical results), FullRecomputeEvery periodically
+// invalidates it as a self-heal.
 type ServerOptions = server.Options
 
 // ServerClient speaks the sieved HTTP API. It implements the store's
