@@ -10,7 +10,7 @@
 //	       [-data-dir DIR] [-retention 24h] [-fsync interval]
 //	       [-flush-interval 60s] [-compact-interval 5m]
 //	       [-compact-max-block 64MiB] [-downsample]
-//	       [-incremental] [-full-recompute-every N] [-pprof-addr :6060]
+//	       [-incremental] [-pprof-addr :6060]
 //	       [-self-scrape-interval 15s] [-slow-op-threshold 1s]
 //	       [-remote-write-component-label job] [-remote-write-max-bytes N]
 //	       [-remote-write-max-samples N] [-log-level info]
@@ -44,10 +44,10 @@
 // With -incremental the online pipeline carries its window across
 // cycles: each run queries only the window's new tail and rolls a
 // ring-buffered bucket cache forward — bit-identical to reassembling
-// the window, as long as writes do not land behind the already-analyzed
-// frontier (-full-recompute-every N invalidates the cache every N cycles
-// to self-heal from such late data). Reduction and dependency
-// identification are recomputed exactly every cycle either way.
+// the window: the store reports a write that lands behind the cached
+// end, and the next cycle then reassembles the window from the store.
+// Reduction and dependency identification are recomputed exactly every
+// cycle either way.
 //
 // sieved observes itself: GET /metrics serves the Prometheus text
 // exposition of its internal telemetry (ingest, WAL, checkpoint, query,
@@ -102,12 +102,11 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 	retention := flag.Duration("retention", 0, "drop on-disk blocks older than this much ingest time (0 = keep forever)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
-	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s)")
+	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: blocks are written at shutdown only)")
 	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence (0 = default 5m, negative = disabled)")
 	compactMaxBlock := flag.Int64("compact-max-block", 0, "merged-block chunk-byte cap (0 = default 64 MiB)")
 	downsample := flag.Bool("downsample", false, "build 5m/1h downsampled summaries on compacted blocks for coarse-step queries")
 	incremental := flag.Bool("incremental", false, "carry the analysis window across cycles: tail-only store queries into a ring-buffered window cache")
-	fullRecomputeEvery := flag.Int("full-recompute-every", 0, "with -incremental, invalidate the window cache and reassemble the window from the store every N cycles (0 = never)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	selfScrapeInterval := flag.Duration("self-scrape-interval", 0, "write own telemetry into the store under the reserved \"sieve\" component every interval (0 = disabled)")
 	slowOpThreshold := flag.Duration("slow-op-threshold", 0, "retain requests and pipeline cycles slower than this in /debug/traces (0 = default 1s, negative = disabled)")
@@ -139,7 +138,6 @@ func main() {
 		CompactMaxBlockBytes: *compactMaxBlock,
 		Downsample:           *downsample,
 		Incremental:          *incremental,
-		FullRecomputeEvery:   *fullRecomputeEvery,
 		SelfScrapeInterval:   *selfScrapeInterval,
 		SlowOpThreshold:      *slowOpThreshold,
 

@@ -22,7 +22,6 @@ var sievedFlags = []string{
 	"downsample",
 	"flush-interval",
 	"fsync",
-	"full-recompute-every",
 	"incremental",
 	"interval",
 	"log-level",
@@ -42,6 +41,7 @@ var sievedFlags = []string{
 // removedFlags were deleted with the code or the option they selected;
 // the binary must refuse them rather than silently ignore them.
 var removedFlags = []string{
+	"full-recompute-every",
 	"warm-start",
 	"warm-resweep-every",
 	"warm-silhouette-tolerance",

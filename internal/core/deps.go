@@ -175,7 +175,7 @@ func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction
 	// One Granger scratch per pool worker: tasks index by worker id, so
 	// buffer reuse is race-free without any locking or sync.Pool.
 	scratches := make([]granger.Scratch, parallel.Workers(opts.Parallelism))
-	err := runTasksWorker(ctx, opts.Parallelism, len(pairs), func(ctx context.Context, worker, i int) error {
+	err := parallel.ForEachWorker(ctx, opts.Parallelism, len(pairs), func(ctx context.Context, worker, i int) error {
 		scratch := &scratches[worker]
 		a, b := pairs[i][0], pairs[i][1]
 		ra, rb := red[a], red[b]

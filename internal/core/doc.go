@@ -9,10 +9,10 @@
 // dependency graph — that the autoscaling and RCA engines consume and
 // that marshal.go serializes for offline comparison.
 //
-// The Context variants of every stage (executor.go) add cancellation
-// and a deterministic worker pool sized by the Parallelism options:
-// Reduce fans out per component, IdentifyDependencies per communicating
-// pair, and results are bit-identical at any worker count.
+// The Context variants of every stage add cancellation and a
+// deterministic worker pool (internal/parallel) sized by the Parallelism
+// options: Reduce fans out per component, IdentifyDependencies per
+// communicating pair, and results are bit-identical at any worker count.
 //
 // Batch mode drives all three steps from a simulated load session
 // (Run); online mode skips step 1 and assembles the Dataset from a

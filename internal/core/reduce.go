@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/sieve-microservices/sieve/internal/kshape"
+	"github.com/sieve-microservices/sieve/internal/parallel"
 	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
 
@@ -137,9 +138,13 @@ func Reduce(ds *Dataset, opts ReduceOptions) (Reduction, error) {
 }
 
 // ReduceContext is Reduce with cancellation and a worker pool: one task
-// per component, fanned out to opts.Parallelism workers. Clustering seeds
-// stay per-component, so the reduction is bit-identical to the
-// sequential path at any worker count.
+// per component, fanned out to opts.Parallelism workers.
+//
+// Determinism contract, here and in IdentifyDependenciesContext: a task
+// only writes to its own index's slot, the caller merges slots in index
+// order, and any per-task randomness is seeded from stable inputs
+// (component name, candidate k). The merged output is therefore
+// bit-identical to the sequential path at any worker count.
 func ReduceContext(ctx context.Context, ds *Dataset, opts ReduceOptions) (Reduction, error) {
 	opts = opts.withDefaults()
 	components := ds.Components()
@@ -159,7 +164,7 @@ func ReduceContext(ctx context.Context, ds *Dataset, opts ReduceOptions) (Reduct
 	sort.SliceStable(order, func(a, b int) bool {
 		return len(ds.Series[components[order[a]]]) > len(ds.Series[components[order[b]]])
 	})
-	err := runTasks(ctx, opts.Parallelism, len(components), func(ctx context.Context, task int) error {
+	err := parallel.ForEach(ctx, opts.Parallelism, len(components), func(ctx context.Context, task int) error {
 		i := order[task]
 		cr, err := reduceComponent(ctx, ds, components[i], sweepOpts)
 		if err != nil {
@@ -176,6 +181,22 @@ func ReduceContext(ctx context.Context, ds *Dataset, opts ReduceOptions) (Reduct
 		out[component] = crs[i]
 	}
 	return out, nil
+}
+
+// innerBudget sizes a pool nested inside an outer fan-out of outerTasks
+// tasks (Reduce's per-component silhouette sweeps). When the outer stage
+// already fills the budget, nested pools run sequentially — without this
+// a 16-way Reduce would spawn 16 sweeps of up to 16 workers each,
+// oversubscribing CPU-bound goroutines ~outerTasks-fold. With fewer
+// outer tasks than workers, the leftover budget is split evenly
+// (ceiling) so small topologies still use the whole machine. Worker
+// counts never affect results, only scheduling.
+func innerBudget(parallelism, outerTasks int) int {
+	w := parallel.Workers(parallelism)
+	if outerTasks <= 0 || outerTasks >= w {
+		return 1
+	}
+	return (w + outerTasks - 1) / outerTasks
 }
 
 func reduceComponent(ctx context.Context, ds *Dataset, component string, opts ReduceOptions) (*ComponentReduction, error) {

@@ -18,14 +18,13 @@ import (
 //
 // Equivalence contract: the Dataset returned by Advance is bit-identical
 // to DatasetFromDB over the same window, provided no point inside the
-// already-cached region was written after that region was queried
-// (append-mostly ingest). Each bucket's sum accumulates its points in
-// store order across tail scans — the same order a single full-window
-// scan would deliver them — and the gap fill runs from scratch on the
-// assembled buckets every cycle, so sliding the window cannot perturb a
-// single bit relative to batch assembly. Late writes that land behind the
-// cached frontier are invisible until Invalidate (or the server's
-// -full-recompute-every) forces a full rebuild.
+// already-cached region was written after that region was scanned. Each
+// bucket's sum accumulates its points in store order across tail scans —
+// the same order a single full-window scan would deliver them — and the
+// gap fill runs from scratch on the assembled buckets every cycle, so
+// sliding the window cannot perturb a single bit relative to batch
+// assembly. The cache cannot see a write behind its end; its owner can
+// (tsdb.Sharded.TakeLowWater) and calls Invalidate when one landed.
 //
 // Incremental reuse requires the new window to stay on the cached grid:
 // same step, same width, and a forward slide by a whole number of steps.
@@ -83,7 +82,8 @@ func NewWindowCache(appName string, stepMS int64) *WindowCache {
 }
 
 // Invalidate drops all cached state, forcing the next Advance down the
-// full-rebuild path (used on restart and by the periodic full recompute).
+// full-rebuild path (the online driver calls it when a write landed
+// behind the cached end).
 func (c *WindowCache) Invalidate() {
 	c.valid = false
 	c.series = nil
@@ -91,8 +91,8 @@ func (c *WindowCache) Invalidate() {
 
 // Advance slides the cache to the window [start, end) and returns the
 // assembled Dataset (without a call graph), bit-identical to
-// DatasetFromDB(db, ...) over the same window under the append-mostly
-// contract documented on WindowCache.
+// DatasetFromDB(db, ...) over the same window under the contract
+// documented on WindowCache.
 func (c *WindowCache) Advance(db tsdb.ReadStore, start, end int64) (*Dataset, AdvanceStats, error) {
 	var st AdvanceStats
 	if c.stepMS <= 0 {
@@ -172,8 +172,7 @@ func (c *WindowCache) rollable(start, end int64) string {
 // written only by series i's (single) visiting goroutine, so the lazy
 // creation is race-free. One series' points arrive in the same canonical
 // storage order a raw query stably sorts, so the assembled buckets are
-// bit-identical to DatasetFromDB's under the cache's append-mostly
-// contract.
+// bit-identical to DatasetFromDB's.
 func (c *WindowCache) rebuild(db tsdb.ReadStore, start, end int64) (*Dataset, error) {
 	c.valid = false
 	c.start, c.end = start, end

@@ -166,13 +166,15 @@ func TestWindowCacheQueryCounts(t *testing.T) {
 }
 
 // TestWindowCacheLateWriteRepairedByInvalidate documents the engine's
-// one blind spot and its remedy: a write landing behind the cached
-// frontier is invisible to tail queries, and a forced full rebuild (the
-// -full-recompute-every self-heal) restores batch equality.
+// one blind spot and its remedy: a write landing behind the cached end
+// is invisible to tail queries — the cache alone cannot see it — and the
+// store's low-water mark, taken before each Advance as the online driver
+// does, tells the owner to Invalidate, which restores batch equality.
 func TestWindowCacheLateWriteRepairedByInvalidate(t *testing.T) {
 	db := tsdb.NewSharded(1)
 	writeWindowFixture(t, db, 0, 22000)
 	cache := NewWindowCache("test", 500)
+	db.TakeLowWater()
 	if _, _, err := cache.Advance(db, 0, 20000); err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +196,9 @@ func TestWindowCacheLateWriteRepairedByInvalidate(t *testing.T) {
 		t.Fatal("late write should be invisible to the incremental path (the documented blind spot); equal values mean this test lost its subject")
 	}
 
+	if _, cachedEnd := cache.Window(); db.TakeLowWater() >= cachedEnd {
+		t.Fatal("the store's low-water mark did not report the write behind the cached end")
+	}
 	cache.Invalidate()
 	ds, st, err := cache.Advance(db, 2000, 22000)
 	if err != nil {

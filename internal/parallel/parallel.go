@@ -2,9 +2,10 @@
 // behind the pipeline's concurrent stages. Tasks are addressed by index,
 // so callers write results into pre-sized slices and merge them in task
 // order afterwards — the output is bit-identical to a sequential loop at
-// any worker count. The package is separate from internal/core (which
-// hosts the pipeline-facing executor) so that internal/kshape, which core
-// imports, can fan out its silhouette sweep through the same pool.
+// any worker count. The package is separate from internal/core (whose
+// Reduce and IdentifyDependencies stages fan out through it) so that
+// internal/kshape, which core imports, can fan out its silhouette sweep
+// through the same pool.
 package parallel
 
 import (

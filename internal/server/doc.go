@@ -32,13 +32,14 @@
 // # Incremental execution
 //
 // With Options.Incremental the online driver carries the analysis
-// window across cycles (onlineState in online.go): dataset assembly
-// rolls a ring-buffered window cache forward with one tail-only store
-// query — bit-identical to a from-scratch assembly under append-mostly
-// ingest, with Options.FullRecomputeEvery invalidating the cache as the
-// periodic self-heal. Reduce and Granger run the same exact computation
-// every cycle, whichever way the window was assembled. RunInfo and
-// /stats break every cycle down per stage and report the cache's
-// rebuild and tail-query counts. The cache is memory-only: a restarted
-// server rebuilds it through the full path on its first cycle.
+// window across cycles (Server.cache, driven from online.go): dataset
+// assembly rolls a ring-buffered window cache forward with one
+// tail-only store query — bit-identical to a from-scratch assembly,
+// because the driver asks the store before every cycle whether a write
+// landed behind the cached end and reassembles the window when one did
+// (rebuild_reason "late write"). Reduce and Granger run the same exact
+// computation every cycle, whichever way the window was assembled.
+// RunInfo and /stats break every cycle down per stage and report the
+// cache's rebuild and tail-query counts. The cache is memory-only: a
+// restarted server rebuilds it through the full path on its first cycle.
 package server

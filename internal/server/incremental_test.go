@@ -179,44 +179,104 @@ func TestIncrementalRerunWithoutNewData(t *testing.T) {
 	}
 }
 
-// TestIncrementalForcedFullRecompute: the FullRecomputeEvery cadence
-// invalidates the window cache — the cycle full-rebuilds, says why — and
-// still lands on the same bytes as the reference.
-func TestIncrementalForcedFullRecompute(t *testing.T) {
-	const seed, chunkTicks = 17, 60
-	opts := incrementalOptions(2)
-	opts.FullRecomputeEvery = 2
-	s, _, c := newTestServer(t, opts)
-	a, err := app.New(chainSpec(), seed)
-	if err != nil {
-		t.Fatal(err)
+// TestIncrementalLateWrite: a sample written behind the cached end —
+// through either HTTP protocol or straight into the store — makes the
+// next cycle reassemble the window from the store and say why, so its
+// artifact equals a from-scratch run over the same writes; the cycle
+// after rides the rebuilt rings again.
+func TestIncrementalLateWrite(t *testing.T) {
+	const seed = 17
+	cuts := []int{60, 80, 100, 120}
+	pattern := loadgen.Random(9, cuts[len(cuts)-1], 100, 1500)
+	routes := map[string]func(*Server, *Client, tsdb.Sample) error{
+		"write": func(_ *Server, c *Client, late tsdb.Sample) error {
+			_, err := c.Write(tsdb.EncodeLineProtocol([]tsdb.Sample{late}))
+			return err
+		},
+		"remote write": func(_ *Server, c *Client, late tsdb.Sample) error {
+			_, err := c.WriteRemote([]tsdb.Sample{late})
+			return err
+		},
+		"store": func(s *Server, _ *Client, late tsdb.Sample) error {
+			return s.Store().WriteSamples([]tsdb.Sample{late}, 0)
+		},
 	}
-	pattern := loadgen.Random(9, chunkTicks*3, 100, 1500)
-	var infos []*RunInfo
-	for cycle := 0; cycle < 3; cycle++ {
-		driveChunk(t, a, c, pattern[cycle*chunkTicks:(cycle+1)*chunkTicks])
-		info, err := s.RunPipelineOnce(context.Background())
+	// Where the late sample lands, given the cached window's end.
+	places := map[string]func(cachedEnd int64) tsdb.Sample{
+		"cached series": func(cachedEnd int64) tsdb.Sample {
+			return tsdb.Sample{Component: "api", Metric: "api_rate", T: cachedEnd - 5000, V: 1e6}
+		},
+		"born series": func(cachedEnd int64) tsdb.Sample {
+			return tsdb.Sample{Component: "api", Metric: "born_late", T: cachedEnd - 5000, V: 3}
+		},
+		// Outside every window: a rebuild is conservative, equality is
+		// what matters.
+		"before the window": func(int64) tsdb.Sample {
+			return tsdb.Sample{Component: "api", Metric: "api_rate", T: 1000, V: 1e6}
+		},
+	}
+	// reference is a cold server fed the same writes in the same order.
+	reference := func(t *testing.T, late tsdb.Sample) []byte {
+		ref, _, c := newTestServer(t, incrementalOptions(1))
+		a, err := app.New(chainSpec(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		infos = append(infos, info)
+		driveChunk(t, a, c, pattern[:cuts[1]])
+		if err := ref.Store().WriteSamples([]tsdb.Sample{late}, 0); err != nil {
+			t.Fatal(err)
+		}
+		driveChunk(t, a, c, pattern[cuts[1]:cuts[2]])
+		if _, err := ref.RunPipelineOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return marshaledArtifact(t, ref)
 	}
-	if infos[0].ForcedFullRecompute || infos[1].ForcedFullRecompute {
-		t.Fatalf("cadence fired early: %+v %+v", infos[0], infos[1])
-	}
-	if !infos[2].ForcedFullRecompute || !infos[2].Assembly.FullRebuild {
-		t.Fatalf("cycle 2 should force a full recompute: %+v", infos[2])
-	}
-	if got := infos[0].Assembly.RebuildReason; got != "first cycle" {
-		t.Fatalf("cycle 0 rebuild reason %q, want \"first cycle\"", got)
-	}
-	if got := infos[2].Assembly.RebuildReason; got != "invalidated" {
-		t.Fatalf("forced recompute rebuild reason %q, want \"invalidated\"", got)
-	}
-	got := marshaledArtifact(t, s)
-	want, _ := referenceArtifact(t, incrementalOptions(1), pattern, seed)
-	if !bytes.Equal(got, want) {
-		t.Fatal("forced full recompute diverged from reference")
+
+	for _, shards := range []int{1, 4} {
+		for route, write := range routes {
+			for place, at := range places {
+				t.Run(fmt.Sprintf("shards=%d/%s/%s", shards, route, place), func(t *testing.T) {
+					s, _, c := newTestServer(t, incrementalOptions(shards))
+					a, err := app.New(chainSpec(), seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var late tsdb.Sample
+					prev := 0
+					for cycle, cut := range cuts {
+						driveChunk(t, a, c, pattern[prev:cut])
+						prev = cut
+						info, err := s.RunPipelineOnce(context.Background())
+						if err != nil {
+							t.Fatalf("cycle %d: %v", cycle, err)
+						}
+						asm := info.Assembly
+						switch cycle {
+						case 1:
+							if asm.FullRebuild || asm.TailQueries != 1 {
+								t.Fatalf("in-order cycle should be one tail query: %+v", asm)
+							}
+							late = at(info.End)
+							if err := write(s, c, late); err != nil {
+								t.Fatal(err)
+							}
+						case 2:
+							if !bytes.Equal(marshaledArtifact(t, s), reference(t, late)) {
+								t.Fatal("cycle after a late write diverged from a from-scratch run over the same writes")
+							}
+							if place != "before the window" && (!asm.FullRebuild || asm.RebuildReason != "late write") {
+								t.Fatalf("cycle after a late write should rebuild and say why: %+v", asm)
+							}
+						case 3:
+							if asm.FullRebuild || asm.TailQueries != 1 {
+								t.Fatalf("cycle after the repair should be one tail query again: %+v", asm)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -318,12 +378,11 @@ func TestIncrementalCancelledRunIsNotFailure(t *testing.T) {
 }
 
 // TestOnlineStateRacesIngestAndReaders exercises the state carried
-// across cycles against concurrent ingest, /artifact readers,
-// and /stats polls (run under -race in CI).
+// across cycles — and the low-water mark that invalidates it — against
+// concurrent in-order ingest, late writes, /artifact readers and /stats
+// polls (run under -race in CI).
 func TestOnlineStateRacesIngestAndReaders(t *testing.T) {
-	opts := incrementalOptions(4)
-	opts.FullRecomputeEvery = 3
-	s, hs, c := newTestServer(t, opts)
+	s, hs, c := newTestServer(t, incrementalOptions(4))
 	a, err := app.New(chainSpec(), 31)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +392,15 @@ func TestOnlineStateRacesIngestAndReaders(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(4)
+	go func() { // late writes racing the take and the scans
+		defer wg.Done()
+		for ctx.Err() == nil {
+			if _, err := c.WriteSamples([]tsdb.Sample{{Component: "api", Metric: "api_rate", T: 20000, V: 1}}); err != nil {
+				return
+			}
+		}
+	}()
 	go func() { // ingest racing the pipeline
 		defer wg.Done()
 		coll, err := metrics.NewCollector(c, a.Registries()...)

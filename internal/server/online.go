@@ -32,13 +32,6 @@ type StageTimings struct {
 	Marshal time.Duration `json:"marshal_ns"`
 }
 
-// String renders the breakdown for the state-change log line.
-func (t StageTimings) String() string {
-	return fmt.Sprintf("assemble %s, reduce %s, deps %s, marshal %s",
-		t.Assemble.Round(time.Microsecond), t.Reduce.Round(time.Microsecond),
-		t.Deps.Round(time.Microsecond), t.Marshal.Round(time.Microsecond))
-}
-
 // RunInfo summarizes one completed pipeline run (also the POST /run
 // response body).
 type RunInfo struct {
@@ -60,25 +53,9 @@ type RunInfo struct {
 	// Incremental reports whether the run assembled its dataset through
 	// the window cache.
 	Incremental bool `json:"incremental,omitempty"`
-	// ForcedFullRecompute is true when this cycle hit the
-	// FullRecomputeEvery cadence and invalidated the window cache first.
-	ForcedFullRecompute bool `json:"forced_full_recompute,omitempty"`
 	// Assembly reports the window cache's work (tail vs full queries,
 	// rolled buckets, series births/deaths). Nil on batch runs.
 	Assembly *core.AdvanceStats `json:"assembly,omitempty"`
-}
-
-// onlineState is what the online pipeline carries from one cycle to the
-// next. It is guarded by Server.runMu (cycles are serialized) and lives
-// only in memory: a restarted server starts cold and the first cycle
-// rebuilds the window through the full path.
-type onlineState struct {
-	// cache is the ring-buffered sliding-window dataset cache (nil
-	// unless Options.Incremental).
-	cache *core.WindowCache
-	// cycles counts completed runs since the state was created, driving
-	// the FullRecomputeEvery cadence.
-	cycles int64
 }
 
 // snapshotGraph returns the current topology, or an empty graph when
@@ -135,8 +112,9 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 //
 // With Options.Incremental dataset assembly reads only the window's new
 // tail through the ring-buffered cache (bit-identical to a from-scratch
-// assembly under append-mostly ingest); reduction and dependency
-// identification are the same exact computation either way.
+// assembly; a write behind the cached end makes the cycle reassemble);
+// reduction and dependency identification are the same exact computation
+// either way.
 func (s *Server) RunPipelineOnce(ctx context.Context) (*RunInfo, error) {
 	sp := s.tel.opCycle.Start()
 	info, err := s.runPipelineOnce(ctx, &sp)
@@ -169,25 +147,29 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	}
 
 	info := RunInfo{Incremental: s.opts.Incremental}
-	if s.online.cache != nil && s.opts.FullRecomputeEvery > 0 && s.online.cycles > 0 &&
-		s.online.cycles%int64(s.opts.FullRecomputeEvery) == 0 {
-		// Periodic self-heal: invalidate the window cache so this cycle
-		// reassembles the window from the store (repairs drift from
-		// late-arriving writes behind the cached frontier).
-		s.online.cache.Invalidate()
-		info.ForcedFullRecompute = true
-	}
-
 	stage := time.Now()
 	var ds *core.Dataset
-	if s.online.cache != nil {
+	if s.cache != nil {
+		// A write below the cached end is in no ring and in no later tail
+		// scan: reassemble from the store. Take before scan — insert and
+		// mark share a shard lock hold, so a write this take misses is one
+		// the next take reports, and one it catches is one this scan reads.
+		_, cachedEnd := s.cache.Window()
+		lateWrite := s.store.TakeLowWater() < cachedEnd
+		if lateWrite {
+			s.cache.Invalidate()
+			s.tel.lateWriteInvalidations.Inc()
+		}
 		var ast core.AdvanceStats
-		ds, ast, err = s.online.cache.Advance(s.analysis, lo, end)
+		ds, ast, err = s.cache.Advance(s.analysis, lo, end)
+		if lateWrite {
+			ast.RebuildReason = "late write"
+		}
 		info.Assembly = &ast
 		if ast.FullRebuild {
-			s.fullRebuilds.Add(1)
+			s.tel.fullRebuilds.Inc()
 		}
-		s.tailQueries.Add(int64(ast.TailQueries))
+		s.tel.tailQueries.Add(uint64(ast.TailQueries))
 	} else {
 		ds, err = core.DatasetFromDB(s.analysis, s.opts.AppName, s.opts.StepMS, lo, end)
 	}
@@ -241,9 +223,6 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	s.tel.depsSeconds.Observe(info.Stages.Deps.Seconds())
 	s.tel.marshalSeconds.Observe(info.Stages.Marshal.Seconds())
 	s.tel.pipelineRuns.Inc()
-	if info.ForcedFullRecompute {
-		s.tel.forcedRecomputes.Inc()
-	}
 	s.tel.grangerTests.Add(uint64(graph.Tested))
 	sp.Stage("assemble", info.Stages.Assemble)
 	sp.Stage("reduce", info.Stages.Reduce)
@@ -258,7 +237,6 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	// compute it once here instead of on every /artifact poll.
 	metric, relations := graph.MostFrequentMetric()
 
-	s.online.cycles++
 	s.mu.Lock()
 	s.artifact = art
 	s.artifactJSON = data

@@ -40,8 +40,12 @@ import (
 func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sp := s.tel.opRemoteWrite.Start()
+	stored := false
 	defer func() {
 		s.tel.remoteWriteSeconds.ObserveSince(start)
+		if !stored {
+			s.tel.failedWrites.Inc()
+		}
 		sp.End()
 	}()
 	sc, _ := s.rwScratch.Get().(*remoteWriteScratch)
@@ -55,12 +59,10 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	body, err := appendReadAll(sc.body[:0], io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
 	sc.body = body
 	if err != nil {
-		s.writeErrors.Add(1)
 		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if int64(len(body)) > s.opts.MaxBodyBytes {
-		s.writeErrors.Add(1)
 		s.tel.remoteSizeRejects.Inc()
 		httpError(w, http.StatusRequestEntityTooLarge, "compressed payload exceeds %d bytes", s.opts.MaxBodyBytes)
 		return
@@ -70,13 +72,11 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	// before allocating, so a 4-byte bomb claiming 4 GiB costs nothing.
 	declen, _, err := snappy.DecodedLen(body)
 	if err != nil {
-		s.writeErrors.Add(1)
 		s.tel.remoteSnappyRejects.Inc()
 		httpError(w, http.StatusBadRequest, "snappy: undecodable preamble")
 		return
 	}
 	if int64(declen) > s.opts.RemoteWriteMaxBytes {
-		s.writeErrors.Add(1)
 		s.tel.remoteSizeRejects.Inc()
 		httpError(w, http.StatusRequestEntityTooLarge,
 			"decompressed payload %d exceeds %d bytes", declen, s.opts.RemoteWriteMaxBytes)
@@ -84,7 +84,6 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	plain, err := snappy.AppendDecode(sc.plain, body)
 	if err != nil {
-		s.writeErrors.Add(1)
 		s.tel.remoteSnappyRejects.Inc()
 		httpError(w, http.StatusBadRequest, "snappy: %v", err)
 		return
@@ -92,13 +91,11 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	sc.plain = plain
 	req := &sc.req
 	if err := promremote.UnmarshalInto(req, plain); err != nil {
-		s.writeErrors.Add(1)
 		s.tel.remoteProtoRejects.Inc()
 		httpError(w, http.StatusBadRequest, "protobuf: %v", err)
 		return
 	}
 	if c := req.SampleCount(); c > s.opts.RemoteWriteMaxSamples {
-		s.writeErrors.Add(1)
 		s.tel.remoteLimitRejects.Inc()
 		// Retry-After tells a well-behaved sender to back off and
 		// re-shard its batches rather than hammer the same oversized
@@ -118,13 +115,11 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 		ts := &req.TimeSeries[i]
 		component, metric, err := promremote.MapSeries(ts.Labels, s.opts.RemoteWriteComponentLabel)
 		if err != nil {
-			s.writeErrors.Add(1)
 			s.tel.remoteMappingRejects.Inc()
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if s.selfScrapeEnabled() && component == ReservedComponent {
-			s.writeErrors.Add(1)
 			s.tel.reservedRejects.Inc()
 			httpError(w, http.StatusBadRequest,
 				"component %q is reserved for self-telemetry while self-scrape is enabled", ReservedComponent)
@@ -139,7 +134,6 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 				// Same bound the line-protocol parser enforces: one
 				// poisoned timestamp would drag the analysis window into
 				// the far future forever.
-				s.writeErrors.Add(1)
 				s.tel.remoteMappingRejects.Inc()
 				httpError(w, http.StatusBadRequest,
 					"timestamp %d exceeds the millisecond range", smp.TimestampMS)
@@ -162,9 +156,8 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	// Wire accounting charges the compressed bytes — that is what
 	// crossed the network.
 	n, err := s.store.IngestParsed(samples, len(body), start)
+	s.tel.remoteIngestSamples.Add(uint64(n))
 	if err != nil {
-		s.writeErrors.Add(1)
-		s.tel.remoteIngestSamples.Add(uint64(n))
 		status := http.StatusBadRequest
 		if errors.Is(err, tsdb.ErrStorage) {
 			status = http.StatusInternalServerError
@@ -173,8 +166,7 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 		writeErrorBody(w, status, n, err)
 		return
 	}
-	s.writes.Add(1)
-	s.tel.remoteIngestSamples.Add(uint64(n))
+	stored = true
 	if s.selfScrapeEnabled() {
 		s.advanceAppMaxTime(batchMaxT)
 	}

@@ -90,17 +90,10 @@ type Options struct {
 	// window cache: window ends are aligned down to the sampling grid so
 	// consecutive cycles slide by whole steps, and assembly keeps a
 	// ring-buffered bucket cache and queries only the window's new tail.
-	// Results are bit-identical to a from-scratch run on the same window
-	// as long as ingest is append-mostly (no writes landing behind the
-	// cached frontier); FullRecomputeEvery bounds the drift when it is
-	// not.
+	// Results are bit-identical to a from-scratch run on the same window:
+	// a write that lands behind the cached end makes the next cycle
+	// reassemble the window from the store.
 	Incremental bool
-	// FullRecomputeEvery, with Incremental, invalidates the window cache
-	// every N cycles so that cycle reassembles the window from the store
-	// — the self-heal against late-arriving writes the tail queries
-	// missed. The window cache is the only state a cycle carries, so
-	// that is all it resets. 0 never forces a recompute.
-	FullRecomputeEvery int
 
 	// DataDir, when non-empty, makes the store durable: every write is
 	// appended to a per-shard CRC-checked WAL under DataDir before it is
@@ -234,7 +227,7 @@ type Server struct {
 	// data (ms). With self-scrape enabled the store's own MaxTime is
 	// dragged forward by wall-clock telemetry writes that analysis
 	// filters out, so the pipeline window anchors here instead (see
-	// analysisMaxTime). Seeded from the store at New for recovered data.
+	// analysisMaxTime). Seeded at New by recoveredAppMaxTime.
 	appMaxTime atomic.Int64
 
 	// Health stamps for /healthz readiness (unix nanos): when the
@@ -244,12 +237,6 @@ type Server struct {
 	driverStartNS atomic.Int64
 	lastCycleNS   atomic.Int64
 	lastNoDataNS  atomic.Int64
-
-	// Ingest counters (atomics: the write path must not serialize).
-	// Accepted samples have no counter here: /stats sums the registry's
-	// two ingest-sample counters.
-	writes      atomic.Int64
-	writeErrors atomic.Int64
 
 	// mu guards the published artifact and the topology.
 	mu           sync.RWMutex
@@ -262,15 +249,13 @@ type Server struct {
 	runFailing   bool // drives once-per-state-change pipeline logging
 
 	// runMu serializes pipeline runs (driver tick vs POST /run) and
-	// guards the state carried across cycles.
+	// guards cache, the one piece of state a cycle carries to the next:
+	// the ring-buffered sliding-window dataset cache (nil unless
+	// Options.Incremental). It lives only in memory, so a restarted
+	// server's first cycle rebuilds the window through the full path.
 	runMu      sync.Mutex
-	online     onlineState
+	cache      *core.WindowCache
 	generation atomic.Int64
-
-	// Cumulative window-cache counters for /stats (atomics: read by
-	// handlers while a run is in flight).
-	fullRebuilds atomic.Int64
-	tailQueries  atomic.Int64
 
 	// rwScratch recycles the remote-write request scratch (body and
 	// decompress buffers, decoded WriteRequest, mapped samples) across
@@ -293,9 +278,6 @@ func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if opts.StepMS > opts.WindowMS {
 		return nil, fmt.Errorf("server: step %dms exceeds window %dms", opts.StepMS, opts.WindowMS)
-	}
-	if opts.FullRecomputeEvery < 0 {
-		return nil, fmt.Errorf("server: negative FullRecomputeEvery %d", opts.FullRecomputeEvery)
 	}
 	if opts.RemoteWriteComponentLabel == promremote.MetricNameLabel {
 		return nil, fmt.Errorf("server: RemoteWriteComponentLabel cannot be the reserved %s label", promremote.MetricNameLabel)
@@ -331,20 +313,21 @@ func New(opts Options) (*Server, error) {
 	// instruments through s.tel without nil checks.
 	s.tel = newTelemetrySet(store, opts.SlowOpThreshold)
 	store.SetTelemetry(s.tel.storeTel)
+	s.analysis = store
 	if opts.SelfScrapeInterval > 0 {
 		s.analysis = analysisStore{st: store}
-		// Anchor the pipeline window at the recovered data's high-water
-		// mark; later /write batches advance it (self-scrape writes do
-		// not — see analysisMaxTime).
-		s.appMaxTime.Store(store.MaxTime())
-	} else {
-		s.analysis = store
+		anchor, err := recoveredAppMaxTime(store)
+		if err != nil {
+			_ = store.Close() // the read error is the one to report
+			return nil, fmt.Errorf("server: recovering the pipeline window anchor: %w", err)
+		}
+		s.appMaxTime.Store(anchor)
 	}
-	// The window cache lives only in memory: after a restart it starts
-	// cold and the first cycle goes through the full-rebuild path against
-	// the recovered store.
+	s.tel.reg.GaugeFunc("sieve_"+appMaxTimeMetric,
+		"high-water mark of the application data the pipeline window anchors to (ms)",
+		func() float64 { return float64(s.analysisMaxTime()) })
 	if opts.Incremental {
-		s.online.cache = core.NewWindowCache(opts.AppName, opts.StepMS)
+		s.cache = core.NewWindowCache(opts.AppName, opts.StepMS)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /write", s.handleWrite)
@@ -408,23 +391,24 @@ func writeErrorBody(w http.ResponseWriter, status, stored int, err error) {
 func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sp := s.tel.opWrite.Start()
+	stored := false
 	defer func() {
 		s.tel.writeSeconds.ObserveSince(start)
+		if !stored {
+			s.tel.failedWrites.Inc()
+		}
 		sp.End()
 	}()
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
 	if err != nil {
-		s.writeErrors.Add(1)
 		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if int64(len(body)) > s.opts.MaxBodyBytes {
-		s.writeErrors.Add(1)
 		httpError(w, http.StatusRequestEntityTooLarge, "payload exceeds %d bytes", s.opts.MaxBodyBytes)
 		return
 	}
 	if len(body) == 0 {
-		s.writeErrors.Add(1)
 		httpError(w, http.StatusBadRequest, "empty body")
 		return
 	}
@@ -432,7 +416,6 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	samples, err := tsdb.ParseLineProtocol(body)
 	if err != nil {
 		// Parse errors are the client's (400); nothing was stored.
-		s.writeErrors.Add(1)
 		s.tel.parseRejects.Inc()
 		writeErrorBody(w, http.StatusBadRequest, 0, err)
 		return
@@ -441,7 +424,6 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if s.selfScrapeEnabled() {
 		for i := range samples {
 			if samples[i].Component == ReservedComponent {
-				s.writeErrors.Add(1)
 				s.tel.reservedRejects.Inc()
 				httpError(w, http.StatusBadRequest,
 					"component %q is reserved for self-telemetry while self-scrape is enabled", ReservedComponent)
@@ -454,12 +436,11 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := s.store.IngestParsed(samples, len(body), start)
 	sp.FieldInt("samples", int64(n))
+	s.tel.ingestSamples.Add(uint64(n))
 	if err != nil {
 		// Storage errors are ours (500), even when nothing was stored —
 		// a full disk must not read as "malformed payload" to a client
 		// that drops 4xx as permanent.
-		s.writeErrors.Add(1)
-		s.tel.ingestSamples.Add(uint64(n))
 		status := http.StatusBadRequest
 		if errors.Is(err, tsdb.ErrStorage) {
 			status = http.StatusInternalServerError
@@ -468,8 +449,7 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		writeErrorBody(w, status, n, err)
 		return
 	}
-	s.writes.Add(1)
-	s.tel.ingestSamples.Add(uint64(n))
+	stored = true
 	if s.selfScrapeEnabled() {
 		s.advanceAppMaxTime(batchMaxT)
 	}
@@ -666,6 +646,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		lastRun = &run
 	}
 	s.mu.RUnlock()
+	// The write handlers observe latency before counting a failure, and
+	// failures are read first here: a request caught between the two
+	// reads as accepted, never as a negative count.
+	failedWrites := int64(s.tel.failedWrites.Value())
+	writeRequests := int64(s.tel.writeSeconds.Count() + s.tel.remoteWriteSeconds.Count())
 	writeJSON(w, StatsResponse{
 		App:                 s.opts.AppName,
 		Shards:              s.store.NumShards(),
@@ -682,15 +667,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MaxTimeMS:           s.store.MaxTime(),
 		CheckpointFailures:  st.CheckpointFailures,
 		LastCheckpointError: st.LastCheckpointError,
-		Writes:              s.writes.Load(),
-		WriteErrors:         s.writeErrors.Load(),
+		Writes:              writeRequests - failedWrites,
+		WriteErrors:         failedWrites,
 		Samples:             int64(s.tel.ingestSamples.Value() + s.tel.remoteIngestSamples.Value()),
 		Generation:          s.generation.Load(),
 		PipelineRuns:        int64(s.tel.pipelineRuns.Value()),
 		LastError:           lastErr,
 		Incremental:         s.opts.Incremental,
-		FullRebuilds:        s.fullRebuilds.Load(),
-		TailQueries:         s.tailQueries.Load(),
+		FullRebuilds:        int64(s.tel.fullRebuilds.Value()),
+		TailQueries:         int64(s.tel.tailQueries.Value()),
 		LastRun:             lastRun,
 	})
 }

@@ -52,13 +52,12 @@ func auxSamples(component string, fromTick, ticks int) []tsdb.Sample {
 
 // TestStatsScriptedLife drives one scripted life through both ingest
 // protocols — accepted batches, rejected payloads, a partial storage
-// failure on each protocol, three pipeline cycles with the forced
-// recompute falling on the third — and compares /stats field by field
-// with the client-side books and the script's own cycle count.
+// failure on each protocol whose stored half lands behind the cached
+// window's end, three pipeline cycles — and compares /stats field by
+// field with the client-side books and the script's own cycle count.
 func TestStatsScriptedLife(t *testing.T) {
 	dir := t.TempDir()
 	opts := incrementalOptions(2)
-	opts.FullRecomputeEvery = 2
 	opts.DataDir, opts.Fsync, opts.FlushInterval, opts.CompactInterval = dir, "never", -1, -1
 	s, _, c := newTestServer(t, opts)
 	w := &tallyWriter{c: c}
@@ -108,7 +107,7 @@ func TestStatsScriptedLife(t *testing.T) {
 		"line protocol": func(b []tsdb.Sample) (int, error) { return w.Write(tsdb.EncodeLineProtocol(b)) },
 		"remote write":  w.WriteRemote,
 	} {
-		batch := auxSamples("late", 80, 1)
+		batch := auxSamples("late", 70, 1)
 		if n, err := write(batch); err == nil || n == 0 || n == len(batch) {
 			t.Fatalf("%s through a half-dead store: stored %d of %d, err %v; want a partial failure", name, n, len(batch), err)
 		}
@@ -144,7 +143,7 @@ func TestStatsScriptedLife(t *testing.T) {
 	if !st.Incremental || !st.Durable || st.LastError != "" {
 		t.Errorf("/stats incremental=%v durable=%v last_error=%q", st.Incremental, st.Durable, st.LastError)
 	}
-	if !last.ForcedFullRecompute || last.Assembly.RebuildReason != "invalidated" {
-		t.Errorf("third cycle: forced=%v reason=%q, want the forced recompute", last.ForcedFullRecompute, last.Assembly.RebuildReason)
+	if !last.Assembly.FullRebuild || last.Assembly.RebuildReason != "late write" {
+		t.Errorf("third cycle: %+v, want the rebuild the late batches cause", last.Assembly)
 	}
 }

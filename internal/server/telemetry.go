@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"math"
 	"net/http"
@@ -31,8 +32,11 @@ type telemetrySet struct {
 	reg      *telemetry.Registry
 	storeTel *tsdb.StoreTelemetry
 
-	// /write: request latency plus the accept/reject split.
+	// /write: request latency plus the accept/reject split. failedWrites
+	// counts, once each, the requests of either write protocol that did
+	// not store their whole payload.
 	writeSeconds    *telemetry.Histogram
+	failedWrites    *telemetry.Counter
 	ingestSamples   *telemetry.Counter
 	parseRejects    *telemetry.Counter
 	reservedRejects *telemetry.Counter
@@ -69,8 +73,12 @@ type telemetrySet struct {
 	marshalSeconds   *telemetry.Histogram
 	pipelineRuns     *telemetry.Counter
 	pipelineFailures *telemetry.Counter
-	forcedRecomputes *telemetry.Counter
 	grangerTests     *telemetry.Counter
+
+	// Window-cache work under -incremental.
+	fullRebuilds           *telemetry.Counter
+	tailQueries            *telemetry.Counter
+	lateWriteInvalidations *telemetry.Counter
 
 	// Self-scrape loop health.
 	selfScrapes       *telemetry.Counter
@@ -98,6 +106,8 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 
 		writeSeconds: reg.Histogram("sieve_http_write_seconds",
 			"POST /write request latency (read + parse + store)", nil),
+		failedWrites: reg.Counter("sieve_ingest_failed_requests_total",
+			"/write and /api/v1/write requests that failed or stored only part of their payload"),
 		ingestSamples: reg.Counter("sieve_ingest_samples_total",
 			"samples accepted into the store via /write"),
 		parseRejects: reg.Counter("sieve_ingest_parse_rejects_total",
@@ -147,8 +157,12 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 			"completed pipeline cycles (artifact published)"),
 		pipelineFailures: reg.Counter("sieve_pipeline_failures_total",
 			"failed pipeline cycles (previous artifact kept)"),
-		forcedRecomputes: reg.Counter("sieve_pipeline_forced_recomputes_total",
-			"cycles that invalidated the window cache on the FullRecomputeEvery cadence"),
+		fullRebuilds: reg.Counter("sieve_pipeline_full_rebuilds_total",
+			"incremental cycles that reassembled the whole window from the store"),
+		tailQueries: reg.Counter("sieve_pipeline_tail_queries_total",
+			"tail-only store scans issued by the window cache"),
+		lateWriteInvalidations: reg.Counter("sieve_pipeline_late_write_invalidations_total",
+			"cycles that dropped the window cache because a write landed behind its cached end"),
 		// No Granger result cache exists any more, so every pair test is
 		// computed; the name is the one sievebench's
 		// granger.cache_hit_share row reads (bench/pipeline.go) and stays
@@ -254,6 +268,28 @@ func (s *Server) advanceAppMaxTime(t int64) {
 			return
 		}
 	}
+}
+
+// appMaxTimeMetric is the series, inside ReservedComponent, under which
+// self-scrape persists analysisMaxTime — what a restart reads back.
+const appMaxTimeMetric = "app_max_time_ms"
+
+// recoveredAppMaxTime is the window anchor a self-scraping server boots
+// with: the highest reading of that series a previous life left in the
+// store (one series read). The store's MaxTime serves only when no life
+// recorded the series: with telemetry recovered it is the self-scrape
+// clock, which may run ahead of application time, and the anchor only
+// ever moves forward.
+func recoveredAppMaxTime(store *tsdb.Sharded) (int64, error) {
+	pts, err := store.Query(ReservedComponent, appMaxTimeMetric, 0, store.MaxTime()+1)
+	if errors.Is(err, tsdb.ErrUnknownSeries) {
+		return store.MaxTime(), nil
+	}
+	var anchor float64
+	for _, p := range pts {
+		anchor = math.Max(anchor, p.V)
+	}
+	return int64(anchor), err
 }
 
 // analysisMaxTime returns the high-water mark the pipeline window

@@ -182,6 +182,51 @@ func TestSelfScrapeEquivalence(t *testing.T) {
 	if n, err := cPlain.Write(payload); err != nil || n != 1 {
 		t.Fatalf("reserved component should be writable without self-scrape: n=%d err=%v", n, err)
 	}
+
+	// Under -incremental the store's low-water mark sees self-scrape
+	// writes too. Stamped ahead of application time they sit past the
+	// cached end and cost nothing; stamped behind it they may cost a
+	// rebuild, never a byte.
+	for name, clockStart := range map[string]int64{"clock ahead": 1_700_000_000_000, "clock behind": 0} {
+		t.Run("incremental/"+name, func(t *testing.T) {
+			var ts atomic.Int64
+			ts.Store(clockStart)
+			obsOpts := obsOptions(func() int64 { return ts.Add(1) })
+			obsOpts.Incremental = true
+			plainOpts := base
+			plainOpts.Incremental = true
+			obs, _, cObs := newTestServer(t, obsOpts)
+			plain, _, cPlain := newTestServer(t, plainOpts)
+			aObs, err := app.New(chainSpec(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aPlain, err := app.New(chainSpec(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var info *RunInfo
+			for _, chunk := range []loadgen.Pattern{pattern[:50], pattern[50:]} {
+				driveChunk(t, aObs, cObs, chunk)
+				driveChunk(t, aPlain, cPlain, chunk)
+				if _, err := plain.RunPipelineOnce(context.Background()); err != nil {
+					t.Fatalf("plain pipeline: %v", err)
+				}
+				if info, err = obs.RunPipelineOnce(context.Background()); err != nil {
+					t.Fatalf("observed pipeline: %v", err)
+				}
+				if _, err := obs.SelfScrapeOnce(); err != nil {
+					t.Fatalf("self-scrape: %v", err)
+				}
+			}
+			if got, want := marshaledArtifact(t, obs), marshaledArtifact(t, plain); !bytes.Equal(got, want) {
+				t.Fatalf("self-scrape changed the incremental artifact (%d vs %d bytes)", len(got), len(want))
+			}
+			if clockStart > 0 && (info.Assembly.FullRebuild || obs.tel.lateWriteInvalidations.Value() != 0) {
+				t.Fatalf("self-scrape stamped past the cached end cost a rebuild: %+v", info.Assembly)
+			}
+		})
+	}
 }
 
 // TestSelfScrapeWallClockSkew pins the window anchor under realistic
@@ -189,9 +234,9 @@ func TestSelfScrapeEquivalence(t *testing.T) {
 // ahead of application data ingested at historical timestamps (replays,
 // backfills, simulator feeds). The pipeline window must stay anchored
 // to /write-ingested data — artifact bytes identical to a server
-// without self-scrape — and a store holding nothing but recovered
-// self-telemetry must read as ErrNoData ("waiting"), not a failing
-// pipeline.
+// without self-scrape, in the first life and after a restart — and a
+// store holding nothing but recovered self-telemetry must read as
+// ErrNoData ("waiting"), not a failing pipeline.
 func TestSelfScrapeWallClockSkew(t *testing.T) {
 	const seed = 11
 	pattern := loadgen.Random(seed, 70, 100, 1500)
@@ -250,6 +295,52 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 	defer second.Close()
 	if _, err := second.RunPipelineOnce(context.Background()); !errors.Is(err, ErrNoData) {
 		t.Fatalf("pipeline over a self-telemetry-only store: err = %v, want ErrNoData", err)
+	}
+
+	// A life that held application data AND telemetry, restarted: the
+	// recovered store's high-water mark is the telemetry clock, and an
+	// anchor seeded from it could never come back down to application
+	// time. The anchor must resume from application data — read back
+	// without decoding the store — so the next life's cycles still equal
+	// a self-scrape-off server fed the same ticks.
+	durable.DataDir = t.TempDir()
+	a, err := app.New(chainSpec(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	life1, hs1, c1 := newTestServer(t, durable)
+	driveChunk(t, a, c1, pattern)
+	if _, err := life1.SelfScrapeOnce(); err != nil {
+		t.Fatalf("self-scrape: %v", err)
+	}
+	if _, err := life1.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("first life's cycle: %v", err)
+	}
+	hs1.Close()
+	if err := life1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	life2, _, c2 := newTestServer(t, durable)
+	defer life2.Close()
+	if series, decoded := life2.store.Stats().Series, life2.tel.storeTel.ChunksDecoded.Value(); series < 50 || decoded > 2 {
+		t.Fatalf("boot decoded %d chunks of a %d-series store, want one series' worth", decoded, series)
+	}
+	more := loadgen.Random(seed+1, 30, 100, 1500)
+	driveChunk(t, a, c2, more)
+	if _, err := life2.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("cycle after a restart with the telemetry clock ahead: %v", err)
+	}
+	aPlain, err := app.New(chainSpec(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain2, _, cPlain2 := newTestServer(t, base)
+	driveChunk(t, aPlain, cPlain2, append(pattern[:len(pattern):len(pattern)], more...))
+	if _, err := plain2.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("plain pipeline: %v", err)
+	}
+	if got, want := marshaledArtifact(t, life2), marshaledArtifact(t, plain2); !bytes.Equal(got, want) {
+		t.Fatalf("restarted self-scraping server diverged from the plain one (artifact %d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -117,6 +118,9 @@ type shard struct {
 	data  map[string]*series // key: component/metric
 	stats Stats
 	maxT  int64
+	// lowT is the lowest timestamp inserted since takeLowWater last reset
+	// it to math.MaxInt64 (see Sharded.TakeLowWater).
+	lowT int64
 
 	// wal, when non-nil, is the shard's write-ahead log: set only by
 	// OpenSharded, appended to (under mu, before the memory insert) on
@@ -134,7 +138,7 @@ type shard struct {
 }
 
 func newShard(keyGen *atomic.Uint64) *shard {
-	return &shard{data: map[string]*series{}, keyGen: keyGen}
+	return &shard{data: map[string]*series{}, keyGen: keyGen, lowT: math.MaxInt64}
 }
 
 // ackBytes is the fixed response size per write batch (status line),
@@ -208,6 +212,9 @@ func (sh *shard) insertLocked(s Sample) {
 	if s.T > sh.maxT {
 		sh.maxT = s.T
 	}
+	if s.T < sh.lowT {
+		sh.lowT = s.T
+	}
 	if len(sr.tail) >= blockSize {
 		sh.sealLocked(sr)
 	}
@@ -219,6 +226,15 @@ func (sh *shard) MaxTime() int64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.maxT
+}
+
+// takeLowWater returns lowT and resets it.
+func (sh *shard) takeLowWater() int64 {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	t := sh.lowT
+	sh.lowT = math.MaxInt64
+	return t
 }
 
 // sealLocked compresses the tail into a chunk, recording its time range

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -353,6 +354,21 @@ func (s *Sharded) MaxTime() int64 {
 		}
 	}
 	return max
+}
+
+// TakeLowWater returns the lowest timestamp inserted into any shard since
+// the previous call (math.MaxInt64 when nothing was) and resets the mark.
+// Every insert, WAL replay included, lowers its shard's mark in the lock
+// hold that makes the point readable, so a reader that takes the mark and
+// then scans learns from the next take of any write its scan missed.
+func (s *Sharded) TakeLowWater() int64 {
+	low := int64(math.MaxInt64)
+	for _, sh := range s.shards {
+		if t := sh.takeLowWater(); t < low {
+			low = t
+		}
+	}
+	return low
 }
 
 // Flush seals every shard's tails so Stats reflects compressed storage.

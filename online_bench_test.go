@@ -132,9 +132,7 @@ func BenchmarkOnlineCycle(b *testing.B) {
 	var cases []tc
 	for _, shape := range []struct{ comps, mets int }{{8, 8}, {16, 16}} {
 		series := shape.comps * shape.mets
-		// incremental+fullrecompute invalidates the window cache every
-		// cycle: the cost of the -full-recompute-every self-heal.
-		for _, engine := range []string{"batch", "incremental", "incremental+fullrecompute"} {
+		for _, engine := range []string{"batch", "incremental"} {
 			cases = append(cases, tc{
 				name:  fmt.Sprintf("%s/series=%d", engine, series),
 				comps: shape.comps, mets: shape.mets,
@@ -157,9 +155,6 @@ func BenchmarkOnlineCycle(b *testing.B) {
 				MinWindowSamples: 64,
 				CallGraph:        obGraph(c.comps),
 				Incremental:      c.engine != "batch",
-			}
-			if c.engine == "incremental+fullrecompute" {
-				opts.FullRecomputeEvery = 1
 			}
 			srv, err := NewServer(opts)
 			if err != nil {

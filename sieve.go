@@ -324,8 +324,8 @@ type Server = server.Server
 // Downsample adds 5m/1h summaries for coarse-step aggregated queries
 // over long retention — and incremental window assembly: Incremental
 // carries the window cache across pipeline cycles (tail-only store
-// reads, bit-identical results), FullRecomputeEvery periodically
-// invalidates it as a self-heal.
+// reads, bit-identical results; a write behind the cached end makes
+// the next cycle reassemble the window).
 type ServerOptions = server.Options
 
 // ServerClient speaks the sieved HTTP API. It implements the store's
