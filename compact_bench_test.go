@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/sieve-microservices/sieve/internal/telemetry"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
@@ -109,7 +108,6 @@ var cbFixtures struct {
 	pristineDir string // 120 small blocks, never compacted
 	uncompacted *tsdb.Sharded
 	compacted   *tsdb.Sharded
-	coTel       *tsdb.StoreTelemetry
 	blocksWere  int
 	blocksNow   int
 }
@@ -154,10 +152,6 @@ func cbStores(b *testing.B) (*tsdb.Sharded, *tsdb.Sharded) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The counter makes the JSON self-certifying: a "compacted-ds" row
-	// with zero buckets read would mean the fast path silently regressed.
-	cbFixtures.coTel = tsdb.NewStoreTelemetry(telemetry.NewRegistry())
-	co.SetTelemetry(cbFixtures.coTel)
 	cbFixtures.root = root
 	cbFixtures.pristineDir = pristine
 	cbFixtures.uncompacted, cbFixtures.compacted = un, co
@@ -390,10 +384,10 @@ func BenchmarkCompaction(b *testing.B) {
 			if res, err := store.QueryRange(ctx, c.q); err != nil || len(res) != cbComps*cbMets {
 				b.Fatalf("warmup query: %d results, err %v", len(res), err)
 			}
-			var dsBefore uint64
-			if c.compacted {
-				dsBefore = cbFixtures.coTel.DownsampledBucketsRead.Value()
-			}
+			// The counter makes the JSON self-certifying: a "compacted-ds" row
+			// with zero buckets read would mean the fast path silently regressed.
+			dsRead := store.Telemetry().DownsampledBucketsRead
+			dsBefore := dsRead.Value()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := store.QueryRange(ctx, c.q); err != nil {
@@ -401,10 +395,7 @@ func BenchmarkCompaction(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			var dsPerOp int64
-			if c.compacted {
-				dsPerOp = int64(cbFixtures.coTel.DownsampledBucketsRead.Value()-dsBefore) / int64(b.N)
-			}
+			dsPerOp := int64(dsRead.Value()-dsBefore) / int64(b.N)
 			elapsed := b.Elapsed().Seconds()
 			if elapsed > 0 {
 				putCompactRow(compactRow{

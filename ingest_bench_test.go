@@ -12,7 +12,6 @@ import (
 
 	"github.com/sieve-microservices/sieve/internal/promremote"
 	"github.com/sieve-microservices/sieve/internal/snappy"
-	"github.com/sieve-microservices/sieve/internal/telemetry"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
@@ -151,7 +150,6 @@ func BenchmarkShardedIngest(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			var store *tsdb.Sharded
-			var storeTel *tsdb.StoreTelemetry
 			if c.durable {
 				var err error
 				store, err = tsdb.OpenSharded(c.shards, tsdb.DurabilityOptions{
@@ -163,8 +161,6 @@ func BenchmarkShardedIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer store.Close()
-				storeTel = tsdb.NewStoreTelemetry(telemetry.NewRegistry())
-				store.SetTelemetry(storeTel)
 			} else {
 				store = tsdb.NewSharded(c.shards)
 			}
@@ -212,11 +208,12 @@ func BenchmarkShardedIngest(b *testing.B) {
 				// disk drains each waiter before the next arrives), so the
 				// coalescing arithmetic is pinned deterministically by
 				// TestGroupCommitBatchedAppendsShareOneFsync instead.
-				if storeTel.WALGroupCommitBatches.Count() == 0 {
+				tel := store.Telemetry()
+				if tel.WALGroupCommitBatches.Count() == 0 {
 					b.Error("sieve_wal_group_commit_batches never observed a leader fsync")
 				}
 				b.Logf("group-commit leader fsyncs=%d fsyncs saved=%d",
-					storeTel.WALGroupCommitBatches.Count(), storeTel.WALFsyncsSaved.Value())
+					tel.WALGroupCommitBatches.Count(), tel.WALFsyncsSaved.Value())
 			}
 			elapsed := b.Elapsed().Seconds()
 			if elapsed <= 0 {

@@ -42,4 +42,13 @@
 // RunInfo and /stats break every cycle down per stage and report the
 // cache's rebuild and tail-query counts. The cache is memory-only: a
 // restarted server rebuilds it through the full path on its first cycle.
+//
+// # Observability
+//
+// The server keeps no metric registry of its own: New registers its
+// instruments and the store-state gauges on the one the store was born
+// with (tsdb.Sharded.Registry), so GET /metrics, the self-scrape loop
+// and embedders (srv.Store().Registry()) read the same object. With
+// self-scrape on, Close runs one last scrape first, so a graceful
+// restart resumes the analysis window exactly where the life ended.
 package server

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -109,7 +108,6 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	if cap(samples) < req.SampleCount() {
 		samples = make([]tsdb.Sample, 0, req.SampleCount())
 	}
-	var batchMaxT int64
 	dropped := 0
 	for i := range req.TimeSeries {
 		ts := &req.TimeSeries[i]
@@ -117,12 +115,6 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			s.tel.remoteMappingRejects.Inc()
 			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if s.selfScrapeEnabled() && component == ReservedComponent {
-			s.tel.reservedRejects.Inc()
-			httpError(w, http.StatusBadRequest,
-				"component %q is reserved for self-telemetry while self-scrape is enabled", ReservedComponent)
 			return
 		}
 		for _, smp := range ts.Samples {
@@ -139,9 +131,6 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 					"timestamp %d exceeds the millisecond range", smp.TimestampMS)
 				return
 			}
-			if smp.TimestampMS > batchMaxT {
-				batchMaxT = smp.TimestampMS
-			}
 			samples = append(samples, tsdb.Sample{
 				Component: component, Metric: metric,
 				T: smp.TimestampMS, V: smp.Value,
@@ -152,26 +141,9 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 		s.tel.remoteDroppedNonFinite.Add(uint64(dropped))
 	}
 	sc.samples = samples
-	sp.FieldInt("samples", int64(len(samples)))
 	// Wire accounting charges the compressed bytes — that is what
 	// crossed the network.
-	n, err := s.store.IngestParsed(samples, len(body), start)
-	s.tel.remoteIngestSamples.Add(uint64(n))
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, tsdb.ErrStorage) {
-			status = http.StatusInternalServerError
-			s.tel.storageErrors.Inc()
-		}
-		writeErrorBody(w, status, n, err)
-		return
-	}
-	stored = true
-	if s.selfScrapeEnabled() {
-		s.advanceAppMaxTime(batchMaxT)
-	}
-	w.Header().Set("X-Sieve-Samples", strconv.Itoa(n))
-	w.WriteHeader(http.StatusNoContent)
+	stored = s.storeBatch(w, &sp, s.tel.remoteIngestSamples, samples, len(body), start)
 }
 
 // retryAfterSeconds renders a backoff duration as the whole-second

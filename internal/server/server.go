@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/promremote"
+	"github.com/sieve-microservices/sieve/internal/telemetry"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
@@ -257,6 +260,10 @@ type Server struct {
 	cache      *core.WindowCache
 	generation atomic.Int64
 
+	// closeScrape runs Close's final self-scrape once, so a second Close
+	// does not write into the closed store.
+	closeScrape sync.Once
+
 	// rwScratch recycles the remote-write request scratch (body and
 	// decompress buffers, decoded WriteRequest, mapped samples) across
 	// requests — the per-sample allocation gap vs line protocol was
@@ -308,11 +315,7 @@ func New(opts Options) (*Server, error) {
 		store: store,
 		graph: opts.CallGraph,
 	}
-	// Wire self-observability before the store can serve traffic:
-	// SetTelemetry is only safe pre-serving, and handlers reach the
-	// instruments through s.tel without nil checks.
 	s.tel = newTelemetrySet(store, opts.SlowOpThreshold)
-	store.SetTelemetry(s.tel.storeTel)
 	s.analysis = store
 	if opts.SelfScrapeInterval > 0 {
 		s.analysis = analysisStore{st: store}
@@ -323,7 +326,7 @@ func New(opts Options) (*Server, error) {
 		}
 		s.appMaxTime.Store(anchor)
 	}
-	s.tel.reg.GaugeFunc("sieve_"+appMaxTimeMetric,
+	store.Registry().GaugeFunc("sieve_"+appMaxTimeMetric,
 		"high-water mark of the application data the pipeline window anchors to (ms)",
 		func() float64 { return float64(s.analysisMaxTime()) })
 	if opts.Incremental {
@@ -354,10 +357,21 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Store() *tsdb.Sharded { return s.store }
 
 // Close flushes and closes a durable store (final checkpoint: remaining
-// memory is sealed into a block, the WAL pruned). No-op for an
-// in-memory server; safe to call twice. ListenAndServe calls it on
+// memory is sealed into a block, the WAL pruned). With self-scrape on it
+// first runs one last scrape: the window anchor persists as a
+// self-scraped series that application writes since the last periodic
+// scrape are not in yet. Safe to call twice. ListenAndServe calls it on
 // graceful shutdown.
-func (s *Server) Close() error { return s.store.Close() }
+func (s *Server) Close() error {
+	if s.selfScrapeEnabled() {
+		s.closeScrape.Do(func() {
+			if _, err := s.SelfScrapeOnce(); err != nil {
+				slog.Error("final self-scrape failed: a restart may anchor the window low until the next write", "err", err)
+			}
+		})
+	}
+	return s.store.Close()
+}
 
 // httpError writes a JSON error body with the given status.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -383,6 +397,22 @@ func writeErrorBody(w http.ResponseWriter, status, stored int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "stored": stored})
 }
 
+// readBody reads a request body of at most MaxBodyBytes, answering a
+// read failure with 400 and a longer body with 413 (ok false). One byte
+// past the limit is read so a body exactly at it is still accepted.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		return nil, false
+	}
+	if int64(len(body)) > s.opts.MaxBodyBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, "payload exceeds %d bytes", s.opts.MaxBodyBytes)
+		return nil, false
+	}
+	return body, true
+}
+
 // handleWrite parses the payload itself (rather than delegating to
 // store.Write) so rejects are classified — parser vs reserved component
 // vs storage — before anything is stored. IngestParsed keeps the
@@ -399,13 +429,8 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		}
 		sp.End()
 	}()
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "payload exceeds %d bytes", s.opts.MaxBodyBytes)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	if len(body) == 0 {
@@ -420,6 +445,15 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		writeErrorBody(w, http.StatusBadRequest, 0, err)
 		return
 	}
+	stored = s.storeBatch(w, &sp, s.tel.ingestSamples, samples, len(body), start)
+}
+
+// storeBatch is the tail both write protocols share once their decoder
+// has produced samples: the reserved-component reject, IngestParsed, the
+// failure-to-status mapping, the window-anchor advance and the ack. It
+// reports whether the whole batch was stored; accepted is the protocol's
+// own stored-samples counter.
+func (s *Server) storeBatch(w http.ResponseWriter, sp *telemetry.Span, accepted *telemetry.Counter, samples []tsdb.Sample, wireBytes int, start time.Time) bool {
 	var batchMaxT int64
 	if s.selfScrapeEnabled() {
 		for i := range samples {
@@ -427,16 +461,16 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 				s.tel.reservedRejects.Inc()
 				httpError(w, http.StatusBadRequest,
 					"component %q is reserved for self-telemetry while self-scrape is enabled", ReservedComponent)
-				return
+				return false
 			}
 			if samples[i].T > batchMaxT {
 				batchMaxT = samples[i].T
 			}
 		}
 	}
-	n, err := s.store.IngestParsed(samples, len(body), start)
+	n, err := s.store.IngestParsed(samples, wireBytes, start)
 	sp.FieldInt("samples", int64(n))
-	s.tel.ingestSamples.Add(uint64(n))
+	accepted.Add(uint64(n))
 	if err != nil {
 		// Storage errors are ours (500), even when nothing was stored —
 		// a full disk must not read as "malformed payload" to a client
@@ -447,14 +481,13 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 			s.tel.storageErrors.Inc()
 		}
 		writeErrorBody(w, status, n, err)
-		return
+		return false
 	}
-	stored = true
-	if s.selfScrapeEnabled() {
-		s.advanceAppMaxTime(batchMaxT)
-	}
+	// A no-op with self-scrape off, where batchMaxT stays 0.
+	s.advanceAppMaxTime(batchMaxT)
 	w.Header().Set("X-Sieve-Samples", strconv.Itoa(n))
 	w.WriteHeader(http.StatusNoContent)
+	return true
 }
 
 // QueryResponse is the GET /query body.
@@ -725,10 +758,20 @@ type CallEdge struct {
 }
 
 func (s *Server) handleCallGraph(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var edges []CallEdge
-	dec := json.NewDecoder(io.LimitReader(r.Body, s.opts.MaxBodyBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(&edges); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding call graph: %v", err)
+		return
+	}
+	// Anything but whitespace after the array is a malformed request, not
+	// a topology to install up to the first value.
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "decoding call graph: trailing data after the edge array")
 		return
 	}
 	g := callgraph.New()

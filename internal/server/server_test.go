@@ -229,6 +229,7 @@ func TestServerWithoutCallGraph(t *testing.T) {
 // never panic and never store partial garbage.
 func TestServerMalformedRequests(t *testing.T) {
 	s, hs, c := newTestServer(t, Options{MaxBodyBytes: 1 << 10})
+	const oneEdge = `[{"caller":"a","callee":"b"}]`
 	cases := []struct {
 		name, method, path, body string
 		wantStatus               int
@@ -251,6 +252,10 @@ func TestServerMalformedRequests(t *testing.T) {
 		{"run with empty store", "POST", "/run", "", http.StatusConflict},
 		{"callgraph invalid json", "POST", "/callgraph", "{not json", http.StatusBadRequest},
 		{"callgraph wrong shape", "POST", "/callgraph", `{"caller":"a"}`, http.StatusBadRequest},
+		{"callgraph oversized body", "POST", "/callgraph", "[" + strings.Repeat(`{"caller":"x","callee":"y"},`, 64) + `{"caller":"x","callee":"y"}]`, http.StatusRequestEntityTooLarge},
+		{"callgraph trailing garbage", "POST", "/callgraph", `[{"caller":"x","callee":"y"}] garbage`, http.StatusBadRequest},
+		{"callgraph second value", "POST", "/callgraph", `[{"caller":"x","callee":"y"}],{"caller":"y","callee":"z"}`, http.StatusBadRequest},
+		{"callgraph at the limit", "POST", "/callgraph", oneEdge + strings.Repeat(" ", 1<<10-len(oneEdge)), http.StatusNoContent},
 		{"unknown path", "GET", "/nope", "", http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -271,6 +276,11 @@ func TestServerMalformedRequests(t *testing.T) {
 	}
 	if got := s.Store().Stats().Points; got != 0 {
 		t.Fatalf("malformed traffic stored %d points", got)
+	}
+	// Only the accepted call graph was installed: a rejected body must
+	// not leave a truncated topology behind to restrict Granger tests.
+	if edges := s.graph.Edges(); len(edges) != 1 || !s.graph.HasEdge("a", "b") {
+		t.Fatalf("installed call graph = %v, want only a->b", edges)
 	}
 	// The server survived all of it and still ingests good data.
 	if n, err := c.Write([]byte("web,metric=cpu value=0.5 500\n")); err != nil || n != 1 {

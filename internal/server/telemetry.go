@@ -24,14 +24,11 @@ import (
 // artifacts.
 const ReservedComponent = "sieve"
 
-// telemetrySet bundles every server-level instrument plus the shared
-// registry and the slow-op trace ring. It is created once in New;
+// telemetrySet bundles every server-level instrument plus the slow-op
+// trace ring. It is created once in New, on the store's registry;
 // handlers and the pipeline hold the instrument pointers, so hot-path
 // updates never touch the registry.
 type telemetrySet struct {
-	reg      *telemetry.Registry
-	storeTel *tsdb.StoreTelemetry
-
 	// /write: request latency plus the accept/reject split. failedWrites
 	// counts, once each, the requests of either write protocol that did
 	// not store their whole payload.
@@ -94,16 +91,12 @@ type telemetrySet struct {
 	opCycle       *telemetry.Op
 }
 
-// newTelemetrySet builds the registry, every server instrument, the
-// storage instrument set, the store-mirroring gauges, and the trace
-// ring. store may not yet serve traffic: the caller installs storeTel
-// via SetTelemetry before the first request.
+// newTelemetrySet registers every server instrument and the
+// store-mirroring gauges on the store's own registry, beside the storage
+// instruments the store was born with, and builds the trace ring.
 func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
-	reg := telemetry.NewRegistry()
+	reg := store.Registry()
 	t := &telemetrySet{
-		reg:      reg,
-		storeTel: tsdb.NewStoreTelemetry(reg),
-
 		writeSeconds: reg.Histogram("sieve_http_write_seconds",
 			"POST /write request latency (read + parse + store)", nil),
 		failedWrites: reg.Counter("sieve_ingest_failed_requests_total",
@@ -244,14 +237,11 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 	return t
 }
 
-// Telemetry exposes the server's metric registry (embedders, tests).
-func (s *Server) Telemetry() *telemetry.Registry { return s.tel.reg }
-
 // handleMetrics serves the Prometheus text exposition of every
 // registered metric.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.tel.reg.WritePrometheus(w)
+	_ = s.store.Registry().WritePrometheus(w)
 }
 
 // selfScrapeEnabled reports whether the reserved-component contract is
@@ -315,7 +305,7 @@ func (s *Server) analysisMaxTime() int64 {
 // them. Returns the number of samples written.
 func (s *Server) SelfScrapeOnce() (int, error) {
 	ts := s.opts.SelfScrapeClock()
-	readings := s.tel.reg.Readings()
+	readings := s.store.Registry().Readings()
 	samples := make([]tsdb.Sample, 0, len(readings))
 	for _, rd := range readings {
 		if math.IsNaN(rd.Value) || math.IsInf(rd.Value, 0) {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,6 +79,22 @@ func TestMetricsExpositionLints(t *testing.T) {
 	}
 	if err := telemetry.Lint(body); err != nil {
 		t.Fatalf("exposition failed lint: %v\n%s", err, body)
+	}
+	// No series lost, renamed or retyped: the sorted "name kind" set is
+	// the committed one.
+	var names []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			names = append(names, f[2]+" "+f[3])
+		}
+	}
+	sort.Strings(names)
+	fixture, err := os.ReadFile("testdata/metrics_names.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(names, "\n") + "\n"; got != string(fixture) {
+		t.Fatalf("/metrics name set differs from testdata/metrics_names.txt:\ngot:\n%swant:\n%s", got, fixture)
 	}
 	for _, want := range []string{
 		"sieve_http_write_seconds_bucket",
@@ -322,7 +340,7 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 	}
 	life2, _, c2 := newTestServer(t, durable)
 	defer life2.Close()
-	if series, decoded := life2.store.Stats().Series, life2.tel.storeTel.ChunksDecoded.Value(); series < 50 || decoded > 2 {
+	if series, decoded := life2.store.Stats().Series, life2.store.Telemetry().ChunksDecoded.Value(); series < 50 || decoded > 2 {
 		t.Fatalf("boot decoded %d chunks of a %d-series store, want one series' worth", decoded, series)
 	}
 	more := loadgen.Random(seed+1, 30, 100, 1500)
@@ -341,6 +359,43 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 	}
 	if got, want := marshaledArtifact(t, life2), marshaledArtifact(t, plain2); !bytes.Equal(got, want) {
 		t.Fatalf("restarted self-scraping server diverged from the plain one (artifact %d vs %d bytes)", len(got), len(want))
+	}
+
+	// A graceful shutdown persists the anchor itself: application writes
+	// after the life's last periodic self-scrape are covered by the one
+	// Close runs, so the next life boots anchored where this one ended
+	// and its first cycle, with no new write, equals the plain server's
+	// over the same 100 ticks. (A SIGKILLed life may still sit low until
+	// its next write.)
+	durable.DataDir = t.TempDir()
+	a3, err := app.New(chainSpec(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	life3, hs3, c3 := newTestServer(t, durable)
+	driveChunk(t, a3, c3, pattern)
+	if _, err := life3.SelfScrapeOnce(); err != nil {
+		t.Fatalf("self-scrape: %v", err)
+	}
+	driveChunk(t, a3, c3, more)
+	anchor := life3.analysisMaxTime()
+	hs3.Close()
+	if err := life3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	life4, err := New(durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer life4.Close()
+	if got := life4.analysisMaxTime(); got != anchor {
+		t.Fatalf("window anchor after a graceful restart = %d, want %d (where the first life ended)", got, anchor)
+	}
+	if _, err := life4.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("first cycle after a graceful restart: %v", err)
+	}
+	if got, want := marshaledArtifact(t, life4), marshaledArtifact(t, plain2); !bytes.Equal(got, want) {
+		t.Fatalf("first cycle after a graceful restart diverged from the plain server (artifact %d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -478,18 +533,25 @@ func TestDebugTracesRecordsSlowOps(t *testing.T) {
 	}
 }
 
-// TestTelemetryConcurrentAccess hammers every observability surface at
-// once — ingest, /metrics exposition, self-scrape writes, pipeline
-// cycles, /debug/traces and /healthz readers — and then lints the
-// final exposition. Run under -race in CI, this is the pin that the
-// atomic instruments, the trace ring, and the health stamps are safe
-// against the server's real concurrency.
+// TestTelemetryConcurrentAccess hammers every observability surface of
+// a freshly built durable server at once — ingest, /metrics exposition,
+// self-scrape writes, checkpoints, compaction passes, pipeline cycles,
+// /debug/traces and /healthz readers — and then lints the final
+// exposition. Nothing is set up or ordered first: the store was born
+// with the instruments every one of these goroutines updates. Run under
+// -race in CI, this is the pin that the atomic instruments, the trace
+// ring, and the health stamps are safe against the server's real
+// concurrency.
 func TestTelemetryConcurrentAccess(t *testing.T) {
 	var ts atomic.Int64
 	opts := obsOptions(func() int64 { return ts.Add(1) })
 	opts.MinWindowSamples = 8
 	opts.SlowOpThreshold = time.Nanosecond
+	opts.DataDir = t.TempDir()
+	opts.FlushInterval, opts.CompactInterval = -1, -1 // driven below
+	opts.Downsample = true
 	s, hs, c := newTestServer(t, opts)
+	defer s.Close()
 
 	var tick atomic.Int64
 	writeBatch := func(w int) []byte {
@@ -507,13 +569,6 @@ func TestTelemetryConcurrentAccess(t *testing.T) {
 		}
 		return tsdb.EncodeLineProtocol(samples)
 	}
-	// Pre-fill so pipeline cycles have a window to chew on.
-	for i := 0; i < 32; i++ {
-		if _, err := c.Write(writeBatch(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	var wg sync.WaitGroup
 	run := func(n int, fn func(i int)) {
 		wg.Add(1)
@@ -524,21 +579,57 @@ func TestTelemetryConcurrentAccess(t *testing.T) {
 			}
 		}()
 	}
+	// The store's background work and the pipeline would finish their
+	// rounds on an empty store before the first write lands, so they
+	// keep going for as long as a writer is still writing.
+	var writers sync.WaitGroup
+	writersDone := make(chan struct{})
+	whileWriting := func(fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-writersDone:
+					return
+				default:
+					fn()
+				}
+			}
+		}()
+	}
 	for w := 0; w < 2; w++ {
 		w := w
-		run(40, func(i int) {
-			if _, err := c.Write(writeBatch(w)); err != nil {
-				t.Error(err)
+		writers.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer writers.Done()
+			for i := 0; i < 56; i++ {
+				if _, err := c.Write(writeBatch(w)); err != nil {
+					t.Error(err)
+				}
 			}
-		})
+		}()
 	}
+	go func() { writers.Wait(); close(writersDone) }()
+	whileWriting(func() {
+		if err := s.store.Checkpoint(); err != nil {
+			t.Error(err)
+		}
+	})
+	whileWriting(func() {
+		if err := s.store.Compact(); err != nil {
+			t.Error(err)
+		}
+	})
+	whileWriting(func() { _, _ = s.RunPipelineOnce(context.Background()) })
 	run(20, func(int) { getBody(t, hs.URL+"/metrics") })
 	run(20, func(int) {
 		if _, err := s.SelfScrapeOnce(); err != nil {
 			t.Error(err)
 		}
 	})
-	run(6, func(int) { _, _ = s.RunPipelineOnce(context.Background()) })
 	run(20, func(int) { getBody(t, hs.URL+"/debug/traces") })
 	run(20, func(int) { getBody(t, hs.URL+"/healthz") })
 	run(10, func(int) {
@@ -551,5 +642,10 @@ func TestTelemetryConcurrentAccess(t *testing.T) {
 	_, _, body := getBody(t, hs.URL+"/metrics")
 	if err := telemetry.Lint(body); err != nil {
 		t.Fatalf("post-hammer exposition failed lint: %v", err)
+	}
+	tel := s.store.Telemetry()
+	if tel.BlockPublishes.Value() == 0 || tel.CompactionsRun.Value() == 0 || s.tel.pipelineRuns.Value() == 0 {
+		t.Fatalf("hammer never overlapped real work: %d blocks published, %d compaction passes, %d cycles",
+			tel.BlockPublishes.Value(), tel.CompactionsRun.Value(), s.tel.pipelineRuns.Value())
 	}
 }

@@ -12,11 +12,11 @@
 //     Gauge, and Histogram mutate through sync/atomic only (no mutex,
 //     no map lookup, no allocation). Callers hold the instrument
 //     pointer, obtained once at wiring time from a Registry.
-//   - Every instrument method is nil-receiver safe and a no-op on nil,
-//     so instrumented packages (tsdb, server) carry optional instrument
-//     pointers without sprinkling nil checks through their hot loops —
-//     an uninstrumented store pays one predictable branch per update
-//     site.
+//   - Every instrument method is nil-receiver safe and a no-op on nil.
+//     That is a property of the instruments, not a mode their owners run
+//     in: the store (tsdb) builds its instruments with itself and the
+//     server registers its own beside them, so neither carries optional
+//     instrument pointers or nil checks.
 //   - Reads (exposition, self-scrape) take best-effort atomic
 //     snapshots: a histogram scraped mid-update may be off by the
 //     in-flight observation, which is the standard Prometheus client

@@ -398,9 +398,7 @@ func mergeRun(blocksDir string, seq uint64, run []*block) (*block, error) {
 // of stalling behind a whole pass; ingest never blocks (the shard locks
 // are untouched — compaction reads only immutable published blocks).
 func (d *durable) compact() error {
-	if tel := d.telemetry(); tel != nil {
-		tel.CompactionsRun.Inc()
-	}
+	d.tel.CompactionsRun.Inc()
 	d.mu.RLock()
 	snapshot := append([]*block(nil), d.blocks...)
 	maxBytes := d.opts.CompactMaxBlockBytes
@@ -461,11 +459,7 @@ func (d *durable) compactRun(run []*block) error {
 	d.nextSeq++
 	d.mu.Unlock()
 
-	var start time.Time
-	tel := d.telemetry()
-	if tel != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	merged, err := mergeRun(d.blocksDir, seq, run)
 	if err != nil {
 		return err
@@ -489,13 +483,11 @@ func (d *durable) compactRun(run []*block) error {
 	}
 	d.blocks = kept
 	d.keyGen.Add(1)
-	if tel != nil {
-		tel.CompactionMergedBlocks.Add(uint64(len(run)))
-		if reclaimed := sourceBytes - merged.meta.ChunkBytes; reclaimed > 0 {
-			tel.CompactionReclaimedBytes.Add(uint64(reclaimed))
-		}
-		tel.CompactionSeconds.ObserveSince(start)
+	d.tel.CompactionMergedBlocks.Add(uint64(len(run)))
+	if reclaimed := sourceBytes - merged.meta.ChunkBytes; reclaimed > 0 {
+		d.tel.CompactionReclaimedBytes.Add(uint64(reclaimed))
 	}
+	d.tel.CompactionSeconds.ObserveSince(start)
 	d.mu.Unlock()
 	// No reader can reach the sources anymore (the swap ran under mu,
 	// and scans hold the read lock for their whole block loop): retire
@@ -541,12 +533,8 @@ func (d *durable) downsampleBlock(b *block) error {
 		}
 	}
 	d.mu.RUnlock()
-	tel := d.telemetry()
 	for _, res := range missing {
-		var start time.Time
-		if tel != nil {
-			start = time.Now()
-		}
+		start := time.Now()
 		series, err := buildDownsampled(b, res)
 		if err != nil {
 			return err
@@ -557,9 +545,7 @@ func (d *durable) downsampleBlock(b *block) error {
 		}
 		b.ds[res] = series
 		d.mu.Unlock()
-		if tel != nil {
-			tel.DownsampleSeconds.ObserveSince(start)
-		}
+		d.tel.DownsampleSeconds.ObserveSince(start)
 	}
 	return nil
 }

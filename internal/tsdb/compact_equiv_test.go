@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
 
 // Compaction-equivalence suite: /query_range results (raw and every
@@ -18,8 +16,8 @@ import (
 // reference for the final state.
 
 // openCompactable opens a durable store with every background ticker
-// disabled, downsampling enabled, and telemetry installed, so tests
-// drive checkpoints and compaction passes explicitly.
+// disabled and downsampling enabled, so tests drive checkpoints and
+// compaction passes explicitly; it returns the store's instrument set.
 func openCompactable(t *testing.T, dir string, shards int, fsync FsyncPolicy, retentionMS int64) (*Sharded, *StoreTelemetry) {
 	t.Helper()
 	s, err := OpenSharded(shards, DurabilityOptions{
@@ -29,9 +27,7 @@ func openCompactable(t *testing.T, dir string, shards int, fsync FsyncPolicy, re
 	if err != nil {
 		t.Fatalf("OpenSharded(%s): %v", dir, err)
 	}
-	tel := NewStoreTelemetry(telemetry.NewRegistry())
-	s.SetTelemetry(tel)
-	return s, tel
+	return s, s.Telemetry()
 }
 
 // compactSamples generates a scrape-like dataset wide enough for 5m/1h

@@ -12,6 +12,11 @@
 // Stored points and query results are identical at any shard count;
 // sharding changes scheduling, never data.
 //
+// A store is born instrumented: NewSharded and OpenSharded build its
+// own telemetry.Registry and StoreTelemetry set before the first shard
+// exists, and nothing replaces them. There is no installation step and
+// no uninstrumented mode; Registry and Telemetry expose the set.
+//
 // # Durable storage engine
 //
 // A Sharded store opened with OpenSharded persists to disk with the

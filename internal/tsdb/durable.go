@@ -122,8 +122,8 @@ type durable struct {
 	lastCkptErr  string
 	ckptFailing  bool
 
-	// tel, when non-nil, receives checkpoint/retention/scan instruments;
-	// set via setTelemetry (under mu) before the store serves traffic.
+	// tel is the owning store's instrument set (checkpoint, retention,
+	// compaction and block-scan instruments), fixed at construction.
 	tel *StoreTelemetry
 
 	// staleWAL maps shard index -> directory for WAL dirs left over from
@@ -167,7 +167,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	// dir would look like leftovers from a bigger previous life and the
 	// first checkpoint would delete them out from under their writers.
 	n = s.NumShards()
-	d := &durable{opts: opts, blocksDir: filepath.Join(opts.Dir, "blocks"), stop: make(chan struct{}), keyGen: &s.keyGen}
+	d := &durable{opts: opts, blocksDir: filepath.Join(opts.Dir, "blocks"), stop: make(chan struct{}), keyGen: &s.keyGen, tel: s.tel}
 
 	blocks, err := openBlocks(d.blocksDir)
 	if err != nil {
@@ -234,7 +234,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 		}
 	}
 	for i, sh := range s.shards {
-		w, err := openWALWriter(walShardDir(walRoot, i), opts.Fsync, opts.SegmentBytes)
+		w, err := openWALWriter(walShardDir(walRoot, i), opts.Fsync, opts.SegmentBytes, s.tel)
 		if err != nil {
 			closeOnErr()
 			return nil, fmt.Errorf("tsdb: opening wal for shard %d: %w", i, err)
@@ -382,15 +382,9 @@ func (d *durable) checkpointStats() (failures int, lastErr string) {
 // counters, whoever triggered it (background flusher, Checkpoint caller,
 // or shutdown).
 func (d *durable) checkpoint(s *Sharded) error {
-	tel := d.telemetry()
-	var start time.Time
-	if tel != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	err := d.runCheckpoint(s)
-	if tel != nil {
-		tel.CheckpointSeconds.ObserveSince(start)
-	}
+	d.tel.CheckpointSeconds.ObserveSince(start)
 	d.noteCheckpointResult(err)
 	return err
 }
@@ -468,10 +462,8 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 		d.flushing = nil
 		d.blocks = append(d.blocks, blk)
 		d.keyGen.Add(1)
-		if d.tel != nil {
-			d.tel.CheckpointPoints.Add(uint64(points))
-			d.tel.BlockPublishes.Inc()
-		}
+		d.tel.CheckpointPoints.Add(uint64(points))
+		d.tel.BlockPublishes.Inc()
 		d.mu.Unlock()
 	}
 	for i, sh := range s.shards {
@@ -564,9 +556,7 @@ func (d *durable) enforceRetention(maxTime int64) error {
 		// Keep the Points balance honest: these observations are gone
 		// from the store's view whether or not the files disappear.
 		d.basePoints -= b.meta.Points
-		if d.tel != nil {
-			d.tel.RetentionDroppedBlocks.Inc()
-		}
+		d.tel.RetentionDroppedBlocks.Inc()
 		if err := b.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -610,7 +600,7 @@ func (d *durable) scanBlocks(key string, from, to int64, sink pointSink) error {
 			return err
 		}
 	}
-	if dsBuckets > 0 && d.tel != nil {
+	if dsBuckets > 0 {
 		d.tel.DownsampledBucketsRead.Add(uint64(dsBuckets))
 	}
 	if sr, ok := d.flushing[key]; ok {

@@ -80,9 +80,10 @@ type series struct {
 // as a summary (an aggregating sink may consume them without decoding —
 // see pointSink). Callers own synchronization (a shard lock, or exclusive
 // access to a stolen snapshot).
-// tel, when non-nil, receives the scan's chunk-fate counts (skipped /
-// summarized / decoded), accumulated in locals and flushed once at the
-// end so the per-chunk loop never touches an atomic.
+// tel receives the scan's chunk-fate counts (skipped / summarized /
+// decoded), accumulated in locals and flushed once at the end so the
+// per-chunk loop never touches an atomic; nil for a scan that is not a
+// query (see noteChunks).
 func (sr *series) scanRange(from, to int64, sink pointSink, tel *StoreTelemetry) error {
 	var it chunkIter
 	var skipped, summarized, decoded int
@@ -127,8 +128,8 @@ type shard struct {
 	// the appendSamples path that Sharded routes ingest through.
 	wal *walWriter
 
-	// tel, when non-nil, receives chunk-fate counts from scans; set via
-	// setTelemetry (under mu) before the store serves traffic.
+	// tel is the owning store's instrument set (chunk-fate counts from
+	// scans), fixed at construction.
 	tel *StoreTelemetry
 
 	// keyGen is the owning store's catalog generation (see
@@ -137,8 +138,8 @@ type shard struct {
 	keyGen *atomic.Uint64
 }
 
-func newShard(keyGen *atomic.Uint64) *shard {
-	return &shard{data: map[string]*series{}, keyGen: keyGen, lowT: math.MaxInt64}
+func newShard(keyGen *atomic.Uint64, tel *StoreTelemetry) *shard {
+	return &shard{data: map[string]*series{}, keyGen: keyGen, tel: tel, lowT: math.MaxInt64}
 }
 
 // ackBytes is the fixed response size per write batch (status line),

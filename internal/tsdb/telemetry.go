@@ -8,15 +8,12 @@ import (
 // WAL append/fsync latency, checkpoint duration and drained volume,
 // block publishes and retention drops, and the chunk-level fate split
 // (skipped from the index vs consumed as a summary vs decoded) that
-// explains where query time goes. Every field is optional — the
-// instruments are nil-safe and a nil *StoreTelemetry disables the
-// per-scan counting branch entirely — so an uninstrumented store pays
-// one nil check per scan.
+// explains where query time goes.
 //
-// Install with Sharded.SetTelemetry BEFORE the store serves traffic
-// (sieved wires it immediately after OpenSharded): installation is
-// ordered against the background tickers by the shard and engine
-// locks, but the instrument set itself is fixed after that point.
+// A store is born with its set: NewSharded and OpenSharded register it
+// on the store's own registry before the first shard exists and hand
+// the one pointer to every shard, WAL writer and the durable engine.
+// Nothing writes it afterwards, so every holder reads it without a lock.
 type StoreTelemetry struct {
 	// WALAppendSeconds times successful WAL record appends (encode +
 	// write + inline fsync under FsyncAlways), per batch.
@@ -72,9 +69,9 @@ type StoreTelemetry struct {
 	DownsampleSeconds *telemetry.Histogram
 }
 
-// NewStoreTelemetry creates the storage instrument set on reg under
+// newStoreTelemetry creates the storage instrument set on reg under
 // the sieve_ namespace.
-func NewStoreTelemetry(reg *telemetry.Registry) *StoreTelemetry {
+func newStoreTelemetry(reg *telemetry.Registry) *StoreTelemetry {
 	return &StoreTelemetry{
 		WALAppendSeconds: reg.Histogram("sieve_wal_append_seconds",
 			"WAL record append latency per batch (including inline fsync under -fsync always)", nil),
@@ -118,7 +115,9 @@ func NewStoreTelemetry(reg *telemetry.Registry) *StoreTelemetry {
 
 // noteChunks flushes one scan's chunk-fate counts. Scans accumulate in
 // local ints and flush once here, keeping atomics off the per-chunk
-// loop; nil-safe so uninstrumented scans cost one branch.
+// loop. A nil receiver means "not a query", never "not installed":
+// checkpoint and compaction (buildBlock, mergeRun) scan with a nil set so
+// their reads are not counted as query chunk fates.
 func (t *StoreTelemetry) noteChunks(skipped, summarized, decoded int) {
 	if t == nil {
 		return
@@ -128,47 +127,12 @@ func (t *StoreTelemetry) noteChunks(skipped, summarized, decoded int) {
 	t.ChunksDecoded.Add(uint64(decoded))
 }
 
-// SetTelemetry installs the instrument set on the store: the shards
-// (chunk-scan counting), their WALs (append/fsync latency), and the
-// durable engine (checkpoint/retention counters). Call once, before
-// the store serves reads or writes.
-func (s *Sharded) SetTelemetry(t *StoreTelemetry) {
-	for _, sh := range s.shards {
-		sh.setTelemetry(t)
-	}
-	if s.dur != nil {
-		s.dur.setTelemetry(t)
-	}
-}
+// Registry returns the registry the store's instruments live on;
+// sieved's server registers its own beside them.
+func (s *Sharded) Registry() *telemetry.Registry { return s.reg }
 
-func (sh *shard) setTelemetry(t *StoreTelemetry) {
-	sh.mu.Lock()
-	sh.tel = t
-	sh.mu.Unlock()
-	if sh.wal != nil {
-		var appendH, syncH, groupH *telemetry.Histogram
-		var saved, bytes *telemetry.Counter
-		if t != nil {
-			appendH, syncH, groupH = t.WALAppendSeconds, t.WALFsyncSeconds, t.WALGroupCommitBatches
-			saved, bytes = t.WALFsyncsSaved, t.WALBytesWritten
-		}
-		sh.wal.setTelemetry(appendH, syncH, groupH, saved, bytes)
-	}
-}
-
-func (d *durable) setTelemetry(t *StoreTelemetry) {
-	d.mu.Lock()
-	d.tel = t
-	d.mu.Unlock()
-}
-
-// telemetry reads the engine's instrument set under the lock that
-// orders it against setTelemetry.
-func (d *durable) telemetry() *StoreTelemetry {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.tel
-}
+// Telemetry returns the store's instrument set, for reading.
+func (s *Sharded) Telemetry() *StoreTelemetry { return s.tel }
 
 // WALSegments reports the live WAL segment count across shards (0 for
 // an in-memory store) — the backlog gauge: a growing count with a

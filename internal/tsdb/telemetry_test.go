@@ -4,10 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
-
-	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
 
 // fillStore writes a deterministic workload: enough points per series
@@ -43,9 +42,7 @@ func TestStoreTelemetryCountersMove(t *testing.T) {
 		t.Fatalf("OpenSharded: %v", err)
 	}
 	defer s.Close()
-	reg := telemetry.NewRegistry()
-	tel := NewStoreTelemetry(reg)
-	s.SetTelemetry(tel)
+	tel := s.Telemetry()
 
 	fillStore(t, s, 4, 3*blockSize/2)
 
@@ -123,53 +120,118 @@ func TestStoreTelemetryCountersMove(t *testing.T) {
 	}
 }
 
-// TestTelemetryEquivalence pins that installing telemetry changes no
-// query bytes: the same workload against an instrumented and an
-// uninstrumented durable store answers /query-range-shaped requests
-// byte-identically (JSON-encoded results compared).
-func TestTelemetryEquivalence(t *testing.T) {
-	build := func(withTel bool) (*Sharded, func()) {
-		dir := t.TempDir()
-		s, err := OpenSharded(3, DurabilityOptions{Dir: dir, FlushInterval: -1})
-		if err != nil {
-			t.Fatalf("OpenSharded: %v", err)
+// TestStoreBornInstrumented pins that a store needs no installation
+// step: straight out of NewSharded / OpenSharded a write, a checkpoint,
+// a compaction pass with Downsample and one aggregated query whose range
+// covers one in-memory chunk, cuts another and misses a third move the
+// instruments. A hard-stopped durable life then reopens with every
+// counter at zero — the set belongs to the store, not the process —
+// and replaying its WAL is not counted as bytes appended.
+func TestStoreBornInstrumented(t *testing.T) {
+	// Three sealed chunks per series at 100ms spacing.
+	const pts = 3 * blockSize
+	chunkFates := func(t *testing.T, s *Sharded) {
+		t.Helper()
+		tel := s.Telemetry()
+		if _, err := s.QueryRange(context.Background(), RangeQuery{
+			Component: "comp0", Metric: "cpu", From: 50, To: 2 * blockSize * 100, Agg: AggMax, StepMS: 1 << 41,
+		}); err != nil {
+			t.Fatalf("QueryRange: %v", err)
 		}
-		if withTel {
-			s.SetTelemetry(NewStoreTelemetry(telemetry.NewRegistry()))
+		if d, sm, sk := tel.ChunksDecoded.Value(), tel.ChunksSummarized.Value(), tel.ChunksSkipped.Value(); d == 0 || sm == 0 || sk == 0 {
+			t.Fatalf("chunk fates decoded=%d summarized=%d skipped=%d, want all > 0", d, sm, sk)
 		}
-		fillStore(t, s, 3, blockSize+37)
-		if err := s.Checkpoint(); err != nil {
-			t.Fatalf("Checkpoint: %v", err)
-		}
-		fillStore(t, s, 2, 41) // post-checkpoint tail data
-		return s, func() { s.Close() }
 	}
-	plain, closePlain := build(false)
-	defer closePlain()
-	instr, closeInstr := build(true)
-	defer closeInstr()
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("memory/shards=%d", shards), func(t *testing.T) {
+			s := NewSharded(shards)
+			fillStore(t, s, 3, pts)
+			chunkFates(t, s)
+			if got := s.Telemetry().WALBytesWritten.Value(); got != 0 {
+				t.Fatalf("in-memory store wrote %d WAL bytes", got)
+			}
+		})
+		t.Run(fmt.Sprintf("durable/shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := DurabilityOptions{Dir: dir, Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1, Downsample: true}
+			s, err := OpenSharded(shards, opts)
+			if err != nil {
+				t.Fatalf("OpenSharded: %v", err)
+			}
+			tel := s.Telemetry()
+			fillStore(t, s, 3, pts)
+			if tel.WALAppendSeconds.Count() == 0 || tel.WALBytesWritten.Value() == 0 {
+				t.Fatalf("WAL appends=%d bytes=%d after a write, want both > 0",
+					tel.WALAppendSeconds.Count(), tel.WALBytesWritten.Value())
+			}
+			chunkFates(t, s)
+			fates := [3]uint64{tel.ChunksDecoded.Value(), tel.ChunksSummarized.Value(), tel.ChunksSkipped.Value()}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if got := tel.CheckpointPoints.Value(); got != 3*pts {
+				t.Fatalf("checkpoint points = %d, want %d", got, 3*pts)
+			}
+			if got := tel.BlockPublishes.Value(); got != 1 {
+				t.Fatalf("block publishes = %d, want 1", got)
+			}
+			if err := s.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+			if tel.CompactionsRun.Value() != 1 || tel.DownsampleSeconds.Count() == 0 {
+				t.Fatalf("compactions=%d downsample builds=%d, want 1 and > 0",
+					tel.CompactionsRun.Value(), tel.DownsampleSeconds.Count())
+			}
+			// The checkpoint and companion scans above are not queries.
+			if got := [3]uint64{tel.ChunksDecoded.Value(), tel.ChunksSummarized.Value(), tel.ChunksSkipped.Value()}; got != fates {
+				t.Fatalf("background scans counted as query chunk fates: %v -> %v (decoded, summarized, skipped)", fates, got)
+			}
 
-	queries := []RangeQuery{
-		{Component: "*", Metric: "*", From: 0, To: 1 << 40},
-		{Component: "comp*", Metric: "cpu", From: 1000, To: 30000},
-		{Component: "*", Metric: "*", From: 0, To: 1 << 40, Agg: AggMax, StepMS: 5000},
-		{Component: "*", Metric: "*", From: 0, To: 1 << 40, Agg: AggAvg, StepMS: 2500},
-		{Component: "*", Metric: "*", From: 0, To: 1 << 40, Agg: AggRate, StepMS: 10000},
+			// Hard stop with one batch only in the WAL (no Checkpoint, no
+			// Close), then a second life on the same directory.
+			tail := []Sample{{Component: "comp0", Metric: "cpu", T: pts * 100, V: 1}}
+			if err := s.WriteSamples(tail, 16); err != nil {
+				t.Fatalf("WriteSamples(tail): %v", err)
+			}
+			re, err := OpenSharded(shards, opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			if got := re.Stats().Points; got != 3*pts+1 {
+				t.Fatalf("recovered %d points, want %d (block + replayed tail)", got, 3*pts+1)
+			}
+			if re.Telemetry() == tel || re.Registry() == s.Registry() {
+				t.Fatalf("second life shares the first life's instruments")
+			}
+			for _, r := range re.Registry().Readings() {
+				if r.Value != 0 {
+					t.Errorf("reopened store starts with %s = %v, want 0", r.Name, r.Value)
+				}
+			}
+		})
 	}
-	for _, q := range queries {
-		a, err := plain.QueryRange(context.Background(), q)
-		if err != nil {
-			t.Fatalf("plain QueryRange(%+v): %v", q, err)
-		}
-		b, err := instr.QueryRange(context.Background(), q)
-		if err != nil {
-			t.Fatalf("instrumented QueryRange(%+v): %v", q, err)
-		}
-		aj, _ := json.Marshal(a)
-		bj, _ := json.Marshal(b)
-		if string(aj) != string(bj) {
-			t.Fatalf("telemetry changed query bytes for %+v:\nplain: %s\ninstr: %s", q, aj, bj)
-		}
+}
+
+// TestTwoStoresDoNotShareInstruments is the core.Capture store beside a
+// server store: two stores in one process register the same metric
+// names on their own registries (no duplicate-registration panic), and
+// traffic on one leaves the other's untouched.
+func TestTwoStoresDoNotShareInstruments(t *testing.T) {
+	a, b := NewSharded(2), NewSharded(2)
+	before := b.Registry().Readings()
+	if len(before) == 0 || !reflect.DeepEqual(before, a.Registry().Readings()) {
+		t.Fatalf("fresh stores expose different instruments:\na: %v\nb: %v", a.Registry().Readings(), before)
+	}
+	fillStore(t, a, 2, 2*blockSize)
+	if _, err := a.QueryRange(context.Background(), RangeQuery{Component: "*", Metric: "*", From: 50, To: 200}); err != nil {
+		t.Fatalf("QueryRange: %v", err)
+	}
+	if a.Telemetry().ChunksDecoded.Value() == 0 {
+		t.Fatalf("store a's query moved nothing")
+	}
+	if after := b.Registry().Readings(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("traffic on a changed b's registry:\nbefore: %v\nafter:  %v", before, after)
 	}
 }
 

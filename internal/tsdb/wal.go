@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
 
 // FsyncPolicy controls when WAL appends are forced to stable storage.
@@ -358,15 +356,10 @@ type walWriter struct {
 	nextID    uint64
 	newSeries []seriesIdent
 
-	// appendHist/syncHist, when non-nil, time successful appends and
-	// fsyncs. Set via setTelemetry (under mu, before traffic) and read
-	// only under mu, so installation is ordered against the fsync
-	// ticker.
-	appendHist *telemetry.Histogram
-	syncHist   *telemetry.Histogram
-	// bytesCounter, when non-nil, counts WAL bytes written (frames
-	// including headers), under mu like the histograms.
-	bytesCounter *telemetry.Counter
+	// tel is the owning store's instrument set (append/fsync latency,
+	// bytes written, group-commit cohort size and saved fsyncs). Fixed
+	// at open and never written again, so it is read without mu or cmu.
+	tel *StoreTelemetry
 
 	// segments counts live segment files (older retained ones plus the
 	// open one), maintained by roll/remove so the gauge needs no readdir.
@@ -392,25 +385,6 @@ type walWriter struct {
 	// group, so a recovered disk resumes service without restart.
 	failSeq uint64
 	failErr error
-	// groupHist observes appends-per-fsync; savedCounter counts fsyncs
-	// avoided by coalescing. Set via setTelemetry before traffic, read
-	// under cmu.
-	groupHist    *telemetry.Histogram
-	savedCounter *telemetry.Counter
-}
-
-// setTelemetry installs the append/fsync latency histograms, the
-// group-commit instruments, and the bytes-written counter.
-func (w *walWriter) setTelemetry(appendH, syncH, groupH *telemetry.Histogram, saved, bytes *telemetry.Counter) {
-	w.mu.Lock()
-	w.appendHist = appendH
-	w.syncHist = syncH
-	w.bytesCounter = bytes
-	w.mu.Unlock()
-	w.cmu.Lock()
-	w.groupHist = groupH
-	w.savedCounter = saved
-	w.cmu.Unlock()
 }
 
 // segmentCount reports the number of live segment files.
@@ -420,22 +394,20 @@ func (w *walWriter) segmentCount() int {
 	return w.segments
 }
 
-// syncFileLocked fsyncs the open segment, timing it when instrumented.
-// Caller holds w.mu.
-func (w *walWriter) syncFileLocked() error {
-	if w.syncHist == nil {
-		return w.f.Sync()
-	}
+// timedSync fsyncs f and records the latency: the one fsync both the
+// background ticker (under mu) and the group-commit leader (outside
+// every lock, on its copy of the handle) go through.
+func (w *walWriter) timedSync(f *os.File) error {
 	start := time.Now()
-	err := w.f.Sync()
-	w.syncHist.ObserveSince(start)
+	err := f.Sync()
+	w.tel.WALFsyncSeconds.ObserveSince(start)
 	return err
 }
 
 // openWALWriter opens dir (creating it) and starts a fresh segment after
 // the highest existing one; existing segments are left for replay and
 // later truncation by checkpoints.
-func openWALWriter(dir string, policy FsyncPolicy, segMax int64) (*walWriter, error) {
+func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelemetry) (*walWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -454,7 +426,7 @@ func openWALWriter(dir string, policy FsyncPolicy, segMax int64) (*walWriter, er
 		}
 	}
 	w := &walWriter{dir: dir, policy: policy, segMax: segMax, seq: next, retained: retained, segments: len(seqs) + 1,
-		dict: map[string]map[string]uint64{}}
+		dict: map[string]map[string]uint64{}, tel: tel}
 	w.ccond = sync.NewCond(&w.cmu)
 	if w.f, err = w.create(next); err != nil {
 		return nil, err
@@ -533,10 +505,7 @@ func (w *walWriter) append(samples []Sample) (uint64, error) {
 	if err := w.clearPendingTruncLocked(); err != nil {
 		return 0, err
 	}
-	var start time.Time
-	if w.appendHist != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	w.encodeFramesLocked(samples)
 	if w.size > 0 && w.size+int64(len(w.buf)) > w.segMax {
 		// The encode above may have defined series in the dictionary of
@@ -563,16 +532,12 @@ func (w *walWriter) append(samples []Sample) (uint64, error) {
 	}
 	w.dirty = true
 	w.size += int64(len(w.buf))
-	if w.bytesCounter != nil {
-		w.bytesCounter.Add(uint64(len(w.buf)))
-	}
+	w.tel.WALBytesWritten.Add(uint64(len(w.buf)))
 	w.cmu.Lock()
 	w.appendSeq++
 	seq := w.appendSeq
 	w.cmu.Unlock()
-	if w.appendHist != nil {
-		w.appendHist.ObserveSince(start)
-	}
+	w.tel.WALAppendSeconds.ObserveSince(start)
 	return seq, nil
 }
 
@@ -609,7 +574,6 @@ func (w *walWriter) commitWait(seq uint64) error {
 			w.syncing = true
 			target := w.appendSeq
 			prev := w.syncedSeq
-			groupHist, saved := w.groupHist, w.savedCounter
 			w.cmu.Unlock()
 
 			// Copy the file handle under mu (rolls replace it under mu),
@@ -617,19 +581,12 @@ func (w *walWriter) commitWait(seq uint64) error {
 			// behind this flush — that queue is the next leader's cohort.
 			w.mu.Lock()
 			f := w.f
-			syncHist := w.syncHist
 			w.mu.Unlock()
 			// A nil handle means close already ran; its final fsync either
 			// advanced syncedSeq past target (checked below) or failed.
 			err := os.ErrClosed
 			if f != nil {
-				if syncHist != nil {
-					start := time.Now()
-					err = f.Sync()
-					syncHist.ObserveSince(start)
-				} else {
-					err = f.Sync()
-				}
+				err = w.timedSync(f)
 			}
 
 			w.cmu.Lock()
@@ -640,12 +597,8 @@ func (w *walWriter) commitWait(seq uint64) error {
 					w.syncedSeq = target
 				}
 				if batches := target - prev; batches > 0 {
-					if groupHist != nil {
-						groupHist.Observe(float64(batches))
-					}
-					if saved != nil && batches > 1 {
-						saved.Add(batches - 1)
-					}
+					w.tel.WALGroupCommitBatches.Observe(float64(batches))
+					w.tel.WALFsyncsSaved.Add(batches - 1)
 				}
 			case w.syncedSeq >= target:
 				// A concurrent roll fsynced and closed the file under us
@@ -737,7 +690,7 @@ func (w *walWriter) sync() error {
 	if !w.dirty {
 		return nil
 	}
-	if err := w.syncFileLocked(); err != nil {
+	if err := w.timedSync(w.f); err != nil {
 		w.syncErr = err
 		return err
 	}

@@ -8,7 +8,15 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
+
+// openTestWAL opens a writer the way OpenSharded does, with a fresh
+// instrument set of its own.
+func openTestWAL(dir string, policy FsyncPolicy, segMax int64) (*walWriter, error) {
+	return openWALWriter(dir, policy, segMax, newStoreTelemetry(telemetry.NewRegistry()))
+}
 
 func walBatch(comp string, n int, base int64) []Sample {
 	out := make([]Sample, n)
@@ -64,7 +72,7 @@ func TestWALSampleCodecRoundtrip(t *testing.T) {
 
 func TestWALAppendReplayRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWALWriter(dir, FsyncNever, 1<<20)
+	w, err := openTestWAL(dir, FsyncNever, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +102,7 @@ func TestWALAppendReplayRoundtrip(t *testing.T) {
 func TestWALSegmentRollAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segment cap: every record rolls to a new segment.
-	w, err := openWALWriter(dir, FsyncNever, 64)
+	w, err := openTestWAL(dir, FsyncNever, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +144,7 @@ func TestWALSegmentRollAndPrune(t *testing.T) {
 
 func TestWALTruncatedTailRepair(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWALWriter(dir, FsyncNever, 1<<20)
+	w, err := openTestWAL(dir, FsyncNever, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +185,7 @@ func TestWALTruncatedTailRepair(t *testing.T) {
 func TestWALCorruptRecordDiscardsRest(t *testing.T) {
 	dir := t.TempDir()
 	// One record per segment, three segments.
-	w, err := openWALWriter(dir, FsyncNever, 1)
+	w, err := openTestWAL(dir, FsyncNever, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestWALDictMixedVersionSegmentReplay(t *testing.T) {
 	old2 := walBatch("old-b", 8, 2000)
 	writeV1Segment(t, dir, 1, old1, old2)
 
-	w, err := openWALWriter(dir, FsyncNever, 1<<20)
+	w, err := openTestWAL(dir, FsyncNever, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestWALMixedVersionTornTailRepair(t *testing.T) {
 	old := walBatch("old", 8, 1000)
 	writeV1Segment(t, dir, 1, old)
 
-	w, err := openWALWriter(dir, FsyncNever, 1<<20)
+	w, err := openTestWAL(dir, FsyncNever, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestMixedVersionStoreRecovery(t *testing.T) {
 // v1 encoding of the same batches costs.
 func TestWALDictCompressionRatio(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWALWriter(dir, FsyncNever, 64<<20)
+	w, err := openTestWAL(dir, FsyncNever, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,9 +417,7 @@ func TestGroupCommitConcurrentEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
 			s := openGroupCommit(t, dir, shards)
-			reg := telemetry.NewRegistry()
-			tel := NewStoreTelemetry(reg)
-			s.SetTelemetry(tel)
+			tel := s.Telemetry()
 
 			const writers, batches = 8, 20
 			ref := NewSharded(shards)
@@ -593,9 +591,7 @@ func TestGroupCommitConcurrentIngestCheckpointClose(t *testing.T) {
 func TestGroupCommitSingleWriterStillSyncs(t *testing.T) {
 	dir := t.TempDir()
 	s := openGroupCommit(t, dir, 1)
-	reg := telemetry.NewRegistry()
-	tel := NewStoreTelemetry(reg)
-	s.SetTelemetry(tel)
+	tel := s.Telemetry()
 	for i := 0; i < 5; i++ {
 		recoveryWrite(t, walBatch("solo", 4, int64(i)*1000), s)
 	}
@@ -624,14 +620,12 @@ func TestGroupCommitSingleWriterStillSyncs(t *testing.T) {
 // waiters actually pile up there depends on the disk's fsync latency,
 // so the counter semantics are pinned here instead.
 func TestGroupCommitBatchedAppendsShareOneFsync(t *testing.T) {
-	w, err := openWALWriter(t.TempDir(), FsyncAlways, 1<<20)
+	tel := newStoreTelemetry(telemetry.NewRegistry())
+	w, err := openWALWriter(t.TempDir(), FsyncAlways, 1<<20, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	groupH := reg.Histogram("batches", "", []float64{1, 2, 4})
-	saved := reg.Counter("saved", "")
-	w.setTelemetry(nil, nil, groupH, saved, nil)
+	groupH, saved := tel.WALGroupCommitBatches, tel.WALFsyncsSaved
 	var last uint64
 	for i := 0; i < 3; i++ {
 		seq, err := w.append(walBatch("c", 2, int64(i)*1000))
@@ -666,7 +660,7 @@ func TestGroupCommitBatchedAppendsShareOneFsync(t *testing.T) {
 // the ratio pin: the same batch appended twice writes its strings once.
 func TestWALV2SegmentFilesAreSmaller(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWALWriter(dir, FsyncNever, 1<<20)
+	w, err := openTestWAL(dir, FsyncNever, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +690,7 @@ func TestWALV2SegmentFilesAreSmaller(t *testing.T) {
 // next successful append must re-define its series and replay cleanly.
 func TestWALDictRollbackOnWriteFailure(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWALWriter(dir, FsyncNever, 1<<20)
+	w, err := openTestWAL(dir, FsyncNever, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,11 @@ import (
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
-// obsRow is one BENCH_obs.json entry. OverheadPct is only set on the
-// instrumented half of a base/telemetry pair: the ns/op delta against
-// the base, as a percentage (the budget is <= 2%).
+// obsRow is one BENCH_obs.json entry.
 type obsRow struct {
 	Name        string   `json:"name"`
 	NsPerOp     float64  `json:"ns_per_op"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	OverheadPct *float64 `json:"overhead_pct,omitempty"`
 }
 
 var obsBench struct {
@@ -38,25 +35,11 @@ func putObsRow(r obsRow) {
 	obsBench.rows[r.Name] = r
 }
 
-// flushObsJSON rewrites BENCH_obs.json from the accumulated rows,
-// computing the telemetry-overhead percentages for the ingest and query
-// pairs. Rows are emitted in fixed case order.
+// flushObsJSON rewrites BENCH_obs.json from the accumulated rows, in
+// fixed case order.
 func flushObsJSON(order []string) {
 	obsBench.Lock()
 	defer obsBench.Unlock()
-	for _, pair := range [][2]string{
-		{"ingest-base", "ingest-telemetry"},
-		{"query-base", "query-telemetry"},
-	} {
-		base, okB := obsBench.rows[pair[0]]
-		instr, okI := obsBench.rows[pair[1]]
-		if !okB || !okI || base.NsPerOp <= 0 {
-			continue
-		}
-		pct := (instr.NsPerOp - base.NsPerOp) / base.NsPerOp * 100
-		instr.OverheadPct = &pct
-		obsBench.rows[pair[1]] = instr
-	}
 	var rows []obsRow
 	for _, name := range order {
 		if r, ok := obsBench.rows[name]; ok {
@@ -84,14 +67,11 @@ func flushObsJSON(order []string) {
 	_ = os.WriteFile("BENCH_obs.json", append(data, '\n'), 0o644)
 }
 
-// obsSealedStore builds a sealed 32-series store for the query pair:
+// obsSealedStore builds a sealed 32-series store for the query row:
 // enough points per series that QueryRange walks real chunks.
-func obsSealedStore(b *testing.B, tel *tsdb.StoreTelemetry) *tsdb.Sharded {
+func obsSealedStore(b *testing.B) *tsdb.Sharded {
 	b.Helper()
 	s := tsdb.NewSharded(4)
-	if tel != nil {
-		s.SetTelemetry(tel)
-	}
 	samples := make([]tsdb.Sample, 0, 2048)
 	for c := 0; c < 8; c++ {
 		for m := 0; m < 4; m++ {
@@ -116,13 +96,18 @@ func obsSealedStore(b *testing.B, tel *tsdb.StoreTelemetry) *tsdb.Sharded {
 // BenchmarkTelemetry measures the self-observability layer: raw
 // instrument update costs (the 0 allocs/op contract — also pinned
 // hard by allocation tests in internal/telemetry), the fast-path span,
-// and the end-to-end overhead telemetry adds to WAL-backed ingest and
-// to chunk-counted query reads (budget: <= 2%). Results are written to
-// BENCH_obs.json.
+// and the always-on cost of WAL-backed ingest and chunk-counted query
+// reads. Results are written to BENCH_obs.json.
+//
+// The ingest and query rows continue the old ingest-telemetry and
+// query-telemetry rows. Their uninstrumented halves (ingest-base,
+// query-base) have no store left to run on: the off state was deleted
+// when its last measurement put the instruments at +0.88 % on ingest
+// (110.6 vs 111.6 us/op) and inside the noise on query (-7.8 %).
 func BenchmarkTelemetry(b *testing.B) {
 	order := []string{
 		"counter-inc", "gauge-set", "histogram-observe", "span-fast-path",
-		"ingest-base", "ingest-telemetry", "query-base", "query-telemetry",
+		"ingest", "query",
 	}
 
 	reg := telemetry.NewRegistry()
@@ -154,66 +139,48 @@ func BenchmarkTelemetry(b *testing.B) {
 		sp.End()
 	}))
 
-	// Ingest pair: WAL-backed stores (where the append/fsync histograms
-	// actually fire), identical except for SetTelemetry.
+	// Ingest: a WAL-backed store, where the append/fsync histograms fire.
 	payloads := ingestPayloads()
-	for _, tc := range []struct {
-		name string
-		tel  bool
-	}{{"ingest-base", false}, {"ingest-telemetry", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			s, err := tsdb.OpenSharded(4, tsdb.DurabilityOptions{
-				Dir:           b.TempDir(),
-				Fsync:         tsdb.FsyncInterval,
-				FlushInterval: -1,
-			})
-			if err != nil {
+	b.Run("ingest", func(b *testing.B) {
+		s, err := tsdb.OpenSharded(4, tsdb.DurabilityOptions{
+			Dir:           b.TempDir(),
+			Fsync:         tsdb.FsyncInterval,
+			FlushInterval: -1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Write(payloads[i%len(payloads)]); err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
-			if tc.tel {
-				s.SetTelemetry(tsdb.NewStoreTelemetry(telemetry.NewRegistry()))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Write(payloads[i%len(payloads)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			putObsRow(obsRow{Name: tc.name, NsPerOp: b.Elapsed().Seconds() * 1e9 / float64(b.N)})
-		})
-	}
+		}
+		b.StopTimer()
+		putObsRow(obsRow{Name: "ingest", NsPerOp: b.Elapsed().Seconds() * 1e9 / float64(b.N)})
+	})
 
-	// Query pair: sealed stores read with chunk-fate counting on vs off.
+	// Query: a sealed store read with chunk-fate counting.
 	queries := []tsdb.RangeQuery{
 		{Component: "*", Metric: "*", From: 0, To: 1 << 40},
 		{Component: "comp-*", Metric: "*", From: 0, To: 1 << 40, Agg: tsdb.AggMax, StepMS: 60000},
 		{Component: "comp-3", Metric: "metric_1", From: 100000, To: 400000},
 	}
-	for _, tc := range []struct {
-		name string
-		tel  bool
-	}{{"query-base", false}, {"query-telemetry", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var tel *tsdb.StoreTelemetry
-			if tc.tel {
-				tel = tsdb.NewStoreTelemetry(telemetry.NewRegistry())
+	b.Run("query", func(b *testing.B) {
+		s := obsSealedStore(b)
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.QueryRange(ctx, queries[i%len(queries)]); err != nil {
+				b.Fatal(err)
 			}
-			s := obsSealedStore(b, tel)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.QueryRange(ctx, queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			putObsRow(obsRow{Name: tc.name, NsPerOp: b.Elapsed().Seconds() * 1e9 / float64(b.N)})
-		})
-	}
+		}
+		b.StopTimer()
+		putObsRow(obsRow{Name: "query", NsPerOp: b.Elapsed().Seconds() * 1e9 / float64(b.N)})
+	})
 
 	flushObsJSON(order)
 }
