@@ -212,7 +212,7 @@ func reduceComponent(ctx context.Context, ds *Dataset, component string, opts Re
 	if err != nil {
 		return nil, err
 	}
-	finishReduction(cr, kept, series, sweep)
+	finishReduction(cr, kept, sweep)
 	return cr, nil
 }
 
@@ -252,8 +252,9 @@ func filterComponent(ds *Dataset, component string, opts ReduceOptions) (cr *Com
 
 // finishReduction turns a clustering result into the component's
 // reduction: dense cluster IDs, sorted member lists, and the member
-// closest (SBD) to each centroid as the representative.
-func finishReduction(cr *ComponentReduction, kept []string, series [][]float64, sweep *kshape.SweepResult) {
+// closest (SBD) to each centroid as the representative — by the distances
+// the clustering's last assignment step already held.
+func finishReduction(cr *ComponentReduction, kept []string, sweep *kshape.SweepResult) {
 	cr.K = sweep.K
 	cr.Silhouette = sweep.Silhouette
 
@@ -267,8 +268,7 @@ func finishReduction(cr *ComponentReduction, kept []string, series [][]float64, 
 		for _, idx := range members {
 			name := kept[idx]
 			cluster.Metrics = append(cluster.Metrics, name)
-			d, _ := kshape.SBD(sweep.Centroids[c], timeseries.ZNormalize(series[idx]))
-			if d < bestDist {
+			if d := sweep.Distances[idx]; d < bestDist {
 				bestDist, bestName = d, name
 			}
 		}

@@ -7,13 +7,19 @@
 //
 //   - sbd.go: the shape-based distance (SBD), a cross-correlation
 //     distance computed via FFT, and the normalized cross-correlation
-//     sequence it derives from.
+//     sequence it derives from; over cached spectra one correlation
+//     yields the distance and the aligning shift together.
 //   - kshape.go: the iterative refinement loop — assignment by SBD,
 //     centroid extraction as the maximizing eigenvector of a
 //     Rayleigh-quotient problem — plus metric-name seeding of the
 //     initial assignment (seed.go), which makes runs deterministic and
 //     mirrors the paper's observation that similarly named metrics tend
-//     to cluster.
+//     to cluster. Within one sweep no work is done twice: a centroid
+//     keeps the distance and shift of every series it has been compared
+//     with, and a cluster whose members and shifts were seen before —
+//     an iteration earlier, or at another k — reuses that extraction
+//     (the centroid memo, held by the worker's Scratch). Both are exact:
+//     docs/ARCHITECTURE.md, "The exact fast path of the k-Shape sweep".
 //   - silhouette.go, eval.go: silhouette-based selection of the cluster
 //     count k within a configured range (ChooseK), and the Adjusted
 //     Mutual Information score used to evaluate clustering consistency

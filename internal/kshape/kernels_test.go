@@ -47,8 +47,8 @@ func TestSpectrumBatchedSBDMatchesPairwise(t *testing.T) {
 		}
 	}
 
-	// The shift must match too: distShift against cached spectra is what
-	// shape extraction aligns members with.
+	// The shift must match too: sbd against cached spectra is what shape
+	// extraction aligns members with.
 	profiles := make([]*sbdProfile, len(series))
 	for i, s := range series {
 		profiles[i] = newSBDProfile(s)
@@ -57,9 +57,9 @@ func TestSpectrumBatchedSBDMatchesPairwise(t *testing.T) {
 	for i := range series {
 		for j := range series {
 			wantD, wantSh := SBD(series[i], series[j])
-			gotD, gotSh := profiles[i].distShift(profiles[j], &s)
+			gotD, gotSh := profiles[i].sbd(profiles[j], &s)
 			if gotD != wantD || gotSh != wantSh {
-				t.Fatalf("distShift(%d,%d) = (%v,%d), SBD = (%v,%d)", i, j, gotD, gotSh, wantD, wantSh)
+				t.Fatalf("sbd(%d,%d) = (%v,%d), SBD = (%v,%d)", i, j, gotD, gotSh, wantD, wantSh)
 			}
 		}
 	}
@@ -72,12 +72,12 @@ func TestKernelSBDScratchAllocs(t *testing.T) {
 	series := randomSeries(rng, 2, 256)
 	p, q := newSBDProfile(series[0]), newSBDProfile(series[1])
 	var s Scratch
-	p.distShift(q, &s) // warm the scratch and twiddle cache
+	p.sbd(q, &s) // warm the scratch and twiddle cache
 
 	if allocs := testing.AllocsPerRun(50, func() {
-		p.distShift(q, &s)
+		p.sbd(q, &s)
 	}); allocs != 0 {
-		t.Fatalf("warm distShift allocates %v times per call, want 0", allocs)
+		t.Fatalf("warm sbd allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package kshape
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -46,8 +47,16 @@ type Result struct {
 	// Assignments maps each input series index to its cluster in [0,K).
 	Assignments []int
 	// Centroids holds one z-normalized centroid per cluster; a cluster
-	// that ended up empty has a zero centroid.
+	// that ended up empty has a zero centroid. The slices are read-only:
+	// the results of one sweep (every k, every restart) may share them —
+	// equal clusters extract one centroid between them, and all empty
+	// clusters share one zero centroid.
 	Centroids [][]float64
+	// Distances holds each series' SBD to its assigned centroid,
+	// bit-identical to SBD(Centroids[Assignments[i]], z-normalized series
+	// i): the values the last assignment step compared, so picking a
+	// cluster's representative needs no further correlation.
+	Distances []float64
 	// Iterations is the number of refinement iterations performed.
 	Iterations int
 }
@@ -119,41 +128,40 @@ func Cluster(series [][]float64, opts Options) (*Result, error) {
 
 // clusterPrepared runs Cluster's restart logic over pre-computed spectra
 // with caller-owned scratch, returning the winning run and its final
-// centroid profiles (consistent with Result.Centroids).
-func clusterPrepared(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile, error) {
+// centroids (consistent with Result.Centroids).
+func clusterPrepared(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, error) {
 	if opts.Restarts > 1 && opts.InitialAssignments == nil {
 		var best *Result
-		var bestProfiles []*sbdProfile
+		var bestCents []*centroid
 		bestCost := math.Inf(1)
 		for r := 0; r < opts.Restarts; r++ {
 			run := opts
 			run.Restarts = 0
 			run.Seed = opts.Seed + int64(r)
-			res, centProfiles, err := clusterOnce(p, run, s)
+			res, cents, err := clusterOnce(p, run, s)
 			if err != nil {
 				return nil, nil, err
 			}
-			if cost := totalWithin(res, centProfiles, p, s); cost < bestCost {
-				bestCost, best, bestProfiles = cost, res, centProfiles
+			if cost := totalWithin(res); cost < bestCost {
+				bestCost, best, bestCents = cost, res, cents
 			}
 		}
-		return best, bestProfiles, nil
+		return best, bestCents, nil
 	}
 	return clusterOnce(p, opts, s)
 }
 
 // totalWithin sums each series' distance to its assigned centroid, the
-// objective used to compare restarts — computed over cached spectra,
-// bit-identical to SBD(centroid, normalized series) per member.
-func totalWithin(r *Result, centProfiles []*sbdProfile, p *prepared, s *Scratch) float64 {
+// objective used to compare restarts.
+func totalWithin(r *Result) float64 {
 	var total float64
-	for i, a := range r.Assignments {
-		total += centProfiles[a].dist(p.profiles[i], s)
+	for _, d := range r.Distances {
+		total += d
 	}
 	return total
 }
 
-func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile, error) {
+func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, error) {
 	n := len(p.norm)
 	if opts.K < 1 {
 		return nil, nil, fmt.Errorf("kshape: invalid K=%d", opts.K)
@@ -161,7 +169,6 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile,
 	if opts.K > n {
 		return nil, nil, fmt.Errorf("kshape: K=%d exceeds %d series", opts.K, n)
 	}
-	sLen := len(p.norm[0])
 	maxIter := opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
@@ -186,52 +193,48 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile,
 		}
 	}
 
-	centroids := make([][]float64, opts.K)
-	for c := range centroids {
-		centroids[c] = make([]float64, sLen)
-	}
-
-	centProfiles := make([]*sbdProfile, opts.K)
+	// cents[c] is cluster c's current centroid, nil (an all-zero
+	// reference) until the first refinement. Centroids come from the
+	// sweep's memo, and every distance is read through them, so this run
+	// correlates no (centroid, series) pair an earlier iteration, restart
+	// or k of the same sweep already did.
+	memo := s.memoFor(p)
+	cents := make([]*centroid, opts.K)
 	var history orbitHistory
 	iterations := 0
 	for iter := 0; iter < maxIter; iter++ {
 		iterations = iter + 1
 
 		// Refinement: re-extract each cluster's centroid, aligning members
-		// to the previous centroid, whose profile the previous iteration's
-		// assignment step built.
-		for c := 0; c < opts.K; c++ {
+		// to the previous centroid by the shifts the previous iteration's
+		// assignment step found with their distances.
+		for c := range cents {
 			members := s.members[:0]
-			memberProfiles := s.memberProfiles[:0]
 			for i, a := range assign {
 				if a == c {
-					members = append(members, p.norm[i])
-					memberProfiles = append(memberProfiles, p.profiles[i])
+					members = append(members, i)
 				}
 			}
-			s.members, s.memberProfiles = members, memberProfiles
-			centroids[c] = shapeExtraction(members, memberProfiles, centroids[c], centProfiles[c], s)
+			s.members = members
+			cents[c] = memo.refine(members, cents[c], s)
 		}
 
 		// Assignment: move every series to its closest centroid, the
-		// lowest-indexed one on a tie. Member FFTs are cached, so each
-		// distance costs one fused spectrum product and inverse transform
-		// — and most are not computed at all: the series' distance to its
-		// own centroid seeds the running minimum, and a candidate whose
-		// spectral lower bound already exceeds the minimum by more than
-		// the kernel's rounding error can neither win nor tie.
-		for c := range centProfiles {
-			centProfiles[c] = newSBDProfile(centroids[c])
-		}
+		// lowest-indexed one on a tie. Most distances are not computed at
+		// all: the series' distance to its own centroid seeds the running
+		// minimum, and a candidate this sweep has not yet correlated with
+		// the series, whose spectral lower bound already exceeds the
+		// minimum by more than the kernel's rounding error, can neither
+		// win nor tie.
 		changed := false
 		for i, x := range p.profiles {
 			bestC := assign[i]
-			best := centProfiles[bestC].dist(x, s)
-			for c, cp := range centProfiles {
-				if c == assign[i] || cp.lowerBound(x) > best+pruneMargin {
+			best := cents[bestC].dist(i, p, s)
+			for c, cent := range cents {
+				if c == assign[i] || (!cent.rows[i].known && cent.profile.lowerBound(x) > best+pruneMargin) {
 					continue
 				}
-				if d := cp.dist(x, s); d < best || (d == best && c < bestC) {
+				if d := cent.dist(i, p, s); d < best || (d == best && c < bestC) {
 					best, bestC = d, c
 				}
 			}
@@ -252,8 +255,7 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile,
 				if countOf(assign, a) <= 1 {
 					continue // do not empty another cluster
 				}
-				d := centProfiles[a].dist(p.profiles[i], s)
-				if d > worstD {
+				if d := cents[a].dist(i, p, s); d > worstD {
 					worstD, worstI = d, i
 				}
 			}
@@ -272,51 +274,172 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile,
 		// repeats too — none of them converges, or the loop would have
 		// ended inside the first lap — so the state after maxIter
 		// iterations is already known: take it and stop.
-		if final := history.closes(iterations, maxIter, assign, centroids); final != nil {
+		if final := history.closes(iterations, maxIter, assign, cents); final != nil {
 			copy(assign, final.assign)
-			copy(centroids, final.centroids)
-			for c := range centProfiles {
-				centProfiles[c] = newSBDProfile(centroids[c])
-			}
+			copy(cents, final.cents)
 			iterations = maxIter
 			break
 		}
 	}
 
-	return &Result{
+	res := &Result{
 		K:           opts.K,
 		Assignments: assign,
-		Centroids:   centroids,
+		Centroids:   make([][]float64, opts.K),
+		Distances:   make([]float64, n),
 		Iterations:  iterations,
-	}, centProfiles, nil
+	}
+	for c, cent := range cents {
+		res.Centroids[c] = cent.values
+	}
+	for i, a := range assign {
+		res.Distances[i] = cents[a].dist(i, p, s)
+	}
+	return res, cents, nil
 }
 
-// shapeExtraction computes a cluster's new centroid: members are aligned
-// to the current centroid, and the new centroid is the dominant
-// eigenvector of Q·AᵀA·Q (A = aligned member rows, Q = centering matrix),
-// which maximizes the summed squared cross-correlation to all members.
-// refProfile is the reference's profile, nil before the first assignment
-// step has built one (the reference is then all zeros). The result is
-// z-normalized and sign-fixed against the reference. All
-// intermediates (aligned rows, centering buffers, power-iteration
-// vectors) come from the scratch; only the returned centroid is a fresh
-// slice.
-func shapeExtraction(members [][]float64, memberProfiles []*sbdProfile, reference []float64, refProfile *sbdProfile, s *Scratch) []float64 {
-	sLen := len(reference)
-	if len(members) == 0 {
-		return make([]float64, sLen)
+// centroid is one signed centroid of a sweep: its z-normalized values,
+// their spectrum, and the SBD of every series of the prepared set to it
+// that the sweep has asked for so far. The rows belong to the signed
+// centroid — SBD(-c, x) is not SBD(c, x) — and are filled on first use, so
+// a (centroid, series) pair is correlated at most once however many
+// iterations, restarts and candidate k meet the same centroid.
+type centroid struct {
+	values  []float64
+	profile *sbdProfile
+	rows    []sbdRow
+}
+
+// sbdRow is one series' distance to a centroid and the shift that aligns
+// the series with it.
+type sbdRow struct {
+	dist  float64
+	shift int32
+	known bool
+}
+
+// sbd returns series i's distance to the centroid and its aligning
+// shift, bit-identical to SBD(c.values, p.norm[i]).
+func (c *centroid) sbd(i int, p *prepared, s *Scratch) (float64, int) {
+	r := &c.rows[i]
+	if !r.known {
+		d, shift := c.profile.sbd(p.profiles[i], s)
+		*r = sbdRow{dist: d, shift: int32(shift), known: true}
 	}
-	refIsZero := refProfile == nil || refProfile.norm == 0
-	aligned := s.aligned(len(members), sLen)
-	for i, m := range members {
-		if refIsZero {
-			copy(aligned[i], m)
-			continue
+	return r.dist, int(r.shift)
+}
+
+func (c *centroid) dist(i int, p *prepared, s *Scratch) float64 {
+	d, _ := c.sbd(i, p, s)
+	return d
+}
+
+// centroidMemo remembers every shape extraction of one sweep over one
+// prepared set. An extraction is a pure function of the aligned member
+// matrix — the power iteration starts from a fixed vector and the scratch
+// it runs in never reaches a result — and that matrix is a pure function
+// of the ordered member indices and each member's shift, which is the
+// key. The sign fix depends on the run's own reference, so it is applied
+// after the lookup and each extraction carries up to two signed centroids.
+// A memo lives in its worker's Scratch and goes with it when the sweep
+// returns; what it saves depends on how the sweep's runs fall to workers,
+// what it returns does not.
+type centroidMemo struct {
+	p     *prepared
+	byKey map[string]*extraction
+	key   []byte
+	zero  *centroid
+}
+
+// extraction is one memoized shape extraction: the z-normalized dominant
+// eigenvector as the power iteration left it, and the signed centroids
+// made of it so far (pos shares vec).
+type extraction struct {
+	vec      []float64
+	pos, neg *centroid
+}
+
+func (m *centroidMemo) newCentroid(values []float64) *centroid {
+	return &centroid{values: values, profile: newSBDProfile(values), rows: make([]sbdRow, len(m.p.norm))}
+}
+
+// refine returns the new centroid of a cluster from its members
+// (ascending series indices) and its previous centroid ref, nil before
+// the first refinement: members are aligned to ref, and the new centroid
+// is the dominant eigenvector of Q·AᵀA·Q (A = aligned member rows, Q =
+// centering matrix), which maximizes the summed squared cross-correlation
+// to all members, z-normalized and sign-fixed against ref. An empty
+// cluster gets the memo's one zero centroid.
+func (m *centroidMemo) refine(members []int, ref *centroid, s *Scratch) *centroid {
+	if len(members) == 0 {
+		if m.zero == nil {
+			m.zero = m.newCentroid(make([]float64, len(m.p.norm[0])))
 		}
-		_, shift := refProfile.distShift(memberProfiles[i], s)
-		alignInto(aligned[i], m, shift)
+		return m.zero
+	}
+	// With no reference to align to (none yet, or an emptied cluster's
+	// zeros) members stay where they are: shift 0, as SBD reports against
+	// a zero-norm series.
+	refIsZero := ref == nil || ref.profile.norm == 0
+	shiftOf := func(i int) int {
+		if refIsZero {
+			return 0
+		}
+		_, shift := ref.sbd(i, m.p, s)
+		return shift
+	}
+	key := m.key[:0]
+	for _, i := range members {
+		key = binary.LittleEndian.AppendUint32(key, uint32(i))
+		key = binary.LittleEndian.AppendUint32(key, uint32(int32(shiftOf(i))))
+	}
+	m.key = key
+	ext := m.byKey[string(key)]
+	if ext == nil {
+		aligned := s.aligned(len(members), len(m.p.norm[0]))
+		for r, i := range members {
+			alignInto(aligned[r], m.p.norm[i], shiftOf(i))
+		}
+		ext = &extraction{vec: extractShape(aligned, s)}
+		m.byKey[string(key)] = ext
 	}
 
+	// Eigenvectors are sign-ambiguous; pick the orientation that better
+	// correlates with the reference (or the first member for a fresh
+	// cluster).
+	base := m.p.norm[members[0]]
+	if !refIsZero {
+		base = ref.values
+	}
+	var dot float64
+	for j, v := range ext.vec {
+		dot += v * base[j]
+	}
+	if dot < 0 {
+		if ext.neg == nil {
+			neg := make([]float64, len(ext.vec))
+			for j, v := range ext.vec {
+				neg[j] = -v
+			}
+			ext.neg = m.newCentroid(neg)
+		}
+		return ext.neg
+	}
+	if ext.pos == nil {
+		ext.pos = m.newCentroid(ext.vec)
+	}
+	return ext.pos
+}
+
+// extractShape runs shape extraction's power iteration over the aligned
+// member rows and returns the z-normalized dominant eigenvector of
+// Q·AᵀA·Q in a fresh slice, its sign as the iteration left it. All
+// intermediates (centering buffers, power-iteration vectors) come from
+// the scratch.
+func extractShape(aligned [][]float64, s *Scratch) []float64 {
+	s.eigenRuns++
+	s.eigenRows += len(aligned)
+	sLen := len(aligned[0])
 	if cap(s.centered) < sLen {
 		s.centered = make([]float64, sLen)
 	}
@@ -357,25 +480,7 @@ func shapeExtraction(members [][]float64, memberProfiles []*sbdProfile, referenc
 		}
 	}
 	vec, _ := mathx.DominantEigenWith(sLen, apply, 100, 1e-9, &s.eigen)
-	vec = timeseries.ZNormalize(vec)
-
-	// Eigenvectors are sign-ambiguous; pick the orientation that better
-	// correlates with the reference (or the first member for a fresh
-	// cluster).
-	base := reference
-	if refIsZero {
-		base = aligned[0]
-	}
-	var dot float64
-	for j := range vec {
-		dot += vec[j] * base[j]
-	}
-	if dot < 0 {
-		for j := range vec {
-			vec[j] = -vec[j]
-		}
-	}
-	return vec
+	return timeseries.ZNormalize(vec)
 }
 
 func countOf(assign []int, c int) int {
@@ -397,12 +502,12 @@ func countOf(assign []int, c int) int {
 // longer orbit simply runs to MaxIterations as before.
 const orbitDepth = 8
 
-// orbitState is the refinement loop's state after one iteration. Each
-// iteration allocates fresh centroid slices, so keeping the K slice
-// headers keeps the values.
+// orbitState is the refinement loop's state after one iteration.
+// Centroids are immutable once made, so keeping the K pointers keeps the
+// values — and their profiles and distance rows.
 type orbitState struct {
-	assign    []int
-	centroids [][]float64
+	assign []int
+	cents  []*centroid
 }
 
 // orbitHistory is a ring of the last orbitDepth states, the state after
@@ -414,27 +519,30 @@ type orbitHistory [orbitDepth]orbitState
 // If so the loop is on an orbit of period iter-j, and closes returns the
 // state iteration maxIter would end on: the remembered state at the same
 // phase of the orbit. Otherwise it returns nil.
-func (h *orbitHistory) closes(iter, maxIter int, assign []int, centroids [][]float64) *orbitState {
+func (h *orbitHistory) closes(iter, maxIter int, assign []int, cents []*centroid) *orbitState {
 	for j := iter - 1; j >= iter-orbitDepth && j >= 1; j-- {
-		if h[j%orbitDepth].equals(assign, centroids) {
+		if h[j%orbitDepth].equals(assign, cents) {
 			return &h[(j+(maxIter-j)%(iter-j))%orbitDepth]
 		}
 	}
 	st := &h[iter%orbitDepth]
 	st.assign = append(st.assign[:0], assign...)
-	st.centroids = append(st.centroids[:0], centroids...)
+	st.cents = append(st.cents[:0], cents...)
 	return nil
 }
 
-func (st *orbitState) equals(assign []int, centroids [][]float64) bool {
+func (st *orbitState) equals(assign []int, cents []*centroid) bool {
 	for i, a := range assign {
 		if st.assign[i] != a {
 			return false
 		}
 	}
-	for c, cent := range centroids {
-		for j, v := range cent {
-			if math.Float64bits(st.centroids[c][j]) != math.Float64bits(v) {
+	for c, cent := range cents {
+		if st.cents[c] == cent {
+			continue
+		}
+		for j, v := range cent.values {
+			if math.Float64bits(st.cents[c].values[j]) != math.Float64bits(v) {
 				return false
 			}
 		}

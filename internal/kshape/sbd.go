@@ -85,24 +85,44 @@ func alignInto(dst, y []float64, shift int) []float64 {
 	return dst
 }
 
-// Scratch pools one goroutine's SBD and clustering buffers: the re-packed
+// Scratch pools one goroutine's SBD and clustering state: the re-packed
 // spectrum and inverse-transform slices behind every cached-spectrum
-// distance, plus the centroid-extraction workspace. The zero value is
-// ready to use. A Scratch must not be shared between concurrent
-// goroutines — fan-outs (the silhouette sweep, the pipeline executor)
-// keep one per worker, indexed by parallel.ForEachWorker's worker id.
+// distance, the centroid-extraction workspace, and the centroid memo of
+// the sweep the goroutine is working on. The buffers' contents never
+// reach a result; the memo holds results, but only of the prepared set it
+// was made for — a run over another set starts a new one, so a Scratch
+// may be reused across sets, and the memo is freed with the Scratch (the
+// sweep's are local to it). The zero value is ready to use. A Scratch
+// must not be shared between concurrent goroutines — fan-outs (the
+// silhouette sweep, the pipeline executor) keep one per worker, indexed
+// by parallel.ForEachWorker's worker id.
 type Scratch struct {
 	work []complex128
 	inv  []float64
 
 	// Centroid-extraction workspace (shape extraction + power iteration).
-	eigen          mathx.EigenScratch
-	centered       []float64
-	tmp            []float64
-	alignedFlat    []float64
-	alignedRows    [][]float64
-	members        [][]float64
-	memberProfiles []*sbdProfile
+	eigen       mathx.EigenScratch
+	centered    []float64
+	tmp         []float64
+	alignedFlat []float64
+	alignedRows [][]float64
+	members     []int
+
+	memo *centroidMemo
+
+	// Work done through this scratch: cross-correlations, power-iteration
+	// runs and the member rows they went over. Tests pin them.
+	correlations, eigenRuns, eigenRows int
+}
+
+// memoFor returns the scratch's centroid memo for p, dropping the one of
+// any other prepared set: its keys are series indices, which mean nothing
+// across sets.
+func (s *Scratch) memoFor(p *prepared) *centroidMemo {
+	if s.memo == nil || s.memo.p != p {
+		s.memo = &centroidMemo{p: p, byKey: map[string]*extraction{}}
+	}
+	return s.memo
 }
 
 func (s *Scratch) workBuf(h int) []complex128 {
@@ -208,6 +228,7 @@ func (p *sbdProfile) correlate(q *sbdProfile, s *Scratch) []float64 {
 	if p.n != q.n {
 		panic("kshape: profiled series length mismatch")
 	}
+	s.correlations++
 	return mathx.CorrelateSpectra(s.invBuf(p.padded), p.spectrum, q.spectrum, s.workBuf(p.padded/2))
 }
 
@@ -222,10 +243,43 @@ func (p *sbdProfile) degenerate(q *sbdProfile) (dist float64, ok bool) {
 	return 0, false
 }
 
-// dist computes SBD between the two profiled series, bit-identical to
-// distShift's distance. Division by the positive norm product is
-// monotone, so the largest quotient is the quotient of the largest
-// coefficient: one division instead of one per shift.
+// sbd computes SBD and the aligning shift from one correlation, matching
+// SBD(p, q) bit for bit: the shift passed to Align(q, shift) lines q up
+// with p. SBD divides every coefficient by the norm product and keeps the
+// first shift, from -(n-1) up, whose quotient is strictly the largest.
+// Division by a positive constant is monotone under correct rounding, so
+// a coefficient no greater than the largest seen so far cannot have a
+// strictly greater quotient: only a new largest coefficient is divided —
+// a handful per pair instead of 2n-1 — and the quotient comparison it
+// then goes through is SBD's own, so two coefficients a few ulps apart
+// that round to one quotient still resolve to the earlier shift. With a
+// warm scratch it allocates nothing.
+func (p *sbdProfile) sbd(q *sbdProfile, s *Scratch) (float64, int) {
+	if d, ok := p.degenerate(q); ok {
+		return d, 0
+	}
+	inv := p.correlate(q, s)
+	denom := p.norm * q.norm
+	largest, best, bestShift := math.Inf(-1), math.Inf(-1), 0
+	shift := -(p.n - 1)
+	for _, half := range [2][]float64{inv[p.padded-(p.n-1):], inv[:p.n]} {
+		for _, v := range half {
+			if v > largest {
+				largest = v
+				if quo := v / denom; quo > best {
+					best, bestShift = quo, shift
+				}
+			}
+			shift++
+		}
+	}
+	return 1 - best, bestShift
+}
+
+// dist is sbd's distance, bit for bit, for callers with no use for the
+// shift (the pairwise matrix): the largest quotient is the quotient of
+// the largest coefficient, so the scan is a plain maximum and divides
+// once.
 func (p *sbdProfile) dist(q *sbdProfile, s *Scratch) float64 {
 	if d, ok := p.degenerate(q); ok {
 		return d
@@ -243,30 +297,6 @@ func (p *sbdProfile) dist(q *sbdProfile, s *Scratch) float64 {
 		}
 	}
 	return 1 - best/(p.norm*q.norm)
-}
-
-// distShift computes SBD and the aligning shift, matching SBD(p, q): the
-// shift passed to Align(q, shift) lines q up with p. It performs the
-// exact operation sequence of SBD's CrossCorrelate path on the cached
-// spectra, so the result is bit-identical; with a warm scratch it
-// allocates nothing.
-func (p *sbdProfile) distShift(q *sbdProfile, s *Scratch) (float64, int) {
-	if d, ok := p.degenerate(q); ok {
-		return d, 0
-	}
-	inv := p.correlate(q, s)
-	denom := p.norm * q.norm
-	best, bestShift := math.Inf(-1), 0
-	for sh := -(p.n - 1); sh <= p.n-1; sh++ {
-		idx := sh
-		if idx < 0 {
-			idx += p.padded
-		}
-		if v := inv[idx] / denom; v > best {
-			best, bestShift = v, sh
-		}
-	}
-	return 1 - best, bestShift
 }
 
 // PairwiseSBD computes the full symmetric SBD distance matrix for a set of

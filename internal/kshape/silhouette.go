@@ -10,10 +10,11 @@ import (
 )
 
 // Silhouette computes the mean silhouette coefficient of an assignment
-// using a precomputed distance matrix (use PairwiseSBD). Values range from
-// -1 (wrong assignment) to 1 (perfect); the paper selects the cluster
-// count k with the best silhouette (§3.2). Points in singleton clusters
-// contribute 0 by convention.
+// (cluster ids in [0, len(assign))) using a precomputed distance matrix
+// (use PairwiseSBD). Values range from -1 (wrong assignment) to 1
+// (perfect); the paper selects the cluster count k with the best
+// silhouette (§3.2). Points in singleton clusters contribute 0 by
+// convention.
 func Silhouette(dist [][]float64, assign []int) (float64, error) {
 	n := len(assign)
 	if n == 0 {
@@ -23,11 +24,25 @@ func Silhouette(dist [][]float64, assign []int) (float64, error) {
 		return 0, fmt.Errorf("kshape: distance matrix has %d rows for %d points", len(dist), n)
 	}
 
-	clusters := map[int][]int{}
+	// Members by cluster id, ascending point index within a cluster, so
+	// every sum below adds in one fixed order.
+	var clusters [][]int
 	for i, a := range assign {
+		if a < 0 || a >= n {
+			return 0, fmt.Errorf("kshape: point %d has cluster id %d, want [0,%d)", i, a, n)
+		}
+		for len(clusters) <= a {
+			clusters = append(clusters, nil)
+		}
 		clusters[a] = append(clusters[a], i)
 	}
-	if len(clusters) < 2 {
+	occupied := 0
+	for _, members := range clusters {
+		if len(members) > 0 {
+			occupied++
+		}
+	}
+	if occupied < 2 {
 		// A single cluster has no between-cluster separation; silhouette
 		// is undefined, returned as 0 so k=1 never wins a sweep.
 		return 0, nil
@@ -49,7 +64,7 @@ func Silhouette(dist [][]float64, assign []int) (float64, error) {
 
 		b := math.Inf(1)
 		for c, members := range clusters {
-			if c == assign[i] {
+			if c == assign[i] || len(members) == 0 {
 				continue
 			}
 			var d float64
@@ -152,9 +167,11 @@ func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, 
 	}
 
 	// Sweep the candidate cluster counts concurrently; each attempt
-	// writes only its own slot, keeping the merge deterministic. Scratch
-	// buffers are per worker (indexed by worker id, no pooling), so reuse
-	// is race-free by construction.
+	// writes only its own slot, keeping the merge deterministic. Scratches
+	// are per worker (indexed by worker id, no pooling), so reuse is
+	// race-free by construction — and so is each one's centroid memo,
+	// which lets a candidate k reuse the extractions and distances of the
+	// k its worker ran before, and is freed with the scratches on return.
 	type attempt struct {
 		res   *Result
 		score float64

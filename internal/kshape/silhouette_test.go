@@ -1,6 +1,7 @@
 package kshape
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -46,6 +47,85 @@ func TestSilhouetteErrors(t *testing.T) {
 	}
 	if _, err := Silhouette([][]float64{{0}}, []int{0, 1}); err == nil {
 		t.Error("expected error for size mismatch")
+	}
+}
+
+// referenceSilhouette is Silhouette as it was: clusters in a map, ranged
+// once per point in whatever order the runtime picks.
+func referenceSilhouette(dist [][]float64, assign []int) float64 {
+	n := len(assign)
+	clusters := map[int][]int{}
+	for i, a := range assign {
+		clusters[a] = append(clusters[a], i)
+	}
+	if len(clusters) < 2 {
+		return 0
+	}
+	var total float64
+	for i := 0; i < n; i++ {
+		own := clusters[assign[i]]
+		if len(own) <= 1 {
+			continue
+		}
+		var a float64
+		for _, j := range own {
+			if j != i {
+				a += dist[i][j]
+			}
+		}
+		a /= float64(len(own) - 1)
+		b := math.Inf(1)
+		for c, members := range clusters {
+			if c == assign[i] {
+				continue
+			}
+			var d float64
+			for _, j := range members {
+				d += dist[i][j]
+			}
+			d /= float64(len(members))
+			if d < b {
+				b = d
+			}
+		}
+		if den := math.Max(a, b); den > 0 {
+			total += (b - a) / den
+		}
+	}
+	return total / float64(n)
+}
+
+// TestSilhouetteMatchesMapReference: clusters held in a slice by id give
+// the bits the map gave — same members in the same order under every sum,
+// and the nearest other cluster is a minimum — with ids that skip values
+// (an emptied cluster) included.
+func TestSilhouetteMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(30)
+		series := randomSeries(rng, n, 32)
+		dist, err := PairwiseSBD(series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 1 + rng.Intn(n)
+		assign := make([]int, n)
+		for i := range assign {
+			assign[i] = rng.Intn(k)
+		}
+		got, err := Silhouette(dist, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceSilhouette(dist, assign); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (n=%d, k=%d): silhouette %v, map reference %v", trial, n, k, got, want)
+		}
+	}
+	dist := [][]float64{{0, 1}, {1, 0}}
+	for _, assign := range [][]int{{0, 2}, {-1, 0}} {
+		if _, err := Silhouette(dist, assign); err == nil {
+			t.Errorf("assignment %v: expected an error for a cluster id outside [0,2)", assign)
+		}
 	}
 }
 
