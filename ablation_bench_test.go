@@ -1,6 +1,7 @@
 package sieve
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/core"
@@ -34,16 +35,16 @@ func ablationCapture(b *testing.B) *core.CaptureResult {
 // or the RCA engine.
 func BenchmarkAblationBidirectionalFilter(b *testing.B) {
 	res := ablationCapture(b)
-	red, err := core.Reduce(res.Dataset, core.DefaultReduceOptions())
+	red, err := core.ReduceContext(context.Background(), res.Dataset, core.DefaultReduceOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		filtered, err := core.IdentifyDependencies(res.Dataset, red, core.DepOptions{})
+		filtered, err := core.IdentifyDependenciesContext(context.Background(), res.Dataset, red, core.DepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		unfiltered, err := core.IdentifyDependencies(res.Dataset, red, core.DepOptions{KeepBidirectional: true})
+		unfiltered, err := core.IdentifyDependenciesContext(context.Background(), res.Dataset, red, core.DepOptions{KeepBidirectional: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +76,9 @@ func BenchmarkAblationNameSeeding(b *testing.B) {
 				continue
 			}
 			k := 4
-			seeded, err := kshape.Cluster(series, kshape.Options{K: k, InitialAssignments: kshape.NameSeeds(names, k)})
+			// A one-k sweep with names is one Cluster run from the
+			// name-seeded initial assignment.
+			seeded, err := kshape.ChooseKContext(context.Background(), series, names, k, k, 0, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -100,13 +103,13 @@ func BenchmarkAblationNameSeeding(b *testing.B) {
 func BenchmarkAblationVarianceFilter(b *testing.B) {
 	res := ablationCapture(b)
 	for i := 0; i < b.N; i++ {
-		withFilter, err := core.Reduce(res.Dataset, core.DefaultReduceOptions())
+		withFilter, err := core.ReduceContext(context.Background(), res.Dataset, core.DefaultReduceOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 		noFilterOpts := core.DefaultReduceOptions()
 		noFilterOpts.VarianceThreshold = 1e-12
-		withoutFilter, err := core.Reduce(res.Dataset, noFilterOpts)
+		withoutFilter, err := core.ReduceContext(context.Background(), res.Dataset, noFilterOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,11 +147,11 @@ func BenchmarkAblationDiscretization(b *testing.B) {
 				b.Fatal(err)
 			}
 			ds.CallGraph = res.Dataset.CallGraph
-			red, err := core.Reduce(ds, core.DefaultReduceOptions())
+			red, err := core.ReduceContext(context.Background(), ds, core.DefaultReduceOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
-			graph, err := core.IdentifyDependencies(ds, red, core.DepOptions{})
+			graph, err := core.IdentifyDependenciesContext(context.Background(), ds, red, core.DepOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

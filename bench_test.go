@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/experiments"
 )
 
@@ -62,22 +63,22 @@ func sharedCapture() (*CaptureResult, error) {
 			benchCaptureErr = err
 			return
 		}
-		benchCapture, benchCaptureErr = Capture(app, RandomLoad(142, 200, 200, 2500), CaptureOptions{})
+		benchCapture, benchCaptureErr = core.Capture(app, RandomLoad(142, 200, 200, 2500), CaptureOptions{})
 	})
 	return benchCapture, benchCaptureErr
 }
 
 // reduceAndDeps runs the full analysis path (Reduce + IdentifyDependencies)
-// at the given worker count and returns the resulting artifact bytes.
+// at the given worker count (GOMAXPROCS, the fan-outs' only size; 0 leaves
+// the machine's) and returns the resulting artifact bytes.
 func reduceAndDeps(ds *Dataset, workers int) ([]byte, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	ctx := context.Background()
-	ropts := DefaultPipelineOptions().Reduce
-	ropts.Parallelism = workers
-	red, err := ReduceContext(ctx, ds, ropts)
+	red, err := core.ReduceContext(ctx, ds, DefaultPipelineOptions().Reduce)
 	if err != nil {
 		return nil, err
 	}
-	graph, err := IdentifyDependenciesContext(ctx, ds, red, DepOptions{Parallelism: workers})
+	graph, err := core.IdentifyDependenciesContext(ctx, ds, red, DepOptions{})
 	if err != nil {
 		return nil, err
 	}

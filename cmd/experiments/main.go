@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|table1|table3|table4|table5|figure3..figure8] [-quick] [-seed N] [-parallelism N]
+//	experiments [-run all|table1|table3|table4|table5|figure3..figure8] [-quick] [-seed N]
 package main
 
 import (
@@ -21,7 +21,6 @@ func main() {
 	run := flag.String("run", "all", "experiment id to run (all, "+strings.Join(experiments.IDs(), ", "))
 	quick := flag.Bool("quick", false, "use the small smoke-test configuration")
 	seed := flag.Int64("seed", 42, "simulation seed")
-	parallelism := flag.Int("parallelism", 0, "pipeline worker-pool size (0 = GOMAXPROCS); artifacts are identical at any setting")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
@@ -29,7 +28,6 @@ func main() {
 		cfg = experiments.QuickConfig()
 	}
 	cfg.Seed = *seed
-	cfg.Parallelism = *parallelism
 	suite := experiments.NewSuite(cfg)
 
 	var (

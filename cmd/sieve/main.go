@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sieve [-app sharelatex|openstack] [-faulty] [-ticks N] [-seed N] [-parallelism N] [-dot] [-v]
+//	sieve [-app sharelatex|openstack] [-faulty] [-ticks N] [-seed N] [-dot] [-v]
 package main
 
 import (
@@ -23,16 +23,15 @@ func main() {
 	dot := flag.Bool("dot", false, "print the dependency graph in Graphviz DOT format")
 	verbose := flag.Bool("v", false, "print every metric-level edge")
 	save := flag.String("save", "", "write the artifact as JSON to this path")
-	parallelism := flag.Int("parallelism", 0, "pipeline worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
 	flag.Parse()
 
-	if err := run(*appName, *faulty, *ticks, *seed, *dot, *verbose, *save, *parallelism); err != nil {
+	if err := run(*appName, *faulty, *ticks, *seed, *dot, *verbose, *save); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 }
 
-func run(appName string, faulty bool, ticks int, seed int64, dot, verbose bool, save string, parallelism int) error {
+func run(appName string, faulty bool, ticks int, seed int64, dot, verbose bool, save string) error {
 	var (
 		app *sieve.App
 		err error
@@ -50,9 +49,7 @@ func run(appName string, faulty bool, ticks int, seed int64, dot, verbose bool, 
 	}
 
 	pattern := sieve.RandomLoad(seed+1, ticks, 150, 2000)
-	opts := sieve.DefaultPipelineOptions()
-	opts.Parallelism = parallelism
-	artifact, capture, err := sieve.Run(app, pattern, opts)
+	artifact, capture, err := sieve.Run(app, pattern, sieve.DefaultPipelineOptions())
 	if err != nil {
 		return err
 	}

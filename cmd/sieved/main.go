@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sieved [-addr :8086] [-shards N] [-window 240s] [-interval 30s]
-//	       [-step 500ms] [-app NAME] [-parallelism N]
+//	       [-step 500ms] [-app NAME]
 //	       [-data-dir DIR] [-retention 24h] [-fsync interval]
 //	       [-flush-interval 60s] [-compact-interval 5m]
 //	       [-compact-max-block 64MiB] [-downsample]
@@ -98,7 +98,6 @@ func main() {
 	interval := flag.Duration("interval", 30*time.Second, "pipeline recompute cadence")
 	step := flag.Duration("step", 500*time.Millisecond, "analysis sampling grid")
 	appName := flag.String("app", "sieved", "application label on artifacts")
-	parallelism := flag.Int("parallelism", 0, "analysis worker-pool size (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 	retention := flag.Duration("retention", 0, "drop on-disk blocks older than this much ingest time (0 = keep forever)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
@@ -122,6 +121,10 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
+	if err := checkDurations(*window, *step, *interval, *retention); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
 
 	opts := sieve.ServerOptions{
 		AppName:              *appName,
@@ -129,7 +132,6 @@ func main() {
 		StepMS:               step.Milliseconds(),
 		WindowMS:             window.Milliseconds(),
 		Interval:             *interval,
-		Parallelism:          *parallelism,
 		DataDir:              *dataDir,
 		Retention:            *retention,
 		Fsync:                *fsync,
@@ -177,10 +179,32 @@ func main() {
 	if *incremental {
 		engine = "incremental"
 	}
-	fmt.Printf("sieved listening on %s (%d shards, window %s, interval %s, %s, %s pipeline)\n",
-		*addr, srv.Store().NumShards(), *window, *interval, durability, engine)
+	eff := srv.Options()
+	fmt.Printf("sieved listening on %s (%d shards, window %s, step %s, interval %s, %s, %s pipeline)\n",
+		*addr, srv.Store().NumShards(), time.Duration(eff.WindowMS)*time.Millisecond,
+		time.Duration(eff.StepMS)*time.Millisecond, eff.Interval, durability, engine)
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
+}
+
+// checkDurations refuses the durations the server could only run with by
+// replacing them: it keeps time in whole milliseconds and reads zero as
+// "use the default", so a negative or sub-millisecond -window, -step or
+// -interval would silently become 240s, 500ms or 30s, and a
+// sub-millisecond -retention would become "keep forever".
+func checkDurations(window, step, interval, retention time.Duration) error {
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{{"window", window}, {"step", step}, {"interval", interval}} {
+		if f.d < time.Millisecond {
+			return fmt.Errorf("-%s %s: must be at least 1ms", f.name, f.d)
+		}
+	}
+	if retention < 0 || (retention > 0 && retention < time.Millisecond) {
+		return fmt.Errorf("-retention %s: must be 0 (keep forever) or at least 1ms", retention)
+	}
+	return nil
 }

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // sievedFlags is the daemon's whole flag surface, sorted. A new flag is
@@ -25,7 +27,6 @@ var sievedFlags = []string{
 	"incremental",
 	"interval",
 	"log-level",
-	"parallelism",
 	"pprof-addr",
 	"remote-write-component-label",
 	"remote-write-max-bytes",
@@ -46,6 +47,7 @@ var removedFlags = []string{
 	"warm-resweep-every",
 	"warm-silhouette-tolerance",
 	"query-parallelism",
+	"parallelism",
 	"remote-write-retry-after",
 	"read-header-timeout",
 	"read-timeout",
@@ -53,11 +55,18 @@ var removedFlags = []string{
 	"shutdown-timeout",
 }
 
-func TestFlagSurface(t *testing.T) {
+// buildSieved compiles the daemon into the test's temp directory.
+func buildSieved(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "sieved")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+func TestFlagSurface(t *testing.T) {
+	bin := buildSieved(t)
 
 	usage, _ := exec.Command(bin, "-h").CombinedOutput() // -h exits non-zero by design
 	var got []string
@@ -73,6 +82,50 @@ func TestFlagSurface(t *testing.T) {
 		out, err := exec.Command(bin, "-"+name+"=1").CombinedOutput()
 		if err == nil || !bytes.Contains(out, []byte("flag provided but not defined: -"+name)) {
 			t.Errorf("sieved -%s: err %v, output %.120q; want it refused as not defined", name, err, out)
+		}
+	}
+}
+
+// TestRejectsUnusableDurations: a duration the server could only run
+// with by replacing it (it keeps whole milliseconds and reads zero as
+// "default") is refused at start-up with the flag named, instead of
+// sieved starting on 240s / 500ms / 30s / keep-forever and printing the
+// value it was given.
+func TestRejectsUnusableDurations(t *testing.T) {
+	bin := buildSieved(t)
+	for _, tc := range []struct{ flag, value string }{
+		{"window", "-5m"},
+		{"window", "0"},
+		{"window", "999us"},
+		{"step", "100us"},
+		{"step", "0s"},
+		{"step", "-500ms"},
+		{"interval", "0"},
+		{"interval", "-30s"},
+		{"interval", "10us"},
+		{"retention", "-24h"},
+		{"retention", "500us"},
+	} {
+		// A refused flag exits before listening; -addr only keeps an
+		// accepted one (the parent's behaviour) off a fixed port.
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-"+tc.flag, tc.value)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+		select {
+		case err := <-done:
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "-"+tc.flag+" ") {
+				t.Errorf("sieved -%s %s: err %v, stderr %.200q; want exit 1 naming the flag", tc.flag, tc.value, err, stderr.String())
+			}
+		case <-time.After(5 * time.Second):
+			_ = cmd.Process.Kill()
+			<-done
+			t.Errorf("sieved -%s %s started serving; want it refused at start-up", tc.flag, tc.value)
 		}
 	}
 }

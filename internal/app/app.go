@@ -294,9 +294,6 @@ func (a *App) AttachPacketCapture(p *trace.PacketCapture) { a.pcap = p }
 // faulty version).
 func (a *App) SetFault(active bool) { a.fault = active }
 
-// FaultActive reports the fault state.
-func (a *App) FaultActive() bool { return a.fault }
-
 // Scale sets a component's instance count (minimum 1).
 func (a *App) Scale(name string, instances int) error {
 	c := a.comps[name]
@@ -337,15 +334,6 @@ func (a *App) EntryLatencyMS() float64 {
 		}
 	}
 	return 0
-}
-
-// ErrorRate returns a component's current error rate (errors/second).
-func (a *App) ErrorRate(name string) float64 {
-	c := a.comps[name]
-	if c == nil {
-		return 0
-	}
-	return c.errRate
 }
 
 // Step advances the simulation one tick with the given external load

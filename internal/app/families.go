@@ -131,17 +131,3 @@ func GenFamilies(prefix string, n int, phase Phase) []Family {
 	}
 	return out
 }
-
-// CountMetrics returns the number of metrics a family list will export
-// (variants expanded), used by topology builders to audit their totals.
-func CountMetrics(fams []Family, constants map[string]float64) int {
-	n := len(constants)
-	for _, f := range fams {
-		if len(f.Variants) == 0 {
-			n++
-		} else {
-			n += len(f.Variants)
-		}
-	}
-	return n
-}

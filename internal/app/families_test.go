@@ -5,15 +5,31 @@ import (
 	"testing"
 )
 
+// exportedMetrics runs a one-component application declared with the
+// given families and constants for a tick and counts what its registry
+// then exports.
+func exportedMetrics(t *testing.T, fams []Family, constants map[string]float64) int {
+	t.Helper()
+	a, err := New(Spec{Name: "one", TickMS: 500, Components: []ComponentSpec{{
+		Name: "c", Addr: "10.0.0.1:80", ServiceMS: 1, CapacityPerInstance: 1000, Entry: true,
+		Families: fams, Constants: constants,
+	}}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Step(100)
+	return a.Registry("c").Len()
+}
+
 func TestSystemFamiliesCount(t *testing.T) {
-	if got := CountMetrics(SystemFamilies(), nil); got != 25 {
+	if got := exportedMetrics(t, SystemFamilies(), nil); got != 25 {
 		t.Errorf("system families export %d metrics, want 25", got)
 	}
 }
 
 func TestGenFamiliesExactCountAndDeterminism(t *testing.T) {
 	a := GenFamilies("svc", 17, PhaseAlways)
-	if got := CountMetrics(a, nil); got != 17 {
+	if got := exportedMetrics(t, a, nil); got != 17 {
 		t.Errorf("generated %d metrics, want 17", got)
 	}
 	b := GenFamilies("svc", 17, PhaseAlways)
@@ -32,7 +48,7 @@ func TestGenFamiliesExactCountAndDeterminism(t *testing.T) {
 			t.Errorf("family %q has phase %v", f.Base, f.Phase)
 		}
 	}
-	if got := CountMetrics(GenFamilies("x", 0, PhaseAlways), nil); got != 0 {
+	if got := len(GenFamilies("x", 0, PhaseAlways)); got != 0 {
 		t.Errorf("zero request generated %d", got)
 	}
 }
@@ -43,7 +59,7 @@ func TestCountMetricsWithVariantsAndConstants(t *testing.T) {
 		{Base: "b"},
 	}
 	consts := map[string]float64{"c1": 1, "c2": 2}
-	if got := CountMetrics(fams, consts); got != 6 {
-		t.Errorf("CountMetrics = %d, want 6", got)
+	if got := exportedMetrics(t, fams, consts); got != 6 {
+		t.Errorf("exported %d metrics, want 6 (3 variants + 1 plain + 2 constants)", got)
 	}
 }

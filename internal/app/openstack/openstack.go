@@ -248,24 +248,3 @@ func New(seed int64, faulty bool) (*app.App, error) {
 	a.SetFault(faulty)
 	return a, nil
 }
-
-// TotalMetrics returns the Table 5 union-population total (508).
-func TotalMetrics() int {
-	n := 0
-	for _, p := range populations {
-		n += p.total
-	}
-	return n
-}
-
-// ChangedMetrics returns the changed-metric totals summed over Table 5's
-// per-component rows: 22 new and 98 discarded. (The paper's totals row
-// prints 113 changed (22/91), which does not equal the sum of its own
-// rows, 120 (22/98); this reproduction follows the rows.)
-func ChangedMetrics() (newMetrics, discarded int) {
-	for _, p := range populations {
-		newMetrics += p.new
-		discarded += p.discarded
-	}
-	return newMetrics, discarded
-}

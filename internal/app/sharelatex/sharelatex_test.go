@@ -1,9 +1,9 @@
 package sharelatex
 
 import (
+	"slices"
 	"testing"
 
-	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/trace"
 )
@@ -21,10 +21,14 @@ func TestSpecBuilds(t *testing.T) {
 func TestMetricPopulationNearPaper(t *testing.T) {
 	// The paper reports 889 unique metrics for ShareLatex (§6.1.2). The
 	// simulator should land in the same ballpark.
-	spec := Spec()
+	a, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Step(100)
 	total := 0
-	for _, c := range spec.Components {
-		total += app.CountMetrics(c.Families, c.Constants)
+	for _, reg := range a.Registries() {
+		total += reg.Len()
 	}
 	if total < 800 || total > 980 {
 		t.Errorf("total metric population = %d, want ~889 (800..980)", total)
@@ -74,11 +78,11 @@ func TestCallGraphShape(t *testing.T) {
 		{"real-time", "redis"},
 		{"clsi", "postgresql"},
 	} {
-		if !g.HasEdge(edge[0], edge[1]) {
+		if !slices.Contains(g.Callees(edge[0]), edge[1]) {
 			t.Errorf("missing call edge %s -> %s", edge[0], edge[1])
 		}
 	}
-	if g.HasEdge("mongodb", "web") {
+	if slices.Contains(g.Callees("mongodb"), "web") {
 		t.Error("datastores must not call services")
 	}
 }

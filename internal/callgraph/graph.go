@@ -31,11 +31,6 @@ func New() *Graph {
 	return &Graph{adj: map[string]map[string]int{}, nodes: map[string]bool{}}
 }
 
-// AddComponent registers a node even if no edges touch it.
-func (g *Graph) AddComponent(name string) {
-	g.nodes[name] = true
-}
-
 // AddCall records n calls from caller to callee (self-calls are ignored;
 // a component talking to itself carries no cross-component information).
 func (g *Graph) AddCall(caller, callee string, n int) {
@@ -71,28 +66,6 @@ func (g *Graph) Callees(caller string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Callers returns the components that directly call callee, sorted.
-func (g *Graph) Callers(callee string) []string {
-	var out []string
-	for caller, m := range g.adj {
-		if m[callee] > 0 {
-			out = append(out, caller)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Calls returns the observed call count on the caller -> callee edge.
-func (g *Graph) Calls(caller, callee string) int {
-	return g.adj[caller][callee]
-}
-
-// HasEdge reports whether caller directly calls callee.
-func (g *Graph) HasEdge(caller, callee string) bool {
-	return g.adj[caller][callee] > 0
 }
 
 // Edges returns every edge sorted by (caller, callee).

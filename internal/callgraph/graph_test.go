@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,15 +14,12 @@ func TestGraphBasicOps(t *testing.T) {
 	g.AddCall("web", "db", 2)
 	g.AddCall("web", "cache", 1)
 	g.AddCall("cache", "db", 1)
-	g.AddComponent("idle")
 
-	if got := g.Calls("web", "db"); got != 5 {
-		t.Errorf("Calls(web,db) = %d, want 5", got)
+	wantEdges := []Edge{{"cache", "db", 1}, {"web", "cache", 1}, {"web", "db", 5}}
+	if got := g.Edges(); !reflect.DeepEqual(got, wantEdges) {
+		t.Errorf("Edges() = %v, want %v", got, wantEdges)
 	}
-	if !g.HasEdge("web", "cache") || g.HasEdge("db", "web") {
-		t.Error("HasEdge wrong")
-	}
-	wantComponents := []string{"cache", "db", "idle", "web"}
+	wantComponents := []string{"cache", "db", "web"}
 	got := g.Components()
 	if len(got) != len(wantComponents) {
 		t.Fatalf("components = %v", got)
@@ -33,9 +31,6 @@ func TestGraphBasicOps(t *testing.T) {
 	}
 	if callees := g.Callees("web"); len(callees) != 2 || callees[0] != "cache" || callees[1] != "db" {
 		t.Errorf("Callees(web) = %v", callees)
-	}
-	if callers := g.Callers("db"); len(callers) != 2 || callers[0] != "cache" || callers[1] != "web" {
-		t.Errorf("Callers(db) = %v", callers)
 	}
 }
 
@@ -105,11 +100,8 @@ func TestFromSyscallEvents(t *testing.T) {
 		{Type: trace.EventConnect, Process: "web", Remote: "8.8.8.8:53"},
 	}
 	g := FromSyscallEvents(events)
-	if got := g.Calls("web", "db"); got != 2 {
-		t.Errorf("Calls(web,db) = %d, want 2", got)
-	}
-	if len(g.Edges()) != 1 {
-		t.Errorf("edges = %v", g.Edges())
+	if want := []Edge{{"web", "db", 2}}; !reflect.DeepEqual(g.Edges(), want) {
+		t.Errorf("edges = %v, want %v", g.Edges(), want)
 	}
 }
 
@@ -123,11 +115,8 @@ func TestFromPacketPairsNeedsAddressMap(t *testing.T) {
 		"10.0.0.2:5432":  "db",
 	}
 	g := FromPacketPairs(pairs, addrMap)
-	if got := g.Calls("web", "db"); got != 3 {
-		t.Errorf("Calls(web,db) = %d, want 3", got)
-	}
 	// The NAT-hidden pair is silently lost: the packet-capture context gap.
-	if len(g.Edges()) != 1 {
-		t.Errorf("edges = %v, want only the mapped pair", g.Edges())
+	if want := []Edge{{"web", "db", 3}}; !reflect.DeepEqual(g.Edges(), want) {
+		t.Errorf("edges = %v, want only the mapped pair %v", g.Edges(), want)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,7 +79,7 @@ func TestCaptureProducesDatasetAndCallGraph(t *testing.T) {
 	if ds.TotalMetrics() != 8+7+4 {
 		t.Errorf("total metrics = %d, want 19", ds.TotalMetrics())
 	}
-	if !ds.CallGraph.HasEdge("lb", "api") || !ds.CallGraph.HasEdge("api", "db") {
+	if !slices.Contains(ds.CallGraph.Callees("lb"), "api") || !slices.Contains(ds.CallGraph.Callees("api"), "db") {
 		t.Error("call graph incomplete")
 	}
 	// Every series spans the full grid.
@@ -102,7 +104,7 @@ func TestCaptureEmptyPattern(t *testing.T) {
 
 func TestReduceFiltersConstantsAndClustersVariants(t *testing.T) {
 	res, _ := captureChain(t, 150)
-	red, err := Reduce(res.Dataset, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +144,11 @@ func TestReduceFiltersConstantsAndClustersVariants(t *testing.T) {
 
 func TestIdentifyDependenciesFindsChain(t *testing.T) {
 	res, _ := captureChain(t, 200)
-	red, err := Reduce(res.Dataset, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph, err := IdentifyDependencies(res.Dataset, red, DepOptions{})
+	graph, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +208,11 @@ func TestIdentifyDependenciesFindsChain(t *testing.T) {
 func TestIdentifyDependenciesRequiresCallGraph(t *testing.T) {
 	res, _ := captureChain(t, 100)
 	res.Dataset.CallGraph = nil
-	red, err := Reduce(res.Dataset, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IdentifyDependencies(res.Dataset, red, DepOptions{}); err == nil {
+	if _, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{}); err == nil {
 		t.Error("expected error without call graph")
 	}
 }

@@ -32,7 +32,7 @@ func refDataset(t *testing.T, store *tsdb.Sharded, appName string, stepMS, start
 	for _, res := range results {
 		raw := &timeseries.Series{Name: res.Metric}
 		for _, p := range res.Points {
-			raw.Append(p.T, p.V)
+			raw.Points = append(raw.Points, timeseries.Point{T: p.T, V: p.V})
 		}
 		reg, err := timeseries.Resample(raw, start, end, stepMS)
 		if err != nil {
@@ -91,7 +91,7 @@ func TestDatasetFromDBMatcherEquivalence(t *testing.T) {
 			// serialized artifacts byte for byte.
 			marshal := func(ds *Dataset) []byte {
 				t.Helper()
-				red, err := Reduce(ds, DefaultReduceOptions())
+				red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,11 +21,6 @@ type DepOptions struct {
 	// KeepBidirectional retains bidirectional edges instead of filtering
 	// them as spurious (used by the ablation bench; the paper filters).
 	KeepBidirectional bool
-	// Parallelism sizes the worker pool that fans the per-pair Granger
-	// tests out (one task per communicating component pair); 0 means
-	// runtime.GOMAXPROCS(0), values below 1 clamp to a single worker.
-	// The graph is bit-identical at any setting.
-	Parallelism int
 }
 
 func (o DepOptions) withDefaults() DepOptions {
@@ -138,15 +133,6 @@ func (g *DependencyGraph) DOT() string {
 	return b.String()
 }
 
-// IdentifyDependencies performs Sieve's step 3: for every communicating
-// component pair (from the call graph), it Granger-tests each
-// representative metric of one side against each representative of the
-// other, in both directions, keeping significant unidirectional
-// relationships and discarding bidirectional ones as confounded (§3.3).
-func IdentifyDependencies(ds *Dataset, red Reduction, opts DepOptions) (*DependencyGraph, error) {
-	return IdentifyDependenciesContext(context.Background(), ds, red, opts)
-}
-
 // pairResult collects one communicating pair's Granger outcomes; slots
 // are merged in pair order so the parallel path stays deterministic.
 type pairResult struct {
@@ -155,13 +141,18 @@ type pairResult struct {
 	bidirectional int
 }
 
-// IdentifyDependenciesContext is IdentifyDependencies with cancellation
-// and a worker pool: one task per communicating component pair (the
-// cluster-pair Granger tests run inside the task), fanned out to
-// opts.Parallelism workers. Edges and the Tested/Bidirectional counters
-// are accumulated per task and merged race-free in pair order before the
-// final sort (whose comparator is tie-free over the edge fields), so the
-// graph is bit-identical to the sequential path at any worker count.
+// IdentifyDependenciesContext performs Sieve's step 3: for every
+// communicating component pair (from the call graph), it Granger-tests
+// each representative metric of one side against each representative of
+// the other, in both directions, keeping significant unidirectional
+// relationships and discarding bidirectional ones as confounded (§3.3).
+// It stops early when ctx is done and fans out one task per
+// communicating pair (the cluster-pair Granger tests run inside the
+// task) to runtime.GOMAXPROCS(0) workers. Edges and the
+// Tested/Bidirectional counters are accumulated per task and merged
+// race-free in pair order before the final sort (whose comparator is
+// tie-free over the edge fields), so the graph is bit-identical to the
+// sequential path at any worker count.
 func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction, opts DepOptions) (*DependencyGraph, error) {
 	opts = opts.withDefaults()
 	if ds.CallGraph == nil {
@@ -174,8 +165,9 @@ func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction
 	results := make([]pairResult, len(pairs))
 	// One Granger scratch per pool worker: tasks index by worker id, so
 	// buffer reuse is race-free without any locking or sync.Pool.
-	scratches := make([]granger.Scratch, parallel.Workers(opts.Parallelism))
-	err := parallel.ForEachWorker(ctx, opts.Parallelism, len(pairs), func(ctx context.Context, worker, i int) error {
+	workers := parallel.Workers(0)
+	scratches := make([]granger.Scratch, workers)
+	err := parallel.ForEachWorker(ctx, workers, len(pairs), func(ctx context.Context, worker, i int) error {
 		scratch := &scratches[worker]
 		a, b := pairs[i][0], pairs[i][1]
 		ra, rb := red[a], red[b]

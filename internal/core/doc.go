@@ -1,17 +1,17 @@
 // Package core orchestrates the three-step Sieve pipeline (§2.3): load
 // the application while recording metrics and the call graph (step 1,
 // Capture), reduce each component's metrics to representatives via
-// variance filtering and k-Shape clustering (step 2, Reduce), and
+// variance filtering and k-Shape clustering (step 2, ReduceContext), and
 // identify inter-component dependencies with pairwise Granger-causality
 // tests restricted to communicating components (step 3,
-// IdentifyDependencies). The pipeline's end product is an Artifact —
+// IdentifyDependenciesContext). The pipeline's end product is an Artifact —
 // the windowed Dataset, per-component reductions, and a typed
 // dependency graph — that the autoscaling and RCA engines consume and
 // that marshal.go serializes for offline comparison.
 //
-// The Context variants of every stage add cancellation and a
-// deterministic worker pool (internal/parallel) sized by the Parallelism
-// options: Reduce fans out per component, IdentifyDependencies per
+// Steps 2 and 3 take a context for cancellation and fan out over a
+// deterministic worker pool (internal/parallel) of runtime.GOMAXPROCS(0)
+// workers: ReduceContext per component, IdentifyDependenciesContext per
 // communicating pair, and results are bit-identical at any worker count.
 //
 // Batch mode drives all three steps from a simulated load session

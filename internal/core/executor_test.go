@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,17 +15,17 @@ import (
 
 // TestReduceParallelismDeterminism asserts the per-component fan-out
 // produces the same reduction as the sequential loop at several worker
-// counts.
+// counts, pinned through GOMAXPROCS (the fan-out's only size).
 func TestReduceParallelismDeterminism(t *testing.T) {
 	res, _ := captureChain(t, 150)
 	opts := DefaultReduceOptions()
-	opts.Parallelism = 1
-	seq, err := Reduce(res.Dataset, opts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq, err := ReduceContext(context.Background(), res.Dataset, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{0, 2, 4, 16} {
-		opts.Parallelism = par
+	for _, par := range []int{2, 4, 16} {
+		runtime.GOMAXPROCS(par)
 		got, err := ReduceContext(context.Background(), res.Dataset, opts)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -39,20 +40,21 @@ func TestReduceParallelismDeterminism(t *testing.T) {
 // fan-out merges edges and counters identically to the sequential loop.
 func TestIdentifyDependenciesParallelismDeterminism(t *testing.T) {
 	res, _ := captureChain(t, 150)
-	red, err := Reduce(res.Dataset, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DepOptions{Parallelism: 1}
-	seq, err := IdentifyDependencies(res.Dataset, red, opts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Tested == 0 {
 		t.Fatal("no pairs tested; fixture too small")
 	}
-	for _, par := range []int{0, 2, 8} {
-		got, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{Parallelism: par})
+	for _, par := range []int{2, 8} {
+		runtime.GOMAXPROCS(par)
+		got, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -77,7 +79,7 @@ func TestReduceContextCanceled(t *testing.T) {
 // step 3.
 func TestIdentifyDependenciesContextCanceled(t *testing.T) {
 	res, _ := captureChain(t, 120)
-	red, err := Reduce(res.Dataset, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestCaptureContextCancelMidLoad(t *testing.T) {
 // outer fan-out fills the budget, ceiling-split leftovers otherwise.
 func TestInnerBudget(t *testing.T) {
 	cases := []struct {
-		parallelism, outer, want int
+		workers, outer, want int
 	}{
 		{16, 16, 1}, // outer fills the pool
 		{16, 20, 1}, // outer exceeds the pool
@@ -123,11 +125,10 @@ func TestInnerBudget(t *testing.T) {
 		{16, 3, 6},  // ceil(16/3)
 		{1, 5, 1},   // sequential stays sequential
 		{8, 0, 1},   // empty outer stage
-		{-4, 10, 1}, // negative clamps to one worker
 	}
 	for _, c := range cases {
-		if got := innerBudget(c.parallelism, c.outer); got != c.want {
-			t.Errorf("innerBudget(%d, %d) = %d, want %d", c.parallelism, c.outer, got, c.want)
+		if got := innerBudget(c.workers, c.outer); got != c.want {
+			t.Errorf("innerBudget(%d, %d) = %d, want %d", c.workers, c.outer, got, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -36,11 +37,11 @@ func TestPipelineSurvivesScrapeGaps(t *testing.T) {
 	if timeseries.HasNaN(s.Values) {
 		t.Fatal("gaps not reconstructed")
 	}
-	red, err := Reduce(ds, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph, err := IdentifyDependencies(ds, red, DepOptions{})
+	graph, err := IdentifyDependenciesContext(context.Background(), ds, red, DepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestPipelineSurvivesMetricAppearingMidRun(t *testing.T) {
 	if s.Len() != 120 {
 		t.Fatalf("late series length = %d, want clamped to the full grid", s.Len())
 	}
-	if _, err := Reduce(res.Dataset, DefaultReduceOptions()); err != nil {
+	if _, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions()); err != nil {
 		t.Fatalf("reduction failed on late series: %v", err)
 	}
 }
@@ -106,11 +107,11 @@ func TestPipelineSurvivesTracerOverflow(t *testing.T) {
 		t.Fatal("test setup: expected ring drops")
 	}
 	// The graph may be partial but the pipeline completes.
-	red, err := Reduce(res.Dataset, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IdentifyDependencies(res.Dataset, red, DepOptions{}); err != nil {
+	if _, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,7 +148,7 @@ func TestReduceSurvivesPathologicalSeries(t *testing.T) {
 			},
 		},
 	}
-	red, err := Reduce(ds, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/app"
@@ -186,10 +187,8 @@ func TestArtifactMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	// Call graph edges survive.
-	for _, e := range art.Dataset.CallGraph.Edges() {
-		if got.Dataset.CallGraph.Calls(e.Caller, e.Callee) != e.Calls {
-			t.Errorf("call edge %s->%s lost", e.Caller, e.Callee)
-		}
+	if want, back := art.Dataset.CallGraph.Edges(), got.Dataset.CallGraph.Edges(); !reflect.DeepEqual(back, want) {
+		t.Errorf("call edges after round trip = %v, want %v", back, want)
 	}
 	// Reduction: assignments are rebuilt from clusters.
 	for comp, cr := range art.Reduction {

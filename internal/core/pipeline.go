@@ -28,10 +28,6 @@ type PipelineOptions struct {
 	Reduce ReduceOptions
 	// Deps configures step 3.
 	Deps DepOptions
-	// Parallelism is the pipeline-wide worker-pool size, applied to any
-	// stage whose own Parallelism is left at 0; 0 means
-	// runtime.GOMAXPROCS(0). Results are bit-identical at any setting.
-	Parallelism int
 }
 
 // Run executes the full three-step pipeline against an application under
@@ -45,14 +41,8 @@ func Run(a *app.App, pattern loadgen.Pattern, opts PipelineOptions) (*Artifact, 
 // every stage, and each stage fans its independent units of work
 // (components in Reduce, communicating pairs in IdentifyDependencies,
 // candidate cluster counts in the silhouette sweep) out to a worker
-// pool sized by the Parallelism knobs.
+// pool of runtime.GOMAXPROCS(0) workers.
 func RunContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, opts PipelineOptions) (*Artifact, *CaptureResult, error) {
-	if opts.Reduce.Parallelism == 0 {
-		opts.Reduce.Parallelism = opts.Parallelism
-	}
-	if opts.Deps.Parallelism == 0 {
-		opts.Deps.Parallelism = opts.Parallelism
-	}
 	capture, err := CaptureContext(ctx, a, pattern, opts.Capture)
 	if err != nil {
 		return nil, nil, err

@@ -26,11 +26,6 @@ type ReduceOptions struct {
 	// (the paper's convergence optimization). Defaults to true via
 	// DefaultReduceOptions.
 	NameSeeding bool
-	// Parallelism sizes the worker pool that fans the per-component
-	// reductions (and each component's silhouette sweep) out; 0 means
-	// runtime.GOMAXPROCS(0), values below 1 clamp to a single worker.
-	// The result is bit-identical at any setting.
-	Parallelism int
 }
 
 // DefaultReduceOptions returns the paper's parameters.
@@ -85,16 +80,6 @@ type ComponentReduction struct {
 	Assignments map[string]int
 }
 
-// Representatives returns the representative metric names, sorted.
-func (r *ComponentReduction) Representatives() []string {
-	out := make([]string, 0, len(r.Clusters))
-	for _, c := range r.Clusters {
-		out = append(out, c.Representative)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Reduction is the step-2 result for the whole application.
 type Reduction map[string]*ComponentReduction
 
@@ -129,16 +114,11 @@ func (r Reduction) AllowlistKeys() []string {
 	return out
 }
 
-// Reduce performs Sieve's step 2 on every component: drop unvarying
-// metrics (var <= threshold), cluster the rest with k-Shape choosing k by
-// silhouette, and pick each cluster's representative (smallest SBD to the
-// centroid).
-func Reduce(ds *Dataset, opts ReduceOptions) (Reduction, error) {
-	return ReduceContext(context.Background(), ds, opts)
-}
-
-// ReduceContext is Reduce with cancellation and a worker pool: one task
-// per component, fanned out to opts.Parallelism workers.
+// ReduceContext performs Sieve's step 2 on every component: drop
+// unvarying metrics (var <= threshold), cluster the rest with k-Shape
+// choosing k by silhouette, and pick each cluster's representative
+// (smallest SBD to the centroid). It fans out one task per component to
+// runtime.GOMAXPROCS(0) workers and stops early when ctx is done.
 //
 // Determinism contract, here and in IdentifyDependenciesContext: a task
 // only writes to its own index's slot, the caller merges slots in index
@@ -151,8 +131,8 @@ func ReduceContext(ctx context.Context, ds *Dataset, opts ReduceOptions) (Reduct
 	crs := make([]*ComponentReduction, len(components))
 	// Each component's silhouette sweep gets the worker budget left over
 	// by the component-level fan-out (usually 1 — see innerBudget).
-	sweepOpts := opts
-	sweepOpts.Parallelism = innerBudget(opts.Parallelism, len(components))
+	workers := parallel.Workers(0)
+	sweepWorkers := innerBudget(workers, len(components))
 	// Widest component first: a sweep's cost grows with its series count,
 	// and a wide component picked up last would leave the other workers
 	// idle while it finishes. Slots stay addressed by name order, so the
@@ -164,9 +144,9 @@ func ReduceContext(ctx context.Context, ds *Dataset, opts ReduceOptions) (Reduct
 	sort.SliceStable(order, func(a, b int) bool {
 		return len(ds.Series[components[order[a]]]) > len(ds.Series[components[order[b]]])
 	})
-	err := parallel.ForEach(ctx, opts.Parallelism, len(components), func(ctx context.Context, task int) error {
+	err := parallel.ForEach(ctx, workers, len(components), func(ctx context.Context, task int) error {
 		i := order[task]
-		cr, err := reduceComponent(ctx, ds, components[i], sweepOpts)
+		cr, err := reduceComponent(ctx, ds, components[i], opts, sweepWorkers)
 		if err != nil {
 			return fmt.Errorf("core: reducing %s: %w", components[i], err)
 		}
@@ -191,15 +171,14 @@ func ReduceContext(ctx context.Context, ds *Dataset, opts ReduceOptions) (Reduct
 // outer tasks than workers, the leftover budget is split evenly
 // (ceiling) so small topologies still use the whole machine. Worker
 // counts never affect results, only scheduling.
-func innerBudget(parallelism, outerTasks int) int {
-	w := parallel.Workers(parallelism)
-	if outerTasks <= 0 || outerTasks >= w {
+func innerBudget(workers, outerTasks int) int {
+	if outerTasks <= 0 || outerTasks >= workers {
 		return 1
 	}
-	return (w + outerTasks - 1) / outerTasks
+	return (workers + outerTasks - 1) / outerTasks
 }
 
-func reduceComponent(ctx context.Context, ds *Dataset, component string, opts ReduceOptions) (*ComponentReduction, error) {
+func reduceComponent(ctx context.Context, ds *Dataset, component string, opts ReduceOptions, sweepWorkers int) (*ComponentReduction, error) {
 	cr, kept, series := filterComponent(ds, component, opts)
 	if len(kept) < 2 {
 		return cr, nil
@@ -208,7 +187,7 @@ func reduceComponent(ctx context.Context, ds *Dataset, component string, opts Re
 	if opts.NameSeeding {
 		seedNames = kept
 	}
-	sweep, err := kshape.ChooseKContext(ctx, series, seedNames, opts.KMin, opts.KMax, opts.Seed, opts.Parallelism)
+	sweep, err := kshape.ChooseKContext(ctx, series, seedNames, opts.KMin, opts.KMax, opts.Seed, sweepWorkers)
 	if err != nil {
 		return nil, err
 	}

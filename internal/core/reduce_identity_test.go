@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -86,7 +87,7 @@ func slidingReductions(t *testing.T, a *app.App, windows int) []Reduction {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out[i], err = Reduce(ds, DefaultReduceOptions()); err != nil {
+		if out[i], err = ReduceContext(context.Background(), ds, DefaultReduceOptions()); err != nil {
 			t.Fatal(err)
 		}
 	}

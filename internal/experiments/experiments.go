@@ -32,7 +32,7 @@ type Result struct {
 	// Text is the formatted, paper-style table or series listing.
 	Text string
 	// Values holds the headline measured numbers keyed by name, for
-	// EXPERIMENTS.md and benchmark metrics.
+	// benchmark metrics and the committed oracle ROADMAP item 8 plans.
 	Values map[string]float64
 }
 
@@ -56,10 +56,6 @@ type Config struct {
 	HTTPRequests int
 	// Seed drives all simulations.
 	Seed int64
-	// Parallelism sizes the pipeline worker pools (0 = GOMAXPROCS).
-	// Artifacts are bit-identical at any setting, so this only changes
-	// how long the suite takes.
-	Parallelism int
 }
 
 // DefaultConfig returns the paper-scale configuration.
@@ -142,8 +138,7 @@ func (s *Suite) shareLatexPipelines() ([]shareLatexRun, error) {
 			}
 			pattern := loadgen.Random(s.cfg.Seed+int64(100+i), s.cfg.ShareLatexTicks, 200, 2500)
 			art, capture, err := core.Run(a, pattern, core.PipelineOptions{
-				Reduce:      core.DefaultReduceOptions(),
-				Parallelism: s.cfg.Parallelism,
+				Reduce: core.DefaultReduceOptions(),
 			})
 			if err != nil {
 				s.slErr = fmt.Errorf("sharelatex run %d: %w", i, err)
@@ -170,8 +165,7 @@ func (s *Suite) openStackArtifacts() (correct, faulty *core.Artifact, err error)
 				// A 1 s delay bound gives two candidate lags on the 500 ms
 				// grid, so inter-version lag changes are observable
 				// (Fig. 7's lag-change events).
-				Deps:        core.DepOptions{DelayMS: 1000},
-				Parallelism: s.cfg.Parallelism,
+				Deps: core.DepOptions{DelayMS: 1000},
 			})
 			if err != nil {
 				s.osErr = fmt.Errorf("openstack faulty=%v: %w", fault, err)

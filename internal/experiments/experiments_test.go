@@ -60,8 +60,8 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 
 	// Figure 5: wall-clock overheads are machine-load dependent at smoke
-	// size, so only sanity-check them (the paper-scale run in
-	// EXPERIMENTS.md carries the real numbers).
+	// size, so only sanity-check them (a paper-scale run carries the real
+	// numbers; ROADMAP item 8 plans committing one).
 	if v := byID["figure5"].Values["native_seconds"]; v <= 0 {
 		t.Errorf("figure5 native time = %g, want positive", v)
 	}

@@ -11,7 +11,8 @@ import (
 // Table1 regenerates Table 1: the metric populations exposed by the
 // evaluated applications. The paper reports 889 metrics for ShareLatex
 // and 17,608 for OpenStack's full API surface (our simulator reproduces
-// the 508-metric deployment slice of Table 5; see EXPERIMENTS.md).
+// the 508-metric deployment slice of Table 5; ROADMAP item 8 plans the
+// committed results file that will carry the deviation).
 func (s *Suite) Table1() (*Result, error) {
 	slApp, err := sharelatex.New(s.cfg.Seed)
 	if err != nil {

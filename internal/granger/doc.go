@@ -16,7 +16,7 @@
 //
 // Direction is the entry point the pipeline's step 3 calls once per
 // (representative metric, representative metric) pair of communicating
-// components: it runs Test both ways and returns the winning causality
+// components: it runs TestWith both ways and returns the winning causality
 // with the lag and F-test p-value that become a DependencyEdge in the
 // artifact's graph.
 package granger

@@ -12,7 +12,7 @@ import (
 
 // Scratch pools one worker's Granger buffers: the two reusable flat lag
 // designs plus the shared regression workspace (QR factorizations,
-// normal-equation solves, ADF design) that every fit in a Test run
+// normal-equation solves, ADF design) that every fit in a TestWith run
 // cycles through. The zero value is ready to use. A Scratch must not be
 // shared between concurrent goroutines — the dependency-extraction
 // fan-out keeps one per worker, indexed by the pool's worker id. Returned
@@ -86,18 +86,12 @@ type TestResult struct {
 	DifferencedX, DifferencedY bool
 }
 
-// Test reports whether x Granger-causes y. Both series must have equal
-// length; constants and too-short series yield a non-significant result
-// rather than an error when they cannot carry causal signal.
-func Test(x, y []float64, opts Options) (*TestResult, error) {
-	var s Scratch
-	return TestWith(x, y, opts, &s)
-}
-
-// TestWith is Test with caller-owned scratch: lag designs and regression
-// workspace come from s, so a steady-state test performs O(1) small
-// allocations per pair instead of O(lags·rows). Results are bit-identical
-// to Test.
+// TestWith reports whether x Granger-causes y. Both series must have
+// equal length; constants and too-short series yield a non-significant
+// result rather than an error when they cannot carry causal signal. Lag
+// designs and regression workspace come from the caller-owned s, so a
+// steady-state test performs O(1) small allocations per pair instead of
+// O(lags·rows); what s held before never reaches the result.
 func TestWith(x, y []float64, opts Options, s *Scratch) (*TestResult, error) {
 	opts = opts.withDefaults()
 	if len(x) != len(y) {
@@ -159,8 +153,7 @@ func TestWith(x, y []float64, opts Options, s *Scratch) (*TestResult, error) {
 // reusable matrix dst: column 0 is the constant 1, columns 1..ownLags are
 // y shifted by 1..ownLags samples, and columns ownLags+1..ownLags+crossLag
 // are x shifted by 1..crossLag (crossLag 0 gives the restricted model).
-// Cell values match what DesignWithIntercept built from intermediate
-// [][]float64 lag columns, without materializing them.
+// No intermediate lag columns are materialized.
 func lagDesign(dst *mathx.Matrix, x, y []float64, crossLag, ownLags int) *mathx.Matrix {
 	rows := len(y) - ownLags
 	dst.Resize(rows, 1+ownLags+crossLag)

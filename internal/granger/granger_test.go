@@ -23,7 +23,7 @@ func causalPair(rng *rand.Rand, n, lag int, beta, noise float64) (x, y []float64
 func TestDetectsPlantedCausality(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := causalPair(rng, 400, 1, 0.9, 0.3)
-	res, err := Test(x, y, Options{MaxLag: 1})
+	res, err := TestWith(x, y, Options{MaxLag: 1}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestIndependentSeriesNotSignificant(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		res, err := Test(x, y, Options{MaxLag: 1, SkipStationarity: true})
+		res, err := TestWith(x, y, Options{MaxLag: 1, SkipStationarity: true}, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestIndependentSeriesNotSignificant(t *testing.T) {
 func TestHigherLagDetection(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x, y := causalPair(rng, 600, 3, 0.9, 0.3)
-	res, err := Test(x, y, Options{MaxLag: 4})
+	res, err := TestWith(x, y, Options{MaxLag: 4}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestNonStationaryInputsAreDifferenced(t *testing.T) {
 	for t := 2; t < n; t++ {
 		y[t] = y[t-1] + 0.9*(x[t-1]-x[t-2]) + rng.NormFloat64()*0.3
 	}
-	res, err := Test(x, y, Options{MaxLag: 2})
+	res, err := TestWith(x, y, Options{MaxLag: 2}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSpuriousRegressionFiltered(t *testing.T) {
 			x[t] = x[t-1] + rng.NormFloat64()
 			y[t] = y[t-1] + rng.NormFloat64()
 		}
-		res, err := Test(x, y, Options{MaxLag: 1})
+		res, err := TestWith(x, y, Options{MaxLag: 1}, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,14 +159,14 @@ func TestConstantSeriesIsNeverCausal(t *testing.T) {
 	for i := range y {
 		y[i] = rng.NormFloat64()
 	}
-	res, err := Test(x, y, Options{})
+	res, err := TestWith(x, y, Options{}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Significant {
 		t.Error("constant X flagged as causal")
 	}
-	res, err = Test(y, x, Options{})
+	res, err = TestWith(y, x, Options{}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestBidirectionalCommonDriver(t *testing.T) {
 }
 
 func TestErrorsAndEdgeCases(t *testing.T) {
-	if _, err := Test([]float64{1, 2}, []float64{1}, Options{}); err == nil {
+	if _, err := TestWith([]float64{1, 2}, []float64{1}, Options{}, new(Scratch)); err == nil {
 		t.Error("expected length-mismatch error")
 	}
 	short := []float64{1, 2, 3, 1, 2, 3}
-	if _, err := Test(short, short, Options{MaxLag: 2, SkipStationarity: true}); !errors.Is(err, ErrSeriesTooShort) {
+	if _, err := TestWith(short, short, Options{MaxLag: 2, SkipStationarity: true}, new(Scratch)); !errors.Is(err, ErrSeriesTooShort) {
 		t.Errorf("short series: err = %v, want ErrSeriesTooShort", err)
 	}
 }
@@ -222,7 +222,7 @@ func TestPValueBoundsProperty(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		res, err := Test(x, y, Options{MaxLag: 1 + rng.Intn(3), SkipStationarity: true})
+		res, err := TestWith(x, y, Options{MaxLag: 1 + rng.Intn(3), SkipStationarity: true}, new(Scratch))
 		if err != nil {
 			return false
 		}

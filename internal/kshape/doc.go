@@ -21,10 +21,10 @@
 //     (the centroid memo, held by the worker's Scratch). Both are exact:
 //     docs/ARCHITECTURE.md, "The exact fast path of the k-Shape sweep".
 //   - silhouette.go, eval.go: silhouette-based selection of the cluster
-//     count k within a configured range (ChooseK), and the Adjusted
+//     count k within a configured range (ChooseKContext), and the Adjusted
 //     Mutual Information score used to evaluate clustering consistency
 //     across runs (Fig. 3).
 //
 // ChooseKContext fans candidate k values out to a worker pool; results
-// are bit-identical at any parallelism.
+// are bit-identical at any worker count.
 package kshape

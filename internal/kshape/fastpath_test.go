@@ -616,7 +616,7 @@ func TestKernelPeriodicCutoffMatchesFullRun(t *testing.T) {
 		opts   Options
 	}{
 		{"constructed", oscillatingSeries(), Options{K: 2, InitialAssignments: []int{0, 0, 0, 1, 1}}},
-		{"captured", captured, Options{K: capturedK, InitialAssignments: NameSeeds(names, capturedK)}},
+		{"captured", captured, Options{K: capturedK, InitialAssignments: nameSeeds(names, capturedK)}},
 	}
 	for _, tc := range cases {
 		p, err := prepare(tc.series)

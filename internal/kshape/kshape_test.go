@@ -156,12 +156,18 @@ func TestClusterCentroidMatchesFamilyShape(t *testing.T) {
 	}
 }
 
+// nameSeeds is the name-seeded initial assignment for k clusters, the way
+// the sweep reads it off a traversal run to kMax = k.
+func nameSeeds(names []string, k int) []int {
+	return newNameSeeding(names, k).assignments(k)
+}
+
 func TestNameSeedsGroupsByPrefix(t *testing.T) {
 	names := []string{
 		"cpu_usage_mean", "cpu_usage_p95", "cpu_usage_max",
 		"net_bytes_in", "net_bytes_out", "net_bytes_dropped",
 	}
-	seeds := NameSeeds(names, 2)
+	seeds := nameSeeds(names, 2)
 	if len(seeds) != len(names) {
 		t.Fatalf("got %d assignments, want %d", len(seeds), len(names))
 	}
@@ -178,15 +184,15 @@ func TestNameSeedsGroupsByPrefix(t *testing.T) {
 }
 
 func TestNameSeedsDegenerate(t *testing.T) {
-	if got := NameSeeds(nil, 3); len(got) != 0 {
+	if got := nameSeeds(nil, 3); len(got) != 0 {
 		t.Error("empty names must give empty assignment")
 	}
-	got := NameSeeds([]string{"a", "b"}, 1)
+	got := nameSeeds([]string{"a", "b"}, 1)
 	if got[0] != 0 || got[1] != 0 {
 		t.Error("k=1 must assign all to 0")
 	}
 	// k > n clamps.
-	got = NameSeeds([]string{"a", "b"}, 5)
+	got = nameSeeds([]string{"a", "b"}, 5)
 	for _, g := range got {
 		if g < 0 || g >= 2 {
 			t.Errorf("assignment %d out of range", g)

@@ -41,7 +41,7 @@ func capturedComponent(t *testing.T) (names []string, series [][]float64) {
 func sweepOptions(names []string, k int) Options {
 	opts := Options{K: k, Seed: 11, Restarts: 3}
 	if names != nil {
-		opts.InitialAssignments = NameSeeds(names, k)
+		opts.InitialAssignments = nameSeeds(names, k)
 	}
 	return opts
 }

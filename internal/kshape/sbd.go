@@ -15,7 +15,16 @@ func NCC(x, y []float64) []float64 {
 	if len(x) != len(y) || len(x) == 0 {
 		panic(fmt.Sprintf("kshape: NCC needs equal non-empty lengths, got %d and %d", len(x), len(y)))
 	}
-	cc := mathx.CrossCorrelate(x, y)
+	// Both spectra at the padded size, one correlation, and the circular
+	// result's negative shifts unwrapped from the tail of the buffer.
+	n := len(x)
+	m := mathx.NextPow2(2*n - 1)
+	fx := mathx.RealFFT(make([]complex128, m), x, m)
+	fy := mathx.RealFFT(make([]complex128, m), y, m)
+	inv := mathx.CorrelateSpectra(make([]float64, m), fx, fy, make([]complex128, m/2))
+	cc := make([]float64, 2*n-1)
+	copy(cc[n-1:], inv[:n])
+	copy(cc[:n-1], inv[m-(n-1):])
 	nx := l2(x)
 	ny := l2(y)
 	denom := nx * ny
@@ -35,8 +44,8 @@ func NCC(x, y []float64) []float64 {
 //
 //	SBD(x,y) = 1 - max_w NCC_w(x,y),
 //
-// together with the shift at which the maximum is attained: passing it to
-// Align(y, shift) lines y up with x (a negative shift means y lags x and
+// together with the shift at which the maximum is attained: delaying y
+// by it lines y up with x (a negative shift means y lags x and
 // is advanced; a positive one means y leads and is delayed). The distance lies
 // in [0, 2]. Two zero-norm (constant) series are defined to have distance
 // 0; a zero-norm series against a non-zero one has distance 1.
@@ -63,15 +72,10 @@ func SBD(x, y []float64) (dist float64, shift int) {
 	return 1 - best, bestIdx - (n - 1)
 }
 
-// Align shifts y by the given shift (as returned by SBD) so it lines up
-// with the reference series: the result r satisfies r[t] = y[t-shift],
-// zero-padded where the shift runs past the ends.
-func Align(y []float64, shift int) []float64 {
-	return alignInto(make([]float64, len(y)), y, shift)
-}
-
-// alignInto is Align writing into dst (len(dst) == len(y)), including the
-// zero padding, so callers can reuse one flat backing buffer.
+// alignInto shifts y by the given shift (as returned by SBD) so it lines
+// up with the reference series: dst[t] = y[t-shift], zero-padded where
+// the shift runs past the ends. len(dst) == len(y), so callers can reuse
+// one flat backing buffer.
 func alignInto(dst, y []float64, shift int) []float64 {
 	n := len(y)
 	for t := 0; t < n; t++ {
@@ -244,7 +248,7 @@ func (p *sbdProfile) degenerate(q *sbdProfile) (dist float64, ok bool) {
 }
 
 // sbd computes SBD and the aligning shift from one correlation, matching
-// SBD(p, q) bit for bit: the shift passed to Align(q, shift) lines q up
+// SBD(p, q) bit for bit: delaying q by the shift (alignInto) lines q up
 // with p. SBD divides every coefficient by the norm product and keeps the
 // first shift, from -(n-1) up, whose quotient is strictly the largest.
 // Division by a positive constant is monotone under correct rounding, so

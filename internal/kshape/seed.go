@@ -6,18 +6,13 @@ import (
 	"github.com/sieve-microservices/sieve/internal/strdist"
 )
 
-// NameSeeds produces an initial cluster assignment for k clusters from
-// metric names: k seed names are chosen by deterministic farthest-point
-// traversal under Jaro-Winkler distance and every name is assigned to its
-// most similar seed. Developers name related metrics similarly
-// ("cpu_usage", "cpu_usage_percentile"), so this starts k-Shape close to
-// a fixed point (§3.2); it affects convergence speed only.
-func NameSeeds(names []string, k int) []int {
-	return newNameSeeding(names, k).assignments(k)
-}
-
-// nameSeeding is the farthest-point traversal over a set of metric names,
-// run once to kMax seeds. The traversal picks seed c from the names and
+// nameSeeding produces initial cluster assignments from metric names:
+// seed names are chosen by deterministic farthest-point traversal under
+// Jaro-Winkler distance and every name is assigned to its most similar
+// seed. Developers name related metrics similarly ("cpu_usage",
+// "cpu_usage_percentile"), so this starts k-Shape close to a fixed point
+// (§3.2); it affects convergence speed only. The traversal is run once
+// to kMax seeds: it picks seed c from the names and
 // the seeds before it alone, so the seeds for k clusters are the first k
 // of the seeds for any larger count; a silhouette sweep traverses once
 // and reads every candidate k's assignment off the cached similarities.

@@ -10,9 +10,9 @@ import (
 	"github.com/sieve-microservices/sieve/internal/strdist"
 )
 
-// referenceNameSeeds is NameSeeds as it stood when the sweep called it
-// once per k: the farthest-point traversal and every Jaro-Winkler
-// comparison from scratch.
+// referenceNameSeeds is the name seeding as it stood when the sweep
+// called it once per k: the farthest-point traversal and every
+// Jaro-Winkler comparison from scratch.
 func referenceNameSeeds(names []string, k int) []int {
 	n := len(names)
 	assign := make([]int, n)
@@ -101,7 +101,7 @@ func TestNameSeedingPrefixMatchesPerK(t *testing.T) {
 		seeding := newNameSeeding(names, kMax)
 		for k := 0; k <= kMax+1; k++ {
 			want := referenceNameSeeds(names, k)
-			for what, got := range map[string][]int{"NameSeeds": NameSeeds(names, k), "shared traversal": seeding.assignments(k)} {
+			for what, got := range map[string][]int{"traversal to k": nameSeeds(names, k), "shared traversal": seeding.assignments(k)} {
 				if k > kMax && what == "shared traversal" {
 					continue // the sweep never asks past its kMax
 				}

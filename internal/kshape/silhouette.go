@@ -85,7 +85,7 @@ func Silhouette(dist [][]float64, assign []int) (float64, error) {
 	return total / float64(n), nil
 }
 
-// SweepResult is the outcome of a ChooseK sweep.
+// SweepResult is the outcome of a ChooseKContext sweep.
 type SweepResult struct {
 	// Result is the clustering with the best silhouette.
 	*Result
@@ -95,21 +95,17 @@ type SweepResult struct {
 	Scores map[int]float64
 }
 
-// ChooseK clusters the series for every k in [kMin, kMax] and returns the
-// clustering with the highest silhouette score. The paper found k <= 7
-// sufficient for components with up to 300 metrics. names, when non-nil,
-// seeds the initial assignments by metric-name similarity, and each k is
-// then clustered exactly once; with nil names each k is the best of three
-// randomly initialized runs (Options.Restarts).
-func ChooseK(series [][]float64, names []string, kMin, kMax int, seed int64) (*SweepResult, error) {
-	return ChooseKContext(context.Background(), series, names, kMin, kMax, seed, 1)
-}
-
-// ChooseKContext is ChooseK with cancellation and a worker pool: the
-// per-k clustering runs fan out to `workers` goroutines (0 means
-// GOMAXPROCS, <1 clamps to 1). Each candidate k keeps its own fixed seed
-// and the winner is selected in ascending-k order afterwards, so the
-// result is identical to the sequential sweep at any worker count.
+// ChooseKContext clusters the series for every k in [kMin, kMax] and
+// returns the clustering with the highest silhouette score. The paper
+// found k <= 7 sufficient for components with up to 300 metrics. names,
+// when non-nil, seeds the initial assignments by metric-name similarity,
+// and each k is then clustered exactly once; with nil names each k is the
+// best of three randomly initialized runs (Options.Restarts). The per-k
+// clustering runs fan out to `workers` goroutines (0 means GOMAXPROCS,
+// <1 clamps to 1) and stop early when ctx is done. Each candidate k keeps
+// its own fixed seed and the winner is selected in ascending-k order
+// afterwards, so the result is identical to the sequential sweep at any
+// worker count.
 func ChooseKContext(ctx context.Context, series [][]float64, names []string, kMin, kMax int, seed int64, workers int) (*SweepResult, error) {
 	return ChooseKFromDist(ctx, series, nil, names, kMin, kMax, seed, workers)
 }

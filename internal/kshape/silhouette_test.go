@@ -1,6 +1,7 @@
 package kshape
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,12 +133,12 @@ func TestSilhouetteMatchesMapReference(t *testing.T) {
 func TestChooseKFindsTwoFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	series, truth := twoShapeFamilies(rng, 6, 96)
-	sweep, err := ChooseK(series, nil, 2, 5, 3)
+	sweep, err := ChooseKContext(context.Background(), series, nil, 2, 5, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sweep.K != 2 {
-		t.Errorf("ChooseK selected k=%d (scores %v), want 2", sweep.K, sweep.Scores)
+		t.Errorf("ChooseKContext selected k=%d (scores %v), want 2", sweep.K, sweep.Scores)
 	}
 	ami, err := AMI(sweep.Assignments, truth)
 	if err != nil {
@@ -158,7 +159,7 @@ func TestChooseKWithNameSeeding(t *testing.T) {
 		"sine_a", "sine_b", "sine_c", "sine_d",
 		"square_a", "square_b", "square_c", "square_d",
 	}
-	sweep, err := ChooseK(series, names, 2, 4, 3)
+	sweep, err := ChooseKContext(context.Background(), series, names, 2, 4, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,17 +169,17 @@ func TestChooseKWithNameSeeding(t *testing.T) {
 }
 
 func TestChooseKDegenerate(t *testing.T) {
-	if _, err := ChooseK(nil, nil, 2, 5, 0); err == nil {
+	if _, err := ChooseKContext(context.Background(), nil, nil, 2, 5, 0, 1); err == nil {
 		t.Error("expected error for no series")
 	}
-	if _, err := ChooseK([][]float64{{1, 2, 3}}, nil, 0, 5, 0); err == nil {
+	if _, err := ChooseKContext(context.Background(), [][]float64{{1, 2, 3}}, nil, 0, 5, 0, 1); err == nil {
 		t.Error("expected error for invalid k range")
 	}
-	if _, err := ChooseK([][]float64{{1, 2}, {3, 4}}, []string{"a"}, 2, 3, 0); err == nil {
+	if _, err := ChooseKContext(context.Background(), [][]float64{{1, 2}, {3, 4}}, []string{"a"}, 2, 3, 0, 1); err == nil {
 		t.Error("expected error for name count mismatch")
 	}
 	// A single series degenerates to one cluster.
-	sweep, err := ChooseK([][]float64{{1, 2, 3}}, nil, 2, 5, 0)
+	sweep, err := ChooseKContext(context.Background(), [][]float64{{1, 2, 3}}, nil, 2, 5, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestChooseKDegenerate(t *testing.T) {
 		t.Errorf("single series: k=%d assign=%v", sweep.K, sweep.Assignments)
 	}
 	// kMax clamps to n.
-	sweep, err = ChooseK([][]float64{{1, 2, 9}, {2, 4, 1}, {5, 1, 2}}, nil, 2, 50, 0)
+	sweep, err = ChooseKContext(context.Background(), [][]float64{{1, 2, 9}, {2, 4, 1}, {5, 1, 2}}, nil, 2, 50, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

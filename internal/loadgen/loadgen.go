@@ -1,11 +1,9 @@
 // Package loadgen generates the workloads that stress the simulated
 // applications during Sieve's loading phase (§3.1) and the case studies:
-// Locust-style virtual-user sessions (the paper's custom ShareLatex load
-// generator), a WorldCup'98-shaped trace for the autoscaling experiment
-// (§6.2 maps the 1998 soccer world-cup HTTP trace onto ShareLatex
-// traffic), randomized workloads for the robustness measurements
-// (§6.1.1), and a Rally-style boot_and_delete task runner for OpenStack
-// (§6.3).
+// a WorldCup'98-shaped trace for the autoscaling experiment (§6.2 maps
+// the 1998 soccer world-cup HTTP trace onto ShareLatex traffic) and the
+// randomized workloads that drive the robustness measurements (§6.1.1)
+// and the OpenStack experiments (§6.3).
 package loadgen
 
 import (
@@ -27,23 +25,6 @@ func Constant(rps float64, ticks int) Pattern {
 	p := make(Pattern, ticks)
 	for i := range p {
 		p[i] = rps
-	}
-	return p
-}
-
-// Steps returns a pattern alternating between low and high every
-// switchEvery ticks, the classic square-wave stress shape.
-func Steps(low, high float64, ticks, switchEvery int) Pattern {
-	if switchEvery < 1 {
-		switchEvery = 1
-	}
-	p := make(Pattern, ticks)
-	for i := range p {
-		if (i/switchEvery)%2 == 0 {
-			p[i] = low
-		} else {
-			p[i] = high
-		}
 	}
 	return p
 }
@@ -113,57 +94,6 @@ func WorldCup(seed int64, ticks int, baseRPS, peakRPS float64) Pattern {
 	return p
 }
 
-// Session is one virtual user's activity window, identified in the paper
-// by client IP in the HTTP trace and replayed by spawning a virtual user
-// for the session duration.
-type Session struct {
-	// StartTick is the tick the user appears.
-	StartTick int
-	// DurationTicks is how long the user stays.
-	DurationTicks int
-	// RPS is the request rate this user contributes while active.
-	RPS float64
-}
-
-// FromSessions converts a session schedule into a load pattern of the
-// given length by summing the rates of concurrently active users — the
-// Locust model of load generation.
-func FromSessions(sessions []Session, ticks int) Pattern {
-	p := make(Pattern, ticks)
-	for _, s := range sessions {
-		end := s.StartTick + s.DurationTicks
-		for t := s.StartTick; t < end && t < ticks; t++ {
-			if t >= 0 {
-				p[t] += s.RPS
-			}
-		}
-	}
-	return p
-}
-
-// SyntheticSessions draws a deterministic session schedule whose arrival
-// intensity follows the given envelope pattern (values in [0,1] scale the
-// arrival probability per tick).
-func SyntheticSessions(seed int64, envelope Pattern, maxConcurrent int, perUserRPS float64) []Session {
-	rng := rand.New(rand.NewSource(seed))
-	var out []Session
-	for t, e := range envelope {
-		expected := e * float64(maxConcurrent) / 20
-		n := int(expected)
-		if rng.Float64() < expected-float64(n) {
-			n++
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, Session{
-				StartTick:     t,
-				DurationTicks: 10 + rng.Intn(90),
-				RPS:           perUserRPS * (0.5 + rng.Float64()),
-			})
-		}
-	}
-	return out
-}
-
 // Drive replays a pattern against an application, invoking onTick (when
 // non-nil) after every step — the hook where experiments scrape metrics,
 // evaluate SLAs, or run the autoscaler.
@@ -214,68 +144,4 @@ func DriveCollector(ctx context.Context, a *app.App, p Pattern, coll *metrics.Co
 		return scrapeErr
 	}
 	return ctx.Err()
-}
-
-// RallyResult summarizes a Rally-style task run.
-type RallyResult struct {
-	// Runs is the number of completed task iterations.
-	Runs int
-	// Succeeded and Failed count per-iteration outcomes.
-	Succeeded, Failed int
-}
-
-// String formats the result like a Rally summary row.
-func (r RallyResult) String() string {
-	return fmt.Sprintf("runs=%d succeeded=%d failed=%d", r.Runs, r.Succeeded, r.Failed)
-}
-
-// BootAndDelete drives the OpenStack simulation with Rally's
-// 'boot_and_delete' task: each iteration boots `concurrency` VMs
-// (a burst of control-plane load), lets them run for 15-25 s of simulated
-// time, then deletes them (a second, smaller burst). An iteration fails
-// when the application reports boot errors at the Nova API — which is
-// exactly what Launchpad bug #1533942 causes. onTick runs after every
-// simulation step.
-func BootAndDelete(a *app.App, runs, concurrency int, seed int64, onTick func(tick int, nowMS int64)) RallyResult {
-	rng := rand.New(rand.NewSource(seed))
-	res := RallyResult{Runs: runs}
-	tick := 0
-	step := func(rps float64) {
-		a.Step(rps)
-		if onTick != nil {
-			onTick(tick, a.Now())
-		}
-		tick++
-	}
-	ticksPerSecond := int(1000 / a.TickMS())
-	if ticksPerSecond < 1 {
-		ticksPerSecond = 1
-	}
-
-	for run := 0; run < runs; run++ {
-		// Boot burst: concurrency VM creations over ~2 s.
-		bootTicks := 2 * ticksPerSecond
-		failed := false
-		for i := 0; i < bootTicks; i++ {
-			step(float64(concurrency) * 12)
-			if a.ErrorRate("nova-api") > 0.5 {
-				failed = true
-			}
-		}
-		// Hold phase: 15-25 s of idle-ish background traffic.
-		holdTicks := (15 + rng.Intn(11)) * ticksPerSecond
-		for i := 0; i < holdTicks; i++ {
-			step(float64(concurrency) * 1.5)
-		}
-		// Delete burst.
-		for i := 0; i < ticksPerSecond; i++ {
-			step(float64(concurrency) * 6)
-		}
-		if failed || a.FaultActive() && a.ErrorRate("neutron-server") > 0.5 {
-			res.Failed++
-		} else {
-			res.Succeeded++
-		}
-	}
-	return res
 }

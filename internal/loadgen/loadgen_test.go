@@ -17,16 +17,6 @@ func TestConstantAndSteps(t *testing.T) {
 	if len(p) != 10 || p[0] != 50 || p[9] != 50 {
 		t.Errorf("Constant = %v", p)
 	}
-	s := Steps(10, 100, 8, 2)
-	want := []float64{10, 10, 100, 100, 10, 10, 100, 100}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("Steps = %v, want %v", s, want)
-		}
-	}
-	if got := Steps(1, 2, 3, 0); len(got) != 3 {
-		t.Error("Steps must clamp switchEvery")
-	}
 }
 
 func TestRandomPatternPropertiesAndDeterminism(t *testing.T) {
@@ -86,40 +76,6 @@ func TestWorldCupShape(t *testing.T) {
 	}
 }
 
-func TestSessionsModel(t *testing.T) {
-	sessions := []Session{
-		{StartTick: 0, DurationTicks: 3, RPS: 2},
-		{StartTick: 2, DurationTicks: 2, RPS: 5},
-		{StartTick: -1, DurationTicks: 3, RPS: 1}, // partially before window
-	}
-	p := FromSessions(sessions, 5)
-	want := []float64{3, 3, 7, 5, 0}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("FromSessions = %v, want %v", p, want)
-		}
-	}
-}
-
-func TestSyntheticSessionsFollowEnvelope(t *testing.T) {
-	envelope := make(Pattern, 200)
-	for i := 100; i < 200; i++ {
-		envelope[i] = 1 // all arrivals in the second half
-	}
-	sessions := SyntheticSessions(5, envelope, 100, 2)
-	if len(sessions) == 0 {
-		t.Fatal("no sessions generated")
-	}
-	for _, s := range sessions {
-		if s.StartTick < 100 {
-			t.Fatalf("session started at %d during zero-envelope phase", s.StartTick)
-		}
-		if s.RPS <= 0 || s.DurationTicks <= 0 {
-			t.Fatalf("degenerate session %+v", s)
-		}
-	}
-}
-
 func TestDriveAdvancesApp(t *testing.T) {
 	a, err := openstack.New(1, false)
 	if err != nil {
@@ -137,34 +93,6 @@ func TestDriveAdvancesApp(t *testing.T) {
 	}
 	if a.Now() != 20*a.TickMS() {
 		t.Errorf("clock = %d", a.Now())
-	}
-}
-
-func TestBootAndDeleteSucceedsOnHealthyCloud(t *testing.T) {
-	a, err := openstack.New(1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := BootAndDelete(a, 3, 5, 1, nil)
-	if res.Runs != 3 {
-		t.Errorf("runs = %d", res.Runs)
-	}
-	if res.Failed != 0 {
-		t.Errorf("healthy cloud failed %d/%d boot_and_delete runs", res.Failed, res.Runs)
-	}
-}
-
-func TestBootAndDeleteFailsOnFaultyCloud(t *testing.T) {
-	a, err := openstack.New(1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := BootAndDelete(a, 3, 5, 1, nil)
-	if res.Succeeded != 0 {
-		t.Errorf("faulty cloud succeeded %d/%d runs; bug #1533942 must fail launches", res.Succeeded, res.Runs)
-	}
-	if res.String() == "" {
-		t.Error("empty summary")
 	}
 }
 

@@ -2,57 +2,9 @@ package mathx
 
 import "math"
 
-// NormalCDF returns P(X <= x) for X ~ Normal(mu, sigma). sigma must be
-// positive; NaN is returned otherwise.
-func NormalCDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 || math.IsNaN(sigma) {
-		return math.NaN()
-	}
-	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
-}
-
-// StdNormalCDF returns P(Z <= z) for the standard normal distribution.
-func StdNormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// StudentTCDF returns P(T <= t) for Student's t distribution with df
-// degrees of freedom (df > 0).
-func StudentTCDF(t, df float64) float64 {
-	if df <= 0 || math.IsNaN(t) {
-		return math.NaN()
-	}
-	if math.IsInf(t, 1) {
-		return 1
-	}
-	if math.IsInf(t, -1) {
-		return 0
-	}
-	// I_{df/(df+t^2)}(df/2, 1/2) is 2*P(T > |t|).
-	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
-// FCDF returns P(X <= f) for the F distribution with (d1, d2) degrees of
-// freedom. Both must be positive; f < 0 yields 0.
-func FCDF(f, d1, d2 float64) float64 {
-	if d1 <= 0 || d2 <= 0 || math.IsNaN(f) {
-		return math.NaN()
-	}
-	if f <= 0 {
-		return 0
-	}
-	x := d1 * f / (d1*f + d2)
-	return RegIncBeta(d1/2, d2/2, x)
-}
-
 // FSurvival returns P(X > f) for the F distribution with (d1, d2) degrees
 // of freedom, computed in a form that stays accurate for large f where
-// 1 - FCDF would cancel.
+// one minus the CDF would cancel.
 func FSurvival(f, d1, d2 float64) float64 {
 	if d1 <= 0 || d2 <= 0 || math.IsNaN(f) {
 		return math.NaN()
@@ -62,26 +14,4 @@ func FSurvival(f, d1, d2 float64) float64 {
 	}
 	x := d2 / (d2 + d1*f)
 	return RegIncBeta(d2/2, d1/2, x)
-}
-
-// ChiSquareCDF returns P(X <= x) for the chi-squared distribution with k
-// degrees of freedom (k > 0).
-func ChiSquareCDF(x, k float64) float64 {
-	if k <= 0 || math.IsNaN(x) {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	return RegLowerIncGamma(k/2, x/2)
-}
-
-// ChiSquareSurvival returns P(X > x) for the chi-squared distribution with
-// k degrees of freedom.
-func ChiSquareSurvival(x, k float64) float64 {
-	c := ChiSquareCDF(x, k)
-	if math.IsNaN(c) {
-		return math.NaN()
-	}
-	return 1 - c
 }

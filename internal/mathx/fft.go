@@ -248,7 +248,9 @@ func RealFFT(dst []complex128, x []float64, m int) []complex128 {
 // inputs) — into its real time-domain signal, normalizing by 1/m like
 // IFFT. spec (length m, a power of two) is consumed as scratch; dst must
 // have capacity for m values. It runs one half-size complex inverse
-// transform instead of a full-size one.
+// transform instead of a full-size one. Nothing in the pipeline calls it:
+// it is the second half of the product-then-inverse sequence the tests
+// hold CorrelateSpectra and the k-Shape distance kernel to.
 func RealIFFT(dst []float64, spec []complex128) []float64 {
 	m := len(spec)
 	if !IsPow2(m) {
@@ -272,13 +274,13 @@ func RealIFFT(dst []float64, spec []complex128) []float64 {
 // CorrelateSpectra writes into dst[:m] the circular cross-correlation of
 // two real signals given their RealFFT spectra a and b (both of length
 // m, a power of two): the inverse transform of a[k]·conj(b[k]), entry j
-// holding sum_t x_a[t+j]·x_b[t] with indices mod m. work needs capacity
-// for m/2 values; a and b are only read. It is the spectrum product, the
-// half-size re-pack, the inverse transform and the unpack of
-// CrossCorrelateInto in one routine that forms each product bin where
-// the re-pack consumes it — the same floating-point operations in the
-// same order as multiplying into a buffer and calling RealIFFT, minus
-// one pass over the spectrum.
+// holding sum_t x_a[t+j]·x_b[t] with indices mod m (negative shifts wrap
+// to the tail of dst). work needs capacity for m/2 values; a and b are
+// only read. It is the spectrum product, the half-size re-pack, the
+// inverse transform and the unpack in one routine that forms each product
+// bin where the re-pack consumes it — the same floating-point operations
+// in the same order as multiplying into a buffer and calling RealIFFT,
+// minus one pass over the spectrum.
 func CorrelateSpectra(dst []float64, a, b, work []complex128) []float64 {
 	m := len(a)
 	if !IsPow2(m) || len(b) != m {
@@ -333,128 +335,5 @@ func inverseHalf(dst []float64, z []complex128) []float64 {
 		dst[2*j] = (real(v) + imag(v)*0) * rh
 		dst[2*j+1] = (imag(v) - real(v)*0) * rh
 	}
-	return dst
-}
-
-// FFTScratch holds the reusable transform buffers of CrossCorrelateInto
-// and ConvolveInto. The zero value is ready to use; buffers grow to the
-// largest padded size seen and are reused across calls. A scratch must
-// not be used concurrently — fan-outs keep one per worker.
-type FFTScratch struct {
-	fa, fb, z []complex128
-	rt        []float64
-}
-
-// spectra returns the two padded spectrum buffers at size m.
-func (s *FFTScratch) spectra(m int) (fa, fb []complex128) {
-	if cap(s.fa) < m {
-		s.fa = make([]complex128, m)
-	}
-	if cap(s.fb) < m {
-		s.fb = make([]complex128, m)
-	}
-	return s.fa[:m], s.fb[:m]
-}
-
-// work returns the re-packed half-size spectrum buffer at size h.
-func (s *FFTScratch) work(h int) []complex128 {
-	if cap(s.z) < h {
-		s.z = make([]complex128, h)
-	}
-	return s.z[:h]
-}
-
-// realBuf returns the real inverse-transform output buffer at size m.
-func (s *FFTScratch) realBuf(m int) []float64 {
-	if cap(s.rt) < m {
-		s.rt = make([]float64, m)
-	}
-	return s.rt[:m]
-}
-
-// realSpectra is the pad+transform prologue shared by CrossCorrelateInto
-// and ConvolveInto: both operands' full spectra at padded size m.
-func realSpectra(a, b []float64, m int, s *FFTScratch) (fa, fb []complex128) {
-	fa, fb = s.spectra(m)
-	RealFFT(fa, a, m)
-	RealFFT(fb, b, m)
-	return fa, fb
-}
-
-// CrossCorrelate computes the full linear cross-correlation of two
-// equal-length real series via FFT. The result r has length 2n-1 where
-// n = len(a) == len(b); entry r[k] corresponds to shift s = k-(n-1) and
-// holds
-//
-//	r[k] = sum_t a[t] * b[t-s]
-//
-// i.e. positive shifts slide b to the right relative to a. This is the
-// quantity CC_w used by the k-Shape shape-based distance. CrossCorrelate
-// panics if the lengths differ or are zero.
-func CrossCorrelate(a, b []float64) []float64 {
-	checkCorrLengths(a, b)
-	var s FFTScratch
-	return CrossCorrelateInto(make([]float64, 2*len(a)-1), a, b, &s)
-}
-
-// CrossCorrelateInto is CrossCorrelate writing into dst (capacity >=
-// 2n-1) with caller-owned scratch, so steady-state correlation allocates
-// nothing. It returns dst[:2n-1].
-func CrossCorrelateInto(dst []float64, a, b []float64, s *FFTScratch) []float64 {
-	checkCorrLengths(a, b)
-	n := len(a)
-	m := NextPow2(2*n - 1)
-	fa, fb := realSpectra(a, b, m, s)
-	// Correlation uses the conjugate of the second operand's spectrum;
-	// the product is conjugate-symmetric (both inputs are real), so the
-	// real inverse transform applies.
-	inv := CorrelateSpectra(s.realBuf(m), fa, fb, s.work(m/2))
-
-	// The circular correlation wraps negative shifts to the tail of the
-	// buffer; unwrap into [-(n-1), n-1] order.
-	dst = dst[:2*n-1]
-	for sh := -(n - 1); sh <= n-1; sh++ {
-		idx := sh
-		if idx < 0 {
-			idx += m
-		}
-		dst[sh+n-1] = inv[idx]
-	}
-	return dst
-}
-
-func checkCorrLengths(a, b []float64) {
-	if len(a) == 0 || len(a) != len(b) {
-		panic(fmt.Sprintf("mathx: CrossCorrelate needs equal non-empty lengths, got %d and %d", len(a), len(b)))
-	}
-}
-
-// Convolve computes the full linear convolution of two real series via FFT.
-// The result has length len(a)+len(b)-1.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	var s FFTScratch
-	return ConvolveInto(make([]float64, len(a)+len(b)-1), a, b, &s)
-}
-
-// ConvolveInto is Convolve writing into dst (capacity >= len(a)+len(b)-1)
-// with caller-owned scratch. It returns dst[:len(a)+len(b)-1], or nil
-// when either input is empty.
-func ConvolveInto(dst []float64, a, b []float64, s *FFTScratch) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	m := NextPow2(outLen)
-	fa, fb := realSpectra(a, b, m, s)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	inv := s.realBuf(m)
-	RealIFFT(inv, fa)
-	dst = dst[:outLen]
-	copy(dst, inv[:outLen])
 	return dst
 }

@@ -169,7 +169,24 @@ func TestFFTPanicsOnNonPow2(t *testing.T) {
 	FFT(make([]complex128, 3))
 }
 
-// bruteCrossCorrelate is the O(n^2) reference for CrossCorrelate.
+// crossCorrelate is the full linear cross-correlation of two equal-length
+// series the way every correlation in the pipeline computes it: both
+// spectra at the padded size, one CorrelateSpectra, and the circular
+// result's negative shifts unwrapped from the tail. Entry k corresponds
+// to shift s = k-(n-1) and holds sum_t a[t]*b[t-s].
+func crossCorrelate(a, b []float64) []float64 {
+	n := len(a)
+	m := NextPow2(2*n - 1)
+	fa := RealFFT(make([]complex128, m), a, m)
+	fb := RealFFT(make([]complex128, m), b, m)
+	inv := CorrelateSpectra(make([]float64, m), fa, fb, make([]complex128, m/2))
+	out := make([]float64, 2*n-1)
+	copy(out[n-1:], inv[:n])
+	copy(out[:n-1], inv[m-(n-1):])
+	return out
+}
+
+// bruteCrossCorrelate is the O(n^2) reference for crossCorrelate.
 func bruteCrossCorrelate(a, b []float64) []float64 {
 	n := len(a)
 	r := make([]float64, 2*n-1)
@@ -195,7 +212,7 @@ func TestCrossCorrelateMatchesBruteForce(t *testing.T) {
 			a[i] = rng.NormFloat64()
 			b[i] = rng.NormFloat64()
 		}
-		got := CrossCorrelate(a, b)
+		got := crossCorrelate(a, b)
 		want := bruteCrossCorrelate(a, b)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: length %d, want %d", n, len(got), len(want))
@@ -216,7 +233,7 @@ func TestCrossCorrelateShiftDetection(t *testing.T) {
 	b := make([]float64, n)
 	a[5] = 1
 	b[8] = 1 // delayed copy
-	r := CrossCorrelate(a, b)
+	r := crossCorrelate(a, b)
 	best, bestVal := 0, math.Inf(-1)
 	for i, v := range r {
 		if v > bestVal {
@@ -232,29 +249,10 @@ func TestCrossCorrelateShiftDetection(t *testing.T) {
 func TestCrossCorrelatePanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for mismatched lengths")
+			t.Fatal("expected panic for spectra of different lengths")
 		}
 	}()
-	CrossCorrelate([]float64{1, 2}, []float64{1})
-}
-
-func TestConvolveKnown(t *testing.T) {
-	got := Convolve([]float64{1, 2, 3}, []float64{1, 1})
-	want := []float64{1, 3, 5, 3}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-9) {
-			t.Errorf("conv[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestConvolveEmpty(t *testing.T) {
-	if got := Convolve(nil, []float64{1}); got != nil {
-		t.Errorf("Convolve(nil, x) = %v, want nil", got)
-	}
+	CorrelateSpectra(make([]float64, 4), make([]complex128, 4), make([]complex128, 2), make([]complex128, 2))
 }
 
 func BenchmarkFFT1024(b *testing.B) {
@@ -278,6 +276,6 @@ func BenchmarkCrossCorrelate4096(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CrossCorrelate(x, y)
+		crossCorrelate(x, y)
 	}
 }

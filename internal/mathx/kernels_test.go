@@ -118,7 +118,9 @@ func TestRealSpectrumRoundTrip(t *testing.T) {
 }
 
 // TestKernelCrossCorrelateScratchAllocs pins the steady-state allocation
-// count of the Into kernels at zero once the scratch is warm.
+// count of a cross-correlation over caller-owned buffers (two forward
+// real transforms and the fused inverse) at zero once the twiddle cache
+// is warm.
 func TestKernelCrossCorrelateScratchAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 500
@@ -127,21 +129,16 @@ func TestKernelCrossCorrelateScratchAllocs(t *testing.T) {
 	for i := range a {
 		a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	var s FFTScratch
-	dst := make([]float64, 2*n-1)
-	CrossCorrelateInto(dst, a, b, &s) // warm the scratch and twiddle cache
-
-	if allocs := testing.AllocsPerRun(50, func() {
-		CrossCorrelateInto(dst, a, b, &s)
-	}); allocs != 0 {
-		t.Fatalf("warm CrossCorrelateInto allocates %v times per call, want 0", allocs)
+	m := NextPow2(2*n - 1)
+	fa, fb, work := make([]complex128, m), make([]complex128, m), make([]complex128, m/2)
+	dst := make([]float64, m)
+	correlate := func() {
+		CorrelateSpectra(dst, RealFFT(fa, a, m), RealFFT(fb, b, m), work)
 	}
-	conv := make([]float64, 2*n-1)
-	ConvolveInto(conv, a, b, &s)
-	if allocs := testing.AllocsPerRun(50, func() {
-		ConvolveInto(conv, a, b, &s)
-	}); allocs != 0 {
-		t.Fatalf("warm ConvolveInto allocates %v times per call, want 0", allocs)
+	correlate() // warm the twiddle cache
+
+	if allocs := testing.AllocsPerRun(50, correlate); allocs != 0 {
+		t.Fatalf("warm RealFFT + CorrelateSpectra allocates %v times per correlation, want 0", allocs)
 	}
 }
 

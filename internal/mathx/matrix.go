@@ -11,37 +11,10 @@ import (
 var ErrSingular = errors.New("mathx: matrix is singular or rank deficient")
 
 // Matrix is a dense, row-major matrix of float64 values. The zero value is
-// an empty matrix; use NewMatrix to allocate one with a shape.
+// an empty matrix; Resize gives it a shape.
 type Matrix struct {
 	rows, cols int
 	data       []float64
-}
-
-// NewMatrix allocates an r-by-c zero matrix. It panics if r or c is
-// negative.
-func NewMatrix(r, c int) *Matrix {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("mathx: invalid matrix shape %dx%d", r, c))
-	}
-	return &Matrix{rows: r, cols: c, data: make([]float64, r*c)}
-}
-
-// MatrixFromRows builds a matrix from a slice of equal-length rows, copying
-// the data. It panics on ragged input.
-func MatrixFromRows(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("mathx: ragged rows in MatrixFromRows")
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -55,20 +28,6 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
 
 // Resize reshapes m to r-by-c in place, reusing the backing array when it
 // is large enough. The contents are unspecified afterwards; callers must
@@ -87,11 +46,6 @@ func (m *Matrix) Resize(r, c int) *Matrix {
 	return m
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	return m.TInto(NewMatrix(m.cols, m.rows))
-}
-
 // TInto writes the transpose of m into dst (resized to fit) and returns
 // dst.
 func (m *Matrix) TInto(dst *Matrix) *Matrix {
@@ -104,14 +58,8 @@ func (m *Matrix) TInto(dst *Matrix) *Matrix {
 	return dst
 }
 
-// Mul returns the matrix product m*b. It panics on a shape mismatch.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	return m.MulInto(NewMatrix(m.rows, b.cols), b)
-}
-
 // MulInto writes the matrix product m*b into dst (resized and zeroed) and
-// returns dst. The accumulation order matches Mul exactly. It panics on a
-// shape mismatch.
+// returns dst. It panics on a shape mismatch.
 func (m *Matrix) MulInto(dst *Matrix, b *Matrix) *Matrix {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("mathx: Mul shape mismatch %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols))
@@ -134,12 +82,6 @@ func (m *Matrix) MulInto(dst *Matrix, b *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// MulVec returns the matrix-vector product m*x. It panics on a shape
-// mismatch.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	return m.MulVecInto(make([]float64, m.rows), x)
 }
 
 // MulVecInto writes the matrix-vector product m*x into out (capacity >=
@@ -168,19 +110,11 @@ type LSScratch struct {
 	y []float64
 }
 
-// SolveLeastSquares solves min_x ||A*x - b||_2 using Householder QR.
-// A must have at least as many rows as columns; it returns ErrSingular when
-// A is numerically rank deficient.
-func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	var s LSScratch
-	return SolveLeastSquaresInto(nil, a, b, &s)
-}
-
-// SolveLeastSquaresInto is SolveLeastSquares with a caller-owned solution
-// buffer and QR workspace, so repeated solves allocate nothing. dst may
-// be nil or short, in which case the solution is freshly allocated; the
-// factorization itself is bit-identical to SolveLeastSquares (same copy
-// of A, same reflector arithmetic).
+// SolveLeastSquaresInto solves min_x ||A*x - b||_2 using Householder QR.
+// A must have at least as many rows as columns; it returns ErrSingular
+// when A is numerically rank deficient. The solution buffer and the QR
+// workspace are the caller's, so repeated solves allocate nothing; dst
+// may be nil or short, in which case the solution is freshly allocated.
 func SolveLeastSquaresInto(dst []float64, a *Matrix, b []float64, s *LSScratch) ([]float64, error) {
 	if a.rows != len(b) {
 		return nil, fmt.Errorf("mathx: design has %d rows but response has %d", a.rows, len(b))
@@ -266,66 +200,6 @@ func SolveLeastSquaresInto(dst []float64, a *Matrix, b []float64, s *LSScratch) 
 	return x, nil
 }
 
-// PowerIteration computes the dominant eigenvector (and eigenvalue) of a
-// square symmetric matrix using deterministic power iteration. It starts
-// from a fixed seed vector, iterates at most maxIter times, and stops once
-// successive normalized iterates differ by less than tol in Euclidean norm.
-// It panics if s is not square.
-func PowerIteration(s *Matrix, maxIter int, tol float64) (vec []float64, eigenvalue float64) {
-	if s.rows != s.cols {
-		panic(fmt.Sprintf("mathx: PowerIteration needs a square matrix, got %dx%d", s.rows, s.cols))
-	}
-	n := s.rows
-	if n == 0 {
-		return nil, 0
-	}
-	v := make([]float64, n)
-	// Deterministic, non-degenerate start: a mildly sloped vector avoids
-	// being orthogonal to the dominant eigenvector in common cases.
-	for i := range v {
-		v[i] = 1 + float64(i%7)/7
-	}
-	normalize(v)
-
-	prev := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		copy(prev, v)
-		w := s.MulVec(v)
-		nw := normalize(w)
-		if nw == 0 {
-			// s annihilated v; restart with an orthogonal-ish direction.
-			for i := range w {
-				w[i] = float64(1 + (i*31)%13)
-			}
-			normalize(w)
-		}
-		copy(v, w)
-		// Eigenvectors are sign-ambiguous; compare against both signs.
-		if vecDist(v, prev) < tol || vecDistNeg(v, prev) < tol {
-			break
-		}
-	}
-	// Rayleigh quotient for the eigenvalue.
-	w := s.MulVec(v)
-	var lambda float64
-	for i := range v {
-		lambda += v[i] * w[i]
-	}
-	return v, lambda
-}
-
-// DominantEigen computes the dominant eigenvector (and Rayleigh-quotient
-// eigenvalue) of an implicit symmetric linear operator on R^n, given as
-// apply(dst, src) writing op*src into dst. This avoids materializing the
-// n-by-n matrix when the operator has cheap structure (k-Shape's centroid
-// extraction applies Q·AᵀA·Q through the member matrix A directly).
-// Iteration is deterministic and stops after maxIter steps or when
-// successive normalized iterates agree within tol (up to sign).
-func DominantEigen(n int, apply func(dst, src []float64), maxIter int, tol float64) (vec []float64, eigenvalue float64) {
-	var s EigenScratch
-	return DominantEigenWith(n, apply, maxIter, tol, &s)
-}
-
 // EigenScratch holds DominantEigenWith's three iteration vectors. The
 // zero value is ready to use; a scratch must not be used concurrently.
 type EigenScratch struct {
@@ -345,11 +219,19 @@ func (s *EigenScratch) buffers(n int) (v, w, prev []float64) {
 	return s.v[:n], s.w[:n], s.prev[:n]
 }
 
-// DominantEigenWith is DominantEigen with caller-owned iteration vectors,
-// so repeated extractions allocate nothing. The returned vector aliases
-// the scratch and is only valid until the next call with the same
-// scratch; callers that keep it must copy (k-Shape z-normalizes it into a
-// fresh slice anyway).
+// DominantEigenWith computes the dominant eigenvector (and
+// Rayleigh-quotient eigenvalue) of an implicit symmetric linear operator
+// on R^n, given as apply(dst, src) writing op*src into dst. This avoids
+// materializing the n-by-n matrix when the operator has cheap structure
+// (k-Shape's centroid extraction applies Q·AᵀA·Q through the member
+// matrix A directly). Iteration starts from a fixed, mildly sloped vector
+// (so it is deterministic and unlikely to be orthogonal to the dominant
+// eigenvector) and stops after maxIter steps or when successive
+// normalized iterates agree within tol, up to sign. The iteration vectors
+// are the caller's, so repeated extractions allocate nothing: the
+// returned vector aliases the scratch and is only valid until the next
+// call with the same scratch; callers that keep it must copy (k-Shape
+// z-normalizes it into a fresh slice anyway).
 func DominantEigenWith(n int, apply func(dst, src []float64), maxIter int, tol float64, s *EigenScratch) (vec []float64, eigenvalue float64) {
 	if n == 0 {
 		return nil, 0
@@ -364,6 +246,7 @@ func DominantEigenWith(n int, apply func(dst, src []float64), maxIter int, tol f
 		copy(prev, v)
 		apply(w, v)
 		if normalize(w) == 0 {
+			// The operator annihilated v; restart from another direction.
 			for i := range w {
 				w[i] = float64(1 + (i*31)%13)
 			}

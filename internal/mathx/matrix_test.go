@@ -8,8 +8,17 @@ import (
 	"testing/quick"
 )
 
+// matrixFromRows builds a matrix from equal-length rows, copying the data.
+func matrixFromRows(rows [][]float64) *Matrix {
+	m := new(Matrix).Resize(len(rows), len(rows[0]))
+	for i, row := range rows {
+		copy(m.data[i*m.cols:(i+1)*m.cols], row)
+	}
+	return m
+}
+
 func TestMatrixBasicOps(t *testing.T) {
-	m := MatrixFromRows([][]float64{
+	m := matrixFromRows([][]float64{
 		{1, 2, 3},
 		{4, 5, 6},
 	})
@@ -23,16 +32,16 @@ func TestMatrixBasicOps(t *testing.T) {
 	if m.At(0, 0) != 9 {
 		t.Errorf("Set/At round trip failed")
 	}
-	row := m.Row(1)
-	row[0] = 100 // must not alias the matrix
-	if m.At(1, 0) != 4 {
-		t.Errorf("Row must copy: matrix mutated to %g", m.At(1, 0))
+	// Resize reuses the backing array when it is large enough.
+	data := &m.data[0]
+	if m.Resize(3, 1); m.Rows() != 3 || m.Cols() != 1 || &m.data[0] != data {
+		t.Errorf("Resize(3,1) gave %dx%d, reallocated %v", m.Rows(), m.Cols(), &m.data[0] != data)
 	}
 }
 
 func TestMatrixTranspose(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	tr := m.T()
+	m := matrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	tr := m.TInto(new(Matrix))
 	if tr.Rows() != 2 || tr.Cols() != 3 {
 		t.Fatalf("transpose shape = %dx%d, want 2x3", tr.Rows(), tr.Cols())
 	}
@@ -46,9 +55,9 @@ func TestMatrixTranspose(t *testing.T) {
 }
 
 func TestMatrixMul(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
+	a := matrixFromRows([][]float64{{1, 2}, {3, 4}})
+	b := matrixFromRows([][]float64{{5, 6}, {7, 8}})
+	c := a.MulInto(new(Matrix), b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
 		for j := range want[i] {
@@ -60,8 +69,8 @@ func TestMatrixMul(t *testing.T) {
 }
 
 func TestMatrixMulVec(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
-	got := a.MulVec([]float64{1, 2, 3})
+	a := matrixFromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
+	got := a.MulVecInto(make([]float64, 2), []float64{1, 2, 3})
 	want := []float64{7, 6}
 	for i := range want {
 		if got[i] != want[i] {
@@ -72,11 +81,11 @@ func TestMatrixMulVec(t *testing.T) {
 
 func TestSolveLeastSquaresExact(t *testing.T) {
 	// Square well-conditioned system has an exact solution.
-	a := MatrixFromRows([][]float64{
+	a := matrixFromRows([][]float64{
 		{2, 1},
 		{1, 3},
 	})
-	x, err := SolveLeastSquares(a, []float64{5, 10})
+	x, err := SolveLeastSquaresInto(nil, a, []float64{5, 10}, new(LSScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +105,7 @@ func TestSolveLeastSquaresRecoversPlantedCoefficients(t *testing.T) {
 		for i := range truth {
 			truth[i] = rng.NormFloat64() * 3
 		}
-		a := NewMatrix(n, p)
+		a := new(Matrix).Resize(n, p)
 		y := make([]float64, n)
 		for i := 0; i < n; i++ {
 			var s float64
@@ -107,7 +116,7 @@ func TestSolveLeastSquaresRecoversPlantedCoefficients(t *testing.T) {
 			}
 			y[i] = s // noiseless: LS must recover exactly
 		}
-		x, err := SolveLeastSquares(a, y)
+		x, err := SolveLeastSquaresInto(nil, a, y, new(LSScratch))
 		if err != nil {
 			return false
 		}
@@ -128,7 +137,7 @@ func TestSolveLeastSquaresMinimizesResidual(t *testing.T) {
 	// perturbation of the solution.
 	rng := rand.New(rand.NewSource(11))
 	n, p := 50, 3
-	a := NewMatrix(n, p)
+	a := new(Matrix).Resize(n, p)
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < p; j++ {
@@ -136,12 +145,12 @@ func TestSolveLeastSquaresMinimizesResidual(t *testing.T) {
 		}
 		y[i] = rng.NormFloat64()
 	}
-	x, err := SolveLeastSquares(a, y)
+	x, err := SolveLeastSquaresInto(nil, a, y, new(LSScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rss := func(sol []float64) float64 {
-		pred := a.MulVec(sol)
+		pred := a.MulVecInto(make([]float64, n), sol)
 		var s float64
 		for i := range pred {
 			d := y[i] - pred[i]
@@ -161,34 +170,40 @@ func TestSolveLeastSquaresMinimizesResidual(t *testing.T) {
 
 func TestSolveLeastSquaresSingular(t *testing.T) {
 	// Second column is an exact copy of the first.
-	a := MatrixFromRows([][]float64{
+	a := matrixFromRows([][]float64{
 		{1, 1},
 		{2, 2},
 		{3, 3},
 	})
-	if _, err := SolveLeastSquares(a, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
+	if _, err := SolveLeastSquaresInto(nil, a, []float64{1, 2, 3}, new(LSScratch)); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestSolveLeastSquaresShapeErrors(t *testing.T) {
-	a := NewMatrix(2, 3)
-	if _, err := SolveLeastSquares(a, []float64{1, 2}); err == nil {
+	a := new(Matrix).Resize(2, 3)
+	if _, err := SolveLeastSquaresInto(nil, a, []float64{1, 2}, new(LSScratch)); err == nil {
 		t.Error("expected error for underdetermined system")
 	}
-	b := NewMatrix(3, 1)
-	if _, err := SolveLeastSquares(b, []float64{1, 2}); err == nil {
+	b := new(Matrix).Resize(3, 1)
+	if _, err := SolveLeastSquaresInto(nil, b, []float64{1, 2}, new(LSScratch)); err == nil {
 		t.Error("expected error for row/response mismatch")
 	}
 }
 
+// dominantEigenOf runs the eigensolver on an explicit symmetric matrix.
+func dominantEigenOf(s *Matrix, maxIter int, tol float64) ([]float64, float64) {
+	apply := func(dst, src []float64) { s.MulVecInto(dst, src) }
+	return DominantEigenWith(s.Rows(), apply, maxIter, tol, new(EigenScratch))
+}
+
 func TestPowerIterationDiagonal(t *testing.T) {
-	s := MatrixFromRows([][]float64{
+	s := matrixFromRows([][]float64{
 		{5, 0, 0},
 		{0, 2, 0},
 		{0, 0, 1},
 	})
-	v, lambda := PowerIteration(s, 500, 1e-12)
+	v, lambda := dominantEigenOf(s, 500, 1e-12)
 	if !almostEqual(lambda, 5, 1e-6) {
 		t.Fatalf("eigenvalue = %g, want 5", lambda)
 	}
@@ -199,11 +214,11 @@ func TestPowerIterationDiagonal(t *testing.T) {
 
 func TestPowerIterationSymmetric(t *testing.T) {
 	// Known symmetric matrix with dominant eigenpair lambda=3, v=(1,1)/sqrt2.
-	s := MatrixFromRows([][]float64{
+	s := matrixFromRows([][]float64{
 		{2, 1},
 		{1, 2},
 	})
-	v, lambda := PowerIteration(s, 500, 1e-12)
+	v, lambda := dominantEigenOf(s, 500, 1e-12)
 	if !almostEqual(lambda, 3, 1e-8) {
 		t.Fatalf("eigenvalue = %g, want 3", lambda)
 	}
@@ -213,17 +228,8 @@ func TestPowerIterationSymmetric(t *testing.T) {
 }
 
 func TestPowerIterationEmpty(t *testing.T) {
-	v, lambda := PowerIteration(NewMatrix(0, 0), 10, 1e-9)
+	v, lambda := dominantEigenOf(new(Matrix).Resize(0, 0), 10, 1e-9)
 	if v != nil || lambda != 0 {
 		t.Errorf("empty matrix: got %v, %g", v, lambda)
 	}
-}
-
-func TestMatrixFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for ragged rows")
-		}
-	}()
-	MatrixFromRows([][]float64{{1, 2}, {3}})
 }

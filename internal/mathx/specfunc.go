@@ -91,66 +91,3 @@ func logBeta(a, b float64) float64 {
 	lab, _ := math.Lgamma(a + b)
 	return la + lb - lab
 }
-
-// RegLowerIncGamma computes the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x)/Γ(a) for a > 0, x >= 0. It returns NaN outside that
-// domain. A series expansion is used for x < a+1 and a continued fraction
-// for the complement otherwise.
-func RegLowerIncGamma(a, x float64) float64 {
-	switch {
-	case math.IsNaN(a) || math.IsNaN(x) || a <= 0 || x < 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
-// gammaSeries evaluates P(a,x) via its power series.
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < maxCFIterations; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*cfEpsilon {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// gammaCF evaluates Q(a,x) = 1 - P(a,x) via the Lentz continued fraction.
-func gammaCF(a, x float64) float64 {
-	const tiny = 1e-30
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxCFIterations; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < cfEpsilon {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}

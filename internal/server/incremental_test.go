@@ -11,7 +11,6 @@ import (
 
 	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
-	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 	"github.com/sieve-microservices/sieve/internal/metrics"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
@@ -56,15 +55,12 @@ func driveChunk(t *testing.T, a *app.App, c tsdb.Writer, chunk loadgen.Pattern) 
 // marshaledArtifact returns the published artifact's canonical bytes.
 func marshaledArtifact(t *testing.T, s *Server) []byte {
 	t.Helper()
-	art, _ := s.Artifact()
-	if art == nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.artifactJSON == nil {
 		t.Fatal("no artifact published")
 	}
-	data, err := core.MarshalArtifact(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return s.artifactJSON
 }
 
 // referenceArtifact replays the full ingest prefix into a fresh batch

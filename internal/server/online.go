@@ -106,8 +106,8 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 
 // RunPipelineOnce executes one windowed pipeline cycle: slide the window
 // to the store's high-water mark, assemble a dataset from the sharded
-// store, run Reduce + Granger with the configured parallelism, and
-// publish the new artifact. Runs are serialized; readers keep seeing the
+// store, run Reduce + Granger over GOMAXPROCS workers, and publish the
+// new artifact. Runs are serialized; readers keep seeing the
 // previous artifact until the new one is swapped in.
 //
 // With Options.Incremental dataset assembly reads only the window's new
@@ -238,7 +238,6 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	metric, relations := graph.MostFrequentMetric()
 
 	s.mu.Lock()
-	s.artifact = art
 	s.artifactJSON = data
 	s.signal = Signal{Metric: metric, Relations: relations}
 	s.lastRun = info
@@ -310,12 +309,4 @@ func (s *Server) Start(ctx context.Context) {
 			}
 		}
 	}()
-}
-
-// Artifact returns the latest published artifact (nil before the first
-// completed run) and its run info.
-func (s *Server) Artifact() (*core.Artifact, RunInfo) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.artifact, s.lastRun
 }

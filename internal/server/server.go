@@ -40,8 +40,6 @@ type Options struct {
 	// must span before the pipeline runs (default 64; Granger needs a
 	// non-trivial series length).
 	MinWindowSamples int
-	// Parallelism sizes the analysis worker pools (0 = GOMAXPROCS).
-	Parallelism int
 	// Reduce overrides the step-2 options; nil means the paper's
 	// defaults (core.DefaultReduceOptions, including name seeding). A
 	// non-nil value is used exactly as given.
@@ -203,12 +201,6 @@ func (o Options) withDefaults() Options {
 		cp := *o.Reduce
 		o.Reduce = &cp
 	}
-	if o.Reduce.Parallelism == 0 {
-		o.Reduce.Parallelism = o.Parallelism
-	}
-	if o.Deps.Parallelism == 0 {
-		o.Deps.Parallelism = o.Parallelism
-	}
 	return o
 }
 
@@ -244,7 +236,6 @@ type Server struct {
 	// mu guards the published artifact and the topology.
 	mu           sync.RWMutex
 	graph        *callgraph.Graph
-	artifact     *core.Artifact
 	artifactJSON json.RawMessage
 	signal       Signal
 	lastRun      RunInfo
@@ -348,6 +339,10 @@ func New(opts Options) (*Server, error) {
 	s.mux = mux
 	return s, nil
 }
+
+// Options returns the server's effective configuration: what New was
+// given, with every default filled in.
+func (s *Server) Options() Options { return s.opts }
 
 // Handler returns the HTTP handler (for tests and embedding). Embedders
 // of a durable server must call Close when done serving.

@@ -110,36 +110,6 @@ func TestServeListenerShutdownForceClosesStalledWriter(t *testing.T) {
 	}
 }
 
-// TestClientContextCancelsInflightRequest pins the context threading: a
-// hung server must not pin the caller for the client's full 30s
-// timeout once its context is canceled. The old Client built requests
-// with http.NewRequest (no context), so cancellation had no effect and
-// this test times out there.
-func TestClientContextCancelsInflightRequest(t *testing.T) {
-	release := make(chan struct{})
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-release // hang until the test ends
-	}))
-	defer func() { close(release); hs.Close() }()
-	c := NewClient(hs.URL)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := c.WriteContext(ctx, []byte("web,metric=cpu value=0.5 500"))
-	if err == nil {
-		t.Fatal("expected cancellation error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("expected context.Canceled in chain, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v; the context is not threaded through", elapsed)
-	}
-}
-
 // TestClientAckHeaderDiagnostics pins the missing-vs-malformed split: a
 // 2xx response without the ack header and one with a garbage value must
 // produce different errors, the latter naming the offending value. The

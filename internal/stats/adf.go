@@ -42,24 +42,18 @@ func DefaultADFLags(n int) int {
 	return l
 }
 
-// ADF runs the Augmented Dickey-Fuller test with a constant (no trend):
+// ADFWith runs the Augmented Dickey-Fuller test with a constant (no
+// trend):
 //
 //	Δy_t = α + γ·y_{t-1} + Σ_{i=1..lags} δ_i·Δy_{t-i} + ε_t
 //
 // The null hypothesis is γ = 0 (unit root, non-stationary); it is rejected
 // when the t-statistic on γ is below the 5% MacKinnon critical value.
 // Sieve first-differences series that fail this test before Granger
-// analysis (§3.3). Pass lags < 0 to use DefaultADFLags.
-func ADF(y []float64, lags int) (*ADFResult, error) {
-	var s Scratch
-	return ADFWith(y, lags, &s)
-}
-
-// ADFWith is ADF with caller-owned scratch: the lag design is written
-// directly into a reusable flat matrix (cell for cell what
-// DesignWithIntercept built from intermediate columns) and the
-// regression runs through FitOLSWith, so a steady-state test performs
-// O(1) allocations. Results are bit-identical to ADF.
+// analysis (§3.3). Pass lags < 0 to use DefaultADFLags. The lag design is
+// written directly into the caller-owned scratch's reusable flat matrix
+// and the regression runs through FitOLSWith, so a steady-state test
+// performs O(1) allocations.
 func ADFWith(y []float64, lags int, s *Scratch) (*ADFResult, error) {
 	n := len(y)
 	if lags < 0 {
@@ -116,18 +110,12 @@ func ADFWith(y []float64, lags int, s *Scratch) (*ADFResult, error) {
 	}, nil
 }
 
-// EnsureStationary returns a series suitable for Granger testing: the
-// input itself when the ADF test deems it stationary, otherwise its first
-// difference (padding is not applied; the result is one sample shorter).
-// The returned bool reports whether differencing was applied. Series too
-// short to test are returned unchanged.
-func EnsureStationary(y []float64, lags int) ([]float64, bool) {
-	var s Scratch
-	return EnsureStationaryWith(y, lags, &s)
-}
-
-// EnsureStationaryWith is EnsureStationary with caller-owned regression
-// scratch.
+// EnsureStationaryWith returns a series suitable for Granger testing: the
+// input itself when the ADF test (run through the caller-owned regression
+// scratch) deems it stationary, otherwise its first difference (padding
+// is not applied; the result is one sample shorter). The returned bool
+// reports whether differencing was applied. Series too short to test are
+// returned unchanged.
 func EnsureStationaryWith(y []float64, lags int, s *Scratch) ([]float64, bool) {
 	res, err := ADFWith(y, lags, s)
 	if err != nil || res.Stationary {

@@ -28,7 +28,7 @@ func TestADFRejectsStationaryAR1(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		y := ar1(rng, 500, 0.3)
-		res, err := ADF(y, 2)
+		res, err := ADFWith(y, 2, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestADFKeepsUnitRoot(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		y := randomWalk(rng, 500)
-		res, err := ADF(y, 2)
+		res, err := ADFWith(y, 2, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestADFMonotoneCounter(t *testing.T) {
 	for i := range y {
 		y[i] += rng.NormFloat64() * 0.01
 	}
-	res, err := ADF(y, 2)
+	res, err := ADFWith(y, 2, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestADFConstantSeries(t *testing.T) {
 	for i := range y {
 		y[i] = 7
 	}
-	res, err := ADF(y, 2)
+	res, err := ADFWith(y, 2, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestADFConstantSeries(t *testing.T) {
 }
 
 func TestADFTooShort(t *testing.T) {
-	if _, err := ADF([]float64{1, 2, 3}, 2); err == nil {
+	if _, err := ADFWith([]float64{1, 2, 3}, 2, new(Scratch)); err == nil {
 		t.Error("expected error for a too-short series")
 	}
 }
@@ -124,7 +124,7 @@ func TestDefaultADFLags(t *testing.T) {
 func TestEnsureStationary(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	walk := randomWalk(rng, 400)
-	out, differenced := EnsureStationary(walk, 2)
+	out, differenced := EnsureStationaryWith(walk, 2, new(Scratch))
 	if !differenced {
 		t.Fatal("random walk should be differenced")
 	}
@@ -133,7 +133,7 @@ func TestEnsureStationary(t *testing.T) {
 	}
 
 	stationary := ar1(rng, 400, 0.2)
-	out, differenced = EnsureStationary(stationary, 2)
+	out, differenced = EnsureStationaryWith(stationary, 2, new(Scratch))
 	if differenced {
 		t.Error("stationary AR(1) should pass through unchanged")
 	}
@@ -142,7 +142,7 @@ func TestEnsureStationary(t *testing.T) {
 	}
 
 	short := []float64{1, 2, 3}
-	out, differenced = EnsureStationary(short, 2)
+	out, differenced = EnsureStationaryWith(short, 2, new(Scratch))
 	if differenced || len(out) != 3 {
 		t.Error("too-short series must be returned unchanged")
 	}

@@ -34,12 +34,11 @@ func TestFTestDetectsTruePredictor(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		y[i] = 2*x[i] + rng.NormFloat64()
 	}
-	restricted, err := FitOLS(y, InterceptOnly(n))
+	restricted, err := FitOLSWith(y, designWithIntercept(n), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	design, _ := DesignWithIntercept(x)
-	unrestricted, err := FitOLS(y, design)
+	unrestricted, err := FitOLSWith(y, designWithIntercept(n, x), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +62,8 @@ func TestFTestRejectsIrrelevantPredictor(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		y[i] = rng.NormFloat64()
 	}
-	restricted, _ := FitOLS(y, InterceptOnly(n))
-	design, _ := DesignWithIntercept(x)
-	unrestricted, _ := FitOLS(y, design)
+	restricted, _ := FitOLSWith(y, designWithIntercept(n), new(Scratch))
+	unrestricted, _ := FitOLSWith(y, designWithIntercept(n, x), new(Scratch))
 	res, err := CompareOLS(restricted, unrestricted)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,7 @@
 // Package stats implements the regression and hypothesis-testing machinery
 // Sieve's dependency extraction is built on: ordinary least squares with
-// the diagnostics needed for nested-model F-tests, the Augmented
-// Dickey-Fuller unit-root test used to detect non-stationary metrics, and
-// autocorrelation utilities.
+// the diagnostics needed for nested-model F-tests, and the Augmented
+// Dickey-Fuller unit-root test used to detect non-stationary metrics.
 package stats
 
 import (
@@ -25,8 +24,6 @@ type OLS struct {
 	Residuals []float64
 	// RSS is the residual sum of squares.
 	RSS float64
-	// TSS is the total sum of squares around the response mean.
-	TSS float64
 	// N is the number of observations, P the number of design columns.
 	N, P int
 	// StdErr are the coefficient standard errors (sqrt of the diagonal of
@@ -57,19 +54,13 @@ type Scratch struct {
 	design mathx.Matrix
 }
 
-// FitOLS fits y ~ X by least squares. X must have len(y) rows and at least
-// one column, and there must be at least one residual degree of freedom
-// (N > P). The returned model includes coefficient standard errors, which
-// the ADF test needs for its t-statistic.
-func FitOLS(y []float64, x *mathx.Matrix) (*OLS, error) {
-	var s Scratch
-	return FitOLSWith(y, x, &s)
-}
-
-// FitOLSWith is FitOLS with caller-owned scratch: the QR and
-// normal-equation intermediates come from s, so a steady-state fit
-// performs O(1) small allocations (the returned model and its slices)
-// regardless of design size. Results are bit-identical to FitOLS.
+// FitOLSWith fits y ~ X by least squares. X must have len(y) rows and at
+// least one column, and there must be at least one residual degree of
+// freedom (N > P). The returned model includes coefficient standard
+// errors, which the ADF test needs for its t-statistic. The QR and
+// normal-equation intermediates come from the caller-owned s, so a
+// steady-state fit performs O(1) small allocations (the returned model
+// and its slices) regardless of design size.
 func FitOLSWith(y []float64, x *mathx.Matrix, s *Scratch) (*OLS, error) {
 	n, p := x.Rows(), x.Cols()
 	if n != len(y) {
@@ -97,22 +88,11 @@ func FitOLSWith(y []float64, x *mathx.Matrix, s *Scratch) (*OLS, error) {
 		res[i] = y[i] - pred[i]
 		rss += res[i] * res[i]
 	}
-	var mean float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(n)
-	var tss float64
-	for _, v := range y {
-		d := v - mean
-		tss += d * d
-	}
 
 	m := &OLS{
 		Coef:      coef,
 		Residuals: res,
 		RSS:       rss,
-		TSS:       tss,
 		N:         n,
 		P:         p,
 		sigma2:    rss / float64(n-p),
@@ -123,18 +103,6 @@ func FitOLSWith(y []float64, x *mathx.Matrix, s *Scratch) (*OLS, error) {
 	}
 	return m, nil
 }
-
-// R2 returns the coefficient of determination. A response with zero
-// variance yields NaN.
-func (m *OLS) R2() float64 {
-	if m.TSS == 0 {
-		return math.NaN()
-	}
-	return 1 - m.RSS/m.TSS
-}
-
-// DegreesOfFreedom returns the residual degrees of freedom N-P.
-func (m *OLS) DegreesOfFreedom() int { return m.N - m.P }
 
 // TStat returns the t-statistic Coef[j]/StdErr[j].
 func (m *OLS) TStat(j int) float64 {
@@ -185,37 +153,4 @@ func coefStdErr(x *mathx.Matrix, sigma2 float64, s *Scratch) ([]float64, error) 
 		out[j] = math.Sqrt(v)
 	}
 	return out, nil
-}
-
-// DesignWithIntercept builds a design matrix whose first column is the
-// constant 1 followed by the given predictor columns. All columns must
-// share the same length.
-func DesignWithIntercept(cols ...[]float64) (*mathx.Matrix, error) {
-	if len(cols) == 0 {
-		return nil, errors.New("stats: no predictor columns")
-	}
-	n := len(cols[0])
-	for i, c := range cols {
-		if len(c) != n {
-			return nil, fmt.Errorf("stats: column %d has %d rows, want %d", i, len(c), n)
-		}
-	}
-	m := mathx.NewMatrix(n, len(cols)+1)
-	for i := 0; i < n; i++ {
-		m.Set(i, 0, 1)
-		for j, c := range cols {
-			m.Set(i, j+1, c[i])
-		}
-	}
-	return m, nil
-}
-
-// InterceptOnly builds an n-by-1 design of ones, the restricted model for
-// "y is predicted by its mean alone".
-func InterceptOnly(n int) *mathx.Matrix {
-	m := mathx.NewMatrix(n, 1)
-	for i := 0; i < n; i++ {
-		m.Set(i, 0, 1)
-	}
-	return m
 }

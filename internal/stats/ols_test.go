@@ -17,15 +17,25 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
+// designWithIntercept builds a design matrix whose first column is the
+// constant 1 followed by the given equal-length predictor columns; with
+// no columns and n rows it is the intercept-only model.
+func designWithIntercept(n int, cols ...[]float64) *mathx.Matrix {
+	m := new(mathx.Matrix).Resize(n, len(cols)+1)
+	for i := 0; i < n; i++ {
+		m.Set(i, 0, 1)
+		for j, c := range cols {
+			m.Set(i, j+1, c[i])
+		}
+	}
+	return m
+}
+
 func TestFitOLSKnownSmallExample(t *testing.T) {
 	// y = 1 + 2x fitted through exact points.
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7}
-	design, err := DesignWithIntercept(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := FitOLS(y, design)
+	m, err := FitOLSWith(y, designWithIntercept(len(x), x), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +45,8 @@ func TestFitOLSKnownSmallExample(t *testing.T) {
 	if !almostEqual(m.RSS, 0, 1e-18) {
 		t.Errorf("RSS = %g, want 0", m.RSS)
 	}
-	if !almostEqual(m.R2(), 1, 1e-12) {
-		t.Errorf("R2 = %g, want 1", m.R2())
-	}
-	if m.DegreesOfFreedom() != 2 {
-		t.Errorf("df = %d, want 2", m.DegreesOfFreedom())
+	if m.N-m.P != 2 {
+		t.Errorf("residual degrees of freedom = %d, want 2", m.N-m.P)
 	}
 }
 
@@ -56,11 +63,7 @@ func TestFitOLSRecoversPlantedWithNoise(t *testing.T) {
 			x2[i] = rng.NormFloat64()
 			y[i] = b0 + b1*x1[i] + b2*x2[i] + rng.NormFloat64()*0.1
 		}
-		design, err := DesignWithIntercept(x1, x2)
-		if err != nil {
-			return false
-		}
-		m, err := FitOLS(y, design)
+		m, err := FitOLSWith(y, designWithIntercept(n, x1, x2), new(Scratch))
 		if err != nil {
 			return false
 		}
@@ -77,7 +80,7 @@ func TestFitOLSStdErrKnown(t *testing.T) {
 	// For y ~ 1 with intercept only, StdErr(intercept) = s/sqrt(n) with
 	// s^2 the sample variance (n-1 denominator).
 	y := []float64{1, 2, 3, 4, 5, 6}
-	m, err := FitOLS(y, InterceptOnly(len(y)))
+	m, err := FitOLSWith(y, designWithIntercept(len(y)), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,18 +95,18 @@ func TestFitOLSStdErrKnown(t *testing.T) {
 }
 
 func TestFitOLSErrors(t *testing.T) {
-	if _, err := FitOLS([]float64{1, 2}, mathx.NewMatrix(3, 1)); err == nil {
+	if _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(3, 1), new(Scratch)); err == nil {
 		t.Error("expected row-count mismatch error")
 	}
-	if _, err := FitOLS([]float64{1, 2}, mathx.NewMatrix(2, 0)); err == nil {
+	if _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(2, 0), new(Scratch)); err == nil {
 		t.Error("expected empty-design error")
 	}
-	if _, err := FitOLS([]float64{1, 2}, mathx.NewMatrix(2, 2)); !errors.Is(err, ErrTooFewObservations) {
+	if _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(2, 2), new(Scratch)); !errors.Is(err, ErrTooFewObservations) {
 		t.Errorf("n<=p: err = %v, want ErrTooFewObservations", err)
 	}
 	// Collinear design must surface the singularity.
-	design, _ := DesignWithIntercept([]float64{1, 1, 1, 1})
-	if _, err := FitOLS([]float64{1, 2, 3, 4}, design); err == nil {
+	design := designWithIntercept(4, []float64{1, 1, 1, 1})
+	if _, err := FitOLSWith([]float64{1, 2, 3, 4}, design, new(Scratch)); err == nil {
 		t.Error("expected singularity error for collinear design")
 	}
 }
@@ -117,8 +120,7 @@ func TestOLSTStat(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		y[i] = 5*x[i] + rng.NormFloat64()*0.5
 	}
-	design, _ := DesignWithIntercept(x)
-	m, err := FitOLS(y, design)
+	m, err := FitOLSWith(y, designWithIntercept(n, x), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,27 +129,5 @@ func TestOLSTStat(t *testing.T) {
 	}
 	if !math.IsNaN(m.TStat(5)) {
 		t.Error("out-of-range TStat must be NaN")
-	}
-}
-
-func TestDesignWithInterceptShape(t *testing.T) {
-	d, err := DesignWithIntercept([]float64{1, 2}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Rows() != 2 || d.Cols() != 3 {
-		t.Fatalf("shape = %dx%d, want 2x3", d.Rows(), d.Cols())
-	}
-	if d.At(0, 0) != 1 || d.At(1, 0) != 1 {
-		t.Error("first column must be the intercept")
-	}
-	if d.At(1, 2) != 4 {
-		t.Errorf("At(1,2) = %g, want 4", d.At(1, 2))
-	}
-	if _, err := DesignWithIntercept(); err == nil {
-		t.Error("expected error with no columns")
-	}
-	if _, err := DesignWithIntercept([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected error for ragged columns")
 	}
 }

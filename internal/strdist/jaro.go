@@ -80,11 +80,6 @@ func JaroWinkler(a, b string) float64 {
 	return j + float64(prefix)*0.1*(1-j)
 }
 
-// JaroDistance returns 1 - Jaro(a, b), a dissimilarity in [0, 1].
-func JaroDistance(a, b string) float64 {
-	return 1 - Jaro(a, b)
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

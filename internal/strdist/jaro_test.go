@@ -89,10 +89,10 @@ func TestJaroProperties(t *testing.T) {
 }
 
 func TestJaroDistance(t *testing.T) {
-	if got := JaroDistance("same", "same"); got != 0 {
-		t.Errorf("JaroDistance identical = %g, want 0", got)
+	if got := 1 - Jaro("same", "same"); got != 0 {
+		t.Errorf("Jaro distance of identical strings = %g, want 0", got)
 	}
-	if got := JaroDistance("abc", "xyz"); got != 1 {
-		t.Errorf("JaroDistance disjoint = %g, want 1", got)
+	if got := 1 - Jaro("abc", "xyz"); got != 1 {
+		t.Errorf("Jaro distance of disjoint strings = %g, want 1", got)
 	}
 }

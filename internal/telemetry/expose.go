@@ -29,8 +29,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "%s %d\n", e.name, e.c.Value())
 		case e.gf != nil:
 			fmt.Fprintf(bw, "%s %s\n", e.name, formatFloat(e.gf()))
-		case e.g != nil:
-			fmt.Fprintf(bw, "%s %s\n", e.name, formatFloat(e.g.Value()))
 		case e.h != nil:
 			h := e.h
 			if cap(bucketCounts) < len(h.counts) {

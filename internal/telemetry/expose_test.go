@@ -10,8 +10,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "total requests")
 	c.Add(7)
-	g := r.Gauge("temp", "temperature")
-	g.Set(-3.5)
+	r.GaugeFunc("temp", "temperature", func() float64 { return -3.5 })
 	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.05)
@@ -46,8 +45,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestWritePrometheusRunsCollectHooks(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("mirrored", "")
-	r.OnCollect(func() { g.Set(99) })
+	var mirrored float64
+	r.GaugeFunc("mirrored", "", func() float64 { return mirrored })
+	r.OnCollect(func() { mirrored = 99 })
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)

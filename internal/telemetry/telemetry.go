@@ -8,10 +8,11 @@
 //
 // Design rules, in the order they were chosen:
 //
-//   - Updates must be safe on the ingest and query hot paths: Counter,
-//     Gauge, and Histogram mutate through sync/atomic only (no mutex,
-//     no map lookup, no allocation). Callers hold the instrument
-//     pointer, obtained once at wiring time from a Registry.
+//   - Updates must be safe on the ingest and query hot paths: Counter
+//     and Histogram mutate through sync/atomic only (no mutex, no map
+//     lookup, no allocation); gauges are functions read at scrape
+//     time. Callers hold the instrument pointer, obtained once at
+//     wiring time from a Registry.
 //   - Every instrument method is nil-receiver safe and a no-op on nil.
 //     That is a property of the instruments, not a mode their owners run
 //     in: the store (tsdb) builds its instruments with itself and the
@@ -57,42 +58,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an instantaneous float metric stored as atomic bits. The
-// zero value is ready to use; nil is a no-op.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the current value. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add increments the current value (CAS loop; delta may be negative).
-// No-op on a nil receiver.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // DefLatencyBuckets is the default histogram bucket layout for
@@ -247,12 +212,11 @@ type metricEntry struct {
 	help string
 	kind string
 	c    *Counter
-	g    *Gauge
 	gf   func() float64
 	h    *Histogram
 }
 
-// Registry holds named metrics. Registration (Counter/Gauge/...) takes
+// Registry holds named metrics. Registration (Counter/GaugeFunc/...) takes
 // a mutex and may allocate; it happens once at wiring time. Updates go
 // through the returned instrument pointers and never touch the
 // registry. Reads (WritePrometheus, Readings) are snapshot-consistent
@@ -319,14 +283,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.register(name, help, kindCounter, func() *metricEntry {
 		return &metricEntry{c: &Counter{}}
 	}).c
-}
-
-// Gauge returns the gauge with the given name, creating it on first
-// use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, kindGauge, func() *metricEntry {
-		return &metricEntry{g: &Gauge{}}
-	}).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at read
@@ -404,8 +360,6 @@ func (r *Registry) Readings() []Reading {
 			out = append(out, Reading{e.name, float64(e.c.Value())})
 		case e.gf != nil:
 			out = append(out, Reading{e.name, e.gf()})
-		case e.g != nil:
-			out = append(out, Reading{e.name, e.g.Value()})
 		case e.h != nil:
 			n := e.h.Count()
 			out = append(out, Reading{e.name + "_count", float64(n)})

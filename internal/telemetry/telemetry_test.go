@@ -19,20 +19,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("second registration returned a different counter")
 	}
 
-	g := r.Gauge("test_gauge", "a gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
-	}
-
 	called := false
 	r.GaugeFunc("test_func", "computed", func() float64 { called = true; return 42 })
 	rds := r.Readings()
 	if !called {
 		t.Fatalf("GaugeFunc not evaluated by Readings")
 	}
-	want := map[string]float64{"test_total": 5, "test_gauge": 1.5, "test_func": 42}
+	want := map[string]float64{"test_total": 5, "test_func": 42}
 	for _, rd := range rds {
 		if w, ok := want[rd.Name]; ok && rd.Value != w {
 			t.Fatalf("reading %s = %v, want %v", rd.Name, rd.Value, w)
@@ -46,15 +39,12 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil instruments must read as zero")
 	}
 	if !math.IsNaN(h.Quantile(0.5)) {
@@ -137,10 +127,10 @@ func TestRegistryPanicsOnKindMismatch(t *testing.T) {
 	r.Counter("dual_total", "")
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("expected panic on counter-vs-gauge name collision")
+			t.Fatalf("expected panic on counter-vs-histogram name collision")
 		}
 	}()
-	r.Gauge("dual_total", "")
+	r.Histogram("dual_total", "", nil)
 }
 
 func TestRegistryRejectsInvalidNames(t *testing.T) {
@@ -157,13 +147,12 @@ func TestRegistryRejectsInvalidNames(t *testing.T) {
 	}
 }
 
-// The zero-allocation pin for every hot-path update: counters, gauges,
-// and histogram observations must not allocate — they run on the
+// The zero-allocation pin for every hot-path update: counters and
+// histogram observations must not allocate — they run on the
 // ingest, WAL, and query paths.
 func TestHotPathUpdatesDoNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("alloc_total", "")
-	g := r.Gauge("alloc_gauge", "")
 	h := r.Histogram("alloc_seconds", "", nil)
 	cases := []struct {
 		name string
@@ -171,8 +160,6 @@ func TestHotPathUpdatesDoNotAllocate(t *testing.T) {
 	}{
 		{"counter.Add", func() { c.Add(1) }},
 		{"counter.Inc", func() { c.Inc() }},
-		{"gauge.Set", func() { g.Set(3.7) }},
-		{"gauge.Add", func() { g.Add(1.1) }},
 		{"histogram.Observe", func() { h.Observe(0.003) }},
 		{"nil histogram.Observe", func() { (*Histogram)(nil).Observe(1) }},
 	}

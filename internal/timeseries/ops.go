@@ -76,17 +76,6 @@ func Diff(v []float64) []float64 {
 	return out
 }
 
-// Lag returns v shifted right by k slots, truncated to the overlapping
-// region: the result has length len(v)-k and result[i] = v[i]. Paired with
-// the unshifted head it aligns y_t with y_{t-k}. It returns an empty slice
-// when k >= len(v) or k < 0.
-func Lag(v []float64, k int) []float64 {
-	if k < 0 || k >= len(v) {
-		return []float64{}
-	}
-	return v[:len(v)-k]
-}
-
 // IsConstant reports whether every sample equals the first one.
 func IsConstant(v []float64) bool {
 	for i := 1; i < len(v); i++ {

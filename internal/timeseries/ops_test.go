@@ -70,23 +70,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestLag(t *testing.T) {
-	v := []float64{1, 2, 3, 4, 5}
-	got := Lag(v, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Lag[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if len(Lag(v, 5)) != 0 || len(Lag(v, -1)) != 0 {
-		t.Error("out-of-range lag must be empty")
-	}
-	if len(Lag(v, 0)) != 5 {
-		t.Error("Lag 0 must be the full series")
-	}
-}
-
 func TestIsConstantAndHasNaN(t *testing.T) {
 	if !IsConstant([]float64{3, 3, 3}) {
 		t.Error("IsConstant false negative")

@@ -9,7 +9,6 @@ package timeseries
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -31,24 +30,13 @@ type Point struct {
 type Series struct {
 	// Name identifies the metric, e.g. "web.http_requests_mean".
 	Name string
-	// Points are the observations in non-decreasing time order. Callers
-	// that cannot guarantee ordering should call Sort.
+	// Points are the observations; Resample buckets them by timestamp,
+	// so their order does not matter.
 	Points []Point
-}
-
-// Sort orders the points by timestamp (stable, in place).
-func (s *Series) Sort() {
-	sort.SliceStable(s.Points, func(i, j int) bool { return s.Points[i].T < s.Points[j].T })
 }
 
 // Len returns the number of raw observations.
 func (s *Series) Len() int { return len(s.Points) }
-
-// Append adds an observation; it keeps amortized O(1) by requiring callers
-// to append in time order (enforced lazily by Sort/Resample).
-func (s *Series) Append(t int64, v float64) {
-	s.Points = append(s.Points, Point{T: t, V: v})
-}
 
 // Regular is a metric sampled on a fixed grid: value i was observed at
 // Start + i*Step milliseconds.
@@ -65,30 +53,6 @@ type Regular struct {
 
 // Len returns the number of grid samples.
 func (r *Regular) Len() int { return len(r.Values) }
-
-// TimeAt returns the timestamp of sample i in milliseconds.
-func (r *Regular) TimeAt(i int) int64 { return r.Start + int64(i)*r.StepMS }
-
-// Clone returns a deep copy.
-func (r *Regular) Clone() *Regular {
-	v := make([]float64, len(r.Values))
-	copy(v, r.Values)
-	return &Regular{Name: r.Name, Start: r.Start, StepMS: r.StepMS, Values: v}
-}
-
-// Window returns the sub-series covering grid slots [from, to). It shares
-// the underlying storage.
-func (r *Regular) Window(from, to int) (*Regular, error) {
-	if from < 0 || to > len(r.Values) || from > to {
-		return nil, fmt.Errorf("timeseries: window [%d,%d) out of range 0..%d", from, to, len(r.Values))
-	}
-	return &Regular{
-		Name:   r.Name,
-		Start:  r.TimeAt(from),
-		StepMS: r.StepMS,
-		Values: r.Values[from:to],
-	}, nil
-}
 
 // GridBuckets returns the number of grid slots covering [start, end)
 // with the given step (the last slot may be partial).

@@ -14,29 +14,12 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-func TestSeriesSortAndAppend(t *testing.T) {
-	var s Series
-	s.Append(300, 3)
-	s.Append(100, 1)
-	s.Append(200, 2)
-	s.Sort()
-	want := []int64{100, 200, 300}
-	for i, p := range s.Points {
-		if p.T != want[i] {
-			t.Fatalf("point %d at t=%d, want %d", i, p.T, want[i])
-		}
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-}
-
 func TestResampleAveragesBuckets(t *testing.T) {
 	s := &Series{Name: "cpu"}
 	// Two points in bucket 0, one in bucket 1.
-	s.Append(0, 2)
-	s.Append(100, 4)
-	s.Append(500, 10)
+	s.Points = append(s.Points, Point{0, 2})
+	s.Points = append(s.Points, Point{100, 4})
+	s.Points = append(s.Points, Point{500, 10})
 	r, err := Resample(s, 0, 1000, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +33,8 @@ func TestResampleAveragesBuckets(t *testing.T) {
 	if !almostEqual(r.Values[1], 10, 1e-12) {
 		t.Errorf("bucket 1 = %g, want 10", r.Values[1])
 	}
-	if r.TimeAt(1) != 500 {
-		t.Errorf("TimeAt(1) = %d, want 500", r.TimeAt(1))
+	if r.Start != 0 || r.StepMS != 500 {
+		t.Errorf("grid = start %d step %d, want 0 and 500", r.Start, r.StepMS)
 	}
 }
 
@@ -65,7 +48,7 @@ func TestResampleFillsGapsSmoothly(t *testing.T) {
 		if i >= 8 && i <= 11 {
 			continue // gap
 		}
-		s.Append(int64(i*500), f(float64(i)))
+		s.Points = append(s.Points, Point{int64(i * 500), f(float64(i))})
 	}
 	r, err := Resample(s, 0, 20*500, 500)
 	if err != nil {
@@ -80,9 +63,9 @@ func TestResampleFillsGapsSmoothly(t *testing.T) {
 
 func TestResampleClampsEdgeGaps(t *testing.T) {
 	s := &Series{Name: "m"}
-	s.Append(2*500, 5)
-	s.Append(3*500, 6)
-	s.Append(4*500, 7)
+	s.Points = append(s.Points, Point{2 * 500, 5})
+	s.Points = append(s.Points, Point{3 * 500, 6})
+	s.Points = append(s.Points, Point{4 * 500, 7})
 	r, err := Resample(s, 0, 7*500, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +80,8 @@ func TestResampleClampsEdgeGaps(t *testing.T) {
 
 func TestResampleTwoKnotsLinear(t *testing.T) {
 	s := &Series{Name: "m"}
-	s.Append(0, 0)
-	s.Append(4*500, 8)
+	s.Points = append(s.Points, Point{0, 0})
+	s.Points = append(s.Points, Point{4 * 500, 8})
 	r, err := Resample(s, 0, 5*500, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +95,7 @@ func TestResampleTwoKnotsLinear(t *testing.T) {
 
 func TestResampleSingleKnotConstant(t *testing.T) {
 	s := &Series{Name: "m"}
-	s.Append(1000, 42)
+	s.Points = append(s.Points, Point{1000, 42})
 	r, err := Resample(s, 0, 2000, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +112,7 @@ func TestResampleErrors(t *testing.T) {
 	if _, err := Resample(s, 0, 1000, 500); err == nil {
 		t.Error("expected error for empty series")
 	}
-	s.Append(0, 1)
+	s.Points = append(s.Points, Point{0, 1})
 	if _, err := Resample(s, 0, 1000, 0); err == nil {
 		t.Error("expected error for zero step")
 	}
@@ -143,41 +126,15 @@ func TestResampleErrors(t *testing.T) {
 
 func TestResampleIgnoresNaNPoints(t *testing.T) {
 	s := &Series{Name: "m"}
-	s.Append(0, 1)
-	s.Append(100, math.NaN())
-	s.Append(500, 2)
+	s.Points = append(s.Points, Point{0, 1})
+	s.Points = append(s.Points, Point{100, math.NaN()})
+	s.Points = append(s.Points, Point{500, 2})
 	r, err := Resample(s, 0, 1000, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Values[0] != 1 {
 		t.Errorf("bucket 0 = %g, want 1 (NaN ignored)", r.Values[0])
-	}
-}
-
-func TestRegularWindow(t *testing.T) {
-	r := &Regular{Name: "m", Start: 1000, StepMS: 500, Values: []float64{1, 2, 3, 4, 5}}
-	w, err := r.Window(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Start != 1500 || w.Len() != 3 || w.Values[0] != 2 {
-		t.Errorf("window = start %d len %d first %g", w.Start, w.Len(), w.Values[0])
-	}
-	if _, err := r.Window(3, 2); err == nil {
-		t.Error("expected error for inverted window")
-	}
-	if _, err := r.Window(0, 9); err == nil {
-		t.Error("expected error for out-of-range window")
-	}
-}
-
-func TestRegularClone(t *testing.T) {
-	r := &Regular{Name: "m", StepMS: 500, Values: []float64{1, 2}}
-	c := r.Clone()
-	c.Values[0] = 99
-	if r.Values[0] != 1 {
-		t.Error("Clone must not alias values")
 	}
 }
 
@@ -191,7 +148,7 @@ func TestResampleRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			v := rng.NormFloat64() * 10
 			want[i] = v
-			s.Append(int64(i)*500+int64(rng.Intn(500)), v)
+			s.Points = append(s.Points, Point{int64(i)*500 + int64(rng.Intn(500)), v})
 		}
 		r, err := Resample(s, 0, int64(n)*500, 500)
 		if err != nil {

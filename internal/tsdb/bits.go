@@ -67,8 +67,6 @@ type bitReader struct {
 	pos int // absolute bit position
 }
 
-func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
-
 // readBit consumes one bit.
 func (r *bitReader) readBit() (bool, error) {
 	byteIdx := r.pos >> 3

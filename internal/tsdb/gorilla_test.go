@@ -153,7 +153,7 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 	w.writeBit(false)
 	w.writeBits(0x3F, 6)
 
-	r := newBitReader(w.bytes())
+	r := &bitReader{buf: w.bytes()}
 	if b, _ := r.readBit(); !b {
 		t.Fatal("first bit lost")
 	}

@@ -40,7 +40,7 @@ import (
 //     (rawSink, aggregator, visitSink). The matcher forms fan the matched
 //     series out across a worker pool (internal/parallel) and merge in
 //     series-key order, so output is identical at any shard count and
-//     parallelism.
+//     worker count.
 
 // Agg selects the aggregation a range query applies per step bucket.
 // AggNone returns raw points.
@@ -125,9 +125,6 @@ type RangeQuery struct {
 	// From (bucket i covers [From+i*StepMS, From+(i+1)*StepMS)). Required
 	// (> 0) when Agg is set, and must be 0 when Agg is AggNone.
 	StepMS int64
-	// Parallelism sizes the per-series fan-out of a sharded store
-	// (0 = GOMAXPROCS). Results are identical at any value.
-	Parallelism int
 }
 
 // Validate checks the query's internal consistency.
@@ -604,7 +601,8 @@ func (s *Sharded) Query(component, metric string, from, to int64) ([]Point, erro
 
 // QueryRange evaluates a matcher/aggregation query: the matched series
 // are fanned out across a worker pool and merged in series-key order, so
-// the result is identical at any shard count and parallelism. Series with
+// the result is identical at any shard count and worker count
+// (runtime.GOMAXPROCS(0) workers). Series with
 // no points in the range are omitted.
 //
 // Each series is read under its own checkpoint-cut hold (see scanSeries),
@@ -625,7 +623,7 @@ func (s *Sharded) QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult,
 	}
 	keys := q.matchKeys(s.catalogKeys())
 	results := make([]SeriesResult, len(keys))
-	err := parallel.ForEach(ctx, q.Parallelism, len(keys), func(_ context.Context, i int) error {
+	err := parallel.ForEach(ctx, 0, len(keys), func(_ context.Context, i int) error {
 		pts, err := s.evalSeries(keys[i], q)
 		if err != nil {
 			return err

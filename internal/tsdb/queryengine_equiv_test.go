@@ -311,10 +311,14 @@ func queryMatch(s *Sharded, componentGlob, metricGlob string, from, to int64) ([
 }
 
 // TestQueryEngineEquivalenceInMemory checks engine vs reference on
-// in-memory stores at shard counts {1, 4, GOMAXPROCS} and parallelism {0, 1, 4}, on both a fully ordered
-// and an out-of-order dataset. All stores must agree with their own
+// in-memory stores at shard counts {1, 4, GOMAXPROCS} and fan-out worker
+// counts {GOMAXPROCS, 1, 4} (pinned through runtime.GOMAXPROCS, the
+// fan-out's only size), on both a fully ordered and an out-of-order
+// dataset. All stores must agree with their own
 // reference AND with each other byte for byte.
 func TestQueryEngineEquivalenceInMemory(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 	for _, jitter := range []bool{false, true} {
 		name := "ordered"
 		if jitter {
@@ -331,7 +335,7 @@ func TestQueryEngineEquivalenceInMemory(t *testing.T) {
 			stores := map[string]*Sharded{
 				"shards=1":  NewSharded(1),
 				"shards=4":  NewSharded(4),
-				"shards=np": NewSharded(runtime.GOMAXPROCS(0)),
+				"shards=np": NewSharded(procs),
 			}
 			order := []string{"shards=1", "shards=4", "shards=np"}
 			for _, st := range stores {
@@ -344,15 +348,14 @@ func TestQueryEngineEquivalenceInMemory(t *testing.T) {
 				for i, name := range order {
 					st := stores[name]
 					ref := refQueryRange(t, st, q)
-					for _, par := range []int{0, 1, 4} {
-						q := q
-						q.Parallelism = par
+					for pi, par := range []int{procs, 1, 4} {
+						runtime.GOMAXPROCS(par)
 						got := engineQuery(t, st, q)
 						if !sameResults(got, ref) {
 							t.Fatalf("%s par=%d %+v: engine %s != reference %s",
 								name, par, q, describeResults(got), describeResults(ref))
 						}
-						if i == 0 && par == 0 {
+						if i == 0 && pi == 0 {
 							base = got
 						} else if !sameResults(got, base) {
 							t.Fatalf("%s par=%d %+v: differs from %s baseline", name, par, q, order[0])

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -204,6 +205,9 @@ func TestQueryEngineBlockChunkSkip(t *testing.T) {
 // allocation count must not grow with the number of sealed points,
 // because no chunk is ever read or decoded.
 func TestAggregationPushdownAllocs(t *testing.T) {
+	// One fan-out worker: the sequential path starts no goroutines, so
+	// the allocation count is the query's own.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	build := func(pointsPerSeries int) *Sharded {
 		s := NewSharded(2)
 		var samples []Sample
@@ -223,7 +227,7 @@ func TestAggregationPushdownAllocs(t *testing.T) {
 	}
 	small, big := build(2*blockSize), build(16*blockSize)
 	measure := func(s *Sharded, span int64) float64 {
-		q := RangeQuery{Component: "*", Metric: "*", From: 0, To: span, Agg: AggMax, StepMS: 2 * span, Parallelism: 1}
+		q := RangeQuery{Component: "*", Metric: "*", From: 0, To: span, Agg: AggMax, StepMS: 2 * span}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := s.QueryRange(context.Background(), q); err != nil {
 				t.Fatal(err)

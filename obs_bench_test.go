@@ -106,13 +106,12 @@ func obsSealedStore(b *testing.B) *tsdb.Sharded {
 // (110.6 vs 111.6 us/op) and inside the noise on query (-7.8 %).
 func BenchmarkTelemetry(b *testing.B) {
 	order := []string{
-		"counter-inc", "gauge-set", "histogram-observe", "span-fast-path",
+		"counter-inc", "histogram-observe", "span-fast-path",
 		"ingest", "query",
 	}
 
 	reg := telemetry.NewRegistry()
 	counter := reg.Counter("bench_counter_total", "bench")
-	gauge := reg.Gauge("bench_gauge", "bench")
 	hist := reg.Histogram("bench_seconds", "bench", nil)
 	ring := telemetry.NewTraceRing(8, time.Hour, nil) // nothing is ever slow
 	op := ring.Op("bench")
@@ -131,7 +130,6 @@ func BenchmarkTelemetry(b *testing.B) {
 		}
 	}
 	b.Run("counter-inc", instRow("counter-inc", func() { counter.Inc() }))
-	b.Run("gauge-set", instRow("gauge-set", func() { gauge.Set(42.5) }))
 	b.Run("histogram-observe", instRow("histogram-observe", func() { hist.Observe(0.0042) }))
 	b.Run("span-fast-path", instRow("span-fast-path", func() {
 		sp := op.Start()

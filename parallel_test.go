@@ -6,20 +6,22 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"github.com/sieve-microservices/sieve/internal/core"
 )
 
 // runShareLatexArtifact runs the full pipeline on a fresh ShareLatex
 // simulation (deterministic for the fixed seeds) at the given worker
-// count and returns the serialized artifact.
-func runShareLatexArtifact(t *testing.T, parallelism int) []byte {
+// count — GOMAXPROCS, the only size the pipeline's fan-outs have — and
+// returns the serialized artifact.
+func runShareLatexArtifact(t *testing.T, workers int) []byte {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	app, err := NewShareLatex(21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultPipelineOptions()
-	opts.Parallelism = parallelism
-	artifact, _, err := Run(app, RandomLoad(7, 120, 200, 1800), opts)
+	artifact, _, err := Run(app, RandomLoad(7, 120, 200, 1800), DefaultPipelineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +33,8 @@ func runShareLatexArtifact(t *testing.T, parallelism int) []byte {
 }
 
 // TestRunParallelismDeterminism asserts the concurrent executor is
-// invisible in the output: Run with Parallelism 1, 4, and GOMAXPROCS
-// produces byte-identical artifacts on a ShareLatex capture.
+// invisible in the output: Run at 1, 4, and the machine's GOMAXPROCS
+// workers produces byte-identical artifacts on a ShareLatex capture.
 func TestRunParallelismDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline runs")
@@ -58,13 +60,12 @@ func TestRunContextCancellation(t *testing.T) {
 	defer cancel()
 	const cancelAt = 10
 	opts := DefaultPipelineOptions()
-	opts.Parallelism = 4
 	opts.Capture.OnTick = func(tick int, _ int64) {
 		if tick == cancelAt {
 			cancel()
 		}
 	}
-	_, _, err = RunContext(ctx, app, ConstantLoad(500, 100000), opts)
+	_, _, err = core.RunContext(ctx, app, ConstantLoad(500, 100000), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -79,7 +80,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = RunContext(ctx, app, ConstantLoad(500, 100), DefaultPipelineOptions())
+	_, _, err = core.RunContext(ctx, app, ConstantLoad(500, 100), DefaultPipelineOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,0 +1,342 @@
+package sieve
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+const modulePath = "github.com/sieve-microservices/sieve"
+
+// reachabilityAllow lists the functions nothing under cmd/, examples/ or
+// bench/ reaches that stay anyway, each with the reason: they are the
+// reference a test holds a live path against, never a second spelling of
+// something callers use. TestEveryFunctionIsReachable fails when an entry
+// becomes reachable or disappears, so the list cannot outlive its reasons.
+var reachabilityAllow = map[string]string{
+	"internal/kshape.SBD":                   "pairwise distance from raw series: the reference the cached-spectrum kernels are pinned to, and BENCH_kernels' sbd_dist row",
+	"internal/kshape.NCC":                   "SBD's normalized cross-correlation profile; part of the same reference",
+	"internal/mathx.FFT":                    "full complex transform: the reference RealFFT's half-size path is checked against, and BENCH_kernels' fft/complex rows",
+	"internal/mathx.IFFT":                   "FFT's inverse: the round-trip, Parseval and linearity checks on the shared butterfly core",
+	"internal/mathx.RealIFFT":               "second half of the product-then-inverse sequence CorrelateSpectra and kshape's fused SBD kernel are held to bit for bit",
+	"internal/timeseries.Resample":          "from-scratch bucketing of raw points: the reference for FromBuckets, DatasetFromDB and the window cache",
+	"internal/tsdb.DecompressBlock":         "decode-everything reference for the streaming chunk iterator, the golden chunks and the query-engine equivalence suite",
+	"internal/tsdb.newChunkIter":            "DecompressBlock's allocate-and-reset helper (live scans reset a pooled iterator)",
+	"internal/tsdb.Sharded.Telemetry":       "typed handle on the store's instruments: storage/server tests and the root benchmarks certify rows by reading counters off it",
+	"internal/trace.DecodeEvent":            "round-trip check on the live event encoder (the tracer only ever encodes)",
+	"internal/promremote.Marshal":           "remote-write encoder: the receiver tests and BenchmarkRemoteWriteIngest build their requests with it (sieved only decodes)",
+	"internal/promremote.marshalTimeSeries": "Marshal's per-series half",
+	"internal/promremote.appendMessage":     "Marshal's length-delimited field writer",
+}
+
+// TestEveryFunctionIsReachable holds the rule "non-test code contains
+// only what a command, an example or the benchmark can run". It
+// type-checks the module once (stdlib go/types, standard library from
+// source) and walks the static references from the roots: every function
+// of a package under cmd/, examples/ or bench/ (bench's own tests
+// included), every package-level initialiser and init function, and
+// every method whose name some interface declares (dynamic dispatch is
+// not followed, so such a method counts as called). _test.go files
+// outside bench/ are not roots: what only a test calls is either deleted
+// with the test or named in reachabilityAllow.
+func TestEveryFunctionIsReachable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	unreachable, err := unreachableFunctions(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reachabilityAllow) > 25 {
+		t.Errorf("reachabilityAllow has %d entries, the ceiling is 25", len(reachabilityAllow))
+	}
+	found := make(map[string]bool, len(unreachable))
+	var unexpected []string
+	for _, fn := range unreachable {
+		found[fn.name] = true
+		if _, ok := reachabilityAllow[fn.name]; !ok {
+			unexpected = append(unexpected, fmt.Sprintf("%s (%s, %d lines)", fn.name, fn.pos, fn.lines))
+		}
+	}
+	if len(unexpected) > 0 {
+		t.Errorf("%d functions no command, example or benchmark reaches (delete them, or allow-list a test reference with its reason):\n  %s",
+			len(unexpected), strings.Join(unexpected, "\n  "))
+	}
+	for name, reason := range reachabilityAllow {
+		if !found[name] {
+			t.Errorf("reachabilityAllow entry %q (%s) is reachable or gone: drop the entry", name, reason)
+		}
+	}
+}
+
+// unreachableFunc is one function declaration the walk did not visit.
+type unreachableFunc struct {
+	name  string // "internal/mathx.Matrix.Clone", "sieve.Serve"
+	pos   string // file:line
+	lines int    // doc comment + body
+}
+
+// reachPkg is one type-checked module package.
+type reachPkg struct {
+	rel   string // directory relative to the module root, "." for the facade
+	root  bool   // under cmd/, examples/ or bench/: every function is a root
+	types *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// reachLoader type-checks each module package once, so a function has one
+// *types.Func no matter which package refers to it; everything outside
+// the module comes from the standard library's source.
+type reachLoader struct {
+	fset *token.FileSet
+	dir  string
+	std  types.Importer
+	pkgs map[string]*reachPkg
+	ctxt build.Context
+}
+
+func (l *reachLoader) Import(path string) (*types.Package, error) {
+	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+		return l.std.Import(path)
+	}
+	p, err := l.load(strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/"))
+	if err != nil {
+		return nil, err
+	}
+	return p.types, nil
+}
+
+func (l *reachLoader) load(rel string) (*reachPkg, error) {
+	if rel == "" {
+		rel = "."
+	}
+	if p, ok := l.pkgs[rel]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("import cycle through %s", rel)
+		}
+		return p, nil
+	}
+	l.pkgs[rel] = nil
+	bp, err := l.ctxt.ImportDir(filepath.Join(l.dir, rel), 0)
+	if err != nil {
+		delete(l.pkgs, rel)
+		return nil, err
+	}
+	top := strings.SplitN(filepath.ToSlash(rel), "/", 2)[0]
+	p := &reachPkg{rel: filepath.ToSlash(rel), root: top == "cmd" || top == "examples" || top == "bench"}
+	names := append([]string(nil), bp.GoFiles...)
+	if top == "bench" {
+		names = append(names, bp.TestGoFiles...)
+	}
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(l.dir, rel, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	p.info = &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	importPath := modulePath
+	if rel != "." {
+		importPath += "/" + p.rel
+	}
+	conf := types.Config{Importer: l}
+	p.types, err = conf.Check(importPath, l.fset, p.files, p.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", rel, err)
+	}
+	l.pkgs[rel] = p
+	return p, nil
+}
+
+// unreachableFunctions runs the walk over the module rooted at dir.
+func unreachableFunctions(dir string) ([]unreachableFunc, error) {
+	fset := token.NewFileSet()
+	// The standard library is checked without cgo so the walk needs no C
+	// toolchain; the pure-Go fallbacks declare the same API.
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	l := &reachLoader{
+		fset: fset,
+		dir:  dir,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: make(map[string]*reachPkg),
+		ctxt: ctxt,
+	}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != dir && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(dir, path)
+		var noGo *build.NoGoError
+		if _, err := l.load(rel); !errors.As(err, &noGo) {
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Interface method names: every interface declared or written inline
+	// in the module, and every named interface of a package the module
+	// imports (error, fmt.Stringer, sort.Interface, http.Handler, ...).
+	ifaceMethods := map[string]bool{"Error": true}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaceMethods[it.Method(i).Name()] = true
+			}
+		}
+	}
+	seenImport := make(map[*types.Package]bool)
+	var addImports func(*types.Package)
+	addImports = func(tp *types.Package) {
+		if seenImport[tp] {
+			return
+		}
+		seenImport[tp] = true
+		for _, name := range tp.Scope().Names() {
+			if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range tp.Imports() {
+			addImports(imp)
+		}
+	}
+	for _, p := range l.pkgs {
+		addImports(p.types)
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					if tv, ok := p.info.Types[it]; ok {
+						addIface(tv.Type)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// One node per function declaration; edges are the functions its body
+	// names (calls, method values, function values alike).
+	type node struct {
+		pkg  *reachPkg
+		decl *ast.FuncDecl
+		uses []*types.Func
+	}
+	nodes := make(map[*types.Func]*node)
+	var work []*types.Func
+	usesOf := func(p *reachPkg, n ast.Node) []*types.Func {
+		var out []*types.Func
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := p.info.Uses[id].(*types.Func); ok {
+					out = append(out, fn.Origin())
+				}
+			}
+			return true
+		})
+		return out
+	}
+	for _, p := range l.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := p.info.Defs[d.Name].(*types.Func)
+					nodes[fn] = &node{pkg: p, decl: d, uses: usesOf(p, d)}
+					isRoot := p.root || (d.Recv == nil && d.Name.Name == "init") ||
+						(d.Recv != nil && ifaceMethods[d.Name.Name])
+					if isRoot {
+						work = append(work, fn)
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						work = append(work, usesOf(p, d)...)
+					}
+				}
+			}
+		}
+	}
+	reached := make(map[*types.Func]bool)
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		if reached[fn] {
+			continue
+		}
+		reached[fn] = true
+		if n := nodes[fn]; n != nil {
+			work = append(work, n.uses...)
+		}
+	}
+
+	var out []unreachableFunc
+	for fn, n := range nodes {
+		if reached[fn] {
+			continue
+		}
+		name := n.pkg.rel + "."
+		if n.pkg.rel == "." {
+			name = "sieve."
+		}
+		if n.decl.Recv != nil {
+			name += recvTypeName(n.decl.Recv.List[0].Type) + "."
+		}
+		name += n.decl.Name.Name
+		start := n.decl.Pos()
+		if n.decl.Doc != nil {
+			start = n.decl.Doc.Pos()
+		}
+		pos := fset.Position(n.decl.Pos())
+		out = append(out, unreachableFunc{
+			name:  name,
+			pos:   fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
+			lines: fset.Position(n.decl.End()).Line - fset.Position(start).Line + 1,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out, nil
+}
+
+// recvTypeName returns the receiver's type name without pointer or type
+// parameters.
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.ParenExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return "?"
+		}
+	}
+}

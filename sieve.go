@@ -31,7 +31,7 @@
 // with Launchpad bug #1533942 as a switchable fault).
 //
 // Beyond the paper's offline batch job, the module ships sieved
-// (NewServer, Serve): a long-running server with sharded line-protocol
+// (NewServer): a long-running server with sharded line-protocol
 // ingestion over HTTP and an online driver that re-runs the analysis
 // over a sliding window, serving the latest Artifact — and the live
 // autoscaling signal — from its /artifact endpoint. With
@@ -88,13 +88,8 @@ type ComponentCall = app.Call
 // one simulated signal.
 type MetricFamily = app.Family
 
-// FaultImpact describes how an active fault distorts one component.
-type FaultImpact = app.FaultImpact
-
 // Metric family drivers: the simulated signal feeding a family.
 const (
-	// DriverUtil is the component's utilization.
-	DriverUtil = app.DriverUtil
 	// DriverRate is the arrival rate (requests/second).
 	DriverRate = app.DriverRate
 	// DriverLatency is the end-to-end latency including lagged
@@ -102,14 +97,8 @@ const (
 	DriverLatency = app.DriverLatency
 	// DriverOwnLatency is the component-local latency (milliseconds).
 	DriverOwnLatency = app.DriverOwnLatency
-	// DriverErrors is the error rate (errors/second).
-	DriverErrors = app.DriverErrors
 	// DriverMemory is the memory footprint.
 	DriverMemory = app.DriverMemory
-	// DriverQueue is the queue depth.
-	DriverQueue = app.DriverQueue
-	// DriverConst is a constant (for build-info style metrics).
-	DriverConst = app.DriverConst
 )
 
 // Pattern is a load trace: external requests/second per simulation tick.
@@ -130,15 +119,9 @@ type CaptureResult = core.CaptureResult
 // Reduction maps components to their metric reductions (step 2 output).
 type Reduction = core.Reduction
 
-// ComponentReduction is one component's clusters and representatives.
-type ComponentReduction = core.ComponentReduction
-
 // DependencyGraph is the step-3 output: directed metric-level edges with
 // lags and significance.
 type DependencyGraph = core.DependencyGraph
-
-// DependencyEdge is one inferred dependency.
-type DependencyEdge = core.DependencyEdge
 
 // PipelineOptions bundles per-step pipeline options.
 type PipelineOptions = core.PipelineOptions
@@ -157,9 +140,6 @@ type AutoscaleRule = autoscale.Rule
 
 // AutoscaleEngine evaluates scaling rules against a running App.
 type AutoscaleEngine = autoscale.Engine
-
-// AutoscaleAction is one executed scaling decision.
-type AutoscaleAction = autoscale.Action
 
 // SLATracker counts violations of a p90-latency SLA.
 type SLATracker = autoscale.SLATracker
@@ -212,45 +192,11 @@ func WorldCupLoad(seed int64, ticks int, baseRPS, peakRPS float64) Pattern {
 
 // DefaultPipelineOptions returns the paper's parameters: scrape every
 // tick, variance threshold 0.002, k in [2,7] with name seeding, 500 ms
-// delay bound, alpha 0.05. The Parallelism knob is left at 0, meaning
-// the analysis stages fan out to runtime.GOMAXPROCS(0) workers; results
-// are bit-identical at any worker count, so this only affects speed.
+// delay bound, alpha 0.05. The analysis stages fan out to
+// runtime.GOMAXPROCS(0) workers; results are bit-identical at any worker
+// count, so that only affects speed.
 func DefaultPipelineOptions() PipelineOptions {
 	return PipelineOptions{Reduce: core.DefaultReduceOptions()}
-}
-
-// Capture performs pipeline step 1 only.
-func Capture(a *App, pattern Pattern, opts CaptureOptions) (*CaptureResult, error) {
-	return core.Capture(a, pattern, opts)
-}
-
-// CaptureContext is Capture with cancellation: ctx is checked every
-// simulation tick.
-func CaptureContext(ctx context.Context, a *App, pattern Pattern, opts CaptureOptions) (*CaptureResult, error) {
-	return core.CaptureContext(ctx, a, pattern, opts)
-}
-
-// Reduce performs pipeline step 2 only.
-func Reduce(ds *Dataset, opts ReduceOptions) (Reduction, error) {
-	return core.Reduce(ds, opts)
-}
-
-// ReduceContext is Reduce with cancellation and a worker pool sized by
-// opts.Parallelism (one task per component).
-func ReduceContext(ctx context.Context, ds *Dataset, opts ReduceOptions) (Reduction, error) {
-	return core.ReduceContext(ctx, ds, opts)
-}
-
-// IdentifyDependencies performs pipeline step 3 only.
-func IdentifyDependencies(ds *Dataset, red Reduction, opts DepOptions) (*DependencyGraph, error) {
-	return core.IdentifyDependencies(ds, red, opts)
-}
-
-// IdentifyDependenciesContext is IdentifyDependencies with cancellation
-// and a worker pool sized by opts.Parallelism (one task per
-// communicating component pair).
-func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction, opts DepOptions) (*DependencyGraph, error) {
-	return core.IdentifyDependenciesContext(ctx, ds, red, opts)
 }
 
 // Run executes the full three-step pipeline.
@@ -258,23 +204,10 @@ func Run(a *App, pattern Pattern, opts PipelineOptions) (*Artifact, *CaptureResu
 	return core.Run(a, pattern, opts)
 }
 
-// RunContext is Run with cancellation: ctx is threaded through all three
-// stages, and the PipelineOptions.Parallelism knob sizes the worker
-// pools of the analysis stages (0 = GOMAXPROCS).
-func RunContext(ctx context.Context, a *App, pattern Pattern, opts PipelineOptions) (*Artifact, *CaptureResult, error) {
-	return core.RunContext(ctx, a, pattern, opts)
-}
-
 // MarshalArtifact serializes an artifact to a versioned JSON form for
 // offline analysis or later RCA comparison.
 func MarshalArtifact(a *Artifact) ([]byte, error) {
 	return core.MarshalArtifact(a)
-}
-
-// UnmarshalArtifact reconstructs an artifact serialized by
-// MarshalArtifact.
-func UnmarshalArtifact(data []byte) (*Artifact, error) {
-	return core.UnmarshalArtifact(data)
 }
 
 // NewAutoscaler creates a scaling engine from rules; cooldownTicks is
@@ -316,7 +249,7 @@ func RefineThresholds(metricValues, latencies []float64, slaMS float64) (up, dow
 type Server = server.Server
 
 // ServerOptions configures a Server: shard count, sampling grid, window
-// width, recompute cadence, analysis parallelism, optional topology —
+// width, recompute cadence, optional topology —
 // durability: DataDir enables the WAL + compressed-block storage
 // engine, Retention bounds its disk use, Fsync picks the WAL sync
 // policy ("always", "interval", "never"), CompactInterval/
@@ -333,9 +266,6 @@ type ServerOptions = server.Options
 // to a remote server over real HTTP.
 type ServerClient = server.Client
 
-// ServerRunInfo summarizes one completed online pipeline run.
-type ServerRunInfo = server.RunInfo
-
 // NewServer creates a sieved server with its backing sharded store. Use
 // Server.ListenAndServe to serve (it also starts the online pipeline
 // driver), or Server.Handler to embed it in an existing HTTP server —
@@ -347,71 +277,11 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	return server.New(opts)
 }
 
-// Serve is the one-call entry point: it builds a server, starts the
-// online pipeline driver, and serves HTTP on addr until ctx is done.
-func Serve(ctx context.Context, addr string, opts ServerOptions) error {
-	s, err := server.New(opts)
-	if err != nil {
-		return err
-	}
-	return s.ListenAndServe(ctx, addr)
-}
-
 // NewServerClient creates a client for the sieved server at baseURL
 // (e.g. "http://127.0.0.1:8086").
 func NewServerClient(baseURL string) *ServerClient {
 	return server.NewClient(baseURL)
 }
-
-// RangeQuery is one query-engine request against a store or a sieved
-// server: every series whose component and metric match the globs
-// ('*' any run, '?' any byte), restricted to [From, To), either raw or
-// aggregated per StepMS bucket (Agg selects min/max/avg/sum/count/rate).
-// Served by GET /query_range and ServerClient.QueryRange; locally by a
-// store's QueryRange.
-type RangeQuery = tsdb.RangeQuery
-
-// SeriesResult is one matched series' answer to a RangeQuery: raw
-// points, or one point per non-empty step bucket (T = bucket start).
-type SeriesResult = tsdb.SeriesResult
-
-// MetricAgg selects the per-bucket aggregation of a RangeQuery.
-type MetricAgg = tsdb.Agg
-
-// Aggregation functions for RangeQuery.Agg.
-const (
-	// AggNone returns raw points (no bucketing).
-	AggNone = tsdb.AggNone
-	// AggMin is the per-bucket minimum value.
-	AggMin = tsdb.AggMin
-	// AggMax is the per-bucket maximum value.
-	AggMax = tsdb.AggMax
-	// AggAvg is the per-bucket arithmetic mean.
-	AggAvg = tsdb.AggAvg
-	// AggSum is the per-bucket sum.
-	AggSum = tsdb.AggSum
-	// AggCount is the per-bucket point count.
-	AggCount = tsdb.AggCount
-	// AggRate is the per-bucket per-second rate of change.
-	AggRate = tsdb.AggRate
-)
-
-// ParseMetricAgg parses an aggregation name ("min", "max", "avg", "sum",
-// "count", "rate"; "" and "raw" mean AggNone) as the /query_range agg
-// parameter does.
-func ParseMetricAgg(s string) (MetricAgg, error) {
-	return tsdb.ParseAgg(s)
-}
-
-// MetricSample is one decoded observation: (component, metric, T, V).
-// It is what ServerClient.WriteSamples encodes into line protocol and
-// what ServerClient.WriteRemote groups into a Prometheus remote-write
-// request.
-type MetricSample = tsdb.Sample
-
-// MetricPoint is one stored (T, V) observation of a series, as returned
-// by ServerClient.Query.
-type MetricPoint = tsdb.Point
 
 // MetricRegistry holds the exported metrics of one component (returned
 // by App.Registry).
