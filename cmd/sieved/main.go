@@ -121,7 +121,13 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	if err := checkDurations(*window, *step, *interval, *retention); err != nil {
+	err := checkFlags(*window, *step, *interval, *retention, *fsync, []sizeFlag{
+		{"shards", int64(*shards)},
+		{"compact-max-block", *compactMaxBlock},
+		{"remote-write-max-bytes", *remoteWriteMaxBytes},
+		{"remote-write-max-samples", int64(*remoteWriteMaxSamples)},
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
@@ -189,12 +195,22 @@ func main() {
 	}
 }
 
-// checkDurations refuses the durations the server could only run with by
-// replacing them: it keeps time in whole milliseconds and reads zero as
-// "use the default", so a negative or sub-millisecond -window, -step or
-// -interval would silently become 240s, 500ms or 30s, and a
-// sub-millisecond -retention would become "keep forever".
-func checkDurations(window, step, interval, retention time.Duration) error {
+// sizeFlag is a count or byte-size flag whose zero means "the default".
+type sizeFlag struct {
+	name  string
+	value int64
+}
+
+// checkFlags refuses the values the server could only run with by
+// replacing them, or could never analyse with. The server keeps time in
+// whole milliseconds and reads zero (or less) as "use the default", so a
+// negative or sub-millisecond -window, -step or -interval would silently
+// become 240s, 500ms or 30s, a sub-millisecond -retention "keep
+// forever", and a negative count or size its default; -fsync would only
+// be looked at with -data-dir set; and a window of fewer than
+// sieve.MinWindowSamples grid steps ingests forever without a single
+// pipeline cycle.
+func checkFlags(window, step, interval, retention time.Duration, fsync string, sizes []sizeFlag) error {
 	for _, f := range []struct {
 		name string
 		d    time.Duration
@@ -203,8 +219,22 @@ func checkDurations(window, step, interval, retention time.Duration) error {
 			return fmt.Errorf("-%s %s: must be at least 1ms", f.name, f.d)
 		}
 	}
+	if steps := window.Milliseconds() / step.Milliseconds(); steps < sieve.MinWindowSamples {
+		return fmt.Errorf("-window %s is %d grid steps of -step %s: the pipeline needs at least %d",
+			window, steps, step, sieve.MinWindowSamples)
+	}
 	if retention < 0 || (retention > 0 && retention < time.Millisecond) {
 		return fmt.Errorf("-retention %s: must be 0 (keep forever) or at least 1ms", retention)
+	}
+	switch fsync {
+	case "always", "interval", "never":
+	default:
+		return fmt.Errorf("-fsync %q: must be always, interval or never", fsync)
+	}
+	for _, f := range sizes {
+		if f.value < 0 {
+			return fmt.Errorf("-%s %d: must be 0 (the default) or positive", f.name, f.value)
+		}
 	}
 	return nil
 }

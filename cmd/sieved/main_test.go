@@ -86,11 +86,13 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestRejectsUnusableDurations: a duration the server could only run
-// with by replacing it (it keeps whole milliseconds and reads zero as
+// TestRejectsUnusableDurations: a value the server could only run with
+// by replacing it (it keeps whole milliseconds and reads zero or less as
 // "default") is refused at start-up with the flag named, instead of
-// sieved starting on 240s / 500ms / 30s / keep-forever and printing the
-// value it was given.
+// sieved starting on 240s / 500ms / 30s / keep-forever / GOMAXPROCS
+// shards and printing the value it was given; so are a window too short
+// for any pipeline cycle to ever run and an -fsync policy that does not
+// exist, with or without -data-dir.
 func TestRejectsUnusableDurations(t *testing.T) {
 	bin := buildSieved(t)
 	for _, tc := range []struct{ flag, value string }{
@@ -105,6 +107,13 @@ func TestRejectsUnusableDurations(t *testing.T) {
 		{"interval", "10us"},
 		{"retention", "-24h"},
 		{"retention", "500us"},
+		{"window", "20s"}, // 40 steps of the default 500ms grid, 64 needed
+		{"step", "5s"},    // 48 steps in the default 240s window
+		{"shards", "-3"},
+		{"fsync", "bogus"},
+		{"remote-write-max-bytes", "-1"},
+		{"remote-write-max-samples", "-5"},
+		{"compact-max-block", "-1"},
 	} {
 		// A refused flag exits before listening; -addr only keeps an
 		// accepted one (the parent's behaviour) off a fixed port.

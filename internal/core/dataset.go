@@ -90,20 +90,16 @@ type CaptureResult struct {
 
 // CaptureOptions tunes Capture.
 type CaptureOptions struct {
-	// ScrapeEvery scrapes metrics every N ticks (default 1).
-	ScrapeEvery int
-	// TracerCapacity bounds the syscall ring buffer (default 1<<18).
-	TracerCapacity int
 	// Allowlist, when non-nil, restricts collection to these
 	// component/metric keys (used to measure the reduced pipeline).
 	Allowlist []string
-	// OnTick, when non-nil, runs after each simulation step (after the
-	// scrape), receiving the tick index and simulated time.
-	OnTick func(tick int, nowMS int64)
 }
 
+// tracerCapacity bounds the capture's syscall ring buffer.
+const tracerCapacity = 1 << 18
+
 // Capture performs Sieve's step 1: drive the application with the load
-// pattern, scrape all component registries into a fresh store each tick,
+// pattern, scrape all component registries into a fresh store every tick,
 // record the syscall stream, and return the resampled dataset plus the
 // monitoring-plane handles.
 func Capture(a *app.App, pattern loadgen.Pattern, opts CaptureOptions) (*CaptureResult, error) {
@@ -122,14 +118,6 @@ func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, op
 	if len(pattern) == 0 {
 		return nil, errors.New("core: empty load pattern")
 	}
-	scrapeEvery := opts.ScrapeEvery
-	if scrapeEvery <= 0 {
-		scrapeEvery = 1
-	}
-	capacity := opts.TracerCapacity
-	if capacity <= 0 {
-		capacity = 1 << 18
-	}
 
 	db := tsdb.NewSharded(1)
 	coll, err := metrics.NewCollector(db, a.Registries()...)
@@ -139,19 +127,14 @@ func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, op
 	if opts.Allowlist != nil {
 		coll.SetAllowlist(opts.Allowlist)
 	}
-	tr := trace.NewTracer(capacity, nil)
+	tr := trace.NewTracer(tracerCapacity, nil)
 	a.AttachTracer(tr)
 
 	start := a.Now()
 	var scrapeErr error
-	loadgen.DriveContext(ctx, a, pattern, func(tick int, nowMS int64) {
-		if tick%scrapeEvery == 0 && scrapeErr == nil {
-			if _, err := coll.ScrapeOnce(nowMS); err != nil {
-				scrapeErr = err
-			}
-		}
-		if opts.OnTick != nil {
-			opts.OnTick(tick, nowMS)
+	loadgen.DriveContext(ctx, a, pattern, func(_ int, nowMS int64) {
+		if scrapeErr == nil {
+			_, scrapeErr = coll.ScrapeOnce(nowMS)
 		}
 	})
 	if err := ctx.Err(); err != nil {

@@ -16,19 +16,11 @@ type DepOptions struct {
 	// derive the Granger lag order from the sampling grid; 0 means the
 	// paper's 500 ms.
 	DelayMS int64
-	// Alpha is the F-test significance level; 0 means 0.05.
-	Alpha float64
-	// KeepBidirectional retains bidirectional edges instead of filtering
-	// them as spurious (used by the ablation bench; the paper filters).
-	KeepBidirectional bool
 }
 
 func (o DepOptions) withDefaults() DepOptions {
 	if o.DelayMS <= 0 {
 		o.DelayMS = 500
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = granger.DefaultAlpha
 	}
 	return o
 }
@@ -159,7 +151,7 @@ func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction
 		return nil, fmt.Errorf("core: dataset has no call graph")
 	}
 	maxLag := granger.LagSamples(opts.DelayMS, ds.StepMS)
-	gopts := granger.Options{MaxLag: maxLag, Alpha: opts.Alpha}
+	gopts := granger.Options{MaxLag: maxLag}
 
 	pairs := ds.CallGraph.CommunicatingPairs()
 	results := make([]pairResult, len(pairs))
@@ -197,13 +189,7 @@ func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction
 				case granger.YCausesX:
 					res.edges = append(res.edges, edgeFrom(b, a, cb.Representative, ca.Representative, yx, ds.StepMS))
 				case granger.Bidirectional:
-					if opts.KeepBidirectional {
-						res.edges = append(res.edges,
-							edgeFrom(a, b, ca.Representative, cb.Representative, xy, ds.StepMS),
-							edgeFrom(b, a, cb.Representative, ca.Representative, yx, ds.StepMS))
-					} else {
-						res.bidirectional++
-					}
+					res.bidirectional++
 				}
 			}
 		}

@@ -90,6 +90,22 @@ func TestIdentifyDependenciesContextCanceled(t *testing.T) {
 	}
 }
 
+// canceledAtTick is a context that reports cancellation once the
+// simulated application has advanced tick ticks: the capture loop polls
+// Err between steps, so this cancels it mid-load at an exact tick.
+type canceledAtTick struct {
+	context.Context
+	a    *app.App
+	tick int64
+}
+
+func (c canceledAtTick) Err() error {
+	if c.a.Now() >= c.tick*c.a.TickMS() {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
 // TestCaptureContextCancelMidLoad asserts cancellation during the load
 // phase aborts the drive loop promptly instead of draining the pattern.
 func TestCaptureContextCancelMidLoad(t *testing.T) {
@@ -97,14 +113,9 @@ func TestCaptureContextCancelMidLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	const cancelAt = 10
-	opts := CaptureOptions{OnTick: func(tick int, _ int64) {
-		if tick == cancelAt {
-			cancel()
-		}
-	}}
-	_, err = CaptureContext(ctx, a, loadgen.Constant(500, 100000), opts)
+	ctx := canceledAtTick{Context: context.Background(), a: a, tick: cancelAt}
+	_, err = CaptureContext(ctx, a, loadgen.Constant(500, 100000), CaptureOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

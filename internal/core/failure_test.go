@@ -7,10 +7,45 @@ import (
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/app"
+	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
+	"github.com/sieve-microservices/sieve/internal/metrics"
 	"github.com/sieve-microservices/sieve/internal/timeseries"
+	"github.com/sieve-microservices/sieve/internal/trace"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
+
+// captureByHand is Capture's wiring with what Capture fixes left open,
+// so the degraded captures below can be produced: it scrapes every
+// scrapeEvery-th tick, traces into a ring of tracerCap events, and calls
+// onTick (when non-nil) after each tick.
+func captureByHand(t *testing.T, a *app.App, p loadgen.Pattern, scrapeEvery, tracerCap int, onTick func(tick int)) (*Dataset, *trace.Tracer) {
+	t.Helper()
+	db := tsdb.NewSharded(1)
+	coll, err := metrics.NewCollector(db, a.Registries()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.NewTracer(tracerCap, nil)
+	a.AttachTracer(tr)
+	start := a.Now()
+	loadgen.Drive(a, p, func(tick int, nowMS int64) {
+		if tick%scrapeEvery == 0 {
+			if _, err := coll.ScrapeOnce(nowMS); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if onTick != nil {
+			onTick(tick)
+		}
+	})
+	ds, err := DatasetFromDB(db, a.Name(), a.TickMS(), start, a.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.CallGraph = callgraph.FromSyscallEvents(tr.Events())
+	return ds, tr
+}
 
 // TestPipelineSurvivesScrapeGaps injects gaps into the capture (dropped
 // scrapes, as from timeouts or lost packets) and checks the pipeline
@@ -22,11 +57,7 @@ func TestPipelineSurvivesScrapeGaps(t *testing.T) {
 	}
 	// Scrape only every 3rd tick: two thirds of the grid slots are gaps
 	// the resampler has to reconstruct.
-	res, err := Capture(a, loadgen.Random(4, 180, 100, 1500), CaptureOptions{ScrapeEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := res.Dataset
+	ds, _ := captureByHand(t, a, loadgen.Random(4, 180, 100, 1500), 3, tracerCapacity, nil)
 	s := ds.Get("api", "api_latency_ms_mean")
 	if s == nil {
 		t.Fatal("series missing")
@@ -55,38 +86,27 @@ func TestPipelineSurvivesScrapeGaps(t *testing.T) {
 // do not break reduction.
 func TestPipelineSurvivesMetricAppearingMidRun(t *testing.T) {
 	spec := chainSpec()
-	// The fault makes the api emit errors; arm it halfway through by
-	// toggling the fault through the OnTick hook.
-	a, err := app.New(spec, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The fault makes the db emit a new series; arm it halfway through
+	// the capture.
 	spec.Components[2].Families = append(spec.Components[2].Families,
 		app.Family{Base: "late_series", Driver: app.DriverErrors, Phase: app.PhaseFaultyOnly})
-
 	b, err := app.New(spec, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = a
-	res, err := Capture(b, loadgen.Constant(200, 120), CaptureOptions{
-		OnTick: func(tick int, nowMS int64) {
-			if tick == 60 {
-				b.SetFault(true)
-			}
-		},
+	ds, _ := captureByHand(t, b, loadgen.Constant(200, 120), 1, tracerCapacity, func(tick int) {
+		if tick == 60 {
+			b.SetFault(true)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Dataset.Get("db", "late_series")
+	s := ds.Get("db", "late_series")
 	if s == nil {
 		t.Fatal("late series not captured")
 	}
 	if s.Len() != 120 {
 		t.Fatalf("late series length = %d, want clamped to the full grid", s.Len())
 	}
-	if _, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions()); err != nil {
+	if _, err := ReduceContext(context.Background(), ds, DefaultReduceOptions()); err != nil {
 		t.Fatalf("reduction failed on late series: %v", err)
 	}
 }
@@ -99,19 +119,16 @@ func TestPipelineSurvivesTracerOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Capture(a, loadgen.Constant(500, 150), CaptureOptions{TracerCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tracer.Stats().Dropped == 0 {
+	ds, tr := captureByHand(t, a, loadgen.Constant(500, 150), 1, 16, nil)
+	if tr.Stats().Dropped == 0 {
 		t.Fatal("test setup: expected ring drops")
 	}
 	// The graph may be partial but the pipeline completes.
-	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{}); err != nil {
+	if _, err := IdentifyDependenciesContext(context.Background(), ds, red, DepOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

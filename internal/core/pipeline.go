@@ -20,10 +20,9 @@ type Artifact struct {
 	Graph *DependencyGraph
 }
 
-// PipelineOptions bundles the per-step options.
+// PipelineOptions bundles the options of steps 2 and 3; step 1 captures
+// every metric on every tick.
 type PipelineOptions struct {
-	// Capture configures step 1.
-	Capture CaptureOptions
 	// Reduce configures step 2.
 	Reduce ReduceOptions
 	// Deps configures step 3.
@@ -43,7 +42,7 @@ func Run(a *app.App, pattern loadgen.Pattern, opts PipelineOptions) (*Artifact, 
 // candidate cluster counts in the silhouette sweep) out to a worker
 // pool of runtime.GOMAXPROCS(0) workers.
 func RunContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, opts PipelineOptions) (*Artifact, *CaptureResult, error) {
-	capture, err := CaptureContext(ctx, a, pattern, opts.Capture)
+	capture, err := CaptureContext(ctx, a, pattern, CaptureOptions{})
 	if err != nil {
 		return nil, nil, err
 	}

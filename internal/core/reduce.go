@@ -19,9 +19,6 @@ type ReduceOptions struct {
 	// VarianceThreshold drops unvarying metrics; 0 means the paper's
 	// 0.002.
 	VarianceThreshold float64
-	// Seed drives the random initial assignments (and their restarts)
-	// when NameSeeding is off; a name-seeded sweep draws nothing from it.
-	Seed int64
 	// NameSeeding uses metric-name similarity for initial assignments
 	// (the paper's convergence optimization). Defaults to true via
 	// DefaultReduceOptions.
@@ -187,7 +184,8 @@ func reduceComponent(ctx context.Context, ds *Dataset, component string, opts Re
 	if opts.NameSeeding {
 		seedNames = kept
 	}
-	sweep, err := kshape.ChooseKContext(ctx, series, seedNames, opts.KMin, opts.KMax, opts.Seed, sweepWorkers)
+	// Seed 0: only a sweep without name seeding draws from it.
+	sweep, err := kshape.ChooseKContext(ctx, series, seedNames, opts.KMin, opts.KMax, 0, sweepWorkers)
 	if err != nil {
 		return nil, err
 	}

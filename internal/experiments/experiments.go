@@ -36,23 +36,23 @@ type Result struct {
 	Values map[string]float64
 }
 
-// Config sizes the experiment runs. The defaults reproduce the paper's
-// shapes at laptop scale; Quick shrinks everything for smoke tests.
+// Config sizes the experiment runs; build one from DefaultConfig (the
+// paper's shapes at laptop scale) or QuickConfig (smoke tests). There
+// are no per-field defaults: a zero size is a zero-length run.
 type Config struct {
 	// ShareLatexTicks is the capture length for ShareLatex pipelines
-	// (500 ms ticks; default 480 = 4 simulated minutes).
+	// (500 ms ticks; 480 = 4 simulated minutes).
 	ShareLatexTicks int
 	// ShareLatexRuns is the number of randomized-load repetitions for
-	// the robustness experiments (default 5, as in the paper).
+	// the robustness experiments (5 in the paper).
 	ShareLatexRuns int
-	// OpenStackTicks is the capture length for the RCA pipelines
-	// (default 480).
+	// OpenStackTicks is the capture length for the RCA pipelines.
 	OpenStackTicks int
-	// AutoscaleTicks is the autoscaling replay length (default 7200 =
-	// one simulated hour, the paper's trace length).
+	// AutoscaleTicks is the autoscaling replay length (7200 = one
+	// simulated hour, the paper's trace length).
 	AutoscaleTicks int
 	// HTTPRequests is the request count for the tracing-overhead
-	// experiment (default 10000, as in the paper).
+	// experiment (10000 in the paper).
 	HTTPRequests int
 	// Seed drives all simulations.
 	Seed int64
@@ -82,26 +82,6 @@ func QuickConfig() Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.ShareLatexTicks <= 0 {
-		c.ShareLatexTicks = d.ShareLatexTicks
-	}
-	if c.ShareLatexRuns <= 0 {
-		c.ShareLatexRuns = d.ShareLatexRuns
-	}
-	if c.OpenStackTicks <= 0 {
-		c.OpenStackTicks = d.OpenStackTicks
-	}
-	if c.AutoscaleTicks <= 0 {
-		c.AutoscaleTicks = d.AutoscaleTicks
-	}
-	if c.HTTPRequests <= 0 {
-		c.HTTPRequests = d.HTTPRequests
-	}
-	return c
-}
-
 // shareLatexRun is one cached randomized-load pipeline run.
 type shareLatexRun struct {
 	artifact *core.Artifact
@@ -124,7 +104,7 @@ type Suite struct {
 
 // NewSuite creates a suite with the given configuration.
 func NewSuite(cfg Config) *Suite {
-	return &Suite{cfg: cfg.withDefaults()}
+	return &Suite{cfg: cfg}
 }
 
 // shareLatexPipelines returns the cached randomized ShareLatex runs.

@@ -8,9 +8,12 @@
 //	unrestricted:  y_t = a0 + Σ_{i=1..L} a_i·y_{t-i} + Σ_{i=1..L} b_i·x_{t-i}
 //
 // over lags L up to the configured delay bound (the paper uses 500 ms
-// of grid steps). Non-stationary inputs (detected with the Augmented
-// Dickey-Fuller test) are first-differenced, since the F-test finds
-// spurious regressions on unit-root series (Granger & Newbold 1974).
+// of grid steps). Non-stationary inputs (detected with the plain
+// Dickey-Fuller test: stats.ADFWith at zero augmentation lags, no
+// Schwert rule) are first-differenced, since the F-test finds spurious
+// regressions on unit-root series (Granger & Newbold 1974). The
+// significance level (Alpha, 0.05) and the autoregressive order of both
+// models (3) are constants; the cross lag is the only option.
 // Bidirectional results are treated as spurious — a hidden confounder
 // driving both metrics — and filtered by the caller via Direction.
 //

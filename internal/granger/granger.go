@@ -24,20 +24,25 @@ type Scratch struct {
 	unrestrict mathx.Matrix
 }
 
-// DefaultAlpha is the significance level for rejecting the null
-// hypothesis "X does not Granger-cause Y".
-const DefaultAlpha = 0.05
+// Alpha is the significance level for rejecting the null hypothesis "X
+// does not Granger-cause Y".
+const Alpha = 0.05
 
 // ErrSeriesTooShort is returned when the series cannot support the
 // requested lag order.
 var ErrSeriesTooShort = errors.New("granger: series too short for requested lag")
 
-// DefaultOwnLags is the default autoregressive order of the restricted
-// model. Using more own-history lags than cross lags hardens the test
-// against false reverse causality: when the underlying load has
-// second-order dynamics (ramps), a single own lag cannot capture them and
-// the reverse direction spuriously "helps" by echoing the driver's past.
-const DefaultOwnLags = 3
+// ownLags is the autoregressive order of y's own history in both models
+// (the effective order is at least the cross lag under test). Using more
+// own-history lags than cross lags hardens the test against false
+// reverse causality: when the underlying load has second-order dynamics
+// (ramps), a single own lag cannot capture them and the reverse
+// direction spuriously "helps" by echoing the driver's past.
+const ownLags = 3
+
+// adfLags is the augmentation order of the stationarity pre-check: a
+// plain Dickey-Fuller regression, no lagged differences.
+const adfLags = 0
 
 // Options configures a causality test.
 type Options struct {
@@ -46,31 +51,6 @@ type Options struct {
 	// the paper's 500 ms grid and its conservative 500 ms delay bound
 	// this is 1, the default when 0.
 	MaxLag int
-	// OwnLags is the autoregressive order of y's own history in both
-	// models; 0 means DefaultOwnLags (the effective order is at least the
-	// cross lag under test).
-	OwnLags int
-	// Alpha is the significance level; 0 means DefaultAlpha.
-	Alpha float64
-	// ADFLags sets the augmentation lags for the stationarity check; < 0
-	// selects the Schwert default.
-	ADFLags int
-	// SkipStationarity disables the ADF pre-check (used by tests and when
-	// the caller has already differenced).
-	SkipStationarity bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxLag <= 0 {
-		o.MaxLag = 1
-	}
-	if o.OwnLags <= 0 {
-		o.OwnLags = DefaultOwnLags
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = DefaultAlpha
-	}
-	return o
 }
 
 // TestResult reports one directed Granger test X -> Y.
@@ -93,43 +73,37 @@ type TestResult struct {
 // steady-state test performs O(1) small allocations per pair instead of
 // O(lags·rows); what s held before never reaches the result.
 func TestWith(x, y []float64, opts Options, s *Scratch) (*TestResult, error) {
-	opts = opts.withDefaults()
+	maxLag := opts.MaxLag
+	if maxLag <= 0 {
+		maxLag = 1
+	}
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("granger: length mismatch %d vs %d", len(x), len(y))
 	}
 
-	res := &TestResult{PValue: 1, Lag: opts.MaxLag}
+	res := &TestResult{PValue: 1, Lag: maxLag}
 
 	// A constant series can neither cause nor be caused on this sample.
 	if timeseries.IsConstant(x) || timeseries.IsConstant(y) {
 		return res, nil
 	}
 
-	if !opts.SkipStationarity {
-		x, y, res.DifferencedX, res.DifferencedY = makeStationaryPair(x, y, opts.ADFLags, s)
-		if timeseries.IsConstant(x) || timeseries.IsConstant(y) {
-			return res, nil
-		}
+	x, y, res.DifferencedX, res.DifferencedY = makeStationaryPair(x, y, s)
+	if timeseries.IsConstant(x) || timeseries.IsConstant(y) {
+		return res, nil
 	}
 
 	// Need n - maxL observations and 1+ownLags+crossLag unrestricted
 	// parameters with residual degrees of freedom to spare.
-	maxOwn := opts.OwnLags
-	if opts.MaxLag > maxOwn {
-		maxOwn = opts.MaxLag
-	}
-	minLen := 2*maxOwn + opts.MaxLag + 8
+	maxOwn := max(ownLags, maxLag)
+	minLen := 2*maxOwn + maxLag + 8
 	if len(y) < minLen {
 		return nil, fmt.Errorf("%w: have %d samples, need >= %d", ErrSeriesTooShort, len(y), minLen)
 	}
 
 	best := res
-	for lag := 1; lag <= opts.MaxLag; lag++ {
-		ownLags := opts.OwnLags
-		if lag > ownLags {
-			ownLags = lag
-		}
-		f, p, err := testAtLag(x, y, lag, ownLags, s)
+	for lag := 1; lag <= maxLag; lag++ {
+		f, p, err := testAtLag(x, y, lag, max(ownLags, lag), s)
 		if err != nil {
 			// Degenerate designs at this lag (e.g. near-collinear
 			// histories) are skipped, not fatal: other lags may work.
@@ -145,7 +119,7 @@ func TestWith(x, y []float64, opts Options, s *Scratch) (*TestResult, error) {
 			}
 		}
 	}
-	best.Significant = best.PValue < opts.Alpha
+	best.Significant = best.PValue < Alpha
 	return best, nil
 }
 
@@ -195,7 +169,7 @@ func testAtLag(x, y []float64, crossLag, ownLags int, s *Scratch) (f, p float64,
 // makeStationaryPair differences whichever series fails the ADF test and
 // trims the other so both stay aligned on the same time base (differencing
 // drops the first sample).
-func makeStationaryPair(x, y []float64, adfLags int, s *Scratch) (outX, outY []float64, dx, dy bool) {
+func makeStationaryPair(x, y []float64, s *Scratch) (outX, outY []float64, dx, dy bool) {
 	outX, dx = stats.EnsureStationaryWith(x, adfLags, &s.stats)
 	outY, dy = stats.EnsureStationaryWith(y, adfLags, &s.stats)
 	switch {

@@ -71,7 +71,7 @@ func TestIndependentSeriesNotSignificant(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		res, err := TestWith(x, y, Options{MaxLag: 1, SkipStationarity: true}, new(Scratch))
+		res, err := TestWith(x, y, Options{MaxLag: 1}, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestBidirectionalCommonDriver(t *testing.T) {
 		x[t] = 0.3*z[t-1] + 0.9*z[t-2] + rng.NormFloat64()*0.1
 		y[t] = 0.4*z[t-1] + 0.85*z[t-2] + rng.NormFloat64()*0.1
 	}
-	dir, _, _, err := Direction(x, y, Options{MaxLag: 2, SkipStationarity: true})
+	dir, _, _, err := Direction(x, y, Options{MaxLag: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestErrorsAndEdgeCases(t *testing.T) {
 		t.Error("expected length-mismatch error")
 	}
 	short := []float64{1, 2, 3, 1, 2, 3}
-	if _, err := TestWith(short, short, Options{MaxLag: 2, SkipStationarity: true}, new(Scratch)); !errors.Is(err, ErrSeriesTooShort) {
+	if _, err := TestWith(short, short, Options{MaxLag: 2}, new(Scratch)); !errors.Is(err, ErrSeriesTooShort) {
 		t.Errorf("short series: err = %v, want ErrSeriesTooShort", err)
 	}
 }
@@ -222,7 +222,7 @@ func TestPValueBoundsProperty(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		res, err := TestWith(x, y, Options{MaxLag: 1 + rng.Intn(3), SkipStationarity: true}, new(Scratch))
+		res, err := TestWith(x, y, Options{MaxLag: 1 + rng.Intn(3)}, new(Scratch))
 		if err != nil {
 			return false
 		}

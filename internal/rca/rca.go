@@ -20,17 +20,11 @@ type Options struct {
 	// for an edge event to count as "between similar clusters" (the paper
 	// evaluates 0, 0.5, 0.6, 0.7 and settles on 0.5).
 	SimilarityThreshold float64
-	// NoveltyThreshold is the minimum cluster novelty score (new +
-	// discarded members) for a cluster to count as novel; default 1.
-	NoveltyThreshold int
 }
 
-func (o Options) withDefaults() Options {
-	if o.NoveltyThreshold <= 0 {
-		o.NoveltyThreshold = 1
-	}
-	return o
-}
+// noveltyThreshold is the minimum cluster novelty score (new + discarded
+// members) for a cluster to count as novel.
+const noveltyThreshold = 1
 
 // ComponentDiff is the step-1/2 view of one component.
 type ComponentDiff struct {
@@ -224,7 +218,6 @@ func Diagnose(correct, faulty *core.Artifact, opts Options) (*Report, error) {
 	if correct.Dataset == nil || faulty.Dataset == nil || correct.Graph == nil || faulty.Graph == nil {
 		return nil, errors.New("rca: artifacts must carry datasets and dependency graphs")
 	}
-	opts = opts.withDefaults()
 	r := &Report{Options: opts}
 
 	// Steps 1-2: metric presence diff and component novelty ranking.
@@ -460,7 +453,7 @@ func edgeDiffs(correct, faulty *core.Artifact, clusters []ClusterDiff, opts Opti
 		return sb
 	}
 	isNovel := func(a, b clusterKey) bool {
-		return noveltyByCorrect[a] >= opts.NoveltyThreshold || noveltyByCorrect[b] >= opts.NoveltyThreshold
+		return noveltyByCorrect[a] >= noveltyThreshold || noveltyByCorrect[b] >= noveltyThreshold
 	}
 
 	var out []EdgeDiff

@@ -217,31 +217,21 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 }
 
 // Full-request read and keep-alive idle bounds of the listener's
-// http.Server; with ReadHeaderTimeout they cap what one misbehaving
+// http.Server; with readHeaderTimeout they cap what one misbehaving
 // client can hold.
 const (
 	readTimeout = 5 * time.Minute
 	idleTimeout = 2 * time.Minute
 )
 
-// timeoutOrOff maps the Options convention (0 = default applied in
-// withDefaults, negative = disabled) onto http.Server's (0 = no
-// timeout).
-func timeoutOrOff(d time.Duration) time.Duration {
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 func (s *Server) serveListener(ctx context.Context, ln net.Listener) error {
 	s.Start(ctx)
 	// Header/read/idle timeouts bound what one misbehaving client can
-	// hold: without ReadHeaderTimeout a slowloris drips header bytes and
+	// hold: without the header timeout a slowloris drips header bytes and
 	// keeps the connection (and its goroutine) forever.
 	hs := &http.Server{
 		Handler:           s.mux,
-		ReadHeaderTimeout: timeoutOrOff(s.opts.ReadHeaderTimeout),
+		ReadHeaderTimeout: s.readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
@@ -249,7 +239,7 @@ func (s *Server) serveListener(ctx context.Context, ln net.Listener) error {
 	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), s.opts.ShutdownTimeout)
+		sctx, cancel := context.WithTimeout(context.Background(), s.shutdownTimeout)
 		defer cancel()
 		if err := hs.Shutdown(sctx); err != nil {
 			// Graceful drain timed out: in-flight requests (e.g. a

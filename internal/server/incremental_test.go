@@ -29,12 +29,11 @@ func chainGraph() *callgraph.Graph {
 // assembly through the window cache.
 func incrementalOptions(shards int) Options {
 	return Options{
-		AppName:          "chain",
-		Shards:           shards,
-		WindowMS:         50 * 500,
-		MinWindowSamples: 32,
-		CallGraph:        chainGraph(),
-		Incremental:      true,
+		AppName:     "chain",
+		Shards:      shards,
+		WindowMS:    64 * 500, // the shortest window New accepts
+		CallGraph:   chainGraph(),
+		Incremental: true,
 	}
 }
 
@@ -93,10 +92,10 @@ func referenceArtifact(t *testing.T, opts Options, pattern loadgen.Pattern, seed
 // counts — while each cycle after the first does asymptotically less
 // assembly work: exactly one tail store query, zero full-window queries.
 func TestIncrementalEquivalence(t *testing.T) {
-	// The first chunk fills the 50-step window; later chunks slide it by
-	// 20 steps, keeping a 60% overlap for the rings to reuse.
+	// The first chunk fills the 64-step window; later chunks slide it by
+	// 20 steps, keeping a two-thirds overlap for the rings to reuse.
 	const seed = 11
-	cuts := []int{60, 80, 100, 120}
+	cuts := []int{80, 100, 120, 140}
 	pattern := loadgen.Random(5, cuts[len(cuts)-1], 100, 1500)
 
 	for _, shards := range []int{1, 4} {
@@ -152,7 +151,7 @@ func TestIncrementalRerunWithoutNewData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveChunk(t, a, c, loadgen.Random(5, 80, 100, 1500))
+	driveChunk(t, a, c, loadgen.Random(5, 100, 100, 1500))
 	firstInfo, err := c.RunPipeline()
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +181,7 @@ func TestIncrementalRerunWithoutNewData(t *testing.T) {
 // after rides the rebuilt rings again.
 func TestIncrementalLateWrite(t *testing.T) {
 	const seed = 17
-	cuts := []int{60, 80, 100, 120}
+	cuts := []int{80, 100, 120, 140}
 	pattern := loadgen.Random(9, cuts[len(cuts)-1], 100, 1500)
 	routes := map[string]func(*Server, *Client, tsdb.Sample) error{
 		"write": func(_ *Server, c *Client, late tsdb.Sample) error {
@@ -286,9 +285,9 @@ func TestIncrementalRestartMidSequence(t *testing.T) {
 	// data, so the revived pipeline genuinely reads what the store
 	// replayed, not just fresh ingest.
 	const seed = 23
-	cuts := []int{60, 80}
+	cuts := []int{80, 100}
 	dir := t.TempDir()
-	pattern := loadgen.Random(13, 100, 100, 1500)
+	pattern := loadgen.Random(13, 120, 100, 1500)
 
 	opts := incrementalOptions(3)
 	opts.DataDir, opts.Fsync, opts.FlushInterval = dir, "never", -1
@@ -355,7 +354,7 @@ func TestIncrementalCancelledRunIsNotFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveChunk(t, a, c, loadgen.Random(7, 80, 100, 1500))
+	driveChunk(t, a, c, loadgen.Random(7, 100, 100, 1500))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -383,7 +382,7 @@ func TestOnlineStateRacesIngestAndReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveChunk(t, a, c, loadgen.Random(7, 80, 100, 1500))
+	driveChunk(t, a, c, loadgen.Random(7, 100, 100, 1500))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()

@@ -86,9 +86,9 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 		if lo < 0 {
 			lo = 0
 		}
-		if got := (end - lo) / s.opts.StepMS; got < int64(s.opts.MinWindowSamples) {
+		if got := (end - lo) / s.opts.StepMS; got < MinWindowSamples {
 			return 0, 0, fmt.Errorf("%w: window spans %d of %d required grid steps",
-				ErrNoData, got, s.opts.MinWindowSamples)
+				ErrNoData, got, MinWindowSamples)
 		}
 		return lo, end, nil
 	}
@@ -97,9 +97,9 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 		lo = 0
 	}
 	end = hi + 1 // window is [lo, hi] inclusive of the newest point
-	if got := (hi - lo) / s.opts.StepMS; got < int64(s.opts.MinWindowSamples) {
+	if got := (hi - lo) / s.opts.StepMS; got < MinWindowSamples {
 		return 0, 0, fmt.Errorf("%w: window spans %d of %d required grid steps",
-			ErrNoData, got, s.opts.MinWindowSamples)
+			ErrNoData, got, MinWindowSamples)
 	}
 	return lo, end, nil
 }
@@ -186,14 +186,14 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	ds.CallGraph = s.snapshotGraph()
 
 	stage = time.Now()
-	red, err := core.ReduceContext(ctx, ds, *s.opts.Reduce)
+	red, err := core.ReduceContext(ctx, ds, core.DefaultReduceOptions())
 	info.Stages.Reduce = time.Since(stage)
 	if err != nil {
 		return nil, s.recordErr(fmt.Errorf("reduce: %w", err))
 	}
 
 	stage = time.Now()
-	graph, err := core.IdentifyDependenciesContext(ctx, ds, red, s.opts.Deps)
+	graph, err := core.IdentifyDependenciesContext(ctx, ds, red, core.DepOptions{})
 	info.Stages.Deps = time.Since(stage)
 	if err != nil {
 		return nil, s.recordErr(fmt.Errorf("identify dependencies: %w", err))

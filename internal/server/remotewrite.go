@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/sieve-microservices/sieve/internal/promremote"
@@ -55,15 +54,15 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	// the scratch on any exit path keeps whatever growth this request
 	// caused.
 	defer s.rwScratch.Put(sc)
-	body, err := appendReadAll(sc.body[:0], io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
+	body, err := appendReadAll(sc.body[:0], io.LimitReader(r.Body, s.maxBodyBytes+1))
 	sc.body = body
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
+	if int64(len(body)) > s.maxBodyBytes {
 		s.tel.remoteSizeRejects.Inc()
-		httpError(w, http.StatusRequestEntityTooLarge, "compressed payload exceeds %d bytes", s.opts.MaxBodyBytes)
+		httpError(w, http.StatusRequestEntityTooLarge, "compressed payload exceeds %d bytes", s.maxBodyBytes)
 		return
 	}
 	sp.FieldInt("bytes", int64(len(body)))
@@ -99,7 +98,7 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 		// Retry-After tells a well-behaved sender to back off and
 		// re-shard its batches rather than hammer the same oversized
 		// request.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RemoteWriteRetryAfter)))
+		w.Header().Set("Retry-After", remoteWriteRetryAfter)
 		httpError(w, http.StatusTooManyRequests,
 			"request carries %d samples, limit %d", c, s.opts.RemoteWriteMaxSamples)
 		return
@@ -144,16 +143,6 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 	// Wire accounting charges the compressed bytes — that is what
 	// crossed the network.
 	stored = s.storeBatch(w, &sp, s.tel.remoteIngestSamples, samples, len(body), start)
-}
-
-// retryAfterSeconds renders a backoff duration as the whole-second
-// Retry-After form, never below 1.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // remoteWriteScratch is one request's reusable buffers, pooled on

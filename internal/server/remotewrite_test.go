@@ -118,11 +118,10 @@ func TestRemoteWriteComponentLabelOption(t *testing.T) {
 // rejected request stores nothing.
 func TestRemoteWriteRejectClasses(t *testing.T) {
 	s, hs, _ := newTestServer(t, Options{
-		MaxBodyBytes:          256,
 		RemoteWriteMaxBytes:   1 << 10,
 		RemoteWriteMaxSamples: 4,
-		RemoteWriteRetryAfter: 3 * time.Second,
 	})
+	s.maxBodyBytes = 256 // the real bound would take a 32 MiB body to trip
 	series := func(n int, startT int64) *promremote.WriteRequest {
 		req := &promremote.WriteRequest{TimeSeries: []promremote.TimeSeries{{
 			Labels: []promremote.Label{
@@ -137,7 +136,7 @@ func TestRemoteWriteRejectClasses(t *testing.T) {
 		return req
 	}
 	// Incompressible payload: snappy falls back to literals, so the
-	// compressed body tracks the input size and blows MaxBodyBytes.
+	// compressed body tracks the input size and blows maxBodyBytes.
 	incompressible := make([]byte, 1<<10)
 	x := uint32(2463534242)
 	for i := range incompressible {
@@ -152,7 +151,7 @@ func TestRemoteWriteRejectClasses(t *testing.T) {
 		wantStatus int
 		wantInBody string
 	}{
-		{"compressed over MaxBodyBytes", snappy.Encode(incompressible),
+		{"compressed over Max body size", snappy.Encode(incompressible),
 			http.StatusRequestEntityTooLarge, "compressed"},
 		{"decompression bomb preamble", []byte{0x80, 0x80, 0x80, 0x80, 0x04}, // claims 1 GiB, carries nothing
 			http.StatusRequestEntityTooLarge, "decompressed"},
@@ -204,8 +203,8 @@ func TestRemoteWriteRejectClasses(t *testing.T) {
 				t.Fatalf("body %q does not mention %q", body, tc.wantInBody)
 			}
 			if code == http.StatusTooManyRequests {
-				if hdr.Get("Retry-After") != "3" {
-					t.Fatalf("Retry-After = %q, want %q", hdr.Get("Retry-After"), "3")
+				if hdr.Get("Retry-After") != "1" {
+					t.Fatalf("Retry-After = %q, want %q", hdr.Get("Retry-After"), "1")
 				}
 			}
 			if pts := s.Store().Stats().Points; pts != 0 {
@@ -322,7 +321,7 @@ func artifactSansElapsed(t *testing.T, base string) string {
 // artifact — at 1 and 4 shards.
 func TestRemoteWriteEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		opts := Options{AppName: "chain", Shards: shards, MinWindowSamples: 32}
+		opts := Options{AppName: "chain", Shards: shards}
 		_, hsLine, cLine := newTestServer(t, opts)
 		_, hsRemote, cRemote := newTestServer(t, opts)
 

@@ -31,30 +31,17 @@ type Options struct {
 	StepMS int64
 	// WindowMS is the width of the sliding analysis window: each
 	// pipeline run covers the most recent WindowMS of ingested data
-	// (default 240000 = 480 grid steps).
+	// (default 480 grid steps = 240000 at the default step). New refuses
+	// a window of fewer than 64 grid steps: no cycle could ever run.
 	WindowMS int64
 	// Interval is the cadence of the background pipeline driver started
 	// by Start (default 30s).
 	Interval time.Duration
-	// MinWindowSamples is the minimum number of grid steps the window
-	// must span before the pipeline runs (default 64; Granger needs a
-	// non-trivial series length).
-	MinWindowSamples int
-	// Reduce overrides the step-2 options; nil means the paper's
-	// defaults (core.DefaultReduceOptions, including name seeding). A
-	// non-nil value is used exactly as given.
-	Reduce *core.ReduceOptions
-	// Deps overrides the step-3 options; the zero value means the
-	// paper's defaults.
-	Deps core.DepOptions
 	// CallGraph, when non-nil, is the static component topology used to
 	// restrict Granger testing. It can also be uploaded (or replaced)
 	// at runtime via POST /callgraph. With no topology at all the
 	// pipeline still runs, producing an empty dependency graph.
 	CallGraph *callgraph.Graph
-	// MaxBodyBytes bounds a single /write payload and a single
-	// /api/v1/write compressed body (default 32 MiB).
-	MaxBodyBytes int64
 
 	// RemoteWriteComponentLabel is the Prometheus label the
 	// /api/v1/write receiver maps to sieve's component (default "job";
@@ -67,25 +54,9 @@ type Options struct {
 	// requests get 413.
 	RemoteWriteMaxBytes int64
 	// RemoteWriteMaxSamples bounds the samples in one /api/v1/write
-	// request (default 1,000,000). Over-limit requests get 429 with a
-	// Retry-After header so senders re-shard instead of hammering.
+	// request (default 1,000,000). Over-limit requests get 429 with
+	// "Retry-After: 1" so senders re-shard instead of hammering.
 	RemoteWriteMaxSamples int
-	// RemoteWriteRetryAfter is the backoff the 429 advertises (default
-	// 1s; sub-second values round up to the header's 1s floor).
-	RemoteWriteRetryAfter time.Duration
-
-	// ReadHeaderTimeout bounds how long the listener's http.Server waits
-	// for a request's headers (default 10s; negative disables it).
-	// Without it a single slow-headers client (slowloris) holds a
-	// connection — and eventually the whole accept queue — forever. The
-	// full-request read and keep-alive idle bounds are the constants
-	// readTimeout and idleTimeout.
-	ReadHeaderTimeout time.Duration
-	// ShutdownTimeout bounds the graceful drain on shutdown (default
-	// 5s): past it, in-flight connections are force-closed before the
-	// store checkpoints, so a stalled writer can never race the final
-	// WAL checkpoint.
-	ShutdownTimeout time.Duration
 
 	// Incremental switches the online pipeline's dataset assembly to the
 	// window cache: window ends are aligned down to the sampling grid so
@@ -164,12 +135,6 @@ func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 30 * time.Second
 	}
-	if o.MinWindowSamples <= 0 {
-		o.MinWindowSamples = 64
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 32 << 20
-	}
 	if o.RemoteWriteComponentLabel == "" {
 		o.RemoteWriteComponentLabel = "job"
 	}
@@ -179,30 +144,41 @@ func (o Options) withDefaults() Options {
 	if o.RemoteWriteMaxSamples <= 0 {
 		o.RemoteWriteMaxSamples = 1_000_000
 	}
-	if o.RemoteWriteRetryAfter <= 0 {
-		o.RemoteWriteRetryAfter = time.Second
-	}
-	if o.ReadHeaderTimeout == 0 {
-		o.ReadHeaderTimeout = 10 * time.Second
-	}
-	if o.ShutdownTimeout <= 0 {
-		o.ShutdownTimeout = 5 * time.Second
-	}
 	if o.SelfScrapeClock == nil {
 		o.SelfScrapeClock = func() int64 { return time.Now().UnixMilli() }
 	}
 	if o.SlowOpThreshold == 0 {
 		o.SlowOpThreshold = time.Second
 	}
-	if o.Reduce == nil {
-		d := core.DefaultReduceOptions()
-		o.Reduce = &d
-	} else {
-		cp := *o.Reduce
-		o.Reduce = &cp
-	}
 	return o
 }
+
+// MinWindowSamples is the fewest grid steps a window must span before
+// the pipeline runs: Granger needs a non-trivial series length. New
+// refuses a WindowMS/StepMS below it, since no cycle could ever run.
+const MinWindowSamples = 64
+
+// Limits nothing configures. The three a test could only reach by
+// holding a connection for seconds or posting tens of MiB are copied
+// into the Server at New, where in-package tests lower them.
+const (
+	// maxBodyBytes bounds a single /write payload and a single
+	// /api/v1/write compressed body.
+	maxBodyBytes = 32 << 20
+	// remoteWriteRetryAfter is the Retry-After value, in seconds, of the
+	// 429 answering an over-limit remote-write request.
+	remoteWriteRetryAfter = "1"
+	// readHeaderTimeout bounds how long the listener waits for a
+	// request's headers. Without it a single slow-headers client
+	// (slowloris) holds a connection — and eventually the whole accept
+	// queue — forever.
+	readHeaderTimeout = 10 * time.Second
+	// shutdownTimeout bounds the graceful drain on shutdown: past it,
+	// in-flight connections are force-closed before the store
+	// checkpoints, so a stalled writer can never race the final WAL
+	// checkpoint.
+	shutdownTimeout = 5 * time.Second
+)
 
 // Server is the sieved daemon: sharded ingestion plus the online
 // windowed pipeline.
@@ -210,6 +186,12 @@ type Server struct {
 	opts  Options
 	store *tsdb.Sharded
 	mux   *http.ServeMux
+
+	// The constants of the same names; fields so that in-package tests
+	// can lower them before the server takes traffic.
+	maxBodyBytes      int64
+	readHeaderTimeout time.Duration
+	shutdownTimeout   time.Duration
 
 	// tel is the self-observability bundle (registry, instruments,
 	// trace ring); always non-nil after New.
@@ -274,8 +256,9 @@ type Server struct {
 // identically to the store that was killed.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	if opts.StepMS > opts.WindowMS {
-		return nil, fmt.Errorf("server: step %dms exceeds window %dms", opts.StepMS, opts.WindowMS)
+	if steps := opts.WindowMS / opts.StepMS; steps < MinWindowSamples {
+		return nil, fmt.Errorf("server: window %dms spans %d grid steps of %dms, the pipeline needs %d",
+			opts.WindowMS, steps, opts.StepMS, MinWindowSamples)
 	}
 	if opts.RemoteWriteComponentLabel == promremote.MetricNameLabel {
 		return nil, fmt.Errorf("server: RemoteWriteComponentLabel cannot be the reserved %s label", promremote.MetricNameLabel)
@@ -302,9 +285,12 @@ func New(opts Options) (*Server, error) {
 		store = tsdb.NewSharded(opts.Shards)
 	}
 	s := &Server{
-		opts:  opts,
-		store: store,
-		graph: opts.CallGraph,
+		opts:              opts,
+		store:             store,
+		graph:             opts.CallGraph,
+		maxBodyBytes:      maxBodyBytes,
+		readHeaderTimeout: readHeaderTimeout,
+		shutdownTimeout:   shutdownTimeout,
 	}
 	s.tel = newTelemetrySet(store, opts.SlowOpThreshold)
 	s.analysis = store
@@ -392,17 +378,17 @@ func writeErrorBody(w http.ResponseWriter, status, stored int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "stored": stored})
 }
 
-// readBody reads a request body of at most MaxBodyBytes, answering a
+// readBody reads a request body of at most maxBodyBytes, answering a
 // read failure with 400 and a longer body with 413 (ok false). One byte
 // past the limit is read so a body exactly at it is still accepted.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBodyBytes+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return nil, false
 	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "payload exceeds %d bytes", s.opts.MaxBodyBytes)
+	if int64(len(body)) > s.maxBodyBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, "payload exceeds %d bytes", s.maxBodyBytes)
 		return nil, false
 	}
 	return body, true

@@ -149,9 +149,8 @@ func TestServerEndToEndShareLatex(t *testing.T) {
 // more ingest + another run advances the generation and the window end.
 func TestServerWindowSlides(t *testing.T) {
 	_, _, c := newTestServer(t, Options{
-		AppName:          "chain",
-		WindowMS:         50 * 500, // keep the window shorter than the session
-		MinWindowSamples: 32,
+		AppName:  "chain",
+		WindowMS: 64 * 500, // keep the window shorter than the session
 	})
 	a, err := app.New(chainSpec(), 11)
 	if err != nil {
@@ -162,8 +161,8 @@ func TestServerWindowSlides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := first.End - first.Start; got > 50*500+1 {
-		t.Fatalf("window spans %dms, want <= %d", got, 50*500+1)
+	if got := first.End - first.Start; got > 64*500+1 {
+		t.Fatalf("window spans %dms, want <= %d", got, 64*500+1)
 	}
 
 	coll, err := metrics.NewCollector(c, a.Registries()...)
@@ -194,10 +193,30 @@ func TestServerWindowSlides(t *testing.T) {
 	}
 }
 
+// TestServerWaitsForMinWindow pins the pipeline's data floor at its real
+// value: 63 grid steps of data is "waiting" (ErrNoData, 409 on POST
+// /run), the 64th lets the cycle run.
+func TestServerWaitsForMinWindow(t *testing.T) {
+	s, _, c := newTestServer(t, Options{AppName: "chain"})
+	a, err := app.New(chainSpec(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := loadgen.Random(5, MinWindowSamples, 100, 1500)
+	driveChunk(t, a, c, pattern[:MinWindowSamples-1])
+	if _, err := s.RunPipelineOnce(context.Background()); !errors.Is(err, ErrNoData) {
+		t.Fatalf("cycle over %d grid steps: err = %v, want ErrNoData", MinWindowSamples-1, err)
+	}
+	driveChunk(t, a, c, pattern[MinWindowSamples-1:])
+	if _, err := s.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("cycle over %d grid steps: %v", MinWindowSamples, err)
+	}
+}
+
 // TestServerWithoutCallGraph: with no topology the pipeline still runs,
 // publishing a reduction with an empty dependency graph.
 func TestServerWithoutCallGraph(t *testing.T) {
-	_, _, c := newTestServer(t, Options{AppName: "chain", MinWindowSamples: 32})
+	_, _, c := newTestServer(t, Options{AppName: "chain"})
 	a, err := app.New(chainSpec(), 11)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +247,8 @@ func TestServerWithoutCallGraph(t *testing.T) {
 // HTTP surface: the server must answer with a 4xx and keep serving,
 // never panic and never store partial garbage.
 func TestServerMalformedRequests(t *testing.T) {
-	s, hs, c := newTestServer(t, Options{MaxBodyBytes: 1 << 10})
+	s, hs, c := newTestServer(t, Options{})
+	s.maxBodyBytes = 1 << 10 // the real bound would take a 32 MiB body to trip
 	const oneEdge = `[{"caller":"a","callee":"b"}]`
 	cases := []struct {
 		name, method, path, body string
@@ -293,4 +313,20 @@ func TestServerOptionValidation(t *testing.T) {
 	if _, err := New(Options{StepMS: 1000, WindowMS: 500}); err == nil {
 		t.Fatal("step > window must be rejected")
 	}
+	// 40 grid steps: every cycle would answer "window spans 40 of 64
+	// required grid steps" forever while /readyz stayed ok.
+	_, err := New(Options{StepMS: 500, WindowMS: 20_000})
+	if err == nil {
+		t.Fatal("a window of fewer than 64 grid steps must be rejected")
+	}
+	for _, want := range []string{"20000ms", "500ms", "40", "64"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	s, err := New(Options{StepMS: 500, WindowMS: 64 * 500})
+	if err != nil {
+		t.Fatalf("a 64-step window must be accepted: %v", err)
+	}
+	s.Close()
 }

@@ -13,13 +13,15 @@ import (
 
 // startServeListener runs serveListener on an OS-assigned port and
 // returns the base URL, the cancel that triggers graceful shutdown, and
-// the channel carrying its return value.
-func startServeListener(t *testing.T, opts Options) (base string, cancel context.CancelFunc, done chan error) {
+// the channel carrying its return value. tune lowers the server's
+// timeouts (10s for headers, 5s to drain) before it takes traffic.
+func startServeListener(t *testing.T, opts Options, tune func(*Server)) (base string, cancel context.CancelFunc, done chan error) {
 	t.Helper()
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tune(s)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -32,13 +34,13 @@ func startServeListener(t *testing.T, opts Options) (base string, cancel context
 
 // TestServeListenerHeaderTimeout is the slowloris regression test: a
 // client that sends half a header line and stalls must be disconnected
-// once ReadHeaderTimeout elapses. The old serveListener built
+// once readHeaderTimeout elapses. The old serveListener built
 // http.Server with no timeouts at all, so the connection (and its
 // goroutine) lived forever and this test hangs on that code.
 func TestServeListenerHeaderTimeout(t *testing.T) {
-	base, cancel, done := startServeListener(t, Options{
-		ReadHeaderTimeout: 150 * time.Millisecond,
-		ShutdownTimeout:   time.Second,
+	base, cancel, done := startServeListener(t, Options{}, func(s *Server) {
+		s.readHeaderTimeout = 150 * time.Millisecond
+		s.shutdownTimeout = time.Second
 	})
 	defer func() {
 		cancel()
@@ -60,7 +62,7 @@ func TestServeListenerHeaderTimeout(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); isTimeout(err) {
-		t.Fatalf("connection still open past ReadHeaderTimeout (read err: %v)", err)
+		t.Fatalf("connection still open past readHeaderTimeout (read err: %v)", err)
 	}
 }
 
@@ -77,11 +79,10 @@ func isTimeout(err error) bool {
 // connected — this test fails there on the conn-severed assertion.
 func TestServeListenerShutdownForceClosesStalledWriter(t *testing.T) {
 	base, cancel, done := startServeListener(t, Options{
-		DataDir:         t.TempDir(),
-		Fsync:           "never",
-		FlushInterval:   -1,
-		ShutdownTimeout: 200 * time.Millisecond,
-	})
+		DataDir:       t.TempDir(),
+		Fsync:         "never",
+		FlushInterval: -1,
+	}, func(s *Server) { s.shutdownTimeout = 200 * time.Millisecond })
 	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +152,8 @@ func TestClientAckHeaderDiagnostics(t *testing.T) {
 func TestServeListenerGracefulShutdownStillDrains(t *testing.T) {
 	dir := t.TempDir()
 	base, cancel, done := startServeListener(t, Options{
-		DataDir: dir, Fsync: "never", FlushInterval: -1, ShutdownTimeout: 2 * time.Second,
-	})
+		DataDir: dir, Fsync: "never", FlushInterval: -1,
+	}, func(s *Server) { s.shutdownTimeout = 2 * time.Second })
 	c := NewClient(base)
 	if _, err := c.Write([]byte("web,metric=cpu value=0.5 500")); err != nil {
 		t.Fatal(err)

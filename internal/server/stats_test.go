@@ -65,7 +65,7 @@ func TestStatsScriptedLife(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := loadgen.Random(19, 80, 100, 1500)
+	pattern := loadgen.Random(19, 100, 100, 1500)
 	run := func() *RunInfo {
 		t.Helper()
 		info, err := c.RunPipeline()
@@ -75,8 +75,8 @@ func TestStatsScriptedLife(t *testing.T) {
 		return info
 	}
 
-	driveChunk(t, a, w, pattern[:60])
-	if _, err := w.WriteRemote(auxSamples("aux", 0, 60)); err != nil {
+	driveChunk(t, a, w, pattern[:80])
+	if _, err := w.WriteRemote(auxSamples("aux", 0, 80)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Write([]byte("not line protocol")); err == nil {
@@ -86,7 +86,7 @@ func TestStatsScriptedLife(t *testing.T) {
 		t.Fatal("out-of-range remote-write timestamp was accepted")
 	}
 	run()
-	driveChunk(t, a, w, pattern[60:])
+	driveChunk(t, a, w, pattern[80:])
 	run()
 
 	// Kill shard 0's WAL: with its directory replaced by a file the
@@ -107,7 +107,7 @@ func TestStatsScriptedLife(t *testing.T) {
 		"line protocol": func(b []tsdb.Sample) (int, error) { return w.Write(tsdb.EncodeLineProtocol(b)) },
 		"remote write":  w.WriteRemote,
 	} {
-		batch := auxSamples("late", 70, 1)
+		batch := auxSamples("late", 90, 1)
 		if n, err := write(batch); err == nil || n == 0 || n == len(batch) {
 			t.Fatalf("%s through a half-dead store: stored %d of %d, err %v; want a partial failure", name, n, len(batch), err)
 		}

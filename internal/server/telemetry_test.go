@@ -29,8 +29,7 @@ import (
 func obsOptions(clock func() int64) Options {
 	return Options{
 		AppName:            "chain",
-		WindowMS:           50 * 500,
-		MinWindowSamples:   32,
+		WindowMS:           64 * 500,
 		CallGraph:          chainGraph(),
 		SelfScrapeInterval: time.Hour, // enables the contract; no loop without Start
 		SelfScrapeClock:    clock,
@@ -62,7 +61,7 @@ func TestMetricsExpositionLints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveChunk(t, a, c, loadgen.Random(5, 60, 100, 1500))
+	driveChunk(t, a, c, loadgen.Random(5, 80, 100, 1500))
 	if _, err := s.RunPipelineOnce(context.Background()); err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
@@ -118,11 +117,8 @@ func TestMetricsExpositionLints(t *testing.T) {
 // sieved's own series become queryable under the reserved component.
 func TestSelfScrapeEquivalence(t *testing.T) {
 	const seed = 7
-	pattern := loadgen.Random(seed, 70, 100, 1500)
-	base := Options{
-		AppName: "chain", WindowMS: 50 * 500, MinWindowSamples: 32,
-		CallGraph: chainGraph(),
-	}
+	pattern := loadgen.Random(seed, 90, 100, 1500)
+	base := Options{AppName: "chain", WindowMS: 64 * 500, CallGraph: chainGraph()}
 
 	plain, plainHTTP, cPlain := newTestServer(t, base)
 	var ts atomic.Int64
@@ -224,7 +220,7 @@ func TestSelfScrapeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			var info *RunInfo
-			for _, chunk := range []loadgen.Pattern{pattern[:50], pattern[50:]} {
+			for _, chunk := range []loadgen.Pattern{pattern[:70], pattern[70:]} {
 				driveChunk(t, aObs, cObs, chunk)
 				driveChunk(t, aPlain, cPlain, chunk)
 				if _, err := plain.RunPipelineOnce(context.Background()); err != nil {
@@ -257,11 +253,8 @@ func TestSelfScrapeEquivalence(t *testing.T) {
 // ErrNoData ("waiting"), not a failing pipeline.
 func TestSelfScrapeWallClockSkew(t *testing.T) {
 	const seed = 11
-	pattern := loadgen.Random(seed, 70, 100, 1500)
-	base := Options{
-		AppName: "chain", WindowMS: 50 * 500, MinWindowSamples: 32,
-		CallGraph: chainGraph(),
-	}
+	pattern := loadgen.Random(seed, 90, 100, 1500)
+	base := Options{AppName: "chain", WindowMS: 64 * 500, CallGraph: chainGraph()}
 	plain, _, cPlain := newTestServer(t, base)
 	var ts atomic.Int64
 	ts.Store(1_700_000_000_000) // wall-clock ms, ~7 orders above app data
@@ -365,7 +358,7 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 	// after the life's last periodic self-scrape are covered by the one
 	// Close runs, so the next life boots anchored where this one ended
 	// and its first cycle, with no new write, equals the plain server's
-	// over the same 100 ticks. (A SIGKILLed life may still sit low until
+	// over the same 120 ticks. (A SIGKILLed life may still sit low until
 	// its next write.)
 	durable.DataDir = t.TempDir()
 	a3, err := app.New(chainSpec(), seed)
@@ -545,7 +538,6 @@ func TestDebugTracesRecordsSlowOps(t *testing.T) {
 func TestTelemetryConcurrentAccess(t *testing.T) {
 	var ts atomic.Int64
 	opts := obsOptions(func() int64 { return ts.Add(1) })
-	opts.MinWindowSamples = 8
 	opts.SlowOpThreshold = time.Nanosecond
 	opts.DataDir = t.TempDir()
 	opts.FlushInterval, opts.CompactInterval = -1, -1 // driven below
@@ -605,7 +597,7 @@ func TestTelemetryConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer writers.Done()
-			for i := 0; i < 56; i++ {
+			for i := 0; i < 96; i++ { // 192 ticks: cycles can run from the 64th on
 				if _, err := c.Write(writeBatch(w)); err != nil {
 					t.Error(err)
 				}

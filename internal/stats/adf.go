@@ -25,23 +25,6 @@ type ADFResult struct {
 // a constant and no trend (MacKinnon 2010), at 1%, 5% and 10%.
 var macKinnonConstOnly = [3]float64{-3.43, -2.86, -2.57}
 
-// DefaultADFLags returns the Schwert rule-of-thumb lag order
-// floor(12*(n/100)^(1/4)) capped so the regression keeps enough residual
-// degrees of freedom.
-func DefaultADFLags(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	l := int(math.Floor(12 * math.Pow(float64(n)/100, 0.25)))
-	if maxL := n/2 - 3; l > maxL {
-		l = maxL
-	}
-	if l < 0 {
-		l = 0
-	}
-	return l
-}
-
 // ADFWith runs the Augmented Dickey-Fuller test with a constant (no
 // trend):
 //
@@ -50,15 +33,12 @@ func DefaultADFLags(n int) int {
 // The null hypothesis is γ = 0 (unit root, non-stationary); it is rejected
 // when the t-statistic on γ is below the 5% MacKinnon critical value.
 // Sieve first-differences series that fail this test before Granger
-// analysis (§3.3). Pass lags < 0 to use DefaultADFLags. The lag design is
-// written directly into the caller-owned scratch's reusable flat matrix
-// and the regression runs through FitOLSWith, so a steady-state test
-// performs O(1) allocations.
+// analysis (§3.3), with lags = 0: the plain Dickey-Fuller regression.
+// lags must not be negative. The lag design is written directly into the
+// caller-owned scratch's reusable flat matrix and the regression runs
+// through FitOLSWith, so a steady-state test performs O(1) allocations.
 func ADFWith(y []float64, lags int, s *Scratch) (*ADFResult, error) {
 	n := len(y)
-	if lags < 0 {
-		lags = DefaultADFLags(n)
-	}
 	// Need rows = n-1-lags observations and 2+lags parameters with at
 	// least a few residual degrees of freedom.
 	rows := n - 1 - lags

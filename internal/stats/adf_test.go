@@ -104,23 +104,6 @@ func TestADFTooShort(t *testing.T) {
 	}
 }
 
-func TestDefaultADFLags(t *testing.T) {
-	tests := []struct {
-		n, want int
-	}{
-		{0, 0},
-		{100, 12},
-		{50, 10},
-		{16, 5},
-		{10, 2},
-	}
-	for _, tt := range tests {
-		if got := DefaultADFLags(tt.n); got != tt.want {
-			t.Errorf("DefaultADFLags(%d) = %d, want %d", tt.n, got, tt.want)
-		}
-	}
-}
-
 func TestEnsureStationary(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	walk := randomWalk(rng, 400)

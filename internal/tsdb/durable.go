@@ -22,9 +22,6 @@ type DurabilityOptions struct {
 	Dir string
 	// Fsync is the WAL fsync policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncInterval is the cadence of the background fsync ticker under
-	// the FsyncInterval policy (default 200ms).
-	FsyncInterval time.Duration
 	// FlushInterval is the cadence of the background flusher that
 	// checkpoints in-memory data into blocks and prunes the WAL (default
 	// 60s; negative disables the background flusher — checkpoints then
@@ -35,8 +32,6 @@ type DurabilityOptions struct {
 	// (0 keeps everything). Retention is block-granular: a block is
 	// removed only once every point in it is past the horizon.
 	RetentionMS int64
-	// SegmentBytes is the WAL segment roll threshold (default 8 MiB).
-	SegmentBytes int64
 	// CompactInterval is the cadence of the background compactor that
 	// merges adjacent small blocks and builds downsampled companions
 	// (default 5m; negative disables the background passes — compaction
@@ -53,15 +48,18 @@ type DurabilityOptions struct {
 	Downsample bool
 }
 
+const (
+	// fsyncTick is the cadence of the background fsync ticker under the
+	// FsyncInterval policy: the window of acknowledged writes a power
+	// loss can take.
+	fsyncTick = 200 * time.Millisecond
+	// walSegmentBytes is the WAL segment roll threshold.
+	walSegmentBytes = 8 << 20
+)
+
 func (o DurabilityOptions) withDefaults() DurabilityOptions {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 200 * time.Millisecond
-	}
 	if o.FlushInterval == 0 {
 		o.FlushInterval = 60 * time.Second
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
 	}
 	if o.CompactInterval == 0 {
 		o.CompactInterval = 5 * time.Minute
@@ -234,7 +232,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 		}
 	}
 	for i, sh := range s.shards {
-		w, err := openWALWriter(walShardDir(walRoot, i), opts.Fsync, opts.SegmentBytes, s.tel)
+		w, err := openWALWriter(walShardDir(walRoot, i), opts.Fsync, walSegmentBytes, s.tel)
 		if err != nil {
 			closeOnErr()
 			return nil, fmt.Errorf("tsdb: opening wal for shard %d: %w", i, err)
@@ -309,7 +307,7 @@ func maxRecordedCut(blocks []*block, shard int) uint64 {
 // fsyncLoop flushes dirty WAL segments on a ticker (FsyncInterval policy).
 func (d *durable) fsyncLoop(s *Sharded) {
 	defer d.wg.Done()
-	t := time.NewTicker(d.opts.FsyncInterval)
+	t := time.NewTicker(fsyncTick)
 	defer t.Stop()
 	for {
 		select {

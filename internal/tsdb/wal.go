@@ -20,7 +20,7 @@ type FsyncPolicy int
 const (
 	// FsyncInterval (the default) leaves appends in the OS page cache and
 	// fsyncs from a background ticker, bounding the post-crash loss window
-	// to DurabilityOptions.FsyncInterval of writes.
+	// to 200ms (fsyncTick) of writes.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways fsyncs after every appended batch: zero loss on power
 	// failure, at the cost of one disk flush per write.

@@ -148,13 +148,12 @@ func BenchmarkOnlineCycle(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			opts := ServerOptions{
-				AppName:          "bench",
-				Shards:           4,
-				StepMS:           obStepMS,
-				WindowMS:         obWindowSteps * obStepMS,
-				MinWindowSamples: 64,
-				CallGraph:        obGraph(c.comps),
-				Incremental:      c.engine != "batch",
+				AppName:     "bench",
+				Shards:      4,
+				StepMS:      obStepMS,
+				WindowMS:    obWindowSteps * obStepMS,
+				CallGraph:   obGraph(c.comps),
+				Incremental: c.engine != "batch",
 			}
 			srv, err := NewServer(opts)
 			if err != nil {

@@ -48,6 +48,22 @@ func TestRunParallelismDeterminism(t *testing.T) {
 	}
 }
 
+// canceledAtTick is a context that reports cancellation once the
+// simulated application has advanced tick ticks; the capture loop polls
+// Err between steps.
+type canceledAtTick struct {
+	context.Context
+	app  *App
+	tick int64
+}
+
+func (c canceledAtTick) Err() error {
+	if c.app.Now() >= c.tick*c.app.TickMS() {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
 // TestRunContextCancellation asserts context.Canceled surfaces promptly
 // from mid-pipeline: the capture stage is canceled a few ticks in, and
 // the simulation must not have drained the (huge) remaining pattern.
@@ -56,16 +72,8 @@ func TestRunContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const cancelAt = 10
-	opts := DefaultPipelineOptions()
-	opts.Capture.OnTick = func(tick int, _ int64) {
-		if tick == cancelAt {
-			cancel()
-		}
-	}
-	_, _, err = core.RunContext(ctx, app, ConstantLoad(500, 100000), opts)
+	ctx := canceledAtTick{Context: context.Background(), app: app, tick: 10}
+	_, _, err = core.RunContext(ctx, app, ConstantLoad(500, 100000), DefaultPipelineOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

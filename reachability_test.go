@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,10 +54,11 @@ func TestEveryFunctionIsReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
-	unreachable, err := unreachableFunctions(".")
+	l, err := checkedModule()
 	if err != nil {
 		t.Fatal(err)
 	}
+	unreachable := unreachableFunctions(l)
 	if len(reachabilityAllow) > 25 {
 		t.Errorf("reachabilityAllow has %d entries, the ceiling is 25", len(reachabilityAllow))
 	}
@@ -165,8 +167,8 @@ func (l *reachLoader) load(rel string) (*reachPkg, error) {
 	return p, nil
 }
 
-// unreachableFunctions runs the walk over the module rooted at dir.
-func unreachableFunctions(dir string) ([]unreachableFunc, error) {
+// loadModule type-checks every package of the module rooted at dir.
+func loadModule(dir string) (*reachLoader, error) {
 	fset := token.NewFileSet()
 	// The standard library is checked without cgo so the walk needs no C
 	// toolchain; the pure-Go fallbacks declare the same API.
@@ -196,6 +198,17 @@ func unreachableFunctions(dir string) ([]unreachableFunc, error) {
 	if err != nil {
 		return nil, err
 	}
+	return l, nil
+}
+
+// checkedModule is the one type-check pass TestEveryFunctionIsReachable
+// and TestEveryOptionIsSet share.
+var checkedModule = sync.OnceValues(func() (*reachLoader, error) { return loadModule(".") })
+
+// unreachableFunctions walks the static references from the roots and
+// returns every function declaration the walk did not visit.
+func unreachableFunctions(l *reachLoader) []unreachableFunc {
+	fset := l.fset
 
 	// Interface method names: every interface declared or written inline
 	// in the module, and every named interface of a package the module
@@ -317,7 +330,7 @@ func unreachableFunctions(dir string) ([]unreachableFunc, error) {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out, nil
+	return out
 }
 
 // recvTypeName returns the receiver's type name without pointer or type
@@ -339,4 +352,179 @@ func recvTypeName(e ast.Expr) string {
 			return "?"
 		}
 	}
+}
+
+// optionAllow lists the fields of an *Options/*Config struct that no
+// command, example or benchmark sets and that stay anyway, each with the
+// reason. TestEveryOptionIsSet fails when an entry becomes set or
+// disappears, so the list cannot outlive its reasons.
+var optionAllow = map[string]string{
+	"internal/kshape.Options.MaxIterations": "the orbit cut-off's exactness check: TestKernelPeriodicCutoffMatchesFullRun holds the jump to the final state equal to the run-every-iteration reference at each phase of the orbit, and only a bound of a few iterations lands on each phase",
+}
+
+// TestEveryOptionIsSet holds the rule "an option is something a command,
+// an example or the benchmark sets": a field of a struct named *Options
+// or *Config (outside bench/) that nothing but its own withDefaults
+// writes has one value in use, so it is a constant. A write is a
+// composite-literal key (or position), an assignment's left-hand side, a
+// ++/--, or an address taken (&opts.F, how a flag would bind); fields
+// are resolved through go/types, so same-named fields of different
+// structs do not alias. Writers are the files TestEveryFunctionIsReachable
+// walks: _test.go outside bench/ is not one.
+func TestEveryOptionIsSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	l, err := checkedModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := optionFields(l)
+	if len(optionAllow) > 5 {
+		t.Errorf("optionAllow has %d entries, the ceiling is 5", len(optionAllow))
+	}
+	unset := make(map[string]bool)
+	var unexpected []string
+	for _, f := range fields {
+		if f.set {
+			continue
+		}
+		unset[f.name] = true
+		if _, ok := optionAllow[f.name]; !ok {
+			unexpected = append(unexpected, fmt.Sprintf("%s (%s)", f.name, f.pos))
+		}
+	}
+	t.Logf("%d option fields, %d of them unset", len(fields), len(unset))
+	if len(unexpected) > 0 {
+		t.Errorf("%d option fields no command, example or benchmark sets (make each a constant, or allow-list it with its reason):\n  %s",
+			len(unexpected), strings.Join(unexpected, "\n  "))
+	}
+	for name, reason := range optionAllow {
+		if !unset[name] {
+			t.Errorf("optionAllow entry %q (%s) is set or gone: drop the entry", name, reason)
+		}
+	}
+}
+
+// optionField is one field of an *Options/*Config struct.
+type optionField struct {
+	name string // "internal/server.Options.Shards"
+	pos  string // file:line
+	set  bool   // written outside its struct's own withDefaults
+}
+
+// optionFields lists every field of every *Options/*Config struct
+// declared outside bench/, and whether any loaded file writes it.
+func optionFields(l *reachLoader) []optionField {
+	byVar := make(map[*types.Var]*optionField)
+	owner := make(map[*types.Var]*types.TypeName)
+	for _, p := range l.pkgs {
+		if p.rel == "bench" || strings.HasPrefix(p.rel, "bench/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			prefix := p.rel + "."
+			if p.rel == "." {
+				prefix = "sieve."
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				pos := l.fset.Position(f.Pos())
+				byVar[f] = &optionField{
+					name: prefix + name + "." + f.Name(),
+					pos:  fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
+				}
+				owner[f] = tn
+			}
+		}
+	}
+
+	for _, p := range l.pkgs {
+		for _, file := range p.files {
+			for _, d := range file.Decls {
+				// Writes inside T.withDefaults to T's own fields are the
+				// defaulting of an unset option, not a caller setting it.
+				var defaultsOf *types.TypeName
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+					if named, ok := derefType(p.info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()).(*types.Named); ok {
+						defaultsOf = named.Obj()
+					}
+				}
+				mark := func(v *types.Var) {
+					v = v.Origin()
+					if f := byVar[v]; f != nil && (defaultsOf == nil || owner[v] != defaultsOf) {
+						f.set = true
+					}
+				}
+				markSelector := func(e ast.Expr) {
+					for {
+						paren, ok := e.(*ast.ParenExpr)
+						if !ok {
+							break
+						}
+						e = paren.X
+					}
+					if se, ok := e.(*ast.SelectorExpr); ok {
+						if sel := p.info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+							mark(sel.Obj().(*types.Var))
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := derefType(p.info.Types[n].Type).Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									mark(v)
+								}
+							} else if i < st.NumFields() {
+								mark(st.Field(i))
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							markSelector(lhs)
+						}
+					case *ast.IncDecStmt:
+						markSelector(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							markSelector(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	out := make([]optionField, 0, len(byVar))
+	for _, f := range byVar {
+		out = append(out, *f)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// derefType strips one pointer, so &T{...} literals and pointer
+// receivers resolve to T.
+func derefType(t types.Type) types.Type {
+	if ptr, ok := t.(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
 }

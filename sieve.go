@@ -123,16 +123,23 @@ type Reduction = core.Reduction
 // lags and significance.
 type DependencyGraph = core.DependencyGraph
 
-// PipelineOptions bundles per-step pipeline options.
+// PipelineOptions bundles the options of steps 2 and 3. Step 1 has none
+// here: Run scrapes every metric on every tick.
 type PipelineOptions = core.PipelineOptions
 
-// CaptureOptions tunes step 1 (scrape cadence, tracer size, allowlist).
+// CaptureOptions tunes step 1: the allowlist that restricts collection
+// to a reduction's representatives. Scrape cadence (every tick) and the
+// tracer ring (1<<18 events) are constants.
 type CaptureOptions = core.CaptureOptions
 
-// ReduceOptions tunes step 2 (cluster count range, variance threshold).
+// ReduceOptions tunes step 2 (cluster count range, variance threshold,
+// name seeding); every caller passes DefaultPipelineOptions' values, the
+// paper's.
 type ReduceOptions = core.ReduceOptions
 
-// DepOptions tunes step 3 (delay bound, significance level).
+// DepOptions tunes step 3: the delay bound the Granger lag order derives
+// from. The significance level (0.05) and the bidirectional-edge filter
+// are the paper's and fixed.
 type DepOptions = core.DepOptions
 
 // AutoscaleRule is one threshold scaling rule.
@@ -144,7 +151,9 @@ type AutoscaleEngine = autoscale.Engine
 // SLATracker counts violations of a p90-latency SLA.
 type SLATracker = autoscale.SLATracker
 
-// RCAOptions tunes the root-cause-analysis engine.
+// RCAOptions tunes the root-cause-analysis engine: the inter-version
+// cluster similarity threshold (a cluster is novel from one new or
+// discarded member on, a constant).
 type RCAOptions = rca.Options
 
 // RCAReport is the five-step RCA output: component novelty ranking,
@@ -258,8 +267,16 @@ type Server = server.Server
 // over long retention — and incremental window assembly: Incremental
 // carries the window cache across pipeline cycles (tail-only store
 // reads, bit-identical results; a write behind the cached end makes
-// the next cycle reassemble the window).
+// the next cycle reassemble the window). It has a field for what a
+// command, an example or the benchmark sets; the analysis parameters
+// (the paper's), the request-body bound, the 429's Retry-After and the
+// listener's header-read and shutdown-drain timeouts are constants of
+// the server.
 type ServerOptions = server.Options
+
+// MinWindowSamples is the fewest grid steps (WindowMS / StepMS) a
+// server's analysis window may span; NewServer refuses fewer.
+const MinWindowSamples = server.MinWindowSamples
 
 // ServerClient speaks the sieved HTTP API. It implements the store's
 // Write contract, so a MetricCollector pointed at a client ships scrapes
