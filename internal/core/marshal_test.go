@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/app"
+	"github.com/sieve-microservices/sieve/internal/app/sharelatex"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
+	"github.com/sieve-microservices/sieve/internal/jsonenc"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
@@ -246,5 +249,67 @@ func TestMarshalArtifactNil(t *testing.T) {
 	}
 	if _, err := MarshalArtifact(&Artifact{}); err == nil {
 		t.Error("expected error for artifact without dataset")
+	}
+}
+
+// appendFloatStrconv is jsonenc.AppendFloat without its short-decimal fast
+// path: encoding/json's float format straight from strconv.
+func appendFloatStrconv(out []byte, v float64) []byte {
+	abs := math.Abs(v)
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		out = strconv.AppendFloat(out, v, 'e', -1, 64)
+		if n := len(out); n >= 4 && out[n-4] == 'e' && (out[n-3] == '-' || out[n-3] == '+') && out[n-2] == '0' {
+			out[n-2] = out[n-1]
+			out = out[:n-1]
+		}
+		return out
+	}
+	return strconv.AppendFloat(out, v, 'f', -1, 64)
+}
+
+// benchSink keeps the benchmarked output observable.
+var benchSink []byte
+
+// BenchmarkAppendFloatArtifact times jsonenc.AppendFloat against plain
+// strconv on the series values MarshalArtifact formats for a 120-tick
+// `cmd/sieve -save` artifact (ShareLatex, seed 42). Few of them are short
+// decimals, so this is the cost of the fast path's rejection; jsonenc's
+// BenchmarkAppendFloat has the mixes it serves. ns/op is per value.
+func BenchmarkAppendFloatArtifact(b *testing.B) {
+	a, err := sharelatex.New(42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, _, err := Run(a, loadgen.Random(43, 120, 150, 2000), PipelineOptions{Reduce: DefaultReduceOptions()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var vals []float64
+	hits := 0
+	for _, comp := range art.Dataset.Components() {
+		for _, metric := range art.Dataset.MetricNames(comp) {
+			for _, v := range art.Dataset.Series[comp][metric].Values {
+				if abs := math.Abs(v); abs >= 1e-4 && abs*1e4 < 1<<43 && math.Round(abs*1e4)/1e4 == abs {
+					hits++
+				}
+				vals = append(vals, v)
+			}
+		}
+	}
+	for _, enc := range []struct {
+		name string
+		fn   func([]byte, float64) []byte
+	}{{"fast", jsonenc.AppendFloat}, {"strconv", appendFloatStrconv}} {
+		b.Run(enc.name, func(b *testing.B) {
+			buf := make([]byte, 0, 64)
+			for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
+				if j == len(vals) {
+					j = 0
+				}
+				buf = enc.fn(buf[:0], vals[j])
+			}
+			benchSink = buf
+			b.ReportMetric(float64(hits)/float64(len(vals)), "hit_share")
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package jsonenc
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -11,7 +13,7 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 	cases := []string{
 		"", "plain", "comp-0001/metric_07", "with space", `quo"te`, `back\slash`,
 		"<script>", "a&b", "a>b", "tab\there", "nl\n", "\x00\x1f", "\x7f",
-		"café", "  ", "bad\xffutf8", "\xc3", "日本語", "\b\f",
+		"café", "\u2028\u2029", "bad\xffutf8", "\xc3", "日本語", "\b\f",
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
@@ -33,6 +35,21 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// checkFloat holds AppendFloat(v) to encoding/json byte for byte.
+func checkFloat(t testing.TB, v float64) {
+	t.Helper()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := AppendFloat(nil, v); !bytes.Equal(got, want) {
+		t.Errorf("%v (%#x): got %s, want %s", v, math.Float64bits(v), got, want)
+	}
+}
+
 func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 	cases := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.1, 100, 1e20, 1e21, 1.5e21, 1e22, 1e100, 1e-6, 9.99e-7, 1e-7,
@@ -48,15 +65,137 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 		cases = append(cases, v, math.Round(v*100)/100, float64(rng.Int63n(1<<40)))
 	}
 	for _, v := range cases {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
+		checkFloat(t, v)
+	}
+}
+
+// TestAppendFloatShortDecimals covers the short-decimal fast path densely:
+// the random doubles above almost never land in it, so every hit, every
+// near miss and both edges of its range are enumerated here.
+func TestAppendFloatShortDecimals(t *testing.T) {
+	var cases []float64
+	withNeighbours := func(v float64) {
+		cases = append(cases, v, -v,
+			math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)),
+			-math.Nextafter(v, math.Inf(1)), -math.Nextafter(v, math.Inf(-1)))
+	}
+	rng := rand.New(rand.NewSource(3))
+	pow10 := []float64{1, 10, 100, 1e3, 1e4, 1e5}
+	// n/10^k for k ≤ 4: every small n, then n spread over (and past) the
+	// fast path's range. k = 5 adds the x.xxxx5 halves and other
+	// five-digit near misses.
+	for k, p := range pow10 {
+		for n := 0; n < 3000; n++ {
+			withNeighbours(float64(n) / p)
 		}
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 3000; i++ {
+			withNeighbours(float64(rng.Int63n(1<<45)) / p)
+			if k == 5 {
+				withNeighbours(float64(rng.Int63n(1<<40)*10+5) / p)
+			}
 		}
-		if got := AppendFloat(nil, v); string(got) != string(want) {
-			t.Errorf("%v: got %s, want %s", v, got, want)
+	}
+	// Edges: the classic non-short sum, the low bound and its
+	// predecessor, negative zero, and the high bound |v|·1e4 = 2^43.
+	top := float64(1<<43) / 1e4
+	cases = append(cases,
+		0.1+0.2, 1e-4, math.Nextafter(1e-4, 0), math.Copysign(0, -1), 0.00015, 0.0001234,
+		879609302.2207, 879609302.2208, 879609302.2209, 879609302.221, 879609303, 879609302,
+	)
+	withNeighbours(top)
+	for i := 1; i < 64; i++ {
+		withNeighbours(top + float64(i)*1e-4)
+		withNeighbours(top - float64(i)*1e-4)
+	}
+	// The dashboard generator's values: cent walks, counters that drift
+	// off the cent grid as integer steps accumulate, and the 4-point
+	// averages the decode shape serves.
+	for s := 0; s < 64; s++ {
+		walk := math.Round(rng.Float64()*1000*100) / 100
+		counter := walk
+		for i := 0; i < 500; i++ {
+			walk = math.Round((walk+rng.NormFloat64()*3)*100) / 100
+			counter += float64(rng.Intn(64))
+			cases = append(cases, walk, -walk, counter, counter/4, (walk+counter)/4)
+		}
+	}
+	for _, v := range cases {
+		checkFloat(t, v)
+	}
+}
+
+// FuzzAppendFloat holds AppendFloat to encoding/json byte for byte on
+// arbitrary doubles and, so that every input also exercises the fast
+// path, on the four-decimal value nearest each and its ulp neighbours.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{0, 1, -1, 0.1, 12.34, 1e-4, 879609302.2208, 0.30000000000000004, 1e21, 5e-324} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		short := math.Round(v*1e4) / 1e4
+		for _, x := range []float64{v, short, math.Nextafter(short, math.Inf(1)), math.Nextafter(short, math.Inf(-1))} {
+			checkFloat(t, x)
+		}
+	})
+}
+
+// appendFloatStrconv is AppendFloat without the short-decimal fast
+// path: the cost every value paid before it.
+func appendFloatStrconv(out []byte, v float64) []byte {
+	abs := math.Abs(v)
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		out = strconv.AppendFloat(out, v, 'e', -1, 64)
+		if n := len(out); n >= 4 && out[n-4] == 'e' && (out[n-3] == '-' || out[n-3] == '+') && out[n-2] == '0' {
+			out[n-2] = out[n-1]
+			out = out[:n-1]
+		}
+		return out
+	}
+	return strconv.AppendFloat(out, v, 'f', -1, 64)
+}
+
+// benchSink keeps the benchmarked output observable.
+var benchSink []byte
+
+// BenchmarkAppendFloat times the fast path against plain strconv on two
+// mixes the dashboard serves: a cent random walk (all hits) and counters
+// that drift off the cent grid. ns/op is per value. The mostly-miss mix,
+// where the fast path's rejection is pure overhead, is an analysis
+// artifact's numbers: core's BenchmarkAppendFloatArtifact.
+func BenchmarkAppendFloat(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var cents, counters []float64
+	walk, counter := 512.37, 804.11
+	for i := 0; i < 4096; i++ {
+		walk = math.Round((walk+rng.NormFloat64()*3)*100) / 100
+		counter += float64(rng.Intn(64))
+		cents, counters = append(cents, walk), append(counters, counter)
+	}
+	for _, mix := range []struct {
+		name string
+		vals []float64
+	}{{"cents", cents}, {"counters", counters}} {
+		hits := 0
+		for _, v := range mix.vals {
+			if abs := math.Abs(v); abs >= 1e-4 && abs*1e4 < 1<<43 && math.Round(abs*1e4)/1e4 == abs {
+				hits++
+			}
+		}
+		for _, enc := range []struct {
+			name string
+			fn   func([]byte, float64) []byte
+		}{{"fast", AppendFloat}, {"strconv", appendFloatStrconv}} {
+			b.Run(mix.name+"/"+enc.name, func(b *testing.B) {
+				buf := make([]byte, 0, 64)
+				for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
+					if j == len(mix.vals) {
+						j = 0
+					}
+					buf = enc.fn(buf[:0], mix.vals[j])
+				}
+				benchSink = buf
+				b.ReportMetric(float64(hits)/float64(len(mix.vals)), "hit_share")
+			})
 		}
 	}
 }

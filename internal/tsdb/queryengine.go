@@ -1,9 +1,11 @@
 package tsdb
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -337,13 +339,15 @@ func scanChunkWith(it *chunkIter, chunk []byte, from, to int64, sink pointSink) 
 	}
 }
 
-// bucket accumulates one step bucket, seeded by its first contribution
-// (no sentinel extrema: comparison-based updates then treat NaN the same
-// way the naive reference does). first/last follow feed order among
-// equal timestamps: the first point fed with the minimal T stays first,
-// the last point fed with the maximal T becomes last — exactly the order
-// a stable sort by T would produce from the storage-order feed.
+// bucket accumulates one step bucket (index idx on the grid), seeded by
+// its first contribution (no sentinel extrema: comparison-based updates
+// then treat NaN the same way the naive reference does). first/last
+// follow feed order among equal timestamps: the first point fed with the
+// minimal T stays first, the last point fed with the maximal T becomes
+// last — exactly the order a stable sort by T would produce from the
+// storage-order feed.
 type bucket struct {
+	idx           uint64
 	count         int64
 	min, max, sum float64
 	firstT, lastT int64
@@ -356,29 +360,39 @@ type bucket struct {
 // avg always decode — a per-chunk subtotal would change float rounding,
 // and results must be bit-identical to a naive point-by-point
 // reference).
+//
+// Buckets are kept by value in the order they were opened. Storage order
+// is time order for in-order ingest, so each new bucket lies past the
+// tail and is appended: no allocation per bucket, no map, no sort. Only
+// when a contribution lands behind the tail (late data after a
+// checkpoint, a backfill, a jittered chunk) is the index from bucket to
+// position built, once per scan; from then on every bucket goes through
+// it and points sorts the buckets at the end.
 type aggregator struct {
 	agg      Agg
 	from     int64
 	step     uint64
 	pushdown bool
-	buckets  map[uint64]*bucket
-	// last is the bucket the previous contribution landed in (index
-	// lastIdx): points arrive in time order within a chunk, so consecutive
-	// ones almost always share a bucket and skip the map.
-	last    *bucket
-	lastIdx uint64
+	buckets  []bucket
+	// last is the position of the bucket the previous contribution landed
+	// in: points arrive in time order within a chunk, so consecutive ones
+	// almost always share a bucket. Without an index it is the tail.
+	last  int
+	index map[uint64]int
 }
 
-func newAggregator(agg Agg, from, stepMS int64) *aggregator {
-	return &aggregator{
-		agg:  agg,
-		from: from,
-		step: uint64(stepMS),
+// reset readies the aggregator for a new scan under q, keeping the
+// bucket slice's storage.
+func (a *aggregator) reset(q RangeQuery) {
+	*a = aggregator{
+		agg:  q.Agg,
+		from: q.From,
+		step: uint64(q.StepMS),
 		// Order-independent facts come straight from chunk summaries;
 		// sum/avg accumulate point by point to keep rounding identical to
 		// the naive reference.
-		pushdown: agg == AggMin || agg == AggMax || agg == AggCount || agg == AggRate,
-		buckets:  map[uint64]*bucket{},
+		pushdown: q.Agg == AggMin || q.Agg == AggMax || q.Agg == AggCount || q.Agg == AggRate,
+		buckets:  a.buckets[:0],
 	}
 }
 
@@ -397,28 +411,45 @@ func (a *aggregator) bucketStart(idx uint64) int64 {
 
 // lookup returns the bucket at idx, nil if nothing has landed there yet.
 func (a *aggregator) lookup(idx uint64) *bucket {
-	if a.last != nil && a.lastIdx == idx {
-		return a.last
+	if len(a.buckets) == 0 {
+		return nil
 	}
-	b := a.buckets[idx]
-	if b != nil {
-		a.last, a.lastIdx = b, idx
+	if b := &a.buckets[a.last]; b.idx == idx {
+		return b
 	}
-	return b
+	if a.index == nil {
+		if idx > a.buckets[len(a.buckets)-1].idx {
+			return nil // past the tail: the storage-order case
+		}
+		a.index = make(map[uint64]int, len(a.buckets))
+		for i := range a.buckets {
+			a.index[a.buckets[i].idx] = i
+		}
+	}
+	i, ok := a.index[idx]
+	if !ok {
+		return nil
+	}
+	a.last = i
+	return &a.buckets[i]
 }
 
-// open starts the bucket at idx with its first contribution.
-func (a *aggregator) open(idx uint64, b *bucket) {
-	a.buckets[idx] = b
-	a.last, a.lastIdx = b, idx
+// open appends b, a bucket lookup found empty, with its first
+// contribution.
+func (a *aggregator) open(b bucket) {
+	a.last = len(a.buckets)
+	a.buckets = append(a.buckets, b)
+	if a.index != nil {
+		a.index[b.idx] = a.last
+	}
 }
 
 func (a *aggregator) add(p Point) {
 	idx := a.bucketIdx(p.T)
 	b := a.lookup(idx)
 	if b == nil {
-		a.open(idx, &bucket{
-			count: 1, min: p.V, max: p.V, sum: p.V,
+		a.open(bucket{
+			idx: idx, count: 1, min: p.V, max: p.V, sum: p.V,
 			firstT: p.T, firstV: p.V, lastT: p.T, lastV: p.V,
 		})
 		return
@@ -450,8 +481,8 @@ func (a *aggregator) chunk(c chunkAgg) bool {
 	}
 	b := a.lookup(idx)
 	if b == nil {
-		a.open(idx, &bucket{
-			count: int64(c.Count), min: c.MinV, max: c.MaxV,
+		a.open(bucket{
+			idx: idx, count: int64(c.Count), min: c.MinV, max: c.MaxV,
 			firstT: c.MinT, firstV: c.FirstV, lastT: c.MaxT, lastV: c.LastV,
 		})
 		return true
@@ -474,21 +505,16 @@ func (a *aggregator) chunk(c chunkAgg) bool {
 	return true
 }
 
-// points materializes the non-empty buckets in time order: one point per
-// bucket, T = bucket start. Rate buckets whose points share a single
-// timestamp are omitted.
-func (a *aggregator) points() []Point {
-	if len(a.buckets) == 0 {
-		return nil
+// points appends the non-empty buckets to out in time order: one point
+// per bucket, T = bucket start. Rate buckets whose points share a single
+// timestamp are omitted. Buckets opened in storage order are already in
+// time order; only a scan that built the index sorts them.
+func (a *aggregator) points(out []Point) []Point {
+	if a.index != nil {
+		slices.SortFunc(a.buckets, func(x, y bucket) int { return cmp.Compare(x.idx, y.idx) })
 	}
-	idxs := make([]uint64, 0, len(a.buckets))
-	for idx := range a.buckets {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	out := make([]Point, 0, len(idxs))
-	for _, idx := range idxs {
-		b := a.buckets[idx]
+	for i := range a.buckets {
+		b := &a.buckets[i]
 		var v float64
 		switch a.agg {
 		case AggMin:
@@ -509,7 +535,7 @@ func (a *aggregator) points() []Point {
 			dtMS := uint64(b.lastT) - uint64(b.firstT)
 			v = (b.lastV - b.firstV) * 1000 / float64(dtMS)
 		}
-		out = append(out, Point{T: a.bucketStart(idx), V: v})
+		out = append(out, Point{T: a.bucketStart(b.idx), V: v})
 	}
 	return out
 }
@@ -561,29 +587,37 @@ func (s *Sharded) scanSeries(key string, from, to int64, sink pointSink) error {
 	return s.shards[s.shardIndex(key)].scan(key, from, to, sink)
 }
 
+// seriesScratch is one reader's reusable sink state: the point buffer a
+// raw scan collects into (and an aggregated one materializes into), and
+// the aggregator with its buckets. Both are truncated between series, so
+// a fan-out worker allocates them once however many series it answers.
+type seriesScratch struct {
+	raw rawSink
+	agg aggregator
+}
+
 // evalSeries answers a query for one series: raw points stably sorted by
 // time (equal timestamps keep arrival order), or one point per non-empty
 // step bucket — aggregated queries never materialize raw points. The
-// response size is charged to network-out once, here: 16 bytes per
-// returned point (timestamp + float64).
-func (s *Sharded) evalSeries(key string, q RangeQuery) ([]Point, error) {
-	var pts []Point
+// answer lives in sc until its next use. The response size is charged to
+// network-out once, here: 16 bytes per returned point (timestamp +
+// float64).
+func (s *Sharded) evalSeries(key string, q RangeQuery, sc *seriesScratch) ([]Point, error) {
+	sc.raw.pts = sc.raw.pts[:0]
 	if q.Agg == AggNone {
-		var raw rawSink
-		if err := s.scanSeries(key, q.From, q.To, &raw); err != nil {
+		if err := s.scanSeries(key, q.From, q.To, &sc.raw); err != nil {
 			return nil, err
 		}
-		pts = raw.pts
-		sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+		slices.SortStableFunc(sc.raw.pts, func(a, b Point) int { return cmp.Compare(a.T, b.T) })
 	} else {
-		acc := newAggregator(q.Agg, q.From, q.StepMS)
-		if err := s.scanSeries(key, q.From, q.To, acc); err != nil {
+		sc.agg.reset(q)
+		if err := s.scanSeries(key, q.From, q.To, &sc.agg); err != nil {
 			return nil, err
 		}
-		pts = acc.points()
+		sc.raw.pts = sc.agg.points(sc.raw.pts)
 	}
-	s.netOut.Add(16 * int64(len(pts)))
-	return pts, nil
+	s.netOut.Add(16 * int64(len(sc.raw.pts)))
+	return sc.raw.pts, nil
 }
 
 // Query returns the points of component/metric with T in [from, to) in
@@ -596,14 +630,16 @@ func (s *Sharded) Query(component, metric string, from, to int64) ([]Point, erro
 	if i := sort.SearchStrings(keys, key); i == len(keys) || keys[i] != key {
 		return nil, fmt.Errorf("%w %q", ErrUnknownSeries, key)
 	}
-	return s.evalSeries(key, RangeQuery{From: from, To: to})
+	var sc seriesScratch // the answer's only owner: no copy needed
+	return s.evalSeries(key, RangeQuery{From: from, To: to}, &sc)
 }
 
 // QueryRange evaluates a matcher/aggregation query: the matched series
 // are fanned out across a worker pool and merged in series-key order, so
 // the result is identical at any shard count and worker count
-// (runtime.GOMAXPROCS(0) workers). Series with
-// no points in the range are omitted.
+// (runtime.GOMAXPROCS(0) workers, each with its own seriesScratch; a
+// series' answer leaves it as one exact-size copy). Series with no
+// points in the range are omitted.
 //
 // Each series is read under its own checkpoint-cut hold (see scanSeries),
 // not one hold across the fan-out. Against the cut itself that costs no
@@ -623,13 +659,15 @@ func (s *Sharded) QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult,
 	}
 	keys := q.matchKeys(s.catalogKeys())
 	results := make([]SeriesResult, len(keys))
-	err := parallel.ForEach(ctx, 0, len(keys), func(_ context.Context, i int) error {
-		pts, err := s.evalSeries(keys[i], q)
+	workers := parallel.Workers(0)
+	scratch := make([]seriesScratch, workers)
+	err := parallel.ForEachWorker(ctx, workers, len(keys), func(_ context.Context, w, i int) error {
+		pts, err := s.evalSeries(keys[i], q, &scratch[w])
 		if err != nil {
 			return err
 		}
 		component, metric := splitKey(keys[i])
-		results[i] = SeriesResult{Component: component, Metric: metric, Points: pts}
+		results[i] = SeriesResult{Component: component, Metric: metric, Points: slices.Clone(pts)}
 		return nil
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -468,6 +469,163 @@ func TestQueryEngineEquivalenceJitteredDurable(t *testing.T) {
 		got := engineQuery(t, s, q)
 		if ref := refQueryRange(t, s, q); !sameResults(got, ref) {
 			t.Fatalf("%+v: engine %s != reference %s", q, describeResults(got), describeResults(ref))
+		}
+	}
+}
+
+// sameResultBits is sameResults with values compared by bit pattern, so
+// NaN answers compare equal to themselves.
+func sameResultBits(a, b []SeriesResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Component != b[i].Component || a[i].Metric != b[i].Metric || len(a[i].Points) != len(b[i].Points) {
+			return false
+		}
+		for j, p := range a[i].Points {
+			q := b[i].Points[j]
+			if p.T != q.T || math.Float64bits(p.V) != math.Float64bits(q.V) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestQueryEngineOutOfOrderAggregation pins the aggregator's slice-backed
+// buckets where storage order is not time order, so buckets open behind
+// the tail and the scan falls back to its index: a late write behind the
+// tail after a checkpoint, a reverse-order backfill split across a
+// checkpoint, duplicate timestamps on and around bucket edges, and
+// NaN-bearing chunks (never summarized) landing behind the tail. Every
+// aggregation at every step is compared with the naive reference at
+// shards {1, 4} and GOMAXPROCS {1, machine}.
+func TestQueryEngineOutOfOrderAggregation(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	const n = 2000 // points per series before the checkpoint
+	var before, after []Sample
+	for i := 0; i < n; i++ {
+		before = append(before, Sample{Component: "late", Metric: "m", T: int64(i) * 10, V: float64(i % 37)})
+		// The backfill arrives newest first: the blocks get the high half,
+		// memory the low half, each stored in descending chunks.
+		before = append(before, Sample{Component: "back", Metric: "m", T: int64(2*n-1-i) * 10, V: float64(i) * 0.25})
+		after = append(after, Sample{Component: "back", Metric: "m", T: int64(n-1-i) * 10, V: float64(i) * 0.5})
+	}
+	for i := 100; i < 600; i += 7 {
+		after = append(after, Sample{Component: "late", Metric: "m", T: int64(i)*10 + 5, V: -float64(i)})
+	}
+	after = append(after, Sample{Component: "late", Metric: "m", T: n * 10, V: 1})
+	for k := int64(0); k < 200; k++ {
+		for r := 0; r < 3; r++ {
+			s := Sample{Component: "dup", Metric: "m", T: k * 100, V: float64(k*3) + float64(r)}
+			edge := Sample{Component: "dup", Metric: "m", T: k*100 + 99, V: float64(r) - float64(k)}
+			if r == 2 {
+				after = append(after, s, edge)
+			} else {
+				before = append(before, s, edge)
+			}
+		}
+	}
+	for i := 0; i < 2*blockSize; i++ {
+		v := float64(i % 11)
+		if i%blockSize == 3 {
+			v = math.NaN()
+		}
+		// One NaN chunk in order before the checkpoint, one behind the tail
+		// after it.
+		before = append(before, Sample{Component: "nan", Metric: "m", T: int64(blockSize+i) * 20, V: v})
+		if i < blockSize {
+			after = append(after, Sample{Component: "nan", Metric: "m", T: int64(i)*20 + 1, V: v})
+		}
+	}
+	const span = 2 * n * 10
+	for _, shards := range []int{1, 4} {
+		s, err := OpenSharded(shards, DurabilityOptions{Dir: t.TempDir(), FlushInterval: -1, CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteSamples(before, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteSamples(after, 0); err != nil {
+			t.Fatal(err)
+		}
+		s.Flush() // seal the late chunks so summaries are offered out of order
+		for _, agg := range []Agg{AggMin, AggMax, AggAvg, AggSum, AggCount, AggRate} {
+			for _, step := range []int64{1, 100, 997, 20 * blockSize, 2 * span} {
+				for _, from := range []int64{0, 50} {
+					q := RangeQuery{Component: "*", Metric: "*", From: from, To: span, Agg: agg, StepMS: step}
+					ref := refQueryRange(t, s, q)
+					for _, par := range []int{1, procs} {
+						runtime.GOMAXPROCS(par)
+						if got := engineQuery(t, s, q); !sameResultBits(got, ref) {
+							t.Fatalf("shards=%d par=%d %+v: engine %s != reference %s",
+								shards, par, q, describeResults(got), describeResults(ref))
+						}
+					}
+				}
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAggregatorIndexBuiltOnlyBehindTheTail pins when the aggregator
+// pays for its bucket index: a scan in time order never builds it and,
+// on warm scratch, allocates nothing at all; a scan that lands behind
+// the tail builds it once — one late point and a late point in every
+// bucket cost the same allocations — and both answer as the reference
+// does.
+func TestAggregatorIndexBuiltOnlyBehindTheTail(t *testing.T) {
+	const buckets, perBucket, step = 256, 4, 100
+	var inOrder []Point
+	for i := 0; i < buckets*perBucket; i++ {
+		inOrder = append(inOrder, Point{T: int64(i) * step / perBucket, V: float64(i % 13)})
+	}
+	oneLate := append(append([]Point(nil), inOrder...), Point{T: 1, V: -1})
+	allLate := append([]Point(nil), inOrder...)
+	for b := buckets - 1; b >= 0; b-- {
+		allLate = append(allLate, Point{T: int64(b)*step + 1, V: float64(-b)})
+	}
+	var a aggregator
+	for _, agg := range []Agg{AggMin, AggAvg, AggRate} {
+		q := RangeQuery{From: 0, To: buckets * step, Agg: agg, StepMS: step}
+		var out []Point
+		scan := func(pts []Point) {
+			a.reset(q)
+			for _, p := range pts {
+				a.add(p)
+			}
+			out = a.points(out[:0])
+		}
+		allocs := map[string]float64{}
+		for _, c := range []struct {
+			name    string
+			pts     []Point
+			indexed bool
+		}{{"in-order", inOrder, false}, {"one-late", oneLate, true}, {"all-late", allLate, true}} {
+			scan(c.pts)
+			if (a.index != nil) != c.indexed {
+				t.Fatalf("%v %s: index built = %v, want %v", agg, c.name, a.index != nil, c.indexed)
+			}
+			if want := refAggregate(c.pts, q); !reflect.DeepEqual(out, want) {
+				t.Fatalf("%v %s: got %v, want %v", agg, c.name, out, want)
+			}
+			allocs[c.name] = testing.AllocsPerRun(20, func() { scan(c.pts) })
+		}
+		if allocs["in-order"] != 0 {
+			t.Errorf("%v: in-order scan on warm scratch allocates %v times", agg, allocs["in-order"])
+		}
+		if allocs["one-late"] == 0 || allocs["all-late"] != allocs["one-late"] {
+			t.Errorf("%v: one late point costs %v allocs, one per bucket %v: want the same non-zero index build",
+				agg, allocs["one-late"], allocs["all-late"])
 		}
 	}
 }

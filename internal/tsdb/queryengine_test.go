@@ -3,6 +3,7 @@ package tsdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -240,6 +241,46 @@ func TestAggregationPushdownAllocs(t *testing.T) {
 	// noise: every chunk is consumed from its summary.
 	if a2 > a1+8 {
 		t.Fatalf("index-only aggregation allocations grew with data size: %v -> %v allocs/op", a1, a2)
+	}
+
+	// Across series and buckets: the fan-out worker's scratch is reused,
+	// so each extra non-empty series adds at most its answer's one copy
+	// (plus the four more doublings of the matched-key list from 4 to 64
+	// keys), and extra buckets add at most the scratch's amortized growth.
+	wide := NewSharded(2)
+	var samples []Sample
+	for i := 0; i < 2*blockSize; i++ {
+		for c := 0; c < 64; c++ {
+			samples = append(samples, Sample{Component: fmt.Sprintf("x%02d", c), Metric: "m", T: int64(i) * 10, V: float64(i ^ c)})
+		}
+	}
+	if err := wide.WriteSamples(samples, 0); err != nil {
+		t.Fatal(err)
+	}
+	span := int64(2*blockSize) * 10
+	count := func(component string, agg Agg, step int64) float64 {
+		q := RangeQuery{Component: component, Metric: "*", From: 0, To: span, Agg: agg, StepMS: step}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := wide.QueryRange(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, agg := range []Agg{AggNone, AggAvg, AggMax} {
+		step := int64(0)
+		if agg != AggNone {
+			step = 40 // 256 buckets per series
+		}
+		four, all := count("x6?", agg, step), count("*", agg, step)
+		if all-four > 60+4 {
+			t.Errorf("%v: 64 series cost %v allocs/op, 4 cost %v: more than one per extra series", agg, all, four)
+		}
+		if agg == AggNone {
+			continue
+		}
+		if coarse := count("*", agg, 2*span); all-coarse > 2*8+2 {
+			t.Errorf("%v: 256 buckets per series cost %v allocs/op, one bucket %v: allocations grow with buckets", agg, all, coarse)
+		}
 	}
 }
 
