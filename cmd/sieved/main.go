@@ -99,7 +99,7 @@ func main() {
 	step := flag.Duration("step", 500*time.Millisecond, "analysis sampling grid")
 	appName := flag.String("app", "sieved", "application label on artifacts")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
-	retention := flag.Duration("retention", 0, "drop on-disk blocks older than this much ingest time (0 = keep forever)")
+	retention := flag.Duration("retention", 0, "drop on-disk blocks whose newest point is this far behind the newest stored timestamp, self-scrape's wall-clock stamps included (0 = keep forever)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
 	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: blocks are written at shutdown only)")
 	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence (0 = default 5m, negative = disabled)")

@@ -75,8 +75,9 @@ type Options struct {
 	// traffic. Empty keeps today's pure in-memory store.
 	DataDir string
 	// Retention drops on-disk blocks whose newest point is more than
-	// this much ingest time behind the store's high-water mark (0 keeps
-	// everything). Only meaningful with DataDir.
+	// this much behind the store's high-water mark (0 keeps everything),
+	// the newest timestamp any stored sample carries — self-scrape's
+	// wall-clock stamps included. Only meaningful with DataDir.
 	Retention time.Duration
 	// Fsync is the WAL fsync policy: "interval" (default; background
 	// fsync every 200ms), "always" (fsync per write batch), or "never"

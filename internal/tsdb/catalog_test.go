@@ -12,48 +12,16 @@ import (
 	"testing"
 )
 
-// scratchSeriesKeys rebuilds the store's key set from nothing but its
-// current contents — shard memory, the checkpoint overlay, every block
-// index — which is what the cached catalog must equal at rest.
-func scratchSeriesKeys(s *Sharded) []string {
-	set := map[string]struct{}{}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k := range sh.data {
-			set[k] = struct{}{}
-		}
-		sh.mu.Unlock()
-	}
-	if s.dur != nil {
-		s.dur.mu.RLock()
-		for _, b := range s.dur.blocks {
-			for k := range b.index {
-				set[k] = struct{}{}
-			}
-		}
-		for k := range s.dur.flushing {
-			set[k] = struct{}{}
-		}
-		s.dur.mu.RUnlock()
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// assertCatalog compares every consumer of the catalog with the
-// from-scratch rebuild.
-func assertCatalog(t *testing.T, s *Sharded, step string) []string {
+// assertCatalog compares every consumer of the catalog with the store
+// model's keys.
+func assertCatalog(t *testing.T, s *Sharded, m *storeModel, step string) []string {
 	t.Helper()
-	want := scratchSeriesKeys(s)
+	want := m.keys()
 	got := s.SeriesKeys()
 	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-		t.Fatalf("%s: cached keys %v, rebuilt %v", step, got, want)
+		t.Fatalf("%s: cached keys %v, model %v", step, got, want)
 	}
-	if s.dur != nil {
+	if s.Durable() {
 		if n := s.Stats().Series; n != len(want) {
 			t.Fatalf("%s: Stats.Series = %d, want %d", step, n, len(want))
 		}
@@ -93,8 +61,8 @@ func hasKey(keys []string, key string) bool {
 }
 
 // TestQueryEngineCatalogScriptedLife walks one store through every event
-// that can change its key set and compares the cached catalog with a
-// from-scratch rebuild after each.
+// that can change its key set and compares the cached catalog with the
+// store model after each.
 func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -107,17 +75,26 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			m := newStoreModel(1_000_000)
 			write := func(samples ...Sample) {
 				t.Helper()
 				if err := s.WriteSamples(samples, 0); err != nil {
 					t.Fatal(err)
 				}
+				m.add(samples)
 			}
-			assertCatalog(t, s, "empty store")
+			checkpoint := func() {
+				t.Helper()
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				m.checkpoint()
+			}
+			assertCatalog(t, s, m, "empty store")
 
 			// Birth.
 			write(catalogSample("a", "x", 1000), catalogSample("b", "y", 1000), catalogSample("b", "x", 1000))
-			keys := assertCatalog(t, s, "birth")
+			keys := assertCatalog(t, s, m, "birth")
 			if !hasKey(keys, "a/x") || len(keys) != 3 {
 				t.Fatalf("birth: keys %v", keys)
 			}
@@ -144,7 +121,7 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 			if err := s.Checkpoint(); err == nil {
 				t.Fatal("checkpoint against a dead blocks dir should fail")
 			}
-			assertCatalog(t, s, "failed checkpoint")
+			assertCatalog(t, s, m, "failed checkpoint")
 			if err := os.Remove(blocksDir); err != nil {
 				t.Fatal(err)
 			}
@@ -172,12 +149,10 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 					}
 				}
 			}()
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			checkpoint()
 			close(stop)
 			wg.Wait()
-			assertCatalog(t, s, "checkpoint")
+			assertCatalog(t, s, m, "checkpoint")
 			for _, sh := range s.shards {
 				if len(sh.data) != 0 {
 					t.Fatal("checkpoint left series in shard memory")
@@ -187,57 +162,57 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 			// Rebirth of a persisted key (memory and block now both hold it)
 			// next to a first birth.
 			write(catalogSample("a", "x", 60_000), catalogSample("c", "z", 60_000))
-			if keys = assertCatalog(t, s, "rebirth"); len(keys) != 4 {
+			if keys = assertCatalog(t, s, m, "rebirth"); len(keys) != 4 {
 				t.Fatalf("rebirth: keys %v", keys)
 			}
 
 			// Second block, then compaction merges the two and attaches
 			// companions: same keys, different blocks.
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			assertCatalog(t, s, "second checkpoint")
+			checkpoint()
+			assertCatalog(t, s, m, "second checkpoint")
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			if n := len(s.dur.blocks); n != 1 {
+			m.compact()
+			if n := s.BlockCount(); n != 1 {
 				t.Fatalf("compaction left %d blocks", n)
 			}
-			assertCatalog(t, s, "compaction")
+			assertCatalog(t, s, m, "compaction")
 
 			// Retention: a sample far ahead moves the horizon past the
 			// merged block; the next checkpoint drops it and the keys that
 			// lived only there.
 			write(catalogSample("d", "w", 10_000_000))
-			assertCatalog(t, s, "late birth")
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			keys = assertCatalog(t, s, "retention drop")
+			assertCatalog(t, s, m, "late birth")
+			checkpoint()
+			keys = assertCatalog(t, s, m, "retention drop")
 			if !reflect.DeepEqual(keys, []string{"d/w"}) {
 				t.Fatalf("retention drop: keys %v, want only d/w", keys)
 			}
 
 			// A dropped key is born again.
 			write(catalogSample("a", "x", 10_000_500))
-			if keys = assertCatalog(t, s, "rebirth after drop"); !reflect.DeepEqual(keys, []string{"a/x", "d/w"}) {
+			if keys = assertCatalog(t, s, m, "rebirth after drop"); !reflect.DeepEqual(keys, []string{"a/x", "d/w"}) {
 				t.Fatalf("rebirth after drop: keys %v", keys)
 			}
 		})
 	}
 
 	// The in-memory store shares the mechanism.
-	s := NewSharded(4)
-	assertCatalog(t, s, "memory: empty")
-	if err := s.WriteSamples([]Sample{catalogSample("a", "x", 1), catalogSample("b", "y", 1)}, 0); err != nil {
-		t.Fatal(err)
+	s, m := NewSharded(4), newStoreModel(0)
+	write := func(samples ...Sample) {
+		t.Helper()
+		if err := s.WriteSamples(samples, 0); err != nil {
+			t.Fatal(err)
+		}
+		m.add(samples)
 	}
-	assertCatalog(t, s, "memory: birth")
+	assertCatalog(t, s, m, "memory: empty")
+	write(catalogSample("a", "x", 1), catalogSample("b", "y", 1))
+	assertCatalog(t, s, m, "memory: birth")
 	s.Flush()
-	if err := s.WriteSamples([]Sample{catalogSample("a", "x", 2), catalogSample("c", "z", 2)}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if keys := assertCatalog(t, s, "memory: second birth"); len(keys) != 3 {
+	write(catalogSample("a", "x", 2), catalogSample("c", "z", 2))
+	if keys := assertCatalog(t, s, m, "memory: second birth"); len(keys) != 3 {
 		t.Fatalf("memory: keys %v", keys)
 	}
 }
@@ -314,7 +289,13 @@ func TestQueryEngineCatalogConcurrent(t *testing.T) {
 	wg.Wait()
 	done.Store(true)
 	bg.Wait()
-	if keys := assertCatalog(t, s, "after the race"); len(keys) != writers*births {
+	m := newStoreModel(0)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < births; i++ {
+			m.add([]Sample{catalogSample(fmt.Sprintf("w%d", w), fmt.Sprintf("m%03d", i), int64(i)*1000)})
+		}
+	}
+	if keys := assertCatalog(t, s, m, "after the race"); len(keys) != writers*births {
 		t.Fatalf("%d keys, want %d", len(keys), writers*births)
 	}
 }

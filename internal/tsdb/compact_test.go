@@ -18,6 +18,155 @@ import (
 	"time"
 )
 
+// openCompactable opens a durable store with every background ticker
+// disabled and downsampling enabled, so tests drive checkpoints and
+// compaction passes explicitly; it returns the store's instrument set.
+func openCompactable(t *testing.T, dir string, shards int, fsync FsyncPolicy, retentionMS int64) (*Sharded, *StoreTelemetry) {
+	t.Helper()
+	s, err := OpenSharded(shards, DurabilityOptions{
+		Dir: dir, Fsync: fsync, FlushInterval: -1, CompactInterval: -1,
+		RetentionMS: retentionMS, Downsample: true,
+	})
+	if err != nil {
+		t.Fatalf("OpenSharded(%s): %v", dir, err)
+	}
+	return s, s.Telemetry()
+}
+
+// compactSamples generates a scrape-like dataset wide enough for 5m/1h
+// buckets to exist (ticks are tickMS apart), with per-series phase
+// offsets, ~10% adjacent arrival swaps (out-of-order data crossing
+// checkpoint cuts, so merged blocks carry multiple segments), and — with
+// withNaN — periodic NaN values on one series (NoSummary chunks and
+// downsampled buckets).
+func compactSamples(seed int64, comps, mets, ticks int, tickMS int64, withNaN bool) []Sample {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]Sample, 0, comps*mets*ticks)
+	for i := 0; i < ticks; i++ {
+		for c := 0; c < comps; c++ {
+			for m := 0; m < mets; m++ {
+				v := rng.NormFloat64() * 100
+				if withNaN && c == 0 && m == 0 && i%97 == 13 {
+					v = math.NaN()
+				}
+				out = append(out, Sample{
+					Component: fmt.Sprintf("svc-%02d", c),
+					Metric:    fmt.Sprintf("metric_%d", m),
+					T:         int64(i)*tickMS + int64((c*31+m*17)%997),
+					V:         v,
+				})
+			}
+		}
+	}
+	for i := 0; i+1 < len(out); i += 2 {
+		if rng.Intn(10) == 0 {
+			out[i], out[i+1] = out[i+1], out[i]
+		}
+	}
+	return out
+}
+
+func maxSampleT(samples []Sample) int64 {
+	var span int64
+	for _, s := range samples {
+		if s.T > span {
+			span = s.T
+		}
+	}
+	return span
+}
+
+// compactQueries extends the engine equivalence matrix with the coarse
+// steps that select downsampled resolutions — aligned From (companions
+// consumable), unaligned From (companion buckets straddle query buckets
+// and must fall back to raw), and ranges cutting through buckets.
+func compactQueries(span int64) []RangeQuery {
+	qs := equivQueries(span)
+	for _, agg := range []Agg{AggMin, AggMax, AggAvg, AggSum, AggCount, AggRate} {
+		for _, step := range []int64{5 * 60_000, 10 * 60_000, 60 * 60_000, 2 * 60 * 60_000} {
+			qs = append(qs,
+				RangeQuery{Component: "*", Metric: "*", From: 0, To: span + 1, Agg: agg, StepMS: step},
+				RangeQuery{Component: "*", Metric: "*", From: 137, To: span - 4321, Agg: agg, StepMS: step},
+			)
+			if 3*step/2 < span {
+				qs = append(qs, RangeQuery{Component: "svc-*", Metric: "metric_?", From: step, To: span - step/2, Agg: agg, StepMS: step})
+			}
+		}
+	}
+	return qs
+}
+
+// TestCompactionEquivalence reads a store whose blocks are merged and
+// downsampled mid-history and at the end, with a memory tail and NaN
+// chunks, and after a reopen, at two shard counts and fsync policies.
+func TestCompactionEquivalence(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, fsync := range []FsyncPolicy{FsyncInterval, FsyncNever} {
+			t.Run(fmt.Sprintf("shards=%d,fsync=%s", shards, fsync), func(t *testing.T) {
+				t.Parallel()
+				testCompactionEquivalence(t, shards, fsync)
+			})
+		}
+	}
+}
+
+func testCompactionEquivalence(t *testing.T, shards int, fsync FsyncPolicy) {
+	samples := compactSamples(31+int64(shards), 3, 3, 900, 10_000, true)
+	reads := readOps(compactQueries(maxSampleT(samples)), 0)
+	// 12 checkpoint rounds build many small blocks; compaction fires
+	// mid-history (after rounds 4 and 8), so later checkpoints land after
+	// merged blocks, not only the compact-everything-at-the-end case.
+	const rounds = 12
+	per := len(samples) / rounds
+	var ops []op
+	for r := 0; r < rounds; r++ {
+		ops = append(ops, op{Kind: opWriteSamples, Batch: samples[r*per : (r+1)*per]}, op{Kind: opCheckpoint})
+		if r == 4 || r == 8 {
+			ops = append(ops, op{Kind: opCompact})
+			ops = append(ops, reads...)
+		}
+	}
+	// A tail beyond the last checkpoint stays in memory: compaction must
+	// compose with the memory read path too. Then merged blocks,
+	// companions and checkpoint blocks must reload into the same bytes.
+	ops = append(ops, op{Kind: opWriteSamples, Batch: samples[rounds*per:]}, op{Kind: opCompact})
+	ops = append(ops, reads...)
+	ops = append(ops, op{Kind: opClose, Shards: shards})
+	ops = append(ops, reads...)
+	playScript(t, storeScript{name: t.Name(), shards: shards, fsync: fsync, ops: ops,
+		// Without merged blocks or downsampled reads the suite would test
+		// nothing it claims to.
+		end: func(st *Sharded) error {
+			if n := st.BlockCount(); n >= rounds {
+				return fmt.Errorf("compaction did not reduce blocks: %d after %d checkpoints", n, rounds)
+			}
+			if st.Telemetry().DownsampledBucketsRead.Value() == 0 {
+				return fmt.Errorf("no downsampled buckets were consumed by the coarse-step queries")
+			}
+			return nil
+		}})
+}
+
+// TestCompactionEquivalenceRetention runs the compaction reads with a
+// retention horizon in play. Every third round merges every block, and a
+// merged block ages by its newest point, so its oldest points outlive
+// the horizon: the store must keep exactly what the model keeps.
+func TestCompactionEquivalenceRetention(t *testing.T) {
+	samples := compactSamples(77, 3, 2, 600, 10_000, true)
+	const retention = 45 * 60_000 // 45m of a ~100m span
+	const rounds = 10
+	per := len(samples) / rounds
+	var ops []op
+	for r := 0; r < rounds; r++ {
+		ops = append(ops, op{Kind: opWriteSamples, Batch: samples[r*per : (r+1)*per]}, op{Kind: opCheckpoint})
+		if r%3 == 2 {
+			ops = append(ops, op{Kind: opCompact})
+		}
+	}
+	ops = append(ops, readOps(compactQueries(maxSampleT(samples)), 0)...)
+	playScript(t, storeScript{name: "compaction retention", shards: 4, fsync: FsyncNever, retentionMS: retention, ops: ops})
+}
+
 // bigFloorDiv is the overflow-proof reference for bucket assignment:
 // big.Int division is Euclidean, which for a positive divisor equals
 // floor division, and cannot overflow at any int64 input.
@@ -363,8 +512,8 @@ func TestDownsampledNameRoundtrip(t *testing.T) {
 // compacted store and asserts — via the DownsampledBucketsRead counter —
 // exactly which queries answer from summaries: coarse aligned
 // min/max/count/rate steps do, sub-resolution steps, unaligned From, and
-// sum/avg never do. Every answer is also checked against the naive
-// reference, so the counter cannot certify a wrong fast path.
+// sum/avg never do. Every answer is also checked against the store
+// model, so the counter cannot certify a wrong fast path.
 func TestDownsampledResolutionSelection(t *testing.T) {
 	// 4 hours at 15s ticks: 48 full 5m buckets per hour, 4 full 1h buckets.
 	samples := compactSamples(7, 1, 2, 960, 15_000, false)
@@ -372,6 +521,7 @@ func TestDownsampledResolutionSelection(t *testing.T) {
 
 	s, tel := openCompactable(t, t.TempDir(), 1, FsyncNever, 0)
 	defer s.Close()
+	m := newStoreModel(0)
 	const rounds = 6
 	per := len(samples) / rounds
 	for r := 0; r < rounds; r++ {
@@ -381,15 +531,18 @@ func TestDownsampledResolutionSelection(t *testing.T) {
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		m.add(samples[r*per : (r+1)*per])
+		m.checkpoint()
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	m.compact()
 
 	run := func(q RangeQuery) uint64 {
 		t.Helper()
 		before := tel.DownsampledBucketsRead.Value()
-		assertBitIdentical(t, "resolution selection", q, engineQuery(t, s, q), refQueryRange(t, s, q))
+		assertBitIdentical(t, "resolution selection", q, engineQuery(t, s, q), m.queryRange(q))
 		return tel.DownsampledBucketsRead.Value() - before
 	}
 	base := RangeQuery{Component: "*", Metric: "*", From: 0, To: span}

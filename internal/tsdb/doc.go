@@ -72,7 +72,7 @@
 // point by point through chunkIter into the sink, so aggregated queries
 // never materialize raw-point slices. Matched series fan out across an
 // internal/parallel worker pool and merge in series-key order; results
-// are byte-identical to a naive decode-everything reference at any shard
-// count, parallelism, and durability state (queryengine_equiv_test.go,
-// FuzzQueryRange).
+// are bit-identical to the store model at any shard count, parallelism,
+// and durability state. The model and the generated store lives checked
+// against it are described in docs/ARCHITECTURE.md, "Testing the store".
 package tsdb

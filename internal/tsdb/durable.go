@@ -28,8 +28,8 @@ type DurabilityOptions struct {
 	// only happen via Checkpoint and Close).
 	FlushInterval time.Duration
 	// RetentionMS drops blocks whose newest point is more than this many
-	// milliseconds of ingest time behind the store's high-water mark
-	// (0 keeps everything). Retention is block-granular: a block is
+	// milliseconds behind the store's high-water mark, the newest stored
+	// timestamp (0 keeps everything). Retention is block-granular: a block is
 	// removed only once every point in it is past the horizon.
 	RetentionMS int64
 	// CompactInterval is the cadence of the background compactor that
@@ -126,10 +126,10 @@ type durable struct {
 
 	// staleWAL maps shard index -> directory for WAL dirs left over from
 	// a previous life that ran with a higher shard count. Their records
-	// were hash-routed into the current shards at open; the first
-	// successful checkpoint seals that data into a block (recording the
-	// dirs as fully covered in its meta, so a crash before the removal
-	// below cannot replay them again) and deletes the directories.
+	// were hash-routed into the current shards at open; the checkpoint
+	// OpenSharded then runs seals that data into a block (recording each
+	// dir's cut in its meta, so a crash before the removal below cannot
+	// replay them again) and deletes the directories.
 	staleWAL map[int]string
 
 	flushMu sync.Mutex
@@ -148,8 +148,9 @@ type durable struct {
 // Replay routes records by the current key hash, not by directory
 // position, so the shard count may change between lives (cmd/sieved
 // defaults it to GOMAXPROCS, which varies across hosts): directories
-// beyond the new count are replayed too and deleted once a checkpoint
-// has sealed their data into a block.
+// beyond the new count are replayed too, and at a new count the replay
+// is sealed into a block, and those directories deleted, before the
+// store is returned.
 //
 // The returned store must be Closed to flush the final checkpoint; a
 // crash without Close loses nothing that reached the WAL.
@@ -175,7 +176,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	// any failure path: nothing else can, since the store is never
 	// returned.
 	closeOnErr := func() {
-		for _, b := range blocks {
+		for _, b := range d.blocks {
 			_ = b.close()
 		}
 		for _, sh := range s.shards {
@@ -199,6 +200,9 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 		closeOnErr()
 		return nil, err
 	}
+	// The directories on disk are the previous life's shards: a life
+	// that changed the count retired the others at open (below).
+	resharded := len(dirIdxs) > 0 && len(dirIdxs) != n
 	for i := 0; i < n; i++ {
 		dirIdxs[i] = struct{}{} // current shards replay (and create) their dirs
 	}
@@ -232,7 +236,15 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 		}
 	}
 	for i, sh := range s.shards {
-		w, err := openWALWriter(walShardDir(walRoot, i), opts.Fsync, walSegmentBytes, s.tel)
+		// A directory a previous life retired may be reused here: its
+		// segments must number above every cut a block recorded for the
+		// index, or the next open would prune them as covered. (A cut of
+		// ^0 is the marker earlier versions retired directories with.)
+		first := maxRecordedCut(blocks, i)
+		if first == ^uint64(0) {
+			first = 0
+		}
+		w, err := openWALWriter(walShardDir(walRoot, i), opts.Fsync, walSegmentBytes, s.tel, first)
 		if err != nil {
 			closeOnErr()
 			return nil, fmt.Errorf("tsdb: opening wal for shard %d: %w", i, err)
@@ -241,6 +253,18 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	}
 	s.dur = d
 
+	// At a new shard count a replayed series appends to a different
+	// directory than the one it replayed from, and replay goes by
+	// directory index, not arrival: seal the replay into a block before
+	// the first write, so no later replay has to order one series'
+	// records across two directories. The same checkpoint retires the
+	// directories beyond the count.
+	if resharded {
+		if err := d.checkpoint(s); err != nil {
+			closeOnErr()
+			return nil, fmt.Errorf("tsdb: sealing the wal replayed at a new shard count: %w", err)
+		}
+	}
 	if err := d.enforceRetention(s.MaxTime()); err != nil {
 		closeOnErr()
 		return nil, err
@@ -399,6 +423,20 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
 
+	// Stale dirs are quiescent (no writer) and their records are in the
+	// cut below: each is covered up to the segment after its last.
+	staleCuts := make(map[int]uint64, len(d.staleWAL))
+	for idx, dir := range d.staleWAL {
+		seqs, err := listWALSegments(dir)
+		if err != nil {
+			return fmt.Errorf("tsdb: checkpoint: listing stale wal dir %s: %w", dir, err)
+		}
+		staleCuts[idx] = 1
+		if len(seqs) > 0 {
+			staleCuts[idx] = seqs[len(seqs)-1] + 1
+		}
+	}
+
 	snap := map[string]*series{}
 	cuts := make([]uint64, len(s.shards))
 	d.cutMu.Lock()
@@ -432,11 +470,8 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 
 	if points > 0 {
 		cutsMeta := walCutsMeta(cuts)
-		// Stale dirs are quiescent (no writer) and their records are in
-		// this cut: mark every segment of theirs as covered, so recovery
-		// prunes them even if we crash before the RemoveAll below.
-		for idx := range d.staleWAL {
-			cutsMeta[fmt.Sprintf("%d", idx)] = ^uint64(0)
+		for idx, cut := range staleCuts {
+			cutsMeta[fmt.Sprintf("%d", idx)] = cut
 		}
 		blk, err := buildBlock(d.blocksDir, seq, cutsMeta, snap)
 		if err != nil {
@@ -527,8 +562,8 @@ func walCutsMeta(cuts []uint64) map[string]uint64 {
 }
 
 // enforceRetention removes blocks entirely past the retention horizon,
-// measured in ingest time against the high-water mark (wall clock never
-// enters: replayed historical data ages by its own timeline).
+// measured against the high-water mark. The store reads no clock: the
+// horizon moves with the newest timestamp written, whoever stamped it.
 func (d *durable) enforceRetention(maxTime int64) error {
 	if d.opts.RetentionMS <= 0 {
 		return nil

@@ -645,7 +645,7 @@ func (s *Sharded) Query(component, metric string, from, to int64) ([]Point, erro
 // not one hold across the fan-out. Against the cut itself that costs no
 // observable consistency: a cut only moves points between memory and
 // blocks, and reads are byte-identical on either side (pinned by the
-// equivalence suite), so a result mixing pre- and post-cut series equals
+// store model's checks), so a result mixing pre- and post-cut series equals
 // the all-pre and all-post results. It is not a snapshot against
 // anything else: ingest racing the fan-out may reach some series and not
 // others, and with RetentionMS set a checkpoint may drop expired blocks

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -289,9 +290,10 @@ func TestAggregationPushdownAllocs(t *testing.T) {
 var fuzzStore struct {
 	once sync.Once
 	s    *Sharded
+	m    *storeModel
 }
 
-func fuzzQueryStore(f *testing.F) *Sharded {
+func fuzzQueryStore(f *testing.F) (*Sharded, *storeModel) {
 	fuzzStore.once.Do(func() {
 		s := NewSharded(3)
 		var samples []Sample
@@ -311,16 +313,18 @@ func fuzzQueryStore(f *testing.F) *Sharded {
 			f.Fatal(err)
 		}
 		fuzzStore.s = s
+		fuzzStore.m = newStoreModel(0)
+		fuzzStore.m.add(samples)
 	})
-	return fuzzStore.s
+	return fuzzStore.s, fuzzStore.m
 }
 
 // FuzzQueryRange fuzzes the /query_range parameter parsing and the
 // engine's bucket math: any parameter combination either fails ParseRangeQuery
-// cleanly or produces results byte-identical to the decode-everything
-// reference — across glob patterns, step=0, inverted ranges, and extreme
-// timestamps (the bucket index runs through unsigned arithmetic; a
-// signed overflow would diverge from the reference or panic).
+// cleanly or produces results bit-identical to the store model — across
+// glob patterns, step=0, inverted ranges, and extreme timestamps (the
+// bucket index runs through unsigned arithmetic; a signed overflow would
+// diverge from the model or panic).
 func FuzzQueryRange(f *testing.F) {
 	f.Add("web-a", "cpu_util", "0", "10000", "avg", "500")
 	f.Add("*", "*", "", "", "", "")
@@ -330,7 +334,7 @@ func FuzzQueryRange(f *testing.F) {
 	f.Add("*", "*", "-9223372036854775808", "9223372036854775807", "count", "9223372036854775807")
 	f.Add("***", "???", "12", "13", "min", "1")
 	f.Add("", "", "9999999999999", "", "rate", "9999999999")
-	store := fuzzQueryStore(f)
+	store, model := fuzzQueryStore(f)
 	f.Fuzz(func(t *testing.T, component, metric, from, to, agg, step string) {
 		if len(component) > 64 || len(metric) > 64 {
 			return // keep the backtracking matchers cheap
@@ -339,31 +343,170 @@ func FuzzQueryRange(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, err := store.QueryRange(context.Background(), q)
-		if err != nil {
-			t.Fatalf("QueryRange(%+v): %v", q, err)
-		}
-		ref := refQueryRange(t, store, q)
-		if !sameResults(got, ref) {
-			t.Fatalf("%+v: engine %s != reference %s", q, describeResults(got), describeResults(ref))
-		}
+		assertBitIdentical(t, "fuzz", q, engineQuery(t, store, q), model.queryRange(q))
 	})
 }
 
-// TestQueryEngineNaNValues pins the engine against the reference for
+// equivSamples generates a scrape-like dataset: comps components x mets
+// metrics, one sample per series per tick. Per-series timestamps
+// strictly increase (offset per series); with jitter, ~10% of adjacent
+// arrivals are swapped across the whole stream, so some series see
+// out-of-order arrival that crosses seal boundaries.
+func equivSamples(seed int64, comps, mets, ticks int, jitter bool) []Sample {
+	rng := rand.New(rand.NewSource(seed))
+	compNames := make([]string, comps)
+	for c := range compNames {
+		compNames[c] = fmt.Sprintf([]string{"web-%02d", "db-%02d", "worker%02d"}[c%3], c)
+	}
+	metNames := make([]string, mets)
+	for m := range metNames {
+		metNames[m] = fmt.Sprintf([]string{"cpu_util_%d", "mem_used_%d", "net_rx_%d"}[m%3], m)
+	}
+	out := make([]Sample, 0, comps*mets*ticks)
+	for i := 0; i < ticks; i++ {
+		for c, comp := range compNames {
+			for m, met := range metNames {
+				out = append(out, Sample{
+					Component: comp,
+					Metric:    met,
+					T:         int64(i)*250 + int64((c*7+m*13)%97),
+					V:         rng.NormFloat64() * 100,
+				})
+			}
+		}
+	}
+	if jitter {
+		for i := 0; i+1 < len(out); i += 2 {
+			if rng.Intn(10) == 0 {
+				out[i], out[i+1] = out[i+1], out[i]
+			}
+		}
+	}
+	return out
+}
+
+// equivQueries is a matcher/range/aggregation matrix over a dataset
+// whose newest timestamp is span.
+func equivQueries(span int64) []RangeQuery {
+	qs := []RangeQuery{
+		{Component: "*", Metric: "*", From: 0, To: span + 1},
+		{Component: "web*", Metric: "*", From: 0, To: span + 1},
+		{Component: "*", Metric: "cpu*", From: span / 4, To: 3 * span / 4},
+		{Component: "w?b-00", Metric: "mem_used_?", From: 0, To: span + 1},
+		{Component: "db-*", Metric: "*rx*", From: span / 3, To: span/3 + 777},
+		{Component: "absent-*", Metric: "*", From: 0, To: span + 1},
+		{Component: "*", Metric: "*", From: span / 2, To: span / 2}, // empty range
+	}
+	for _, agg := range []Agg{AggMin, AggMax, AggAvg, AggSum, AggCount, AggRate} {
+		qs = append(qs,
+			RangeQuery{Component: "*", Metric: "*", From: 0, To: span + 1, Agg: agg, StepMS: span/16 + 1},
+			RangeQuery{Component: "web*", Metric: "cpu*", From: 123, To: span - 321, Agg: agg, StepMS: 997},
+			RangeQuery{Component: "*", Metric: "*", From: 0, To: span + 1, Agg: agg, StepMS: 2 * span}, // one bucket
+		)
+	}
+	return qs
+}
+
+// readOps is one QueryRange op per query, each at GOMAXPROCS procs (0
+// for the machine's).
+func readOps(qs []RangeQuery, procs int) []op {
+	ops := make([]op, len(qs))
+	for i, q := range qs {
+		ops[i] = op{Kind: opQueryRange, Q: q, Procs: procs}
+	}
+	return ops
+}
+
+// TestQueryEngineEquivalenceInMemory checks in-memory stores at shard
+// counts {1, 4, GOMAXPROCS} against the model, each read at fan-out
+// sizes {GOMAXPROCS, 1, 4} (pinned through runtime.GOMAXPROCS, the
+// fan-out's only size), on a fully ordered and an out-of-order dataset.
+func TestQueryEngineEquivalenceInMemory(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, jitter := range []bool{false, true} {
+		name := "ordered"
+		if jitter {
+			name = "jittered"
+		}
+		t.Run(name, func(t *testing.T) {
+			samples := equivSamples(42, 5, 4, 1500, jitter)
+			m := newStoreModel(0)
+			m.add(samples)
+			shardCounts := []int{1, 4, procs}
+			stores := make([]*Sharded, len(shardCounts))
+			for i, n := range shardCounts {
+				stores[i] = NewSharded(n)
+				if err := stores[i].WriteSamples(samples, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, q := range equivQueries(maxSampleT(samples)) {
+				want := m.queryRange(q)
+				for i, st := range stores {
+					for _, par := range []int{procs, 1, 4} {
+						runtime.GOMAXPROCS(par)
+						assertBitIdentical(t, fmt.Sprintf("shards=%d par=%d", shardCounts[i], par), q, engineQuery(t, st, q), want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestQueryEngineEquivalenceDurable reads a durable store through its
+// lifecycle: blocks plus memory, then closed and reopened (everything
+// in blocks) at shard counts {1, 4, GOMAXPROCS}. The dataset is ordered,
+// so even sum/avg rounding must survive the block rewrite.
+func TestQueryEngineEquivalenceDurable(t *testing.T) {
+	samples := equivSamples(7, 4, 3, 1200, false)
+	qs := equivQueries(maxSampleT(samples))
+	half := len(samples) / 2
+	ops := []op{
+		{Kind: opWriteSamples, Batch: samples[:half]},
+		{Kind: opCheckpoint},
+		{Kind: opWriteSamples, Batch: samples[half:]},
+	}
+	ops = append(ops, readOps(qs, 0)...)
+	for _, n := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		ops = append(ops, op{Kind: opClose, Shards: n})
+		ops = append(ops, readOps(qs, 0)...)
+	}
+	playScript(t, storeScript{name: "durable", shards: 4, fsync: FsyncNever, ops: ops})
+}
+
+// TestQueryEngineEquivalenceJitteredDurable reads a durable store fed
+// out-of-order arrivals across two checkpoints, so chunks overlap in
+// time on both the memory and the block side, where skip decisions are
+// easiest to get wrong.
+func TestQueryEngineEquivalenceJitteredDurable(t *testing.T) {
+	samples := equivSamples(99, 3, 3, 1000, true)
+	third := len(samples) / 3
+	ops := []op{
+		{Kind: opWriteSamples, Batch: samples[:third]},
+		{Kind: opCheckpoint},
+		{Kind: opWriteSamples, Batch: samples[third : 2*third]},
+		{Kind: opCheckpoint},
+		{Kind: opWriteSamples, Batch: samples[2*third:]},
+	}
+	ops = append(ops, readOps(equivQueries(maxSampleT(samples)), 0)...)
+	playScript(t, storeScript{name: "jittered durable", shards: 3, fsync: FsyncNever, ops: ops})
+}
+
+// TestQueryEngineNaNValues pins the engine against the model for
 // NaN values (reachable only through the internal WriteSamples API —
 // the line protocol rejects non-finite values): buckets seed from their
 // first contribution and update by comparison, so the decode path, the
-// summary push-down path, and the naive reference all agree bitwise on
-// where NaN lands.
+// summary push-down path, and the model all agree bitwise on where NaN
+// lands.
 func TestQueryEngineNaNValues(t *testing.T) {
 	nan := math.NaN()
 	// NaN positions: seeding the first chunk's summary, seeding a later
 	// chunk's summary (where a poisoned summary once hid the chunk's
 	// real extrema from push-down), and mid-chunk.
 	nanPositions := []int{0, blockSize, blockSize / 2}
-	build := func(nanAt int) *Sharded {
-		s := NewSharded(2)
+	build := func(nanAt int) (*Sharded, *storeModel) {
+		s, m := NewSharded(2), newStoreModel(0)
 		samples := make([]Sample, 2*blockSize)
 		for i := range samples {
 			v := float64(i % 53)
@@ -375,33 +518,20 @@ func TestQueryEngineNaNValues(t *testing.T) {
 		if err := s.WriteSamples(samples, 0); err != nil {
 			t.Fatal(err)
 		}
-		s.Flush() // seal everything so summary push-down is exercised
-		return s
+		m.add(samples)
+		// Seal everything so summary push-down is exercised; the samples
+		// are in time order, so sealing early leaves the storage order the
+		// model states.
+		s.Flush()
+		return s, m
 	}
 	span := int64(2*blockSize) * 10
 	for _, nanAt := range nanPositions {
-		s := build(nanAt)
+		s, m := build(nanAt)
 		for _, agg := range []Agg{AggMin, AggMax, AggAvg, AggSum, AggCount, AggRate} {
 			for _, step := range []int64{span * 2, span / 8} { // push-down and decode widths
 				q := RangeQuery{Component: "*", Metric: "*", From: 0, To: span, Agg: agg, StepMS: step}
-				got := engineQuery(t, s, q)
-				ref := refQueryRange(t, s, q)
-				// NaN != NaN defeats DeepEqual; compare bit patterns.
-				if len(got) != len(ref) {
-					t.Fatalf("nanAt=%d %v step=%d: %d series vs %d", nanAt, agg, step, len(got), len(ref))
-				}
-				for i := range got {
-					if len(got[i].Points) != len(ref[i].Points) {
-						t.Fatalf("nanAt=%d %v step=%d: point counts differ", nanAt, agg, step)
-					}
-					for j := range got[i].Points {
-						g, r := got[i].Points[j], ref[i].Points[j]
-						if g.T != r.T || math.Float64bits(g.V) != math.Float64bits(r.V) {
-							t.Fatalf("nanAt=%d %v step=%d: point %d: got %v/%x want %v/%x",
-								nanAt, agg, step, j, g.T, math.Float64bits(g.V), r.T, math.Float64bits(r.V))
-						}
-					}
-				}
+				assertBitIdentical(t, fmt.Sprintf("nanAt=%d", nanAt), q, engineQuery(t, s, q), m.queryRange(q))
 			}
 		}
 	}
@@ -412,7 +542,7 @@ func TestQueryEngineNaNValues(t *testing.T) {
 // WriteSamples, which does not bound timestamps the way the line
 // protocol does).
 func TestQueryEngineExtremeTimestamps(t *testing.T) {
-	s := NewSharded(2)
+	s, m := NewSharded(2), newStoreModel(0)
 	samples := []Sample{
 		{Component: "x", Metric: "m", T: math.MinInt64 + 5, V: 1},
 		{Component: "x", Metric: "m", T: -1000, V: 2},
@@ -422,16 +552,14 @@ func TestQueryEngineExtremeTimestamps(t *testing.T) {
 	if err := s.WriteSamples(samples, 0); err != nil {
 		t.Fatal(err)
 	}
+	m.add(samples)
 	for _, q := range []RangeQuery{
 		{Component: "*", Metric: "*", From: math.MinInt64, To: math.MaxInt64, Agg: AggCount, StepMS: math.MaxInt64},
 		{Component: "*", Metric: "*", From: math.MinInt64, To: math.MaxInt64, Agg: AggSum, StepMS: 1},
 		{Component: "*", Metric: "*", From: math.MinInt64 + 5, To: math.MaxInt64, Agg: AggRate, StepMS: math.MaxInt64},
 		{Component: "*", Metric: "*", From: -2000, To: 2000},
 	} {
-		got := engineQuery(t, s, q)
-		if ref := refQueryRange(t, s, q); !sameResults(got, ref) {
-			t.Fatalf("%+v: engine %s != reference %s", q, describeResults(got), describeResults(ref))
-		}
+		assertBitIdentical(t, "extreme", q, engineQuery(t, s, q), m.queryRange(q))
 	}
 }
 
@@ -501,4 +629,57 @@ func TestQueryKnownSeriesAndNetworkOut(t *testing.T) {
 	s = open()
 	defer s.Close()
 	check(s, "block only after reopen")
+}
+
+// TestAggregatorIndexBuiltOnlyBehindTheTail pins when the aggregator
+// pays for its bucket index: a scan in time order never builds it and,
+// on warm scratch, allocates nothing at all; a scan that lands behind
+// the tail builds it once — one late point and a late point in every
+// bucket cost the same allocations — and both answer as the reference
+// does.
+func TestAggregatorIndexBuiltOnlyBehindTheTail(t *testing.T) {
+	const buckets, perBucket, step = 256, 4, 100
+	var inOrder []Point
+	for i := 0; i < buckets*perBucket; i++ {
+		inOrder = append(inOrder, Point{T: int64(i) * step / perBucket, V: float64(i % 13)})
+	}
+	oneLate := append(append([]Point(nil), inOrder...), Point{T: 1, V: -1})
+	allLate := append([]Point(nil), inOrder...)
+	for b := buckets - 1; b >= 0; b-- {
+		allLate = append(allLate, Point{T: int64(b)*step + 1, V: float64(-b)})
+	}
+	var a aggregator
+	for _, agg := range []Agg{AggMin, AggAvg, AggRate} {
+		q := RangeQuery{From: 0, To: buckets * step, Agg: agg, StepMS: step}
+		var out []Point
+		scan := func(pts []Point) {
+			a.reset(q)
+			for _, p := range pts {
+				a.add(p)
+			}
+			out = a.points(out[:0])
+		}
+		allocs := map[string]float64{}
+		for _, c := range []struct {
+			name    string
+			pts     []Point
+			indexed bool
+		}{{"in-order", inOrder, false}, {"one-late", oneLate, true}, {"all-late", allLate, true}} {
+			scan(c.pts)
+			if (a.index != nil) != c.indexed {
+				t.Fatalf("%v %s: index built = %v, want %v", agg, c.name, a.index != nil, c.indexed)
+			}
+			if err := diffPoints(out, refAggregate(c.pts, q)); err != nil {
+				t.Fatalf("%v %s: %v", agg, c.name, err)
+			}
+			allocs[c.name] = testing.AllocsPerRun(20, func() { scan(c.pts) })
+		}
+		if allocs["in-order"] != 0 {
+			t.Errorf("%v: in-order scan on warm scratch allocates %v times", agg, allocs["in-order"])
+		}
+		if allocs["one-late"] == 0 || allocs["all-late"] != allocs["one-late"] {
+			t.Errorf("%v: one late point costs %v allocs, one per bucket %v: want the same non-zero index build",
+				agg, allocs["one-late"], allocs["all-late"])
+		}
+	}
 }

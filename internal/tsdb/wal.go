@@ -405,9 +405,9 @@ func (w *walWriter) timedSync(f *os.File) error {
 }
 
 // openWALWriter opens dir (creating it) and starts a fresh segment after
-// the highest existing one; existing segments are left for replay and
-// later truncation by checkpoints.
-func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelemetry) (*walWriter, error) {
+// the highest existing one, numbered no lower than first; existing
+// segments are left for replay and later truncation by checkpoints.
+func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelemetry, first uint64) (*walWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -415,7 +415,7 @@ func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelem
 	if err != nil {
 		return nil, err
 	}
-	var next uint64 = 1
+	next := max(first, 1)
 	var retained int64
 	for _, seq := range seqs {
 		if seq >= next {

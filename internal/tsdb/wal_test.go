@@ -15,7 +15,7 @@ import (
 // openTestWAL opens a writer the way OpenSharded does, with a fresh
 // instrument set of its own.
 func openTestWAL(dir string, policy FsyncPolicy, segMax int64) (*walWriter, error) {
-	return openWALWriter(dir, policy, segMax, newStoreTelemetry(telemetry.NewRegistry()))
+	return openWALWriter(dir, policy, segMax, newStoreTelemetry(telemetry.NewRegistry()), 0)
 }
 
 func walBatch(comp string, n int, base int64) []Sample {

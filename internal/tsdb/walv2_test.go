@@ -219,12 +219,12 @@ func TestWALMixedVersionTornTailRepair(t *testing.T) {
 // TestMixedVersionStoreRecovery is the store-level mixed-dir pin:
 // fabricated v1 segments (an old process's WAL) sit in the shard
 // directories when the current process opens, ingests more (v2), hard-
-// stops, reopens, checkpoints, and reopens again — byte-identical to a
-// reference store fed the same samples at every step, including after a
+// stops, reopens, checkpoints, and reopens again — identical to the
+// store model fed the same samples at every step, including after a
 // shard-count change.
 func TestMixedVersionStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
-	ref := NewSharded(4)
+	ref := newStoreModel(0)
 
 	// An old process's WAL: v1-only segments, all fabricated into shard
 	// 0's directory — replay routes by today's hash, not disk position,
@@ -239,13 +239,13 @@ func TestMixedVersionStoreRecovery(t *testing.T) {
 	}
 	writeV1Segment(t, shard0, 1, oldBatches...)
 	for _, b := range oldBatches {
-		recoveryWrite(t, b, ref)
+		ref.add(b)
 	}
 
 	// First life: recover the v1 data, append v2 on top, hard-stop.
 	s := openCrashable(t, dir, 4)
 	for i := 4; i < 8; i++ {
-		recoveryWrite(t, recoveryBatch(i, 6, 4), s, ref)
+		recoveryWrite(t, ref, recoveryBatch(i, 6, 4), s)
 	}
 	assertSameContents(t, s, ref, "mixed dir, first life")
 
@@ -257,7 +257,7 @@ func TestMixedVersionStoreRecovery(t *testing.T) {
 	}
 	assertSameContents(t, re, ref, "after checkpoint of mixed WAL")
 	for i := 8; i < 10; i++ {
-		recoveryWrite(t, recoveryBatch(i, 6, 4), re, ref)
+		recoveryWrite(t, ref, recoveryBatch(i, 6, 4), re)
 	}
 
 	// Third life at a different shard count.
@@ -408,8 +408,7 @@ func openGroupCommit(t testing.TB, dir string, shards int) *Sharded {
 
 // TestGroupCommitConcurrentEquivalence hammers an FsyncAlways store with
 // concurrent writers at shards {1,4} and pins three things: the stored
-// contents are byte-identical to an in-memory reference fed the same
-// samples, every acked batch survives a hard stop (the FsyncAlways
+// contents equal the store model fed the same samples, every acked batch survives a hard stop (the FsyncAlways
 // contract group commit must not weaken), and the group-commit
 // telemetry moved.
 func TestGroupCommitConcurrentEquivalence(t *testing.T) {
@@ -420,7 +419,7 @@ func TestGroupCommitConcurrentEquivalence(t *testing.T) {
 			tel := s.Telemetry()
 
 			const writers, batches = 8, 20
-			ref := NewSharded(shards)
+			ref := newStoreModel(0)
 			var wg sync.WaitGroup
 			errs := make([]error, writers)
 			for g := 0; g < writers; g++ {
@@ -429,8 +428,8 @@ func TestGroupCommitConcurrentEquivalence(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < batches; i++ {
 						// Distinct series per writer: arrival order within
-						// any series is deterministic, so the reference
-						// store (fed sequentially below) must match.
+						// any series is deterministic, so the model (fed
+						// sequentially below) must match.
 						batch := []Sample{
 							{Component: fmt.Sprintf("writer-%02d", g), Metric: "a", T: int64(i) * 100, V: float64(g*1000 + i)},
 							{Component: fmt.Sprintf("writer-%02d", g), Metric: "b", T: int64(i) * 100, V: float64(i)},
@@ -450,13 +449,13 @@ func TestGroupCommitConcurrentEquivalence(t *testing.T) {
 			}
 			for g := 0; g < writers; g++ {
 				for i := 0; i < batches; i++ {
-					recoveryWrite(t, []Sample{
+					ref.add([]Sample{
 						{Component: fmt.Sprintf("writer-%02d", g), Metric: "a", T: int64(i) * 100, V: float64(g*1000 + i)},
 						{Component: fmt.Sprintf("writer-%02d", g), Metric: "b", T: int64(i) * 100, V: float64(i)},
-					}, ref)
+					})
 				}
 			}
-			assertSameContents(t, s, ref, "live store vs reference")
+			assertSameContents(t, s, ref, "live store vs model")
 
 			if tel.WALGroupCommitBatches.Count() == 0 {
 				t.Error("sieve_wal_group_commit_batches never observed a leader fsync")
@@ -547,10 +546,10 @@ func TestGroupCommitConcurrentIngestCheckpointClose(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	ref := NewSharded(4)
+	ref := newStoreModel(0)
 	for _, batches := range acked {
 		for _, smp := range batches {
-			recoveryWrite(t, []Sample{smp}, ref)
+			ref.add([]Sample{smp})
 		}
 	}
 	re := openCrashable(t, dir, 4)
@@ -593,7 +592,7 @@ func TestGroupCommitSingleWriterStillSyncs(t *testing.T) {
 	s := openGroupCommit(t, dir, 1)
 	tel := s.Telemetry()
 	for i := 0; i < 5; i++ {
-		recoveryWrite(t, walBatch("solo", 4, int64(i)*1000), s)
+		recoveryWrite(t, nil, walBatch("solo", 4, int64(i)*1000), s)
 	}
 	if got := tel.WALGroupCommitBatches.Count(); got != 5 {
 		t.Errorf("leader fsyncs = %d, want 5 (one per serial append)", got)
@@ -604,9 +603,9 @@ func TestGroupCommitSingleWriterStillSyncs(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ref := NewSharded(1)
+	ref := newStoreModel(0)
 	for i := 0; i < 5; i++ {
-		recoveryWrite(t, walBatch("solo", 4, int64(i)*1000), ref)
+		ref.add(walBatch("solo", 4, int64(i)*1000))
 	}
 	re := openCrashable(t, dir, 1)
 	assertSameContents(t, re, ref, "serial FsyncAlways recovery")
@@ -621,7 +620,7 @@ func TestGroupCommitSingleWriterStillSyncs(t *testing.T) {
 // so the counter semantics are pinned here instead.
 func TestGroupCommitBatchedAppendsShareOneFsync(t *testing.T) {
 	tel := newStoreTelemetry(telemetry.NewRegistry())
-	w, err := openWALWriter(t.TempDir(), FsyncAlways, 1<<20, tel)
+	w, err := openWALWriter(t.TempDir(), FsyncAlways, 1<<20, tel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
