@@ -143,10 +143,17 @@ func main() {
 	}
 
 	// The recovered store serves the same points the first life stored.
-	pts, err := client2.Query("web", sieve.ShareLatexHubMetric, 0, after.MaxTimeMS+1)
+	// Names without '*' or '?' match that one series alone.
+	series, err := client2.QueryRange(sieve.RangeQuery{
+		Component: "web", Metric: sieve.ShareLatexHubMetric, From: 0, To: after.MaxTimeMS + 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	points := 0
+	for _, r := range series {
+		points += len(r.Points)
+	}
 	fmt.Printf("query after restart: %d points of web/%s survived\n",
-		len(pts), sieve.ShareLatexHubMetric)
+		points, sieve.ShareLatexHubMetric)
 }

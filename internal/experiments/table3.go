@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"github.com/sieve-microservices/sieve/internal/app/sharelatex"
 	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
+	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
 // Table3 regenerates Table 3: the monitoring stack's resource usage
@@ -33,13 +35,11 @@ func (s *Suite) Table3() (*Result, error) {
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
-		// Dashboard/autoscaler traffic: one full-window query per stored
+		// Dashboard/autoscaler traffic: one full-window read of every stored
 		// series (the paper's network-out includes query responses).
-		for _, key := range capture.DB.SeriesKeys() {
-			slash := strings.IndexByte(key, '/')
-			if _, err := capture.DB.Query(key[:slash], key[slash+1:], 0, a.Now()); err != nil {
-				return 0, 0, 0, 0, err
-			}
+		q := tsdb.RangeQuery{Component: "*", Metric: "*", From: 0, To: a.Now()}
+		if _, err := capture.DB.QueryRange(context.Background(), q); err != nil {
+			return 0, 0, 0, 0, err
 		}
 		capture.DB.Flush()
 		st := capture.DB.Stats()

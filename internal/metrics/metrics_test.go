@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -115,12 +116,13 @@ func TestCollectorScrapesIntoDB(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("shipped %d samples, want 3", n)
 	}
-	pts, err := db.Query("web", "cpu", 0, 2000)
+	// Names without '*' or '?' match that one series alone.
+	res, err := db.QueryRange(context.Background(), tsdb.RangeQuery{Component: "web", Metric: "cpu", From: 0, To: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 1 || pts[0].V != 0.5 || pts[0].T != 1000 {
-		t.Errorf("stored point = %+v", pts)
+	if len(res) != 1 || len(res[0].Points) != 1 || res[0].Points[0] != (tsdb.Point{T: 1000, V: 0.5}) {
+		t.Errorf("stored series = %+v", res)
 	}
 
 	st := c.Stats()

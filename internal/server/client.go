@@ -109,7 +109,7 @@ func ackedSamples(h http.Header) (int, error) {
 // meaningful alongside a non-nil error: a multi-shard durable server
 // can fail partially, and the stored subset is hash-routed — not a
 // payload prefix — so the count is for accounting and reconciliation
-// (via Query), never a resume cursor.
+// (via QueryRange), never a resume cursor.
 func (c *Client) Write(payload []byte) (int, error) {
 	var h http.Header
 	hdr := map[string]string{"Content-Type": "text/plain; charset=utf-8"}
@@ -154,18 +154,36 @@ func (c *Client) Stats() (*StatsResponse, error) {
 	return &st, nil
 }
 
-// Query reads one series' points with T in [from, to).
-func (c *Client) Query(component, metric string, from, to int64) ([]tsdb.Point, error) {
-	q := url.Values{}
-	q.Set("component", component)
-	q.Set("metric", metric)
-	q.Set("from", strconv.FormatInt(from, 10))
-	q.Set("to", strconv.FormatInt(to, 10))
-	var resp QueryResponse
-	if err := c.do(http.MethodGet, "/query?"+q.Encode(), nil, nil, &resp); err != nil {
+// QueryRange evaluates a matcher/aggregation query server-side via
+// GET /query_range. An empty match returns an empty slice, not an error.
+// The query is validated before it is sent, so an inconsistent one (e.g.
+// StepMS without Agg, which the wire format could not even express) fails
+// here exactly as it would against a local store. To read one series,
+// pass its names and keep the result whose Component and Metric equal
+// them: the names are globs, and '*' or '?' in one can only widen the
+// match.
+func (c *Client) QueryRange(q tsdb.RangeQuery) ([]tsdb.SeriesResult, error) {
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	return resp.Points, nil
+	v := url.Values{}
+	if q.Component != "" {
+		v.Set("component", q.Component)
+	}
+	if q.Metric != "" {
+		v.Set("metric", q.Metric)
+	}
+	v.Set("from", strconv.FormatInt(q.From, 10))
+	v.Set("to", strconv.FormatInt(q.To, 10))
+	if q.Agg != tsdb.AggNone {
+		v.Set("agg", q.Agg.String())
+		v.Set("step", strconv.FormatInt(q.StepMS, 10))
+	}
+	var resp QueryRangeResponse
+	if err := c.do(http.MethodGet, "/query_range?"+v.Encode(), nil, nil, &resp); err != nil {
+		return nil, err
+	}
+	return resp.Results, nil
 }
 
 // ArtifactResult is a fetched artifact: the decoded pipeline output plus

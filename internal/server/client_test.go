@@ -3,8 +3,6 @@ package server
 import (
 	"errors"
 	"net/http"
-	"net/url"
-	"strconv"
 
 	"github.com/sieve-microservices/sieve/internal/promremote"
 	"github.com/sieve-microservices/sieve/internal/snappy"
@@ -12,8 +10,8 @@ import (
 )
 
 // The client halves of the endpoints no command or example drives over
-// HTTP live here: the tests reach /api/v1/write and /query_range through
-// them the way an agent or a dashboard would.
+// HTTP live here: the tests reach /api/v1/write through them the way an
+// agent would.
 
 // WriteSamples encodes and ships decoded samples to POST /write.
 func (c *Client) WriteSamples(samples []tsdb.Sample) (int, error) {
@@ -59,33 +57,4 @@ func (c *Client) WriteRemote(samples []tsdb.Sample) (int, error) {
 		return 0, err
 	}
 	return ackedSamples(h)
-}
-
-// QueryRange evaluates a matcher/aggregation query server-side via
-// GET /query_range. An empty match returns an empty slice, not an error.
-// The query is validated before it is sent, so an inconsistent one (e.g.
-// StepMS without Agg, which the wire format could not even express) fails
-// here exactly as it would against a local store.
-func (c *Client) QueryRange(q tsdb.RangeQuery) ([]tsdb.SeriesResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	v := url.Values{}
-	if q.Component != "" {
-		v.Set("component", q.Component)
-	}
-	if q.Metric != "" {
-		v.Set("metric", q.Metric)
-	}
-	v.Set("from", strconv.FormatInt(q.From, 10))
-	v.Set("to", strconv.FormatInt(q.To, 10))
-	if q.Agg != tsdb.AggNone {
-		v.Set("agg", q.Agg.String())
-		v.Set("step", strconv.FormatInt(q.StepMS, 10))
-	}
-	var resp QueryRangeResponse
-	if err := c.do(http.MethodGet, "/query_range?"+v.Encode(), nil, nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
 }

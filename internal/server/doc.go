@@ -7,14 +7,21 @@
 // latest artifact — with the live autoscaling signal from
 // MostFrequentMetric — is served from GET /artifact.
 //
-// Endpoints:
+// Endpoints (Server.routes, pinned by testdata/routes.txt):
 //
-//	POST /write      line-protocol batch; 204 + X-Sieve-Samples on success
-//	GET  /query      ?component=&metric=&from=&to= -> JSON points
-//	GET  /stats      store + server counters
-//	GET  /artifact   latest pipeline output (404 until the first run)
-//	POST /callgraph  JSON [{"caller","callee","calls"}] topology upload
-//	POST /run        force one synchronous pipeline run
+//	POST /write          line-protocol batch; 204 + X-Sieve-Samples on success
+//	POST /api/v1/write   Prometheus remote write 1.0 (snappy protobuf); same ack
+//	GET  /query_range    ?component=&metric=&from=&to=&agg=&step= -> JSON
+//	                     results per matched series (globs; 200 with no
+//	                     results when nothing matches)
+//	GET  /stats          store + server counters
+//	GET  /artifact       latest pipeline output (404 until the first run)
+//	POST /callgraph      JSON [{"caller","callee","calls"}] topology upload
+//	POST /run            force one synchronous pipeline run
+//	GET  /metrics        Prometheus text exposition of every instrument
+//	GET  /healthz        liveness: always 200, readiness detail in the body
+//	GET  /readyz         readiness: 503 while any check fails
+//	GET  /debug/traces   slow-op ring, slowest first (?n= bounds the count)
 //
 // # Durability
 //
@@ -25,7 +32,7 @@
 // recovers the previous life's data — block files plus WAL replay —
 // before the server takes traffic, so a restarted sieved anchors its
 // sliding analysis window at the recovered high-water mark and answers
-// /query byte-identically to the store that was killed. ListenAndServe
+// /query_range byte-identically to the store that was killed. ListenAndServe
 // checkpoints and closes the store on graceful shutdown; embedders
 // using Handler call Server.Close themselves.
 //

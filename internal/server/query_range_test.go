@@ -34,8 +34,8 @@ func TestQueryRangeEndpoint(t *testing.T) {
 	s, hs, c := newTestServer(t, Options{Shards: 4})
 	writeQuerySeries(t, c)
 
-	// Matcher over the web components, raw: must byte-equal per-series
-	// /query round trips merged in key order.
+	// Matcher over the web components, raw: must equal per-series exact
+	// reads (each series' own names as the globs) merged in key order.
 	res, err := c.QueryRange(tsdb.RangeQuery{Component: "web-*", Metric: "*", From: 0, To: 20000})
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +44,12 @@ func TestQueryRangeEndpoint(t *testing.T) {
 		t.Fatalf("unexpected matcher results: %+v", res)
 	}
 	for _, r := range res {
-		want, err := c.Query(r.Component, r.Metric, 0, 20000)
+		want, err := c.QueryRange(tsdb.RangeQuery{Component: r.Component, Metric: r.Metric, From: 0, To: 20000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r.Points, want) {
-			t.Fatalf("%s/%s: matcher points differ from /query", r.Component, r.Metric)
+		if !reflect.DeepEqual([]tsdb.SeriesResult{r}, want) {
+			t.Fatalf("%s/%s: matcher points differ from the exact read", r.Component, r.Metric)
 		}
 	}
 
@@ -151,8 +151,9 @@ func TestQueryRangeDurableConcurrentCheckpoint(t *testing.T) {
 }
 
 // TestQueryRangeMatchesAcrossRestart pins that a restarted durable
-// server answers /query_range byte-identically to the life that wrote
-// the data (the read-path analogue of the /query recovery pin).
+// server answers matcher and aggregated /query_range requests
+// identically to the life that wrote the data (beside the per-series
+// byte pin of TestServerRecoversAfterHardStop).
 func TestQueryRangeMatchesAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, _, c1 := newTestServer(t, Options{Shards: 4, DataDir: dir, FlushInterval: -1})

@@ -20,8 +20,9 @@ func durableOptions(dir string) Options {
 	return Options{DataDir: dir, Fsync: "never", FlushInterval: -1, Shards: 3}
 }
 
-// queryBody fetches the raw GET /query response body: recovery is
-// asserted on the exact bytes a client would see.
+// queryBody fetches the raw GET /query_range body of one series' exact
+// read (its own names as the globs): recovery is asserted on the exact
+// bytes a client would see.
 func queryBody(t *testing.T, base, component, metric string) (int, string) {
 	t.Helper()
 	q := url.Values{}
@@ -29,7 +30,7 @@ func queryBody(t *testing.T, base, component, metric string) (int, string) {
 	q.Set("metric", metric)
 	q.Set("from", "0")
 	q.Set("to", fmt.Sprint(int64(1)<<60))
-	resp, err := http.Get(base + "/query?" + q.Encode())
+	resp, err := http.Get(base + "/query_range?" + q.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +45,11 @@ func queryBody(t *testing.T, base, component, metric string) (int, string) {
 // TestServerRecoversAfterHardStop is the end-to-end crash test: drive a
 // real load session over HTTP into a durable server, kill it without any
 // shutdown, boot a fresh server on the same directory, and require every
-// /query response to be byte-identical to the pre-kill server's.
+// series' /query_range response to be byte-identical to the pre-kill
+// server's.
 func TestServerRecoversAfterHardStop(t *testing.T) {
 	dir := t.TempDir()
-	s1, hs1, c1 := newTestServer(t, durableOptions(dir))
+	_, hs1, c1 := newTestServer(t, durableOptions(dir))
 	a, err := app.New(chainSpec(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -64,14 +66,14 @@ func TestServerRecoversAfterHardStop(t *testing.T) {
 	if st1.Points == 0 {
 		t.Fatal("no points ingested")
 	}
-	keys := s1.store.SeriesKeys()
-	if len(keys) == 0 {
-		t.Fatal("no series ingested")
+	all, err := c1.QueryRange(tsdb.RangeQuery{Component: "*", Metric: "*", From: 0, To: 1 << 60})
+	if err != nil || len(all) == 0 {
+		t.Fatalf("no series ingested: %v", err)
 	}
-	want := make(map[string]string, len(keys))
-	for _, key := range keys {
-		comp, metric, _ := strings.Cut(key, "/")
-		code, body := queryBody(t, hs1.URL, comp, metric)
+	want := make(map[string]string, len(all))
+	for _, r := range all {
+		key := r.Component + "/" + r.Metric
+		code, body := queryBody(t, hs1.URL, r.Component, r.Metric)
 		if code != http.StatusOK {
 			t.Fatalf("pre-kill query %s: status %d", key, code)
 		}
@@ -101,7 +103,7 @@ func TestServerRecoversAfterHardStop(t *testing.T) {
 			t.Fatalf("post-restart query %s: status %d", key, code)
 		}
 		if body != wantBody {
-			t.Fatalf("post-restart /query for %s is not byte-identical", key)
+			t.Fatalf("post-restart /query_range for %s is not byte-identical", key)
 		}
 	}
 }
@@ -140,7 +142,7 @@ func TestServerRecoveryAfterCheckpointAndGracefulClose(t *testing.T) {
 	s2, hs2, _ := newTestServer(t, durableOptions(dir))
 	_, gotBody := queryBody(t, hs2.URL, "comp", "m3")
 	if gotBody != wantBody {
-		t.Fatal("block+WAL recovery: /query not byte-identical")
+		t.Fatal("block+WAL recovery: /query_range not byte-identical")
 	}
 	if err := s2.Close(); err != nil { // graceful: final checkpoint
 		t.Fatal(err)
@@ -151,7 +153,7 @@ func TestServerRecoveryAfterCheckpointAndGracefulClose(t *testing.T) {
 	defer s3.Close()
 	_, gotBody = queryBody(t, hs3.URL, "comp", "m3")
 	if gotBody != wantBody {
-		t.Fatal("blocks-only recovery after graceful close: /query not byte-identical")
+		t.Fatal("blocks-only recovery after graceful close: /query_range not byte-identical")
 	}
 }
 

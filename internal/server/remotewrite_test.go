@@ -63,7 +63,7 @@ func TestRemoteWriteStoresSamples(t *testing.T) {
 	if n != len(samples) {
 		t.Fatalf("acked %d samples, want %d", n, len(samples))
 	}
-	pts, err := s.Store().Query("web", "cpu", 0, 1<<40)
+	pts, err := readSeries(s, "web", "cpu")
 	if err != nil || len(pts) != 2 {
 		t.Fatalf("web/cpu: %d points, err %v; want 2", len(pts), err)
 	}
@@ -85,7 +85,7 @@ func TestRemoteWriteStoresSamples(t *testing.T) {
 	if code != http.StatusNoContent {
 		t.Fatalf("folded-label write: status %d, body %s", code, body)
 	}
-	pts, err = s.Store().Query("web", "cpu{instance=host-1:9100}", 0, 1<<40)
+	pts, err = readSeries(s, "web", "cpu{instance=host-1:9100}")
 	if err != nil || len(pts) != 1 {
 		t.Fatalf("folded metric: %d points, err %v; want 1", len(pts), err)
 	}
@@ -104,7 +104,7 @@ func TestRemoteWriteComponentLabelOption(t *testing.T) {
 	if code != http.StatusNoContent {
 		t.Fatalf("status %d, body %s", code, body)
 	}
-	if pts, err := s.Store().Query("edge-7", "cpu", 0, 1<<40); err != nil || len(pts) != 1 {
+	if pts, err := readSeries(s, "edge-7", "cpu"); err != nil || len(pts) != 1 {
 		t.Fatalf("edge-7/cpu: %d points, err %v; want 1", len(pts), err)
 	}
 	// Claiming __name__ as the component label cannot mean anything.
@@ -244,7 +244,7 @@ func TestRemoteWriteDropsNonFiniteValues(t *testing.T) {
 	if ack := hdr.Get("X-Sieve-Samples"); ack != "1" {
 		t.Fatalf("acked %q samples, want 1 (non-finite dropped)", ack)
 	}
-	pts, err := s.Store().Query("web", "cpu", 0, 1<<40)
+	pts, err := readSeries(s, "web", "cpu")
 	if err != nil || len(pts) != 1 || pts[0].V != 0.75 {
 		t.Fatalf("points %+v, err %v; want the single finite sample", pts, err)
 	}

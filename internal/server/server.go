@@ -253,8 +253,8 @@ type Server struct {
 
 // New creates a Server with its backing sharded store. With
 // Options.DataDir set the store is durable: New recovers the previous
-// life's blocks and WAL before returning, so the server answers /query
-// identically to the store that was killed.
+// life's blocks and WAL before returning, so the server answers
+// /query_range identically to the store that was killed.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if steps := opts.WindowMS / opts.StepMS; steps < MinWindowSamples {
@@ -310,21 +310,29 @@ func New(opts Options) (*Server, error) {
 	if opts.Incremental {
 		s.cache = core.NewWindowCache(opts.AppName, opts.StepMS)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /write", s.handleWrite)
-	mux.HandleFunc("POST /api/v1/write", s.handleRemoteWrite)
-	mux.HandleFunc("GET /query", s.handleQuery)
-	mux.HandleFunc("GET /query_range", s.handleQueryRange)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /artifact", s.handleArtifact)
-	mux.HandleFunc("POST /callgraph", s.handleCallGraph)
-	mux.HandleFunc("POST /run", s.handleRun)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux = mux
+	s.mux = http.NewServeMux()
+	for pattern, handler := range s.routes() {
+		s.mux.HandleFunc(pattern, handler)
+	}
 	return s, nil
+}
+
+// routes is the whole HTTP surface New registers, ServeMux pattern to
+// handler, pinned by TestRouteSurface to testdata/routes.txt.
+func (s *Server) routes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"POST /write":        s.handleWrite,
+		"POST /api/v1/write": s.handleRemoteWrite,
+		"GET /query_range":   s.handleQueryRange,
+		"GET /stats":         s.handleStats,
+		"GET /artifact":      s.handleArtifact,
+		"POST /callgraph":    s.handleCallGraph,
+		"POST /run":          s.handleRun,
+		"GET /metrics":       s.handleMetrics,
+		"GET /healthz":       s.handleHealthz,
+		"GET /readyz":        s.handleReadyz,
+		"GET /debug/traces":  s.handleTraces,
+	}
 }
 
 // Options returns the server's effective configuration: what New was
@@ -371,7 +379,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // count in header and body alongside the error. A multi-shard durable
 // store can fail partially: n samples were stored before the error. The
 // stored subset is hash-routed, not a payload prefix, so resending any
-// of the payload duplicates points — reconcile via /query.
+// of the payload duplicates points — reconcile via /query_range.
 func writeErrorBody(w http.ResponseWriter, status, stored int, err error) {
 	w.Header().Set("X-Sieve-Samples", strconv.Itoa(stored))
 	w.Header().Set("Content-Type", "application/json")
@@ -472,60 +480,6 @@ func (s *Server) storeBatch(w http.ResponseWriter, sp *telemetry.Span, accepted 
 	return true
 }
 
-// QueryResponse is the GET /query body.
-type QueryResponse struct {
-	Component string       `json:"component"`
-	Metric    string       `json:"metric"`
-	Points    []tsdb.Point `json:"points"`
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sp := s.tel.opQuery.Start()
-	defer func() {
-		s.tel.querySeconds.ObserveSince(start)
-		sp.End()
-	}()
-	q := r.URL.Query()
-	component, metric := q.Get("component"), q.Get("metric")
-	sp.Field("component", component)
-	sp.Field("metric", metric)
-	if component == "" || metric == "" {
-		httpError(w, http.StatusBadRequest, "component and metric query parameters are required")
-		return
-	}
-	parse := func(key string, fallback int64) (int64, error) {
-		v := q.Get(key)
-		if v == "" {
-			return fallback, nil
-		}
-		return strconv.ParseInt(v, 10, 64)
-	}
-	from, err := parse("from", 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad from: %v", err)
-		return
-	}
-	to, err := parse("to", s.store.MaxTime()+1)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad to: %v", err)
-		return
-	}
-	pts, err := s.store.Query(component, metric, from, to)
-	if err != nil {
-		// Only "never heard of that series" is a 404; anything else
-		// (corrupt chunk, I/O failure) is a storage error the client
-		// must not mistake for absence.
-		if errors.Is(err, tsdb.ErrUnknownSeries) {
-			httpError(w, http.StatusNotFound, "%v", err)
-		} else {
-			httpError(w, http.StatusInternalServerError, "%v", err)
-		}
-		return
-	}
-	writeJSON(w, QueryResponse{Component: component, Metric: metric, Points: pts})
-}
-
 // QueryRangeResponse is the GET /query_range body: the resolved query
 // echo plus one entry per matched series with points in range, sorted by
 // series key. Aggregated queries return one point per non-empty bucket,
@@ -540,9 +494,9 @@ type QueryRangeResponse struct {
 
 // handleQueryRange serves the query engine over HTTP: component/metric
 // glob matchers, optional aggregation push-down (agg + step), evaluated
-// with chunk-skipping reads and per-series fan-out. Unlike /query, an
-// empty match is a 200 with no results — a matcher that matches nothing
-// is an answer, not an error.
+// with chunk-skipping reads and per-series fan-out. An empty match — a
+// series nobody wrote included — is a 200 with no results: a matcher that
+// matches nothing is an answer, not an error.
 func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sp := s.tel.opRange.Start()

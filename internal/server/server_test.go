@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 	"github.com/sieve-microservices/sieve/internal/metrics"
 	"github.com/sieve-microservices/sieve/internal/trace"
+	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, *Client) {
@@ -25,6 +28,22 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, *Clie
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
 	return s, hs, NewClient(hs.URL)
+}
+
+// readSeries is an exact read of one series from the server's store: a
+// raw QueryRange whose globs are the series' own names, keeping only the
+// result with exactly that key (a name holding '*' or '?' can only widen
+// the match). A series nobody wrote reads as no points.
+func readSeries(s *Server, component, metric string) ([]tsdb.Point, error) {
+	res, err := s.Store().QueryRange(context.Background(), tsdb.RangeQuery{
+		Component: component, Metric: metric, From: 0, To: 1 << 40,
+	})
+	for _, r := range res {
+		if r.Component == component && r.Metric == metric {
+			return r.Points, err
+		}
+	}
+	return nil, err
 }
 
 // chainSpec is a small three-component topology for fast server tests.
@@ -136,12 +155,12 @@ func TestServerEndToEndShareLatex(t *testing.T) {
 
 	// The ingested series are queryable back out over HTTP.
 	e := art.Graph.Edges[0]
-	pts, err := c.Query(e.From, e.FromMetric, 0, st.MaxTimeMS+1)
+	got, err := c.QueryRange(tsdb.RangeQuery{Component: e.From, Metric: e.FromMetric, From: 0, To: st.MaxTimeMS + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) == 0 {
-		t.Fatalf("query %s/%s returned no points", e.From, e.FromMetric)
+	if len(got) != 1 || got[0].Component != e.From || got[0].Metric != e.FromMetric || len(got[0].Points) == 0 {
+		t.Fatalf("query %s/%s returned %+v, want its points", e.From, e.FromMetric, got)
 	}
 }
 
@@ -264,10 +283,13 @@ func TestServerMalformedRequests(t *testing.T) {
 		{"write bad line in batch", "POST", "/write", "web,metric=cpu value=1 500\ngarbage", http.StatusBadRequest},
 		{"write oversized body", "POST", "/write", strings.Repeat("x", 2<<10), http.StatusRequestEntityTooLarge},
 		{"write wrong method", "GET", "/write", "", http.StatusMethodNotAllowed},
-		{"query missing params", "GET", "/query", "", http.StatusBadRequest},
-		{"query unknown series", "GET", "/query?component=no&metric=pe", "", http.StatusNotFound},
-		{"query bad from", "GET", "/query?component=a&metric=b&from=xyz", "", http.StatusBadRequest},
-		{"query bad to", "GET", "/query?component=a&metric=b&to=1.5", "", http.StatusBadRequest},
+		{"query missing params", "GET", "/query_range?agg=max", "", http.StatusBadRequest},
+		{"query unknown series", "GET", "/query_range?component=no&metric=pe", "", http.StatusOK},
+		{"query bad from", "GET", "/query_range?component=a&metric=b&from=xyz", "", http.StatusBadRequest},
+		{"query bad to", "GET", "/query_range?component=a&metric=b&to=1.5", "", http.StatusBadRequest},
+		{"query from past the default to", "GET", "/query_range?from=1000", "", http.StatusOK},
+		{"query explicit inverted range", "GET", "/query_range?from=1000&to=999", "", http.StatusBadRequest},
+		{"query removed /query route", "GET", "/query?component=web&metric=cpu", "", http.StatusNotFound},
 		{"artifact before first run", "GET", "/artifact", "", http.StatusNotFound},
 		{"run with empty store", "POST", "/run", "", http.StatusConflict},
 		{"callgraph invalid json", "POST", "/callgraph", "{not json", http.StatusBadRequest},
@@ -329,4 +351,33 @@ func TestServerOptionValidation(t *testing.T) {
 		t.Fatalf("a 64-step window must be accepted: %v", err)
 	}
 	s.Close()
+}
+
+// TestRouteSurface pins sieved's HTTP surface to testdata/routes.txt, one
+// "METHOD /path" per line, sorted: the route table New registers is the
+// fixture, and the live mux resolves a request for each line to exactly
+// that pattern.
+func TestRouteSurface(t *testing.T) {
+	s, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patterns []string
+	for pattern := range s.routes() {
+		patterns = append(patterns, pattern)
+	}
+	sort.Strings(patterns)
+	fixture, err := os.ReadFile("testdata/routes.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(patterns, "\n") + "\n"; got != string(fixture) {
+		t.Fatalf("route table differs from testdata/routes.txt:\ngot:\n%swant:\n%s", got, fixture)
+	}
+	for _, pattern := range patterns {
+		method, path, _ := strings.Cut(pattern, " ")
+		if _, served := s.mux.Handler(httptest.NewRequest(method, path, nil)); served != pattern {
+			t.Errorf("%s is served by pattern %q", pattern, served)
+		}
+	}
 }

@@ -169,7 +169,7 @@ func TestServeListenerGracefulShutdownStillDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	pts, err := s2.Store().Query("web", "cpu", 0, 1<<40)
+	pts, err := readSeries(s2, "web", "cpu")
 	if err != nil || len(pts) != 1 {
 		t.Fatalf("recovered %d points, err %v; want 1", len(pts), err)
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"log/slog"
 	"math"
 	"net/http"
@@ -53,10 +52,9 @@ type telemetrySet struct {
 	remoteLimitRejects     *telemetry.Counter
 	remoteDroppedNonFinite *telemetry.Counter
 
-	// Query latency, split by how the engine can evaluate the request:
-	// push-down aggregations ride chunk summaries, decode aggregations
-	// must decompress, raw reads stream points out.
-	querySeconds  *telemetry.Histogram
+	// /query_range latency, split by how the engine can evaluate the
+	// request: push-down aggregations ride chunk summaries, decode
+	// aggregations must decompress, raw reads stream points out.
 	rangePushdown *telemetry.Histogram
 	rangeDecode   *telemetry.Histogram
 	rangeRaw      *telemetry.Histogram
@@ -86,7 +84,6 @@ type telemetrySet struct {
 	ring          *telemetry.TraceRing
 	opWrite       *telemetry.Op
 	opRemoteWrite *telemetry.Op
-	opQuery       *telemetry.Op
 	opRange       *telemetry.Op
 	opCycle       *telemetry.Op
 }
@@ -127,8 +124,6 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 		remoteDroppedNonFinite: reg.Counter("sieve_remote_write_dropped_nonfinite_total",
 			"non-finite remote-write sample values dropped (Prometheus staleness markers)"),
 
-		querySeconds: reg.Histogram("sieve_query_seconds",
-			"GET /query request latency", nil),
 		rangePushdown: reg.Histogram("sieve_query_range_pushdown_seconds",
 			"GET /query_range latency for push-down aggregations (min/max/count/rate)", nil),
 		rangeDecode: reg.Histogram("sieve_query_range_decode_seconds",
@@ -176,7 +171,6 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 	})
 	t.opWrite = t.ring.Op("write")
 	t.opRemoteWrite = t.ring.Op("remote_write")
-	t.opQuery = t.ring.Op("query")
 	t.opRange = t.ring.Op("query_range")
 	t.opCycle = t.ring.Op("pipeline_cycle")
 
@@ -266,20 +260,28 @@ const appMaxTimeMetric = "app_max_time_ms"
 
 // recoveredAppMaxTime is the window anchor a self-scraping server boots
 // with: the highest reading of that series a previous life left in the
-// store (one series read). The store's MaxTime serves only when no life
-// recorded the series: with telemetry recovered it is the self-scrape
-// clock, which may run ahead of application time, and the anchor only
-// ever moves forward.
+// store (one exact series read: the names are globs to QueryRange, so
+// only the result with exactly this key counts). The store's MaxTime
+// serves only when no life recorded the series: with telemetry recovered
+// it is the self-scrape clock, which may run ahead of application time,
+// and the anchor only ever moves forward.
 func recoveredAppMaxTime(store *tsdb.Sharded) (int64, error) {
-	pts, err := store.Query(ReservedComponent, appMaxTimeMetric, 0, store.MaxTime()+1)
-	if errors.Is(err, tsdb.ErrUnknownSeries) {
-		return store.MaxTime(), nil
+	res, err := store.QueryRange(context.Background(), tsdb.RangeQuery{
+		Component: ReservedComponent, Metric: appMaxTimeMetric, From: 0, To: store.MaxTime() + 1,
+	})
+	if err != nil {
+		return 0, err
 	}
-	var anchor float64
-	for _, p := range pts {
-		anchor = math.Max(anchor, p.V)
+	for _, r := range res {
+		if r.Component == ReservedComponent && r.Metric == appMaxTimeMetric {
+			var anchor float64
+			for _, p := range r.Points {
+				anchor = math.Max(anchor, p.V)
+			}
+			return int64(anchor), nil
+		}
 	}
-	return int64(anchor), err
+	return store.MaxTime(), nil
 }
 
 // analysisMaxTime returns the high-water mark the pipeline window

@@ -17,7 +17,7 @@ import (
 func assertCatalog(t *testing.T, s *Sharded, m *storeModel, step string) []string {
 	t.Helper()
 	want := m.keys()
-	got := s.SeriesKeys()
+	got := s.catalogKeys()
 	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 		t.Fatalf("%s: cached keys %v, model %v", step, got, want)
 	}
@@ -143,7 +143,7 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 						return
 					default:
 					}
-					if got := s.SeriesKeys(); !reflect.DeepEqual(got, keys) {
+					if got := s.catalogKeys(); !reflect.DeepEqual(got, keys) {
 						t.Errorf("mid-checkpoint keys %v, want %v", got, keys)
 						return
 					}
@@ -273,7 +273,7 @@ func TestQueryEngineCatalogConcurrent(t *testing.T) {
 		}
 	})
 	background(func() {
-		keys := s.SeriesKeys()
+		keys := s.catalogKeys()
 		if !sort.StringsAreSorted(keys) {
 			t.Errorf("catalog not sorted: %v", keys)
 		}

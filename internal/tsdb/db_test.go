@@ -93,7 +93,7 @@ func TestDBWriteQueryRoundTrip(t *testing.T) {
 		t.Fatalf("wrote %d samples, want 100", n)
 	}
 
-	pts, err := db.Query("web", "cpu", 0, 50*500)
+	pts, err := readSeries(db, "web", "cpu", 0, 50*500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestDBWriteQueryRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := db.Query("web", "nope", 0, 100); err == nil {
-		t.Error("expected error for unknown series")
+	if pts, err := readSeries(db, "web", "nope", 0, 100); err != nil || len(pts) != 0 {
+		t.Errorf("unknown series: %d points, err = %v; want none", len(pts), err)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestDBQuerySpansSealedBlocks(t *testing.T) {
 	if _, err := db.Write(EncodeLineProtocol(samples)); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := db.Query("c", "m", 0, int64(total))
+	pts, err := readSeries(db, "c", "m", 0, int64(total))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDBStatsAccounting(t *testing.T) {
 
 	// Queries add network-out traffic.
 	before := st.NetworkOutBytes
-	if _, err := db.Query("c", "m", 0, 1<<40); err != nil {
+	if _, err := readSeries(db, "c", "m", 0, 1<<40); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Stats().NetworkOutBytes; got != before+16*600 {
@@ -186,9 +186,9 @@ func TestDBWriteSamples(t *testing.T) {
 	if st.Points != 1 || st.NetworkInBytes != 42 {
 		t.Errorf("stats = %+v", st)
 	}
-	keys := db.SeriesKeys()
-	if len(keys) != 1 || keys[0] != "a/m" {
-		t.Errorf("keys = %v", keys)
+	keys, err := scanKeys(db)
+	if err != nil || len(keys) != 1 || keys[0] != "a/m" {
+		t.Errorf("keys = %v, %v", keys, err)
 	}
 }
 

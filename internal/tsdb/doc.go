@@ -57,12 +57,13 @@
 // The read side (queryengine.go) has one primitive, Sharded.scanSeries:
 // stream one series in canonical storage order — persisted blocks by
 // sequence, the checkpoint overlay, then shard memory — into a sink,
-// under that series' own checkpoint-cut hold. The three read entry
-// points select keys from the series catalog and differ only in the
-// sink: Query (one key, raw points, ErrUnknownSeries when the key is
-// nowhere), QueryRange (component/metric globs, raw points or a
-// per-step aggregator) and ScanMatch (globs, a visitor that receives
-// each decoded point).
+// under that series' own checkpoint-cut hold. The two read entry points
+// select keys from the series catalog by component/metric globs and
+// differ only in the sink: QueryRange materialises results (raw points
+// or a per-step aggregator) and ScanMatch streams each decoded point to
+// a visitor. Reading one series is a QueryRange whose globs are its own
+// names, keeping the result with that exact key; a series nobody wrote
+// is simply absent from the results.
 //
 // Every sealed chunk, in memory and in a block's index, carries its time
 // range and a value summary: reads skip chunks disjoint from the query

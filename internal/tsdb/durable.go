@@ -94,12 +94,12 @@ type durable struct {
 	// cutMu excludes readers during the cut itself: a checkpoint holds
 	// the write side from the first shard drain until the drained set is
 	// published as the flushing overlay (and on the failure path, until
-	// the points are back in memory), while Query/SeriesKeys hold the
-	// read side across their memory+blocks reads. Without it a reader
-	// racing the cut could catch a shard already drained but the overlay
-	// not yet visible (missing points), or memory pre-cut and blocks
-	// post-publish (duplicated points). Lock order: cutMu, then shard
-	// locks, then mu.
+	// the points are back in memory), while a series scan and a catalog
+	// rebuild hold the read side across their memory+blocks reads.
+	// Without it a reader racing the cut could catch a shard already
+	// drained but the overlay not yet visible (missing points), or memory
+	// pre-cut and blocks post-publish (duplicated points). Lock order:
+	// cutMu, then shard locks, then mu.
 	cutMu sync.RWMutex
 
 	// basePoints is the persisted-points balance added to the shards'
@@ -644,8 +644,8 @@ func (d *durable) scanBlocks(key string, from, to int64, sink pointSink) error {
 	return nil
 }
 
-// addSeriesKeys unions the persisted series keys into set.
-func (d *durable) addSeriesKeys(set map[string]struct{}) {
+// addKeys unions the persisted series keys into set.
+func (d *durable) addKeys(set map[string]struct{}) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	for _, b := range d.blocks {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -37,12 +36,15 @@ import (
 //     in canonical storage order — persisted blocks by sequence, the
 //     checkpoint overlay, then shard memory — into a pointSink under that
 //     series' own checkpoint-cut hold.
-//   - Query / QueryRange / ScanMatch: the read entry points, each a
-//     selection of keys from the catalog plus a sink over scanSeries
-//     (rawSink, aggregator, visitSink). The matcher forms fan the matched
-//     series out across a worker pool (internal/parallel) and merge in
+//   - QueryRange / ScanMatch: the two read entry points, each the keys
+//     the globs select from the catalog plus a sink over scanSeries.
+//     QueryRange materialises results (rawSink or aggregator) and ScanMatch
+//     streams points to a visitor (visitSink). Both fan the matched series
+//     out across a worker pool (internal/parallel); QueryRange merges in
 //     series-key order, so output is identical at any shard count and
-//     worker count.
+//     worker count. An exact read of one series is a QueryRange whose
+//     globs are its own names, keeping the result with that exact key: a
+//     name holding '*' or '?' can only widen the match, never lose it.
 
 // Agg selects the aggregation a range query applies per step bucket.
 // AggNone returns raw points.
@@ -149,8 +151,9 @@ func (q RangeQuery) Validate() error {
 // ParseRangeQuery builds a RangeQuery from the /query_range parameter
 // strings. Empty component/metric default to "*" (match everything),
 // empty from to 0, empty to to defaultTo (callers pass the store's
-// MaxTime()+1 so the default range covers everything ingested). The
-// returned query is validated.
+// MaxTime()+1 so the default range covers everything ingested), or to
+// from when that lies past defaultTo: a range the client did not bound
+// above is empty there, never inverted. The returned query is validated.
 func ParseRangeQuery(component, metric, from, to, agg, step string, defaultTo int64) (RangeQuery, error) {
 	q := RangeQuery{Component: component, Metric: metric, From: 0, To: defaultTo}
 	if q.Component == "" {
@@ -164,6 +167,7 @@ func ParseRangeQuery(component, metric, from, to, agg, step string, defaultTo in
 		if q.From, err = strconv.ParseInt(from, 10, 64); err != nil {
 			return q, fmt.Errorf("tsdb: bad from: %w", err)
 		}
+		q.To = max(q.To, q.From)
 	}
 	if to != "" {
 		if q.To, err = strconv.ParseInt(to, 10, 64); err != nil {
@@ -618,20 +622,6 @@ func (s *Sharded) evalSeries(key string, q RangeQuery, sc *seriesScratch) ([]Poi
 	}
 	s.netOut.Add(16 * int64(len(sc.raw.pts)))
 	return sc.raw.pts, nil
-}
-
-// Query returns the points of component/metric with T in [from, to) in
-// time order, merged across persisted blocks, any mid-checkpoint overlay
-// and memory. A key the catalog does not hold is ErrUnknownSeries; a known
-// series with nothing in range is an empty result.
-func (s *Sharded) Query(component, metric string, from, to int64) ([]Point, error) {
-	key := component + "/" + metric
-	keys := s.catalogKeys()
-	if i := sort.SearchStrings(keys, key); i == len(keys) || keys[i] != key {
-		return nil, fmt.Errorf("%w %q", ErrUnknownSeries, key)
-	}
-	var sc seriesScratch // the answer's only owner: no copy needed
-	return s.evalSeries(key, RangeQuery{From: from, To: to}, &sc)
 }
 
 // QueryRange evaluates a matcher/aggregation query: the matched series

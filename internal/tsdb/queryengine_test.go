@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -61,6 +60,12 @@ func TestParseRangeQuery(t *testing.T) {
 	if q.Component != "web*" || q.From != 100 || q.To != 200 || q.Agg != AggAvg || q.StepMS != 50 {
 		t.Fatalf("parsed wrong: %+v", q)
 	}
+	// An omitted to never inverts the range: from past the default end
+	// reads the empty range [from, from).
+	q, err = ParseRangeQuery("", "", "1000", "", "", "", 501)
+	if err != nil || q.From != 1000 || q.To != 1000 {
+		t.Fatalf("from past the default to: %+v, %v; want the empty range [1000, 1000)", q, err)
+	}
 
 	bad := []struct {
 		name                                   string
@@ -114,14 +119,14 @@ func TestQueryEngineSkipsDisjointChunks(t *testing.T) {
 	// Truncate the second chunk's payload so any decode of it errors.
 	sr.chunks[1].data = sr.chunks[1].data[:3]
 
-	pts, err := db.Query("web", "cpu", 0, int64(blockSize))
+	pts, err := readSeries(db, "web", "cpu", 0, int64(blockSize))
 	if err != nil {
 		t.Fatalf("query disjoint from corrupt chunk: %v", err)
 	}
 	if len(pts) != blockSize {
 		t.Fatalf("got %d points, want %d", len(pts), blockSize)
 	}
-	if _, err := db.Query("web", "cpu", 0, int64(blockSize)+1); err == nil {
+	if _, err := readSeries(db, "web", "cpu", 0, int64(blockSize)+1); err == nil {
 		t.Fatal("query overlapping corrupt chunk: no error")
 	}
 
@@ -184,10 +189,10 @@ func TestQueryEngineBlockChunkSkip(t *testing.T) {
 	}
 	f.Close()
 
-	if _, err := s.Query("web", "cpu", 0, int64(maxChunkPoints)); err != nil {
+	if _, err := readSeries(s, "web", "cpu", 0, int64(maxChunkPoints)); err != nil {
 		t.Fatalf("query disjoint from corrupt block chunk: %v", err)
 	}
-	if _, err := s.Query("web", "cpu", 0, int64(n)); err == nil {
+	if _, err := readSeries(s, "web", "cpu", 0, int64(n)); err == nil {
 		t.Fatal("query overlapping corrupt block chunk: no error")
 	}
 	res, err := s.QueryRange(context.Background(), RangeQuery{
@@ -563,11 +568,11 @@ func TestQueryEngineExtremeTimestamps(t *testing.T) {
 	}
 }
 
-// TestQueryKnownSeriesAndNetworkOut pins Query's two contracts on a
-// durable store wherever a series' points happen to live: a key that is
-// nowhere is ErrUnknownSeries, a key the catalog holds answers with a nil
-// error even when nothing is in range, and network-out grows by exactly
-// 16 bytes per returned point, charged once whichever side served them.
+// TestQueryKnownSeriesAndNetworkOut pins an exact read's two contracts on
+// a durable store wherever a series' points happen to live: a key with
+// nothing in range and a key that is nowhere both read as no points and
+// a nil error, and network-out grows by exactly 16 bytes per returned
+// point, charged once whichever side served them.
 func TestQueryKnownSeriesAndNetworkOut(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Sharded {
@@ -594,7 +599,7 @@ func TestQueryKnownSeriesAndNetworkOut(t *testing.T) {
 			{n * 10, n * 20, 0}, // known series, nothing in range
 		} {
 			before := s.Stats().NetworkOutBytes
-			pts, err := s.Query("web", "cpu", r.from, r.to)
+			pts, err := readSeries(s, "web", "cpu", r.from, r.to)
 			if err != nil {
 				t.Fatalf("%s [%d,%d): %v", where, r.from, r.to, err)
 			}
@@ -606,8 +611,8 @@ func TestQueryKnownSeriesAndNetworkOut(t *testing.T) {
 			}
 		}
 		before := s.Stats().NetworkOutBytes
-		if _, err := s.Query("web", "nope", 0, n*10); !errors.Is(err, ErrUnknownSeries) {
-			t.Fatalf("%s: unknown key: err = %v, want ErrUnknownSeries", where, err)
+		if pts, err := readSeries(s, "web", "nope", 0, n*10); err != nil || len(pts) != 0 {
+			t.Fatalf("%s: unknown key: %d points, err = %v; want none", where, len(pts), err)
 		}
 		if got := s.Stats().NetworkOutBytes; got != before {
 			t.Fatalf("%s: unknown key charged %d bytes of network-out", where, got-before)

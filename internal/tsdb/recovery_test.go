@@ -253,14 +253,13 @@ func TestDurablePartialWriteReportsStored(t *testing.T) {
 		t.Fatalf("Write reported %d stored samples, want %d (healthy shard's share)", n, healthy)
 	}
 	// The healthy shard's samples really are queryable.
+	res, err := queryMatch(s, "*", "*", 0, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var served int
-	for _, key := range s.SeriesKeys() {
-		comp, metric := splitKey(key)
-		pts, err := s.Query(comp, metric, 0, 1<<62)
-		if err != nil {
-			t.Fatalf("query %s: %v", key, err)
-		}
-		served += len(pts)
+	for _, r := range res {
+		served += len(r.Points)
 	}
 	if served != healthy {
 		t.Fatalf("stored %d points, want %d", served, healthy)
@@ -384,7 +383,7 @@ func TestDurableRetentionDropsOldBlocks(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("expected 1 surviving block, found %d", len(entries))
 	}
-	pts, err := s.Query("a", "m", 0, 1<<62)
+	pts, err := readSeries(s, "a", "m", 0, 1<<62)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +391,8 @@ func TestDurableRetentionDropsOldBlocks(t *testing.T) {
 		t.Fatalf("expired points still served: %v", pts)
 	}
 	// Series b lived only in the dropped block.
-	if _, err := s.Query("b", "m", 0, 1<<62); err == nil {
-		t.Error("expected unknown-series error after retention dropped b/m")
+	if keys, err := scanKeys(s); err != nil || fmt.Sprint(keys) != "[a/m]" {
+		t.Errorf("catalog after retention dropped b/m: %v, %v; want only a/m", keys, err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -401,7 +400,7 @@ func TestDurableRetentionDropsOldBlocks(t *testing.T) {
 	// Retention holds across restart.
 	re := openCrashable(t, dir, 2)
 	defer re.Close()
-	pts, err = re.Query("a", "m", 0, 1<<62)
+	pts, err = readSeries(re, "a", "m", 0, 1<<62)
 	if err != nil || len(pts) != 1 {
 		t.Fatalf("post-restart query = %v, %v", pts, err)
 	}
@@ -496,7 +495,7 @@ func TestDurableConcurrentIngestCheckpointQuery(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			pts, err := s.Query("stable", "m", 0, 1<<62)
+			pts, err := readSeries(s, "stable", "m", 0, 1<<62)
 			if err != nil {
 				t.Errorf("stable query: %v", err)
 				return
@@ -505,8 +504,8 @@ func TestDurableConcurrentIngestCheckpointQuery(t *testing.T) {
 				t.Errorf("stable series: saw %d points mid-checkpoint, want %d (cut must be invisible)", len(pts), stablePoints)
 				return
 			}
-			_, _ = s.Query("w0", "m", 0, 1<<62)
-			_ = s.SeriesKeys()
+			_, _ = readSeries(s, "w0", "m", 0, 1<<62)
+			_, _ = scanKeys(s)
 			_ = s.Stats()
 		}
 	}()
@@ -566,7 +565,7 @@ func TestDurableConcurrentIngestCheckpointQuery(t *testing.T) {
 	re := openCrashable(t, dir, 4)
 	defer re.Close()
 	for w := 0; w < writers; w++ {
-		pts, err := re.Query(fmt.Sprintf("w%d", w), "m", 0, 1<<62)
+		pts, err := readSeries(re, fmt.Sprintf("w%d", w), "m", 0, 1<<62)
 		if err != nil {
 			t.Fatalf("w%d: %v", w, err)
 		}

@@ -10,11 +10,6 @@ import (
 	"time"
 )
 
-// ErrUnknownSeries is wrapped by Query errors for series the store has
-// never seen; callers that merge several point sources use it to tell
-// "not here" apart from real failures.
-var ErrUnknownSeries = errors.New("tsdb: unknown series")
-
 // ErrStorage is wrapped by ingest errors that originate on the storage
 // side (a WAL append or fsync failure) rather than in the client's
 // payload: the request was well-formed and may succeed once the disk
@@ -348,8 +343,8 @@ func (sh *shard) scan(key string, from, to int64, sink pointSink) error {
 	return nil
 }
 
-// addSeriesKeys unions the shard's in-memory series keys into set.
-func (sh *shard) addSeriesKeys(set map[string]struct{}) {
+// addKeys unions the shard's in-memory series keys into set.
+func (sh *shard) addKeys(set map[string]struct{}) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for k := range sh.data {

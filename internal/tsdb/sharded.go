@@ -262,7 +262,7 @@ func (s *Sharded) ingest(samples []Sample, wireBytes int, start time.Time) (int,
 // samples routed to healthy shards), NOT a prefix of the payload, so
 // the count is an accounting signal, not a resume cursor: resending any
 // part of the payload duplicates the stored points. A client that needs
-// exactness after a partial failure must reconcile via Query.
+// exactness after a partial failure must reconcile via QueryRange.
 func (s *Sharded) Write(payload []byte) (int, error) {
 	start := time.Now()
 	samples, err := ParseLineProtocol(payload)
@@ -291,15 +291,10 @@ func (s *Sharded) IngestParsed(samples []Sample, wireBytes int, parseStart time.
 	return s.ingest(samples, wireBytes, parseStart)
 }
 
-// SeriesKeys returns all component/metric keys across shards — and, on a
-// durable store, persisted blocks — in sorted order.
-func (s *Sharded) SeriesKeys() []string {
-	return append([]string(nil), s.catalogKeys()...)
-}
-
-// catalogKeys returns the sorted series keys, rebuilding them only when
-// the key set may have changed since the cached generation. The slice is
-// shared: callers must not modify it.
+// catalogKeys returns the sorted series keys across shards and, on a
+// durable store, persisted blocks, rebuilding them only when the key set
+// may have changed since the cached generation. The slice is shared:
+// callers must not modify it.
 //
 // The generation is read before the keys are collected, so a change that
 // races the collection leaves the cached entry already stale and the next
@@ -328,10 +323,10 @@ func (s *Sharded) catalogKeys() []string {
 		s.dur.cutMu.RLock()
 	}
 	for _, sh := range s.shards {
-		sh.addSeriesKeys(set)
+		sh.addKeys(set)
 	}
 	if s.dur != nil {
-		s.dur.addSeriesKeys(set)
+		s.dur.addKeys(set)
 		s.dur.cutMu.RUnlock()
 	}
 	keys := sortedKeys(set)

@@ -29,20 +29,13 @@ func shardedTestSamples(seed int64, n int) []Sample {
 // storeDump reads every series fully back out of a store.
 func storeDump(t *testing.T, st *Sharded) map[string][]Point {
 	t.Helper()
+	res, err := queryMatch(st, "*", "*", -1<<62, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := map[string][]Point{}
-	for _, key := range st.SeriesKeys() {
-		var comp, metric string
-		for i := 0; i < len(key); i++ {
-			if key[i] == '/' {
-				comp, metric = key[:i], key[i+1:]
-				break
-			}
-		}
-		pts, err := st.Query(comp, metric, -1<<62, 1<<62)
-		if err != nil {
-			t.Fatalf("query %s: %v", key, err)
-		}
-		out[key] = pts
+	for _, r := range res {
+		out[r.Component+"/"+r.Metric] = r.Points
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package tsdb
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -229,17 +228,6 @@ func (m *storeModel) matchKeys(componentGlob, metricGlob string) []string {
 	return out
 }
 
-// query is what Query must answer: ok is false for a series the catalog
-// does not hold.
-func (m *storeModel) query(key string, from, to int64) (pts []Point, ok bool) {
-	if _, ok := m.series[key]; !ok {
-		return nil, false
-	}
-	pts = m.stream(key, from, to)
-	sortStable(pts)
-	return pts, true
-}
-
 // queryRange is what QueryRange must answer.
 func (m *storeModel) queryRange(q RangeQuery) []SeriesResult {
 	var out []SeriesResult
@@ -415,44 +403,44 @@ func queryMatch(s *Sharded, componentGlob, metricGlob string, from, to int64) ([
 	})
 }
 
-// assertSameContents fails the test unless the store holds what the
-// model does: the catalog, every series' raw Query over all time,
-// MaxTime and Stats().Points. Raw reads do not depend on checkpoint
-// epochs, so a hand test's model needs only its writes.
-func assertSameContents(t *testing.T, st *Sharded, m *storeModel, label string) {
-	t.Helper()
-	if gk, wk := st.SeriesKeys(), m.keys(); fmt.Sprint(gk) != fmt.Sprint(wk) {
-		t.Fatalf("%s: series keys %v, want %v", label, gk, wk)
-	}
-	for _, key := range m.keys() {
-		c, met := splitKey(key)
-		if err := diffQuery(st, m, c, met, math.MinInt64, math.MaxInt64); err != nil {
-			t.Fatalf("%s: %v", label, err)
+// readSeries is an exact read of one series: a raw QueryRange whose globs
+// are the series' own names, keeping only the result with exactly that
+// key (a name holding '*' or '?' can only widen the match). A series with
+// nothing in range, or that nobody wrote, reads as no points.
+func readSeries(s *Sharded, component, metric string, from, to int64) ([]Point, error) {
+	res, err := queryMatch(s, component, metric, from, to)
+	for _, r := range res {
+		if r.Component == component && r.Metric == metric {
+			return r.Points, err
 		}
 	}
+	return nil, err
+}
+
+// scanKeys is the catalog as ScanMatch hands it to begin: every series
+// key, sorted. The range is empty, so no point is read.
+func scanKeys(s *Sharded) ([]string, error) {
+	var keys []string
+	err := s.ScanMatch("*", "*", 0, 0, func(k []string) { keys = k }, func(int, int64, float64) {})
+	return keys, err
+}
+
+// assertSameContents fails the test unless the store holds what the
+// model does: the catalog ScanMatch enumerates, every series' raw points
+// over all time, MaxTime and Stats().Points. Raw reads do not depend on
+// checkpoint epochs, so a hand test's model needs only its writes.
+func assertSameContents(t *testing.T, st *Sharded, m *storeModel, label string) {
+	t.Helper()
+	gk, err := scanKeys(st)
+	if wk := m.keys(); err != nil || fmt.Sprint(gk) != fmt.Sprint(wk) {
+		t.Fatalf("%s: series keys %v (%v), want %v", label, gk, err, wk)
+	}
+	q := RangeQuery{Component: "*", Metric: "*", From: math.MinInt64, To: math.MaxInt64}
+	assertBitIdentical(t, label, q, engineQuery(t, st, q), m.queryRange(q))
 	if got, want := st.MaxTime(), m.maxTime(); got != want {
 		t.Fatalf("%s: MaxTime = %d, want %d", label, got, want)
 	}
 	if got, want := st.Stats().Points, m.points(); got != want {
 		t.Fatalf("%s: Stats().Points = %d, want %d", label, got, want)
 	}
-}
-
-// diffQuery compares one Query call with the model, including the
-// unknown-series error.
-func diffQuery(st *Sharded, m *storeModel, component, metric string, from, to int64) error {
-	got, err := st.Query(component, metric, from, to)
-	want, known := m.query(component+"/"+metric, from, to)
-	switch {
-	case !known && !errors.Is(err, ErrUnknownSeries):
-		return fmt.Errorf("Query(%s/%s) of an unknown series: err = %v, want ErrUnknownSeries", component, metric, err)
-	case !known:
-		return nil
-	case err == nil:
-		err = diffPoints(got, want)
-	}
-	if err != nil {
-		return fmt.Errorf("Query(%s/%s): %w", component, metric, err)
-	}
-	return nil
 }

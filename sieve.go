@@ -283,6 +283,11 @@ const MinWindowSamples = server.MinWindowSamples
 // to a remote server over real HTTP.
 type ServerClient = server.Client
 
+// RangeQuery is the argument of ServerClient.QueryRange, the client's one
+// read: component/metric globs, a [From, To) range in ms, and an optional
+// per-step aggregation.
+type RangeQuery = tsdb.RangeQuery
+
 // NewServer creates a sieved server with its backing sharded store. Use
 // Server.ListenAndServe to serve (it also starts the online pipeline
 // driver), or Server.Handler to embed it in an existing HTTP server —
