@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,9 +10,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/sieve-microservices/sieve/internal/parallel"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
@@ -26,15 +31,28 @@ func referenceRangeJSON(t *testing.T, resp QueryRangeResponse) []byte {
 	return buf.Bytes()
 }
 
+// checkRangeJSON encodes resp at every segment count from 1 to one past
+// its result count, and each concatenation must equal encoding/json.
 func checkRangeJSON(t *testing.T, name string, resp QueryRangeResponse) {
 	t.Helper()
 	want := referenceRangeJSON(t, resp)
-	got, err := appendQueryRangeJSON([]byte("prefix"), resp)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	if string(got) != "prefix"+string(want) {
-		t.Fatalf("%s: encoder differs from encoding/json\n got %s\nwant prefix%s", name, got, want)
+	var pool sync.Pool
+	for count := 1; count <= len(resp.Results)+1; count++ {
+		segs, err := encodeQueryRangeSegments(&pool, resp, count)
+		if err != nil {
+			t.Fatalf("%s, %d segments: %v", name, count, err)
+		}
+		if len(segs) < 1 || len(segs) > count {
+			t.Fatalf("%s: asked for %d segments, got %d", name, count, len(segs))
+		}
+		var got []byte
+		for _, sg := range segs {
+			got = append(got, *sg.buf...)
+			pool.Put(sg.buf)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s, %d segments: encoder differs from encoding/json\n got %s\nwant %s", name, count, got, want)
+		}
 	}
 }
 
@@ -123,7 +141,7 @@ func TestQueryRangeJSONRejectsNonFinite(t *testing.T) {
 			{Component: "ok", Metric: "m", Points: []tsdb.Point{{T: 0, V: 1}}},
 			{Component: "web", Metric: "bytes", Points: []tsdb.Point{{T: 0, V: 1}, {T: 1000, V: v}}},
 		}}
-		out, err := appendQueryRangeJSON([]byte("keep"), resp)
+		out, err := appendRangeSeries([]byte("keep"), resp.Results, 0, len(resp.Results))
 		if err == nil {
 			t.Fatalf("%v: encoded to %s", v, out)
 		}
@@ -135,6 +153,27 @@ func TestQueryRangeJSONRejectsNonFinite(t *testing.T) {
 		}
 		if _, jerr := json.Marshal(resp); jerr == nil {
 			t.Errorf("%v: encoding/json accepts what the encoder rejects", v)
+		}
+
+		// A second non-finite value in a later series: at every segment
+		// count the error names the earlier one, and no segment is
+		// returned. At two segments the two values lie in different ones.
+		resp.Results = append(resp.Results,
+			tsdb.SeriesResult{Component: "ok", Metric: "n", Points: []tsdb.Point{{T: 0, V: 2}}},
+			tsdb.SeriesResult{Component: "zz", Metric: "late", Points: []tsdb.Point{{T: 0, V: v}, {T: 1000, V: 3}}},
+		)
+		if segs := splitRange(resp.Results, 2); len(segs) != 2 || segs[0].to < 2 || segs[0].to > 3 {
+			t.Fatalf("two segments split as %+v; want web/bytes and zz/late apart", segs)
+		}
+		var pool sync.Pool
+		for count := 1; count <= len(resp.Results)+1; count++ {
+			segs, err := encodeQueryRangeSegments(&pool, resp, count)
+			if err == nil || segs != nil {
+				t.Fatalf("%v, %d segments: returned %d segments, error %v", v, count, len(segs), err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "web/bytes") || !strings.Contains(msg, "t=1000") {
+				t.Errorf("%v, %d segments: error does not name the earlier series: %s", v, count, msg)
+			}
 		}
 	}
 }
@@ -187,6 +226,53 @@ func TestQueryRangeNonFiniteAggregate(t *testing.T) {
 	if status, _, body := get("metric=fine&agg=sum&step=10000"); status != http.StatusOK || !strings.Contains(body, `"V":1}`) {
 		t.Fatalf("finite sum: %d %q", status, body)
 	}
+
+	// A response split in two: two series of 2*rangeSegmentMinPoints
+	// samples summed in pairs, two workers on any host. web/a and web/z
+	// are encoded in different segments, and only web/z's last bucket
+	// overflows.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	_, hs, c = newTestServer(t, Options{Shards: 2})
+	var samples []tsdb.Sample
+	for _, metric := range []string{"a", "z"} {
+		for i := 0; i < 2*rangeSegmentMinPoints; i++ {
+			v := 1.0
+			if metric == "z" && i >= 2*rangeSegmentMinPoints-2 {
+				v = 1e308
+			}
+			samples = append(samples, tsdb.Sample{Component: "web", Metric: metric, T: int64(i) * 1000, V: v})
+		}
+	}
+	if _, err := c.Write(tsdb.EncodeLineProtocol(samples)); err != nil {
+		t.Fatal(err)
+	}
+	const wide = "component=web&step=2000&from=0&to=100000000&agg="
+	status, ctype, body := get(wide + "sum")
+	var e struct {
+		Error string `json:"error"`
+	}
+	if status != http.StatusUnprocessableEntity || ctype != "application/json" || json.Unmarshal([]byte(body), &e) != nil {
+		t.Fatalf("split sum: status %d, body %q (%s); want a 422 JSON error", status, body, ctype)
+	}
+	if last := fmt.Sprintf("t=%d", int64(2*rangeSegmentMinPoints-2)*1000); !strings.Contains(e.Error, "web/z") || !strings.Contains(e.Error, last) {
+		t.Errorf("split sum: error does not name web/z at %s: %s", last, e.Error)
+	}
+	resp, err := http.Get(hs.URL + "/query_range?" + wide + "max")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("split max: status %d, read error %v", resp.StatusCode, err)
+	}
+	if resp.ContentLength != int64(len(got)) {
+		t.Errorf("split max: Content-Length %d, received %d bytes", resp.ContentLength, len(got))
+	}
+	var decoded QueryRangeResponse
+	if err := json.Unmarshal(got, &decoded); err != nil || len(decoded.Results) != 2 || len(decoded.Results[1].Points) != rangeSegmentMinPoints {
+		t.Errorf("split max: body does not decode to two full series: %v", err)
+	}
 }
 
 // discardWriter is the cheapest ResponseWriter: the allocation test
@@ -195,43 +281,77 @@ type discardWriter struct {
 	h      http.Header
 	status int
 	n      int
+	writes int
 }
 
-func (d *discardWriter) Header() http.Header         { return d.h }
-func (d *discardWriter) WriteHeader(status int)      { d.status = status }
-func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+func (d *discardWriter) Header() http.Header    { return d.h }
+func (d *discardWriter) WriteHeader(status int) { d.status = status }
+func (d *discardWriter) Write(p []byte) (int, error) {
+	d.n += len(p)
+	d.writes++
+	return len(p), nil
+}
 
 // TestQueryRangeBodyAllocations pins that a warm handler's allocations
 // do not grow with the response: the encoder itself allocates nothing
-// into a warm buffer, and a 64x larger raw response costs the handler
-// only the store's few extra slice doublings.
+// into a warm buffer, a split body costs the same few allocations per
+// segment however many points the segments hold, and a 64x larger raw
+// response costs the handler only the store's few extra slice doublings.
 func TestQueryRangeBodyAllocations(t *testing.T) {
 	resp := QueryRangeResponse{Agg: "raw", Results: []tsdb.SeriesResult{{Component: "comp-0001", Metric: "metric_03"}}}
 	for i := 0; i < 4096; i++ {
 		resp.Results[0].Points = append(resp.Results[0].Points, tsdb.Point{T: int64(i) * 15000, V: float64(i) * 0.25})
 	}
-	buf, err := appendQueryRangeJSON(nil, resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := appendQueryRangeJSON(buf[:0], resp); err != nil {
+	encode := func(out []byte) []byte {
+		out = appendRangeHead(out, resp)
+		out, err := appendRangeSeries(out, resp.Results, 0, len(resp.Results))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
+		return appendRangeTail(out, resp)
+	}
+	buf := encode(nil)
+	if n := testing.AllocsPerRun(20, func() { encode(buf[:0]) }); n != 0 {
 		t.Errorf("encoding 4096 points into a warm buffer: %v allocs, want 0", n)
 	}
 
+	// Four series, one sample each second in turn, so the large read is
+	// 16384 points across series the encoder can split between.
 	s, _, c := newTestServer(t, Options{Shards: 1})
 	var samples []tsdb.Sample
 	for i := 0; i < 16384; i++ {
-		samples = append(samples, tsdb.Sample{Component: "c", Metric: "m", T: int64(i) * 1000, V: float64(i%977) * 0.5})
+		samples = append(samples, tsdb.Sample{Component: "c", Metric: fmt.Sprintf("m%d", i%4), T: int64(i) * 1000, V: float64(i%977) * 0.5})
 	}
 	if _, err := c.Write(tsdb.EncodeLineProtocol(samples)); err != nil {
 		t.Fatal(err)
 	}
+	const smallTo, largeTo = 256_000, 16_384_000
+	// The split encoder on its own, at two segments: AllocsPerRun runs at
+	// GOMAXPROCS=1, but a run per segment still gets its own goroutine.
+	splitAllocs := func(to int64) float64 {
+		res, err := s.store.QueryRange(context.Background(), tsdb.RangeQuery{Component: "c", Metric: "m*", From: 0, To: to})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool sync.Pool
+		return testing.AllocsPerRun(20, func() {
+			segs, err := encodeQueryRangeSegments(&pool, QueryRangeResponse{Agg: "raw", Results: res}, 2)
+			if err != nil || len(segs) != 2 {
+				t.Fatalf("%d segments, error %v; want 2", len(segs), err)
+			}
+			for _, sg := range segs {
+				pool.Put(sg.buf)
+			}
+		})
+	}
+	// The slack is the handler's below: under -race sync.Pool drops a
+	// quarter of its puts, and each miss regrows a buffer by doubling.
+	if small, large := splitAllocs(smallTo), splitAllocs(largeTo); large > small+32 {
+		t.Errorf("split encoder allocations grow with the response: %v for %d points, %v for 64x more", small, smallTo/1000, large)
+	}
+
 	allocs := func(to int64) (float64, int) {
-		req := httptest.NewRequest("GET", fmt.Sprintf("/query_range?component=c&metric=m&from=0&to=%d", to), nil)
+		req := httptest.NewRequest("GET", fmt.Sprintf("/query_range?component=c&metric=m*&from=0&to=%d", to), nil)
 		w := &discardWriter{h: http.Header{}}
 		n := testing.AllocsPerRun(10, func() {
 			*w = discardWriter{h: w.h}
@@ -242,12 +362,78 @@ func TestQueryRangeBodyAllocations(t *testing.T) {
 		})
 		return n, w.n
 	}
-	small, smallBytes := allocs(256_000)
-	large, largeBytes := allocs(16_384_000)
+	small, smallBytes := allocs(smallTo)
+	large, largeBytes := allocs(largeTo)
 	if largeBytes < 50*smallBytes {
 		t.Fatalf("responses are %d and %d bytes; the large one should be ~64x", smallBytes, largeBytes)
 	}
 	if large > small+32 {
 		t.Errorf("handler allocations grow with the response: %v for %d bytes, %v for %d bytes", small, smallBytes, large, largeBytes)
 	}
+
+	// Outside AllocsPerRun, with two workers on any host, the handler
+	// sends the large body in two segments and the small one in one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for to, want := range map[int64]int{smallTo: 1, largeTo: 2} {
+		w := &discardWriter{h: http.Header{}}
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/query_range?component=c&metric=m*&from=0&to=%d", to), nil))
+		if w.writes != want || w.h.Get("Content-Length") != strconv.Itoa(w.n) {
+			t.Errorf("to=%d: %d bytes in %d writes, Content-Length %s; want %d writes", to, w.n, w.writes, w.h.Get("Content-Length"), want)
+		}
+	}
+}
+
+// BenchmarkQueryRangeEncode times the /query_range encoder in one segment
+// and split across the workers (two at GOMAXPROCS=1, to show the cost of
+// a split with no second core), over raw results of 256-point series,
+// with short-decimal values (cents, as a dashboard's gauges) and
+// long-decimal ones (17 significant digits). The point count where the
+// split starts to win is what rangeSegmentMinPoints is set from.
+func BenchmarkQueryRangeEncode(b *testing.B) {
+	const seriesPoints = 256
+	for _, points := range []int{1024, 4096, 16384, 65536} {
+		for _, long := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(points)))
+			resp := QueryRangeResponse{From: 1_700_000_000_000, To: 1_700_003_600_000, Agg: "raw"}
+			for s := 0; s < points/seriesPoints; s++ {
+				r := tsdb.SeriesResult{Component: fmt.Sprintf("comp-%04d", s), Metric: "metric_03"}
+				for i := 0; i < seriesPoints; i++ {
+					v := math.Round(rng.NormFloat64()*1e5) / 100
+					if long {
+						v = rng.NormFloat64() * 1e3
+					}
+					r.Points = append(r.Points, tsdb.Point{T: resp.From + int64(i)*15_000, V: v})
+				}
+				resp.Results = append(resp.Results, r)
+			}
+			values := map[bool]string{false: "short", true: "long"}[long]
+			for _, segments := range []int{1, max(2, parallel.Workers(0))} {
+				b.Run(fmt.Sprintf("points=%d/values=%s/segments=%d", points, values, segments), func(b *testing.B) {
+					var pool sync.Pool
+					size := 0
+					for _, sg := range encodeBench(b, &pool, resp, segments) {
+						size += len(*sg.buf)
+					}
+					b.SetBytes(int64(size))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						encodeBench(b, &pool, resp, segments)
+					}
+				})
+			}
+		}
+	}
+}
+
+// encodeBench encodes resp and returns its segments' buffers to pool.
+func encodeBench(b *testing.B, pool *sync.Pool, resp QueryRangeResponse, segments int) []rangeSegment {
+	segs, err := encodeQueryRangeSegments(pool, resp, segments)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sg := range segs {
+		pool.Put(sg.buf)
+	}
+	return segs
 }

@@ -246,8 +246,8 @@ type Server struct {
 	// copies bytes, the shards copy points and build fresh key strings).
 	rwScratch sync.Pool
 
-	// rangeBuf recycles /query_range response buffers (*[]byte), so a warm
-	// handler formats its body without allocating per point.
+	// rangeBuf recycles /query_range body segment buffers (*[]byte), so a
+	// warm handler formats its body without allocating per point.
 	rangeBuf sync.Pool
 }
 
@@ -544,24 +544,27 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	}
 	// The body is built whole before the first byte goes out: nothing is
 	// on the wire yet when the store or the encoder fails, so either can
-	// still choose the status code.
-	buf, _ := s.rangeBuf.Get().(*[]byte)
-	if buf == nil {
-		buf = new([]byte)
-	}
-	body, err := appendQueryRangeJSON((*buf)[:0], QueryRangeResponse{
+	// still choose the status code. A large body is encoded in segments on
+	// the worker pool, then written in order.
+	segs, err := encodeQueryRange(&s.rangeBuf, QueryRangeResponse{
 		From: q.From, To: q.To, Agg: q.Agg.String(), StepMS: q.StepMS,
 		Results: results,
 	})
+	sp.FieldInt("segments", int64(len(segs)))
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		_, _ = w.Write(body) // a client that hung up is not the server's error
+		return
 	}
-	*buf = body
-	s.rangeBuf.Put(buf)
+	size := 0
+	for _, sg := range segs {
+		size += len(*sg.buf)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	for _, sg := range segs {
+		_, _ = w.Write(*sg.buf) // a client that hung up is not the server's error
+		s.rangeBuf.Put(sg.buf)
+	}
 }
 
 // StatsResponse is the GET /stats body.

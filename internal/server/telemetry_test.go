@@ -499,19 +499,23 @@ func TestDebugTracesRecordsSlowOps(t *testing.T) {
 	if !ops["write"] || !ops["query_range"] {
 		t.Fatalf("traced ops = %v, want write and query_range", ops)
 	}
-	var wrote *telemetry.Trace
-	for _, tc := range tr.Traces {
-		if tc.Op == "write" {
-			wrote = tc
-			break
+	fieldsOf := func(op string) map[string]string {
+		fields := map[string]string{}
+		for _, tc := range tr.Traces {
+			if tc.Op == op {
+				for _, f := range tc.Fields {
+					fields[f.Key] = f.Value
+				}
+				break
+			}
 		}
+		return fields
 	}
-	fields := map[string]string{}
-	for _, f := range wrote.Fields {
-		fields[f.Key] = f.Value
-	}
-	if fields["samples"] != "2" {
+	if fields := fieldsOf("write"); fields["samples"] != "2" {
 		t.Fatalf("write trace fields = %v, want samples=2", fields)
+	}
+	if fields := fieldsOf("query_range"); fields["results"] != "1" || fields["segments"] != "1" {
+		t.Fatalf("query_range trace fields = %v, want results=1 segments=1", fields)
 	}
 
 	status, _, body = getBody(t, hs.URL+"/debug/traces?n=1")

@@ -612,7 +612,12 @@ func (s *Sharded) evalSeries(key string, q RangeQuery, sc *seriesScratch) ([]Poi
 		if err := s.scanSeries(key, q.From, q.To, &sc.raw); err != nil {
 			return nil, err
 		}
-		slices.SortStableFunc(sc.raw.pts, func(a, b Point) int { return cmp.Compare(a.T, b.T) })
+		// Storage order is time order for in-order ingest, and a stable
+		// sort of sorted input is the identity: check before sorting.
+		byTime := func(a, b Point) int { return cmp.Compare(a.T, b.T) }
+		if !slices.IsSortedFunc(sc.raw.pts, byTime) {
+			slices.SortStableFunc(sc.raw.pts, byTime)
+		}
 	} else {
 		sc.agg.reset(q)
 		if err := s.scanSeries(key, q.From, q.To, &sc.agg); err != nil {
