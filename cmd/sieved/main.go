@@ -60,8 +60,10 @@
 //
 //	curl 'http://localhost:8086/query_range?component=sieve&metric=wal_fsync*'
 //
-// While self-scrape is on, /write rejects the "sieve" component and
-// the analysis pipeline ignores it (artifacts are unchanged).
+// While self-scrape is on the analysis pipeline ignores that component
+// (artifacts are unchanged). Both write protocols always reject it: only
+// sieved's own samples carry process time, so the pipeline window and
+// -retention age by the newest timestamp outside it.
 //
 // -pprof-addr serves net/http/pprof on a side listener so the online
 // loop can be profiled in place:
@@ -99,7 +101,7 @@ func main() {
 	step := flag.Duration("step", 500*time.Millisecond, "analysis sampling grid")
 	appName := flag.String("app", "sieved", "application label on artifacts")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
-	retention := flag.Duration("retention", 0, "drop on-disk blocks whose newest point is this far behind the newest stored timestamp, self-scrape's wall-clock stamps included (0 = keep forever)")
+	retention := flag.Duration("retention", 0, "drop on-disk blocks whose newest point is this far behind the newest application timestamp, the reserved \"sieve\" component excluded (0 = keep forever)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
 	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: blocks are written at shutdown only)")
 	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence (0 = default 5m, negative = disabled)")

@@ -59,14 +59,27 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		t.Errorf("figure4 reduction factor = %g, want >= 4", v)
 	}
 
-	// Figure 5: wall-clock overheads are machine-load dependent at smoke
-	// size, so only sanity-check them (a paper-scale run carries the real
-	// numbers; ROADMAP item 8 plans committing one).
-	if v := byID["figure5"].Values["native_seconds"]; v <= 0 {
+	// Figure 5: the overhead percentages are wall-clock ratios that move
+	// with machine load, so they are printed but not checked. The work the
+	// tracers did is counted: every request is at least one read and one
+	// write on the server's connection, each an event to the syscall
+	// tracer and a record to the packet capture.
+	f5, requests := byID["figure5"].Values, float64(smokeConfig().HTTPRequests)
+	if v := f5["native_seconds"]; v <= 0 {
 		t.Errorf("figure5 native time = %g, want positive", v)
 	}
-	if v := byID["figure5"].Values["sysdig_overhead_pct"]; v < -30 || v > 500 {
-		t.Errorf("figure5 sysdig overhead = %g%%, implausible", v)
+	for _, c := range []struct {
+		key        string
+		perRequest float64
+	}{
+		{"sysdig_events", 2},
+		{"sysdig_encoded_bytes", 2 * 40}, // an event encodes its process name and both addresses
+		{"tcpdump_records", 2},
+		{"tcpdump_bytes", 2*16 + 96}, // two record headers, the response snapped at 96 bytes
+	} {
+		if v := f5[c.key]; v < c.perRequest*requests {
+			t.Errorf("figure5 %s = %g, want >= %g per request (%g)", c.key, v, c.perRequest, c.perRequest*requests)
+		}
 	}
 
 	// Table 3: every resource dimension must shrink substantially.

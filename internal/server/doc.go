@@ -31,7 +31,8 @@
 // Gorilla-compressed blocks, and Options.Retention bounds disk use. New
 // recovers the previous life's data — block files plus WAL replay —
 // before the server takes traffic, so a restarted sieved anchors its
-// sliding analysis window at the recovered high-water mark and answers
+// sliding analysis window at the recovered application high-water mark
+// (tsdb.Sharded.AppMaxTime), after a graceful stop or a crash, and answers
 // /query_range byte-identically to the store that was killed. ListenAndServe
 // checkpoints and closes the store on graceful shutdown; embedders
 // using Handler call Server.Close themselves.
@@ -55,7 +56,5 @@
 // The server keeps no metric registry of its own: New registers its
 // instruments and the store-state gauges on the one the store was born
 // with (tsdb.Sharded.Registry), so GET /metrics, the self-scrape loop
-// and embedders (srv.Store().Registry()) read the same object. With
-// self-scrape on, Close runs one last scrape first, so a graceful
-// restart resumes the analysis window exactly where the life ended.
+// and embedders (srv.Store().Registry()) read the same object.
 package server

@@ -105,10 +105,10 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 }
 
 // RunPipelineOnce executes one windowed pipeline cycle: slide the window
-// to the store's high-water mark, assemble a dataset from the sharded
-// store, run Reduce + Granger over GOMAXPROCS workers, and publish the
-// new artifact. Runs are serialized; readers keep seeing the
-// previous artifact until the new one is swapped in.
+// to the store's application high-water mark, assemble a dataset from
+// the sharded store, run Reduce + Granger over GOMAXPROCS workers, and
+// publish the new artifact. Runs are serialized; readers keep seeing
+// the previous artifact until the new one is swapped in.
 //
 // With Options.Incremental dataset assembly reads only the window's new
 // tail through the ring-buffered cache (bit-identical to a from-scratch
@@ -137,7 +137,7 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	defer s.runMu.Unlock()
 	started := time.Now()
 
-	hi := s.analysisMaxTime()
+	hi := s.store.AppMaxTime()
 	if hi == 0 {
 		return nil, fmt.Errorf("%w: store is empty", ErrNoData)
 	}
@@ -292,7 +292,7 @@ func (s *Server) recordErr(err error) error {
 // self-scrape loop. Start returns immediately.
 func (s *Server) Start(ctx context.Context) {
 	s.driverStartNS.CompareAndSwap(0, time.Now().UnixNano())
-	if s.selfScrapeEnabled() {
+	if s.opts.SelfScrapeInterval > 0 {
 		go s.selfScrapeLoop(ctx)
 	}
 	go func() {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
@@ -250,11 +249,19 @@ func TestRemoteWriteDropsNonFiniteValues(t *testing.T) {
 	}
 }
 
+// TestRemoteWriteReservedComponent: the reserved component is rejected
+// with self-scrape off too — only sieved's own samples carry process time.
 func TestRemoteWriteReservedComponent(t *testing.T) {
-	_, _, c := newTestServer(t, Options{SelfScrapeInterval: time.Hour})
-	_, err := c.WriteRemote([]tsdb.Sample{{Component: ReservedComponent, Metric: "cpu", T: 500, V: 1}})
+	s, _, c := newTestServer(t, Options{})
+	_, err := c.WriteRemote([]tsdb.Sample{{Component: tsdb.ReservedComponent, Metric: "cpu", T: 500, V: 1}})
 	if err == nil || !strings.Contains(err.Error(), "reserved") {
 		t.Fatalf("want reserved-component reject, got %v", err)
+	}
+	if got := s.tel.reservedRejects.Value(); got != 1 {
+		t.Fatalf("reserved rejects = %d, want 1", got)
+	}
+	if pts := s.Store().Stats().Points; pts != 0 {
+		t.Fatalf("reserved remote write stored %d points", pts)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -75,9 +74,12 @@ type Options struct {
 	// traffic. Empty keeps today's pure in-memory store.
 	DataDir string
 	// Retention drops on-disk blocks whose newest point is more than
-	// this much behind the store's high-water mark (0 keeps everything),
-	// the newest timestamp any stored sample carries — self-scrape's
-	// wall-clock stamps included. Only meaningful with DataDir.
+	// this much behind the application high-water mark (0 keeps
+	// everything): the newest timestamp outside the reserved "sieve"
+	// component, so self-scrape's clock never ages application data.
+	// Blocks hold both kinds of data and self-telemetry ages with
+	// application time: without application writes nothing expires. Only
+	// meaningful with DataDir.
 	Retention time.Duration
 	// Fsync is the WAL fsync policy: "interval" (default; background
 	// fsync every 200ms), "always" (fsync per write batch), or "never"
@@ -106,16 +108,17 @@ type Options struct {
 	// reserved "sieve" component, through the same ingest path as
 	// application data — so sieved's health history is queryable via
 	// /query_range?component=sieve and durable under DataDir. While
-	// enabled, /write rejects the reserved component and the online
-	// pipeline's analysis surface filters it out (artifacts are
-	// unchanged). Zero or negative disables the loop.
+	// enabled, the online pipeline's analysis surface filters the
+	// reserved component out (artifacts are unchanged). Both write
+	// protocols reject the reserved component whether or not the loop
+	// runs. Zero or negative disables the loop.
 	SelfScrapeInterval time.Duration
 	// SelfScrapeClock stamps self-scrape samples in ingest-time ms
-	// (default time.Now().UnixMilli). The pipeline window anchors to
-	// /write-ingested data regardless of this clock (see
-	// analysisMaxTime), so skew against application timestamps only
-	// moves where the telemetry series land on the time axis; tests
-	// inject a deterministic counter.
+	// (default time.Now().UnixMilli). The pipeline window and retention
+	// age by the store's application high-water mark, which no
+	// reserved-component sample moves, so skew against application
+	// timestamps only moves where the telemetry series land on the time
+	// axis; tests inject a deterministic counter.
 	SelfScrapeClock func() int64
 	// SlowOpThreshold is the latency above which a request or pipeline
 	// cycle is retained in the /debug/traces ring and logged once per
@@ -201,12 +204,6 @@ type Server struct {
 	// datasets from: the store itself, or (with self-scrape enabled)
 	// a view of it that filters out the reserved telemetry component.
 	analysis tsdb.ReadStore
-	// appMaxTime is the high-water mark of /write-ingested application
-	// data (ms). With self-scrape enabled the store's own MaxTime is
-	// dragged forward by wall-clock telemetry writes that analysis
-	// filters out, so the pipeline window anchors here instead (see
-	// analysisMaxTime). Seeded at New by recoveredAppMaxTime.
-	appMaxTime atomic.Int64
 
 	// Health stamps for /healthz readiness (unix nanos): when the
 	// background driver started, the last completed cycle, and the last
@@ -233,10 +230,6 @@ type Server struct {
 	runMu      sync.Mutex
 	cache      *core.WindowCache
 	generation atomic.Int64
-
-	// closeScrape runs Close's final self-scrape once, so a second Close
-	// does not write into the closed store.
-	closeScrape sync.Once
 
 	// rwScratch recycles the remote-write request scratch (body and
 	// decompress buffers, decoded WriteRequest, mapped samples) across
@@ -297,16 +290,7 @@ func New(opts Options) (*Server, error) {
 	s.analysis = store
 	if opts.SelfScrapeInterval > 0 {
 		s.analysis = analysisStore{st: store}
-		anchor, err := recoveredAppMaxTime(store)
-		if err != nil {
-			_ = store.Close() // the read error is the one to report
-			return nil, fmt.Errorf("server: recovering the pipeline window anchor: %w", err)
-		}
-		s.appMaxTime.Store(anchor)
 	}
-	store.Registry().GaugeFunc("sieve_"+appMaxTimeMetric,
-		"high-water mark of the application data the pipeline window anchors to (ms)",
-		func() float64 { return float64(s.analysisMaxTime()) })
 	if opts.Incremental {
 		s.cache = core.NewWindowCache(opts.AppName, opts.StepMS)
 	}
@@ -347,21 +331,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Store() *tsdb.Sharded { return s.store }
 
 // Close flushes and closes a durable store (final checkpoint: remaining
-// memory is sealed into a block, the WAL pruned). With self-scrape on it
-// first runs one last scrape: the window anchor persists as a
-// self-scraped series that application writes since the last periodic
-// scrape are not in yet. Safe to call twice. ListenAndServe calls it on
-// graceful shutdown.
-func (s *Server) Close() error {
-	if s.selfScrapeEnabled() {
-		s.closeScrape.Do(func() {
-			if _, err := s.SelfScrapeOnce(); err != nil {
-				slog.Error("final self-scrape failed: a restart may anchor the window low until the next write", "err", err)
-			}
-		})
-	}
-	return s.store.Close()
-}
+// memory is sealed into a block, the WAL pruned). Safe to call twice.
+// ListenAndServe calls it on graceful shutdown.
+func (s *Server) Close() error { return s.store.Close() }
 
 // httpError writes a JSON error body with the given status.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -440,22 +412,18 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 
 // storeBatch is the tail both write protocols share once their decoder
 // has produced samples: the reserved-component reject, IngestParsed, the
-// failure-to-status mapping, the window-anchor advance and the ack. It
-// reports whether the whole batch was stored; accepted is the protocol's
-// own stored-samples counter.
+// failure-to-status mapping and the ack. It reports whether the whole
+// batch was stored; accepted is the protocol's own stored-samples
+// counter. The reject holds whether or not self-scrape runs: only
+// sieved's own samples may carry process time, which is what keeps every
+// other timestamp on the store's application high-water mark.
 func (s *Server) storeBatch(w http.ResponseWriter, sp *telemetry.Span, accepted *telemetry.Counter, samples []tsdb.Sample, wireBytes int, start time.Time) bool {
-	var batchMaxT int64
-	if s.selfScrapeEnabled() {
-		for i := range samples {
-			if samples[i].Component == ReservedComponent {
-				s.tel.reservedRejects.Inc()
-				httpError(w, http.StatusBadRequest,
-					"component %q is reserved for self-telemetry while self-scrape is enabled", ReservedComponent)
-				return false
-			}
-			if samples[i].T > batchMaxT {
-				batchMaxT = samples[i].T
-			}
+	for i := range samples {
+		if samples[i].Component == tsdb.ReservedComponent {
+			s.tel.reservedRejects.Inc()
+			httpError(w, http.StatusBadRequest,
+				"component %q is reserved for self-telemetry", tsdb.ReservedComponent)
+			return false
 		}
 	}
 	n, err := s.store.IngestParsed(samples, wireBytes, start)
@@ -473,8 +441,6 @@ func (s *Server) storeBatch(w http.ResponseWriter, sp *telemetry.Span, accepted 
 		writeErrorBody(w, status, n, err)
 		return false
 	}
-	// A no-op with self-scrape off, where batchMaxT stays 0.
-	s.advanceAppMaxTime(batchMaxT)
 	w.Header().Set("X-Sieve-Samples", strconv.Itoa(n))
 	w.WriteHeader(http.StatusNoContent)
 	return true

@@ -281,6 +281,7 @@ func TestServerMalformedRequests(t *testing.T) {
 		{"write infinite value", "POST", "/write", "web,metric=cpu value=+Inf 500", http.StatusBadRequest},
 		{"write empty component", "POST", "/write", ",metric=cpu value=1 500", http.StatusBadRequest},
 		{"write bad line in batch", "POST", "/write", "web,metric=cpu value=1 500\ngarbage", http.StatusBadRequest},
+		{"write reserved component", "POST", "/write", "web,metric=cpu value=1 500\nsieve,metric=cpu value=1 500", http.StatusBadRequest},
 		{"write oversized body", "POST", "/write", strings.Repeat("x", 2<<10), http.StatusRequestEntityTooLarge},
 		{"write wrong method", "GET", "/write", "", http.StatusMethodNotAllowed},
 		{"query missing params", "GET", "/query_range?agg=max", "", http.StatusBadRequest},
@@ -318,6 +319,10 @@ func TestServerMalformedRequests(t *testing.T) {
 	}
 	if got := s.Store().Stats().Points; got != 0 {
 		t.Fatalf("malformed traffic stored %d points", got)
+	}
+	// Self-scrape is off, and the reserved component is still refused.
+	if got := s.tel.reservedRejects.Value(); got != 1 {
+		t.Fatalf("reserved rejects = %d, want 1", got)
 	}
 	// Only the accepted call graph was installed: a rejected body must
 	// not leave a truncated topology behind to restrict Granger tests.

@@ -15,14 +15,6 @@ import (
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
-// ReservedComponent is the component namespace the self-scrape loop
-// writes sieved's own telemetry under. While self-scrape is enabled,
-// /write rejects payloads targeting it so application data and
-// self-telemetry cannot collide, and the online pipeline's analysis
-// surface filters it out so dogfooded metrics never leak into
-// artifacts.
-const ReservedComponent = "sieve"
-
 // telemetrySet bundles every server-level instrument plus the slow-op
 // trace ring. It is created once in New, on the store's registry;
 // handlers and the pipeline hold the instrument pointers, so hot-path
@@ -184,6 +176,7 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 		walBytes int64
 		blocks   int
 		maxTime  int64
+		appTime  int64
 	}
 	var (
 		snapMu sync.Mutex
@@ -196,6 +189,7 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 			walBytes: store.WALSizeBytes(),
 			blocks:   store.BlockCount(),
 			maxTime:  store.MaxTime(),
+			appTime:  store.AppMaxTime(),
 		}
 		snapMu.Lock()
 		snap = next
@@ -220,6 +214,8 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 		func() float64 { return float64(snap.stats.NetworkOutBytes) })
 	gauge("sieve_store_max_time_ms", "ingest high-water mark (ms)",
 		func() float64 { return float64(snap.maxTime) })
+	gauge("sieve_app_max_time_ms", "application high-water mark: retention and the pipeline window age by it (ms)",
+		func() float64 { return float64(snap.appTime) })
 	gauge("sieve_store_checkpoint_failures", "failed checkpoint attempts since open",
 		func() float64 { return float64(snap.stats.CheckpointFailures) })
 	gauge("sieve_wal_segments", "live WAL segments across shards",
@@ -238,66 +234,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.store.Registry().WritePrometheus(w)
 }
 
-// selfScrapeEnabled reports whether the reserved-component contract is
-// in force.
-func (s *Server) selfScrapeEnabled() bool { return s.opts.SelfScrapeInterval > 0 }
-
-// advanceAppMaxTime lifts the application-data high-water mark to t.
-// Monotonic under concurrent writers: losers of the CAS re-check
-// against the new value.
-func (s *Server) advanceAppMaxTime(t int64) {
-	for {
-		cur := s.appMaxTime.Load()
-		if t <= cur || s.appMaxTime.CompareAndSwap(cur, t) {
-			return
-		}
-	}
-}
-
-// appMaxTimeMetric is the series, inside ReservedComponent, under which
-// self-scrape persists analysisMaxTime — what a restart reads back.
-const appMaxTimeMetric = "app_max_time_ms"
-
-// recoveredAppMaxTime is the window anchor a self-scraping server boots
-// with: the highest reading of that series a previous life left in the
-// store (one exact series read: the names are globs to QueryRange, so
-// only the result with exactly this key counts). The store's MaxTime
-// serves only when no life recorded the series: with telemetry recovered
-// it is the self-scrape clock, which may run ahead of application time,
-// and the anchor only ever moves forward.
-func recoveredAppMaxTime(store *tsdb.Sharded) (int64, error) {
-	res, err := store.QueryRange(context.Background(), tsdb.RangeQuery{
-		Component: ReservedComponent, Metric: appMaxTimeMetric, From: 0, To: store.MaxTime() + 1,
-	})
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range res {
-		if r.Component == ReservedComponent && r.Metric == appMaxTimeMetric {
-			var anchor float64
-			for _, p := range r.Points {
-				anchor = math.Max(anchor, p.V)
-			}
-			return int64(anchor), nil
-		}
-	}
-	return store.MaxTime(), nil
-}
-
-// analysisMaxTime returns the high-water mark the pipeline window
-// slides against. Normally the store's MaxTime; with self-scrape
-// enabled the store's mark includes wall-clock telemetry writes that
-// analysis filters out, which would drag the window past application
-// data ingested at older timestamps — so the window anchors to the
-// newest /write-ingested sample instead. This keeps artifacts
-// byte-identical with self-scrape on or off (TestSelfScrapeEquivalence).
-func (s *Server) analysisMaxTime() int64 {
-	if !s.selfScrapeEnabled() {
-		return s.store.MaxTime()
-	}
-	return s.appMaxTime.Load()
-}
-
 // SelfScrapeOnce flattens the current registry state and writes it into
 // the server's own store under the reserved component — the dogfooding
 // path: sieved's telemetry becomes ordinary series, queryable through
@@ -314,7 +250,7 @@ func (s *Server) SelfScrapeOnce() (int, error) {
 			continue
 		}
 		samples = append(samples, tsdb.Sample{
-			Component: ReservedComponent,
+			Component: tsdb.ReservedComponent,
 			// The sieve_ prefix is redundant inside the sieve component.
 			Metric: strings.TrimPrefix(rd.Name, "sieve_"),
 			T:      ts,
@@ -478,10 +414,6 @@ type analysisStore struct {
 	st *tsdb.Sharded
 }
 
-func reservedKey(key string) bool {
-	return strings.HasPrefix(key, ReservedComponent+"/")
-}
-
 // ScanMatch filters the reserved component out of a streamed scan:
 // begin hands the caller a compacted key slice and visits are remapped
 // to its indices. The remap table is written in begin, which the store
@@ -493,7 +425,7 @@ func (a analysisStore) ScanMatch(componentGlob, metricGlob string, from, to int6
 		remap = make([]int, len(keys))
 		kept := make([]string, 0, len(keys))
 		for i, k := range keys {
-			if reservedKey(k) {
+			if strings.HasPrefix(k, tsdb.ReservedComponent+"/") {
 				remap[i] = -1
 				continue
 			}

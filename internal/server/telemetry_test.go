@@ -182,19 +182,18 @@ func TestSelfScrapeEquivalence(t *testing.T) {
 		}
 	}
 
-	// ...and /write rejects the reserved component only while self-scrape
-	// is enabled.
+	// ...and /write rejects the reserved component, with self-scrape on
+	// or off.
 	payload := tsdb.EncodeLineProtocol([]tsdb.Sample{{Component: "sieve", Metric: "x", T: 100, V: 1}})
-	resp, err := http.Post(obsHTTP.URL+"/write", "text/plain", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("reserved write on observed server: status = %d, want 400", resp.StatusCode)
-	}
-	if n, err := cPlain.Write(payload); err != nil || n != 1 {
-		t.Fatalf("reserved component should be writable without self-scrape: n=%d err=%v", n, err)
+	for _, url := range []string{obsHTTP.URL, plainHTTP.URL} {
+		resp, err := http.Post(url+"/write", "text/plain", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("reserved write: status = %d, want 400", resp.StatusCode)
+		}
 	}
 
 	// Under -incremental the store's low-water mark sees self-scrape
@@ -309,11 +308,11 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 	}
 
 	// A life that held application data AND telemetry, restarted: the
-	// recovered store's high-water mark is the telemetry clock, and an
-	// anchor seeded from it could never come back down to application
-	// time. The anchor must resume from application data — read back
-	// without decoding the store — so the next life's cycles still equal
-	// a self-scrape-off server fed the same ticks.
+	// recovered store's MaxTime is the telemetry clock, and an anchor
+	// seeded from it could never come back down to application time. The
+	// anchor must resume from application data — read from the block
+	// indexes, without decoding a chunk — so the next life's cycles still
+	// equal a self-scrape-off server fed the same ticks.
 	durable.DataDir = t.TempDir()
 	a, err := app.New(chainSpec(), seed)
 	if err != nil {
@@ -333,8 +332,8 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 	}
 	life2, _, c2 := newTestServer(t, durable)
 	defer life2.Close()
-	if series, decoded := life2.store.Stats().Series, life2.store.Telemetry().ChunksDecoded.Value(); series < 50 || decoded > 2 {
-		t.Fatalf("boot decoded %d chunks of a %d-series store, want one series' worth", decoded, series)
+	if series, decoded := life2.store.Stats().Series, life2.store.Telemetry().ChunksDecoded.Value(); series < 50 || decoded != 0 {
+		t.Fatalf("boot decoded %d chunks of a %d-series store, want 0", decoded, series)
 	}
 	more := loadgen.Random(seed+1, 30, 100, 1500)
 	driveChunk(t, a, c2, more)
@@ -354,12 +353,12 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 		t.Fatalf("restarted self-scraping server diverged from the plain one (artifact %d vs %d bytes)", len(got), len(want))
 	}
 
-	// A graceful shutdown persists the anchor itself: application writes
-	// after the life's last periodic self-scrape are covered by the one
-	// Close runs, so the next life boots anchored where this one ended
-	// and its first cycle, with no new write, equals the plain server's
-	// over the same 120 ticks. (A SIGKILLed life may still sit low until
-	// its next write.)
+	// Application writes after the life's last self-scrape, then a
+	// graceful shutdown: the store recovers the application mark, so the
+	// next life boots anchored where this one ended and its first cycle,
+	// with no new write, equals the plain server's over the same 120
+	// ticks. (TestSelfScrapeHardStopAnchor covers a life that ends
+	// without Close.)
 	durable.DataDir = t.TempDir()
 	a3, err := app.New(chainSpec(), seed)
 	if err != nil {
@@ -371,7 +370,7 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 		t.Fatalf("self-scrape: %v", err)
 	}
 	driveChunk(t, a3, c3, more)
-	anchor := life3.analysisMaxTime()
+	anchor := life3.Store().AppMaxTime()
 	hs3.Close()
 	if err := life3.Close(); err != nil {
 		t.Fatal(err)
@@ -381,7 +380,7 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer life4.Close()
-	if got := life4.analysisMaxTime(); got != anchor {
+	if got := life4.Store().AppMaxTime(); got != anchor {
 		t.Fatalf("window anchor after a graceful restart = %d, want %d (where the first life ended)", got, anchor)
 	}
 	if _, err := life4.RunPipelineOnce(context.Background()); err != nil {
@@ -389,6 +388,128 @@ func TestSelfScrapeWallClockSkew(t *testing.T) {
 	}
 	if got, want := marshaledArtifact(t, life4), marshaledArtifact(t, plain2); !bytes.Equal(got, want) {
 		t.Fatalf("first cycle after a graceful restart diverged from the plain server (artifact %d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// wallClockMS is a self-scrape clock seven orders of magnitude ahead of
+// the chain app's timestamps, as a real wall clock is ahead of replayed
+// or simulated application data.
+func wallClockMS() func() int64 {
+	var ts atomic.Int64
+	ts.Store(1_700_000_000_000)
+	return func() int64 { return ts.Add(1) }
+}
+
+// TestSelfScrapeRetentionKeepsApplicationData: retention ages blocks by
+// the application high-water mark, so one self-scrape stamped by the
+// wall clock cannot expire the application data it is far ahead of.
+func TestSelfScrapeRetentionKeepsApplicationData(t *testing.T) {
+	opts := obsOptions(wallClockMS())
+	opts.DataDir = t.TempDir()
+	opts.Retention = time.Hour
+	opts.FlushInterval, opts.CompactInterval = -1, -1
+	s, _, c := newTestServer(t, opts)
+	defer s.Close()
+	a, err := app.New(chainSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveChunk(t, a, c, loadgen.Random(1, 90, 100, 1500))
+	if pts, err := readSeries(s, "lb", "lb_latency_ms"); err != nil || len(pts) != 90 {
+		t.Fatalf("lb/lb_latency_ms holds %d points (%v), want 90", len(pts), err)
+	}
+	lbPoints := func() int {
+		res, err := s.Store().QueryRange(context.Background(), tsdb.RangeQuery{Component: "lb", Metric: "*", From: 0, To: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range res {
+			n += len(r.Points)
+		}
+		return n
+	}
+	before := lbPoints()
+	if err := s.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SelfScrapeOnce(); err != nil {
+		t.Fatalf("self-scrape: %v", err)
+	}
+	if err := s.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after := lbPoints(); after != before {
+		t.Fatalf("after a wall-clock self-scrape and a checkpoint the lb component holds %d of %d points", after, before)
+	}
+	if _, err := s.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("pipeline after retention: %v", err)
+	}
+}
+
+// TestSelfScrapeHardStopAnchor: application writes land after the last
+// self-scrape, then the server dies without Close. The next life anchors
+// its window at the newest application sample, recovered by the store
+// from blocks and WAL alike, not at anything the scrape recorded, and its
+// first cycle equals a self-scrape-off server fed the same ticks.
+func TestSelfScrapeHardStopAnchor(t *testing.T) {
+	const seed = 13
+	pattern, more := loadgen.Random(seed, 90, 100, 1500), loadgen.Random(seed+1, 30, 100, 1500)
+	opts := obsOptions(wallClockMS())
+	opts.DataDir = t.TempDir()
+	opts.FlushInterval, opts.CompactInterval = -1, -1
+	life1, hs1, c1 := newTestServer(t, opts)
+	a, err := app.New(chainSpec(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveChunk(t, a, c1, pattern)
+	if err := life1.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := life1.SelfScrapeOnce(); err != nil {
+		t.Fatalf("self-scrape: %v", err)
+	}
+	driveChunk(t, a, c1, more)
+	all, err := life1.Store().QueryRange(context.Background(), tsdb.RangeQuery{
+		Component: "*", Metric: "*", From: 0, To: life1.Store().MaxTime() + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest int64
+	for _, r := range all {
+		if r.Component != tsdb.ReservedComponent {
+			newest = max(newest, r.Points[len(r.Points)-1].T)
+		}
+	}
+	hs1.Close() // hard stop: the store is abandoned with a live WAL
+
+	life2, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer life2.Close()
+	if got := life2.Store().AppMaxTime(); got != newest || newest == 0 {
+		t.Fatalf("window anchor after a hard stop = %d, want %d (the newest application sample)", got, newest)
+	}
+	if life2.Store().MaxTime() <= newest {
+		t.Fatalf("MaxTime %d is not the scrape clock ahead of application time %d", life2.Store().MaxTime(), newest)
+	}
+	if _, err := life2.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("first cycle after a hard stop: %v", err)
+	}
+	plain, _, cPlain := newTestServer(t, Options{AppName: "chain", WindowMS: 64 * 500, CallGraph: chainGraph()})
+	aPlain, err := app.New(chainSpec(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveChunk(t, aPlain, cPlain, append(pattern[:len(pattern):len(pattern)], more...))
+	if _, err := plain.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("plain pipeline: %v", err)
+	}
+	if got, want := marshaledArtifact(t, life2), marshaledArtifact(t, plain); !bytes.Equal(got, want) {
+		t.Fatalf("first cycle after a hard stop diverged from the plain server (artifact %d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -746,6 +746,25 @@ func (b *block) hasSeries(key string) bool {
 	return ok
 }
 
+// appMaxT returns the newest chunk time outside ReservedComponent (0 when
+// the block holds none), from the index alone. A version-1 block's refs
+// carry no time range, so it counts its meta.MaxT.
+func (b *block) appMaxT() int64 {
+	var t int64
+	for key, refs := range b.index {
+		if reservedKey(key) {
+			continue
+		}
+		if b.meta.Version < 2 {
+			return max(t, b.meta.MaxT)
+		}
+		for _, ref := range refs {
+			t = max(t, ref.MaxT)
+		}
+	}
+	return t
+}
+
 // close releases the chunks file.
 func (b *block) close() error {
 	if b.f == nil {

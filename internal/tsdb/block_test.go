@@ -89,6 +89,40 @@ func TestBlockWriteQueryRoundtrip(t *testing.T) {
 	}
 }
 
+// TestBlockAppMaxT: a block's application mark is the newest chunk time
+// outside ReservedComponent, read from the index; a version-1 block,
+// whose refs carry no time range, counts its meta.MaxT.
+func TestBlockAppMaxT(t *testing.T) {
+	dir := t.TempDir()
+	blk, err := writeBlock(dir, 1, nil, map[string][]Point{
+		"web/cpu":     blockPoints(maxChunkPoints+100, 0), // the mark is in the second chunk
+		"sieve/cpu":   blockPoints(3, 1<<40),
+		"sieved/load": blockPoints(2, 1000), // a component only sharing the prefix
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blk.close()
+	if got, want := blk.appMaxT(), int64(maxChunkPoints+99)*500; got != want {
+		t.Fatalf("appMaxT = %d, want %d", got, want)
+	}
+	blk.meta.Version = 1
+	if got := blk.appMaxT(); got != blk.meta.MaxT {
+		t.Fatalf("version-1 appMaxT = %d, want meta.MaxT %d", got, blk.meta.MaxT)
+	}
+	telemetryOnly, err := writeBlock(dir, 2, nil, map[string][]Point{"sieve/cpu": blockPoints(3, 5000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer telemetryOnly.close()
+	for _, v := range []int{blockVersion, 1} {
+		telemetryOnly.meta.Version = v
+		if got := telemetryOnly.appMaxT(); got != 0 {
+			t.Fatalf("version-%d telemetry-only appMaxT = %d, want 0", v, got)
+		}
+	}
+}
+
 func TestBlockReopenAndTmpCleanup(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := writeBlock(dir, 1, nil, map[string][]Point{"a/b": blockPoints(5, 0)}); err != nil {

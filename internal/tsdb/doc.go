@@ -37,9 +37,12 @@
 // seals the drained data into an immutable block directory (written to
 // a tmp- path, fsynced, then renamed), and deletes the WAL segments the
 // block now covers. Retention drops whole blocks once every point in
-// them is further behind the store's high-water mark than the
-// configured horizon, bounding disk while the in-memory head stays
-// bounded by the flush cadence.
+// them is further behind the application high-water mark (AppMaxTime:
+// the newest timestamp outside ReservedComponent, whose samples carry
+// process time) than the configured horizon, bounding disk while the
+// in-memory head stays bounded by the flush cadence. Blocks hold both
+// kinds of data, so self-telemetry ages with application time: a store
+// that receives no application writes expires nothing.
 //
 // Recovery in OpenSharded is the reverse: published blocks are indexed
 // for reading (leftover tmp- directories from a crashed flush are

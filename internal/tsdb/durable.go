@@ -28,9 +28,10 @@ type DurabilityOptions struct {
 	// only happen via Checkpoint and Close).
 	FlushInterval time.Duration
 	// RetentionMS drops blocks whose newest point is more than this many
-	// milliseconds behind the store's high-water mark, the newest stored
-	// timestamp (0 keeps everything). Retention is block-granular: a block is
-	// removed only once every point in it is past the horizon.
+	// milliseconds behind the application high-water mark, the newest
+	// timestamp outside ReservedComponent (0 keeps everything). Retention
+	// is block-granular: a block is removed only once every point in it is
+	// past the horizon.
 	RetentionMS int64
 	// CompactInterval is the cadence of the background compactor that
 	// merges adjacent small blocks and builds downsampled companions
@@ -109,6 +110,12 @@ type durable struct {
 	// this-life blocks, offsetting the shard counters — so Points tracks
 	// the observations the store actually holds.
 	basePoints int
+	// appT is the application high-water mark of the blocks found at open,
+	// the newest chunk time outside ReservedComponent in their indexes;
+	// fixed from then on. Blocks published later hold points whose shard
+	// mark already counts them, and the block holding the mark is never
+	// past the retention horizon, so nothing lowers it.
+	appT int64
 
 	// Checkpoint health, guarded by mu: ckptFailures counts failed
 	// attempts since open, lastCkptErr holds the latest failure message
@@ -189,6 +196,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	d.nextSeq = 1
 	for _, b := range blocks {
 		d.basePoints += b.meta.Points
+		d.appT = max(d.appT, b.appMaxT())
 		if b.meta.Seq >= d.nextSeq {
 			d.nextSeq = b.meta.Seq + 1
 		}
@@ -265,7 +273,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 			return nil, fmt.Errorf("tsdb: sealing the wal replayed at a new shard count: %w", err)
 		}
 	}
-	if err := d.enforceRetention(s.MaxTime()); err != nil {
+	if err := d.enforceRetention(s.AppMaxTime()); err != nil {
 		closeOnErr()
 		return nil, err
 	}
@@ -514,7 +522,7 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 		}
 	}
 	d.staleWAL = nil
-	return d.enforceRetention(s.MaxTime())
+	return d.enforceRetention(s.AppMaxTime())
 }
 
 // buildBlock persists a stolen snapshot as one immutable block, one
@@ -562,13 +570,14 @@ func walCutsMeta(cuts []uint64) map[string]uint64 {
 }
 
 // enforceRetention removes blocks entirely past the retention horizon,
-// measured against the high-water mark. The store reads no clock: the
-// horizon moves with the newest timestamp written, whoever stamped it.
-func (d *durable) enforceRetention(maxTime int64) error {
+// measured against the application high-water mark appT. The store
+// reads no clock: the horizon moves with the newest application
+// timestamp written, never with a process-time stamp.
+func (d *durable) enforceRetention(appT int64) error {
 	if d.opts.RetentionMS <= 0 {
 		return nil
 	}
-	horizon := maxTime - d.opts.RetentionMS
+	horizon := appT - d.opts.RetentionMS
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Build the surviving list aside and publish it even when a removal

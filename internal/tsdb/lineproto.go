@@ -23,6 +23,18 @@ type Sample struct {
 // Key returns the canonical series identifier "component/metric".
 func (s Sample) Key() string { return s.Component + "/" + s.Metric }
 
+// ReservedComponent is the one component whose samples carry process
+// time: sieved writes its own telemetry under it, stamped by its clock.
+// Every other sample is application data, and only application
+// timestamps move the store's application high-water mark
+// (Sharded.AppMaxTime), which retention and the pipeline window age by.
+const ReservedComponent = "sieve"
+
+// reservedKey reports whether a series key belongs to ReservedComponent.
+func reservedKey(key string) bool {
+	return strings.HasPrefix(key, ReservedComponent+"/")
+}
+
 // AppendLineProtocol encodes a sample in the wire format
 //
 //	<component>,metric=<name> value=<v> <t>\n
@@ -93,8 +105,8 @@ var errNonFinite = fmt.Errorf("non-finite value")
 // MaxTimestampMS bounds accepted timestamps (~35,000 years in ms). The
 // wire format is milliseconds; a value beyond this is unambiguously a
 // nanosecond/microsecond unit error (e.g. a Telegraf default), and
-// accepting one would permanently poison every store's MaxTime
-// high-water mark — and with it the server's sliding analysis window.
+// accepting one would permanently poison the store's high-water marks —
+// and with them retention and the server's sliding analysis window.
 // Exported so every ingest edge (line protocol here, remote write in
 // internal/server) enforces the same bound.
 const MaxTimestampMS = int64(1) << 50

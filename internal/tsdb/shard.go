@@ -114,6 +114,9 @@ type shard struct {
 	data  map[string]*series // key: component/metric
 	stats Stats
 	maxT  int64
+	// appT is maxT over the samples outside ReservedComponent. Both marks
+	// are cumulative: they survive the checkpoint cut.
+	appT int64
 	// lowT is the lowest timestamp inserted since takeLowWater last reset
 	// it to math.MaxInt64 (see Sharded.TakeLowWater).
 	lowT int64
@@ -208,6 +211,9 @@ func (sh *shard) insertLocked(s Sample) {
 	if s.T > sh.maxT {
 		sh.maxT = s.T
 	}
+	if s.T > sh.appT && !reservedKey(key) {
+		sh.appT = s.T
+	}
 	if s.T < sh.lowT {
 		sh.lowT = s.T
 	}
@@ -216,12 +222,12 @@ func (sh *shard) insertLocked(s Sample) {
 	}
 }
 
-// MaxTime returns the largest timestamp ingested so far (0 when empty),
-// the high-water mark sliding-window readers anchor to.
-func (sh *shard) MaxTime() int64 {
+// marks returns the largest timestamp ingested so far and the largest
+// outside ReservedComponent (each 0 when there is none).
+func (sh *shard) marks() (maxT, appT int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.maxT
+	return sh.maxT, sh.appT
 }
 
 // takeLowWater returns lowT and resets it.

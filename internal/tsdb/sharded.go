@@ -335,21 +335,34 @@ func (s *Sharded) catalogKeys() []string {
 }
 
 // MaxTime returns the largest timestamp ingested across shards and, on a
-// durable store, persisted blocks (0 when empty) — so a restarted store
-// anchors its sliding window exactly where the previous life did.
+// durable store, persisted blocks (0 when empty), self-telemetry
+// included: the default end of a range read.
 func (s *Sharded) MaxTime() int64 {
-	var max int64
+	maxT, _ := s.marks()
+	return maxT
+}
+
+// AppMaxTime returns the application high-water mark: the largest
+// timestamp of any sample outside ReservedComponent (0 when there is
+// none). Retention's horizon and the pipeline window age by it, so
+// process-time stamps ahead of application time move neither. It never
+// decreases, and a restarted store recovers it — from the WAL replay and
+// the block indexes, without decoding a chunk.
+func (s *Sharded) AppMaxTime() int64 {
+	_, appT := s.marks()
+	return appT
+}
+
+// marks returns MaxTime and AppMaxTime.
+func (s *Sharded) marks() (maxT, appT int64) {
 	for _, sh := range s.shards {
-		if t := sh.MaxTime(); t > max {
-			max = t
-		}
+		m, a := sh.marks()
+		maxT, appT = max(maxT, m), max(appT, a)
 	}
 	if s.dur != nil {
-		if t := s.dur.maxTime(); t > max {
-			max = t
-		}
+		maxT, appT = max(maxT, s.dur.maxTime()), max(appT, s.dur.appT)
 	}
-	return max
+	return maxT, appT
 }
 
 // TakeLowWater returns the lowest timestamp inserted into any shard since

@@ -177,8 +177,8 @@ func (l *storeLife) apply(o op) error {
 }
 
 // diffCounters compares the store's cheap summaries with the model's:
-// points held, high-water mark, block count and the catalog ScanMatch
-// hands to begin.
+// points held, both high-water marks, block count and the catalog
+// ScanMatch hands to begin.
 func (l *storeLife) diffCounters() error {
 	st := l.st.Stats()
 	if want := l.m.points(); st.Points != want {
@@ -186,6 +186,9 @@ func (l *storeLife) diffCounters() error {
 	}
 	if got, want := l.st.MaxTime(), l.m.maxTime(); got != want {
 		return fmt.Errorf("MaxTime = %d, want %d", got, want)
+	}
+	if got, want := l.st.AppMaxTime(), l.m.appMaxTime(); got != want {
+		return fmt.Errorf("AppMaxTime = %d, want %d", got, want)
 	}
 	if got, want := l.st.BlockCount(), len(l.m.blocks); got != want {
 		return fmt.Errorf("BlockCount = %d, want %d", got, want)
@@ -225,7 +228,9 @@ func diffScan(st *Sharded, m *storeModel, componentGlob, metricGlob string, from
 
 // storeGen draws one life. Series are born, scraped on a 30 s clock and
 // retired; writes also land late, repeat timestamps, carry NaN, and
-// arrive as dense bursts long enough to seal chunks in memory.
+// arrive as dense bursts long enough to seal chunks in memory. Self-
+// telemetry lands under ReservedComponent stamped a day ahead of the
+// clock, as a wall clock runs ahead of replayed application data.
 type storeGen struct {
 	rng         *rand.Rand
 	retentionMS int64
@@ -233,10 +238,16 @@ type storeGen struct {
 	born        []string // every key ever born: reads and late writes name them
 	clock       int64
 	stamps      []int64 // every timestamp written: reads put range edges on them
-	newest      int64   // the newest timestamp written
-	unsealed    int64   // the newest timestamp since the last checkpoint, MinInt64 for none
-	sealed      []int64 // the newest timestamp of each checkpoint: retention horizons land on them
+	// The application timestamps retention ages by: the newest written,
+	// the newest since the last checkpoint (MinInt64 for none), and the
+	// newest of each checkpoint, on which retention horizons land.
+	newest   int64
+	unsealed int64
+	sealed   []int64
 }
+
+// genSkewMS is how far ahead of the clock self-telemetry is stamped.
+const genSkewMS = 24 * 3_600_000
 
 const genTickMS = 30_000
 
@@ -335,7 +346,7 @@ func (g *storeGen) write() op {
 		}
 	}
 	var batch []Sample
-	switch g.pick(50, 20, 10, 15, 5) {
+	switch g.pick(50, 20, 10, 15, 5, 5) {
 	case 0: // scrape every live series for 1-10 ticks
 		for n := 1 + g.rng.Intn(10); n > 0; n-- {
 			for i, key := range g.live {
@@ -363,7 +374,7 @@ func (g *storeGen) write() op {
 				batch[i], batch[j] = batch[j], batch[i]
 			}
 		}
-	default: // the clock jumps 20-90 minutes ahead, or to exactly R past a checkpoint's newest point
+	case 4: // the clock jumps 20-90 minutes ahead, or to exactly R past a checkpoint's newest point
 		g.clock += (20 + g.rng.Int63n(70)) * 60_000
 		if g.retentionMS > 0 && len(g.sealed) > 0 {
 			if t := g.sealed[g.rng.Intn(len(g.sealed))] + g.retentionMS; t > g.newest {
@@ -371,6 +382,10 @@ func (g *storeGen) write() op {
 			}
 		}
 		batch = append(batch, g.sample(g.live[g.rng.Intn(len(g.live))], g.clock))
+	default: // a self-scrape: reserved series stamped ahead of application time
+		for _, metric := range []string{"selfscrape_total", "store_points"} {
+			batch = append(batch, g.sample(ReservedComponent+"/"+metric, g.clock+genSkewMS))
+		}
 	}
 	for i := 0; i+1 < len(batch); i++ {
 		if g.rng.Intn(10) == 0 {
@@ -394,7 +409,9 @@ func (g *storeGen) write() op {
 	}
 	for _, smp := range batch {
 		g.stamps = append(g.stamps, smp.T)
-		g.newest, g.unsealed = max(g.newest, smp.T), max(g.unsealed, smp.T)
+		if smp.Component != ReservedComponent {
+			g.newest, g.unsealed = max(g.newest, smp.T), max(g.unsealed, smp.T)
+		}
 	}
 	return op{Kind: kind, Batch: batch}
 }
@@ -620,6 +637,27 @@ var storeRegressions = []storeScript{
 		})},
 		{Kind: opQueryRange, Q: RangeQuery{"*", "*", 0, 2 * blockSize, AggMin, 2 * blockSize}},
 		{Kind: opQueryRange, Q: RangeQuery{"*", "*", 0, 2 * blockSize, AggMax, 2 * blockSize}},
+	}},
+	// Found by the generator with retention aged by MaxTime: one
+	// self-telemetry sample stamped a day ahead expired the application
+	// block behind it. Retention ages by AppMaxTime.
+	{name: "reserved stamp ahead of application time", shards: 7, fsync: FsyncNever, retentionMS: 7_200_000, ops: []op{
+		{Kind: opWriteSamples, Batch: []Sample{{"db-0", "mem", 45990481, -12.023}}},
+		{Kind: opCheckpoint},
+		{Kind: opWrite, Batch: []Sample{{"sieve", "store_points", 132870407, -579.154}}},
+		{Kind: opCheckpoint},
+	}},
+	// The application mark comes back at every open, from the block
+	// indexes and the WAL replay, past reserved stamps on both sides: a
+	// hard stop, a close at a new shard count, a merge, another hard stop.
+	{name: "application mark across restarts", shards: 2, fsync: FsyncNever, retentionMS: 3_600_000, ops: []op{
+		{Kind: opWrite, Batch: []Sample{{"web-0", "cpu", 1_000, 1}, {"sieve", "store_points", 90_000_000, 2}}},
+		{Kind: opCheckpoint},
+		{Kind: opWrite, Batch: []Sample{{"sieve", "store_points", 90_030_000, 3}, {"web-0", "cpu", 2_000, 4}}},
+		{Kind: opCrash, Shards: 2},
+		{Kind: opClose, Shards: 3},
+		{Kind: opCompact},
+		{Kind: opCrash, Shards: 1},
 	}},
 }
 

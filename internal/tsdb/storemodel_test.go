@@ -20,8 +20,10 @@ import (
 //   - every aggregation folds the storage order: blocks by epoch, each
 //     epoch stably sorted by T, then memory, which is arrival order with
 //     every full blockSize run of a series stably sorted when it seals;
-//   - retention is block-granular against MaxTime - R, and a merged
-//     block ages as one unit;
+//   - retention is block-granular against AppMaxTime - R, where
+//     AppMaxTime is the newest timestamp outside ReservedComponent (a
+//     process-time stamp ahead of it ages nothing), and a merged block
+//     ages as one unit;
 //   - an open at a shard count other than the previous life's seals what
 //     the WAL replayed into a block before the first write.
 //
@@ -110,7 +112,7 @@ func (m *storeModel) enforceRetention() {
 	if m.retentionMS <= 0 {
 		return
 	}
-	horizon := m.maxTime() - m.retentionMS
+	horizon := m.appMaxTime() - m.retentionMS
 	kept := m.blocks[:0]
 	dropped := map[int]bool{}
 	for _, b := range m.blocks {
@@ -143,10 +145,26 @@ func (m *storeModel) enforceRetention() {
 }
 
 // maxTime is the store's high-water mark: the newest held timestamp,
-// never below 0. Retention never drops the block holding it.
+// never below 0.
 func (m *storeModel) maxTime() int64 {
 	var t int64
 	for _, ss := range m.series {
+		for _, s := range ss {
+			t = max(t, s.T)
+		}
+	}
+	return t
+}
+
+// appMaxTime is the application high-water mark: the newest held
+// timestamp outside ReservedComponent, never below 0. Retention never
+// drops the block holding it, so it never decreases.
+func (m *storeModel) appMaxTime() int64 {
+	var t int64
+	for k, ss := range m.series {
+		if reservedKey(k) {
+			continue
+		}
 		for _, s := range ss {
 			t = max(t, s.T)
 		}
@@ -439,6 +457,9 @@ func assertSameContents(t *testing.T, st *Sharded, m *storeModel, label string) 
 	assertBitIdentical(t, label, q, engineQuery(t, st, q), m.queryRange(q))
 	if got, want := st.MaxTime(), m.maxTime(); got != want {
 		t.Fatalf("%s: MaxTime = %d, want %d", label, got, want)
+	}
+	if got, want := st.AppMaxTime(), m.appMaxTime(); got != want {
+		t.Fatalf("%s: AppMaxTime = %d, want %d", label, got, want)
 	}
 	if got, want := st.Stats().Points, m.points(); got != want {
 		t.Fatalf("%s: Stats().Points = %d, want %d", label, got, want)
