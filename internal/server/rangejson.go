@@ -138,6 +138,7 @@ func appendRangeTail(out []byte, resp QueryRangeResponse) []byte {
 // and an error naming the series and timestamp.
 func appendRangeSeries(out []byte, results []tsdb.SeriesResult, from, to int) ([]byte, error) {
 	start := len(out)
+	var ts timestampWriter
 	for i := from; i < to; i++ {
 		r := &results[i]
 		if i > 0 {
@@ -161,7 +162,7 @@ func appendRangeSeries(out []byte, results []tsdb.SeriesResult, from, to int) ([
 				out = append(out, ',')
 			}
 			out = append(out, `{"T":`...)
-			out = strconv.AppendInt(out, p.T, 10)
+			out = ts.append(out, p.T)
 			out = append(out, `,"V":`...)
 			out = jsonenc.AppendFloat(out, p.V)
 			out = append(out, '}')
@@ -169,4 +170,42 @@ func appendRangeSeries(out []byte, results []tsdb.SeriesResult, from, to int) ([
 		out = append(out, "]}"...)
 	}
 	return out, nil
+}
+
+// timestampWriter appends decimal timestamps. A response's millisecond
+// timestamps share everything above their low six digits for 10⁶ ms
+// (almost 17 minutes) at a time, so it keeps the digits of the last
+// t / 10⁶ and writes only the low six, two at a time from a table.
+// Timestamps below 10⁶, negative ones included, go through
+// strconv.AppendInt. The zero value is ready to use.
+type timestampWriter struct {
+	high   int64    // t / 10⁶ whose digits are cached; 0 (never cached) for none
+	digits [13]byte // math.MaxInt64 / 10⁶ has 13 digits
+	n      int
+}
+
+// twoDigits holds "00" through "99" back to back.
+const twoDigits = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+func (w *timestampWriter) append(out []byte, t int64) []byte {
+	if t < 1e6 {
+		return strconv.AppendInt(out, t, 10)
+	}
+	high, low := t/1e6, t%1e6
+	if high != w.high {
+		w.high = high
+		w.n = len(strconv.AppendInt(w.digits[:0], high, 10))
+	}
+	a, b, c := 2*(low/10000), 2*(low/100%100), 2*(low%100)
+	return append(append(out, w.digits[:w.n]...),
+		twoDigits[a], twoDigits[a+1], twoDigits[b], twoDigits[b+1], twoDigits[c], twoDigits[c+1])
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -273,6 +274,72 @@ func TestQueryRangeNonFiniteAggregate(t *testing.T) {
 	if err := json.Unmarshal(got, &decoded); err != nil || len(decoded.Results) != 2 || len(decoded.Results[1].Points) != rangeSegmentMinPoints {
 		t.Errorf("split max: body does not decode to two full series: %v", err)
 	}
+}
+
+// FuzzTimestampWriter holds timestampWriter to strconv.AppendInt: one
+// writer fed any int64 sequence (8 little-endian bytes each) appends
+// exactly the concatenation of AppendInt over it, whatever its cached
+// high digits were left at by the timestamps before.
+func FuzzTimestampWriter(f *testing.F) {
+	seq := func(ts ...int64) []byte {
+		var out []byte
+		for _, t := range ts {
+			out = binary.LittleEndian.AppendUint64(out, uint64(t))
+		}
+		return out
+	}
+	f.Add(seq())
+	f.Add(seq(0, 1, 999_999, 1_000_000, 1_000_001, 999_999, 1_999_999, 2_000_000))
+	f.Add(seq(-1, -999_999, -1_000_000, -1_000_001, -5, 1_000_000, -1_000_000))
+	f.Add(seq(math.MinInt64, math.MaxInt64, math.MinInt64+1, math.MaxInt64-1, math.MaxInt64))
+	f.Add(seq(9_999_999_999_999, 10_000_000_000_000, 9_999_999_999_999, 10_000_000_000_001))
+	f.Add(seq(999_999_999_999, 1_000_000_000_000, 99_999_999, 100_000_000, 1_000_000_000_000_000_000))
+	f.Add(seq(1_700_000_045_000, 1_700_000_030_000, 1_700_000_015_000, 1_699_999_999_999, 1_700_000_000_000))
+	ts := make([]int64, 0, 256)
+	for t := int64(1_700_000_000_000); len(ts) < cap(ts); t += 15_000 {
+		ts = append(ts, t)
+	}
+	f.Add(seq(ts...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w timestampWriter
+		var got, want []byte
+		for ; len(data) >= 8; data = data[8:] {
+			v := int64(binary.LittleEndian.Uint64(data))
+			got = w.append(got, v)
+			want = strconv.AppendInt(want, v, 10)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("timestampWriter wrote %s, strconv.AppendInt %s", got, want)
+		}
+	})
+}
+
+// BenchmarkTimestampWriter times one response's timestamps, 15 s apart
+// from a current millisecond epoch, through timestampWriter and through
+// strconv.AppendInt.
+func BenchmarkTimestampWriter(b *testing.B) {
+	ts := make([]int64, 4096)
+	for i := range ts {
+		ts[i] = 1_700_000_000_000 + int64(i)*15_000
+	}
+	out := make([]byte, 0, 16*len(ts))
+	b.Run("timestampWriter", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var w timestampWriter
+			out = out[:0]
+			for _, t := range ts {
+				out = w.append(out, t)
+			}
+		}
+	})
+	b.Run("strconv.AppendInt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out = out[:0]
+			for _, t := range ts {
+				out = strconv.AppendInt(out, t, 10)
+			}
+		}
+	})
 }
 
 // discardWriter is the cheapest ResponseWriter: the allocation test

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,9 +38,13 @@ const (
 	blockTmpPrefix  = "tmp-"
 	// chunkHeader is [4B payload length][4B CRC-32C], as in the WAL.
 	chunkHeader = 8
-	// maxChunkPoints bounds points per Gorilla chunk so a narrow query
-	// does not decompress an arbitrarily large run of one series.
-	maxChunkPoints = 4096
+	// maxChunkPoints bounds points per Gorilla chunk. A chunk decodes from
+	// its first point, so a range read decodes up to one chunk's worth of
+	// points it does not return at each end of its range; 120 is
+	// Prometheus's chunk size, past which Gorilla's bytes per point has
+	// stopped falling. Blocks written with a larger cut (4096 before)
+	// read unchanged, and a compaction that merges them re-chunks them.
+	maxChunkPoints = 120
 )
 
 // blockMeta is the persisted meta.json.
@@ -239,6 +244,7 @@ type blockWriter struct {
 	f         *os.File
 	w         *bufio.Writer // on chunks.dat, then reused for index.json and meta.json
 	frame     []byte        // one chunk's header + payload, reused
+	cut       int           // points per chunk: maxChunkPoints, larger only to write an older layout in tests
 }
 
 // newBlockWriter creates the tmp- directory and opens its chunks.dat.
@@ -264,6 +270,7 @@ func newBlockWriter(blocksDir string, meta blockMeta) (*blockWriter, error) {
 		index:     map[string][]chunkRef{},
 		f:         f,
 		w:         bufio.NewWriterSize(f, blockWriteBuffer),
+		cut:       maxChunkPoints,
 	}, nil
 }
 
@@ -283,19 +290,15 @@ func (bw *blockWriter) addSeries(key string, segs ...[]Point) error {
 	}
 	nChunks := 0
 	for _, seg := range segs {
-		nChunks += (len(seg) + maxChunkPoints - 1) / maxChunkPoints
+		nChunks += (len(seg) + bw.cut - 1) / bw.cut
 	}
 	if nChunks == 0 {
 		return nil
 	}
 	refs := make([]chunkRef, 0, nChunks)
 	for _, seg := range segs {
-		for start := 0; start < len(seg); start += maxChunkPoints {
-			end := start + maxChunkPoints
-			if end > len(seg) {
-				end = len(seg)
-			}
-			part := seg[start:end]
+		for start := 0; start < len(seg); start += bw.cut {
+			part := seg[start:min(start+bw.cut, len(seg))]
 			var hdr [chunkHeader]byte
 			frame, err := appendCompressed(append(bw.frame[:0], hdr[:]...), part)
 			if err != nil {
@@ -686,57 +689,83 @@ func (b *block) covers(other *block) bool {
 		other.meta.maxSeq() <= b.meta.maxSeq()
 }
 
-// readChunk reads and CRC-checks one chunk's payload into *scratch,
-// growing it as needed: the payload is valid until the caller's next
-// read through the same scratch, so a loop over many chunks allocates
-// once, not per chunk.
-func (b *block) readChunk(key string, ref chunkRef, scratch *[]byte) ([]byte, error) {
-	n := chunkHeader + ref.Length
+// scan streams the block's points for key with T in [from, to) to sink
+// in chunk order. Chunks disjoint from the range are skipped from the
+// index alone; chunks that lie entirely inside the range are offered to
+// the sink as a summary first (version >= 2 blocks, and only to a sink
+// that takes summaries), so an aggregating sink consumes them without a
+// file read. The rest are decoded: each run of them that lies back to
+// back in chunks.dat is read with one pread into scratch (the caller's
+// buffer, grown as needed and reused across calls), and each frame's
+// length and CRC-32C are checked just before it is decoded. A summary
+// offer ends a run, so the sink is fed in storage order.
+func (b *block) scan(key string, from, to int64, sink pointSink, tel *StoreTelemetry, scratch *[]byte) error {
+	refs := b.index[key]
+	offer := b.hasAggs && sink.summaries()
+	inRange := func(r chunkRef) bool { return r.MaxT >= from && r.MinT < to }
+	offered := func(r chunkRef) bool { return offer && r.MinT >= from && r.MaxT < to }
+	var skipped, summarized, decoded int
+	for i := 0; i < len(refs); {
+		ref := refs[i]
+		if !inRange(ref) {
+			skipped++
+			i++
+			continue
+		}
+		if offered(ref) && sink.chunk(ref.agg()) {
+			summarized++
+			i++
+			continue
+		}
+		// refs[i:j] is the run: ref and the chunks right behind it in
+		// chunks.dat that overlap the range and are not offered.
+		j, end, pts := i+1, ref.Offset+chunkHeader+int64(ref.Length), ref.Count
+		for ; j < len(refs) && refs[j].Offset == end && inRange(refs[j]) && !offered(refs[j]); j++ {
+			end += chunkHeader + int64(refs[j].Length)
+			pts += refs[j].Count
+		}
+		if raw, ok := sink.(*rawSink); ok {
+			raw.pts = slices.Grow(raw.pts, pts) // one growth per run, not a doubling per append
+		}
+		if err := b.decodeRun(key, refs[i:j], from, to, sink, scratch); err != nil {
+			return err
+		}
+		decoded += j - i
+		i = j
+	}
+	tel.noteChunks(skipped, summarized, decoded)
+	return nil
+}
+
+// decodeRun reads run, chunks back to back in chunks.dat, with one pread
+// into *scratch and streams each chunk's points in [from, to) to sink,
+// checking its frame's length and CRC-32C just before decoding it: the
+// points of a run's earlier chunks reach the sink before a later frame's
+// error, as they would reading chunk by chunk.
+func (b *block) decodeRun(key string, run []chunkRef, from, to int64, sink pointSink, scratch *[]byte) error {
+	first, last := run[0], run[len(run)-1]
+	n := int(last.Offset-first.Offset) + chunkHeader + last.Length
 	if cap(*scratch) < n {
 		*scratch = make([]byte, n)
 	}
 	buf := (*scratch)[:n]
-	if _, err := b.f.ReadAt(buf, ref.Offset); err != nil {
-		return nil, fmt.Errorf("tsdb: block %s: reading chunk of %q: %w", b.dir, key, err)
+	if _, err := b.f.ReadAt(buf, first.Offset); err != nil {
+		return fmt.Errorf("tsdb: block %s: reading chunk of %q: %w", b.dir, key, err)
 	}
-	payload := buf[chunkHeader:]
-	if got := binary.LittleEndian.Uint32(buf[0:4]); int(got) != ref.Length {
-		return nil, fmt.Errorf("tsdb: block %s: chunk length mismatch for %q", b.dir, key)
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return nil, fmt.Errorf("tsdb: block %s: chunk CRC mismatch for %q", b.dir, key)
-	}
-	return payload, nil
-}
-
-// scan streams the block's points for key with T in [from, to) to sink
-// in chunk order. Chunks disjoint from the range are skipped from the
-// index alone; chunks that lie entirely inside the range are offered to
-// the sink as a summary first (version >= 2 blocks), so an aggregating
-// sink consumes them without a file read; the rest are read, CRC-checked,
-// and streamed through the chunk iterator. scratch is the caller's chunk
-// read buffer (see readChunk).
-func (b *block) scan(key string, from, to int64, sink pointSink, tel *StoreTelemetry, scratch *[]byte) error {
-	var skipped, summarized, decoded int
-	for _, ref := range b.index[key] {
-		if ref.MaxT < from || ref.MinT >= to {
-			skipped++
-			continue
+	var it chunkIter
+	for _, ref := range run {
+		frame := buf[ref.Offset-first.Offset:][:chunkHeader+ref.Length]
+		payload := frame[chunkHeader:]
+		if got := binary.LittleEndian.Uint32(frame[0:4]); int(got) != ref.Length {
+			return fmt.Errorf("tsdb: block %s: chunk length mismatch for %q", b.dir, key)
 		}
-		if b.hasAggs && ref.MinT >= from && ref.MaxT < to && sink.chunk(ref.agg()) {
-			summarized++
-			continue
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
+			return fmt.Errorf("tsdb: block %s: chunk CRC mismatch for %q", b.dir, key)
 		}
-		decoded++
-		payload, err := b.readChunk(key, ref, scratch)
-		if err != nil {
-			return err
-		}
-		if err := scanChunk(payload, from, to, sink); err != nil {
+		if err := scanChunkWith(&it, payload, from, to, sink); err != nil {
 			return fmt.Errorf("tsdb: block %s: corrupt chunk for %q: %w", b.dir, key, err)
 		}
 	}
-	tel.noteChunks(skipped, summarized, decoded)
 	return nil
 }
 

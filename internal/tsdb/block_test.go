@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -182,6 +183,144 @@ func TestBlockChunkCorruptionDetected(t *testing.T) {
 	defer reblk.close()
 	if _, err := blockQuery(reblk, "a/b", 0, 1<<40); err == nil {
 		t.Fatal("expected CRC error on corrupted chunk")
+	}
+}
+
+// TestBlockRunReadFailures corrupts one series' three-chunk run, which a
+// full-range read fetches with one pread, in each way chunks.dat can go
+// bad inside a run. Each read fails naming the block directory and the
+// key, after exactly the points of the chunks before the bad frame.
+func TestBlockRunReadFailures(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(path string, refs []chunkRef) error
+		want    string
+		points  int // chunks before the bad frame: 0 when the read itself fails
+	}{
+		{"CRC flip in the middle chunk", func(path string, refs []chunkRef) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			data[refs[1].Offset+chunkHeader+3] ^= 0x10
+			return os.WriteFile(path, data, 0o644)
+		}, "chunk CRC mismatch", maxChunkPoints},
+		{"length field disagrees with the index", func(path string, refs []chunkRef) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			binary.LittleEndian.PutUint32(data[refs[1].Offset:], uint32(refs[1].Length+1))
+			return os.WriteFile(path, data, 0o644)
+		}, "chunk length mismatch", maxChunkPoints},
+		{"file truncated inside the run", func(path string, refs []chunkRef) error {
+			return os.Truncate(path, refs[1].Offset+chunkHeader+2)
+		}, "reading chunk", 0},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		blk, err := writeBlock(dir, 1, nil, map[string][]Point{"a/b": blockPoints(3*maxChunkPoints, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := blk.index["a/b"]
+		blk.close()
+		if len(refs) != 3 {
+			t.Fatalf("%s: %d chunks, want 3", tc.name, len(refs))
+		}
+		if err := tc.corrupt(filepath.Join(blk.dir, blockChunksName), refs); err != nil {
+			t.Fatal(err)
+		}
+		reblk, err := openBlock(blk.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out rawSink
+		var scratch []byte
+		err = reblk.scan("a/b", 0, 1<<40, &out, nil, &scratch)
+		reblk.close()
+		if err == nil {
+			t.Fatalf("%s: read succeeded", tc.name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.want) || !strings.Contains(msg, blk.dir) || !strings.Contains(msg, `"a/b"`) {
+			t.Errorf("%s: error %q does not say %q naming the block and the key", tc.name, msg, tc.want)
+		}
+		if len(out.pts) != tc.points {
+			t.Errorf("%s: %d points reached the sink, want %d", tc.name, len(out.pts), tc.points)
+		}
+	}
+}
+
+// TestBlockOldLayoutReadsAndRechunks opens blocks cut into 4096-point
+// chunks, as every data directory written before the 120-point cut holds:
+// no format version tells them apart. They read exactly as the model
+// says, and one compaction rewrites them into chunks of at most
+// maxChunkPoints, which read the same.
+func TestBlockOldLayoutReadsAndRechunks(t *testing.T) {
+	const oldCut, epochs, ticks = 4096, 3, 5000
+	dir := t.TempDir()
+	l := &storeLife{dir: dir, fsync: FsyncNever, m: newStoreModel(0)}
+	samples := compactSamples(41, 2, 2, epochs*ticks, 1000, true)
+	per := len(samples) / epochs
+	for e := 0; e < epochs; e++ {
+		batch := samples[e*per : (e+1)*per]
+		series := map[string][]Point{}
+		for _, s := range batch {
+			series[s.Key()] = append(series[s.Key()], Point{T: s.T, V: s.V})
+		}
+		bw, err := newBlockWriter(filepath.Join(dir, "blocks"), blockMeta{Seq: uint64(e + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw.cut = oldCut
+		for _, key := range sortedKeys(series) {
+			sortStable(series[key]) // a checkpoint's one sorted segment
+			if err := bw.addSeries(key, series[key]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blk, err := bw.publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk.close()
+		l.m.add(batch)
+		l.m.checkpoint()
+	}
+	if err := l.open(2); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.st.Close() }()
+	largest := func() int {
+		n := 0
+		for _, b := range l.st.dur.blocks {
+			for _, refs := range b.index {
+				for _, r := range refs {
+					n = max(n, r.Count)
+				}
+			}
+		}
+		return n
+	}
+	if n := largest(); n != oldCut {
+		t.Fatalf("largest chunk before compaction holds %d points, want %d", n, oldCut)
+	}
+	span := maxSampleT(samples)
+	ops := append(readOps(compactQueries(span), 0), op{Kind: opScanMatch, Q: RangeQuery{Component: "*", Metric: "*", From: span / 3, To: span}})
+	ops = append(append(ops, op{Kind: opCompact}), ops...)
+	for i, o := range ops {
+		if err := l.apply(o); err != nil {
+			t.Fatalf("op %d of %d (%s): %v", i, len(ops), o.Kind, err)
+		}
+		if err := l.diffCounters(); err != nil {
+			t.Fatalf("after op %d (%s): %v", i, o.Kind, err)
+		}
+	}
+	if n := l.st.BlockCount(); n != 1 {
+		t.Fatalf("%d blocks after compaction, want 1", n)
+	}
+	if n := largest(); n > maxChunkPoints {
+		t.Fatalf("largest chunk after compaction holds %d points, want at most %d", n, maxChunkPoints)
 	}
 }
 

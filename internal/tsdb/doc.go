@@ -29,6 +29,11 @@
 //	  index.json                         series key -> chunk offsets
 //	  chunks.dat                         CRC-framed Gorilla chunks
 //
+// A block holds each series' chunks back to back in key order, each of
+// at most 120 points (maxChunkPoints; blocks written before that cut
+// hold up to 4096 and read the same). A read decodes only the chunks its
+// range overlaps and fetches each run of adjacent ones with one pread.
+//
 // Every ingested batch is appended to the owning shard's WAL — a
 // CRC-32C-framed, segmented log with a configurable fsync policy
 // (always / interval / never) — before it becomes visible in memory. A

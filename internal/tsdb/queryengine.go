@@ -20,7 +20,7 @@ import (
 //
 // The layers, bottom up:
 //
-//   - pointSink / scanChunk: a streaming decode loop over one Gorilla
+//   - pointSink / scanChunkWith: a streaming decode loop over one Gorilla
 //     chunk. Chunks are time-ordered, so the scan stops at the first
 //     point past the range instead of decoding the remainder.
 //   - chunkAgg: the per-chunk summary kept by both the in-memory sealed
@@ -291,6 +291,10 @@ func summarizeChunk(pts []Point) chunkAgg {
 // points through add instead.
 type pointSink interface {
 	add(Point)
+	// summaries reports whether chunk may ever return true. A block scan
+	// offers nothing to a sink that never consumes a summary, so it reads
+	// a series' whole in-range run of chunks with one pread.
+	summaries() bool
 	chunk(chunkAgg) bool
 	// companion reports, when it consumes, how many companion buckets it
 	// read (the downsampled-buckets counter).
@@ -301,11 +305,14 @@ type pointSink interface {
 // summary offer is declined.
 type decodeOnly struct{}
 
+func (decodeOnly) summaries() bool { return false }
+
 func (decodeOnly) chunk(chunkAgg) bool { return false }
 
 func (decodeOnly) companion(*block, string, int64, int64) (int, bool) { return 0, false }
 
-// rawSink collects raw points.
+// rawSink collects raw points. A block scan grows pts once per run of
+// chunks it decodes, by the run's point count.
 type rawSink struct {
 	decodeOnly
 	pts []Point
@@ -313,17 +320,11 @@ type rawSink struct {
 
 func (r *rawSink) add(p Point) { r.pts = append(r.pts, p) }
 
-// scanChunk streams a compressed chunk's points with T in [from, to) to
-// sink. The chunk is time-ordered, so the scan returns at the first
-// point past `to` without decoding the rest.
-func scanChunk(chunk []byte, from, to int64, sink pointSink) error {
-	var it chunkIter
-	return scanChunkWith(&it, chunk, from, to, sink)
-}
-
-// scanChunkWith is scanChunk with a caller-owned iterator, so loops over
-// many chunks (series.scanRange, block scans) reset one stack-resident
-// iterator instead of heap-allocating per chunk.
+// scanChunkWith streams a compressed chunk's points with T in [from, to)
+// to sink through a caller-owned iterator, so loops over many chunks
+// (series.scanRange, block scans) reset one stack-resident iterator
+// instead of heap-allocating per chunk. The chunk is time-ordered, so the
+// scan returns at the first point past `to` without decoding the rest.
 func scanChunkWith(it *chunkIter, chunk []byte, from, to int64, sink pointSink) error {
 	ok, err := it.reset(chunk)
 	if err != nil || !ok {
@@ -473,6 +474,8 @@ func (a *aggregator) add(p Point) {
 		b.lastT, b.lastV = p.T, p.V
 	}
 }
+
+func (a *aggregator) summaries() bool { return a.pushdown }
 
 func (a *aggregator) chunk(c chunkAgg) bool {
 	if !a.pushdown || c.NoSummary {

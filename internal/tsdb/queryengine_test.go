@@ -207,6 +207,95 @@ func TestQueryEngineBlockChunkSkip(t *testing.T) {
 	}
 }
 
+// TestQueryEngineDecodeBudget reads a series compacted from 11 blocks of
+// 60 scrapes 15 s apart (one dashboard series) over its last hour. A
+// range read decodes only the chunks it overlaps, so it decodes at most
+// three of the series' six maxChunkPoints chunks — the two it straddles
+// and the one between — and skips the rest from the index, raw and
+// aggregated alike.
+func TestQueryEngineDecodeBudget(t *testing.T) {
+	s, tel := openCompactable(t, t.TempDir(), 1, FsyncNever, 0)
+	defer s.Close()
+	const blocks, perBlock, scrapeMS = 11, 60, 15_000
+	for b := 0; b < blocks; b++ {
+		batch := make([]Sample, perBlock)
+		for i := range batch {
+			n := b*perBlock + i
+			batch[i] = Sample{Component: "web", Metric: "cpu", T: int64(n) * scrapeMS, V: float64(n % 7)}
+		}
+		if err := s.WriteSamples(batch, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.BlockCount(); n != 1 {
+		t.Fatalf("%d blocks after compaction, want 1", n)
+	}
+	end := int64(blocks*perBlock) * scrapeMS
+	for _, q := range []RangeQuery{
+		{Component: "web", Metric: "cpu", From: end - 3_600_000, To: end},
+		{Component: "web", Metric: "cpu", From: end - 3_600_000, To: end, Agg: AggAvg, StepMS: 60_000},
+	} {
+		decoded, skipped := tel.ChunksDecoded.Value(), tel.ChunksSkipped.Value()
+		res, err := s.QueryRange(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int(3_600_000 / max(scrapeMS, q.StepMS)); len(res) != 1 || len(res[0].Points) != want {
+			t.Fatalf("%s: %d series, want one of %d points", q.Agg, len(res), want)
+		}
+		decoded, skipped = tel.ChunksDecoded.Value()-decoded, tel.ChunksSkipped.Value()-skipped
+		if decoded > 3 || skipped < 3 {
+			t.Errorf("%s over the last hour: %d chunks decoded and %d skipped, want at most 3 and at least 3", q.Agg, decoded, skipped)
+		}
+	}
+}
+
+// TestQueryEngineRawSinkSizedFromRefs pins that a raw read grows its
+// point buffer once per run of block chunks, by the points the run's refs
+// hold, rather than doubling as points arrive: over a compacted store, a
+// wide raw read of whole series costs no more allocations than one of
+// their last ten points.
+func TestQueryEngineRawSinkSizedFromRefs(t *testing.T) {
+	s, _ := openCompactable(t, t.TempDir(), 2, FsyncNever, 0)
+	defer s.Close()
+	const series, rounds, perRound = 16, 4, 600
+	for r := 0; r < rounds; r++ {
+		var batch []Sample
+		for i := 0; i < perRound; i++ {
+			for c := 0; c < series; c++ {
+				batch = append(batch, Sample{Component: fmt.Sprintf("c%02d", c), Metric: "m", T: int64(r*perRound+i) * 1000, V: float64(i % 13)})
+			}
+		}
+		if err := s.WriteSamples(batch, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	end := int64(rounds*perRound) * 1000
+	allocs := func(from int64) float64 {
+		q := RangeQuery{Component: "*", Metric: "*", From: from, To: end}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := s.QueryRange(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if tail, whole := allocs(end-10_000), allocs(0); whole > tail+2 {
+		t.Errorf("raw read of %d whole series: %v allocs/op, of their last 10 points: %v; the point buffer grows by doubling", series, whole, tail)
+	}
+}
+
 // TestAggregationPushdownAllocs pins "aggregated queries over sealed
 // chunks allocate no raw-point slices": an index-only aggregation's
 // allocation count must not grow with the number of sealed points,

@@ -158,9 +158,10 @@ func BenchmarkQueryEngine(b *testing.B) {
 	}
 	oneSeries := qbPointsPerSer
 	allSeries := qbTotalPoints
-	// Two bucket widths: "fine" buckets (512 points) are narrower than a
-	// sealed chunk, so every chunk straddles buckets and aggregation
-	// decodes — the gain over raw is skipping the materialize+sort. With
+	// Two bucket widths: "fine" buckets (512 points) are no wider than an
+	// in-memory sealed chunk, so every hot chunk straddles buckets and
+	// aggregation decodes — the gain over raw is skipping the
+	// materialize+sort (a cold block's 120-point chunks mostly fit). With
 	// "coarse" buckets (4096 points) chunks lie wholly inside buckets and
 	// order-independent aggregations are answered from the chunk index
 	// alone: no file read, no CRC, no decode.
