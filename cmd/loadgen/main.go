@@ -33,6 +33,9 @@ func main() {
 }
 
 func run(kind string, ticks int, seed int64, base, peak float64, drive string) error {
+	if ticks <= 0 {
+		return fmt.Errorf("-ticks %d: must be at least 1", ticks)
+	}
 	var pattern sieve.Pattern
 	switch kind {
 	case "worldcup":

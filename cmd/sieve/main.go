@@ -32,6 +32,9 @@ func main() {
 }
 
 func run(appName string, faulty bool, ticks int, seed int64, dot, verbose bool, save string) error {
+	if ticks <= 0 {
+		return fmt.Errorf("-ticks %d: must be at least 1", ticks)
+	}
 	var (
 		app *sieve.App
 		err error

@@ -1,16 +1,25 @@
 // Quickstart: build a tiny three-tier application, run the full Sieve
 // pipeline on it, and print what Sieve learned — which metrics matter and
-// how the components depend on each other.
+// how the components depend on each other. main_test.go holds the output
+// to testdata/quickstart.golden.
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/sieve-microservices/sieve"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A custom topology: a load balancer fronting an API server backed by
 	// a database. Each component exports a handful of metric families
 	// (redundant variants of the same signals, plus constants that carry
@@ -52,37 +61,38 @@ func main() {
 
 	app, err := sieve.NewApp(spec, 42)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Step 1-3: load the app with a randomized workload, reduce metrics,
 	// and identify dependencies.
 	artifact, _, err := sieve.Run(app, sieve.RandomLoad(1, 300, 200, 1800), sieve.DefaultPipelineOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("Captured %d metrics; Sieve reduced them to %d representatives.\n\n",
+	fmt.Fprintf(w, "Captured %d metrics; Sieve reduced them to %d representatives.\n\n",
 		artifact.Reduction.TotalBefore(), artifact.Reduction.TotalAfter())
 
 	for _, comp := range artifact.Dataset.Components() {
 		cr := artifact.Reduction[comp]
-		fmt.Printf("%s: %d metrics -> %d clusters\n", comp, cr.Total, len(cr.Clusters))
+		fmt.Fprintf(w, "%s: %d metrics -> %d clusters\n", comp, cr.Total, len(cr.Clusters))
 		for _, cluster := range cr.Clusters {
-			fmt.Printf("  cluster %d (representative %s): %v\n", cluster.ID, cluster.Representative, cluster.Metrics)
+			fmt.Fprintf(w, "  cluster %d (representative %s): %v\n", cluster.ID, cluster.Representative, cluster.Metrics)
 		}
 		if len(cr.Filtered) > 0 {
-			fmt.Printf("  filtered as unvarying: %v\n", cr.Filtered)
+			fmt.Fprintf(w, "  filtered as unvarying: %v\n", cr.Filtered)
 		}
 	}
 
-	fmt.Printf("\nInferred dependencies (%d tested, %d bidirectional filtered):\n",
+	fmt.Fprintf(w, "\nInferred dependencies (%d tested, %d bidirectional filtered):\n",
 		artifact.Graph.Tested, artifact.Graph.Bidirectional)
 	for _, e := range artifact.Graph.Edges {
-		fmt.Printf("  %s/%s -> %s/%s (lag %dms, p=%.2g)\n",
+		fmt.Fprintf(w, "  %s/%s -> %s/%s (lag %dms, p=%.2g)\n",
 			e.From, e.FromMetric, e.To, e.ToMetric, e.LagMS, e.PValue)
 	}
 
 	metric, n := artifact.Graph.MostFrequentMetric()
-	fmt.Printf("\nBest monitoring signal: %s (appears in %d relations)\n", metric, n)
+	fmt.Fprintf(w, "\nBest monitoring signal: %s (appears in %d relations)\n", metric, n)
+	return nil
 }

@@ -7,10 +7,10 @@
 // find. Every component exports metric families through a
 // metrics.Registry (system metrics, app metrics, redundant variants,
 // constants, and lazily-created error-path series), the simulated socket
-// layer emits sysdig-style syscall events and tcpdump-style packets for
-// call-graph extraction, instance counts can be scaled at runtime for the
-// autoscaling case study, and a global fault switch reproduces
-// version-to-version anomalies for the RCA case study.
+// layer emits sysdig-style syscall events for call-graph extraction,
+// instance counts can be scaled at runtime for the autoscaling case
+// study, and a global fault switch reproduces version-to-version
+// anomalies for the RCA case study.
 package app
 
 import (
@@ -180,7 +180,6 @@ type App struct {
 	nowMS  int64
 	fault  bool
 	tracer *trace.Tracer
-	pcap   *trace.PacketCapture
 	// nextEphemeral hands out client port numbers for trace events.
 	nextEphemeral int
 	rng           *rand.Rand
@@ -286,9 +285,6 @@ func (a *App) Registries() []*metrics.Registry {
 
 // AttachTracer installs a sysdig-like tracer receiving socket events.
 func (a *App) AttachTracer(t *trace.Tracer) { a.tracer = t }
-
-// AttachPacketCapture installs a tcpdump-like capturer.
-func (a *App) AttachPacketCapture(p *trace.PacketCapture) { a.pcap = p }
 
 // SetFault toggles the application-wide fault (the RCA case study's
 // faulty version).
@@ -528,11 +524,11 @@ func scaleOr1(s float64) float64 {
 	return s
 }
 
-// emitTraffic generates syscall events and packets for each active edge:
+// emitTraffic generates syscall events for each active edge:
 // one connection handshake plus a request/response byte exchange per tick
 // per edge (bounded, so the tracer load stays realistic).
 func (a *App) emitTraffic() {
-	if a.tracer == nil && a.pcap == nil {
+	if a.tracer == nil {
 		return
 	}
 	for _, n := range a.order {
@@ -554,18 +550,12 @@ func (a *App) emitTraffic() {
 			reqBytes := 200 + int(flow)
 			respBytes := 500 + int(flow*3)
 
-			if a.tracer != nil {
-				a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: c.spec.Name, Type: trace.EventConnect, Local: clientAddr, Remote: target.spec.Addr})
-				a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: target.spec.Name, Type: trace.EventAccept, Local: target.spec.Addr, Remote: clientAddr})
-				a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: c.spec.Name, Type: trace.EventWrite, Local: clientAddr, Remote: target.spec.Addr, Bytes: reqBytes})
-				a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: target.spec.Name, Type: trace.EventRead, Local: target.spec.Addr, Remote: clientAddr, Bytes: reqBytes})
-				a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: target.spec.Name, Type: trace.EventWrite, Local: target.spec.Addr, Remote: clientAddr, Bytes: respBytes})
-				a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: c.spec.Name, Type: trace.EventClose, Local: clientAddr, Remote: target.spec.Addr})
-			}
-			if a.pcap != nil {
-				a.pcap.Capture(trace.Packet{TimeMS: a.nowMS, Src: clientAddr, Dst: target.spec.Addr, Payload: make([]byte, min(reqBytes, 1500))})
-				a.pcap.Capture(trace.Packet{TimeMS: a.nowMS, Src: target.spec.Addr, Dst: clientAddr, Payload: make([]byte, min(respBytes, 1500))})
-			}
+			a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: c.spec.Name, Type: trace.EventConnect, Local: clientAddr, Remote: target.spec.Addr})
+			a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: target.spec.Name, Type: trace.EventAccept, Local: target.spec.Addr, Remote: clientAddr})
+			a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: c.spec.Name, Type: trace.EventWrite, Local: clientAddr, Remote: target.spec.Addr, Bytes: reqBytes})
+			a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: target.spec.Name, Type: trace.EventRead, Local: target.spec.Addr, Remote: clientAddr, Bytes: reqBytes})
+			a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: target.spec.Name, Type: trace.EventWrite, Local: target.spec.Addr, Remote: clientAddr, Bytes: respBytes})
+			a.tracer.Emit(trace.Event{TimeMS: a.nowMS, Process: c.spec.Name, Type: trace.EventClose, Local: clientAddr, Remote: target.spec.Addr})
 		}
 	}
 }
@@ -577,11 +567,4 @@ func hostOf(addr string) string {
 		}
 	}
 	return addr
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -279,9 +279,7 @@ func TestTraceEventsYieldCallGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.NewTracer(4096, nil)
-	pc := trace.NewPacketCapture(128)
 	a.AttachTracer(tr)
-	a.AttachPacketCapture(pc)
 	for i := 0; i < 10; i++ {
 		a.Step(100)
 	}
@@ -294,9 +292,6 @@ func TestTraceEventsYieldCallGraph(t *testing.T) {
 	}
 	if got := g.Callees("db"); len(got) != 0 {
 		t.Errorf("db calls %v, want nothing (no reversed edge)", got)
-	}
-	if pc.Stats().Records == 0 {
-		t.Error("packet capture saw no traffic")
 	}
 }
 

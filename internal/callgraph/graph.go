@@ -5,9 +5,7 @@
 package callgraph
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/sieve-microservices/sieve/internal/trace"
 )
@@ -22,13 +20,12 @@ type Edge struct {
 
 // Graph is a directed call graph between components.
 type Graph struct {
-	adj   map[string]map[string]int
-	nodes map[string]bool
+	adj map[string]map[string]int
 }
 
 // New creates an empty graph.
 func New() *Graph {
-	return &Graph{adj: map[string]map[string]int{}, nodes: map[string]bool{}}
+	return &Graph{adj: map[string]map[string]int{}}
 }
 
 // AddCall records n calls from caller to callee (self-calls are ignored;
@@ -37,24 +34,12 @@ func (g *Graph) AddCall(caller, callee string, n int) {
 	if caller == callee || caller == "" || callee == "" || n <= 0 {
 		return
 	}
-	g.nodes[caller] = true
-	g.nodes[callee] = true
 	m := g.adj[caller]
 	if m == nil {
 		m = map[string]int{}
 		g.adj[caller] = m
 	}
 	m[callee] += n
-}
-
-// Components returns all node names in sorted order.
-func (g *Graph) Components() []string {
-	out := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Callees returns the components that caller directly calls, sorted.
@@ -112,20 +97,6 @@ func (g *Graph) CommunicatingPairs() [][2]string {
 	return out
 }
 
-// DOT renders the graph in Graphviz format with call counts as labels.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	b.WriteString("digraph callgraph {\n")
-	for _, n := range g.Components() {
-		fmt.Fprintf(&b, "  %q;\n", n)
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "  %q -> %q [label=%d];\n", e.Caller, e.Callee, e.Calls)
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // FromSyscallEvents builds the call graph from a sysdig-like event
 // stream: accept events establish which process owns each listening
 // address, and connect events then resolve caller -> callee edges with no
@@ -147,23 +118,6 @@ func FromSyscallEvents(events []trace.Event) *Graph {
 			continue // connection to an unmonitored endpoint
 		}
 		g.AddCall(e.Process, callee, 1)
-	}
-	return g
-}
-
-// FromPacketPairs builds the call graph from tcpdump-style (src, dst)
-// address pairs plus an externally supplied address -> component map;
-// pairs with unmapped endpoints are dropped, which is exactly the
-// fragility the paper attributes to the packet-capture approach.
-func FromPacketPairs(pairs map[[2]string]int, addrToComponent map[string]string) *Graph {
-	g := New()
-	for pair, n := range pairs {
-		src, okS := addrToComponent[pair[0]]
-		dst, okD := addrToComponent[pair[1]]
-		if !okS || !okD {
-			continue
-		}
-		g.AddCall(src, dst, n)
 	}
 	return g
 }

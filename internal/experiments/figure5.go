@@ -50,12 +50,7 @@ func (c *tracedConn) observe(t trace.EventType, payload []byte) {
 		})
 	}
 	if c.pcap != nil {
-		c.pcap.Capture(trace.Packet{
-			TimeMS:  now,
-			Src:     c.RemoteAddr().String(),
-			Dst:     c.LocalAddr().String(),
-			Payload: payload,
-		})
+		c.pcap.Capture(trace.Packet{TimeMS: now, Payload: payload})
 	}
 }
 

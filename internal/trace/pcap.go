@@ -9,8 +9,6 @@ import (
 type Packet struct {
 	// TimeMS is the capture timestamp in milliseconds.
 	TimeMS int64
-	// Src and Dst are endpoint addresses ("host:port").
-	Src, Dst string
 	// Payload is the packet body.
 	Payload []byte
 }
@@ -21,16 +19,15 @@ const DefaultSnapLen = 262144
 // PacketCapture is a tcpdump-like capturer: each packet costs a record
 // header write plus a bounded payload copy. Unlike the syscall tracer it
 // records no process context, which is why the paper prefers sysdig: raw
-// addresses must be mapped to components externally and break under NAT
-// (§3.1). It is safe for concurrent use.
+// addresses would have to be mapped to components externally and break
+// under NAT (§3.1). It is only Fig. 5's cost comparison point, so it keeps
+// counters and no addresses. It is safe for concurrent use.
 type PacketCapture struct {
 	mu      sync.Mutex
 	snapLen int
 	records int
 	bytes   int
-	// keepRecords retains decoded headers for call-pair extraction.
-	pairs map[[2]string]int
-	buf   []byte
+	buf     []byte
 }
 
 // NewPacketCapture creates a capturer; snapLen <= 0 uses DefaultSnapLen.
@@ -38,7 +35,7 @@ func NewPacketCapture(snapLen int) *PacketCapture {
 	if snapLen <= 0 {
 		snapLen = DefaultSnapLen
 	}
-	return &PacketCapture{snapLen: snapLen, pairs: map[[2]string]int{}}
+	return &PacketCapture{snapLen: snapLen}
 }
 
 // Capture records one packet: a 16-byte pcap record header plus the
@@ -64,7 +61,6 @@ func (p *PacketCapture) Capture(pkt Packet) {
 
 	p.records++
 	p.bytes += len(p.buf)
-	p.pairs[[2]string{pkt.Src, pkt.Dst}]++
 }
 
 // PcapStats summarizes capture activity.
@@ -80,17 +76,4 @@ func (p *PacketCapture) Stats() PcapStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PcapStats{Records: p.records, Bytes: p.bytes}
-}
-
-// AddressPairs returns the observed (src, dst) address pairs with packet
-// counts. Mapping these to components requires external knowledge of the
-// address plan — the context gap relative to the syscall tracer.
-func (p *PacketCapture) AddressPairs() map[[2]string]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[[2]string]int, len(p.pairs))
-	for k, v := range p.pairs {
-		out[k] = v
-	}
-	return out
 }

@@ -11,6 +11,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,7 +50,10 @@ var reachabilityAllow = map[string]string{
 // every method whose name some interface declares (dynamic dispatch is
 // not followed, so such a method counts as called). _test.go files
 // outside bench/ are not roots: what only a test calls is either deleted
-// with the test or named in reachabilityAllow.
+// with the test or named in reachabilityAllow. It also logs, per root
+// kind, the functions of other packages only that kind reaches (the walk
+// again with the kind dropped), so what each of cmd/, examples/ and
+// bench/ keeps alive stays visible.
 func TestEveryFunctionIsReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -58,7 +62,21 @@ func TestEveryFunctionIsReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unreachable := unreachableFunctions(l)
+	g := newReachGraph(l)
+	unreachable := g.unreachable("")
+	base := make(map[string]bool, len(unreachable))
+	for _, fn := range unreachable {
+		base[fn.name] = true
+	}
+	for _, kind := range rootKinds {
+		var only []string
+		for _, fn := range g.unreachable(kind) {
+			if !base[fn.name] && fn.kind != kind {
+				only = append(only, fn.name)
+			}
+		}
+		t.Logf("%s/ alone reaches %d functions: %s", kind, len(only), strings.Join(only, ", "))
+	}
 	if len(reachabilityAllow) > 25 {
 		t.Errorf("reachabilityAllow has %d entries, the ceiling is 25", len(reachabilityAllow))
 	}
@@ -84,14 +102,18 @@ func TestEveryFunctionIsReachable(t *testing.T) {
 // unreachableFunc is one function declaration the walk did not visit.
 type unreachableFunc struct {
 	name  string // "internal/mathx.Matrix.Clone", "sieve.Serve"
+	kind  string // its package's root kind, "" outside cmd/, examples/ and bench/
 	pos   string // file:line
 	lines int    // doc comment + body
 }
 
+// rootKinds are the top-level directories whose every function is a root.
+var rootKinds = []string{"cmd", "examples", "bench"}
+
 // reachPkg is one type-checked module package.
 type reachPkg struct {
 	rel   string // directory relative to the module root, "." for the facade
-	root  bool   // under cmd/, examples/ or bench/: every function is a root
+	kind  string // the root kind it lies under, or ""
 	types *types.Package
 	files []*ast.File
 	info  *types.Info
@@ -136,7 +158,10 @@ func (l *reachLoader) load(rel string) (*reachPkg, error) {
 		return nil, err
 	}
 	top := strings.SplitN(filepath.ToSlash(rel), "/", 2)[0]
-	p := &reachPkg{rel: filepath.ToSlash(rel), root: top == "cmd" || top == "examples" || top == "bench"}
+	p := &reachPkg{rel: filepath.ToSlash(rel)}
+	if slices.Contains(rootKinds, top) {
+		p.kind = top
+	}
 	names := append([]string(nil), bp.GoFiles...)
 	if top == "bench" {
 		names = append(names, bp.TestGoFiles...)
@@ -205,11 +230,26 @@ func loadModule(dir string) (*reachLoader, error) {
 // and TestEveryOptionIsSet share.
 var checkedModule = sync.OnceValues(func() (*reachLoader, error) { return loadModule(".") })
 
-// unreachableFunctions walks the static references from the roots and
-// returns every function declaration the walk did not visit.
-func unreachableFunctions(l *reachLoader) []unreachableFunc {
-	fset := l.fset
+// reachGraph is the module's static reference graph: one node per
+// function declaration, whose edges are the functions its body names
+// (calls, method values, function values alike).
+type reachGraph struct {
+	fset  *token.FileSet
+	nodes map[*types.Func]*reachNode
+	// always are the roots of every walk: init functions, methods whose
+	// name an interface declares, and what package-level variable
+	// initialisers name.
+	always []*types.Func
+}
 
+type reachNode struct {
+	pkg  *reachPkg
+	decl *ast.FuncDecl
+	uses []*types.Func
+}
+
+// newReachGraph builds the reference graph of the loaded module.
+func newReachGraph(l *reachLoader) *reachGraph {
 	// Interface method names: every interface declared or written inline
 	// in the module, and every named interface of a package the module
 	// imports (error, fmt.Stringer, sort.Interface, http.Handler, ...).
@@ -251,15 +291,7 @@ func unreachableFunctions(l *reachLoader) []unreachableFunc {
 		}
 	}
 
-	// One node per function declaration; edges are the functions its body
-	// names (calls, method values, function values alike).
-	type node struct {
-		pkg  *reachPkg
-		decl *ast.FuncDecl
-		uses []*types.Func
-	}
-	nodes := make(map[*types.Func]*node)
-	var work []*types.Func
+	g := &reachGraph{fset: l.fset, nodes: make(map[*types.Func]*reachNode)}
 	usesOf := func(p *reachPkg, n ast.Node) []*types.Func {
 		var out []*types.Func
 		ast.Inspect(n, func(n ast.Node) bool {
@@ -278,18 +310,29 @@ func unreachableFunctions(l *reachLoader) []unreachableFunc {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					fn := p.info.Defs[d.Name].(*types.Func)
-					nodes[fn] = &node{pkg: p, decl: d, uses: usesOf(p, d)}
-					isRoot := p.root || (d.Recv == nil && d.Name.Name == "init") ||
-						(d.Recv != nil && ifaceMethods[d.Name.Name])
-					if isRoot {
-						work = append(work, fn)
+					g.nodes[fn] = &reachNode{pkg: p, decl: d, uses: usesOf(p, d)}
+					if (d.Recv == nil && d.Name.Name == "init") || (d.Recv != nil && ifaceMethods[d.Name.Name]) {
+						g.always = append(g.always, fn)
 					}
 				case *ast.GenDecl:
 					if d.Tok == token.VAR {
-						work = append(work, usesOf(p, d)...)
+						g.always = append(g.always, usesOf(p, d)...)
 					}
 				}
 			}
+		}
+	}
+	return g
+}
+
+// unreachable walks the static references from g.always and every
+// function of a package under a root kind other than drop ("" drops
+// none), and returns every function declaration the walk did not visit.
+func (g *reachGraph) unreachable(drop string) []unreachableFunc {
+	work := append([]*types.Func(nil), g.always...)
+	for fn, n := range g.nodes {
+		if n.pkg.kind != "" && n.pkg.kind != drop {
+			work = append(work, fn)
 		}
 	}
 	reached := make(map[*types.Func]bool)
@@ -300,13 +343,14 @@ func unreachableFunctions(l *reachLoader) []unreachableFunc {
 			continue
 		}
 		reached[fn] = true
-		if n := nodes[fn]; n != nil {
+		if n := g.nodes[fn]; n != nil {
 			work = append(work, n.uses...)
 		}
 	}
 
+	fset := g.fset
 	var out []unreachableFunc
-	for fn, n := range nodes {
+	for fn, n := range g.nodes {
 		if reached[fn] {
 			continue
 		}
@@ -325,6 +369,7 @@ func unreachableFunctions(l *reachLoader) []unreachableFunc {
 		pos := fset.Position(n.decl.Pos())
 		out = append(out, unreachableFunc{
 			name:  name,
+			kind:  n.pkg.kind,
 			pos:   fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
 			lines: fset.Position(n.decl.End()).Line - fset.Position(start).Line + 1,
 		})

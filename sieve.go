@@ -17,10 +17,10 @@
 //     bidirectional results filtered as confounded.
 //
 // The resulting Artifact drives the paper's two case studies, both
-// implemented here: threshold autoscaling guided by the metric that
-// appears most often in Granger relations (Table 4), and root-cause
-// analysis that diffs the artifacts of a correct and a faulty version
-// (Table 5, Figures 7-8).
+// implemented in this module and run by cmd/experiments: threshold
+// autoscaling guided by the metric that appears most often in Granger
+// relations (Table 4), and root-cause analysis that diffs the artifacts
+// of a correct and a faulty version (Table 5, Figures 7-8).
 //
 // Everything the paper's deployment depended on is implemented in this
 // module against the standard library alone: the statistics stack (FFT,
@@ -58,12 +58,10 @@ import (
 	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/app/openstack"
 	"github.com/sieve-microservices/sieve/internal/app/sharelatex"
-	"github.com/sieve-microservices/sieve/internal/autoscale"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 	"github.com/sieve-microservices/sieve/internal/metrics"
-	"github.com/sieve-microservices/sieve/internal/rca"
 	"github.com/sieve-microservices/sieve/internal/server"
 	"github.com/sieve-microservices/sieve/internal/trace"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
@@ -142,24 +140,6 @@ type ReduceOptions = core.ReduceOptions
 // are the paper's and fixed.
 type DepOptions = core.DepOptions
 
-// AutoscaleRule is one threshold scaling rule.
-type AutoscaleRule = autoscale.Rule
-
-// AutoscaleEngine evaluates scaling rules against a running App.
-type AutoscaleEngine = autoscale.Engine
-
-// SLATracker counts violations of a p90-latency SLA.
-type SLATracker = autoscale.SLATracker
-
-// RCAOptions tunes the root-cause-analysis engine: the inter-version
-// cluster similarity threshold (a cluster is novel from one new or
-// discarded member on, a constant).
-type RCAOptions = rca.Options
-
-// RCAReport is the five-step RCA output: component novelty ranking,
-// cluster diffs, filtered edge events, and the final suspect list.
-type RCAReport = rca.Report
-
 // NewShareLatex builds the simulated ShareLatex deployment (15
 // components, ~889 metrics) used by the autoscaling case study.
 func NewShareLatex(seed int64) (*App, error) {
@@ -214,41 +194,11 @@ func Run(a *App, pattern Pattern, opts PipelineOptions) (*Artifact, *CaptureResu
 }
 
 // MarshalArtifact serializes an artifact to a versioned JSON form for
-// offline analysis or later RCA comparison.
+// offline analysis. The facade does no root-cause analysis; that path is
+// cmd/experiments -run table5, which diffs the artifacts of a correct and
+// a faulty OpenStack version.
 func MarshalArtifact(a *Artifact) ([]byte, error) {
 	return core.MarshalArtifact(a)
-}
-
-// NewAutoscaler creates a scaling engine from rules; cooldownTicks is
-// the minimum spacing between actions on one component.
-func NewAutoscaler(a *App, rules []AutoscaleRule, cooldownTicks int) (*AutoscaleEngine, error) {
-	return autoscale.NewEngine(a, rules, cooldownTicks)
-}
-
-// CPUScalingPolicy builds the traditional per-component CPU-threshold
-// baseline policy.
-func CPUScalingPolicy(components []string, up, down float64, maxInstances int) []AutoscaleRule {
-	return autoscale.CPUPolicy(components, up, down, maxInstances)
-}
-
-// SieveScalingPolicy derives scaling rules from a pipeline artifact: the
-// guiding metric is the one appearing most often in Granger relations.
-// It returns the rules and the chosen "component/metric" key.
-func SieveScalingPolicy(art *Artifact, up, down float64, maxInstances int) ([]AutoscaleRule, string, error) {
-	return autoscale.SievePolicy(art, up, down, maxInstances)
-}
-
-// NewSLATracker creates a tracker for "p90 latency below thresholdMS",
-// sampling one SLA verdict per windowSize observations.
-func NewSLATracker(thresholdMS float64, windowSize int) *SLATracker {
-	return autoscale.NewSLATracker(thresholdMS, windowSize)
-}
-
-// RefineThresholds derives scale-up/scale-down thresholds for a guiding
-// metric from a calibration trace of (metric value, latency) pairs
-// against an SLA, the paper's iterative refinement (§4.1).
-func RefineThresholds(metricValues, latencies []float64, slaMS float64) (up, down float64, err error) {
-	return autoscale.RefineThresholds(metricValues, latencies, slaMS)
 }
 
 // Server is the sieved daemon: sharded line-protocol ingestion over HTTP
@@ -331,21 +281,6 @@ func DriveLoad(ctx context.Context, a *App, p Pattern, coll *MetricCollector, sc
 	return loadgen.DriveCollector(ctx, a, p, coll, scrapeEvery)
 }
 
-// MetricProbe reads one metric as an instantaneous signal, converting
-// counters to per-read deltas — the value stream scaling rules see.
-type MetricProbe = autoscale.Probe
-
-// NewMetricProbe creates a probe for the metric on the given registry.
-func NewMetricProbe(reg *MetricRegistry, metric string) *MetricProbe {
-	return autoscale.NewProbe(reg, metric)
-}
-
-// Diagnose runs the five-step RCA over the artifacts of a correct and a
-// faulty application version.
-func Diagnose(correct, faulty *Artifact, opts RCAOptions) (*RCAReport, error) {
-	return rca.Diagnose(correct, faulty, opts)
-}
-
 // Tracer is a sysdig-like syscall event sink: bounded ring buffer, user
 // filter, binary encoding per event. Attach one to an App to observe its
 // network syscalls.
@@ -353,10 +288,6 @@ type Tracer = trace.Tracer
 
 // TraceEvent is one captured syscall with process context.
 type TraceEvent = trace.Event
-
-// PacketCapture is a tcpdump-like per-packet capturer (addresses only,
-// no process context).
-type PacketCapture = trace.PacketCapture
 
 // CallGraph is the directed component communication graph.
 type CallGraph = callgraph.Graph
@@ -370,21 +301,8 @@ func NewTracer(capacity int, filter func(*TraceEvent) bool) *Tracer {
 	return trace.NewTracer(capacity, trace.Filter(filter))
 }
 
-// NewPacketCapture creates a packet capturer with the given snap length
-// (<= 0 uses tcpdump's classic default).
-func NewPacketCapture(snapLen int) *PacketCapture {
-	return trace.NewPacketCapture(snapLen)
-}
-
 // CallGraphFromSyscalls builds the call graph from a syscall event
 // stream using the process context carried by accept/connect events.
 func CallGraphFromSyscalls(events []TraceEvent) *CallGraph {
 	return callgraph.FromSyscallEvents(events)
-}
-
-// CallGraphFromPackets builds the call graph from packet (src, dst)
-// pairs plus an externally supplied address-to-component map; unmapped
-// endpoints are dropped (the packet-capture context gap of §3.1).
-func CallGraphFromPackets(pairs map[[2]string]int, addrToComponent map[string]string) *CallGraph {
-	return callgraph.FromPacketPairs(pairs, addrToComponent)
 }

@@ -3,10 +3,15 @@ package sieve
 import (
 	"strings"
 	"testing"
+
+	"github.com/sieve-microservices/sieve/internal/autoscale"
+	"github.com/sieve-microservices/sieve/internal/rca"
 )
 
 // TestPublicAPIShareLatexPipeline exercises the full public surface on a
-// short ShareLatex run: capture, reduce, identify, and policy synthesis.
+// short ShareLatex run: capture, reduce and identify; the artifact then
+// feeds Table 4's policy synthesis (internal/autoscale), which the facade
+// does not export.
 func TestPublicAPIShareLatexPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
@@ -40,7 +45,7 @@ func TestPublicAPIShareLatexPipeline(t *testing.T) {
 		t.Fatal("no guiding metric")
 	}
 
-	rules, guided, err := SieveScalingPolicy(artifact, 1400, 1120, 10)
+	rules, guided, err := autoscale.SievePolicy(artifact, 1400, 1120, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +61,8 @@ func TestPublicAPIShareLatexPipeline(t *testing.T) {
 }
 
 // TestPublicAPIOpenStackRCA exercises the RCA path end to end on short
-// correct/faulty OpenStack runs.
+// correct/faulty OpenStack runs: facade artifacts into Table 5's
+// diagnosis (internal/rca), which the facade does not export.
 func TestPublicAPIOpenStackRCA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
@@ -81,7 +87,7 @@ func TestPublicAPIOpenStackRCA(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := Diagnose(correct, faulty, RCAOptions{SimilarityThreshold: 0.5})
+	report, err := rca.Diagnose(correct, faulty, rca.Options{SimilarityThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
