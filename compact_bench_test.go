@@ -2,7 +2,6 @@ package sieve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -186,9 +185,12 @@ func putCompactRow(r compactRow) {
 	compactBench.Unlock()
 }
 
-// flushCompactJSON rewrites BENCH_compact.json, computing each query
+// flushCompactJSON, under -benchjson, rewrites BENCH_compact.json, computing each query
 // variant's speedup against the uncompacted month-window baseline.
 func flushCompactJSON(order []string, baseline string) {
+	if !*benchJSON {
+		return
+	}
 	compactBench.Lock()
 	defer compactBench.Unlock()
 	var rows []compactRow
@@ -207,9 +209,8 @@ func flushCompactJSON(order []string, baseline string) {
 		return
 	}
 	out := struct {
-		Benchmark    string       `json:"benchmark"`
-		GoMaxProcs   int          `json:"gomaxprocs"`
-		GoVersion    string       `json:"go_version"`
+		Benchmark string `json:"benchmark"`
+		benchHost
 		TotalPoints  int          `json:"dataset_points"`
 		Series       int          `json:"dataset_series"`
 		SpanDays     int          `json:"dataset_span_days"`
@@ -218,8 +219,7 @@ func flushCompactJSON(order []string, baseline string) {
 		Results      []compactRow `json:"results"`
 	}{
 		Benchmark:    "BenchmarkCompaction",
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		GoVersion:    runtime.Version(),
+		benchHost:    thisHost(),
 		TotalPoints:  cbTotalPoints,
 		Series:       cbComps * cbMets,
 		SpanDays:     cbDays,
@@ -227,11 +227,7 @@ func flushCompactJSON(order []string, baseline string) {
 		BlocksAfter:  cbFixtures.blocksNow,
 		Results:      rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile("BENCH_compact.json", append(data, '\n'), 0o644)
+	writeBenchJSON("BENCH_compact.json", out)
 }
 
 // cbTotalAlloc reads the cumulative heap allocation counter; the

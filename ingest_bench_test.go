@@ -1,9 +1,7 @@
 package sieve
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -81,9 +79,12 @@ func recordIngestRow(r ingestRow) {
 	ingestBench.rows[r.Name] = r
 }
 
-// flushIngestJSON rewrites BENCH_ingest.json from the accumulated rows
+// flushIngestJSON, under -benchjson, rewrites BENCH_ingest.json from the accumulated rows
 // so the ingestion-throughput trajectory is tracked across PRs.
 func flushIngestJSON() {
+	if !*benchJSON {
+		return
+	}
 	ingestBench.Lock()
 	defer ingestBench.Unlock()
 	var rows []ingestRow
@@ -94,21 +95,15 @@ func flushIngestJSON() {
 		return
 	}
 	out := struct {
-		Benchmark  string      `json:"benchmark"`
-		GoMaxProcs int         `json:"gomaxprocs"`
-		GoVersion  string      `json:"go_version"`
-		Results    []ingestRow `json:"results"`
+		Benchmark string `json:"benchmark"`
+		benchHost
+		Results []ingestRow `json:"results"`
 	}{
-		Benchmark:  "BenchmarkShardedIngest+BenchmarkRemoteWriteIngest",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Results:    rows,
+		Benchmark: "BenchmarkShardedIngest+BenchmarkRemoteWriteIngest",
+		benchHost: thisHost(),
+		Results:   rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile("BENCH_ingest.json", append(data, '\n'), 0o644)
+	writeBenchJSON("BENCH_ingest.json", out)
 }
 
 // BenchmarkShardedIngest compares concurrent line-protocol write
@@ -116,7 +111,8 @@ func flushIngestJSON() {
 // lock) is the baseline the other rows' ratios are taken against. Every
 // variant stores identical points (pinned by
 // TestShardedMatchesDBAtAnyShardCount in internal/tsdb); only lock
-// contention changes. Results are also written to BENCH_ingest.json.
+// contention changes. With -benchjson the rows are also written to
+// BENCH_ingest.json.
 func BenchmarkShardedIngest(b *testing.B) {
 	payloads := ingestPayloads()
 	type tc struct {

@@ -27,8 +27,10 @@ type Options struct {
 	Seed int64
 	// InitialAssignments optionally seeds the assignment (length must
 	// equal the number of series, values in [0,K)). Sieve seeds by metric
-	// name similarity (§3.2); this only affects convergence speed, not the
-	// fixed point.
+	// name similarity (§3.2). k-Shape converges to a local optimum, so the
+	// seed can change the result, not only how fast it is reached: renaming
+	// every metric of a ShareLatex window, values untouched, changed the
+	// chosen K in 3 of its 15 components.
 	InitialAssignments []int
 	// Restarts runs the algorithm this many times from different random
 	// initializations (seeds Seed, Seed+1, ...) and keeps the run with the

@@ -11,7 +11,9 @@ import (
 // Jaro-Winkler distance and every name is assigned to its most similar
 // seed. Developers name related metrics similarly ("cpu_usage",
 // "cpu_usage_percentile"), so this starts k-Shape close to a fixed point
-// (§3.2); it affects convergence speed only. The traversal is run once
+// (§3.2). Which fixed point it reaches depends on that start, so the
+// names can change the clusters and the chosen k, not only the
+// convergence speed (see Options.InitialAssignments). The traversal is run once
 // to kMax seeds: it picks seed c from the names and
 // the seeds before it alone, so the seeds for k clusters are the first k
 // of the seeds for any larger count; a silhouette sweep traverses once

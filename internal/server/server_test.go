@@ -335,6 +335,27 @@ func TestServerMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsSlashInComponent pins the line-protocol reject of a
+// component holding '/': such a line would be stored under a key that
+// reads back as another series ("a/b" + "c" as "a" + "b/c"), and "sieve/x"
+// would land inside the reserved self-telemetry component.
+func TestWriteRejectsSlashInComponent(t *testing.T) {
+	s, hs, _ := newTestServer(t, Options{})
+	for _, line := range []string{"a/b,metric=c value=1 1", "sieve/x,metric=y value=1 1"} {
+		resp, err := http.Post(hs.URL+"/write", "text/plain", strings.NewReader(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /write %q -> %d, want 400", line, resp.StatusCode)
+		}
+	}
+	if st := s.Store().Stats(); st.Points != 0 || st.Series != 0 {
+		t.Fatalf("rejected lines stored %d points in %d series", st.Points, st.Series)
+	}
+}
+
 // TestServerOptionValidation pins New's rejection of nonsense windows.
 func TestServerOptionValidation(t *testing.T) {
 	if _, err := New(Options{StepMS: 1000, WindowMS: 500}); err == nil {

@@ -232,7 +232,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 				return nil, fmt.Errorf("tsdb: pruning covered wal of shard %d: %w", i, err)
 			}
 		}
-		if _, err := replayWAL(shardDir, s.routeReplay); err != nil {
+		if err := s.replayWAL(shardDir); err != nil {
 			closeOnErr()
 			return nil, fmt.Errorf("tsdb: replaying %s: %w", shardDir, err)
 		}

@@ -64,8 +64,9 @@ func EncodeLineProtocol(samples []Sample) []byte {
 
 // ParseLineProtocol decodes a batch encoded by EncodeLineProtocol. Blank
 // lines are ignored; any malformed line (including non-finite values,
-// which a store must never accept) aborts with an error naming the line
-// number.
+// which a store must never accept, and a component holding '/', which a
+// series key could not be split back into) aborts with an error naming
+// the line number.
 //
 // The payload is converted to a string once and scanned index-based from
 // there: component and metric names are substrings sharing that single
@@ -153,6 +154,12 @@ func parseLine(line string) (Sample, error) {
 	}
 	if component == "" || metric == "" {
 		return s, fmt.Errorf("empty component or metric in %q", line)
+	}
+	if strings.IndexByte(component, '/') >= 0 {
+		// A series key is component/metric, split at its first '/': a
+		// component holding one would be stored, and read back, as a
+		// different series (and "sieve/x" would land in ReservedComponent).
+		return s, fmt.Errorf("component %q contains '/' in %q", component, line)
 	}
 	s.Component = component
 	s.Metric = metric

@@ -47,6 +47,8 @@ func TestParseLineProtocolMalformed(t *testing.T) {
 		{"nanosecond timestamp", "web,metric=cpu value=1 1700000000000000000", "line 1"},
 		{"empty component", ",metric=cpu value=1 500", "line 1"},
 		{"empty metric", "web,metric= value=1 500", "line 1"},
+		{"slash in component", "a/b,metric=c value=1 1", "line 1"},
+		{"slash into the reserved component", "sieve/x,metric=y value=1 1", "line 1"},
 		{"error on second line", "web,metric=cpu value=1 500\ngarbage", "line 2"},
 		{"blank lines still counted", "\n\nweb,metric=cpu value=1\n", "line 3"},
 		{"extra field garbage", "web,metric=cpu value=1 500 700", "line 1"},
@@ -78,10 +80,12 @@ func TestParseLineProtocolBlankAndEmpty(t *testing.T) {
 	}
 }
 
-// FuzzParseLineProtocol feeds arbitrary bytes to the parser. Two
-// invariants: never panic, and any accepted batch must survive an
-// encode/decode roundtrip unchanged (the parser and encoder agree on the
-// wire format, and no non-finite value sneaks through).
+// FuzzParseLineProtocol feeds arbitrary bytes to the parser. Three
+// invariants: never panic, no accepted component contains '/' (so a
+// series key splits back into the component and metric it was built
+// from), and any accepted batch must survive an encode/decode roundtrip
+// unchanged (the parser and encoder agree on the wire format, and no
+// non-finite value sneaks through).
 func FuzzParseLineProtocol(f *testing.F) {
 	f.Add([]byte("web,metric=cpu value=0.5 500\n"))
 	f.Add([]byte("web,metric=cpu value=NaN 500\n"))
@@ -89,6 +93,7 @@ func FuzzParseLineProtocol(f *testing.F) {
 	f.Add([]byte(",metric= value= \n"))
 	f.Add([]byte("x,metric=y value=1e309 7"))
 	f.Add([]byte("\n\nweb,metric=cpu value=-2 -9\n"))
+	f.Add([]byte("a/b,metric=c/d value=1 1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		samples, err := ParseLineProtocol(data)
 		if err != nil {
@@ -97,6 +102,12 @@ func FuzzParseLineProtocol(f *testing.F) {
 		for _, s := range samples {
 			if s.Component == "" || s.Metric == "" {
 				t.Fatalf("accepted sample with empty name: %+v", s)
+			}
+			if strings.Contains(s.Component, "/") {
+				t.Fatalf("accepted component with '/': %+v", s)
+			}
+			if c, m := splitKey(s.Key()); c != s.Component || m != s.Metric {
+				t.Fatalf("key %q splits into %q/%q", s.Key(), c, m)
 			}
 		}
 		again, err := ParseLineProtocol(EncodeLineProtocol(samples))

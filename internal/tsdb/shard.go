@@ -66,6 +66,32 @@ type series struct {
 	blockPts  int
 	tail      []Point
 	compBytes int
+
+	// key is component/metric, the string the shard's map holds the series
+	// under; compLen splits it back into its halves (see ident). reserved
+	// records at birth whether the key belongs to ReservedComponent, whose
+	// samples do not move the application high-water mark.
+	key      string
+	compLen  int
+	reserved bool
+
+	// walID is the series' id in its shard's WAL segment walSeg (0: none).
+	// The id holds only while walSeg is the open segment: a roll makes it
+	// stale, and the next append that uses the series defines it again.
+	walID  uint64
+	walSeg uint64
+}
+
+// newSeries makes an empty series for component/metric: the one key
+// string a series costs is allocated here, at birth.
+func newSeries(component, metric string) *series {
+	key := component + "/" + metric
+	return &series{key: key, compLen: len(component), reserved: reservedKey(key)}
+}
+
+// ident returns the series' component and metric.
+func (sr *series) ident() (component, metric string) {
+	return sr.key[:sr.compLen], sr.key[sr.compLen+1:]
 }
 
 // scanRange streams the series' points with T in [from, to) to sink in
@@ -134,6 +160,13 @@ type shard struct {
 	// Sharded.catalogKeys), bumped whenever the set of keys in data
 	// changes.
 	keyGen *atomic.Uint64
+
+	// Ingest scratch, reused under mu: key is the lookup buffer a series
+	// key is spelled into, refs the series of each sample of the batch
+	// being appended, born the series that batch created.
+	key  []byte
+	refs []*series
+	born []*series
 }
 
 func newShard(keyGen *atomic.Uint64, tel *StoreTelemetry) *shard {
@@ -146,14 +179,16 @@ const ackBytes = 32
 
 // appendSamples ingests decoded samples with point and CPU accounting
 // but no network accounting: the entry point used by Sharded, whose
-// front door owns the wire-level counters. On a durable store the batch
-// goes to the WAL first; a WAL write failure rejects the whole batch so
-// memory never holds points the log's file does not cover. The WAL
-// write and the memory insert happen under one lock hold — that
-// atomicity is what lets a checkpoint cut (which rotates the WAL and
-// drains memory under the same lock) never split a batch between a
-// pruned segment and post-cut memory. Under FsyncAlways the durability
-// wait happens after the lock is released, through the WAL's
+// front door owns the wire-level counters. Each sample's series is looked
+// up once and carried by reference through the WAL append and the memory
+// insert. On a durable store the batch goes to the WAL first; a WAL write
+// failure rejects the whole batch, and the series it would have created
+// are unborn again, so memory never holds points (or keys) the log's file
+// does not cover. The WAL write and the memory insert happen under one
+// lock hold — that atomicity is what lets a checkpoint cut (which rotates
+// the WAL and drains memory under the same lock) never split a batch
+// between a pruned segment and post-cut memory. Under FsyncAlways the
+// durability wait happens after the lock is released, through the WAL's
 // group-commit queue: concurrent appenders queue behind one in-flight
 // fsync and the next leader commits them all with a single sync, so the
 // request still returns only once its own batch is durable but the
@@ -161,20 +196,41 @@ const ackBytes = 32
 func (sh *shard) appendSamples(samples []Sample) error {
 	start := time.Now()
 	sh.mu.Lock()
-	var seq uint64
-	if sh.wal != nil {
-		var err error
-		if seq, err = sh.wal.append(samples); err != nil {
-			sh.mu.Unlock()
-			return err
+	refs, born := sh.refs[:0], sh.born[:0]
+	for i := range samples {
+		sr, isNew := sh.lookupLocked(samples[i].Component, samples[i].Metric)
+		if isNew {
+			born = append(born, sr)
 		}
+		refs = append(refs, sr)
 	}
-	for _, s := range samples {
-		sh.insertLocked(s)
+	var seq uint64
+	var err error
+	if sh.wal != nil {
+		seq, err = sh.wal.append(samples, refs)
 	}
-	sh.stats.Points += len(samples)
-	sh.stats.IngestCPU += time.Since(start)
+	if err != nil {
+		for _, sr := range born {
+			delete(sh.data, sr.key)
+		}
+	} else {
+		if len(born) > 0 {
+			sh.stats.Series += len(born)
+			sh.keyGen.Add(1)
+		}
+		for i, sr := range refs {
+			sh.appendLocked(sr, samples[i].T, samples[i].V)
+		}
+		sh.stats.IngestCPU += time.Since(start)
+	}
+	// Drop the references: a checkpoint may steal these series next.
+	clear(refs)
+	clear(born)
+	sh.refs, sh.born = refs, born
 	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if sh.wal != nil && sh.wal.policy == FsyncAlways {
 		// A commitWait error means durability is unconfirmed, not that
 		// the batch was dropped: the frames are in the log and the points
@@ -186,36 +242,33 @@ func (sh *shard) appendSamples(samples []Sample) error {
 	return nil
 }
 
-// replaySamples re-inserts WAL-recovered samples: memory and counters
-// update as on ingest, but nothing is re-logged — the records are already
-// in the segments being replayed.
-func (sh *shard) replaySamples(samples []Sample) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, s := range samples {
-		sh.insertLocked(s)
+// lookupLocked returns the series of component/metric, creating it when
+// the shard holds none (born reports that; the caller accounts the
+// birth). The key is spelled into the shard's reusable buffer for a
+// single map probe, so finding a known series allocates nothing.
+func (sh *shard) lookupLocked(component, metric string) (sr *series, born bool) {
+	sh.key = append(append(append(sh.key[:0], component...), '/'), metric...)
+	if sr = sh.data[string(sh.key)]; sr != nil {
+		return sr, false
 	}
-	sh.stats.Points += len(samples)
+	sr = newSeries(component, metric)
+	sh.data[sr.key] = sr
+	return sr, true
 }
 
-func (sh *shard) insertLocked(s Sample) {
-	key := s.Key()
-	sr := sh.data[key]
-	if sr == nil {
-		sr = &series{}
-		sh.data[key] = sr
-		sh.stats.Series++
-		sh.keyGen.Add(1)
+// appendLocked adds one point to sr, a series of this shard, keeping the
+// shard's point count and marks, and seals the tail once it is full.
+func (sh *shard) appendLocked(sr *series, t int64, v float64) {
+	sr.tail = append(sr.tail, Point{T: t, V: v})
+	sh.stats.Points++
+	if t > sh.maxT {
+		sh.maxT = t
 	}
-	sr.tail = append(sr.tail, Point{T: s.T, V: s.V})
-	if s.T > sh.maxT {
-		sh.maxT = s.T
+	if t > sh.appT && !sr.reserved {
+		sh.appT = t
 	}
-	if s.T > sh.appT && !reservedKey(key) {
-		sh.appT = s.T
-	}
-	if s.T < sh.lowT {
-		sh.lowT = s.T
+	if t < sh.lowT {
+		sh.lowT = t
 	}
 	if len(sr.tail) >= blockSize {
 		sh.sealLocked(sr)
@@ -303,21 +356,18 @@ func (sh *shard) reinsertSeries(key string, old *series) {
 		}
 		return
 	}
-	merged := &series{
-		chunks:    old.chunks,
-		blockPts:  old.blockPts,
-		compBytes: old.compBytes,
-		tail:      old.tail,
-	}
+	// The merged series keeps cur's WAL id: the open segment defined it.
+	merged := *old
+	merged.walID, merged.walSeg = cur.walID, cur.walSeg
 	if len(merged.tail) > 0 {
 		// Seal the snapshot's tail so the newer chunks can follow it.
-		sh.sealLocked(merged)
+		sh.sealLocked(&merged)
 	}
 	merged.chunks = append(merged.chunks, cur.chunks...)
 	merged.blockPts += cur.blockPts
 	merged.compBytes += cur.compBytes
 	merged.tail = cur.tail
-	sh.data[key] = merged
+	sh.data[key] = &merged
 }
 
 // Flush seals every series' tail so Stats reflects compressed storage.

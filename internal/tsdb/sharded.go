@@ -92,18 +92,30 @@ func NewSharded(n int) *Sharded {
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// shardIndex hashes a series key onto a shard (FNV-1a).
-func (s *Sharded) shardIndex(key string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
+// FNV-1a, the hash that places a series key on a shard.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= fnvPrime32
 	}
-	return int(h % uint32(len(s.shards)))
+	return h
+}
+
+// shardIndex hashes a series key onto a shard.
+func (s *Sharded) shardIndex(key string) int {
+	return int(fnv1a(fnvOffset32, key) % uint32(len(s.shards)))
+}
+
+// shardOf is shardIndex(component + "/" + metric), hashed piecewise so
+// no key is built.
+func (s *Sharded) shardOf(component, metric string) int {
+	h := (fnv1a(fnvOffset32, component) ^ '/') * fnvPrime32
+	return int(fnv1a(h, metric) % uint32(len(s.shards)))
 }
 
 // getScratch takes an ingestScratch from the pool (or makes one).
@@ -136,8 +148,8 @@ func (s *Sharded) partitionInto(sc *ingestScratch, samples []Sample) [][]Sample 
 	for i := range counts {
 		counts[i] = 0
 	}
-	for k, smp := range samples {
-		i := s.shardIndex(smp.Key())
+	for k := range samples {
+		i := s.shardOf(samples[k].Component, samples[k].Metric)
 		idx[k] = uint32(i)
 		counts[i+1]++
 	}
@@ -463,21 +475,41 @@ func (s *Sharded) Close() error {
 	return s.dur.shutdown(s)
 }
 
-// routeReplay inserts WAL-recovered samples by the current key hash:
-// replay is positional on disk (one directory per previous-life shard)
-// but placement must follow today's shard count, which may differ.
-func (s *Sharded) routeReplay(samples []Sample) {
-	if len(s.shards) == 1 {
-		s.shards[0].replaySamples(samples)
-		return
+// replayWAL replays one WAL directory into the shards, holding every
+// shard lock. Placement follows the current key hash: replay is
+// positional on disk (one directory per previous-life shard) but the
+// shard count may have changed since.
+func (s *Sharded) replayWAL(dir string) error {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
 	}
-	sc := s.getScratch()
-	for i, part := range s.partitionInto(sc, samples) {
-		if len(part) > 0 {
-			s.shards[i].replaySamples(part)
+	defer func() {
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
 		}
+	}()
+	_, err := replayWAL(dir, storeReplay{s})
+	return err
+}
+
+// storeReplay is the replaySink that puts recovered samples back into a
+// store's shards: memory and counters update as on ingest, but nothing
+// is re-logged — the records are already in the segments being
+// replayed. The caller holds every shard lock.
+type storeReplay struct{ s *Sharded }
+
+func (r storeReplay) resolve(component, metric string) seriesRef {
+	sh := r.s.shards[r.s.shardOf(component, metric)]
+	sr, born := sh.lookupLocked(component, metric)
+	if born {
+		sh.stats.Series++
+		sh.keyGen.Add(1)
 	}
-	s.scratchPool.Put(sc)
+	return seriesRef{sh: sh, sr: sr}
+}
+
+func (storeReplay) add(ref seriesRef, t int64, v float64) {
+	ref.sh.appendLocked(ref.sr, t, v)
 }
 
 // reinsert splices stolen series snapshots back into their owning

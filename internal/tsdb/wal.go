@@ -73,7 +73,8 @@ const (
 	// walRecSeries defines one series for the rest of the segment:
 	// uvarint id, then length-prefixed component and metric strings. The
 	// writer emits it on a series' first occurrence per segment; ids are
-	// assigned sequentially from 0 and die with the segment.
+	// assigned sequentially from 0, in order of first use, and die with
+	// the segment.
 	walRecSeries = 0x01
 	// walRecSamples is a sample batch referencing dictionary ids:
 	// uvarint count, then per sample uvarint series id, zigzag-varint
@@ -88,7 +89,7 @@ const (
 // decodeWALSamples decodes one v1 record payload: a uvarint count
 // followed by, per sample, length-prefixed component and metric strings,
 // a zigzag-varint timestamp, and the raw float64 bits. The writer emits
-// v2 (see appendFramesV2); replay must keep decoding pre-dictionary
+// v2 (see encodeFramesLocked); replay must keep decoding pre-dictionary
 // segments forever, so the decoder stays (the v1 encoder lives with the
 // mixed-version tests that need to produce such segments).
 func decodeWALSamples(payload []byte) ([]Sample, error) {
@@ -141,10 +142,12 @@ func decodeWALSamples(payload []byte) ([]Sample, error) {
 }
 
 // seriesIdent is one dictionary entry: the strings a v2 sample record's
-// id resolves to.
+// id resolves to and, once replay met the id's first sample, the
+// destination they resolved to (zero until then).
 type seriesIdent struct {
 	component string
 	metric    string
+	ref       seriesRef
 }
 
 // beginFrame reserves a record header in buf and returns the payload
@@ -174,17 +177,17 @@ func appendSeriesFrame(buf []byte, id uint64, component, metric string) []byte {
 	return finishFrame(buf, start)
 }
 
-// appendSamplesFrameV2 appends one complete walRecSamples record whose
-// samples reference ids via lookup (every series must already be in the
-// dictionary).
-func appendSamplesFrameV2(buf []byte, samples []Sample, lookup func(component, metric string) uint64) []byte {
+// appendSamplesFrameV2 appends one complete walRecSamples record in which
+// samples[i] references the WAL id of refs[i] (every series must already
+// be defined in the segment).
+func appendSamplesFrameV2(buf []byte, samples []Sample, refs []*series) []byte {
 	buf, start := beginFrame(buf)
 	buf = append(buf, walV2Marker, walRecSamples)
 	buf = binary.AppendUvarint(buf, uint64(len(samples)))
 	var prevT int64
 	for i := range samples {
 		s := &samples[i]
-		buf = binary.AppendUvarint(buf, lookup(s.Component, s.Metric))
+		buf = binary.AppendUvarint(buf, refs[i].walID)
 		buf = binary.AppendVarint(buf, s.T-prevT)
 		prevT = s.T
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.V))
@@ -192,37 +195,72 @@ func appendSamplesFrameV2(buf []byte, samples []Sample, lookup func(component, m
 	return finishFrame(buf, start)
 }
 
-// walDecoder holds one segment's replay-side series dictionary,
-// rebuilt from walRecSeries records as the segment streams by.
-type walDecoder struct {
-	dict []seriesIdent
+// replaySink is where replay puts a segment's samples. resolve maps a
+// series identity to its destination; add appends one point there.
+// Replay calls resolve once per WAL id per segment (and once per sample
+// of a v1 record, which carries no ids), so the per-sample cost of a v2
+// segment is add alone.
+type replaySink interface {
+	resolve(component, metric string) seriesRef
+	add(ref seriesRef, t int64, v float64)
 }
 
-// decodeWALRecord decodes one record payload of either version. A v1
-// payload decodes standalone; a v2 series record extends the decoder's
-// dictionary and yields no samples; a v2 sample record resolves its ids
+// seriesRef is a resolved replay destination: a series and the shard
+// that holds it.
+type seriesRef struct {
+	sh *shard
+	sr *series
+}
+
+// walPoint is one decoded sample of a v2 record, before it is applied.
+type walPoint struct {
+	id uint64
+	t  int64
+	v  float64
+}
+
+// walDecoder replays one segment. dict holds the identities the
+// segment's series records defined, in id order; pts the sample record
+// being decoded, applied only once it decoded whole.
+type walDecoder struct {
+	dict []seriesIdent
+	pts  []walPoint
+}
+
+// replayRecord decodes one record payload of either version and applies
+// its samples to sink, returning how many it applied. A v1 payload
+// decodes standalone; a v2 series record extends the decoder's
+// dictionary and applies nothing; a v2 sample record resolves its ids
 // against the dictionary built so far. Any malformed byte — including a
 // series id the segment never defined or a non-sequential definition —
-// is an error, which replay treats like any other corrupt record.
-func (d *walDecoder) decodeWALRecord(payload []byte) ([]Sample, error) {
+// is an error and applies nothing, which replay treats like any other
+// corrupt record.
+func (d *walDecoder) replayRecord(payload []byte, sink replaySink) (int, error) {
 	if len(payload) == 0 {
-		return nil, fmt.Errorf("tsdb: wal record: empty payload")
+		return 0, fmt.Errorf("tsdb: wal record: empty payload")
 	}
 	if payload[0] != walV2Marker {
-		return decodeWALSamples(payload)
+		batch, err := decodeWALSamples(payload)
+		if err != nil {
+			return 0, err
+		}
+		for _, s := range batch {
+			sink.add(sink.resolve(s.Component, s.Metric), s.T, s.V)
+		}
+		return len(batch), nil
 	}
 	if len(payload) < 2 {
-		return nil, fmt.Errorf("tsdb: wal record: truncated v2 header")
+		return 0, fmt.Errorf("tsdb: wal record: truncated v2 header")
 	}
 	body := payload[2:]
 	switch payload[1] {
 	case walRecSeries:
 		id, n := binary.Uvarint(body)
 		if n <= 0 {
-			return nil, fmt.Errorf("tsdb: wal series record: bad id")
+			return 0, fmt.Errorf("tsdb: wal series record: bad id")
 		}
 		if id != uint64(len(d.dict)) {
-			return nil, fmt.Errorf("tsdb: wal series record: id %d out of sequence (have %d)", id, len(d.dict))
+			return 0, fmt.Errorf("tsdb: wal series record: id %d out of sequence (have %d)", id, len(d.dict))
 		}
 		body = body[n:]
 		readStr := func() (string, error) {
@@ -237,62 +275,64 @@ func (d *walDecoder) decodeWALRecord(payload []byte) ([]Sample, error) {
 		var ident seriesIdent
 		var err error
 		if ident.component, err = readStr(); err != nil {
-			return nil, err
+			return 0, err
 		}
 		if ident.metric, err = readStr(); err != nil {
-			return nil, err
+			return 0, err
 		}
 		if len(body) != 0 {
-			return nil, fmt.Errorf("tsdb: wal series record: %d trailing bytes", len(body))
+			return 0, fmt.Errorf("tsdb: wal series record: %d trailing bytes", len(body))
 		}
 		d.dict = append(d.dict, ident)
-		return nil, nil
+		return 0, nil
 	case walRecSamples:
 		count, n := binary.Uvarint(body)
 		if n <= 0 {
-			return nil, fmt.Errorf("tsdb: wal record: bad sample count")
+			return 0, fmt.Errorf("tsdb: wal record: bad sample count")
 		}
 		body = body[n:]
 		// Each sample costs at least 1 id byte + 1 timestamp byte + 8
 		// value bytes, so a corrupt count cannot force a huge allocation.
 		if count > uint64(len(body)/10)+1 {
-			return nil, fmt.Errorf("tsdb: wal record claims %d samples in %d bytes", count, len(body))
+			return 0, fmt.Errorf("tsdb: wal record claims %d samples in %d bytes", count, len(body))
 		}
-		out := make([]Sample, 0, count)
+		pts := d.pts[:0]
 		var prevT int64
 		for i := uint64(0); i < count; i++ {
 			id, n := binary.Uvarint(body)
 			if n <= 0 {
-				return nil, fmt.Errorf("tsdb: wal record: truncated series id")
+				return 0, fmt.Errorf("tsdb: wal record: truncated series id")
 			}
 			if id >= uint64(len(d.dict)) {
-				return nil, fmt.Errorf("tsdb: wal record: undefined series id %d", id)
+				return 0, fmt.Errorf("tsdb: wal record: undefined series id %d", id)
 			}
 			body = body[n:]
 			dt, n := binary.Varint(body)
 			if n <= 0 {
-				return nil, fmt.Errorf("tsdb: wal record: truncated timestamp")
+				return 0, fmt.Errorf("tsdb: wal record: truncated timestamp")
 			}
 			body = body[n:]
 			if len(body) < 8 {
-				return nil, fmt.Errorf("tsdb: wal record: truncated value")
+				return 0, fmt.Errorf("tsdb: wal record: truncated value")
 			}
 			prevT += dt
-			ident := &d.dict[id]
-			out = append(out, Sample{
-				Component: ident.component,
-				Metric:    ident.metric,
-				T:         prevT,
-				V:         math.Float64frombits(binary.LittleEndian.Uint64(body)),
-			})
+			pts = append(pts, walPoint{id: id, t: prevT, v: math.Float64frombits(binary.LittleEndian.Uint64(body))})
 			body = body[8:]
 		}
+		d.pts = pts
 		if len(body) != 0 {
-			return nil, fmt.Errorf("tsdb: wal record: %d trailing bytes", len(body))
+			return 0, fmt.Errorf("tsdb: wal record: %d trailing bytes", len(body))
 		}
-		return out, nil
+		for _, p := range pts {
+			ident := &d.dict[p.id]
+			if ident.ref.sr == nil {
+				ident.ref = sink.resolve(ident.component, ident.metric)
+			}
+			sink.add(ident.ref, p.t, p.v)
+		}
+		return len(pts), nil
 	}
-	return nil, fmt.Errorf("tsdb: wal record: unknown v2 record type 0x%02x", payload[1])
+	return 0, fmt.Errorf("tsdb: wal record: unknown v2 record type 0x%02x", payload[1])
 }
 
 // walSegmentName formats a segment sequence number as its file name.
@@ -343,18 +383,17 @@ type walWriter struct {
 	pendingTrunc bool
 	buf          []byte // encode scratch, reused across appends
 
-	// dict is the open segment's series dictionary (component -> metric
-	// -> id): a series gets a walRecSeries record and a sequential id on
-	// its first appearance, and sample records reference ids from then
-	// on. Two-level so the hot-path lookup never concatenates a key.
-	// Reset on every roll — the dictionary's lifetime is the segment, so
-	// replay of any single segment is self-contained. newSeries is the
-	// per-append rollback scratch: ids assigned by an append whose write
-	// fails must leave the dictionary again, or a later sample record
-	// would reference an id that never reached disk.
-	dict      map[string]map[string]uint64
-	nextID    uint64
-	newSeries []seriesIdent
+	// The open segment's series ids live on the series themselves
+	// (series.walID, valid while series.walSeg == seq): a series gets a
+	// walRecSeries record and the id nextID on its first use in the
+	// segment, and sample records reference the id from then on. A roll
+	// starts nextID again at 0 and leaves every stored id stale, so replay
+	// of any single segment is self-contained. defined is the per-append
+	// rollback scratch, the series this append gave an id: when its write
+	// fails they lose the id again, or a later sample record would
+	// reference an id that never reached disk.
+	nextID  uint64
+	defined []*series
 
 	// tel is the owning store's instrument set (append/fsync latency,
 	// bytes written, group-commit cohort size and saved fsyncs). Fixed
@@ -425,8 +464,7 @@ func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelem
 			retained += fi.Size()
 		}
 	}
-	w := &walWriter{dir: dir, policy: policy, segMax: segMax, seq: next, retained: retained, segments: len(seqs) + 1,
-		dict: map[string]map[string]uint64{}, tel: tel}
+	w := &walWriter{dir: dir, policy: policy, segMax: segMax, seq: next, retained: retained, segments: len(seqs) + 1, tel: tel}
 	w.ccond = sync.NewCond(&w.cmu)
 	if w.f, err = w.create(next); err != nil {
 		return nil, err
@@ -439,53 +477,50 @@ func (w *walWriter) create(seq uint64) (*os.File, error) {
 }
 
 // encodeFramesLocked rebuilds w.buf with this batch's v2 frames: one
-// walRecSeries frame per series the open segment has not defined yet,
-// then one walRecSamples frame referencing dictionary ids. Newly
-// assigned ids are recorded in w.newSeries so a failed write can take
-// them back out of the dictionary. Caller holds w.mu.
-func (w *walWriter) encodeFramesLocked(samples []Sample) {
+// walRecSeries frame per series (refs[i] is samples[i]'s) the open
+// segment has not defined yet, then one walRecSamples frame referencing
+// their ids. Series given an id here are recorded in w.defined so a
+// failed write can take the ids back. Caller holds w.mu.
+func (w *walWriter) encodeFramesLocked(samples []Sample, refs []*series) {
 	w.buf = w.buf[:0]
-	w.newSeries = w.newSeries[:0]
-	for i := range samples {
-		s := &samples[i]
-		byMetric := w.dict[s.Component]
-		if byMetric == nil {
-			byMetric = map[string]uint64{}
-			w.dict[s.Component] = byMetric
-		}
-		if _, ok := byMetric[s.Metric]; !ok {
-			id := w.nextID
+	w.defined = w.defined[:0]
+	for _, sr := range refs {
+		if sr.walSeg != w.seq {
+			sr.walID, sr.walSeg = w.nextID, w.seq
 			w.nextID++
-			byMetric[s.Metric] = id
-			w.buf = appendSeriesFrame(w.buf, id, s.Component, s.Metric)
-			w.newSeries = append(w.newSeries, seriesIdent{component: s.Component, metric: s.Metric})
+			component, metric := sr.ident()
+			w.buf = appendSeriesFrame(w.buf, sr.walID, component, metric)
+			w.defined = append(w.defined, sr)
 		}
 	}
-	w.buf = appendSamplesFrameV2(w.buf, samples, func(component, metric string) uint64 {
-		return w.dict[component][metric]
-	})
+	w.buf = appendSamplesFrameV2(w.buf, samples, refs)
 }
 
-// rollbackDictLocked removes the ids the current append assigned: its
-// series frames are not on disk (or are being truncated away), so later
-// sample records must not reference them.
-func (w *walWriter) rollbackDictLocked() {
-	for _, ident := range w.newSeries {
-		delete(w.dict[ident.component], ident.metric)
+// rollbackIDsLocked takes back the ids the current append gave out in
+// the open segment: their series frames are not on disk (or are being
+// truncated away), so later sample records must not reference them. Ids
+// given out in a segment that has since rolled are stale already.
+func (w *walWriter) rollbackIDsLocked() {
+	for _, sr := range w.defined {
+		if sr.walSeg == w.seq {
+			sr.walSeg = 0
+			w.nextID--
+		}
 	}
-	w.nextID -= uint64(len(w.newSeries))
-	w.newSeries = w.newSeries[:0]
+	clear(w.defined)
+	w.defined = w.defined[:0]
 }
 
 // append encodes and writes one batch as v2 frames (series definitions
 // first, then the sample record), rolling the segment first when it is
-// full. The write is buffered: durability comes from the background
-// ticker (FsyncInterval), the OS (FsyncNever), or commitWait
-// (FsyncAlways — the returned sequence number is the handle to wait
-// on). On a write failure the frames are truncated back out and the
-// dictionary rolled back, so the segment stays on a clean frame
-// boundary and no id escapes that replay could not resolve.
-func (w *walWriter) append(samples []Sample) (uint64, error) {
+// full; refs[i] is the series of samples[i]. The write is buffered:
+// durability comes from the background ticker (FsyncInterval), the OS
+// (FsyncNever), or commitWait (FsyncAlways — the returned sequence
+// number is the handle to wait on). On a failure the frames are
+// truncated back out and the ids given out rolled back, so the segment
+// stays on a clean frame boundary and no id escapes that replay could
+// not resolve.
+func (w *walWriter) append(samples []Sample, refs []*series) (uint64, error) {
 	if len(samples) == 0 {
 		w.cmu.Lock()
 		seq := w.appendSeq
@@ -506,16 +541,17 @@ func (w *walWriter) append(samples []Sample) (uint64, error) {
 		return 0, err
 	}
 	start := time.Now()
-	w.encodeFramesLocked(samples)
+	w.encodeFramesLocked(samples, refs)
 	if w.size > 0 && w.size+int64(len(w.buf)) > w.segMax {
-		// The encode above may have defined series in the dictionary of
-		// the segment we are about to leave; rollLocked resets the
-		// dictionary, so re-encode against the fresh segment (where every
-		// series of the batch is new and gets a definition frame).
+		// The encode above may have given ids in the segment we are about
+		// to leave; the roll makes them stale, so re-encode against the
+		// fresh segment (where every series of the batch is new and gets
+		// a definition frame).
 		if err := w.rollLocked(); err != nil {
+			w.rollbackIDsLocked()
 			return 0, err
 		}
-		w.encodeFramesLocked(samples)
+		w.encodeFramesLocked(samples, refs)
 	}
 	if n, err := w.f.Write(w.buf); err != nil {
 		// Roll the torn frames back so the next append starts on a clean
@@ -527,9 +563,10 @@ func (w *walWriter) append(samples []Sample) (uint64, error) {
 		if n > 0 && w.f.Truncate(w.size) != nil {
 			w.pendingTrunc = true
 		}
-		w.rollbackDictLocked()
+		w.rollbackIDsLocked()
 		return 0, fmt.Errorf("tsdb: wal append: %w", err)
 	}
+	clear(w.defined) // hold no series a checkpoint may steal next
 	w.dirty = true
 	w.size += int64(len(w.buf))
 	w.tel.WALBytesWritten.Add(uint64(len(w.buf)))
@@ -631,7 +668,7 @@ func (w *walWriter) clearPendingTruncLocked() error {
 }
 
 // rollLocked closes the open segment (fsyncing it unless the policy is
-// never) and starts the next one. The dictionary dies with the segment;
+// never) and starts the next one. Every series id dies with the segment;
 // the roll's fsync also commits every append queued on the group-commit
 // side, so waiters whose records land in the rolled segment are
 // released here rather than by a leader fsync of the new (empty) file.
@@ -657,7 +694,6 @@ func (w *walWriter) rollLocked() error {
 	w.seq++
 	w.size = 0
 	w.dirty = false
-	w.dict = map[string]map[string]uint64{}
 	w.nextID = 0
 	f, err := w.create(w.seq)
 	if err != nil {
@@ -798,12 +834,12 @@ type walReplayStats struct {
 	Repaired bool
 }
 
-// replayWAL reads every record of every segment in dir in order, calling
-// apply per decoded batch. A short or corrupt record ends the replay:
+// replayWAL reads every record of every segment in dir in order, adding
+// each decoded sample to sink. A short or corrupt record ends the replay:
 // everything before it is applied, the bad tail is truncated away so the
 // next open starts clean, and later segments (written after the
 // corruption point, so of unknowable consistency) are removed.
-func replayWAL(dir string, apply func([]Sample)) (walReplayStats, error) {
+func replayWAL(dir string, sink replaySink) (walReplayStats, error) {
 	var st walReplayStats
 	seqs, err := listWALSegments(dir)
 	if err != nil {
@@ -814,7 +850,7 @@ func replayWAL(dir string, apply func([]Sample)) (walReplayStats, error) {
 	}
 	for i, seq := range seqs {
 		path := filepath.Join(dir, walSegmentName(seq))
-		good, recs, samples, err := replaySegment(path, apply)
+		good, recs, samples, err := replaySegment(path, sink)
 		st.Records += recs
 		st.Samples += samples
 		st.Segments++
@@ -845,12 +881,12 @@ func replayWAL(dir string, apply func([]Sample)) (walReplayStats, error) {
 // physically ends mid-record) counts as truncation; a real read error
 // aborts the whole recovery instead of destructively "repairing" a
 // segment that a transient disk hiccup merely failed to read.
-// The decoder's dictionary starts empty per segment (dictionary
-// lifetime is the segment) and grows as walRecSeries records stream by;
-// v1 records decode standalone, so segments of either version — or a
-// segment mixing both record forms — replay with the same loop.
+// The decoder's dictionary starts empty per segment (an id's lifetime is
+// the segment) and grows as walRecSeries records stream by; v1 records
+// decode standalone, so segments of either version — or a segment mixing
+// both record forms — replay with the same loop.
 // Records counts sample-bearing records only, matching appends.
-func replaySegment(path string, apply func([]Sample)) (goodOffset int64, records, samples int, err error) {
+func replaySegment(path string, sink replaySink) (goodOffset int64, records, samples int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return -1, 0, 0, err
@@ -888,14 +924,13 @@ func replaySegment(path string, apply func([]Sample)) (goodOffset int64, records
 		if crc32.Checksum(payload, castagnoli) != want {
 			return off, records, samples, nil // corrupt payload
 		}
-		batch, err := dec.decodeWALRecord(payload)
+		n, err := dec.replayRecord(payload, sink)
 		if err != nil {
 			return off, records, samples, nil // framing ok, content corrupt
 		}
-		if len(batch) > 0 {
-			apply(batch)
+		if n > 0 {
 			records++
-			samples += len(batch)
+			samples += n
 		}
 		off += walRecordHeader + int64(length)
 	}

@@ -14,8 +14,60 @@ import (
 
 // openTestWAL opens a writer the way OpenSharded does, with a fresh
 // instrument set of its own.
-func openTestWAL(dir string, policy FsyncPolicy, segMax int64) (*walWriter, error) {
-	return openWALWriter(dir, policy, segMax, newStoreTelemetry(telemetry.NewRegistry()), 0)
+func openTestWAL(dir string, policy FsyncPolicy, segMax int64) (*testWAL, error) {
+	w, err := openWALWriter(dir, policy, segMax, newStoreTelemetry(telemetry.NewRegistry()), 0)
+	if err != nil {
+		return nil, err
+	}
+	return newTestWAL(w), nil
+}
+
+// testWAL is a walWriter with the series table a shard keeps beside it,
+// so tests append plain sample batches; the series carry their WAL ids
+// from one append to the next, as a shard's do.
+type testWAL struct {
+	*walWriter
+	series map[string]*series
+}
+
+func newTestWAL(w *walWriter) *testWAL {
+	return &testWAL{walWriter: w, series: map[string]*series{}}
+}
+
+func (w *testWAL) append(samples []Sample) (uint64, error) {
+	refs := make([]*series, len(samples))
+	for i, s := range samples {
+		sr := w.series[s.Key()]
+		if sr == nil {
+			sr = newSeries(s.Component, s.Metric)
+			w.series[s.Key()] = sr
+		}
+		refs[i] = sr
+	}
+	return w.walWriter.append(samples, refs)
+}
+
+// idRefs gives each sample a stand-in series carrying the WAL id
+// id(component, metric), for encoding sample frames by hand.
+func idRefs(samples []Sample, id func(component, metric string) uint64) []*series {
+	refs := make([]*series, len(samples))
+	for i, s := range samples {
+		refs[i] = &series{walID: id(s.Component, s.Metric)}
+	}
+	return refs
+}
+
+// sampleSink is a replaySink that collects the replayed samples in
+// replay order.
+type sampleSink struct{ got []Sample }
+
+func (k *sampleSink) resolve(component, metric string) seriesRef {
+	return seriesRef{sr: newSeries(component, metric)}
+}
+
+func (k *sampleSink) add(ref seriesRef, t int64, v float64) {
+	c, m := ref.sr.ident()
+	k.got = append(k.got, Sample{Component: c, Metric: m, T: t, V: v})
 }
 
 func walBatch(comp string, n int, base int64) []Sample {
@@ -44,12 +96,12 @@ func appendWALSamples(buf []byte, samples []Sample) []byte {
 
 func replayAll(t *testing.T, dir string) ([]Sample, walReplayStats) {
 	t.Helper()
-	var got []Sample
-	st, err := replayWAL(dir, func(s []Sample) { got = append(got, s...) })
+	var sink sampleSink
+	st, err := replayWAL(dir, &sink)
 	if err != nil {
 		t.Fatalf("replayWAL: %v", err)
 	}
-	return got, st
+	return sink.got, st
 }
 
 func TestWALSampleCodecRoundtrip(t *testing.T) {

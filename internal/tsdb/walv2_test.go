@@ -55,23 +55,21 @@ func TestWALV2CodecRoundtrip(t *testing.T) {
 			frames = appendSeriesFrame(frames, id, s.Component, s.Metric)
 		}
 	}
-	frames = appendSamplesFrameV2(frames, in, func(component, metric string) uint64 {
+	frames = appendSamplesFrameV2(frames, in, idRefs(in, func(component, metric string) uint64 {
 		return dict[component+"/"+metric]
-	})
+	}))
 	// Walk the frames as replay would and collect the decoded samples.
 	var dec walDecoder
-	var out []Sample
+	var sink sampleSink
 	for off := 0; off < len(frames); {
 		length := int(binary.LittleEndian.Uint32(frames[off:]))
 		payload := frames[off+walRecordHeader : off+walRecordHeader+length]
-		batch, err := dec.decodeWALRecord(payload)
-		if err != nil {
+		if _, err := dec.replayRecord(payload, &sink); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		out = append(out, batch...)
 		off += walRecordHeader + length
 	}
-	if !reflect.DeepEqual(in, out) {
+	if out := sink.got; !reflect.DeepEqual(in, out) {
 		t.Fatalf("roundtrip mismatch:\n in=%v\nout=%v", in, out)
 	}
 }
@@ -133,13 +131,13 @@ func TestWALMixedRecordsInOneSegment(t *testing.T) {
 	buf = appendSeriesFrame(buf, 2, "v2-first", "m2")
 	buf = appendSeriesFrame(buf, 3, "v2-first", "m3")
 	ids := map[string]uint64{"m0": 0, "m1": 1, "m2": 2, "m3": 3}
-	buf = appendSamplesFrameV2(buf, b1, func(_, metric string) uint64 { return ids[metric] })
+	buf = appendSamplesFrameV2(buf, b1, idRefs(b1, func(_, metric string) uint64 { return ids[metric] }))
 	buf = frameV1(buf, b2)
 	buf = appendSeriesFrame(buf, 4, "v2-last", "m0")
 	buf = appendSeriesFrame(buf, 5, "v2-last", "m1")
 	buf = appendSeriesFrame(buf, 6, "v2-last", "m2")
 	buf = appendSeriesFrame(buf, 7, "v2-last", "m3")
-	buf = appendSamplesFrameV2(buf, b3, func(_, metric string) uint64 { return ids[metric] + 4 })
+	buf = appendSamplesFrameV2(buf, b3, idRefs(b3, func(_, metric string) uint64 { return ids[metric] + 4 }))
 	if err := os.WriteFile(filepath.Join(dir, walSegmentName(1)), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +320,8 @@ func FuzzWALDecode(f *testing.F) {
 	series = appendSeriesFrame(series, 0, "web", "cpu")
 	f.Add(series[walRecordHeader:])
 	var smp []byte
-	smp = appendSamplesFrameV2(smp, []Sample{{Component: "web", Metric: "cpu", T: 5, V: 1}},
-		func(string, string) uint64 { return 0 })
+	one := []Sample{{Component: "web", Metric: "cpu", T: 5, V: 1}}
+	smp = appendSamplesFrameV2(smp, one, idRefs(one, func(string, string) uint64 { return 0 }))
 	f.Add(smp[walRecordHeader:])
 	f.Add([]byte{walV2Marker})
 	f.Add([]byte{walV2Marker, walRecSeries, 0x00})
@@ -335,11 +333,18 @@ func FuzzWALDecode(f *testing.F) {
 		// Feed the payload twice through the same decoder: the second
 		// pass sees whatever dictionary the first pass built.
 		for pass := 0; pass < 2; pass++ {
-			batch, err := dec.decodeWALRecord(data)
+			var sink sampleSink
+			n, err := dec.replayRecord(data, &sink)
 			if err != nil {
+				if len(sink.got) != 0 {
+					t.Fatalf("rejected record applied %d samples", len(sink.got))
+				}
 				continue
 			}
-			for _, s := range batch {
+			if n != len(sink.got) {
+				t.Fatalf("replayRecord reported %d samples, applied %d", n, len(sink.got))
+			}
+			for _, s := range sink.got {
 				if len(data) > 0 && data[0] == walV2Marker {
 					found := false
 					for _, ident := range dec.dict {
@@ -372,23 +377,21 @@ func FuzzWALDecodeRoundtrip(f *testing.F) {
 		frames = appendSeriesFrame(frames, 0, comp, "m0")
 		frames = appendSeriesFrame(frames, 1, comp, "m1")
 		ids := map[string]uint64{"m0": 0, "m1": 1}
-		frames = appendSamplesFrameV2(frames, batch, func(_, metric string) uint64 { return ids[metric] })
+		frames = appendSamplesFrameV2(frames, batch, idRefs(batch, func(_, metric string) uint64 { return ids[metric] }))
 		var dec walDecoder
-		var out []Sample
+		var sink sampleSink
 		for off := 0; off < len(frames); {
 			length := int(binary.LittleEndian.Uint32(frames[off:]))
 			payload := frames[off+walRecordHeader : off+walRecordHeader+length]
 			if got := crc32.Checksum(payload, castagnoli); got != binary.LittleEndian.Uint32(frames[off+4:]) {
 				t.Fatal("self-produced frame fails its own CRC")
 			}
-			b, err := dec.decodeWALRecord(payload)
-			if err != nil {
+			if _, err := dec.replayRecord(payload, &sink); err != nil {
 				t.Fatalf("self-produced frame undecodable: %v", err)
 			}
-			out = append(out, b...)
 			off += walRecordHeader + length
 		}
-		if !reflect.DeepEqual(batch, out) {
+		if out := sink.got; !reflect.DeepEqual(batch, out) {
 			t.Fatalf("roundtrip mismatch:\n in=%v\nout=%v", batch, out)
 		}
 	})
@@ -620,10 +623,11 @@ func TestGroupCommitSingleWriterStillSyncs(t *testing.T) {
 // so the counter semantics are pinned here instead.
 func TestGroupCommitBatchedAppendsShareOneFsync(t *testing.T) {
 	tel := newStoreTelemetry(telemetry.NewRegistry())
-	w, err := openWALWriter(t.TempDir(), FsyncAlways, 1<<20, tel, 0)
+	ww, err := openWALWriter(t.TempDir(), FsyncAlways, 1<<20, tel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := newTestWAL(ww)
 	groupH, saved := tel.WALGroupCommitBatches, tel.WALFsyncsSaved
 	var last uint64
 	for i := 0; i < 3; i++ {
@@ -685,8 +689,9 @@ func TestWALV2SegmentFilesAreSmaller(t *testing.T) {
 }
 
 // TestWALDictRollbackOnWriteFailure forces a write failure and checks
-// the dictionary ids assigned by the failed append are taken back: the
-// next successful append must re-define its series and replay cleanly.
+// the ids assigned by the failed append are taken back, from the writer's
+// counter and from the series that held them: the next successful append
+// must re-define its series and replay cleanly.
 func TestWALDictRollbackOnWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	w, err := openTestWAL(dir, FsyncNever, 1<<20)
@@ -716,6 +721,11 @@ func TestWALDictRollbackOnWriteFailure(t *testing.T) {
 	w.f = live
 	if w.nextID != 4 {
 		t.Errorf("nextID = %d after rollback, want 4 (the ok batch's series)", w.nextID)
+	}
+	for key, sr := range w.series {
+		if kept := key[:2] == "ok"; kept != (sr.walSeg == w.seq) {
+			t.Errorf("series %s: holds an id of the open segment = %v, want %v", key, !kept, kept)
+		}
 	}
 	w.mu.Unlock()
 	ok2 := walBatch("doomed", 4, 3000)

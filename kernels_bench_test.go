@@ -2,11 +2,9 @@ package sieve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -40,7 +38,12 @@ var kernelBench struct {
 	rows map[string]kernelRow
 }
 
+// flushKernelsJSON, under -benchjson, rewrites BENCH_kernels.json from
+// the accumulated rows in fixed case order.
 func flushKernelsJSON(order []string) {
+	if !*benchJSON {
+		return
+	}
 	kernelBench.Lock()
 	defer kernelBench.Unlock()
 	var rows []kernelRow
@@ -53,21 +56,15 @@ func flushKernelsJSON(order []string) {
 		return
 	}
 	out := struct {
-		Benchmark  string      `json:"benchmark"`
-		GoMaxProcs int         `json:"gomaxprocs"`
-		GoVersion  string      `json:"go_version"`
-		Results    []kernelRow `json:"results"`
+		Benchmark string `json:"benchmark"`
+		benchHost
+		Results []kernelRow `json:"results"`
 	}{
-		Benchmark:  "BenchmarkKernels",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Results:    rows,
+		Benchmark: "BenchmarkKernels",
+		benchHost: thisHost(),
+		Results:   rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile("BENCH_kernels.json", append(data, '\n'), 0o644)
+	writeBenchJSON("BENCH_kernels.json", out)
 }
 
 // runKernelCase measures fn as one benchmark case and records its row.

@@ -2,10 +2,7 @@ package sieve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,9 +32,12 @@ func putObsRow(r obsRow) {
 	obsBench.rows[r.Name] = r
 }
 
-// flushObsJSON rewrites BENCH_obs.json from the accumulated rows, in
+// flushObsJSON, under -benchjson, rewrites BENCH_obs.json from the accumulated rows, in
 // fixed case order.
 func flushObsJSON(order []string) {
+	if !*benchJSON {
+		return
+	}
 	obsBench.Lock()
 	defer obsBench.Unlock()
 	var rows []obsRow
@@ -50,21 +50,15 @@ func flushObsJSON(order []string) {
 		return
 	}
 	out := struct {
-		Benchmark  string   `json:"benchmark"`
-		GoMaxProcs int      `json:"gomaxprocs"`
-		GoVersion  string   `json:"go_version"`
-		Results    []obsRow `json:"results"`
+		Benchmark string `json:"benchmark"`
+		benchHost
+		Results []obsRow `json:"results"`
 	}{
-		Benchmark:  "BenchmarkTelemetry",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Results:    rows,
+		Benchmark: "BenchmarkTelemetry",
+		benchHost: thisHost(),
+		Results:   rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile("BENCH_obs.json", append(data, '\n'), 0o644)
+	writeBenchJSON("BENCH_obs.json", out)
 }
 
 // obsSealedStore builds a sealed 32-series store for the query row:
@@ -97,7 +91,7 @@ func obsSealedStore(b *testing.B) *tsdb.Sharded {
 // instrument update costs (the 0 allocs/op contract — also pinned
 // hard by allocation tests in internal/telemetry), the fast-path span,
 // and the always-on cost of WAL-backed ingest and chunk-counted query
-// reads. Results are written to BENCH_obs.json.
+// reads. With -benchjson the rows are written to BENCH_obs.json.
 //
 // The ingest and query rows continue the old ingest-telemetry and
 // query-telemetry rows. Their uninstrumented halves (ingest-base,

@@ -2,10 +2,8 @@ package sieve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -79,10 +77,13 @@ var onlineBench struct {
 	rows map[string]onlineRow
 }
 
-// flushOnlineJSON rewrites BENCH_online.json from the accumulated rows
+// flushOnlineJSON, under -benchjson, rewrites BENCH_online.json from the accumulated rows
 // in fixed case order, tracking the online-cycle cost trajectory across
 // PRs the way BENCH_ingest.json tracks the write path.
 func flushOnlineJSON(order []string) {
+	if !*benchJSON {
+		return
+	}
 	onlineBench.Lock()
 	defer onlineBench.Unlock()
 	var rows []onlineRow
@@ -95,23 +96,17 @@ func flushOnlineJSON(order []string) {
 		return
 	}
 	out := struct {
-		Benchmark   string      `json:"benchmark"`
-		GoMaxProcs  int         `json:"gomaxprocs"`
-		GoVersion   string      `json:"go_version"`
+		Benchmark string `json:"benchmark"`
+		benchHost
 		WindowSteps int         `json:"window_steps"`
 		Results     []onlineRow `json:"results"`
 	}{
 		Benchmark:   "BenchmarkOnlineCycle",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		GoVersion:   runtime.Version(),
+		benchHost:   thisHost(),
 		WindowSteps: obWindowSteps,
 		Results:     rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile("BENCH_online.json", append(data, '\n'), 0o644)
+	writeBenchJSON("BENCH_online.json", out)
 }
 
 // BenchmarkOnlineCycle measures one steady-state pipeline cycle (ingest

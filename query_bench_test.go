@@ -2,7 +2,6 @@ package sieve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -107,10 +106,13 @@ var queryBench struct {
 	rows map[string]queryRow
 }
 
-// flushQueryJSON rewrites BENCH_query.json from the accumulated rows in
+// flushQueryJSON, under -benchjson, rewrites BENCH_query.json from the accumulated rows in
 // fixed case order, tracking the read-path trajectory across PRs the way
 // BENCH_ingest.json tracks the write path.
 func flushQueryJSON(order []string) {
+	if !*benchJSON {
+		return
+	}
 	queryBench.Lock()
 	defer queryBench.Unlock()
 	var rows []queryRow
@@ -123,32 +125,26 @@ func flushQueryJSON(order []string) {
 		return
 	}
 	out := struct {
-		Benchmark   string     `json:"benchmark"`
-		GoMaxProcs  int        `json:"gomaxprocs"`
-		GoVersion   string     `json:"go_version"`
+		Benchmark string `json:"benchmark"`
+		benchHost
 		TotalPoints int        `json:"dataset_points"`
 		Series      int        `json:"dataset_series"`
 		Results     []queryRow `json:"results"`
 	}{
 		Benchmark:   "BenchmarkQueryEngine",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		GoVersion:   runtime.Version(),
+		benchHost:   thisHost(),
 		TotalPoints: qbTotalPoints,
 		Series:      qbComps * qbMets,
 		Results:     rows,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile("BENCH_query.json", append(data, '\n'), 0o644)
+	writeBenchJSON("BENCH_query.json", out)
 }
 
 // BenchmarkQueryEngine measures the read path: raw decode vs aggregation
 // push-down, hot in-memory chunks vs cold block files, and matcher
 // fan-out width. Every variant returns byte-identical results to the
 // naive reference (pinned by the equivalence suite); only the work per
-// answer changes. Results land in BENCH_query.json.
+// answer changes. With -benchjson the rows land in BENCH_query.json.
 func BenchmarkQueryEngine(b *testing.B) {
 	type tc struct {
 		name    string
