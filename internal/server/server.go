@@ -107,11 +107,12 @@ type Options struct {
 	// telemetry registry and writes it into its own store under the
 	// reserved "sieve" component, through the same ingest path as
 	// application data — so sieved's health history is queryable via
-	// /query_range?component=sieve and durable under DataDir. While
-	// enabled, the online pipeline's analysis surface filters the
-	// reserved component out (artifacts are unchanged). Both write
-	// protocols reject the reserved component whether or not the loop
-	// runs. Zero or negative disables the loop.
+	// /query_range?component=sieve and durable under DataDir. The online
+	// pipeline never analyses the reserved component, whether or not
+	// this life or an earlier one over the same DataDir ran the loop
+	// (artifacts are unchanged). Both write protocols reject the
+	// reserved component whether or not the loop runs. Zero or negative
+	// disables the loop.
 	SelfScrapeInterval time.Duration
 	// SelfScrapeClock stamps self-scrape samples in ingest-time ms
 	// (default time.Now().UnixMilli). The pipeline window and retention
@@ -201,9 +202,8 @@ type Server struct {
 	// trace ring); always non-nil after New.
 	tel *telemetrySet
 	// analysis is the read surface the online pipeline assembles
-	// datasets from: the store itself, or (with self-scrape enabled)
-	// a view of it that filters out the reserved telemetry component.
-	analysis tsdb.ReadStore
+	// datasets from: the store minus the reserved telemetry component.
+	analysis analysisStore
 
 	// Health stamps for /healthz readiness (unix nanos): when the
 	// background driver started, the last completed cycle, and the last
@@ -287,10 +287,7 @@ func New(opts Options) (*Server, error) {
 		shutdownTimeout:   shutdownTimeout,
 	}
 	s.tel = newTelemetrySet(store, opts.SlowOpThreshold)
-	s.analysis = store
-	if opts.SelfScrapeInterval > 0 {
-		s.analysis = analysisStore{st: store}
-	}
+	s.analysis = analysisStore{st: store}
 	if opts.Incremental {
 		s.cache = core.NewWindowCache(opts.AppName, opts.StepMS)
 	}

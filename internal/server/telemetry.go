@@ -405,11 +405,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// analysisStore is the online pipeline's view of the store while
-// self-scrape is enabled: the store's ReadStore minus the reserved
-// component, so dogfooded telemetry series are queryable over HTTP but
-// invisible to dataset assembly — artifacts stay byte-identical with
-// self-scrape on or off (pinned by TestSelfScrapeEquivalence).
+// analysisStore is the online pipeline's view of the store: the store's
+// ReadStore minus the reserved component, so dogfooded telemetry series
+// are queryable over HTTP but invisible to dataset assembly — artifacts
+// stay byte-identical with self-scrape on or off, and after a restart
+// over a data directory an earlier life scraped into (pinned by
+// TestSelfScrapeEquivalence and TestSelfScrapeRestartWithoutLoop).
 type analysisStore struct {
 	st *tsdb.Sharded
 }

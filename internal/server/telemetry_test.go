@@ -196,10 +196,9 @@ func TestSelfScrapeEquivalence(t *testing.T) {
 		}
 	}
 
-	// Under -incremental the store's low-water mark sees self-scrape
-	// writes too. Stamped ahead of application time they sit past the
-	// cached end and cost nothing; stamped behind it they may cost a
-	// rebuild, never a byte.
+	// Under -incremental a self-scrape costs nothing, stamped ahead of
+	// application time or behind the cached end: the store's low-water
+	// mark ignores the reserved component, which no cycle reads.
 	for name, clockStart := range map[string]int64{"clock ahead": 1_700_000_000_000, "clock behind": 0} {
 		t.Run("incremental/"+name, func(t *testing.T) {
 			var ts atomic.Int64
@@ -235,8 +234,8 @@ func TestSelfScrapeEquivalence(t *testing.T) {
 			if got, want := marshaledArtifact(t, obs), marshaledArtifact(t, plain); !bytes.Equal(got, want) {
 				t.Fatalf("self-scrape changed the incremental artifact (%d vs %d bytes)", len(got), len(want))
 			}
-			if clockStart > 0 && (info.Assembly.FullRebuild || obs.tel.lateWriteInvalidations.Value() != 0) {
-				t.Fatalf("self-scrape stamped past the cached end cost a rebuild: %+v", info.Assembly)
+			if info.Assembly.FullRebuild || obs.tel.lateWriteInvalidations.Value() != 0 {
+				t.Fatalf("self-scrape cost a rebuild: %+v", info.Assembly)
 			}
 		})
 	}
@@ -510,6 +509,56 @@ func TestSelfScrapeHardStopAnchor(t *testing.T) {
 	}
 	if got, want := marshaledArtifact(t, life2), marshaledArtifact(t, plain); !bytes.Equal(got, want) {
 		t.Fatalf("first cycle after a hard stop diverged from the plain server (artifact %d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestSelfScrapeRestartWithoutLoop: a durable store holding
+// self-telemetry stamped inside the analysis window, reopened by a life
+// that runs no self-scrape loop, still keeps the reserved component out
+// of the pipeline — the artifact equals a server that never scraped.
+func TestSelfScrapeRestartWithoutLoop(t *testing.T) {
+	const seed = 7
+	pattern := loadgen.Random(seed, 90, 100, 1500)
+	var ts atomic.Int64
+	opts := obsOptions(func() int64 { return ts.Add(500) })
+	opts.DataDir = t.TempDir()
+	opts.FlushInterval, opts.CompactInterval = -1, -1
+	life1, hs1, c1 := newTestServer(t, opts)
+	a, err := app.New(chainSpec(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveChunk(t, a, c1, pattern)
+	ts.Store(life1.Store().AppMaxTime() - 15_000) // 20 scrapes, 500 ms apart, inside the window
+	for i := 0; i < 20; i++ {
+		if _, err := life1.SelfScrapeOnce(); err != nil {
+			t.Fatalf("self-scrape %d: %v", i, err)
+		}
+	}
+	hs1.Close()
+	if err := life1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts.SelfScrapeInterval = 0
+	life2, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer life2.Close()
+	if _, err := life2.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("cycle after a restart without the loop: %v", err)
+	}
+	plain, _, cPlain := newTestServer(t, Options{AppName: "chain", WindowMS: 64 * 500, CallGraph: chainGraph()})
+	aPlain, err := app.New(chainSpec(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveChunk(t, aPlain, cPlain, pattern)
+	if _, err := plain.RunPipelineOnce(context.Background()); err != nil {
+		t.Fatalf("plain pipeline: %v", err)
+	}
+	if got, want := marshaledArtifact(t, life2), marshaledArtifact(t, plain); !bytes.Equal(got, want) {
+		t.Fatalf("recovered self-telemetry reached the pipeline (artifact %d vs %d bytes)", len(got), len(want))
 	}
 }
 

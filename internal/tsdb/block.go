@@ -95,41 +95,15 @@ func (m blockMeta) maxSeq() uint64 {
 // summarizes its contents: the time range lets reads skip disjoint chunks
 // without touching the file, and the value summary (version >= 2 blocks)
 // lets order-independent aggregations consume a whole in-bucket chunk
-// from the index alone — no read, no CRC, no decode.
+// from the index alone — no read, no CRC, no decode. The summary is
+// scrubbed: NoSummary chunks persist zeroed placeholders so the index
+// stays writable, and decode instead.
 type chunkRef struct {
 	// Offset is the file offset of the chunk's 8-byte frame header.
 	Offset int64 `json:"offset"`
 	// Length is the framed payload length in bytes.
-	Length int   `json:"length"`
-	Count  int   `json:"count"`
-	MinT   int64 `json:"min_t"`
-	MaxT   int64 `json:"max_t"`
-	// Value summary over the chunk's points, in storage order: MinV/MaxV
-	// are the extrema, FirstV/LastV the first and last stored values
-	// (the chunk is time-sorted, so they carry MinT and MaxT). Present
-	// since block version 2; version-1 blocks decode instead.
-	//
-	// NoSummary marks chunks whose summary must not be consumed (they
-	// decode instead): chunks containing NaN (order-dependent min/max —
-	// see chunkAgg) and chunks with any non-finite summary value, which
-	// encoding/json cannot marshal — those persist zeroed placeholders
-	// alongside the flag so the index stays writable.
-	MinV      float64 `json:"min_v"`
-	MaxV      float64 `json:"max_v"`
-	FirstV    float64 `json:"first_v"`
-	LastV     float64 `json:"last_v"`
-	NoSummary bool    `json:"no_summary,omitempty"`
-}
-
-// agg converts the persisted ref into the engine's chunk summary form.
-func (r chunkRef) agg() chunkAgg {
-	return chunkAgg{
-		Count: r.Count,
-		MinT:  r.MinT, MaxT: r.MaxT,
-		MinV: r.MinV, MaxV: r.MaxV,
-		FirstV: r.FirstV, LastV: r.LastV,
-		NoSummary: r.NoSummary,
-	}
+	Length int `json:"length"`
+	summary
 }
 
 // blockIndex is the persisted index.json.
@@ -137,49 +111,17 @@ type blockIndex struct {
 	Series map[string][]chunkRef `json:"series"`
 }
 
-// dsRef is one downsampled bucket of one series in a companion file:
-// the exact per-bucket facts the aggregation push-down consumes
-// (count/min/max/first/last with the bucket's actual first and last
-// point timestamps) plus the sequential-fold sum. Unlike chunkRef it
-// references no chunk bytes — a downsampled bucket is consumed from the
-// summary alone or not at all (see aggregator.companion).
-type dsRef struct {
-	Count int   `json:"count"`
-	MinT  int64 `json:"min_t"`
-	MaxT  int64 `json:"max_t"`
-	// MinV/MaxV are the extrema, FirstV/LastV the first and last stored
-	// values in storage order (carrying MinT and MaxT), SumV the sum
-	// folded in storage order. NoSummary marks buckets that must never
-	// be consumed (the reader falls back to the raw block): buckets
-	// containing NaN, or any non-finite value JSON cannot carry — those
-	// persist zeroed placeholders alongside the flag.
-	MinV      float64 `json:"min_v"`
-	MaxV      float64 `json:"max_v"`
-	FirstV    float64 `json:"first_v"`
-	LastV     float64 `json:"last_v"`
-	SumV      float64 `json:"sum_v"`
-	NoSummary bool    `json:"no_summary,omitempty"`
-}
-
-// agg converts the persisted bucket into the engine's chunk summary
-// form, so the existing aggregator merge rules apply unchanged.
-func (r dsRef) agg() chunkAgg {
-	return chunkAgg{
-		Count: r.Count,
-		MinT:  r.MinT, MaxT: r.MaxT,
-		MinV: r.MinV, MaxV: r.MaxV,
-		FirstV: r.FirstV, LastV: r.LastV,
-		NoSummary: r.NoSummary,
-	}
-}
-
 // dsIndex is the persisted ds-<resolution>.json companion file: one
 // bucket list per series, buckets sorted by time and R-aligned on the
-// absolute grid (bucket k covers [k*R, (k+1)*R)).
+// absolute grid (bucket k covers [k*R, (k+1)*R)). A bucket is the
+// scrubbed summary of its points; it references no chunk bytes, so it is
+// consumed from the summary alone or not at all (see
+// aggregator.companion). Files written before the sum was dropped carry
+// a "sum_v" per bucket, which reading ignores.
 type dsIndex struct {
-	Version      int                `json:"version"`
-	ResolutionMS int64              `json:"resolution_ms"`
-	Series       map[string][]dsRef `json:"series"`
+	Version      int                  `json:"version"`
+	ResolutionMS int64                `json:"resolution_ms"`
+	Series       map[string][]summary `json:"series"`
 }
 
 // blockVersion is the version written by blockWriter. Version 2 added the
@@ -203,7 +145,7 @@ type block struct {
 	// (atomically, via tmp+rename inside the block directory) and
 	// deleted with the directory. Mutated only under the durable
 	// engine's mu (attachDownsampled) or before the block is shared.
-	ds map[int64]map[string][]dsRef
+	ds map[int64]map[string][]summary
 }
 
 // isFinite reports whether f is neither NaN nor infinite.
@@ -313,26 +255,8 @@ func (bw *blockWriter) addSeries(key string, segs ...[]Point) error {
 				bw.abort()
 				return err
 			}
-			sum := summarizeChunk(part)
-			ref := chunkRef{
-				Offset: bw.meta.ChunkBytes,
-				Length: len(payload),
-				Count:  len(part),
-				MinT:   part[0].T,
-				MaxT:   part[len(part)-1].T,
-				MinV:   sum.MinV,
-				MaxV:   sum.MaxV,
-				FirstV: sum.FirstV,
-				LastV:  sum.LastV,
-			}
-			if sum.NoSummary ||
-				!isFinite(ref.MinV) || !isFinite(ref.MaxV) ||
-				!isFinite(ref.FirstV) || !isFinite(ref.LastV) {
-				// JSON cannot carry NaN/Inf; zero the placeholders and
-				// flag the ref so they are never consumed.
-				ref.NoSummary = true
-				ref.MinV, ref.MaxV, ref.FirstV, ref.LastV = 0, 0, 0, 0
-			}
+			ref := chunkRef{Offset: bw.meta.ChunkBytes, Length: len(payload), summary: summarizeChunk(part)}
+			ref.scrub()
 			refs = append(refs, ref)
 			bw.meta.ChunkBytes += int64(len(frame))
 			bw.meta.Points += ref.Count
@@ -529,27 +453,23 @@ func appendJSONInt(dst []byte, first bool, name string, v int64) []byte {
 	return strconv.AppendInt(appendJSONField(dst, first, name), v, 10)
 }
 
-// appendJSONFloat appends a float field; v is finite (chunkRef and dsRef
-// zero their non-finite facts before they are persisted).
+// appendJSONFloat appends a float field; v is finite (a summary is
+// scrubbed before it is persisted).
 func appendJSONFloat(dst []byte, name string, v float64) []byte {
 	return jsonenc.AppendFloat(appendJSONField(dst, false, name), v)
 }
 
-// appendAggJSON appends the run of fields chunkRef and dsRef share
-// (count through last_v), in the order both structs declare them.
-func appendAggJSON(dst []byte, first bool, a chunkAgg) []byte {
-	dst = appendJSONInt(dst, first, "count", int64(a.Count))
-	dst = appendJSONInt(dst, false, "min_t", a.MinT)
-	dst = appendJSONInt(dst, false, "max_t", a.MaxT)
-	dst = appendJSONFloat(dst, "min_v", a.MinV)
-	dst = appendJSONFloat(dst, "max_v", a.MaxV)
-	dst = appendJSONFloat(dst, "first_v", a.FirstV)
-	return appendJSONFloat(dst, "last_v", a.LastV)
-}
-
-// appendNoSummaryJSON appends the omitempty flag that ends both structs.
-func appendNoSummaryJSON(dst []byte, noSummary bool) []byte {
-	if noSummary {
+// appendSummaryJSON appends the fields of s, a scrubbed summary, as
+// encoding/json orders them; first marks them as the object's first.
+func appendSummaryJSON(dst []byte, first bool, s summary) []byte {
+	dst = appendJSONInt(dst, first, "count", int64(s.Count))
+	dst = appendJSONInt(dst, false, "min_t", s.MinT)
+	dst = appendJSONInt(dst, false, "max_t", s.MaxT)
+	dst = appendJSONFloat(dst, "min_v", s.MinV)
+	dst = appendJSONFloat(dst, "max_v", s.MaxV)
+	dst = appendJSONFloat(dst, "first_v", s.FirstV)
+	dst = appendJSONFloat(dst, "last_v", s.LastV)
+	if s.NoSummary {
 		dst = append(appendJSONField(dst, false, "no_summary"), "true"...)
 	}
 	return dst
@@ -559,15 +479,7 @@ func appendNoSummaryJSON(dst []byte, noSummary bool) []byte {
 func appendChunkRefJSON(dst []byte, r chunkRef) []byte {
 	dst = appendJSONInt(dst, true, "offset", r.Offset)
 	dst = appendJSONInt(dst, false, "length", int64(r.Length))
-	dst = appendAggJSON(dst, false, r.agg())
-	return appendNoSummaryJSON(dst, r.NoSummary)
-}
-
-// appendDsRefJSON is appendChunkRefJSON for a companion bucket.
-func appendDsRefJSON(dst []byte, r dsRef) []byte {
-	dst = appendAggJSON(dst, true, r.agg())
-	dst = appendJSONFloat(dst, "sum_v", r.SumV)
-	return appendNoSummaryJSON(dst, r.NoSummary)
+	return appendSummaryJSON(dst, false, r.summary)
 }
 
 // writeStreamSync creates path, lets fill write it through w (the
@@ -672,7 +584,7 @@ func (b *block) loadDownsampled() error {
 			return fmt.Errorf("tsdb: block %s: companion %s resolution mismatch (%d)", b.dir, name, idx.ResolutionMS)
 		}
 		if b.ds == nil {
-			b.ds = map[int64]map[string][]dsRef{}
+			b.ds = map[int64]map[string][]summary{}
 		}
 		b.ds[res] = idx.Series
 	}
@@ -691,36 +603,34 @@ func (b *block) covers(other *block) bool {
 
 // scan streams the block's points for key with T in [from, to) to sink
 // in chunk order. Chunks disjoint from the range are skipped from the
-// index alone; chunks that lie entirely inside the range are offered to
-// the sink as a summary first (version >= 2 blocks, and only to a sink
-// that takes summaries), so an aggregating sink consumes them without a
-// file read. The rest are decoded: each run of them that lies back to
-// back in chunks.dat is read with one pread into scratch (the caller's
-// buffer, grown as needed and reused across calls), and each frame's
-// length and CRC-32C are checked just before it is decoded. A summary
-// offer ends a run, so the sink is fed in storage order.
+// index alone; the sink consumes the summaries of the chunks it takes
+// (version >= 2 blocks, see aggregator.consumes) without a file read. The
+// rest are decoded: each run of them that lies back to back in
+// chunks.dat is read with one pread into scratch (the caller's buffer,
+// grown as needed and reused across calls), and each frame's length and
+// CRC-32C are checked just before it is decoded. A consumed chunk ends a
+// run, so the sink is fed in storage order.
 func (b *block) scan(key string, from, to int64, sink pointSink, tel *StoreTelemetry, scratch *[]byte) error {
 	refs := b.index[key]
-	offer := b.hasAggs && sink.summaries()
-	inRange := func(r chunkRef) bool { return r.MaxT >= from && r.MinT < to }
-	offered := func(r chunkRef) bool { return offer && r.MinT >= from && r.MaxT < to }
+	inRange := func(r *chunkRef) bool { return r.MaxT >= from && r.MinT < to }
+	consumed := func(r *chunkRef) bool { return b.hasAggs && sink.consumes(&r.summary) }
 	var skipped, summarized, decoded int
 	for i := 0; i < len(refs); {
-		ref := refs[i]
+		ref := &refs[i]
 		if !inRange(ref) {
 			skipped++
 			i++
 			continue
 		}
-		if offered(ref) && sink.chunk(ref.agg()) {
+		if b.hasAggs && sink.chunk(&ref.summary) {
 			summarized++
 			i++
 			continue
 		}
 		// refs[i:j] is the run: ref and the chunks right behind it in
-		// chunks.dat that overlap the range and are not offered.
+		// chunks.dat that overlap the range and are not consumed.
 		j, end, pts := i+1, ref.Offset+chunkHeader+int64(ref.Length), ref.Count
-		for ; j < len(refs) && refs[j].Offset == end && inRange(refs[j]) && !offered(refs[j]); j++ {
+		for ; j < len(refs) && refs[j].Offset == end && inRange(&refs[j]) && !consumed(&refs[j]); j++ {
 			end += chunkHeader + int64(refs[j].Length)
 			pts += refs[j].Count
 		}

@@ -364,13 +364,15 @@ func refWriteBlockParts(blocksDir string, meta blockMeta, series map[string][][]
 				ref := chunkRef{
 					Offset: int64(len(chunks)),
 					Length: len(payload),
-					Count:  len(part),
-					MinT:   part[0].T,
-					MaxT:   part[len(part)-1].T,
-					MinV:   sum.MinV,
-					MaxV:   sum.MaxV,
-					FirstV: sum.FirstV,
-					LastV:  sum.LastV,
+					summary: summary{
+						Count:  len(part),
+						MinT:   part[0].T,
+						MaxT:   part[len(part)-1].T,
+						MinV:   sum.MinV,
+						MaxV:   sum.MaxV,
+						FirstV: sum.FirstV,
+						LastV:  sum.LastV,
+					},
 				}
 				if sum.NoSummary ||
 					!isFinite(ref.MinV) || !isFinite(ref.MaxV) ||
@@ -614,7 +616,7 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: companion %d: %v", seed, res, err)
 			}
-			wantDs := map[string][]dsRef{}
+			wantDs := map[string][]summary{}
 			for key := range got.index {
 				pts, err := blockQuery(want, key, math.MinInt64, math.MaxInt64)
 				if err != nil {

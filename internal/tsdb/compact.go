@@ -70,16 +70,15 @@ func floorDiv(t, d int64) int64 {
 
 // downsampleSeries folds one series' points (in storage order) into
 // per-bucket summaries on the absolute resMS grid (bucket k covers
-// [k*resMS, (k+1)*resMS)). Every per-bucket fact follows the exact
-// accumulation rules of aggregator.add on the same feed order — count,
-// comparison min/max, sequential-fold sum, first/last displaced by
-// strict-less / greater-or-equal timestamp — so consuming a bucket
-// summary is bit-identical to decoding its points. Buckets containing
-// NaN (order-dependent min/max) or any non-finite fact (JSON cannot
-// carry it) are flagged NoSummary with zeroed value fields and are
-// never consumed. Bucket assignment uses floorDiv, exact at extreme
-// timestamps (no multiply that could overflow).
-func downsampleSeries(pts []Point, resMS int64) []dsRef {
+// [k*resMS, (k+1)*resMS)). Each bucket folds its points with
+// summary.add, as the aggregator's buckets do, on the same feed order —
+// so consuming a bucket summary is bit-identical to decoding its points
+// — and is scrubbed: buckets containing NaN (order-dependent min/max) or
+// any non-finite fact (JSON cannot carry it) are flagged NoSummary with
+// zeroed value fields and are never consumed. Bucket assignment uses
+// floorDiv, exact at extreme timestamps (no multiply that could
+// overflow).
+func downsampleSeries(pts []Point, resMS int64) []summary {
 	if len(pts) == 0 {
 		return nil
 	}
@@ -104,7 +103,7 @@ func downsampleSeries(pts []Point, resMS int64) []dsRef {
 	// order, so a point usually lands in that bucket or opens the next
 	// one at the end; only late data searches (a bucket's index is
 	// floorDiv of any timestamp in it) and inserts.
-	out := make([]dsRef, 0, size)
+	out := make([]summary, 0, size)
 	cur, curIdx := -1, int64(0)
 	for _, p := range pts {
 		idx := floorDiv(p.T, resMS)
@@ -116,43 +115,16 @@ func downsampleSeries(pts []Point, resMS int64) []dsRef {
 			}
 			cur, curIdx = pos, idx
 			if pos == n || floorDiv(out[pos].MinT, resMS) != idx {
-				out = append(out, dsRef{})
+				out = append(out, summary{})
 				copy(out[pos+1:], out[pos:])
-				out[pos] = dsRef{
-					Count: 1, MinT: p.T, MaxT: p.T,
-					MinV: p.V, MaxV: p.V, FirstV: p.V, LastV: p.V, SumV: p.V,
-					NoSummary: p.V != p.V, // NaN
-				}
+				out[pos] = seed(p)
 				continue
 			}
 		}
-		b := &out[cur]
-		b.Count++
-		if p.V != p.V {
-			b.NoSummary = true
-		}
-		if p.V < b.MinV {
-			b.MinV = p.V
-		}
-		if p.V > b.MaxV {
-			b.MaxV = p.V
-		}
-		b.SumV += p.V
-		if p.T < b.MinT {
-			b.MinT, b.FirstV = p.T, p.V
-		}
-		if p.T >= b.MaxT {
-			b.MaxT, b.LastV = p.T, p.V
-		}
+		out[cur].add(p)
 	}
 	for i := range out {
-		r := &out[i]
-		if r.NoSummary ||
-			!isFinite(r.MinV) || !isFinite(r.MaxV) ||
-			!isFinite(r.FirstV) || !isFinite(r.LastV) || !isFinite(r.SumV) {
-			r.NoSummary = true
-			r.MinV, r.MaxV, r.FirstV, r.LastV, r.SumV = 0, 0, 0, 0, 0
-		}
+		out[i].scrub()
 	}
 	return out
 }
@@ -177,10 +149,10 @@ func sortedKeys[V any](m map[string]V) []string {
 // the block keeps — the pass holds one series. The block is immutable,
 // so no lock is needed to read it; the caller serializes against
 // retention (which would delete the directory) via flushMu.
-func buildDownsampled(b *block, resMS int64) (map[string][]dsRef, error) {
+func buildDownsampled(b *block, resMS int64) (map[string][]summary, error) {
 	name := downsampledName(resMS)
 	tmp := filepath.Join(b.dir, blockTmpPrefix+name)
-	series := make(map[string][]dsRef, len(b.index))
+	series := make(map[string][]summary, len(b.index))
 	w := bufio.NewWriterSize(nil, blockWriteBuffer)
 	err := writeStreamSync(tmp, w, func() error {
 		j := newSeriesJSON(w, fmt.Sprintf(" \"version\": 1,\n \"resolution_ms\": %d,\n", resMS))
@@ -198,7 +170,7 @@ func buildDownsampled(b *block, resMS int64) (map[string][]dsRef, error) {
 				continue
 			}
 			series[key] = refs
-			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendDsRefJSON(dst, refs[i]) }); err != nil {
+			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendSummaryJSON(dst, true, refs[i]) }); err != nil {
 				return err
 			}
 		}
@@ -229,7 +201,7 @@ func buildDownsampled(b *block, resMS int64) (map[string][]dsRef, error) {
 // bit-exactness contract. ok means the block was fully consumed from a
 // companion; otherwise the scanner must scan the chunks (never a partial
 // mix within one block).
-func (a *aggregator) companion(b *block, key string, from, to int64) (buckets int, ok bool) {
+func (a *aggregator) companion(b *block, key string) (buckets int, ok bool) {
 	if !a.pushdown || len(b.ds) == 0 {
 		return 0, false
 	}
@@ -244,7 +216,7 @@ func (a *aggregator) companion(b *block, key string, from, to int64) (buckets in
 			// that lacks it cannot represent the block; try a finer one.
 			continue
 		}
-		if n, ok := a.feedDownsampled(refs, from, to); ok {
+		if n, ok := a.feedDownsampled(refs); ok {
 			return n, true
 		}
 	}
@@ -252,31 +224,23 @@ func (a *aggregator) companion(b *block, key string, from, to int64) (buckets in
 }
 
 // feedDownsampled feeds a companion's bucket summaries for one series
-// into the accumulator — but only if every bucket overlapping the query
-// range is provably consumable: fully inside [from, to) (a partially
-// overlapping bucket would contribute points the summary cannot split
-// out), mapping to a single query bucket (companion buckets sit on the
-// absolute grid, query buckets are anchored at From, so an unaligned
-// From can make a 5m bucket straddle a 10m query bucket), and carrying
-// a trustworthy summary (no NaN, no non-finite facts). One ineligible
-// bucket rejects the whole block — all or nothing, so the scanner's raw
-// fallback never double-feeds.
-func (a *aggregator) feedDownsampled(refs []dsRef, from, to int64) (buckets int, ok bool) {
-	for _, r := range refs {
-		if r.MaxT < from || r.MinT >= to {
-			continue
-		}
-		if r.NoSummary || r.MinT < from || r.MaxT >= to ||
-			a.bucketIdx(r.MinT) != a.bucketIdx(r.MaxT) {
+// into the accumulator — but only if consumes admits every bucket that
+// overlaps the query range (companion buckets sit on the absolute grid,
+// query buckets are anchored at From, so an unaligned From can make a 5m
+// bucket straddle a 10m query bucket). One bucket it declines rejects
+// the whole block — all or nothing, so the scanner's raw fallback never
+// double-feeds.
+func (a *aggregator) feedDownsampled(refs []summary) (buckets int, ok bool) {
+	for i := range refs {
+		if r := &refs[i]; r.MaxT >= a.from && r.MinT < a.to && !a.consumes(r) {
 			return 0, false
 		}
 	}
-	for _, r := range refs {
-		if r.MaxT < from || r.MinT >= to {
-			continue
+	for i := range refs {
+		if r := &refs[i]; r.MaxT >= a.from && r.MinT < a.to {
+			a.chunk(r)
+			buckets++
 		}
-		a.chunk(r.agg())
-		buckets++
 	}
 	return buckets, true
 }
@@ -541,7 +505,7 @@ func (d *durable) downsampleBlock(b *block) error {
 		}
 		d.mu.Lock()
 		if b.ds == nil {
-			b.ds = map[int64]map[string][]dsRef{}
+			b.ds = map[int64]map[string][]summary{}
 		}
 		b.ds[res] = series
 		d.mu.Unlock()

@@ -7,10 +7,13 @@ package tsdb
 // DownsampledBucketsRead telemetry counter.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -201,7 +204,7 @@ func TestFloorDiv(t *testing.T) {
 // an independent formulation (scan for the extremal timestamps, pick
 // first/last carriers by position, comparison-fold the values) — rather
 // than mirroring downsampleSeries' single-pass displacement rules.
-func refDownsampleSeries(pts []Point, resMS int64) []dsRef {
+func refDownsampleSeries(pts []Point, resMS int64) []summary {
 	groups := map[int64][]Point{}
 	for _, p := range pts {
 		idx := bigFloorDiv(p.T, resMS)
@@ -212,10 +215,10 @@ func refDownsampleSeries(pts []Point, resMS int64) []dsRef {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	out := make([]dsRef, 0, len(idxs))
+	out := make([]summary, 0, len(idxs))
 	for _, idx := range idxs {
 		g := groups[idx]
-		r := dsRef{Count: len(g), MinT: g[0].T, MaxT: g[0].T}
+		r := summary{Count: len(g), MinT: g[0].T, MaxT: g[0].T}
 		for _, p := range g {
 			if p.T < r.MinT {
 				r.MinT = p.T
@@ -247,14 +250,11 @@ func refDownsampleSeries(pts []Point, resMS int64) []dsRef {
 				r.MaxV = p.V
 			}
 		}
-		for _, p := range g {
-			r.SumV += p.V
-		}
 		if r.NoSummary ||
 			!isFinite(r.MinV) || !isFinite(r.MaxV) ||
-			!isFinite(r.FirstV) || !isFinite(r.LastV) || !isFinite(r.SumV) {
+			!isFinite(r.FirstV) || !isFinite(r.LastV) {
 			r.NoSummary = true
-			r.MinV, r.MaxV, r.FirstV, r.LastV, r.SumV = 0, 0, 0, 0, 0
+			r.MinV, r.MaxV, r.FirstV, r.LastV = 0, 0, 0, 0
 		}
 		out = append(out, r)
 	}
@@ -265,19 +265,19 @@ func refDownsampleSeries(pts []Point, resMS int64) []dsRef {
 // into a sorted slice: a map of bucket pointers, sorted at the end. Kept
 // verbatim as the second reference — same single-pass displacement
 // rules, different container — beside the from-scratch one above.
-func mapDownsampleSeries(pts []Point, resMS int64) []dsRef {
+func mapDownsampleSeries(pts []Point, resMS int64) []summary {
 	if len(pts) == 0 {
 		return nil
 	}
-	buckets := map[int64]*dsRef{}
+	buckets := map[int64]*summary{}
 	idxs := make([]int64, 0, 8)
 	for _, p := range pts {
 		idx := floorDiv(p.T, resMS)
 		b := buckets[idx]
 		if b == nil {
-			b = &dsRef{
+			b = &summary{
 				Count: 1, MinT: p.T, MaxT: p.T,
-				MinV: p.V, MaxV: p.V, FirstV: p.V, LastV: p.V, SumV: p.V,
+				MinV: p.V, MaxV: p.V, FirstV: p.V, LastV: p.V,
 			}
 			if p.V != p.V { // NaN
 				b.NoSummary = true
@@ -296,7 +296,6 @@ func mapDownsampleSeries(pts []Point, resMS int64) []dsRef {
 		if p.V > b.MaxV {
 			b.MaxV = p.V
 		}
-		b.SumV += p.V
 		if p.T < b.MinT {
 			b.MinT, b.FirstV = p.T, p.V
 		}
@@ -305,14 +304,14 @@ func mapDownsampleSeries(pts []Point, resMS int64) []dsRef {
 		}
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	out := make([]dsRef, 0, len(idxs))
+	out := make([]summary, 0, len(idxs))
 	for _, idx := range idxs {
 		r := *buckets[idx]
 		if r.NoSummary ||
 			!isFinite(r.MinV) || !isFinite(r.MaxV) ||
-			!isFinite(r.FirstV) || !isFinite(r.LastV) || !isFinite(r.SumV) {
+			!isFinite(r.FirstV) || !isFinite(r.LastV) {
 			r.NoSummary = true
-			r.MinV, r.MaxV, r.FirstV, r.LastV, r.SumV = 0, 0, 0, 0, 0
+			r.MinV, r.MaxV, r.FirstV, r.LastV = 0, 0, 0, 0
 		}
 		out = append(out, r)
 	}
@@ -368,21 +367,20 @@ func TestDownsampleSeriesMatchesMapReference(t *testing.T) {
 			t.Fatalf("iter %d res=%d: %d buckets, map reference has %d", iter, resMS, len(got), len(want))
 		}
 		for i := range got {
-			if !dsRefsEqual(got[i], want[i]) {
+			if !summariesEqual(got[i], want[i]) {
 				t.Fatalf("iter %d res=%d bucket %d:\n got %+v\nwant %+v", iter, resMS, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-func dsRefsEqual(a, b dsRef) bool {
+func summariesEqual(a, b summary) bool {
 	return a.Count == b.Count && a.MinT == b.MinT && a.MaxT == b.MaxT &&
 		a.NoSummary == b.NoSummary &&
 		math.Float64bits(a.MinV) == math.Float64bits(b.MinV) &&
 		math.Float64bits(a.MaxV) == math.Float64bits(b.MaxV) &&
 		math.Float64bits(a.FirstV) == math.Float64bits(b.FirstV) &&
-		math.Float64bits(a.LastV) == math.Float64bits(b.LastV) &&
-		math.Float64bits(a.SumV) == math.Float64bits(b.SumV)
+		math.Float64bits(a.LastV) == math.Float64bits(b.LastV)
 }
 
 // FuzzDownsampleBuckets pins the bucket math against the naive
@@ -431,7 +429,7 @@ func FuzzDownsampleBuckets(f *testing.F) {
 		}
 		total := 0
 		for i := range got {
-			if !dsRefsEqual(got[i], want[i]) {
+			if !summariesEqual(got[i], want[i]) {
 				t.Fatalf("res=%d bucket %d:\n got %+v\nwant %+v", resMS, i, got[i], want[i])
 			}
 			total += got[i].Count
@@ -583,6 +581,130 @@ func TestDownsampledResolutionSelection(t *testing.T) {
 	unaligned.From, unaligned.To = 137, span+137 // grid buckets straddle query buckets
 	if n := run(unaligned); n != 0 {
 		t.Errorf("unaligned From consumed %d downsampled buckets, want 0 (raw fallback)", n)
+	}
+}
+
+// TestDownsampleOverflowingSumConsumed: companion buckets whose values
+// sum past MaxFloat64 still stand for their points under
+// min/max/count/rate. Only sum and avg fold a sum, and they always
+// decode.
+func TestDownsampleOverflowingSumConsumed(t *testing.T) {
+	samples := make([]Sample, 40) // 15s ticks: two full 5m buckets
+	for i := range samples {
+		samples[i] = Sample{Component: "svc", Metric: "huge", T: int64(i) * 15_000, V: 1e308}
+	}
+	s, tel := openCompactable(t, t.TempDir(), 1, FsyncNever, 0)
+	defer s.Close()
+	m := newStoreModel(0)
+	for _, half := range [][]Sample{samples[:20], samples[20:]} {
+		if err := s.WriteSamples(half, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		m.add(half)
+		m.checkpoint()
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	m.compact()
+	for _, agg := range []Agg{AggMin, AggMax, AggCount, AggRate} {
+		q := RangeQuery{Component: "*", Metric: "*", From: 0, To: 600_000, Agg: agg, StepMS: 300_000}
+		before := tel.DownsampledBucketsRead.Value()
+		assertBitIdentical(t, "overflowing sum", q, engineQuery(t, s, q), m.queryRange(q))
+		if n := tel.DownsampledBucketsRead.Value() - before; n != 2 {
+			t.Errorf("%v consumed %d downsampled buckets, want 2", agg, n)
+		}
+	}
+}
+
+// TestDownsampleReadsCompanionWithSum: a companion written when each
+// bucket also persisted its sum ("sum_v", between "last_v" and
+// "no_summary") loads, and its buckets are consumed as before.
+func TestDownsampleReadsCompanionWithSum(t *testing.T) {
+	samples := compactSamples(9, 1, 2, 480, 15_000, false) // 2 hours
+	span := maxSampleT(samples) + 1
+	dir := t.TempDir()
+	s, _ := openCompactable(t, dir, 1, FsyncNever, 0)
+	m := newStoreModel(0)
+	for _, half := range [][]Sample{samples[:len(samples)/2], samples[len(samples)/2:]} {
+		if err := s.WriteSamples(half, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		m.add(half)
+		m.checkpoint()
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	m.compact()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite every companion in the older format, which
+	// json.MarshalIndent of this bucket type reproduces byte for byte.
+	type bucketWithSum struct {
+		Count     int     `json:"count"`
+		MinT      int64   `json:"min_t"`
+		MaxT      int64   `json:"max_t"`
+		MinV      float64 `json:"min_v"`
+		MaxV      float64 `json:"max_v"`
+		FirstV    float64 `json:"first_v"`
+		LastV     float64 `json:"last_v"`
+		SumV      float64 `json:"sum_v"`
+		NoSummary bool    `json:"no_summary,omitempty"`
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "blocks", "b-*", "ds-*.json"))
+	if err != nil || len(files) != len(downsampleResolutions) {
+		t.Fatalf("companions %v (%v), want one block's %d", files, err, len(downsampleResolutions))
+	}
+	for _, name := range files {
+		var idx dsIndex
+		if err := json.Unmarshal(mustReadFile(t, name), &idx); err != nil {
+			t.Fatal(err)
+		}
+		old := map[string][]bucketWithSum{}
+		for key, buckets := range idx.Series {
+			for _, b := range buckets {
+				var sum float64
+				for _, p := range samples {
+					if p.Key() == key && floorDiv(p.T, idx.ResolutionMS) == floorDiv(b.MinT, idx.ResolutionMS) {
+						sum += p.V
+					}
+				}
+				old[key] = append(old[key], bucketWithSum{b.Count, b.MinT, b.MaxT, b.MinV, b.MaxV, b.FirstV, b.LastV, sum, b.NoSummary})
+			}
+		}
+		data, err := json.MarshalIndent(struct {
+			Version      int                        `json:"version"`
+			ResolutionMS int64                      `json:"resolution_ms"`
+			Series       map[string][]bucketWithSum `json:"series"`
+		}{idx.Version, idx.ResolutionMS, old}, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, tel := openCompactable(t, dir, 1, FsyncNever, 0)
+	defer s.Close()
+	for _, q := range []RangeQuery{
+		{Component: "*", Metric: "*", From: 0, To: span, Agg: AggMax, StepMS: 300_000},
+		{Component: "*", Metric: "*", From: 0, To: span, Agg: AggCount, StepMS: 3_600_000},
+	} {
+		before := tel.DownsampledBucketsRead.Value()
+		assertBitIdentical(t, "companion with sums", q, engineQuery(t, s, q), m.queryRange(q))
+		if tel.DownsampledBucketsRead.Value() == before {
+			t.Errorf("%v step %d consumed no downsampled buckets", q.Agg, q.StepMS)
+		}
 	}
 }
 

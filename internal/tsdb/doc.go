@@ -74,10 +74,11 @@
 // is simply absent from the results.
 //
 // Every sealed chunk, in memory and in a block's index, carries its time
-// range and a value summary: reads skip chunks disjoint from the query
-// without decoding them, and order-independent aggregations
-// (min/max/count/rate) consume whole in-bucket chunks from the summary
-// alone, with no file read or decode. Chunks that must be decoded stream
+// range and a value summary — the one summary type a downsampled
+// companion bucket and a query bucket are too: reads skip chunks
+// disjoint from the query without decoding them, and order-independent
+// aggregations (min/max/count/rate) consume whole in-bucket chunks from
+// the summary alone, with no file read or decode. Chunks that must be decoded stream
 // point by point through chunkIter into the sink, so aggregated queries
 // never materialize raw-point slices. Matched series fan out across an
 // internal/parallel worker pool and merge in series-key order; results

@@ -634,7 +634,7 @@ func (d *durable) scanBlocks(key string, from, to int64, sink pointSink) error {
 		if !b.hasSeries(key) {
 			continue
 		}
-		if n, ok := sink.companion(b, key, from, to); ok {
+		if n, ok := sink.companion(b, key); ok {
 			dsBuckets += n
 			continue
 		}

@@ -23,11 +23,12 @@ import (
 //   - pointSink / scanChunkWith: a streaming decode loop over one Gorilla
 //     chunk. Chunks are time-ordered, so the scan stops at the first
 //     point past the range instead of decoding the remainder.
-//   - chunkAgg: the per-chunk summary kept by both the in-memory sealed
-//     chunks (memChunk) and the on-disk chunk index (chunkRef). Reads
+//   - summary: the facts of one run of points — a sealed chunk in memory
+//     (memChunk) or on disk (chunkRef), a downsampled companion bucket, a
+//     query bucket — built, folded, scrubbed and persisted one way. Reads
 //     skip disjoint chunks on [MinT, MaxT] alone, and order-independent
-//     aggregations (min/max/count/rate) consume whole in-bucket chunks
-//     from the summary without reading or decoding them.
+//     aggregations (min/max/count/rate) consume the summaries that
+//     aggregator.consumes admits without reading or decoding the points.
 //   - aggregator: bucket accumulation for min/max/avg/sum/count/rate on
 //     a step grid anchored at the query's From. Raw points never
 //     materialize for aggregated queries — every source streams into
@@ -240,76 +241,130 @@ func (q RangeQuery) matchKey(key string) bool {
 	return matchGlob(q.Component, component) && matchGlob(q.Metric, metric)
 }
 
-// chunkAgg summarizes one sealed chunk, in memory (memChunk) or on disk
-// (chunkRef): the time range for skip decisions plus the value facts
-// that order-independent aggregations need. FirstV and LastV are the
-// first and last stored values; chunks are time-sorted, so they carry
-// MinT and MaxT respectively. NoSummary disqualifies the chunk from
-// summary push-down (it always decodes): set for chunks containing NaN
-// — min/max over a sequence with NaN is order-dependent under
-// comparison semantics (NaN never wins a comparison but poisons a
-// seed), so no single summary value reproduces what decoding yields —
-// and, on the persisted side, for any non-finite summary value, which
-// JSON cannot carry (see chunkRef). Only WriteSamples can ingest
-// non-finite values; the line protocol rejects them.
-type chunkAgg struct {
-	Count         int
-	MinT, MaxT    int64
-	MinV, MaxV    float64
-	FirstV, LastV float64
-	NoSummary     bool
+// summary describes one run of a series' points: a sealed chunk in
+// memory (memChunk) or on disk (chunkRef), a downsampled companion bucket
+// (block.ds), or a query bucket (aggregator). MinT and MaxT bound the
+// run; FirstV is the value of the first point fed with MinT and LastV of
+// the last point fed with MaxT — for a time-sorted chunk, its first and
+// last points. NoSummary disqualifies the run from push-down (it always
+// decodes): set for runs containing NaN — min/max over a sequence with
+// NaN is order-dependent under comparison semantics (NaN never wins a
+// comparison but poisons a seed), so no single summary value reproduces
+// what decoding yields — and, by scrub, for any non-finite value, which
+// JSON cannot carry. Only WriteSamples can ingest non-finite values; the
+// line protocol rejects them.
+//
+// The JSON tags are the persisted field names of index.json, where
+// chunkRef embeds a summary, and of the ds-<res>.json companions, whose
+// buckets are summaries (appendSummaryJSON writes both).
+type summary struct {
+	Count     int     `json:"count"`
+	MinT      int64   `json:"min_t"`
+	MaxT      int64   `json:"max_t"`
+	MinV      float64 `json:"min_v"`
+	MaxV      float64 `json:"max_v"`
+	FirstV    float64 `json:"first_v"`
+	LastV     float64 `json:"last_v"`
+	NoSummary bool    `json:"no_summary,omitempty"`
 }
 
-// summarizeChunk computes the summary of a time-sorted, non-empty batch.
-func summarizeChunk(pts []Point) chunkAgg {
-	a := chunkAgg{
-		Count: len(pts),
-		MinT:  pts[0].T, MaxT: pts[len(pts)-1].T,
-		MinV: pts[0].V, MaxV: pts[0].V,
-		FirstV: pts[0].V, LastV: pts[len(pts)-1].V,
+// seed returns the summary of the single point p.
+func seed(p Point) summary {
+	return summary{
+		Count: 1, MinT: p.T, MaxT: p.T,
+		MinV: p.V, MaxV: p.V, FirstV: p.V, LastV: p.V,
+		NoSummary: p.V != p.V, // NaN
 	}
-	for _, p := range pts {
-		if p.V != p.V { // NaN
-			a.NoSummary = true
-		}
-		if p.V < a.MinV {
-			a.MinV = p.V
-		}
-		if p.V > a.MaxV {
-			a.MaxV = p.V
-		}
+}
+
+// add folds in p, fed after every point s already holds. The extrema
+// compare (no sentinels: NaN then behaves as in a naive fold); a strictly
+// earlier timestamp displaces first and a greater-or-equal one displaces
+// last, which is the order a stable sort by time gives the feed. Seeding
+// stays in seed, keeping add within the inliner's budget.
+func (s *summary) add(p Point) {
+	s.Count++
+	if p.V != p.V {
+		s.NoSummary = true
 	}
-	return a
+	if p.V < s.MinV {
+		s.MinV = p.V
+	}
+	if p.V > s.MaxV {
+		s.MaxV = p.V
+	}
+	if p.T < s.MinT {
+		s.MinT, s.FirstV = p.T, p.V
+	}
+	if p.T >= s.MaxT {
+		s.MaxT, s.LastV = p.T, p.V
+	}
+}
+
+// merge folds in o, a run fed after every point s already holds, by
+// add's rules.
+func (s *summary) merge(o summary) {
+	s.Count += o.Count
+	s.NoSummary = s.NoSummary || o.NoSummary
+	if o.MinV < s.MinV {
+		s.MinV = o.MinV
+	}
+	if o.MaxV > s.MaxV {
+		s.MaxV = o.MaxV
+	}
+	if o.MinT < s.MinT {
+		s.MinT, s.FirstV = o.MinT, o.FirstV
+	}
+	if o.MaxT >= s.MaxT {
+		s.MaxT, s.LastV = o.MaxT, o.LastV
+	}
+}
+
+// scrub readies s for persisting: a summary that is flagged or holds a
+// value JSON cannot carry is flagged, with its values zeroed.
+func (s *summary) scrub() {
+	if s.NoSummary || !isFinite(s.MinV) || !isFinite(s.MaxV) || !isFinite(s.FirstV) || !isFinite(s.LastV) {
+		s.NoSummary = true
+		s.MinV, s.MaxV, s.FirstV, s.LastV = 0, 0, 0, 0
+	}
+}
+
+// summarizeChunk returns the summary of a non-empty run of points.
+func summarizeChunk(pts []Point) summary {
+	s := seed(pts[0])
+	for _, p := range pts[1:] {
+		s.add(p)
+	}
+	return s
 }
 
 // pointSink consumes a streamed scan. Besides single points it is
-// offered two kinds of summary, each standing for data that lies entirely
-// inside the scan range: chunk, one sealed chunk's summary, and
-// companion, one persisted block's downsampled companions for the scanned
-// series. A sink returns true to consume the summary in place of the
-// points behind it (aggregation push-down), or false to receive those
-// points through add instead.
+// offered two kinds of summary: a sealed chunk's, and one persisted
+// block's downsampled companions for the scanned series. A sink consumes
+// a summary in place of the points behind it (aggregation push-down), or
+// declines it and receives those points through add instead.
 type pointSink interface {
 	add(Point)
-	// summaries reports whether chunk may ever return true. A block scan
-	// offers nothing to a sink that never consumes a summary, so it reads
-	// a series' whole in-range run of chunks with one pread.
-	summaries() bool
-	chunk(chunkAgg) bool
+	// consumes reports whether the sink takes s in place of its points. A
+	// block scan asks before it reads, so a run of chunks the sink
+	// declines leaves chunks.dat in one pread.
+	consumes(s *summary) bool
+	// chunk folds s in if consumes admits it, and reports whether it did.
+	chunk(s *summary) bool
 	// companion reports, when it consumes, how many companion buckets it
 	// read (the downsampled-buckets counter).
-	companion(b *block, key string, from, to int64) (buckets int, ok bool)
+	companion(b *block, key string) (buckets int, ok bool)
 }
 
 // decodeOnly is embedded by the sinks that need the actual points: every
 // summary offer is declined.
 type decodeOnly struct{}
 
-func (decodeOnly) summaries() bool { return false }
+func (decodeOnly) consumes(*summary) bool { return false }
 
-func (decodeOnly) chunk(chunkAgg) bool { return false }
+func (decodeOnly) chunk(*summary) bool { return false }
 
-func (decodeOnly) companion(*block, string, int64, int64) (int, bool) { return 0, false }
+func (decodeOnly) companion(*block, string) (int, bool) { return 0, false }
 
 // rawSink collects raw points. A block scan grows pts once per run of
 // chunks it decodes, by the run's point count.
@@ -344,19 +399,13 @@ func scanChunkWith(it *chunkIter, chunk []byte, from, to int64, sink pointSink) 
 	}
 }
 
-// bucket accumulates one step bucket (index idx on the grid), seeded by
-// its first contribution (no sentinel extrema: comparison-based updates
-// then treat NaN the same way the naive reference does). first/last
-// follow feed order among equal timestamps: the first point fed with the
-// minimal T stays first, the last point fed with the maximal T becomes
-// last — exactly the order a stable sort by T would produce from the
-// storage-order feed.
+// bucket accumulates one step bucket (index idx on the grid): the
+// summary of its points in feed order, plus their sum folded point by
+// point.
 type bucket struct {
-	idx           uint64
-	count         int64
-	min, max, sum float64
-	firstT, lastT int64
-	firstV, lastV float64
+	idx uint64
+	sum float64
+	summary
 }
 
 // aggregator buckets a storage-order point stream on the step grid
@@ -375,7 +424,7 @@ type bucket struct {
 // it and points sorts the buckets at the end.
 type aggregator struct {
 	agg      Agg
-	from     int64
+	from, to int64
 	step     uint64
 	pushdown bool
 	buckets  []bucket
@@ -392,6 +441,7 @@ func (a *aggregator) reset(q RangeQuery) {
 	*a = aggregator{
 		agg:  q.Agg,
 		from: q.From,
+		to:   q.To,
 		step: uint64(q.StepMS),
 		// Order-independent facts come straight from chunk summaries;
 		// sum/avg accumulate point by point to keep rounding identical to
@@ -451,63 +501,34 @@ func (a *aggregator) open(b bucket) {
 
 func (a *aggregator) add(p Point) {
 	idx := a.bucketIdx(p.T)
-	b := a.lookup(idx)
-	if b == nil {
-		a.open(bucket{
-			idx: idx, count: 1, min: p.V, max: p.V, sum: p.V,
-			firstT: p.T, firstV: p.V, lastT: p.T, lastV: p.V,
-		})
+	if b := a.lookup(idx); b != nil {
+		b.sum += p.V
+		b.add(p)
 		return
 	}
-	b.count++
-	if p.V < b.min {
-		b.min = p.V
-	}
-	if p.V > b.max {
-		b.max = p.V
-	}
-	b.sum += p.V
-	if p.T < b.firstT {
-		b.firstT, b.firstV = p.T, p.V
-	}
-	if p.T >= b.lastT {
-		b.lastT, b.lastV = p.T, p.V
-	}
+	a.open(bucket{idx: idx, sum: p.V, summary: seed(p)})
 }
 
-func (a *aggregator) summaries() bool { return a.pushdown }
+// consumes is the one rule for which summaries stand for their points,
+// whether a chunk's or a companion bucket's: the aggregation must be
+// order-independent, and the summary must lie inside [from, to) (a run
+// overlapping an end holds points the summary cannot split out), within
+// one query bucket (a run straddling a boundary belongs to two) and not
+// be flagged NoSummary.
+func (a *aggregator) consumes(s *summary) bool {
+	return a.pushdown && !s.NoSummary && s.MinT >= a.from && s.MaxT < a.to &&
+		a.bucketIdx(s.MinT) == a.bucketIdx(s.MaxT)
+}
 
-func (a *aggregator) chunk(c chunkAgg) bool {
-	if !a.pushdown || c.NoSummary {
+func (a *aggregator) chunk(s *summary) bool {
+	if !a.consumes(s) {
 		return false
 	}
-	idx := a.bucketIdx(c.MinT)
-	if idx != a.bucketIdx(c.MaxT) {
-		// The chunk straddles a bucket boundary; decode it.
-		return false
-	}
-	b := a.lookup(idx)
-	if b == nil {
-		a.open(bucket{
-			idx: idx, count: int64(c.Count), min: c.MinV, max: c.MaxV,
-			firstT: c.MinT, firstV: c.FirstV, lastT: c.MaxT, lastV: c.LastV,
-		})
-		return true
-	}
-	b.count += int64(c.Count)
-	if c.MinV < b.min {
-		b.min = c.MinV
-	}
-	if c.MaxV > b.max {
-		b.max = c.MaxV
-	}
-	// first/last merge mirrors add's feed-order rule: strictly earlier
-	// MinT displaces first, greater-or-equal MaxT displaces last.
-	if c.MinT < b.firstT {
-		b.firstT, b.firstV = c.MinT, c.FirstV
-	}
-	if c.MaxT >= b.lastT {
-		b.lastT, b.lastV = c.MaxT, c.LastV
+	idx := a.bucketIdx(s.MinT)
+	if b := a.lookup(idx); b != nil {
+		b.merge(*s)
+	} else {
+		a.open(bucket{idx: idx, summary: *s})
 	}
 	return true
 }
@@ -525,22 +546,22 @@ func (a *aggregator) points(out []Point) []Point {
 		var v float64
 		switch a.agg {
 		case AggMin:
-			v = b.min
+			v = b.MinV
 		case AggMax:
-			v = b.max
+			v = b.MaxV
 		case AggAvg:
-			v = b.sum / float64(b.count)
+			v = b.sum / float64(b.Count)
 		case AggSum:
 			v = b.sum
 		case AggCount:
-			v = float64(b.count)
+			v = float64(b.Count)
 		case AggRate:
-			if b.lastT == b.firstT {
+			if b.MaxT == b.MinT {
 				continue
 			}
 			// Unsigned difference: exact even across a huge bucket.
-			dtMS := uint64(b.lastT) - uint64(b.firstT)
-			v = (b.lastV - b.firstV) * 1000 / float64(dtMS)
+			dtMS := uint64(b.MaxT) - uint64(b.MinT)
+			v = (b.LastV - b.FirstV) * 1000 / float64(dtMS)
 		}
 		out = append(out, Point{T: a.bucketStart(b.idx), V: v})
 	}

@@ -50,13 +50,13 @@ type Stats struct {
 }
 
 // memChunk is one sealed, Gorilla-compressed run of a series, carrying
-// the same summary the on-disk chunk index keeps: reads skip chunks whose
+// the summary the on-disk chunk index keeps too: reads skip chunks whose
 // [MinT, MaxT] is disjoint from the query range without decompressing
 // them, and aggregated queries consume whole in-bucket chunks from the
-// summary alone (see chunkAgg in queryengine.go).
+// summary alone (see summary in queryengine.go).
 type memChunk struct {
 	data []byte
-	agg  chunkAgg
+	summary
 }
 
 // series holds one component/metric stream: sealed compressed chunks plus
@@ -97,10 +97,10 @@ func (sr *series) ident() (component, metric string) {
 // scanRange streams the series' points with T in [from, to) to sink in
 // storage order: sealed chunks in seal order, then the tail. Chunks whose
 // time range is disjoint from [from, to) are skipped without decoding;
-// chunks that lie entirely inside the range are first offered to the sink
-// as a summary (an aggregating sink may consume them without decoding —
-// see pointSink). Callers own synchronization (a shard lock, or exclusive
-// access to a stolen snapshot).
+// the rest are first offered to the sink as a summary (an aggregating
+// sink may consume them without decoding — see pointSink). Callers own
+// synchronization (a shard lock, or exclusive access to a stolen
+// snapshot).
 // tel receives the scan's chunk-fate counts (skipped / summarized /
 // decoded), accumulated in locals and flushed once at the end so the
 // per-chunk loop never touches an atomic; nil for a scan that is not a
@@ -108,12 +108,13 @@ func (sr *series) ident() (component, metric string) {
 func (sr *series) scanRange(from, to int64, sink pointSink, tel *StoreTelemetry) error {
 	var it chunkIter
 	var skipped, summarized, decoded int
-	for _, c := range sr.chunks {
-		if c.agg.MaxT < from || c.agg.MinT >= to {
+	for i := range sr.chunks {
+		c := &sr.chunks[i]
+		if c.MaxT < from || c.MinT >= to {
 			skipped++
 			continue
 		}
-		if c.agg.MinT >= from && c.agg.MaxT < to && sink.chunk(c.agg) {
+		if sink.chunk(&c.summary) {
 			summarized++
 			continue
 		}
@@ -143,8 +144,9 @@ type shard struct {
 	// appT is maxT over the samples outside ReservedComponent. Both marks
 	// are cumulative: they survive the checkpoint cut.
 	appT int64
-	// lowT is the lowest timestamp inserted since takeLowWater last reset
-	// it to math.MaxInt64 (see Sharded.TakeLowWater).
+	// lowT is the lowest timestamp inserted outside ReservedComponent
+	// since takeLowWater last reset it to math.MaxInt64 (see
+	// Sharded.TakeLowWater).
 	lowT int64
 
 	// wal, when non-nil, is the shard's write-ahead log: set only by
@@ -267,7 +269,7 @@ func (sh *shard) appendLocked(sr *series, t int64, v float64) {
 	if t > sh.appT && !sr.reserved {
 		sh.appT = t
 	}
-	if t < sh.lowT {
+	if t < sh.lowT && !sr.reserved {
 		sh.lowT = t
 	}
 	if len(sr.tail) >= blockSize {
@@ -305,7 +307,7 @@ func (sh *shard) sealLocked(sr *series) {
 	if err != nil {
 		return
 	}
-	sr.chunks = append(sr.chunks, memChunk{data: block, agg: summarizeChunk(sr.tail)})
+	sr.chunks = append(sr.chunks, memChunk{data: block, summary: summarizeChunk(sr.tail)})
 	sr.blockPts += len(sr.tail)
 	sr.compBytes += len(block)
 	sr.tail = sr.tail[:0]

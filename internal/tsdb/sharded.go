@@ -377,11 +377,13 @@ func (s *Sharded) marks() (maxT, appT int64) {
 	return maxT, appT
 }
 
-// TakeLowWater returns the lowest timestamp inserted into any shard since
-// the previous call (math.MaxInt64 when nothing was) and resets the mark.
-// Every insert, WAL replay included, lowers its shard's mark in the lock
-// hold that makes the point readable, so a reader that takes the mark and
-// then scans learns from the next take of any write its scan missed.
+// TakeLowWater returns the lowest timestamp inserted into any shard
+// outside ReservedComponent since the previous call (math.MaxInt64 when
+// nothing was) and resets the mark. Every such insert, WAL replay
+// included, lowers its shard's mark in the lock hold that makes the point
+// readable, so a reader that takes the mark and then scans learns from
+// the next take of any write its scan missed. Reserved samples leave it
+// alone: the online pipeline, the mark's reader, never analyses them.
 func (s *Sharded) TakeLowWater() int64 {
 	low := int64(math.MaxInt64)
 	for _, sh := range s.shards {

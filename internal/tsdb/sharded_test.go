@@ -186,6 +186,30 @@ func TestLowWaterMark(t *testing.T) {
 	}
 }
 
+// TestLowWaterMarkSkipsReservedComponent: a sample of ReservedComponent,
+// which the online pipeline never analyses, does not lower the mark —
+// self-scrape stamped behind the cached window end must not read as a
+// late write every cycle.
+func TestLowWaterMarkSkipsReservedComponent(t *testing.T) {
+	s := NewSharded(4)
+	samples := shardedTestSamples(3, 100)
+	if err := s.WriteSamples(samples[50:], 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteSamples([]Sample{{Component: ReservedComponent, Metric: "store_points", T: 1, V: 1}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TakeLowWater(); got != samples[50].T {
+		t.Fatalf("low water %d, want the lowest application timestamp %d", got, samples[50].T)
+	}
+	if err := s.WriteSamples([]Sample{{Component: ReservedComponent, Metric: "store_points", T: 2, V: 1}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TakeLowWater(); got != math.MaxInt64 {
+		t.Fatalf("low water after a reserved write alone %d, want MaxInt64", got)
+	}
+}
+
 // TestLowWaterMarkConcurrentIngest races takes against writers (run
 // under -race in CI) and checks no write goes unreported: the minimum
 // over every take equals the minimum written.
