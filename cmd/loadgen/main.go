@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"github.com/sieve-microservices/sieve"
@@ -35,6 +36,12 @@ func main() {
 func run(kind string, ticks int, seed int64, base, peak float64, drive string) error {
 	if ticks <= 0 {
 		return fmt.Errorf("-ticks %d: must be at least 1", ticks)
+	}
+	flags, rates := [2]string{"-base", "-peak"}, [2]float64{base, peak}
+	for i, rps := range rates {
+		if math.IsNaN(rps) || math.IsInf(rps, 0) || rps < 0 {
+			return fmt.Errorf("%s %g: must be a finite, non-negative requests/second", flags[i], rps)
+		}
 	}
 	var pattern sieve.Pattern
 	switch kind {

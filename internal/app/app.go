@@ -18,9 +18,11 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"github.com/sieve-microservices/sieve/internal/metrics"
 	"github.com/sieve-microservices/sieve/internal/trace"
+	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
 // Driver identifies which piece of simulated component state feeds a
@@ -187,7 +189,8 @@ type App struct {
 
 // New builds an application from its spec. Component names must be
 // unique, calls must reference declared components, and every component
-// needs positive capacity.
+// needs positive capacity. Component and metric names must be ones the
+// monitoring plane's line protocol can carry.
 func New(spec Spec, seed int64) (*App, error) {
 	if spec.TickMS <= 0 {
 		return nil, fmt.Errorf("app: non-positive tick %d", spec.TickMS)
@@ -207,6 +210,9 @@ func New(spec Spec, seed int64) (*App, error) {
 		}
 		if cs.CapacityPerInstance <= 0 {
 			return nil, fmt.Errorf("app: component %q has non-positive capacity", cs.Name)
+		}
+		if err := checkNames(cs); err != nil {
+			return nil, err
 		}
 		inst := cs.Instances
 		if inst < 1 {
@@ -233,10 +239,51 @@ func New(spec Spec, seed int64) (*App, error) {
 	// Export constants immediately; they exist from the first scrape.
 	for _, c := range a.comps {
 		for name, v := range c.spec.Constants {
-			c.reg.Gauge(name).Set(v)
+			c.reg.Set(name, v)
 		}
 	}
 	return a, nil
+}
+
+// checkNames refuses what the line protocol cannot carry: a component
+// name that is empty, holds ',', '/' or a newline, or is
+// tsdb.ReservedComponent, and a metric name that is empty or holds a
+// space or a newline.
+func checkNames(cs ComponentSpec) error {
+	if cs.Name == "" || strings.ContainsAny(cs.Name, ",/\n") || cs.Name == tsdb.ReservedComponent {
+		return fmt.Errorf("app: component name %q is empty, reserved, or holds ',', '/' or a newline", cs.Name)
+	}
+	var names []string
+	for _, fam := range cs.Families {
+		for _, suffix := range fam.variants() {
+			names = append(names, metricName(fam.Base, suffix))
+		}
+	}
+	for name := range cs.Constants {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if name == "" || strings.ContainsAny(name, " \n") {
+			return fmt.Errorf("app: component %q: metric name %q is empty or holds a space or a newline", cs.Name, name)
+		}
+	}
+	return nil
+}
+
+// variants returns the family's name suffixes; "" stands for Base alone.
+func (f Family) variants() []string {
+	if len(f.Variants) == 0 {
+		return []string{""}
+	}
+	return f.Variants
+}
+
+// metricName joins a family base and one of its variant suffixes.
+func metricName(base, suffix string) string {
+	if suffix == "" {
+		return base
+	}
+	return base + "_" + suffix
 }
 
 func hashName(s string) uint32 {
@@ -464,15 +511,8 @@ func (c *component) export(dt float64, fault bool, rng *rand.Rand) {
 			}
 		}
 		base := c.driverValue(fam.Driver) * scaleOr1(fam.Scale)
-		variants := fam.Variants
-		if len(variants) == 0 {
-			variants = []string{""}
-		}
-		for vi, suffix := range variants {
-			name := fam.Base
-			if suffix != "" {
-				name = fam.Base + "_" + suffix
-			}
+		for vi, suffix := range fam.variants() {
+			name := metricName(fam.Base, suffix)
 			// Each variant is a deterministic distortion of the driver:
 			// same shape, different scale/offset, plus sampling noise —
 			// what k-Shape must cluster back together.
@@ -481,9 +521,9 @@ func (c *component) export(dt float64, fault bool, rng *rand.Rand) {
 				v += rng.NormFloat64() * fam.Noise * (math.Abs(base) + 1e-9)
 			}
 			if fam.Counter {
-				c.reg.Counter(name).Inc(math.Max(v, 0) * dt)
+				c.reg.Add(name, math.Max(v, 0)*dt)
 			} else {
-				c.reg.Gauge(name).Set(v)
+				c.reg.Set(name, v)
 			}
 		}
 	}

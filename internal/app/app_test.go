@@ -2,10 +2,12 @@ package app
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/trace"
+	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
 // miniSpec is a three-tier test application: lb -> api -> db.
@@ -73,6 +75,31 @@ func TestNewValidation(t *testing.T) {
 	bad.Components[1].CapacityPerInstance = 0
 	if _, err := New(bad, 1); err == nil {
 		t.Error("expected error for zero capacity")
+	}
+
+	// Names the line protocol cannot carry are refused by name, before a
+	// capture steps the whole load only to fail at its first scrape.
+	for _, tc := range []struct {
+		what string
+		edit func(cs *ComponentSpec)
+		want string
+	}{
+		{"empty component", func(cs *ComponentSpec) { cs.Name = "" }, `""`},
+		{"component with '/'", func(cs *ComponentSpec) { cs.Name = "web/x" }, `"web/x"`},
+		{"component with ','", func(cs *ComponentSpec) { cs.Name = "web,x" }, `"web,x"`},
+		{"component with newline", func(cs *ComponentSpec) { cs.Name = "web\nx" }, `"web\nx"`},
+		{"reserved component", func(cs *ComponentSpec) { cs.Name = tsdb.ReservedComponent }, `"` + tsdb.ReservedComponent + `"`},
+		{"empty metric", func(cs *ComponentSpec) { cs.Families[0].Base = "" }, `""`},
+		{"metric with space", func(cs *ComponentSpec) { cs.Families[0].Base = "lb rate" }, `"lb rate"`},
+		{"variant with newline", func(cs *ComponentSpec) { cs.Families[0].Variants = []string{"ok", "p\n95"} }, `"lb_rate_p\n95"`},
+		{"constant with space", func(cs *ComponentSpec) { cs.Constants = map[string]float64{"lb version": 1} }, `"lb version"`},
+	} {
+		bad = miniSpec()
+		tc.edit(&bad.Components[0]) // "lb": no component calls it
+		_, err := New(bad, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New error %v, want one naming %s", tc.what, err, tc.want)
+		}
 	}
 }
 
@@ -191,11 +218,11 @@ func TestFaultTogglesStateAndMetricPopulation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Step(100)
 	}
-	names := a.Registry("db").Names()
-	if !containsStr(names, "db_ok_path") {
+	db := a.Registry("db")
+	if _, ok := db.Read("db_ok_path"); !ok {
 		t.Error("healthy run must create db_ok_path")
 	}
-	if containsStr(names, "db_err_path") {
+	if _, ok := db.Read("db_err_path"); ok {
 		t.Error("healthy run must not create db_err_path")
 	}
 
@@ -212,11 +239,11 @@ func TestFaultTogglesStateAndMetricPopulation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Step(100)
 	}
-	names = b.Registry("db").Names()
-	if containsStr(names, "db_ok_path") {
+	db = b.Registry("db")
+	if _, ok := db.Read("db_ok_path"); ok {
 		t.Error("faulty run must not create db_ok_path")
 	}
-	if !containsStr(names, "db_err_path") {
+	if _, ok := db.Read("db_err_path"); !ok {
 		t.Error("faulty run must create db_err_path")
 	}
 	// The api fault impact adds errors and latency.
@@ -233,7 +260,7 @@ func TestMetricsExportedAndCountersMonotone(t *testing.T) {
 	var prev float64
 	for i := 0; i < 20; i++ {
 		a.Step(100)
-		cur := a.Registry("api").Counter("api_requests_total").Value()
+		cur := readKind(t, a, "api", "api_requests_total", true)
 		if cur < prev {
 			t.Fatalf("counter decreased: %g -> %g", prev, cur)
 		}
@@ -243,11 +270,11 @@ func TestMetricsExportedAndCountersMonotone(t *testing.T) {
 		t.Error("counter never advanced")
 	}
 	// Gauges follow their drivers.
-	if got := a.Registry("lb").Gauge("lb_rate").Value(); got < 80 || got > 120 {
+	if got := readKind(t, a, "lb", "lb_rate", false); got < 80 || got > 120 {
 		t.Errorf("lb_rate = %g, want ~100", got)
 	}
 	// Constants exported.
-	if got := a.Registry("lb").Gauge("lb_version").Value(); got != 1 {
+	if got := readKind(t, a, "lb", "lb_version", false); got != 1 {
 		t.Errorf("constant = %g, want 1", got)
 	}
 }
@@ -261,7 +288,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		var out []float64
 		for i := 0; i < 30; i++ {
 			a.Step(100 + float64(i))
-			out = append(out, a.Registry("api").Gauge("api_latency_mean").Value())
+			out = append(out, readKind(t, a, "api", "api_latency_mean", false))
 		}
 		return out
 	}
@@ -314,11 +341,13 @@ func TestUnknownComponentAccessors(t *testing.T) {
 	}
 }
 
-func containsStr(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
+// readKind returns a metric's value, failing the test unless the metric
+// exists with the given kind.
+func readKind(t *testing.T, a *App, component, metric string, counter bool) float64 {
+	t.Helper()
+	rd, ok := a.Registry(component).Read(metric)
+	if !ok || rd.Counter != counter {
+		t.Fatalf("%s/%s = %+v, %v; want an exported metric with Counter %v", component, metric, rd, ok, counter)
 	}
-	return false
+	return rd.Value
 }

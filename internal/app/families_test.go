@@ -18,7 +18,7 @@ func exportedMetrics(t *testing.T, fams []Family, constants map[string]float64) 
 		t.Fatal(err)
 	}
 	a.Step(100)
-	return a.Registry("c").Len()
+	return len(a.Registry("c").Snapshot())
 }
 
 func TestSystemFamiliesCount(t *testing.T) {

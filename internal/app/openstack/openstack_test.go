@@ -7,6 +7,7 @@ import (
 
 	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
+	"github.com/sieve-microservices/sieve/internal/metrics"
 	"github.com/sieve-microservices/sieve/internal/trace"
 )
 
@@ -87,8 +88,8 @@ func TestFaultFlipsHeadlineMetrics(t *testing.T) {
 		faulty.Step(150)
 	}
 
-	cNova := correct.Registry("nova-api").Names()
-	fNova := faulty.Registry("nova-api").Names()
+	cNova := metricNames(correct.Registry("nova-api"))
+	fNova := metricNames(faulty.Registry("nova-api"))
 	if !has(cNova, "nova_instances_in_state_ACTIVE") || has(cNova, "nova_instances_in_state_ERROR") {
 		t.Errorf("correct nova-api population wrong: %v", filter(cNova, "state"))
 	}
@@ -96,12 +97,12 @@ func TestFaultFlipsHeadlineMetrics(t *testing.T) {
 		t.Errorf("faulty nova-api population wrong: %v", filter(fNova, "state"))
 	}
 
-	fNeutron := faulty.Registry("neutron-server").Names()
+	fNeutron := metricNames(faulty.Registry("neutron-server"))
 	if !has(fNeutron, "neutron_ports_in_status_DOWN") {
 		t.Error("faulty neutron-server must export ports DOWN")
 	}
-	if v, _, ok := faulty.Registry("neutron-server").Read("neutron_ports_in_status_DOWN"); !ok || v <= 0 {
-		t.Errorf("fault must raise neutron-server's error-driven ports DOWN gauge, got %g", v)
+	if rd, ok := faulty.Registry("neutron-server").Read("neutron_ports_in_status_DOWN"); !ok || rd.Value <= 0 {
+		t.Errorf("fault must raise neutron-server's error-driven ports DOWN gauge, got %g", rd.Value)
 	}
 }
 
@@ -128,6 +129,15 @@ func TestCallGraphShape(t *testing.T) {
 			t.Errorf("missing call edge %s -> %s", edge[0], edge[1])
 		}
 	}
+}
+
+// metricNames lists a registry's metric names in name order.
+func metricNames(reg *metrics.Registry) []string {
+	var out []string
+	for _, rd := range reg.Snapshot() {
+		out = append(out, rd.Metric)
+	}
+	return out
 }
 
 func has(names []string, want string) bool {

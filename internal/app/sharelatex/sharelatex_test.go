@@ -28,7 +28,7 @@ func TestMetricPopulationNearPaper(t *testing.T) {
 	a.Step(100)
 	total := 0
 	for _, reg := range a.Registries() {
-		total += reg.Len()
+		total += len(reg.Snapshot())
 	}
 	if total < 800 || total > 980 {
 		t.Errorf("total metric population = %d, want ~889 (800..980)", total)
@@ -47,13 +47,7 @@ func TestRunExportsHubMetric(t *testing.T) {
 	if reg == nil {
 		t.Fatal("web registry missing")
 	}
-	found := false
-	for _, n := range reg.Names() {
-		if n == HubMetric {
-			found = true
-		}
-	}
-	if !found {
+	if _, found := reg.Read(HubMetric); !found {
 		t.Fatalf("hub metric %q not exported by web", HubMetric)
 	}
 }

@@ -85,11 +85,12 @@ func NewProbe(reg *metrics.Registry, metric string) *Probe {
 
 // Value returns the current smoothed value.
 func (p *Probe) Value() float64 {
-	v, kind, ok := p.reg.Read(p.metric)
+	rd, ok := p.reg.Read(p.metric)
 	if !ok {
 		return 0
 	}
-	if kind == metrics.KindCounter {
+	v := rd.Value
+	if rd.Counter {
 		if !p.seen {
 			p.seen = true
 			p.last = v

@@ -9,16 +9,15 @@ import (
 
 func TestProbeGaugeSmoothsReadings(t *testing.T) {
 	reg := metrics.NewRegistry("c")
-	g := reg.Gauge("m")
 	p := NewProbe(reg, "m")
 
-	g.Set(100)
+	reg.Set("m", 100)
 	first := p.Value()
 	if first != 100 {
 		t.Fatalf("first read = %g, want seeded EWMA 100", first)
 	}
 	// A spike must be damped by the EWMA.
-	g.Set(200)
+	reg.Set("m", 200)
 	second := p.Value()
 	if second <= 100 || second >= 200 {
 		t.Fatalf("smoothed read = %g, want strictly between 100 and 200", second)
@@ -31,14 +30,13 @@ func TestProbeGaugeSmoothsReadings(t *testing.T) {
 
 func TestProbeCounterYieldsDeltas(t *testing.T) {
 	reg := metrics.NewRegistry("c")
-	cnt := reg.Counter("hits_total")
 	p := NewProbe(reg, "hits_total")
 
-	cnt.Inc(50)
+	reg.Add("hits_total", 50)
 	if v := p.Value(); v != 0 {
 		t.Fatalf("first counter read = %g, want 0 (no baseline yet)", v)
 	}
-	cnt.Inc(30)
+	reg.Add("hits_total", 30)
 	v := p.Value()
 	if v <= 0 || v > 30 {
 		t.Fatalf("delta read = %g, want smoothed positive delta <= 30", v)

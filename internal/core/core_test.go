@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -99,6 +100,23 @@ func TestCaptureEmptyPattern(t *testing.T) {
 	}
 	if _, err := Capture(a, nil, CaptureOptions{}); err == nil {
 		t.Error("expected error for empty pattern")
+	}
+}
+
+// TestCaptureStopsAtFirstFailedScrape: a NaN load makes every metric
+// non-finite, so the store refuses the first scrape; the capture returns
+// that error without stepping the rest of the pattern.
+func TestCaptureStopsAtFirstFailedScrape(t *testing.T) {
+	a, err := app.New(chainSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Capture(a, loadgen.Constant(math.NaN(), 30), CaptureOptions{})
+	if err == nil || !strings.Contains(err.Error(), "core: scraping during capture") || !strings.Contains(err.Error(), "non-finite value") {
+		t.Fatalf("Capture = %v, want the wrapped non-finite parse error", err)
+	}
+	if a.Now() != a.TickMS() {
+		t.Errorf("app stepped to %d ms, want one tick (%d ms)", a.Now(), a.TickMS())
 	}
 }
 

@@ -108,7 +108,8 @@ func Capture(a *app.App, pattern loadgen.Pattern, opts CaptureOptions) (*Capture
 
 // CaptureContext is Capture with cancellation: the context is checked on
 // every simulation tick, so a cancellation mid-load surfaces as ctx.Err()
-// without draining the remaining pattern. Capture itself stays
+// without draining the remaining pattern, and the first failed scrape
+// stops the load the same way. Capture itself stays
 // single-threaded — the simulation advances one global clock, so there
 // is nothing to fan out.
 func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, opts CaptureOptions) (*CaptureResult, error) {
@@ -124,24 +125,17 @@ func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, op
 	if err != nil {
 		return nil, err
 	}
-	if opts.Allowlist != nil {
-		coll.SetAllowlist(opts.Allowlist)
-	}
+	coll.SetAllowlist(opts.Allowlist)
 	tr := trace.NewTracer(tracerCapacity, nil)
 	a.AttachTracer(tr)
 
 	start := a.Now()
-	var scrapeErr error
-	loadgen.DriveContext(ctx, a, pattern, func(_ int, nowMS int64) {
-		if scrapeErr == nil {
-			_, scrapeErr = coll.ScrapeOnce(nowMS)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	err = loadgen.DriveCollector(ctx, a, pattern, coll, 1)
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
 	}
-	if scrapeErr != nil {
-		return nil, fmt.Errorf("core: scraping during capture: %w", scrapeErr)
+	if err != nil {
+		return nil, fmt.Errorf("core: scraping during capture: %w", err)
 	}
 	end := a.Now()
 

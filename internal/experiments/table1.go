@@ -22,7 +22,7 @@ func (s *Suite) Table1() (*Result, error) {
 	warmApp(slApp, 20, 500)
 	slCount := 0
 	for _, reg := range slApp.Registries() {
-		slCount += reg.Len()
+		slCount += len(reg.Snapshot())
 	}
 
 	osCorrect, err := openstack.New(s.cfg.Seed, false)
@@ -38,14 +38,9 @@ func (s *Suite) Table1() (*Result, error) {
 
 	// Union across versions: a metric counts if either version exports it.
 	union := map[string]bool{}
-	for _, reg := range osCorrect.Registries() {
-		for _, n := range reg.Names() {
-			union[reg.Component()+"/"+n] = true
-		}
-	}
-	for _, reg := range osFaulty.Registries() {
-		for _, n := range reg.Names() {
-			union[reg.Component()+"/"+n] = true
+	for _, reg := range append(osCorrect.Registries(), osFaulty.Registries()...) {
+		for _, rd := range reg.Snapshot() {
+			union[rd.Component+"/"+rd.Metric] = true
 		}
 	}
 	osCount := len(union)

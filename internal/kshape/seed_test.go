@@ -90,7 +90,10 @@ func TestNameSeedingPrefixMatchesPerK(t *testing.T) {
 	for _, a := range []*app.App{sl, ost} {
 		a.Step(100) // components register their metrics on the first export
 		for _, reg := range a.Registries() {
-			sets[a.Name()+"/"+reg.Component()] = reg.Names()
+			for _, rd := range reg.Snapshot() {
+				label := a.Name() + "/" + rd.Component
+				sets[label] = append(sets[label], rd.Metric)
+			}
 		}
 	}
 	if len(sets) < 10 {

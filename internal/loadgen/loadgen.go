@@ -98,17 +98,7 @@ func WorldCup(seed int64, ticks int, baseRPS, peakRPS float64) Pattern {
 // non-nil) after every step — the hook where experiments scrape metrics,
 // evaluate SLAs, or run the autoscaler.
 func Drive(a *app.App, p Pattern, onTick func(tick int, nowMS int64)) {
-	DriveContext(context.Background(), a, p, onTick)
-}
-
-// DriveContext is Drive with cancellation: it stops stepping the
-// application as soon as the context is done, leaving the remainder of
-// the pattern unapplied.
-func DriveContext(ctx context.Context, a *app.App, p Pattern, onTick func(tick int, nowMS int64)) {
 	for i, rps := range p {
-		if ctx.Err() != nil {
-			return
-		}
 		a.Step(rps)
 		if onTick != nil {
 			onTick(i, a.Now())
@@ -120,7 +110,9 @@ func DriveContext(ctx context.Context, a *app.App, p Pattern, onTick func(tick i
 // every scrapeEvery ticks (<= 0 means every tick) through the collector —
 // the wiring that lets a simulator feed a local store or, with a
 // collector pointed at the sieved HTTP client, a remote server over real
-// HTTP. It stops on the first scrape error or when ctx is done.
+// HTTP. The context is checked before every step; the first scrape error
+// or a done context stops the replay, leaving the rest of the pattern
+// unapplied.
 func DriveCollector(ctx context.Context, a *app.App, p Pattern, coll *metrics.Collector, scrapeEvery int) error {
 	if coll == nil {
 		return fmt.Errorf("loadgen: nil collector")
@@ -128,20 +120,17 @@ func DriveCollector(ctx context.Context, a *app.App, p Pattern, coll *metrics.Co
 	if scrapeEvery <= 0 {
 		scrapeEvery = 1
 	}
-	driveCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var scrapeErr error
-	DriveContext(driveCtx, a, p, func(tick int, nowMS int64) {
-		if scrapeErr != nil || tick%scrapeEvery != 0 {
-			return
+	for i, rps := range p {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if _, err := coll.ScrapeOnce(nowMS); err != nil {
-			scrapeErr = fmt.Errorf("loadgen: scrape at tick %d: %w", tick, err)
-			cancel()
+		a.Step(rps)
+		if i%scrapeEvery != 0 {
+			continue
 		}
-	})
-	if scrapeErr != nil {
-		return scrapeErr
+		if _, err := coll.ScrapeOnce(a.Now()); err != nil {
+			return fmt.Errorf("loadgen: scrape at tick %d: %w", i, err)
+		}
 	}
 	return ctx.Err()
 }

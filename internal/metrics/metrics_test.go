@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"context"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,70 +11,92 @@ import (
 
 func TestGaugeAndCounter(t *testing.T) {
 	r := NewRegistry("web")
-	g := r.Gauge("cpu_usage")
-	g.Set(0.5)
-	g.Set(0.75)
-	if got := g.Value(); got != 0.75 {
-		t.Errorf("gauge = %g, want 0.75", got)
+	r.Set("cpu_usage", 0.5)
+	r.Set("cpu_usage", 0.75)
+	if got, _ := r.Read("cpu_usage"); got.Value != 0.75 || got.Counter {
+		t.Errorf("gauge = %+v, want 0.75", got)
 	}
 
-	c := r.Counter("requests_total")
-	c.Inc(3)
-	c.Inc(2)
-	c.Inc(-5) // ignored: counters are monotone
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter = %g, want 5", got)
+	r.Add("requests_total", 3)
+	r.Add("requests_total", 2)
+	r.Add("requests_total", -5) // ignored: counters are monotone
+	if got, _ := r.Read("requests_total"); got.Value != 5 || !got.Counter {
+		t.Errorf("counter = %+v, want 5", got)
 	}
 }
 
-func TestRegistryIdentityAndNames(t *testing.T) {
+// TestReadUnknownCreatesNoRow: Read of a name never written reports
+// false and leaves the registry as it was.
+func TestReadUnknownCreatesNoRow(t *testing.T) {
 	r := NewRegistry("web")
-	if r.Component() != "web" {
-		t.Errorf("component = %q", r.Component())
+	r.Set("m", 1)
+	if rd, ok := r.Read("absent"); ok || rd != (Reading{}) {
+		t.Errorf("Read(absent) = %+v, %v; want zero, false", rd, ok)
 	}
-	g1 := r.Gauge("m")
-	g2 := r.Gauge("m")
-	if g1 != g2 {
-		t.Error("same name must return the same gauge")
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Metric != "m" {
+		t.Errorf("snapshot after Read = %+v", snap)
 	}
-	r.Counter("z_total")
-	r.Gauge("a_first")
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a_first" || names[2] != "z_total" {
-		t.Errorf("names = %v", names)
+}
+
+// TestSnapshotInNameOrder: rows born out of order scrape in name order.
+func TestSnapshotInNameOrder(t *testing.T) {
+	r := NewRegistry("web")
+	r.Set("m", 1)
+	r.Add("z_total", 1)
+	r.Set("a_first", 1)
+	r.Set("m", 2)
+	r.Set("n", 1)
+	var names []string
+	for _, rd := range r.Snapshot() {
+		names = append(names, rd.Metric)
 	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d, want 3", r.Len())
+	if want := []string{"a_first", "m", "n", "z_total"}; !slices.Equal(names, want) {
+		t.Errorf("names = %v, want %v", names, want)
+	}
+	if rd, _ := r.Read("m"); rd.Value != 2 {
+		t.Errorf("m = %g after births around it, want 2", rd.Value)
 	}
 }
 
 func TestRegistryKindConflictPanics(t *testing.T) {
-	r := NewRegistry("web")
-	r.Gauge("m")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when re-registering gauge as counter")
-		}
-	}()
-	r.Counter("m")
+	for _, tc := range []struct {
+		name         string
+		first, again func(r *Registry)
+	}{
+		{"gauge then counter", func(r *Registry) { r.Set("m", 1) }, func(r *Registry) { r.Add("m", 1) }},
+		{"counter then gauge", func(r *Registry) { r.Add("m", 1) }, func(r *Registry) { r.Set("m", 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry("web")
+			tc.first(r)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic when writing a metric as the other kind")
+				}
+			}()
+			tc.again(r)
+		})
+	}
 }
 
 func TestSnapshotSortedAndTyped(t *testing.T) {
 	r := NewRegistry("db")
-	r.Gauge("b_gauge").Set(2)
-	r.Counter("a_counter").Inc(1)
+	r.Set("b_gauge", 2)
+	r.Add("a_counter", 1)
 	snap := r.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d readings", len(snap))
 	}
-	if snap[0].Metric != "a_counter" || snap[0].Kind != KindCounter || snap[0].Value != 1 {
+	if snap[0] != (Reading{Component: "db", Metric: "a_counter", Counter: true, Value: 1}) {
 		t.Errorf("first reading = %+v", snap[0])
 	}
-	if snap[1].Metric != "b_gauge" || snap[1].Kind != KindGauge || snap[1].Value != 2 {
+	if snap[1] != (Reading{Component: "db", Metric: "b_gauge", Value: 2}) {
 		t.Errorf("second reading = %+v", snap[1])
 	}
-	if snap[0].Component != "db" {
-		t.Errorf("component = %q", snap[0].Component)
+	// The snapshot is a copy: writes after it do not show through.
+	r.Set("b_gauge", 3)
+	if snap[1].Value != 2 {
+		t.Errorf("snapshot changed under a later write: %+v", snap[1])
 	}
 }
 
@@ -86,14 +108,14 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Counter("hits_total").Inc(1)
-				r.Gauge("load").Set(float64(j))
+				r.Add("hits_total", 1)
+				r.Set("load", float64(j))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("hits_total").Value(); got != 8000 {
-		t.Errorf("concurrent counter = %g, want 8000", got)
+	if got, _ := r.Read("hits_total"); got.Value != 8000 {
+		t.Errorf("concurrent counter = %g, want 8000", got.Value)
 	}
 }
 
@@ -101,9 +123,9 @@ func TestCollectorScrapesIntoDB(t *testing.T) {
 	db := tsdb.NewSharded(1)
 	web := NewRegistry("web")
 	redis := NewRegistry("redis")
-	web.Gauge("cpu").Set(0.5)
-	web.Counter("reqs_total").Inc(10)
-	redis.Gauge("mem").Set(100)
+	web.Set("cpu", 0.5)
+	web.Add("reqs_total", 10)
+	redis.Set("mem", 100)
 
 	c, err := NewCollector(db, web, redis)
 	if err != nil {
@@ -138,7 +160,7 @@ func TestCollectorAllowlistReducesTraffic(t *testing.T) {
 	mkTargets := func() []*Registry {
 		web := NewRegistry("web")
 		for _, m := range []string{"cpu", "mem", "net", "disk", "extra1", "extra2"} {
-			web.Gauge(m).Set(1)
+			web.Set(m, 1)
 		}
 		return []*Registry{web}
 	}
@@ -186,21 +208,12 @@ func TestNewCollectorNilDB(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if KindGauge.String() != "gauge" || KindCounter.String() != "counter" {
-		t.Error("kind names wrong")
-	}
-	if !strings.HasPrefix(Kind(9).String(), "Kind(") {
-		t.Error("unknown kind formatting")
-	}
-}
-
 // TestScrapeOnceEmptyAllowlistSkipsWrite: an allowlist matching nothing
 // must not ship an empty payload (remote writers reject empty bodies).
 func TestScrapeOnceEmptyAllowlistSkipsWrite(t *testing.T) {
 	db := tsdb.NewSharded(1)
 	web := NewRegistry("web")
-	web.Gauge("cpu").Set(0.5)
+	web.Set("cpu", 0.5)
 	c, err := NewCollector(db, web)
 	if err != nil {
 		t.Fatal(err)

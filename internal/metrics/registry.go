@@ -1,203 +1,97 @@
-// Package metrics provides the metric registry that simulated components
-// export their telemetry through, and the Telegraf-like collector that
-// scrapes registries into the tsdb store. Together they form the
-// monitoring plane whose overhead Sieve reduces (Table 3): the collector
-// can scrape either the full metric population or a reduced allowlist.
+// Package metrics provides the registry that simulated components export
+// their telemetry through, and the Telegraf-like collector that scrapes
+// registries into the tsdb store. Together they form the monitoring
+// plane whose overhead Sieve reduces (Table 3): the collector can scrape
+// either the full metric population or a reduced allowlist.
 package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// Kind distinguishes metric semantics.
-type Kind int
-
-// Metric kinds. Counters accumulate monotonically (the paper's canonical
-// non-stationary series); gauges hold instantaneous values.
-const (
-	// KindGauge is an instantaneous value.
-	KindGauge Kind = iota + 1
-	// KindCounter is a monotonically accumulating value.
-	KindCounter
-)
-
-// String returns the kind name.
-func (k Kind) String() string {
-	switch k {
-	case KindGauge:
-		return "gauge"
-	case KindCounter:
-		return "counter"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
+// Reading is one metric's current value.
+type Reading struct {
+	// Component and Metric identify the series.
+	Component, Metric string
+	// Counter is true for a monotonically accumulating metric (the
+	// paper's canonical non-stationary series), false for a gauge that
+	// holds an instantaneous value.
+	Counter bool
+	// Value is the current value.
+	Value float64
 }
 
-// Gauge is a settable instantaneous metric. The zero value is unusable;
-// obtain gauges from a Registry.
-type Gauge struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Set stores the current value.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Inc adds a non-negative delta; negative deltas are ignored to preserve
-// monotonicity.
-func (c *Counter) Inc(delta float64) {
-	if delta < 0 {
-		return
-	}
-	c.mu.Lock()
-	c.v += delta
-	c.mu.Unlock()
-}
-
-// Value returns the accumulated value.
-func (c *Counter) Value() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
-type entry struct {
-	kind    Kind
-	gauge   *Gauge
-	counter *Counter
-}
-
-// Registry holds the metrics of one component.
+// Registry holds the metrics of one component as one row per metric,
+// kept in name order: a row is inserted at its sorted place when the
+// metric is first written, so a scrape copies the rows without sorting.
+// A metric keeps the kind of its first write; writing it as the other
+// kind is a programming error and panics.
 type Registry struct {
+	mu        sync.Mutex
 	component string
-
-	mu      sync.Mutex
-	entries map[string]*entry
+	rows      []Reading
+	index     map[string]int
 }
 
 // NewRegistry creates an empty registry for the named component.
 func NewRegistry(component string) *Registry {
-	return &Registry{component: component, entries: map[string]*entry{}}
+	return &Registry{component: component, index: map[string]int{}}
 }
 
-// Component returns the owning component's name.
-func (r *Registry) Component() string { return r.component }
-
-// Gauge returns the gauge with the given name, creating it on first use.
-// It panics if the name is already registered as a counter (a programming
-// error).
-func (r *Registry) Gauge(name string) *Gauge {
+// Set stores a gauge's current value, creating the gauge on first use.
+func (r *Registry) Set(name string, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[name]
+	r.row(name, false).Value = v
+}
+
+// Add adds a non-negative delta to a counter, creating the counter on
+// first use; negative deltas are ignored to preserve monotonicity.
+func (r *Registry) Add(name string, delta float64) {
+	if delta < 0 {
+		delta = 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.row(name, true).Value += delta
+}
+
+// row returns name's row, inserting a zero row of the given kind at its
+// sorted place on first use. The caller holds mu.
+func (r *Registry) row(name string, counter bool) *Reading {
+	i, ok := r.index[name]
 	if !ok {
-		e = &entry{kind: KindGauge, gauge: &Gauge{}}
-		r.entries[name] = e
+		i = sort.Search(len(r.rows), func(j int) bool { return r.rows[j].Metric >= name })
+		r.rows = slices.Insert(r.rows, i, Reading{Component: r.component, Metric: name, Counter: counter})
+		for j := i; j < len(r.rows); j++ {
+			r.index[r.rows[j].Metric] = j
+		}
 	}
-	if e.kind != KindGauge {
-		panic(fmt.Sprintf("metrics: %s/%s registered as %v, requested as gauge", r.component, name, e.kind))
+	rd := &r.rows[i]
+	if rd.Counter != counter {
+		panic(fmt.Sprintf("metrics: %s/%s has Counter %t, written with Counter %t", r.component, name, rd.Counter, counter))
 	}
-	return e.gauge
+	return rd
 }
 
-// Counter returns the counter with the given name, creating it on first
-// use. It panics if the name is already registered as a gauge.
-func (r *Registry) Counter(name string) *Counter {
+// Read returns a metric's current reading without creating it; ok is
+// false when the name has never been written.
+func (r *Registry) Read(name string) (Reading, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[name]
+	i, ok := r.index[name]
 	if !ok {
-		e = &entry{kind: KindCounter, counter: &Counter{}}
-		r.entries[name] = e
+		return Reading{}, false
 	}
-	if e.kind != KindCounter {
-		panic(fmt.Sprintf("metrics: %s/%s registered as %v, requested as counter", r.component, name, e.kind))
-	}
-	return e.counter
+	return r.rows[i], true
 }
 
-// Names returns the registered metric names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
-// Read returns a metric's current value and kind without creating it;
-// ok is false when the name is unregistered.
-func (r *Registry) Read(name string) (value float64, kind Kind, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, found := r.entries[name]
-	if !found {
-		return 0, 0, false
-	}
-	switch e.kind {
-	case KindGauge:
-		return e.gauge.Value(), KindGauge, true
-	case KindCounter:
-		return e.counter.Value(), KindCounter, true
-	default:
-		return 0, 0, false
-	}
-}
-
-// Reading is one scraped metric value.
-type Reading struct {
-	// Component and Metric identify the series.
-	Component, Metric string
-	// Kind is the metric's semantics.
-	Kind Kind
-	// Value is the value at scrape time.
-	Value float64
-}
-
-// Snapshot reads every metric, sorted by name.
+// Snapshot returns a copy of every reading, in metric-name order.
 func (r *Registry) Snapshot() []Reading {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Reading, 0, len(r.entries))
-	for name, e := range r.entries {
-		v := 0.0
-		switch e.kind {
-		case KindGauge:
-			v = e.gauge.Value()
-		case KindCounter:
-			v = e.counter.Value()
-		}
-		out = append(out, Reading{Component: r.component, Metric: name, Kind: e.kind, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Metric < out[j].Metric })
-	return out
+	return slices.Clone(r.rows)
 }

@@ -573,3 +573,75 @@ func derefType(t types.Type) types.Type {
 	}
 	return t
 }
+
+// sievedLinks is every module package cmd/sieved imports, directly or
+// through another ("." is the root facade). The lab is among them:
+// internal/app, its two simulators, loadgen, metrics and trace arrive by
+// two paths, cmd/sieved's import of the root facade and internal/core's
+// import of the simulators for Capture.
+var sievedLinks = []string{
+	".",
+	"internal/app",
+	"internal/app/openstack",
+	"internal/app/sharelatex",
+	"internal/callgraph",
+	"internal/core",
+	"internal/granger",
+	"internal/jsonenc",
+	"internal/kshape",
+	"internal/loadgen",
+	"internal/mathx",
+	"internal/metrics",
+	"internal/parallel",
+	"internal/promremote",
+	"internal/server",
+	"internal/snappy",
+	"internal/stats",
+	"internal/strdist",
+	"internal/telemetry",
+	"internal/timeseries",
+	"internal/trace",
+	"internal/tsdb",
+}
+
+// TestSievedLinks pins what the daemon links: it walks cmd/sieved's
+// transitive module imports in the shared type-check pass and fails
+// naming each package that enters or leaves sievedLinks, so a package
+// joins or drops out of the daemon only by an edit to the list.
+func TestSievedLinks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	l, err := checkedModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		for _, imp := range p.Imports() {
+			path := imp.Path()
+			if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+				continue
+			}
+			rel := strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")
+			if rel == "" {
+				rel = "."
+			}
+			if !seen[rel] {
+				seen[rel] = true
+				walk(imp)
+			}
+		}
+	}
+	walk(l.pkgs["cmd/sieved"].types)
+	for _, rel := range sievedLinks {
+		if !seen[rel] {
+			t.Errorf("cmd/sieved no longer links %s: drop it from sievedLinks", rel)
+		}
+		delete(seen, rel)
+	}
+	for rel := range seen {
+		t.Errorf("cmd/sieved now links %s: add it to sievedLinks, or cut the import that brings it", rel)
+	}
+}
