@@ -35,6 +35,9 @@ func run(appName string, faulty bool, ticks int, seed int64, dot, verbose bool, 
 	if ticks <= 0 {
 		return fmt.Errorf("-ticks %d: must be at least 1", ticks)
 	}
+	if faulty && appName != "openstack" {
+		return fmt.Errorf("-faulty: the injected bug is OpenStack's, not %s's (add -app openstack)", appName)
+	}
 	var (
 		app *sieve.App
 		err error

@@ -16,3 +16,13 @@ func TestRunRejectsNonPositiveTicks(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsFaultyWithoutOpenStack: -faulty injects an OpenStack bug,
+// so with any other -app it is refused by name instead of silently
+// ignored.
+func TestRunRejectsFaultyWithoutOpenStack(t *testing.T) {
+	err := run("sharelatex", true, 14, 42, false, false, "")
+	if err == nil || !strings.Contains(err.Error(), "-faulty") {
+		t.Errorf("run -app sharelatex -faulty: error %v, want one naming -faulty", err)
+	}
+}

@@ -8,12 +8,9 @@
 //	sieved [-addr :8086] [-shards N] [-window 240s] [-interval 30s]
 //	       [-step 500ms] [-app NAME]
 //	       [-data-dir DIR] [-retention 24h] [-fsync interval]
-//	       [-flush-interval 60s] [-compact-interval 5m]
-//	       [-compact-max-block 64MiB] [-downsample]
-//	       [-incremental] [-pprof-addr :6060]
-//	       [-self-scrape-interval 15s] [-slow-op-threshold 1s]
-//	       [-remote-write-component-label job] [-remote-write-max-bytes N]
-//	       [-remote-write-max-samples N] [-log-level info]
+//	       [-flush-interval 60s] [-compact-interval 5m] [-downsample]
+//	       [-incremental] [-pprof-addr :6060] [-self-scrape-interval 15s]
+//	       [-remote-write-component-label job] [-log-level info]
 //
 // Besides the line-protocol POST /write, sieved accepts Prometheus
 // remote write 1.0 on POST /api/v1/write (snappy-compressed protobuf),
@@ -23,10 +20,9 @@
 // metric, the label named by -remote-write-component-label (default
 // "job") is the component, and all remaining labels fold into the metric
 // name as a sorted {k=v,...} suffix. Oversized requests are rejected
-// with 413 (decompressed size over -remote-write-max-bytes, checked
-// before allocation) or 429 + Retry-After (over
-// -remote-write-max-samples), so a misbehaving sender backs off instead
-// of taking the ingest edge down.
+// with 413 (decompressed size over 64 MiB, checked before allocation)
+// or 429 + Retry-After (over 1,000,000 samples), so a misbehaving
+// sender backs off instead of taking the ingest edge down.
 //
 // With -data-dir the store is durable: writes go through a per-shard
 // write-ahead log and are periodically sealed into Gorilla-compressed
@@ -34,7 +30,7 @@
 // with. An empty -data-dir (the default) keeps the pure in-memory store.
 // A background compactor (cadence -compact-interval, disable with a
 // negative value) merges adjacent small blocks into larger ones up to
-// -compact-max-block bytes of chunk data each — query results are
+// 64 MiB of chunk data each — query results are
 // byte-identical before and after. With -downsample it also attaches 5m
 // and 1h downsampled summaries that coarse-step aggregated /query_range
 // requests (min/max/count/rate with step a multiple of the resolution)
@@ -53,7 +49,7 @@
 // exposition of its internal telemetry (ingest, WAL, checkpoint, query,
 // and pipeline instruments), GET /healthz and /readyz are the liveness
 // and readiness probes, and GET /debug/traces holds the slowest recent
-// requests and pipeline cycles (retained past -slow-op-threshold). With
+// requests and pipeline cycles (retained past 1s). With
 // -self-scrape-interval the same telemetry is also written into
 // sieved's own store under the reserved "sieve" component every
 // interval — queryable like any ingested series:
@@ -91,6 +87,7 @@ import (
 	"time"
 
 	"github.com/sieve-microservices/sieve"
+	"github.com/sieve-microservices/sieve/internal/promremote"
 )
 
 func main() {
@@ -105,15 +102,11 @@ func main() {
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
 	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: blocks are written at shutdown only)")
 	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence (0 = default 5m, negative = disabled)")
-	compactMaxBlock := flag.Int64("compact-max-block", 0, "merged-block chunk-byte cap (0 = default 64 MiB)")
 	downsample := flag.Bool("downsample", false, "build 5m/1h downsampled summaries on compacted blocks for coarse-step queries")
 	incremental := flag.Bool("incremental", false, "carry the analysis window across cycles: tail-only store queries into a ring-buffered window cache")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	selfScrapeInterval := flag.Duration("self-scrape-interval", 0, "write own telemetry into the store under the reserved \"sieve\" component every interval (0 = disabled)")
-	slowOpThreshold := flag.Duration("slow-op-threshold", 0, "retain requests and pipeline cycles slower than this in /debug/traces (0 = default 1s, negative = disabled)")
 	remoteWriteComponentLabel := flag.String("remote-write-component-label", "", "Prometheus label mapped to sieve's component on /api/v1/write (empty = default \"job\")")
-	remoteWriteMaxBytes := flag.Int64("remote-write-max-bytes", 0, "decompressed-size cap per /api/v1/write request, rejected with 413 (0 = default 64 MiB)")
-	remoteWriteMaxSamples := flag.Int("remote-write-max-samples", 0, "sample cap per /api/v1/write request, rejected with 429 + Retry-After (0 = default 1000000)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	flag.Parse()
 
@@ -123,37 +116,26 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	err := checkFlags(*window, *step, *interval, *retention, *fsync, []sizeFlag{
-		{"shards", int64(*shards)},
-		{"compact-max-block", *compactMaxBlock},
-		{"remote-write-max-bytes", *remoteWriteMaxBytes},
-		{"remote-write-max-samples", int64(*remoteWriteMaxSamples)},
-	})
-	if err != nil {
+	if err := checkFlags(*window, *step, *interval, *retention, *fsync, *shards, *remoteWriteComponentLabel); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 
 	opts := sieve.ServerOptions{
-		AppName:              *appName,
-		Shards:               *shards,
-		StepMS:               step.Milliseconds(),
-		WindowMS:             window.Milliseconds(),
-		Interval:             *interval,
-		DataDir:              *dataDir,
-		Retention:            *retention,
-		Fsync:                *fsync,
-		FlushInterval:        *flushInterval,
-		CompactInterval:      *compactInterval,
-		CompactMaxBlockBytes: *compactMaxBlock,
-		Downsample:           *downsample,
-		Incremental:          *incremental,
-		SelfScrapeInterval:   *selfScrapeInterval,
-		SlowOpThreshold:      *slowOpThreshold,
-
+		AppName:                   *appName,
+		Shards:                    *shards,
+		StepMS:                    step.Milliseconds(),
+		WindowMS:                  window.Milliseconds(),
+		Interval:                  *interval,
+		DataDir:                   *dataDir,
+		Retention:                 *retention,
+		Fsync:                     *fsync,
+		FlushInterval:             *flushInterval,
+		CompactInterval:           *compactInterval,
+		Downsample:                *downsample,
+		Incremental:               *incremental,
+		SelfScrapeInterval:        *selfScrapeInterval,
 		RemoteWriteComponentLabel: *remoteWriteComponentLabel,
-		RemoteWriteMaxBytes:       *remoteWriteMaxBytes,
-		RemoteWriteMaxSamples:     *remoteWriteMaxSamples,
 	}
 	srv, err := sieve.NewServer(opts)
 	if err != nil {
@@ -197,22 +179,17 @@ func main() {
 	}
 }
 
-// sizeFlag is a count or byte-size flag whose zero means "the default".
-type sizeFlag struct {
-	name  string
-	value int64
-}
-
 // checkFlags refuses the values the server could only run with by
 // replacing them, or could never analyse with. The server keeps time in
 // whole milliseconds and reads zero (or less) as "use the default", so a
 // negative or sub-millisecond -window, -step or -interval would silently
 // become 240s, 500ms or 30s, a sub-millisecond -retention "keep
-// forever", and a negative count or size its default; -fsync would only
-// be looked at with -data-dir set; and a window of fewer than
+// forever", and a negative -shards GOMAXPROCS; -fsync would only be
+// looked at with -data-dir set; a window of fewer than
 // sieve.MinWindowSamples grid steps ingests forever without a single
-// pipeline cycle.
-func checkFlags(window, step, interval, retention time.Duration, fsync string, sizes []sizeFlag) error {
+// pipeline cycle; and the reserved __name__ label is always the metric,
+// never the component.
+func checkFlags(window, step, interval, retention time.Duration, fsync string, shards int, componentLabel string) error {
 	for _, f := range []struct {
 		name string
 		d    time.Duration
@@ -233,10 +210,11 @@ func checkFlags(window, step, interval, retention time.Duration, fsync string, s
 	default:
 		return fmt.Errorf("-fsync %q: must be always, interval or never", fsync)
 	}
-	for _, f := range sizes {
-		if f.value < 0 {
-			return fmt.Errorf("-%s %d: must be 0 (the default) or positive", f.name, f.value)
-		}
+	if shards < 0 {
+		return fmt.Errorf("-shards %d: must be 0 (GOMAXPROCS) or positive", shards)
+	}
+	if componentLabel == promremote.MetricNameLabel {
+		return fmt.Errorf("-remote-write-component-label %s: the reserved label is always the metric", componentLabel)
 	}
 	return nil
 }

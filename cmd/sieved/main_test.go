@@ -19,7 +19,6 @@ var sievedFlags = []string{
 	"addr",
 	"app",
 	"compact-interval",
-	"compact-max-block",
 	"data-dir",
 	"downsample",
 	"flush-interval",
@@ -29,12 +28,9 @@ var sievedFlags = []string{
 	"log-level",
 	"pprof-addr",
 	"remote-write-component-label",
-	"remote-write-max-bytes",
-	"remote-write-max-samples",
 	"retention",
 	"self-scrape-interval",
 	"shards",
-	"slow-op-threshold",
 	"step",
 	"window",
 }
@@ -53,6 +49,10 @@ var removedFlags = []string{
 	"read-timeout",
 	"idle-timeout",
 	"shutdown-timeout",
+	"remote-write-max-bytes",
+	"remote-write-max-samples",
+	"compact-max-block",
+	"slow-op-threshold",
 }
 
 // buildSieved compiles the daemon into the test's temp directory.
@@ -91,8 +91,9 @@ func TestFlagSurface(t *testing.T) {
 // "default") is refused at start-up with the flag named, instead of
 // sieved starting on 240s / 500ms / 30s / keep-forever / GOMAXPROCS
 // shards and printing the value it was given; so are a window too short
-// for any pipeline cycle to ever run and an -fsync policy that does not
-// exist, with or without -data-dir.
+// for any pipeline cycle to ever run, an -fsync policy that does not
+// exist, with or without -data-dir, and the reserved __name__ label as
+// the remote-write component label.
 func TestRejectsUnusableDurations(t *testing.T) {
 	bin := buildSieved(t)
 	for _, tc := range []struct{ flag, value string }{
@@ -111,9 +112,7 @@ func TestRejectsUnusableDurations(t *testing.T) {
 		{"step", "5s"},    // 48 steps in the default 240s window
 		{"shards", "-3"},
 		{"fsync", "bogus"},
-		{"remote-write-max-bytes", "-1"},
-		{"remote-write-max-samples", "-5"},
-		{"compact-max-block", "-1"},
+		{"remote-write-component-label", "__name__"},
 	} {
 		// A refused flag exits before listening; -addr only keeps an
 		// accepted one (the parent's behaviour) off a fixed port.

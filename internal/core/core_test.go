@@ -160,6 +160,27 @@ func TestReduceFiltersConstantsAndClustersVariants(t *testing.T) {
 	}
 }
 
+// TestIdentifyDependenciesCountsOnlyTestsThatRan: on a capture shorter
+// than Granger's minimum every pair test fails with ErrSeriesTooShort,
+// so none is counted as tested.
+func TestIdentifyDependenciesCountsOnlyTestsThatRan(t *testing.T) {
+	res, _ := captureChain(t, 8)
+	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.TotalAfter() < 2 {
+		t.Fatalf("%d representatives: no pair to test", red.TotalAfter())
+	}
+	graph, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if graph.Tested != 0 || len(graph.Edges) != 0 {
+		t.Fatalf("%d pairs tested, %d edges on 8-step series; want 0 and 0", graph.Tested, len(graph.Edges))
+	}
+}
+
 func TestIdentifyDependenciesFindsChain(t *testing.T) {
 	res, _ := captureChain(t, 200)
 	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())

@@ -44,7 +44,8 @@ type DependencyGraph struct {
 	Edges []DependencyEdge
 	// Bidirectional counts the edges filtered as spurious.
 	Bidirectional int
-	// Tested counts the metric pairs examined.
+	// Tested counts the metric pairs Granger-tested; a pair whose series
+	// are too short or degenerate for the test is not counted.
 	Tested int
 }
 
@@ -177,12 +178,13 @@ func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction
 				if sa == nil || sb == nil {
 					continue
 				}
-				res.tested++
 				dir, xy, yx, err := granger.DirectionWith(sa.Values, sb.Values, gopts, scratch)
 				if err != nil {
-					// Series too short or degenerate for this pair; skip.
+					// Series too short or degenerate for this pair: no
+					// test ran.
 					continue
 				}
+				res.tested++
 				switch dir {
 				case granger.XCausesY:
 					res.edges = append(res.edges, edgeFrom(a, b, ca.Representative, cb.Representative, xy, ds.StepMS))

@@ -10,38 +10,28 @@ import (
 	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
 
-// ReduceOptions tunes Sieve's step 2.
+// The silhouette sweep's range of cluster counts: the paper found 7
+// sufficient for components with up to 300 metrics.
+const (
+	kMin = 2
+	kMax = 7
+)
+
+// ReduceOptions tunes Sieve's step 2. Its zero value runs the paper's
+// algorithm: the variance filter at 0.002, then a name-seeded k-Shape
+// sweep over k in [2,7].
 type ReduceOptions struct {
-	// KMin and KMax bound the silhouette sweep over cluster counts;
-	// defaults 2 and 7 (the paper found 7 sufficient for components with
-	// up to 300 metrics).
-	KMin, KMax int
 	// VarianceThreshold drops unvarying metrics; 0 means the paper's
 	// 0.002.
 	VarianceThreshold float64
-	// NameSeeding uses metric-name similarity for initial assignments
-	// (the paper's convergence optimization). Defaults to true via
-	// DefaultReduceOptions.
-	NameSeeding bool
 }
 
 // DefaultReduceOptions returns the paper's parameters.
 func DefaultReduceOptions() ReduceOptions {
-	return ReduceOptions{
-		KMin:              2,
-		KMax:              7,
-		VarianceThreshold: timeseries.LowVarianceThreshold,
-		NameSeeding:       true,
-	}
+	return ReduceOptions{VarianceThreshold: timeseries.LowVarianceThreshold}
 }
 
 func (o ReduceOptions) withDefaults() ReduceOptions {
-	if o.KMin <= 0 {
-		o.KMin = 2
-	}
-	if o.KMax < o.KMin {
-		o.KMax = 7
-	}
 	if o.VarianceThreshold <= 0 {
 		o.VarianceThreshold = timeseries.LowVarianceThreshold
 	}
@@ -180,12 +170,9 @@ func reduceComponent(ctx context.Context, ds *Dataset, component string, opts Re
 	if len(kept) < 2 {
 		return cr, nil
 	}
-	var seedNames []string
-	if opts.NameSeeding {
-		seedNames = kept
-	}
-	// Seed 0: only a sweep without name seeding draws from it.
-	sweep, err := kshape.ChooseKContext(ctx, series, seedNames, opts.KMin, opts.KMax, 0, sweepWorkers)
+	// The kept names seed every k (§3.2), so the random seed 0 is never
+	// drawn on.
+	sweep, err := kshape.ChooseKContext(ctx, series, kept, kMin, kMax, 0, sweepWorkers)
 	if err != nil {
 		return nil, err
 	}

@@ -94,10 +94,37 @@ func slidingReductions(t *testing.T, a *app.App, windows int) []Reduction {
 	return out
 }
 
+// TestReduceZeroOptionsRunThePaper: a zero ReduceOptions runs the
+// paper's reduction — the 0.002 variance filter, then a name-seeded
+// k-Shape sweep over k in [2,7] — deciding every K, silhouette bit,
+// cluster and representative of a ShareLatex window exactly as
+// DefaultReduceOptions does.
+func TestReduceZeroOptionsRunThePaper(t *testing.T) {
+	sl, err := sharelatex.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Capture(sl, loadgen.Random(2, 240, 200, 2500), CaptureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := ReduceContext(context.Background(), res.Dataset, ReduceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reductionHash(zero), reductionHash(paper); got != want {
+		t.Errorf("zero ReduceOptions reduce to %s, DefaultReduceOptions to %s", got, want)
+	}
+}
+
 // TestReduceHashPinned pins the reduction of thirteen sliding ShareLatex
 // windows and one OpenStack window to the digests recorded at commit
 // babab68, before the k-Shape sweep's fast path (fused SBD kernel,
-// spectral-bound pruning, periodic-orbit cut-off) existed: that path is
+// spectral-bound pruning, periodic-orbit stop) existed: that path is
 // exact, so not one K, silhouette bit, assignment or representative may
 // move.
 func TestReduceHashPinned(t *testing.T) {

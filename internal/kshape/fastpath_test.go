@@ -9,14 +9,13 @@ import (
 	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"github.com/sieve-microservices/sieve/internal/mathx"
 )
 
 // This file pins the exact fast path of the k-Shape sweep — the fused SBD
 // kernel, the spectral lower bound that prunes the assignment step, the
-// periodic-orbit cut-off and the centroid memo — to the straightforward
+// fixed-point stop and the centroid memo — to the straightforward
 // code it replaced, which survives here as the references.
 
 // referenceCorrelations counts the cross-correlations referenceDistShift
@@ -115,14 +114,13 @@ func referenceShapeExtraction(members [][]float64, memberProfiles []*sbdProfile,
 // assignment step computes the distance to every centroid, shape
 // extraction transforms its reference centroid itself and re-correlates
 // every member with it, every cluster is re-extracted every iteration,
-// and an oscillating run goes through every one of its MaxIterations.
+// and a run that never reports convergence goes through every one of the
+// maxIterations. It reports as its iterations the first one that ended
+// on the state it started from, where the fast path stops, or else the
+// iterations it ran.
 func referenceClusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile) {
 	n := len(p.norm)
 	sLen := len(p.norm[0])
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
 	assign := make([]int, n)
 	if opts.InitialAssignments != nil {
 		copy(assign, opts.InitialAssignments)
@@ -137,9 +135,11 @@ func referenceClusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sb
 		centroids[c] = make([]float64, sLen)
 	}
 	centProfiles := make([]*sbdProfile, opts.K)
-	iterations := 0
-	for iter := 0; iter < maxIter; iter++ {
+	iterations, fixedAt := 0, 0
+	for iter := 0; iter < maxIterations; iter++ {
 		iterations = iter + 1
+		prevAssign := append([]int(nil), assign...)
+		prevCentroids := append([][]float64(nil), centroids...)
 		for c := 0; c < opts.K; c++ {
 			var members [][]float64
 			var memberProfiles []*sbdProfile
@@ -194,12 +194,36 @@ func referenceClusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*sb
 		if !changed {
 			break
 		}
+		if fixedAt == 0 && iter > 0 && sameBits(prevAssign, assign, prevCentroids, centroids) {
+			fixedAt = iterations
+		}
+	}
+	if fixedAt > 0 {
+		iterations = fixedAt
 	}
 	dists := make([]float64, n)
 	for i, a := range assign {
 		dists[i], _ = referenceDistShift(centProfiles[a], p.profiles[i])
 	}
 	return &Result{K: opts.K, Assignments: assign, Centroids: centroids, Distances: dists, Iterations: iterations}, centProfiles
+}
+
+// sameBits reports whether two reference states are equal, centroids
+// compared bit for bit.
+func sameBits(assignA, assignB []int, centsA, centsB [][]float64) bool {
+	for i, a := range assignA {
+		if assignB[i] != a {
+			return false
+		}
+	}
+	for c, a := range centsA {
+		for j, v := range a {
+			if math.Float64bits(centsB[c][j]) != math.Float64bits(v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // referenceClusterPrepared is clusterPrepared's restart logic over
@@ -556,7 +580,7 @@ func TestKernelPrunedAssignmentMatchesUnpruned(t *testing.T) {
 			{K: 2, Seed: int64(trial)},
 			{K: 5, Seed: int64(trial)},
 			{K: 3, Seed: int64(trial), Restarts: 3},
-			{K: 4, Seed: 9, MaxIterations: 3},
+			{K: 4, Seed: 9},
 		} {
 			got, gotProfiles, err := clusterPrepared(p, opts, &s)
 			if err != nil {
@@ -587,7 +611,7 @@ func oscillatingSeries() [][]float64 {
 // sievebench pipeline trace (window 6 of core.TestReduceHashPinned's
 // capture) — the smallest subset of the component's 52 variance-filtered
 // series whose name-seeded k-Shape run at the recorded k still burned
-// all 100 iterations before the cut-off existed.
+// all 100 iterations before the fixed-point stop existed.
 func capturedWindow(t *testing.T) (names []string, series [][]float64, k int) {
 	t.Helper()
 	data, err := os.ReadFile("testdata/oscillating_window.json")
@@ -605,9 +629,10 @@ func capturedWindow(t *testing.T) (names []string, series [][]float64, k int) {
 	return w.Names, w.Series, w.K
 }
 
-// TestKernelPeriodicCutoffMatchesFullRun: on inputs that oscillate, the
-// cut-off lands on exactly the state the full MaxIterations run ends on,
-// at every phase of the orbit.
+// TestKernelPeriodicCutoffMatchesFullRun: on inputs whose refinement
+// never reports convergence, the fixed-point stop ends the run early on
+// exactly the clustering the reference reaches by running every one of
+// the maxIterations.
 func TestKernelPeriodicCutoffMatchesFullRun(t *testing.T) {
 	names, captured, capturedK := capturedWindow(t)
 	cases := []struct {
@@ -623,92 +648,17 @@ func TestKernelPeriodicCutoffMatchesFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, maxIter := range []int{0, 2, 5, 6, 7, 31} {
-			opts := tc.opts
-			opts.MaxIterations = maxIter
-			var s, refS Scratch
-			want, wantProfiles := referenceClusterOnce(p, opts, &refS)
-			if maxIter == 0 && want.Iterations != DefaultMaxIterations {
-				t.Fatalf("%s: reference converged after %d iterations; the input no longer oscillates", tc.name, want.Iterations)
-			}
-			got, gotProfiles, err := clusterOnce(p, opts, &s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameClustering(t, fmt.Sprintf("%s MaxIterations=%d", tc.name, maxIter), got, want, gotProfiles, wantProfiles)
-		}
-
-		// The full loop could not finish this many iterations; returning
-		// at all shows the cut-off is what ended the run.
-		opts := tc.opts
-		opts.MaxIterations = math.MaxInt32
-		var s Scratch
-		start := time.Now()
-		got, _, err := clusterOnce(p, opts, &s)
+		var s, refS Scratch
+		want, wantProfiles := referenceClusterOnce(p, tc.opts, &refS)
+		got, gotProfiles, err := clusterOnce(p, tc.opts, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Iterations != math.MaxInt32 {
-			t.Fatalf("%s: oscillating run reported %d iterations, want MaxIterations", tc.name, got.Iterations)
+		requireSameClustering(t, tc.name, got, want, gotProfiles, wantProfiles)
+		if got.Iterations >= maxIterations {
+			t.Fatalf("%s: ran %d iterations, want the fixed-point stop before the cap of %d", tc.name, got.Iterations, maxIterations)
 		}
-		t.Logf("%s: orbit closed in %v", tc.name, time.Since(start))
-	}
-}
-
-// TestKernelOrbitHistory drives the orbit detector with synthetic state
-// sequences — a transient of `lead` states, then a cycle of `period` —
-// and checks the state it jumps to against stepping all the way to
-// maxIter.
-func TestKernelOrbitHistory(t *testing.T) {
-	// The state after iteration t, as a number: the transient counts up,
-	// the cycle wraps.
-	stateAt := func(t, lead, period int) int {
-		if t <= lead {
-			return t
-		}
-		return lead + 1 + (t-lead-1)%period
-	}
-	encode := func(v int) ([]int, []*centroid) {
-		return []int{v % 3, v / 3}, []*centroid{{values: []float64{float64(v)}}, {values: []float64{math.Copysign(0, -1)}}}
-	}
-	for lead := 0; lead <= 10; lead++ {
-		for period := 1; period <= orbitDepth+2; period++ {
-			for _, maxIter := range []int{lead + period + 1, 40, 41, 100, 1 << 30} {
-				var h orbitHistory
-				var final *orbitState
-				closedAt := 0
-				for iter := 1; iter <= maxIter && iter <= 60; iter++ {
-					assign, centroids := encode(stateAt(iter, lead, period))
-					if final = h.closes(iter, maxIter, assign, centroids); final != nil {
-						closedAt = iter
-						break
-					}
-				}
-				if period > orbitDepth {
-					if final != nil {
-						t.Fatalf("lead %d period %d: closed an orbit longer than the history", lead, period)
-					}
-					continue
-				}
-				// The orbit is first visible when the first cycle state
-				// comes round again.
-				if want := lead + 1 + period; closedAt != want && want <= maxIter {
-					t.Fatalf("lead %d period %d maxIter %d: closed at iteration %d, want %d", lead, period, maxIter, closedAt, want)
-				}
-				wantAssign, wantCentroids := encode(stateAt(maxIter, lead, period))
-				if !final.equals(wantAssign, wantCentroids) {
-					t.Fatalf("lead %d period %d maxIter %d: jumped to %v, want state %d", lead, period, maxIter, final.assign, stateAt(maxIter, lead, period))
-				}
-			}
-		}
-	}
-
-	// Equality is on bits: a centroid that differs only in the sign of a
-	// zero is a different state.
-	var h orbitHistory
-	h.closes(1, 100, []int{0}, []*centroid{{values: []float64{0}}})
-	if h.closes(2, 100, []int{0}, []*centroid{{values: []float64{math.Copysign(0, -1)}}}) != nil {
-		t.Fatal("states differing in a zero's sign compared equal")
+		t.Logf("%s: fixed point after %d iterations", tc.name, got.Iterations)
 	}
 }
 

@@ -11,17 +11,14 @@ import (
 	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
 
-// DefaultMaxIterations bounds the refinement/assignment loop; k-Shape
+// maxIterations bounds the refinement/assignment loop; k-Shape
 // converges in a handful of iterations on metric workloads.
-const DefaultMaxIterations = 100
+const maxIterations = 100
 
 // Options configures a Cluster run.
 type Options struct {
 	// K is the number of clusters (required, >= 1).
 	K int
-	// MaxIterations bounds the refinement loop; 0 means
-	// DefaultMaxIterations.
-	MaxIterations int
 	// Seed drives the deterministic fallback initialization when
 	// InitialAssignments is nil.
 	Seed int64
@@ -59,7 +56,7 @@ type Result struct {
 	// i): the values the last assignment step compared, so picking a
 	// cluster's representative needs no further correlation.
 	Distances []float64
-	// Iterations is the number of refinement iterations performed.
+	// Iterations is the number of refinement iterations that ran.
 	Iterations int
 }
 
@@ -171,10 +168,6 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, e
 	if opts.K > n {
 		return nil, nil, fmt.Errorf("kshape: K=%d exceeds %d series", opts.K, n)
 	}
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
 
 	assign := make([]int, n)
 	switch {
@@ -202,10 +195,13 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, e
 	// or k of the same sweep already did.
 	memo := s.memoFor(p)
 	cents := make([]*centroid, opts.K)
-	var history orbitHistory
+	prevAssign := make([]int, n)
+	prevCents := make([]*centroid, opts.K)
 	iterations := 0
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		iterations = iter + 1
+		copy(prevAssign, assign)
+		copy(prevCents, cents)
 
 		// Refinement: re-extract each cluster's centroid, aligning members
 		// to the previous centroid by the shifts the previous iteration's
@@ -267,19 +263,14 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, e
 			}
 		}
 
-		if !changed {
-			break
-		}
-
-		// An iteration is a pure function of (assign, centroids). When the
-		// state repeats an earlier one bit for bit, every later iteration
-		// repeats too — none of them converges, or the loop would have
-		// ended inside the first lap — so the state after maxIter
-		// iterations is already known: take it and stop.
-		if final := history.closes(iterations, maxIter, assign, cents); final != nil {
-			copy(assign, final.assign)
-			copy(cents, final.cents)
-			iterations = maxIter
+		// An iteration is a pure function of (assign, centroids), so a
+		// state equal bit for bit to the one it started from is a fixed
+		// point: every later iteration repeats it, and running to the cap
+		// would end on it. Such a state can still report `changed` — the
+		// assignment step empties a cluster and the re-seed hands it back
+		// the series that just left. The first iteration starts from no
+		// centroids, so it cannot end on its start.
+		if !changed || (iter > 0 && sameState(prevAssign, assign, prevCents, cents)) {
 			break
 		}
 	}
@@ -495,56 +486,22 @@ func countOf(assign []int, c int) int {
 	return n
 }
 
-// orbitDepth is how many past states the refinement loop remembers, and
-// so the longest oscillation period it recognizes. Every orbit seen on
-// application windows has period 1 — the assignment step empties a
-// cluster, the re-seed hands it the series that just left, and `changed`
-// is set on a state that did not change; the depth leaves room for the
-// short genuine oscillations a k-means-style loop can fall into. A
-// longer orbit simply runs to MaxIterations as before.
-const orbitDepth = 8
-
-// orbitState is the refinement loop's state after one iteration.
-// Centroids are immutable once made, so keeping the K pointers keeps the
-// values — and their profiles and distance rows.
-type orbitState struct {
-	assign []int
-	cents  []*centroid
-}
-
-// orbitHistory is a ring of the last orbitDepth states, the state after
-// iteration t at index t % orbitDepth.
-type orbitHistory [orbitDepth]orbitState
-
-// closes records the state after iteration iter and reports whether it
-// equals, bit for bit, the state after an earlier remembered iteration j.
-// If so the loop is on an orbit of period iter-j, and closes returns the
-// state iteration maxIter would end on: the remembered state at the same
-// phase of the orbit. Otherwise it returns nil.
-func (h *orbitHistory) closes(iter, maxIter int, assign []int, cents []*centroid) *orbitState {
-	for j := iter - 1; j >= iter-orbitDepth && j >= 1; j-- {
-		if h[j%orbitDepth].equals(assign, cents) {
-			return &h[(j+(maxIter-j)%(iter-j))%orbitDepth]
-		}
-	}
-	st := &h[iter%orbitDepth]
-	st.assign = append(st.assign[:0], assign...)
-	st.cents = append(st.cents[:0], cents...)
-	return nil
-}
-
-func (st *orbitState) equals(assign []int, cents []*centroid) bool {
-	for i, a := range assign {
-		if st.assign[i] != a {
+// sameState reports whether two (assignments, centroids) states are
+// equal, centroids compared bit for bit. Centroids are immutable once
+// made, so equal pointers are equal values.
+func sameState(assignA, assignB []int, centsA, centsB []*centroid) bool {
+	for i, a := range assignA {
+		if assignB[i] != a {
 			return false
 		}
 	}
-	for c, cent := range cents {
-		if st.cents[c] == cent {
+	for c, a := range centsA {
+		b := centsB[c]
+		if a == b {
 			continue
 		}
-		for j, v := range cent.values {
-			if math.Float64bits(st.cents[c].values[j]) != math.Float64bits(v) {
+		for j, v := range a.values {
+			if math.Float64bits(b.values[j]) != math.Float64bits(v) {
 				return false
 			}
 		}

@@ -109,7 +109,7 @@ func TestKernelMemoSweepMatchesReference(t *testing.T) {
 		}
 	}
 
-	// The constructed orbit from its fixed start, as the cut-off test
+	// The constructed orbit from its fixed start, as the fixed-point test
 	// runs it, on a memo another start has filled.
 	p, err := prepare(oscillatingSeries())
 	if err != nil {

@@ -24,9 +24,9 @@ import (
 // Backpressure contract, checked in this order so nothing is stored on a
 // reject:
 //
-//	413 — decompressed size over RemoteWriteMaxBytes (read from the
+//	413 — decompressed size over remoteWriteMaxBytes (read from the
 //	      snappy preamble, before any allocation)
-//	429 + Retry-After — more than RemoteWriteMaxSamples samples
+//	429 + Retry-After — more than remoteWriteMaxSamples samples
 //	400 — undecodable snappy/protobuf, unmappable labels, or a
 //	      timestamp past the millisecond range
 //	500 — storage errors, as on /write (clients must retry, not drop)
@@ -74,10 +74,10 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "snappy: undecodable preamble")
 		return
 	}
-	if int64(declen) > s.opts.RemoteWriteMaxBytes {
+	if int64(declen) > s.remoteWriteMaxBytes {
 		s.tel.remoteSizeRejects.Inc()
 		httpError(w, http.StatusRequestEntityTooLarge,
-			"decompressed payload %d exceeds %d bytes", declen, s.opts.RemoteWriteMaxBytes)
+			"decompressed payload %d exceeds %d bytes", declen, s.remoteWriteMaxBytes)
 		return
 	}
 	plain, err := snappy.AppendDecode(sc.plain, body)
@@ -93,14 +93,14 @@ func (s *Server) handleRemoteWrite(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "protobuf: %v", err)
 		return
 	}
-	if c := req.SampleCount(); c > s.opts.RemoteWriteMaxSamples {
+	if c := req.SampleCount(); c > s.remoteWriteMaxSamples {
 		s.tel.remoteLimitRejects.Inc()
 		// Retry-After tells a well-behaved sender to back off and
 		// re-shard its batches rather than hammer the same oversized
 		// request.
 		w.Header().Set("Retry-After", remoteWriteRetryAfter)
 		httpError(w, http.StatusTooManyRequests,
-			"request carries %d samples, limit %d", c, s.opts.RemoteWriteMaxSamples)
+			"request carries %d samples, limit %d", c, s.remoteWriteMaxSamples)
 		return
 	}
 	samples := sc.samples[:0]

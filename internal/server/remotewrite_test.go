@@ -116,11 +116,10 @@ func TestRemoteWriteComponentLabelOption(t *testing.T) {
 // code, the Retry-After contract, and — most importantly — that a
 // rejected request stores nothing.
 func TestRemoteWriteRejectClasses(t *testing.T) {
-	s, hs, _ := newTestServer(t, Options{
-		RemoteWriteMaxBytes:   1 << 10,
-		RemoteWriteMaxSamples: 4,
-	})
-	s.maxBodyBytes = 256 // the real bound would take a 32 MiB body to trip
+	s, hs, _ := newTestServer(t, Options{})
+	// The real bounds would take a 32 MiB body, a 64 MiB payload or a
+	// million samples to trip.
+	s.maxBodyBytes, s.remoteWriteMaxBytes, s.remoteWriteMaxSamples = 256, 1<<10, 4
 	series := func(n int, startT int64) *promremote.WriteRequest {
 		req := &promremote.WriteRequest{TimeSeries: []promremote.TimeSeries{{
 			Labels: []promremote.Label{

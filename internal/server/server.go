@@ -47,15 +47,6 @@ type Options struct {
 	// "instance" is the other common choice). The reserved __name__
 	// label is always the metric and cannot be chosen here.
 	RemoteWriteComponentLabel string
-	// RemoteWriteMaxBytes bounds the decompressed size of one
-	// /api/v1/write request (default 64 MiB). The limit is enforced
-	// from the snappy preamble before any allocation; over-limit
-	// requests get 413.
-	RemoteWriteMaxBytes int64
-	// RemoteWriteMaxSamples bounds the samples in one /api/v1/write
-	// request (default 1,000,000). Over-limit requests get 429 with
-	// "Retry-After: 1" so senders re-shard instead of hammering.
-	RemoteWriteMaxSamples int
 
 	// Incremental switches the online pipeline's dataset assembly to the
 	// window cache: window ends are aligned down to the sampling grid so
@@ -94,9 +85,6 @@ type Options struct {
 	// files (default 5m; negative disables it). Only meaningful with
 	// DataDir.
 	CompactInterval time.Duration
-	// CompactMaxBlockBytes caps a merged block's chunk bytes (default
-	// 64 MiB). Only meaningful with DataDir.
-	CompactMaxBlockBytes int64
 	// Downsample enables 5m/1h downsampled companions on compacted
 	// blocks, answering coarse-step aggregated /query_range requests
 	// without touching chunk data. Only meaningful with DataDir.
@@ -121,10 +109,6 @@ type Options struct {
 	// timestamps only moves where the telemetry series land on the time
 	// axis; tests inject a deterministic counter.
 	SelfScrapeClock func() int64
-	// SlowOpThreshold is the latency above which a request or pipeline
-	// cycle is retained in the /debug/traces ring and logged once per
-	// fast->slow transition (default 1s; negative disables tracing).
-	SlowOpThreshold time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -143,17 +127,8 @@ func (o Options) withDefaults() Options {
 	if o.RemoteWriteComponentLabel == "" {
 		o.RemoteWriteComponentLabel = "job"
 	}
-	if o.RemoteWriteMaxBytes <= 0 {
-		o.RemoteWriteMaxBytes = 64 << 20
-	}
-	if o.RemoteWriteMaxSamples <= 0 {
-		o.RemoteWriteMaxSamples = 1_000_000
-	}
 	if o.SelfScrapeClock == nil {
 		o.SelfScrapeClock = func() int64 { return time.Now().UnixMilli() }
-	}
-	if o.SlowOpThreshold == 0 {
-		o.SlowOpThreshold = time.Second
 	}
 	return o
 }
@@ -163,13 +138,23 @@ func (o Options) withDefaults() Options {
 // refuses a WindowMS/StepMS below it, since no cycle could ever run.
 const MinWindowSamples = 64
 
-// Limits nothing configures. The three a test could only reach by
-// holding a connection for seconds or posting tens of MiB are copied
-// into the Server at New, where in-package tests lower them.
+// Limits nothing configures. The ones a test could only reach by
+// holding a connection for seconds, posting tens of MiB or a million
+// samples, or a second-long request are copied into the Server at New
+// (the slow-op threshold through newServer), where in-package tests
+// lower them.
 const (
 	// maxBodyBytes bounds a single /write payload and a single
 	// /api/v1/write compressed body.
 	maxBodyBytes = 32 << 20
+	// remoteWriteMaxBytes bounds the decompressed size of one
+	// /api/v1/write request. The limit is enforced from the snappy
+	// preamble before any allocation; over-limit requests get 413.
+	remoteWriteMaxBytes = 64 << 20
+	// remoteWriteMaxSamples bounds the samples in one /api/v1/write
+	// request. Over-limit requests get 429 with Retry-After so senders
+	// re-shard instead of hammering.
+	remoteWriteMaxSamples = 1_000_000
 	// remoteWriteRetryAfter is the Retry-After value, in seconds, of the
 	// 429 answering an over-limit remote-write request.
 	remoteWriteRetryAfter = "1"
@@ -183,6 +168,10 @@ const (
 	// checkpoints, so a stalled writer can never race the final WAL
 	// checkpoint.
 	shutdownTimeout = 5 * time.Second
+	// slowOpThreshold is the latency above which a request or pipeline
+	// cycle is retained in the /debug/traces ring and logged once per
+	// fast->slow transition.
+	slowOpThreshold = time.Second
 )
 
 // Server is the sieved daemon: sharded ingestion plus the online
@@ -194,9 +183,11 @@ type Server struct {
 
 	// The constants of the same names; fields so that in-package tests
 	// can lower them before the server takes traffic.
-	maxBodyBytes      int64
-	readHeaderTimeout time.Duration
-	shutdownTimeout   time.Duration
+	maxBodyBytes          int64
+	remoteWriteMaxBytes   int64
+	remoteWriteMaxSamples int
+	readHeaderTimeout     time.Duration
+	shutdownTimeout       time.Duration
 
 	// tel is the self-observability bundle (registry, instruments,
 	// trace ring); always non-nil after New.
@@ -249,6 +240,12 @@ type Server struct {
 // life's blocks and WAL before returning, so the server answers
 // /query_range identically to the store that was killed.
 func New(opts Options) (*Server, error) {
+	return newServer(opts, slowOpThreshold)
+}
+
+// newServer is New with the slow-op threshold of the trace ring, which
+// the ring is built with.
+func newServer(opts Options, slowOp time.Duration) (*Server, error) {
 	opts = opts.withDefaults()
 	if steps := opts.WindowMS / opts.StepMS; steps < MinWindowSamples {
 		return nil, fmt.Errorf("server: window %dms spans %d grid steps of %dms, the pipeline needs %d",
@@ -264,13 +261,12 @@ func New(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		store, err = tsdb.OpenSharded(opts.Shards, tsdb.DurabilityOptions{
-			Dir:                  opts.DataDir,
-			Fsync:                policy,
-			FlushInterval:        opts.FlushInterval,
-			RetentionMS:          opts.Retention.Milliseconds(),
-			CompactInterval:      opts.CompactInterval,
-			CompactMaxBlockBytes: opts.CompactMaxBlockBytes,
-			Downsample:           opts.Downsample,
+			Dir:             opts.DataDir,
+			Fsync:           policy,
+			FlushInterval:   opts.FlushInterval,
+			RetentionMS:     opts.Retention.Milliseconds(),
+			CompactInterval: opts.CompactInterval,
+			Downsample:      opts.Downsample,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: opening durable store: %w", err)
@@ -279,14 +275,16 @@ func New(opts Options) (*Server, error) {
 		store = tsdb.NewSharded(opts.Shards)
 	}
 	s := &Server{
-		opts:              opts,
-		store:             store,
-		graph:             opts.CallGraph,
-		maxBodyBytes:      maxBodyBytes,
-		readHeaderTimeout: readHeaderTimeout,
-		shutdownTimeout:   shutdownTimeout,
+		opts:                  opts,
+		store:                 store,
+		graph:                 opts.CallGraph,
+		maxBodyBytes:          maxBodyBytes,
+		remoteWriteMaxBytes:   remoteWriteMaxBytes,
+		remoteWriteMaxSamples: remoteWriteMaxSamples,
+		readHeaderTimeout:     readHeaderTimeout,
+		shutdownTimeout:       shutdownTimeout,
 	}
-	s.tel = newTelemetrySet(store, opts.SlowOpThreshold)
+	s.tel = newTelemetrySet(store, slowOp)
 	s.analysis = analysisStore{st: store}
 	if opts.Incremental {
 		s.cache = core.NewWindowCache(opts.AppName, opts.StepMS)

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/app/sharelatex"
@@ -21,7 +22,14 @@ import (
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, *Client) {
 	t.Helper()
-	s, err := New(opts)
+	return newTracingTestServer(t, opts, slowOpThreshold)
+}
+
+// newTracingTestServer is newTestServer with the trace ring's slow-op
+// threshold.
+func newTracingTestServer(t *testing.T, opts Options, slowOp time.Duration) (*Server, *httptest.Server, *Client) {
+	t.Helper()
+	s, err := newServer(opts, slowOp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -633,9 +633,7 @@ func TestHealthzReadiness(t *testing.T) {
 // every request is "slow", then pins the /debug/traces contract:
 // slowest-first ordering, the ?n bound, and per-op annotations.
 func TestDebugTracesRecordsSlowOps(t *testing.T) {
-	opts := obsOptions(func() int64 { return 1 })
-	opts.SlowOpThreshold = time.Nanosecond
-	_, hs, c := newTestServer(t, opts)
+	_, hs, c := newTracingTestServer(t, obsOptions(func() int64 { return 1 }), time.Nanosecond)
 
 	payload := tsdb.EncodeLineProtocol([]tsdb.Sample{
 		{Component: "web", Metric: "cpu", T: 1000, V: 0.5},
@@ -712,11 +710,10 @@ func TestDebugTracesRecordsSlowOps(t *testing.T) {
 func TestTelemetryConcurrentAccess(t *testing.T) {
 	var ts atomic.Int64
 	opts := obsOptions(func() int64 { return ts.Add(1) })
-	opts.SlowOpThreshold = time.Nanosecond
 	opts.DataDir = t.TempDir()
 	opts.FlushInterval, opts.CompactInterval = -1, -1 // driven below
 	opts.Downsample = true
-	s, hs, c := newTestServer(t, opts)
+	s, hs, c := newTracingTestServer(t, opts, time.Nanosecond)
 	defer s.Close()
 
 	var tick atomic.Int64

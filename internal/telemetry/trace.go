@@ -58,11 +58,10 @@ type TraceRing struct {
 
 // NewTraceRing creates a ring retaining the most recent `capacity`
 // over-threshold traces. A zero threshold records every span (useful
-// in tests); a negative threshold disables recording entirely. logFn,
-// if non-nil, is called once per operation name each time that
-// operation transitions from fast to slow (checkpoint-health style
-// state-change logging, so a persistently slow op logs once, not once
-// per request).
+// in tests). logFn, if non-nil, is called once per operation name each
+// time that operation transitions from fast to slow (checkpoint-health
+// style state-change logging, so a persistently slow op logs once, not
+// once per request).
 func NewTraceRing(capacity int, threshold time.Duration, logFn func(*Trace)) *TraceRing {
 	if capacity <= 0 {
 		capacity = 64
@@ -207,7 +206,7 @@ func (s *Span) End() time.Duration {
 		return d
 	}
 	r := o.ring
-	if r.threshold < 0 || d < r.threshold {
+	if d < r.threshold {
 		// Fast: reset the slow latch so the next crossing logs again.
 		if o.slow.Load() {
 			o.slow.Store(false)

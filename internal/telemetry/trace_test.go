@@ -94,17 +94,6 @@ func TestTraceRingLogsOncePerCrossing(t *testing.T) {
 	}
 }
 
-func TestNegativeThresholdDisablesRecording(t *testing.T) {
-	r := NewTraceRing(8, -1, nil)
-	op := r.Op("anything")
-	sp := op.Start()
-	sp.start = time.Now().Add(-time.Minute)
-	sp.End()
-	if got := r.Snapshot(0); len(got) != 0 {
-		t.Fatalf("negative threshold recorded traces: %+v", got)
-	}
-}
-
 // The fast path — span start, stages, fields, sub-threshold end — must
 // not allocate: spans wrap every request and pipeline cycle.
 func TestFastPathSpanDoesNotAllocate(t *testing.T) {

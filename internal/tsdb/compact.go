@@ -245,10 +245,15 @@ func (a *aggregator) feedDownsampled(refs []summary) (buckets int, ok bool) {
 	return buckets, true
 }
 
+// compactMaxBlockBytes caps a merged block's chunk bytes: adjacent
+// blocks are merged only while their combined chunk data stays under
+// it, so compaction converges instead of rewriting its own output
+// forever.
+const compactMaxBlockBytes = 64 << 20
+
 // planCompactRuns groups a snapshot of the block list (ordered by
 // covered sequence range) into runs of adjacent blocks to merge: each
-// run holds at least two blocks and at most CompactMaxBlockBytes of
-// chunk data. Blocks at or above the cap stand alone and end the run on
+// run holds at least two blocks and at most maxBytes of chunk data. Blocks at or above the cap stand alone and end the run on
 // either side, so a fully compacted store converges instead of
 // rewriting its big blocks forever.
 func planCompactRuns(blocks []*block, maxBytes int64) [][]*block {
@@ -365,9 +370,8 @@ func (d *durable) compact() error {
 	d.tel.CompactionsRun.Inc()
 	d.mu.RLock()
 	snapshot := append([]*block(nil), d.blocks...)
-	maxBytes := d.opts.CompactMaxBlockBytes
 	d.mu.RUnlock()
-	for _, run := range planCompactRuns(snapshot, maxBytes) {
+	for _, run := range planCompactRuns(snapshot, compactMaxBlockBytes) {
 		if err := d.compactRun(run); err != nil {
 			return err
 		}

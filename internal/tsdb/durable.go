@@ -38,11 +38,6 @@ type DurabilityOptions struct {
 	// (default 5m; negative disables the background passes — compaction
 	// then only happens via Sharded.Compact).
 	CompactInterval time.Duration
-	// CompactMaxBlockBytes caps a merged block's chunk bytes (default
-	// 64 MiB): adjacent blocks are merged only while their combined
-	// chunk data stays under it, so compaction converges instead of
-	// rewriting its own output forever.
-	CompactMaxBlockBytes int64
 	// Downsample enables the 5m/1h downsampled companion files that
 	// aggregated queries with coarse steps consume without touching
 	// chunk data.
@@ -64,9 +59,6 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 	}
 	if o.CompactInterval == 0 {
 		o.CompactInterval = 5 * time.Minute
-	}
-	if o.CompactMaxBlockBytes <= 0 {
-		o.CompactMaxBlockBytes = 64 << 20
 	}
 	return o
 }

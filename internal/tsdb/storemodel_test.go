@@ -84,7 +84,7 @@ func (m *storeModel) checkpoint() {
 }
 
 // compact merges every block into one: every block a test builds is far
-// below CompactMaxBlockBytes, so the planner makes one run of them all.
+// below compactMaxBlockBytes, so the planner makes one run of them all.
 func (m *storeModel) compact() {
 	if len(m.blocks) < 2 {
 		return

@@ -404,18 +404,19 @@ func recvTypeName(e ast.Expr) string {
 // reason. TestEveryOptionIsSet fails when an entry becomes set or
 // disappears, so the list cannot outlive its reasons.
 var optionAllow = map[string]string{
-	"internal/kshape.Options.MaxIterations": "the orbit cut-off's exactness check: TestKernelPeriodicCutoffMatchesFullRun holds the jump to the final state equal to the run-every-iteration reference at each phase of the orbit, and only a bound of a few iterations lands on each phase",
+	"internal/core.ReduceOptions.VarianceThreshold": "the §3.2 variance-filter ablation: BenchmarkAblationVarianceFilter switches the filter off to count the representatives it saves",
 }
 
 // TestEveryOptionIsSet holds the rule "an option is something a command,
 // an example or the benchmark sets": a field of a struct named *Options
-// or *Config (outside bench/) that nothing but its own withDefaults
-// writes has one value in use, so it is a constant. A write is a
-// composite-literal key (or position), an assignment's left-hand side, a
-// ++/--, or an address taken (&opts.F, how a flag would bind); fields
-// are resolved through go/types, so same-named fields of different
-// structs do not alias. Writers are the files TestEveryFunctionIsReachable
-// walks: _test.go outside bench/ is not one.
+// or *Config (outside bench/) that nothing but its own withDefaults or
+// Default<T> constructor writes has one value in use, so it is a
+// constant. A write is a composite-literal key (or position), an
+// assignment's left-hand side, a ++/--, or an address taken (&opts.F,
+// how a flag would bind); fields are resolved through go/types, so
+// same-named fields of different structs do not alias. Writers are the
+// files TestEveryFunctionIsReachable walks: _test.go outside bench/ is
+// not one.
 func TestEveryOptionIsSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -455,7 +456,7 @@ func TestEveryOptionIsSet(t *testing.T) {
 type optionField struct {
 	name string // "internal/server.Options.Shards"
 	pos  string // file:line
-	set  bool   // written outside its struct's own withDefaults
+	set  bool   // written outside its struct's own withDefaults and Default<T>
 }
 
 // optionFields lists every field of every *Options/*Config struct
@@ -496,11 +497,20 @@ func optionFields(l *reachLoader) []optionField {
 	for _, p := range l.pkgs {
 		for _, file := range p.files {
 			for _, d := range file.Decls {
-				// Writes inside T.withDefaults to T's own fields are the
-				// defaulting of an unset option, not a caller setting it.
+				// Writes inside T.withDefaults, or inside a top-level
+				// func DefaultT() T, to T's own fields are the defaulting
+				// of an unset option, not a caller setting it.
 				var defaultsOf *types.TypeName
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
-					if named, ok := derefType(p.info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()).(*types.Named); ok {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					sig := p.info.Defs[fd.Name].(*types.Func).Type().(*types.Signature)
+					var t types.Type
+					switch {
+					case fd.Recv != nil && fd.Name.Name == "withDefaults":
+						t = sig.Recv().Type()
+					case fd.Recv == nil && sig.Params().Len() == 0 && sig.Results().Len() == 1:
+						t = sig.Results().At(0).Type()
+					}
+					if named, ok := derefType(t).(*types.Named); ok && (fd.Recv != nil || fd.Name.Name == "Default"+named.Obj().Name()) {
 						defaultsOf = named.Obj()
 					}
 				}

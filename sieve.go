@@ -130,9 +130,10 @@ type PipelineOptions = core.PipelineOptions
 // tracer ring (1<<18 events) are constants.
 type CaptureOptions = core.CaptureOptions
 
-// ReduceOptions tunes step 2 (cluster count range, variance threshold,
-// name seeding); every caller passes DefaultPipelineOptions' values, the
-// paper's.
+// ReduceOptions tunes step 2's variance threshold (0 means the paper's
+// 0.002). The cluster-count range (k in [2,7]) and seeding k-Shape by
+// metric names are the paper's and fixed, so a zero ReduceOptions runs
+// the paper's reduction.
 type ReduceOptions = core.ReduceOptions
 
 // DepOptions tunes step 3: the delay bound the Granger lag order derives
@@ -211,17 +212,18 @@ type Server = server.Server
 // width, recompute cadence, optional topology —
 // durability: DataDir enables the WAL + compressed-block storage
 // engine, Retention bounds its disk use, Fsync picks the WAL sync
-// policy ("always", "interval", "never"), CompactInterval/
-// CompactMaxBlockBytes control the background block compactor, and
+// policy ("always", "interval", "never"), CompactInterval sets the
+// background block compactor's cadence, and
 // Downsample adds 5m/1h summaries for coarse-step aggregated queries
 // over long retention — and incremental window assembly: Incremental
 // carries the window cache across pipeline cycles (tail-only store
 // reads, bit-identical results; a write behind the cached end makes
 // the next cycle reassemble the window). It has a field for what a
 // command, an example or the benchmark sets; the analysis parameters
-// (the paper's), the request-body bound, the 429's Retry-After and the
-// listener's header-read and shutdown-drain timeouts are constants of
-// the server.
+// (the paper's), the request-body bound, the remote-write size and
+// sample limits and the 429's Retry-After, the 64 MiB merged-block cap,
+// the 1 s slow-op threshold of /debug/traces and the listener's
+// header-read and shutdown-drain timeouts are constants.
 type ServerOptions = server.Options
 
 // MinWindowSamples is the fewest grid steps (WindowMS / StepMS) a
