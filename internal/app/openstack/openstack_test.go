@@ -1,7 +1,6 @@
 package openstack
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -116,7 +115,10 @@ func TestCallGraphShape(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.Step(200)
 	}
-	g := callgraph.FromSyscallEvents(tr.Events())
+	calls := map[[2]string]bool{}
+	for _, e := range callgraph.FromSyscallEvents(tr.Events()).Edges() {
+		calls[[2]string{e.Caller, e.Callee}] = true
+	}
 	for _, edge := range [][2]string{
 		{"haproxy", "nova-api"},
 		{"nova-api", "rabbitmq"},
@@ -125,7 +127,7 @@ func TestCallGraphShape(t *testing.T) {
 		{"neutron-server", "mariadb"},
 		{"keystone", "memcached"},
 	} {
-		if !slices.Contains(g.Callees(edge[0]), edge[1]) {
+		if !calls[edge] {
 			t.Errorf("missing call edge %s -> %s", edge[0], edge[1])
 		}
 	}

@@ -1,7 +1,6 @@
 package sharelatex
 
 import (
-	"slices"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
@@ -62,7 +61,10 @@ func TestCallGraphShape(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.Step(300)
 	}
-	g := callgraph.FromSyscallEvents(tr.Events())
+	calls := map[[2]string]bool{}
+	for _, e := range callgraph.FromSyscallEvents(tr.Events()).Edges() {
+		calls[[2]string{e.Caller, e.Callee}] = true
+	}
 	for _, edge := range [][2]string{
 		{"haproxy", "web"},
 		{"haproxy", "real-time"},
@@ -72,11 +74,11 @@ func TestCallGraphShape(t *testing.T) {
 		{"real-time", "redis"},
 		{"clsi", "postgresql"},
 	} {
-		if !slices.Contains(g.Callees(edge[0]), edge[1]) {
+		if !calls[edge] {
 			t.Errorf("missing call edge %s -> %s", edge[0], edge[1])
 		}
 	}
-	if slices.Contains(g.Callees("mongodb"), "web") {
+	if calls[[2]string{"mongodb", "web"}] {
 		t.Error("datastores must not call services")
 	}
 }

@@ -4,16 +4,16 @@
 // in the paper's deployment — it streams metric values each tick,
 // evaluates rule conditions, and issues scale in/out actions of a single
 // instance against the running application, subject to per-component
-// cooldowns and instance bounds. Two policy builders are provided: the
-// traditional per-component CPU rule (the Amazon-AWS-style baseline of
-// Table 4) and the Sieve rule driven by the metric that appears most
-// often in Granger relations.
+// cooldowns and instance bounds. Two policy builders are provided, each
+// taking a list of targets and a threshold band: the traditional
+// per-component CPU rule (the Amazon-AWS-style baseline of Table 4) and
+// the Sieve rule driven by the metric that appears most often in Granger
+// relations.
 package autoscale
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/sieve-microservices/sieve/internal/app"
@@ -24,7 +24,7 @@ import (
 
 // Rule is one threshold-based scaling rule: when the guiding metric
 // crosses UpThreshold the target component gains one instance; below
-// DownThreshold it loses one.
+// DownThreshold it loses one, within 1 to maxInstances instances.
 type Rule struct {
 	// Target is the component whose instance count the rule adjusts.
 	Target string
@@ -32,8 +32,6 @@ type Rule struct {
 	MetricComponent, Metric string
 	// UpThreshold and DownThreshold bound the metric's comfort band.
 	UpThreshold, DownThreshold float64
-	// MinInstances and MaxInstances clamp the actions (defaults 1, 10).
-	MinInstances, MaxInstances int
 }
 
 func (r Rule) validate() error {
@@ -108,12 +106,16 @@ func (p *Probe) Value() float64 {
 	return p.ewma
 }
 
+// maxInstances caps every rule target's instance count; the floor is 1.
+const maxInstances = 10
+
 // Engine evaluates rules against a running application.
 type Engine struct {
 	app           *app.App
 	rules         []Rule
 	probes        []*Probe
 	cooldownTicks int
+	maxInstances  int // the constant; in-package tests lower it
 	budget        int
 	tick          int
 	lastAction    map[string]int
@@ -171,6 +173,7 @@ func NewEngine(a *app.App, rules []Rule, cooldownTicks int) (*Engine, error) {
 		rules:         rules,
 		probes:        probes,
 		cooldownTicks: cooldownTicks,
+		maxInstances:  maxInstances,
 		lastAction:    map[string]int{},
 	}, nil
 }
@@ -200,14 +203,7 @@ func (e *Engine) Step() {
 		}
 		cur := e.app.Instances(r.Target)
 		next := cur + delta
-		min, max := r.MinInstances, r.MaxInstances
-		if min <= 0 {
-			min = 1
-		}
-		if max <= 0 {
-			max = 10
-		}
-		if next < min || next > max || next == cur {
+		if next < 1 || next > e.maxInstances {
 			continue
 		}
 		if delta > 0 && e.budget > 0 && e.totalInstances()+1 > e.budget {
@@ -236,7 +232,7 @@ func (e *Engine) Actions() []Action {
 // CPUPolicy builds the traditional baseline: one rule per component
 // guided by its own cpu_usage gauge, as cloud providers' default
 // autoscalers do (§6.2 uses 21%/1% as the refined thresholds).
-func CPUPolicy(components []string, up, down float64, maxInstances int) []Rule {
+func CPUPolicy(components []string, up, down float64) []Rule {
 	rules := make([]Rule, 0, len(components))
 	for _, c := range components {
 		rules = append(rules, Rule{
@@ -245,87 +241,42 @@ func CPUPolicy(components []string, up, down float64, maxInstances int) []Rule {
 			Metric:          "cpu_usage",
 			UpThreshold:     up,
 			DownThreshold:   down,
-			MaxInstances:    maxInstances,
 		})
 	}
 	return rules
 }
-
-// maxSieveTargets bounds how many components a Sieve policy scales: the
-// guiding metric's own component plus its strongest-related neighbours.
-// Scaling every transitively-related component multiplies action churn
-// without improving the SLA (each trigger issues one action per target).
-const maxSieveTargets = 8
 
 // scaleInCooldownFactor stretches the cooldown for scale-in actions:
 // capacity is added quickly but removed conservatively, the standard
 // autoscaler asymmetry that prevents decay churn after load spikes.
 const scaleInCooldownFactor = 12
 
-// SievePolicy builds rules from a pipeline artifact: the guiding metric
-// is the one appearing most often in Granger relations, and the scaled
-// targets are the components most strongly related to it (by relation
-// count, capped at maxSieveTargets). The paper's refined ShareLatex
-// thresholds are 1400 ms (up) and 1120 ms (down) on web's
-// http-requests_Project_id_GET_mean.
-func SievePolicy(art *core.Artifact, up, down float64, maxInstances int) ([]Rule, string, error) {
+// SievePolicy builds Sieve's rules: one per target, in the given order,
+// each guided by the metric that appears in the most Granger relations
+// of the artifact's dependency graph (§4.1 step 1). Which components to
+// scale is the deployment's choice, as with CPUPolicy. The paper's
+// refined ShareLatex thresholds are 1400 ms (up) and 1120 ms (down) on
+// web's http-requests_Project_id_GET_mean.
+func SievePolicy(art *core.Artifact, targets []string, up, down float64) ([]Rule, error) {
 	if art == nil || art.Graph == nil {
-		return nil, "", errors.New("autoscale: artifact without dependency graph")
+		return nil, errors.New("autoscale: artifact without dependency graph")
 	}
 	key, n := art.Graph.MostFrequentMetric()
 	if n == 0 {
-		return nil, "", errors.New("autoscale: dependency graph has no relations")
+		return nil, errors.New("autoscale: dependency graph has no relations")
 	}
-	slash := strings.IndexByte(key, '/')
-	metricComp, metric := key[:slash], key[slash+1:]
-
-	// Targets are the components the dependency graph connects to the
-	// guiding metric's component (§4.1: the graph tells the developer
-	// which components react together), ranked by relation strength. The
-	// component's direct callees from the step-1 call graph are merged
-	// in: a dependency whose metric relation was filtered as confounded
-	// is still on the request path.
-	related := map[string]int{}
-	for _, e := range art.Graph.Edges {
-		if e.From == metricComp || e.To == metricComp {
-			related[e.From]++
-			related[e.To]++
-		}
-	}
-	if art.Dataset != nil && art.Dataset.CallGraph != nil {
-		for _, callee := range art.Dataset.CallGraph.Callees(metricComp) {
-			related[callee]++
-		}
-	}
-	delete(related, metricComp)
-	neighbours := make([]string, 0, len(related))
-	for t := range related {
-		neighbours = append(neighbours, t)
-	}
-	sort.Slice(neighbours, func(i, j int) bool {
-		if related[neighbours[i]] != related[neighbours[j]] {
-			return related[neighbours[i]] > related[neighbours[j]]
-		}
-		return neighbours[i] < neighbours[j]
-	})
-	if len(neighbours) > maxSieveTargets-1 {
-		neighbours = neighbours[:maxSieveTargets-1]
-	}
-	names := append([]string{metricComp}, neighbours...)
-	sort.Strings(names)
-
-	rules := make([]Rule, 0, len(names))
-	for _, t := range names {
+	metricComp, metric, _ := strings.Cut(key, "/")
+	rules := make([]Rule, 0, len(targets))
+	for _, t := range targets {
 		rules = append(rules, Rule{
 			Target:          t,
 			MetricComponent: metricComp,
 			Metric:          metric,
 			UpThreshold:     up,
 			DownThreshold:   down,
-			MaxInstances:    maxInstances,
 		})
 	}
-	return rules, key, nil
+	return rules, nil
 }
 
 // SLATracker counts violations of a latency SLA of the paper's form:
@@ -374,7 +325,8 @@ func (s *SLATracker) Violations() int { return s.violations }
 // from a short calibration trace of (metric value, latency) pairs, the
 // paper's iterative refinement against the SLA (§4.1 step 3): up is set
 // near the largest metric value that still kept latency within the SLA,
-// down at a fixed fraction below.
+// down at a fixed fraction below. A calibration whose signal level is
+// not positive admits no band with down < up and is an error.
 func RefineThresholds(metricValues, latencies []float64, slaMS float64) (up, down float64, err error) {
 	if len(metricValues) == 0 || len(metricValues) != len(latencies) {
 		return 0, 0, fmt.Errorf("autoscale: calibration needs equal non-empty traces, got %d and %d",
@@ -398,9 +350,8 @@ func RefineThresholds(metricValues, latencies []float64, slaMS float64) (up, dow
 	// of the last-safe signal level (the paper refined iteratively until
 	// the SLA held; this is the one-shot equivalent).
 	up = best * 0.8
-	down = up * 0.8
-	if down >= up {
-		down = up * 0.5
+	if up <= 0 {
+		return 0, 0, fmt.Errorf("autoscale: calibration signal level %g leaves no threshold band with down < up", best)
 	}
-	return up, down, nil
+	return up, up * 0.8, nil
 }

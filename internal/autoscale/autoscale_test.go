@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/app"
@@ -37,11 +38,12 @@ func TestEngineScalesOutUnderLoadAndInWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := CPUPolicy([]string{"api"}, 80, 10, 5)
+	rules := CPUPolicy([]string{"api"}, 80, 10)
 	eng, err := NewEngine(a, rules, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.maxInstances = 5
 
 	// Overload api (capacity 100/s per instance).
 	for i := 0; i < 30; i++ {
@@ -81,18 +83,19 @@ func TestEngineRespectsBoundsAndCooldown(t *testing.T) {
 	}
 	rules := []Rule{{
 		Target: "api", MetricComponent: "api", Metric: "cpu_usage",
-		UpThreshold: 10, DownThreshold: 1, MaxInstances: 2,
+		UpThreshold: 10, DownThreshold: 1,
 	}}
 	eng, err := NewEngine(a, rules, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.maxInstances = 2
 	for i := 0; i < 50; i++ {
 		a.Step(150)
 		eng.Step()
 	}
 	if got := a.Instances("api"); got > 2 {
-		t.Errorf("instances = %d, exceeded MaxInstances 2", got)
+		t.Errorf("instances = %d, exceeded maxInstances 2", got)
 	}
 	// With cooldown 10 over 50 ticks, at most ~5 actions are possible.
 	if got := len(eng.Actions()); got > 5 {
@@ -105,7 +108,7 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(nil, CPUPolicy([]string{"api"}, 80, 10, 5), 0); err == nil {
+	if _, err := NewEngine(nil, CPUPolicy([]string{"api"}, 80, 10), 0); err == nil {
 		t.Error("expected error for nil app")
 	}
 	if _, err := NewEngine(a, nil, 0); err == nil {
@@ -134,22 +137,27 @@ func TestSievePolicyFromArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, key, err := SievePolicy(art, 100, 50, 5)
+	targets := []string{"lb", "api"}
+	rules, err := SievePolicy(art, targets, 100, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key == "" || len(rules) == 0 {
-		t.Fatalf("policy = %v guided by %q", rules, key)
+	key, _ := art.Graph.MostFrequentMetric()
+	if len(rules) != len(targets) {
+		t.Fatalf("%d rules for %d targets", len(rules), len(targets))
 	}
-	for _, r := range rules {
-		if r.Metric == "" || r.Target == "" {
-			t.Errorf("incomplete rule %+v", r)
+	for i, r := range rules {
+		if r.Target != targets[i] {
+			t.Errorf("rule %d targets %q, want %q", i, r.Target, targets[i])
+		}
+		if r.MetricComponent+"/"+r.Metric != key {
+			t.Errorf("rule %d guided by %s/%s, want %s", i, r.MetricComponent, r.Metric, key)
 		}
 		if r.UpThreshold != 100 || r.DownThreshold != 50 {
 			t.Errorf("thresholds not propagated: %+v", r)
 		}
 	}
-	if _, _, err := SievePolicy(nil, 1, 0, 5); err == nil {
+	if _, err := SievePolicy(nil, targets, 1, 0); err == nil {
 		t.Error("expected error for nil artifact")
 	}
 }
@@ -204,5 +212,18 @@ func TestRefineThresholds(t *testing.T) {
 	}
 	if up > 300 {
 		t.Errorf("fallback up = %g, want <= min observed 300", up)
+	}
+	// A signal level that is not positive admits no band with down < up;
+	// the last row is a counter, which a probe reads as 0 on its first
+	// read, in a calibration where the SLA never held.
+	for _, c := range []struct{ metric, lat []float64 }{
+		{[]float64{0, 0, 0}, []float64{500, 500, 500}},
+		{[]float64{-4, -2}, []float64{500, 500}},
+		{[]float64{0, 5, 3}, []float64{2000, 2000, 2000}},
+	} {
+		up, down, err := RefineThresholds(c.metric, c.lat, 1000)
+		if err == nil || !strings.Contains(err.Error(), "calibration") {
+			t.Errorf("RefineThresholds(%v, %v) = (%g, %g, %v), want a calibration error", c.metric, c.lat, up, down, err)
+		}
 	}
 }

@@ -56,7 +56,7 @@ func TestEngineInstanceBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := CPUPolicy([]string{"api", "lb"}, 5, 1, 10) // trigger-happy
+	rules := CPUPolicy([]string{"api", "lb"}, 5, 1) // trigger-happy
 	eng, err := NewEngine(a, rules, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestEngineScaleInIsSlowerThanScaleOut(t *testing.T) {
 	}
 	rules := []Rule{{
 		Target: "api", MetricComponent: "api", Metric: "cpu_usage",
-		UpThreshold: 50, DownThreshold: 5, MaxInstances: 10,
+		UpThreshold: 50, DownThreshold: 5,
 	}}
 	eng, err := NewEngine(a, rules, 4)
 	if err != nil {

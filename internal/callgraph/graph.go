@@ -42,17 +42,6 @@ func (g *Graph) AddCall(caller, callee string, n int) {
 	m[callee] += n
 }
 
-// Callees returns the components that caller directly calls, sorted.
-func (g *Graph) Callees(caller string) []string {
-	m := g.adj[caller]
-	out := make([]string, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Edges returns every edge sorted by (caller, callee).
 func (g *Graph) Edges() []Edge {
 	var out []Edge

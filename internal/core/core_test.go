@@ -80,7 +80,7 @@ func TestCaptureProducesDatasetAndCallGraph(t *testing.T) {
 	if ds.TotalMetrics() != 8+7+4 {
 		t.Errorf("total metrics = %d, want 19", ds.TotalMetrics())
 	}
-	if !slices.Contains(ds.CallGraph.Callees("lb"), "api") || !slices.Contains(ds.CallGraph.Callees("api"), "db") {
+	if pairs := ds.CallGraph.CommunicatingPairs(); !slices.Contains(pairs, [2]string{"api", "lb"}) || !slices.Contains(pairs, [2]string{"api", "db"}) {
 		t.Error("call graph incomplete")
 	}
 	// Every series spans the full grid.

@@ -80,23 +80,16 @@ func (g *DependencyGraph) EdgesBetween(from, to string) []DependencyEdge {
 	return out
 }
 
-// MetricFrequency counts how often each component/metric participates in
-// an edge (either side). The autoscaling engine picks the most frequent
-// metric as its scaling signal (§4.1 step 1).
-func (g *DependencyGraph) MetricFrequency() map[string]int {
+// MostFrequentMetric returns the component/metric key appearing in the
+// most Granger relations (either side of an edge), with its count (ties
+// broken lexicographically for determinism). The autoscaling engine uses
+// it as its scaling signal (§4.1 step 1).
+func (g *DependencyGraph) MostFrequentMetric() (string, int) {
 	freq := map[string]int{}
 	for _, e := range g.Edges {
 		freq[e.From+"/"+e.FromMetric]++
 		freq[e.To+"/"+e.ToMetric]++
 	}
-	return freq
-}
-
-// MostFrequentMetric returns the component/metric key appearing in the
-// most Granger relations, with its count (ties broken lexicographically
-// for determinism).
-func (g *DependencyGraph) MostFrequentMetric() (string, int) {
-	freq := g.MetricFrequency()
 	keys := make([]string, 0, len(freq))
 	for k := range freq {
 		keys = append(keys, k)

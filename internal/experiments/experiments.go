@@ -170,29 +170,39 @@ func (s *Suite) diagnose(threshold float64) (*rca.Report, error) {
 	return rca.Diagnose(correct, faulty, rca.Options{SimilarityThreshold: threshold})
 }
 
+// experiment is one regenerable table or figure.
+type experiment struct {
+	id  string
+	run func(*Suite) (*Result, error)
+}
+
+// catalog lists every experiment in paper order. It is a function, not a
+// package-level variable, because TestEveryFunctionIsReachable roots
+// every package-level initialiser: the experiments must stay reached
+// through the commands that list them.
+func catalog() []experiment {
+	return []experiment{
+		{"table1", (*Suite).Table1},
+		{"figure3", (*Suite).Figure3},
+		{"figure4", (*Suite).Figure4},
+		{"figure5", (*Suite).Figure5},
+		{"table3", (*Suite).Table3},
+		{"figure6", (*Suite).Figure6},
+		{"table4", (*Suite).Table4},
+		{"table5", (*Suite).Table5},
+		{"figure7", (*Suite).Figure7},
+		{"figure8", (*Suite).Figure8},
+	}
+}
+
 // All runs every experiment in paper order.
 func (s *Suite) All() ([]*Result, error) {
-	type step struct {
-		name string
-		run  func() (*Result, error)
-	}
-	steps := []step{
-		{"table1", s.Table1},
-		{"figure3", s.Figure3},
-		{"figure4", s.Figure4},
-		{"figure5", s.Figure5},
-		{"table3", s.Table3},
-		{"figure6", s.Figure6},
-		{"table4", s.Table4},
-		{"table5", s.Table5},
-		{"figure7", s.Figure7},
-		{"figure8", s.Figure8},
-	}
-	out := make([]*Result, 0, len(steps))
-	for _, st := range steps {
-		r, err := st.run()
+	experiments := catalog()
+	out := make([]*Result, 0, len(experiments))
+	for _, e := range experiments {
+		r, err := e.run(s)
 		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", st.name, err)
+			return out, fmt.Errorf("experiments: %s: %w", e.id, err)
 		}
 		out = append(out, r)
 	}
@@ -201,38 +211,22 @@ func (s *Suite) All() ([]*Result, error) {
 
 // ByID runs one experiment by identifier.
 func (s *Suite) ByID(id string) (*Result, error) {
-	switch strings.ToLower(id) {
-	case "table1":
-		return s.Table1()
-	case "figure3":
-		return s.Figure3()
-	case "figure4":
-		return s.Figure4()
-	case "figure5":
-		return s.Figure5()
-	case "table3":
-		return s.Table3()
-	case "figure6":
-		return s.Figure6()
-	case "table4":
-		return s.Table4()
-	case "table5":
-		return s.Table5()
-	case "figure7":
-		return s.Figure7()
-	case "figure8":
-		return s.Figure8()
-	default:
-		return nil, fmt.Errorf("experiments: unknown id %q (table1, table3-5, figure3-8)", id)
+	for _, e := range catalog() {
+		if e.id == strings.ToLower(id) {
+			return e.run(s)
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown id %q (%s)", id, strings.Join(IDs(), ", "))
 }
 
 // IDs lists the available experiment identifiers in paper order.
 func IDs() []string {
-	return []string{
-		"table1", "figure3", "figure4", "figure5", "table3",
-		"figure6", "table4", "table5", "figure7", "figure8",
+	experiments := catalog()
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // warmApp steps an application briefly so lazily-created metrics exist.

@@ -1,30 +1,19 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
-// smokeConfig is even smaller than QuickConfig: just enough load for the
-// pipelines to find structure.
-func smokeConfig() Config {
-	return Config{
-		ShareLatexTicks: 150,
-		ShareLatexRuns:  3,
-		OpenStackTicks:  150,
-		AutoscaleTicks:  600,
-		HTTPRequests:    500,
-		Seed:            42,
-	}
-}
-
-// TestAllExperimentsSmoke regenerates every artifact end to end on the
-// smallest viable configuration and sanity-checks the headline values.
+// TestAllExperimentsSmoke regenerates every artifact end to end on
+// QuickConfig, sanity-checks the headline values and pins Table 4's bytes.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite (slow)")
 	}
-	suite := NewSuite(smokeConfig())
+	suite := NewSuite(QuickConfig())
 	results, err := suite.All()
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +53,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	// tracers did is counted: every request is at least one read and one
 	// write on the server's connection, each an event to the syscall
 	// tracer and a record to the packet capture.
-	f5, requests := byID["figure5"].Values, float64(smokeConfig().HTTPRequests)
+	f5, requests := byID["figure5"].Values, float64(QuickConfig().HTTPRequests)
 	if v := f5["native_seconds"]; v <= 0 {
 		t.Errorf("figure5 native time = %g, want positive", v)
 	}
@@ -94,9 +83,16 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		t.Errorf("figure6 edges = %g, want a connected graph", v)
 	}
 
-	// Table 4: both replays completed with sane outputs.
-	if v := byID["table4"].Values["sieve_rule_violations"]; v < 0 {
-		t.Errorf("table4 sieve violations = %g", v)
+	// Table 4: the bytes cmd/experiments prints, without its timing line.
+	// After an intended change, regenerate with
+	//   go run ./cmd/experiments -quick -run table4 | grep -v '^regenerated' > internal/experiments/testdata/table4_quick.txt
+	want, err := os.ReadFile("testdata/table4_quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t4 := byID["table4"]
+	if got := fmt.Sprintf("==== %s: %s ====\n%s\n", t4.ID, t4.Title, t4.Text); got != string(want) {
+		t.Errorf("table4 text differs from testdata/table4_quick.txt:\n%s", got)
 	}
 
 	// Table 5: the Table 5 metric populations reproduce exactly.
@@ -129,8 +125,33 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// TestTable4NoRatioAgainstZero: at seed 1 the CPU rule breaks the SLA in
+// no sample, so the violations difference has no ratio. Its cell reads
+// n/a and its key stays out of Values instead of reading as a tie.
+func TestTable4NoRatioAgainstZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("autoscaling replays (slow)")
+	}
+	cfg := QuickConfig()
+	cfg.Seed = 1
+	cfg.ShareLatexRuns = 1 // Table 4 reads the first run only
+	r, err := NewSuite(cfg).Table4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := r.Values["cpu_rule_violations"]; v != 0 {
+		t.Fatalf("cpu rule violations = %g, want the 0 this test is about", v)
+	}
+	if v, ok := r.Values["violations_diff_pct"]; ok {
+		t.Errorf("violations_diff_pct = %g, want no value against 0", v)
+	}
+	if !strings.Contains(r.Text, " n/a ") {
+		t.Errorf("no n/a cell in:\n%s", r.Text)
+	}
+}
+
 func TestByIDUnknown(t *testing.T) {
-	suite := NewSuite(smokeConfig())
+	suite := NewSuite(QuickConfig())
 	if _, err := suite.ByID("table9"); err == nil {
 		t.Error("expected error for unknown id")
 	}

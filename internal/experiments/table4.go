@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -49,21 +50,19 @@ func (s *Suite) Table4() (*Result, error) {
 	// machinery ("a traditional metric (CPU usage) and Sieve's selection
 	// when used as autoscaling triggers"), so both policies scale the
 	// same component set and differ only in the trigger signal.
-	_, guideKey, err := autoscale.SievePolicy(art, 1, 0, 10)
-	if err != nil {
-		return nil, err
+	guideKey, relations := art.Graph.MostFrequentMetric()
+	if relations == 0 {
+		return nil, errors.New("experiments: table4 needs a dependency graph with relations")
 	}
-	slash := strings.IndexByte(guideKey, '/')
-	guideComp, guideMetric := guideKey[:slash], guideKey[slash+1:]
-	sieveRules := make([]autoscale.Rule, 0, len(scalableComponents))
-	for _, c := range scalableComponents {
-		sieveRules = append(sieveRules, autoscale.Rule{
-			Target:          c,
-			MetricComponent: guideComp,
-			Metric:          guideMetric,
-			UpThreshold:     1,
-			MaxInstances:    10,
-		})
+	guideComp, guideMetric, _ := strings.Cut(guideKey, "/")
+
+	// A policy builds one side's rules with the threshold band up/down.
+	type policy func(up, down float64) ([]autoscale.Rule, error)
+	cpuPolicy := func(up, down float64) ([]autoscale.Rule, error) {
+		return autoscale.CPUPolicy(scalableComponents, up, down), nil
+	}
+	sievePolicy := func(up, down float64) ([]autoscale.Rule, error) {
+		return autoscale.SievePolicy(art, scalableComponents, up, down)
 	}
 
 	pattern := loadgen.WorldCup(s.cfg.Seed+900, s.cfg.AutoscaleTicks, 150, 2400)
@@ -97,11 +96,15 @@ func (s *Suite) Table4() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpuRules := autoscale.CPUPolicy(scalableComponents, upC, downC, 10)
 
-	replay := func(seed int64, rules []autoscale.Rule) (autoscaleOutcome, error) {
+	// replay runs the trace under pol built with the band up/down.
+	replay := func(pol policy, up, down float64) (autoscaleOutcome, error) {
 		var out autoscaleOutcome
-		a, err := sharelatex.New(seed)
+		rules, err := pol(up, down)
+		if err != nil {
+			return out, err
+		}
+		a, err := sharelatex.New(s.cfg.Seed + 2)
 		if err != nil {
 			return out, err
 		}
@@ -142,17 +145,8 @@ func (s *Suite) Table4() (*Result, error) {
 	// thresholds and lower them while SLA violations stay above 5% of the
 	// samples, keeping the best replay. Both policies get the same
 	// treatment.
-	refine := func(rules []autoscale.Rule, up, down float64) (autoscaleOutcome, float64, float64, error) {
-		withThresholds := func(u, d float64) []autoscale.Rule {
-			out := make([]autoscale.Rule, len(rules))
-			copy(out, rules)
-			for i := range out {
-				out[i].UpThreshold = u
-				out[i].DownThreshold = d
-			}
-			return out
-		}
-		best, err := replay(s.cfg.Seed+2, withThresholds(up, down))
+	refine := func(pol policy, up, down float64) (autoscaleOutcome, float64, float64, error) {
+		best, err := replay(pol, up, down)
 		if err != nil {
 			return best, up, down, err
 		}
@@ -160,7 +154,7 @@ func (s *Suite) Table4() (*Result, error) {
 		for iter := 0; iter < 3 && best.violations > best.samples/20; iter++ {
 			up *= 0.7
 			down = up * 0.8
-			out, err := replay(s.cfg.Seed+2, withThresholds(up, down))
+			out, err := replay(pol, up, down)
 			if err != nil {
 				return best, bestUp, bestDown, err
 			}
@@ -171,51 +165,51 @@ func (s *Suite) Table4() (*Result, error) {
 		return best, bestUp, bestDown, nil
 	}
 
-	cpuOut, upC, downC, err := refine(cpuRules, upC, downC)
+	cpuOut, upC, downC, err := refine(cpuPolicy, upC, downC)
 	if err != nil {
 		return nil, err
 	}
-	sieveOut, upS, downS, err := refine(sieveRules, upS, downS)
+	sieveOut, upS, downS, err := refine(sievePolicy, upS, downS)
 	if err != nil {
 		return nil, err
 	}
 
-	diff := func(cpu, sieve float64) float64 {
-		if cpu == 0 {
-			return 0
-		}
-		return (sieve/cpu - 1) * 100
+	values := map[string]float64{
+		"cpu_rule_mean_cpu":     cpuOut.meanCPU,
+		"sieve_rule_mean_cpu":   sieveOut.meanCPU,
+		"cpu_rule_violations":   float64(cpuOut.violations),
+		"sieve_rule_violations": float64(sieveOut.violations),
+		"cpu_rule_actions":      float64(cpuOut.actions),
+		"sieve_rule_actions":    float64(sieveOut.actions),
 	}
-	cpuDiff := diff(cpuOut.meanCPU, sieveOut.meanCPU)
-	violDiff := diff(float64(cpuOut.violations), float64(sieveOut.violations))
-	actDiff := diff(float64(cpuOut.actions), float64(sieveOut.actions))
+	// diff is the Difference cell: Sieve's change over the CPU rule,
+	// recorded under key. Against a CPU value of 0 there is no ratio, so
+	// the cell reads n/a and key stays out of the values.
+	diff := func(key string, cpu, sieve float64) string {
+		if cpu == 0 {
+			return fmt.Sprintf("%9s", "n/a")
+		}
+		values[key] = (sieve/cpu - 1) * 100
+		return fmt.Sprintf("%+8.1f%%", values[key])
+	}
 
 	var b strings.Builder
 	b.WriteString("Table 4: CPU-threshold autoscaling vs Sieve's metric selection\n")
 	fmt.Fprintf(&b, "Guiding metric (Sieve): %s  [thresholds up=%.0f down=%.0f]\n", guideKey, upS, downS)
 	fmt.Fprintf(&b, "Guiding metric (CPU):   cpu_usage per component  [thresholds up=%.1f%% down=%.1f%%]\n\n", upC, downC)
 	b.WriteString("Metric                               CPU rule     Sieve       Difference  (paper)\n")
-	fmt.Fprintf(&b, "Mean CPU usage per component [%%]     %-12.2f %-12.2f %+8.1f%%   (+54.8%%)\n",
-		cpuOut.meanCPU, sieveOut.meanCPU, cpuDiff)
-	fmt.Fprintf(&b, "SLA violations (out of %d)         %-12d %-12d %+8.1f%%   (-62.8%%)\n",
-		cpuOut.samples, cpuOut.violations, sieveOut.violations, violDiff)
-	fmt.Fprintf(&b, "Number of scaling actions            %-12d %-12d %+8.1f%%   (-34.4%%)\n",
-		cpuOut.actions, sieveOut.actions, actDiff)
+	fmt.Fprintf(&b, "Mean CPU usage per component [%%]     %-12.2f %-12.2f %s   (+54.8%%)\n",
+		cpuOut.meanCPU, sieveOut.meanCPU, diff("mean_cpu_diff_pct", cpuOut.meanCPU, sieveOut.meanCPU))
+	fmt.Fprintf(&b, "SLA violations (out of %d)         %-12d %-12d %s   (-62.8%%)\n",
+		cpuOut.samples, cpuOut.violations, sieveOut.violations,
+		diff("violations_diff_pct", float64(cpuOut.violations), float64(sieveOut.violations)))
+	fmt.Fprintf(&b, "Number of scaling actions            %-12d %-12d %s   (-34.4%%)\n",
+		cpuOut.actions, sieveOut.actions, diff("actions_diff_pct", float64(cpuOut.actions), float64(sieveOut.actions)))
 
 	return &Result{
-		ID:    "table4",
-		Title: "Autoscaling: traditional CPU rule vs Sieve's selection",
-		Text:  b.String(),
-		Values: map[string]float64{
-			"cpu_rule_mean_cpu":     cpuOut.meanCPU,
-			"sieve_rule_mean_cpu":   sieveOut.meanCPU,
-			"cpu_rule_violations":   float64(cpuOut.violations),
-			"sieve_rule_violations": float64(sieveOut.violations),
-			"cpu_rule_actions":      float64(cpuOut.actions),
-			"sieve_rule_actions":    float64(sieveOut.actions),
-			"mean_cpu_diff_pct":     cpuDiff,
-			"violations_diff_pct":   violDiff,
-			"actions_diff_pct":      actDiff,
-		},
+		ID:     "table4",
+		Title:  "Autoscaling: traditional CPU rule vs Sieve's selection",
+		Text:   b.String(),
+		Values: values,
 	}, nil
 }

@@ -45,12 +45,12 @@ func TestPublicAPIShareLatexPipeline(t *testing.T) {
 		t.Fatal("no guiding metric")
 	}
 
-	rules, guided, err := autoscale.SievePolicy(artifact, 1400, 1120, 10)
+	rules, err := autoscale.SievePolicy(artifact, []string{"web"}, 1400, 1120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rules) == 0 || guided != key {
-		t.Errorf("policy = %d rules guided by %q (want %q)", len(rules), guided, key)
+	if len(rules) != 1 || rules[0].MetricComponent+"/"+rules[0].Metric != key {
+		t.Errorf("policy = %+v, want one rule guided by %q", rules, key)
 	}
 
 	// Monitoring accounting must be populated for Table 3 style math.
