@@ -64,9 +64,12 @@ func run(appName string, faulty bool, ticks int, seed int64, dot, verbose bool, 
 	fmt.Printf("capture: %d metrics over %d ticks (%d points stored, %d KB wire)\n",
 		artifact.Dataset.TotalMetrics(), ticks,
 		capture.DB.Stats().Points, capture.DB.Stats().NetworkInBytes/1024)
-	fmt.Printf("reduction: %d -> %d metrics (%.1fx)\n",
-		artifact.Reduction.TotalBefore(), artifact.Reduction.TotalAfter(),
-		float64(artifact.Reduction.TotalBefore())/float64(artifact.Reduction.TotalAfter()))
+	before, after := artifact.Reduction.TotalBefore(), artifact.Reduction.TotalAfter()
+	ratio := "n/a" // too short a capture to cluster: nothing survives
+	if after > 0 {
+		ratio = fmt.Sprintf("%.1fx", float64(before)/float64(after))
+	}
+	fmt.Printf("reduction: %d -> %d metrics (%s)\n", before, after, ratio)
 
 	for _, comp := range artifact.Dataset.Components() {
 		cr := artifact.Reduction[comp]

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/sieve-microservices/sieve/internal/app"
@@ -149,69 +148,13 @@ func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, op
 
 // DatasetFromDB reads every series in the store — any tsdb.ReadStore,
 // including the sharded server store — resamples it onto the given grid,
-// and assembles a Dataset (without a call graph).
-//
-// The store's streaming scan decodes chunks directly into one flat bucket
-// grid (series i owns sums[i*n:(i+1)*n]) — no []Point or SeriesResult
-// materializes — then each occupied row goes through the same
-// timeseries.FromBuckets second half Resample uses. The accumulation
-// (skip guards, += order) is statement-for-statement Resample's own loop,
-// so the assembled dataset is bit-identical to resampling each series'
-// raw query result. Rows are disjoint, so the store may visit different
-// series concurrently.
-//
-// Online callers that assemble overlapping windows cycle after cycle
-// should use a WindowCache instead: it keeps per-series bucket state
-// across calls and reads only the window's new tail, producing the same
-// bytes this full read would.
+// and assembles a Dataset (without a call graph). It is a fresh
+// WindowCache's first Advance: one streaming scan over the window into
+// per-series bucket state, bit-identical to resampling each series' raw
+// query result. Online callers that assemble overlapping windows cycle
+// after cycle keep the WindowCache instead, so later cycles scan only the
+// window's new tail.
 func DatasetFromDB(db tsdb.ReadStore, appName string, stepMS, start, end int64) (*Dataset, error) {
-	if stepMS <= 0 {
-		return nil, fmt.Errorf("core: dataset assembly has non-positive step %d", stepMS)
-	}
-	if end <= start {
-		return nil, fmt.Errorf("core: empty capture window [%d,%d)", start, end)
-	}
-	ds := &Dataset{
-		App:    appName,
-		StepMS: stepMS,
-		Start:  start,
-		End:    end,
-		Series: map[string]map[string]*timeseries.Regular{},
-	}
-	n := timeseries.GridBuckets(start, end, stepMS)
-	var (
-		keys   []string
-		sums   []float64
-		counts []int
-	)
-	err := db.ScanMatch("*", "*", start, end, func(ks []string) {
-		keys = ks
-		sums = make([]float64, len(ks)*n)
-		counts = make([]int, len(ks)*n)
-	}, func(i int, t int64, v float64) {
-		if t < start || t >= end || math.IsNaN(v) {
-			return
-		}
-		b := int((t - start) / stepMS)
-		sums[i*n+b] += v
-		counts[i*n+b]++
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: matcher scan over window: %w", err)
-	}
-	for i, key := range keys {
-		component, metric := splitStoreKey(key)
-		reg, err := timeseries.FromBuckets(metric, start, stepMS, sums[i*n:(i+1)*n], counts[i*n:(i+1)*n])
-		if err != nil {
-			continue // no usable points in the window: skipped, not fatal
-		}
-		if ds.Series[component] == nil {
-			ds.Series[component] = map[string]*timeseries.Regular{}
-		}
-		ds.Series[component][metric] = reg
-	}
-	if len(ds.Series) == 0 {
-		return nil, ErrNoSeries
-	}
-	return ds, nil
+	ds, _, err := NewWindowCache(appName, stepMS).Advance(db, start, end)
+	return ds, err
 }

@@ -14,8 +14,8 @@ import (
 
 // refDataset is the materializing reference for dataset assembly: one raw
 // QueryRange over the window, then timeseries.Resample per series — what
-// DatasetFromDB did before it streamed, and what its scan (and the window
-// cache's) must still equal bit for bit.
+// DatasetFromDB did before it streamed, and what the window cache's scan
+// (which DatasetFromDB now is) must still equal bit for bit.
 func refDataset(t *testing.T, store *tsdb.Sharded, appName string, stepMS, start, end int64) *Dataset {
 	t.Helper()
 	results, err := store.QueryRange(context.Background(), tsdb.RangeQuery{Component: "*", Metric: "*", From: start, To: end})

@@ -16,13 +16,14 @@
 //
 // Batch mode drives all three steps from a simulated load session
 // (Run); online mode skips step 1 and assembles the Dataset from a
-// store's streaming scan (tsdb.ReadStore) over a sliding window
-// (DatasetFromDB), which is how the sieved server re-runs steps 2-3 over
-// live ingested data.
+// store's streaming scan (tsdb.ReadStore) over a sliding window, which
+// is how the sieved server re-runs steps 2-3 over live ingested data.
 //
-// For overlapping windows the online path has one incremental
-// counterpart: WindowCache assembles each cycle from ring-buffered
-// bucket state with one tail-only store scan (bit-identical to
-// DatasetFromDB). Steps 2 and 3 have no carried state: every cycle
-// runs ReduceContext and IdentifyDependenciesContext exactly.
+// Dataset assembly has one accumulator: WindowCache streams store
+// points into ring-buffered per-series bucket state with one scan.
+// Batch assembly (DatasetFromDB) is a fresh cache's first Advance; over
+// overlapping windows a kept cache scans only each cycle's new tail,
+// bit-identical to the whole-window scan. Steps 2 and 3 have no carried
+// state: every cycle runs ReduceContext and IdentifyDependenciesContext
+// exactly.
 package core

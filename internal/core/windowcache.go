@@ -9,29 +9,32 @@ import (
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
-// WindowCache assembles sliding-window Datasets incrementally: instead of
-// re-querying and re-bucketing the whole window every cycle, it keeps a
-// ring buffer of per-series bucket state (sum and observation count per
-// grid slot) and, when the window slides forward on the same grid, issues
-// ONE matcher scan for just the new tail [prevEnd, newEnd), rolls every
-// ring forward, and evicts the expired head buckets.
+// WindowCache is the one dataset accumulator: it keeps a ring buffer of
+// per-series bucket state (sum and observation count per grid slot) and
+// streams store points into it with one matcher scan (scan). The first
+// Advance scans the whole window — that is all DatasetFromDB is, a fresh
+// cache's first Advance. When a later window slides forward on the same
+// grid, Advance rolls every ring forward, evicts the expired head buckets
+// and scans just the new tail [prevEnd, newEnd) instead of re-querying
+// and re-bucketing the whole window.
 //
 // Equivalence contract: the Dataset returned by Advance is bit-identical
-// to DatasetFromDB over the same window, provided no point inside the
-// already-cached region was written after that region was scanned. Each
-// bucket's sum accumulates its points in store order across tail scans —
-// the same order a single full-window scan would deliver them — and the
-// gap fill runs from scratch on the assembled buckets every cycle, so
-// sliding the window cannot perturb a single bit relative to batch
-// assembly. The cache cannot see a write behind its end; its owner can
+// to resampling each series' raw query result over the same window
+// (timeseries.Resample), provided no point inside the already-cached
+// region was written after that region was scanned. Each bucket's sum
+// accumulates its points in store order across tail scans — the same
+// order a single full-window scan would deliver them — and the gap fill
+// runs from scratch on the assembled buckets every cycle, so sliding the
+// window cannot perturb a single bit relative to a first Advance. The
+// cache cannot see a write behind its end; its owner can
 // (tsdb.Sharded.TakeLowWater) and calls Invalidate when one landed.
 //
 // Incremental reuse requires the new window to stay on the cached grid:
 // same step, same width, and a forward slide by a whole number of steps.
 // Any other shape (first cycle, width change, backward jump, slide past
-// the whole overlap) falls back to the full-rebuild path, which is one
-// whole-window scan and repopulates the rings. A WindowCache is not safe
-// for concurrent use; the online driver serializes cycles.
+// the whole overlap) falls back to the full-rebuild path, which empties
+// the rings and scans the whole window into them. A WindowCache is not
+// safe for concurrent use; the online driver serializes cycles.
 type WindowCache struct {
 	appName string
 	stepMS  int64
@@ -90,13 +93,13 @@ func (c *WindowCache) Invalidate() {
 }
 
 // Advance slides the cache to the window [start, end) and returns the
-// assembled Dataset (without a call graph), bit-identical to
-// DatasetFromDB(db, ...) over the same window under the contract
+// assembled Dataset (without a call graph), bit-identical to a fresh
+// cache's first Advance over the same window under the contract
 // documented on WindowCache.
 func (c *WindowCache) Advance(db tsdb.ReadStore, start, end int64) (*Dataset, AdvanceStats, error) {
 	var st AdvanceStats
 	if c.stepMS <= 0 {
-		return nil, st, fmt.Errorf("core: window cache has non-positive step %d", c.stepMS)
+		return nil, st, fmt.Errorf("core: dataset assembly has non-positive step %d", c.stepMS)
 	}
 	if end <= start {
 		return nil, st, fmt.Errorf("core: empty capture window [%d,%d)", start, end)
@@ -109,24 +112,26 @@ func (c *WindowCache) Advance(db tsdb.ReadStore, start, end int64) (*Dataset, Ad
 		return ds, st, err
 	}
 
-	delta := start - c.start
-	d := int(delta / c.stepMS)
+	d := int((start - c.start) / c.stepMS)
 	st.RolledBuckets = d
 	if d > 0 {
 		for _, r := range c.series {
 			r.roll(d)
 		}
 		// One matcher scan for the new tail only. [c.end, end) starts on a
-		// bucket boundary of the new window (delta is a whole number of
+		// bucket boundary of the new window (the slide is a whole number of
 		// steps and the width is unchanged), so every tail point lands in
 		// one of the d freshly-zeroed slots — or tops up the last partial
 		// bucket — in the same store order a full-window scan would have
-		// delivered it, decoded straight into the rings.
+		// delivered it.
+		c.start = start
 		st.TailQueries = 1
-		if err := c.scanTail(db, start, end, &st); err != nil {
+		born, err := c.scan(db, end)
+		if err != nil {
 			c.Invalidate()
 			return nil, st, fmt.Errorf("core: matcher scan over tail: %w", err)
 		}
+		st.SeriesBorn = born
 		// Death: every cached point expired and nothing arrived.
 		for key, r := range c.series {
 			if r.empty() {
@@ -135,7 +140,6 @@ func (c *WindowCache) Advance(db tsdb.ReadStore, start, end int64) (*Dataset, Ad
 			}
 		}
 	}
-	c.start, c.end = start, end
 
 	ds, err := c.assemble()
 	st.CachedSeries = len(c.series)
@@ -165,44 +169,15 @@ func (c *WindowCache) rollable(start, end int64) string {
 	return ""
 }
 
-// rebuild streams the whole window once, straight into freshly-created
-// rings — no []Point or SeriesResult materializes between the store and
-// the bucket state. Rings are created lazily on a series' first streamed
-// point — different series may be visited concurrently, but slot i is
-// written only by series i's (single) visiting goroutine, so the lazy
-// creation is race-free. One series' points arrive in the same canonical
-// storage order a raw query stably sorts, so the assembled buckets are
-// bit-identical to DatasetFromDB's.
+// rebuild resets the rings to the empty window [start, start) and scans
+// the whole of [start, end) into them.
 func (c *WindowCache) rebuild(db tsdb.ReadStore, start, end int64) (*Dataset, error) {
 	c.valid = false
-	c.start, c.end = start, end
+	c.start, c.end = start, start
 	c.buckets = timeseries.GridBuckets(start, end, c.stepMS)
 	c.series = map[string]*seriesRing{}
-
-	var (
-		keys  []string
-		rings []*seriesRing
-	)
-	err := db.ScanMatch("*", "*", start, end, func(ks []string) {
-		keys = ks
-		rings = make([]*seriesRing, len(ks))
-	}, func(i int, t int64, v float64) {
-		r := rings[i]
-		if r == nil {
-			comp, met := splitStoreKey(keys[i])
-			r = newSeriesRing(comp, met, c.buckets)
-			rings[i] = r
-		}
-		r.addPoint(t, v, start, c.stepMS)
-	})
-	if err != nil {
+	if _, err := c.scan(db, end); err != nil {
 		return nil, fmt.Errorf("core: matcher scan over window: %w", err)
-	}
-	for _, r := range rings {
-		if r == nil || r.empty() {
-			continue // no points, or every point was NaN: batch skips it too
-		}
-		c.series[r.component+"/"+r.metric] = r
 	}
 	ds, err := c.assemble()
 	if err != nil {
@@ -212,10 +187,20 @@ func (c *WindowCache) rebuild(db tsdb.ReadStore, start, end int64) (*Dataset, er
 	return ds, nil
 }
 
-// scanTail streams the tail range [c.end, end) into the existing rings,
-// creating rings for newborn series. Tail timestamps all sit at or past
-// c.end > start, so no point can land behind the cached frontier.
-func (c *WindowCache) scanTail(db tsdb.ReadStore, start, end int64, st *AdvanceStats) error {
+// scan is the cache's one accumulator: it streams [c.end, end) straight
+// into the rings of the window [c.start, end) — no []Point or
+// SeriesResult materializes between the store and the bucket state —
+// moves c.end to end, and returns how many series it added. A series'
+// ring is created on its first streamed point; every timestamp sits at
+// or past c.end, so a series with no ring had no usable point in
+// [c.start, c.end) and an empty head is exact. Different series may be
+// visited concurrently, but slot i is written only by series i's
+// (single) visiting goroutine, so the lazy creation is race-free. One
+// series' points arrive in the canonical storage order a raw query
+// stably sorts, so every bucket is bit-identical to Resample's. A new
+// ring that got no usable point (all NaN) is dropped: the reference
+// skips it too.
+func (c *WindowCache) scan(db tsdb.ReadStore, end int64) (int, error) {
 	var (
 		keys  []string
 		rings []*seriesRing
@@ -226,32 +211,30 @@ func (c *WindowCache) scanTail(db tsdb.ReadStore, start, end int64, st *AdvanceS
 		rings = make([]*seriesRing, len(ks))
 		born = make([]bool, len(ks))
 		for i, k := range ks {
-			comp, met := splitStoreKey(k)
-			rings[i] = c.series[comp+"/"+met]
+			rings[i] = c.series[k]
 		}
 	}, func(i int, t int64, v float64) {
 		r := rings[i]
 		if r == nil {
-			// Born: first points ever inside the window. Everything this
-			// series has in [start, c.end) would already be cached if it
-			// existed there, so an empty head is exact.
 			comp, met := splitStoreKey(keys[i])
 			r = newSeriesRing(comp, met, c.buckets)
 			rings[i] = r
 			born[i] = true
 		}
-		r.addPoint(t, v, start, c.stepMS)
+		r.addPoint(t, v, c.start, c.stepMS)
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
+	added := 0
 	for i, b := range born {
-		if b {
-			c.series[rings[i].component+"/"+rings[i].metric] = rings[i]
-			st.SeriesBorn++
+		if b && !rings[i].empty() {
+			c.series[keys[i]] = rings[i]
+			added++
 		}
 	}
-	return nil
+	c.end = end
+	return added, nil
 }
 
 // assemble builds the Dataset for the current window from the rings. The
@@ -338,11 +321,10 @@ func (r *seriesRing) empty() bool {
 
 // snapshot copies the ring into window order (bucket 0 first).
 func (r *seriesRing) snapshot(sums []float64, counts []int) {
-	n := len(r.sums)
-	for i := 0; i < n; i++ {
-		slot := (r.head + i) % n
-		sums[i], counts[i] = r.sums[slot], r.counts[slot]
-	}
+	k := copy(sums, r.sums[r.head:])
+	copy(sums[k:], r.sums[:r.head])
+	k = copy(counts, r.counts[r.head:])
+	copy(counts[k:], r.counts[:r.head])
 }
 
 // Window returns the currently cached window ([0,0) before the first

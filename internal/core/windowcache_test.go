@@ -74,9 +74,10 @@ func assertDatasetEqual(t *testing.T, got, want *Dataset, label string) {
 }
 
 // TestWindowCacheMatchesBatchAssembly slides a cache over an evolving
-// store and requires every assembled dataset to be bit-identical to a
-// from-scratch DatasetFromDB over the same window — across rolls, series
-// births and deaths, spline-filled gaps, and full-rebuild fallbacks.
+// store and requires every assembled dataset to be bit-identical to the
+// materializing reference (refDataset: one raw query, Resample per
+// series) over the same window — across rolls, series births and
+// deaths, spline-filled gaps, and full-rebuild fallbacks.
 func TestWindowCacheMatchesBatchAssembly(t *testing.T) {
 	db := tsdb.NewSharded(1)
 	cache := NewWindowCache("test", 500)
@@ -112,10 +113,7 @@ func TestWindowCacheMatchesBatchAssembly(t *testing.T) {
 		if !w.rebuild && st.TailQueries != w.tail {
 			t.Fatalf("window %d: TailQueries = %d, want %d", i, st.TailQueries, w.tail)
 		}
-		want, err := DatasetFromDB(db, "test", 500, w.start, w.end)
-		if err != nil {
-			t.Fatalf("window %d batch: %v", i, err)
-		}
+		want := refDataset(t, db, "test", 500, w.start, w.end)
 		assertDatasetEqual(t, ds, want, fmt.Sprintf("window %d", i))
 	}
 }
@@ -169,7 +167,8 @@ func TestWindowCacheQueryCounts(t *testing.T) {
 // one blind spot and its remedy: a write landing behind the cached end
 // is invisible to tail queries — the cache alone cannot see it — and the
 // store's low-water mark, taken before each Advance as the online driver
-// does, tells the owner to Invalidate, which restores batch equality.
+// does, tells the owner to Invalidate, which restores equality with the
+// reference.
 func TestWindowCacheLateWriteRepairedByInvalidate(t *testing.T) {
 	db := tsdb.NewSharded(1)
 	writeWindowFixture(t, db, 0, 22000)
@@ -187,10 +186,7 @@ func TestWindowCacheLateWriteRepairedByInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DatasetFromDB(db, "test", 500, 2000, 22000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refDataset(t, db, "test", 500, 2000, 22000)
 	lateBucket := (12345 - 2000) / 500
 	if math.Float64bits(ds.Get("web", "req_rate").Values[lateBucket]) == math.Float64bits(want.Get("web", "req_rate").Values[lateBucket]) {
 		t.Fatal("late write should be invisible to the incremental path (the documented blind spot); equal values mean this test lost its subject")
@@ -212,7 +208,8 @@ func TestWindowCacheLateWriteRepairedByInvalidate(t *testing.T) {
 
 // TestWindowCacheSurvivesFailedCycle: a later pipeline stage failing
 // after assembly abandons the run but not the cache — the next advance
-// rolls from the already-advanced state and still matches batch.
+// rolls from the already-advanced state and still matches the
+// reference.
 func TestWindowCacheSurvivesFailedCycle(t *testing.T) {
 	db := tsdb.NewSharded(1)
 	writeWindowFixture(t, db, 0, 26000)
@@ -227,9 +224,6 @@ func TestWindowCacheSurvivesFailedCycle(t *testing.T) {
 	if st.FullRebuild {
 		t.Fatalf("advance after abandoned cycle rebuilt: %+v", st)
 	}
-	want, err := DatasetFromDB(db, "test", 500, 6000, 26000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refDataset(t, db, "test", 500, 6000, 26000)
 	assertDatasetEqual(t, ds, want, "after failed cycle")
 }

@@ -507,6 +507,8 @@ func edgeDiffs(correct, faulty *core.Artifact, clusters []ClusterDiff, opts Opti
 		}
 	}
 
+	// One EdgeDiff per metric pair, so these five keys order the edges
+	// totally and the map iteration above cannot show through.
 	sort.Slice(out, func(i, j int) bool {
 		ei, ej := out[i], out[j]
 		if ei.From != ej.From {
@@ -518,7 +520,10 @@ func edgeDiffs(correct, faulty *core.Artifact, clusters []ClusterDiff, opts Opti
 		if ei.Kind != ej.Kind {
 			return ei.Kind < ej.Kind
 		}
-		return ei.FromMetric < ej.FromMetric
+		if ei.FromMetric != ej.FromMetric {
+			return ei.FromMetric < ej.FromMetric
+		}
+		return ei.ToMetric < ej.ToMetric
 	})
 	return out
 }

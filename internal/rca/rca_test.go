@@ -1,6 +1,8 @@
 package rca
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
@@ -219,6 +221,58 @@ func TestSimilarityThresholdFiltersWeakEdges(t *testing.T) {
 	// and 1.0 (api now identical): kept even at 0.9.
 	if counts := rep.EdgeKindCounts(); counts[EdgeLagChanged] != 1 {
 		t.Errorf("edge counts = %v", counts)
+	}
+}
+
+// TestEdgesOrderedByAllKeys: edges that differ only in ToMetric must
+// not tie, or their order follows map iteration and two runs over the
+// same artifacts print different reports.
+func TestEdgesOrderedByAllKeys(t *testing.T) {
+	const n = 12
+	dbMetrics := make([]string, n)
+	dbClusters := make([]core.Cluster, n)
+	var edges []core.DependencyEdge
+	for i := range dbMetrics {
+		m := fmt.Sprintf("d%02d", i)
+		dbMetrics[i] = m
+		dbClusters[i] = core.Cluster{ID: i, Metrics: []string{m}, Representative: m}
+		edges = append(edges, core.DependencyEdge{From: "api", To: "db", FromMetric: "m_shared", ToMetric: m, LagMS: 500, PValue: 0.01})
+	}
+	correct := synthArtifact(
+		map[string][]string{"api": {"m_ok", "m_shared"}, "db": dbMetrics},
+		map[string][]core.Cluster{
+			"api": {{ID: 0, Metrics: []string{"m_ok", "m_shared"}, Representative: "m_shared"}},
+			"db":  dbClusters,
+		}, nil)
+	faulty := synthArtifact(
+		map[string][]string{"api": {"m_err", "m_shared"}, "db": dbMetrics},
+		map[string][]core.Cluster{
+			"api": {{ID: 0, Metrics: []string{"m_err", "m_shared"}, Representative: "m_shared"}},
+			"db":  dbClusters,
+		}, edges)
+
+	var first []EdgeDiff
+	for run := 0; run < 10; run++ {
+		rep, err := Diagnose(correct, faulty, Options{SimilarityThreshold: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Edges) != n {
+			t.Fatalf("edges = %+v, want %d new edges", rep.Edges, n)
+		}
+		if run == 0 {
+			first = rep.Edges
+		} else if !reflect.DeepEqual(rep.Edges, first) {
+			t.Fatalf("run %d: edges %+v, want the first run's %+v", run, rep.Edges, first)
+		}
+	}
+	key := func(e EdgeDiff) string {
+		return fmt.Sprintf("%s\x00%s\x00%d\x00%s\x00%s", e.From, e.To, e.Kind, e.FromMetric, e.ToMetric)
+	}
+	for i := 1; i < n; i++ {
+		if key(first[i-1]) >= key(first[i]) {
+			t.Fatalf("edges %d and %d out of order: %+v then %+v", i-1, i, first[i-1], first[i])
+		}
 	}
 }
 
