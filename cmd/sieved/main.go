@@ -37,13 +37,10 @@
 // answer without touching chunk data, keeping month-window queries over
 // long -retention affordable.
 //
-// With -incremental the online pipeline carries its window across
-// cycles: each run queries only the window's new tail and rolls a
-// ring-buffered bucket cache forward — bit-identical to reassembling
-// the window: the store reports a write that lands behind the cached
-// end, and the next cycle then reassembles the window from the store.
-// Reduction and dependency identification are recomputed exactly every
-// cycle either way.
+// With -incremental the online pipeline's window ends align down to the
+// sampling grid, so consecutive windows slide by whole steps. There is
+// no cross-cycle state: every cycle reads its whole window from the
+// store and recomputes reduction and dependency identification exactly.
 //
 // sieved observes itself: GET /metrics serves the Prometheus text
 // exposition of its internal telemetry (ingest, WAL, checkpoint, query,
@@ -103,7 +100,7 @@ func main() {
 	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: blocks are written at shutdown only)")
 	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence (0 = default 5m, negative = disabled)")
 	downsample := flag.Bool("downsample", false, "build 5m/1h downsampled summaries on compacted blocks for coarse-step queries")
-	incremental := flag.Bool("incremental", false, "carry the analysis window across cycles: tail-only store queries into a ring-buffered window cache")
+	incremental := flag.Bool("incremental", false, "align each analysis window's end down to the sampling grid, so windows slide by whole steps (no state carries across cycles)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	selfScrapeInterval := flag.Duration("self-scrape-interval", 0, "write own telemetry into the store under the reserved \"sieve\" component every interval (0 = disabled)")
 	remoteWriteComponentLabel := flag.String("remote-write-component-label", "", "Prometheus label mapped to sieve's component on /api/v1/write (empty = default \"job\")")
@@ -165,14 +162,14 @@ func main() {
 			fmt.Printf("recovered %d points from %s\n", pts, *dataDir)
 		}
 	}
-	engine := "batch recompute"
+	windowEnds := "newest-point"
 	if *incremental {
-		engine = "incremental"
+		windowEnds = "grid-aligned"
 	}
 	eff := srv.Options()
-	fmt.Printf("sieved listening on %s (%d shards, window %s, step %s, interval %s, %s, %s pipeline)\n",
+	fmt.Printf("sieved listening on %s (%d shards, window %s, step %s, interval %s, %s, %s window ends)\n",
 		*addr, srv.Store().NumShards(), time.Duration(eff.WindowMS)*time.Millisecond,
-		time.Duration(eff.StepMS)*time.Millisecond, eff.Interval, durability, engine)
+		time.Duration(eff.StepMS)*time.Millisecond, eff.Interval, durability, windowEnds)
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

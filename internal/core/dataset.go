@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 
 	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
@@ -148,13 +150,112 @@ func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, op
 
 // DatasetFromDB reads every series in the store — any tsdb.ReadStore,
 // including the sharded server store — resamples it onto the given grid,
-// and assembles a Dataset (without a call graph). It is a fresh
-// WindowCache's first Advance: one streaming scan over the window into
-// per-series bucket state, bit-identical to resampling each series' raw
-// query result. Online callers that assemble overlapping windows cycle
-// after cycle keep the WindowCache instead, so later cycles scan only the
-// window's new tail.
+// and assembles a Dataset (without a call graph). Nothing is kept between
+// calls: the online driver calls it afresh every cycle.
+//
+// The store's streaming scan decodes chunks directly into one flat bucket
+// grid (series i owns sums[i*n:(i+1)*n]) — no []Point or SeriesResult
+// materializes — then each occupied row goes through the same
+// timeseries.FromBuckets second half Resample uses. The accumulation
+// (skip guards, += order) is statement-for-statement Resample's own loop,
+// so the assembled dataset is bit-identical to resampling each series'
+// raw query result. Rows are disjoint, so the store may visit different
+// series concurrently.
 func DatasetFromDB(db tsdb.ReadStore, appName string, stepMS, start, end int64) (*Dataset, error) {
-	ds, _, err := NewWindowCache(appName, stepMS).Advance(db, start, end)
-	return ds, err
+	if stepMS <= 0 {
+		return nil, fmt.Errorf("core: dataset assembly has non-positive step %d", stepMS)
+	}
+	if end <= start {
+		return nil, fmt.Errorf("core: empty capture window [%d,%d)", start, end)
+	}
+	ds := &Dataset{
+		App:    appName,
+		StepMS: stepMS,
+		Start:  start,
+		End:    end,
+		Series: map[string]map[string]*timeseries.Regular{},
+	}
+	n := timeseries.GridBuckets(start, end, stepMS)
+	var (
+		keys   []string
+		sums   []float64
+		counts []int
+	)
+	err := db.ScanMatch("*", "*", start, end, func(ks []string) {
+		keys = ks
+		sums = make([]float64, len(ks)*n)
+		counts = make([]int, len(ks)*n)
+	}, func(i int, t int64, v float64) {
+		if t < start || t >= end || math.IsNaN(v) {
+			return
+		}
+		b := int((t - start) / stepMS)
+		sums[i*n+b] += v
+		counts[i*n+b]++
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: matcher scan over window: %w", err)
+	}
+	for i, key := range keys {
+		component, metric := splitStoreKey(key)
+		reg, err := timeseries.FromBuckets(metric, start, stepMS, sums[i*n:(i+1)*n], counts[i*n:(i+1)*n])
+		if err != nil {
+			continue // no usable points in the window: skipped, not fatal
+		}
+		if ds.Series[component] == nil {
+			ds.Series[component] = map[string]*timeseries.Regular{}
+		}
+		ds.Series[component][metric] = reg
+	}
+	if len(ds.Series) == 0 {
+		return nil, ErrNoSeries
+	}
+	return ds, nil
+}
+
+// splitStoreKey splits a series key the way the tsdb query engine does:
+// at the first slash, or (component, "") when there is none — so keys
+// streamed by ScanMatch resolve to the same component/metric pair query
+// results carry.
+func splitStoreKey(key string) (component, metric string) {
+	if i := strings.IndexByte(key, '/'); i >= 0 {
+		return key[:i], key[i+1:]
+	}
+	return key, ""
+}
+
+// AlignWindowEnd returns the exclusive end of the last grid step fully
+// completed by maxTime — i.e. aligned DOWN, so a point at a
+// grid-aligned maxTime itself sits just past the returned end and only
+// enters the window once its step completes. The online driver's
+// grid-aligned (-incremental) windows use it, so consecutive windows
+// slide by whole steps. It returns 0 when not even one full step has
+// completed.
+func AlignWindowEnd(maxTime, stepMS int64) int64 {
+	if stepMS <= 0 {
+		return maxTime + 1
+	}
+	return (maxTime + 1) / stepMS * stepMS
+}
+
+// WindowCache holds no window: Advance is DatasetFromDB. It exists only
+// because sievebench's trace replay (bench/trace_pipeline.go) times
+// Advance beside DatasetFromDB, and it goes with ROADMAP item 2.
+type WindowCache struct {
+	appName string
+	stepMS  int64
+}
+
+// AdvanceStats is the empty second result of WindowCache.Advance.
+type AdvanceStats struct{}
+
+// NewWindowCache returns a WindowCache for the app and grid.
+func NewWindowCache(appName string, stepMS int64) *WindowCache {
+	return &WindowCache{appName: appName, stepMS: stepMS}
+}
+
+// Advance assembles the window [start, end) with DatasetFromDB.
+func (c *WindowCache) Advance(db tsdb.ReadStore, start, end int64) (*Dataset, AdvanceStats, error) {
+	ds, err := DatasetFromDB(db, c.appName, c.stepMS, start, end)
+	return ds, AdvanceStats{}, err
 }

@@ -19,11 +19,10 @@
 // store's streaming scan (tsdb.ReadStore) over a sliding window, which
 // is how the sieved server re-runs steps 2-3 over live ingested data.
 //
-// Dataset assembly has one accumulator: WindowCache streams store
-// points into ring-buffered per-series bucket state with one scan.
-// Batch assembly (DatasetFromDB) is a fresh cache's first Advance; over
-// overlapping windows a kept cache scans only each cycle's new tail,
-// bit-identical to the whole-window scan. Steps 2 and 3 have no carried
-// state: every cycle runs ReduceContext and IdentifyDependenciesContext
-// exactly.
+// Dataset assembly has one path: DatasetFromDB streams the window's
+// points with one matcher scan into a flat per-series bucket grid,
+// bit-identical to resampling each series' raw query result. Nothing
+// carries from one call, or one online cycle, to the next: every cycle
+// assembles its window and runs ReduceContext and
+// IdentifyDependenciesContext exactly.
 package core

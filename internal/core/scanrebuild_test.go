@@ -62,11 +62,12 @@ func requireSameDataset(t *testing.T, got, want *Dataset) {
 	}
 }
 
-// TestScanMatchRebuildMatchesQueryMatch pins the streaming decode paths
+// TestScanMatchRebuildMatchesQueryMatch pins the streaming decode path
 // bit-for-bit against the materializing reference (raw QueryRange +
-// Resample per series, refDataset): a DatasetFromDB assembly, a
-// WindowCache full rebuild and its incremental tail advances must all
-// equal it, at shard counts {1, 4}.
+// Resample per series, refDataset): DatasetFromDB over the whole store
+// and over a narrower window slid forward step by step must all equal
+// it, at shard counts {1, 4} — at 4 shards ScanMatch visits series
+// concurrently, each writing its own row of the flat grid.
 func TestScanMatchRebuildMatchesQueryMatch(t *testing.T) {
 	const stepMS, points = 500, 700
 	for _, shards := range []int{1, 4} {
@@ -74,44 +75,28 @@ func TestScanMatchRebuildMatchesQueryMatch(t *testing.T) {
 		windowEnd := int64(points) * 50
 		start, mid := int64(0), windowEnd-10*stepMS
 
-		// Full-window dataset assembly.
 		gotDS, err := DatasetFromDB(db, "app", stepMS, start, windowEnd)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameDataset(t, gotDS, refDataset(t, db, "app", stepMS, start, windowEnd))
 
-		// WindowCache: full rebuild, then incremental tail advances, each
-		// compared against the reference over the same window.
-		cache := NewWindowCache("app", stepMS)
 		width := mid - start
-		gotWin, st, err := cache.Advance(db, start, mid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.FullRebuild {
-			t.Fatalf("shards=%d: first advance was not a full rebuild: %+v", shards, st)
-		}
-		requireSameDataset(t, gotWin, refDataset(t, db, "app", stepMS, start, mid))
-
-		for slide := int64(1); slide <= 4; slide++ {
+		for slide := int64(0); slide <= 4; slide++ {
 			s := start + slide*2*stepMS
-			gotWin, st, err = cache.Advance(db, s, s+width)
+			got, err := DatasetFromDB(db, "app", stepMS, s, s+width)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.FullRebuild {
-				t.Fatalf("shards=%d: slide %d fell back to a full rebuild: %+v", shards, slide, st)
-			}
-			requireSameDataset(t, gotWin, refDataset(t, db, "app", stepMS, s, s+width))
+			requireSameDataset(t, got, refDataset(t, db, "app", stepMS, s, s+width))
 		}
 	}
 }
 
-// TestScanMatchRebuildAllocs pins the streaming full rebuild at zero
-// per-point allocations: packing 8x the points into the SAME window on
-// the SAME grid (denser sampling) must not change the rebuild's
-// allocation count beyond noise — every per-rebuild allocation is per
+// TestScanMatchRebuildAllocs pins DatasetFromDB's streaming assembly at
+// zero per-point allocations: packing 8x the points into the SAME window
+// on the SAME grid (denser sampling) must not change the assembly's
+// allocation count beyond noise — every per-call allocation is per
 // series or per grid bucket, never per decoded point.
 func TestScanMatchRebuildAllocs(t *testing.T) {
 	const stepMS, windowMS = 500, 30_000
@@ -138,13 +123,8 @@ func TestScanMatchRebuildAllocs(t *testing.T) {
 		return db
 	}
 	measure := func(db *tsdb.Sharded) float64 {
-		c := NewWindowCache("app", stepMS)
-		if _, _, err := c.Advance(db, 0, windowMS); err != nil {
-			t.Fatal(err)
-		}
 		return testing.AllocsPerRun(10, func() {
-			c.Invalidate()
-			if _, _, err := c.Advance(db, 0, windowMS); err != nil {
+			if _, err := DatasetFromDB(db, "app", stepMS, 0, windowMS); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -152,6 +132,6 @@ func TestScanMatchRebuildAllocs(t *testing.T) {
 	a1 := measure(build(1))
 	a2 := measure(build(8))
 	if a2 > a1+8 {
-		t.Fatalf("streaming rebuild allocations grew with point count: %v -> %v allocs/op", a1, a2)
+		t.Fatalf("streaming assembly allocations grew with point count: %v -> %v allocs/op", a1, a2)
 	}
 }

@@ -59,7 +59,11 @@ func Random(seed int64, ticks int, minRPS, maxRPS float64) Pattern {
 // log: a slow diurnal swell with sharp match-time spikes. The paper
 // replays one hour of the real trace; this generator reproduces the
 // statistical shape (we do not have the original log — see DESIGN.md).
+// It returns an empty pattern for ticks <= 0.
 func WorldCup(seed int64, ticks int, baseRPS, peakRPS float64) Pattern {
+	if ticks <= 0 {
+		return Pattern{}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	p := make(Pattern, ticks)
 
@@ -76,6 +80,8 @@ func WorldCup(seed int64, ticks int, baseRPS, peakRPS float64) Pattern {
 			width:  ticks/50 + rng.Intn(ticks/40+1),
 			height: 0.7 + 0.3*rng.Float64(),
 		}
+		// A zero width (short traces) would make the spike's centre 0/0.
+		spikes[i].width = max(spikes[i].width, 1)
 	}
 	for i := range p {
 		// Diurnal swell across the window.

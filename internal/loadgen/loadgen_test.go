@@ -76,6 +76,23 @@ func TestWorldCupShape(t *testing.T) {
 	}
 }
 
+// TestWorldCupShortTraces: every trace length, down to none at all,
+// yields finite non-negative load (a zero spike width once made the
+// spike centre NaN below 50 ticks, and zero ticks panicked).
+func TestWorldCupShortTraces(t *testing.T) {
+	for ticks := 0; ticks <= 64; ticks++ {
+		p := WorldCup(1, ticks, 100, 800)
+		if len(p) != ticks {
+			t.Fatalf("ticks=%d: len = %d", ticks, len(p))
+		}
+		for i, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Fatalf("ticks=%d: tick %d load %v, want finite and >= 0", ticks, i, v)
+			}
+		}
+	}
+}
+
 func TestDriveAdvancesApp(t *testing.T) {
 	a, err := openstack.New(1, false)
 	if err != nil {

@@ -37,19 +37,16 @@
 // checkpoints and closes the store on graceful shutdown; embedders
 // using Handler call Server.Close themselves.
 //
-// # Incremental execution
+// # Window assembly
 //
-// With Options.Incremental the online driver carries the analysis
-// window across cycles (Server.cache, driven from online.go): dataset
-// assembly rolls a ring-buffered window cache forward with one
-// tail-only store query — bit-identical to a from-scratch assembly,
-// because the driver asks the store before every cycle whether a write
-// landed behind the cached end and reassembles the window when one did
-// (rebuild_reason "late write"). Reduce and Granger run the same exact
-// computation every cycle, whichever way the window was assembled.
-// RunInfo and /stats break every cycle down per stage and report the
-// cache's rebuild and tail-query counts. The cache is memory-only: a
-// restarted server rebuilds it through the full path on its first cycle.
+// Every cycle reads its whole window from the store: the online driver
+// calls core.DatasetFromDB afresh, and no dataset state carries from one
+// cycle to the next, so a late write, a restart or a failed cycle needs
+// no special handling. Options.Incremental selects only the window's
+// shape: ends align down to the sampling grid, so consecutive windows
+// slide by whole steps. Reduce and Granger run the same exact
+// computation every cycle. RunInfo and /stats break every cycle down
+// per stage.
 //
 // # Observability
 //

@@ -26,7 +26,7 @@ func chainGraph() *callgraph.Graph {
 }
 
 // incrementalOptions are the equivalence-suite server options: window
-// assembly through the window cache.
+// ends aligned to the grid.
 func incrementalOptions(shards int) Options {
 	return Options{
 		AppName:     "chain",
@@ -80,20 +80,16 @@ func referenceArtifact(t *testing.T, opts Options, pattern loadgen.Pattern, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asm := info.Assembly; asm == nil || !asm.FullRebuild {
-		t.Fatalf("reference run was not a full rebuild: %+v", asm)
-	}
 	return marshaledArtifact(t, ref), info
 }
 
 // TestIncrementalEquivalence is the suite's core pin: the artifact (and
 // its marshaled bytes) published after K incremental cycles must
 // bit-equal a from-scratch run over the same window — at multiple shard
-// counts — while each cycle after the first does asymptotically less
-// assembly work: exactly one tail store query, zero full-window queries.
+// counts.
 func TestIncrementalEquivalence(t *testing.T) {
 	// The first chunk fills the 64-step window; later chunks slide it by
-	// 20 steps, keeping a two-thirds overlap for the rings to reuse.
+	// 20 steps, keeping a two-thirds overlap.
 	const seed = 11
 	cuts := []int{80, 100, 120, 140}
 	pattern := loadgen.Random(5, cuts[len(cuts)-1], 100, 1500)
@@ -113,20 +109,6 @@ func TestIncrementalEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cycle %d: %v", cycle, err)
 				}
-				asm := info.Assembly
-				if asm == nil {
-					t.Fatalf("cycle %d: incremental run reported no assembly stats", cycle)
-				}
-				if cycle == 0 {
-					if !asm.FullRebuild || asm.FullQueries != 1 {
-						t.Fatalf("cycle 0 should cold-start with one full query: %+v", asm)
-					}
-				} else {
-					if asm.FullRebuild || asm.TailQueries != 1 || asm.FullQueries != 0 {
-						t.Fatalf("cycle %d should be one tail query, no full rebuild: %+v", cycle, asm)
-					}
-				}
-
 				got := marshaledArtifact(t, s)
 				want, refInfo := referenceArtifact(t, incrementalOptions(1), pattern[:cut], seed)
 				if refInfo.Start != info.Start || refInfo.End != info.End {
@@ -143,8 +125,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 }
 
 // TestIncrementalRerunWithoutNewData: a second POST /run over an
-// unchanged window issues no store scan, still publishes (the generation
-// moves), and the artifact bytes stay identical.
+// unchanged window still publishes (the generation moves), and the
+// artifact bytes stay identical.
 func TestIncrementalRerunWithoutNewData(t *testing.T) {
 	s, _, c := newTestServer(t, incrementalOptions(2))
 	a, err := app.New(chainSpec(), 3)
@@ -162,10 +144,6 @@ func TestIncrementalRerunWithoutNewData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm := info.Assembly
-	if asm == nil || asm.FullRebuild || asm.TailQueries != 0 || asm.FullQueries != 0 {
-		t.Fatalf("no-new-data cycle still queried the store: %+v", asm)
-	}
 	if info.Generation != firstInfo.Generation+1 {
 		t.Fatalf("generation %d after %d, want the re-run to publish the next one", info.Generation, firstInfo.Generation)
 	}
@@ -174,11 +152,10 @@ func TestIncrementalRerunWithoutNewData(t *testing.T) {
 	}
 }
 
-// TestIncrementalLateWrite: a sample written behind the cached end —
-// through either HTTP protocol or straight into the store — makes the
-// next cycle reassemble the window from the store and say why, so its
-// artifact equals a from-scratch run over the same writes; the cycle
-// after rides the rebuilt rings again.
+// TestIncrementalLateWrite: a sample written behind the previous
+// cycle's window end — through either HTTP protocol or straight into the
+// store — is read by the next cycle, so its artifact equals a
+// from-scratch run over the same writes.
 func TestIncrementalLateWrite(t *testing.T) {
 	const seed = 17
 	cuts := []int{80, 100, 120, 140}
@@ -196,16 +173,15 @@ func TestIncrementalLateWrite(t *testing.T) {
 			return s.Store().WriteSamples([]tsdb.Sample{late}, 0)
 		},
 	}
-	// Where the late sample lands, given the cached window's end.
-	places := map[string]func(cachedEnd int64) tsdb.Sample{
-		"cached series": func(cachedEnd int64) tsdb.Sample {
-			return tsdb.Sample{Component: "api", Metric: "api_rate", T: cachedEnd - 5000, V: 1e6}
+	// Where the late sample lands, given the previous window's end.
+	places := map[string]func(prevEnd int64) tsdb.Sample{
+		"cached series": func(prevEnd int64) tsdb.Sample {
+			return tsdb.Sample{Component: "api", Metric: "api_rate", T: prevEnd - 5000, V: 1e6}
 		},
-		"born series": func(cachedEnd int64) tsdb.Sample {
-			return tsdb.Sample{Component: "api", Metric: "born_late", T: cachedEnd - 5000, V: 3}
+		"born series": func(prevEnd int64) tsdb.Sample {
+			return tsdb.Sample{Component: "api", Metric: "born_late", T: prevEnd - 5000, V: 3}
 		},
-		// Outside every window: a rebuild is conservative, equality is
-		// what matters.
+		// Outside every window.
 		"before the window": func(int64) tsdb.Sample {
 			return tsdb.Sample{Component: "api", Metric: "api_rate", T: 1000, V: 1e6}
 		},
@@ -246,12 +222,8 @@ func TestIncrementalLateWrite(t *testing.T) {
 						if err != nil {
 							t.Fatalf("cycle %d: %v", cycle, err)
 						}
-						asm := info.Assembly
 						switch cycle {
 						case 1:
-							if asm.FullRebuild || asm.TailQueries != 1 {
-								t.Fatalf("in-order cycle should be one tail query: %+v", asm)
-							}
 							late = at(info.End)
 							if err := write(s, c, late); err != nil {
 								t.Fatal(err)
@@ -259,13 +231,6 @@ func TestIncrementalLateWrite(t *testing.T) {
 						case 2:
 							if !bytes.Equal(marshaledArtifact(t, s), reference(t, late)) {
 								t.Fatal("cycle after a late write diverged from a from-scratch run over the same writes")
-							}
-							if place != "before the window" && (!asm.FullRebuild || asm.RebuildReason != "late write") {
-								t.Fatalf("cycle after a late write should rebuild and say why: %+v", asm)
-							}
-						case 3:
-							if asm.FullRebuild || asm.TailQueries != 1 {
-								t.Fatalf("cycle after the repair should be one tail query again: %+v", asm)
 							}
 						}
 					}
@@ -277,9 +242,8 @@ func TestIncrementalLateWrite(t *testing.T) {
 
 // TestIncrementalRestartMidSequence: checkpoint, hard-stop (no Close),
 // and reopen the durable store mid-sequence, at a different shard count.
-// The incremental state is memory-only, so the revived server must
-// rebuild through the full path — and end up bit-equal to a from-scratch
-// run over the recovered data plus the post-restart tail.
+// The revived server must end up bit-equal to a from-scratch run over
+// the recovered data plus the post-restart tail.
 func TestIncrementalRestartMidSequence(t *testing.T) {
 	// Chunk cuts keep the post-restart window overlapping the recovered
 	// data, so the revived pipeline genuinely reads what the store
@@ -319,10 +283,6 @@ func TestIncrementalRestartMidSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asm := info.Assembly; asm == nil || !asm.FullRebuild || asm.RebuildReason != "first cycle" {
-		t.Fatalf("post-restart cycle should rebuild via the full path: %+v", info.Assembly)
-	}
-
 	got := marshaledArtifact(t, s2)
 	want, refInfo := referenceArtifact(t, incrementalOptions(1), pattern, seed)
 	if refInfo.Start != info.Start || refInfo.End != info.End {
@@ -332,22 +292,12 @@ func TestIncrementalRestartMidSequence(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("post-restart incremental artifact diverged from from-scratch run over the recovered data")
 	}
-
-	// A second post-restart cycle rides the rebuilt rings again.
-	driveChunk(t, a, c2, loadgen.Constant(400, 20))
-	info2, err := s2.RunPipelineOnce(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Assembly.FullRebuild || info2.Assembly.TailQueries != 1 {
-		t.Fatalf("second post-restart cycle should be incremental: %+v", info2.Assembly)
-	}
 }
 
 // TestIncrementalCancelledRunIsNotFailure: a caller abandoning a run
 // (disconnected POST /run, shutdown mid-cycle) must not flip the
 // pipeline into the failing state or trigger the failing/recovered log
-// pair — and the next cycle still works off consistent carried state.
+// pair — and the next cycle still runs.
 func TestIncrementalCancelledRunIsNotFailure(t *testing.T) {
 	s, _, c := newTestServer(t, incrementalOptions(2))
 	a, err := app.New(chainSpec(), 37)
@@ -372,10 +322,9 @@ func TestIncrementalCancelledRunIsNotFailure(t *testing.T) {
 	}
 }
 
-// TestOnlineStateRacesIngestAndReaders exercises the state carried
-// across cycles — and the low-water mark that invalidates it — against
-// concurrent in-order ingest, late writes, /artifact readers and /stats
-// polls (run under -race in CI).
+// TestOnlineStateRacesIngestAndReaders exercises pipeline cycles
+// against concurrent in-order ingest, late writes, /artifact readers and
+// /stats polls (run under -race in CI).
 func TestOnlineStateRacesIngestAndReaders(t *testing.T) {
 	s, hs, c := newTestServer(t, incrementalOptions(4))
 	a, err := app.New(chainSpec(), 31)
@@ -388,7 +337,7 @@ func TestOnlineStateRacesIngestAndReaders(t *testing.T) {
 	defer cancel()
 	var wg sync.WaitGroup
 	wg.Add(4)
-	go func() { // late writes racing the take and the scans
+	go func() { // late writes racing the scans
 		defer wg.Done()
 		for ctx.Err() == nil {
 			if _, err := c.WriteSamples([]tsdb.Sample{{Component: "api", Metric: "api_rate", T: 20000, V: 1}}); err != nil {

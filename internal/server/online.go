@@ -49,13 +49,6 @@ type RunInfo struct {
 	Series   int `json:"series"`
 	Clusters int `json:"clusters"`
 	Edges    int `json:"edges"`
-
-	// Incremental reports whether the run assembled its dataset through
-	// the window cache.
-	Incremental bool `json:"incremental,omitempty"`
-	// Assembly reports the window cache's work (tail vs full queries,
-	// rolled buckets, series births/deaths). Nil on batch runs.
-	Assembly *core.AdvanceStats `json:"assembly,omitempty"`
 }
 
 // snapshotGraph returns the current topology, or an empty graph when
@@ -73,9 +66,8 @@ func (s *Server) snapshotGraph() *callgraph.Graph {
 // pipelineWindow picks the analysis window for this cycle. Batch mode
 // keeps the historical shape [hi-WindowMS, hi+1). Incremental mode
 // aligns the exclusive end down to the sampling grid so consecutive
-// windows slide by whole steps and the cache's rings can roll instead of
-// rebuilding; the window is then exactly WindowMS wide once the store
-// has filled it.
+// windows slide by whole steps; the window is then exactly WindowMS wide
+// once the store has filled it.
 func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 	if s.opts.Incremental {
 		end = core.AlignWindowEnd(hi, s.opts.StepMS)
@@ -110,11 +102,8 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 // publish the new artifact. Runs are serialized; readers keep seeing
 // the previous artifact until the new one is swapped in.
 //
-// With Options.Incremental dataset assembly reads only the window's new
-// tail through the ring-buffered cache (bit-identical to a from-scratch
-// assembly; a write behind the cached end makes the cycle reassemble);
-// reduction and dependency identification are the same exact computation
-// either way.
+// Every cycle assembles its window from the store afresh; no dataset
+// state carries from one cycle to the next.
 func (s *Server) RunPipelineOnce(ctx context.Context) (*RunInfo, error) {
 	sp := s.tel.opCycle.Start()
 	info, err := s.runPipelineOnce(ctx, &sp)
@@ -146,33 +135,9 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 		return nil, err
 	}
 
-	info := RunInfo{Incremental: s.opts.Incremental}
+	var info RunInfo
 	stage := time.Now()
-	var ds *core.Dataset
-	if s.cache != nil {
-		// A write below the cached end is in no ring and in no later tail
-		// scan: reassemble from the store. Take before scan — insert and
-		// mark share a shard lock hold, so a write this take misses is one
-		// the next take reports, and one it catches is one this scan reads.
-		_, cachedEnd := s.cache.Window()
-		lateWrite := s.store.TakeLowWater() < cachedEnd
-		if lateWrite {
-			s.cache.Invalidate()
-			s.tel.lateWriteInvalidations.Inc()
-		}
-		var ast core.AdvanceStats
-		ds, ast, err = s.cache.Advance(s.analysis, lo, end)
-		if lateWrite {
-			ast.RebuildReason = "late write"
-		}
-		info.Assembly = &ast
-		if ast.FullRebuild {
-			s.tel.fullRebuilds.Inc()
-		}
-		s.tel.tailQueries.Add(uint64(ast.TailQueries))
-	} else {
-		ds, err = core.DatasetFromDB(s.analysis, s.opts.AppName, s.opts.StepMS, lo, end)
-	}
+	ds, err := core.DatasetFromDB(s.analysis, s.opts.AppName, s.opts.StepMS, lo, end)
 	info.Stages.Assemble = time.Since(stage)
 	if err != nil {
 		if errors.Is(err, core.ErrNoSeries) {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
-	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/promremote"
 	"github.com/sieve-microservices/sieve/internal/telemetry"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
@@ -48,13 +47,10 @@ type Options struct {
 	// label is always the metric and cannot be chosen here.
 	RemoteWriteComponentLabel string
 
-	// Incremental switches the online pipeline's dataset assembly to the
-	// window cache: window ends are aligned down to the sampling grid so
-	// consecutive cycles slide by whole steps, and assembly keeps a
-	// ring-buffered bucket cache and queries only the window's new tail.
-	// Results are bit-identical to a from-scratch run on the same window:
-	// a write that lands behind the cached end makes the next cycle
-	// reassemble the window from the store.
+	// Incremental aligns the online pipeline's window ends down to the
+	// sampling grid, so consecutive windows slide by whole steps. There
+	// is no cross-cycle state: every cycle reads its window from the
+	// store either way.
 	Incremental bool
 
 	// DataDir, when non-empty, makes the store durable: every write is
@@ -213,13 +209,8 @@ type Server struct {
 	lastErr      string
 	runFailing   bool // drives once-per-state-change pipeline logging
 
-	// runMu serializes pipeline runs (driver tick vs POST /run) and
-	// guards cache, the one piece of state a cycle carries to the next:
-	// the ring-buffered sliding-window dataset cache (nil unless
-	// Options.Incremental). It lives only in memory, so a restarted
-	// server's first cycle rebuilds the window through the full path.
+	// runMu serializes pipeline runs (driver tick vs POST /run).
 	runMu      sync.Mutex
-	cache      *core.WindowCache
 	generation atomic.Int64
 
 	// rwScratch recycles the remote-write request scratch (body and
@@ -286,9 +277,6 @@ func newServer(opts Options, slowOp time.Duration) (*Server, error) {
 	}
 	s.tel = newTelemetrySet(store, slowOp)
 	s.analysis = analysisStore{st: store}
-	if opts.Incremental {
-		s.cache = core.NewWindowCache(opts.AppName, opts.StepMS)
-	}
 	s.mux = http.NewServeMux()
 	for pattern, handler := range s.routes() {
 		s.mux.HandleFunc(pattern, handler)
@@ -559,14 +547,11 @@ type StatsResponse struct {
 	PipelineRuns int64  `json:"pipeline_runs"`
 	LastError    string `json:"last_error,omitempty"`
 
-	// Window-cache health: cumulative counts since boot of full window
-	// rebuilds and tail-only store queries. LastRun carries the most
+	// Incremental echoes Options.Incremental. LastRun carries the most
 	// recent run's per-stage elapsed breakdown so cycle-time regressions
 	// are attributable.
-	Incremental  bool     `json:"incremental,omitempty"`
-	FullRebuilds int64    `json:"full_rebuilds,omitempty"`
-	TailQueries  int64    `json:"tail_queries,omitempty"`
-	LastRun      *RunInfo `json:"last_run,omitempty"`
+	Incremental bool     `json:"incremental,omitempty"`
+	LastRun     *RunInfo `json:"last_run,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -607,8 +592,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PipelineRuns:        int64(s.tel.pipelineRuns.Value()),
 		LastError:           lastErr,
 		Incremental:         s.opts.Incremental,
-		FullRebuilds:        int64(s.tel.fullRebuilds.Value()),
-		TailQueries:         int64(s.tel.tailQueries.Value()),
 		LastRun:             lastRun,
 	})
 }

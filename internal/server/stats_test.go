@@ -52,7 +52,7 @@ func auxSamples(component string, fromTick, ticks int) []tsdb.Sample {
 
 // TestStatsScriptedLife drives one scripted life through both ingest
 // protocols — accepted batches, rejected payloads, a partial storage
-// failure on each protocol whose stored half lands behind the cached
+// failure on each protocol whose stored half lands behind the previous
 // window's end, three pipeline cycles — and compares /stats field by
 // field with the client-side books and the script's own cycle count.
 func TestStatsScriptedLife(t *testing.T) {
@@ -128,8 +128,6 @@ func TestStatsScriptedLife(t *testing.T) {
 		{"points", int64(st.Points), w.samples},
 		{"generation", st.Generation, 3},
 		{"pipeline_runs", st.PipelineRuns, 3},
-		{"full_rebuilds", st.FullRebuilds, 2},
-		{"tail_queries", st.TailQueries, 1},
 		{"checkpoint_failures", int64(st.CheckpointFailures), 1},
 		{"last_run.generation", st.LastRun.Generation, last.Generation},
 	} {
@@ -142,8 +140,5 @@ func TestStatsScriptedLife(t *testing.T) {
 	}
 	if !st.Incremental || !st.Durable || st.LastError != "" {
 		t.Errorf("/stats incremental=%v durable=%v last_error=%q", st.Incremental, st.Durable, st.LastError)
-	}
-	if !last.Assembly.FullRebuild || last.Assembly.RebuildReason != "late write" {
-		t.Errorf("third cycle: %+v, want the rebuild the late batches cause", last.Assembly)
 	}
 }

@@ -62,11 +62,6 @@ type telemetrySet struct {
 	pipelineFailures *telemetry.Counter
 	grangerTests     *telemetry.Counter
 
-	// Window-cache work under -incremental.
-	fullRebuilds           *telemetry.Counter
-	tailQueries            *telemetry.Counter
-	lateWriteInvalidations *telemetry.Counter
-
 	// Self-scrape loop health.
 	selfScrapes       *telemetry.Counter
 	selfScrapeSamples *telemetry.Counter
@@ -137,12 +132,6 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 			"completed pipeline cycles (artifact published)"),
 		pipelineFailures: reg.Counter("sieve_pipeline_failures_total",
 			"failed pipeline cycles (previous artifact kept)"),
-		fullRebuilds: reg.Counter("sieve_pipeline_full_rebuilds_total",
-			"incremental cycles that reassembled the whole window from the store"),
-		tailQueries: reg.Counter("sieve_pipeline_tail_queries_total",
-			"tail-only store scans issued by the window cache"),
-		lateWriteInvalidations: reg.Counter("sieve_pipeline_late_write_invalidations_total",
-			"cycles that dropped the window cache because a write landed behind its cached end"),
 		// No Granger result cache exists any more, so every pair test is
 		// computed; the name is the one sievebench's
 		// granger.cache_hit_share row reads (bench/pipeline.go) and stays

@@ -93,9 +93,9 @@ func Resample(s *Series, start, end, stepMS int64) (*Regular, error) {
 // FromBuckets assembles a Regular from per-bucket sums and observation
 // counts: bucket i's value is sums[i]/counts[i], empty buckets (count 0)
 // are reconstructed exactly like Resample's gap fill. It is the second
-// half of Resample, exposed so callers that maintain bucket state
-// incrementally (the online window cache) produce bit-identical grids to
-// a from-scratch Resample over the same raw points. It returns an error
+// half of Resample, exposed so callers that bucket points themselves
+// while streaming them (core.DatasetFromDB) produce bit-identical grids
+// to a from-scratch Resample over the same raw points. It returns an error
 // when every bucket is empty.
 func FromBuckets(name string, start, stepMS int64, sums []float64, counts []int) (*Regular, error) {
 	if len(sums) != len(counts) {

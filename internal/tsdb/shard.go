@@ -3,7 +3,6 @@ package tsdb
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -144,10 +143,6 @@ type shard struct {
 	// appT is maxT over the samples outside ReservedComponent. Both marks
 	// are cumulative: they survive the checkpoint cut.
 	appT int64
-	// lowT is the lowest timestamp inserted outside ReservedComponent
-	// since takeLowWater last reset it to math.MaxInt64 (see
-	// Sharded.TakeLowWater).
-	lowT int64
 
 	// wal, when non-nil, is the shard's write-ahead log: set only by
 	// OpenSharded, appended to (under mu, before the memory insert) on
@@ -172,7 +167,7 @@ type shard struct {
 }
 
 func newShard(keyGen *atomic.Uint64, tel *StoreTelemetry) *shard {
-	return &shard{data: map[string]*series{}, keyGen: keyGen, tel: tel, lowT: math.MaxInt64}
+	return &shard{data: map[string]*series{}, keyGen: keyGen, tel: tel}
 }
 
 // ackBytes is the fixed response size per write batch (status line),
@@ -269,9 +264,6 @@ func (sh *shard) appendLocked(sr *series, t int64, v float64) {
 	if t > sh.appT && !sr.reserved {
 		sh.appT = t
 	}
-	if t < sh.lowT && !sr.reserved {
-		sh.lowT = t
-	}
 	if len(sr.tail) >= blockSize {
 		sh.sealLocked(sr)
 	}
@@ -283,15 +275,6 @@ func (sh *shard) marks() (maxT, appT int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.maxT, sh.appT
-}
-
-// takeLowWater returns lowT and resets it.
-func (sh *shard) takeLowWater() int64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t := sh.lowT
-	sh.lowT = math.MaxInt64
-	return t
 }
 
 // sealLocked compresses the tail into a chunk, recording its time range

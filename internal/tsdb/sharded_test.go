@@ -2,12 +2,10 @@ package tsdb
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 // shardedTestSamples builds a deterministic mixed-series workload large
@@ -138,116 +136,5 @@ func TestShardedRejectsMalformedPayload(t *testing.T) {
 func TestShardedDefaultShardCount(t *testing.T) {
 	if NewSharded(0).NumShards() < 1 {
 		t.Fatal("default shard count must be at least 1")
-	}
-}
-
-// TestLowWaterMark pins the take a caching reader orders its scans by:
-// the minimum timestamp inserted across shards since the previous take,
-// math.MaxInt64 when nothing was, reset by the take — and set by WAL
-// replay, so a reopened store reports what it re-inserted.
-func TestLowWaterMark(t *testing.T) {
-	dir := t.TempDir()
-	open := func() *Sharded {
-		s, err := OpenSharded(4, DurabilityOptions{Dir: dir, Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s := open()
-	if got := s.TakeLowWater(); got != math.MaxInt64 {
-		t.Fatalf("idle store: low water %d, want MaxInt64", got)
-	}
-	samples := shardedTestSamples(3, 400) // T = 0, 100, ..., spread over every shard
-	if err := s.WriteSamples(samples[200:], 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteSamples(samples[50:200], 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TakeLowWater(); got != samples[50].T {
-		t.Fatalf("low water %d, want the minimum across shards %d", got, samples[50].T)
-	}
-	if got := s.TakeLowWater(); got != math.MaxInt64 {
-		t.Fatalf("second take: %d, want MaxInt64 (the first take resets)", got)
-	}
-	if err := s.WriteSamples(samples[300:], 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TakeLowWater(); got != samples[300].T {
-		t.Fatalf("low water after a reset %d, want %d", got, samples[300].T)
-	}
-
-	// Abandoned un-Closed: the next life replays the WAL.
-	reopened := open()
-	defer reopened.Close()
-	if got := reopened.TakeLowWater(); got != samples[50].T {
-		t.Fatalf("after WAL replay: low water %d, want %d", got, samples[50].T)
-	}
-}
-
-// TestLowWaterMarkSkipsReservedComponent: a sample of ReservedComponent,
-// which the online pipeline never analyses, does not lower the mark —
-// self-scrape stamped behind the cached window end must not read as a
-// late write every cycle.
-func TestLowWaterMarkSkipsReservedComponent(t *testing.T) {
-	s := NewSharded(4)
-	samples := shardedTestSamples(3, 100)
-	if err := s.WriteSamples(samples[50:], 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteSamples([]Sample{{Component: ReservedComponent, Metric: "store_points", T: 1, V: 1}}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TakeLowWater(); got != samples[50].T {
-		t.Fatalf("low water %d, want the lowest application timestamp %d", got, samples[50].T)
-	}
-	if err := s.WriteSamples([]Sample{{Component: ReservedComponent, Metric: "store_points", T: 2, V: 1}}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TakeLowWater(); got != math.MaxInt64 {
-		t.Fatalf("low water after a reserved write alone %d, want MaxInt64", got)
-	}
-}
-
-// TestLowWaterMarkConcurrentIngest races takes against writers (run
-// under -race in CI) and checks no write goes unreported: the minimum
-// over every take equals the minimum written.
-func TestLowWaterMarkConcurrentIngest(t *testing.T) {
-	s := NewSharded(4)
-	samples := shardedTestSamples(5, 4000)
-	const writers = 4
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Descending, so the mark keeps moving.
-			for i := len(samples) - 1 - w; i >= 0; i -= writers {
-				if _, err := s.IngestParsed(samples[i:i+1], 0, time.Now()); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	low := int64(math.MaxInt64)
-	take := func() {
-		if got := s.TakeLowWater(); got < low {
-			low = got
-		}
-	}
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		default:
-		}
-		take()
-	}
-	if low != samples[0].T {
-		t.Fatalf("minimum over all takes %d, want %d", low, samples[0].T)
 	}
 }

@@ -21,8 +21,8 @@ import (
 // tracks their cost trajectory the way BENCH_online.json tracks whole
 // cycles — FFT (complex vs the half-size real path), one SBD distance,
 // the SBD distance matrix over cached spectra, the k-selection sweep,
-// shape extraction, one pooled Granger pair, and a streaming full-window
-// rebuild — and the Gorilla chunk codec under every read, seal,
+// shape extraction, one pooled Granger pair, and a streaming
+// whole-window assembly — and the Gorilla chunk codec under every read, seal,
 // checkpoint and compaction.
 
 // kernelRow is one BENCH_kernels.json entry.
@@ -220,20 +220,18 @@ func BenchmarkKernels(b *testing.B) {
 		})
 	}
 
-	// Full-rebuild assemble: the streaming scan decoding a whole window
-	// straight into bucket rings plus dataset assembly — the cost a
-	// forced full recompute pays on top of a warm incremental cycle.
+	// Whole-window assemble: DatasetFromDB's streaming scan decoding a
+	// window straight into the bucket grid plus dataset assembly — what
+	// every online cycle pays before reduction.
 	{
 		const comps, mets = 8, 8
 		db := newBenchStore(b, comps, mets)
-		cache := core.NewWindowCache("bench", obStepMS)
 		end := int64(obWindowSteps) * obStepMS
 		name := fmt.Sprintf("rebuild/series=%d/steps=%d", comps*mets, obWindowSteps)
 		order = append(order, name)
 		runKernelCase(b, name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cache.Invalidate()
-				if _, _, err := cache.Advance(db, 0, end); err != nil {
+				if _, err := core.DatasetFromDB(db, "bench", obStepMS, 0, end); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,12 +13,11 @@ import (
 )
 
 // Online-cycle benchmark: one sieved pipeline cycle over a sliding
-// window, comparing batch assembly (every cycle re-queries and
-// re-buckets the whole window) against the window cache (tail-only
-// window queries), with and without a forced invalidation every cycle.
-// Reduce and Granger are the same exact computation in every row. Each
-// iteration ingests one new grid step and runs one cycle, exactly the
-// steady state of a live sieved.
+// window, under batch window ends and under the grid-aligned ends
+// Options.Incremental selects. Every cycle reads its whole window from
+// the store either way; reduce and Granger are the same exact
+// computation in every row. Each iteration ingests one new grid step and
+// runs one cycle, exactly the steady state of a live sieved.
 const (
 	obWindowSteps  = 240 // 120 s window at the paper's 500 ms grid
 	obStepMS       = int64(500)
@@ -112,11 +111,12 @@ func flushOnlineJSON(order []string) {
 // BenchmarkOnlineCycle measures one steady-state pipeline cycle (ingest
 // one grid step, slide the window, recompute the artifact) per engine
 // and series count, tracked in BENCH_online.json. The engines differ
-// only in dataset assembly, which is a few percent of a cycle: the
-// incremental rows sit within run-to-run noise of the batch rows (at
-// 256 series they have read slightly above them in every committed
-// file), so the file records what a cycle costs, not a gain from the
-// window cache.
+// only in window alignment: "incremental" aligns each window end down
+// to the grid, "batch" ends it just past the newest point. Both read the
+// whole window from the store every cycle, so the file records what a
+// cycle costs. Rows committed before the window cache was removed
+// measured its tail-only assembly; they sat within run-to-run noise of
+// the batch rows.
 func BenchmarkOnlineCycle(b *testing.B) {
 	type tc struct {
 		name   string
@@ -159,8 +159,7 @@ func BenchmarkOnlineCycle(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			// Warmup cycle: fills the window cache so b.N iterations measure the
-			// steady state (for batch it is just a first run).
+			// Warmup cycle, so b.N iterations measure the steady state.
 			if _, err := srv.RunPipelineOnce(ctx); err != nil {
 				b.Fatal(err)
 			}

@@ -31,7 +31,7 @@ var reachabilityAllow = map[string]string{
 	"internal/mathx.FFT":                    "full complex transform: the reference RealFFT's half-size path is checked against, and BENCH_kernels' fft/complex rows",
 	"internal/mathx.IFFT":                   "FFT's inverse: the round-trip, Parseval and linearity checks on the shared butterfly core",
 	"internal/mathx.RealIFFT":               "second half of the product-then-inverse sequence CorrelateSpectra and kshape's fused SBD kernel are held to bit for bit",
-	"internal/timeseries.Resample":          "from-scratch bucketing of raw points: the test-side reference (refDataset) for FromBuckets and the window cache, the one dataset accumulator",
+	"internal/timeseries.Resample":          "from-scratch bucketing of raw points: the test-side reference (refDataset) for FromBuckets and DatasetFromDB, the one dataset assembly path",
 	"internal/tsdb.DecompressBlock":         "decode-everything reference for the streaming chunk iterator, the golden chunks and the query-engine equivalence suite",
 	"internal/tsdb.newChunkIter":            "DecompressBlock's allocate-and-reset helper (live scans reset a pooled iterator)",
 	"internal/tsdb.Sharded.Telemetry":       "typed handle on the store's instruments: storage/server tests and the root benchmarks certify rows by reading counters off it",

@@ -215,10 +215,9 @@ type Server = server.Server
 // policy ("always", "interval", "never"), CompactInterval sets the
 // background block compactor's cadence, and
 // Downsample adds 5m/1h summaries for coarse-step aggregated queries
-// over long retention — and incremental window assembly: Incremental
-// carries the window cache across pipeline cycles (tail-only store
-// reads, bit-identical results; a write behind the cached end makes
-// the next cycle reassemble the window). It has a field for what a
+// over long retention — and window alignment: Incremental aligns each
+// window end down to the sampling grid so windows slide by whole steps
+// (no state carries across cycles). It has a field for what a
 // command, an example or the benchmark sets; the analysis parameters
 // (the paper's), the request-body bound, the remote-write size and
 // sample limits and the 429's Retry-After, the 64 MiB merged-block cap,
