@@ -181,7 +181,9 @@ func main() {
 // whole milliseconds and reads zero (or less) as "use the default", so a
 // negative or sub-millisecond -window, -step or -interval would silently
 // become 240s, 500ms or 30s, a sub-millisecond -retention "keep
-// forever", and a negative -shards GOMAXPROCS; -fsync would only be
+// forever", and a negative -shards GOMAXPROCS; a -window, -step or
+// -retention with a sub-millisecond remainder would be truncated to
+// whole milliseconds (-interval stays a Duration); -fsync would only be
 // looked at with -data-dir set; a window of fewer than
 // sieve.MinWindowSamples grid steps ingests forever without a single
 // pipeline cycle; and the reserved __name__ label is always the metric,
@@ -195,11 +197,19 @@ func checkFlags(window, step, interval, retention time.Duration, fsync string, s
 			return fmt.Errorf("-%s %s: must be at least 1ms", f.name, f.d)
 		}
 	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{{"window", window}, {"step", step}, {"retention", retention}} {
+		if f.d%time.Millisecond != 0 {
+			return fmt.Errorf("-%s %s: must be a whole number of milliseconds", f.name, f.d)
+		}
+	}
 	if steps := window.Milliseconds() / step.Milliseconds(); steps < sieve.MinWindowSamples {
 		return fmt.Errorf("-window %s is %d grid steps of -step %s: the pipeline needs at least %d",
 			window, steps, step, sieve.MinWindowSamples)
 	}
-	if retention < 0 || (retention > 0 && retention < time.Millisecond) {
+	if retention < 0 {
 		return fmt.Errorf("-retention %s: must be 0 (keep forever) or at least 1ms", retention)
 	}
 	switch fsync {

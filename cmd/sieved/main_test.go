@@ -90,10 +90,11 @@ func TestFlagSurface(t *testing.T) {
 // by replacing it (it keeps whole milliseconds and reads zero or less as
 // "default") is refused at start-up with the flag named, instead of
 // sieved starting on 240s / 500ms / 30s / keep-forever / GOMAXPROCS
-// shards and printing the value it was given; so are a window too short
-// for any pipeline cycle to ever run, an -fsync policy that does not
-// exist, with or without -data-dir, and the reserved __name__ label as
-// the remote-write component label.
+// shards and printing the value it was given; so are a -window, -step or
+// -retention that is not a whole number of milliseconds (it would be
+// truncated), a window too short for any pipeline cycle to ever run, an
+// -fsync policy that does not exist, with or without -data-dir, and the
+// reserved __name__ label as the remote-write component label.
 func TestRejectsUnusableDurations(t *testing.T) {
 	bin := buildSieved(t)
 	for _, tc := range []struct{ flag, value string }{
@@ -108,8 +109,12 @@ func TestRejectsUnusableDurations(t *testing.T) {
 		{"interval", "10us"},
 		{"retention", "-24h"},
 		{"retention", "500us"},
-		{"window", "20s"}, // 40 steps of the default 500ms grid, 64 needed
-		{"step", "5s"},    // 48 steps in the default 240s window
+		{"step", "1999us"},        // would run a 1ms grid
+		{"window", "240500us"},    // also under 64 steps
+		{"window", "240000500us"}, // would run a 240s window
+		{"retention", "1500us"},   // would keep 1ms
+		{"window", "20s"},         // 40 steps of the default 500ms grid, 64 needed
+		{"step", "5s"},            // 48 steps in the default 240s window
 		{"shards", "-3"},
 		{"fsync", "bogus"},
 		{"remote-write-component-label", "__name__"},

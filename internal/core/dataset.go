@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 
 	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
@@ -153,20 +151,22 @@ func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, op
 // and assembles a Dataset (without a call graph). Nothing is kept between
 // calls: the online driver calls it afresh every cycle.
 //
-// The store's streaming scan decodes chunks directly into one flat bucket
-// grid (series i owns sums[i*n:(i+1)*n]) — no []Point or SeriesResult
-// materializes — then each occupied row goes through the same
-// timeseries.FromBuckets second half Resample uses. The accumulation
-// (skip guards, += order) is statement-for-statement Resample's own loop,
-// so the assembled dataset is bit-identical to resampling each series'
-// raw query result. Rows are disjoint, so the store may visit different
-// series concurrently.
+// It is one raw QueryRange over [start, end), then timeseries.Resample per
+// returned series (a series with no usable point in the window is
+// skipped). Series of tsdb.ReservedComponent are skipped too: self-
+// telemetry is queryable over HTTP but never analysed, so artifacts stay
+// byte-identical with self-scrape on or off (app.New refuses that
+// component name).
 func DatasetFromDB(db tsdb.ReadStore, appName string, stepMS, start, end int64) (*Dataset, error) {
 	if stepMS <= 0 {
 		return nil, fmt.Errorf("core: dataset assembly has non-positive step %d", stepMS)
 	}
 	if end <= start {
 		return nil, fmt.Errorf("core: empty capture window [%d,%d)", start, end)
+	}
+	results, err := db.QueryRange(context.Background(), tsdb.RangeQuery{Component: "*", Metric: "*", From: start, To: end})
+	if err != nil {
+		return nil, fmt.Errorf("core: reading window: %w", err)
 	}
 	ds := &Dataset{
 		App:    appName,
@@ -175,53 +175,23 @@ func DatasetFromDB(db tsdb.ReadStore, appName string, stepMS, start, end int64) 
 		End:    end,
 		Series: map[string]map[string]*timeseries.Regular{},
 	}
-	n := timeseries.GridBuckets(start, end, stepMS)
-	var (
-		keys   []string
-		sums   []float64
-		counts []int
-	)
-	err := db.ScanMatch("*", "*", start, end, func(ks []string) {
-		keys = ks
-		sums = make([]float64, len(ks)*n)
-		counts = make([]int, len(ks)*n)
-	}, func(i int, t int64, v float64) {
-		if t < start || t >= end || math.IsNaN(v) {
-			return
+	for _, res := range results {
+		if res.Component == tsdb.ReservedComponent {
+			continue
 		}
-		b := int((t - start) / stepMS)
-		sums[i*n+b] += v
-		counts[i*n+b]++
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: matcher scan over window: %w", err)
-	}
-	for i, key := range keys {
-		component, metric := splitStoreKey(key)
-		reg, err := timeseries.FromBuckets(metric, start, stepMS, sums[i*n:(i+1)*n], counts[i*n:(i+1)*n])
+		reg, err := timeseries.Resample(res.Metric, res.Points, start, end, stepMS)
 		if err != nil {
 			continue // no usable points in the window: skipped, not fatal
 		}
-		if ds.Series[component] == nil {
-			ds.Series[component] = map[string]*timeseries.Regular{}
+		if ds.Series[res.Component] == nil {
+			ds.Series[res.Component] = map[string]*timeseries.Regular{}
 		}
-		ds.Series[component][metric] = reg
+		ds.Series[res.Component][res.Metric] = reg
 	}
 	if len(ds.Series) == 0 {
 		return nil, ErrNoSeries
 	}
 	return ds, nil
-}
-
-// splitStoreKey splits a series key the way the tsdb query engine does:
-// at the first slash, or (component, "") when there is none — so keys
-// streamed by ScanMatch resolve to the same component/metric pair query
-// results carry.
-func splitStoreKey(key string) (component, metric string) {
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		return key[:i], key[i+1:]
-	}
-	return key, ""
 }
 
 // AlignWindowEnd returns the exclusive end of the last grid step fully

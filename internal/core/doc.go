@@ -16,12 +16,12 @@
 //
 // Batch mode drives all three steps from a simulated load session
 // (Run); online mode skips step 1 and assembles the Dataset from a
-// store's streaming scan (tsdb.ReadStore) over a sliding window, which
-// is how the sieved server re-runs steps 2-3 over live ingested data.
+// store's range query (tsdb.ReadStore) over a sliding window, which is
+// how the sieved server re-runs steps 2-3 over live ingested data.
 //
-// Dataset assembly has one path: DatasetFromDB streams the window's
-// points with one matcher scan into a flat per-series bucket grid,
-// bit-identical to resampling each series' raw query result. Nothing
+// Dataset assembly has one path: DatasetFromDB reads the window with one
+// raw QueryRange and resamples each returned series (skipping the
+// store's reserved self-telemetry component). Nothing
 // carries from one call, or one online cycle, to the next: every cycle
 // assembles its window and runs ReduceContext and
 // IdentifyDependenciesContext exactly.

@@ -21,8 +21,8 @@ var ErrNoData = errors.New("server: not enough ingested data for a pipeline run"
 // so a cycle-time regression is attributable to the stage that caused
 // it.
 type StageTimings struct {
-	// Assemble covers dataset assembly (store queries + resampling, or
-	// the incremental cache advance).
+	// Assemble covers dataset assembly: one raw store query plus
+	// resampling (core.DatasetFromDB).
 	Assemble time.Duration `json:"assemble_ns"`
 	// Reduce covers step 2 (variance filter + clustering).
 	Reduce time.Duration `json:"reduce_ns"`
@@ -137,7 +137,7 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 
 	var info RunInfo
 	stage := time.Now()
-	ds, err := core.DatasetFromDB(s.analysis, s.opts.AppName, s.opts.StepMS, lo, end)
+	ds, err := core.DatasetFromDB(s.store, s.opts.AppName, s.opts.StepMS, lo, end)
 	info.Stages.Assemble = time.Since(stage)
 	if err != nil {
 		if errors.Is(err, core.ErrNoSeries) {

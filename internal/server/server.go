@@ -188,10 +188,6 @@ type Server struct {
 	// tel is the self-observability bundle (registry, instruments,
 	// trace ring); always non-nil after New.
 	tel *telemetrySet
-	// analysis is the read surface the online pipeline assembles
-	// datasets from: the store minus the reserved telemetry component.
-	analysis analysisStore
-
 	// Health stamps for /healthz readiness (unix nanos): when the
 	// background driver started, the last completed cycle, and the last
 	// ErrNoData skip (the window not having filled is "waiting", not
@@ -276,7 +272,6 @@ func newServer(opts Options, slowOp time.Duration) (*Server, error) {
 		shutdownTimeout:       shutdownTimeout,
 	}
 	s.tel = newTelemetrySet(store, slowOp)
-	s.analysis = analysisStore{st: store}
 	s.mux = http.NewServeMux()
 	for pattern, handler := range s.routes() {
 		s.mux.HandleFunc(pattern, handler)

@@ -393,39 +393,3 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		Traces:      traces,
 	})
 }
-
-// analysisStore is the online pipeline's view of the store: the store's
-// ReadStore minus the reserved component, so dogfooded telemetry series
-// are queryable over HTTP but invisible to dataset assembly — artifacts
-// stay byte-identical with self-scrape on or off, and after a restart
-// over a data directory an earlier life scraped into (pinned by
-// TestSelfScrapeEquivalence and TestSelfScrapeRestartWithoutLoop).
-type analysisStore struct {
-	st *tsdb.Sharded
-}
-
-// ScanMatch filters the reserved component out of a streamed scan:
-// begin hands the caller a compacted key slice and visits are remapped
-// to its indices. The remap table is written in begin, which the store
-// orders before every visit, so concurrent per-series visits read it
-// safely.
-func (a analysisStore) ScanMatch(componentGlob, metricGlob string, from, to int64, begin func(keys []string), visit tsdb.SeriesVisitor) error {
-	var remap []int
-	return a.st.ScanMatch(componentGlob, metricGlob, from, to, func(keys []string) {
-		remap = make([]int, len(keys))
-		kept := make([]string, 0, len(keys))
-		for i, k := range keys {
-			if strings.HasPrefix(k, tsdb.ReservedComponent+"/") {
-				remap[i] = -1
-				continue
-			}
-			remap[i] = len(kept)
-			kept = append(kept, k)
-		}
-		begin(kept)
-	}, func(seriesIdx int, t int64, v float64) {
-		if ni := remap[seriesIdx]; ni >= 0 {
-			visit(ni, t, v)
-		}
-	})
-}

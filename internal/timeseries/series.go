@@ -17,26 +17,15 @@ import (
 // cross-component matching accuracy).
 const DefaultStep = 500 * time.Millisecond
 
-// Point is a single raw observation of a metric.
+// Point is a single raw observation of a metric. It is also the store's
+// point type (tsdb.Point is an alias), so a query result feeds Resample
+// without a copy.
 type Point struct {
-	// T is the observation timestamp in milliseconds since the epoch of
-	// the capture (simulation time in this reproduction).
+	// T is the observation timestamp in milliseconds.
 	T int64
 	// V is the observed value.
 	V float64
 }
-
-// Series is a raw, possibly irregular metric recording.
-type Series struct {
-	// Name identifies the metric, e.g. "web.http_requests_mean".
-	Name string
-	// Points are the observations; Resample buckets them by timestamp,
-	// so their order does not matter.
-	Points []Point
-}
-
-// Len returns the number of raw observations.
-func (s *Series) Len() int { return len(s.Points) }
 
 // Regular is a metric sampled on a fixed grid: value i was observed at
 // Start + i*Step milliseconds.
@@ -54,32 +43,29 @@ type Regular struct {
 // Len returns the number of grid samples.
 func (r *Regular) Len() int { return len(r.Values) }
 
-// GridBuckets returns the number of grid slots covering [start, end)
-// with the given step (the last slot may be partial).
-func GridBuckets(start, end, stepMS int64) int {
-	return int((end - start + stepMS - 1) / stepMS)
-}
-
-// Resample buckets the raw series onto a regular grid covering
-// [start, end) with the given step, averaging observations that fall into
-// the same bucket and reconstructing empty buckets with a natural cubic
-// spline over the known bucket centers (edge gaps are clamped to the
-// nearest known value, since spline extrapolation is unbounded). It
-// returns an error when the grid is empty or the series has no points.
-func Resample(s *Series, start, end, stepMS int64) (*Regular, error) {
+// Resample buckets the raw points of the series name onto a regular grid
+// covering [start, end) with the given step (the last slot may be
+// partial), averaging observations that fall into the same bucket and
+// reconstructing empty buckets with a natural cubic spline over the known
+// bucket centers (edge gaps are clamped to the nearest known value, since
+// spline extrapolation is unbounded). Points outside [start, end) and NaN
+// values are skipped; the order of pts does not matter beyond float
+// summation order within a bucket. It returns an error when the grid is
+// empty or no usable point falls inside it.
+func Resample(name string, pts []Point, start, end, stepMS int64) (*Regular, error) {
 	if stepMS <= 0 {
 		return nil, fmt.Errorf("timeseries: non-positive step %d", stepMS)
 	}
 	if end <= start {
 		return nil, fmt.Errorf("timeseries: empty grid [%d,%d)", start, end)
 	}
-	if len(s.Points) == 0 {
-		return nil, fmt.Errorf("timeseries: series %q has no points", s.Name)
+	if len(pts) == 0 {
+		return nil, fmt.Errorf("timeseries: series %q has no points", name)
 	}
-	n := GridBuckets(start, end, stepMS)
+	n := int((end - start + stepMS - 1) / stepMS)
 	sums := make([]float64, n)
 	counts := make([]int, n)
-	for _, p := range s.Points {
+	for _, p := range pts {
 		if p.T < start || p.T >= end || math.IsNaN(p.V) {
 			continue
 		}
@@ -87,21 +73,7 @@ func Resample(s *Series, start, end, stepMS int64) (*Regular, error) {
 		sums[i] += p.V
 		counts[i]++
 	}
-	return FromBuckets(s.Name, start, stepMS, sums, counts)
-}
-
-// FromBuckets assembles a Regular from per-bucket sums and observation
-// counts: bucket i's value is sums[i]/counts[i], empty buckets (count 0)
-// are reconstructed exactly like Resample's gap fill. It is the second
-// half of Resample, exposed so callers that bucket points themselves
-// while streaming them (core.DatasetFromDB) produce bit-identical grids
-// to a from-scratch Resample over the same raw points. It returns an error
-// when every bucket is empty.
-func FromBuckets(name string, start, stepMS int64, sums []float64, counts []int) (*Regular, error) {
-	if len(sums) != len(counts) {
-		return nil, fmt.Errorf("timeseries: %d sums for %d counts", len(sums), len(counts))
-	}
-	values := make([]float64, len(sums))
+	values := sums // averaged in place
 	var knownX, knownY []float64
 	for i := range values {
 		if counts[i] > 0 {
@@ -113,7 +85,6 @@ func FromBuckets(name string, start, stepMS int64, sums []float64, counts []int)
 		}
 	}
 	if len(knownX) == 0 {
-		end := start + int64(len(sums))*stepMS
 		return nil, fmt.Errorf("timeseries: series %q has no points inside [%d,%d)", name, start, end)
 	}
 	if err := fillGaps(values, knownX, knownY); err != nil {

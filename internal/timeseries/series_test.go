@@ -15,12 +15,12 @@ func almostEqual(a, b, tol float64) bool {
 }
 
 func TestResampleAveragesBuckets(t *testing.T) {
-	s := &Series{Name: "cpu"}
+	var pts []Point
 	// Two points in bucket 0, one in bucket 1.
-	s.Points = append(s.Points, Point{0, 2})
-	s.Points = append(s.Points, Point{100, 4})
-	s.Points = append(s.Points, Point{500, 10})
-	r, err := Resample(s, 0, 1000, 500)
+	pts = append(pts, Point{0, 2})
+	pts = append(pts, Point{100, 4})
+	pts = append(pts, Point{500, 10})
+	r, err := Resample("cpu", pts, 0, 1000, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +42,15 @@ func TestResampleFillsGapsSmoothly(t *testing.T) {
 	// Samples of a parabola with a missing middle region: the spline must
 	// reconstruct interior points well (cubic interpolates quadratics
 	// nearly exactly away from boundary effects).
-	s := &Series{Name: "m"}
+	var pts []Point
 	f := func(x float64) float64 { return 0.5*x*x - 3*x + 7 }
 	for i := 0; i < 20; i++ {
 		if i >= 8 && i <= 11 {
 			continue // gap
 		}
-		s.Points = append(s.Points, Point{int64(i * 500), f(float64(i))})
+		pts = append(pts, Point{int64(i * 500), f(float64(i))})
 	}
-	r, err := Resample(s, 0, 20*500, 500)
+	r, err := Resample("m", pts, 0, 20*500, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestResampleFillsGapsSmoothly(t *testing.T) {
 }
 
 func TestResampleClampsEdgeGaps(t *testing.T) {
-	s := &Series{Name: "m"}
-	s.Points = append(s.Points, Point{2 * 500, 5})
-	s.Points = append(s.Points, Point{3 * 500, 6})
-	s.Points = append(s.Points, Point{4 * 500, 7})
-	r, err := Resample(s, 0, 7*500, 500)
+	var pts []Point
+	pts = append(pts, Point{2 * 500, 5})
+	pts = append(pts, Point{3 * 500, 6})
+	pts = append(pts, Point{4 * 500, 7})
+	r, err := Resample("m", pts, 0, 7*500, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +79,10 @@ func TestResampleClampsEdgeGaps(t *testing.T) {
 }
 
 func TestResampleTwoKnotsLinear(t *testing.T) {
-	s := &Series{Name: "m"}
-	s.Points = append(s.Points, Point{0, 0})
-	s.Points = append(s.Points, Point{4 * 500, 8})
-	r, err := Resample(s, 0, 5*500, 500)
+	var pts []Point
+	pts = append(pts, Point{0, 0})
+	pts = append(pts, Point{4 * 500, 8})
+	r, err := Resample("m", pts, 0, 5*500, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,9 @@ func TestResampleTwoKnotsLinear(t *testing.T) {
 }
 
 func TestResampleSingleKnotConstant(t *testing.T) {
-	s := &Series{Name: "m"}
-	s.Points = append(s.Points, Point{1000, 42})
-	r, err := Resample(s, 0, 2000, 500)
+	var pts []Point
+	pts = append(pts, Point{1000, 42})
+	r, err := Resample("m", pts, 0, 2000, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,28 +108,28 @@ func TestResampleSingleKnotConstant(t *testing.T) {
 }
 
 func TestResampleErrors(t *testing.T) {
-	s := &Series{Name: "m"}
-	if _, err := Resample(s, 0, 1000, 500); err == nil {
+	var pts []Point
+	if _, err := Resample("m", pts, 0, 1000, 500); err == nil {
 		t.Error("expected error for empty series")
 	}
-	s.Points = append(s.Points, Point{0, 1})
-	if _, err := Resample(s, 0, 1000, 0); err == nil {
+	pts = append(pts, Point{0, 1})
+	if _, err := Resample("m", pts, 0, 1000, 0); err == nil {
 		t.Error("expected error for zero step")
 	}
-	if _, err := Resample(s, 1000, 1000, 500); err == nil {
+	if _, err := Resample("m", pts, 1000, 1000, 500); err == nil {
 		t.Error("expected error for empty grid")
 	}
-	if _, err := Resample(s, 5000, 6000, 500); err == nil {
+	if _, err := Resample("m", pts, 5000, 6000, 500); err == nil {
 		t.Error("expected error when all points fall outside the grid")
 	}
 }
 
 func TestResampleIgnoresNaNPoints(t *testing.T) {
-	s := &Series{Name: "m"}
-	s.Points = append(s.Points, Point{0, 1})
-	s.Points = append(s.Points, Point{100, math.NaN()})
-	s.Points = append(s.Points, Point{500, 2})
-	r, err := Resample(s, 0, 1000, 500)
+	var pts []Point
+	pts = append(pts, Point{0, 1})
+	pts = append(pts, Point{100, math.NaN()})
+	pts = append(pts, Point{500, 2})
+	r, err := Resample("m", pts, 0, 1000, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +143,14 @@ func TestResampleRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(60)
-		s := &Series{Name: "m"}
+		var pts []Point
 		want := make([]float64, n)
 		for i := 0; i < n; i++ {
 			v := rng.NormFloat64() * 10
 			want[i] = v
-			s.Points = append(s.Points, Point{int64(i)*500 + int64(rng.Intn(500)), v})
+			pts = append(pts, Point{int64(i)*500 + int64(rng.Intn(500)), v})
 		}
-		r, err := Resample(s, 0, int64(n)*500, 500)
+		r, err := Resample("m", pts, 0, int64(n)*500, 500)
 		if err != nil {
 			return false
 		}

@@ -306,7 +306,7 @@ func TestBlockOldLayoutReadsAndRechunks(t *testing.T) {
 		t.Fatalf("largest chunk before compaction holds %d points, want %d", n, oldCut)
 	}
 	span := maxSampleT(samples)
-	ops := append(readOps(compactQueries(span), 0), op{Kind: opScanMatch, Q: RangeQuery{Component: "*", Metric: "*", From: span / 3, To: span}})
+	ops := append(readOps(compactQueries(span), 0), op{Kind: opScan, Q: RangeQuery{Component: "*", Metric: "*", From: span / 3, To: span}})
 	ops = append(append(ops, op{Kind: opCompact}), ops...)
 	for i, o := range ops {
 		if err := l.apply(o); err != nil {

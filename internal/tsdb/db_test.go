@@ -186,9 +186,8 @@ func TestDBWriteSamples(t *testing.T) {
 	if st.Points != 1 || st.NetworkInBytes != 42 {
 		t.Errorf("stats = %+v", st)
 	}
-	keys, err := scanKeys(db)
-	if err != nil || len(keys) != 1 || keys[0] != "a/m" {
-		t.Errorf("keys = %v, %v", keys, err)
+	if keys := db.catalogKeys(); len(keys) != 1 || keys[0] != "a/m" {
+		t.Errorf("keys = %v", keys)
 	}
 }
 

@@ -65,11 +65,10 @@
 // The read side (queryengine.go) has one primitive, Sharded.scanSeries:
 // stream one series in canonical storage order — persisted blocks by
 // sequence, the checkpoint overlay, then shard memory — into a sink,
-// under that series' own checkpoint-cut hold. The two read entry points
-// select keys from the series catalog by component/metric globs and
-// differ only in the sink: QueryRange materialises results (raw points
-// or a per-step aggregator) and ScanMatch streams each decoded point to
-// a visitor. Reading one series is a QueryRange whose globs are its own
+// under that series' own checkpoint-cut hold. The one read entry point,
+// QueryRange, selects keys from the series catalog by component/metric
+// globs and materialises each matched series through a sink: raw points
+// or a per-step aggregator. Reading one series is a QueryRange whose globs are its own
 // names, keeping the result with that exact key; a series nobody wrote
 // is simply absent from the results.
 //

@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
 
-// Point is one stored observation.
-type Point struct {
-	// T is the timestamp in milliseconds.
-	T int64
-	// V is the value.
-	V float64
-}
+// Point is one stored observation: T in milliseconds, value V. It is
+// timeseries.Point, so a query result resamples without a copy.
+type Point = timeseries.Point
 
 // CompressBlock encodes a time-ordered batch of points with the Gorilla
 // scheme (Pelkonen et al., VLDB 2015): the first timestamp and value are

@@ -37,15 +37,14 @@ import (
 //     in canonical storage order — persisted blocks by sequence, the
 //     checkpoint overlay, then shard memory — into a pointSink under that
 //     series' own checkpoint-cut hold.
-//   - QueryRange / ScanMatch: the two read entry points, each the keys
-//     the globs select from the catalog plus a sink over scanSeries.
-//     QueryRange materialises results (rawSink or aggregator) and ScanMatch
-//     streams points to a visitor (visitSink). Both fan the matched series
-//     out across a worker pool (internal/parallel); QueryRange merges in
-//     series-key order, so output is identical at any shard count and
-//     worker count. An exact read of one series is a QueryRange whose
-//     globs are its own names, keeping the result with that exact key: a
-//     name holding '*' or '?' can only widen the match, never lose it.
+//   - QueryRange: the one read entry point — the keys the globs select
+//     from the catalog plus a sink over scanSeries (rawSink or
+//     aggregator) per key. It fans the matched series out across a
+//     worker pool (internal/parallel) and merges in series-key order, so
+//     output is identical at any shard count and worker count. An exact
+//     read of one series is a QueryRange whose globs are its own names,
+//     keeping the result with that exact key: a name holding '*' or '?'
+//     can only widen the match, never lose it.
 
 // Agg selects the aggregation a range query applies per step bucket.
 // AggNone returns raw points.
@@ -356,24 +355,20 @@ type pointSink interface {
 	companion(b *block, key string) (buckets int, ok bool)
 }
 
-// decodeOnly is embedded by the sinks that need the actual points: every
-// summary offer is declined.
-type decodeOnly struct{}
-
-func (decodeOnly) consumes(*summary) bool { return false }
-
-func (decodeOnly) chunk(*summary) bool { return false }
-
-func (decodeOnly) companion(*block, string) (int, bool) { return 0, false }
-
-// rawSink collects raw points. A block scan grows pts once per run of
-// chunks it decodes, by the run's point count.
+// rawSink collects raw points, declining every summary offer. A block
+// scan grows pts once per run of chunks it decodes, by the run's point
+// count.
 type rawSink struct {
-	decodeOnly
 	pts []Point
 }
 
 func (r *rawSink) add(p Point) { r.pts = append(r.pts, p) }
+
+func (*rawSink) consumes(*summary) bool { return false }
+
+func (*rawSink) chunk(*summary) bool { return false }
+
+func (*rawSink) companion(*block, string) (int, bool) { return 0, false }
 
 // scanChunkWith streams a compressed chunk's points with T in [from, to)
 // to sink through a caller-owned iterator, so loops over many chunks
@@ -693,42 +688,4 @@ func (s *Sharded) QueryRange(ctx context.Context, q RangeQuery) ([]SeriesResult,
 		return nil, err
 	}
 	return compactResults(results), nil
-}
-
-// visitSink adapts one series' streamed scan to a SeriesVisitor: every
-// decoded point is forwarded with the series' index.
-type visitSink struct {
-	decodeOnly
-	idx   int
-	n     int
-	visit SeriesVisitor
-}
-
-func (s *visitSink) add(p Point) {
-	s.visit(s.idx, p.T, p.V)
-	s.n++
-}
-
-// ScanMatch streams every series matching the globs with T in [from, to)
-// directly from chunk decode into visit — no []Point or SeriesResult
-// materializes (the ReadStore contract). The matched series are fanned
-// out across a worker pool, per the SeriesVisitor contract: one series'
-// points arrive in canonical storage order (see scanSeries), which for
-// the in-order ingest the pipeline produces equals a raw QueryRange's
-// stably time-sorted order. Streamed volume is charged to network-out as
-// query responses are.
-func (s *Sharded) ScanMatch(componentGlob, metricGlob string, from, to int64, begin func(keys []string), visit SeriesVisitor) error {
-	q := RangeQuery{Component: componentGlob, Metric: metricGlob}
-	keys := q.matchKeys(s.catalogKeys())
-	if begin != nil {
-		begin(keys)
-	}
-	return parallel.ForEach(context.Background(), 0, len(keys), func(_ context.Context, i int) error {
-		sink := visitSink{idx: i, visit: visit}
-		if err := s.scanSeries(keys[i], from, to, &sink); err != nil {
-			return err
-		}
-		s.netOut.Add(16 * int64(sink.n))
-		return nil
-	})
 }

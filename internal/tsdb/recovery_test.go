@@ -70,7 +70,7 @@ func recoveryWrites(from, to, comps, mets int) []op {
 
 // scanAll reads every series over all time, so a script checks the
 // store between writes, not only after its lifecycle ops.
-var scanAll = op{Kind: opScanMatch, Q: RangeQuery{Component: "*", Metric: "*", From: math.MinInt64, To: math.MaxInt64}}
+var scanAll = op{Kind: opScan, Q: RangeQuery{Component: "*", Metric: "*", From: math.MinInt64, To: math.MaxInt64}}
 
 // TestDurableRecoveryFromWALOnly hard-stops a store that never
 // checkpointed: the next life holds exactly what the WAL replays.
@@ -391,8 +391,8 @@ func TestDurableRetentionDropsOldBlocks(t *testing.T) {
 		t.Fatalf("expired points still served: %v", pts)
 	}
 	// Series b lived only in the dropped block.
-	if keys, err := scanKeys(s); err != nil || fmt.Sprint(keys) != "[a/m]" {
-		t.Errorf("catalog after retention dropped b/m: %v, %v; want only a/m", keys, err)
+	if keys := s.catalogKeys(); fmt.Sprint(keys) != "[a/m]" {
+		t.Errorf("catalog after retention dropped b/m: %v; want only a/m", keys)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -505,7 +505,7 @@ func TestDurableConcurrentIngestCheckpointQuery(t *testing.T) {
 				return
 			}
 			_, _ = readSeries(s, "w0", "m", 0, 1<<62)
-			_, _ = scanKeys(s)
+			_ = s.catalogKeys()
 			_ = s.Stats()
 		}
 	}()

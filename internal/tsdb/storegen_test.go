@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/sieve-microservices/sieve/internal/parallel"
 )
 
 // The store's differential test: a seeded generator draws a life of
@@ -27,14 +29,14 @@ const (
 	opWriteSamples               // Sharded.WriteSamples
 	opIngestParsed               // Sharded.IngestParsed
 	opQueryRange                 // Sharded.QueryRange
-	opScanMatch                  // Sharded.ScanMatch over Q's globs and range
+	opScan                       // scanSeries over each key Q's globs select
 	opCheckpoint
 	opCompact
 	opClose // Close, then reopen with Shards
 	opCrash // a hard stop: abandon the store unclosed, then reopen with Shards
 )
 
-var opNames = [...]string{"opWrite", "opWriteSamples", "opIngestParsed", "opQueryRange", "opScanMatch", "opCheckpoint", "opCompact", "opClose", "opCrash"}
+var opNames = [...]string{"opWrite", "opWriteSamples", "opIngestParsed", "opQueryRange", "opScan", "opCheckpoint", "opCompact", "opClose", "opCrash"}
 
 func (k opKind) String() string   { return opNames[k] }
 func (k opKind) GoString() string { return opNames[k] }
@@ -135,12 +137,12 @@ func (l *storeLife) apply(o op) error {
 		}
 		l.m.add(o.Batch)
 		return nil
-	case opQueryRange, opScanMatch:
+	case opQueryRange, opScan:
 		if o.Procs > 0 {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(o.Procs))
 		}
 		q := o.Q
-		if o.Kind == opScanMatch {
+		if o.Kind == opScan {
 			return diffScan(l.st, l.m, q.Component, q.Metric, q.From, q.To)
 		}
 		got, err := l.st.QueryRange(context.Background(), q)
@@ -178,7 +180,7 @@ func (l *storeLife) apply(o op) error {
 
 // diffCounters compares the store's cheap summaries with the model's:
 // points held, both high-water marks, block count and the catalog
-// ScanMatch hands to begin.
+// lists.
 func (l *storeLife) diffCounters() error {
 	st := l.st.Stats()
 	if want := l.m.points(); st.Points != want {
@@ -193,34 +195,33 @@ func (l *storeLife) diffCounters() error {
 	if got, want := l.st.BlockCount(), len(l.m.blocks); got != want {
 		return fmt.Errorf("BlockCount = %d, want %d", got, want)
 	}
-	got, err := scanKeys(l.st)
-	if err != nil {
-		return err
-	}
+	got := l.st.catalogKeys()
 	if want := l.m.keys(); st.Series != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
 		return fmt.Errorf("catalog %v (Stats().Series %d), want %v", got, st.Series, want)
 	}
 	return nil
 }
 
-// diffScan compares a ScanMatch with the model: the matched keys, and
-// each series' points in storage order.
+// diffScan compares a storage-order read with the model: the keys the
+// globs select from the catalog, and each series' points as scanSeries
+// streams them into a rawSink, unsorted. The series are read
+// concurrently, as QueryRange's fan-out reads them.
 func diffScan(st *Sharded, m *storeModel, componentGlob, metricGlob string, from, to int64) error {
-	var keys []string
-	var got [][]Point
-	err := st.ScanMatch(componentGlob, metricGlob, from, to,
-		func(k []string) { keys, got = append([]string(nil), k...), make([][]Point, len(k)) },
-		func(i int, t int64, v float64) { got[i] = append(got[i], Point{T: t, V: v}) })
+	keys := RangeQuery{Component: componentGlob, Metric: metricGlob}.matchKeys(st.catalogKeys())
+	want := m.matchKeys(componentGlob, metricGlob)
+	if fmt.Sprint(keys) != fmt.Sprint(want) {
+		return fmt.Errorf("scan(%s, %s) keys %v, want %v", componentGlob, metricGlob, keys, want)
+	}
+	got := make([]rawSink, len(keys))
+	err := parallel.ForEach(context.Background(), 0, len(keys), func(_ context.Context, i int) error {
+		return st.scanSeries(keys[i], from, to, &got[i])
+	})
 	if err != nil {
 		return err
 	}
-	want := m.matchKeys(componentGlob, metricGlob)
-	if fmt.Sprint(keys) != fmt.Sprint(want) {
-		return fmt.Errorf("ScanMatch(%s, %s) keys %v, want %v", componentGlob, metricGlob, keys, want)
-	}
 	for i, key := range want {
-		if err := diffPoints(got[i], m.stream(key, from, to)); err != nil {
-			return fmt.Errorf("ScanMatch %s [%d, %d): %w", key, from, to, err)
+		if err := diffPoints(got[i].pts, m.stream(key, from, to)); err != nil {
+			return fmt.Errorf("scan %s [%d, %d): %w", key, from, to, err)
 		}
 	}
 	return nil
@@ -302,7 +303,7 @@ func (g *storeGen) op() op {
 	case 1:
 		return op{Kind: opQueryRange, Q: g.query(true), Procs: g.procs()}
 	case 2:
-		return op{Kind: opScanMatch, Q: g.query(false), Procs: g.procs()}
+		return op{Kind: opScan, Q: g.query(false), Procs: g.procs()}
 	case 3: // an exact read: one series' own names as the globs
 		q := g.query(false)
 		q.Component, q.Metric = splitKey(g.born[g.rng.Intn(len(g.born))])

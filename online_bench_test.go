@@ -113,10 +113,8 @@ func flushOnlineJSON(order []string) {
 // and series count, tracked in BENCH_online.json. The engines differ
 // only in window alignment: "incremental" aligns each window end down
 // to the grid, "batch" ends it just past the newest point. Both read the
-// whole window from the store every cycle, so the file records what a
-// cycle costs. Rows committed before the window cache was removed
-// measured its tail-only assembly; they sat within run-to-run noise of
-// the batch rows.
+// whole window from the store every cycle (one raw QueryRange plus
+// Resample per series), so the file records what a cycle costs.
 func BenchmarkOnlineCycle(b *testing.B) {
 	type tc struct {
 		name   string
