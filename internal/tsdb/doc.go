@@ -68,9 +68,9 @@
 // under that series' own checkpoint-cut hold. The one read entry point,
 // QueryRange, selects keys from the series catalog by component/metric
 // globs and materialises each matched series through a sink: raw points
-// or a per-step aggregator. Reading one series is a QueryRange whose globs are its own
-// names, keeping the result with that exact key; a series nobody wrote
-// is simply absent from the results.
+// or a per-step aggregator. Reading one series is a QueryRange whose
+// globs are its own names, keeping the result with that exact key; a
+// series nobody wrote is simply absent from the results.
 //
 // Every sealed chunk, in memory and in a block's index, carries its time
 // range and a value summary — the one summary type a downsampled

@@ -226,7 +226,7 @@ func matchGlob(pattern, s string) bool {
 }
 
 // splitKey splits a series key at its first slash into component and
-// metric (the convention of Sample.Key and DatasetFromDB).
+// metric (the convention of Sample.Key).
 func splitKey(key string) (component, metric string) {
 	if i := strings.IndexByte(key, '/'); i >= 0 {
 		return key[:i], key[i+1:]

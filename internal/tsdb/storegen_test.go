@@ -179,8 +179,8 @@ func (l *storeLife) apply(o op) error {
 }
 
 // diffCounters compares the store's cheap summaries with the model's:
-// points held, both high-water marks, block count and the catalog
-// lists.
+// points held, both high-water marks, block count and the catalog's
+// keys.
 func (l *storeLife) diffCounters() error {
 	st := l.st.Stats()
 	if want := l.m.points(); st.Points != want {
