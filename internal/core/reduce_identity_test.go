@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/app"
@@ -16,22 +18,30 @@ import (
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 )
 
+// digest is a SHA-256 fed length-prefixed strings and little-endian
+// words, so no two sequences of fields hash alike by concatenation.
+type digest struct{ hash.Hash }
+
+func newDigest() digest { return digest{sha256.New()} }
+
+func (d digest) str(s string) {
+	d.num(uint64(len(s)))
+	d.Write([]byte(s))
+}
+
+func (d digest) num(v uint64) {
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], v)
+	d.Write(n[:])
+}
+
+func (d digest) hex() string { return hex.EncodeToString(d.Sum(nil)) }
+
 // reductionHash folds everything a Reduction decides — per component, in
 // name order: K, the silhouette's bits, every cluster's members and
 // representative, every assignment — into one digest.
 func reductionHash(reds ...Reduction) string {
-	h := sha256.New()
-	str := func(s string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	num := func(v uint64) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], v)
-		h.Write(n[:])
-	}
+	h := newDigest()
 	for _, red := range reds {
 		comps := make([]string, 0, len(red))
 		for c := range red {
@@ -40,18 +50,18 @@ func reductionHash(reds ...Reduction) string {
 		sort.Strings(comps)
 		for _, c := range comps {
 			cr := red[c]
-			str(c)
-			num(uint64(cr.Total))
-			num(uint64(cr.K))
-			num(math.Float64bits(cr.Silhouette))
+			h.str(c)
+			h.num(uint64(cr.Total))
+			h.num(uint64(cr.K))
+			h.num(math.Float64bits(cr.Silhouette))
 			for _, f := range cr.Filtered {
-				str(f)
+				h.str(f)
 			}
 			for _, cl := range cr.Clusters {
-				num(uint64(cl.ID))
-				str(cl.Representative)
+				h.num(uint64(cl.ID))
+				h.str(cl.Representative)
 				for _, m := range cl.Metrics {
-					str(m)
+					h.str(m)
 				}
 			}
 			names := make([]string, 0, len(cr.Assignments))
@@ -60,38 +70,111 @@ func reductionHash(reds ...Reduction) string {
 			}
 			sort.Strings(names)
 			for _, m := range names {
-				str(m)
-				num(uint64(cr.Assignments[m]))
+				h.str(m)
+				h.num(uint64(cr.Assignments[m]))
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h.hex()
 }
 
-// slidingReductions captures the application under the sievebench
-// pipeline workload's load trace and reduces `windows` 240-tick windows,
-// each slid 20 ticks past the previous one.
-func slidingReductions(t *testing.T, a *app.App, windows int) []Reduction {
-	t.Helper()
+// dependencyHash folds everything a DependencyGraph decides — every
+// edge's components, metrics and lag and the bits of its p-value and F,
+// the Tested and Bidirectional counts, and the most frequent metric with
+// its count — into one digest.
+func dependencyHash(graphs ...*DependencyGraph) string {
+	h := newDigest()
+	for _, g := range graphs {
+		h.num(uint64(len(g.Edges)))
+		for _, e := range g.Edges {
+			h.str(e.From)
+			h.str(e.To)
+			h.str(e.FromMetric)
+			h.str(e.ToMetric)
+			h.num(uint64(e.LagMS))
+			h.num(math.Float64bits(e.PValue))
+			h.num(math.Float64bits(e.F))
+		}
+		h.num(uint64(g.Tested))
+		h.num(uint64(g.Bidirectional))
+		key, n := g.MostFrequentMetric()
+		h.str(key)
+		h.num(uint64(n))
+	}
+	return h.hex()
+}
+
+// slidingWindow is one window of a sliding capture: its dataset, which
+// carries the whole capture's call graph, and its reduction.
+type slidingWindow struct {
+	ds  *Dataset
+	red Reduction
+}
+
+// slidingWindows captures the application under the sievebench pipeline
+// workload's load trace and reduces `windows` 240-tick windows, each slid
+// 20 ticks past the previous one.
+func slidingWindows(a *app.App, windows int) ([]slidingWindow, error) {
 	const windowTicks, slideTicks = 240, 20
 	ticks := windowTicks + (windows-1)*slideTicks
 	start := a.Now()
 	res, err := Capture(a, loadgen.Random(2, ticks, 200, 2500), CaptureOptions{})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	out := make([]Reduction, windows)
+	out := make([]slidingWindow, windows)
 	for i := range out {
 		from := start + int64(i*slideTicks)*a.TickMS()
 		ds, err := DatasetFromDB(res.DB, a.Name(), a.TickMS(), from, from+windowTicks*a.TickMS())
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		if out[i], err = ReduceContext(context.Background(), ds, DefaultReduceOptions()); err != nil {
-			t.Fatal(err)
+		ds.CallGraph = res.Dataset.CallGraph
+		red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
+		if err != nil {
+			return nil, err
 		}
+		out[i] = slidingWindow{ds: ds, red: red}
 	}
-	return out
+	return out, nil
+}
+
+// pinned holds the windows the hash-pinned tests share — thirteen sliding
+// ShareLatex windows and one OpenStack window — captured and reduced once
+// per test binary.
+var pinned struct {
+	once   sync.Once
+	sl, os []slidingWindow
+	err    error
+}
+
+// pinnedWindows returns the shared ShareLatex and OpenStack windows,
+// skipping the test under -short and off amd64.
+func pinnedWindows(t *testing.T) (sl, os []slidingWindow) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("analyses fourteen full application windows")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64; compilers for other architectures fuse multiply-adds and round differently")
+	}
+	pinned.once.Do(func() {
+		a, err := sharelatex.New(3)
+		if err == nil {
+			pinned.sl, err = slidingWindows(a, 13)
+		}
+		if err == nil {
+			a, err = openstack.New(3, false)
+		}
+		if err == nil {
+			pinned.os, err = slidingWindows(a, 1)
+		}
+		pinned.err = err
+	})
+	if pinned.err != nil {
+		t.Fatal(pinned.err)
+	}
+	return pinned.sl, pinned.os
 }
 
 // TestReduceZeroOptionsRunThePaper: a zero ReduceOptions runs the
@@ -128,29 +211,61 @@ func TestReduceZeroOptionsRunThePaper(t *testing.T) {
 // exact, so not one K, silhouette bit, assignment or representative may
 // move.
 func TestReduceHashPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("reduces fourteen full application windows")
+	sl, os := pinnedWindows(t)
+	reductions := func(ws []slidingWindow) []Reduction {
+		out := make([]Reduction, len(ws))
+		for i, w := range ws {
+			out[i] = w.red
+		}
+		return out
 	}
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests recorded on amd64; compilers for other architectures fuse multiply-adds and round differently")
-	}
-	sl, err := sharelatex.New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := reductionHash(slidingReductions(t, sl, 13)...), pinnedShareLatexHash; got != want {
+	if got, want := reductionHash(reductions(sl)...), pinnedShareLatexHash; got != want {
 		t.Errorf("ShareLatex reductions hash to %s, parent commit recorded %s", got, want)
 	}
-	os, err := openstack.New(3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := reductionHash(slidingReductions(t, os, 1)...), pinnedOpenStackHash; got != want {
+	if got, want := reductionHash(reductions(os)...), pinnedOpenStackHash; got != want {
 		t.Errorf("OpenStack reduction hashes to %s, parent commit recorded %s", got, want)
+	}
+}
+
+// TestDependencyHashPinned pins step 3 over the same windows as
+// TestReduceHashPinned, each with the capture's call graph: every edge,
+// p-value and F bit, the Tested and Bidirectional counts and the most
+// frequent metric, at the paper's 500 ms delay bound (lag 1) and at
+// 1000 ms (lags 1 and 2). The Granger path below it may be restructured;
+// not one of these bits may move.
+func TestDependencyHashPinned(t *testing.T) {
+	sl, os := pinnedWindows(t)
+	for _, tc := range []struct {
+		name    string
+		windows []slidingWindow
+		opts    DepOptions
+		want    string
+	}{
+		{"sharelatex", sl, DepOptions{}, pinnedShareLatexDepsHash},
+		{"sharelatex/delay1000", sl, DepOptions{DelayMS: 1000}, pinnedShareLatexDeps1000Hash},
+		{"openstack", os, DepOptions{}, pinnedOpenStackDepsHash},
+		{"openstack/delay1000", os, DepOptions{DelayMS: 1000}, pinnedOpenStackDeps1000Hash},
+	} {
+		graphs := make([]*DependencyGraph, len(tc.windows))
+		for i, w := range tc.windows {
+			g, err := IdentifyDependenciesContext(context.Background(), w.ds, w.red, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs[i] = g
+		}
+		if got := dependencyHash(graphs...); got != tc.want {
+			t.Errorf("%s: dependency graphs hash to %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
 const (
 	pinnedShareLatexHash = "ad26f68bfd495057692e807faf2c3220d25929215c2ba92d415b6c8753f30e1c"
 	pinnedOpenStackHash  = "e72959674e1e5978666c52ef1ca41f93c58ec88b145c9e11e9cb6068474a0555"
+
+	pinnedShareLatexDepsHash     = "3037ff5044b8f8a67f98544d28740a98afa3bd7900630c73e95155b28fd0edf0"
+	pinnedShareLatexDeps1000Hash = "d97532e3ac62b2d4a00b847f4baae23758f95b8c7f70f63604d6a67bb7a0a118"
+	pinnedOpenStackDepsHash      = "0860a6fcbe36d9b32e8ade14dd73d53a40b31597235b47b306210d9681b746df"
+	pinnedOpenStackDeps1000Hash  = "586aceaeec35495dc7bd41251a711db7003db1220de08dee91af2067c4066989"
 )
