@@ -86,8 +86,11 @@ func run(appName string, faulty bool, ticks int, seed int64, dot, verbose bool, 
 				e.From, e.FromMetric, e.To, e.ToMetric, e.LagMS, e.PValue)
 		}
 	}
-	key, n := artifact.Graph.MostFrequentMetric()
-	fmt.Printf("most frequent metric in relations: %s (%d relations)\n", key, n)
+	signal := "(none)" // no Granger relation, so no scaling signal
+	if key, n := artifact.Graph.MostFrequentMetric(); n > 0 {
+		signal = fmt.Sprintf("%s (%d relations)", key, n)
+	}
+	fmt.Printf("most frequent metric in relations: %s\n", signal)
 
 	if dot {
 		fmt.Println("\n" + artifact.Graph.DOT())

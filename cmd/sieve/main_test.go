@@ -31,11 +31,15 @@ func TestRunRejectsFaultyWithoutOpenStack(t *testing.T) {
 
 // TestRunReductionRatioWithoutSurvivors: a capture too short to cluster
 // keeps no metric, and the summary says the ratio is undefined instead
-// of printing +Inf.
+// of printing +Inf, and that no relation gives an autoscaling signal
+// instead of printing an empty one.
 func TestRunReductionRatioWithoutSurvivors(t *testing.T) {
 	out := captureStdout(t, func() error { return run("sharelatex", false, 2, 42, false, false, "") })
 	if !strings.Contains(out, "reduction: 912 -> 0 metrics (n/a)") || strings.Contains(out, "Inf") {
 		t.Errorf("summary of a 2-tick run:\n%s\nwant a reduction line ending in (n/a)", out)
+	}
+	if !strings.Contains(out, "most frequent metric in relations: (none)\n") {
+		t.Errorf("summary of a 2-tick run:\n%s\nwant no autoscaling signal, printed (none)", out)
 	}
 }
 

@@ -38,6 +38,9 @@ var macKinnonConstOnly = [3]float64{-3.43, -2.86, -2.57}
 // caller-owned scratch's reusable flat matrix and the regression runs
 // through FitOLSWith, so a steady-state test performs O(1) allocations.
 func ADFWith(y []float64, lags int, s *Scratch) (*ADFResult, error) {
+	if lags < 0 {
+		return nil, fmt.Errorf("stats: ADF with %d lags: the lag count must not be negative", lags)
+	}
 	n := len(y)
 	// Need rows = n-1-lags observations and 2+lags parameters with at
 	// least a few residual degrees of freedom.
@@ -94,8 +97,8 @@ func ADFWith(y []float64, lags int, s *Scratch) (*ADFResult, error) {
 // input itself when the ADF test (run through the caller-owned regression
 // scratch) deems it stationary, otherwise its first difference (padding
 // is not applied; the result is one sample shorter). The returned bool
-// reports whether differencing was applied. Series too short to test are
-// returned unchanged.
+// reports whether differencing was applied. Series too short to test,
+// and a negative lag count, return the input unchanged.
 func EnsureStationaryWith(y []float64, lags int, s *Scratch) ([]float64, bool) {
 	res, err := ADFWith(y, lags, s)
 	if err != nil || res.Stationary {

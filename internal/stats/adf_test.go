@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -99,8 +100,23 @@ func TestADFConstantSeries(t *testing.T) {
 }
 
 func TestADFTooShort(t *testing.T) {
-	if _, err := ADFWith([]float64{1, 2, 3}, 2, new(Scratch)); err == nil {
-		t.Error("expected error for a too-short series")
+	walk := randomWalk(rand.New(rand.NewSource(4)), 100)
+	for _, tc := range []struct {
+		name    string
+		y       []float64
+		lags    int
+		wantErr string
+	}{
+		{"too short", []float64{1, 2, 3}, 2, "needs more than 3 samples"},
+		{"negative lags", walk, -1, "-1 lags"},
+	} {
+		_, err := ADFWith(tc.y, tc.lags, new(Scratch))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+		if out, differenced := EnsureStationaryWith(tc.y, tc.lags, new(Scratch)); differenced || &out[0] != &tc.y[0] || len(out) != len(tc.y) {
+			t.Errorf("%s: EnsureStationaryWith must return the input unchanged", tc.name)
+		}
 	}
 }
 
