@@ -75,7 +75,7 @@ func BenchmarkAblationNameSeeding(b *testing.B) {
 			k := 4
 			// A one-k sweep with names is one Cluster run from the
 			// name-seeded initial assignment.
-			seeded, err := kshape.ChooseKContext(context.Background(), series, names, k, k, 0, 1)
+			seeded, err := kshape.ChooseKFromDist(context.Background(), series, nil, names, k, k, 0, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

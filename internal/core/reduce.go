@@ -172,7 +172,7 @@ func reduceComponent(ctx context.Context, ds *Dataset, component string, opts Re
 	}
 	// The kept names seed every k (§3.2), so the random seed 0 is never
 	// drawn on.
-	sweep, err := kshape.ChooseKContext(ctx, series, kept, kMin, kMax, 0, sweepWorkers)
+	sweep, err := kshape.ChooseKFromDist(ctx, series, nil, kept, kMin, kMax, 0, sweepWorkers)
 	if err != nil {
 		return nil, err
 	}

@@ -226,31 +226,6 @@ func sameBits(assignA, assignB []int, centsA, centsB [][]float64) bool {
 	return true
 }
 
-// referenceClusterPrepared is clusterPrepared's restart logic over
-// referenceClusterOnce.
-func referenceClusterPrepared(p *prepared, opts Options, s *Scratch) (*Result, []*sbdProfile) {
-	if opts.Restarts <= 1 || opts.InitialAssignments != nil {
-		return referenceClusterOnce(p, opts, s)
-	}
-	var best *Result
-	var bestProfiles []*sbdProfile
-	bestCost := math.Inf(1)
-	for r := 0; r < opts.Restarts; r++ {
-		run := opts
-		run.Restarts = 0
-		run.Seed = opts.Seed + int64(r)
-		res, centProfiles := referenceClusterOnce(p, run, s)
-		var cost float64
-		for _, d := range res.Distances {
-			cost += d
-		}
-		if cost < bestCost {
-			bestCost, best, bestProfiles = cost, res, centProfiles
-		}
-	}
-	return best, bestProfiles
-}
-
 func profilesOf(cents []*centroid) []*sbdProfile {
 	out := make([]*sbdProfile, len(cents))
 	for c, cent := range cents {
@@ -558,7 +533,7 @@ func FuzzKernelLowerBound(f *testing.F) {
 
 // TestKernelPrunedAssignmentMatchesUnpruned: whole clustering runs with
 // the pruned assignment step against the reference that computes every
-// distance, random starts and restarts included.
+// distance, random starts included.
 func TestKernelPrunedAssignmentMatchesUnpruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	var s, refS Scratch
@@ -579,14 +554,14 @@ func TestKernelPrunedAssignmentMatchesUnpruned(t *testing.T) {
 		for _, opts := range []Options{
 			{K: 2, Seed: int64(trial)},
 			{K: 5, Seed: int64(trial)},
-			{K: 3, Seed: int64(trial), Restarts: 3},
+			{K: 3, Seed: int64(trial)},
 			{K: 4, Seed: 9},
 		} {
-			got, gotProfiles, err := clusterPrepared(p, opts, &s)
+			got, gotProfiles, err := clusterOnce(p, opts, &s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantProfiles := referenceClusterPrepared(p, opts, &refS)
+			want, wantProfiles := referenceClusterOnce(p, opts, &refS)
 			requireSameClustering(t, fmt.Sprintf("trial %d %+v", trial, opts), got, want, gotProfiles, wantProfiles)
 		}
 	}

@@ -96,11 +96,11 @@ func TestScratchClusterMatchesFresh(t *testing.T) {
 	var reused Scratch
 	for run := 0; run < 3; run++ {
 		var fresh Scratch
-		want, _, err := clusterPrepared(p, opts, &fresh)
+		want, _, err := clusterOnce(p, opts, &fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := clusterPrepared(p, opts, &reused)
+		got, _, err := clusterOnce(p, opts, &reused)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ const maxIterations = 100
 type Options struct {
 	// K is the number of clusters (required, >= 1).
 	K int
-	// Seed drives the deterministic fallback initialization when
+	// Seed drives the one random initialization used when
 	// InitialAssignments is nil.
 	Seed int64
 	// InitialAssignments optionally seeds the assignment (length must
@@ -29,14 +29,6 @@ type Options struct {
 	// every metric of a ShareLatex window, values untouched, changed the
 	// chosen K in 3 of its 15 components.
 	InitialAssignments []int
-	// Restarts runs the algorithm this many times from different random
-	// initializations (seeds Seed, Seed+1, ...) and keeps the run with the
-	// lowest total within-cluster SBD, mitigating local optima. 0 or 1
-	// means a single run. Ignored when InitialAssignments is set: a fixed
-	// starting point has nothing to restart from, so the name-seeded
-	// silhouette sweep (Sieve's default) runs each k once, not k x
-	// restarts.
-	Restarts int
 }
 
 // Result is the outcome of a Cluster run.
@@ -47,7 +39,7 @@ type Result struct {
 	Assignments []int
 	// Centroids holds one z-normalized centroid per cluster; a cluster
 	// that ended up empty has a zero centroid. The slices are read-only:
-	// the results of one sweep (every k, every restart) may share them —
+	// the results of one sweep (every k) may share them —
 	// equal clusters extract one centroid between them, and all empty
 	// clusters share one zero centroid.
 	Centroids [][]float64
@@ -73,9 +65,9 @@ func (r *Result) Members(c int) []int {
 
 // prepared is a component's batched clustering input: the z-normalized
 // series and their cached spectra, computed once and shared read-only by
-// every restart — and, in the silhouette sweep, by every candidate k and
-// the distance matrix. This turns the O(pairs · restarts · k-values)
-// transforms of the naive path into O(series).
+// every candidate k of the silhouette sweep and by its distance matrix.
+// This turns the O(pairs · k-values) transforms of the naive path into
+// O(series).
 type prepared struct {
 	norm     [][]float64
 	profiles []*sbdProfile
@@ -121,45 +113,14 @@ func Cluster(series [][]float64, opts Options) (*Result, error) {
 		return nil, err
 	}
 	var s Scratch
-	res, _, err := clusterPrepared(p, opts, &s)
+	res, _, err := clusterOnce(p, opts, &s)
 	return res, err
 }
 
-// clusterPrepared runs Cluster's restart logic over pre-computed spectra
-// with caller-owned scratch, returning the winning run and its final
-// centroids (consistent with Result.Centroids).
-func clusterPrepared(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, error) {
-	if opts.Restarts > 1 && opts.InitialAssignments == nil {
-		var best *Result
-		var bestCents []*centroid
-		bestCost := math.Inf(1)
-		for r := 0; r < opts.Restarts; r++ {
-			run := opts
-			run.Restarts = 0
-			run.Seed = opts.Seed + int64(r)
-			res, cents, err := clusterOnce(p, run, s)
-			if err != nil {
-				return nil, nil, err
-			}
-			if cost := totalWithin(res); cost < bestCost {
-				bestCost, best, bestCents = cost, res, cents
-			}
-		}
-		return best, bestCents, nil
-	}
-	return clusterOnce(p, opts, s)
-}
-
-// totalWithin sums each series' distance to its assigned centroid, the
-// objective used to compare restarts.
-func totalWithin(r *Result) float64 {
-	var total float64
-	for _, d := range r.Distances {
-		total += d
-	}
-	return total
-}
-
+// clusterOnce runs k-Shape once over pre-computed spectra with
+// caller-owned scratch, from opts.InitialAssignments or else from one
+// random assignment drawn from opts.Seed, and returns the run and its
+// final centroids (consistent with Result.Centroids).
 func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, error) {
 	n := len(p.norm)
 	if opts.K < 1 {
@@ -191,8 +152,8 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, e
 	// cents[c] is cluster c's current centroid, nil (an all-zero
 	// reference) until the first refinement. Centroids come from the
 	// sweep's memo, and every distance is read through them, so this run
-	// correlates no (centroid, series) pair an earlier iteration, restart
-	// or k of the same sweep already did.
+	// correlates no (centroid, series) pair an earlier iteration or k of
+	// the same sweep already did.
 	memo := s.memoFor(p)
 	cents := make([]*centroid, opts.K)
 	prevAssign := make([]int, n)
@@ -296,7 +257,7 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, e
 // that the sweep has asked for so far. The rows belong to the signed
 // centroid — SBD(-c, x) is not SBD(c, x) — and are filled on first use, so
 // a (centroid, series) pair is correlated at most once however many
-// iterations, restarts and candidate k meet the same centroid.
+// iterations and candidate k meet the same centroid.
 type centroid struct {
 	values  []float64
 	profile *sbdProfile

@@ -134,7 +134,7 @@ func TestClusterValidation(t *testing.T) {
 func TestClusterCentroidMatchesFamilyShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	series, truth := twoShapeFamilies(rng, 8, 128)
-	res, err := Cluster(series, Options{K: 2, Seed: 7, Restarts: 5})
+	res, err := Cluster(series, Options{K: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func capturedComponent(t *testing.T) (names []string, series [][]float64) {
 }
 
 // sweepOptions is the silhouette sweep's option set for one k: name-seeded
-// when there are names, three random starts otherwise.
+// when there are names, one random start otherwise.
 func sweepOptions(names []string, k int) Options {
-	opts := Options{K: k, Seed: 11, Restarts: 3}
+	opts := Options{K: k, Seed: 11}
 	if names != nil {
 		opts.InitialAssignments = nameSeeds(names, k)
 	}
@@ -67,7 +67,7 @@ func TestKernelMemoSweepMatchesReference(t *testing.T) {
 	}{
 		{"captured component, name-seeded", capturedNames, captured, 7},
 		{"captured oscillating window, name-seeded", orbitNames, orbit, 7},
-		{"captured component, restarts", nil, captured[:14], 5},
+		{"captured component, random start", nil, captured[:14], 5},
 		{"constructed periodic orbit", nil, oscillatingSeries(), 4},
 		{"random", nil, randomSeries(rng, 17, 64), 6},
 		{"families with duplicates and a constant", nil, families, 6},
@@ -91,14 +91,14 @@ func TestKernelMemoSweepMatchesReference(t *testing.T) {
 				k int
 			}{{&up, 2 + i}, {&down, tc.kMax - i}} {
 				opts := sweepOptions(tc.names, run.k)
-				got, gotCents, err := clusterPrepared(p, opts, run.s)
+				got, gotCents, err := clusterOnce(p, opts, run.s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want, ok := wants[run.k]
 				if !ok {
 					var refS Scratch
-					want.res, want.profiles = referenceClusterPrepared(p, opts, &refS)
+					want.res, want.profiles = referenceClusterOnce(p, opts, &refS)
 					wants[run.k] = want
 				}
 				requireSameClustering(t, fmt.Sprintf("%s k=%d", tc.name, run.k), got, want.res, gotCents, want.profiles)
@@ -169,7 +169,7 @@ func TestKernelSweepWorkersBitIdentical(t *testing.T) {
 		name   string
 		names  []string
 		series [][]float64
-	}{{"captured component, name-seeded", names, series}, {"families, restarts", nil, families}} {
+	}{{"captured component, name-seeded", names, series}, {"families, random start", nil, families}} {
 		want, err := ChooseKFromDist(context.Background(), tc.series, nil, tc.names, 2, 7, 3, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -201,13 +201,13 @@ func TestScratchReusedAcrossPreparedSets(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 2; k <= 5; k++ {
-			opts := Options{K: k, Seed: 4, Restarts: 2}
+			opts := Options{K: k, Seed: 4}
 			var fresh Scratch
-			want, wantCents, err := clusterPrepared(p, opts, &fresh)
+			want, wantCents, err := clusterOnce(p, opts, &fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotCents, err := clusterPrepared(p, opts, &reused)
+			got, gotCents, err := clusterOnce(p, opts, &reused)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,10 +240,10 @@ func TestKernelSweepCorrelationBudget(t *testing.T) {
 	refBefore := referenceCorrelations
 	for k := 2; k <= 7; k++ {
 		opts := sweepOptions(names, k)
-		if _, _, err := clusterPrepared(p, opts, &s); err != nil {
+		if _, _, err := clusterOnce(p, opts, &s); err != nil {
 			t.Fatal(err)
 		}
-		referenceClusterPrepared(p, opts, &refS)
+		referenceClusterOnce(p, opts, &refS)
 	}
 	refCorrelations := referenceCorrelations - refBefore + refS.correlations
 	t.Logf("memo sweep: %d correlations, %d power iterations over %d member rows; before the memo %d, %d over %d rows; every-distance reference %d, %d over %d rows",

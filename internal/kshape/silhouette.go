@@ -85,7 +85,7 @@ func Silhouette(dist [][]float64, assign []int) (float64, error) {
 	return total / float64(n), nil
 }
 
-// SweepResult is the outcome of a ChooseKContext sweep.
+// SweepResult is the outcome of a ChooseKFromDist sweep.
 type SweepResult struct {
 	// Result is the clustering with the best silhouette.
 	*Result
@@ -95,26 +95,20 @@ type SweepResult struct {
 	Scores map[int]float64
 }
 
-// ChooseKContext clusters the series for every k in [kMin, kMax] and
-// returns the clustering with the highest silhouette score. The paper
+// ChooseKFromDist clusters the series once for every k in [kMin, kMax]
+// and returns the clustering with the highest silhouette score. The paper
 // found k <= 7 sufficient for components with up to 300 metrics. names,
-// when non-nil, seeds the initial assignments by metric-name similarity,
-// and each k is then clustered exactly once; with nil names each k is the
-// best of three randomly initialized runs (Options.Restarts). The per-k
-// clustering runs fan out to `workers` goroutines (0 means GOMAXPROCS,
-// <1 clamps to 1) and stop early when ctx is done. Each candidate k keeps
-// its own fixed seed and the winner is selected in ascending-k order
-// afterwards, so the result is identical to the sequential sweep at any
-// worker count.
-func ChooseKContext(ctx context.Context, series [][]float64, names []string, kMin, kMax int, seed int64, workers int) (*SweepResult, error) {
-	return ChooseKFromDist(ctx, series, nil, names, kMin, kMax, seed, workers)
-}
-
-// ChooseKFromDist is ChooseKContext with an optional caller-supplied
+// when non-nil, seeds the initial assignments by metric-name similarity
+// (§3.2, what the pipeline runs); with nil names each k starts from one
+// random assignment drawn from seed. dist is an optional caller-supplied
 // distance matrix (PairwiseSBD over the z-normalized series, the one the
-// sweep would compute itself when dist is nil). sievebench's traced
-// replay passes the matrix it has just timed, so the sweep's own cost
-// is measured apart from the O(n^2) matrix.
+// sweep computes itself when dist is nil): sievebench's traced replay
+// passes the matrix it has just timed, so the sweep's own cost is
+// measured apart from the O(n^2) matrix. The per-k clustering runs fan
+// out to `workers` goroutines (0 means GOMAXPROCS, <1 clamps to 1) and
+// stop early when ctx is done. Each candidate k keeps its own fixed start
+// and the winner is selected in ascending-k order afterwards, so the
+// result is identical to the sequential sweep at any worker count.
 func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, names []string, kMin, kMax int, seed int64, workers int) (*SweepResult, error) {
 	n := len(series)
 	if n == 0 {
@@ -148,7 +142,7 @@ func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, 
 
 	// Normalize and transform every series exactly once: the cached
 	// spectra serve the distance matrix and every candidate k of the
-	// sweep (each of which used to recompute all of them per restart).
+	// sweep.
 	// Profiles are immutable, so the per-k goroutines share them freely.
 	p, err := prepare(series)
 	if err != nil {
@@ -181,13 +175,11 @@ func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, 
 		seeding = newNameSeeding(names, kMax)
 	}
 	err = parallel.ForEachWorker(ctx, workers, len(attempts), func(_ context.Context, worker, i int) error {
-		// Name seeding fixes the starting point, so each k is clustered
-		// once; only the unseeded sweep has random starts to restart.
-		opts := Options{K: kMin + i, Seed: seed, Restarts: 3}
+		opts := Options{K: kMin + i, Seed: seed}
 		if seeding != nil {
 			opts.InitialAssignments = seeding.assignments(opts.K)
 		}
-		res, _, err := clusterPrepared(p, opts, &scratches[worker])
+		res, _, err := clusterOnce(p, opts, &scratches[worker])
 		if err != nil {
 			return err
 		}
