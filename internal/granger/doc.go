@@ -17,9 +17,11 @@
 // Bidirectional results are treated as spurious — a hidden confounder
 // driving both metrics — and filtered by the caller via Direction.
 //
-// Direction is the entry point the pipeline's step 3 calls once per
-// (representative metric, representative metric) pair of communicating
-// components: it runs TestWith both ways and returns the winning causality
-// with the lag and F-test p-value that become a DependencyEdge in the
-// artifact's graph.
+// Direction (DirectionWith with a caller-owned Scratch) is the entry
+// point the pipeline's step 3 calls once per (representative metric,
+// representative metric) pair of communicating components: it makes the
+// pair stationary once, tests it in both directions, and returns the
+// winning causality with the lag and F-test p-value that become a
+// DependencyEdge in the artifact's graph. Of each lag regression only
+// the residual sum of squares is read: it is all the F-test needs.
 package granger

@@ -11,13 +11,14 @@ import (
 )
 
 // Scratch pools one worker's Granger buffers: the two reusable flat lag
-// designs plus the shared regression workspace (QR factorizations,
-// normal-equation solves, ADF design) that every fit in a TestWith run
-// cycles through. The zero value is ready to use. A Scratch must not be
-// shared between concurrent goroutines — the dependency-extraction
-// fan-out keeps one per worker, indexed by the pool's worker id. Returned
-// TestResults never alias the scratch (they are scalar-only), so cached
-// results stay valid however the scratch is reused afterwards.
+// designs plus the shared regression workspace (QR factorizations, the
+// ADF design and its standard-error solve) that every fit of a
+// DirectionWith call cycles through. The zero value is ready to use. A
+// Scratch must not be shared between concurrent goroutines — the
+// dependency-extraction fan-out keeps one per worker, indexed by the
+// pool's worker id. Returned TestResults never alias the scratch (they
+// are scalar-only), so cached results stay valid however the scratch is
+// reused afterwards.
 type Scratch struct {
 	stats      stats.Scratch
 	restricted mathx.Matrix
@@ -62,33 +63,18 @@ type TestResult struct {
 	// Significant reports PValue < alpha.
 	Significant bool
 	// DifferencedX and DifferencedY report whether the stationarity
-	// pre-check first-differenced an input.
+	// pre-check first-differenced this test's cause X and effect Y.
 	DifferencedX, DifferencedY bool
 }
 
-// TestWith reports whether x Granger-causes y. Both series must have
-// equal length; constants and too-short series yield a non-significant
-// result rather than an error when they cannot carry causal signal. Lag
-// designs and regression workspace come from the caller-owned s, so a
-// steady-state test performs O(1) small allocations per pair instead of
-// O(lags·rows); what s held before never reaches the result.
-func TestWith(x, y []float64, opts Options, s *Scratch) (*TestResult, error) {
-	maxLag := opts.MaxLag
-	if maxLag <= 0 {
-		maxLag = 1
-	}
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("granger: length mismatch %d vs %d", len(x), len(y))
-	}
-
-	res := &TestResult{PValue: 1, Lag: maxLag}
-
-	// A constant series can neither cause nor be caused on this sample.
-	if timeseries.IsConstant(x) || timeseries.IsConstant(y) {
-		return res, nil
-	}
-
-	x, y, res.DifferencedX, res.DifferencedY = makeStationaryPair(x, y, s)
+// directed reports whether x Granger-causes y on a pair the stationarity
+// pre-check has already made stationary and aligned; dx and dy record
+// which input it differenced. A constant series yields a non-significant
+// result, a too-short pair an error. Lag designs and regression
+// workspace come from the caller-owned s; what s held before never
+// reaches the result.
+func directed(x, y []float64, maxLag int, dx, dy bool, s *Scratch) (*TestResult, error) {
+	res := &TestResult{PValue: 1, Lag: maxLag, DifferencedX: dx, DifferencedY: dy}
 	if timeseries.IsConstant(x) || timeseries.IsConstant(y) {
 		return res, nil
 	}
@@ -101,7 +87,6 @@ func TestWith(x, y []float64, opts Options, s *Scratch) (*TestResult, error) {
 		return nil, fmt.Errorf("%w: have %d samples, need >= %d", ErrSeriesTooShort, len(y), minLen)
 	}
 
-	best := res
 	for lag := 1; lag <= maxLag; lag++ {
 		f, p, err := testAtLag(x, y, lag, max(ownLags, lag), s)
 		if err != nil {
@@ -109,18 +94,12 @@ func TestWith(x, y []float64, opts Options, s *Scratch) (*TestResult, error) {
 			// histories) are skipped, not fatal: other lags may work.
 			continue
 		}
-		if best.PValue == 1 && best.F == 0 || p < best.PValue {
-			best = &TestResult{
-				F:            f,
-				PValue:       p,
-				Lag:          lag,
-				DifferencedX: res.DifferencedX,
-				DifferencedY: res.DifferencedY,
-			}
+		if res.PValue == 1 && res.F == 0 || p < res.PValue {
+			res.F, res.PValue, res.Lag = f, p, lag
 		}
 	}
-	best.Significant = best.PValue < Alpha
-	return best, nil
+	res.Significant = res.PValue < Alpha
+	return res, nil
 }
 
 // lagDesign writes the intercept-plus-lags design directly into the flat
@@ -145,21 +124,21 @@ func lagDesign(dst *mathx.Matrix, x, y []float64, crossLag, ownLags int) *mathx.
 
 // testAtLag runs the nested F-test with crossLag lags of x added to
 // ownLags autoregressive lags of y (ownLags >= crossLag). The F-test
-// consumes only the fits' RSS/P/N scalars, so both regressions can share
-// the scratch sequentially.
+// reads only the two fits' residual sums of squares, so both regressions
+// can share the scratch sequentially.
 func testAtLag(x, y []float64, crossLag, ownLags int, s *Scratch) (f, p float64, err error) {
 	resp := y[ownLags:]
 
-	restricted, err := stats.FitOLSWith(resp, lagDesign(&s.restricted, x, y, 0, ownLags), &s.stats)
+	_, rssR, err := stats.FitOLSWith(resp, lagDesign(&s.restricted, x, y, 0, ownLags), &s.stats)
 	if err != nil {
 		return 0, 0, err
 	}
-	unrestricted, err := stats.FitOLSWith(resp, lagDesign(&s.unrestrict, x, y, crossLag, ownLags), &s.stats)
+	_, rssU, err := stats.FitOLSWith(resp, lagDesign(&s.unrestrict, x, y, crossLag, ownLags), &s.stats)
 	if err != nil {
 		return 0, 0, err
 	}
 
-	ft, err := stats.CompareOLS(restricted, unrestricted)
+	ft, err := stats.FTestNested(rssR, rssU, 1+ownLags, 1+ownLags+crossLag, len(resp))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -221,13 +200,28 @@ func Direction(x, y []float64, opts Options) (Causality, *TestResult, *TestResul
 }
 
 // DirectionWith is Direction with caller-owned scratch shared by both
-// directed tests.
+// directed tests. Both series must have equal length. The pair is made
+// stationary once, and both directions are tested on that one pair;
+// constants and too-short series yield a non-significant result rather
+// than an error when they cannot carry causal signal. A steady-state
+// call performs O(1) small allocations per pair instead of O(lags·rows).
 func DirectionWith(x, y []float64, opts Options, s *Scratch) (Causality, *TestResult, *TestResult, error) {
-	xy, err := TestWith(x, y, opts, s)
+	if len(x) != len(y) {
+		return 0, nil, nil, fmt.Errorf("granger: length mismatch %d vs %d", len(x), len(y))
+	}
+	maxLag := max(opts.MaxLag, 1)
+
+	// A constant series can neither cause nor be caused on this sample.
+	if timeseries.IsConstant(x) || timeseries.IsConstant(y) {
+		return None, &TestResult{PValue: 1, Lag: maxLag}, &TestResult{PValue: 1, Lag: maxLag}, nil
+	}
+
+	x, y, dx, dy := makeStationaryPair(x, y, s)
+	xy, err := directed(x, y, maxLag, dx, dy, s)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("granger: x->y: %w", err)
 	}
-	yx, err := TestWith(y, x, opts, s)
+	yx, err := directed(y, x, maxLag, dy, dx, s)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("granger: y->x: %w", err)
 	}

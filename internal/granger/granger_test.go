@@ -2,6 +2,8 @@ package granger
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,7 +25,7 @@ func causalPair(rng *rand.Rand, n, lag int, beta, noise float64) (x, y []float64
 func TestDetectsPlantedCausality(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := causalPair(rng, 400, 1, 0.9, 0.3)
-	res, err := TestWith(x, y, Options{MaxLag: 1}, new(Scratch))
+	_, res, _, err := Direction(x, y, Options{MaxLag: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestIndependentSeriesNotSignificant(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		res, err := TestWith(x, y, Options{MaxLag: 1}, new(Scratch))
+		_, res, _, err := Direction(x, y, Options{MaxLag: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +90,7 @@ func TestIndependentSeriesNotSignificant(t *testing.T) {
 func TestHigherLagDetection(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x, y := causalPair(rng, 600, 3, 0.9, 0.3)
-	res, err := TestWith(x, y, Options{MaxLag: 4}, new(Scratch))
+	_, res, _, err := Direction(x, y, Options{MaxLag: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestNonStationaryInputsAreDifferenced(t *testing.T) {
 	for t := 2; t < n; t++ {
 		y[t] = y[t-1] + 0.9*(x[t-1]-x[t-2]) + rng.NormFloat64()*0.3
 	}
-	res, err := TestWith(x, y, Options{MaxLag: 2}, new(Scratch))
+	_, res, _, err := Direction(x, y, Options{MaxLag: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestSpuriousRegressionFiltered(t *testing.T) {
 			x[t] = x[t-1] + rng.NormFloat64()
 			y[t] = y[t-1] + rng.NormFloat64()
 		}
-		res, err := TestWith(x, y, Options{MaxLag: 1}, new(Scratch))
+		_, res, _, err := Direction(x, y, Options{MaxLag: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,19 +161,14 @@ func TestConstantSeriesIsNeverCausal(t *testing.T) {
 	for i := range y {
 		y[i] = rng.NormFloat64()
 	}
-	res, err := TestWith(x, y, Options{}, new(Scratch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Significant {
-		t.Error("constant X flagged as causal")
-	}
-	res, err = TestWith(y, x, Options{}, new(Scratch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Significant {
-		t.Error("constant Y flagged as caused")
+	for _, pair := range [][2][]float64{{x, y}, {y, x}} {
+		dir, xy, yx, err := Direction(pair[0], pair[1], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dir != None || xy.Significant || yx.Significant {
+			t.Errorf("a constant series in a pair gives %v (x->y %v, y->x %v), want none", dir, xy.Significant, yx.Significant)
+		}
 	}
 }
 
@@ -202,12 +199,105 @@ func TestBidirectionalCommonDriver(t *testing.T) {
 	}
 }
 
+// mirror is the class DirectionWith(y, x) must return when
+// DirectionWith(x, y) returned c.
+func mirror(c Causality) Causality {
+	switch c {
+	case XCausesY:
+		return YCausesX
+	case YCausesX:
+		return XCausesY
+	}
+	return c
+}
+
+// TestDirectionSwapMirrors: swapping the arguments mirrors the class and
+// swaps the two directed results — F and p-value equal by bits, lags
+// equal — because both calls test the same stationary pair. A result's
+// DifferencedX and DifferencedY name its own cause and effect, so within
+// one call the two directions carry the flags swapped, and a result keeps
+// its flags when the arguments swap. The pairs cover a stationary and a
+// differenced side, a significant relation, a constant series and a pair
+// too short to test.
+func TestDirectionSwapMirrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n = 300
+	noise := make([]float64, n)
+	ar := make([]float64, n)
+	walk := make([]float64, n)
+	for i := range noise {
+		noise[i] = rng.NormFloat64()
+		if i > 0 {
+			ar[i] = 0.5*ar[i-1] + rng.NormFloat64()
+			walk[i] = walk[i-1] + rng.NormFloat64()
+		}
+	}
+	driver, lagged := causalPair(rng, n, 1, 0.9, 0.3)
+	constant := make([]float64, n)
+	short := []float64{1, 3, 2, 5, 4, 6}
+
+	cases := []struct {
+		name    string
+		x, y    []float64
+		wantDir Causality // 0: not asserted
+		wantErr bool
+	}{
+		{name: "white noise, AR(0.5)", x: noise, y: ar},
+		{name: "random walk, white noise", x: walk, y: noise},
+		{name: "AR(0.5), random walk", x: ar, y: walk},
+		{name: "lagged copy", x: driver, y: lagged, wantDir: XCausesY},
+		{name: "constant, white noise", x: constant, y: noise, wantDir: None},
+		{name: "too short", x: short, y: []float64{2, 1, 4, 3, 6, 5}, wantErr: true},
+	}
+	differenced := false
+	for _, tc := range cases {
+		for _, maxLag := range []int{1, 2} {
+			what := fmt.Sprintf("%s, MaxLag %d", tc.name, maxLag)
+			opts := Options{MaxLag: maxLag}
+			dir, xy, yx, err := DirectionWith(tc.x, tc.y, opts, new(Scratch))
+			swDir, swXY, swYX, swErr := DirectionWith(tc.y, tc.x, opts, new(Scratch))
+			if tc.wantErr {
+				if err == nil || swErr == nil {
+					t.Errorf("%s: errors %v and %v, want both calls to fail", what, err, swErr)
+				}
+				continue
+			}
+			if err != nil || swErr != nil {
+				t.Fatalf("%s: errors %v and %v", what, err, swErr)
+			}
+			if tc.wantDir != 0 && dir != tc.wantDir {
+				t.Errorf("%s: direction %v, want %v", what, dir, tc.wantDir)
+			}
+			if swDir != mirror(dir) {
+				t.Errorf("%s: swapped direction %v, want %v (the mirror of %v)", what, swDir, mirror(dir), dir)
+			}
+			if xy.DifferencedX != yx.DifferencedY || xy.DifferencedY != yx.DifferencedX {
+				t.Errorf("%s: x->y flags %v/%v, y->x flags %v/%v, want them swapped", what,
+					xy.DifferencedX, xy.DifferencedY, yx.DifferencedX, yx.DifferencedY)
+			}
+			for _, r := range [][2]*TestResult{{xy, swYX}, {yx, swXY}} {
+				want, got := r[0], r[1]
+				if math.Float64bits(got.F) != math.Float64bits(want.F) ||
+					math.Float64bits(got.PValue) != math.Float64bits(want.PValue) ||
+					got.Lag != want.Lag || got.Significant != want.Significant ||
+					got.DifferencedX != want.DifferencedX || got.DifferencedY != want.DifferencedY {
+					t.Errorf("%s: swapped call's result %+v, want %+v", what, *got, *want)
+				}
+			}
+			differenced = differenced || xy.DifferencedX || xy.DifferencedY
+		}
+	}
+	if !differenced {
+		t.Error("no pair had a series differenced; the random walk should be")
+	}
+}
+
 func TestErrorsAndEdgeCases(t *testing.T) {
-	if _, err := TestWith([]float64{1, 2}, []float64{1}, Options{}, new(Scratch)); err == nil {
+	if _, _, _, err := Direction([]float64{1, 2}, []float64{1}, Options{}); err == nil {
 		t.Error("expected length-mismatch error")
 	}
 	short := []float64{1, 2, 3, 1, 2, 3}
-	if _, err := TestWith(short, short, Options{MaxLag: 2}, new(Scratch)); !errors.Is(err, ErrSeriesTooShort) {
+	if _, _, _, err := Direction(short, short, Options{MaxLag: 2}); !errors.Is(err, ErrSeriesTooShort) {
 		t.Errorf("short series: err = %v, want ErrSeriesTooShort", err)
 	}
 }
@@ -222,11 +312,12 @@ func TestPValueBoundsProperty(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		res, err := TestWith(x, y, Options{MaxLag: 1 + rng.Intn(3)}, new(Scratch))
+		_, xy, yx, err := Direction(x, y, Options{MaxLag: 1 + rng.Intn(3)})
 		if err != nil {
 			return false
 		}
-		return res.PValue >= 0 && res.PValue <= 1 && res.F >= 0
+		return xy.PValue >= 0 && xy.PValue <= 1 && xy.F >= 0 &&
+			yx.PValue >= 0 && yx.PValue <= 1 && yx.F >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

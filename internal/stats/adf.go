@@ -37,6 +37,8 @@ var macKinnonConstOnly = [3]float64{-3.43, -2.86, -2.57}
 // lags must not be negative. The lag design is written directly into the
 // caller-owned scratch's reusable flat matrix and the regression runs
 // through FitOLSWith, so a steady-state test performs O(1) allocations.
+// Of the fit's diagnostics only γ's standard error is computed; a zero
+// one gives a t-statistic of ±Inf.
 func ADFWith(y []float64, lags int, s *Scratch) (*ADFResult, error) {
 	if lags < 0 {
 		return nil, fmt.Errorf("stats: ADF with %d lags: the lag count must not be negative", lags)
@@ -79,12 +81,24 @@ func ADFWith(y []float64, lags int, s *Scratch) (*ADFResult, error) {
 		}
 	}
 
-	model, err := FitOLSWith(resp, design, s)
+	coef, rss, err := FitOLSWith(resp, design, s)
 	if err != nil {
 		return nil, fmt.Errorf("stats: ADF regression: %w", err)
 	}
 	// Column 0 is the intercept; column 1 is γ on y_{t-1}.
-	stat := model.TStat(1)
+	se, err := standardError(design, 1, rss/float64(rows-params), s)
+	if err != nil {
+		return nil, fmt.Errorf("stats: ADF regression: %w", err)
+	}
+	var stat float64
+	switch {
+	case se != 0:
+		stat = coef[1] / se
+	case coef[1] < 0:
+		stat = math.Inf(-1)
+	default:
+		stat = math.Inf(1)
+	}
 	return &ADFResult{
 		Stat:           stat,
 		Lags:           lags,

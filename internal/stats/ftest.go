@@ -63,13 +63,3 @@ func FTestNested(rssR, rssU float64, pR, pU, n int) (*FTestResult, error) {
 	}
 	return &FTestResult{F: f, PValue: p, DF1: df1, DF2: df2}, nil
 }
-
-// CompareOLS runs FTestNested on two fitted models sharing the same
-// response. The restricted model must be nested in the unrestricted one;
-// only the parameter counts and RSS values are consulted.
-func CompareOLS(restricted, unrestricted *OLS) (*FTestResult, error) {
-	if restricted.N != unrestricted.N {
-		return nil, fmt.Errorf("stats: models fitted on different sample sizes (%d vs %d)", restricted.N, unrestricted.N)
-	}
-	return FTestNested(restricted.RSS, unrestricted.RSS, restricted.P, unrestricted.P, restricted.N)
-}

@@ -35,18 +35,15 @@ func TestFitOLSKnownSmallExample(t *testing.T) {
 	// y = 1 + 2x fitted through exact points.
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7}
-	m, err := FitOLSWith(y, designWithIntercept(len(x), x), new(Scratch))
+	coef, rss, err := FitOLSWith(y, designWithIntercept(len(x), x), new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(m.Coef[0], 1, 1e-9) || !almostEqual(m.Coef[1], 2, 1e-9) {
-		t.Fatalf("coef = %v, want [1 2]", m.Coef)
+	if !almostEqual(coef[0], 1, 1e-9) || !almostEqual(coef[1], 2, 1e-9) {
+		t.Fatalf("coef = %v, want [1 2]", coef)
 	}
-	if !almostEqual(m.RSS, 0, 1e-18) {
-		t.Errorf("RSS = %g, want 0", m.RSS)
-	}
-	if m.N-m.P != 2 {
-		t.Errorf("residual degrees of freedom = %d, want 2", m.N-m.P)
+	if !almostEqual(rss, 0, 1e-18) {
+		t.Errorf("RSS = %g, want 0", rss)
 	}
 }
 
@@ -63,13 +60,13 @@ func TestFitOLSRecoversPlantedWithNoise(t *testing.T) {
 			x2[i] = rng.NormFloat64()
 			y[i] = b0 + b1*x1[i] + b2*x2[i] + rng.NormFloat64()*0.1
 		}
-		m, err := FitOLSWith(y, designWithIntercept(n, x1, x2), new(Scratch))
+		coef, _, err := FitOLSWith(y, designWithIntercept(n, x1, x2), new(Scratch))
 		if err != nil {
 			return false
 		}
-		return almostEqual(m.Coef[0], b0, 0.05) &&
-			almostEqual(m.Coef[1], b1, 0.05) &&
-			almostEqual(m.Coef[2], b2, 0.05)
+		return almostEqual(coef[0], b0, 0.05) &&
+			almostEqual(coef[1], b1, 0.05) &&
+			almostEqual(coef[2], b2, 0.05)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -77,36 +74,41 @@ func TestFitOLSRecoversPlantedWithNoise(t *testing.T) {
 }
 
 func TestFitOLSStdErrKnown(t *testing.T) {
-	// For y ~ 1 with intercept only, StdErr(intercept) = s/sqrt(n) with
-	// s^2 the sample variance (n-1 denominator).
+	// For y ~ 1 with intercept only, the intercept's standard error is
+	// s/sqrt(n) with s^2 the sample variance (n-1 denominator).
 	y := []float64{1, 2, 3, 4, 5, 6}
-	m, err := FitOLSWith(y, designWithIntercept(len(y)), new(Scratch))
+	design := designWithIntercept(len(y))
+	s := new(Scratch)
+	coef, rss, err := FitOLSWith(y, design, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(m.Coef[0], 3.5, 1e-12) {
-		t.Fatalf("intercept = %g, want 3.5", m.Coef[0])
+	if !almostEqual(coef[0], 3.5, 1e-12) {
+		t.Fatalf("intercept = %g, want 3.5", coef[0])
 	}
-	s2 := m.RSS / float64(len(y)-1)
-	want := math.Sqrt(s2 / float64(len(y)))
-	if !almostEqual(m.StdErr[0], want, 1e-9) {
-		t.Errorf("StdErr = %g, want %g", m.StdErr[0], want)
+	s2 := rss / float64(len(y)-1)
+	se, err := standardError(design, 0, s2, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Sqrt(s2 / float64(len(y))); !almostEqual(se, want, 1e-9) {
+		t.Errorf("standard error = %g, want %g", se, want)
 	}
 }
 
 func TestFitOLSErrors(t *testing.T) {
-	if _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(3, 1), new(Scratch)); err == nil {
+	if _, _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(3, 1), new(Scratch)); err == nil {
 		t.Error("expected row-count mismatch error")
 	}
-	if _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(2, 0), new(Scratch)); err == nil {
+	if _, _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(2, 0), new(Scratch)); err == nil {
 		t.Error("expected empty-design error")
 	}
-	if _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(2, 2), new(Scratch)); !errors.Is(err, ErrTooFewObservations) {
+	if _, _, err := FitOLSWith([]float64{1, 2}, new(mathx.Matrix).Resize(2, 2), new(Scratch)); !errors.Is(err, ErrTooFewObservations) {
 		t.Errorf("n<=p: err = %v, want ErrTooFewObservations", err)
 	}
 	// Collinear design must surface the singularity.
 	design := designWithIntercept(4, []float64{1, 1, 1, 1})
-	if _, err := FitOLSWith([]float64{1, 2, 3, 4}, design, new(Scratch)); err == nil {
+	if _, _, err := FitOLSWith([]float64{1, 2, 3, 4}, design, new(Scratch)); err == nil {
 		t.Error("expected singularity error for collinear design")
 	}
 }
@@ -120,14 +122,17 @@ func TestOLSTStat(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		y[i] = 5*x[i] + rng.NormFloat64()*0.5
 	}
-	m, err := FitOLSWith(y, designWithIntercept(n, x), new(Scratch))
+	design := designWithIntercept(n, x)
+	s := new(Scratch)
+	coef, rss, err := FitOLSWith(y, design, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts := m.TStat(1); ts < 20 {
-		t.Errorf("t-stat for strong predictor = %g, want large", ts)
+	se, err := standardError(design, 1, rss/float64(n-2), s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !math.IsNaN(m.TStat(5)) {
-		t.Error("out-of-range TStat must be NaN")
+	if ts := coef[1] / se; ts < 20 {
+		t.Errorf("t-stat for strong predictor = %g, want large", ts)
 	}
 }
