@@ -142,8 +142,8 @@ func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, 
 
 	// Normalize and transform every series exactly once: the cached
 	// spectra serve the distance matrix and every candidate k of the
-	// sweep.
-	// Profiles are immutable, so the per-k goroutines share them freely.
+	// sweep. Profiles are immutable, so the per-k goroutines share them
+	// freely.
 	p, err := prepare(series)
 	if err != nil {
 		return nil, err
