@@ -30,9 +30,10 @@
 // with. An empty -data-dir (the default) keeps the pure in-memory store.
 // A background compactor (cadence -compact-interval, disable with a
 // negative value) merges adjacent small blocks into larger ones up to
-// 64 MiB of chunk data each — query results are
-// byte-identical before and after. With -downsample it also attaches 5m
-// and 1h downsampled summaries that coarse-step aggregated /query_range
+// 64 MiB of chunk data each — query results are byte-identical before
+// and after. With -downsample every block it writes also carries 5m and
+// 1h downsampled summaries (a block without them that no merge takes is
+// rewritten alone to gain them) that coarse-step aggregated /query_range
 // requests (min/max/count/rate with step a multiple of the resolution)
 // answer without touching chunk data, keeping month-window queries over
 // long -retention affordable.
@@ -99,7 +100,7 @@ func main() {
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
 	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: blocks are written at shutdown only)")
 	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence (0 = default 5m, negative = disabled)")
-	downsample := flag.Bool("downsample", false, "build 5m/1h downsampled summaries on compacted blocks for coarse-step queries")
+	downsample := flag.Bool("downsample", false, "write 5m/1h downsampled summaries with every block compaction writes, for coarse-step queries")
 	incremental := flag.Bool("incremental", false, "align each analysis window's end down to the sampling grid, so windows slide by whole steps (no state carries across cycles)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	selfScrapeInterval := flag.Duration("self-scrape-interval", 0, "write own telemetry into the store under the reserved \"sieve\" component every interval (0 = disabled)")
@@ -113,7 +114,7 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	if err := checkFlags(*window, *step, *interval, *retention, *fsync, *shards, *remoteWriteComponentLabel); err != nil {
+	if err := checkFlags(*window, *step, *interval, *retention, *flushInterval, *compactInterval, *selfScrapeInterval, *fsync, *shards, *remoteWriteComponentLabel); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
@@ -186,9 +187,12 @@ func main() {
 // whole milliseconds (-interval stays a Duration); -fsync would only be
 // looked at with -data-dir set; a window of fewer than
 // sieve.MinWindowSamples grid steps ingests forever without a single
-// pipeline cycle; and the reserved __name__ label is always the metric,
-// never the component.
-func checkFlags(window, step, interval, retention time.Duration, fsync string, shards int, componentLabel string) error {
+// pipeline cycle; a positive -flush-interval, -compact-interval or
+// -self-scrape-interval under 1ms runs its ticker flat out (a 1us flush
+// cadence churns thousands of WAL segments a second), and a negative
+// -self-scrape-interval means nothing; and the reserved __name__ label
+// is always the metric, never the component.
+func checkFlags(window, step, interval, retention, flush, compact, selfScrape time.Duration, fsync string, shards int, componentLabel string) error {
 	for _, f := range []struct {
 		name string
 		d    time.Duration
@@ -211,6 +215,17 @@ func checkFlags(window, step, interval, retention time.Duration, fsync string, s
 	}
 	if retention < 0 {
 		return fmt.Errorf("-retention %s: must be 0 (keep forever) or at least 1ms", retention)
+	}
+	for _, f := range []struct {
+		name, zero string
+		d          time.Duration
+	}{{"flush-interval", "0 (default 60s), negative (disabled)", flush}, {"compact-interval", "0 (default 5m), negative (disabled)", compact}} {
+		if f.d > 0 && f.d < time.Millisecond {
+			return fmt.Errorf("-%s %s: must be %s or at least 1ms", f.name, f.d, f.zero)
+		}
+	}
+	if selfScrape < 0 || selfScrape > 0 && selfScrape < time.Millisecond {
+		return fmt.Errorf("-self-scrape-interval %s: must be 0 (disabled) or at least 1ms", selfScrape)
 	}
 	switch fsync {
 	case "always", "interval", "never":

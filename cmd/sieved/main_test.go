@@ -93,8 +93,11 @@ func TestFlagSurface(t *testing.T) {
 // shards and printing the value it was given; so are a -window, -step or
 // -retention that is not a whole number of milliseconds (it would be
 // truncated), a window too short for any pipeline cycle to ever run, an
-// -fsync policy that does not exist, with or without -data-dir, and the
-// reserved __name__ label as the remote-write component label.
+// -fsync policy that does not exist, with or without -data-dir, the
+// reserved __name__ label as the remote-write component label, a
+// positive -flush-interval, -compact-interval or -self-scrape-interval
+// under 1ms (the ticker would spin), and a negative
+// -self-scrape-interval.
 func TestRejectsUnusableDurations(t *testing.T) {
 	bin := buildSieved(t)
 	for _, tc := range []struct{ flag, value string }{
@@ -118,6 +121,11 @@ func TestRejectsUnusableDurations(t *testing.T) {
 		{"shards", "-3"},
 		{"fsync", "bogus"},
 		{"remote-write-component-label", "__name__"},
+		{"flush-interval", "1us"}, // a WAL segment churned per tick
+		{"flush-interval", "999us"},
+		{"compact-interval", "500us"},
+		{"self-scrape-interval", "-1s"},
+		{"self-scrape-interval", "100us"},
 	} {
 		// A refused flag exits before listening; -addr only keeps an
 		// accepted one (the parent's behaviour) off a fixed port.

@@ -87,6 +87,50 @@ func TestIndependentSeriesNotSignificant(t *testing.T) {
 	}
 }
 
+// TestIndependentSeriesEdgeRate pins the null rate of the pair test:
+// over independent AR(φ) pairs, white noise through random walks, one
+// direction is significant about α of the time, and a unidirectional
+// edge (what the dependency graph keeps) appears about 2α(1−α) of the
+// time. The bounds leave room for 1 000 pairs' sampling error and for
+// the tests' slight over-size near a unit root.
+func TestIndependentSeriesEdgeRate(t *testing.T) {
+	const n, pairs = 120, 1000
+	ar := func(rng *rand.Rand, phi float64) []float64 {
+		out := make([]float64, n)
+		prev := 0.0
+		for i := range out {
+			prev = phi*prev + rng.NormFloat64()
+			out[i] = prev
+		}
+		return out
+	}
+	var s Scratch
+	for cell, phi := range []float64{0, 0.5, 0.9, 1} {
+		rng := rand.New(rand.NewSource(int64(cell + 1)))
+		forward, unidirectional := 0, 0
+		for i := 0; i < pairs; i++ {
+			c, xy, _, err := DirectionWith(ar(rng, phi), ar(rng, phi), Options{MaxLag: 1}, &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if xy.Significant {
+				forward++
+			}
+			if c == XCausesY || c == YCausesX {
+				unidirectional++
+			}
+		}
+		fwd, uni := float64(forward)/pairs, float64(unidirectional)/pairs
+		t.Logf("AR(%g): x->y significant %.1f%%, unidirectional %.1f%%", phi, 100*fwd, 100*uni)
+		if fwd < 0.03 || fwd > 0.08 {
+			t.Errorf("AR(%g): x->y significant in %.1f%% of independent pairs, want 3%%–8%%", phi, 100*fwd)
+		}
+		if uni < 0.06 || uni > 0.14 {
+			t.Errorf("AR(%g): unidirectional edge in %.1f%% of independent pairs, want 6%%–14%%", phi, 100*uni)
+		}
+	}
+}
+
 func TestHigherLagDetection(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x, y := causalPair(rng, 600, 3, 0.9, 0.3)

@@ -77,13 +77,14 @@ type Options struct {
 	// shutdown). Only meaningful with DataDir.
 	FlushInterval time.Duration
 	// CompactInterval is the cadence of the background compactor that
-	// merges adjacent small blocks and builds downsampled companion
-	// files (default 5m; negative disables it). Only meaningful with
-	// DataDir.
+	// merges adjacent small blocks (default 5m; negative disables it).
+	// Only meaningful with DataDir.
 	CompactInterval time.Duration
-	// Downsample enables 5m/1h downsampled companions on compacted
-	// blocks, answering coarse-step aggregated /query_range requests
-	// without touching chunk data. Only meaningful with DataDir.
+	// Downsample makes compaction write 5m/1h downsampled companions
+	// with every block it writes (and rewrite alone a block that lacks
+	// them and no merge takes), answering coarse-step aggregated
+	// /query_range requests without touching chunk data. Only
+	// meaningful with DataDir.
 	Downsample bool
 
 	// SelfScrapeInterval, when positive, makes Start also run the

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/sieve-microservices/sieve/internal/jsonenc"
 )
@@ -139,12 +140,11 @@ type block struct {
 	// hasAggs reports whether the index's chunk refs carry trustworthy
 	// value summaries (blocks written at version >= 2).
 	hasAggs bool
-	// ds holds the loaded downsampled companions by resolution (ms).
-	// The chunk data stays raw-only: a companion is an alternative
-	// summary-level view of the same points, attached after publish
-	// (atomically, via tmp+rename inside the block directory) and
-	// deleted with the directory. Mutated only under the durable
-	// engine's mu (attachDownsampled) or before the block is shared.
+	// ds holds the downsampled companions by resolution (ms): an
+	// alternative summary-level view of the same points, written into
+	// the block directory before its rename and deleted with it. Set
+	// only by the block writer and openBlock, before the block is
+	// shared, and never changed after.
 	ds map[int64]map[string][]summary
 }
 
@@ -183,16 +183,23 @@ type blockWriter struct {
 	meta      blockMeta
 	keys      []string // in addSeries order, which is ascending
 	index     map[string][]chunkRef
-	f         *os.File
-	w         *bufio.Writer // on chunks.dat, then reused for index.json and meta.json
-	frame     []byte        // one chunk's header + payload, reused
-	cut       int           // points per chunk: maxChunkPoints, larger only to write an older layout in tests
+	// ds folds each series into the companions as it arrives (nil
+	// without downsampling), and dsTime is the fold time per resolution.
+	ds     map[int64]map[string][]summary
+	dsTime []time.Duration
+	tel    *StoreTelemetry
+	f      *os.File
+	w      *bufio.Writer // on chunks.dat, then reused for the JSON files
+	frame  []byte        // one chunk's header + payload, reused
+	cut    int           // points per chunk: maxChunkPoints, larger only to write an older layout in tests
 }
 
 // newBlockWriter creates the tmp- directory and opens its chunks.dat.
 // meta carries the caller's identity fields (Seq, WALCuts, MinSeq,
-// MaxSeq, Level); the content fields are computed as series arrive.
-func newBlockWriter(blocksDir string, meta blockMeta) (*blockWriter, error) {
+// MaxSeq, Level); the content fields are computed as series arrive. With
+// downsample, the block is published with one companion per
+// downsampleResolutions entry, each timed into tel.
+func newBlockWriter(blocksDir string, meta blockMeta, downsample bool, tel *StoreTelemetry) (*blockWriter, error) {
 	tmp := filepath.Join(blocksDir, fmt.Sprintf("%sb-%08d", blockTmpPrefix, meta.Seq))
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return nil, err
@@ -205,15 +212,24 @@ func newBlockWriter(blocksDir string, meta blockMeta) (*blockWriter, error) {
 	meta.Version = blockVersion
 	meta.MinT, meta.MaxT = int64(1)<<62-1, -int64(1)<<62
 	meta.Points, meta.Series, meta.ChunkBytes = 0, 0, 0
-	return &blockWriter{
+	bw := &blockWriter{
 		blocksDir: blocksDir,
 		tmp:       tmp,
 		meta:      meta,
 		index:     map[string][]chunkRef{},
+		tel:       tel,
 		f:         f,
 		w:         bufio.NewWriterSize(f, blockWriteBuffer),
 		cut:       maxChunkPoints,
-	}, nil
+	}
+	if downsample {
+		bw.ds = make(map[int64]map[string][]summary, len(downsampleResolutions))
+		for _, res := range downsampleResolutions {
+			bw.ds[res] = map[string][]summary{}
+		}
+		bw.dsTime = make([]time.Duration, len(downsampleResolutions))
+	}
+	return bw, nil
 }
 
 // addSeries appends one series. Keys must arrive in ascending order (the
@@ -271,20 +287,30 @@ func (bw *blockWriter) addSeries(key string, segs ...[]Point) error {
 	bw.keys = append(bw.keys, key)
 	bw.index[key] = refs
 	bw.meta.Series++
+	if bw.ds != nil {
+		// The segments in the order given are the block's storage order,
+		// which a scan of the published block would feed.
+		for i, res := range downsampleResolutions {
+			start := time.Now()
+			bw.ds[res][key] = downsampleSeries(res, segs...)
+			bw.dsTime[i] += time.Since(start)
+		}
+	}
 	return nil
 }
 
 // publish makes the block durable and visible, in the order every crash
-// suite relies on: chunks.dat flushed and fsynced, index.json written
-// and fsynced, meta.json written and fsynced, the tmp directory fsynced
-// (the rename must not publish a directory whose entries could vanish on
-// power loss — the WAL segments covering this data are deleted once the
-// block is live), rename to b-<seq>-<minT>-<maxT>, blocks/ fsynced. The
-// returned block is built from the index the writer already holds, its
-// chunks.dat handle opened before the rename so that only the final
-// directory fsync can fail past the publish point — and then the block
-// is taken back, because the caller will treat the write as failed and
-// write the same points again under another sequence number.
+// suite relies on: chunks.dat flushed and fsynced, index.json and the
+// companions written and fsynced, meta.json written and fsynced, the tmp
+// directory fsynced (the rename must not publish a directory whose
+// entries could vanish on power loss — the WAL segments covering this
+// data are deleted once the block is live), rename to
+// b-<seq>-<minT>-<maxT>, blocks/ fsynced. The returned block is built
+// from the index and companions the writer already holds, its chunks.dat
+// handle opened before the rename so that only the final directory
+// fsync can fail past the publish point — and then the block is taken
+// back, because the caller will treat the write as failed and write the
+// same points again under another sequence number.
 func (bw *blockWriter) publish() (*block, error) {
 	if len(bw.keys) == 0 {
 		bw.abort()
@@ -320,6 +346,13 @@ func (bw *blockWriter) finish() (*block, error) {
 	if err := bw.writeIndex(); err != nil {
 		return nil, err
 	}
+	for i, fold := range bw.dsTime { // empty without downsampling
+		start := time.Now()
+		if err := bw.writeDownsampled(downsampleResolutions[i]); err != nil {
+			return nil, err
+		}
+		bw.tel.DownsampleSeconds.Observe((fold + time.Since(start)).Seconds())
+	}
 	metaData, err := json.MarshalIndent(&bw.meta, "", " ")
 	if err != nil {
 		return nil, err
@@ -343,7 +376,7 @@ func (bw *blockWriter) finish() (*block, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	return &block{dir: final, meta: bw.meta, index: bw.index, f: f, hasAggs: bw.meta.Version >= 2}, nil
+	return &block{dir: final, meta: bw.meta, index: bw.index, f: f, hasAggs: bw.meta.Version >= 2, ds: bw.ds}, nil
 }
 
 // writeIndex streams index.json from the refs collected so far.
@@ -353,6 +386,22 @@ func (bw *blockWriter) writeIndex() error {
 		for _, key := range bw.keys {
 			refs := bw.index[key]
 			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendChunkRefJSON(dst, refs[i]) }); err != nil {
+				return err
+			}
+		}
+		return j.end()
+	})
+}
+
+// writeDownsampled streams the ds-<res>.json companion from the buckets
+// folded so far.
+func (bw *blockWriter) writeDownsampled(res int64) error {
+	series := bw.ds[res]
+	return writeStreamSync(filepath.Join(bw.tmp, downsampledName(res)), bw.w, func() error {
+		j := newSeriesJSON(bw.w, fmt.Sprintf(" \"version\": 1,\n \"resolution_ms\": %d,\n", res))
+		for _, key := range bw.keys {
+			refs := series[key]
+			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendSummaryJSON(dst, true, refs[i]) }); err != nil {
 				return err
 			}
 		}
@@ -519,9 +568,8 @@ func syncDir(dir string) error {
 	return err
 }
 
-// openBlock loads a block's meta and index, opens its chunks file, loads
-// any downsampled companion files, and removes tmp- leftovers from a
-// companion write that crashed before its rename.
+// openBlock loads a block's meta and index, opens its chunks file and
+// loads any downsampled companion files.
 func openBlock(dir string) (*block, error) {
 	metaData, err := os.ReadFile(filepath.Join(dir, blockMetaName))
 	if err != nil {
@@ -552,9 +600,10 @@ func openBlock(dir string) (*block, error) {
 }
 
 // loadDownsampled loads every ds-<resolution>.json companion in the
-// block directory into b.ds and deletes tmp- leftovers (a companion
-// write that crashed before its rename; the raw chunks still cover the
-// data, so nothing is lost).
+// block directory into b.ds. Any other file is ignored, among them a
+// tmp-ds-*.json that older releases left when a companion write, then
+// made into the published directory, crashed before its rename; it goes
+// when the block goes.
 func (b *block) loadDownsampled() error {
 	entries, err := os.ReadDir(b.dir)
 	if err != nil {
@@ -562,12 +611,6 @@ func (b *block) loadDownsampled() error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasPrefix(name, blockTmpPrefix) {
-			if err := os.Remove(filepath.Join(b.dir, name)); err != nil {
-				return err
-			}
-			continue
-		}
 		res, ok := parseDownsampledName(name)
 		if !ok {
 			continue
@@ -780,9 +823,9 @@ func openBlocks(blocksDir string) ([]*block, error) {
 // those are compaction sources whose deletion a crash interrupted. The
 // survivor holds the identical points, so removal is the completion of
 // the interrupted compaction, not data loss. Among blocks covering the
-// same range (never produced by a healthy sequence of compactions, but
-// defended against), the higher compaction level, then the higher
-// sequence number, survives.
+// same range — a run of one and its source, when a crash fell between
+// the rewrite's rename and the source's removal — the higher compaction
+// level, then the higher sequence number, survives.
 func dropSupersededBlocks(blocks []*block) ([]*block, error) {
 	kept := blocks[:0]
 	for _, b := range blocks {

@@ -14,6 +14,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
 
 func blockPoints(n int, base int64) []Point {
@@ -36,7 +38,7 @@ func blockQuery(b *block, key string, from, to int64) ([]Point, error) {
 // writeBlock persists series -> time-sorted points as one block through
 // the streaming writer: one segment per series, keys ascending.
 func writeBlock(blocksDir string, seq uint64, walCuts map[string]uint64, series map[string][]Point) (*block, error) {
-	bw, err := newBlockWriter(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts})
+	bw, err := newBlockWriter(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts}, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +270,7 @@ func TestBlockOldLayoutReadsAndRechunks(t *testing.T) {
 		for _, s := range batch {
 			series[s.Key()] = append(series[s.Key()], Point{T: s.T, V: s.V})
 		}
-		bw, err := newBlockWriter(filepath.Join(dir, "blocks"), blockMeta{Seq: uint64(e + 1)})
+		bw, err := newBlockWriter(filepath.Join(dir, "blocks"), blockMeta{Seq: uint64(e + 1)}, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,8 +549,8 @@ func mustReadFile(t *testing.T, path string) []byte {
 // map-taking writer it replaced: same directory name and the same bytes
 // in chunks.dat, index.json and meta.json for the same input, a returned
 // block indistinguishable from reopening the directory, and companions
-// from the streaming encoder equal to json.MarshalIndent over the same
-// buckets.
+// that equal the reference fold over the published block's scan and
+// json.MarshalIndent over those buckets, each timed once.
 func TestBlockWriterMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -562,7 +564,8 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: reference writer: %v", seed, err)
 		}
-		bw, err := newBlockWriter(dir, meta)
+		tel := newStoreTelemetry(telemetry.NewRegistry())
+		bw, err := newBlockWriter(dir, meta, true, tel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -611,20 +614,19 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: %q reads back %d points, wrote %d", seed, key, len(pts), len(all))
 			}
 		}
+		if n := tel.DownsampleSeconds.Count(); n != uint64(len(downsampleResolutions)) {
+			t.Fatalf("seed %d: %d companion builds timed, want %d", seed, n, len(downsampleResolutions))
+		}
 		for _, res := range downsampleResolutions {
-			ds, err := buildDownsampled(got, res)
-			if err != nil {
-				t.Fatalf("seed %d: companion %d: %v", seed, res, err)
-			}
 			wantDs := map[string][]summary{}
 			for key := range got.index {
-				pts, err := blockQuery(want, key, math.MinInt64, math.MaxInt64)
+				pts, err := blockQuery(got, key, math.MinInt64, math.MaxInt64)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wantDs[key] = mapDownsampleSeries(pts, res)
 			}
-			if !reflect.DeepEqual(ds, wantDs) {
+			if !reflect.DeepEqual(got.ds[res], wantDs) {
 				t.Fatalf("seed %d: companion %d buckets differ from the reference fold", seed, res)
 			}
 			wantJSON, err := json.MarshalIndent(dsIndex{Version: 1, ResolutionMS: res, Series: wantDs}, "", " ")
@@ -645,16 +647,19 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 // series map marshals as {} on the "series" line, not as an open and a
 // close brace on separate lines.
 func TestBlockWriterCompanionEmptySeries(t *testing.T) {
-	b := &block{dir: t.TempDir(), index: map[string][]chunkRef{}}
-	ds, err := buildDownsampled(b, 300_000)
+	bw, err := newBlockWriter(t.TempDir(), blockMeta{Seq: 1}, true, newStoreTelemetry(telemetry.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.MarshalIndent(dsIndex{Version: 1, ResolutionMS: 300_000, Series: ds}, "", " ")
+	defer bw.abort()
+	if err := bw.writeDownsampled(300_000); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(dsIndex{Version: 1, ResolutionMS: 300_000, Series: map[string][]summary{}}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mustReadFile(t, filepath.Join(b.dir, downsampledName(300_000))); !bytes.Equal(got, want) {
+	if got := mustReadFile(t, filepath.Join(bw.tmp, downsampledName(300_000))); !bytes.Equal(got, want) {
 		t.Fatalf("empty companion:\n got %s\nwant %s", got, want)
 	}
 }
@@ -682,7 +687,7 @@ func TestBlockWriterRefusesAndCleansUp(t *testing.T) {
 	}
 	for name, fail := range cases {
 		dir := t.TempDir()
-		bw, err := newBlockWriter(dir, blockMeta{Seq: 1})
+		bw, err := newBlockWriter(dir, blockMeta{Seq: 1}, true, newStoreTelemetry(telemetry.NewRegistry()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,9 @@
 package tsdb
 
 import (
-	"bufio"
 	"fmt"
 	"log/slog"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 )
@@ -18,9 +15,10 @@ import (
 // per-block meta check, index lookup, and (cold) chunk read per series
 // per block. The compactor runs off the ingest path and merges adjacent
 // small blocks into larger ones — same block format, same atomic
-// tmp-dir + rename publish — and attaches downsampled companion files
-// (5m and 1h per-bucket summaries) that aggregated queries consume
-// without touching chunk data at all.
+// tmp-dir + rename publish. With Downsample, the merge also writes the
+// block's downsampled companion files (5m and 1h per-bucket summaries)
+// into the same tmp- directory, so the block's rename publishes them;
+// aggregated queries consume them without touching chunk data at all.
 //
 // Invariants, in order of importance:
 //
@@ -40,12 +38,14 @@ import (
 //     sequence range [MinSeq, MaxSeq]. A crash before the rename leaves
 //     a tmp- dir the next open removes; a crash after the rename but
 //     before the sources are deleted leaves blocks whose ranges the
-//     merged block covers — openBlocks removes them, completing the
-//     interrupted compaction (dropSupersededBlocks). Sources are
-//     deleted through removeBlockDir (rename to tmp-, then remove), so
-//     a crash mid-deletion never leaves a half-emptied b- directory.
-//     Companion files are written tmp + rename inside the block
-//     directory and die with it.
+//     merged block covers (a run of one leaves its source at the
+//     identical range, one level lower) — openBlocks removes them,
+//     completing the interrupted compaction (dropSupersededBlocks).
+//     Sources are deleted through removeBlockDir (rename to tmp-, then
+//     remove), so a crash mid-deletion never leaves a half-emptied b-
+//     directory.
+//     Companion files are published and deleted with their block; no
+//     write ever lands in a published block directory.
 //   - Accounting. A compaction moves points between blocks but never
 //     changes the point set, so Stats.Points (basePoints) is untouched;
 //     retention accounts a merged block's points exactly once when it
@@ -68,33 +68,31 @@ func floorDiv(t, d int64) int64 {
 	return q
 }
 
-// downsampleSeries folds one series' points (in storage order) into
-// per-bucket summaries on the absolute resMS grid (bucket k covers
-// [k*resMS, (k+1)*resMS)). Each bucket folds its points with
-// summary.add, as the aggregator's buckets do, on the same feed order —
-// so consuming a bucket summary is bit-identical to decoding its points
-// — and is scrubbed: buckets containing NaN (order-dependent min/max) or
-// any non-finite fact (JSON cannot carry it) are flagged NoSummary with
-// zeroed value fields and are never consumed. Bucket assignment uses
-// floorDiv, exact at extreme timestamps (no multiply that could
-// overflow).
-func downsampleSeries(pts []Point, resMS int64) []summary {
-	if len(pts) == 0 {
-		return nil
-	}
+// downsampleSeries folds one series' points, segs in order and each in
+// storage order, into per-bucket summaries on the absolute resMS grid
+// (bucket k covers [k*resMS, (k+1)*resMS)). Each bucket folds its points
+// with summary.add, as the aggregator's buckets do, on the same feed
+// order — so consuming a bucket summary is bit-identical to decoding its
+// points — and is scrubbed: buckets containing NaN (order-dependent
+// min/max) or any non-finite fact (JSON cannot carry it) are flagged
+// NoSummary with zeroed value fields and are never consumed. Bucket
+// assignment uses floorDiv, exact at extreme timestamps (no multiply
+// that could overflow).
+func downsampleSeries(resMS int64, segs ...[]Point) []summary {
 	// The occupied buckets lie in [floorDiv(minT), floorDiv(maxT)]: an
 	// upper bound on their number, exact for regular scrapes (unsigned:
 	// the span of two int64 quotients can exceed int64).
-	minT, maxT := pts[0].T, pts[0].T
-	for _, p := range pts {
-		if p.T < minT {
-			minT = p.T
-		}
-		if p.T > maxT {
-			maxT = p.T
+	size := 0
+	minT, maxT := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, seg := range segs {
+		size += len(seg)
+		for _, p := range seg {
+			minT, maxT = min(minT, p.T), max(maxT, p.T)
 		}
 	}
-	size := len(pts)
+	if size == 0 {
+		return nil
+	}
 	if span := uint64(floorDiv(maxT, resMS)) - uint64(floorDiv(minT, resMS)); span < uint64(size) {
 		size = int(span) + 1
 	}
@@ -105,23 +103,25 @@ func downsampleSeries(pts []Point, resMS int64) []summary {
 	// floorDiv of any timestamp in it) and inserts.
 	out := make([]summary, 0, size)
 	cur, curIdx := -1, int64(0)
-	for _, p := range pts {
-		idx := floorDiv(p.T, resMS)
-		if cur < 0 || idx != curIdx {
-			n := len(out)
-			pos := n
-			if n > 0 && idx <= floorDiv(out[n-1].MinT, resMS) {
-				pos = sort.Search(n, func(i int) bool { return floorDiv(out[i].MinT, resMS) >= idx })
+	for _, seg := range segs {
+		for _, p := range seg {
+			idx := floorDiv(p.T, resMS)
+			if cur < 0 || idx != curIdx {
+				n := len(out)
+				pos := n
+				if n > 0 && idx <= floorDiv(out[n-1].MinT, resMS) {
+					pos = sort.Search(n, func(i int) bool { return floorDiv(out[i].MinT, resMS) >= idx })
+				}
+				cur, curIdx = pos, idx
+				if pos == n || floorDiv(out[pos].MinT, resMS) != idx {
+					out = append(out, summary{})
+					copy(out[pos+1:], out[pos:])
+					out[pos] = seed(p)
+					continue
+				}
 			}
-			cur, curIdx = pos, idx
-			if pos == n || floorDiv(out[pos].MinT, resMS) != idx {
-				out = append(out, summary{})
-				copy(out[pos+1:], out[pos:])
-				out[pos] = seed(p)
-				continue
-			}
+			out[cur].add(p)
 		}
-		out[cur].add(p)
 	}
 	for i := range out {
 		out[i].scrub()
@@ -140,53 +140,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// buildDownsampled computes and atomically persists one companion file
-// for b, returning the series map to attach. The file is streamed one
-// series at a time (decode into a reused buffer, fold, append that
-// series' buckets to the tmp file), so beyond the returned map — which
-// the block keeps — the pass holds one series. The block is immutable,
-// so no lock is needed to read it; the caller serializes against
-// retention (which would delete the directory) via flushMu.
-func buildDownsampled(b *block, resMS int64) (map[string][]summary, error) {
-	name := downsampledName(resMS)
-	tmp := filepath.Join(b.dir, blockTmpPrefix+name)
-	series := make(map[string][]summary, len(b.index))
-	w := bufio.NewWriterSize(nil, blockWriteBuffer)
-	err := writeStreamSync(tmp, w, func() error {
-		j := newSeriesJSON(w, fmt.Sprintf(" \"version\": 1,\n \"resolution_ms\": %d,\n", resMS))
-		// One decode buffer and one chunk buffer for every series:
-		// downsampleSeries keeps nothing of its input.
-		var pts rawSink
-		var chunk []byte
-		for _, key := range sortedKeys(b.index) {
-			pts.pts = pts.pts[:0]
-			if err := b.scan(key, math.MinInt64, math.MaxInt64, &pts, nil, &chunk); err != nil {
-				return fmt.Errorf("downsampling %s %q: %w", b.dir, key, err)
-			}
-			refs := downsampleSeries(pts.pts, resMS)
-			if len(refs) == 0 {
-				continue
-			}
-			series[key] = refs
-			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendSummaryJSON(dst, true, refs[i]) }); err != nil {
-				return err
-			}
-		}
-		return j.end()
-	})
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(b.dir, name))
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return nil, err
-	}
-	if err := syncDir(b.dir); err != nil {
-		return nil, err
-	}
-	return series, nil
 }
 
 // companion is the aggregator's side of pointSink's companion offer: it
@@ -288,9 +241,11 @@ func planCompactRuns(blocks []*block, maxBytes int64) [][]*block {
 // the order a query's block loop feeds them — and split into monotone
 // segments wherever a timestamp strictly decreases (late data across
 // checkpoints), so the block writer keeps every chunk internally sorted
-// without ever reordering the stream. The pass holds one decoded series
-// and the merged index, whatever the size of the run.
-func mergeRun(blocksDir string, seq uint64, run []*block) (*block, error) {
+// without ever reordering the stream. With Downsample, the writer folds
+// the same segments into the block's companions. The pass holds one
+// decoded series, the merged index and the companions, whatever the size
+// of the run. A run of one rewrites its block, to give it companions.
+func (d *durable) mergeRun(seq uint64, run []*block) (*block, error) {
 	union := map[string]struct{}{}
 	var totalPts int
 	cuts := map[string]uint64{}
@@ -312,13 +267,13 @@ func mergeRun(blocksDir string, seq uint64, run []*block) (*block, error) {
 	if len(cuts) == 0 {
 		cuts = nil
 	}
-	bw, err := newBlockWriter(blocksDir, blockMeta{
+	bw, err := newBlockWriter(d.blocksDir, blockMeta{
 		Seq:     seq,
 		WALCuts: cuts,
 		MinSeq:  run[0].meta.minSeq(),
 		MaxSeq:  run[len(run)-1].meta.maxSeq(),
 		Level:   level + 1,
-	})
+	}, d.opts.Downsample, d.tel)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: writing merged block: %w", err)
 	}
@@ -361,37 +316,33 @@ func mergeRun(blocksDir string, seq uint64, run []*block) (*block, error) {
 }
 
 // compact runs one full compaction pass: merge every planned run of
-// adjacent small blocks, then (with Downsample enabled) attach missing
-// companion files. Each run and each companion holds flushMu for its own
-// duration only, so checkpoints interleave between units of work instead
-// of stalling behind a whole pass; ingest never blocks (the shard locks
-// are untouched — compaction reads only immutable published blocks).
+// adjacent small blocks and, with Downsample enabled, rewrite as a run of
+// one every other block that lacks a companion (one written in a life
+// without Downsample). Each run holds flushMu for its own duration only,
+// so checkpoints interleave between units of work instead of stalling
+// behind a whole pass; ingest never blocks (the shard locks are
+// untouched — compaction reads only immutable published blocks).
 func (d *durable) compact() error {
 	d.tel.CompactionsRun.Inc()
 	d.mu.RLock()
 	snapshot := append([]*block(nil), d.blocks...)
 	d.mu.RUnlock()
-	for _, run := range planCompactRuns(snapshot, compactMaxBlockBytes) {
-		if err := d.compactRun(run); err != nil {
-			return err
+	runs := planCompactRuns(snapshot, compactMaxBlockBytes)
+	if d.opts.Downsample {
+		planned := map[*block]bool{}
+		for _, run := range runs {
+			for _, b := range run {
+				planned[b] = true
+			}
 		}
-	}
-	if !d.opts.Downsample {
-		return nil
-	}
-	d.mu.RLock()
-	var todo []*block
-	for _, b := range d.blocks {
-		for _, res := range downsampleResolutions {
-			if b.ds[res] == nil {
-				todo = append(todo, b)
-				break
+		for _, b := range snapshot {
+			if !planned[b] && len(b.ds) < len(downsampleResolutions) {
+				runs = append(runs, []*block{b})
 			}
 		}
 	}
-	d.mu.RUnlock()
-	for _, b := range todo {
-		if err := d.downsampleBlock(b); err != nil {
+	for _, run := range runs {
+		if err := d.compactRun(run); err != nil {
 			return err
 		}
 	}
@@ -428,7 +379,7 @@ func (d *durable) compactRun(run []*block) error {
 	d.mu.Unlock()
 
 	start := time.Now()
-	merged, err := mergeRun(d.blocksDir, seq, run)
+	merged, err := d.mergeRun(seq, run)
 	if err != nil {
 		return err
 	}
@@ -472,50 +423,6 @@ func (d *durable) compactRun(run []*block) error {
 		}
 	}
 	return firstErr
-}
-
-// downsampleBlock attaches every missing companion resolution to one
-// block. flushMu keeps retention (and other compaction work) from
-// deleting the directory mid-write; the attach itself runs under mu,
-// where readers look companions up.
-func (d *durable) downsampleBlock(b *block) error {
-	d.flushMu.Lock()
-	defer d.flushMu.Unlock()
-	if d.closed {
-		return nil
-	}
-	d.mu.RLock()
-	live := false
-	for _, lb := range d.blocks {
-		if lb == b {
-			live = true
-			break
-		}
-	}
-	var missing []int64
-	if live {
-		for _, res := range downsampleResolutions {
-			if b.ds[res] == nil {
-				missing = append(missing, res)
-			}
-		}
-	}
-	d.mu.RUnlock()
-	for _, res := range missing {
-		start := time.Now()
-		series, err := buildDownsampled(b, res)
-		if err != nil {
-			return err
-		}
-		d.mu.Lock()
-		if b.ds == nil {
-			b.ds = map[int64]map[string][]summary{}
-		}
-		b.ds[res] = series
-		d.mu.Unlock()
-		d.tel.DownsampleSeconds.ObserveSince(start)
-	}
-	return nil
 }
 
 // compactLoop runs compaction passes on a ticker.

@@ -362,7 +362,14 @@ func TestDownsampleSeriesMatchesMapReference(t *testing.T) {
 				pts[i].T = base + int64(rng.Intn(2))*resMS + int64(rng.Intn(3))
 			}
 		}
-		got, want := downsampleSeries(pts, resMS), mapDownsampleSeries(pts, resMS)
+		// Fed as segments, as the block writer feeds it, split at random
+		// cuts: the fold runs on across segment boundaries.
+		var segs [][]Point
+		for rest := pts; len(rest) > 0; {
+			cut := 1 + rng.Intn(len(rest))
+			segs, rest = append(segs, rest[:cut]), rest[cut:]
+		}
+		got, want := downsampleSeries(resMS, segs...), mapDownsampleSeries(pts, resMS)
 		if len(got) != len(want) {
 			t.Fatalf("iter %d res=%d: %d buckets, map reference has %d", iter, resMS, len(got), len(want))
 		}
@@ -422,7 +429,7 @@ func FuzzDownsampleBuckets(f *testing.F) {
 			}
 			pts[i] = Point{T: ts, V: v}
 		}
-		got := downsampleSeries(pts, resMS)
+		got := downsampleSeries(resMS, pts)
 		want := refDownsampleSeries(pts, resMS)
 		if len(got) != len(want) {
 			t.Fatalf("res=%d: %d buckets, reference has %d", resMS, len(got), len(want))
@@ -444,6 +451,53 @@ func FuzzDownsampleBuckets(f *testing.F) {
 			t.Fatalf("res=%d: buckets hold %d points, fed %d", resMS, total, count)
 		}
 	})
+}
+
+// TestCompactBackfillsCompanions: a block written in a life without
+// Downsample, reopened with it, is one no merge takes, so Compact
+// rewrites it as a run of one with both companions, which coarse
+// queries then consume; the store reads as before, and a second pass
+// finds nothing to do.
+func TestCompactBackfillsCompanions(t *testing.T) {
+	samples := compactSamples(5, 2, 2, 240, 15_000, false) // 1 hour
+	dir := t.TempDir()
+	s := openCrashable(t, dir, 2)
+	m := newStoreModel(0)
+	if err := s.WriteSamples(samples, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.add(samples)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m.checkpoint()
+
+	s, tel := openCompactable(t, dir, 2, FsyncNever, 0)
+	defer s.Close()
+	if n := s.BlockCount(); n != 1 || len(s.dur.blocks[0].ds) != 0 {
+		t.Fatalf("reopened with %d blocks, the first with %d companions; want one without", n, len(s.dur.blocks[0].ds))
+	}
+	for pass := 1; pass <= 2; pass++ {
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if merged, built := tel.CompactionMergedBlocks.Value(), tel.DownsampleSeconds.Count(); merged != 1 || built != uint64(len(downsampleResolutions)) {
+			t.Fatalf("after pass %d: %d blocks retired and %d companions built, want 1 and %d",
+				pass, merged, built, len(downsampleResolutions))
+		}
+	}
+	b := s.dur.blocks[0]
+	for _, res := range downsampleResolutions {
+		if _, err := os.Stat(filepath.Join(b.dir, downsampledName(res))); err != nil || len(b.ds[res]) == 0 {
+			t.Fatalf("companion %d: %v, %d series loaded", res, err, len(b.ds[res]))
+		}
+	}
+	assertSameContents(t, s, m, "companion backfill")
+	q := RangeQuery{Component: "*", Metric: "*", From: 0, To: maxSampleT(samples) + 1, Agg: AggMax, StepMS: 300_000}
+	assertBitIdentical(t, "companion backfill", q, engineQuery(t, s, q), m.queryRange(q))
+	if tel.DownsampledBucketsRead.Value() == 0 {
+		t.Error("the 5m max query consumed no downsampled buckets")
+	}
 }
 
 func TestPlanCompactRuns(t *testing.T) {

@@ -34,13 +34,15 @@ type DurabilityOptions struct {
 	// past the horizon.
 	RetentionMS int64
 	// CompactInterval is the cadence of the background compactor that
-	// merges adjacent small blocks and builds downsampled companions
-	// (default 5m; negative disables the background passes — compaction
-	// then only happens via Sharded.Compact).
+	// merges adjacent small blocks (default 5m; negative disables the
+	// background passes — compaction then only happens via
+	// Sharded.Compact).
 	CompactInterval time.Duration
-	// Downsample enables the 5m/1h downsampled companion files that
-	// aggregated queries with coarse steps consume without touching
-	// chunk data.
+	// Downsample makes compaction write 5m/1h downsampled companion
+	// files with every block it writes, which aggregated queries with
+	// coarse steps consume without touching chunk data. A block without
+	// them (a checkpoint's, or one from a life without Downsample) that
+	// no merge takes is rewritten alone, once, to gain them.
 	Downsample bool
 }
 
@@ -519,9 +521,11 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 
 // buildBlock persists a stolen snapshot as one immutable block, one
 // series at a time in ascending key order: decode into a reused buffer,
-// stable-sort by time, hand to the block writer.
+// stable-sort by time, hand to the block writer. It writes no
+// companions, whatever Downsample says: the block gains them when
+// compaction rewrites it, which keeps the checkpoint's cost off ingest.
 func buildBlock(blocksDir string, seq uint64, walCuts map[string]uint64, snap map[string]*series) (*block, error) {
-	bw, err := newBlockWriter(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts})
+	bw, err := newBlockWriter(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts}, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("writing block: %w", err)
 	}

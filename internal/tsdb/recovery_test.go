@@ -761,10 +761,10 @@ func TestDurableRecoveryKilledMidBlockRemoval(t *testing.T) {
 	}
 }
 
-// TestDurableRecoveryCompanionTmpFile simulates a hard stop while a
-// downsampled companion file was being written: the tmp- file inside the
-// block directory must be removed on open and the block must serve its
-// raw chunks unchanged.
+// TestDurableRecoveryCompanionTmpFile opens a block directory holding a
+// tmp-ds-*.json, which older releases left when a companion write into
+// the published block crashed before its rename: the file is not a
+// companion, and the block must serve its raw chunks unchanged.
 func TestDurableRecoveryCompanionTmpFile(t *testing.T) {
 	dir := t.TempDir()
 	s := openCrashable(t, dir, 2)
@@ -786,8 +786,52 @@ func TestDurableRecoveryCompanionTmpFile(t *testing.T) {
 	}
 	re := openCrashable(t, dir, 2)
 	defer re.Close()
-	if _, err := os.Stat(tmpFile); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("tmp companion file survived recovery: %v", err)
-	}
 	assertSameContents(t, re, ref, "companion tmp-file recovery")
+}
+
+// TestDurableRecoveryCompanionBackfillCrashWindow: a block written
+// without companions is rewritten alone, under the identical sequence
+// range one level up, when a store with Downsample compacts it. A hard
+// stop between that rename and the source's removal leaves both
+// directories; reopening keeps only the rewrite, with its companions,
+// and serves the same contents.
+func TestDurableRecoveryCompanionBackfillCrashWindow(t *testing.T) {
+	dir := t.TempDir()
+	s := openCrashable(t, dir, 2)
+	ref := newStoreModel(0)
+	for i := 0; i < 6; i++ {
+		recoveryWrite(t, ref, recoveryBatch(i, 4, 3), s)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blocksDir := filepath.Join(dir, "blocks")
+	sources := listBlockDirs(t, blocksDir)
+	if len(sources) != 1 {
+		t.Fatalf("blocks on disk = %v, want one", sources)
+	}
+	aside := filepath.Join(t.TempDir(), sources[0])
+	copyDirRecursive(t, filepath.Join(blocksDir, sources[0]), aside)
+
+	backfill, _ := openCompactable(t, dir, 2, FsyncNever, 0)
+	if err := backfill.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := listBlockDirs(t, blocksDir)
+	if len(rewritten) != 1 || rewritten[0] == sources[0] {
+		t.Fatalf("blocks after the backfill = %v, want one replacing %s", rewritten, sources[0])
+	}
+	// The crash window: the source back beside its rewrite, then a hard
+	// stop.
+	copyDirRecursive(t, aside, filepath.Join(blocksDir, sources[0]))
+	re := openCrashable(t, dir, 2)
+	defer re.Close()
+	if got := listBlockDirs(t, blocksDir); !reflect.DeepEqual(got, rewritten) {
+		t.Fatalf("blocks on disk after recovery = %v, want %v", got, rewritten)
+	}
+	if b := re.dur.blocks[0]; b.meta.Level != 1 || len(b.ds) != len(downsampleResolutions) {
+		t.Fatalf("surviving block is level %d with %d companions, want level 1 with %d",
+			b.meta.Level, len(b.ds), len(downsampleResolutions))
+	}
+	assertSameContents(t, re, ref, "companion backfill crash window")
 }

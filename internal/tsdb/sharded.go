@@ -437,10 +437,11 @@ func (s *Sharded) Checkpoint() error {
 
 // Compact runs one synchronous compaction pass: adjacent small blocks
 // are merged into larger ones (identical point set, identical query
-// bytes) and, with DurabilityOptions.Downsample set, missing 5m/1h
-// downsampled companions are built. The same pass runs in the
-// background every CompactInterval; this entry point exists for tests
-// and operational tooling. No-op on an in-memory store.
+// bytes). With DurabilityOptions.Downsample set, every block it writes
+// carries 5m/1h downsampled companions, and a block that lacks them and
+// no merge takes is rewritten alone to gain them. The same pass runs in
+// the background every CompactInterval; this entry point exists for
+// tests and operational tooling. No-op on an in-memory store.
 func (s *Sharded) Compact() error {
 	if s.dur == nil {
 		return nil

@@ -54,8 +54,8 @@ type StoreTelemetry struct {
 	// DownsampledBucketsRead counts downsampled buckets consumed by
 	// aggregated queries instead of raw chunk work.
 	DownsampledBucketsRead *telemetry.Counter
-	// CompactionsRun counts compaction passes started (merge planning +
-	// downsampling), whether or not any blocks were merged.
+	// CompactionsRun counts compaction passes started, whether or not
+	// any blocks were merged.
 	CompactionsRun *telemetry.Counter
 	// CompactionMergedBlocks counts source blocks retired by compaction.
 	CompactionMergedBlocks *telemetry.Counter
@@ -65,7 +65,9 @@ type StoreTelemetry struct {
 	// CompactionSeconds times individual merge runs (read sources, write
 	// merged block, swap, delete sources).
 	CompactionSeconds *telemetry.Histogram
-	// DownsampleSeconds times building one downsampled companion file.
+	// DownsampleSeconds times building one downsampled companion file:
+	// its fold during the block write, then the file write. One
+	// observation per companion file written.
 	DownsampleSeconds *telemetry.Histogram
 }
 
