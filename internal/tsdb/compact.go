@@ -43,9 +43,8 @@ import (
 //     completing the interrupted compaction (dropSupersededBlocks).
 //     Sources are deleted through removeBlockDir (rename to tmp-, then
 //     remove), so a crash mid-deletion never leaves a half-emptied b-
-//     directory.
-//     Companion files are published and deleted with their block; no
-//     write ever lands in a published block directory.
+//     directory. Companion files are published and deleted with their
+//     block; no write ever lands in a published block directory.
 //   - Accounting. A compaction moves points between blocks but never
 //     changes the point set, so Stats.Points (basePoints) is untouched;
 //     retention accounts a merged block's points exactly once when it
