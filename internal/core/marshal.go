@@ -70,16 +70,70 @@ type dependencyGraphStats struct {
 // artifactFormatVersion guards persisted artifacts against format drift.
 const artifactFormatVersion = 1
 
+// ValidateArtifact returns the error MarshalArtifact would refuse a with,
+// or nil when a can be encoded: a nil artifact or dataset, or a NaN or
+// infinite number where JSON has none — a component's silhouette, a
+// dependency edge's p-value or F statistic, a series value. When several
+// are bad it reports the first MarshalArtifact meets (silhouettes, then
+// edges, then series in name order), without sorting anything. The
+// online server checks a generation with it before publishing, and
+// encodes only when the generation is first read.
+func ValidateArtifact(a *Artifact) error {
+	if a == nil || a.Dataset == nil {
+		return errors.New("core: nil artifact or dataset")
+	}
+	// Maps are scanned in any order; the smallest name wins.
+	badComp, found := "", false
+	for comp, cr := range a.Reduction {
+		if _, ok := a.Dataset.Series[comp]; ok && cr != nil && !finite(cr.Silhouette) && (!found || comp < badComp) {
+			badComp, found = comp, true
+		}
+	}
+	if found {
+		return fmt.Errorf("core: component %s silhouette: json: unsupported value: %v", badComp, a.Reduction[badComp].Silhouette)
+	}
+	if a.Graph != nil {
+		for i, e := range a.Graph.Edges {
+			if !finite(e.PValue) || !finite(e.F) {
+				return fmt.Errorf("core: dependency edge %d (%s/%s -> %s/%s): json: unsupported value: p=%v F=%v",
+					i, e.From, e.FromMetric, e.To, e.ToMetric, e.PValue, e.F)
+			}
+		}
+	}
+	badMetric, badIdx := "", -1
+	for comp, byMetric := range a.Dataset.Series {
+		for metric, s := range byMetric {
+			if badIdx >= 0 && (comp > badComp || comp == badComp && metric > badMetric) {
+				continue
+			}
+			for i, v := range s.Values {
+				if !finite(v) {
+					badComp, badMetric, badIdx = comp, metric, i
+					break
+				}
+			}
+		}
+	}
+	if badIdx >= 0 {
+		return fmt.Errorf("core: series %s/%s value %d: json: unsupported value: %v",
+			badComp, badMetric, badIdx, a.Dataset.Series[badComp][badMetric].Values[badIdx])
+	}
+	return nil
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // MarshalArtifact serializes an artifact to JSON, one-space indented.
 // The series' value arrays are nearly all of the output (hundreds of
 // thousands of floats per artifact), so they are formatted straight into
 // the indented output under encoding/json's float rules; everything else
 // goes through encoding/json. The bytes are exactly those
-// json.MarshalIndent(artifactJSON, "", " ") produces, including its
-// refusal of NaN and infinite values.
+// json.MarshalIndent(artifactJSON, "", " ") produces; what it refuses
+// (NaN and infinite values) ValidateArtifact refuses first.
 func MarshalArtifact(a *Artifact) ([]byte, error) {
-	if a == nil || a.Dataset == nil {
-		return nil, errors.New("core: nil artifact or dataset")
+	if err := ValidateArtifact(a); err != nil {
+		return nil, err
 	}
 	head := artifactHead{
 		Version: artifactFormatVersion,
@@ -123,8 +177,8 @@ func MarshalArtifact(a *Artifact) ([]byte, error) {
 		return nil, err
 	}
 
-	// A value line is a newline, four spaces, up to 24 digits and a
-	// comma; most are far shorter.
+	// Sized for the longest value line, so the output is allocated once:
+	// a newline and four spaces, the longest float and a comma.
 	series, values := 0, 0
 	for _, byMetric := range a.Dataset.Series {
 		for _, s := range byMetric {
@@ -132,7 +186,7 @@ func MarshalArtifact(a *Artifact) ([]byte, error) {
 			values += len(s.Values)
 		}
 	}
-	out := make([]byte, 0, len(headJSON)+len(tailJSON)+16*values+256*series)
+	out := make([]byte, 0, len(headJSON)+len(tailJSON)+(5+jsonenc.MaxFloatBytes+1)*values+256*series)
 
 	// Splice: the head object minus its closing "\n}", the series member,
 	// the tail object minus its opening "{".
@@ -149,9 +203,7 @@ func MarshalArtifact(a *Artifact) ([]byte, error) {
 					out = append(out, ',')
 				}
 				first = false
-				if out, err = appendSeriesJSON(out, comp, metric, a.Dataset.Series[comp][metric]); err != nil {
-					return nil, err
-				}
+				out = appendSeriesJSON(out, comp, metric, a.Dataset.Series[comp][metric])
 			}
 		}
 		out = append(out, "\n ]"...)
@@ -162,8 +214,8 @@ func MarshalArtifact(a *Artifact) ([]byte, error) {
 
 // appendSeriesJSON appends one element of the "series" array — a
 // seriesJSON at nesting depth two — the way json.MarshalIndent lays it
-// out.
-func appendSeriesJSON(out []byte, component, metric string, s *timeseries.Regular) ([]byte, error) {
+// out. Its values are finite: ValidateArtifact has checked them.
+func appendSeriesJSON(out []byte, component, metric string, s *timeseries.Regular) []byte {
 	out = append(out, "\n  {\n   \"component\": "...)
 	out = jsonenc.AppendString(out, component)
 	out = append(out, ",\n   \"metric\": "...)
@@ -181,9 +233,6 @@ func appendSeriesJSON(out []byte, component, metric string, s *timeseries.Regula
 	default:
 		out = append(out, '[')
 		for i, v := range s.Values {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("core: series %s/%s value %d: json: unsupported value: %v", component, metric, i, v)
-			}
 			if i > 0 {
 				out = append(out, ',')
 			}
@@ -192,7 +241,7 @@ func appendSeriesJSON(out []byte, component, metric string, s *timeseries.Regula
 		}
 		out = append(out, "\n   ]"...)
 	}
-	return append(out, "\n  }"...), nil
+	return append(out, "\n  }"...)
 }
 
 // UnmarshalArtifact reconstructs an artifact serialized by

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -249,6 +250,100 @@ func TestMarshalArtifactNil(t *testing.T) {
 	}
 	if _, err := MarshalArtifact(&Artifact{}); err == nil {
 		t.Error("expected error for artifact without dataset")
+	}
+}
+
+// TestValidateArtifactRefusesNonFinite: the check the online server
+// runs before publishing refuses exactly what MarshalArtifact refuses, a
+// series value with MarshalArtifact's own error, and passes what it
+// encodes.
+func TestValidateArtifactRefusesNonFinite(t *testing.T) {
+	fresh := func() *Artifact {
+		return &Artifact{
+			App: "v",
+			Dataset: &Dataset{App: "v", StepMS: 500, Series: map[string]map[string]*timeseries.Regular{
+				"c": {"m": {Name: "m", StepMS: 500, Values: []float64{1, 2, 3}}},
+			}},
+			Reduction: Reduction{"c": {Component: "c", Total: 1, K: 1, Silhouette: 0.5}},
+			Graph:     &DependencyGraph{Edges: []DependencyEdge{{From: "c", To: "d", FromMetric: "m", ToMetric: "n", PValue: 0.01, F: 9}}},
+		}
+	}
+	if err := ValidateArtifact(fresh()); err != nil {
+		t.Fatalf("valid artifact refused: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := fresh()
+		a.Dataset.Series["c"]["m"].Values[1] = bad
+		err := ValidateArtifact(a)
+		_, merr := MarshalArtifact(a)
+		if err == nil || merr == nil || err.Error() != merr.Error() {
+			t.Errorf("series value %v: ValidateArtifact = %v, MarshalArtifact = %v", bad, err, merr)
+		}
+		if want := "core: series c/m value 1: json: unsupported value: " + strconv.FormatFloat(bad, 'g', -1, 64); err == nil || err.Error() != want {
+			t.Errorf("series value %v: error %v, want %q", bad, err, want)
+		}
+
+		for name, poison := range map[string]func(*Artifact){
+			"silhouette": func(a *Artifact) { a.Reduction["c"].Silhouette = bad },
+			"p-value":    func(a *Artifact) { a.Graph.Edges[0].PValue = bad },
+			"F":          func(a *Artifact) { a.Graph.Edges[0].F = bad },
+		} {
+			a := fresh()
+			poison(a)
+			if err := ValidateArtifact(a); err == nil {
+				t.Errorf("%s %v: ValidateArtifact accepted it", name, bad)
+			}
+			if _, err := referenceMarshalArtifact(a); err == nil {
+				t.Errorf("%s %v: json.MarshalIndent accepted it", name, bad)
+			}
+		}
+	}
+	if ValidateArtifact(nil) == nil || ValidateArtifact(&Artifact{}) == nil {
+		t.Error("ValidateArtifact accepted a nil artifact or dataset")
+	}
+}
+
+// raceDetector reports a build with the race detector.
+var raceDetector = false
+
+// TestMarshalArtifactAllocatesOnce pins MarshalArtifact's allocations on
+// a 240-tick ShareLatex artifact (912 series, 218 880 values): the output
+// buffer is sized for the longest value line, so it never grows. A
+// buffer sized too small shows as extra allocations for every regrowth.
+func TestMarshalArtifactAllocatesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole pipeline on a 240-tick ShareLatex capture")
+	}
+	a, err := sharelatex.New(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, _, err := Run(a, loadgen.Random(43, 240, 150, 2000), PipelineOptions{Reduce: DefaultReduceOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int
+	encode := func() {
+		data, err := MarshalArtifact(art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = len(data)
+	}
+	allocs := testing.AllocsPerRun(2, encode)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	encode()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d series, %d bytes out, %d bytes and %.0f allocations per encode",
+		art.Dataset.TotalMetrics(), size, bytes, allocs)
+	// Measured with Go 1.24: 45 allocations, 7.2 MB for 4.9 MB out. Every
+	// regrowth of the output copies it whole and adds allocations.
+	const maxAllocs = 45
+	if allocs > maxAllocs && !raceDetector || bytes > 2*uint64(size) {
+		t.Errorf("MarshalArtifact made %.0f allocations (at most %d) of %d bytes (at most %d): the output buffer grew",
+			allocs, maxAllocs, bytes, 2*size)
 	}
 }
 

@@ -336,6 +336,66 @@ func TestDirectionSwapMirrors(t *testing.T) {
 	}
 }
 
+// TestDirectionAffineInvariant: an F-test compares residual sums of
+// squares of regressions with an intercept, so mapping x -> a·x + b and
+// y -> c·y + d (a, c non-zero) changes no statistic beyond rounding, and
+// neither the stationarity pre-check nor the chosen lag nor the class.
+// Cells are seeded AR(φ) pairs, φ ∈ {0, 0.5, 0.9, 1}, every third with y
+// driven by x's previous value.
+func TestDirectionAffineInvariant(t *testing.T) {
+	const (
+		n     = 120
+		pairs = 30 // per φ
+	)
+	rng := rand.New(rand.NewSource(25))
+	opts := Options{MaxLag: 2}
+	causal := 0
+	for _, phi := range []float64{0, 0.5, 0.9, 1} {
+		for i := 0; i < pairs; i++ {
+			x, y := make([]float64, n), make([]float64, n)
+			for t := 1; t < n; t++ {
+				x[t] = phi*x[t-1] + rng.NormFloat64()
+				y[t] = phi*y[t-1] + rng.NormFloat64()
+				if i%3 == 0 {
+					y[t] += 0.8 * x[t-1]
+				}
+			}
+			dir, xy, yx, err := Direction(x, y, opts)
+			if err != nil {
+				t.Fatalf("φ %v, pair %d: %v", phi, i, err)
+			}
+			if dir == XCausesY || dir == Bidirectional {
+				causal++
+			}
+			for _, a := range []float64{3.7, 0.013} {
+				what := fmt.Sprintf("φ %v, pair %d, x -> %v·x - 12.5, y -> 2.5·y - 100", phi, i, a)
+				ax, ay := make([]float64, n), make([]float64, n)
+				for t := range x {
+					ax[t] = a*x[t] - 12.5
+					ay[t] = 2.5*y[t] - 100
+				}
+				adir, axy, ayx, err := Direction(ax, ay, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if adir != dir {
+					t.Errorf("%s: direction %v, want %v", what, adir, dir)
+				}
+				for _, r := range [][2]*TestResult{{xy, axy}, {yx, ayx}} {
+					want, got := r[0], r[1]
+					if math.Abs(got.F-want.F) > 1e-8*math.Abs(want.F) || math.Abs(got.PValue-want.PValue) > 1e-9 ||
+						got.Lag != want.Lag || got.DifferencedX != want.DifferencedX || got.DifferencedY != want.DifferencedY {
+						t.Errorf("%s: result %+v, want %+v", what, *got, *want)
+					}
+				}
+			}
+		}
+	}
+	if causal == 0 {
+		t.Error("no pair was classified causal; the driven third should be")
+	}
+}
+
 func TestErrorsAndEdgeCases(t *testing.T) {
 	if _, _, _, err := Direction([]float64{1, 2}, []float64{1}, Options{}); err == nil {
 		t.Error("expected length-mismatch error")

@@ -56,6 +56,12 @@ func AppendString(out []byte, s string) []byte {
 	return append(out, '"')
 }
 
+// MaxFloatBytes bounds what AppendFloat appends for one value: a sign,
+// "0.00000" and 17 significant digits just above 1e-6 (for example
+// -0.0000012345678901234567); the exponent form peaks at 24
+// (-2.2250738585072014e-308). Encoders size their output with it.
+const MaxFloatBytes = 25
+
 // AppendFloat appends a finite float64 as encoding/json writes it: the
 // shortest decimal that round-trips, in exponent form only below 1e-6
 // and from 1e21 up (as ES6 does), with a two-digit exponent's leading

@@ -69,6 +69,36 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestAppendFloatMaxBytes holds AppendFloat to MaxFloatBytes on the
+// longest encodings each format can produce, and on random doubles.
+func TestAppendFloatMaxBytes(t *testing.T) {
+	cases := []float64{
+		math.Copysign(0, -1), -0.0000012345678901234567, -2.2250738585072014e-308,
+		math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)),
+		math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), 1e21, 1e-6,
+		math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			cases = append(cases, v, 1e-6+rng.Float64()*9e-6)
+		}
+	}
+	longest := 0
+	for _, v := range cases {
+		for _, v := range []float64{v, -v} {
+			out := AppendFloat(nil, v)
+			if len(out) > MaxFloatBytes {
+				t.Errorf("AppendFloat(%v) = %q: %d bytes, more than %d", v, out, len(out), MaxFloatBytes)
+			}
+			longest = max(longest, len(out))
+		}
+	}
+	if longest != MaxFloatBytes {
+		t.Errorf("longest encoding is %d bytes, MaxFloatBytes is %d", longest, MaxFloatBytes)
+	}
+}
+
 // TestAppendFloatShortDecimals covers the short-decimal fast path densely:
 // the random doubles above almost never land in it, so every hit, every
 // near miss and both edges of its range are enumerated here.

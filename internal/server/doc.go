@@ -3,9 +3,10 @@
 // HTTP (POST /write), backed by the hash-partitioned tsdb.Sharded store
 // so concurrent writers scale with cores, and keeps the pipeline's
 // Artifact fresh by re-running Reduce + Granger over a sliding time
-// window of the ingested data (the online driver in online.go). The
-// latest artifact — with the live autoscaling signal from
-// MostFrequentMetric — is served from GET /artifact.
+// window of the ingested data (the online driver in online.go). Each
+// cycle publishes its analysis — with the live autoscaling signal from
+// MostFrequentMetric — as one immutable generation, which GET /artifact
+// serializes when it is first read.
 //
 // Endpoints (Server.routes, pinned by testdata/routes.txt):
 //
@@ -15,7 +16,9 @@
 //	                     results per matched series (globs; 200 with no
 //	                     results when nothing matches)
 //	GET  /stats          store + server counters
-//	GET  /artifact       latest pipeline output (404 until the first run)
+//	GET  /artifact       latest pipeline output (404 until the first run);
+//	                     encoded once per generation, on its first read,
+//	                     and written without holding any server lock
 //	POST /callgraph      JSON [{"caller","callee","calls"}] topology upload
 //	POST /run            force one synchronous pipeline run
 //	GET  /metrics        Prometheus text exposition of every instrument

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -51,15 +52,24 @@ func driveChunk(t *testing.T, a *app.App, c tsdb.Writer, chunk loadgen.Pattern) 
 	}
 }
 
-// marshaledArtifact returns the published artifact's canonical bytes.
+// marshaledArtifact returns the published artifact's bytes, as the
+// current publication's GET /artifact body carries them (encoding the
+// body if nothing has read it yet).
 func marshaledArtifact(t *testing.T, s *Server) []byte {
 	t.Helper()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.artifactJSON == nil {
+	p := s.pub.Load()
+	if p == nil {
 		t.Fatal("no artifact published")
 	}
-	return s.artifactJSON
+	body, err := s.artifactBody(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env ArtifactEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	return env.Artifact
 }
 
 // referenceArtifact replays the full ingest prefix into a fresh batch
@@ -383,7 +393,7 @@ func TestOnlineStateRacesIngestAndReaders(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
-	if gen := s.generation.Load(); gen < 6 {
+	if gen := s.generation(); gen < 6 {
 		t.Fatalf("generation = %d, want >= 6", gen)
 	}
 }

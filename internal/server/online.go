@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync"
 	"time"
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
@@ -28,19 +29,18 @@ type StageTimings struct {
 	Reduce time.Duration `json:"reduce_ns"`
 	// Deps covers step 3 (Granger tests over representative pairs).
 	Deps time.Duration `json:"deps_ns"`
-	// Marshal covers artifact serialization.
-	Marshal time.Duration `json:"marshal_ns"`
 }
 
 // RunInfo summarizes one completed pipeline run (also the POST /run
-// response body).
+// response body). The run's artifact is not serialized by the run: GET
+// /artifact encodes it on the generation's first read.
 type RunInfo struct {
 	// Generation increments on every published artifact.
 	Generation int64 `json:"generation"`
 	// Start and End bound the analysis window in ingest-time ms.
 	Start int64 `json:"window_start_ms"`
 	End   int64 `json:"window_end_ms"`
-	// Elapsed is the wall time of the run.
+	// Elapsed is the wall time of the run, up to the publication.
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Stages breaks Elapsed down per pipeline stage.
 	Stages StageTimings `json:"stages"`
@@ -49,6 +49,29 @@ type RunInfo struct {
 	Series   int `json:"series"`
 	Clusters int `json:"clusters"`
 	Edges    int `json:"edges"`
+}
+
+// publication is one published generation: the run's account, its
+// autoscaling signal and its analysis. runPipelineOnce swaps a new one
+// into Server.pub whole and never changes it after; the one mutable
+// part is the GET /artifact body, which the generation's first read
+// encodes under once (Server.artifactBody), dropping art.
+type publication struct {
+	info   RunInfo
+	signal Signal
+	art    *core.Artifact
+	once   sync.Once
+	body   []byte
+	err    error
+}
+
+// generation is the generation of the current publication, 0 before
+// the first.
+func (s *Server) generation() int64 {
+	if p := s.pub.Load(); p != nil {
+		return p.info.Generation
+	}
+	return 0
 }
 
 // snapshotGraph returns the current topology, or an empty graph when
@@ -100,7 +123,9 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 // to the store's application high-water mark, assemble a dataset from
 // the sharded store, run Reduce + Granger over GOMAXPROCS workers, and
 // publish the new artifact. Runs are serialized; readers keep seeing
-// the previous artifact until the new one is swapped in.
+// the previous publication until the new one is swapped in. The cycle
+// only checks that the artifact can be encoded: GET /artifact encodes
+// it, once, when the generation is first read.
 //
 // Every cycle assembles its window from the store afresh; no dataset
 // state carries from one cycle to the next.
@@ -164,15 +189,13 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 		return nil, s.recordErr(fmt.Errorf("identify dependencies: %w", err))
 	}
 
-	stage = time.Now()
+	// A generation is published only if GET /artifact can encode it.
 	art := &core.Artifact{App: s.opts.AppName, Dataset: ds, Reduction: red, Graph: graph}
-	data, err := core.MarshalArtifact(art)
-	info.Stages.Marshal = time.Since(stage)
-	if err != nil {
+	if err := core.ValidateArtifact(art); err != nil {
 		return nil, s.recordErr(fmt.Errorf("marshaling artifact: %w", err))
 	}
 
-	info.Generation = s.generation.Add(1)
+	info.Generation = s.generation() + 1 // runMu held: no other run publishes
 	info.Start, info.End = lo, end
 	info.Elapsed = time.Since(started)
 	info.Series = ds.TotalMetrics()
@@ -186,13 +209,11 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	s.tel.assembleSeconds.Observe(info.Stages.Assemble.Seconds())
 	s.tel.reduceSeconds.Observe(info.Stages.Reduce.Seconds())
 	s.tel.depsSeconds.Observe(info.Stages.Deps.Seconds())
-	s.tel.marshalSeconds.Observe(info.Stages.Marshal.Seconds())
 	s.tel.pipelineRuns.Inc()
 	s.tel.grangerTests.Add(uint64(graph.Tested))
 	sp.Stage("assemble", info.Stages.Assemble)
 	sp.Stage("reduce", info.Stages.Reduce)
 	sp.Stage("deps", info.Stages.Deps)
-	sp.Stage("marshal", info.Stages.Marshal)
 	sp.FieldInt("generation", info.Generation)
 	sp.FieldInt("series", int64(info.Series))
 	sp.FieldInt("clusters", int64(info.Clusters))
@@ -201,11 +222,10 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	// The autoscaling signal only changes when the artifact does;
 	// compute it once here instead of on every /artifact poll.
 	metric, relations := graph.MostFrequentMetric()
+	pub := &publication{info: info, signal: Signal{Metric: metric, Relations: relations}, art: art}
 
 	s.mu.Lock()
-	s.artifactJSON = data
-	s.signal = Signal{Metric: metric, Relations: relations}
-	s.lastRun = info
+	s.pub.Store(pub)
 	s.lastErr = ""
 	recovered := s.runFailing
 	s.runFailing = false
@@ -219,8 +239,7 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 			"window_start_ms", lo, "window_end_ms", end,
 			"assemble", info.Stages.Assemble.Round(time.Microsecond),
 			"reduce", info.Stages.Reduce.Round(time.Microsecond),
-			"deps", info.Stages.Deps.Round(time.Microsecond),
-			"marshal", info.Stages.Marshal.Round(time.Microsecond))
+			"deps", info.Stages.Deps.Round(time.Microsecond))
 	}
 	return &info, nil
 }
@@ -245,7 +264,7 @@ func (s *Server) recordErr(err error) error {
 	s.mu.Unlock()
 	if transition {
 		slog.Error("pipeline failing, kept serving last artifact",
-			"generation", s.generation.Load(), "err", err)
+			"generation", s.generation(), "err", err)
 	}
 	return err
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
+	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/promremote"
 	"github.com/sieve-microservices/sieve/internal/telemetry"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
@@ -197,18 +198,19 @@ type Server struct {
 	lastCycleNS   atomic.Int64
 	lastNoDataNS  atomic.Int64
 
-	// mu guards the published artifact and the topology.
-	mu           sync.RWMutex
-	graph        *callgraph.Graph
-	artifactJSON json.RawMessage
-	signal       Signal
-	lastRun      RunInfo
-	lastErr      string
-	runFailing   bool // drives once-per-state-change pipeline logging
+	// pub is the latest published generation (nil before the first).
+	// It is swapped under mu, so /stats reads it beside the matching
+	// lastErr; GET /artifact loads it without any lock.
+	pub atomic.Pointer[publication]
+
+	// mu guards the topology and the pipeline's failure state.
+	mu         sync.RWMutex
+	graph      *callgraph.Graph
+	lastErr    string
+	runFailing bool // drives once-per-state-change pipeline logging
 
 	// runMu serializes pipeline runs (driver tick vs POST /run).
-	runMu      sync.Mutex
-	generation atomic.Int64
+	runMu sync.Mutex
 
 	// rwScratch recycles the remote-write request scratch (body and
 	// decompress buffers, decoded WriteRequest, mapped samples) across
@@ -554,12 +556,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.store.Stats()
 	s.mu.RLock()
 	lastErr := s.lastErr
-	var lastRun *RunInfo
-	if s.lastRun.Generation > 0 {
-		run := s.lastRun
-		lastRun = &run
-	}
+	p := s.pub.Load()
 	s.mu.RUnlock()
+	// generation and last_run come from one publication, so they agree.
+	var (
+		generation int64
+		lastRun    *RunInfo
+	)
+	if p != nil {
+		run := p.info
+		generation, lastRun = run.Generation, &run
+	}
 	// The write handlers observe latency before counting a failure, and
 	// failures are read first here: a request caught between the two
 	// reads as accepted, never as a negative count.
@@ -584,7 +591,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Writes:              writeRequests - failedWrites,
 		WriteErrors:         failedWrites,
 		Samples:             int64(s.tel.ingestSamples.Value() + s.tel.remoteIngestSamples.Value()),
-		Generation:          s.generation.Load(),
+		Generation:          generation,
 		PipelineRuns:        int64(s.tel.pipelineRuns.Value()),
 		LastError:           lastErr,
 		Incremental:         s.opts.Incremental,
@@ -611,22 +618,55 @@ type ArtifactEnvelope struct {
 	Artifact    json.RawMessage `json:"artifact"`
 }
 
+// handleArtifact serves the current publication's envelope. It holds
+// no server lock: a reader that stops reading holds up nothing but
+// itself.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.artifactJSON == nil {
+	p := s.pub.Load()
+	if p == nil {
 		httpError(w, http.StatusNotFound, "no artifact yet: the pipeline has not completed a run")
 		return
 	}
-	writeJSON(w, ArtifactEnvelope{
-		Generation:  s.lastRun.Generation,
-		App:         s.opts.AppName,
-		WindowStart: s.lastRun.Start,
-		WindowEnd:   s.lastRun.End,
-		ElapsedMS:   s.lastRun.Elapsed.Milliseconds(),
-		Signal:      s.signal,
-		Artifact:    s.artifactJSON,
+	body, err := s.artifactBody(p)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding artifact: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a client that hung up is not the server's error
+}
+
+// artifactBody returns p's GET /artifact body, encoding it on the first
+// call: the bytes writeJSON writes for p's ArtifactEnvelope. Concurrent
+// first callers wait for the one encode; later callers get the same
+// bytes. The encode drops the artifact, which nothing reads after it.
+func (s *Server) artifactBody(p *publication) ([]byte, error) {
+	p.once.Do(func() {
+		start := time.Now()
+		defer s.tel.marshalSeconds.ObserveSince(start)
+		data, err := core.MarshalArtifact(p.art)
+		p.art = nil
+		if err != nil {
+			p.err = err
+			return
+		}
+		// Encode hands the whole envelope to one Write, so buf allocates
+		// it once at its own size, which the publication then holds.
+		var buf bytes.Buffer
+		if p.err = json.NewEncoder(&buf).Encode(ArtifactEnvelope{
+			Generation:  p.info.Generation,
+			App:         s.opts.AppName,
+			WindowStart: p.info.Start,
+			WindowEnd:   p.info.End,
+			ElapsedMS:   p.info.Elapsed.Milliseconds(),
+			Signal:      p.signal,
+			Artifact:    data,
+		}); p.err == nil {
+			p.body = buf.Bytes()
+		}
 	})
+	return p.body, p.err
 }
 
 // CallEdge is one edge of an uploaded topology.

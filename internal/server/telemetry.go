@@ -52,7 +52,8 @@ type telemetrySet struct {
 	rangeRaw      *telemetry.Histogram
 
 	// Online pipeline: whole-cycle plus the per-stage breakdown that
-	// StageTimings already measures, lifted into histograms.
+	// StageTimings already measures, lifted into histograms, and the
+	// GET /artifact encode, once per generation on its first read.
 	cycleSeconds     *telemetry.Histogram
 	assembleSeconds  *telemetry.Histogram
 	reduceSeconds    *telemetry.Histogram
@@ -127,7 +128,7 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 		depsSeconds: reg.Histogram("sieve_pipeline_deps_seconds",
 			"pipeline dependency-identification stage duration", nil),
 		marshalSeconds: reg.Histogram("sieve_pipeline_marshal_seconds",
-			"pipeline artifact-marshal stage duration", nil),
+			"artifact encode duration: once per published generation, on its first GET /artifact", nil),
 		pipelineRuns: reg.Counter("sieve_pipeline_runs_total",
 			"completed pipeline cycles (artifact published)"),
 		pipelineFailures: reg.Counter("sieve_pipeline_failures_total",
