@@ -187,7 +187,9 @@ func main() {
 // whole milliseconds (-interval stays a Duration); -fsync would only be
 // looked at with -data-dir set; a window of fewer than
 // sieve.MinWindowSamples grid steps ingests forever without a single
-// pipeline cycle; a positive -flush-interval, -compact-interval or
+// pipeline cycle; a positive -retention shorter than -window drops the
+// blocks holding the window's head, which resampling then makes up from
+// the first surviving point; a positive -flush-interval, -compact-interval or
 // -self-scrape-interval under 1ms runs its ticker flat out (a 1us flush
 // cadence churns thousands of WAL segments a second), and a negative
 // -self-scrape-interval means nothing; and the reserved __name__ label
@@ -215,6 +217,9 @@ func checkFlags(window, step, interval, retention, flush, compact, selfScrape ti
 	}
 	if retention < 0 {
 		return fmt.Errorf("-retention %s: must be 0 (keep forever) or at least 1ms", retention)
+	}
+	if retention > 0 && retention < window {
+		return fmt.Errorf("-retention %s is shorter than -window %s: the pipeline would read a window whose head retention dropped", retention, window)
 	}
 	for _, f := range []struct {
 		name, zero string

@@ -92,7 +92,9 @@ func TestFlagSurface(t *testing.T) {
 // sieved starting on 240s / 500ms / 30s / keep-forever / GOMAXPROCS
 // shards and printing the value it was given; so are a -window, -step or
 // -retention that is not a whole number of milliseconds (it would be
-// truncated), a window too short for any pipeline cycle to ever run, an
+// truncated), a window too short for any pipeline cycle to ever run, a
+// positive -retention shorter than -window (it would drop the window's
+// head), an
 // -fsync policy that does not exist, with or without -data-dir, the
 // reserved __name__ label as the remote-write component label, a
 // positive -flush-interval, -compact-interval or -self-scrape-interval
@@ -116,6 +118,7 @@ func TestRejectsUnusableDurations(t *testing.T) {
 		{"window", "240500us"},    // also under 64 steps
 		{"window", "240000500us"}, // would run a 240s window
 		{"retention", "1500us"},   // would keep 1ms
+		{"retention", "1m"},       // under the default 240s window
 		{"window", "20s"},         // 40 steps of the default 500ms grid, 64 needed
 		{"step", "5s"},            // 48 steps in the default 240s window
 		{"shards", "-3"},

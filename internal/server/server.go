@@ -66,7 +66,9 @@ type Options struct {
 	// everything): the newest timestamp outside the reserved "sieve"
 	// component, so self-scrape's clock never ages application data.
 	// Blocks hold both kinds of data and self-telemetry ages with
-	// application time: without application writes nothing expires. Only
+	// application time: without application writes nothing expires. A
+	// positive Retention shorter than the window is refused: the pipeline
+	// would read a window whose head retention had dropped. Only
 	// meaningful with DataDir.
 	Retention time.Duration
 	// Fsync is the WAL fsync policy: "interval" (default; background
@@ -243,6 +245,9 @@ func newServer(opts Options, slowOp time.Duration) (*Server, error) {
 	}
 	if opts.RemoteWriteComponentLabel == promremote.MetricNameLabel {
 		return nil, fmt.Errorf("server: RemoteWriteComponentLabel cannot be the reserved %s label", promremote.MetricNameLabel)
+	}
+	if window := time.Duration(opts.WindowMS) * time.Millisecond; opts.Retention > 0 && opts.Retention < window {
+		return nil, fmt.Errorf("server: retention %s is shorter than the %s window, whose head it would drop", opts.Retention, window)
 	}
 	var store *tsdb.Sharded
 	if opts.DataDir != "" {

@@ -387,6 +387,27 @@ func TestServerOptionValidation(t *testing.T) {
 	s.Close()
 }
 
+// TestServerRejectsRetentionShorterThanWindow: retention would drop the
+// blocks holding the window's head while the pipeline still reads it,
+// and resampling would make the missing head up from the first surviving
+// point. 0 keeps forever; a retention of exactly the window is fine.
+func TestServerRejectsRetentionShorterThanWindow(t *testing.T) {
+	opts := Options{StepMS: 500, WindowMS: 240_000, DataDir: t.TempDir()}
+	opts.Retention = time.Minute
+	_, err := New(opts)
+	if err == nil || !strings.Contains(err.Error(), "retention 1m0s") || !strings.Contains(err.Error(), "4m0s window") {
+		t.Fatalf("retention 1m under a 4m window: err %v, want it refused naming both", err)
+	}
+	for _, keep := range []time.Duration{0, 4 * time.Minute} {
+		opts.Retention = keep
+		s, err := New(opts)
+		if err != nil {
+			t.Fatalf("retention %s: %v", keep, err)
+		}
+		s.Close()
+	}
+}
+
 // TestRouteSurface pins sieved's HTTP surface to testdata/routes.txt, one
 // "METHOD /path" per line, sorted: the route table New registers is the
 // fixture, and the live mux resolves a request for each line to exactly

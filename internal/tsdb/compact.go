@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"sort"
 	"time"
@@ -422,23 +421,4 @@ func (d *durable) compactRun(run []*block) error {
 		}
 	}
 	return firstErr
-}
-
-// compactLoop runs compaction passes on a ticker.
-func (d *durable) compactLoop() {
-	defer d.wg.Done()
-	t := time.NewTicker(d.opts.CompactInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			if err := d.compact(); err != nil {
-				// Next tick retries; sources are only removed after a
-				// successful swap, so a failed pass loses nothing.
-				slog.Error("compaction pass failed", "err", err)
-			}
-		}
-	}
 }

@@ -47,7 +47,7 @@ type DurabilityOptions struct {
 }
 
 const (
-	// fsyncTick is the cadence of the background fsync ticker under the
+	// fsyncTick is the cadence of the WAL commit tick under the
 	// FsyncInterval policy: the window of acknowledged writes a power
 	// loss can take.
 	fsyncTick = 200 * time.Millisecond
@@ -66,7 +66,7 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 }
 
 // durable is the persistence side of a Sharded store: the block list,
-// the checkpoint machinery, and the background tickers. The per-shard
+// the checkpoint machinery, and the background ticks. The per-shard
 // WALs live inside the shards, whose locks order every append against
 // the checkpoint cut.
 type durable struct {
@@ -142,9 +142,10 @@ type durable struct {
 // OpenSharded opens (or creates) a durable sharded store at opts.Dir:
 // published blocks are indexed for reading, every WAL shard directory is
 // replayed into memory — tolerating a truncated or corrupt tail, which
-// is cut off Prometheus-style — and background fsync/flush tickers are
-// started. A store that was killed without Close reopens to exactly the
-// points covered by blocks plus fsynced WAL records.
+// is cut off Prometheus-style and logged — and the background ticks
+// (interval fsync, checkpoint, compaction) are started. A store that was
+// killed without Close reopens to exactly the points covered by blocks
+// plus fsynced WAL records.
 //
 // Replay routes records by the current key hash, not by directory
 // position, so the shard count may change between lives (cmd/sieved
@@ -221,7 +222,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 		// top of the block data they duplicate. Cuts are per directory,
 		// so they stay valid across shard-count changes.
 		if cut := maxRecordedCut(blocks, i); cut > 0 {
-			if err := pruneWALSegmentsBelow(shardDir, cut); err != nil {
+			if _, _, err := pruneWALSegmentsBelow(shardDir, cut); err != nil {
 				closeOnErr()
 				return nil, fmt.Errorf("tsdb: pruning covered wal of shard %d: %w", i, err)
 			}
@@ -273,16 +274,25 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	}
 
 	if opts.Fsync == FsyncInterval {
-		d.wg.Add(1)
-		go d.fsyncLoop(s)
+		d.every(fsyncTick, func() {
+			for _, sh := range s.shards {
+				sh.wal.flush()
+			}
+		})
 	}
 	if opts.FlushInterval > 0 {
-		d.wg.Add(1)
-		go d.flushLoop(s)
+		// Failures are not dropped: checkpoint records them for Stats and
+		// logs state changes, so a wedged flusher is observable.
+		d.every(opts.FlushInterval, func() { _ = s.Checkpoint() })
 	}
 	if opts.CompactInterval > 0 {
-		d.wg.Add(1)
-		go d.compactLoop()
+		d.every(opts.CompactInterval, func() {
+			// The next tick retries; sources are only removed after a
+			// successful swap, so a failed pass loses nothing.
+			if err := d.compact(); err != nil {
+				slog.Error("compaction pass failed", "err", err)
+			}
+		})
 	}
 	return s, nil
 }
@@ -330,38 +340,24 @@ func maxRecordedCut(blocks []*block, shard int) uint64 {
 	return max
 }
 
-// fsyncLoop flushes dirty WAL segments on a ticker (FsyncInterval policy).
-func (d *durable) fsyncLoop(s *Sharded) {
-	defer d.wg.Done()
-	t := time.NewTicker(fsyncTick)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			for _, sh := range s.shards {
-				_ = sh.wal.sync()
+// every runs fn every interval on one goroutine until shutdown: the
+// store's background work (the interval fsync, checkpoints, compaction)
+// is a set of ticks, one goroutine each.
+func (d *durable) every(interval time.Duration, fn func()) {
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-d.stop:
+				return
+			case <-t.C:
+				fn()
 			}
 		}
-	}
-}
-
-// flushLoop checkpoints on a ticker.
-func (d *durable) flushLoop(s *Sharded) {
-	defer d.wg.Done()
-	t := time.NewTicker(d.opts.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			// Failures are not dropped: checkpoint records them for Stats
-			// and logs state changes, so a wedged flusher is observable.
-			_ = s.Checkpoint()
-		}
-	}
+	}()
 }
 
 // noteCheckpointResult updates the checkpoint-health counters and logs
@@ -690,7 +686,7 @@ func (d *durable) diskStats() (blockBytes int64, basePoints, blockCount int) {
 	return blockBytes, d.basePoints, len(d.blocks)
 }
 
-// shutdown stops the tickers, runs a final checkpoint so memory reaches
+// shutdown stops the ticks, runs a final checkpoint so memory reaches
 // disk in compressed form, and closes WALs and block files.
 func (d *durable) shutdown(s *Sharded) error {
 	d.flushMu.Lock()

@@ -1,9 +1,11 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -834,4 +836,69 @@ func TestDurableRecoveryCompanionBackfillCrashWindow(t *testing.T) {
 			b.meta.Level, len(b.ds), len(downsampleResolutions))
 	}
 	assertSameContents(t, re, ref, "companion backfill crash window")
+}
+
+// TestDurableWALRepairIsLogged: a torn tail cut at open is logged once,
+// naming the directory, the segment, the offset cut and the later
+// segments removed; a clean reopen logs nothing.
+func TestDurableWALRepairIsLogged(t *testing.T) {
+	var logs bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn})))
+	defer slog.SetDefault(prev)
+
+	dir := t.TempDir()
+	s := openCrashable(t, dir, 1)
+	for i := 0; i < 3; i++ {
+		recoveryWrite(t, nil, recoveryBatch(i, 2, 2), s)
+	}
+	// A later segment the repair must remove with the torn tail.
+	if _, err := s.shards[0].wal.rotate(); err != nil {
+		t.Fatal(err)
+	}
+	recoveryWrite(t, nil, recoveryBatch(3, 2, 2), s)
+	shardDir := filepath.Join(dir, "wal", "shard-0000")
+	seqs, err := listWALSegments(shardDir)
+	if err != nil || len(seqs) != 2 {
+		t.Fatalf("segments %v (%v), want 2", seqs, err)
+	}
+	torn := filepath.Join(shardDir, walSegmentName(seqs[0]))
+	fi, err := os.Stat(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(torn, fi.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openCrashable(t, dir, 1)
+	fi, err = os.Stat(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := logs.String()
+	if n := strings.Count(got, "level=WARN"); n != 1 {
+		t.Fatalf("%d warnings after a torn-tail reopen, want 1:\n%s", n, got)
+	}
+	for _, want := range []string{
+		"dir=" + shardDir,
+		"segment=" + walSegmentName(seqs[0]),
+		fmt.Sprintf("offset=%d", fi.Size()),
+		"removed=[" + walSegmentName(seqs[1]) + "]",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("repair warning lacks %q:\n%s", want, got)
+		}
+	}
+
+	logs.Reset()
+	if err := openCrashable(t, dir, 1).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if logs.Len() != 0 {
+		t.Errorf("clean reopen logged:\n%s", logs.String())
+	}
 }

@@ -449,7 +449,7 @@ func (s *Sharded) Compact() error {
 	return s.dur.compact()
 }
 
-// Close stops the background fsync/flush tickers, checkpoints remaining
+// Close stops the background ticks, checkpoints remaining
 // in-memory data, and closes WAL and block files. Safe to call twice;
 // no-op on an in-memory store. A store killed without Close recovers on
 // the next OpenSharded from blocks plus the WAL.

@@ -16,20 +16,21 @@ import (
 // Nothing writes it afterwards, so every holder reads it without a lock.
 type StoreTelemetry struct {
 	// WALAppendSeconds times successful WAL record appends (encode +
-	// write + inline fsync under FsyncAlways), per batch.
+	// write; the durability fsync is WALFsyncSeconds'), per batch.
 	WALAppendSeconds *telemetry.Histogram
-	// WALFsyncSeconds times every WAL fsync: the background ticker's
-	// flushes and FsyncAlways's group-commit leader syncs.
+	// WALFsyncSeconds times every commit-leader fsync of the open WAL
+	// segment: the FsyncInterval tick's and FsyncAlways's alike.
 	WALFsyncSeconds *telemetry.Histogram
-	// WALGroupCommitBatches observes, per group-commit fsync, how many
-	// appended batches that one fsync made durable — the coalescing
-	// factor. A histogram pinned at 1 means no concurrency (every
-	// fsync covered exactly its own batch); mass at 4/8/16 is the
-	// group-commit win.
+	// WALGroupCommitBatches observes, per successful commit-leader
+	// fsync, how many appended batches that one fsync made durable — the
+	// coalescing factor. Under FsyncAlways a histogram pinned at 1 means
+	// no concurrency (every fsync covered exactly its own batch) and mass
+	// at 4/8/16 is the group-commit win; under FsyncInterval it is the
+	// batches one tick committed.
 	WALGroupCommitBatches *telemetry.Histogram
-	// WALFsyncsSaved counts fsyncs avoided by group commit: for a
-	// leader sync covering n batches, n-1 fsyncs the pre-group-commit
-	// protocol would have issued.
+	// WALFsyncsSaved counts fsyncs avoided by committing batches
+	// together: for a leader sync covering n batches, n-1 fsyncs a sync
+	// per batch would have issued.
 	WALFsyncsSaved *telemetry.Counter
 	// WALBytesWritten counts bytes appended to WAL segments (framed
 	// record bytes, after series-dictionary compression).
@@ -76,14 +77,14 @@ type StoreTelemetry struct {
 func newStoreTelemetry(reg *telemetry.Registry) *StoreTelemetry {
 	return &StoreTelemetry{
 		WALAppendSeconds: reg.Histogram("sieve_wal_append_seconds",
-			"WAL record append latency per batch (including inline fsync under -fsync always)", nil),
+			"WAL record append latency per batch (encode and write; fsyncs are sieve_wal_fsync_seconds)", nil),
 		WALFsyncSeconds: reg.Histogram("sieve_wal_fsync_seconds",
-			"WAL fsync latency (background ticker flushes and group-commit leader syncs)", nil),
+			"WAL fsync latency of the commit leader (-fsync interval ticks and -fsync always group commits)", nil),
 		WALGroupCommitBatches: reg.Histogram("sieve_wal_group_commit_batches",
-			"appended batches made durable per group-commit fsync (coalescing factor)",
+			"appended batches made durable per commit-leader fsync (group commits and interval ticks)",
 			[]float64{1, 2, 4, 8, 16, 32, 64}),
 		WALFsyncsSaved: reg.Counter("sieve_wal_group_commit_fsyncs_saved_total",
-			"fsyncs avoided by group commit (cohort size minus one per leader sync)"),
+			"fsyncs avoided by committing batches together (batches minus one per leader fsync, group commits and interval ticks)"),
 		WALBytesWritten: reg.Counter("sieve_wal_bytes_written_total",
 			"bytes appended to WAL segments"),
 		CheckpointSeconds: reg.Histogram("sieve_checkpoint_seconds",

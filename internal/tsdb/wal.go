@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,8 +20,8 @@ type FsyncPolicy int
 
 const (
 	// FsyncInterval (the default) leaves appends in the OS page cache and
-	// fsyncs from a background ticker, bounding the post-crash loss window
-	// to 200ms (fsyncTick) of writes.
+	// fsyncs them on a background tick, bounding the post-crash loss
+	// window to 200ms (fsyncTick) of writes.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways fsyncs after every appended batch: zero loss on power
 	// failure, at the cost of one disk flush per write.
@@ -362,8 +363,8 @@ func listWALSegments(dir string) ([]uint64, error) {
 
 // walWriter appends CRC-framed sample batches to numbered segment files
 // in one directory (one walWriter per store shard). Appends happen under
-// the owning shard's lock; the internal mutex only coordinates with the
-// background fsync ticker and with segment rotation.
+// the owning shard's lock; mu orders them against the commit leader,
+// segment rotation and close.
 type walWriter struct {
 	dir      string
 	policy   FsyncPolicy
@@ -373,8 +374,6 @@ type walWriter struct {
 	seq      uint64 // sequence number of the open segment
 	size     int64  // bytes written to the open segment
 	retained int64  // bytes in older, still-live segments
-	dirty    bool   // unsynced appends (consulted by the fsync ticker)
-	syncErr  error  // pending background-fsync failure, surfaced by the next append
 	// pendingTrunc records a failed rollback of a rejected record: the
 	// phantom bytes (a complete, CRC-valid frame the client was told
 	// failed) are still in the segment past w.size, and nothing may
@@ -397,31 +396,29 @@ type walWriter struct {
 
 	// tel is the owning store's instrument set (append/fsync latency,
 	// bytes written, group-commit cohort size and saved fsyncs). Fixed
-	// at open and never written again, so it is read without mu or cmu.
+	// at open and never written again, so it is read without mu.
 	tel *StoreTelemetry
 
 	// segments counts live segment files (older retained ones plus the
 	// open one), maintained by roll/remove so the gauge needs no readdir.
 	segments int
 
-	// Group-commit state, guarded by cmu (never held while acquiring
-	// mu; mu-holders may take cmu briefly). Every append is assigned a
-	// sequence number after its write syscall completes; syncedSeq is
-	// the highest append known to be on stable storage — advanced by a
-	// commit leader's fsync, by segment rolls (which fsync the old file
-	// before closing it), and by close. commitWait blocks an FsyncAlways
-	// appender until its seq is covered: the first waiter to find no
-	// fsync in flight becomes the leader and syncs everyone queued so
-	// far with one fsync (leader/follower group commit).
-	cmu       sync.Mutex
-	ccond     *sync.Cond
+	// Commit state, guarded by mu. Every append is assigned a sequence
+	// number once its write completes; syncedSeq is the highest append
+	// known to be on stable storage — advanced by a commit leader's
+	// fsync, by segment rolls (which fsync the old file before closing
+	// it), and by close. syncing marks a leader's fsync in flight; cond
+	// (on mu) wakes the commitWait callers queued behind it.
+	cond      *sync.Cond
 	appendSeq uint64
 	syncedSeq uint64
 	syncing   bool
-	// failSeq/failErr deliver a failed group fsync to its cohort: every
-	// waiter at or below failSeq whose data a later fsync has not since
-	// covered gets failErr. Appends after the failure start a fresh
-	// group, so a recovered disk resumes service without restart.
+	// failSeq/failErr record the last failed leader fsync. Under
+	// FsyncAlways every waiter at or below failSeq whose data a later
+	// fsync has not since covered gets failErr, and appends after the
+	// failure start a fresh group, so a recovered disk resumes service
+	// without restart. Under FsyncInterval the next append surfaces it
+	// once and clears it.
 	failSeq uint64
 	failErr error
 }
@@ -431,16 +428,6 @@ func (w *walWriter) segmentCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.segments
-}
-
-// timedSync fsyncs f and records the latency: the one fsync both the
-// background ticker (under mu) and the group-commit leader (outside
-// every lock, on its copy of the handle) go through.
-func (w *walWriter) timedSync(f *os.File) error {
-	start := time.Now()
-	err := f.Sync()
-	w.tel.WALFsyncSeconds.ObserveSince(start)
-	return err
 }
 
 // openWALWriter opens dir (creating it) and starts a fresh segment after
@@ -465,7 +452,7 @@ func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelem
 		}
 	}
 	w := &walWriter{dir: dir, policy: policy, segMax: segMax, seq: next, retained: retained, segments: len(seqs) + 1, tel: tel}
-	w.ccond = sync.NewCond(&w.cmu)
+	w.cond = sync.NewCond(&w.mu)
 	if w.f, err = w.create(next); err != nil {
 		return nil, err
 	}
@@ -514,27 +501,23 @@ func (w *walWriter) rollbackIDsLocked() {
 // append encodes and writes one batch as v2 frames (series definitions
 // first, then the sample record), rolling the segment first when it is
 // full; refs[i] is the series of samples[i]. The write is buffered:
-// durability comes from the background ticker (FsyncInterval), the OS
-// (FsyncNever), or commitWait (FsyncAlways — the returned sequence
-// number is the handle to wait on). On a failure the frames are
-// truncated back out and the ids given out rolled back, so the segment
-// stays on a clean frame boundary and no id escapes that replay could
-// not resolve.
+// durability comes from the interval tick (flush), the OS (FsyncNever),
+// or commitWait (FsyncAlways — the returned sequence number is the
+// handle to wait on). On a failure the frames are truncated back out and
+// the ids given out rolled back, so the segment stays on a clean frame
+// boundary and no id escapes that replay could not resolve.
 func (w *walWriter) append(samples []Sample, refs []*series) (uint64, error) {
-	if len(samples) == 0 {
-		w.cmu.Lock()
-		seq := w.appendSeq
-		w.cmu.Unlock()
-		return seq, nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.syncErr != nil {
-		// A background fsync failed since the last append: the writes it
+	if len(samples) == 0 {
+		return w.appendSeq, nil
+	}
+	if w.policy == FsyncInterval && w.failErr != nil {
+		// An interval fsync failed since the last append: the writes it
 		// covered may not be durable. Fail one write loudly instead of
 		// letting the store keep acknowledging on a sinking log.
-		err := w.syncErr
-		w.syncErr = nil
+		err := w.failErr
+		w.failErr = nil
 		return 0, fmt.Errorf("tsdb: wal fsync (background): %w", err)
 	}
 	if err := w.clearPendingTruncLocked(); err != nil {
@@ -567,89 +550,100 @@ func (w *walWriter) append(samples []Sample, refs []*series) (uint64, error) {
 		return 0, fmt.Errorf("tsdb: wal append: %w", err)
 	}
 	clear(w.defined) // hold no series a checkpoint may steal next
-	w.dirty = true
 	w.size += int64(len(w.buf))
 	w.tel.WALBytesWritten.Add(uint64(len(w.buf)))
-	w.cmu.Lock()
 	w.appendSeq++
-	seq := w.appendSeq
-	w.cmu.Unlock()
 	w.tel.WALAppendSeconds.ObserveSince(start)
-	return seq, nil
+	return w.appendSeq, nil
 }
 
 // commitWait blocks until the append identified by seq is on stable
 // storage, or until the group fsync that covered it fails — the
 // FsyncAlways durability gate. The first waiter that finds no fsync in
-// flight becomes the leader: it snapshots the newest completed append,
-// fsyncs once outside every lock, and that single fsync commits every
-// append queued while the previous one was in flight (its own cohort).
-// Followers just wait; each request still returns only once its own
-// batch is durable, so the FsyncAlways contract per request is
+// flight becomes the leader (leadSyncLocked), and that single fsync
+// commits every append queued while the previous one was in flight (its
+// own cohort). Followers just wait; each request still returns only once
+// its own batch is durable, so the FsyncAlways contract per request is
 // unchanged — only the fsync count scales with batches coalesced
 // instead of with requests.
 //
 // On a leader fsync failure every cohort member gets the error. Their
-// frames stay in the log and their samples stay in memory (unlike the
-// old inline-fsync path there is no single record to truncate away — a
-// cohort's frames interleave), so a failed FsyncAlways write means
-// "durability unconfirmed", not "not stored": a crash before a later
-// successful fsync loses it, a retry may duplicate it. Segment rolls
-// fsync the old file before closing it, so a roll racing a leader also
-// commits the cohort (the leader detects that and succeeds).
+// frames stay in the log and their samples stay in memory (a cohort's
+// frames interleave, so there is no single record to truncate away), so
+// a failed FsyncAlways write means "durability unconfirmed", not "not
+// stored": a crash before a later successful fsync loses it, a retry may
+// duplicate it.
 func (w *walWriter) commitWait(seq uint64) error {
-	w.cmu.Lock()
-	defer w.cmu.Unlock()
-	for {
-		if w.syncedSeq >= seq {
-			return nil
-		}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.syncedSeq < seq {
 		if w.failErr != nil && w.failSeq >= seq {
 			return fmt.Errorf("tsdb: wal fsync: %w", w.failErr)
 		}
-		if !w.syncing {
-			w.syncing = true
-			target := w.appendSeq
-			prev := w.syncedSeq
-			w.cmu.Unlock()
-
-			// Copy the file handle under mu (rolls replace it under mu),
-			// then fsync outside every lock so appenders keep queueing
-			// behind this flush — that queue is the next leader's cohort.
-			w.mu.Lock()
-			f := w.f
-			w.mu.Unlock()
-			// A nil handle means close already ran; its final fsync either
-			// advanced syncedSeq past target (checked below) or failed.
-			err := os.ErrClosed
-			if f != nil {
-				err = w.timedSync(f)
-			}
-
-			w.cmu.Lock()
-			w.syncing = false
-			switch {
-			case err == nil:
-				if target > w.syncedSeq {
-					w.syncedSeq = target
-				}
-				if batches := target - prev; batches > 0 {
-					w.tel.WALGroupCommitBatches.Observe(float64(batches))
-					w.tel.WALFsyncsSaved.Add(batches - 1)
-				}
-			case w.syncedSeq >= target:
-				// A concurrent roll fsynced and closed the file under us
-				// (the usual error here is "file already closed"): the
-				// roll's own fsync covered everything up to target, so
-				// the cohort is durable and the error is noise.
-			default:
-				w.failSeq, w.failErr = target, err
-			}
-			w.ccond.Broadcast()
-			continue
+		if w.syncing {
+			w.cond.Wait()
+		} else {
+			w.leadSyncLocked()
 		}
-		w.ccond.Wait()
 	}
+	return nil
+}
+
+// flush is the FsyncInterval tick: it commits every append since the
+// last successful fsync through the same leader as commitWait, and
+// issues no fsync when there is none (or a leader is already at it). A
+// failed fsync leaves syncedSeq behind, so the next tick retries, and
+// the next append surfaces the error.
+func (w *walWriter) flush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.syncing && w.appendSeq > w.syncedSeq {
+		w.leadSyncLocked()
+	}
+}
+
+// leadSyncLocked is the one fsync of the open segment for durability:
+// it snapshots the newest completed append and the file handle, then
+// fsyncs with mu released, so appenders keep queueing behind the flush —
+// that queue is the next leader's cohort. Caller holds mu and found no
+// fsync in flight. A segment roll racing the fsync fsyncs and closes the
+// file itself (the usual error here is then "file already closed") and
+// advances syncedSeq past target, which commits the cohort.
+func (w *walWriter) leadSyncLocked() {
+	target, prev, f := w.appendSeq, w.syncedSeq, w.f
+	w.syncing = true
+	w.mu.Unlock()
+	// A nil handle means close already ran; its final fsync either
+	// advanced syncedSeq past target (checked below) or failed.
+	err := os.ErrClosed
+	if f != nil {
+		start := time.Now()
+		err = f.Sync()
+		w.tel.WALFsyncSeconds.ObserveSince(start)
+	}
+	w.mu.Lock()
+	w.syncing = false
+	if err == nil {
+		if batches := target - prev; batches > 0 {
+			w.tel.WALGroupCommitBatches.Observe(float64(batches))
+			w.tel.WALFsyncsSaved.Add(batches - 1)
+		}
+		w.markSyncedLocked(target)
+		return
+	}
+	if w.syncedSeq < target {
+		w.failSeq, w.failErr = target, err
+	}
+	// Wake the cohort to its error, and the waiters queued behind this
+	// fsync to elect the next leader.
+	w.cond.Broadcast()
+}
+
+// markSyncedLocked records every append up to target as on stable
+// storage and wakes the commitWait callers it covers.
+func (w *walWriter) markSyncedLocked(target uint64) {
+	w.syncedSeq = max(w.syncedSeq, target)
+	w.cond.Broadcast()
 }
 
 // clearPendingTruncLocked retries a previously failed rollback of a
@@ -669,9 +663,9 @@ func (w *walWriter) clearPendingTruncLocked() error {
 
 // rollLocked closes the open segment (fsyncing it unless the policy is
 // never) and starts the next one. Every series id dies with the segment;
-// the roll's fsync also commits every append queued on the group-commit
-// side, so waiters whose records land in the rolled segment are
-// released here rather than by a leader fsync of the new (empty) file.
+// the roll's fsync also commits every append so far, so waiters whose
+// records land in the rolled segment are released here rather than by a
+// leader fsync of the new (empty) file.
 func (w *walWriter) rollLocked() error {
 	if err := w.clearPendingTruncLocked(); err != nil {
 		return err
@@ -680,12 +674,7 @@ func (w *walWriter) rollLocked() error {
 		if err := w.f.Sync(); err != nil {
 			return err
 		}
-		w.cmu.Lock()
-		if w.appendSeq > w.syncedSeq {
-			w.syncedSeq = w.appendSeq
-		}
-		w.ccond.Broadcast()
-		w.cmu.Unlock()
+		w.markSyncedLocked(w.appendSeq)
 	}
 	if err := w.f.Close(); err != nil {
 		return err
@@ -693,7 +682,6 @@ func (w *walWriter) rollLocked() error {
 	w.retained += w.size
 	w.seq++
 	w.size = 0
-	w.dirty = false
 	w.nextID = 0
 	f, err := w.create(w.seq)
 	if err != nil {
@@ -717,50 +705,17 @@ func (w *walWriter) rotate() (uint64, error) {
 	return w.seq, nil
 }
 
-// sync flushes unsynced appends to disk (the FsyncInterval ticker body).
-// On failure the segment stays dirty — the next tick retries — and the
-// error is kept for the next append to surface.
-func (w *walWriter) sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.dirty {
-		return nil
-	}
-	if err := w.timedSync(w.f); err != nil {
-		w.syncErr = err
-		return err
-	}
-	w.dirty = false
-	return nil
-}
-
 // removeSegmentsBelow deletes segments with sequence numbers < seq: their
 // records are covered by a persisted block, so replaying them would only
-// duplicate data.
+// duplicate data. The open segment is never below a rotate cut, so the
+// files go without mu held.
 func (w *walWriter) removeSegmentsBelow(seq uint64) error {
+	removed, bytes, err := pruneWALSegmentsBelow(w.dir, seq)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	seqs, err := listWALSegments(w.dir)
-	if err != nil {
-		return err
-	}
-	for _, s := range seqs {
-		if s >= seq {
-			continue
-		}
-		path := filepath.Join(w.dir, walSegmentName(s))
-		if fi, err := os.Stat(path); err == nil {
-			w.retained -= fi.Size()
-		}
-		if err := os.Remove(path); err != nil {
-			return err
-		}
-		w.segments--
-	}
-	if w.retained < 0 {
-		w.retained = 0
-	}
-	return nil
+	w.segments -= removed
+	w.retained = max(w.retained-bytes, 0)
+	return err
 }
 
 // sizeBytes reports the bytes held by all live segments.
@@ -786,13 +741,7 @@ func (w *walWriter) close() error {
 			err = serr
 		}
 		if serr == nil {
-			// Release any group-commit waiters the final fsync covered.
-			w.cmu.Lock()
-			if w.appendSeq > w.syncedSeq {
-				w.syncedSeq = w.appendSeq
-			}
-			w.ccond.Broadcast()
-			w.cmu.Unlock()
+			w.markSyncedLocked(w.appendSeq)
 		}
 	}
 	if cerr := w.f.Close(); cerr != nil && err == nil {
@@ -803,24 +752,31 @@ func (w *walWriter) close() error {
 }
 
 // pruneWALSegmentsBelow removes segments with sequence numbers < seq
-// from a directory no writer has open yet (the recovery-time companion
-// of walWriter.removeSegmentsBelow). A missing directory is fine.
-func pruneWALSegmentsBelow(dir string, seq uint64) error {
+// from dir and reports how many files and bytes went; a missing
+// directory is fine. Recovery calls it before any writer has the
+// directory open, a checkpoint through walWriter.removeSegmentsBelow.
+func pruneWALSegmentsBelow(dir string, seq uint64) (removed int, bytes int64, err error) {
 	seqs, err := listWALSegments(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return 0, 0, nil
 		}
-		return err
+		return 0, 0, err
 	}
 	for _, s := range seqs {
-		if s < seq {
-			if err := os.Remove(filepath.Join(dir, walSegmentName(s))); err != nil {
-				return err
-			}
+		if s >= seq {
+			continue
 		}
+		path := filepath.Join(dir, walSegmentName(s))
+		if fi, err := os.Stat(path); err == nil {
+			bytes += fi.Size()
+		}
+		if err := os.Remove(path); err != nil {
+			return removed, bytes, err
+		}
+		removed++
 	}
-	return nil
+	return removed, bytes, nil
 }
 
 // walReplayStats summarizes one shard directory's replay.
@@ -838,7 +794,8 @@ type walReplayStats struct {
 // each decoded sample to sink. A short or corrupt record ends the replay:
 // everything before it is applied, the bad tail is truncated away so the
 // next open starts clean, and later segments (written after the
-// corruption point, so of unknowable consistency) are removed.
+// corruption point, so of unknowable consistency) are removed; one
+// warning names the segment, the offset cut and the segments removed.
 func replayWAL(dir string, sink replaySink) (walReplayStats, error) {
 	var st walReplayStats
 	seqs, err := listWALSegments(dir)
@@ -858,16 +815,22 @@ func replayWAL(dir string, sink replaySink) (walReplayStats, error) {
 			return st, err
 		}
 		if good >= 0 {
-			// Truncate the bad tail and drop all later segments.
+			// Truncate the bad tail and drop all later segments, loudly:
+			// the records cut are gone for good.
 			st.Repaired = true
 			if err := os.Truncate(path, good); err != nil {
 				return st, err
 			}
+			removed := make([]string, 0, len(seqs)-i-1)
 			for _, later := range seqs[i+1:] {
-				if err := os.Remove(filepath.Join(dir, walSegmentName(later))); err != nil {
+				name := walSegmentName(later)
+				if err := os.Remove(filepath.Join(dir, name)); err != nil {
 					return st, err
 				}
+				removed = append(removed, name)
 			}
+			slog.Warn("wal repaired at open: cut a torn or corrupt record and every later segment",
+				"dir", dir, "segment", walSegmentName(seq), "offset", good, "removed", removed)
 			return st, nil
 		}
 	}
