@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
@@ -278,57 +277,47 @@ func TestWALCorruptRecordDiscardsRest(t *testing.T) {
 }
 
 // TestWALIntervalFsyncFailureSurfacesOnce drives the FsyncInterval tick
-// through a failed fsync: a closed handle stands in for the open
-// segment's, so the tick's fsync fails. Exactly the next append fails,
-// naming the background fsync, and writes nothing; the following tick
-// retries, and once that succeeds appends are acknowledged again. A tick
-// with nothing appended since the last successful fsync issues none.
+// (flush, called by hand so no timer decides the order) through a failed
+// fsync: a closed handle stands in for the open segment's, so the tick's
+// fsync fails. Exactly the next append fails, naming the background
+// fsync, and writes nothing; the following tick retries, and once that
+// succeeds appends are acknowledged again. A tick with nothing appended
+// since the last successful fsync issues none.
 func TestWALIntervalFsyncFailureSurfacesOnce(t *testing.T) {
-	s, err := OpenSharded(1, DurabilityOptions{Dir: t.TempDir(), Fsync: FsyncInterval, FlushInterval: -1, CompactInterval: -1})
+	w, err := openTestWAL(t.TempDir(), FsyncInterval, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	w := s.shards[0].wal
-	fsyncs := s.Telemetry().WALFsyncSeconds
-	// waitFsyncs polls until the ticks have issued n fsyncs in all; it
-	// returns within a millisecond or so of the tick that issued the
-	// n-th, so the next tick is most of a fsyncTick away.
-	waitFsyncs := func(n uint64) {
+	defer w.close()
+	fsyncs := w.tel.WALFsyncSeconds
+	tick := func(wantFsyncs uint64) {
 		t.Helper()
-		for deadline := time.Now().Add(20 * fsyncTick); fsyncs.Count() < n; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("ticks issued %d fsyncs, want %d", fsyncs.Count(), n)
-			}
+		w.flush()
+		if got := fsyncs.Count(); got != wantFsyncs {
+			t.Fatalf("after a tick: %d fsyncs, want %d", got, wantFsyncs)
 		}
 	}
-	swap := func(f *os.File) *os.File {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		old := w.f
-		w.f = f
-		return old
+	write := func(i int) error {
+		_, err := w.append(walBatch("c", 2, int64(i)*1000))
+		return err
 	}
-	write := func(i int) error { return s.WriteSamples(walBatch("c", 2, int64(i)*1000), 0) }
 
 	if err := write(0); err != nil {
 		t.Fatal(err)
 	}
-	waitFsyncs(1)
-	// Right after a tick: append, then fail the next tick's fsync.
+	tick(1)
 	if err := write(1); err != nil {
 		t.Fatal(err)
 	}
-	w.mu.Lock()
 	closed, err := os.Open(filepath.Join(w.dir, walSegmentName(w.seq)))
-	w.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	closed.Close()
-	live := swap(closed)
-	waitFsyncs(2)
-	swap(live)
+	live := w.f
+	w.f = closed
+	tick(2)
+	w.f = live
 
 	size := w.sizeBytes()
 	err = write(2)
@@ -339,16 +328,12 @@ func TestWALIntervalFsyncFailureSurfacesOnce(t *testing.T) {
 		t.Errorf("failed append wrote %d bytes, want none", got-size)
 	}
 	// The retry tick commits write 1; had it failed, write 3 would fail.
-	waitFsyncs(3)
+	tick(3)
 	for i := 3; i < 5; i++ {
 		if err := write(i); err != nil {
 			t.Fatalf("append %d after the retry: %v", i, err)
 		}
 	}
-	waitFsyncs(4)
-	idle := fsyncs.Count()
-	time.Sleep(3 * fsyncTick)
-	if got := fsyncs.Count(); got != idle {
-		t.Errorf("ticks with nothing appended issued %d fsyncs, want none", got-idle)
-	}
+	tick(4)
+	tick(4) // nothing appended since: no fsync
 }
