@@ -132,9 +132,10 @@ type pairResult struct {
 // each representative metric of one side against each representative of
 // the other, in both directions, keeping significant unidirectional
 // relationships and discarding bidirectional ones as confounded (§3.3).
-// It stops early when ctx is done and fans out one task per
+// It stops early when ctx is done. A first fan-out prepares every
+// representative once (granger.Prepare); a second runs one task per
 // communicating pair (the cluster-pair Granger tests run inside the
-// task) to runtime.GOMAXPROCS(0) workers. Edges and the
+// task), both on runtime.GOMAXPROCS(0) workers. Edges and the
 // Tested/Bidirectional counters are accumulated per task and merged
 // race-free in pair order before the final sort (whose comparator is
 // tie-free over the edge fields), so the graph is bit-identical to the
@@ -148,12 +149,47 @@ func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction
 	gopts := granger.Options{MaxLag: maxLag}
 
 	pairs := ds.CallGraph.CommunicatingPairs()
-	results := make([]pairResult, len(pairs))
 	// One Granger scratch per pool worker: tasks index by worker id, so
 	// buffer reuse is race-free without any locking or sync.Pool.
 	workers := parallel.Workers(0)
 	scratches := make([]granger.Scratch, workers)
-	err := parallel.ForEachWorker(ctx, workers, len(pairs), func(ctx context.Context, worker, i int) error {
+
+	// A representative's stationarity check and restricted fits depend on
+	// no partner, so a pre-pass prepares each representative of every
+	// component a pair names once, in parallel: prepared[c][i] is cluster
+	// i's of component c, nil when the dataset lacks the series.
+	type rep struct {
+		component string
+		cluster   int
+	}
+	prepared := map[string][]*granger.Prepared{}
+	var reps []rep
+	for _, p := range pairs {
+		if red[p[0]] == nil || red[p[1]] == nil {
+			continue
+		}
+		for _, c := range p {
+			if _, ok := prepared[c]; !ok {
+				prepared[c] = make([]*granger.Prepared, len(red[c].Clusters))
+				for i := range red[c].Clusters {
+					reps = append(reps, rep{c, i})
+				}
+			}
+		}
+	}
+	err := parallel.ForEachWorker(ctx, workers, len(reps), func(ctx context.Context, worker, i int) error {
+		r := reps[i]
+		if sr := ds.Get(r.component, red[r.component].Clusters[r.cluster].Representative); sr != nil {
+			prepared[r.component][r.cluster] = granger.Prepare(sr.Values, gopts, &scratches[worker])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	results := make([]pairResult, len(pairs))
+	err = parallel.ForEachWorker(ctx, workers, len(pairs), func(ctx context.Context, worker, i int) error {
 		scratch := &scratches[worker]
 		a, b := pairs[i][0], pairs[i][1]
 		ra, rb := red[a], red[b]
@@ -161,17 +197,16 @@ func IdentifyDependenciesContext(ctx context.Context, ds *Dataset, red Reduction
 			return nil
 		}
 		res := &results[i]
-		for _, ca := range ra.Clusters {
+		for ia, ca := range ra.Clusters {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			for _, cb := range rb.Clusters {
-				sa := ds.Get(a, ca.Representative)
-				sb := ds.Get(b, cb.Representative)
-				if sa == nil || sb == nil {
+			for ib, cb := range rb.Clusters {
+				pa, pb := prepared[a][ia], prepared[b][ib]
+				if pa == nil || pb == nil {
 					continue
 				}
-				dir, xy, yx, err := granger.DirectionWith(sa.Values, sb.Values, gopts, scratch)
+				dir, xy, yx, err := granger.DirectionPrepared(pa, pb, scratch)
 				if err != nil {
 					// Series too short or degenerate for this pair: no
 					// test ran.

@@ -17,11 +17,15 @@
 // Bidirectional results are treated as spurious — a hidden confounder
 // driving both metrics — and filtered by the caller via Direction.
 //
-// Direction (DirectionWith with a caller-owned Scratch) is the entry
-// point the pipeline's step 3 calls once per (representative metric,
-// representative metric) pair of communicating components: it makes the
-// pair stationary once, tests it in both directions, and returns the
-// winning causality with the lag and F-test p-value that become a
-// DependencyEdge in the artifact's graph. Of each lag regression only
-// the residual sum of squares is read: it is all the F-test needs.
+// The pipeline's step 3 calls Prepare once per representative metric:
+// the stationarity pre-check and the restricted regressions depend on no
+// partner. DirectionPrepared then runs once per (representative,
+// representative) pair of communicating components: it aligns the pair on
+// one time base, fits the two unrestricted regressions per lag, and
+// returns the winning causality with the lag and F-test p-value that
+// become a DependencyEdge in the artifact's graph. Direction
+// (DirectionWith with a caller-owned Scratch) is the same test on two raw
+// series: prepare, prepare, then the prepared test. Of each lag
+// regression only the residual sum of squares is read: it is all the
+// F-test needs.
 package granger

@@ -12,8 +12,8 @@ import (
 
 // Scratch pools one worker's Granger buffers: the two reusable flat lag
 // designs plus the shared regression workspace (QR factorizations, the
-// ADF design and its standard-error solve) that every fit of a
-// DirectionWith call cycles through. The zero value is ready to use. A
+// ADF design and its standard-error solve) that every fit of a Prepare or
+// DirectionPrepared call cycles through. The zero value is ready to use. A
 // Scratch must not be shared between concurrent goroutines — the
 // dependency-extraction fan-out keeps one per worker, indexed by the
 // pool's worker id. Returned TestResults never alias the scratch (they
@@ -67,28 +67,127 @@ type TestResult struct {
 	DifferencedX, DifferencedY bool
 }
 
-// directed reports whether x Granger-causes y on a pair the stationarity
-// pre-check has already made stationary and aligned; dx and dy record
-// which input it differenced. A constant series yields a non-significant
-// result, a too-short pair an error. Lag designs and regression
+// Prepared is one series made ready for every Granger test it joins: the
+// stationarity pre-check's verdict and, for each form the series can take
+// as an effect, the restricted (own-history) regression at every lag.
+// None of that depends on the partner, so the dependency fan-out prepares
+// each representative once and each pair runs only its two unrestricted
+// fits. A Prepared aliases the series it was made from, which must not
+// change; it is immutable and safe to share between goroutines.
+type Prepared struct {
+	n, maxLag int
+	// constant: no test can involve the series.
+	constant bool
+	// diffed: the pre-check first-differenced the series.
+	diffed bool
+	// forms[0] is the stationary form: the series or its first
+	// differences. forms[1], for a series left as it is, is the series
+	// without its first sample: its form beside a differenced partner,
+	// aligned on the partner's time base.
+	forms [2]form
+}
+
+// form is one form of a series and its restricted fit at each lag
+// 1..maxLag, which the F-test reads only the residual sum of squares of.
+// A constant form, or one too short to test, has no fits; a differenced
+// series' forms[1] has no series.
+type form struct {
+	series     []float64
+	constant   bool
+	restricted []restrictedFit
+}
+
+type restrictedFit struct {
+	rss float64
+	ok  bool // false: the design was degenerate and the lag is skipped
+}
+
+// Prepare runs the stationarity pre-check on x and the restricted fits
+// of its forms for tests up to opts.MaxLag. The scratch only holds
+// workspace; what it held before never reaches the result.
+func Prepare(x []float64, opts Options, s *Scratch) *Prepared {
+	p := check(x, opts, s)
+	for i := range p.forms {
+		if p.forms[i].series != nil {
+			p.forms[i].fit(p.maxLag, s)
+		}
+	}
+	return p
+}
+
+// check is Prepare's stationarity pre-check: it sets the forms' series
+// and fits none of them.
+func check(x []float64, opts Options, s *Scratch) *Prepared {
+	p := &Prepared{n: len(x), maxLag: max(opts.MaxLag, 1)}
+	if timeseries.IsConstant(x) {
+		p.constant = true
+		return p
+	}
+	stat, diffed := stats.EnsureStationaryWith(x, adfLags, &s.stats)
+	p.diffed = diffed
+	p.forms[0].series = stat
+	if !diffed {
+		p.forms[1].series = x[1:]
+	}
+	return p
+}
+
+// minLength is the shortest effect series a test up to maxLag accepts:
+// n - maxOwn observations and 1+maxOwn+maxLag unrestricted parameters
+// with residual degrees of freedom to spare.
+func minLength(maxLag int) int {
+	maxOwn := max(ownLags, maxLag)
+	return 2*maxOwn + maxLag + 8
+}
+
+// fit fills the form's constant flag and, when a test can use them, its
+// restricted fits.
+func (f *form) fit(maxLag int, s *Scratch) {
+	y := f.series
+	f.constant = timeseries.IsConstant(y)
+	if f.constant || len(y) < minLength(maxLag) {
+		return
+	}
+	f.restricted = make([]restrictedFit, maxLag)
+	for lag := 1; lag <= maxLag; lag++ {
+		own := max(ownLags, lag)
+		if lag > 1 && own == ownLags {
+			// Lags up to ownLags share one restricted model.
+			f.restricted[lag-1] = f.restricted[lag-2]
+			continue
+		}
+		_, rss, err := stats.FitOLSWith(y[own:], lagDesign(&s.restricted, nil, y, 0, own), &s.stats)
+		f.restricted[lag-1] = restrictedFit{rss: rss, ok: err == nil}
+	}
+}
+
+// beside returns the form p takes in a test with a partner the pre-check
+// did (partnerDiffed) or did not difference: both sides of a test stand
+// on one time base.
+func (p *Prepared) beside(partnerDiffed bool) *form {
+	if partnerDiffed && !p.diffed {
+		return &p.forms[1]
+	}
+	return &p.forms[0]
+}
+
+// directed reports whether the cause x Granger-causes the effect y, two
+// aligned stationary forms; dx and dy record which series the pre-check
+// differenced. A constant form yields a non-significant result, a
+// too-short pair an error. The unrestricted lag designs and regression
 // workspace come from the caller-owned s; what s held before never
 // reaches the result.
-func directed(x, y []float64, maxLag int, dx, dy bool, s *Scratch) (*TestResult, error) {
+func directed(x, y *form, maxLag int, dx, dy bool, s *Scratch) (*TestResult, error) {
 	res := &TestResult{PValue: 1, Lag: maxLag, DifferencedX: dx, DifferencedY: dy}
-	if timeseries.IsConstant(x) || timeseries.IsConstant(y) {
+	if x.constant || y.constant {
 		return res, nil
 	}
-
-	// Need n - maxL observations and 1+ownLags+crossLag unrestricted
-	// parameters with residual degrees of freedom to spare.
-	maxOwn := max(ownLags, maxLag)
-	minLen := 2*maxOwn + maxLag + 8
-	if len(y) < minLen {
-		return nil, fmt.Errorf("%w: have %d samples, need >= %d", ErrSeriesTooShort, len(y), minLen)
+	if minLen := minLength(maxLag); len(y.series) < minLen {
+		return nil, fmt.Errorf("%w: have %d samples, need >= %d", ErrSeriesTooShort, len(y.series), minLen)
 	}
 
 	for lag := 1; lag <= maxLag; lag++ {
-		f, p, err := testAtLag(x, y, lag, max(ownLags, lag), s)
+		f, p, err := testAtLag(x.series, y, lag, max(ownLags, lag), s)
 		if err != nil {
 			// Degenerate designs at this lag (e.g. near-collinear
 			// histories) are skipped, not fatal: other lags may work.
@@ -101,6 +200,9 @@ func directed(x, y []float64, maxLag int, dx, dy bool, s *Scratch) (*TestResult,
 	res.Significant = res.PValue < Alpha
 	return res, nil
 }
+
+// errDegenerate marks a lag whose restricted design could not be fitted.
+var errDegenerate = errors.New("granger: degenerate restricted design")
 
 // lagDesign writes the intercept-plus-lags design directly into the flat
 // reusable matrix dst: column 0 is the constant 1, columns 1..ownLags are
@@ -123,41 +225,25 @@ func lagDesign(dst *mathx.Matrix, x, y []float64, crossLag, ownLags int) *mathx.
 }
 
 // testAtLag runs the nested F-test with crossLag lags of x added to
-// ownLags autoregressive lags of y (ownLags >= crossLag). The F-test
-// reads only the two fits' residual sums of squares, so both regressions
-// can share the scratch sequentially.
-func testAtLag(x, y []float64, crossLag, ownLags int, s *Scratch) (f, p float64, err error) {
-	resp := y[ownLags:]
-
-	_, rssR, err := stats.FitOLSWith(resp, lagDesign(&s.restricted, x, y, 0, ownLags), &s.stats)
+// ownLags autoregressive lags of y (ownLags >= crossLag). The restricted
+// fit's residual sum of squares comes from y's preparation; only the
+// unrestricted regression is fitted here.
+func testAtLag(x []float64, y *form, crossLag, ownLags int, s *Scratch) (f, p float64, err error) {
+	rssR := y.restricted[crossLag-1]
+	if !rssR.ok {
+		return 0, 0, errDegenerate
+	}
+	resp := y.series[ownLags:]
+	_, rssU, err := stats.FitOLSWith(resp, lagDesign(&s.unrestrict, x, y.series, crossLag, ownLags), &s.stats)
 	if err != nil {
 		return 0, 0, err
 	}
-	_, rssU, err := stats.FitOLSWith(resp, lagDesign(&s.unrestrict, x, y, crossLag, ownLags), &s.stats)
-	if err != nil {
-		return 0, 0, err
-	}
 
-	ft, err := stats.FTestNested(rssR, rssU, 1+ownLags, 1+ownLags+crossLag, len(resp))
+	ft, err := stats.FTestNested(rssR.rss, rssU, 1+ownLags, 1+ownLags+crossLag, len(resp))
 	if err != nil {
 		return 0, 0, err
 	}
 	return ft.F, ft.PValue, nil
-}
-
-// makeStationaryPair differences whichever series fails the ADF test and
-// trims the other so both stay aligned on the same time base (differencing
-// drops the first sample).
-func makeStationaryPair(x, y []float64, s *Scratch) (outX, outY []float64, dx, dy bool) {
-	outX, dx = stats.EnsureStationaryWith(x, adfLags, &s.stats)
-	outY, dy = stats.EnsureStationaryWith(y, adfLags, &s.stats)
-	switch {
-	case dx && !dy:
-		outY = y[1:]
-	case dy && !dx:
-		outX = x[1:]
-	}
-	return outX, outY, dx, dy
 }
 
 // Causality classifies the relationship between two metrics.
@@ -199,29 +285,47 @@ func Direction(x, y []float64, opts Options) (Causality, *TestResult, *TestResul
 	return DirectionWith(x, y, opts, &s)
 }
 
-// DirectionWith is Direction with caller-owned scratch shared by both
-// directed tests. Both series must have equal length. The pair is made
-// stationary once, and both directions are tested on that one pair;
-// constants and too-short series yield a non-significant result rather
-// than an error when they cannot carry causal signal. A steady-state
-// call performs O(1) small allocations per pair instead of O(lags·rows).
+// DirectionWith is Direction with caller-owned scratch: it prepares both
+// series, fitting only the form each takes beside the other, and runs
+// DirectionPrepared.
 func DirectionWith(x, y []float64, opts Options, s *Scratch) (Causality, *TestResult, *TestResult, error) {
 	if len(x) != len(y) {
-		return 0, nil, nil, fmt.Errorf("granger: length mismatch %d vs %d", len(x), len(y))
+		return 0, nil, nil, lengthMismatch(len(x), len(y))
 	}
-	maxLag := max(opts.MaxLag, 1)
+	px, py := check(x, opts, s), check(y, opts, s)
+	if !px.constant && !py.constant {
+		px.beside(py.diffed).fit(px.maxLag, s)
+		py.beside(px.diffed).fit(py.maxLag, s)
+	}
+	return DirectionPrepared(px, py, s)
+}
+
+// DirectionPrepared tests two prepared series of equal length, prepared
+// for the same MaxLag, in both directions on one stationary pair: a
+// series the pre-check differenced makes its partner drop its first
+// sample. Constants and too-short series yield a non-significant result
+// or an error rather than a spurious edge. Each direction fits only its
+// unrestricted regressions, into the caller-owned scratch.
+func DirectionPrepared(x, y *Prepared, s *Scratch) (Causality, *TestResult, *TestResult, error) {
+	if x.n != y.n {
+		return 0, nil, nil, lengthMismatch(x.n, y.n)
+	}
+	if x.maxLag != y.maxLag {
+		return 0, nil, nil, fmt.Errorf("granger: series prepared for MaxLag %d and %d", x.maxLag, y.maxLag)
+	}
+	maxLag := x.maxLag
 
 	// A constant series can neither cause nor be caused on this sample.
-	if timeseries.IsConstant(x) || timeseries.IsConstant(y) {
+	if x.constant || y.constant {
 		return None, &TestResult{PValue: 1, Lag: maxLag}, &TestResult{PValue: 1, Lag: maxLag}, nil
 	}
 
-	x, y, dx, dy := makeStationaryPair(x, y, s)
-	xy, err := directed(x, y, maxLag, dx, dy, s)
+	fx, fy := x.beside(y.diffed), y.beside(x.diffed)
+	xy, err := directed(fx, fy, maxLag, x.diffed, y.diffed, s)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("granger: x->y: %w", err)
 	}
-	yx, err := directed(y, x, maxLag, dy, dx, s)
+	yx, err := directed(fy, fx, maxLag, y.diffed, x.diffed, s)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("granger: y->x: %w", err)
 	}
@@ -235,6 +339,10 @@ func DirectionWith(x, y []float64, opts Options, s *Scratch) (Causality, *TestRe
 	default:
 		return None, xy, yx, nil
 	}
+}
+
+func lengthMismatch(nx, ny int) error {
+	return fmt.Errorf("granger: length mismatch %d vs %d", nx, ny)
 }
 
 // LagSamples converts a wall-clock delay bound into a lag order on a

@@ -23,9 +23,48 @@ import (
 // there).
 var referenceCorrelations int
 
+// referenceRealIFFT inverts a conjugate-symmetric spectrum of length m
+// (consumed) the way the pipeline did before the fused kernel: the
+// half-size re-pack with the inline twiddle recurrence, then IFFT at half
+// size, whose complex division by h is the normalization, de-interleaved.
+func referenceRealIFFT(spec []complex128) []float64 {
+	m := len(spec)
+	out := make([]float64, m)
+	if m == 1 {
+		out[0] = real(spec[0])
+		return out
+	}
+	h := m / 2
+	step := 2 * math.Pi / float64(m)
+	wStep := complex(math.Cos(step), math.Sin(step))
+	w := complex(1, 0)
+	for k := 0; k < h; k++ {
+		pk, ph := spec[k], spec[k+h]
+		ek := complex((real(pk)+real(ph))/2, (imag(pk)+imag(ph))/2)
+		ok := complex((real(pk)-real(ph))/2, (imag(pk)-imag(ph))/2) * w
+		spec[k] = complex(real(ek)-imag(ok), imag(ek)+real(ok))
+		w *= wStep
+	}
+	for j, v := range mathx.IFFT(spec[:h]) {
+		out[2*j], out[2*j+1] = real(v), imag(v)
+	}
+	return out
+}
+
+// correlation is correlate's packed result read out into one slice of
+// padded entries, circular index t at t.
+func (p *sbdProfile) correlation(q *sbdProfile, s *Scratch) []float64 {
+	z := p.correlate(q, s)
+	out := make([]float64, p.padded)
+	for t := range out {
+		out[t] = mathx.CorrelationAt(z, t)
+	}
+	return out
+}
+
 // referenceDistShift is distShift before the fused kernel: multiply the
-// spectra into a full-size buffer, invert with RealIFFT, divide every
-// coefficient by the norm product.
+// spectra into a full-size buffer, invert with a real inverse transform,
+// divide every coefficient by the norm product.
 func referenceDistShift(p, q *sbdProfile) (float64, int) {
 	if p.norm == 0 && q.norm == 0 {
 		return 0, 0
@@ -38,7 +77,7 @@ func referenceDistShift(p, q *sbdProfile) (float64, int) {
 	for i := range prod {
 		prod[i] = p.spectrum[i] * complex(real(q.spectrum[i]), -imag(q.spectrum[i]))
 	}
-	inv := mathx.RealIFFT(make([]float64, p.padded), prod)
+	inv := referenceRealIFFT(prod)
 	denom := p.norm * q.norm
 	best, bestShift := math.Inf(-1), 0
 	for sh := -(p.n - 1); sh <= p.n-1; sh++ {
@@ -60,7 +99,7 @@ func (p *sbdProfile) distShift(q *sbdProfile, s *Scratch) (float64, int) {
 	if d, ok := p.degenerate(q); ok {
 		return d, 0
 	}
-	inv := p.correlate(q, s)
+	inv := p.correlation(q, s)
 	denom := p.norm * q.norm
 	best, bestShift := math.Inf(-1), 0
 	for sh := -(p.n - 1); sh <= p.n-1; sh++ {
@@ -304,7 +343,7 @@ func kernelPairs(rng *rand.Rand, n int) [][2][]float64 {
 
 // TestKernelFusedSBDBitIdentical: the fused kernel behind sbd, and the
 // division it saves on all but the leading coefficients, against spectrum
-// product + RealIFFT + one division per shift.
+// product + real inverse transform + one division per shift.
 func TestKernelFusedSBDBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var s Scratch
@@ -410,7 +449,7 @@ func TestKernelFusedShiftMatchesDistShift(t *testing.T) {
 			if shift == 0 {
 				continue
 			}
-			inv := p.correlate(q, &s)
+			inv := p.correlation(q, &s)
 			d := max(shift, -shift)
 			lo, hi := inv[p.padded-d], inv[d] // shifts -d and +d
 			if lo != hi && ulpsApart(lo, hi) <= 3 {

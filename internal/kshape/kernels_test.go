@@ -1,8 +1,12 @@
 package kshape
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/sieve-microservices/sieve/internal/mathx"
+	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
 
 func randomSeries(rng *rand.Rand, n, sLen int) [][]float64 {
@@ -116,6 +120,73 @@ func TestScratchClusterMatchesFresh(t *testing.T) {
 			for j := range want.Centroids[c] {
 				if got.Centroids[c][j] != want.Centroids[c][j] {
 					t.Fatalf("run %d: centroid[%d][%d] = %v, fresh = %v", run, c, j, got.Centroids[c][j], want.Centroids[c][j])
+				}
+			}
+		}
+	}
+}
+
+// referenceExtractShape is extractShape with the operator applied one
+// member row at a time, as it was before the four-row blocks.
+func referenceExtractShape(aligned [][]float64) []float64 {
+	sLen := len(aligned[0])
+	centered := make([]float64, sLen)
+	tmp := make([]float64, len(aligned))
+	apply := func(dst, src []float64) {
+		m := timeseries.Mean(src)
+		for j, x := range src {
+			centered[j] = x - m
+		}
+		for i, row := range aligned {
+			var sum float64
+			for j, v := range row {
+				sum += v * centered[j]
+			}
+			tmp[i] = sum
+		}
+		for j := range dst {
+			dst[j] = 0
+		}
+		for i, row := range aligned {
+			w := tmp[i]
+			if w == 0 {
+				continue
+			}
+			for j, v := range row {
+				dst[j] += w * v
+			}
+		}
+		m = timeseries.Mean(dst)
+		for j := range dst {
+			dst[j] -= m
+		}
+	}
+	return timeseries.ZNormalize(mathx.DominantEigenWith(sLen, apply, 100, 1e-9, new(mathx.EigenScratch)))
+}
+
+// TestKernelShapeExtractionBitIdentical pins the four-row operator to the
+// row-at-a-time reference: member counts that leave every tail length,
+// and all-zero members (zero weight) placed inside a block, at its edges
+// and in the tail.
+func TestKernelShapeExtractionBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var s Scratch
+	for _, sLen := range []int{2, 17, 240} {
+		for rows := 1; rows <= 11; rows++ {
+			for _, zeroAt := range []int{-1, 0, 2, 3, rows - 1} {
+				aligned := randomSeries(rng, rows, sLen)
+				if zeroAt >= rows {
+					continue
+				}
+				if zeroAt >= 0 {
+					aligned[zeroAt] = make([]float64, sLen)
+				}
+				want := referenceExtractShape(aligned)
+				got := extractShape(aligned, &s)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("len %d, %d rows, zero row %d: entry %d = %v, reference %v", sLen, rows, zeroAt, j, got[j], want[j])
+					}
 				}
 			}
 		}

@@ -403,15 +403,34 @@ func extractShape(aligned [][]float64, s *Scratch) []float64 {
 	}
 	tmp := s.tmp[:len(aligned)]
 
-	// Implicit operator v -> Q AᵀA Q v, where Qv = v - mean(v).
+	// Implicit operator v -> Q AᵀA Q v, where Qv = v - mean(v). It goes
+	// over the member rows four at a time: four dot products with
+	// independent accumulators, then one pass adding the four weighted
+	// rows left to right. Each dot product and each dst[j] sees the
+	// row-at-a-time loop's operations in its order, so the bits are that
+	// loop's; a block holding a zero weight goes row by row, which skips
+	// the zero-weight row as that loop does.
+	rows := len(aligned)
 	apply := func(dst, src []float64) {
 		m := timeseries.Mean(src)
 		for j, x := range src {
 			centered[j] = x - m
 		}
-		for i, row := range aligned {
+		i := 0
+		for ; i+4 <= rows; i += 4 {
+			r0, r1, r2, r3 := aligned[i], aligned[i+1][:sLen], aligned[i+2][:sLen], aligned[i+3][:sLen]
+			var s0, s1, s2, s3 float64
+			for j, c := range centered {
+				s0 += r0[j] * c
+				s1 += r1[j] * c
+				s2 += r2[j] * c
+				s3 += r3[j] * c
+			}
+			tmp[i], tmp[i+1], tmp[i+2], tmp[i+3] = s0, s1, s2, s3
+		}
+		for ; i < rows; i++ {
 			var sum float64
-			for j, v := range row {
+			for j, v := range aligned[i] {
 				sum += v * centered[j]
 			}
 			tmp[i] = sum
@@ -419,22 +438,39 @@ func extractShape(aligned [][]float64, s *Scratch) []float64 {
 		for j := range dst {
 			dst[j] = 0
 		}
-		for i, row := range aligned {
-			w := tmp[i]
-			if w == 0 {
+		i = 0
+		for ; i+4 <= rows; i += 4 {
+			w0, w1, w2, w3 := tmp[i], tmp[i+1], tmp[i+2], tmp[i+3]
+			if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 {
+				for r := i; r < i+4; r++ {
+					addRow(dst, aligned[r], tmp[r])
+				}
 				continue
 			}
-			for j, v := range row {
-				dst[j] += w * v
+			r0, r1, r2, r3 := aligned[i][:len(dst)], aligned[i+1][:len(dst)], aligned[i+2][:len(dst)], aligned[i+3][:len(dst)]
+			for j := range dst {
+				dst[j] = dst[j] + w0*r0[j] + w1*r1[j] + w2*r2[j] + w3*r3[j]
 			}
+		}
+		for ; i < rows; i++ {
+			addRow(dst, aligned[i], tmp[i])
 		}
 		m = timeseries.Mean(dst)
 		for j := range dst {
 			dst[j] -= m
 		}
 	}
-	vec, _ := mathx.DominantEigenWith(sLen, apply, 100, 1e-9, &s.eigen)
-	return timeseries.ZNormalize(vec)
+	return timeseries.ZNormalize(mathx.DominantEigenWith(sLen, apply, 100, 1e-9, &s.eigen))
+}
+
+// addRow adds w·row to dst, skipping a zero weight.
+func addRow(dst, row []float64, w float64) {
+	if w == 0 {
+		return
+	}
+	for j, v := range row {
+		dst[j] += w * v
+	}
 }
 
 func countOf(assign []int, c int) int {

@@ -21,10 +21,15 @@ func NCC(x, y []float64) []float64 {
 	m := mathx.NextPow2(2*n - 1)
 	fx := mathx.RealFFT(make([]complex128, m), x, m)
 	fy := mathx.RealFFT(make([]complex128, m), y, m)
-	inv := mathx.CorrelateSpectra(make([]float64, m), fx, fy, make([]complex128, m/2))
+	z := mathx.CorrelateSpectra(fx, fy, make([]complex128, max(m/2, 1)))
 	cc := make([]float64, 2*n-1)
-	copy(cc[n-1:], inv[:n])
-	copy(cc[:n-1], inv[m-(n-1):])
+	for k := range cc {
+		t := k - (n - 1)
+		if t < 0 {
+			t += m
+		}
+		cc[k] = mathx.CorrelationAt(z, t)
+	}
 	nx := l2(x)
 	ny := l2(y)
 	denom := nx * ny
@@ -89,10 +94,10 @@ func alignInto(dst, y []float64, shift int) []float64 {
 	return dst
 }
 
-// Scratch pools one goroutine's SBD and clustering state: the re-packed
-// spectrum and inverse-transform slices behind every cached-spectrum
-// distance, the centroid-extraction workspace, and the centroid memo of
-// the sweep the goroutine is working on. The buffers' contents never
+// Scratch pools one goroutine's SBD and clustering state: the packed
+// correlation behind every cached-spectrum distance, the
+// centroid-extraction workspace, and the centroid memo of the sweep the
+// goroutine is working on. The buffers' contents never
 // reach a result; the memo holds results, but only of the prepared set it
 // was made for — a run over another set starts a new one, so a Scratch
 // may be reused across sets, and the memo is freed with the Scratch (the
@@ -102,7 +107,6 @@ func alignInto(dst, y []float64, shift int) []float64 {
 // by parallel.ForEachWorker's worker id.
 type Scratch struct {
 	work []complex128
-	inv  []float64
 
 	// Centroid-extraction workspace (shape extraction + power iteration).
 	eigen       mathx.EigenScratch
@@ -134,13 +138,6 @@ func (s *Scratch) workBuf(h int) []complex128 {
 		s.work = make([]complex128, h)
 	}
 	return s.work[:h]
-}
-
-func (s *Scratch) invBuf(m int) []float64 {
-	if cap(s.inv) < m {
-		s.inv = make([]float64, m)
-	}
-	return s.inv[:m]
 }
 
 // aligned returns a rows-by-cols matrix of reused row slices backed by one
@@ -226,14 +223,15 @@ func (p *sbdProfile) lowerBound(q *sbdProfile) float64 {
 }
 
 // correlate returns the circular cross-correlation of the two profiled
-// series (lengths must match, norms non-zero) in the scratch's inverse
-// buffer: shift w >= 0 at index w, shift w < 0 at index padded+w.
-func (p *sbdProfile) correlate(q *sbdProfile, s *Scratch) []float64 {
+// series (lengths must match, norms non-zero), packed as
+// mathx.CorrelateSpectra leaves it in the scratch: shift w >= 0 at
+// circular index w, shift w < 0 at index padded+w.
+func (p *sbdProfile) correlate(q *sbdProfile, s *Scratch) []complex128 {
 	if p.n != q.n {
 		panic("kshape: profiled series length mismatch")
 	}
 	s.correlations++
-	return mathx.CorrelateSpectra(s.invBuf(p.padded), p.spectrum, q.spectrum, s.workBuf(p.padded/2))
+	return mathx.CorrelateSpectra(p.spectrum, q.spectrum, s.workBuf(max(p.padded/2, 1)))
 }
 
 // degenerate handles SBD's zero-norm conventions.
@@ -251,9 +249,10 @@ func (p *sbdProfile) degenerate(q *sbdProfile) (dist float64, ok bool) {
 // SBD(p, q) bit for bit: delaying q by the shift (alignInto) lines q up
 // with p. SBD divides every coefficient by the norm product and keeps the
 // first shift, from -(n-1) up, whose quotient is strictly the largest.
-// Division by a positive constant is monotone under correct rounding, so
-// a coefficient no greater than the largest seen so far cannot have a
-// strictly greater quotient: only a new largest coefficient is divided —
+// Scaling by the packed result's power-of-two 1/h and dividing by a
+// positive constant are both monotone under correct rounding, so a raw
+// value no greater than the largest seen so far cannot have a strictly
+// greater quotient: only a new largest raw value is scaled and divided —
 // a handful per pair instead of 2n-1 — and the quotient comparison it
 // then goes through is SBD's own, so two coefficients a few ulps apart
 // that round to one quotient still resolve to the earlier shift. With a
@@ -262,45 +261,96 @@ func (p *sbdProfile) sbd(q *sbdProfile, s *Scratch) (float64, int) {
 	if d, ok := p.degenerate(q); ok {
 		return d, 0
 	}
-	inv := p.correlate(q, s)
-	denom := p.norm * q.norm
-	largest, best, bestShift := math.Inf(-1), math.Inf(-1), 0
-	shift := -(p.n - 1)
-	for _, half := range [2][]float64{inv[p.padded-(p.n-1):], inv[:p.n]} {
-		for _, v := range half {
-			if v > largest {
-				largest = v
-				if quo := v / denom; quo > best {
-					best, bestShift = quo, shift
-				}
-			}
-			shift++
-		}
+	sc := newPeakScan(p.correlate(q, s), p.norm*q.norm, true)
+	sc.span(p.padded-(p.n-1), p.padded)
+	sc.span(0, p.n)
+	shift := sc.bestAt
+	if shift >= p.n {
+		shift -= p.padded
 	}
-	return 1 - best, bestShift
+	return 1 - sc.best, shift
 }
 
 // dist is sbd's distance, bit for bit, for callers with no use for the
 // shift (the pairwise matrix): the largest quotient is the quotient of
-// the largest coefficient, so the scan is a plain maximum and divides
+// the largest raw value, so the scan is a plain maximum and divides
 // once.
 func (p *sbdProfile) dist(q *sbdProfile, s *Scratch) float64 {
 	if d, ok := p.degenerate(q); ok {
 		return d
 	}
-	inv := p.correlate(q, s)
-	best := math.Inf(-1)
-	for _, v := range inv[:p.n] {
-		if v > best {
-			best = v
+	sc := newPeakScan(p.correlate(q, s), p.norm*q.norm, false)
+	sc.span(0, p.n)
+	sc.span(p.padded-(p.n-1), p.padded)
+	return 1 - sc.peak()
+}
+
+// peakScan finds the largest entry of a packed correlation z over runs of
+// circular indices, comparing the raw real and imaginary parts of z and
+// calling mathx.CorrelationAt only at a new largest raw value. With
+// shifts it keeps, like SBD, the first index whose quotient by denom is
+// strictly the largest; without, it keeps the first index of the largest
+// raw value, whose quotient peak returns.
+type peakScan struct {
+	z      []complex128
+	denom  float64
+	shifts bool
+
+	largest float64 // largest raw value so far
+	at      int     // without shifts: index of its first occurrence, -1 before any
+	best    float64 // with shifts: largest quotient so far
+	bestAt  int     // with shifts: index of its first occurrence
+}
+
+func newPeakScan(z []complex128, denom float64, shifts bool) peakScan {
+	return peakScan{z: z, denom: denom, shifts: shifts, largest: math.Inf(-1), at: -1, best: math.Inf(-1)}
+}
+
+// span scans circular indices from..to-1 in order. Index t is the real
+// part of z[t/2] when t is even and the imaginary part when it is odd.
+func (sc *peakScan) span(from, to int) {
+	z, largest := sc.z, sc.largest
+	t := from
+	if t&1 == 1 && t < to {
+		if v := imag(z[t>>1]); v > largest {
+			largest = sc.record(v, t)
+		}
+		t++
+	}
+	for _, v := range z[t>>1 : to>>1] {
+		if real(v) > largest {
+			largest = sc.record(real(v), t)
+		}
+		if imag(v) > largest {
+			largest = sc.record(imag(v), t+1)
+		}
+		t += 2
+	}
+	if t < to {
+		if v := real(z[t>>1]); v > largest {
+			largest = sc.record(v, t)
 		}
 	}
-	for _, v := range inv[p.padded-(p.n-1):] {
-		if v > best {
-			best = v
-		}
+	sc.largest = largest
+}
+
+// record notes raw, a new largest raw value at index t, and returns it.
+func (sc *peakScan) record(raw float64, t int) float64 {
+	if !sc.shifts {
+		sc.at = t
+	} else if quo := mathx.CorrelationAt(sc.z, t) / sc.denom; quo > sc.best {
+		sc.best, sc.bestAt = quo, t
 	}
-	return 1 - best/(p.norm*q.norm)
+	return raw
+}
+
+// peak returns the quotient of the largest raw value (a scan without
+// shifts).
+func (sc *peakScan) peak() float64 {
+	if sc.at < 0 {
+		return sc.largest / sc.denom
+	}
+	return mathx.CorrelationAt(sc.z, sc.at) / sc.denom
 }
 
 // PairwiseSBD computes the full symmetric SBD distance matrix for a set of

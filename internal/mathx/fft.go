@@ -22,20 +22,20 @@ func IsPow2(n int) bool {
 }
 
 // fftPlan is everything a transform of one size reads besides its input:
-// the bit-reversal permutation as a list of swaps, and one twiddle table
-// per butterfly stage and direction. Entry k of a stage table holds the
-// k-th factor produced by the multiplicative recurrence
-// w *= exp(sign*2*pi*i/size) starting from 1. The recurrence — including
-// its accumulated rounding — is exactly what the pre-table transform
-// computed inline per butterfly column, so table-driven output is
-// bit-identical to the historical inline form.
+// the bit-reversal permutation, and one twiddle table per butterfly stage
+// and direction. Entry k of a stage table holds the k-th factor produced
+// by the multiplicative recurrence w *= exp(sign*2*pi*i/size) starting
+// from 1. The recurrence — including its accumulated rounding — is
+// exactly what the pre-table transform computed inline per butterfly
+// column, so table-driven output is bit-identical to the historical
+// inline form.
 //
 // A plan is immutable once published. The plan of size n shares the stage
 // tables of size n/2's plan and adds its own top stage, so one table
 // exists per stage size and direction and the whole cache is bounded by
 // the largest transform the process has seen.
 type fftPlan struct {
-	swaps    [][2]int32
+	rev      []int32        // rev[i] is i with its log2(size) bits reversed
 	fwd, inv [][]complex128 // stage s (butterfly size 2<<s) at index s
 }
 
@@ -44,26 +44,26 @@ type fftPlan struct {
 // identical tables and the first to publish wins.
 var fftPlans [bits.UintSize]atomic.Pointer[fftPlan]
 
-// planFor returns the plan for transforms of size n (a power of two >= 2).
+// planFor returns the plan for transforms of size n (a power of two >= 1).
 func planFor(n int) *fftPlan {
 	lg := bits.TrailingZeros(uint(n))
 	if p := fftPlans[lg].Load(); p != nil {
 		return p
 	}
 
-	p := &fftPlan{}
+	p := &fftPlan{rev: make([]int32, n)}
 	if n > 2 {
 		sub := planFor(n / 2)
 		p.fwd = append(p.fwd, sub.fwd...)
 		p.inv = append(p.inv, sub.inv...)
 	}
-	p.fwd = append(p.fwd, stageTable(n, -1))
-	p.inv = append(p.inv, stageTable(n, 1))
+	if n > 1 {
+		p.fwd = append(p.fwd, stageTable(n, -1))
+		p.inv = append(p.inv, stageTable(n, 1))
+	}
 	shift := bits.UintSize - uint(lg)
-	for i := 0; i < n; i++ {
-		if j := int(bits.Reverse(uint(i)) >> shift); j > i {
-			p.swaps = append(p.swaps, [2]int32{int32(i), int32(j)})
-		}
+	for i := 1; i < n; i++ {
+		p.rev[i] = int32(bits.Reverse(uint(i)) >> shift)
 	}
 	fftPlans[lg].CompareAndSwap(nil, p)
 	return fftPlans[lg].Load()
@@ -125,20 +125,47 @@ func fft(x []complex128, inverse bool) []complex128 {
 	}
 
 	p := planFor(n)
-	for _, sw := range p.swaps {
-		x[sw[0]], x[sw[1]] = x[sw[1]], x[sw[0]]
+	for i, j := range p.rev {
+		if int(j) > i {
+			x[i], x[j] = x[j], x[i]
+		}
 	}
 	stages := p.fwd
 	if inverse {
 		stages = p.inv
 	}
-	// Two stages per pass: a block of 4q values goes through its two
-	// stage-q butterflies and then its two stage-2q butterflies while the
-	// four operands are in registers. Every butterfly is the one the
-	// stage-at-a-time loop performs, on the same operands, so the output
-	// is bit-identical; only the loads and stores between the paired
-	// stages are gone.
+	butterflies(x, stages)
+	return x
+}
+
+// butterflies runs every butterfly stage over x, which must already be in
+// bit-reversed order. The correlation's re-pack writes each bin straight
+// to its bit-reversed slot and so skips fft's permutation pass.
+//
+// Two stages go per pass: a block of 4q values goes through its two
+// stage-q butterflies and then its two stage-2q butterflies while the
+// four operands are in registers. Every butterfly is the one the
+// stage-at-a-time loop performs, on the same operands, so the output is
+// bit-identical; only the loads and stores between the paired stages are
+// gone. The first pass (q = 1) is one flat loop over blocks of four.
+func butterflies(x []complex128, stages [][]complex128) {
+	n := len(x)
 	st := 0
+	if len(stages) >= 2 {
+		w, w2lo, w2hi := stages[0][0], stages[1][0], stages[1][1]
+		for start := 0; start < n; start += 4 {
+			blk := x[start:][:4:4]
+			a, c := blk[0], blk[2]
+			b, d := blk[1]*w, blk[3]*w
+			a, b = a+b, a-b
+			c, d = c+d, c-d
+			c *= w2lo
+			d *= w2hi
+			blk[0], blk[2] = a+c, a-c
+			blk[1], blk[3] = b+d, b-d
+		}
+		st = 2
+	}
 	for ; st+1 < len(stages); st += 2 {
 		t1, t2 := stages[st], stages[st+1]
 		q := len(t1)
@@ -172,7 +199,6 @@ func fft(x []complex128, inverse bool) []complex128 {
 			}
 		}
 	}
-	return x
 }
 
 // RealFFT computes the unnormalized forward DFT of the real series x,
@@ -243,61 +269,60 @@ func RealFFT(dst []complex128, x []float64, m int) []complex128 {
 	return dst
 }
 
-// RealIFFT inverts a conjugate-symmetric spectrum — e.g. any product of
-// RealFFT spectra (with or without conjugation of one operand, both real
-// inputs) — into its real time-domain signal, normalizing by 1/m like
-// IFFT. spec (length m, a power of two) is consumed as scratch; dst must
-// have capacity for m values. It runs one half-size complex inverse
-// transform instead of a full-size one. Nothing in the pipeline calls it:
-// it is the second half of the product-then-inverse sequence the tests
-// hold CorrelateSpectra and the k-Shape distance kernel to.
-func RealIFFT(dst []float64, spec []complex128) []float64 {
-	m := len(spec)
-	if !IsPow2(m) {
-		panic(fmt.Sprintf("mathx: RealIFFT length %d is not a power of two", m))
-	}
-	dst = dst[:m]
-	if m == 1 {
-		dst[0] = real(spec[0])
-		return dst
-	}
-	// Each slot k is read before it is written, so the re-pack is
-	// in-place.
-	h := m / 2
-	lo, hi := spec[:h], spec[h:]
-	for k, w := range stageTwiddles(m, true) {
-		lo[k] = repack(lo[k], hi[k], w)
-	}
-	return inverseHalf(dst, lo)
-}
-
-// CorrelateSpectra writes into dst[:m] the circular cross-correlation of
-// two real signals given their RealFFT spectra a and b (both of length
-// m, a power of two): the inverse transform of a[k]·conj(b[k]), entry j
-// holding sum_t x_a[t+j]·x_b[t] with indices mod m (negative shifts wrap
-// to the tail of dst). work needs capacity for m/2 values; a and b are
-// only read. It is the spectrum product, the half-size re-pack, the
-// inverse transform and the unpack in one routine that forms each product
-// bin where the re-pack consumes it — the same floating-point operations
-// in the same order as multiplying into a buffer and calling RealIFFT,
-// minus one pass over the spectrum.
-func CorrelateSpectra(dst []float64, a, b, work []complex128) []float64 {
+// CorrelateSpectra returns the circular cross-correlation of two real
+// signals given their RealFFT spectra a and b (both of length m, a power
+// of two) — the inverse transform of a[k]·conj(b[k]), entry t holding
+// sum_i x_a[i+t]·x_b[i] with indices mod m — in the packed form the
+// half-size inverse transform leaves it: z has h = max(m/2, 1) entries,
+// the real part of z[j] is h times entry 2j and the imaginary part h
+// times entry 2j+1. CorrelationAt reads one entry out. z lives in work,
+// which needs capacity for h values; a and b are only read.
+//
+// It forms each product bin where the half-size re-pack consumes it,
+// writes the re-packed bin straight to its bit-reversed slot and runs
+// the inverse butterflies: the floating-point operations of multiplying
+// the spectra into a buffer and inverting it with a half-size real
+// transform, in the same order, minus the buffer, the permutation and
+// the output pass. A scan for the largest entry compares the raw parts:
+// 1/h is a power of two, so scaling preserves their order, and only the
+// entries it keeps need CorrelationAt.
+func CorrelateSpectra(a, b, work []complex128) []complex128 {
 	m := len(a)
 	if !IsPow2(m) || len(b) != m {
 		panic(fmt.Sprintf("mathx: CorrelateSpectra needs equal power-of-two lengths, got %d and %d", m, len(b)))
 	}
-	dst = dst[:m]
 	if m == 1 {
-		dst[0] = real(a[0] * conj(b[0]))
-		return dst
+		z := work[:1]
+		z[0] = a[0] * conj(b[0])
+		return z
 	}
 	h := m / 2
-	alo, ahi, blo, bhi := a[:h], a[h:], b[:h], b[h:]
+	// Every slice is cut to length h so the loop indexes them unchecked.
+	alo, ahi, blo, bhi := a[:h:h], a[h:][:h:h], b[:h:h], b[h:][:h:h]
 	z := work[:h]
-	for k, w := range stageTwiddles(m, true) {
-		z[k] = repack(alo[k]*conj(blo[k]), ahi[k]*conj(bhi[k]), w)
+	p := planFor(h)
+	rev := p.rev[:h]
+	for k, w := range stageTwiddles(m, true)[:h] {
+		z[rev[k]] = repack(alo[k]*conj(blo[k]), ahi[k]*conj(bhi[k]), w)
 	}
-	return inverseHalf(dst, z)
+	butterflies(z, p.inv)
+	return z
+}
+
+// CorrelationAt returns entry t of the correlation CorrelateSpectra
+// returned packed in z. The /2 folded into the re-pack and the 1/h here
+// total the 1/m normalization of a full-size inverse transform; h is a
+// power of two, so multiplying by 1/h rounds exactly like dividing by h.
+// The v*0 terms are what complex division by h+0i adds to each part:
+// they keep the sign of a zero result, and a non-finite part's spread
+// into the other, identical to z[t/2]/h.
+func CorrelationAt(z []complex128, t int) float64 {
+	v := z[t>>1]
+	rh := 1 / float64(len(z))
+	if t&1 == 0 {
+		return (real(v) + imag(v)*0) * rh
+	}
+	return (imag(v) - real(v)*0) * rh
 }
 
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
@@ -315,25 +340,4 @@ func repack(pk, ph, w complex128) complex128 {
 	ek := complex((real(pk)+real(ph))/2, (imag(pk)+imag(ph))/2)
 	ok := complex((real(pk)-real(ph))/2, (imag(pk)-imag(ph))/2) * w
 	return complex(real(ek)-imag(ok), imag(ek)+real(ok))
-}
-
-// inverseHalf is the one inverse path behind RealIFFT and
-// CorrelateSpectra: a half-size inverse transform of the re-packed
-// spectrum z (consumed), whose real and imaginary parts are the even and
-// odd output samples. The /2 folded into repack plus the /h here totals
-// the 1/m normalization of a full-size IFFT.
-func inverseHalf(dst []float64, z []complex128) []float64 {
-	h := len(z)
-	fft(z, true)
-	// h is a power of two, so multiplying by 1/h rounds exactly like
-	// dividing by h. The v*0 terms are what complex division by h+0i
-	// adds to each part; they keep the sign of a zero result, and a
-	// non-finite part's spread into the other, identical to z[j]/h.
-	rh := 1 / float64(h)
-	dst = dst[:2*h]
-	for j, v := range z {
-		dst[2*j] = (real(v) + imag(v)*0) * rh
-		dst[2*j+1] = (imag(v) - real(v)*0) * rh
-	}
-	return dst
 }

@@ -179,7 +179,7 @@ func crossCorrelate(a, b []float64) []float64 {
 	m := NextPow2(2*n - 1)
 	fa := RealFFT(make([]complex128, m), a, m)
 	fb := RealFFT(make([]complex128, m), b, m)
-	inv := CorrelateSpectra(make([]float64, m), fa, fb, make([]complex128, m/2))
+	inv := correlateSpectra(fa, fb)
 	out := make([]float64, 2*n-1)
 	copy(out[n-1:], inv[:n])
 	copy(out[:n-1], inv[m-(n-1):])
@@ -252,7 +252,7 @@ func TestCrossCorrelatePanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic for spectra of different lengths")
 		}
 	}()
-	CorrelateSpectra(make([]float64, 4), make([]complex128, 4), make([]complex128, 2), make([]complex128, 2))
+	CorrelateSpectra(make([]complex128, 4), make([]complex128, 2), make([]complex128, 2))
 }
 
 func BenchmarkFFT1024(b *testing.B) {

@@ -98,7 +98,7 @@ func TestRealSpectrumMatchesComplexFFT(t *testing.T) {
 	}
 }
 
-// TestRealSpectrumRoundTrip checks RealIFFT(RealFFT(x)) == x up to
+// TestRealSpectrumRoundTrip checks realIFFT(RealFFT(x)) == x up to
 // rounding, the pairing every correlation in the repo relies on.
 func TestRealSpectrumRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -108,7 +108,7 @@ func TestRealSpectrumRoundTrip(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		spec := RealFFT(make([]complex128, m), x, m)
-		back := RealIFFT(make([]float64, m), spec)
+		back := realIFFT(make([]float64, m), spec)
 		for i := range x {
 			if math.Abs(back[i]-x[i]) > 1e-9*(1+math.Abs(x[i])) {
 				t.Fatalf("m=%d: sample %d round-tripped to %v, want %v", m, i, back[i], x[i])
@@ -131,15 +131,51 @@ func TestKernelCrossCorrelateScratchAllocs(t *testing.T) {
 	}
 	m := NextPow2(2*n - 1)
 	fa, fb, work := make([]complex128, m), make([]complex128, m), make([]complex128, m/2)
-	dst := make([]float64, m)
 	correlate := func() {
-		CorrelateSpectra(dst, RealFFT(fa, a, m), RealFFT(fb, b, m), work)
+		CorrelateSpectra(RealFFT(fa, a, m), RealFFT(fb, b, m), work)
 	}
 	correlate() // warm the twiddle cache
 
 	if allocs := testing.AllocsPerRun(50, correlate); allocs != 0 {
 		t.Fatalf("warm RealFFT + CorrelateSpectra allocates %v times per correlation, want 0", allocs)
 	}
+}
+
+// realIFFT inverts a conjugate-symmetric spectrum — e.g. any product of
+// RealFFT spectra, with or without conjugation of one operand — into its
+// real time-domain signal, normalizing by 1/m like IFFT: the half-size
+// re-pack, the inverse transform and unpackCorrelation. spec (length m, a
+// power of two) is consumed as scratch. Nothing in the pipeline inverts a
+// whole spectrum; it is the product-then-inverse sequence CorrelateSpectra
+// replaced, with the twiddle tables and the permuting transform.
+func realIFFT(dst []float64, spec []complex128) []float64 {
+	m := len(spec)
+	if m == 1 {
+		dst[0] = real(spec[0])
+		return dst[:1]
+	}
+	h := m / 2
+	lo, hi := spec[:h], spec[h:]
+	for k, w := range stageTwiddles(m, true) {
+		lo[k] = repack(lo[k], hi[k], w)
+	}
+	return unpackCorrelation(dst[:m], fft(lo, true))
+}
+
+// unpackCorrelation writes every entry of the packed correlation z into
+// dst, whose length is the transform size m: the output pass
+// CorrelateSpectra no longer makes.
+func unpackCorrelation(dst []float64, z []complex128) []float64 {
+	for t := range dst {
+		dst[t] = CorrelationAt(z, t)
+	}
+	return dst
+}
+
+// correlateSpectra is CorrelateSpectra unpacked into a fresh length-m
+// slice.
+func correlateSpectra(a, b []complex128) []float64 {
+	return unpackCorrelation(make([]float64, len(a)), CorrelateSpectra(a, b, make([]complex128, max(len(a)/2, 1))))
 }
 
 // referenceRealIFFT is the inverse real transform as it stood before the
@@ -203,8 +239,8 @@ func kernelInputs(rng *rand.Rand, n int) map[string][]float64 {
 	}
 }
 
-// TestKernelCorrelateSpectraBitIdentical pins the fused correlation —
-// and RealIFFT, which shares its inverse core — to the sequence they
+// TestKernelCorrelateSpectraBitIdentical pins the fused correlation, read
+// out through CorrelationAt, and the test's realIFFT to the sequence they
 // replaced: multiply the spectra into a buffer, then the reference
 // inverse real transform. Every output bit must match, the sign of a
 // zero included, from the shortest series to the pipeline's window.
@@ -223,11 +259,11 @@ func TestKernelCorrelateSpectraBitIdentical(t *testing.T) {
 				}
 				want := referenceRealIFFT(make([]float64, m), append([]complex128(nil), prod...))
 
-				got := CorrelateSpectra(make([]float64, m), fa, fb, make([]complex128, m/2))
+				got := correlateSpectra(fa, fb)
 				requireSameBits(t, fmt.Sprintf("CorrelateSpectra n=%d %s x %s", n, an, bn), got, want)
 
-				inv := RealIFFT(make([]float64, m), prod)
-				requireSameBits(t, fmt.Sprintf("RealIFFT n=%d %s x %s", n, an, bn), inv, want)
+				inv := realIFFT(make([]float64, m), prod)
+				requireSameBits(t, fmt.Sprintf("realIFFT n=%d %s x %s", n, an, bn), inv, want)
 			}
 		}
 	}
@@ -252,10 +288,10 @@ func TestKernelCorrelateSpectraBitIdentical(t *testing.T) {
 				prod[i] = fa[i] * complex(real(fb[i]), -imag(fb[i]))
 			}
 			want := referenceRealIFFT(make([]float64, m), append([]complex128(nil), prod...))
-			got := CorrelateSpectra(make([]float64, m), fa, fb, make([]complex128, m/2))
+			got := correlateSpectra(fa, fb)
 			requireSameBits(t, fmt.Sprintf("CorrelateSpectra m=%d signed-zero trial %d", m, trial), got, want)
-			inv := RealIFFT(make([]float64, m), prod)
-			requireSameBits(t, fmt.Sprintf("RealIFFT m=%d signed-zero trial %d", m, trial), inv, want)
+			inv := realIFFT(make([]float64, m), prod)
+			requireSameBits(t, fmt.Sprintf("realIFFT m=%d signed-zero trial %d", m, trial), inv, want)
 		}
 	}
 }

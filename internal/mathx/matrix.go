@@ -219,22 +219,23 @@ func (s *EigenScratch) buffers(n int) (v, w, prev []float64) {
 	return s.v[:n], s.w[:n], s.prev[:n]
 }
 
-// DominantEigenWith computes the dominant eigenvector (and
-// Rayleigh-quotient eigenvalue) of an implicit symmetric linear operator
-// on R^n, given as apply(dst, src) writing op*src into dst. This avoids
-// materializing the n-by-n matrix when the operator has cheap structure
-// (k-Shape's centroid extraction applies Q·AᵀA·Q through the member
-// matrix A directly). Iteration starts from a fixed, mildly sloped vector
+// DominantEigenWith computes the unit-norm dominant eigenvector of an
+// implicit symmetric linear operator on R^n, given as apply(dst, src)
+// writing op*src into dst. This avoids materializing the n-by-n matrix
+// when the operator has cheap structure (k-Shape's centroid extraction
+// applies Q·AᵀA·Q through the member matrix A directly). Iteration starts from a fixed, mildly sloped vector
 // (so it is deterministic and unlikely to be orthogonal to the dominant
 // eigenvector) and stops after maxIter steps or when successive
 // normalized iterates agree within tol, up to sign. The iteration vectors
 // are the caller's, so repeated extractions allocate nothing: the
 // returned vector aliases the scratch and is only valid until the next
 // call with the same scratch; callers that keep it must copy (k-Shape
-// z-normalizes it into a fresh slice anyway).
-func DominantEigenWith(n int, apply func(dst, src []float64), maxIter int, tol float64, s *EigenScratch) (vec []float64, eigenvalue float64) {
+// z-normalizes it into a fresh slice anyway). The eigenvalue, should a
+// caller want it, is the Rayleigh quotient vᵀ·op(v): one more apply,
+// which k-Shape has no use for.
+func DominantEigenWith(n int, apply func(dst, src []float64), maxIter int, tol float64, s *EigenScratch) []float64 {
 	if n == 0 {
-		return nil, 0
+		return nil
 	}
 	v, w, prev := s.buffers(n)
 	for i := range v {
@@ -257,12 +258,7 @@ func DominantEigenWith(n int, apply func(dst, src []float64), maxIter int, tol f
 			break
 		}
 	}
-	apply(w, v)
-	var lambda float64
-	for i := range v {
-		lambda += v[i] * w[i]
-	}
-	return v, lambda
+	return v
 }
 
 func normalize(v []float64) float64 {

@@ -191,10 +191,17 @@ func TestSolveLeastSquaresShapeErrors(t *testing.T) {
 	}
 }
 
-// dominantEigenOf runs the eigensolver on an explicit symmetric matrix.
+// dominantEigenOf runs the eigensolver on an explicit symmetric matrix
+// and returns the vector with its Rayleigh quotient vᵀSv (v has unit
+// norm).
 func dominantEigenOf(s *Matrix, maxIter int, tol float64) ([]float64, float64) {
 	apply := func(dst, src []float64) { s.MulVecInto(dst, src) }
-	return DominantEigenWith(s.Rows(), apply, maxIter, tol, new(EigenScratch))
+	v := DominantEigenWith(s.Rows(), apply, maxIter, tol, new(EigenScratch))
+	var lambda float64
+	for i, sv := range s.MulVecInto(make([]float64, s.Rows()), v) {
+		lambda += v[i] * sv
+	}
+	return v, lambda
 }
 
 func TestPowerIterationDiagonal(t *testing.T) {
