@@ -187,7 +187,11 @@ func directed(x, y *form, maxLag int, dx, dy bool, s *Scratch) (*TestResult, err
 	}
 
 	for lag := 1; lag <= maxLag; lag++ {
-		f, p, err := testAtLag(x.series, y, lag, max(ownLags, lag), s)
+		restricted := y.restricted[lag-1]
+		if !restricted.ok {
+			continue
+		}
+		f, p, err := testAtLag(x.series, y.series, restricted.rss, lag, max(ownLags, lag), s)
 		if err != nil {
 			// Degenerate designs at this lag (e.g. near-collinear
 			// histories) are skipped, not fatal: other lags may work.
@@ -200,9 +204,6 @@ func directed(x, y *form, maxLag int, dx, dy bool, s *Scratch) (*TestResult, err
 	res.Significant = res.PValue < Alpha
 	return res, nil
 }
-
-// errDegenerate marks a lag whose restricted design could not be fitted.
-var errDegenerate = errors.New("granger: degenerate restricted design")
 
 // lagDesign writes the intercept-plus-lags design directly into the flat
 // reusable matrix dst: column 0 is the constant 1, columns 1..ownLags are
@@ -225,21 +226,17 @@ func lagDesign(dst *mathx.Matrix, x, y []float64, crossLag, ownLags int) *mathx.
 }
 
 // testAtLag runs the nested F-test with crossLag lags of x added to
-// ownLags autoregressive lags of y (ownLags >= crossLag). The restricted
-// fit's residual sum of squares comes from y's preparation; only the
-// unrestricted regression is fitted here.
-func testAtLag(x []float64, y *form, crossLag, ownLags int, s *Scratch) (f, p float64, err error) {
-	rssR := y.restricted[crossLag-1]
-	if !rssR.ok {
-		return 0, 0, errDegenerate
-	}
-	resp := y.series[ownLags:]
-	_, rssU, err := stats.FitOLSWith(resp, lagDesign(&s.unrestrict, x, y.series, crossLag, ownLags), &s.stats)
+// ownLags autoregressive lags of y (ownLags >= crossLag), given the
+// restricted fit's residual sum of squares rssR from y's preparation:
+// only the unrestricted regression is fitted here.
+func testAtLag(x, y []float64, rssR float64, crossLag, ownLags int, s *Scratch) (f, p float64, err error) {
+	resp := y[ownLags:]
+	_, rssU, err := stats.FitOLSWith(resp, lagDesign(&s.unrestrict, x, y, crossLag, ownLags), &s.stats)
 	if err != nil {
 		return 0, 0, err
 	}
 
-	ft, err := stats.FTestNested(rssR.rss, rssU, 1+ownLags, 1+ownLags+crossLag, len(resp))
+	ft, err := stats.FTestNested(rssR, rssU, 1+ownLags, 1+ownLags+crossLag, len(resp))
 	if err != nil {
 		return 0, 0, err
 	}
