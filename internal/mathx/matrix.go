@@ -223,16 +223,16 @@ func (s *EigenScratch) buffers(n int) (v, w, prev []float64) {
 // implicit symmetric linear operator on R^n, given as apply(dst, src)
 // writing op*src into dst. This avoids materializing the n-by-n matrix
 // when the operator has cheap structure (k-Shape's centroid extraction
-// applies Q·AᵀA·Q through the member matrix A directly). Iteration starts from a fixed, mildly sloped vector
-// (so it is deterministic and unlikely to be orthogonal to the dominant
-// eigenvector) and stops after maxIter steps or when successive
-// normalized iterates agree within tol, up to sign. The iteration vectors
-// are the caller's, so repeated extractions allocate nothing: the
-// returned vector aliases the scratch and is only valid until the next
-// call with the same scratch; callers that keep it must copy (k-Shape
-// z-normalizes it into a fresh slice anyway). The eigenvalue, should a
-// caller want it, is the Rayleigh quotient vᵀ·op(v): one more apply,
-// which k-Shape has no use for.
+// applies Q·AᵀA·Q through the member matrix A directly). Iteration
+// starts from a fixed, mildly sloped vector (so it is deterministic and
+// unlikely to be orthogonal to the dominant eigenvector) and stops after
+// maxIter steps or when successive normalized iterates agree within tol,
+// up to sign. The iteration vectors are the caller's, so repeated
+// extractions allocate nothing: the returned vector aliases the scratch
+// and is only valid until the next call with the same scratch; callers
+// that keep it must copy (k-Shape z-normalizes it into a fresh slice
+// anyway). The eigenvalue, should a caller want it, is the Rayleigh
+// quotient vᵀ·op(v): one more apply, which k-Shape has no use for.
 func DominantEigenWith(n int, apply func(dst, src []float64), maxIter int, tol float64, s *EigenScratch) []float64 {
 	if n == 0 {
 		return nil
