@@ -136,31 +136,42 @@ func fuzzSeries(kind, n int, rng *rand.Rand, driver []float64, data []byte) []fl
 	return out
 }
 
-// requireSameDirection fails unless two Direction outcomes agree bit for
+// outcome is everything one Direction call returns.
+type outcome struct {
+	dir    Causality
+	xy, yx *TestResult
+	err    error
+}
+
+func outcomeOf(dir Causality, xy, yx *TestResult, err error) outcome {
+	return outcome{dir, xy, yx, err}
+}
+
+// requireSameOutcome fails unless two Direction outcomes agree bit for
 // bit: class, both results' statistics and flags, and the error text.
-func requireSameDirection(t *testing.T, what string, wantErr, gotErr error, want, got [3]any) {
+func requireSameOutcome(t *testing.T, what string, want, got outcome) {
 	t.Helper()
-	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
-		t.Fatalf("%s: error %v, reference %v", what, gotErr, wantErr)
+	if (want.err == nil) != (got.err == nil) || want.err != nil && want.err.Error() != got.err.Error() {
+		t.Fatalf("%s: error %v, reference %v", what, got.err, want.err)
 	}
-	if wantErr != nil {
+	if want.err != nil {
 		return
 	}
-	if got[0] != want[0] {
-		t.Fatalf("%s: direction %v, reference %v", what, got[0], want[0])
+	if got.dir != want.dir {
+		t.Fatalf("%s: direction %v, reference %v", what, got.dir, want.dir)
 	}
-	for i := 1; i < 3; i++ {
-		w, g := want[i].(*TestResult), got[i].(*TestResult)
+	for _, r := range [][2]*TestResult{{want.xy, got.xy}, {want.yx, got.yx}} {
+		w, g := r[0], r[1]
 		if math.Float64bits(g.F) != math.Float64bits(w.F) || math.Float64bits(g.PValue) != math.Float64bits(w.PValue) ||
 			g.Lag != w.Lag || g.Significant != w.Significant || g.DifferencedX != w.DifferencedX || g.DifferencedY != w.DifferencedY {
-			t.Fatalf("%s: result %d = %+v, reference %+v", what, i, *g, *w)
+			t.Fatalf("%s: result %+v, reference %+v", what, *g, *w)
 		}
 	}
 }
 
 // FuzzGrangerPrepared holds the prepared path — Prepare once per series,
-// then DirectionPrepared, and DirectionWith, which prepares only the forms
-// a pair needs — to the per-pair reference, bit for bit, on series of
+// then DirectionPrepared, and DirectionWith, which fits only the forms a
+// pair needs — to the per-pair reference, bit for bit, on series of
 // every kind the pre-check treats differently: constants, each side
 // differenced alone, a series that is constant once its first sample is
 // dropped, pairs too short to test, lags above ownLags and mismatched
@@ -186,13 +197,10 @@ func FuzzGrangerPrepared(f *testing.F) {
 		opts := Options{MaxLag: int(maxLag % 6)}
 		what := fmt.Sprintf("seed %d, n %d, MaxLag %d, kinds %d/%d, shortY %v", seed, size, opts.MaxLag, kx%kindCount, ky%kindCount, shortY)
 
-		wantDir, wantXY, wantYX, wantErr := referenceDirection(x, y, opts, new(Scratch))
-		want := [3]any{wantDir, wantXY, wantYX}
-		gotDir, gotXY, gotYX, gotErr := DirectionWith(x, y, opts, new(Scratch))
-		requireSameDirection(t, what+", DirectionWith", wantErr, gotErr, want, [3]any{gotDir, gotXY, gotYX})
+		want := outcomeOf(referenceDirection(x, y, opts, new(Scratch)))
+		requireSameOutcome(t, what+", DirectionWith", want, outcomeOf(DirectionWith(x, y, opts, new(Scratch))))
 		var s Scratch
-		gotDir, gotXY, gotYX, gotErr = DirectionPrepared(Prepare(x, opts, &s), Prepare(y, opts, &s), &s)
-		requireSameDirection(t, what+", DirectionPrepared", wantErr, gotErr, want, [3]any{gotDir, gotXY, gotYX})
+		requireSameOutcome(t, what+", DirectionPrepared", want, outcomeOf(DirectionPrepared(Prepare(x, opts, &s), Prepare(y, opts, &s), &s)))
 	})
 }
 
