@@ -98,7 +98,7 @@ const (
 )
 
 // fuzzSeries builds a series of length n of the given kind.
-func fuzzSeries(kind, n int, rng *rand.Rand, driver []float64, data []byte) []float64 {
+func fuzzSeries(kind, n int, rng *rand.Rand, cause []float64, data []byte) []float64 {
 	out := make([]float64, n)
 	switch kind {
 	case kindNoise:
@@ -122,8 +122,8 @@ func fuzzSeries(kind, n int, rng *rand.Rand, driver []float64, data []byte) []fl
 			out[i] = 2
 		}
 	case kindDriven:
-		for i := 1; i < n && driver != nil; i++ {
-			out[i] = 0.8*driver[i-1] + 0.3*rng.NormFloat64()
+		for i := 1; i < n && cause != nil; i++ {
+			out[i] = 0.8*cause[i-1] + 0.3*rng.NormFloat64()
 		}
 	case kindBytes:
 		for i := range out {
@@ -219,7 +219,7 @@ func TestDirectionPreparedMismatchedLags(t *testing.T) {
 // L ticks back, then the same y delayed by one more tick. The delay keeps
 // x -> y significant, and the chosen lag moves from L to L+1 when MaxLag
 // allows; when it does not, the test stays at MaxLag, where the
-// autocorrelated driver still carries the signal. The class is kept too,
+// autocorrelated cause still carries the signal. The class is kept too,
 // except where the reverse test, a null test at Alpha, rejects by chance
 // on one side: that may flip it in about Alpha of the cells, so at most a
 // tenth may differ.
