@@ -106,18 +106,6 @@ type restrictedFit struct {
 // of its forms for tests up to opts.MaxLag. The scratch only holds
 // workspace; what it held before never reaches the result.
 func Prepare(x []float64, opts Options, s *Scratch) *Prepared {
-	p := check(x, opts, s)
-	for i := range p.forms {
-		if p.forms[i].series != nil {
-			p.forms[i].fit(p.maxLag, s)
-		}
-	}
-	return p
-}
-
-// check is Prepare's stationarity pre-check: it sets the forms' series
-// and fits none of them.
-func check(x []float64, opts Options, s *Scratch) *Prepared {
 	p := &Prepared{n: len(x), maxLag: max(opts.MaxLag, 1)}
 	if timeseries.IsConstant(x) {
 		p.constant = true
@@ -128,6 +116,11 @@ func check(x []float64, opts Options, s *Scratch) *Prepared {
 	p.forms[0].series = stat
 	if !diffed {
 		p.forms[1].series = x[1:]
+	}
+	for i := range p.forms {
+		if p.forms[i].series != nil {
+			p.forms[i].fit(p.maxLag, s)
+		}
 	}
 	return p
 }
@@ -283,18 +276,12 @@ func Direction(x, y []float64, opts Options) (Causality, *TestResult, *TestResul
 }
 
 // DirectionWith is Direction with caller-owned scratch: it prepares both
-// series, fitting only the form each takes beside the other, and runs
-// DirectionPrepared.
+// series and runs DirectionPrepared.
 func DirectionWith(x, y []float64, opts Options, s *Scratch) (Causality, *TestResult, *TestResult, error) {
 	if len(x) != len(y) {
 		return 0, nil, nil, lengthMismatch(len(x), len(y))
 	}
-	px, py := check(x, opts, s), check(y, opts, s)
-	if !px.constant && !py.constant {
-		px.beside(py.diffed).fit(px.maxLag, s)
-		py.beside(px.diffed).fit(py.maxLag, s)
-	}
-	return DirectionPrepared(px, py, s)
+	return DirectionPrepared(Prepare(x, opts, s), Prepare(y, opts, s), s)
 }
 
 // DirectionPrepared tests two prepared series of equal length, prepared

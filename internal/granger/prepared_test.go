@@ -170,8 +170,8 @@ func requireSameOutcome(t *testing.T, what string, want, got outcome) {
 }
 
 // FuzzGrangerPrepared holds the prepared path — Prepare once per series,
-// then DirectionPrepared, and DirectionWith, which fits only the forms a
-// pair needs — to the per-pair reference, bit for bit, on series of
+// then DirectionPrepared, and DirectionWith, which wraps the two — to
+// the per-pair reference, bit for bit, on series of
 // every kind the pre-check treats differently: constants, each side
 // differenced alone, a series that is constant once its first sample is
 // dropped, pairs too short to test, lags above ownLags and mismatched

@@ -466,6 +466,55 @@ func TestKernelFusedShiftMatchesDistShift(t *testing.T) {
 	}
 }
 
+// TestKernelFusedShiftOverflow: series of large mean overflow the
+// correlation's transform, from a few entries to all of them, while the
+// norm product stays finite. A raw part beside a non-finite one has a NaN
+// coefficient, which the division per shift never keeps, so sbd and dist
+// must skip it too and still match distShift bit for bit. k-Shape
+// z-normalizes what it clusters, so only PairwiseSBD's callers can pass
+// such series.
+func TestKernelFusedShiftOverflow(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	var s Scratch
+	partial, allNaN := 0, 0
+	for _, n := range []int{73, 240, 256} {
+		// The means sweep from well below to well above the scale at
+		// which the zero-frequency bin of the spectrum product overflows.
+		for step := 0; step < 48; step++ {
+			mean := math.Exp2(float64(step)/16) * 2.5e153 / float64(n)
+			for trial := 0; trial < 4; trial++ {
+				pair := randomSeries(rng, 2, n)
+				for _, x := range pair {
+					for i := range x {
+						x[i] = mean * (1 + 0.3*x[i])
+					}
+				}
+				p, q := newSBDProfile(pair[0]), newSBDProfile(pair[1])
+				if math.IsInf(p.norm*q.norm, 0) {
+					t.Fatalf("n=%d mean %g: norm product overflowed", n, mean)
+				}
+				nan := 0
+				for _, c := range p.correlation(q, &s) {
+					if math.IsNaN(c) {
+						nan++
+					}
+				}
+				switch {
+				case nan == p.padded:
+					allNaN++
+				case nan > 0:
+					partial++
+				}
+				requireFusedShift(t, fmt.Sprintf("n=%d mean %g trial %d", n, mean, trial), p, q, &s)
+			}
+		}
+	}
+	t.Logf("%d correlations with some NaN coefficients, %d with all", partial, allNaN)
+	if partial == 0 || allNaN == 0 {
+		t.Errorf("%d correlations with some NaN coefficients, %d with all: the sweep no longer reaches both", partial, allNaN)
+	}
+}
+
 // square is a ±1 square wave of the given period, delayed by lag.
 func square(n, period, lag int) []float64 {
 	out := make([]float64, n)

@@ -261,96 +261,78 @@ func (p *sbdProfile) sbd(q *sbdProfile, s *Scratch) (float64, int) {
 	if d, ok := p.degenerate(q); ok {
 		return d, 0
 	}
-	sc := newPeakScan(p.correlate(q, s), p.norm*q.norm, true)
-	sc.span(p.padded-(p.n-1), p.padded)
-	sc.span(0, p.n)
-	shift := sc.bestAt
-	if shift >= p.n {
-		shift -= p.padded
+	z := p.correlate(q, s)
+	denom := p.norm * q.norm
+	best, at := math.Inf(-1), 0
+	keep := func(c float64, t int) {
+		if quo := c / denom; quo > best {
+			best, at = quo, t
+		}
 	}
-	return 1 - sc.best, shift
+	largest := largestRaw(z, p.padded-(p.n-1), p.padded, math.Inf(-1), keep)
+	largestRaw(z, 0, p.n, largest, keep)
+	if at >= p.n {
+		at -= p.padded
+	}
+	return 1 - best, at
 }
 
 // dist is sbd's distance, bit for bit, for callers with no use for the
 // shift (the pairwise matrix): the largest quotient is the quotient of
-// the largest raw value, so the scan is a plain maximum and divides
-// once.
+// the largest coefficient, which is the largest raw value scaled by 1/h
+// but for the sign of a zero, and 1 - x drops that.
 func (p *sbdProfile) dist(q *sbdProfile, s *Scratch) float64 {
 	if d, ok := p.degenerate(q); ok {
 		return d
 	}
-	sc := newPeakScan(p.correlate(q, s), p.norm*q.norm, false)
-	sc.span(0, p.n)
-	sc.span(p.padded-(p.n-1), p.padded)
-	return 1 - sc.peak()
+	z := p.correlate(q, s)
+	largest := largestRaw(z, 0, p.n, math.Inf(-1), nil)
+	largest = largestRaw(z, p.padded-(p.n-1), p.padded, largest, nil)
+	return 1 - largest*(1/float64(len(z)))/(p.norm*q.norm)
 }
 
-// peakScan finds the largest entry of a packed correlation z over runs of
-// circular indices, comparing the raw real and imaginary parts of z and
-// calling mathx.CorrelationAt only at a new largest raw value. With
-// shifts it keeps, like SBD, the first index whose quotient by denom is
-// strictly the largest; without, it keeps the first index of the largest
-// raw value, whose quotient peak returns.
-type peakScan struct {
-	z      []complex128
-	denom  float64
-	shifts bool
-
-	largest float64 // largest raw value so far
-	at      int     // without shifts: index of its first occurrence, -1 before any
-	best    float64 // with shifts: largest quotient so far
-	bestAt  int     // with shifts: index of its first occurrence
-}
-
-func newPeakScan(z []complex128, denom float64, shifts bool) peakScan {
-	return peakScan{z: z, denom: denom, shifts: shifts, largest: math.Inf(-1), at: -1, best: math.Inf(-1)}
-}
-
-// span scans circular indices from..to-1 in order. Index t is the real
-// part of z[t/2] when t is even and the imaginary part when it is odd.
-func (sc *peakScan) span(from, to int) {
-	z, largest := sc.z, sc.largest
+// largestRaw scans circular indices from..to-1 of a packed correlation z
+// in order — index t is the real part of z[t/2] when t is even and the
+// imaginary part when it is odd — and returns the largest raw value above
+// largest whose coefficient mathx.CorrelationAt(z, t) is not NaN. keep,
+// when not nil, sees each new largest value's coefficient and index.
+func largestRaw(z []complex128, from, to int, largest float64, keep func(c float64, t int)) float64 {
 	t := from
 	if t&1 == 1 && t < to {
 		if v := imag(z[t>>1]); v > largest {
-			largest = sc.record(v, t)
+			largest = raise(z, v, t, largest, keep)
 		}
 		t++
 	}
 	for _, v := range z[t>>1 : to>>1] {
 		if real(v) > largest {
-			largest = sc.record(real(v), t)
+			largest = raise(z, real(v), t, largest, keep)
 		}
 		if imag(v) > largest {
-			largest = sc.record(imag(v), t+1)
+			largest = raise(z, imag(v), t+1, largest, keep)
 		}
 		t += 2
 	}
 	if t < to {
 		if v := real(z[t>>1]); v > largest {
-			largest = sc.record(v, t)
+			largest = raise(z, v, t, largest, keep)
 		}
 	}
-	sc.largest = largest
+	return largest
 }
 
-// record notes raw, a new largest raw value at index t, and returns it.
-func (sc *peakScan) record(raw float64, t int) float64 {
-	if !sc.shifts {
-		sc.at = t
-	} else if quo := mathx.CorrelationAt(sc.z, t) / sc.denom; quo > sc.best {
-		sc.best, sc.bestAt = quo, t
+// raise returns the largest raw value once v, at index t, exceeded
+// largest: v, unless the other part of z[t/2] is not finite and spreads a
+// NaN into t's coefficient, which a scan of coefficients never keeps.
+func raise(z []complex128, v float64, t int, largest float64, keep func(c float64, t int)) float64 {
+	c := mathx.CorrelationAt(z, t)
+	if math.IsNaN(c) {
+		return largest
 	}
-	return raw
-}
-
-// peak returns the quotient of the largest raw value (a scan without
-// shifts).
-func (sc *peakScan) peak() float64 {
-	if sc.at < 0 {
-		return sc.largest / sc.denom
+	if keep != nil {
+		keep(c, t)
 	}
-	return mathx.CorrelationAt(sc.z, sc.at) / sc.denom
+	return v
 }
 
 // PairwiseSBD computes the full symmetric SBD distance matrix for a set of

@@ -314,8 +314,10 @@ func CorrelateSpectra(a, b, work []complex128) []complex128 {
 // total the 1/m normalization of a full-size inverse transform; h is a
 // power of two, so multiplying by 1/h rounds exactly like dividing by h.
 // The v*0 terms are what complex division by h+0i adds to each part:
-// they keep the sign of a zero result, and a non-finite part's spread
-// into the other, identical to z[t/2]/h.
+// they keep the sign of a zero result, and spread a non-finite part into
+// the other as a NaN. That matches z[t/2]/h except where both parts come
+// out NaN: complex division then recovers infinities (C99 Annex G), and
+// this keeps the NaNs.
 func CorrelationAt(z []complex128, t int) float64 {
 	v := z[t>>1]
 	rh := 1 / float64(len(z))
