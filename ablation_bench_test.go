@@ -6,6 +6,7 @@ import (
 
 	"github.com/sieve-microservices/sieve/internal/core"
 	"github.com/sieve-microservices/sieve/internal/kshape"
+	"github.com/sieve-microservices/sieve/internal/lab"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 )
 
@@ -16,13 +17,13 @@ import (
 
 // ablationCapture runs one small ShareLatex capture shared by the
 // ablation benches (rebuilt per bench to keep them independent).
-func ablationCapture(b *testing.B) *core.CaptureResult {
+func ablationCapture(b *testing.B) *lab.CaptureResult {
 	b.Helper()
 	app, err := NewShareLatex(42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Capture(app, loadgen.Random(1, 200, 200, 2500), core.CaptureOptions{})
+	res, err := lab.Capture(context.Background(), app, loadgen.Random(1, 200, 200, 2500), lab.CaptureOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func BenchmarkAblationDiscretization(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.Capture(app, loadgen.Random(1, 200, 200, 2500), core.CaptureOptions{})
+			res, err := lab.Capture(context.Background(), app, loadgen.Random(1, 200, 200, 2500), lab.CaptureOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/core"
+	"github.com/sieve-microservices/sieve/internal/lab"
 	"github.com/sieve-microservices/sieve/internal/experiments"
 )
 
@@ -63,7 +64,7 @@ func sharedCapture() (*CaptureResult, error) {
 			benchCaptureErr = err
 			return
 		}
-		benchCapture, benchCaptureErr = core.Capture(app, RandomLoad(142, 200, 200, 2500), CaptureOptions{})
+		benchCapture, benchCaptureErr = lab.Capture(context.Background(), app, RandomLoad(142, 200, 200, 2500), CaptureOptions{})
 	})
 	return benchCapture, benchCaptureErr
 }

@@ -84,8 +84,8 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/sieve-microservices/sieve"
 	"github.com/sieve-microservices/sieve/internal/promremote"
+	"github.com/sieve-microservices/sieve/internal/server"
 )
 
 func main() {
@@ -119,7 +119,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := sieve.ServerOptions{
+	opts := server.Options{
 		AppName:                   *appName,
 		Shards:                    *shards,
 		StepMS:                    step.Milliseconds(),
@@ -135,7 +135,7 @@ func main() {
 		SelfScrapeInterval:        *selfScrapeInterval,
 		RemoteWriteComponentLabel: *remoteWriteComponentLabel,
 	}
-	srv, err := sieve.NewServer(opts)
+	srv, err := server.New(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -186,7 +186,7 @@ func main() {
 // -retention with a sub-millisecond remainder would be truncated to
 // whole milliseconds (-interval stays a Duration); -fsync would only be
 // looked at with -data-dir set; a window of fewer than
-// sieve.MinWindowSamples grid steps ingests forever without a single
+// server.MinWindowSamples grid steps ingests forever without a single
 // pipeline cycle; a positive -retention shorter than -window drops the
 // blocks holding the window's head, which resampling then makes up from
 // the first surviving point; a positive -flush-interval, -compact-interval or
@@ -211,9 +211,9 @@ func checkFlags(window, step, interval, retention, flush, compact, selfScrape ti
 			return fmt.Errorf("-%s %s: must be a whole number of milliseconds", f.name, f.d)
 		}
 	}
-	if steps := window.Milliseconds() / step.Milliseconds(); steps < sieve.MinWindowSamples {
+	if steps := window.Milliseconds() / step.Milliseconds(); steps < server.MinWindowSamples {
 		return fmt.Errorf("-window %s is %d grid steps of -step %s: the pipeline needs at least %d",
-			window, steps, step, sieve.MinWindowSamples)
+			window, steps, step, server.MinWindowSamples)
 	}
 	if retention < 0 {
 		return fmt.Errorf("-retention %s: must be 0 (keep forever) or at least 1ms", retention)

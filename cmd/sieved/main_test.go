@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"net"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -151,5 +154,77 @@ func TestRejectsUnusableDurations(t *testing.T) {
 			<-done
 			t.Errorf("sieved -%s %s started serving; want it refused at start-up", tc.flag, tc.value)
 		}
+	}
+}
+
+// TestSIGTERMExitsClean: a durable sieved with self-scrape on, once ready
+// and holding one acknowledged write, exits 0 within 10s of SIGTERM, the
+// stop a supervisor (or the benchmark driver) sends its child.
+func TestSIGTERMExitsClean(t *testing.T) {
+	bin := buildSieved(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	cmd := exec.Command(bin, "-addr", addr, "-data-dir", t.TempDir(), "-self-scrape-interval", "50ms")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	exited := false
+	// kill stops a sieved still running and returns its stderr, which is
+	// only safe to read once the process is gone.
+	kill := func() string {
+		if !exited {
+			_ = cmd.Process.Kill()
+			<-done
+			exited = true
+		}
+		return stderr.String()
+	}
+	t.Cleanup(func() { kill() })
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	base := "http://" + addr
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := client.Get(base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sieved not ready within 10s: last error %v, stderr %.300q", err, kill())
+		}
+	}
+	resp, err := client.Post(base+"/write", "text/plain", strings.NewReader("web,metric=cpu value=1 500"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		t.Fatalf("POST /write: status %d", resp.StatusCode)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	select {
+	case err := <-done:
+		exited = true
+		if err != nil {
+			t.Fatalf("sieved exited with %v after SIGTERM; stderr %.300q", err, stderr.String())
+		}
+		t.Logf("sieved exited 0 in %s after SIGTERM", time.Since(start))
+	case <-time.After(10 * time.Second):
+		t.Fatalf("sieved still running 10s after SIGTERM; stderr %.300q", kill())
 	}
 }

@@ -94,7 +94,7 @@ func run(w io.Writer, dir string) error {
 	// Drive a 240-tick randomized load session, scraping every tick.
 	fmt.Fprintln(w, "driving load session over HTTP...")
 	pattern := sieve.RandomLoad(7, 240, 200, 2500)
-	if err := sieve.DriveLoad(context.Background(), app, pattern, coll, 1); err != nil {
+	if err := sieve.DriveLoad(context.Background(), app, pattern, coll); err != nil {
 		return err
 	}
 

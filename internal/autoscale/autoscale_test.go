@@ -1,11 +1,12 @@
 package autoscale
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/app"
-	"github.com/sieve-microservices/sieve/internal/core"
+	"github.com/sieve-microservices/sieve/internal/lab"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 )
 
@@ -133,7 +134,7 @@ func TestSievePolicyFromArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, _, err := core.Run(a, loadgen.Random(3, 200, 500, 4000), core.PipelineOptions{})
+	art, _, err := lab.Run(context.Background(), a, loadgen.Random(3, 200, 500, 4000), lab.PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

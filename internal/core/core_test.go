@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -51,78 +49,21 @@ func chainSpec() app.Spec {
 	}
 }
 
-func captureChain(t *testing.T, ticks int) (*CaptureResult, *app.App) {
+// captureChain captures the chain app (seed 11) under a random load of
+// the given length, scraping every tick.
+func captureChain(t *testing.T, ticks int) *Dataset {
 	t.Helper()
 	a, err := app.New(chainSpec(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Capture(a, loadgen.Random(5, ticks, 100, 1500), CaptureOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, a
-}
-
-func TestCaptureProducesDatasetAndCallGraph(t *testing.T) {
-	res, a := captureChain(t, 120)
-	ds := res.Dataset
-	if got := ds.Components(); len(got) != 3 {
-		t.Fatalf("components = %v", got)
-	}
-	if ds.StepMS != a.TickMS() || ds.Start != 0 || ds.End != a.Now() {
-		t.Errorf("window = [%d,%d) step %d", ds.Start, ds.End, ds.StepMS)
-	}
-	// All metrics captured: lb has 3+2+1 family metrics + 2 constants.
-	if got := len(ds.MetricNames("lb")); got != 8 {
-		t.Errorf("lb metrics = %d (%v), want 8", got, ds.MetricNames("lb"))
-	}
-	if ds.TotalMetrics() != 8+7+4 {
-		t.Errorf("total metrics = %d, want 19", ds.TotalMetrics())
-	}
-	if pairs := ds.CallGraph.CommunicatingPairs(); !slices.Contains(pairs, [2]string{"api", "lb"}) || !slices.Contains(pairs, [2]string{"api", "db"}) {
-		t.Error("call graph incomplete")
-	}
-	// Every series spans the full grid.
-	s := ds.Get("api", "api_latency_ms_mean")
-	if s == nil || s.Len() != 120 {
-		t.Fatalf("api latency series = %+v", s)
-	}
-	if res.DB.Stats().Points == 0 || res.Collector.Stats().Scrapes != 120 {
-		t.Error("monitoring accounting missing")
-	}
-}
-
-func TestCaptureEmptyPattern(t *testing.T) {
-	a, err := app.New(chainSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Capture(a, nil, CaptureOptions{}); err == nil {
-		t.Error("expected error for empty pattern")
-	}
-}
-
-// TestCaptureStopsAtFirstFailedScrape: a NaN load makes every metric
-// non-finite, so the store refuses the first scrape; the capture returns
-// that error without stepping the rest of the pattern.
-func TestCaptureStopsAtFirstFailedScrape(t *testing.T) {
-	a, err := app.New(chainSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Capture(a, loadgen.Constant(math.NaN(), 30), CaptureOptions{})
-	if err == nil || !strings.Contains(err.Error(), "core: scraping during capture") || !strings.Contains(err.Error(), "non-finite value") {
-		t.Fatalf("Capture = %v, want the wrapped non-finite parse error", err)
-	}
-	if a.Now() != a.TickMS() {
-		t.Errorf("app stepped to %d ms, want one tick (%d ms)", a.Now(), a.TickMS())
-	}
+	ds, _, _ := captureByHand(t, a, loadgen.Random(5, ticks, 100, 1500), 1, labTracerCapacity, nil)
+	return ds
 }
 
 func TestReduceFiltersConstantsAndClustersVariants(t *testing.T) {
-	res, _ := captureChain(t, 150)
-	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	ds := captureChain(t, 150)
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,15 +105,15 @@ func TestReduceFiltersConstantsAndClustersVariants(t *testing.T) {
 // than Granger's minimum every pair test fails with ErrSeriesTooShort,
 // so none is counted as tested.
 func TestIdentifyDependenciesCountsOnlyTestsThatRan(t *testing.T) {
-	res, _ := captureChain(t, 8)
-	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	ds := captureChain(t, 8)
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if red.TotalAfter() < 2 {
 		t.Fatalf("%d representatives: no pair to test", red.TotalAfter())
 	}
-	graph, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{})
+	graph, err := IdentifyDependenciesContext(context.Background(), ds, red, DepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +123,12 @@ func TestIdentifyDependenciesCountsOnlyTestsThatRan(t *testing.T) {
 }
 
 func TestIdentifyDependenciesFindsChain(t *testing.T) {
-	res, _ := captureChain(t, 200)
-	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	ds := captureChain(t, 200)
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{})
+	graph, err := IdentifyDependenciesContext(context.Background(), ds, red, DepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,50 +186,14 @@ func TestIdentifyDependenciesFindsChain(t *testing.T) {
 }
 
 func TestIdentifyDependenciesRequiresCallGraph(t *testing.T) {
-	res, _ := captureChain(t, 100)
-	res.Dataset.CallGraph = nil
-	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	ds := captureChain(t, 100)
+	ds.CallGraph = nil
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{}); err == nil {
+	if _, err := IdentifyDependenciesContext(context.Background(), ds, red, DepOptions{}); err == nil {
 		t.Error("expected error without call graph")
-	}
-}
-
-func TestRunFullPipeline(t *testing.T) {
-	a, err := app.New(chainSpec(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, capture, err := Run(a, loadgen.Random(9, 200, 100, 1500), PipelineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.App != "chain" || art.Dataset == nil || art.Reduction == nil || art.Graph == nil {
-		t.Fatalf("incomplete artifact: %+v", art)
-	}
-	if capture.DB == nil {
-		t.Error("capture handles missing")
-	}
-	if len(art.Graph.Edges) == 0 {
-		t.Error("pipeline found no dependencies")
-	}
-}
-
-func TestCaptureWithAllowlist(t *testing.T) {
-	a, err := app.New(chainSpec(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Capture(a, loadgen.Constant(200, 50), CaptureOptions{
-		Allowlist: []string{"lb/lb_rate_mean", "api/api_latency_ms_mean"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Dataset.TotalMetrics(); got != 2 {
-		t.Errorf("allowlisted capture has %d series, want 2", got)
 	}
 }
 

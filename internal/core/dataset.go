@@ -6,12 +6,8 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
-	"github.com/sieve-microservices/sieve/internal/loadgen"
-	"github.com/sieve-microservices/sieve/internal/metrics"
 	"github.com/sieve-microservices/sieve/internal/timeseries"
-	"github.com/sieve-microservices/sieve/internal/trace"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
@@ -71,79 +67,6 @@ func (d *Dataset) TotalMetrics() int {
 // Get returns one series or nil.
 func (d *Dataset) Get(component, metric string) *timeseries.Regular {
 	return d.Series[component][metric]
-}
-
-// CaptureResult bundles the dataset with the monitoring-plane state so
-// experiments can inspect resource accounting (Table 3) and tracer
-// overhead (Fig. 5).
-type CaptureResult struct {
-	// Dataset is the resampled capture.
-	Dataset *Dataset
-	// DB is the backing store with its resource accounting.
-	DB *tsdb.Sharded
-	// Collector reports the scrape-side accounting.
-	Collector *metrics.Collector
-	// Tracer is the syscall tracer used for the call graph.
-	Tracer *trace.Tracer
-}
-
-// CaptureOptions tunes Capture.
-type CaptureOptions struct {
-	// Allowlist, when non-nil, restricts collection to these
-	// component/metric keys (used to measure the reduced pipeline).
-	Allowlist []string
-}
-
-// tracerCapacity bounds the capture's syscall ring buffer.
-const tracerCapacity = 1 << 18
-
-// Capture performs Sieve's step 1: drive the application with the load
-// pattern, scrape all component registries into a fresh store every tick,
-// record the syscall stream, and return the resampled dataset plus the
-// monitoring-plane handles.
-func Capture(a *app.App, pattern loadgen.Pattern, opts CaptureOptions) (*CaptureResult, error) {
-	return CaptureContext(context.Background(), a, pattern, opts)
-}
-
-// CaptureContext is Capture with cancellation: the context is checked on
-// every simulation tick, so a cancellation mid-load surfaces as ctx.Err()
-// without draining the remaining pattern, and the first failed scrape
-// stops the load the same way. Capture itself stays
-// single-threaded — the simulation advances one global clock, so there
-// is nothing to fan out.
-func CaptureContext(ctx context.Context, a *app.App, pattern loadgen.Pattern, opts CaptureOptions) (*CaptureResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(pattern) == 0 {
-		return nil, errors.New("core: empty load pattern")
-	}
-
-	db := tsdb.NewSharded(1)
-	coll, err := metrics.NewCollector(db, a.Registries()...)
-	if err != nil {
-		return nil, err
-	}
-	coll.SetAllowlist(opts.Allowlist)
-	tr := trace.NewTracer(tracerCapacity, nil)
-	a.AttachTracer(tr)
-
-	start := a.Now()
-	err = loadgen.DriveCollector(ctx, a, pattern, coll, 1)
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: scraping during capture: %w", err)
-	}
-	end := a.Now()
-
-	ds, err := DatasetFromDB(db, a.Name(), a.TickMS(), start, end)
-	if err != nil {
-		return nil, err
-	}
-	ds.CallGraph = callgraph.FromSyscallEvents(tr.Events())
-	return &CaptureResult{Dataset: ds, DB: db, Collector: coll, Tracer: tr}, nil
 }
 
 // DatasetFromDB reads every series in the store — any tsdb.ReadStore,

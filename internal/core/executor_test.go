@@ -8,25 +8,22 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"github.com/sieve-microservices/sieve/internal/app"
-	"github.com/sieve-microservices/sieve/internal/loadgen"
 )
 
 // TestReduceParallelismDeterminism asserts the per-component fan-out
 // produces the same reduction as the sequential loop at several worker
 // counts, pinned through GOMAXPROCS (the fan-out's only size).
 func TestReduceParallelismDeterminism(t *testing.T) {
-	res, _ := captureChain(t, 150)
+	ds := captureChain(t, 150)
 	opts := DefaultReduceOptions()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	seq, err := ReduceContext(context.Background(), res.Dataset, opts)
+	seq, err := ReduceContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 16} {
 		runtime.GOMAXPROCS(par)
-		got, err := ReduceContext(context.Background(), res.Dataset, opts)
+		got, err := ReduceContext(context.Background(), ds, opts)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -39,13 +36,13 @@ func TestReduceParallelismDeterminism(t *testing.T) {
 // TestIdentifyDependenciesParallelismDeterminism asserts the per-pair
 // fan-out merges edges and counters identically to the sequential loop.
 func TestIdentifyDependenciesParallelismDeterminism(t *testing.T) {
-	res, _ := captureChain(t, 150)
-	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	ds := captureChain(t, 150)
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	seq, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{})
+	seq, err := IdentifyDependenciesContext(context.Background(), ds, red, DepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +51,7 @@ func TestIdentifyDependenciesParallelismDeterminism(t *testing.T) {
 	}
 	for _, par := range []int{2, 8} {
 		runtime.GOMAXPROCS(par)
-		got, err := IdentifyDependenciesContext(context.Background(), res.Dataset, red, DepOptions{})
+		got, err := IdentifyDependenciesContext(context.Background(), ds, red, DepOptions{})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -67,10 +64,10 @@ func TestIdentifyDependenciesParallelismDeterminism(t *testing.T) {
 // TestReduceContextCanceled asserts a canceled context surfaces as
 // context.Canceled instead of a partial reduction.
 func TestReduceContextCanceled(t *testing.T) {
-	res, _ := captureChain(t, 120)
+	ds := captureChain(t, 120)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReduceContext(ctx, res.Dataset, DefaultReduceOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := ReduceContext(ctx, ds, DefaultReduceOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -78,49 +75,15 @@ func TestReduceContextCanceled(t *testing.T) {
 // TestIdentifyDependenciesContextCanceled mirrors the Reduce case for
 // step 3.
 func TestIdentifyDependenciesContextCanceled(t *testing.T) {
-	res, _ := captureChain(t, 120)
-	red, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	ds := captureChain(t, 120)
+	red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := IdentifyDependenciesContext(ctx, res.Dataset, red, DepOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := IdentifyDependenciesContext(ctx, ds, red, DepOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// canceledAtTick is a context that reports cancellation once the
-// simulated application has advanced tick ticks: the capture loop polls
-// Err between steps, so this cancels it mid-load at an exact tick.
-type canceledAtTick struct {
-	context.Context
-	a    *app.App
-	tick int64
-}
-
-func (c canceledAtTick) Err() error {
-	if c.a.Now() >= c.tick*c.a.TickMS() {
-		return context.Canceled
-	}
-	return c.Context.Err()
-}
-
-// TestCaptureContextCancelMidLoad asserts cancellation during the load
-// phase aborts the drive loop promptly instead of draining the pattern.
-func TestCaptureContextCancelMidLoad(t *testing.T) {
-	a, err := app.New(chainSpec(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cancelAt = 10
-	ctx := canceledAtTick{Context: context.Background(), a: a, tick: cancelAt}
-	_, err = CaptureContext(ctx, a, loadgen.Constant(500, 100000), CaptureOptions{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ticks := a.Now() / a.TickMS(); ticks > cancelAt+1 {
-		t.Errorf("app advanced %d ticks after cancellation at tick %d", ticks, cancelAt)
 	}
 }
 

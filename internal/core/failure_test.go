@@ -15,11 +15,17 @@ import (
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
 
-// captureByHand is Capture's wiring with what Capture fixes left open,
-// so the degraded captures below can be produced: it scrapes every
-// scrapeEvery-th tick, traces into a ring of tracerCap events, and calls
-// onTick (when non-nil) after each tick.
-func captureByHand(t *testing.T, a *app.App, p loadgen.Pattern, scrapeEvery, tracerCap int, onTick func(tick int)) (*Dataset, *trace.Tracer) {
+// labTracerCapacity is the syscall ring lab.Capture traces into.
+const labTracerCapacity = 1 << 18
+
+// captureByHand is lab.Capture's wiring with what lab.Capture fixes left
+// open, so this package's tests get captured windows (lab imports core,
+// so they cannot call it) and the degraded captures below can be
+// produced: it scrapes every scrapeEvery-th tick, traces into a ring of
+// tracerCap events, and calls onTick (when non-nil) after each tick. With
+// scrapeEvery 1 and labTracerCapacity it captures what lab.Capture does.
+// It returns the whole capture's dataset, the tracer and the store.
+func captureByHand(t testing.TB, a *app.App, p loadgen.Pattern, scrapeEvery, tracerCap int, onTick func(tick int)) (*Dataset, *trace.Tracer, *tsdb.Sharded) {
 	t.Helper()
 	db := tsdb.NewSharded(1)
 	coll, err := metrics.NewCollector(db, a.Registries()...)
@@ -44,7 +50,23 @@ func captureByHand(t *testing.T, a *app.App, p loadgen.Pattern, scrapeEvery, tra
 		t.Fatal(err)
 	}
 	ds.CallGraph = callgraph.FromSyscallEvents(tr.Events())
-	return ds, tr
+	return ds, tr, db
+}
+
+// artifactByHand is lab.Run over captureByHand's every-tick capture:
+// steps 2 and 3 at the paper's parameters.
+func artifactByHand(t testing.TB, a *app.App, p loadgen.Pattern) *Artifact {
+	t.Helper()
+	ds, _, _ := captureByHand(t, a, p, 1, labTracerCapacity, nil)
+	red, err := ReduceContext(context.Background(), ds, ReduceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, err := IdentifyDependenciesContext(context.Background(), ds, red, DepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Artifact{App: a.Name(), Dataset: ds, Reduction: red, Graph: graph}
 }
 
 // TestPipelineSurvivesScrapeGaps injects gaps into the capture (dropped
@@ -57,7 +79,7 @@ func TestPipelineSurvivesScrapeGaps(t *testing.T) {
 	}
 	// Scrape only every 3rd tick: two thirds of the grid slots are gaps
 	// the resampler has to reconstruct.
-	ds, _ := captureByHand(t, a, loadgen.Random(4, 180, 100, 1500), 3, tracerCapacity, nil)
+	ds, _, _ := captureByHand(t, a, loadgen.Random(4, 180, 100, 1500), 3, labTracerCapacity, nil)
 	s := ds.Get("api", "api_latency_ms_mean")
 	if s == nil {
 		t.Fatal("series missing")
@@ -94,7 +116,7 @@ func TestPipelineSurvivesMetricAppearingMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, _ := captureByHand(t, b, loadgen.Constant(200, 120), 1, tracerCapacity, func(tick int) {
+	ds, _, _ := captureByHand(t, b, loadgen.Constant(200, 120), 1, labTracerCapacity, func(tick int) {
 		if tick == 60 {
 			b.SetFault(true)
 		}
@@ -119,7 +141,7 @@ func TestPipelineSurvivesTracerOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, tr := captureByHand(t, a, loadgen.Constant(500, 150), 1, 16, nil)
+	ds, tr, _ := captureByHand(t, a, loadgen.Constant(500, 150), 1, 16, nil)
 	if tr.Stats().Dropped == 0 {
 		t.Fatal("test setup: expected ring drops")
 	}

@@ -12,6 +12,19 @@ import (
 	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
 
+// Artifact is the end product of a full pipeline run on one application
+// version: everything downstream engines (autoscaling, RCA) consume.
+type Artifact struct {
+	// App names the application.
+	App string
+	// Dataset is the analysed window.
+	Dataset *Dataset
+	// Reduction is the step-2 output.
+	Reduction Reduction
+	// Graph is the step-3 dependency graph.
+	Graph *DependencyGraph
+}
+
 // artifactJSON is the serialized form of an Artifact. Time series are
 // stored as raw value arrays with grid parameters; the call graph as an
 // edge list. The format is versioned so persisted artifacts from older

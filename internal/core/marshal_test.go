@@ -96,10 +96,7 @@ func TestMarshalArtifactMatchesEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, _, err := Run(a, loadgen.Random(5, 150, 100, 1500), PipelineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := artifactByHand(t, a, loadgen.Random(5, 150, 100, 1500))
 	requireReferenceBytes(t, art)
 
 	edge := []float64{
@@ -152,10 +149,7 @@ func TestArtifactMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, _, err := Run(a, loadgen.Random(5, 150, 100, 1500), PipelineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := artifactByHand(t, a, loadgen.Random(5, 150, 100, 1500))
 
 	data, err := MarshalArtifact(art)
 	if err != nil {
@@ -318,10 +312,7 @@ func TestMarshalArtifactAllocatesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, _, err := Run(a, loadgen.Random(43, 240, 150, 2000), PipelineOptions{Reduce: DefaultReduceOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := artifactByHand(t, a, loadgen.Random(43, 240, 150, 2000))
 	var size int
 	encode := func() {
 		data, err := MarshalArtifact(art)
@@ -375,10 +366,7 @@ func BenchmarkAppendFloatArtifact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	art, _, err := Run(a, loadgen.Random(43, 120, 150, 2000), PipelineOptions{Reduce: DefaultReduceOptions()})
-	if err != nil {
-		b.Fatal(err)
-	}
+	art := artifactByHand(b, a, loadgen.Random(43, 120, 150, 2000))
 	var vals []float64
 	hits := 0
 	for _, comp := range art.Dataset.Components() {

@@ -114,29 +114,27 @@ type slidingWindow struct {
 // slidingWindows captures the application under the sievebench pipeline
 // workload's load trace and reduces `windows` 240-tick windows, each slid
 // 20 ticks past the previous one.
-func slidingWindows(a *app.App, windows int) ([]slidingWindow, error) {
+func slidingWindows(t testing.TB, a *app.App, windows int) []slidingWindow {
+	t.Helper()
 	const windowTicks, slideTicks = 240, 20
 	ticks := windowTicks + (windows-1)*slideTicks
 	start := a.Now()
-	res, err := Capture(a, loadgen.Random(2, ticks, 200, 2500), CaptureOptions{})
-	if err != nil {
-		return nil, err
-	}
+	whole, _, db := captureByHand(t, a, loadgen.Random(2, ticks, 200, 2500), 1, labTracerCapacity, nil)
 	out := make([]slidingWindow, windows)
 	for i := range out {
 		from := start + int64(i*slideTicks)*a.TickMS()
-		ds, err := DatasetFromDB(res.DB, a.Name(), a.TickMS(), from, from+windowTicks*a.TickMS())
+		ds, err := DatasetFromDB(db, a.Name(), a.TickMS(), from, from+windowTicks*a.TickMS())
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		ds.CallGraph = res.Dataset.CallGraph
+		ds.CallGraph = whole.CallGraph
 		red, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 		out[i] = slidingWindow{ds: ds, red: red}
 	}
-	return out, nil
+	return out
 }
 
 // pinned holds the windows the hash-pinned tests share — thirteen sliding
@@ -145,7 +143,6 @@ func slidingWindows(a *app.App, windows int) ([]slidingWindow, error) {
 var pinned struct {
 	once   sync.Once
 	sl, os []slidingWindow
-	err    error
 }
 
 // pinnedWindows returns the shared ShareLatex and OpenStack windows,
@@ -160,19 +157,17 @@ func pinnedWindows(t *testing.T) (sl, os []slidingWindow) {
 	}
 	pinned.once.Do(func() {
 		a, err := sharelatex.New(3)
-		if err == nil {
-			pinned.sl, err = slidingWindows(a, 13)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err == nil {
-			a, err = openstack.New(3, false)
+		sl := slidingWindows(t, a, 13)
+		if a, err = openstack.New(3, false); err != nil {
+			t.Fatal(err)
 		}
-		if err == nil {
-			pinned.os, err = slidingWindows(a, 1)
-		}
-		pinned.err = err
+		pinned.sl, pinned.os = sl, slidingWindows(t, a, 1)
 	})
-	if pinned.err != nil {
-		t.Fatal(pinned.err)
+	if pinned.sl == nil {
+		t.Fatal("the shared windows failed to capture in an earlier test")
 	}
 	return pinned.sl, pinned.os
 }
@@ -187,15 +182,12 @@ func TestReduceZeroOptionsRunThePaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Capture(sl, loadgen.Random(2, 240, 200, 2500), CaptureOptions{})
+	ds, _, _ := captureByHand(t, sl, loadgen.Random(2, 240, 200, 2500), 1, labTracerCapacity, nil)
+	zero, err := ReduceContext(context.Background(), ds, ReduceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := ReduceContext(context.Background(), res.Dataset, ReduceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paper, err := ReduceContext(context.Background(), res.Dataset, DefaultReduceOptions())
+	paper, err := ReduceContext(context.Background(), ds, DefaultReduceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"github.com/sieve-microservices/sieve/internal/app/openstack"
 	"github.com/sieve-microservices/sieve/internal/app/sharelatex"
 	"github.com/sieve-microservices/sieve/internal/core"
+	"github.com/sieve-microservices/sieve/internal/lab"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 	"github.com/sieve-microservices/sieve/internal/rca"
 )
@@ -85,7 +87,7 @@ func QuickConfig() Config {
 // shareLatexRun is one cached randomized-load pipeline run.
 type shareLatexRun struct {
 	artifact *core.Artifact
-	capture  *core.CaptureResult
+	capture  *lab.CaptureResult
 }
 
 // Suite runs and caches the experiments.
@@ -117,7 +119,7 @@ func (s *Suite) shareLatexPipelines() ([]shareLatexRun, error) {
 				return
 			}
 			pattern := loadgen.Random(s.cfg.Seed+int64(100+i), s.cfg.ShareLatexTicks, 200, 2500)
-			art, capture, err := core.Run(a, pattern, core.PipelineOptions{
+			art, capture, err := lab.Run(context.Background(), a, pattern, lab.PipelineOptions{
 				Reduce: core.DefaultReduceOptions(),
 			})
 			if err != nil {
@@ -140,7 +142,7 @@ func (s *Suite) openStackArtifacts() (correct, faulty *core.Artifact, err error)
 				s.osErr = err
 				return
 			}
-			art, _, err := core.Run(a, pattern, core.PipelineOptions{
+			art, _, err := lab.Run(context.Background(), a, pattern, lab.PipelineOptions{
 				Reduce: core.DefaultReduceOptions(),
 				// A 1 s delay bound gives two candidate lags on the 500 ms
 				// grid, so inter-version lag changes are observable

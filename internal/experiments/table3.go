@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"github.com/sieve-microservices/sieve/internal/app/sharelatex"
-	"github.com/sieve-microservices/sieve/internal/core"
+	"github.com/sieve-microservices/sieve/internal/lab"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
 )
@@ -31,7 +31,7 @@ func (s *Suite) Table3() (*Result, error) {
 			return 0, 0, 0, 0, err
 		}
 		pattern := loadgen.Random(s.cfg.Seed+100, s.cfg.ShareLatexTicks, 200, 2500)
-		capture, err := core.Capture(a, pattern, core.CaptureOptions{Allowlist: allowlist})
+		capture, err := lab.Capture(context.Background(), a, pattern, lab.CaptureOptions{Allowlist: allowlist})
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}

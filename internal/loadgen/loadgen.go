@@ -113,27 +113,20 @@ func Drive(a *app.App, p Pattern, onTick func(tick int, nowMS int64)) {
 }
 
 // DriveCollector replays a pattern against an application while scraping
-// every scrapeEvery ticks (<= 0 means every tick) through the collector —
-// the wiring that lets a simulator feed a local store or, with a
-// collector pointed at the sieved HTTP client, a remote server over real
-// HTTP. The context is checked before every step; the first scrape error
-// or a done context stops the replay, leaving the rest of the pattern
-// unapplied.
-func DriveCollector(ctx context.Context, a *app.App, p Pattern, coll *metrics.Collector, scrapeEvery int) error {
+// every tick through the collector — the wiring that lets a simulator
+// feed a local store or, with a collector pointed at the sieved HTTP
+// client, a remote server over real HTTP. The context is checked before
+// every step; the first scrape error or a done context stops the replay,
+// leaving the rest of the pattern unapplied.
+func DriveCollector(ctx context.Context, a *app.App, p Pattern, coll *metrics.Collector) error {
 	if coll == nil {
 		return fmt.Errorf("loadgen: nil collector")
-	}
-	if scrapeEvery <= 0 {
-		scrapeEvery = 1
 	}
 	for i, rps := range p {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		a.Step(rps)
-		if i%scrapeEvery != 0 {
-			continue
-		}
 		if _, err := coll.ScrapeOnce(a.Now()); err != nil {
 			return fmt.Errorf("loadgen: scrape at tick %d: %w", i, err)
 		}

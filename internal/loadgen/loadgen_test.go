@@ -138,7 +138,7 @@ func TestDriveCollectorScrapesEveryTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DriveCollector(context.Background(), a, Constant(100, 20), coll, 1); err != nil {
+	if err := DriveCollector(context.Background(), a, Constant(100, 20), coll); err != nil {
 		t.Fatal(err)
 	}
 	if got := coll.Stats().Scrapes; got != 20 {
@@ -147,7 +147,7 @@ func TestDriveCollectorScrapesEveryTick(t *testing.T) {
 	if db.Stats().Points == 0 {
 		t.Fatal("no points shipped")
 	}
-	if err := DriveCollector(context.Background(), a, Constant(100, 20), nil, 1); err == nil {
+	if err := DriveCollector(context.Background(), a, Constant(100, 20), nil); err == nil {
 		t.Fatal("nil collector must be rejected")
 	}
 }
@@ -162,7 +162,7 @@ func TestDriveCollectorStopsOnScrapeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = DriveCollector(context.Background(), a, Constant(100, 50), coll, 1)
+	err = DriveCollector(context.Background(), a, Constant(100, 50), coll)
 	if err == nil || !strings.Contains(err.Error(), "writer down") {
 		t.Fatalf("err = %v, want scrape failure", err)
 	}
@@ -185,7 +185,7 @@ func TestDriveCollectorHonorsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := DriveCollector(ctx, a, Constant(100, 20), coll, 1); err == nil {
+	if err := DriveCollector(ctx, a, Constant(100, 20), coll); err == nil {
 		t.Fatal("cancelled context must surface")
 	}
 	if got := coll.Stats().Scrapes; got != 0 {

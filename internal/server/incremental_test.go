@@ -47,7 +47,7 @@ func driveChunk(t *testing.T, a *app.App, c tsdb.Writer, chunk loadgen.Pattern) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loadgen.DriveCollector(context.Background(), a, chunk, coll, 1); err != nil {
+	if err := loadgen.DriveCollector(context.Background(), a, chunk, coll); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -363,7 +363,7 @@ func TestOnlineStateRacesIngestAndReaders(t *testing.T) {
 			return
 		}
 		for ctx.Err() == nil {
-			if err := loadgen.DriveCollector(ctx, a, loadgen.Constant(300, 5), coll, 1); err != nil {
+			if err := loadgen.DriveCollector(ctx, a, loadgen.Constant(300, 5), coll); err != nil {
 				return
 			}
 		}

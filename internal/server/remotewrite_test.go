@@ -342,7 +342,7 @@ func TestRemoteWriteEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := loadgen.DriveCollector(context.Background(), a, loadgen.Constant(400, 96), coll, 1); err != nil {
+		if err := loadgen.DriveCollector(context.Background(), a, loadgen.Constant(400, 96), coll); err != nil {
 			t.Fatal(err)
 		}
 		g := callgraph.FromSyscallEvents(tr.Events())

@@ -98,7 +98,7 @@ func driveOverHTTP(t *testing.T, a *app.App, pattern loadgen.Pattern, c *Client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loadgen.DriveCollector(context.Background(), a, pattern, coll, 1); err != nil {
+	if err := loadgen.DriveCollector(context.Background(), a, pattern, coll); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PostCallGraph(callgraph.FromSyscallEvents(tr.Events())); err != nil {
@@ -196,7 +196,7 @@ func TestServerWindowSlides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loadgen.DriveCollector(context.Background(), a, loadgen.Random(6, 60, 100, 1500), coll, 1); err != nil {
+	if err := loadgen.DriveCollector(context.Background(), a, loadgen.Random(6, 60, 100, 1500), coll); err != nil {
 		t.Fatal(err)
 	}
 	second, err := c.RunPipeline()
@@ -252,7 +252,7 @@ func TestServerWithoutCallGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loadgen.DriveCollector(context.Background(), a, loadgen.Random(5, 80, 100, 1500), coll, 1); err != nil {
+	if err := loadgen.DriveCollector(context.Background(), a, loadgen.Random(5, 80, 100, 1500), coll); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunPipeline(); err != nil {

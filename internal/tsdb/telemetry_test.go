@@ -213,7 +213,7 @@ func TestStoreBornInstrumented(t *testing.T) {
 	}
 }
 
-// TestTwoStoresDoNotShareInstruments is the core.Capture store beside a
+// TestTwoStoresDoNotShareInstruments is the lab.Capture store beside a
 // server store: two stores in one process register the same metric
 // names on their own registries (no duplicate-registration panic), and
 // traffic on one leaves the other's untouched.

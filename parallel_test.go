@@ -7,7 +7,7 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/sieve-microservices/sieve/internal/core"
+	"github.com/sieve-microservices/sieve/internal/lab"
 )
 
 // runShareLatexArtifact runs the full pipeline on a fresh ShareLatex
@@ -73,7 +73,7 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := canceledAtTick{Context: context.Background(), app: app, tick: 10}
-	_, _, err = core.RunContext(ctx, app, ConstantLoad(500, 100000), DefaultPipelineOptions())
+	_, _, err = lab.Run(ctx, app, ConstantLoad(500, 100000), DefaultPipelineOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -88,7 +88,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = core.RunContext(ctx, app, ConstantLoad(500, 100), DefaultPipelineOptions())
+	_, _, err = lab.Run(ctx, app, ConstantLoad(500, 100), DefaultPipelineOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -583,23 +583,15 @@ func derefType(t types.Type) types.Type {
 }
 
 // sievedLinks is every module package cmd/sieved imports, directly or
-// through another ("." is the root facade). The lab is among them:
-// internal/app, its two simulators, loadgen, metrics and trace arrive by
-// two paths, cmd/sieved's import of the root facade and internal/core's
-// import of the simulators for Capture.
+// through another: the daemon, its store and the analysis. trace still
+// arrives through callgraph.FromSyscallEvents, which takes its events.
 var sievedLinks = []string{
-	".",
-	"internal/app",
-	"internal/app/openstack",
-	"internal/app/sharelatex",
 	"internal/callgraph",
 	"internal/core",
 	"internal/granger",
 	"internal/jsonenc",
 	"internal/kshape",
-	"internal/loadgen",
 	"internal/mathx",
-	"internal/metrics",
 	"internal/parallel",
 	"internal/promremote",
 	"internal/server",
@@ -612,10 +604,61 @@ var sievedLinks = []string{
 	"internal/tsdb",
 }
 
+// sievedDenied are the packages the daemon must never link, each
+// matched as itself or as a prefix of "/"-separated subpackages: the lab
+// (simulated applications, the load generator, their metric registries
+// and the capture driving them), the experiments and the engines they
+// feed, and the root facade, which imports the lab.
+var sievedDenied = []string{
+	".",
+	"internal/app",
+	"internal/autoscale",
+	"internal/experiments",
+	"internal/lab",
+	"internal/loadgen",
+	"internal/metrics",
+	"internal/rca",
+}
+
+// coreDenied are the packages non-test internal/core must not import:
+// the analysis reads a tsdb.ReadStore and never drives a simulator.
+var coreDenied = []string{
+	"internal/app",
+	"internal/lab",
+	"internal/loadgen",
+	"internal/metrics",
+	"internal/trace",
+}
+
+// deniedBy returns the entry of denied that rel is or lies under, or "".
+func deniedBy(rel string, denied []string) string {
+	for _, d := range denied {
+		if rel == d || strings.HasPrefix(rel, d+"/") {
+			return d
+		}
+	}
+	return ""
+}
+
+// moduleRel is path relative to the module root ("." for the facade),
+// and false for a package outside the module.
+func moduleRel(path string) (string, bool) {
+	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+		return "", false
+	}
+	if rel := strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/"); rel != "" {
+		return rel, true
+	}
+	return ".", true
+}
+
 // TestSievedLinks pins what the daemon links: it walks cmd/sieved's
 // transitive module imports in the shared type-check pass and fails
 // naming each package that enters or leaves sievedLinks, so a package
-// joins or drops out of the daemon only by an edit to the list.
+// joins or drops out of the daemon only by an edit to the list; and it
+// fails naming any linked package of sievedDenied, whatever the list
+// says. It also holds non-test internal/core to importing nothing of
+// coreDenied.
 func TestSievedLinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -628,21 +671,18 @@ func TestSievedLinks(t *testing.T) {
 	var walk func(p *types.Package)
 	walk = func(p *types.Package) {
 		for _, imp := range p.Imports() {
-			path := imp.Path()
-			if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
-				continue
-			}
-			rel := strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")
-			if rel == "" {
-				rel = "."
-			}
-			if !seen[rel] {
+			if rel, ok := moduleRel(imp.Path()); ok && !seen[rel] {
 				seen[rel] = true
 				walk(imp)
 			}
 		}
 	}
 	walk(l.pkgs["cmd/sieved"].types)
+	for rel := range seen {
+		if d := deniedBy(rel, sievedDenied); d != "" {
+			t.Errorf("cmd/sieved links %s (denied: %s): the daemon must not link the lab, its engines or the facade", rel, d)
+		}
+	}
 	for _, rel := range sievedLinks {
 		if !seen[rel] {
 			t.Errorf("cmd/sieved no longer links %s: drop it from sievedLinks", rel)
@@ -651,5 +691,12 @@ func TestSievedLinks(t *testing.T) {
 	}
 	for rel := range seen {
 		t.Errorf("cmd/sieved now links %s: add it to sievedLinks, or cut the import that brings it", rel)
+	}
+	for _, imp := range l.pkgs["internal/core"].types.Imports() {
+		if rel, ok := moduleRel(imp.Path()); ok {
+			if d := deniedBy(rel, coreDenied); d != "" {
+				t.Errorf("internal/core imports %s (denied: %s): the analysis must not drive a simulator", rel, d)
+			}
+		}
 	}
 }

@@ -60,6 +60,7 @@ import (
 	"github.com/sieve-microservices/sieve/internal/app/sharelatex"
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/core"
+	"github.com/sieve-microservices/sieve/internal/lab"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
 	"github.com/sieve-microservices/sieve/internal/metrics"
 	"github.com/sieve-microservices/sieve/internal/server"
@@ -112,7 +113,7 @@ type Artifact = core.Artifact
 
 // CaptureResult bundles a dataset with the monitoring-plane handles for
 // resource accounting.
-type CaptureResult = core.CaptureResult
+type CaptureResult = lab.CaptureResult
 
 // Reduction maps components to their metric reductions (step 2 output).
 type Reduction = core.Reduction
@@ -123,12 +124,12 @@ type DependencyGraph = core.DependencyGraph
 
 // PipelineOptions bundles the options of steps 2 and 3. Step 1 has none
 // here: Run scrapes every metric on every tick.
-type PipelineOptions = core.PipelineOptions
+type PipelineOptions = lab.PipelineOptions
 
 // CaptureOptions tunes step 1: the allowlist that restricts collection
 // to a reduction's representatives. Scrape cadence (every tick) and the
 // tracer ring (1<<18 events) are constants.
-type CaptureOptions = core.CaptureOptions
+type CaptureOptions = lab.CaptureOptions
 
 // ReduceOptions tunes step 2's variance threshold (0 means the paper's
 // 0.002). The cluster-count range (k in [2,7]) and seeding k-Shape by
@@ -191,7 +192,7 @@ func DefaultPipelineOptions() PipelineOptions {
 
 // Run executes the full three-step pipeline.
 func Run(a *App, pattern Pattern, opts PipelineOptions) (*Artifact, *CaptureResult, error) {
-	return core.Run(a, pattern, opts)
+	return lab.Run(context.Background(), a, pattern, opts)
 }
 
 // MarshalArtifact serializes an artifact to a versioned JSON form for
@@ -275,11 +276,10 @@ func NewMetricCollector(w MetricWriter, registries ...*MetricRegistry) (*MetricC
 }
 
 // DriveLoad replays a load pattern against an application while scraping
-// its registries through coll every scrapeEvery ticks (<= 0 means every
-// tick) — pointed at a ServerClient, this drives a sieved server end to
-// end over real HTTP.
-func DriveLoad(ctx context.Context, a *App, p Pattern, coll *MetricCollector, scrapeEvery int) error {
-	return loadgen.DriveCollector(ctx, a, p, coll, scrapeEvery)
+// its registries through coll every tick — pointed at a ServerClient,
+// this drives a sieved server end to end over real HTTP.
+func DriveLoad(ctx context.Context, a *App, p Pattern, coll *MetricCollector) error {
+	return loadgen.DriveCollector(ctx, a, p, coll)
 }
 
 // Tracer is a sysdig-like syscall event sink: bounded ring buffer, user
