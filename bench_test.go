@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/core"
-	"github.com/sieve-microservices/sieve/internal/lab"
 	"github.com/sieve-microservices/sieve/internal/experiments"
+	"github.com/sieve-microservices/sieve/internal/lab"
 )
 
 // The benchmarks below regenerate every table and figure of the paper's

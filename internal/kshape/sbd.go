@@ -183,7 +183,12 @@ func newSBDProfile(x []float64) *sbdProfile {
 	h := m / 2
 	mags := make([]float64, h+1)
 	for k := range mags {
-		mags[k] = math.Hypot(real(buf[k]), imag(buf[k]))
+		// Only lowerBound's pruning test reads mags, on z-normalized
+		// series, with a margin far above the last-bit differences between
+		// this and math.Hypot; the conversions keep the products unfused
+		// on every architecture.
+		re, im := real(buf[k]), imag(buf[k])
+		mags[k] = math.Sqrt(float64(re*re) + float64(im*im))
 		if k > 0 && k < h {
 			mags[k] *= math.Sqrt2
 		}

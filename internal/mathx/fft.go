@@ -134,9 +134,37 @@ func fft(x []complex128, inverse bool) []complex128 {
 	if inverse {
 		stages = p.inv
 	}
-	butterflies(x, stages)
+	kernel.butterflies(x, stages)
 	return x
 }
+
+// sbdKernel is one implementation of the loops an SBD correlation spends
+// its time in: the butterfly passes and CorrelateSpectra's product and
+// re-pack. goKernel is the portable path and the reference every other
+// kernel is held to bit for bit; on amd64, fft_amd64.go makes the AVX
+// kernel the active one at init when the CPU and the OS allow it.
+//
+// The assembly passes take two butterflies at a time, so a transform of
+// size 2 and a spectrum of size 2 always take goKernel's passes.
+type sbdKernel struct {
+	// pass1 runs stages 0 and 1 (butterfly sizes 2 and 4) over x, whose
+	// length is a multiple of 4; t0 and t1 are their twiddle tables.
+	pass1 func(x, t0, t1 []complex128)
+	// radix4 runs the stages of tables t1 and t2 (sizes 2q and 4q, where
+	// q = len(t1)) over x, one block of 4q values at a time.
+	radix4 func(x, t1, t2 []complex128)
+	// radix2 runs the stage of table tab over x.
+	radix2 func(x, tab []complex128)
+	// product writes z[rev[k]] = repack(a[k]*conj(b[k]),
+	// a[k+h]*conj(b[k+h]), tw[k]) for every k < h = len(tw). z must not
+	// overlap a or b.
+	product func(z, a, b, tw []complex128, rev []int32)
+}
+
+var goKernel = sbdKernel{pass1Go, radix4Go, radix2Go, productGo}
+
+// kernel is the sbdKernel that fft and CorrelateSpectra run.
+var kernel = &goKernel
 
 // butterflies runs every butterfly stage over x, which must already be in
 // bit-reversed order. The correlation's re-pack writes each bin straight
@@ -148,56 +176,78 @@ func fft(x []complex128, inverse bool) []complex128 {
 // stage-at-a-time loop performs, on the same operands, so the output is
 // bit-identical; only the loads and stores between the paired stages are
 // gone. The first pass (q = 1) is one flat loop over blocks of four.
-func butterflies(x []complex128, stages [][]complex128) {
-	n := len(x)
+func (k *sbdKernel) butterflies(x []complex128, stages [][]complex128) {
+	if len(x) < 4 {
+		k = &goKernel
+	}
 	st := 0
 	if len(stages) >= 2 {
-		w, w2lo, w2hi := stages[0][0], stages[1][0], stages[1][1]
-		for start := 0; start < n; start += 4 {
-			blk := x[start:][:4:4]
-			a, c := blk[0], blk[2]
-			b, d := blk[1]*w, blk[3]*w
-			a, b = a+b, a-b
-			c, d = c+d, c-d
-			c *= w2lo
-			d *= w2hi
-			blk[0], blk[2] = a+c, a-c
-			blk[1], blk[3] = b+d, b-d
-		}
+		k.pass1(x, stages[0], stages[1])
 		st = 2
 	}
 	for ; st+1 < len(stages); st += 2 {
-		t1, t2 := stages[st], stages[st+1]
-		q := len(t1)
-		t2lo, t2hi := t2[:q:q], t2[q:][:q:q]
-		for start := 0; start < n; start += 4 * q {
-			blk := x[start:][: 4*q : 4*q]
-			x0, x1, x2, x3 := blk[:q:q], blk[q:][:q:q], blk[2*q:][:q:q], blk[3*q:][:q:q]
-			for k, w := range t1 {
-				a, c := x0[k], x2[k]
-				b, d := x1[k]*w, x3[k]*w
-				a, b = a+b, a-b
-				c, d = c+d, c-d
-				c *= t2lo[k]
-				d *= t2hi[k]
-				x0[k], x2[k] = a+c, a-c
-				x1[k], x3[k] = b+d, b-d
-			}
-		}
+		k.radix4(x, stages[st], stages[st+1])
 	}
 	if st < len(stages) {
-		tab := stages[st]
-		half := len(tab)
-		for start := 0; start < n; start += 2 * half {
-			blk := x[start:][: 2*half : 2*half]
-			lo, hi := blk[:half:half], blk[half:][:half:half]
-			for k, w := range tab {
-				a := lo[k]
-				b := hi[k] * w
-				lo[k] = a + b
-				hi[k] = a - b
-			}
+		k.radix2(x, stages[st])
+	}
+}
+
+func pass1Go(x, t0, t1 []complex128) {
+	w, w2lo, w2hi := t0[0], t1[0], t1[1]
+	for start := 0; start < len(x); start += 4 {
+		blk := x[start:][:4:4]
+		a, c := blk[0], blk[2]
+		b, d := blk[1]*w, blk[3]*w
+		a, b = a+b, a-b
+		c, d = c+d, c-d
+		c *= w2lo
+		d *= w2hi
+		blk[0], blk[2] = a+c, a-c
+		blk[1], blk[3] = b+d, b-d
+	}
+}
+
+func radix4Go(x, t1, t2 []complex128) {
+	q := len(t1)
+	t2lo, t2hi := t2[:q:q], t2[q:][:q:q]
+	for start := 0; start < len(x); start += 4 * q {
+		blk := x[start:][: 4*q : 4*q]
+		x0, x1, x2, x3 := blk[:q:q], blk[q:][:q:q], blk[2*q:][:q:q], blk[3*q:][:q:q]
+		for k, w := range t1 {
+			a, c := x0[k], x2[k]
+			b, d := x1[k]*w, x3[k]*w
+			a, b = a+b, a-b
+			c, d = c+d, c-d
+			c *= t2lo[k]
+			d *= t2hi[k]
+			x0[k], x2[k] = a+c, a-c
+			x1[k], x3[k] = b+d, b-d
 		}
+	}
+}
+
+func radix2Go(x, tab []complex128) {
+	half := len(tab)
+	for start := 0; start < len(x); start += 2 * half {
+		blk := x[start:][: 2*half : 2*half]
+		lo, hi := blk[:half:half], blk[half:][:half:half]
+		for k, w := range tab {
+			a := lo[k]
+			b := hi[k] * w
+			lo[k] = a + b
+			hi[k] = a - b
+		}
+	}
+}
+
+func productGo(z, a, b, tw []complex128, rev []int32) {
+	h := len(tw)
+	// Every slice is cut to length h so the loop indexes them unchecked.
+	alo, ahi, blo, bhi := a[:h:h], a[h:][:h:h], b[:h:h], b[h:][:h:h]
+	rev = rev[:h]
+	for k, w := range tw {
+		z[rev[k]] = repack(alo[k]*conj(blo[k]), ahi[k]*conj(bhi[k]), w)
 	}
 }
 
@@ -276,7 +326,8 @@ func RealFFT(dst []complex128, x []float64, m int) []complex128 {
 // half-size inverse transform leaves it: z has h = max(m/2, 1) entries,
 // the real part of z[j] is h times entry 2j and the imaginary part h
 // times entry 2j+1. CorrelationAt reads one entry out. z lives in work,
-// which needs capacity for h values; a and b are only read.
+// which needs capacity for h values and must not overlap a or b; a and b
+// are only read.
 //
 // It forms each product bin where the half-size re-pack consumes it,
 // writes the re-packed bin straight to its bit-reversed slot and runs
@@ -287,6 +338,10 @@ func RealFFT(dst []complex128, x []float64, m int) []complex128 {
 // 1/h is a power of two, so scaling preserves their order, and only the
 // entries it keeps need CorrelationAt.
 func CorrelateSpectra(a, b, work []complex128) []complex128 {
+	return kernel.correlate(a, b, work)
+}
+
+func (k *sbdKernel) correlate(a, b, work []complex128) []complex128 {
 	m := len(a)
 	if !IsPow2(m) || len(b) != m {
 		panic(fmt.Sprintf("mathx: CorrelateSpectra needs equal power-of-two lengths, got %d and %d", m, len(b)))
@@ -297,15 +352,13 @@ func CorrelateSpectra(a, b, work []complex128) []complex128 {
 		return z
 	}
 	h := m / 2
-	// Every slice is cut to length h so the loop indexes them unchecked.
-	alo, ahi, blo, bhi := a[:h:h], a[h:][:h:h], b[:h:h], b[h:][:h:h]
+	if h < 2 {
+		k = &goKernel
+	}
 	z := work[:h]
 	p := planFor(h)
-	rev := p.rev[:h]
-	for k, w := range stageTwiddles(m, true)[:h] {
-		z[rev[k]] = repack(alo[k]*conj(blo[k]), ahi[k]*conj(bhi[k]), w)
-	}
-	butterflies(z, p.inv)
+	k.product(z, a, b, stageTwiddles(m, true), p.rev)
+	k.butterflies(z, p.inv)
 	return z
 }
 

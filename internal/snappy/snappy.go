@@ -25,13 +25,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 var (
 	// ErrCorrupt reports an undecodable element stream.
 	ErrCorrupt = errors.New("snappy: corrupt input")
-	// ErrTooLarge reports a preamble length beyond what the caller (or
-	// the format's 32-bit preamble contract) allows.
+	// ErrTooLarge reports a preamble length beyond what the caller, the
+	// format's 32-bit preamble contract or the platform's int allows.
 	ErrTooLarge = errors.New("snappy: decoded length too large")
 )
 
@@ -43,7 +44,9 @@ const (
 
 	// maxDecodedLen is the format-level ceiling on the preamble: the
 	// spec stores a 32-bit length. Callers enforce their own (smaller)
-	// policy limit before allocating.
+	// policy limit before allocating. Every length is compared as a
+	// uint64, and one that an int cannot hold (on 32-bit platforms) is
+	// refused too.
 	maxDecodedLen = 1<<32 - 1
 )
 
@@ -55,7 +58,7 @@ func DecodedLen(src []byte) (n int, preamble int, err error) {
 	if sz <= 0 {
 		return 0, 0, ErrCorrupt
 	}
-	if v > maxDecodedLen {
+	if v > maxDecodedLen || v > math.MaxInt {
 		return 0, 0, ErrTooLarge
 	}
 	return int(v), sz, nil
@@ -103,17 +106,18 @@ func decodeBody(dst, src []byte) error {
 				if s+extra > len(src) {
 					return ErrCorrupt
 				}
-				length = 0
+				var u uint64
 				for i := extra - 1; i >= 0; i-- {
-					length = length<<8 | int(src[s+i])
+					u = u<<8 | uint64(src[s+i])
 				}
 				s += extra
-				if length < 0 || length > maxDecodedLen-1 {
+				if u > maxDecodedLen-1 || u >= math.MaxInt {
 					return ErrCorrupt
 				}
+				length = int(u)
 			}
 			length++
-			if s+length > len(src) || d+length > len(dst) {
+			if length > len(src)-s || length > len(dst)-d {
 				return ErrCorrupt
 			}
 			copy(dst[d:], src[s:s+length])
@@ -139,8 +143,8 @@ func decodeBody(dst, src []byte) error {
 				return ErrCorrupt
 			}
 			length = 1 + int(tag>>2)
-			u := binary.LittleEndian.Uint32(src[s+1:])
-			if u > maxDecodedLen {
+			u := uint64(binary.LittleEndian.Uint32(src[s+1:]))
+			if u > math.MaxInt {
 				return ErrCorrupt
 			}
 			offset = int(u)
@@ -167,7 +171,7 @@ func decodeBody(dst, src []byte) error {
 // with the uvarint preamble; an empty src encodes to just the preamble
 // byte 0x00.
 func Encode(src []byte) []byte {
-	if len(src) > maxDecodedLen {
+	if uint64(len(src)) > maxDecodedLen {
 		// The preamble cannot represent it; callers never get close
 		// (request bodies are capped far below 4 GiB).
 		panic(fmt.Sprintf("snappy: source too large: %d", len(src)))

@@ -3,6 +3,8 @@ package snappy
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -56,6 +58,8 @@ func malformedFrames() map[string][]byte {
 		"literal-past-input":    {0x05, 0x10, 'a'},
 		"literal-past-output":   {0x01, 0x10, 'a', 'b', 'c', 'd', 'e'},
 		"literal-len-truncated": {0x80, 0x01, 60 << 2},
+		"literal-len-4-bytes":   {0x05, 63 << 2, 0xff, 0xff, 0xff, 0xff, 'a'},
+		"copy4-offset-2^31":     {0x08, 0x08, 'a', 'b', 'c', 3<<2 | tagCopy4, 0x00, 0x00, 0x00, 0x80},
 		"copy-before-start":     {0x04, 0x08, 'a', 'b', 'c', 0x01 | 1<<2, 0x09},
 		"copy-zero-offset":      {0x06, 0x08, 'a', 'b', 'c', (6-1)<<2 | tagCopy2, 0x00, 0x00},
 		"copy-past-output":      {0x04, 0x08, 'a', 'b', 'c', 63<<2 | tagCopy2, 0x03, 0x00},
@@ -132,6 +136,29 @@ func TestDecodedLen(t *testing.T) {
 	}
 	if _, _, err := DecodedLen(nil); err == nil {
 		t.Fatal("DecodedLen accepted empty input")
+	}
+}
+
+// TestDecodedLenBeyondInt holds DecodedLen to ErrTooLarge for every
+// preamble past the format's 32-bit limit or the platform's int, so a
+// crafted preamble can never become a negative length (on 32-bit
+// platforms, from 2^31 up). Under GOARCH=386 the middle rows are refused.
+func TestDecodedLenBeyondInt(t *testing.T) {
+	for _, v := range []uint64{1<<31 - 1, 1 << 31, 1<<32 - 1, 1 << 32, math.MaxUint64} {
+		src := binary.AppendUvarint(nil, v)
+		n, _, err := DecodedLen(src)
+		if v <= maxDecodedLen && v <= math.MaxInt {
+			if err != nil || uint64(n) != v {
+				t.Errorf("DecodedLen(%d) = %d, %v; want %d", v, n, err, v)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("DecodedLen(%d) = %d, %v; want ErrTooLarge", v, n, err)
+		}
+		if _, err := Decode(src); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("Decode(preamble %d) = %v; want ErrTooLarge", v, err)
+		}
 	}
 }
 

@@ -226,10 +226,6 @@ type Server = server.Server
 // header-read and shutdown-drain timeouts are constants.
 type ServerOptions = server.Options
 
-// MinWindowSamples is the fewest grid steps (WindowMS / StepMS) a
-// server's analysis window may span; NewServer refuses fewer.
-const MinWindowSamples = server.MinWindowSamples
-
 // ServerClient speaks the sieved HTTP API. It implements the store's
 // Write contract, so a MetricCollector pointed at a client ships scrapes
 // to a remote server over real HTTP.
