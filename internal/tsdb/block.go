@@ -24,7 +24,9 @@ import (
 //	blocks/
 //	  b-00000001-0-119999/      b-<seq>-<minT>-<maxT>
 //	    meta.json               block-level metadata (time range, counts)
-//	    index.json              series key -> []chunkRef into chunks.dat
+//	    index.json              series key -> []chunkRef into chunks.dat; a
+//	                            block compaction wrote with Downsample also
+//	                            holds its 5m and 1h companions here
 //	    chunks.dat              CRC-framed Gorilla chunks, back to back
 //
 // Directories are written under a tmp- prefix and renamed into place, so
@@ -110,19 +112,15 @@ type chunkRef struct {
 // blockIndex is the persisted index.json.
 type blockIndex struct {
 	Series map[string][]chunkRef `json:"series"`
-}
-
-// dsIndex is the persisted ds-<resolution>.json companion file: one
-// bucket list per series, buckets sorted by time and R-aligned on the
-// absolute grid (bucket k covers [k*R, (k+1)*R)). A bucket is the
-// scrubbed summary of its points; it references no chunk bytes, so it is
-// consumed from the summary alone or not at all (see
-// aggregator.companion). Files written before the sum was dropped carry
-// a "sum_v" per bucket, which reading ignores.
-type dsIndex struct {
-	Version      int                  `json:"version"`
-	ResolutionMS int64                `json:"resolution_ms"`
-	Series       map[string][]summary `json:"series"`
+	// Downsampled holds the companions, by resolution (ms) and then
+	// series: one bucket list per series, buckets sorted by time and
+	// R-aligned on the absolute grid (bucket k covers [k*R, (k+1)*R)). A
+	// bucket is the scrubbed summary of its points; it references no
+	// chunk bytes, so it is consumed from the summary alone or not at all
+	// (see aggregator.companion). Omitted when the block has none (a
+	// checkpoint's block never has); a reader that predates the field
+	// ignores it and decodes raw.
+	Downsampled map[int64]map[string][]summary `json:"downsampled,omitempty"`
 }
 
 // blockVersion is the version written by blockWriter. Version 2 added the
@@ -141,10 +139,9 @@ type block struct {
 	// value summaries (blocks written at version >= 2).
 	hasAggs bool
 	// ds holds the downsampled companions by resolution (ms): an
-	// alternative summary-level view of the same points, written into
-	// the block directory before its rename and deleted with it. Set
-	// only by the block writer and openBlock, before the block is
-	// shared, and never changed after.
+	// alternative summary-level view of the same points, persisted in
+	// index.json. Set only by the block writer and openBlock, before the
+	// block is shared, and never changed after.
 	ds map[int64]map[string][]summary
 }
 
@@ -159,9 +156,9 @@ func blockDirName(seq uint64, minT, maxT int64) string {
 	return fmt.Sprintf("b-%08d-%d-%d", seq, minT, maxT)
 }
 
-// blockWriteBuffer is the bufio size in front of a block's files and
-// the companion files: large enough that a series' chunks usually
-// leave in one write, small beside any block.
+// blockWriteBuffer is the bufio size in front of a block's files:
+// large enough that a series' chunks usually leave in one write, small
+// beside any block.
 const blockWriteBuffer = 256 << 10
 
 // blockWriter is the one producer of block directories: checkpoints and
@@ -189,7 +186,7 @@ type blockWriter struct {
 	dsTime []time.Duration
 	tel    *StoreTelemetry
 	f      *os.File
-	w      *bufio.Writer // on chunks.dat, then reused for the JSON files
+	w      *bufio.Writer // on chunks.dat, then reused for index.json and meta.json
 	frame  []byte        // one chunk's header + payload, reused
 	cut    int           // points per chunk: maxChunkPoints, larger only to write an older layout in tests
 }
@@ -197,7 +194,7 @@ type blockWriter struct {
 // newBlockWriter creates the tmp- directory and opens its chunks.dat.
 // meta carries the caller's identity fields (Seq, WALCuts, MinSeq,
 // MaxSeq, Level); the content fields are computed as series arrive. With
-// downsample, the block is published with one companion per
+// downsample, the block's index is published with one companion per
 // downsampleResolutions entry, each timed into tel.
 func newBlockWriter(blocksDir string, meta blockMeta, downsample bool, tel *StoreTelemetry) (*blockWriter, error) {
 	tmp := filepath.Join(blocksDir, fmt.Sprintf("%sb-%08d", blockTmpPrefix, meta.Seq))
@@ -300,8 +297,8 @@ func (bw *blockWriter) addSeries(key string, segs ...[]Point) error {
 }
 
 // publish makes the block durable and visible, in the order every crash
-// suite relies on: chunks.dat flushed and fsynced, index.json and the
-// companions written and fsynced, meta.json written and fsynced, the tmp
+// suite relies on: chunks.dat flushed and fsynced, index.json (with the
+// companions) written and fsynced, meta.json written and fsynced, the tmp
 // directory fsynced (the rename must not publish a directory whose
 // entries could vanish on power loss — the WAL segments covering this
 // data are deleted once the block is live), rename to
@@ -346,13 +343,6 @@ func (bw *blockWriter) finish() (*block, error) {
 	if err := bw.writeIndex(); err != nil {
 		return nil, err
 	}
-	for i, fold := range bw.dsTime { // empty without downsampling
-		start := time.Now()
-		if err := bw.writeDownsampled(downsampleResolutions[i]); err != nil {
-			return nil, err
-		}
-		bw.tel.DownsampleSeconds.Observe((fold + time.Since(start)).Seconds())
-	}
 	metaData, err := json.MarshalIndent(&bw.meta, "", " ")
 	if err != nil {
 		return nil, err
@@ -379,33 +369,47 @@ func (bw *blockWriter) finish() (*block, error) {
 	return &block{dir: final, meta: bw.meta, index: bw.index, f: f, hasAggs: bw.meta.Version >= 2, ds: bw.ds}, nil
 }
 
-// writeIndex streams index.json from the refs collected so far.
+// writeIndex streams index.json from the refs and the companion buckets
+// collected so far. Each companion's fold time plus its part of the
+// write is observed once. Resolutions go in downsampleResolutions order,
+// which is also the order encoding/json sorts their decimal keys in
+// (TestBlockWriterMatchesReference holds the bytes to
+// json.MarshalIndent).
 func (bw *blockWriter) writeIndex() error {
 	return writeStreamSync(filepath.Join(bw.tmp, blockIndexName), bw.w, func() error {
-		j := newSeriesJSON(bw.w, "")
+		j := newSeriesJSON(bw.w, "{\n \"series\": ", 1)
 		for _, key := range bw.keys {
 			refs := bw.index[key]
-			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendChunkRefJSON(dst, refs[i]) }); err != nil {
+			if err := j.series(key, len(refs), func(dst []byte, in string, i int) []byte { return appendChunkRefJSON(dst, in, refs[i]) }); err != nil {
 				return err
 			}
 		}
-		return j.end()
-	})
-}
-
-// writeDownsampled streams the ds-<res>.json companion from the buckets
-// folded so far.
-func (bw *blockWriter) writeDownsampled(res int64) error {
-	series := bw.ds[res]
-	return writeStreamSync(filepath.Join(bw.tmp, downsampledName(res)), bw.w, func() error {
-		j := newSeriesJSON(bw.w, fmt.Sprintf(" \"version\": 1,\n \"resolution_ms\": %d,\n", res))
-		for _, key := range bw.keys {
-			refs := series[key]
-			if err := j.series(key, len(refs), func(dst []byte, i int) []byte { return appendSummaryJSON(dst, true, refs[i]) }); err != nil {
+		if err := j.end(); err != nil {
+			return err
+		}
+		sep := ",\n \"downsampled\": {"
+		for i, fold := range bw.dsTime { // empty without downsampling
+			start := time.Now()
+			res := downsampleResolutions[i]
+			j := newSeriesJSON(bw.w, sep+"\n  \""+strconv.FormatInt(res, 10)+"\": ", 2)
+			for _, key := range bw.keys {
+				buckets := bw.ds[res][key]
+				if err := j.series(key, len(buckets), func(dst []byte, in string, i int) []byte { return appendSummaryJSON(dst, in, true, buckets[i]) }); err != nil {
+					return err
+				}
+			}
+			if err := j.end(); err != nil {
 				return err
 			}
+			bw.tel.DownsampleSeconds.Observe((fold + time.Since(start)).Seconds())
+			sep = ","
 		}
-		return j.end()
+		tail := "\n}"
+		if len(bw.dsTime) > 0 {
+			tail = "\n }\n}"
+		}
+		_, err := bw.w.WriteString(tail)
+		return err
 	})
 }
 
@@ -425,45 +429,50 @@ func (bw *blockWriter) abort() {
 	bw.tmp = ""
 }
 
-// seriesJSON streams a `{<header> "series": {key: [object, ...], ...}}`
-// document — index.json, a ds-<res>.json companion — one series at a
-// time, byte for byte what json.MarshalIndent(v, "", " ") produces for
-// the struct it mirrors (blockIndex, dsIndex): keys in ascending order
-// as encoding/json sorts a map, one-space indent, no trailing newline.
-// Marshalling those maps whole costs several times the file size in
-// encoder buffers; this holds at most blockWriteBuffer of text.
+// seriesJSON streams one `{key: [object, ...], ...}` map of
+// index.json — the chunk refs of "series", or one companion of
+// "downsampled" — one series at a time, byte for byte what
+// json.MarshalIndent(blockIndex{…}, "", " ") produces for it: keys in
+// ascending order as encoding/json sorts a map, one space of indent per
+// level. Marshalling those maps whole costs several times the file size
+// in encoder buffers; this holds at most blockWriteBuffer of text.
 type seriesJSON struct {
 	w   *bufio.Writer
 	buf []byte
-	n   int // series written
+	// key, object and field are a newline and the indent of a key, of an
+	// object's braces and of an object's fields; close ends the map.
+	key, object, field, close string
+	n                         int // series written
 }
 
-// newSeriesJSON writes the document head to w; header is the already
-// formatted run of fields that precede "series" (each line
-// ` "name": value,\n`), empty for none.
-func newSeriesJSON(w *bufio.Writer, header string) *seriesJSON {
-	w.WriteString("{\n" + header + ` "series": {`) // an error is sticky in w and returned by the next series or end
-	return &seriesJSON{w: w}
+// newSeriesJSON writes head, the document up to the map's opening brace,
+// to w; depth is the nesting level of the line head ends on (1 for
+// "series", 2 for a companion).
+func newSeriesJSON(w *bufio.Writer, head string, depth int) *seriesJSON {
+	w.WriteString(head + "{") // an error is sticky in w and returned by the next series or end
+	ind := "\n" + strings.Repeat(" ", depth+3)
+	return &seriesJSON{w: w, key: ind[:depth+2], object: ind[:depth+3], field: ind, close: ind[:depth+1] + "}"}
 }
 
 // series writes one key's list of n > 0 objects; object appends the
-// i-th one's fields through appendJSONField.
-func (j *seriesJSON) series(key string, n int, object func(dst []byte, i int) []byte) error {
+// i-th one's fields, each through appendJSONField with the field indent
+// in.
+func (j *seriesJSON) series(key string, n int, object func(dst []byte, in string, i int) []byte) error {
 	buf := j.buf[:0]
 	if j.n > 0 {
 		buf = append(buf, ',')
 	}
 	j.n++
-	buf = append(buf, "\n  "...)
+	buf = append(buf, j.key...)
 	buf = jsonenc.AppendString(buf, key)
 	buf = append(buf, ": ["...)
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, "\n   {"...)
-		buf = object(buf, i)
-		buf = append(buf, "\n   }"...)
+		buf = append(append(buf, j.object...), '{')
+		buf = object(buf, j.field, i)
+		buf = append(append(buf, j.object...), '}')
 		if len(buf) >= blockWriteBuffer { // a long list leaves in pieces
 			if _, err := j.w.Write(buf); err != nil {
 				return err
@@ -471,64 +480,66 @@ func (j *seriesJSON) series(key string, n int, object func(dst []byte, i int) []
 			buf = buf[:0]
 		}
 	}
-	buf = append(buf, "\n  ]"...)
+	buf = append(append(buf, j.key...), ']')
 	j.buf = buf
 	_, err := j.w.Write(buf)
 	return err
 }
 
-// end closes the series map and the document.
+// end closes the map.
 func (j *seriesJSON) end() error {
-	tail := "}\n}"
+	tail := "}"
 	if j.n > 0 {
-		tail = "\n }\n}"
+		tail = j.close
 	}
 	_, err := j.w.WriteString(tail)
 	return err
 }
 
-// appendJSONField appends one `"name": value` line of a series object;
-// first marks the object's first field (no comma before it).
-func appendJSONField(dst []byte, first bool, name string) []byte {
+// appendJSONField appends one `"name": value` line of a series object at
+// the field indent in; first marks the object's first field (no comma
+// before it).
+func appendJSONField(dst []byte, in string, first bool, name string) []byte {
 	if !first {
 		dst = append(dst, ',')
 	}
-	dst = append(dst, "\n    \""...)
+	dst = append(dst, in...)
+	dst = append(dst, '"')
 	dst = append(dst, name...)
 	return append(dst, "\": "...)
 }
 
-func appendJSONInt(dst []byte, first bool, name string, v int64) []byte {
-	return strconv.AppendInt(appendJSONField(dst, first, name), v, 10)
+func appendJSONInt(dst []byte, in string, first bool, name string, v int64) []byte {
+	return strconv.AppendInt(appendJSONField(dst, in, first, name), v, 10)
 }
 
 // appendJSONFloat appends a float field; v is finite (a summary is
 // scrubbed before it is persisted).
-func appendJSONFloat(dst []byte, name string, v float64) []byte {
-	return jsonenc.AppendFloat(appendJSONField(dst, false, name), v)
+func appendJSONFloat(dst []byte, in, name string, v float64) []byte {
+	return jsonenc.AppendFloat(appendJSONField(dst, in, false, name), v)
 }
 
 // appendSummaryJSON appends the fields of s, a scrubbed summary, as
 // encoding/json orders them; first marks them as the object's first.
-func appendSummaryJSON(dst []byte, first bool, s summary) []byte {
-	dst = appendJSONInt(dst, first, "count", int64(s.Count))
-	dst = appendJSONInt(dst, false, "min_t", s.MinT)
-	dst = appendJSONInt(dst, false, "max_t", s.MaxT)
-	dst = appendJSONFloat(dst, "min_v", s.MinV)
-	dst = appendJSONFloat(dst, "max_v", s.MaxV)
-	dst = appendJSONFloat(dst, "first_v", s.FirstV)
-	dst = appendJSONFloat(dst, "last_v", s.LastV)
+func appendSummaryJSON(dst []byte, in string, first bool, s summary) []byte {
+	dst = appendJSONInt(dst, in, first, "count", int64(s.Count))
+	dst = appendJSONInt(dst, in, false, "min_t", s.MinT)
+	dst = appendJSONInt(dst, in, false, "max_t", s.MaxT)
+	dst = appendJSONFloat(dst, in, "min_v", s.MinV)
+	dst = appendJSONFloat(dst, in, "max_v", s.MaxV)
+	dst = appendJSONFloat(dst, in, "first_v", s.FirstV)
+	dst = appendJSONFloat(dst, in, "last_v", s.LastV)
 	if s.NoSummary {
-		dst = append(appendJSONField(dst, false, "no_summary"), "true"...)
+		dst = append(appendJSONField(dst, in, false, "no_summary"), "true"...)
 	}
 	return dst
 }
 
 // appendChunkRefJSON appends r's fields as encoding/json orders them.
-func appendChunkRefJSON(dst []byte, r chunkRef) []byte {
-	dst = appendJSONInt(dst, true, "offset", r.Offset)
-	dst = appendJSONInt(dst, false, "length", int64(r.Length))
-	return appendSummaryJSON(dst, false, r.summary)
+func appendChunkRefJSON(dst []byte, in string, r chunkRef) []byte {
+	dst = appendJSONInt(dst, in, true, "offset", r.Offset)
+	dst = appendJSONInt(dst, in, false, "length", int64(r.Length))
+	return appendSummaryJSON(dst, in, false, r.summary)
 }
 
 // writeStreamSync creates path, lets fill write it through w (the
@@ -568,8 +579,11 @@ func syncDir(dir string) error {
 	return err
 }
 
-// openBlock loads a block's meta and index, opens its chunks file and
-// loads any downsampled companion files.
+// openBlock loads a block's meta and index (with its companions, if it
+// has any) and opens its chunks file. Companion files that older
+// releases wrote beside index.json (ds-*.json, tmp-ds-*.json) are not
+// read: such a block decodes raw until compaction rewrites it, and the
+// rewrite removes them with the old directory.
 func openBlock(dir string) (*block, error) {
 	metaData, err := os.ReadFile(filepath.Join(dir, blockMetaName))
 	if err != nil {
@@ -591,47 +605,7 @@ func openBlock(dir string) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &block{dir: dir, meta: meta, index: idx.Series, f: f, hasAggs: meta.Version >= 2}
-	if err := b.loadDownsampled(); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	return b, nil
-}
-
-// loadDownsampled loads every ds-<resolution>.json companion in the
-// block directory into b.ds. Any other file is ignored, among them a
-// tmp-ds-*.json that older releases left when a companion write, then
-// made into the published directory, crashed before its rename; it goes
-// when the block goes.
-func (b *block) loadDownsampled() error {
-	entries, err := os.ReadDir(b.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		res, ok := parseDownsampledName(name)
-		if !ok {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(b.dir, name))
-		if err != nil {
-			return err
-		}
-		var idx dsIndex
-		if err := json.Unmarshal(data, &idx); err != nil {
-			return fmt.Errorf("tsdb: block %s: bad companion %s: %w", b.dir, name, err)
-		}
-		if idx.ResolutionMS != res || idx.ResolutionMS <= 0 {
-			return fmt.Errorf("tsdb: block %s: companion %s resolution mismatch (%d)", b.dir, name, idx.ResolutionMS)
-		}
-		if b.ds == nil {
-			b.ds = map[int64]map[string][]summary{}
-		}
-		b.ds[res] = idx.Series
-	}
-	return nil
+	return &block{dir: dir, meta: meta, index: idx.Series, f: f, hasAggs: meta.Version >= 2, ds: idx.Downsampled}, nil
 }
 
 // covers reports whether b's checkpoint-sequence range contains other's:
@@ -755,22 +729,6 @@ func (b *block) close() error {
 	err := b.f.Close()
 	b.f = nil
 	return err
-}
-
-// downsampledName formats the companion file name of one resolution.
-func downsampledName(resMS int64) string {
-	return fmt.Sprintf("ds-%d.json", resMS)
-}
-
-// parseDownsampledName inverts downsampledName.
-func parseDownsampledName(name string) (resMS int64, ok bool) {
-	if !strings.HasPrefix(name, "ds-") || !strings.HasSuffix(name, ".json") {
-		return 0, false
-	}
-	if _, err := fmt.Sscanf(name, "ds-%d.json", &resMS); err != nil || resMS <= 0 {
-		return 0, false
-	}
-	return resMS, true
 }
 
 // openBlocks loads every published block under blocksDir (ascending by

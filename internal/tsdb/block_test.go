@@ -547,10 +547,12 @@ func mustReadFile(t *testing.T, path string) []byte {
 
 // TestBlockWriterMatchesReference pins the streaming writer to the
 // map-taking writer it replaced: same directory name and the same bytes
-// in chunks.dat, index.json and meta.json for the same input, a returned
-// block indistinguishable from reopening the directory, and companions
-// that equal the reference fold over the published block's scan and
-// json.MarshalIndent over those buckets, each timed once.
+// in chunks.dat and meta.json for the same input, an index.json that is
+// json.MarshalIndent of blockIndex, a returned block indistinguishable
+// from reopening the directory, and companions that equal the reference
+// fold over the published block's scan, each timed once. A block written
+// without companions (every third seed, as a checkpoint writes it) has
+// the reference writer's index.json byte for byte.
 func TestBlockWriterMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -565,7 +567,8 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: reference writer: %v", seed, err)
 		}
 		tel := newStoreTelemetry(telemetry.NewRegistry())
-		bw, err := newBlockWriter(dir, meta, true, tel)
+		downsample := seed%3 != 0
+		bw, err := newBlockWriter(dir, meta, downsample, tel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +584,11 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 		if filepath.Base(got.dir) != filepath.Base(want.dir) {
 			t.Fatalf("seed %d: published as %s, reference %s", seed, filepath.Base(got.dir), filepath.Base(want.dir))
 		}
-		for _, name := range []string{blockChunksName, blockIndexName, blockMetaName} {
+		names := []string{blockChunksName, blockMetaName}
+		if !downsample {
+			names = append(names, blockIndexName)
+		}
+		for _, name := range names {
 			if !bytes.Equal(mustReadFile(t, filepath.Join(got.dir, name)), mustReadFile(t, filepath.Join(want.dir, name))) {
 				t.Fatalf("seed %d: %s differs from the reference writer's", seed, name)
 			}
@@ -614,28 +621,37 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: %q reads back %d points, wrote %d", seed, key, len(pts), len(all))
 			}
 		}
-		if n := tel.DownsampleSeconds.Count(); n != uint64(len(downsampleResolutions)) {
-			t.Fatalf("seed %d: %d companion builds timed, want %d", seed, n, len(downsampleResolutions))
-		}
-		for _, res := range downsampleResolutions {
-			wantDs := map[string][]summary{}
-			for key := range got.index {
-				pts, err := blockQuery(got, key, math.MinInt64, math.MaxInt64)
-				if err != nil {
-					t.Fatal(err)
+		wantIdx := blockIndex{Series: want.index}
+		if downsample {
+			wantIdx.Downsampled = map[int64]map[string][]summary{}
+			for _, res := range downsampleResolutions {
+				wantDs := map[string][]summary{}
+				for key := range got.index {
+					pts, err := blockQuery(got, key, math.MinInt64, math.MaxInt64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantDs[key] = mapDownsampleSeries(pts, res)
 				}
-				wantDs[key] = mapDownsampleSeries(pts, res)
+				wantIdx.Downsampled[res] = wantDs
 			}
-			if !reflect.DeepEqual(got.ds[res], wantDs) {
-				t.Fatalf("seed %d: companion %d buckets differ from the reference fold", seed, res)
-			}
-			wantJSON, err := json.MarshalIndent(dsIndex{Version: 1, ResolutionMS: res, Series: wantDs}, "", " ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(mustReadFile(t, filepath.Join(got.dir, downsampledName(res))), wantJSON) {
-				t.Fatalf("seed %d: %s differs from json.MarshalIndent", seed, downsampledName(res))
-			}
+		}
+		if !reflect.DeepEqual(got.ds, wantIdx.Downsampled) {
+			t.Fatalf("seed %d: companion buckets differ from the reference fold", seed)
+		}
+		if n, want := tel.DownsampleSeconds.Count(), uint64(len(wantIdx.Downsampled)); n != want {
+			t.Fatalf("seed %d: %d companion builds timed, want %d", seed, n, want)
+		}
+		wantJSON, err := json.MarshalIndent(wantIdx, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustReadFile(t, filepath.Join(got.dir, blockIndexName)), wantJSON) {
+			t.Fatalf("seed %d: %s differs from json.MarshalIndent", seed, blockIndexName)
+		}
+		if entries, err := os.ReadDir(got.dir); err != nil || len(entries) != 3 {
+			t.Fatalf("seed %d: block dir holds %d entries (%v), want %s, %s and %s",
+				seed, len(entries), err, blockMetaName, blockIndexName, blockChunksName)
 		}
 		got.close()
 		want.close()
@@ -643,24 +659,27 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 }
 
 // TestBlockWriterCompanionEmptySeries covers the document shape no
-// published block produces (a block always indexes a series): an empty
-// series map marshals as {} on the "series" line, not as an open and a
-// close brace on separate lines.
+// published block produces (a block always indexes a series): empty
+// series and companion maps marshal as {} on their key's line, not as an
+// open and a close brace on separate lines.
 func TestBlockWriterCompanionEmptySeries(t *testing.T) {
 	bw, err := newBlockWriter(t.TempDir(), blockMeta{Seq: 1}, true, newStoreTelemetry(telemetry.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bw.abort()
-	if err := bw.writeDownsampled(300_000); err != nil {
+	if err := bw.writeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.MarshalIndent(dsIndex{Version: 1, ResolutionMS: 300_000, Series: map[string][]summary{}}, "", " ")
+	want, err := json.MarshalIndent(blockIndex{
+		Series:      map[string][]chunkRef{},
+		Downsampled: map[int64]map[string][]summary{300_000: {}, 3_600_000: {}},
+	}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mustReadFile(t, filepath.Join(bw.tmp, downsampledName(300_000))); !bytes.Equal(got, want) {
-		t.Fatalf("empty companion:\n got %s\nwant %s", got, want)
+	if got := mustReadFile(t, filepath.Join(bw.tmp, blockIndexName)); !bytes.Equal(got, want) {
+		t.Fatalf("empty index:\n got %s\nwant %s", got, want)
 	}
 }
 

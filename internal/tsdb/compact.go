@@ -334,8 +334,14 @@ func (d *durable) compact() error {
 			}
 		}
 		for _, b := range snapshot {
-			if !planned[b] && len(b.ds) < len(downsampleResolutions) {
-				runs = append(runs, []*block{b})
+			if planned[b] {
+				continue
+			}
+			for _, res := range downsampleResolutions {
+				if _, ok := b.ds[res]; !ok {
+					runs = append(runs, []*block{b})
+					break
+				}
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package tsdb
 
 // Unit and fuzz coverage for the compaction internals: bucket
 // assignment at extreme timestamps, the downsample fold against a naive
-// from-scratch reference, run planning, companion-file naming, and the
-// resolution-selection / raw-fallback decision observed through the
+// from-scratch reference, run planning, the upgrade from companion
+// files, and the resolution-selection / raw-fallback decision observed through the
 // DownsampledBucketsRead telemetry counter.
 
 import (
@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -488,8 +489,8 @@ func TestCompactBackfillsCompanions(t *testing.T) {
 	}
 	b := s.dur.blocks[0]
 	for _, res := range downsampleResolutions {
-		if _, err := os.Stat(filepath.Join(b.dir, downsampledName(res))); err != nil || len(b.ds[res]) == 0 {
-			t.Fatalf("companion %d: %v, %d series loaded", res, err, len(b.ds[res]))
+		if len(b.ds[res]) == 0 {
+			t.Fatalf("companion %d: no series loaded", res)
 		}
 	}
 	assertSameContents(t, s, m, "companion backfill")
@@ -542,21 +543,6 @@ func TestPlanCompactRuns(t *testing.T) {
 				t.Fatalf("planCompactRuns = %v, want %v", got, c.want)
 			}
 		})
-	}
-}
-
-func TestDownsampledNameRoundtrip(t *testing.T) {
-	for _, res := range downsampleResolutions {
-		name := downsampledName(res)
-		got, ok := parseDownsampledName(name)
-		if !ok || got != res {
-			t.Fatalf("parseDownsampledName(%q) = %d, %v; want %d, true", name, got, ok, res)
-		}
-	}
-	for _, bad := range []string{"meta.json", "chunks.dat", "ds-.json", "ds-abc.json", "ds-300000.txt"} {
-		if _, ok := parseDownsampledName(bad); ok {
-			t.Fatalf("parseDownsampledName(%q) accepted a non-companion name", bad)
-		}
 	}
 }
 
@@ -674,10 +660,15 @@ func TestDownsampleOverflowingSumConsumed(t *testing.T) {
 	}
 }
 
-// TestDownsampleReadsCompanionWithSum: a companion written when each
-// bucket also persisted its sum ("sum_v", between "last_v" and
-// "no_summary") loads, and its buckets are consumed as before.
-func TestDownsampleReadsCompanionWithSum(t *testing.T) {
+// TestDownsampleUpgradesCompanionFiles starts from a compacted block as
+// older releases left it: an index.json without companions beside
+// ds-300000.json and ds-3600000.json files, whose buckets also carry
+// their sum ("sum_v", between "last_v" and "no_summary"). Those files are
+// not read: the block serves every query bit-identically from its
+// chunks. One Compact with Downsample rewrites it alone into a directory
+// of meta.json, index.json and chunks.dat, whose companions coarse
+// queries then read.
+func TestDownsampleUpgradesCompanionFiles(t *testing.T) {
 	samples := compactSamples(9, 1, 2, 480, 15_000, false) // 2 hours
 	span := maxSampleT(samples) + 1
 	dir := t.TempDir()
@@ -701,8 +692,9 @@ func TestDownsampleReadsCompanionWithSum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite every companion in the older format, which
-	// json.MarshalIndent of this bucket type reproduces byte for byte.
+	// Move the companions out of index.json into the files older
+	// releases wrote, which json.MarshalIndent of these types reproduces
+	// byte for byte.
 	type bucketWithSum struct {
 		Count     int     `json:"count"`
 		MinT      int64   `json:"min_t"`
@@ -714,51 +706,93 @@ func TestDownsampleReadsCompanionWithSum(t *testing.T) {
 		SumV      float64 `json:"sum_v"`
 		NoSummary bool    `json:"no_summary,omitempty"`
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "blocks", "b-*", "ds-*.json"))
-	if err != nil || len(files) != len(downsampleResolutions) {
-		t.Fatalf("companions %v (%v), want one block's %d", files, err, len(downsampleResolutions))
+	type companionFile struct {
+		Version      int                        `json:"version"`
+		ResolutionMS int64                      `json:"resolution_ms"`
+		Series       map[string][]bucketWithSum `json:"series"`
 	}
-	for _, name := range files {
-		var idx dsIndex
-		if err := json.Unmarshal(mustReadFile(t, name), &idx); err != nil {
-			t.Fatal(err)
-		}
-		old := map[string][]bucketWithSum{}
-		for key, buckets := range idx.Series {
+	blocksDir := filepath.Join(dir, "blocks")
+	before := listBlockDirs(t, blocksDir)
+	if len(before) != 1 {
+		t.Fatalf("blocks on disk = %v, want one", before)
+	}
+	blockDir := filepath.Join(blocksDir, before[0])
+	var idx blockIndex
+	if err := json.Unmarshal(mustReadFile(t, filepath.Join(blockDir, blockIndexName)), &idx); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Downsampled) != len(downsampleResolutions) {
+		t.Fatalf("compacted index holds %d companions, want %d", len(idx.Downsampled), len(downsampleResolutions))
+	}
+	for res, series := range idx.Downsampled {
+		old := companionFile{Version: 1, ResolutionMS: res, Series: map[string][]bucketWithSum{}}
+		for key, buckets := range series {
 			for _, b := range buckets {
 				var sum float64
 				for _, p := range samples {
-					if p.Key() == key && floorDiv(p.T, idx.ResolutionMS) == floorDiv(b.MinT, idx.ResolutionMS) {
+					if p.Key() == key && floorDiv(p.T, res) == floorDiv(b.MinT, res) {
 						sum += p.V
 					}
 				}
-				old[key] = append(old[key], bucketWithSum{b.Count, b.MinT, b.MaxT, b.MinV, b.MaxV, b.FirstV, b.LastV, sum, b.NoSummary})
+				old.Series[key] = append(old.Series[key], bucketWithSum{b.Count, b.MinT, b.MaxT, b.MinV, b.MaxV, b.FirstV, b.LastV, sum, b.NoSummary})
 			}
 		}
-		data, err := json.MarshalIndent(struct {
-			Version      int                        `json:"version"`
-			ResolutionMS int64                      `json:"resolution_ms"`
-			Series       map[string][]bucketWithSum `json:"series"`
-		}{idx.Version, idx.ResolutionMS, old}, "", " ")
+		data, err := json.MarshalIndent(old, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(name, data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(blockDir, fmt.Sprintf("ds-%d.json", res)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	data, err := json.MarshalIndent(blockIndex{Series: idx.Series}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blockDir, blockIndexName), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	s, tel := openCompactable(t, dir, 1, FsyncNever, 0)
 	defer s.Close()
-	for _, q := range []RangeQuery{
-		{Component: "*", Metric: "*", From: 0, To: span, Agg: AggMax, StepMS: 300_000},
-		{Component: "*", Metric: "*", From: 0, To: span, Agg: AggCount, StepMS: 3_600_000},
-	} {
-		before := tel.DownsampledBucketsRead.Value()
-		assertBitIdentical(t, "companion with sums", q, engineQuery(t, s, q), m.queryRange(q))
-		if tel.DownsampledBucketsRead.Value() == before {
-			t.Errorf("%v step %d consumed no downsampled buckets", q.Agg, q.StepMS)
+	fine := RangeQuery{Component: "*", Metric: "*", From: 0, To: span, Agg: AggMax, StepMS: 300_000}
+	readAll := func(label string) (fineBuckets uint64) {
+		t.Helper()
+		for _, q := range compactQueries(span) {
+			assertBitIdentical(t, label, q, engineQuery(t, s, q), m.queryRange(q))
 		}
+		assertSameContents(t, s, m, label)
+		before := tel.DownsampledBucketsRead.Value()
+		assertBitIdentical(t, label, fine, engineQuery(t, s, fine), m.queryRange(fine))
+		return tel.DownsampledBucketsRead.Value() - before
+	}
+	if n := readAll("older companion files"); n != 0 {
+		t.Fatalf("the 5m max read %d downsampled buckets from the older layout, want 0", n)
+	}
+
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if merged := tel.CompactionMergedBlocks.Value(); merged != 1 {
+		t.Fatalf("the pass retired %d blocks, want the one rewritten alone", merged)
+	}
+	after := listBlockDirs(t, blocksDir)
+	if len(after) != 1 || after[0] == before[0] {
+		t.Fatalf("blocks after the pass = %v, want one replacing %s", after, before[0])
+	}
+	entries, err := os.ReadDir(filepath.Join(blocksDir, after[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	if want := []string{blockChunksName, blockIndexName, blockMetaName}; !reflect.DeepEqual(files, want) {
+		t.Fatalf("rewritten block holds %v, want %v", files, want)
+	}
+	if n := readAll("rewritten block"); n == 0 {
+		t.Fatal("the 5m max read no downsampled buckets from the rewritten block")
 	}
 }
 

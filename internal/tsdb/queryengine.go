@@ -254,8 +254,8 @@ func (q RangeQuery) matchKey(key string) bool {
 // line protocol rejects them.
 //
 // The JSON tags are the persisted field names of index.json, where
-// chunkRef embeds a summary, and of the ds-<res>.json companions, whose
-// buckets are summaries (appendSummaryJSON writes both).
+// chunkRef embeds a summary and each companion bucket of "downsampled"
+// is one (appendSummaryJSON writes both).
 type summary struct {
 	Count     int     `json:"count"`
 	MinT      int64   `json:"min_t"`

@@ -764,9 +764,9 @@ func TestDurableRecoveryKilledMidBlockRemoval(t *testing.T) {
 }
 
 // TestDurableRecoveryCompanionTmpFile opens a block directory holding a
-// tmp-ds-*.json, which older releases left when a companion write into
-// the published block crashed before its rename: the file is not a
-// companion, and the block must serve its raw chunks unchanged.
+// stray ds-*.json and tmp-ds-*.json, the companion files older releases
+// wrote (the tmp- one when such a write crashed before its rename):
+// neither is read, and the block must serve its raw chunks unchanged.
 func TestDurableRecoveryCompanionTmpFile(t *testing.T) {
 	dir := t.TempDir()
 	s := openCrashable(t, dir, 2)
@@ -782,13 +782,19 @@ func TestDurableRecoveryCompanionTmpFile(t *testing.T) {
 	if len(blocks) == 0 {
 		t.Fatal("no blocks on disk")
 	}
-	tmpFile := filepath.Join(blocksDir, blocks[0], blockTmpPrefix+downsampledName(300_000))
-	if err := os.WriteFile(tmpFile, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"ds-300000.json", blockTmpPrefix + "ds-300000.json"} {
+		if err := os.WriteFile(filepath.Join(blocksDir, blocks[0], name), []byte("half-written"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	re := openCrashable(t, dir, 2)
 	defer re.Close()
-	assertSameContents(t, re, ref, "companion tmp-file recovery")
+	for _, b := range re.dur.blocks {
+		if b.ds != nil {
+			t.Fatalf("block %s loaded %d companions from stray files", b.dir, len(b.ds))
+		}
+	}
+	assertSameContents(t, re, ref, "stray companion files")
 }
 
 // TestDurableRecoveryCompanionBackfillCrashWindow: a block written

@@ -66,9 +66,10 @@ type StoreTelemetry struct {
 	// CompactionSeconds times individual merge runs (read sources, write
 	// merged block, swap, delete sources).
 	CompactionSeconds *telemetry.Histogram
-	// DownsampleSeconds times building one downsampled companion file:
-	// its fold during the block write, then the file write. One
-	// observation per companion file written.
+	// DownsampleSeconds times building one downsampled companion: its
+	// fold during the block write, then its part of the index.json
+	// write. One observation per resolution of each block written with
+	// companions.
 	DownsampleSeconds *telemetry.Histogram
 }
 
@@ -112,7 +113,7 @@ func newStoreTelemetry(reg *telemetry.Registry) *StoreTelemetry {
 		CompactionSeconds: reg.Histogram("sieve_compaction_seconds",
 			"merge-run duration: read sources, write merged block, swap, delete", nil),
 		DownsampleSeconds: reg.Histogram("sieve_downsample_seconds",
-			"downsampled-companion build duration per block and resolution", nil),
+			"downsampled-companion duration per block and resolution: the fold plus its part of the index write", nil),
 	}
 }
 
