@@ -23,9 +23,8 @@
 // representative) pair of communicating components: it aligns the pair on
 // one time base, fits the two unrestricted regressions per lag, and
 // returns the winning causality with the lag and F-test p-value that
-// become a DependencyEdge in the artifact's graph. Direction
-// (DirectionWith with a caller-owned Scratch) is the same test on two raw
-// series: prepare, prepare, then the prepared test. Of each lag
+// become a DependencyEdge in the artifact's graph. Direction is the same
+// test on two raw series: prepare, prepare, then the prepared test. Of each lag
 // regression only the residual sum of squares is read: it is all the
 // F-test needs.
 package granger

@@ -268,20 +268,12 @@ func (c Causality) String() string {
 	}
 }
 
-// Direction runs the test in both directions and classifies the result.
-// It returns the per-direction test results alongside the classification.
+// Direction runs the test in both directions and classifies the result:
+// it prepares both series and runs DirectionPrepared. It returns the
+// per-direction test results alongside the classification.
 func Direction(x, y []float64, opts Options) (Causality, *TestResult, *TestResult, error) {
 	var s Scratch
-	return DirectionWith(x, y, opts, &s)
-}
-
-// DirectionWith is Direction with caller-owned scratch: it prepares both
-// series and runs DirectionPrepared.
-func DirectionWith(x, y []float64, opts Options, s *Scratch) (Causality, *TestResult, *TestResult, error) {
-	if len(x) != len(y) {
-		return 0, nil, nil, lengthMismatch(len(x), len(y))
-	}
-	return DirectionPrepared(Prepare(x, opts, s), Prepare(y, opts, s), s)
+	return DirectionPrepared(Prepare(x, opts, &s), Prepare(y, opts, &s), &s)
 }
 
 // DirectionPrepared tests two prepared series of equal length, prepared

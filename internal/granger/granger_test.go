@@ -105,11 +105,12 @@ func TestIndependentSeriesEdgeRate(t *testing.T) {
 		return out
 	}
 	var s Scratch
+	opts := Options{MaxLag: 1}
 	for cell, phi := range []float64{0, 0.5, 0.9, 1} {
 		rng := rand.New(rand.NewSource(int64(cell + 1)))
 		forward, unidirectional := 0, 0
 		for i := 0; i < pairs; i++ {
-			c, xy, _, err := DirectionWith(ar(rng, phi), ar(rng, phi), Options{MaxLag: 1}, &s)
+			c, xy, _, err := DirectionPrepared(Prepare(ar(rng, phi), opts, &s), Prepare(ar(rng, phi), opts, &s), &s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,8 +244,8 @@ func TestBidirectionalCommonDriver(t *testing.T) {
 	}
 }
 
-// mirror is the class DirectionWith(y, x) must return when
-// DirectionWith(x, y) returned c.
+// mirror is the class Direction(y, x) must return when
+// Direction(x, y) returned c.
 func mirror(c Causality) Causality {
 	switch c {
 	case XCausesY:
@@ -298,8 +299,8 @@ func TestDirectionSwapMirrors(t *testing.T) {
 		for _, maxLag := range []int{1, 2} {
 			what := fmt.Sprintf("%s, MaxLag %d", tc.name, maxLag)
 			opts := Options{MaxLag: maxLag}
-			dir, xy, yx, err := DirectionWith(tc.x, tc.y, opts, new(Scratch))
-			swDir, swXY, swYX, swErr := DirectionWith(tc.y, tc.x, opts, new(Scratch))
+			dir, xy, yx, err := Direction(tc.x, tc.y, opts)
+			swDir, swXY, swYX, swErr := Direction(tc.y, tc.x, opts)
 			if tc.wantErr {
 				if err == nil || swErr == nil {
 					t.Errorf("%s: errors %v and %v, want both calls to fail", what, err, swErr)

@@ -28,7 +28,7 @@ func TestScratchDirectionMatchesFresh(t *testing.T) {
 	for pair := 0; pair < 5; pair++ {
 		x, y := coupledPair(rng, 120)
 		wantDir, wantXY, wantYX, wantErr := Direction(x, y, opts)
-		gotDir, gotXY, gotYX, gotErr := DirectionWith(x, y, opts, &reused)
+		gotDir, gotXY, gotYX, gotErr := DirectionPrepared(Prepare(x, opts, &reused), Prepare(y, opts, &reused), &reused)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("pair %d: error mismatch: %v vs %v", pair, wantErr, gotErr)
 		}
@@ -54,11 +54,11 @@ func TestScratchDirectionAllocs(t *testing.T) {
 	measure := func(n int) float64 {
 		x, y := coupledPair(rng, n)
 		var s Scratch
-		if _, _, _, err := DirectionWith(x, y, opts, &s); err != nil {
+		if _, _, _, err := DirectionPrepared(Prepare(x, opts, &s), Prepare(y, opts, &s), &s); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, _, _, err := DirectionWith(x, y, opts, &s); err != nil {
+			if _, _, _, err := DirectionPrepared(Prepare(x, opts, &s), Prepare(y, opts, &s), &s); err != nil {
 				t.Fatal(err)
 			}
 		})

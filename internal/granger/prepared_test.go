@@ -11,7 +11,7 @@ import (
 	"github.com/sieve-microservices/sieve/internal/timeseries"
 )
 
-// referenceDirection is DirectionWith as it stood before preparation:
+// referenceDirection is Direction as it stood before preparation:
 // every pair runs both stationarity checks and, per direction and lag,
 // both the restricted and the unrestricted regression. The prepared path
 // must reproduce it bit for bit.
@@ -170,7 +170,7 @@ func requireSameOutcome(t *testing.T, what string, want, got outcome) {
 }
 
 // FuzzGrangerPrepared holds the prepared path — Prepare once per series,
-// then DirectionPrepared, and DirectionWith, which wraps the two — to
+// then DirectionPrepared, and Direction, which wraps the two — to
 // the per-pair reference, bit for bit, on series of
 // every kind the pre-check treats differently: constants, each side
 // differenced alone, a series that is constant once its first sample is
@@ -198,7 +198,7 @@ func FuzzGrangerPrepared(f *testing.F) {
 		what := fmt.Sprintf("seed %d, n %d, MaxLag %d, kinds %d/%d, shortY %v", seed, size, opts.MaxLag, kx%kindCount, ky%kindCount, shortY)
 
 		want := outcomeOf(referenceDirection(x, y, opts, new(Scratch)))
-		requireSameOutcome(t, what+", DirectionWith", want, outcomeOf(DirectionWith(x, y, opts, new(Scratch))))
+		requireSameOutcome(t, what+", Direction", want, outcomeOf(Direction(x, y, opts)))
 		var s Scratch
 		requireSameOutcome(t, what+", DirectionPrepared", want, outcomeOf(DirectionPrepared(Prepare(x, opts, &s), Prepare(y, opts, &s), &s)))
 	})

@@ -21,9 +21,9 @@ import (
 // tracks their cost trajectory the way BENCH_online.json tracks whole
 // cycles — FFT (complex vs the half-size real path), one SBD distance,
 // the SBD distance matrix over cached spectra, the k-selection sweep,
-// shape extraction, one pooled Granger pair, and a streaming
-// whole-window assembly — and the Gorilla chunk codec under every read, seal,
-// checkpoint and compaction.
+// shape extraction, one Granger preparation and one prepared pair, and a
+// streaming whole-window assembly — and the Gorilla chunk codec under
+// every read, seal, checkpoint and compaction.
 
 // kernelRow is one BENCH_kernels.json entry.
 type kernelRow struct {
@@ -32,6 +32,9 @@ type kernelRow struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
+
+// preparedSink keeps the compiler from dropping a benchmarked Prepare.
+var preparedSink *granger.Prepared
 
 var kernelBench struct {
 	sync.Mutex
@@ -203,17 +206,26 @@ func BenchmarkKernels(b *testing.B) {
 		})
 	}
 
-	// Granger per pair: one pooled bidirectional test at window length.
+	// Granger as step 3 runs it: one Prepare per representative, then one
+	// pooled bidirectional DirectionPrepared per pair, at window length.
 	{
 		x := kernelSeries(0, 1, obWindowSteps)
 		y := kernelSeries(1, 1, obWindowSteps)
 		var s granger.Scratch
 		opts := granger.Options{MaxLag: 1}
-		name := fmt.Sprintf("granger/pair/len=%d", obWindowSteps)
+		name := fmt.Sprintf("granger/prepare/len=%d", obWindowSteps)
 		order = append(order, name)
 		runKernelCase(b, name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := granger.DirectionWith(x, y, opts, &s); err != nil {
+				preparedSink = granger.Prepare(x, opts, &s)
+			}
+		})
+		px, py := granger.Prepare(x, opts, &s), granger.Prepare(y, opts, &s)
+		name = fmt.Sprintf("granger/pair/len=%d", obWindowSteps)
+		order = append(order, name)
+		runKernelCase(b, name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := granger.DirectionPrepared(px, py, &s); err != nil {
 					b.Fatal(err)
 				}
 			}
