@@ -24,7 +24,7 @@
 // one time base, fits the two unrestricted regressions per lag, and
 // returns the winning causality with the lag and F-test p-value that
 // become a DependencyEdge in the artifact's graph. Direction is the same
-// test on two raw series: prepare, prepare, then the prepared test. Of each lag
-// regression only the residual sum of squares is read: it is all the
-// F-test needs.
+// test on two raw series: prepare, prepare, then the prepared test. Of
+// each lag regression only the residual sum of squares is read: it is
+// all the F-test needs.
 package granger

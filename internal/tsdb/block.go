@@ -391,9 +391,10 @@ func (bw *blockWriter) writeIndex() error {
 		for i, fold := range bw.dsTime { // empty without downsampling
 			start := time.Now()
 			res := downsampleResolutions[i]
+			series := bw.ds[res]
 			j := newSeriesJSON(bw.w, sep+"\n  \""+strconv.FormatInt(res, 10)+"\": ", 2)
 			for _, key := range bw.keys {
-				buckets := bw.ds[res][key]
+				buckets := series[key]
 				if err := j.series(key, len(buckets), func(dst []byte, in string, i int) []byte { return appendSummaryJSON(dst, in, true, buckets[i]) }); err != nil {
 					return err
 				}
