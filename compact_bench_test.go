@@ -142,7 +142,7 @@ func cbStores(b *testing.B) (*tsdb.Sharded, *tsdb.Sharded) {
 	}
 
 	// Both stores reopen cold, so the compacted one pays the real
-	// open-time cost of loading merged blocks and companion files.
+	// open-time cost of loading merged blocks and their companions.
 	un, err := tsdb.OpenSharded(4, cbOpts(pristine))
 	if err != nil {
 		b.Fatal(err)

@@ -2,7 +2,7 @@
 // encoding/json writes them, for the three encoders that format their
 // bulk (float arrays, point lists, chunk summaries) without reflection:
 // core.MarshalArtifact, the server's /query_range body and the store's
-// block index and companion files. All are pinned byte for byte against
+// block index with its companions. All are pinned byte for byte against
 // encoding/json in their own tests.
 //
 // Most values a metrics store serves are short decimals — cents, integer

@@ -15,9 +15,9 @@ import (
 // per block. The compactor runs off the ingest path and merges adjacent
 // small blocks into larger ones — same block format, same atomic
 // tmp-dir + rename publish. With Downsample, the merge also writes the
-// block's downsampled companion files (5m and 1h per-bucket summaries)
-// into the same tmp- directory, so the block's rename publishes them;
-// aggregated queries consume them without touching chunk data at all.
+// block's downsampled companions (5m and 1h per-bucket summaries) into
+// its index.json, so the block's rename publishes them; aggregated
+// queries consume them without touching chunk data at all.
 //
 // Invariants, in order of importance:
 //
@@ -42,8 +42,9 @@ import (
 //     completing the interrupted compaction (dropSupersededBlocks).
 //     Sources are deleted through removeBlockDir (rename to tmp-, then
 //     remove), so a crash mid-deletion never leaves a half-emptied b-
-//     directory. Companion files are published and deleted with their
-//     block; no write ever lands in a published block directory.
+//     directory. Companions live in index.json, published and deleted
+//     with their block; no write ever lands in a published block
+//     directory.
 //   - Accounting. A compaction moves points between blocks but never
 //     changes the point set, so Stats.Points (basePoints) is untouched;
 //     retention accounts a merged block's points exactly once when it
