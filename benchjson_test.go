@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 )
 
@@ -66,4 +67,30 @@ func writeBenchJSON(path string, doc any) {
 		return
 	}
 	_ = os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// benchSpread summarises the samples of one row, one per -count run: how
+// many there are, their median and their quartiles (linear interpolation
+// between the sorted samples), so a re-recorded row shows how far its
+// host's noise reaches.
+type benchSpread struct {
+	Count  int     `json:"count"`
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+}
+
+// spreadOf summarises samples, which must not be empty.
+func spreadOf(samples []float64) benchSpread {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	at := func(q float64) float64 {
+		pos := q * float64(len(sorted)-1)
+		lo := int(pos)
+		if lo+1 >= len(sorted) {
+			return sorted[lo]
+		}
+		return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+	}
+	return benchSpread{Count: len(sorted), Median: at(0.5), Q1: at(0.25), Q3: at(0.75)}
 }

@@ -1,6 +1,7 @@
 package kshape
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -515,6 +516,62 @@ func TestKernelFusedShiftOverflow(t *testing.T) {
 	}
 }
 
+// TestKernelFusedShiftExtremeScales: pairs whose norm product overflows
+// or whose correlation and norm product are subnormal, while every part
+// of the correlation stays finite. There the quotients of raw values far
+// apart can round to one value, which firstPeak's threshold argument does
+// not cover, so sbd must fall back to the scalar scan and still match
+// distShift bit for bit, shift included. Each of firstPeak's conditions on
+// the size of R·s and of Q has a case here that fails without it.
+func TestKernelFusedShiftExtremeScales(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	var s Scratch
+	scaled := func(n int, scale float64) []float64 {
+		x := randomSeries(rng, 1, n)[0]
+		for i := range x {
+			x[i] *= scale
+		}
+		return x
+	}
+	checked := 0
+	for _, n := range []int{5, 73, 240} {
+		for _, scales := range [][2]float64{
+			{1e155, 1e-100}, {3e154, 1e-60}, {1e-100, 1e155}, // the norm product overflows
+			{1e-160, 1e-160}, {1e-155, 1e-165}, {1e-170, 1e-152}, // subnormal correlations
+		} {
+			for trial := 0; trial < 8; trial++ {
+				p, q := newSBDProfile(scaled(n, scales[0])), newSBDProfile(scaled(n, scales[1]))
+				if p.norm*q.norm == 0 {
+					continue // distShift's quotients are NaN there
+				}
+				requireFusedShift(t, fmt.Sprintf("n=%d scales %g trial %d", n, scales, trial), p, q, &s)
+				checked++
+			}
+		}
+	}
+	// Two peaks a few ulps apart on the subnormal grid: x is an impulse,
+	// y has the peaks at shifts -3 and -1, the earlier one 2^-k smaller,
+	// and the scales put every correlation near 2^-1060. The raw values
+	// differ by far more than 2^-50 of the largest, yet scaling by 1/h
+	// rounds them to one coefficient, so the earlier shift wins.
+	for _, n := range []int{5, 8, 17} {
+		for ea := -560; ea <= -500; ea += 4 {
+			for k := 8; k <= 20; k++ {
+				x, y := make([]float64, n), make([]float64, n)
+				x[0] = math.Ldexp(1, ea)
+				y[1] = math.Ldexp(1, -1060-ea)
+				y[3] = y[1] * (1 - math.Ldexp(1, -k))
+				p, q := newSBDProfile(x), newSBDProfile(y)
+				requireFusedShift(t, fmt.Sprintf("n=%d impulse 2^%d, peaks 2^-%d apart", n, ea, k), p, q, &s)
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("every pair's norm product underflowed")
+	}
+}
+
 // square is a ±1 square wave of the given period, delayed by lag.
 func square(n, period, lag int) []float64 {
 	out := make([]float64, n)
@@ -645,7 +702,7 @@ func TestKernelPrunedAssignmentMatchesUnpruned(t *testing.T) {
 			{K: 3, Seed: int64(trial)},
 			{K: 4, Seed: 9},
 		} {
-			got, gotProfiles, err := clusterOnce(p, opts, &s)
+			got, gotProfiles, err := clusterOnce(context.Background(), p, opts, &s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -713,7 +770,7 @@ func TestKernelPeriodicCutoffMatchesFullRun(t *testing.T) {
 		}
 		var s, refS Scratch
 		want, wantProfiles := referenceClusterOnce(p, tc.opts, &refS)
-		got, gotProfiles, err := clusterOnce(p, tc.opts, &s)
+		got, gotProfiles, err := clusterOnce(context.Background(), p, tc.opts, &s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package kshape
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,11 +101,11 @@ func TestScratchClusterMatchesFresh(t *testing.T) {
 	var reused Scratch
 	for run := 0; run < 3; run++ {
 		var fresh Scratch
-		want, _, err := clusterOnce(p, opts, &fresh)
+		want, _, err := clusterOnce(context.Background(), p, opts, &fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := clusterOnce(p, opts, &reused)
+		got, _, err := clusterOnce(context.Background(), p, opts, &reused)
 		if err != nil {
 			t.Fatal(err)
 		}

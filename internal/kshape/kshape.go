@@ -1,6 +1,7 @@
 package kshape
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -113,15 +114,16 @@ func Cluster(series [][]float64, opts Options) (*Result, error) {
 		return nil, err
 	}
 	var s Scratch
-	res, _, err := clusterOnce(p, opts, &s)
+	res, _, err := clusterOnce(context.Background(), p, opts, &s)
 	return res, err
 }
 
 // clusterOnce runs k-Shape once over pre-computed spectra with
 // caller-owned scratch, from opts.InitialAssignments or else from one
 // random assignment drawn from opts.Seed, and returns the run and its
-// final centroids (consistent with Result.Centroids).
-func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, error) {
+// final centroids (consistent with Result.Centroids). It checks ctx
+// before each iteration and returns its error once it is done.
+func clusterOnce(ctx context.Context, p *prepared, opts Options, s *Scratch) (*Result, []*centroid, error) {
 	n := len(p.norm)
 	if opts.K < 1 {
 		return nil, nil, fmt.Errorf("kshape: invalid K=%d", opts.K)
@@ -160,6 +162,9 @@ func clusterOnce(p *prepared, opts Options, s *Scratch) (*Result, []*centroid, e
 	prevCents := make([]*centroid, opts.K)
 	iterations := 0
 	for iter := 0; iter < maxIterations; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		iterations = iter + 1
 		copy(prevAssign, assign)
 		copy(prevCents, cents)
@@ -398,79 +403,25 @@ func extractShape(aligned [][]float64, s *Scratch) []float64 {
 		s.centered = make([]float64, sLen)
 	}
 	centered := s.centered[:sLen]
-	if cap(s.tmp) < len(aligned) {
-		s.tmp = make([]float64, len(aligned))
-	}
-	tmp := s.tmp[:len(aligned)]
 
-	// Implicit operator v -> Q AᵀA Q v, where Qv = v - mean(v). It goes
-	// over the member rows four at a time: four dot products with
-	// independent accumulators, then one pass adding the four weighted
-	// rows left to right. Each dot product and each dst[j] sees the
-	// row-at-a-time loop's operations in its order, so the bits are that
-	// loop's; a block holding a zero weight goes row by row, which skips
-	// the zero-weight row as that loop does.
-	rows := len(aligned)
+	// Implicit operator v -> Q AᵀA Q v, where Qv = v - mean(v). The member
+	// rows' dot products with the centered vector, then their sum weighted
+	// by those products, skipping a zero weight: mathx.Rows gives each dot
+	// product and each dst[j] the row-at-a-time loop's operations in its
+	// order, so the bits are that loop's.
+	s.rows.Reset(aligned)
 	apply := func(dst, src []float64) {
 		m := timeseries.Mean(src)
 		for j, x := range src {
 			centered[j] = x - m
 		}
-		i := 0
-		for ; i+4 <= rows; i += 4 {
-			r0, r1, r2, r3 := aligned[i], aligned[i+1][:sLen], aligned[i+2][:sLen], aligned[i+3][:sLen]
-			var s0, s1, s2, s3 float64
-			for j, c := range centered {
-				s0 += r0[j] * c
-				s1 += r1[j] * c
-				s2 += r2[j] * c
-				s3 += r3[j] * c
-			}
-			tmp[i], tmp[i+1], tmp[i+2], tmp[i+3] = s0, s1, s2, s3
-		}
-		for ; i < rows; i++ {
-			var sum float64
-			for j, v := range aligned[i] {
-				sum += v * centered[j]
-			}
-			tmp[i] = sum
-		}
-		for j := range dst {
-			dst[j] = 0
-		}
-		i = 0
-		for ; i+4 <= rows; i += 4 {
-			w0, w1, w2, w3 := tmp[i], tmp[i+1], tmp[i+2], tmp[i+3]
-			if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 {
-				for r := i; r < i+4; r++ {
-					addRow(dst, aligned[r], tmp[r])
-				}
-				continue
-			}
-			r0, r1, r2, r3 := aligned[i][:len(dst)], aligned[i+1][:len(dst)], aligned[i+2][:len(dst)], aligned[i+3][:len(dst)]
-			for j := range dst {
-				dst[j] = dst[j] + w0*r0[j] + w1*r1[j] + w2*r2[j] + w3*r3[j]
-			}
-		}
-		for ; i < rows; i++ {
-			addRow(dst, aligned[i], tmp[i])
-		}
+		s.rows.AddScaled(dst, s.rows.Dots(centered))
 		m = timeseries.Mean(dst)
 		for j := range dst {
 			dst[j] -= m
 		}
 	}
 	return timeseries.ZNormalize(mathx.DominantEigenWith(sLen, apply, 100, 1e-9, &s.eigen))
-}
-
-// addRow adds w·row to dst, skipping a zero weight.
-func addRow(dst, row []float64, w float64) {
-	if w == 0 {
-		return
-	}
-	for j, v := range row {
-		dst[j] += w * v
-	}
 }
 
 func countOf(assign []int, c int) int {

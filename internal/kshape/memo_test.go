@@ -91,7 +91,7 @@ func TestKernelMemoSweepMatchesReference(t *testing.T) {
 				k int
 			}{{&up, 2 + i}, {&down, tc.kMax - i}} {
 				opts := sweepOptions(tc.names, run.k)
-				got, gotCents, err := clusterOnce(p, opts, run.s)
+				got, gotCents, err := clusterOnce(context.Background(), p, opts, run.s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestKernelMemoSweepMatchesReference(t *testing.T) {
 	var s, refS Scratch
 	for _, init := range [][]int{{0, 1, 0, 1, 0}, {0, 0, 0, 1, 1}, {0, 1, 0, 1, 0}} {
 		opts := Options{K: 2, InitialAssignments: init}
-		got, gotCents, err := clusterOnce(p, opts, &s)
+		got, gotCents, err := clusterOnce(context.Background(), p, opts, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +203,11 @@ func TestScratchReusedAcrossPreparedSets(t *testing.T) {
 		for k := 2; k <= 5; k++ {
 			opts := Options{K: k, Seed: 4}
 			var fresh Scratch
-			want, wantCents, err := clusterOnce(p, opts, &fresh)
+			want, wantCents, err := clusterOnce(context.Background(), p, opts, &fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotCents, err := clusterOnce(p, opts, &reused)
+			got, gotCents, err := clusterOnce(context.Background(), p, opts, &reused)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestKernelSweepCorrelationBudget(t *testing.T) {
 	refBefore := referenceCorrelations
 	for k := 2; k <= 7; k++ {
 		opts := sweepOptions(names, k)
-		if _, _, err := clusterOnce(p, opts, &s); err != nil {
+		if _, _, err := clusterOnce(context.Background(), p, opts, &s); err != nil {
 			t.Fatal(err)
 		}
 		referenceClusterOnce(p, opts, &refS)

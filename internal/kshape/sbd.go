@@ -1,6 +1,7 @@
 package kshape
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -110,8 +111,8 @@ type Scratch struct {
 
 	// Centroid-extraction workspace (shape extraction + power iteration).
 	eigen       mathx.EigenScratch
+	rows        mathx.Rows
 	centered    []float64
-	tmp         []float64
 	alignedFlat []float64
 	alignedRows [][]float64
 	members     []int
@@ -199,11 +200,15 @@ func newSBDProfile(x []float64) *sbdProfile {
 // pruneMargin is how far lowerBound may exceed a distance computed
 // through the FFT. In exact arithmetic it never does; the inverse
 // transform's rounding error on NCC is a few log2(padded) ulps (~1e-15
-// at the window lengths in use) and the bound's own dot product rounds
-// within padded/2 ulps (~1e-13 worst case), so 1e-9 dominates both by
-// four orders of magnitude while giving away nothing measurable in
-// pruning power — distances between distinct shapes differ in the first
-// few digits.
+// at the window lengths in use) and the bound's own dot product, summed
+// in mathx.Dot's four lanes (each lane a quarter of the terms in order,
+// then (l0+l1)+(l2+l3)), rounds within padded/8+2 ulps of its sum
+// (~1e-14 worst case, a quarter of the sequential sum's padded/2), so 1e-9
+// dominates both by four orders of magnitude while giving away nothing
+// measurable in pruning power — distances between distinct shapes differ
+// in the first few digits. The lane order moves the bound by ulps only,
+// and TestKernelSweepCorrelationBudget's pinned counts show that no
+// pruning decision of the captured sweep moved with it.
 const pruneMargin = 1e-9
 
 // lowerBound returns a value no greater than p.dist(q) + pruneMargin
@@ -213,18 +218,14 @@ const pruneMargin = 1e-9
 //	CC_w(p,q) = (1/m) Σ_k P_k·conj(Q_k)·e^(2πikw/m) <= (1/m) Σ_k |P_k|·|Q_k|
 //
 // for every shift w, hence SBD = 1 - max_w CC_w/(‖p‖‖q‖) is at least
-// 1 - Σ_k |P_k||Q_k| / (m‖p‖‖q‖). A zero-norm operand yields 0, which
-// bounds nothing.
+// 1 - Σ_k |P_k||Q_k| / (m‖p‖‖q‖). The sum is mathx.Dot's lane-order sum
+// on every host, so the bound's bits do not depend on the kernel. A
+// zero-norm operand yields 0, which bounds nothing.
 func (p *sbdProfile) lowerBound(q *sbdProfile) float64 {
 	if p.norm == 0 || q.norm == 0 {
 		return 0
 	}
-	qm := q.mags[:len(p.mags)]
-	var sum float64
-	for k, v := range p.mags {
-		sum += v * qm[k]
-	}
-	return 1 - sum/(float64(p.padded)*p.norm*q.norm)
+	return 1 - mathx.Dot(p.mags, q.mags[:len(p.mags)])/(float64(p.padded)*p.norm*q.norm)
 }
 
 // correlate returns the circular cross-correlation of the two profiled
@@ -260,39 +261,95 @@ func (p *sbdProfile) degenerate(q *sbdProfile) (dist float64, ok bool) {
 // greater quotient: only a new largest raw value is scaled and divided —
 // a handful per pair instead of 2n-1 — and the quotient comparison it
 // then goes through is SBD's own, so two coefficients a few ulps apart
-// that round to one quotient still resolve to the earlier shift. With a
-// warm scratch it allocates nothing.
+// that round to one quotient still resolve to the earlier shift. That is
+// largestRaw's scalar scan; firstPeak reaches the same shift through the
+// lane kernels whenever its threshold argument holds, and sbd falls back
+// to the scan when it does not. With a warm scratch it allocates nothing.
 func (p *sbdProfile) sbd(q *sbdProfile, s *Scratch) (float64, int) {
 	if d, ok := p.degenerate(q); ok {
 		return d, 0
 	}
 	z := p.correlate(q, s)
 	denom := p.norm * q.norm
-	best, at := math.Inf(-1), 0
-	keep := func(c float64, t int) {
-		if quo := c / denom; quo > best {
-			best, at = quo, t
+	best, at, ok := p.firstPeak(z, denom)
+	if !ok {
+		best = math.Inf(-1)
+		keep := func(c float64, t int) {
+			if quo := c / denom; quo > best {
+				best, at = quo, t
+			}
 		}
+		largest := largestRaw(z, p.padded-(p.n-1), p.padded, math.Inf(-1), keep)
+		largestRaw(z, 0, p.n, largest, keep)
 	}
-	largest := largestRaw(z, p.padded-(p.n-1), p.padded, math.Inf(-1), keep)
-	largestRaw(z, 0, p.n, largest, keep)
 	if at >= p.n {
 		at -= p.padded
 	}
 	return 1 - best, at
 }
 
+// largest returns the largest raw value of the scanned parts of z, both
+// shift ranges, through the lane kernel, and whether every part it read
+// and every part beside them is finite: only then is every coefficient a
+// number, so that the largest raw value is largestRaw's.
+func (p *sbdProfile) largest(z []complex128) (float64, bool) {
+	neg, negOK := mathx.LargestPart(z, p.padded-(p.n-1), p.padded)
+	pos, posOK := mathx.LargestPart(z, 0, p.n)
+	return max(neg, pos), negOK && posOK
+}
+
+// firstPeak finds sbd's shift without a scalar pass over z: the largest
+// raw value R gives the largest quotient Q, and the shift is the first
+// index, in scan order, whose quotient equals Q. Only indices whose raw
+// value is at least T = R - |R|·2^-50 can: with s = 1/h and d = denom,
+// two exact quotients that round to one normal Q lie within ulp(Q) <=
+// 2^-52·|Q| of each other, so their raw values lie within
+// 2^-52·|R|·(1 + 2^-52) < 2^-51·|R| when r·s and R·s are exact, and T,
+// rounded, stays below R - 2^-51·|R|. That needs every part finite, |R·s|
+// >= 2^-1000 (R·s exact; and a candidate whose r·s rounds, being under
+// 2^-1022, has a quotient far from Q), and Q finite and normal; otherwise
+// ok is false and sbd runs largestRaw. The candidates are the raw values
+// within a few ulps of R, usually R's index alone.
+func (p *sbdProfile) firstPeak(z []complex128, denom float64) (best float64, at int, ok bool) {
+	r, ok := p.largest(z)
+	if !ok {
+		return 0, 0, false
+	}
+	scaled := r * (1 / float64(len(z)))
+	q := scaled / denom
+	if !(math.Abs(scaled) >= 0x1p-1000) || !(math.Abs(q) >= 0x1p-1022) || math.IsInf(q, 0) {
+		return 0, 0, false
+	}
+	threshold := r - math.Abs(r)*0x1p-50
+	for _, span := range [2][2]int{{p.padded - (p.n - 1), p.padded}, {0, p.n}} {
+		from, to := span[0], span[1]
+		for t := mathx.FirstPartAtLeast(z, from, to, threshold); t < to; t = mathx.FirstPartAtLeast(z, t+1, to, threshold) {
+			if c := mathx.CorrelationAt(z, t) / denom; c == q {
+				return c, t, true
+			}
+		}
+	}
+	// R's own index is a candidate with quotient Q, so this is not
+	// reached.
+	return 0, 0, false
+}
+
 // dist is sbd's distance, bit for bit, for callers with no use for the
 // shift (the pairwise matrix): the largest quotient is the quotient of
 // the largest coefficient, which is the largest raw value scaled by 1/h
-// but for the sign of a zero, and 1 - x drops that.
+// but for the sign of a zero, and 1 - x drops that. The lane kernel's
+// largest part is that value whenever every scanned part and its partner
+// is finite; otherwise largestRaw skips the NaN coefficients.
 func (p *sbdProfile) dist(q *sbdProfile, s *Scratch) float64 {
 	if d, ok := p.degenerate(q); ok {
 		return d
 	}
 	z := p.correlate(q, s)
-	largest := largestRaw(z, 0, p.n, math.Inf(-1), nil)
-	largest = largestRaw(z, p.padded-(p.n-1), p.padded, largest, nil)
+	largest, ok := p.largest(z)
+	if !ok {
+		largest = largestRaw(z, 0, p.n, math.Inf(-1), nil)
+		largest = largestRaw(z, p.padded-(p.n-1), p.padded, largest, nil)
+	}
 	return 1 - largest*(1/float64(len(z)))/(p.norm*q.norm)
 }
 
@@ -360,25 +417,29 @@ func PairwiseSBD(series [][]float64) ([][]float64, error) {
 		profiles[i] = newSBDProfile(s)
 	}
 	var s Scratch
-	return pairwiseFromProfiles(profiles, &s), nil
+	return pairwiseFromProfiles(context.Background(), profiles, &s)
 }
 
 // pairwiseFromProfiles fills the symmetric distance matrix from cached
 // spectra — the shared core of PairwiseSBD and the sweep's batched path.
-func pairwiseFromProfiles(profiles []*sbdProfile, s *Scratch) [][]float64 {
+// It checks ctx before each row and returns its error once it is done.
+func pairwiseFromProfiles(ctx context.Context, profiles []*sbdProfile, s *Scratch) ([][]float64, error) {
 	n := len(profiles)
 	d := make([][]float64, n)
 	for i := range d {
 		d[i] = make([]float64, n)
 	}
 	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for j := i + 1; j < n; j++ {
 			v := profiles[i].dist(profiles[j], s)
 			d[i][j] = v
 			d[j][i] = v
 		}
 	}
-	return d
+	return d, nil
 }
 
 func l2(x []float64) float64 {

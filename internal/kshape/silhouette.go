@@ -105,8 +105,10 @@ type SweepResult struct {
 // sweep computes itself when dist is nil): sievebench's traced replay
 // passes the matrix it has just timed, so the sweep's own cost is
 // measured apart from the O(n^2) matrix. The per-k clustering runs fan
-// out to `workers` goroutines (0 means GOMAXPROCS, <1 clamps to 1) and
-// stop early when ctx is done. Each candidate k keeps its own fixed start
+// out to `workers` goroutines (0 means GOMAXPROCS, <1 clamps to 1). The
+// sweep stops with ctx's error once ctx is done: the distance matrix
+// checks it before each row and every run before each iteration, so a
+// cancel waits for one row or one iteration. Each candidate k keeps its own fixed start
 // and the winner is selected in ascending-k order afterwards, so the
 // result is identical to the sequential sweep at any worker count.
 func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, names []string, kMin, kMax int, seed int64, workers int) (*SweepResult, error) {
@@ -153,7 +155,9 @@ func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, 
 	// reuse the caller's).
 	if dist == nil {
 		var s Scratch
-		dist = pairwiseFromProfiles(p.profiles, &s)
+		if dist, err = pairwiseFromProfiles(ctx, p.profiles, &s); err != nil {
+			return nil, err
+		}
 	}
 
 	// Sweep the candidate cluster counts concurrently; each attempt
@@ -174,12 +178,12 @@ func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, 
 	if names != nil {
 		seeding = newNameSeeding(names, kMax)
 	}
-	err = parallel.ForEachWorker(ctx, workers, len(attempts), func(_ context.Context, worker, i int) error {
+	err = parallel.ForEachWorker(ctx, workers, len(attempts), func(ctx context.Context, worker, i int) error {
 		opts := Options{K: kMin + i, Seed: seed}
 		if seeding != nil {
 			opts.InitialAssignments = seeding.assignments(opts.K)
 		}
-		res, _, err := clusterOnce(p, opts, &scratches[worker])
+		res, _, err := clusterOnce(ctx, p, opts, &scratches[worker])
 		if err != nil {
 			return err
 		}

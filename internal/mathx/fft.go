@@ -138,11 +138,13 @@ func fft(x []complex128, inverse bool) []complex128 {
 	return x
 }
 
-// sbdKernel is one implementation of the loops an SBD correlation spends
-// its time in: the butterfly passes and CorrelateSpectra's product and
-// re-pack. goKernel is the portable path and the reference every other
-// kernel is held to bit for bit; on amd64, fft_amd64.go makes the AVX
-// kernel the active one at init when the CPU and the OS allow it.
+// sbdKernel is one implementation of the loops k-Shape spends its time
+// in: the butterfly passes and CorrelateSpectra's product and re-pack
+// behind every SBD correlation, the peak scan over a correlation, the
+// spectral bound's dot product, and the two products of shape
+// extraction's operator. goKernel is the portable path and the reference
+// every other kernel is held to bit for bit; on amd64, fft_amd64.go makes
+// the AVX kernel the active one at init when the CPU and the OS allow it.
 //
 // The assembly passes take two butterflies at a time, so a transform of
 // size 2 and a spectrum of size 2 always take goKernel's passes.
@@ -159,9 +161,25 @@ type sbdKernel struct {
 	// a[k+h]*conj(b[k+h]), tw[k]) for every k < h = len(tw). z must not
 	// overlap a or b.
 	product func(z, a, b, tw []complex128, rev []int32)
+
+	// dots is Rows.Dots over the interleaved layout: dst has one entry
+	// per row of inter, padding rows included.
+	dots func(dst, inter, c []float64)
+	// addScaled is Rows.AddScaled; every row holds len(dst) values or more.
+	addScaled func(dst []float64, rows [][]float64, w []float64)
+	// dot is Dot on equal lengths.
+	dot func(a, b []float64) float64
+	// largestPart is LargestPart on a non-empty range without the check
+	// of the other parts of its end entries.
+	largestPart func(z []complex128, from, to int) (float64, bool)
+	// firstAtLeast is FirstPartAtLeast on a non-empty range.
+	firstAtLeast func(z []complex128, from, to int, v float64) int
 }
 
-var goKernel = sbdKernel{pass1Go, radix4Go, radix2Go, productGo}
+var goKernel = sbdKernel{
+	pass1Go, radix4Go, radix2Go, productGo,
+	dotsGo, addScaledGo, dotGo, largestPartGo, firstAtLeastGo,
+}
 
 // kernel is the sbdKernel that fft and CorrelateSpectra run.
 var kernel = &goKernel

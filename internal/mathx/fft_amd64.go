@@ -1,10 +1,14 @@
 package mathx
 
 // avxKernel runs goKernel's floating-point operations, in the same order
-// and on the same operands, two complex128 values per 256-bit instruction
-// (fft_amd64.s). It uses no fused multiply-add, so every lane rounds
-// exactly like the scalar Go code, which amd64 never fuses either.
-var avxKernel = sbdKernel{pass1AVX, radix4AVX, radix2AVX, productAVX}
+// and on the same operands, two complex128 values (fft_amd64.s) or four
+// float64 values (lanes_amd64.s) per 256-bit instruction. It uses no fused
+// multiply-add, so every lane rounds exactly like the scalar Go code,
+// which amd64 never fuses either.
+var avxKernel = sbdKernel{
+	pass1AVX, radix4AVX, radix2AVX, productAVX,
+	dotsAVX, addScaledAVX, dotAVX, largestPartAVX, firstAtLeastAVX,
+}
 
 func init() {
 	if hasAVX() {
@@ -44,3 +48,18 @@ func radix2AVX(x, tab []complex128)
 
 //go:noescape
 func productAVX(z, a, b, tw []complex128, rev []int32)
+
+//go:noescape
+func dotsAVX(dst, inter, c []float64)
+
+//go:noescape
+func addScaledAVX(dst []float64, rows [][]float64, w []float64)
+
+//go:noescape
+func dotAVX(a, b []float64) float64
+
+//go:noescape
+func largestPartAVX(z []complex128, from, to int) (largest float64, finite bool)
+
+//go:noescape
+func firstAtLeastAVX(z []complex128, from, to int, v float64) int

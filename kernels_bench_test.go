@@ -25,24 +25,35 @@ import (
 // streaming whole-window assembly — and the Gorilla chunk codec under
 // every read, seal, checkpoint and compaction.
 
-// kernelRow is one BENCH_kernels.json entry.
+// kernelRow is one BENCH_kernels.json entry: the spread of its ns/op
+// over the -count runs, and the median allocations and bytes per op.
 type kernelRow struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	Name        string      `json:"name"`
+	NsPerOp     benchSpread `json:"ns_per_op"`
+	AllocsPerOp int64       `json:"allocs_per_op"`
+	BytesPerOp  int64       `json:"bytes_per_op"`
 }
 
-// preparedSink keeps the compiler from dropping a benchmarked Prepare.
-var preparedSink *granger.Prepared
+// kernelSample is one run's measurement of one case at b.N iterations.
+type kernelSample struct {
+	n                 int
+	ns, allocs, bytes float64
+}
+
+// Sinks keep the compiler from dropping a benchmarked call.
+var (
+	preparedSink *granger.Prepared
+	floatSink    float64
+	intSink      int
+)
 
 var kernelBench struct {
 	sync.Mutex
-	rows map[string]kernelRow
+	samples map[string][]kernelSample
 }
 
 // flushKernelsJSON, under -benchjson, rewrites BENCH_kernels.json from
-// the accumulated rows in fixed case order.
+// the samples accumulated so far, in fixed case order.
 func flushKernelsJSON(order []string) {
 	if !*benchJSON {
 		return
@@ -51,9 +62,20 @@ func flushKernelsJSON(order []string) {
 	defer kernelBench.Unlock()
 	var rows []kernelRow
 	for _, name := range order {
-		if r, ok := kernelBench.rows[name]; ok {
-			rows = append(rows, r)
+		samples := kernelBench.samples[name]
+		if len(samples) == 0 {
+			continue
 		}
+		ns, allocs, bytes := make([]float64, len(samples)), make([]float64, len(samples)), make([]float64, len(samples))
+		for i, s := range samples {
+			ns[i], allocs[i], bytes[i] = s.ns, s.allocs, s.bytes
+		}
+		rows = append(rows, kernelRow{
+			Name:        name,
+			NsPerOp:     spreadOf(ns),
+			AllocsPerOp: int64(spreadOf(allocs).Median),
+			BytesPerOp:  int64(spreadOf(bytes).Median),
+		})
 	}
 	if len(rows) == 0 {
 		return
@@ -70,8 +92,12 @@ func flushKernelsJSON(order []string) {
 	writeBenchJSON("BENCH_kernels.json", out)
 }
 
-// runKernelCase measures fn as one benchmark case and records its row.
+// runKernelCase measures fn as one benchmark case and adds one sample per
+// -count iteration to the case's samples. b.Run makes each iteration's
+// runs with a growing b.N, starting over at b.N = 1, and the last run of
+// an iteration is its measurement.
 func runKernelCase(b *testing.B, name string, fn func(b *testing.B)) {
+	var runs []kernelSample
 	b.Run(name, func(b *testing.B) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -84,18 +110,23 @@ func runKernelCase(b *testing.B, name string, fn func(b *testing.B)) {
 		if elapsed <= 0 {
 			return
 		}
-		kernelBench.Lock()
-		if kernelBench.rows == nil {
-			kernelBench.rows = map[string]kernelRow{}
-		}
-		kernelBench.rows[name] = kernelRow{
-			Name:        name,
-			NsPerOp:     elapsed * 1e9 / float64(b.N),
-			AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(b.N),
-			BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(b.N),
-		}
-		kernelBench.Unlock()
+		runs = append(runs, kernelSample{
+			n:      b.N,
+			ns:     elapsed * 1e9 / float64(b.N),
+			allocs: float64((after.Mallocs - before.Mallocs) / uint64(b.N)),
+			bytes:  float64((after.TotalAlloc - before.TotalAlloc) / uint64(b.N)),
+		})
 	})
+	kernelBench.Lock()
+	defer kernelBench.Unlock()
+	if kernelBench.samples == nil {
+		kernelBench.samples = map[string][]kernelSample{}
+	}
+	for i, r := range runs {
+		if i+1 == len(runs) || runs[i+1].n == 1 {
+			kernelBench.samples[name] = append(kernelBench.samples[name], r)
+		}
+	}
 }
 
 func kernelSeries(comp, met, n int) []float64 {
@@ -202,6 +233,64 @@ func BenchmarkKernels(b *testing.B) {
 				if _, err := kshape.Cluster(series, kshape.Options{K: 1}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+
+	// The three loops under them, on a 240-step window: shape
+	// extraction's operator (both products over 32 member rows), the SBD
+	// peak scan of one correlation as sbd runs it (the largest part of
+	// both shift ranges, then the first part near it) and one spectral
+	// bound's dot product.
+	{
+		rows := make([][]float64, 32)
+		for i := range rows {
+			rows[i] = kernelSeries(i, 2*(i%3), obWindowSteps)
+		}
+		var r mathx.Rows
+		r.Reset(rows)
+		centered, dst := kernelSeries(5, 1, obWindowSteps), make([]float64, obWindowSteps)
+		name := fmt.Sprintf("shape_operator/members=32/len=%d", obWindowSteps)
+		order = append(order, name)
+		runKernelCase(b, name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.AddScaled(dst, r.Dots(centered))
+			}
+		})
+
+		x, y := kernelSeries(0, 0, obWindowSteps), kernelSeries(3, 1, obWindowSteps)
+		m := mathx.NextPow2(2*obWindowSteps - 1)
+		fx, fy := mathx.RealFFT(make([]complex128, m), x, m), mathx.RealFFT(make([]complex128, m), y, m)
+		z := mathx.CorrelateSpectra(fx, fy, make([]complex128, m/2))
+		name = fmt.Sprintf("sbd_scan/len=%d", obWindowSteps)
+		order = append(order, name)
+		runKernelCase(b, name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				neg, _ := mathx.LargestPart(z, m-(obWindowSteps-1), m)
+				pos, _ := mathx.LargestPart(z, 0, obWindowSteps)
+				largest := max(neg, pos)
+				threshold := largest - math.Abs(largest)*0x1p-50
+				at := mathx.FirstPartAtLeast(z, m-(obWindowSteps-1), m, threshold)
+				if at == m {
+					at = mathx.FirstPartAtLeast(z, 0, obWindowSteps, threshold)
+				}
+				intSink = at
+			}
+		})
+
+		mags := func(spec []complex128) []float64 {
+			out := make([]float64, m/2+1)
+			for k := range out {
+				out[k] = math.Hypot(real(spec[k]), imag(spec[k]))
+			}
+			return out
+		}
+		mx, my := mags(fx), mags(fy)
+		name = fmt.Sprintf("spectral_bound/len=%d", obWindowSteps)
+		order = append(order, name)
+		runKernelCase(b, name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				floatSink = mathx.Dot(mx, my)
 			}
 		})
 	}
