@@ -87,20 +87,20 @@ func TestReduceContextCanceled(t *testing.T) {
 func TestReduceContextCancelMidMatrix(t *testing.T) {
 	const metrics, steps, cancelBound = 1920, 240, 250 * time.Millisecond
 	rng := rand.New(rand.NewSource(31))
-	drivers := make([][]float64, 6)
-	for d := range drivers {
-		drivers[d] = make([]float64, steps)
+	sources := make([][]float64, 6)
+	for d := range sources {
+		sources[d] = make([]float64, steps)
 		x := 0.0
-		for i := range drivers[d] {
+		for i := range sources[d] {
 			x = 0.9*x + rng.NormFloat64()
-			drivers[d][i] = x
+			sources[d][i] = x
 		}
 	}
 	series := make(map[string]*timeseries.Regular, metrics)
 	for m := 0; m < metrics; m++ {
 		v := make([]float64, steps)
 		scale := 1 + rng.Float64()
-		for i, x := range drivers[m%len(drivers)] {
+		for i, x := range sources[m%len(sources)] {
 			v[i] = scale*x + 0.3*rng.NormFloat64()
 		}
 		name := fmt.Sprintf("metric_%04d", m)

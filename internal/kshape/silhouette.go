@@ -108,9 +108,10 @@ type SweepResult struct {
 // out to `workers` goroutines (0 means GOMAXPROCS, <1 clamps to 1). The
 // sweep stops with ctx's error once ctx is done: the distance matrix
 // checks it before each row and every run before each iteration, so a
-// cancel waits for one row or one iteration. Each candidate k keeps its own fixed start
-// and the winner is selected in ascending-k order afterwards, so the
-// result is identical to the sequential sweep at any worker count.
+// cancel waits for one row or one iteration. Each candidate k keeps its
+// own fixed start and the winner is selected in ascending-k order
+// afterwards, so the result is identical to the sequential sweep at any
+// worker count.
 func ChooseKFromDist(ctx context.Context, series [][]float64, dist [][]float64, names []string, kMin, kMax int, seed int64, workers int) (*SweepResult, error) {
 	n := len(series)
 	if n == 0 {

@@ -181,7 +181,8 @@ var goKernel = sbdKernel{
 	dotsGo, addScaledGo, dotGo, largestPartGo, firstAtLeastGo,
 }
 
-// kernel is the sbdKernel that fft and CorrelateSpectra run.
+// kernel is the sbdKernel that fft, CorrelateSpectra, Rows, Dot and the
+// peak scan run.
 var kernel = &goKernel
 
 // butterflies runs every butterfly stage over x, which must already be in

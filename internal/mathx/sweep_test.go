@@ -22,7 +22,7 @@ type component struct {
 
 // shareLatexComponents loads the two captured ShareLatex components kept
 // in internal/kshape/testdata, and adds one wider population of the same
-// shape (six driving signals, each metric a scaled copy of one plus
+// shape (six source signals, each metric a scaled copy of one plus
 // noise) so that clusters reach the sixteen rows the operator's widest
 // batch takes.
 func shareLatexComponents(t *testing.T) []component {
@@ -44,13 +44,13 @@ func shareLatexComponents(t *testing.T) []component {
 	}
 	rng := rand.New(rand.NewSource(61))
 	const metrics, steps = 120, 240
-	drivers := make([][]float64, 6)
-	for d := range drivers {
-		drivers[d] = make([]float64, steps)
+	sources := make([][]float64, 6)
+	for d := range sources {
+		sources[d] = make([]float64, steps)
 		x := 0.0
-		for i := range drivers[d] {
+		for i := range sources[d] {
 			x = 0.9*x + rng.NormFloat64()
-			drivers[d][i] = x
+			sources[d][i] = x
 		}
 	}
 	names, series := make([]string, metrics), make([][]float64, metrics)
@@ -58,7 +58,7 @@ func shareLatexComponents(t *testing.T) []component {
 		names[m] = string(rune('a'+m%6)) + "_metric"
 		series[m] = make([]float64, steps)
 		scale := 1 + rng.Float64()
-		for i, x := range drivers[m%len(drivers)] {
+		for i, x := range sources[m%len(sources)] {
 			series[m][i] = scale*x + 0.3*rng.NormFloat64()
 		}
 	}
