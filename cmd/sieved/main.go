@@ -31,7 +31,8 @@
 // A background compactor (cadence -compact-interval, disable with a
 // negative value) merges adjacent small blocks into larger ones up to
 // 64 MiB of chunk data each — query results are byte-identical before
-// and after. With -downsample every block it writes also carries 5m and
+// and after. Its first pass runs as soon as the store is open, so a
+// restarted sieved is compacted without waiting an interval. With -downsample every block it writes also carries 5m and
 // 1h downsampled summaries (a block without them that no merge takes is
 // rewritten alone to gain them) that coarse-step aggregated /query_range
 // requests (min/max/count/rate with step a multiple of the resolution)
@@ -99,7 +100,7 @@ func main() {
 	retention := flag.Duration("retention", 0, "drop on-disk blocks whose newest point is this far behind the newest application timestamp, the reserved \"sieve\" component excluded (0 = keep forever)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
 	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: blocks are written at shutdown only)")
-	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence (0 = default 5m, negative = disabled)")
+	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence, the first pass at start-up (0 = default 5m, negative = disabled)")
 	downsample := flag.Bool("downsample", false, "write 5m/1h downsampled summaries with every block compaction writes, for coarse-step queries")
 	incremental := flag.Bool("incremental", false, "align each analysis window's end down to the sampling grid, so windows slide by whole steps (no state carries across cycles)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")

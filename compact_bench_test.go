@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -158,52 +159,120 @@ func cbStores(b *testing.B) (*tsdb.Sharded, *tsdb.Sharded) {
 	return un, co
 }
 
-// compactRow is one BENCH_compact.json entry.
-type compactRow struct {
-	Name         string  `json:"name"`
-	Store        string  `json:"store"` // uncompacted | compacted | merge | checkpoint
-	NsPerOp      float64 `json:"ns_per_op"`
-	PointsPerSec float64 `json:"points_per_sec,omitempty"` // merge / checkpoint throughput, logical query coverage
+// compactSample is one run's measurement of one case.
+type compactSample struct {
+	Store        string // uncompacted | compacted | merge | checkpoint
+	NsPerOp      float64
+	PointsPerSec float64 // merge / checkpoint throughput, logical query coverage
 	// AllocPerPoint is the heap the timed call allocated (TotalAlloc
 	// delta) per point it moved: the background passes' memory cost.
-	AllocPerPoint float64 `json:"alloc_bytes_per_point,omitempty"`
-	DsBucketsOp   int64   `json:"downsampled_buckets_per_op,omitempty"`
-	SpeedupVsRaw  float64 `json:"speedup_vs_uncompacted,omitempty"`
+	AllocPerPoint float64
+	DsBucketsOp   int64
+}
+
+// compactRow is one BENCH_compact.json entry: one case at one
+// GOMAXPROCS, with the spread of its ns/op over the -count runs and the
+// median of every other figure.
+type compactRow struct {
+	Name          string      `json:"name"`
+	Store         string      `json:"store"`
+	GoMaxProcs    int         `json:"gomaxprocs"`
+	NsPerOp       benchSpread `json:"ns_per_op"`
+	PointsPerSec  float64     `json:"points_per_sec,omitempty"`
+	AllocPerPoint float64     `json:"alloc_bytes_per_point,omitempty"`
+	DsBucketsOp   int64       `json:"downsampled_buckets_per_op,omitempty"`
+	// SpeedupVsRaw is the uncompacted baseline's median ns/op over this
+	// row's, at the same GOMAXPROCS.
+	SpeedupVsRaw float64 `json:"speedup_vs_uncompacted,omitempty"`
+}
+
+// compactCase names one case at one GOMAXPROCS (the -cpu value it ran
+// under).
+type compactCase struct {
+	name  string
+	procs int
 }
 
 var compactBench struct {
 	sync.Mutex
-	rows map[string]compactRow
+	samples map[compactCase][]compactSample
 }
 
-func putCompactRow(r compactRow) {
-	compactBench.Lock()
-	if compactBench.rows == nil {
-		compactBench.rows = map[string]compactRow{}
+// runCompactCase runs one case. For every -cpu value and -count
+// iteration b.Run calls fn with a growing b.N, starting over at b.N = 1,
+// and the sample fn returns from an iteration's last call is its
+// measurement; it joins the case's samples at the GOMAXPROCS it ran
+// under.
+func runCompactCase(b *testing.B, name string, fn func(b *testing.B) *compactSample) {
+	type run struct {
+		n, procs int
+		sample   *compactSample
 	}
-	compactBench.rows[r.Name] = r
-	compactBench.Unlock()
+	var runs []run
+	b.Run(name, func(b *testing.B) {
+		runs = append(runs, run{b.N, runtime.GOMAXPROCS(0), fn(b)})
+	})
+	compactBench.Lock()
+	defer compactBench.Unlock()
+	if compactBench.samples == nil {
+		compactBench.samples = map[compactCase][]compactSample{}
+	}
+	for i, r := range runs {
+		if r.sample != nil && (i+1 == len(runs) || runs[i+1].n == 1) {
+			c := compactCase{name, r.procs}
+			compactBench.samples[c] = append(compactBench.samples[c], *r.sample)
+		}
+	}
 }
 
-// flushCompactJSON, under -benchjson, rewrites BENCH_compact.json, computing each query
-// variant's speedup against the uncompacted month-window baseline.
+// flushCompactJSON, under -benchjson, rewrites BENCH_compact.json from
+// the samples accumulated so far: the cases in order, each at every
+// GOMAXPROCS it ran under, ascending, every query variant with its
+// speedup against the uncompacted month-window baseline.
 func flushCompactJSON(order []string, baseline string) {
 	if !*benchJSON {
 		return
 	}
 	compactBench.Lock()
 	defer compactBench.Unlock()
+	var procs []int
+	for c := range compactBench.samples {
+		if !slices.Contains(procs, c.procs) {
+			procs = append(procs, c.procs)
+		}
+	}
+	slices.Sort(procs)
+	values := func(samples []compactSample, field func(compactSample) float64) []float64 {
+		vals := make([]float64, len(samples))
+		for i, s := range samples {
+			vals[i] = field(s)
+		}
+		return vals
+	}
+	median := func(samples []compactSample, field func(compactSample) float64) float64 {
+		return spreadOf(values(samples, field)).Median
+	}
+	nsPerOp := func(s compactSample) float64 { return s.NsPerOp }
 	var rows []compactRow
-	base := compactBench.rows[baseline].NsPerOp
 	for _, name := range order {
-		r, ok := compactBench.rows[name]
-		if !ok {
-			continue
+		for _, p := range procs {
+			samples := compactBench.samples[compactCase{name, p}]
+			if len(samples) == 0 {
+				continue
+			}
+			r := compactRow{
+				Name: name, Store: samples[0].Store, GoMaxProcs: p,
+				NsPerOp:       spreadOf(values(samples, nsPerOp)),
+				PointsPerSec:  median(samples, func(s compactSample) float64 { return s.PointsPerSec }),
+				AllocPerPoint: median(samples, func(s compactSample) float64 { return s.AllocPerPoint }),
+				DsBucketsOp:   int64(median(samples, func(s compactSample) float64 { return float64(s.DsBucketsOp) })),
+			}
+			base := compactBench.samples[compactCase{baseline, p}]
+			if len(base) > 0 && (r.Store == "uncompacted" || r.Store == "compacted") && name != baseline {
+				r.SpeedupVsRaw = median(base, nsPerOp) / r.NsPerOp.Median
+			}
+			rows = append(rows, r)
 		}
-		if base > 0 && (r.Store == "uncompacted" || r.Store == "compacted") && name != baseline {
-			r.SpeedupVsRaw = base / r.NsPerOp
-		}
-		rows = append(rows, r)
 	}
 	if len(rows) == 0 {
 		return
@@ -252,7 +321,7 @@ const (
 // summaries), and reading the 5m/1h downsampled companions. Blocks on
 // disk before/after and per-variant speedups land in BENCH_compact.json.
 func BenchmarkCompaction(b *testing.B) {
-	b.Run("merge-pass", func(b *testing.B) {
+	runCompactCase(b, "merge-pass", func(b *testing.B) *compactSample {
 		un, _ := cbStores(b)
 		_ = un
 		b.ReportAllocs()
@@ -281,19 +350,20 @@ func BenchmarkCompaction(b *testing.B) {
 		}
 		b.StopTimer()
 		elapsed := b.Elapsed().Seconds()
-		if elapsed > 0 {
-			putCompactRow(compactRow{
-				Name: "merge-pass", Store: "merge",
-				NsPerOp:       elapsed * 1e9 / float64(b.N),
-				PointsPerSec:  float64(cbTotalPoints) * float64(b.N) / elapsed,
-				AllocPerPoint: float64(allocated) / (float64(cbTotalPoints) * float64(b.N)),
-			})
+		if elapsed <= 0 {
+			return nil
+		}
+		return &compactSample{
+			Store:         "merge",
+			NsPerOp:       elapsed * 1e9 / float64(b.N),
+			PointsPerSec:  float64(cbTotalPoints) * float64(b.N) / elapsed,
+			AllocPerPoint: float64(allocated) / (float64(cbTotalPoints) * float64(b.N)),
 		}
 	})
 
 	// One Checkpoint() sealing 4096 series x 240 points: the cut, the
 	// decode of the stolen snapshot, the block write and the WAL pruning.
-	b.Run("checkpoint-pass", func(b *testing.B) {
+	runCompactCase(b, "checkpoint-pass", func(b *testing.B) *compactSample {
 		root, err := os.MkdirTemp("", "sieve-cbench-ckpt-*")
 		if err != nil {
 			b.Fatal(err)
@@ -339,13 +409,14 @@ func BenchmarkCompaction(b *testing.B) {
 		b.StopTimer()
 		const points = cbCkptSeries * cbCkptTicks
 		elapsed := b.Elapsed().Seconds()
-		if elapsed > 0 {
-			putCompactRow(compactRow{
-				Name: "checkpoint-pass", Store: "checkpoint",
-				NsPerOp:       elapsed * 1e9 / float64(b.N),
-				PointsPerSec:  points * float64(b.N) / elapsed,
-				AllocPerPoint: float64(allocated) / (points * float64(b.N)),
-			})
+		if elapsed <= 0 {
+			return nil
+		}
+		return &compactSample{
+			Store:         "checkpoint",
+			NsPerOp:       elapsed * 1e9 / float64(b.N),
+			PointsPerSec:  points * float64(b.N) / elapsed,
+			AllocPerPoint: float64(allocated) / (points * float64(b.N)),
 		}
 	})
 
@@ -369,7 +440,7 @@ func BenchmarkCompaction(b *testing.B) {
 		{"query-sum-1h/compacted-raw", true, mk(tsdb.AggSum, hour)},
 	}
 	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
+		runCompactCase(b, c.name, func(b *testing.B) *compactSample {
 			un, co := cbStores(b)
 			store := un
 			storeName := "uncompacted"
@@ -393,13 +464,14 @@ func BenchmarkCompaction(b *testing.B) {
 			b.StopTimer()
 			dsPerOp := int64(dsRead.Value()-dsBefore) / int64(b.N)
 			elapsed := b.Elapsed().Seconds()
-			if elapsed > 0 {
-				putCompactRow(compactRow{
-					Name: c.name, Store: storeName,
-					NsPerOp:      elapsed * 1e9 / float64(b.N),
-					PointsPerSec: float64(cbTotalPoints) * float64(b.N) / elapsed,
-					DsBucketsOp:  dsPerOp,
-				})
+			if elapsed <= 0 {
+				return nil
+			}
+			return &compactSample{
+				Store:        storeName,
+				NsPerOp:      elapsed * 1e9 / float64(b.N),
+				PointsPerSec: float64(cbTotalPoints) * float64(b.N) / elapsed,
+				DsBucketsOp:  dsPerOp,
 			}
 		})
 	}

@@ -81,7 +81,8 @@ type Options struct {
 	FlushInterval time.Duration
 	// CompactInterval is the cadence of the background compactor that
 	// merges adjacent small blocks (default 5m; negative disables it).
-	// Only meaningful with DataDir.
+	// Its first pass runs as soon as the store is open. Only meaningful
+	// with DataDir.
 	CompactInterval time.Duration
 	// Downsample makes compaction write 5m/1h downsampled companions
 	// with every block it writes (and rewrite alone a block that lacks

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"github.com/sieve-microservices/sieve/internal/jsonenc"
+	"github.com/sieve-microservices/sieve/internal/parallel"
 )
 
 // Block directory layout. A checkpoint writes one immutable directory per
@@ -162,32 +164,37 @@ func blockDirName(seq uint64, minT, maxT int64) string {
 const blockWriteBuffer = 256 << 10
 
 // blockWriter is the one producer of block directories: checkpoints and
-// compaction stream a block through it one series at a time, so neither
-// holds more than one decoded series plus the index — the chunk bytes go
-// to chunks.dat as they are encoded. The on-disk result depends only on
-// the (key, segments) sequence it is fed, never on who feeds it.
+// compaction stream a block through it in batches of series, so neither
+// holds more than a batch of encoded series and one decoded series per
+// worker plus the index — the chunk bytes go to chunks.dat as each batch
+// is committed. Each series goes through two steps: encodeSeries, pure
+// and run on any worker, turns its segments into framed chunks, chunk
+// summaries and companion buckets; commit, on the writer's goroutine in
+// ascending key order, appends the frames to chunks.dat and gives them
+// their file offsets. The on-disk result depends only on the (key,
+// segments) sequence it is fed, never on who feeds it or on how many
+// workers encode it.
 //
 // Everything is written under a tmp- directory that publish fsyncs and
-// renames into place; any failure, in addSeries or in publish, removes
-// that directory before the error is returned (abort), so a write that
-// fails on every retry — a full disk — leaves nothing behind to fill it
-// further. The tmp name carries only the sequence number (the time
-// range is not known until the last series); openBlocks sweeps anything
-// tmp-prefixed.
+// renames into place; any failure, in writeSeries, commit or publish,
+// removes that directory before the error is returned (abort), so a
+// write that fails on every retry — a full disk — leaves nothing behind
+// to fill it further. The tmp name carries only the sequence number (the
+// time range is not known until the last series); openBlocks sweeps
+// anything tmp-prefixed.
 type blockWriter struct {
 	blocksDir string
 	tmp       string // "" once published or aborted
 	meta      blockMeta
-	keys      []string // in addSeries order, which is ascending
+	keys      []string // in commit order, which is ascending
 	index     map[string][]chunkRef
-	// ds folds each series into the companions as it arrives (nil
+	// ds collects each series' companion buckets as it is committed (nil
 	// without downsampling), and dsTime is the fold time per resolution.
 	ds     map[int64]map[string][]summary
 	dsTime []time.Duration
 	tel    *StoreTelemetry
 	f      *os.File
 	w      *bufio.Writer // on chunks.dat, then reused for index.json and meta.json
-	frame  []byte        // one chunk's header + payload, reused
 	cut    int           // points per chunk: maxChunkPoints, larger only to write an older layout in tests
 }
 
@@ -229,68 +236,154 @@ func newBlockWriter(blocksDir string, meta blockMeta, downsample bool, tel *Stor
 	return bw, nil
 }
 
-// addSeries appends one series. Keys must arrive in ascending order (the
-// order chunks.dat and index.json are laid out in). Each segment is
-// individually time-sorted and chunked separately, so no chunk straddles
-// a segment boundary: a checkpoint passes one sorted segment, compaction
-// one segment per monotone run of the source-order concatenation,
-// preserving the exact point order a scan of the source blocks would
-// produce (chunks only require internal time order — chunk-level skip
-// checks handle overlapping chunk ranges). The segments are not retained.
-// A series without points is skipped. On error the writer has aborted.
-func (bw *blockWriter) addSeries(key string, segs ...[]Point) error {
-	if n := len(bw.keys); n > 0 && key <= bw.keys[n-1] {
-		bw.abort()
-		return fmt.Errorf("tsdb: block writer: series %q after %q", key, bw.keys[n-1])
+// writeBatch is how many series writeSeries encodes between two commits.
+// A batch's slots hold their series' frames until the commit and are
+// reused by the next batch, so the writer's working set is a fixed number
+// of encoded series whatever the size of the block; 64 keeps every worker
+// busy across a batch and amortises the pool's start over many series.
+const writeBatch = 64
+
+// encodeScratch is one worker's buffers, reused across its series: the
+// decoded points, the read buffer of block scans, and the segment list.
+type encodeScratch struct {
+	raw   rawSink
+	chunk []byte
+	segs  [][]Point
+}
+
+// encodedSeries is one series through encodeSeries: its framed chunks
+// back to back, one ref per chunk with Offset relative to frames, and
+// with downsampling its companion buckets and their fold times, one per
+// downsampleResolutions entry. refs and the buckets are fresh per series
+// (the writer's index keeps them); frames is reused by the slot.
+type encodedSeries struct {
+	key    string
+	frames []byte
+	refs   []chunkRef
+	ds     [][]summary
+	dsTime []time.Duration
+}
+
+// writeSeries feeds the writer every key of keys, which must ascend, on
+// a pool of parallel.Workers(workers) workers, writeBatch keys at a time:
+// for each key of a batch a worker calls gather, which returns the
+// series' segments built in that worker's scratch, and encodes them into
+// the key's slot; then the batch is committed, slot by slot in key order.
+// The bytes written are those of committing the keys one by one, at any
+// worker count. On error the writer has aborted.
+func (bw *blockWriter) writeSeries(keys []string, workers int, gather func(key string, w *encodeScratch) ([][]Point, error)) error {
+	workers = parallel.Workers(workers)
+	scratch := make([]encodeScratch, workers)
+	slots := make([]encodedSeries, min(writeBatch, len(keys)))
+	cut, downsample := bw.cut, bw.ds != nil
+	for len(keys) > 0 {
+		batch := keys[:min(len(slots), len(keys))]
+		keys = keys[len(batch):]
+		err := parallel.ForEachWorker(context.Background(), workers, len(batch), func(_ context.Context, w, i int) error {
+			segs, err := gather(batch[i], &scratch[w])
+			if err != nil {
+				return err
+			}
+			return encodeSeries(&slots[i], batch[i], cut, downsample, segs)
+		})
+		if err != nil {
+			bw.abort()
+			return err
+		}
+		for i := range batch {
+			if err := bw.commit(&slots[i]); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
+}
+
+// encodeSeries encodes one series into e: each segment individually
+// time-sorted and chunked separately, cut points per chunk, so no chunk
+// straddles a segment boundary. A checkpoint passes one sorted segment,
+// compaction one segment per monotone run of the source-order
+// concatenation, preserving the exact point order a scan of the source
+// blocks would produce (chunks only require internal time order —
+// chunk-level skip checks handle overlapping chunk ranges). With
+// downsample, the segments in the order given — the block's storage
+// order, which a scan of the published block would feed — fold into the
+// companion buckets. It touches nothing but e, and retains no segment.
+func encodeSeries(e *encodedSeries, key string, cut int, downsample bool, segs [][]Point) error {
+	e.key, e.frames, e.refs = key, e.frames[:0], nil
 	nChunks := 0
 	for _, seg := range segs {
-		nChunks += (len(seg) + bw.cut - 1) / bw.cut
+		nChunks += (len(seg) + cut - 1) / cut
 	}
 	if nChunks == 0 {
 		return nil
 	}
-	refs := make([]chunkRef, 0, nChunks)
+	e.refs = make([]chunkRef, 0, nChunks)
 	for _, seg := range segs {
-		for start := 0; start < len(seg); start += bw.cut {
-			part := seg[start:min(start+bw.cut, len(seg))]
+		for start := 0; start < len(seg); start += cut {
+			part := seg[start:min(start+cut, len(seg))]
+			off := len(e.frames)
 			var hdr [chunkHeader]byte
-			frame, err := appendCompressed(append(bw.frame[:0], hdr[:]...), part)
+			frames, err := appendCompressed(append(e.frames, hdr[:]...), part)
 			if err != nil {
-				bw.abort()
 				return fmt.Errorf("tsdb: block writer: %q: %w", key, err)
 			}
-			bw.frame = frame
+			e.frames = frames
+			frame := frames[off:]
 			payload := frame[chunkHeader:]
 			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 			binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-			if _, err := bw.w.Write(frame); err != nil {
-				bw.abort()
-				return err
-			}
-			ref := chunkRef{Offset: bw.meta.ChunkBytes, Length: len(payload), summary: summarizeChunk(part)}
+			ref := chunkRef{Offset: int64(off), Length: len(payload), summary: summarizeChunk(part)}
 			ref.scrub()
-			refs = append(refs, ref)
-			bw.meta.ChunkBytes += int64(len(frame))
-			bw.meta.Points += ref.Count
-			if ref.MinT < bw.meta.MinT {
-				bw.meta.MinT = ref.MinT
-			}
-			if ref.MaxT > bw.meta.MaxT {
-				bw.meta.MaxT = ref.MaxT
-			}
+			e.refs = append(e.refs, ref)
 		}
 	}
-	bw.keys = append(bw.keys, key)
-	bw.index[key] = refs
-	bw.meta.Series++
-	if bw.ds != nil {
-		// The segments in the order given are the block's storage order,
-		// which a scan of the published block would feed.
+	if downsample {
+		if e.ds == nil {
+			e.ds = make([][]summary, len(downsampleResolutions))
+			e.dsTime = make([]time.Duration, len(downsampleResolutions))
+		}
 		for i, res := range downsampleResolutions {
 			start := time.Now()
-			bw.ds[res][key] = downsampleSeries(res, segs...)
-			bw.dsTime[i] += time.Since(start)
+			e.ds[i] = downsampleSeries(res, segs...)
+			e.dsTime[i] = time.Since(start)
+		}
+	}
+	return nil
+}
+
+// commit appends one encoded series: its frames go to the end of
+// chunks.dat, its refs' offsets become file offsets, and the meta, the
+// index and the companions take it in. Keys must arrive in ascending
+// order (the order chunks.dat and index.json are laid out in); a series
+// without points is skipped. On error the writer has aborted.
+func (bw *blockWriter) commit(e *encodedSeries) error {
+	if n := len(bw.keys); n > 0 && e.key <= bw.keys[n-1] {
+		bw.abort()
+		return fmt.Errorf("tsdb: block writer: series %q after %q", e.key, bw.keys[n-1])
+	}
+	if len(e.refs) == 0 {
+		return nil
+	}
+	if _, err := bw.w.Write(e.frames); err != nil {
+		bw.abort()
+		return err
+	}
+	for i := range e.refs {
+		ref := &e.refs[i]
+		ref.Offset += bw.meta.ChunkBytes
+		bw.meta.Points += ref.Count
+		bw.meta.MinT = min(bw.meta.MinT, ref.MinT)
+		bw.meta.MaxT = max(bw.meta.MaxT, ref.MaxT)
+	}
+	bw.meta.ChunkBytes += int64(len(e.frames))
+	bw.keys = append(bw.keys, e.key)
+	bw.index[e.key] = e.refs
+	bw.meta.Series++
+	if bw.ds != nil {
+		for i, res := range downsampleResolutions {
+			bw.ds[res][e.key] = e.ds[i]
+			bw.dsTime[i] += e.dsTime[i]
 		}
 	}
 	return nil
@@ -737,7 +830,11 @@ func (b *block) close() error {
 // from flushes or compactions that crashed before their rename, and
 // removes published blocks that a live merged block supersedes — the
 // crash window between a compaction's rename and its source deletion,
-// which must not double-count (or double-serve) the merged points.
+// which must not double-count (or double-serve) the merged points. The
+// blocks open in parallel on parallel.Workers(0) workers, each into the
+// slot of its directory entry, so what follows sees the order a
+// sequential open would. On failure nothing stays open, and the error
+// names the first failing entry in directory order.
 func openBlocks(blocksDir string) ([]*block, error) {
 	if err := os.MkdirAll(blocksDir, 0o755); err != nil {
 		return nil, err
@@ -746,7 +843,7 @@ func openBlocks(blocksDir string) ([]*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	var blocks []*block
+	var names []string
 	for _, e := range entries {
 		name := e.Name()
 		if !e.IsDir() {
@@ -760,21 +857,40 @@ func openBlocks(blocksDir string) ([]*block, error) {
 			}
 			continue
 		}
-		if !strings.HasPrefix(name, "b-") {
-			continue
+		if strings.HasPrefix(name, "b-") {
+			names = append(names, name)
 		}
-		b, err := openBlock(filepath.Join(blocksDir, name))
+	}
+	// openBlock ignores the pool's context, so every entry below a failing
+	// one is opened to the end and the lowest failure is the one returned.
+	blocks := make([]*block, len(names))
+	err = parallel.ForEach(context.Background(), 0, len(names), func(_ context.Context, i int) error {
+		b, err := openBlock(filepath.Join(blocksDir, names[i]))
 		if err != nil {
-			return nil, fmt.Errorf("tsdb: opening block %s: %w", name, err)
+			return fmt.Errorf("tsdb: opening block %s: %w", names[i], err)
 		}
-		blocks = append(blocks, b)
+		blocks[i] = b
+		return nil
+	})
+	if err == nil {
+		var kept []*block
+		if kept, err = dropSupersededBlocks(blocks); err == nil {
+			sort.Slice(kept, func(i, j int) bool { return kept[i].meta.minSeq() < kept[j].meta.minSeq() })
+			return kept, nil
+		}
 	}
-	blocks, err = dropSupersededBlocks(blocks)
-	if err != nil {
-		return nil, err
+	closeBlocks(blocks)
+	return nil, err
+}
+
+// closeBlocks closes every block of blocks that is not nil; closing a
+// closed block is a no-op.
+func closeBlocks(blocks []*block) {
+	for _, b := range blocks {
+		if b != nil {
+			_ = b.close()
+		}
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].meta.minSeq() < blocks[j].meta.minSeq() })
-	return blocks, nil
 }
 
 // dropSupersededBlocks closes and deletes every block whose covered
@@ -784,9 +900,11 @@ func openBlocks(blocksDir string) ([]*block, error) {
 // the interrupted compaction, not data loss. Among blocks covering the
 // same range — a run of one and its source, when a crash fell between
 // the rewrite's rename and the source's removal — the higher compaction
-// level, then the higher sequence number, survives.
+// level, then the higher sequence number, survives. It returns the
+// survivors in a new slice and leaves blocks as it was, so a caller can
+// close them all after an error.
 func dropSupersededBlocks(blocks []*block) ([]*block, error) {
-	kept := blocks[:0]
+	kept := make([]*block, 0, len(blocks))
 	for _, b := range blocks {
 		super := false
 		for _, other := range blocks {

@@ -35,6 +35,17 @@ func blockQuery(b *block, key string, from, to int64) ([]Point, error) {
 	return out.pts, err
 }
 
+// addSeries takes one series through the writer's two steps on the
+// caller's goroutine: encodeSeries, then commit.
+func (bw *blockWriter) addSeries(key string, segs ...[]Point) error {
+	var e encodedSeries
+	if err := encodeSeries(&e, key, bw.cut, bw.ds != nil, segs); err != nil {
+		bw.abort()
+		return err
+	}
+	return bw.commit(&e)
+}
+
 // writeBlock persists series -> time-sorted points as one block through
 // the streaming writer: one segment per series, keys ascending.
 func writeBlock(blocksDir string, seq uint64, walCuts map[string]uint64, series map[string][]Point) (*block, error) {
@@ -717,5 +728,173 @@ func TestBlockWriterRefusesAndCleansUp(t *testing.T) {
 		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 			t.Fatalf("%s: blocks dir holds %d entries (%v) after the failure", name, len(entries), err)
 		}
+	}
+}
+
+// lateRounds is rounds of scrapes 10 s apart over nSeries series. In
+// every round after the first, every third series also receives a few
+// points stamped inside the previous round's span, in descending order:
+// late data across checkpoints, so those series' concatenated block
+// streams hold several monotone segments.
+func lateRounds(nSeries, rounds, perRound int) [][]Sample {
+	rng := rand.New(rand.NewSource(7))
+	key := func(i int) (string, string) { return fmt.Sprintf("svc-%02d", i%8), fmt.Sprintf("metric_%03d", i) }
+	out := make([][]Sample, rounds)
+	for r := range out {
+		for k := 0; k < perRound; k++ {
+			for i := 0; i < nSeries; i++ {
+				c, m := key(i)
+				out[r] = append(out[r], Sample{Component: c, Metric: m, T: int64(r*perRound+k) * 10_000, V: rng.NormFloat64()})
+			}
+		}
+		for i := 0; r > 0 && i < nSeries; i += 3 {
+			c, m := key(i)
+			for j := 0; j < 5; j++ {
+				out[r] = append(out[r], Sample{Component: c, Metric: m, T: int64(r*perRound-1-7*j)*10_000 + 3, V: rng.NormFloat64()})
+			}
+		}
+	}
+	return out
+}
+
+// readBlockMeta decodes a published block's meta.json.
+func readBlockMeta(t *testing.T, dir string) blockMeta {
+	t.Helper()
+	var meta blockMeta
+	if err := json.Unmarshal(mustReadFile(t, filepath.Join(dir, blockMetaName)), &meta); err != nil {
+		t.Fatal(err)
+	}
+	return meta
+}
+
+// assertSameBlockBytes fails unless the published block dir holds, under
+// the same name, the bytes of chunks.dat and meta.json that want holds,
+// and an index.json equal to wantIndex.
+func assertSameBlockBytes(t *testing.T, label, dir string, want *block, wantIndex []byte) {
+	t.Helper()
+	if filepath.Base(dir) != filepath.Base(want.dir) {
+		t.Fatalf("%s: published as %s, reference %s", label, filepath.Base(dir), filepath.Base(want.dir))
+	}
+	for _, name := range []string{blockChunksName, blockMetaName} {
+		if !bytes.Equal(mustReadFile(t, filepath.Join(dir, name)), mustReadFile(t, filepath.Join(want.dir, name))) {
+			t.Fatalf("%s: %s differs from the reference writer's", label, name)
+		}
+	}
+	if !bytes.Equal(mustReadFile(t, filepath.Join(dir, blockIndexName)), wantIndex) {
+		t.Fatalf("%s: %s differs from the reference", label, blockIndexName)
+	}
+}
+
+// TestBlockWriterWorkersWriteSameBytes runs a store's checkpoints and
+// the merge of their blocks through the block writer's pool at 1, 2 and
+// 7 encode workers (durable.writeWorkers). 150 series make batches of 64,
+// 64 and 22 keys, which 7 workers do not divide evenly; late data across
+// the checkpoints gives a third of the merged series several monotone
+// segments. At every count, each checkpoint block and the merged block,
+// companions included, must be the bytes the sequential reference writer
+// produces for the same input: chunks.dat, meta.json and index.json.
+func TestBlockWriterWorkersWriteSameBytes(t *testing.T) {
+	const nSeries, rounds, perRound = 150, 4, 40
+	data := lateRounds(nSeries, rounds, perRound)
+	// The reference input: per round, each key's points stably sorted by
+	// time (a checkpoint's one segment); per key, the rounds' sorted
+	// lists concatenated in block order and split where time decreases
+	// (the merge's segments).
+	ckpt := make([]map[string][][]Point, rounds)
+	merged := map[string][][]Point{}
+	for r, samples := range data {
+		ckpt[r] = map[string][][]Point{}
+		byKey := map[string][]Point{}
+		for _, s := range samples {
+			key := s.Component + "/" + s.Metric
+			byKey[key] = append(byKey[key], Point{T: s.T, V: s.V})
+		}
+		for key, pts := range byKey {
+			sortStable(pts)
+			ckpt[r][key] = [][]Point{pts}
+			segs := merged[key]
+			if n := len(segs); n > 0 && pts[0].T < segs[n-1][len(segs[n-1])-1].T {
+				segs = append(segs, nil)
+			}
+			if len(segs) == 0 {
+				segs = append(segs, nil)
+			}
+			segs[len(segs)-1] = append(segs[len(segs)-1], pts...)
+			merged[key] = segs
+		}
+	}
+	var multi int
+	for _, segs := range merged {
+		if len(segs) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no merged series holds more than one monotone segment")
+	}
+
+	for _, workers := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			blocksDir := filepath.Join(dir, "blocks")
+			s, _ := openCompactable(t, dir, 2, FsyncNever, 0)
+			defer s.Close()
+			s.dur.writeWorkers = workers
+			for _, samples := range data {
+				if err := s.WriteSamples(samples, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			names := listBlockDirs(t, blocksDir)
+			if len(names) != rounds {
+				t.Fatalf("%d checkpoint blocks, want %d", len(names), rounds)
+			}
+			for r, name := range names {
+				got := filepath.Join(blocksDir, name)
+				meta := readBlockMeta(t, got)
+				want, err := refWriteBlockParts(t.TempDir(), blockMeta{Seq: meta.Seq, WALCuts: meta.WALCuts}, ckpt[r])
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer want.close()
+				wantIndex, err := json.MarshalIndent(blockIndex{Series: want.index}, "", " ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameBlockBytes(t, "checkpoint "+name, got, want, wantIndex)
+			}
+
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			names = listBlockDirs(t, blocksDir)
+			if len(names) != 1 {
+				t.Fatalf("%d blocks after compaction, want 1", len(names))
+			}
+			got := filepath.Join(blocksDir, names[0])
+			meta := readBlockMeta(t, got)
+			want, err := refWriteBlockParts(t.TempDir(), blockMeta{
+				Seq: meta.Seq, WALCuts: meta.WALCuts, MinSeq: 1, MaxSeq: rounds, Level: 1,
+			}, merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer want.close()
+			idx := blockIndex{Series: want.index, Downsampled: map[int64]map[string][]summary{}}
+			for _, res := range downsampleResolutions {
+				idx.Downsampled[res] = map[string][]summary{}
+				for key, segs := range merged {
+					idx.Downsampled[res][key] = downsampleSeries(res, segs...)
+				}
+			}
+			wantIndex, err := json.MarshalIndent(idx, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBlockBytes(t, "merged "+names[0], got, want, wantIndex)
+		})
 	}
 }

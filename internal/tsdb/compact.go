@@ -235,15 +235,17 @@ func planCompactRuns(blocks []*block, maxBytes int64) [][]*block {
 }
 
 // mergeRun builds one merged block from an adjacent run of source
-// blocks, one series at a time in ascending key order. Per series, the
-// sources' full scan streams are concatenated in run order — exactly
-// the order a query's block loop feeds them — and split into monotone
-// segments wherever a timestamp strictly decreases (late data across
-// checkpoints), so the block writer keeps every chunk internally sorted
-// without ever reordering the stream. With Downsample, the writer folds
-// the same segments into the block's companions. The pass holds one
-// decoded series, the merged index and the companions, whatever the size
-// of the run. A run of one rewrites its block, to give it companions.
+// blocks, its series in ascending key order through the block writer's
+// worker pool (d.writeWorkers). Per series, the sources' full scan
+// streams are concatenated in run order — exactly the order a query's
+// block loop feeds them — and split into monotone segments wherever a
+// timestamp strictly decreases (late data across checkpoints), so the
+// block writer keeps every chunk internally sorted without ever
+// reordering the stream. With Downsample, the writer folds the same
+// segments into the block's companions. The pass holds one decoded
+// series per worker, a batch of encoded ones, the merged index and the
+// companions, whatever the size of the run. A run of one rewrites its
+// block, to give it companions.
 func (d *durable) mergeRun(seq uint64, run []*block) (*block, error) {
 	union := map[string]struct{}{}
 	var totalPts int
@@ -276,30 +278,27 @@ func (d *durable) mergeRun(seq uint64, run []*block) (*block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: writing merged block: %w", err)
 	}
-	var stream rawSink
-	var chunk []byte
-	var segs [][]Point
-	for _, key := range sortedKeys(union) {
-		stream.pts = stream.pts[:0]
+	err = bw.writeSeries(sortedKeys(union), d.writeWorkers, func(key string, w *encodeScratch) ([][]Point, error) {
+		w.raw.pts = w.raw.pts[:0]
 		for _, b := range run {
-			if err := b.scan(key, math.MinInt64, math.MaxInt64, &stream, nil, &chunk); err != nil {
-				bw.abort()
-				return nil, fmt.Errorf("tsdb: compacting %s %q: %w", b.dir, key, err)
+			if err := b.scan(key, math.MinInt64, math.MaxInt64, &w.raw, nil, &w.chunk); err != nil {
+				return nil, fmt.Errorf("compacting %s %q: %w", b.dir, key, err)
 			}
 		}
-		pts := stream.pts
-		segs = segs[:0]
+		pts := w.raw.pts
+		w.segs = w.segs[:0]
 		start := 0
 		for i := 1; i < len(pts); i++ {
 			if pts[i].T < pts[i-1].T {
-				segs = append(segs, pts[start:i])
+				w.segs = append(w.segs, pts[start:i])
 				start = i
 			}
 		}
-		segs = append(segs, pts[start:])
-		if err := bw.addSeries(key, segs...); err != nil {
-			return nil, fmt.Errorf("tsdb: writing merged block: %w", err)
-		}
+		w.segs = append(w.segs, pts[start:])
+		return w.segs, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: writing merged block: %w", err)
 	}
 	if bw.meta.Points != totalPts {
 		// Defensive: a miscount here would silently corrupt Stats.Points
@@ -314,44 +313,52 @@ func (d *durable) mergeRun(seq uint64, run []*block) (*block, error) {
 	return merged, nil
 }
 
-// compact runs one full compaction pass: merge every planned run of
-// adjacent small blocks and, with Downsample enabled, rewrite as a run of
-// one every other block that lacks a companion (one written in a life
-// without Downsample). Each run holds flushMu for its own duration only,
-// so checkpoints interleave between units of work instead of stalling
-// behind a whole pass; ingest never blocks (the shard locks are
-// untouched — compaction reads only immutable published blocks).
+// compact runs one full compaction pass: every run plan finds in a
+// snapshot of the block list, in turn. Each run holds flushMu for its own
+// duration only, so checkpoints interleave between units of work instead
+// of stalling behind a whole pass; ingest never blocks (the shard locks
+// are untouched — compaction reads only immutable published blocks).
 func (d *durable) compact() error {
 	d.tel.CompactionsRun.Inc()
 	d.mu.RLock()
 	snapshot := append([]*block(nil), d.blocks...)
 	d.mu.RUnlock()
-	runs := planCompactRuns(snapshot, compactMaxBlockBytes)
-	if d.opts.Downsample {
-		planned := map[*block]bool{}
-		for _, run := range runs {
-			for _, b := range run {
-				planned[b] = true
-			}
-		}
-		for _, b := range snapshot {
-			if planned[b] {
-				continue
-			}
-			for _, res := range downsampleResolutions {
-				if _, ok := b.ds[res]; !ok {
-					runs = append(runs, []*block{b})
-					break
-				}
-			}
-		}
-	}
-	for _, run := range runs {
+	for _, run := range d.plan(snapshot) {
 		if err := d.compactRun(run); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// plan lists the runs one compaction pass over blocks takes: every
+// planned run of adjacent small blocks and, with Downsample enabled, as
+// a run of one, every other block that lacks a companion (one written in
+// a life without Downsample, or by a release that kept its companions in
+// ds-*.json files beside index.json).
+func (d *durable) plan(blocks []*block) [][]*block {
+	runs := planCompactRuns(blocks, compactMaxBlockBytes)
+	if !d.opts.Downsample {
+		return runs
+	}
+	planned := map[*block]bool{}
+	for _, run := range runs {
+		for _, b := range run {
+			planned[b] = true
+		}
+	}
+	for _, b := range blocks {
+		if planned[b] {
+			continue
+		}
+		for _, res := range downsampleResolutions {
+			if _, ok := b.ds[res]; !ok {
+				runs = append(runs, []*block{b})
+				break
+			}
+		}
+	}
+	return runs
 }
 
 // compactRun merges one planned run and swaps it into the block list.

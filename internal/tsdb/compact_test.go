@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -893,5 +894,118 @@ func TestCompactionWorkingSetBounded(t *testing.T) {
 	}
 	if perPoint := float64(largeAlloc) / float64(largePts); perPoint > 16 {
 		t.Errorf("compaction allocated %.1f B per point moved, want at most 16 (one decoded Point)", perPoint)
+	}
+}
+
+// firstPassStore checkpoints rounds blocks of compactSamples into dir
+// with no background compaction, and returns the answers of
+// compactQueries over them.
+func firstPassStore(t *testing.T, dir string, rounds int) ([]RangeQuery, [][]SeriesResult) {
+	t.Helper()
+	samples := compactSamples(5, 3, 3, 60*rounds, 10_000, true)
+	s, _ := openCompactable(t, dir, 2, FsyncNever, 0)
+	per := len(samples) / rounds
+	for r := 0; r < rounds; r++ {
+		if err := s.WriteSamples(samples[r*per:(r+1)*per], 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs := compactQueries(maxSampleT(samples))
+	answers := make([][]SeriesResult, len(qs))
+	for i, q := range qs {
+		answers[i] = engineQuery(t, s, q)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return qs, answers
+}
+
+// openFirstPass reopens dir with the background compactor on and an
+// interval no test waits out: any pass that runs is the one at open.
+func openFirstPass(t *testing.T, dir string) *Sharded {
+	t.Helper()
+	s, err := OpenSharded(2, DurabilityOptions{
+		Dir: dir, Fsync: FsyncNever, FlushInterval: -1, CompactInterval: time.Hour, Downsample: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// waitFor polls cond every millisecond until it holds, failing the test
+// after a deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCompactFirstPassAtOpen: a store reopened with three checkpoint
+// blocks and an hour-long compaction interval is compacted without a
+// tick — the blocks merged and the merged block's companions built —
+// and answers every query byte for byte as before.
+func TestCompactFirstPassAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	qs, before := firstPassStore(t, dir, 3)
+	s := openFirstPass(t, dir)
+	defer s.Close()
+	tel := s.Telemetry()
+	waitFor(t, "the first compaction pass", func() bool {
+		return tel.CompactionMergedBlocks.Value() >= 3 &&
+			tel.DownsampleSeconds.Count() >= uint64(len(downsampleResolutions)*s.BlockCount())
+	})
+	if n := s.BlockCount(); n != 1 {
+		t.Fatalf("%d blocks after the first pass, want 1", n)
+	}
+	s.dur.mu.RLock()
+	for _, res := range downsampleResolutions {
+		if _, ok := s.dur.blocks[0].ds[res]; !ok {
+			t.Errorf("merged block lacks its %d ms companion", res)
+		}
+	}
+	s.dur.mu.RUnlock()
+	if n := tel.CompactionsRun.Value(); n != 1 {
+		t.Errorf("%d compaction passes, want the one at open", n)
+	}
+	for i, q := range qs {
+		assertBitIdentical(t, "after the first pass", q, engineQuery(t, s, q), before[i])
+	}
+}
+
+// TestCompactCloseDuringFirstPass closes a reopened store once its first
+// compaction pass has started: Close returns, no tmp- directory is left
+// behind, and the next life answers every query as the first did.
+func TestCompactCloseDuringFirstPass(t *testing.T) {
+	dir := t.TempDir()
+	qs, before := firstPassStore(t, dir, 12)
+	s := openFirstPass(t, dir)
+	tel := s.Telemetry()
+	waitFor(t, "the first compaction pass to start", func() bool { return tel.CompactionsRun.Value() >= 1 })
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close during the first pass: %v", err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "blocks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), blockTmpPrefix) {
+			t.Errorf("%s left behind by Close", e.Name())
+		}
+	}
+	re, _ := openCompactable(t, dir, 2, FsyncNever, 0)
+	defer re.Close()
+	for i, q := range qs {
+		assertBitIdentical(t, "after a close during the first pass", q, engineQuery(t, re, q), before[i])
 	}
 }

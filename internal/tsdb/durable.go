@@ -36,7 +36,10 @@ type DurabilityOptions struct {
 	// CompactInterval is the cadence of the background compactor that
 	// merges adjacent small blocks (default 5m; negative disables the
 	// background passes — compaction then only happens via
-	// Sharded.Compact).
+	// Sharded.Compact). The first pass runs as soon as the store is
+	// open, when the blocks found at open plan any work, so a restarted
+	// store is compacted, and with Downsample serves every block's
+	// companions, without waiting an interval.
 	CompactInterval time.Duration
 	// Downsample makes compaction write 5m/1h downsampled companion
 	// files with every block it writes, which aggregated queries with
@@ -124,6 +127,10 @@ type durable struct {
 	// tel is the owning store's instrument set (checkpoint, retention,
 	// compaction and block-scan instruments), fixed at construction.
 	tel *StoreTelemetry
+	// writeWorkers sizes the block writer's encode pool for checkpoints
+	// and compaction: 0, parallel.Workers(0), like every other pool of the
+	// process. Tests set other counts to show the bytes do not depend on it.
+	writeWorkers int
 
 	// staleWAL maps shard index -> directory for WAL dirs left over from
 	// a previous life that ran with a higher shard count. Their records
@@ -274,7 +281,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	}
 
 	if opts.Fsync == FsyncInterval {
-		d.every(fsyncTick, func() {
+		d.every(fsyncTick, false, func() {
 			for _, sh := range s.shards {
 				sh.wal.flush()
 			}
@@ -283,10 +290,12 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	if opts.FlushInterval > 0 {
 		// Failures are not dropped: checkpoint records them for Stats and
 		// logs state changes, so a wedged flusher is observable.
-		d.every(opts.FlushInterval, func() { _ = s.Checkpoint() })
+		d.every(opts.FlushInterval, false, func() { _ = s.Checkpoint() })
 	}
 	if opts.CompactInterval > 0 {
-		d.every(opts.CompactInterval, func() {
+		// A restarted store starts compacting at once: the blocks it
+		// opened may hold a run to merge or lack their companions.
+		d.every(opts.CompactInterval, len(d.plan(d.blocks)) > 0, func() {
 			// The next tick retries; sources are only removed after a
 			// successful swap, so a failed pass loses nothing.
 			if err := d.compact(); err != nil {
@@ -340,13 +349,18 @@ func maxRecordedCut(blocks []*block, shard int) uint64 {
 	return max
 }
 
-// every runs fn every interval on one goroutine until shutdown: the
-// store's background work (the interval fsync, checkpoints, compaction)
-// is a set of ticks, one goroutine each.
-func (d *durable) every(interval time.Duration, fn func()) {
+// every runs fn every interval on one goroutine until shutdown, and with
+// atStart once more before the first interval starts: the store's
+// background work (the interval fsync, checkpoints, compaction) is a set
+// of ticks, one goroutine each. A shutdown during that first run waits
+// for it, as for a ticked one.
+func (d *durable) every(interval time.Duration, atStart bool, fn func()) {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
+		if atStart {
+			fn()
+		}
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -471,7 +485,7 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 		for idx, cut := range staleCuts {
 			cutsMeta[fmt.Sprintf("%d", idx)] = cut
 		}
-		blk, err := buildBlock(d.blocksDir, seq, cutsMeta, snap)
+		blk, err := buildBlock(d.blocksDir, seq, cutsMeta, snap, d.writeWorkers)
 		if err != nil {
 			// The stolen series vanished from memory at the cut; splice
 			// them back so queries keep seeing them. Their WAL segments
@@ -515,31 +529,32 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 	return d.enforceRetention(s.AppMaxTime())
 }
 
-// buildBlock persists a stolen snapshot as one immutable block, one
-// series at a time in ascending key order: decode into a reused buffer,
-// stable-sort by time, hand to the block writer. It writes no
+// buildBlock persists a stolen snapshot as one immutable block, its
+// series in ascending key order through the block writer's pool of
+// workers (parallel.Workers(workers)): each decodes a series into its
+// scratch and stable-sorts it by time for the writer. It writes no
 // companions, whatever Downsample says: the block gains them when
 // compaction rewrites it, which keeps the checkpoint's cost off ingest.
-func buildBlock(blocksDir string, seq uint64, walCuts map[string]uint64, snap map[string]*series) (*block, error) {
+func buildBlock(blocksDir string, seq uint64, walCuts map[string]uint64, snap map[string]*series, workers int) (*block, error) {
 	bw, err := newBlockWriter(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts}, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("writing block: %w", err)
 	}
-	var raw rawSink
-	for _, key := range sortedKeys(snap) {
-		raw.pts = raw.pts[:0]
-		if err := snap[key].scanRange(math.MinInt64, math.MaxInt64, &raw, nil); err != nil {
-			bw.abort()
+	err = bw.writeSeries(sortedKeys(snap), workers, func(key string, w *encodeScratch) ([][]Point, error) {
+		w.raw.pts = w.raw.pts[:0]
+		if err := snap[key].scanRange(math.MinInt64, math.MaxInt64, &w.raw, nil); err != nil {
 			return nil, fmt.Errorf("decoding snapshot of %q: %w", key, err)
 		}
-		pts := raw.pts
+		pts := w.raw.pts
 		// Stable by time: preserves arrival order among equal timestamps,
 		// so queries after a flush (and after recovery) return the same
 		// bytes as before it.
 		sort.SliceStable(pts, func(a, b int) bool { return pts[a].T < pts[b].T })
-		if err := bw.addSeries(key, pts); err != nil {
-			return nil, fmt.Errorf("writing block: %w", err)
-		}
+		w.segs = append(w.segs[:0], pts)
+		return w.segs, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("writing block: %w", err)
 	}
 	blk, err := bw.publish()
 	if err != nil {

@@ -158,7 +158,7 @@ func TestQueryEngineSkipsDisjointChunks(t *testing.T) {
 // and index-only aggregations not touching it still succeed.
 func TestQueryEngineBlockChunkSkip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSharded(1, DurabilityOptions{Dir: dir, FlushInterval: -1})
+	s, err := OpenSharded(1, DurabilityOptions{Dir: dir, FlushInterval: -1, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,7 +362,7 @@ func TestDurableRecovery100kPoints(t *testing.T) {
 func TestDurableRetentionDropsOldBlocks(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSharded(2, DurabilityOptions{
-		Dir: dir, Fsync: FsyncNever, FlushInterval: -1, RetentionMS: 10_000,
+		Dir: dir, Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1, RetentionMS: 10_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -906,5 +906,70 @@ func TestDurableWALRepairIsLogged(t *testing.T) {
 	}
 	if logs.Len() != 0 {
 		t.Errorf("clean reopen logged:\n%s", logs.String())
+	}
+}
+
+// openFilesUnder counts this process's open file descriptors whose
+// target lies under dir, read from /proc/self/fd.
+func openFilesUnder(t *testing.T, dir string) int {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDurableOpenBadBlockClosesFiles: a data directory with two good
+// blocks and, last in directory order, one whose index.json is garbage
+// must refuse to open, naming that block, and leave no file of the
+// directory open — the good blocks' chunks.dat handles included, which
+// the open had already taken when it reached the bad one.
+func TestDurableOpenBadBlockClosesFiles(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open files in")
+	}
+	dir := t.TempDir()
+	s := openCrashable(t, dir, 2)
+	for i := 0; i < 3; i++ {
+		recoveryWrite(t, nil, recoveryBatch(i, 3, 2), s)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blocksDir := filepath.Join(dir, "blocks")
+	names := listBlockDirs(t, blocksDir)
+	if len(names) != 3 {
+		t.Fatalf("%d blocks on disk, want 3", len(names))
+	}
+	bad := names[2]
+	if err := os.WriteFile(filepath.Join(blocksDir, bad, blockIndexName), []byte("{\"series\": garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := openFilesUnder(t, dir)
+	re, err := OpenSharded(2, DurabilityOptions{Dir: dir, Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1})
+	if err == nil {
+		re.Close()
+		t.Fatal("a block with a garbage index.json opened")
+	}
+	if !strings.Contains(err.Error(), bad) {
+		t.Errorf("open error %q does not name the bad block %s", err, bad)
+	}
+	if after := openFilesUnder(t, dir); after != before {
+		t.Errorf("%d files of the data directory open after the failed open, %d before", after, before)
 	}
 }
