@@ -872,25 +872,20 @@ func openBlocks(blocksDir string) ([]*block, error) {
 		blocks[i] = b
 		return nil
 	})
+	var kept []*block
 	if err == nil {
-		var kept []*block
-		if kept, err = dropSupersededBlocks(blocks); err == nil {
-			sort.Slice(kept, func(i, j int) bool { return kept[i].meta.minSeq() < kept[j].meta.minSeq() })
-			return kept, nil
-		}
+		kept, err = dropSupersededBlocks(blocks)
 	}
-	closeBlocks(blocks)
-	return nil, err
-}
-
-// closeBlocks closes every block of blocks that is not nil; closing a
-// closed block is a no-op.
-func closeBlocks(blocks []*block) {
-	for _, b := range blocks {
-		if b != nil {
-			_ = b.close()
+	if err != nil {
+		for _, b := range blocks {
+			if b != nil {
+				_ = b.close() // a no-op on a block dropSupersededBlocks closed
+			}
 		}
+		return nil, err
 	}
+	sort.Slice(kept, func(i, j int) bool { return kept[i].meta.minSeq() < kept[j].meta.minSeq() })
+	return kept, nil
 }
 
 // dropSupersededBlocks closes and deletes every block whose covered

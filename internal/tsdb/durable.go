@@ -41,11 +41,13 @@ type DurabilityOptions struct {
 	// store is compacted, and with Downsample serves every block's
 	// companions, without waiting an interval.
 	CompactInterval time.Duration
-	// Downsample makes compaction write 5m/1h downsampled companion
-	// files with every block it writes, which aggregated queries with
-	// coarse steps consume without touching chunk data. A block without
-	// them (a checkpoint's, or one from a life without Downsample) that
-	// no merge takes is rewritten alone, once, to gain them.
+	// Downsample makes compaction write 5m/1h downsampled companions
+	// into the index.json of every block it writes, which aggregated
+	// queries with coarse steps consume without touching chunk data. A
+	// block without them (a checkpoint's, one from a life without
+	// Downsample, or one whose companions an older release wrote as
+	// ds-*.json files) that no merge takes is rewritten alone, once, to
+	// gain them; the blocks found at open, by the first pass.
 	Downsample bool
 }
 
