@@ -6,6 +6,10 @@
 // ReduceContext and IdentifyDependenciesContext stages fan out through
 // it) so that internal/kshape, which core imports, can fan out its
 // silhouette sweep through the same pool.
+//
+// Beside the pools, Loops runs the process's background cadences (see
+// loops.go): the store's and the server's ticks start from its one go
+// statement and end at its Stop.
 package parallel
 
 import (

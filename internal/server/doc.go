@@ -38,7 +38,9 @@
 // (tsdb.Sharded.AppMaxTime), after a graceful stop or a crash, and answers
 // /query_range byte-identically to the store that was killed. ListenAndServe
 // checkpoints and closes the store on graceful shutdown; embedders
-// using Handler call Server.Close themselves.
+// using Handler call Server.Close themselves. Close first stops the
+// loops Start added — the pipeline driver and the self-scrape — and
+// waits for a run in flight, so no loop outlives the store.
 //
 // # Window assembly
 //

@@ -321,11 +321,8 @@ func TestIncrementalCancelledRunIsNotFailure(t *testing.T) {
 	if _, err := s.RunPipelineOnce(ctx); err == nil {
 		t.Fatal("cancelled run should error")
 	}
-	s.mu.RLock()
-	failing := s.runFailing
-	s.mu.RUnlock()
-	if failing {
-		t.Fatal("cancelled run flipped the pipeline into the failing state")
+	if h := s.tel.pipeline.Health(); h.Failures != 0 {
+		t.Fatalf("cancelled run flipped the pipeline into the failing state: %+v", h)
 	}
 	if _, err := s.RunPipelineOnce(context.Background()); err != nil {
 		t.Fatalf("run after abandoned cycle: %v", err)

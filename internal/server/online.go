@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -132,15 +131,12 @@ func (s *Server) pipelineWindow(hi int64) (lo, end int64, err error) {
 func (s *Server) RunPipelineOnce(ctx context.Context) (*RunInfo, error) {
 	sp := s.tel.opCycle.Start()
 	info, err := s.runPipelineOnce(ctx, &sp)
-	// Health stamps for /healthz: a completed cycle and an ErrNoData
-	// skip both prove the loop is alive (the window just has not filled
-	// on the latter); only silence stalls the readiness check.
-	now := time.Now().UnixNano()
-	switch {
-	case err == nil:
-		s.lastCycleNS.Store(now)
-	case errors.Is(err, ErrNoData):
-		s.lastNoDataNS.Store(now)
+	// An ErrNoData skip proves the loop alive (the window just has not
+	// filled); a canceled run (a disconnected POST /run) is no failure.
+	if errors.Is(err, ErrNoData) {
+		s.tel.pipeline.Alive()
+	} else {
+		s.tel.pipeline.Report(err)
 	}
 	sp.End()
 	return info, err
@@ -171,7 +167,7 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 			// self-telemetry component). That is waiting, not failing.
 			return nil, fmt.Errorf("%w: window holds no analyzable series", ErrNoData)
 		}
-		return nil, s.recordErr(fmt.Errorf("assembling window dataset: %w", err))
+		return nil, fmt.Errorf("assembling window dataset: %w", err)
 	}
 	ds.CallGraph = s.snapshotGraph()
 
@@ -179,20 +175,20 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	red, err := core.ReduceContext(ctx, ds, core.DefaultReduceOptions())
 	info.Stages.Reduce = time.Since(stage)
 	if err != nil {
-		return nil, s.recordErr(fmt.Errorf("reduce: %w", err))
+		return nil, fmt.Errorf("reduce: %w", err)
 	}
 
 	stage = time.Now()
 	graph, err := core.IdentifyDependenciesContext(ctx, ds, red, core.DepOptions{})
 	info.Stages.Deps = time.Since(stage)
 	if err != nil {
-		return nil, s.recordErr(fmt.Errorf("identify dependencies: %w", err))
+		return nil, fmt.Errorf("identify dependencies: %w", err)
 	}
 
 	// A generation is published only if GET /artifact can encode it.
 	art := &core.Artifact{App: s.opts.AppName, Dataset: ds, Reduction: red, Graph: graph}
 	if err := core.ValidateArtifact(art); err != nil {
-		return nil, s.recordErr(fmt.Errorf("marshaling artifact: %w", err))
+		return nil, fmt.Errorf("marshaling artifact: %w", err)
 	}
 
 	info.Generation = s.generation() + 1 // runMu held: no other run publishes
@@ -224,73 +220,21 @@ func (s *Server) runPipelineOnce(ctx context.Context, sp *telemetry.Span) (*RunI
 	metric, relations := graph.MostFrequentMetric()
 	pub := &publication{info: info, signal: Signal{Metric: metric, Relations: relations}, art: art}
 
-	s.mu.Lock()
 	s.pub.Store(pub)
-	s.lastErr = ""
-	recovered := s.runFailing
-	s.runFailing = false
-	s.mu.Unlock()
-	if recovered {
-		// Mirror the durable store's checkpoint health reporting: log
-		// once per state change, with the stage breakdown so the
-		// recovery cycle's cost is attributable.
-		slog.Info("pipeline recovered",
-			"generation", info.Generation,
-			"window_start_ms", lo, "window_end_ms", end,
-			"assemble", info.Stages.Assemble.Round(time.Microsecond),
-			"reduce", info.Stages.Reduce.Round(time.Microsecond),
-			"deps", info.Stages.Deps.Round(time.Microsecond))
-	}
 	return &info, nil
 }
 
-// recordErr remembers the failure for /stats, passes it through, and —
-// like the durable store's checkpoint health — logs once per
-// failing -> recovered state change, never per tick. Context
-// cancellation is the caller abandoning the run (a disconnected POST
-// /run, shutdown mid-cycle), not a pipeline fault: it is remembered in
-// lastErr but never flips the failing state or logs.
-func (s *Server) recordErr(err error) error {
-	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	if !canceled {
-		s.tel.pipelineFailures.Inc()
-	}
-	s.mu.Lock()
-	s.lastErr = err.Error()
-	transition := !canceled && !s.runFailing
-	if !canceled {
-		s.runFailing = true
-	}
-	s.mu.Unlock()
-	if transition {
-		slog.Error("pipeline failing, kept serving last artifact",
-			"generation", s.generation(), "err", err)
-	}
-	return err
-}
-
 // Start launches the background driver: one pipeline run every
-// opts.Interval until ctx is done. ErrNoData ticks are silently skipped
-// (the window just has not filled yet); other errors are kept for
-// /stats. With Options.SelfScrapeInterval it also starts the
-// self-scrape loop. Start returns immediately.
+// opts.Interval until ctx is done or Close is called (every error but
+// ErrNoData is kept for /stats), and with Options.SelfScrapeInterval the
+// self-scrape. Start returns at once; a second Start adds nothing.
 func (s *Server) Start(ctx context.Context) {
-	s.driverStartNS.CompareAndSwap(0, time.Now().UnixNano())
-	if s.opts.SelfScrapeInterval > 0 {
-		go s.selfScrapeLoop(ctx)
-	}
-	go func() {
-		ticker := time.NewTicker(s.opts.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				if _, err := s.RunPipelineOnce(ctx); err != nil && ctx.Err() != nil {
-					return
-				}
-			}
+	s.startOnce.Do(func() {
+		s.tel.pipeline.Alive()
+		s.loops.Every(s.opts.Interval, false, func(ctx context.Context) { _, _ = s.RunPipelineOnce(ctx) })
+		if s.opts.SelfScrapeInterval > 0 {
+			s.loops.Every(s.opts.SelfScrapeInterval, false, func(context.Context) { _, _ = s.SelfScrapeOnce() })
 		}
-	}()
+		context.AfterFunc(ctx, s.loops.Stop)
+	})
 }

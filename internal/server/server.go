@@ -14,6 +14,7 @@ import (
 
 	"github.com/sieve-microservices/sieve/internal/callgraph"
 	"github.com/sieve-microservices/sieve/internal/core"
+	"github.com/sieve-microservices/sieve/internal/parallel"
 	"github.com/sieve-microservices/sieve/internal/promremote"
 	"github.com/sieve-microservices/sieve/internal/telemetry"
 	"github.com/sieve-microservices/sieve/internal/tsdb"
@@ -191,26 +192,21 @@ type Server struct {
 	shutdownTimeout       time.Duration
 
 	// tel is the self-observability bundle (registry, instruments,
-	// trace ring); always non-nil after New.
+	// reporters, trace ring); always non-nil after New.
 	tel *telemetrySet
-	// Health stamps for /healthz readiness (unix nanos): when the
-	// background driver started, the last completed cycle, and the last
-	// ErrNoData skip (the window not having filled is "waiting", not
-	// "stalled").
-	driverStartNS atomic.Int64
-	lastCycleNS   atomic.Int64
-	lastNoDataNS  atomic.Int64
 
-	// pub is the latest published generation (nil before the first).
-	// It is swapped under mu, so /stats reads it beside the matching
-	// lastErr; GET /artifact loads it without any lock.
+	// loops runs the driver and self-scrape the first Start adds, until
+	// Start's ctx ends or Close stops it.
+	loops     *parallel.Loops
+	startOnce sync.Once
+
+	// pub is the latest published generation (nil before the first);
+	// GET /artifact and /stats load it without any lock.
 	pub atomic.Pointer[publication]
 
-	// mu guards the topology and the pipeline's failure state.
-	mu         sync.RWMutex
-	graph      *callgraph.Graph
-	lastErr    string
-	runFailing bool // drives once-per-state-change pipeline logging
+	// mu guards the topology.
+	mu    sync.RWMutex
+	graph *callgraph.Graph
 
 	// runMu serializes pipeline runs (driver tick vs POST /run).
 	runMu sync.Mutex
@@ -279,6 +275,7 @@ func newServer(opts Options, slowOp time.Duration) (*Server, error) {
 		remoteWriteMaxSamples: remoteWriteMaxSamples,
 		readHeaderTimeout:     readHeaderTimeout,
 		shutdownTimeout:       shutdownTimeout,
+		loops:                 parallel.NewLoops(),
 	}
 	s.tel = newTelemetrySet(store, slowOp)
 	s.mux = http.NewServeMux()
@@ -317,10 +314,14 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Store exposes the backing sharded store (read-mostly: stats, queries).
 func (s *Server) Store() *tsdb.Sharded { return s.store }
 
-// Close flushes and closes a durable store (final checkpoint: remaining
-// memory is sealed into a block, the WAL pruned). Safe to call twice.
+// Close stops the loops Start added, waiting for a run in flight, then
+// flushes and closes a durable store (final checkpoint: remaining memory
+// is sealed into a block, the WAL pruned). Safe to call twice.
 // ListenAndServe calls it on graceful shutdown.
-func (s *Server) Close() error { return s.store.Close() }
+func (s *Server) Close() error {
+	s.loops.Stop()
+	return s.store.Close()
+}
 
 // httpError writes a JSON error body with the given status.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -560,16 +561,10 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.store.Stats()
-	s.mu.RLock()
-	lastErr := s.lastErr
-	p := s.pub.Load()
-	s.mu.RUnlock()
 	// generation and last_run come from one publication, so they agree.
-	var (
-		generation int64
-		lastRun    *RunInfo
-	)
-	if p != nil {
+	var generation int64
+	var lastRun *RunInfo
+	if p := s.pub.Load(); p != nil {
 		run := p.info
 		generation, lastRun = run.Generation, &run
 	}
@@ -599,7 +594,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Samples:             int64(s.tel.ingestSamples.Value() + s.tel.remoteIngestSamples.Value()),
 		Generation:          generation,
 		PipelineRuns:        int64(s.tel.pipelineRuns.Value()),
-		LastError:           lastErr,
+		LastError:           s.tel.pipeline.Health().LastError,
 		Incremental:         s.opts.Incremental,
 		LastRun:             lastRun,
 	})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"log/slog"
 	"math"
@@ -54,19 +53,21 @@ type telemetrySet struct {
 	// Online pipeline: whole-cycle plus the per-stage breakdown that
 	// StageTimings already measures, lifted into histograms, and the
 	// GET /artifact encode, once per generation on its first read.
-	cycleSeconds     *telemetry.Histogram
-	assembleSeconds  *telemetry.Histogram
-	reduceSeconds    *telemetry.Histogram
-	depsSeconds      *telemetry.Histogram
-	marshalSeconds   *telemetry.Histogram
-	pipelineRuns     *telemetry.Counter
-	pipelineFailures *telemetry.Counter
-	grangerTests     *telemetry.Counter
+	cycleSeconds    *telemetry.Histogram
+	assembleSeconds *telemetry.Histogram
+	reduceSeconds   *telemetry.Histogram
+	depsSeconds     *telemetry.Histogram
+	marshalSeconds  *telemetry.Histogram
+	pipelineRuns    *telemetry.Counter
+	grangerTests    *telemetry.Counter
 
-	// Self-scrape loop health.
+	// Self-scrape passes and the samples they wrote.
 	selfScrapes       *telemetry.Counter
 	selfScrapeSamples *telemetry.Counter
-	selfScrapeErrors  *telemetry.Counter
+
+	// Every pipeline run and self-scrape pass is reported, its failures
+	// counted on sieve_pipeline_failures_total / _selfscrape_errors_total.
+	pipeline, selfScrape *telemetry.Reporter
 
 	// Slow-op tracing: one Op handle per traced operation.
 	ring          *telemetry.TraceRing
@@ -131,8 +132,6 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 			"artifact encode duration: once per published generation, on its first GET /artifact", nil),
 		pipelineRuns: reg.Counter("sieve_pipeline_runs_total",
 			"completed pipeline cycles (artifact published)"),
-		pipelineFailures: reg.Counter("sieve_pipeline_failures_total",
-			"failed pipeline cycles (previous artifact kept)"),
 		// No Granger result cache exists any more, so every pair test is
 		// computed; the name is the one sievebench's
 		// granger.cache_hit_share row reads (bench/pipeline.go) and stays
@@ -144,8 +143,10 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 			"self-scrape passes (telemetry written into the store)"),
 		selfScrapeSamples: reg.Counter("sieve_selfscrape_samples_total",
 			"samples the self-scrape loop wrote under the reserved component"),
-		selfScrapeErrors: reg.Counter("sieve_selfscrape_errors_total",
-			"self-scrape passes that failed to write"),
+		pipeline: telemetry.NewReporter("pipeline", reg.Counter("sieve_pipeline_failures_total",
+			"failed pipeline cycles (previous artifact kept)")),
+		selfScrape: telemetry.NewReporter("self-scrape", reg.Counter("sieve_selfscrape_errors_total",
+			"self-scrape passes that failed to write")),
 	}
 	t.ring = telemetry.NewTraceRing(64, slowOp, func(tr *telemetry.Trace) {
 		slog.Warn("slow operation (entered slow state, retained in /debug/traces)",
@@ -247,38 +248,12 @@ func (s *Server) SelfScrapeOnce() (int, error) {
 			V:      rd.Value,
 		})
 	}
-	if err := s.store.WriteSamples(samples, 0); err != nil {
-		s.tel.selfScrapeErrors.Inc()
+	if err := s.tel.selfScrape.Report(s.store.WriteSamples(samples, 0)); err != nil {
 		return 0, err
 	}
 	s.tel.selfScrapes.Inc()
 	s.tel.selfScrapeSamples.Add(uint64(len(samples)))
 	return len(samples), nil
-}
-
-// selfScrapeLoop runs SelfScrapeOnce every SelfScrapeInterval until ctx
-// is done. Write failures are counted and logged once per failing
-// state, not per tick.
-func (s *Server) selfScrapeLoop(ctx context.Context) {
-	ticker := time.NewTicker(s.opts.SelfScrapeInterval)
-	defer ticker.Stop()
-	failing := false
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			if _, err := s.SelfScrapeOnce(); err != nil {
-				if !failing {
-					failing = true
-					slog.Error("self-scrape failing", "err", err)
-				}
-			} else if failing {
-				failing = false
-				slog.Info("self-scrape recovered")
-			}
-		}
-	}
 }
 
 // HealthCheck is one readiness check inside the /healthz body.
@@ -317,22 +292,14 @@ func (s *Server) health() HealthResponse {
 	}
 	checks["checkpoint"] = ck
 
+	// Start stamps the reporter, so the age counts from the driver's start.
 	pl := HealthCheck{OK: true}
-	if started := s.driverStartNS.Load(); started == 0 {
+	if s.loops.Added() == 0 {
 		pl.Detail = "driver not started"
-	} else {
-		last := started
-		if v := s.lastCycleNS.Load(); v > last {
-			last = v
-		}
-		if v := s.lastNoDataNS.Load(); v > last {
-			last = v
-		}
-		if age := time.Duration(time.Now().UnixNano() - last); age > 3*s.opts.Interval {
-			pl.OK = false
-			pl.Detail = "online loop stalled: no completed cycle for " +
-				age.Round(time.Second).String() + " (interval " + s.opts.Interval.String() + ")"
-		}
+	} else if age := time.Since(s.tel.pipeline.Health().Last); age > 3*s.opts.Interval {
+		pl.OK = false
+		pl.Detail = "online loop stalled: no completed cycle for " +
+			age.Round(time.Second).String() + " (interval " + s.opts.Interval.String() + ")"
 	}
 	checks["pipeline"] = pl
 

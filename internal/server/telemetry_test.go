@@ -563,7 +563,7 @@ func TestSelfScrapeRestartWithoutLoop(t *testing.T) {
 // silent for 3x the interval, and both a completed cycle and an
 // ErrNoData skip count as liveness.
 func TestHealthzReadiness(t *testing.T) {
-	s, hs, _ := newTestServer(t, Options{Interval: time.Second})
+	s, hs, _ := newTestServer(t, Options{Interval: 100 * time.Millisecond})
 
 	decode := func(body []byte) HealthResponse {
 		var h HealthResponse
@@ -571,6 +571,22 @@ func TestHealthzReadiness(t *testing.T) {
 			t.Fatalf("decoding health body: %v", err)
 		}
 		return h
+	}
+	// waitStalled polls /readyz until the silent driver reads as stalled
+	// (3 intervals after the reporter's last stamp).
+	waitStalled := func() HealthResponse {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			status, _, body := getBody(t, hs.URL+"/readyz")
+			if status == http.StatusServiceUnavailable {
+				return decode(body)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("/readyz stayed %d, want 503 once the driver is silent", status)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 
 	status, _, body := getBody(t, hs.URL+"/healthz")
@@ -582,13 +598,13 @@ func TestHealthzReadiness(t *testing.T) {
 		t.Fatalf("fresh server health = %+v", h)
 	}
 
-	// Driver started long ago, no cycle since: stalled.
-	s.driverStartNS.Store(time.Now().Add(-time.Minute).UnixNano())
-	status, _, body = getBody(t, hs.URL+"/readyz")
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("stalled /readyz status = %d, want 503", status)
-	}
-	if h = decode(body); h.Status != "degraded" || h.Checks["pipeline"].OK {
+	// Driver started, but every tick blocks on the run mutex: no cycle
+	// since the start, so it stalls.
+	s.runMu.Lock()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	if h = waitStalled(); h.Status != "degraded" || h.Checks["pipeline"].OK {
 		t.Fatalf("stalled health = %+v", h)
 	}
 	// Liveness is unaffected.
@@ -597,31 +613,71 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 
 	// A completed cycle refreshes readiness.
-	s.lastCycleNS.Store(time.Now().UnixNano())
+	s.tel.pipeline.Report(nil)
 	if status, _, _ = getBody(t, hs.URL+"/readyz"); status != http.StatusOK {
 		t.Fatalf("/readyz after cycle = %d, want 200", status)
 	}
 
 	// So does an ErrNoData skip: an unfilled window is waiting, not
 	// stalled.
-	s.lastCycleNS.Store(0)
-	s.lastNoDataNS.Store(time.Now().UnixNano())
+	waitStalled()
+	s.tel.pipeline.Alive()
 	if status, _, _ = getBody(t, hs.URL+"/readyz"); status != http.StatusOK {
 		t.Fatalf("/readyz after ErrNoData = %d, want 200", status)
 	}
 
-	// The real path sets the stamps too: RunPipelineOnce on an empty
-	// store is an ErrNoData skip.
-	s.lastNoDataNS.Store(0)
-	s.driverStartNS.Store(time.Now().Add(-time.Minute).UnixNano())
+	// The real path stamps the reporter too: with the driver stopped and
+	// stalled again, RunPipelineOnce on an empty store is an ErrNoData
+	// skip.
+	cancel()
+	s.runMu.Unlock()
+	s.loops.Stop()
+	waitStalled()
+	before := s.tel.pipeline.Health().Last
 	if _, err := s.RunPipelineOnce(context.Background()); err == nil {
 		t.Fatal("pipeline on empty store should fail")
 	}
-	if s.lastNoDataNS.Load() == 0 {
-		t.Fatal("ErrNoData run did not stamp lastNoDataNS")
+	if !s.tel.pipeline.Health().Last.After(before) {
+		t.Fatal("ErrNoData run did not stamp the pipeline reporter")
 	}
 	if status, _, _ = getBody(t, hs.URL+"/readyz"); status != http.StatusOK {
 		t.Fatalf("/readyz after real ErrNoData run = %d, want 200", status)
+	}
+}
+
+// TestCloseStopsStartLoops: Close stops what Start started, before it
+// closes the store. A durable server ticking its driver and self-scrape
+// every millisecond is closed; in the 50 ms after, no self-scrape
+// writes into the closed store and the driver records no outcome, not
+// even an ErrNoData skip.
+func TestCloseStopsStartLoops(t *testing.T) {
+	opts := durableOptions(t.TempDir())
+	opts.Interval = time.Millisecond
+	opts.SelfScrapeInterval = time.Millisecond
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(context.Background())
+	// The loops are running when Close is called.
+	for deadline := time.Now().Add(10 * time.Second); s.tel.selfScrapes.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("self-scrape never ran")
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runs, last := s.tel.pipelineRuns.Value(), s.tel.pipeline.Health().Last
+	time.Sleep(50 * time.Millisecond)
+	if n := s.tel.selfScrape.Health().Failures; n != 0 {
+		t.Fatalf("sieve_selfscrape_errors_total = %d after Close, want 0: %s", n, s.tel.selfScrape.Health().LastError)
+	}
+	if got := s.tel.pipelineRuns.Value(); got != runs {
+		t.Fatalf("pipeline runs went %d -> %d after Close", runs, got)
+	}
+	if got := s.tel.pipeline.Health().Last; !got.Equal(last) {
+		t.Fatalf("the driver recorded an outcome %v after Close", got.Sub(last))
 	}
 }
 

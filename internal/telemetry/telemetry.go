@@ -3,8 +3,9 @@
 // histograms whose hot-path updates are single atomic operations and
 // allocate nothing (pinned by allocation tests), plus the Prometheus
 // text exposition writer behind GET /metrics, the flattened Readings
-// view the self-scrape loop feeds back into the TSDB, and the slow-op
-// trace ring behind GET /debug/traces.
+// view the self-scrape loop feeds back into the TSDB, the slow-op
+// trace ring behind GET /debug/traces, and the Reporter every
+// background job of the store and the server reports its outcomes to.
 //
 // Design rules, in the order they were chosen:
 //

@@ -317,7 +317,8 @@ func (d *durable) mergeRun(seq uint64, run []*block) (*block, error) {
 // snapshot of the block list, in turn. Each run holds flushMu for its own
 // duration only, so checkpoints interleave between units of work instead
 // of stalling behind a whole pass; ingest never blocks (the shard locks
-// are untouched — compaction reads only immutable published blocks).
+// are untouched — compaction reads only immutable published blocks). The
+// outcome is reported, whoever ran the pass.
 func (d *durable) compact() error {
 	d.tel.CompactionsRun.Inc()
 	d.mu.RLock()
@@ -325,10 +326,10 @@ func (d *durable) compact() error {
 	d.mu.RUnlock()
 	for _, run := range d.plan(snapshot) {
 		if err := d.compactRun(run); err != nil {
-			return err
+			return d.compactions.Report(err)
 		}
 	}
-	return nil
+	return d.compactions.Report(nil)
 }
 
 // plan lists the runs one compaction pass over blocks takes: every

@@ -7,8 +7,10 @@ package tsdb
 // DownsampledBucketsRead telemetry counter.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/big"
 	"math/rand"
@@ -1007,5 +1009,75 @@ func TestCompactCloseDuringFirstPass(t *testing.T) {
 	defer re.Close()
 	for i, q := range qs {
 		assertBitIdentical(t, "after a close during the first pass", q, engineQuery(t, re, q), before[i])
+	}
+}
+
+// TestCompactFailuresReported: a compactor retried against a dead blocks
+// directory counts every failed pass but logs once when it starts
+// failing and once when it recovers, and the recovered pass answers
+// every query as before.
+func TestCompactFailuresReported(t *testing.T) {
+	var logs bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	defer slog.SetDefault(prev)
+
+	dir := t.TempDir()
+	s, _ := openCompactable(t, dir, 2, FsyncNever, 0)
+	defer s.Close()
+	samples := compactSamples(9, 2, 2, 120, 10_000, false)
+	half := len(samples) / 2
+	for _, batch := range [][]Sample{samples[:half], samples[half:]} {
+		if err := s.WriteSamples(batch, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs := compactQueries(maxSampleT(samples))
+	before := make([][]SeriesResult, len(qs))
+	for i, q := range qs {
+		before[i] = engineQuery(t, s, q)
+	}
+
+	blocksDir := filepath.Join(dir, "blocks")
+	aside := blocksDir + ".aside"
+	if err := os.Rename(blocksDir, aside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blocksDir, []byte("not a dir"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Compact(); err == nil {
+			t.Fatal("compaction against a dead blocks dir should fail")
+		}
+	}
+	if err := os.Remove(blocksDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, blocksDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatalf("compaction after repair: %v", err)
+	}
+
+	if h := s.dur.compactions.Health(); h.Failures != 3 || h.LastError != "" {
+		t.Fatalf("compaction health %+v, want 3 failures and no last error", h)
+	}
+	if n := s.BlockCount(); n != 1 {
+		t.Fatalf("%d blocks after the recovered pass, want 1", n)
+	}
+	out := logs.String()
+	if n := strings.Count(out, `msg="compaction failing"`); n != 1 {
+		t.Errorf("%d failing lines, want 1:\n%s", n, out)
+	}
+	if n := strings.Count(out, `msg="compaction recovered"`); n != 1 {
+		t.Errorf("%d recovered lines, want 1:\n%s", n, out)
+	}
+	for i, q := range qs {
+		assertBitIdentical(t, "after the recovered pass", q, engineQuery(t, s, q), before[i])
 	}
 }

@@ -1,8 +1,8 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/sieve-microservices/sieve/internal/parallel"
+	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
 
 // DurabilityOptions configures the on-disk storage engine of a Sharded
@@ -116,15 +119,9 @@ type durable struct {
 	// past the retention horizon, so nothing lowers it.
 	appT int64
 
-	// Checkpoint health, guarded by mu: ckptFailures counts failed
-	// attempts since open, lastCkptErr holds the latest failure message
-	// (cleared by the next success), and ckptFailing dedupes the log
-	// lines to one per state change — the background flusher retries
-	// every FlushInterval, and a persistent failure (disk full) must not
-	// stay silent while WAL segments accumulate unboundedly.
-	ckptFailures int
-	lastCkptErr  string
-	ckptFailing  bool
+	// checkpoints and compactions report every checkpoint and compaction
+	// pass, whoever ran it; Stats reads the first.
+	checkpoints, compactions *telemetry.Reporter
 
 	// tel is the owning store's instrument set (checkpoint, retention,
 	// compaction and block-scan instruments), fixed at construction.
@@ -143,9 +140,8 @@ type durable struct {
 	staleWAL map[int]string
 
 	flushMu sync.Mutex
-	stop    chan struct{}
-	wg      sync.WaitGroup
 	closed  bool
+	loops   *parallel.Loops // the background ticks, stopped by shutdown
 }
 
 // OpenSharded opens (or creates) a durable sharded store at opts.Dir:
@@ -177,7 +173,8 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	// dir would look like leftovers from a bigger previous life and the
 	// first checkpoint would delete them out from under their writers.
 	n = s.NumShards()
-	d := &durable{opts: opts, blocksDir: filepath.Join(opts.Dir, "blocks"), stop: make(chan struct{}), keyGen: &s.keyGen, tel: s.tel}
+	d := &durable{opts: opts, blocksDir: filepath.Join(opts.Dir, "blocks"), keyGen: &s.keyGen, tel: s.tel, loops: parallel.NewLoops(),
+		checkpoints: telemetry.NewReporter("checkpoint", nil), compactions: telemetry.NewReporter("compaction", nil)}
 
 	blocks, err := openBlocks(d.blocksDir)
 	if err != nil {
@@ -283,27 +280,20 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	}
 
 	if opts.Fsync == FsyncInterval {
-		d.every(fsyncTick, false, func() {
+		d.loops.Every(fsyncTick, false, func(context.Context) {
 			for _, sh := range s.shards {
 				sh.wal.flush()
 			}
 		})
 	}
 	if opts.FlushInterval > 0 {
-		// Failures are not dropped: checkpoint records them for Stats and
-		// logs state changes, so a wedged flusher is observable.
-		d.every(opts.FlushInterval, false, func() { _ = s.Checkpoint() })
+		d.loops.Every(opts.FlushInterval, false, func(context.Context) { _ = s.Checkpoint() })
 	}
 	if opts.CompactInterval > 0 {
 		// A restarted store starts compacting at once: the blocks it
-		// opened may hold a run to merge or lack their companions.
-		d.every(opts.CompactInterval, len(d.plan(d.blocks)) > 0, func() {
-			// The next tick retries; sources are only removed after a
-			// successful swap, so a failed pass loses nothing.
-			if err := d.compact(); err != nil {
-				slog.Error("compaction pass failed", "err", err)
-			}
-		})
+		// opened may hold a run to merge or lack their companions. A
+		// failed pass loses nothing (sources go only after the swap).
+		d.loops.Every(opts.CompactInterval, len(d.plan(d.blocks)) > 0, func(context.Context) { _ = d.compact() })
 	}
 	return s, nil
 }
@@ -351,78 +341,13 @@ func maxRecordedCut(blocks []*block, shard int) uint64 {
 	return max
 }
 
-// every runs fn every interval on one goroutine until shutdown, and with
-// atStart once more before the first interval starts: the store's
-// background work (the interval fsync, checkpoints, compaction) is a set
-// of ticks, one goroutine each. A shutdown during that first run waits
-// for it, as for a ticked one.
-func (d *durable) every(interval time.Duration, atStart bool, fn func()) {
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		if atStart {
-			fn()
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-d.stop:
-				return
-			case <-t.C:
-				fn()
-			}
-		}
-	}()
-}
-
-// noteCheckpointResult updates the checkpoint-health counters and logs
-// once per state change (failing -> recovered and back), never per tick.
-func (d *durable) noteCheckpointResult(err error) {
-	d.mu.Lock()
-	failures := d.ckptFailures
-	var failed, recovered bool
-	if err != nil {
-		d.ckptFailures++
-		failures = d.ckptFailures
-		d.lastCkptErr = err.Error()
-		if !d.ckptFailing {
-			d.ckptFailing = true
-			failed = true
-		}
-	} else {
-		d.lastCkptErr = ""
-		if d.ckptFailing {
-			d.ckptFailing = false
-			recovered = true
-		}
-	}
-	d.mu.Unlock()
-	switch {
-	case failed:
-		slog.Error("checkpoint failing, WAL segments accumulating until it recovers",
-			"retry_every", d.opts.FlushInterval, "failures", failures, "err", err)
-	case recovered:
-		slog.Info("checkpoint recovered", "failures_while_down", failures)
-	}
-}
-
-// checkpointStats reports checkpoint health for Stats.
-func (d *durable) checkpointStats() (failures int, lastErr string) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.ckptFailures, d.lastCkptErr
-}
-
-// checkpoint runs one checkpoint and records its outcome in the health
-// counters, whoever triggered it (background flusher, Checkpoint caller,
-// or shutdown).
+// checkpoint runs one checkpoint and reports its outcome, whoever
+// triggered it (background flusher, Checkpoint caller, or shutdown).
 func (d *durable) checkpoint(s *Sharded) error {
 	start := time.Now()
 	err := d.runCheckpoint(s)
 	d.tel.CheckpointSeconds.ObserveSince(start)
-	d.noteCheckpointResult(err)
-	return err
+	return d.checkpoints.Report(err)
 }
 
 // runCheckpoint seals all in-memory data into one immutable block and prunes
@@ -714,8 +639,7 @@ func (d *durable) shutdown(s *Sharded) error {
 	d.closed = true
 	d.flushMu.Unlock()
 
-	close(d.stop)
-	d.wg.Wait()
+	d.loops.Stop()
 
 	err := d.checkpoint(s)
 	for _, sh := range s.shards {

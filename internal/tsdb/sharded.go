@@ -409,7 +409,8 @@ func (s *Sharded) Stats() Stats {
 			out.StorageBytes += int(sh.wal.sizeBytes())
 		}
 		out.Series = len(s.catalogKeys())
-		out.CheckpointFailures, out.LastCheckpointError = s.dur.checkpointStats()
+		h := s.dur.checkpoints.Health()
+		out.CheckpointFailures, out.LastCheckpointError = h.Failures, h.LastError
 	}
 	return out
 }

@@ -242,7 +242,9 @@ type RangeQuery = tsdb.RangeQuery
 // then start the driver with Server.Start or trigger runs via POST /run.
 // With opts.DataDir set, NewServer recovers the previous life's data
 // (block files plus WAL replay) before returning; embedders must then
-// call Server.Close on shutdown (ListenAndServe does it itself).
+// call Server.Close on shutdown (ListenAndServe does it itself). Close
+// also stops the driver and the self-scrape Server.Start added, before
+// it closes the store.
 func NewServer(opts ServerOptions) (*Server, error) {
 	return server.New(opts)
 }
