@@ -133,11 +133,11 @@ func cbStores(b *testing.B) (*tsdb.Sharded, *tsdb.Sharded) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	before := s.BlockCount()
+	before := s.Stats().Blocks
 	if err := s.Compact(); err != nil {
 		b.Fatal(err)
 	}
-	after := s.BlockCount()
+	after := s.Stats().Blocks
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}

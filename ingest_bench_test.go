@@ -192,7 +192,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 			b.StopTimer()
 			var walBytesPerSample float64
 			if c.durable && b.N > 0 {
-				walBytesPerSample = float64(store.WALSizeBytes()) / (float64(b.N) * ingestPointsPerBatch)
+				walBytesPerSample = float64(store.Stats().WALBytes) / (float64(b.N) * ingestPointsPerBatch)
 			}
 			if c.fsync == tsdb.FsyncAlways && b.N >= 200 {
 				// The group-commit telemetry must move under FsyncAlways

@@ -55,8 +55,13 @@
 //
 // # Observability
 //
-// The server keeps no metric registry of its own: New registers its
-// instruments and the store-state gauges on the one the store was born
-// with (tsdb.Sharded.Registry), so GET /metrics, the self-scrape loop
-// and embedders (srv.Store().Registry()) read the same object.
+// The server keeps no metric registry and no store state of its own.
+// The store is built with its instruments and its state gauges on its
+// own registry (tsdb.Sharded.Registry), and New registers the server's
+// request, pipeline and self-scrape instruments beside them, so GET
+// /metrics, the self-scrape loop and embedders (srv.Store().Registry())
+// read the same object. tsdb.Sharded.Stats is the one snapshot of store
+// state: each collect takes one for the gauges and GET /stats takes one.
+// The probes read only the store's checkpoint reporter
+// (tsdb.Sharded.Checkpoints) and build no snapshot.
 package server

@@ -277,7 +277,7 @@ func newServer(opts Options, slowOp time.Duration) (*Server, error) {
 		shutdownTimeout:       shutdownTimeout,
 		loops:                 parallel.NewLoops(),
 	}
-	s.tel = newTelemetrySet(store, slowOp)
+	s.tel = newTelemetrySet(store.Registry(), slowOp)
 	s.mux = http.NewServeMux()
 	for pattern, handler := range s.routes() {
 		s.mux.HandleFunc(pattern, handler)
@@ -560,7 +560,7 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.store.Stats()
+	st, cp := s.store.Stats(), s.store.Checkpoints()
 	// generation and last_run come from one publication, so they agree.
 	var generation int64
 	var lastRun *RunInfo
@@ -586,9 +586,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		NetworkInBytes:      st.NetworkInBytes,
 		NetworkOutBytes:     st.NetworkOutBytes,
 		IngestCPUMS:         st.IngestCPU.Milliseconds(),
-		MaxTimeMS:           s.store.MaxTime(),
-		CheckpointFailures:  st.CheckpointFailures,
-		LastCheckpointError: st.LastCheckpointError,
+		MaxTimeMS:           st.MaxTime,
+		CheckpointFailures:  cp.Failures,
+		LastCheckpointError: cp.LastError,
 		Writes:              writeRequests - failedWrites,
 		WriteErrors:         failedWrites,
 		Samples:             int64(s.tel.ingestSamples.Value() + s.tel.remoteIngestSamples.Value()),

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/sieve-microservices/sieve/internal/telemetry"
@@ -77,11 +76,10 @@ type telemetrySet struct {
 	opCycle       *telemetry.Op
 }
 
-// newTelemetrySet registers every server instrument and the
-// store-mirroring gauges on the store's own registry, beside the storage
-// instruments the store was born with, and builds the trace ring.
-func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
-	reg := store.Registry()
+// newTelemetrySet registers every server instrument on the store's own
+// registry, beside the storage instruments and state gauges the store
+// was born with, and builds the trace ring.
+func newTelemetrySet(reg *telemetry.Registry, slowOp time.Duration) *telemetrySet {
 	t := &telemetrySet{
 		writeSeconds: reg.Histogram("sieve_http_write_seconds",
 			"POST /write request latency (read + parse + store)", nil),
@@ -157,64 +155,6 @@ func newTelemetrySet(store *tsdb.Sharded, slowOp time.Duration) *telemetrySet {
 	t.opRange = t.ring.Op("query_range")
 	t.opCycle = t.ring.Op("pipeline_cycle")
 
-	// Store-state gauges, refreshed from one Stats snapshot per collect
-	// instead of one store round trip per gauge. A /metrics scrape and a
-	// self-scrape pass can collect at the same time, so the snapshot is
-	// written and read under snapMu.
-	type storeSnapshot struct {
-		stats    tsdb.Stats
-		segments int
-		walBytes int64
-		blocks   int
-		maxTime  int64
-		appTime  int64
-	}
-	var (
-		snapMu sync.Mutex
-		snap   storeSnapshot
-	)
-	reg.OnCollect(func() {
-		next := storeSnapshot{
-			stats:    store.Stats(),
-			segments: store.WALSegments(),
-			walBytes: store.WALSizeBytes(),
-			blocks:   store.BlockCount(),
-			maxTime:  store.MaxTime(),
-			appTime:  store.AppMaxTime(),
-		}
-		snapMu.Lock()
-		snap = next
-		snapMu.Unlock()
-	})
-	gauge := func(name, help string, read func() float64) {
-		reg.GaugeFunc(name, help, func() float64 {
-			snapMu.Lock()
-			defer snapMu.Unlock()
-			return read()
-		})
-	}
-	gauge("sieve_store_points", "points resident in the store",
-		func() float64 { return float64(snap.stats.Points) })
-	gauge("sieve_store_series", "distinct series in the store",
-		func() float64 { return float64(snap.stats.Series) })
-	gauge("sieve_store_storage_bytes", "compressed bytes held by sealed chunks",
-		func() float64 { return float64(snap.stats.StorageBytes) })
-	gauge("sieve_store_network_in_bytes", "wire bytes accepted by ingest",
-		func() float64 { return float64(snap.stats.NetworkInBytes) })
-	gauge("sieve_store_network_out_bytes", "wire bytes acknowledged to writers",
-		func() float64 { return float64(snap.stats.NetworkOutBytes) })
-	gauge("sieve_store_max_time_ms", "ingest high-water mark (ms)",
-		func() float64 { return float64(snap.maxTime) })
-	gauge("sieve_app_max_time_ms", "application high-water mark: retention and the pipeline window age by it (ms)",
-		func() float64 { return float64(snap.appTime) })
-	gauge("sieve_store_checkpoint_failures", "failed checkpoint attempts since open",
-		func() float64 { return float64(snap.stats.CheckpointFailures) })
-	gauge("sieve_wal_segments", "live WAL segments across shards",
-		func() float64 { return float64(snap.segments) })
-	gauge("sieve_wal_size_bytes", "bytes held by live WAL segments",
-		func() float64 { return float64(snap.walBytes) })
-	gauge("sieve_store_blocks", "published immutable blocks",
-		func() float64 { return float64(snap.blocks) })
 	return t
 }
 
@@ -281,14 +221,14 @@ func (s *Server) health() HealthResponse {
 	checks := map[string]HealthCheck{
 		"recovery": {OK: true, Detail: "store recovered before serving"},
 	}
-	st := s.store.Stats()
+	cp := s.store.Checkpoints()
 	ck := HealthCheck{OK: true}
-	if st.LastCheckpointError != "" {
+	if cp.LastError != "" {
 		ck.OK = false
 		ck.Detail = "checkpoint failing (" +
-			strconv.Itoa(st.CheckpointFailures) + " failures): " + st.LastCheckpointError
-	} else if st.CheckpointFailures > 0 {
-		ck.Detail = "recovered after " + strconv.Itoa(st.CheckpointFailures) + " failures"
+			strconv.Itoa(cp.Failures) + " failures): " + cp.LastError
+	} else if cp.Failures > 0 {
+		ck.Detail = "recovered after " + strconv.Itoa(cp.Failures) + " failures"
 	}
 	checks["checkpoint"] = ck
 

@@ -329,7 +329,7 @@ func TestBlockOldLayoutReadsAndRechunks(t *testing.T) {
 			t.Fatalf("after op %d (%s): %v", i, o.Kind, err)
 		}
 	}
-	if n := l.st.BlockCount(); n != 1 {
+	if n := l.st.Stats().Blocks; n != 1 {
 		t.Fatalf("%d blocks after compaction, want 1", n)
 	}
 	if n := largest(); n > maxChunkPoints {

@@ -170,7 +170,7 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.compact()
-			if n := s.BlockCount(); n != 1 {
+			if n := s.Stats().Blocks; n != 1 {
 				t.Fatalf("compaction left %d blocks", n)
 			}
 			assertCatalog(t, s, m, "compaction")

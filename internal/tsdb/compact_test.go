@@ -144,7 +144,7 @@ func testCompactionEquivalence(t *testing.T, shards int, fsync FsyncPolicy) {
 		// Without merged blocks or downsampled reads the suite would test
 		// nothing it claims to.
 		end: func(st *Sharded) error {
-			if n := st.BlockCount(); n >= rounds {
+			if n := st.Stats().Blocks; n >= rounds {
 				return fmt.Errorf("compaction did not reduce blocks: %d after %d checkpoints", n, rounds)
 			}
 			if st.Telemetry().DownsampledBucketsRead.Value() == 0 {
@@ -478,7 +478,7 @@ func TestCompactBackfillsCompanions(t *testing.T) {
 
 	s, tel := openCompactable(t, dir, 2, FsyncNever, 0)
 	defer s.Close()
-	if n := s.BlockCount(); n != 1 || len(s.dur.blocks[0].ds) != 0 {
+	if n := s.Stats().Blocks; n != 1 || len(s.dur.blocks[0].ds) != 0 {
 		t.Fatalf("reopened with %d blocks, the first with %d companions; want one without", n, len(s.dur.blocks[0].ds))
 	}
 	for pass := 1; pass <= 2; pass++ {
@@ -857,7 +857,7 @@ func compactionWorkingSet(t *testing.T, nSeries, perRound int) (highWater, alloc
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s.BlockCount(); n != 1 {
+	if n := s.Stats().Blocks; n != 1 {
 		t.Fatalf("compaction left %d blocks, want 1", n)
 	}
 	var after runtime.MemStats
@@ -964,9 +964,9 @@ func TestCompactFirstPassAtOpen(t *testing.T) {
 	tel := s.Telemetry()
 	waitFor(t, "the first compaction pass", func() bool {
 		return tel.CompactionMergedBlocks.Value() >= 3 &&
-			tel.DownsampleSeconds.Count() >= uint64(len(downsampleResolutions)*s.BlockCount())
+			tel.DownsampleSeconds.Count() >= uint64(len(downsampleResolutions)*s.Stats().Blocks)
 	})
-	if n := s.BlockCount(); n != 1 {
+	if n := s.Stats().Blocks; n != 1 {
 		t.Fatalf("%d blocks after the first pass, want 1", n)
 	}
 	s.dur.mu.RLock()
@@ -1013,9 +1013,10 @@ func TestCompactCloseDuringFirstPass(t *testing.T) {
 }
 
 // TestCompactFailuresReported: a compactor retried against a dead blocks
-// directory counts every failed pass but logs once when it starts
-// failing and once when it recovers, and the recovered pass answers
-// every query as before.
+// directory counts every failed pass, on its reporter and on
+// sieve_compaction_failures_total, but logs once when it starts failing
+// and once when it recovers, and the recovered pass answers every query
+// as before.
 func TestCompactFailuresReported(t *testing.T) {
 	var logs bytes.Buffer
 	prev := slog.Default()
@@ -1067,7 +1068,10 @@ func TestCompactFailuresReported(t *testing.T) {
 	if h := s.dur.compactions.Health(); h.Failures != 3 || h.LastError != "" {
 		t.Fatalf("compaction health %+v, want 3 failures and no last error", h)
 	}
-	if n := s.BlockCount(); n != 1 {
+	if got := reading(t, s, "sieve_compaction_failures_total"); got != 3 {
+		t.Fatalf("sieve_compaction_failures_total = %v, want 3", got)
+	}
+	if n := s.Stats().Blocks; n != 1 {
 		t.Fatalf("%d blocks after the recovered pass, want 1", n)
 	}
 	out := logs.String()

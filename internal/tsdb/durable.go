@@ -120,7 +120,9 @@ type durable struct {
 	appT int64
 
 	// checkpoints and compactions report every checkpoint and compaction
-	// pass, whoever ran it; Stats reads the first.
+	// pass, whoever ran it. Sharded.Checkpoints reads the first (the
+	// probes, /stats and the checkpoint-failures gauge); the second counts
+	// its failures on sieve_compaction_failures_total.
 	checkpoints, compactions *telemetry.Reporter
 
 	// tel is the owning store's instrument set (checkpoint, retention,
@@ -174,7 +176,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	// first checkpoint would delete them out from under their writers.
 	n = s.NumShards()
 	d := &durable{opts: opts, blocksDir: filepath.Join(opts.Dir, "blocks"), keyGen: &s.keyGen, tel: s.tel, loops: parallel.NewLoops(),
-		checkpoints: telemetry.NewReporter("checkpoint", nil), compactions: telemetry.NewReporter("compaction", nil)}
+		checkpoints: telemetry.NewReporter("checkpoint", nil), compactions: telemetry.NewReporter("compaction", s.tel.CompactionFailures)}
 
 	blocks, err := openBlocks(d.blocksDir)
 	if err != nil {
@@ -608,24 +610,30 @@ func (d *durable) addKeys(set map[string]struct{}) {
 func (d *durable) maxTime() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	var max int64
-	for _, b := range d.blocks {
-		if b.meta.MaxT > max {
-			max = b.meta.MaxT
-		}
-	}
-	return max
+	return d.maxTimeLocked()
 }
 
-// diskStats reports persisted-side accounting: block bytes and the point
-// base recovered from prior lives.
-func (d *durable) diskStats() (blockBytes int64, basePoints, blockCount int) {
+// maxTimeLocked is maxTime for a caller that holds mu.
+func (d *durable) maxTimeLocked() int64 {
+	var maxT int64
+	for _, b := range d.blocks {
+		maxT = max(maxT, b.meta.MaxT)
+	}
+	return maxT
+}
+
+// addStats adds the persisted side to out under one hold of mu: block
+// chunk bytes, the point base recovered from prior lives, the block
+// count, and the blocks' marks.
+func (d *durable) addStats(out *Stats) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	for _, b := range d.blocks {
-		blockBytes += b.meta.ChunkBytes
+		out.StorageBytes += int(b.meta.ChunkBytes)
 	}
-	return blockBytes, d.basePoints, len(d.blocks)
+	out.Points += d.basePoints
+	out.Blocks = len(d.blocks)
+	out.MaxTime, out.AppMaxTime = max(out.MaxTime, d.maxTimeLocked()), max(out.AppMaxTime, d.appT)
 }
 
 // shutdown stops the ticks, runs a final checkpoint so memory reaches

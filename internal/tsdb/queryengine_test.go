@@ -233,7 +233,7 @@ func TestQueryEngineDecodeBudget(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.BlockCount(); n != 1 {
+	if n := s.Stats().Blocks; n != 1 {
 		t.Fatalf("%d blocks after compaction, want 1", n)
 	}
 	end := int64(blocks*perBlock) * scrapeMS

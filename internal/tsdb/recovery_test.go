@@ -108,7 +108,7 @@ func TestDurableRecoveryShardCountChangeAfterCheckpoint(t *testing.T) {
 
 // TestDurableCheckpointFailureSurfaced forces checkpoints to fail (the
 // blocks dir is replaced by a regular file, the shape of a persistently
-// sick disk) and asserts the failure is visible in Stats instead of
+// sick disk) and asserts the failure is visible in Checkpoints instead of
 // being swallowed, then clears once checkpoints succeed again — and that
 // no data was lost across the failed attempts.
 func TestDurableCheckpointFailureSurfaced(t *testing.T) {
@@ -129,12 +129,12 @@ func TestDurableCheckpointFailureSurfaced(t *testing.T) {
 		if err := s.Checkpoint(); err == nil {
 			t.Fatal("checkpoint against a dead blocks dir should fail")
 		}
-		st := s.Stats()
-		if st.CheckpointFailures != i {
-			t.Fatalf("CheckpointFailures = %d, want %d", st.CheckpointFailures, i)
+		cp := s.Checkpoints()
+		if cp.Failures != i {
+			t.Fatalf("Checkpoints().Failures = %d, want %d", cp.Failures, i)
 		}
-		if st.LastCheckpointError == "" {
-			t.Fatal("LastCheckpointError empty after a failed checkpoint")
+		if cp.LastError == "" {
+			t.Fatal("Checkpoints().LastError empty after a failed checkpoint")
 		}
 	}
 	// Failed cuts must have spliced the data back: nothing lost.
@@ -149,12 +149,12 @@ func TestDurableCheckpointFailureSurfaced(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after repair: %v", err)
 	}
-	st := s.Stats()
-	if st.CheckpointFailures != 2 {
-		t.Fatalf("CheckpointFailures = %d, want 2 (count is cumulative)", st.CheckpointFailures)
+	cp := s.Checkpoints()
+	if cp.Failures != 2 {
+		t.Fatalf("Checkpoints().Failures = %d, want 2 (count is cumulative)", cp.Failures)
 	}
-	if st.LastCheckpointError != "" {
-		t.Fatalf("LastCheckpointError = %q, want cleared", st.LastCheckpointError)
+	if cp.LastError != "" {
+		t.Fatalf("Checkpoints().LastError = %q, want cleared", cp.LastError)
 	}
 	assertSameContents(t, s, ref, "after recovered checkpoint")
 	if err := s.Close(); err != nil {

@@ -19,8 +19,11 @@ var ErrStorage = errors.New("tsdb: storage failure")
 // is compressed into a Gorilla block.
 const blockSize = 512
 
-// Stats summarizes a store's resource consumption; these are the quantities
-// Table 3 of the paper compares before/after metric reduction.
+// Stats is the one snapshot of a store's state: the quantities Table 3
+// of the paper compares before/after metric reduction, plus the WAL,
+// block and high-water-mark readings the store's state gauges export.
+// Sharded.Stats builds it in one pass; the gauges, sieved's /stats and
+// Table 3 all read it.
 type Stats struct {
 	// Points is the total number of stored observations.
 	Points int
@@ -37,15 +40,17 @@ type Stats struct {
 	// IngestCPU is the cumulative wall time spent parsing and storing
 	// writes (a proxy for the monitoring stack's CPU overhead).
 	IngestCPU time.Duration
-	// CheckpointFailures counts checkpoint attempts that failed on a
-	// durable store since it was opened (always 0 for in-memory stores).
-	// The background flusher retries every FlushInterval, so a growing
-	// count means blocks are not being written and WAL segments are
-	// accumulating without bound (e.g. the disk is full).
-	CheckpointFailures int
-	// LastCheckpointError is the most recent checkpoint failure message,
-	// cleared once a later checkpoint succeeds.
-	LastCheckpointError string
+	// WALSegments counts live WAL segment files across shards, and
+	// WALBytes the bytes they hold (both 0 for an in-memory store): the
+	// backlog a failing checkpoint leaves growing.
+	WALSegments int
+	WALBytes    int64
+	// Blocks is the number of published immutable blocks (0 for an
+	// in-memory store).
+	Blocks int
+	// MaxTime and AppMaxTime are Sharded.MaxTime and Sharded.AppMaxTime
+	// as of the snapshot.
+	MaxTime, AppMaxTime int64
 }
 
 // memChunk is one sealed, Gorilla-compressed run of a series, carrying
@@ -136,10 +141,13 @@ func (sr *series) scanRange(from, to int64, sink pointSink, tel *StoreTelemetry)
 // write surface of its own — Sharded routes ingest through appendSamples
 // and every read through scan.
 type shard struct {
-	mu    sync.Mutex
-	data  map[string]*series // key: component/metric
-	stats Stats
-	maxT  int64
+	mu   sync.Mutex
+	data map[string]*series // key: component/metric
+	// points and ingestCPU are the shard's cumulative accounting: points
+	// appended (replayed ones included) and the time appends took.
+	points    int
+	ingestCPU time.Duration
+	maxT      int64
 	// appT is maxT over the samples outside ReservedComponent. Both marks
 	// are cumulative: they survive the checkpoint cut.
 	appT int64
@@ -212,13 +220,12 @@ func (sh *shard) appendSamples(samples []Sample) error {
 		}
 	} else {
 		if len(born) > 0 {
-			sh.stats.Series += len(born)
 			sh.keyGen.Add(1)
 		}
 		for i, sr := range refs {
 			sh.appendLocked(sr, samples[i].T, samples[i].V)
 		}
-		sh.stats.IngestCPU += time.Since(start)
+		sh.ingestCPU += time.Since(start)
 	}
 	// Drop the references: a checkpoint may steal these series next.
 	clear(refs)
@@ -257,7 +264,7 @@ func (sh *shard) lookupLocked(component, metric string) (sr *series, born bool) 
 // shard's point count and marks, and seals the tail once it is full.
 func (sh *shard) appendLocked(sr *series, t int64, v float64) {
 	sr.tail = append(sr.tail, Point{T: t, V: v})
-	sh.stats.Points++
+	sh.points++
 	if t > sh.maxT {
 		sh.maxT = t
 	}
@@ -326,9 +333,8 @@ func (sh *shard) cutSnapshot(into map[string]*series) (cutSeq uint64, err error)
 // write, in front of whatever arrived during the flush: the merged
 // series reads back as snapshot blocks, snapshot tail, then the current
 // data — the original arrival order, so equal-timestamp points keep
-// their pre-flush query order. Series counters were never reset by the
-// cut (Stats.Series is recomputed at the Sharded level for durable
-// stores), so only the raw data returns.
+// their pre-flush query order. The cut never reset the shard's point
+// count, so only the raw data returns.
 func (sh *shard) reinsertSeries(key string, old *series) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -393,16 +399,16 @@ func (sh *shard) addKeys(set map[string]struct{}) {
 	}
 }
 
-// Stats returns a snapshot of the accounting counters; StorageBytes is
-// recomputed from current blocks and tails.
-func (sh *shard) Stats() Stats {
+// addStats adds the shard's points, ingest time and in-memory storage
+// bytes to out and raises out's marks to the shard's, under one lock
+// hold.
+func (sh *shard) addStats(out *Stats) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s := sh.stats
-	storage := 0
+	out.Points += sh.points
+	out.IngestCPU += sh.ingestCPU
 	for _, sr := range sh.data {
-		storage += sr.compBytes + 16*len(sr.tail)
+		out.StorageBytes += sr.compBytes + 16*len(sr.tail)
 	}
-	s.StorageBytes = storage
-	return s
+	out.MaxTime, out.AppMaxTime = max(out.MaxTime, sh.maxT), max(out.AppMaxTime, sh.appT)
 }

@@ -41,11 +41,12 @@ type Sharded struct {
 
 	// The series catalog: the sorted union of every series key in shard
 	// memory, the checkpoint overlay and the persisted blocks, shared
-	// read-only by every read entry point and Stats. keyGen is
-	// bumped wherever that union can change (the shards and the durable
-	// engine hold a pointer to it); a reader whose cached catalog carries
-	// an older generation rebuilds it under catMu. The write path pays one
-	// atomic add per series birth and nothing per sample.
+	// read-only by every read entry point and by Stats, whose Series is
+	// its length. keyGen is bumped wherever that union can change (the
+	// shards and the durable engine hold a pointer to it); a reader whose
+	// cached catalog carries an older generation rebuilds it under catMu.
+	// The write path pays one atomic add per series birth and nothing per
+	// sample.
 	keyGen atomic.Uint64
 	catMu  sync.Mutex
 	cat    atomic.Pointer[catalog]
@@ -85,6 +86,7 @@ func NewSharded(n int) *Sharded {
 	for i := range s.shards {
 		s.shards[i] = newShard(&s.keyGen, s.tel)
 	}
+	s.registerStateGauges()
 	return s
 }
 
@@ -383,35 +385,34 @@ func (s *Sharded) Flush() {
 	}
 }
 
-// Stats sums the per-shard accounting and adds the front door's wire
-// counters (ingest bytes and acks, 16 B per point returned by a read). On
-// a durable store, Points also counts points recovered from blocks (prior
-// lives' ingests), Series is the union of in-memory and persisted keys
-// (a series does not double-count when it spans both), and StorageBytes
-// adds the on-disk block chunks and live WAL segments.
+// Stats is the one snapshot of the store's state, taken in one pass:
+// each shard lock once (points, ingest time, in-memory bytes, marks),
+// each WAL writer once (segments and bytes) and, on a durable store, the
+// block list once (block bytes and count, the point base recovered from
+// prior lives, the blocks' marks). The front door adds its wire counters
+// (ingest bytes and acks, 16 B per point returned by a read) and the
+// ingest time spent parsing and partitioning. Series counts the catalog,
+// the union of in-memory and persisted keys, so a series that spans both
+// counts once. StorageBytes adds the on-disk block chunks and live WAL
+// segments to the in-memory chunks and tails.
 func (s *Sharded) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {
-		st := sh.Stats()
-		out.Points += st.Points
-		out.Series += st.Series
-		out.StorageBytes += st.StorageBytes
-		out.IngestCPU += st.IngestCPU
+		sh.addStats(&out)
+		if sh.wal != nil {
+			segments, bytes := sh.wal.usage()
+			out.WALSegments += segments
+			out.WALBytes += bytes
+		}
 	}
+	out.StorageBytes += int(out.WALBytes)
+	if s.dur != nil {
+		s.dur.addStats(&out)
+	}
+	out.Series = len(s.catalogKeys())
 	out.NetworkInBytes = int(s.netIn.Load())
 	out.NetworkOutBytes = int(s.netOut.Load())
 	out.IngestCPU += time.Duration(s.ingestCPU.Load())
-	if s.dur != nil {
-		blockBytes, basePoints, _ := s.dur.diskStats()
-		out.Points += basePoints
-		out.StorageBytes += int(blockBytes)
-		for _, sh := range s.shards {
-			out.StorageBytes += int(sh.wal.sizeBytes())
-		}
-		out.Series = len(s.catalogKeys())
-		h := s.dur.checkpoints.Health()
-		out.CheckpointFailures, out.LastCheckpointError = h.Failures, h.LastError
-	}
 	return out
 }
 
@@ -488,7 +489,6 @@ func (r storeReplay) resolve(component, metric string) seriesRef {
 	sh := r.s.shards[r.s.shardOf(component, metric)]
 	sr, born := sh.lookupLocked(component, metric)
 	if born {
-		sh.stats.Series++
 		sh.keyGen.Add(1)
 	}
 	return seriesRef{sh: sh, sr: sr}

@@ -192,7 +192,7 @@ func (l *storeLife) diffCounters() error {
 	if got, want := l.st.AppMaxTime(), l.m.appMaxTime(); got != want {
 		return fmt.Errorf("AppMaxTime = %d, want %d", got, want)
 	}
-	if got, want := l.st.BlockCount(), len(l.m.blocks); got != want {
+	if got, want := l.st.Stats().Blocks, len(l.m.blocks); got != want {
 		return fmt.Errorf("BlockCount = %d, want %d", got, want)
 	}
 	got := l.st.catalogKeys()

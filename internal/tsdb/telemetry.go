@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"sync/atomic"
+
 	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
 
@@ -14,6 +16,8 @@ import (
 // on the store's own registry before the first shard exists and hand
 // the one pointer to every shard, WAL writer and the durable engine.
 // Nothing writes it afterwards, so every holder reads it without a lock.
+// The store-state gauges (points, series, bytes, WAL, blocks, marks)
+// are registered beside it, by registerStateGauges.
 type StoreTelemetry struct {
 	// WALAppendSeconds times successful WAL record appends (encode +
 	// write; the durability fsync is WALFsyncSeconds'), per batch.
@@ -58,6 +62,10 @@ type StoreTelemetry struct {
 	// CompactionsRun counts compaction passes started, whether or not
 	// any blocks were merged.
 	CompactionsRun *telemetry.Counter
+	// CompactionFailures counts compaction passes that failed; the
+	// compaction reporter logs only when the compactor starts failing and
+	// when it recovers.
+	CompactionFailures *telemetry.Counter
 	// CompactionMergedBlocks counts source blocks retired by compaction.
 	CompactionMergedBlocks *telemetry.Counter
 	// CompactionReclaimedBytes counts chunk bytes freed by merges
@@ -106,6 +114,8 @@ func newStoreTelemetry(reg *telemetry.Registry) *StoreTelemetry {
 			"downsampled buckets consumed by aggregated queries instead of raw chunks"),
 		CompactionsRun: reg.Counter("sieve_compactions_total",
 			"compaction passes started"),
+		CompactionFailures: reg.Counter("sieve_compaction_failures_total",
+			"compaction passes that failed (their sources are kept and retried next interval)"),
 		CompactionMergedBlocks: reg.Counter("sieve_compaction_merged_blocks_total",
 			"source blocks retired by compaction merges"),
 		CompactionReclaimedBytes: reg.Counter("sieve_compaction_reclaimed_bytes_total",
@@ -138,39 +148,52 @@ func (s *Sharded) Registry() *telemetry.Registry { return s.reg }
 // Telemetry returns the store's instrument set, for reading.
 func (s *Sharded) Telemetry() *StoreTelemetry { return s.tel }
 
-// WALSegments reports the live WAL segment count across shards (0 for
-// an in-memory store) — the backlog gauge: a growing count with a
-// failing checkpoint means segments are accumulating unboundedly.
-func (s *Sharded) WALSegments() int {
+// Checkpoints returns the health of the store's checkpoints, whoever ran
+// them: failed attempts since open, the latest failure ("" once a later
+// checkpoint succeeds) and the time of the last success. Zero for an
+// in-memory store. A growing failure count means blocks are not being
+// written and WAL segments accumulate without bound (a full disk, say).
+func (s *Sharded) Checkpoints() telemetry.Health {
 	if s.dur == nil {
-		return 0
+		return telemetry.Health{}
 	}
-	var n int
-	for _, sh := range s.shards {
-		n += sh.wal.segmentCount()
-	}
-	return n
+	return s.dur.checkpoints.Health()
 }
 
-// WALSizeBytes reports the bytes held by live WAL segments across
-// shards (0 for an in-memory store).
-func (s *Sharded) WALSizeBytes() int64 {
-	if s.dur == nil {
-		return 0
+// registerStateGauges registers the store-state gauges on the store's
+// registry. Each collect (a /metrics scrape, a self-scrape pass) takes
+// one Stats snapshot in its hook and the gauges read the latest one;
+// the snapshot is swapped whole because two collects can run at once.
+// The checkpoint-failures gauge reads the checkpoint reporter.
+func (s *Sharded) registerStateGauges() {
+	var snap atomic.Pointer[Stats]
+	s.reg.OnCollect(func() {
+		st := s.Stats()
+		snap.Store(&st)
+	})
+	gauge := func(name, help string, read func(st *Stats) float64) {
+		s.reg.GaugeFunc(name, help, func() float64 { return read(snap.Load()) })
 	}
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.wal.sizeBytes()
-	}
-	return n
-}
-
-// BlockCount reports the number of published immutable blocks (0 for
-// an in-memory store).
-func (s *Sharded) BlockCount() int {
-	if s.dur == nil {
-		return 0
-	}
-	_, _, count := s.dur.diskStats()
-	return count
+	gauge("sieve_store_points", "points resident in the store",
+		func(st *Stats) float64 { return float64(st.Points) })
+	gauge("sieve_store_series", "distinct series in the store",
+		func(st *Stats) float64 { return float64(st.Series) })
+	gauge("sieve_store_storage_bytes", "compressed bytes held by sealed chunks",
+		func(st *Stats) float64 { return float64(st.StorageBytes) })
+	gauge("sieve_store_network_in_bytes", "wire bytes accepted by ingest",
+		func(st *Stats) float64 { return float64(st.NetworkInBytes) })
+	gauge("sieve_store_network_out_bytes", "wire bytes acknowledged to writers",
+		func(st *Stats) float64 { return float64(st.NetworkOutBytes) })
+	gauge("sieve_store_max_time_ms", "ingest high-water mark (ms)",
+		func(st *Stats) float64 { return float64(st.MaxTime) })
+	gauge("sieve_app_max_time_ms", "application high-water mark: retention and the pipeline window age by it (ms)",
+		func(st *Stats) float64 { return float64(st.AppMaxTime) })
+	gauge("sieve_wal_segments", "live WAL segments across shards",
+		func(st *Stats) float64 { return float64(st.WALSegments) })
+	gauge("sieve_wal_size_bytes", "bytes held by live WAL segments",
+		func(st *Stats) float64 { return float64(st.WALBytes) })
+	gauge("sieve_store_blocks", "published immutable blocks",
+		func(st *Stats) float64 { return float64(st.Blocks) })
+	s.reg.GaugeFunc("sieve_store_checkpoint_failures", "failed checkpoint attempts since open",
+		func() float64 { return float64(s.Checkpoints().Failures) })
 }

@@ -1,10 +1,13 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -52,8 +55,8 @@ func TestStoreTelemetryCountersMove(t *testing.T) {
 	if tel.WALFsyncSeconds.Count() == 0 {
 		t.Fatalf("WAL fsync histogram did not move (FsyncAlways)")
 	}
-	if s.WALSegments() == 0 {
-		t.Fatalf("WALSegments = 0, want > 0")
+	if s.Stats().WALSegments == 0 {
+		t.Fatalf("Stats().WALSegments = 0, want > 0")
 	}
 
 	if err := s.Checkpoint(); err != nil {
@@ -125,8 +128,9 @@ func TestStoreTelemetryCountersMove(t *testing.T) {
 // a compaction pass with Downsample and one aggregated query whose range
 // covers one in-memory chunk, cuts another and misses a third move the
 // instruments. A hard-stopped durable life then reopens with every
-// counter at zero — the set belongs to the store, not the process —
-// and replaying its WAL is not counted as bytes appended.
+// counter at zero — the set belongs to the store, not the process — and
+// its state gauges at the recovered state, and replaying its WAL is not
+// counted as bytes appended.
 func TestStoreBornInstrumented(t *testing.T) {
 	// Three sealed chunks per series at 100ms spacing.
 	const pts = 3 * blockSize
@@ -204,13 +208,126 @@ func TestStoreBornInstrumented(t *testing.T) {
 			if re.Telemetry() == tel || re.Registry() == s.Registry() {
 				t.Fatalf("second life shares the first life's instruments")
 			}
+			// The state gauges read the recovered store; everything else
+			// starts at zero.
+			state := stateGauges(re)
 			for _, r := range re.Registry().Readings() {
-				if r.Value != 0 {
+				if want, ok := state[r.Name]; ok && r.Value != want {
+					t.Errorf("reopened store reads %s = %v, want %v from Stats", r.Name, r.Value, want)
+				} else if !ok && r.Value != 0 {
 					t.Errorf("reopened store starts with %s = %v, want 0", r.Name, r.Value)
 				}
 			}
 		})
 	}
+}
+
+// stateGauges is what each store-state gauge of s must read: the
+// matching field of one Stats snapshot, and the checkpoint reporter's
+// failure count.
+func stateGauges(s *Sharded) map[string]float64 {
+	st := s.Stats()
+	return map[string]float64{
+		"sieve_store_points":              float64(st.Points),
+		"sieve_store_series":              float64(st.Series),
+		"sieve_store_storage_bytes":       float64(st.StorageBytes),
+		"sieve_store_network_in_bytes":    float64(st.NetworkInBytes),
+		"sieve_store_network_out_bytes":   float64(st.NetworkOutBytes),
+		"sieve_store_max_time_ms":         float64(st.MaxTime),
+		"sieve_app_max_time_ms":           float64(st.AppMaxTime),
+		"sieve_store_checkpoint_failures": float64(s.Checkpoints().Failures),
+		"sieve_wal_segments":              float64(st.WALSegments),
+		"sieve_wal_size_bytes":            float64(st.WALBytes),
+		"sieve_store_blocks":              float64(st.Blocks),
+	}
+}
+
+// reading returns the named reading of s's registry.
+func reading(t *testing.T, s *Sharded, name string) float64 {
+	t.Helper()
+	for _, r := range s.Registry().Readings() {
+		if r.Name == name {
+			return r.Value
+		}
+	}
+	t.Fatalf("no reading %s", name)
+	return 0
+}
+
+// gaugeNames returns the names the exposition of s's registry types as
+// gauges, sorted.
+func gaugeNames(t *testing.T, s *Sharded) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] == "gauge" {
+			names = append(names, f[2])
+		}
+	}
+	return names
+}
+
+// TestStateGaugesMatchStats drives a bare durable store through writes,
+// a checkpoint and a compaction; after each step every store-state
+// gauge reads what Stats (and the checkpoint reporter) report, with
+// nothing but the store behind the registry. An in-memory store is born
+// with the same gauges.
+func TestStateGaugesMatchStats(t *testing.T) {
+	check := func(t *testing.T, step string, s *Sharded) {
+		t.Helper()
+		want := stateGauges(s)
+		got := map[string]float64{}
+		for _, r := range s.Registry().Readings() {
+			if _, ok := want[r.Name]; ok {
+				got[r.Name] = r.Value
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: gauges %v, Stats %v", step, got, want)
+		}
+	}
+	s, err := OpenSharded(3, DurabilityOptions{
+		Dir: t.TempDir(), Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1, Downsample: true,
+	})
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	defer s.Close()
+	var names []string
+	for name := range stateGauges(s) {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if got := gaugeNames(t, s); !reflect.DeepEqual(got, names) {
+		t.Fatalf("durable store gauges %v, want the state gauges %v", got, names)
+	}
+	if got := gaugeNames(t, NewSharded(2)); !reflect.DeepEqual(got, names) {
+		t.Fatalf("in-memory store gauges %v, want %v", got, names)
+	}
+
+	check(t, "empty", s)
+	for round := 0; round < 2; round++ {
+		fillStore(t, s, 4, blockSize+blockSize/2)
+		check(t, fmt.Sprintf("write %d", round), s)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		check(t, fmt.Sprintf("checkpoint %d", round), s)
+	}
+	if st := s.Stats(); st.Blocks != 2 || st.Points != 2*4*(blockSize+blockSize/2) || st.Series != 4 {
+		t.Fatalf("before compaction: %+v, want 2 blocks, %d points, 4 series", st, 2*4*(blockSize+blockSize/2))
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if st := s.Stats(); st.Blocks != 1 {
+		t.Fatalf("after compaction: %d blocks, want 1", st.Blocks)
+	}
+	check(t, "compaction", s)
 }
 
 // TestTwoStoresDoNotShareInstruments is the lab.Capture store beside a

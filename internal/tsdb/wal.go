@@ -423,13 +423,6 @@ type walWriter struct {
 	failErr error
 }
 
-// segmentCount reports the number of live segment files.
-func (w *walWriter) segmentCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.segments
-}
-
 // openWALWriter opens dir (creating it) and starts a fresh segment after
 // the highest existing one, numbered no lower than first; existing
 // segments are left for replay and later truncation by checkpoints.
@@ -718,11 +711,11 @@ func (w *walWriter) removeSegmentsBelow(seq uint64) error {
 	return err
 }
 
-// sizeBytes reports the bytes held by all live segments.
-func (w *walWriter) sizeBytes() int64 {
+// usage reports the live segment files and the bytes they hold.
+func (w *walWriter) usage() (segments int, bytes int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.retained + w.size
+	return w.segments, w.retained + w.size
 }
 
 // close fsyncs (unless the policy is never) and closes the open segment.

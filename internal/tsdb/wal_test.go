@@ -319,12 +319,12 @@ func TestWALIntervalFsyncFailureSurfacesOnce(t *testing.T) {
 	tick(2)
 	w.f = live
 
-	size := w.sizeBytes()
+	_, size := w.usage()
 	err = write(2)
 	if err == nil || !strings.Contains(err.Error(), "background") || !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("append after a failed tick: err %v, want the background fsync's os.ErrClosed", err)
 	}
-	if got := w.sizeBytes(); got != size {
+	if _, got := w.usage(); got != size {
 		t.Errorf("failed append wrote %d bytes, want none", got-size)
 	}
 	// The retry tick commits write 1; had it failed, write 3 would fail.

@@ -292,7 +292,7 @@ func TestWALDictCompressionRatio(t *testing.T) {
 		v1Bytes += int64(walRecordHeader + len(appendWALSamples(nil, batch)))
 		samples += int64(len(batch))
 	}
-	v2Bytes := w.sizeBytes()
+	_, v2Bytes := w.usage()
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -671,11 +671,12 @@ func TestWALV2SegmentFilesAreSmaller(t *testing.T) {
 	if _, err := w.append(batch); err != nil {
 		t.Fatal(err)
 	}
-	firstSize := w.sizeBytes()
+	_, firstSize := w.usage()
 	if _, err := w.append(batch); err != nil {
 		t.Fatal(err)
 	}
-	secondCost := w.sizeBytes() - firstSize
+	_, secondSize := w.usage()
+	secondCost := secondSize - firstSize
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
