@@ -56,9 +56,21 @@ func hasKey(keys []string, key string) bool {
 	return i < len(keys) && keys[i] == key
 }
 
+// cachedCatalog is the catalog a read loads now: the same pointer as an
+// earlier call's means every reader in between shared one key slice, a
+// new one that the generation moved and a reader rebuilt it.
+func cachedCatalog(s *Sharded) *catalog {
+	s.catalogKeys()
+	return s.cat.Load()
+}
+
 // TestQueryEngineCatalogScriptedLife walks one store through every event
-// that can change its key set and compares the cached catalog with the
-// store model after each.
+// that can change where its keys live and compares the cached catalog
+// with the store model after each. Births and a retention pass that
+// drops a block change the key set and rebuild the catalog; more
+// samples, a checkpoint, a failed checkpoint and a compaction only move
+// keys between memory, the overlay and the blocks, and every reader
+// keeps sharing one key slice.
 func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -86,27 +98,33 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 				}
 				m.checkpoint()
 			}
+			// event runs one step of the life and checks that it rebuilt the
+			// catalog, or kept it, as rebuilds says.
+			event := func(step string, rebuilds bool, run func()) []string {
+				t.Helper()
+				before := cachedCatalog(s)
+				run()
+				if after := cachedCatalog(s); (after != before) != rebuilds {
+					t.Fatalf("%s: catalog rebuilt = %v, want %v", step, after != before, rebuilds)
+				}
+				return assertCatalog(t, s, m, step)
+			}
 			assertCatalog(t, s, m, "empty store")
 
-			// Birth.
-			write(catalogSample("a", "x", 1000), catalogSample("b", "y", 1000), catalogSample("b", "x", 1000))
-			keys := assertCatalog(t, s, m, "birth")
+			keys := event("birth", true, func() {
+				write(catalogSample("a", "x", 1000), catalogSample("b", "y", 1000), catalogSample("b", "x", 1000))
+			})
 			if !hasKey(keys, "a/x") || len(keys) != 3 {
 				t.Fatalf("birth: keys %v", keys)
 			}
+			event("more samples", false, func() {
+				for i := int64(2); i < 50; i++ {
+					write(catalogSample("a", "x", i*1000), catalogSample("b", "y", i*1000))
+				}
+			})
 
-			// More samples of known series are not a catalog event: readers
-			// keep sharing one slice.
-			before := s.catalogKeys()
-			for i := int64(2); i < 50; i++ {
-				write(catalogSample("a", "x", i*1000), catalogSample("b", "y", i*1000))
-			}
-			if after := s.catalogKeys(); &after[0] != &before[0] {
-				t.Fatal("catalog was rebuilt although no series was born")
-			}
-
-			// A failed checkpoint: the cut empties the shards, the block
-			// write fails, reinsert puts the series back.
+			// A failed checkpoint: the cut moves the series from the shards
+			// to the overlay, the block write fails, and the overlay stays.
 			blocksDir := filepath.Join(dir, "blocks")
 			if err := os.RemoveAll(blocksDir); err != nil {
 				t.Fatal(err)
@@ -114,10 +132,15 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 			if err := os.WriteFile(blocksDir, []byte("not a dir"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Checkpoint(); err == nil {
-				t.Fatal("checkpoint against a dead blocks dir should fail")
+			event("failed checkpoint", false, func() {
+				if err := s.Checkpoint(); err == nil {
+					t.Fatal("checkpoint against a dead blocks dir should fail")
+				}
+				m.failCheckpoint()
+			})
+			if s.dur.flushing == nil || len(s.dur.flushing.series) != len(keys) {
+				t.Fatal("the failed checkpoint did not keep its cut")
 			}
-			assertCatalog(t, s, m, "failed checkpoint")
 			if err := os.Remove(blocksDir); err != nil {
 				t.Fatal(err)
 			}
@@ -125,9 +148,8 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Checkpoint: the keys live only in the overlay while the block
-			// is written, then only in the block. A reader spinning through
-			// the whole checkpoint must see the same keys throughout.
+			// Checkpoint: the kept cut becomes a block. A reader spinning
+			// through the whole checkpoint must see the same keys throughout.
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -145,10 +167,9 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 					}
 				}
 			}()
-			checkpoint()
+			event("checkpoint", false, checkpoint)
 			close(stop)
 			wg.Wait()
-			assertCatalog(t, s, m, "checkpoint")
 			for _, sh := range s.shards {
 				if len(sh.data) != 0 {
 					t.Fatal("checkpoint left series in shard memory")
@@ -157,38 +178,38 @@ func TestQueryEngineCatalogScriptedLife(t *testing.T) {
 
 			// Rebirth of a persisted key (memory and block now both hold it)
 			// next to a first birth.
-			write(catalogSample("a", "x", 60_000), catalogSample("c", "z", 60_000))
-			if keys = assertCatalog(t, s, m, "rebirth"); len(keys) != 4 {
+			keys = event("rebirth", true, func() {
+				write(catalogSample("a", "x", 60_000), catalogSample("c", "z", 60_000))
+			})
+			if len(keys) != 4 {
 				t.Fatalf("rebirth: keys %v", keys)
 			}
 
 			// Second block, then compaction merges the two and attaches
 			// companions: same keys, different blocks.
-			checkpoint()
-			assertCatalog(t, s, m, "second checkpoint")
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			m.compact()
+			event("second checkpoint", false, checkpoint)
+			event("compaction", false, func() {
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				m.compact()
+			})
 			if n := s.Stats().Blocks; n != 1 {
 				t.Fatalf("compaction left %d blocks", n)
 			}
-			assertCatalog(t, s, m, "compaction")
 
 			// Retention: a sample far ahead moves the horizon past the
 			// merged block; the next checkpoint drops it and the keys that
 			// lived only there.
-			write(catalogSample("d", "w", 10_000_000))
-			assertCatalog(t, s, m, "late birth")
-			checkpoint()
-			keys = assertCatalog(t, s, m, "retention drop")
+			event("late birth", true, func() { write(catalogSample("d", "w", 10_000_000)) })
+			keys = event("retention drop", true, checkpoint)
 			if !reflect.DeepEqual(keys, []string{"d/w"}) {
 				t.Fatalf("retention drop: keys %v, want only d/w", keys)
 			}
 
 			// A dropped key is born again.
-			write(catalogSample("a", "x", 10_000_500))
-			if keys = assertCatalog(t, s, m, "rebirth after drop"); !reflect.DeepEqual(keys, []string{"a/x", "d/w"}) {
+			keys = event("rebirth after drop", true, func() { write(catalogSample("a", "x", 10_000_500)) })
+			if !reflect.DeepEqual(keys, []string{"a/x", "d/w"}) {
 				t.Fatalf("rebirth after drop: keys %v", keys)
 			}
 		})

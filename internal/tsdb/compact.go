@@ -45,11 +45,13 @@ import (
 //     directory. Companions live in index.json, published and deleted
 //     with their block; no write ever lands in a published block
 //     directory.
-//   - Accounting. A compaction moves points between blocks but never
-//     changes the point set, so Stats.Points (basePoints) is untouched;
-//     retention accounts a merged block's points exactly once when it
-//     expires, and the crash-window duplicate sources are removed at
-//     open before basePoints is summed.
+//   - Accounting. Stats.Points and StorageBytes sum the live blocks'
+//     metas, so the swap moves the count with the points: the merged
+//     meta's Points equals its sources' (mergeRun checks), retention
+//     drops it once with the block, and the crash-window duplicate
+//     sources are removed at open, before anything reads a meta. The
+//     catalog generation is not bumped: the merged block holds its
+//     sources' keys.
 
 // downsampleResolutions are the companion resolutions, finest first:
 // 5 minutes and 1 hour, the classic Thanos ladder. A query uses the
@@ -414,7 +416,6 @@ func (d *durable) compactRun(run []*block) error {
 		}
 	}
 	d.blocks = kept
-	d.keyGen.Add(1)
 	d.tel.CompactionMergedBlocks.Add(uint64(len(run)))
 	if reclaimed := sourceBytes - merged.meta.ChunkBytes; reclaimed > 0 {
 		d.tel.CompactionReclaimedBytes.Add(uint64(reclaimed))

@@ -3,10 +3,13 @@ package tsdb
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,42 +79,38 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 // durable is the persistence side of a Sharded store: the block list,
 // the checkpoint machinery, and the background ticks. The per-shard
 // WALs live inside the shards, whose locks order every append against
-// the checkpoint cut.
+// the checkpoint cut. Each point is held in exactly one place — shard
+// memory, the flushing overlay, or a block — and Stats sums each
+// place's own counts.
 type durable struct {
 	opts      DurabilityOptions
 	blocksDir string
 
-	// mu guards blocks, flushing, and nextSeq. Checkpoints hold flushMu
-	// for their whole run, so only one cut is in flight at a time.
+	// mu guards blocks, flushing, and nextSeq; writers of blocks and
+	// flushing also hold flushMu, for a checkpoint's or a compaction
+	// run's whole length, so only one cut is in flight at a time.
 	mu     sync.RWMutex
 	blocks []*block
-	// flushing holds the series structures stolen from the shards by an
-	// in-flight checkpoint: still compressed, immutable, and visible to
-	// queries while their block is being written.
-	flushing map[string]*series
+	// flushing is the overlay: the cut a checkpoint is writing, or one
+	// whose write failed, kept until the next checkpoint writes it. Its
+	// series are still compressed, immutable, and visible to queries.
+	flushing *flushCut
 	nextSeq  uint64
 	// keyGen is the owning store's catalog generation (Sharded.keyGen),
-	// bumped under mu wherever blocks or flushing change.
+	// bumped under mu when retention drops a block: cuts, publishes and
+	// compactions move keys without changing the catalog.
 	keyGen *atomic.Uint64
 
 	// cutMu excludes readers during the cut itself: a checkpoint holds
 	// the write side from the first shard drain until the drained set is
-	// published as the flushing overlay (and on the failure path, until
-	// the points are back in memory), while a series scan and a catalog
-	// rebuild hold the read side across their memory+blocks reads.
-	// Without it a reader racing the cut could catch a shard already
-	// drained but the overlay not yet visible (missing points), or memory
-	// pre-cut and blocks post-publish (duplicated points). Lock order:
-	// cutMu, then shard locks, then mu.
+	// published as the flushing overlay, while a series scan, a catalog
+	// rebuild and Stats hold the read side across their memory+blocks
+	// reads. Without it a reader racing the cut could catch a shard
+	// already drained but the overlay not yet visible (missing points),
+	// or memory pre-cut and blocks post-publish (duplicated points). Lock
+	// order: cutMu, then shard locks, then mu.
 	cutMu sync.RWMutex
 
-	// basePoints is the persisted-points balance added to the shards'
-	// cumulative counters by Stats: blocks recovered at open add their
-	// points (prior lives' ingests the shard counters never saw), and
-	// retention-removed blocks subtract theirs — going negative for
-	// this-life blocks, offsetting the shard counters — so Points tracks
-	// the observations the store actually holds.
-	basePoints int
 	// appT is the application high-water mark of the blocks found at open,
 	// the newest chunk time outside ReservedComponent in their indexes;
 	// fixed from then on. Blocks published later hold points whose shard
@@ -198,7 +197,6 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	d.blocks = blocks
 	d.nextSeq = 1
 	for _, b := range blocks {
-		d.basePoints += b.meta.Points
 		d.appT = max(d.appT, b.appMaxT())
 		if b.meta.Seq >= d.nextSeq {
 			d.nextSeq = b.meta.Seq + 1
@@ -306,7 +304,9 @@ func walShardDir(walRoot string, i int) string {
 }
 
 // listWALShardDirs returns the set of shard indices that have WAL
-// directories on disk (empty when the wal root does not exist yet).
+// directories on disk (empty when the wal root does not exist yet). Only
+// a directory named exactly as walShardDir names its index counts: a
+// stray shard-0001.old would otherwise read as shard 1.
 func listWALShardDirs(walRoot string) (map[int]struct{}, error) {
 	idxs := map[int]struct{}{}
 	entries, err := os.ReadDir(walRoot)
@@ -317,11 +317,8 @@ func listWALShardDirs(walRoot string) (map[int]struct{}, error) {
 		return nil, err
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		var i int
-		if _, err := fmt.Sscanf(e.Name(), "shard-%04d", &i); err == nil && i >= 0 {
+		i, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "shard-"))
+		if e.IsDir() && err == nil && i >= 0 && walShardDir(walRoot, i) == filepath.Join(walRoot, e.Name()) {
 			idxs[i] = struct{}{}
 		}
 	}
@@ -352,98 +349,37 @@ func (d *durable) checkpoint(s *Sharded) error {
 	return d.checkpoints.Report(err)
 }
 
-// runCheckpoint seals all in-memory data into one immutable block and prunes
-// the WAL segments the block now covers. The cut is consistent: each
-// shard rotates its WAL and hands over its series structures under one
-// lock hold, so every point is either in the stolen snapshot (and then
-// the block) or in the post-rotation WAL — never both, never neither.
-// Only the cheap handover happens under the reader-excluding cutMu;
-// decoding and compressing the snapshot runs with readers live, served
-// by the flushing overlay.
+// flushCut is one checkpoint cut: the series moved out of shard memory,
+// with their points and in-memory storage bytes, and the WAL cuts the
+// block holding them records in its meta — shard index (a string, as
+// JSON map keys are) -> first segment the block does not cover. The
+// checkpoint prunes the segments below them once the block is
+// published, and an open after a crash in between drops them unread.
+type flushCut struct {
+	series        map[string]*series
+	walCuts       map[string]uint64
+	points, bytes int
+}
+
+// runCheckpoint seals all in-memory data into immutable blocks and
+// prunes the WAL segments they cover. A cut a failed checkpoint kept is
+// written first, as its own block under a fresh sequence number; only
+// then is memory cut and written. A failure at any step returns with the
+// overlay as it stands — nothing is undone, the next checkpoint (or
+// Close) picks up from there.
 func (d *durable) runCheckpoint(s *Sharded) error {
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
-
-	// Stale dirs are quiescent (no writer) and their records are in the
-	// cut below: each is covered up to the segment after its last.
-	staleCuts := make(map[int]uint64, len(d.staleWAL))
-	for idx, dir := range d.staleWAL {
-		seqs, err := listWALSegments(dir)
-		if err != nil {
-			return fmt.Errorf("tsdb: checkpoint: listing stale wal dir %s: %w", dir, err)
-		}
-		staleCuts[idx] = 1
-		if len(seqs) > 0 {
-			staleCuts[idx] = seqs[len(seqs)-1] + 1
+	if d.flushing != nil {
+		if err := d.writeCut(s); err != nil {
+			return err
 		}
 	}
-
-	snap := map[string]*series{}
-	cuts := make([]uint64, len(s.shards))
-	d.cutMu.Lock()
-	for i, sh := range s.shards {
-		cut, err := sh.cutSnapshot(snap)
-		if err != nil {
-			// Shards cut so far are already drained; put their series
-			// back so queries keep seeing them (their WAL is untouched).
-			s.reinsert(snap)
-			d.cutMu.Unlock()
-			return fmt.Errorf("tsdb: checkpoint: cutting shard %d: %w", i, err)
-		}
-		cuts[i] = cut
+	if err := d.cut(s); err != nil {
+		return err
 	}
-	var points int
-	for _, sr := range snap {
-		points += sr.blockPts + len(sr.tail)
-	}
-	var seq uint64
-	if points > 0 {
-		d.mu.Lock()
-		seq = d.nextSeq
-		d.nextSeq++
-		d.flushing = snap
-		d.keyGen.Add(1)
-		d.mu.Unlock()
-	}
-	// Readers may run again: the stolen series stay visible through the
-	// flushing overlay while the block is built below.
-	d.cutMu.Unlock()
-
-	if points > 0 {
-		cutsMeta := walCutsMeta(cuts)
-		for idx, cut := range staleCuts {
-			cutsMeta[fmt.Sprintf("%d", idx)] = cut
-		}
-		blk, err := buildBlock(d.blocksDir, seq, cutsMeta, snap, d.writeWorkers)
-		if err != nil {
-			// The stolen series vanished from memory at the cut; splice
-			// them back so queries keep seeing them. Their WAL segments
-			// were not pruned, so durability is unaffected. The swap from
-			// overlay back into memory is atomic for readers: cutMu
-			// excludes them until the reinsert is complete.
-			d.cutMu.Lock()
-			d.mu.Lock()
-			d.flushing = nil
-			d.keyGen.Add(1)
-			d.mu.Unlock()
-			s.reinsert(snap)
-			d.cutMu.Unlock()
-			return fmt.Errorf("tsdb: checkpoint: %w", err)
-		}
-		// Atomic swap from overlay to block under mu: a reader sees the
-		// flushed points exactly once, from one of the two.
-		d.mu.Lock()
-		d.flushing = nil
-		d.blocks = append(d.blocks, blk)
-		d.keyGen.Add(1)
-		d.tel.CheckpointPoints.Add(uint64(points))
-		d.tel.BlockPublishes.Inc()
-		d.mu.Unlock()
-	}
-	for i, sh := range s.shards {
-		if err := sh.wal.removeSegmentsBelow(cuts[i]); err != nil {
-			return fmt.Errorf("tsdb: checkpoint: pruning wal of shard %d: %w", i, err)
-		}
+	if err := d.writeCut(s); err != nil {
+		return err
 	}
 	// WAL directories inherited from a life with more shards: their
 	// records were hash-routed into memory at open, so the cut above
@@ -456,6 +392,85 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 	}
 	d.staleWAL = nil
 	return d.enforceRetention(s.AppMaxTime())
+}
+
+// cut moves shard memory into the flushing overlay. Each shard rotates
+// its WAL and hands over its series under one lock hold, so every point
+// is either in the cut (and then the block) or in the post-rotation WAL
+// — never both, never neither. Only this cheap handover runs under the
+// reader-excluding cutMu; decoding and compressing the cut runs with
+// readers live, served by the overlay. A rotate that fails leaves the
+// shards cut so far in the overlay, and the rest in memory.
+func (d *durable) cut(s *Sharded) error {
+	// Stale dirs are quiescent (no writer) and their records are in
+	// memory: each is covered up to the segment after its last, once
+	// every shard is cut.
+	stale := make(map[string]uint64, len(d.staleWAL))
+	for idx, dir := range d.staleWAL {
+		seqs, err := listWALSegments(dir)
+		if err != nil {
+			return fmt.Errorf("tsdb: checkpoint: listing stale wal dir %s: %w", dir, err)
+		}
+		key := fmt.Sprintf("%d", idx)
+		stale[key] = 1
+		if len(seqs) > 0 {
+			stale[key] = seqs[len(seqs)-1] + 1
+		}
+	}
+	c := &flushCut{series: map[string]*series{}, walCuts: map[string]uint64{}}
+	d.cutMu.Lock()
+	defer d.cutMu.Unlock()
+	var err error
+	for i, sh := range s.shards {
+		var cutSeq uint64
+		if cutSeq, err = sh.cut(c); err != nil {
+			err = fmt.Errorf("tsdb: checkpoint: cutting shard %d: %w", i, err)
+			break
+		}
+		c.walCuts[fmt.Sprintf("%d", i)] = cutSeq
+	}
+	if err == nil {
+		maps.Copy(c.walCuts, stale)
+	}
+	d.mu.Lock()
+	d.flushing = c
+	d.mu.Unlock()
+	return err
+}
+
+// writeCut writes the overlay as one block under a fresh sequence number
+// (nothing, when it holds no points), swaps the block in for it, and
+// prunes the WAL segments the block covers. A failed write keeps the
+// overlay, and its WAL segments, for the next checkpoint.
+func (d *durable) writeCut(s *Sharded) error {
+	c := d.flushing
+	var blk *block
+	if c.points > 0 {
+		d.mu.Lock()
+		seq := d.nextSeq
+		d.nextSeq++
+		d.mu.Unlock()
+		var err error
+		if blk, err = buildBlock(d.blocksDir, seq, c.walCuts, c.series, d.writeWorkers); err != nil {
+			return fmt.Errorf("tsdb: checkpoint: %w", err)
+		}
+	}
+	// Atomic swap from overlay to block under mu: a reader sees the
+	// flushed points exactly once, from one of the two.
+	d.mu.Lock()
+	d.flushing = nil
+	if blk != nil {
+		d.blocks = append(d.blocks, blk)
+		d.tel.CheckpointPoints.Add(uint64(c.points))
+		d.tel.BlockPublishes.Inc()
+	}
+	d.mu.Unlock()
+	for i, sh := range s.shards {
+		if err := sh.wal.removeSegmentsBelow(c.walCuts[fmt.Sprintf("%d", i)]); err != nil {
+			return fmt.Errorf("tsdb: checkpoint: pruning wal of shard %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // buildBlock persists a stolen snapshot as one immutable block, its
@@ -492,19 +507,6 @@ func buildBlock(blocksDir string, seq uint64, walCuts map[string]uint64, snap ma
 	return blk, nil
 }
 
-// walCutsMeta formats per-shard WAL cut sequences for a block's meta:
-// shard index (as a string, JSON maps need string keys) -> first WAL
-// segment NOT covered by the block. Recovery uses it to drop stale
-// segments whose records the block already holds, even if the
-// checkpoint that wrote it crashed before pruning them.
-func walCutsMeta(cuts []uint64) map[string]uint64 {
-	m := make(map[string]uint64, len(cuts))
-	for i, c := range cuts {
-		m[fmt.Sprintf("%d", i)] = c
-	}
-	return m
-}
-
 // enforceRetention removes blocks entirely past the retention horizon,
 // measured against the application high-water mark appT. The store
 // reads no clock: the horizon moves with the newest application
@@ -531,9 +533,6 @@ func (d *durable) enforceRetention(appT int64) error {
 			kept = append(kept, b)
 			continue
 		}
-		// Keep the Points balance honest: these observations are gone
-		// from the store's view whether or not the files disappear.
-		d.basePoints -= b.meta.Points
 		d.tel.RetentionDroppedBlocks.Inc()
 		if err := b.close(); err != nil && firstErr == nil {
 			firstErr = err
@@ -550,8 +549,8 @@ func (d *durable) enforceRetention(appT int64) error {
 }
 
 // scanBlocks streams the persisted points for key with T in [from, to)
-// to sink in canonical order: blocks by sequence number, then any stolen
-// snapshot a checkpoint is writing out. Blocks whose meta time range is
+// to sink in canonical order: blocks by sequence number, then the
+// flushing overlay. Blocks whose meta time range is
 // disjoint are skipped without touching their chunk index. A block that
 // holds the series is first offered to the sink as its downsampled
 // companions (an aggregating sink whose step the companion provably
@@ -581,9 +580,11 @@ func (d *durable) scanBlocks(key string, from, to int64, sink pointSink) error {
 	if dsBuckets > 0 {
 		d.tel.DownsampledBucketsRead.Add(uint64(dsBuckets))
 	}
-	if sr, ok := d.flushing[key]; ok {
-		if err := sr.scanRange(from, to, sink, d.tel); err != nil {
-			return fmt.Errorf("tsdb: corrupt block in flushing %q: %w", key, err)
+	if c := d.flushing; c != nil {
+		if sr, ok := c.series[key]; ok {
+			if err := sr.scanRange(from, to, sink, d.tel); err != nil {
+				return fmt.Errorf("tsdb: corrupt block in flushing %q: %w", key, err)
+			}
 		}
 	}
 	return nil
@@ -598,23 +599,19 @@ func (d *durable) addKeys(set map[string]struct{}) {
 			set[k] = struct{}{}
 		}
 	}
-	for k := range d.flushing {
-		set[k] = struct{}{}
+	if d.flushing != nil {
+		for k := range d.flushing.series {
+			set[k] = struct{}{}
+		}
 	}
 }
 
 // maxTime returns the newest block timestamp. The flushing overlay
 // needs no scan: a shard's maxT is cumulative and survives the cut, so
-// in-flight snapshots are already covered by the shard side of
-// Sharded.MaxTime.
+// the overlay is already covered by the shard side of Sharded.MaxTime.
 func (d *durable) maxTime() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.maxTimeLocked()
-}
-
-// maxTimeLocked is maxTime for a caller that holds mu.
-func (d *durable) maxTimeLocked() int64 {
 	var maxT int64
 	for _, b := range d.blocks {
 		maxT = max(maxT, b.meta.MaxT)
@@ -622,18 +619,23 @@ func (d *durable) maxTimeLocked() int64 {
 	return maxT
 }
 
-// addStats adds the persisted side to out under one hold of mu: block
-// chunk bytes, the point base recovered from prior lives, the block
-// count, and the blocks' marks.
+// addStats adds the persisted side to out under one hold of mu: each
+// block's points and chunk bytes, the overlay's points and bytes, the
+// block count, and the blocks' marks.
 func (d *durable) addStats(out *Stats) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	for _, b := range d.blocks {
+		out.Points += b.meta.Points
 		out.StorageBytes += int(b.meta.ChunkBytes)
+		out.MaxTime = max(out.MaxTime, b.meta.MaxT)
 	}
-	out.Points += d.basePoints
+	if c := d.flushing; c != nil {
+		out.Points += c.points
+		out.StorageBytes += c.bytes
+	}
 	out.Blocks = len(d.blocks)
-	out.MaxTime, out.AppMaxTime = max(out.MaxTime, d.maxTimeLocked()), max(out.AppMaxTime, d.appT)
+	out.AppMaxTime = max(out.AppMaxTime, d.appT)
 }
 
 // shutdown stops the ticks, runs a final checkpoint so memory reaches

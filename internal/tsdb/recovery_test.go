@@ -106,6 +106,25 @@ func TestDurableRecoveryShardCountChangeAfterCheckpoint(t *testing.T) {
 	playScript(t, storeScript{name: "reshard after checkpoint", shards: 2, fsync: FsyncNever, ops: ops})
 }
 
+// TestDurableKeptCutRecovery fails a checkpoint, so the store keeps its
+// cut as the overlay, and writes on: a full chunk and a tail of one
+// series, then more of every series. A hard stop replays the kept cut
+// from the WAL into memory, ahead of the later writes; a Close writes
+// the kept cut as its own block before it cuts the later writes into the
+// next.
+func TestDurableKeptCutRecovery(t *testing.T) {
+	for _, end := range []opKind{opCrash, opClose} {
+		ops := recoveryWrites(0, 6, 4, 3)
+		ops = append(ops, op{Kind: opWriteSamples, Batch: chunkOf(0, func(i int) float64 { return float64(i % 7) })})
+		ops = append(ops, op{Kind: opWriteSamples, Batch: chunkOf(blockSize, func(i int) float64 { return float64(i % 5) })[:100]})
+		ops = append(ops, op{Kind: opFailCheckpoint})
+		ops = append(ops, recoveryWrites(6, 10, 4, 3)...)
+		ops = append(ops, op{Kind: opWriteSamples, Batch: chunkOf(2*blockSize, func(i int) float64 { return float64(i % 3) })})
+		ops = append(ops, scanAll, op{Kind: end, Shards: 2}, scanAll)
+		playScript(t, storeScript{name: "kept cut, then " + end.String(), shards: 2, fsync: FsyncNever, ops: ops})
+	}
+}
+
 // TestDurableCheckpointFailureSurfaced forces checkpoints to fail (the
 // blocks dir is replaced by a regular file, the shape of a persistently
 // sick disk) and asserts the failure is visible in Checkpoints instead of
@@ -137,7 +156,7 @@ func TestDurableCheckpointFailureSurfaced(t *testing.T) {
 			t.Fatal("Checkpoints().LastError empty after a failed checkpoint")
 		}
 	}
-	// Failed cuts must have spliced the data back: nothing lost.
+	// The failed checkpoint kept its cut, readable: nothing lost.
 	assertSameContents(t, s, ref, "after failed checkpoints")
 	// Disk repaired: the next checkpoint succeeds and clears the error.
 	if err := os.Remove(blocksDir); err != nil {
@@ -220,6 +239,69 @@ func TestDurableCheckpointFailureLeavesNoTmpDir(t *testing.T) {
 	re := openCrashable(t, dir, 2)
 	defer re.Close()
 	assertSameContents(t, re, ref, "reopened after recovered checkpoint")
+}
+
+// TestDurableWALStrayNamesIgnored plants names the store never writes
+// into the WAL tree — copies of a segment as 1.wal and
+// 00000001.wal.wal, and of a shard directory as shard-0001.old — beside
+// real data and alone. Beside it, replay must read each real segment
+// once and a checkpoint must prune without tripping on them; alone, the
+// store must open empty instead of looking for a 00000001.wal that is
+// not there.
+func TestDurableWALStrayNamesIgnored(t *testing.T) {
+	plant := func(t *testing.T, from, to string) {
+		t.Helper()
+		for _, shard := range []string{"shard-0000", "shard-0001"} {
+			seqs, err := listWALSegments(filepath.Join(from, shard))
+			if err != nil || len(seqs) == 0 {
+				t.Fatalf("%s holds no segment (%v)", shard, err)
+			}
+			data, err := os.ReadFile(filepath.Join(from, shard, walSegmentName(seqs[0])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(to, shard), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for _, stray := range []string{fmt.Sprintf("%d.wal", seqs[0]), walSegmentName(seqs[0]) + ".wal"} {
+				if err := os.WriteFile(filepath.Join(to, shard, stray), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if shard == "shard-0001" {
+				if err := os.MkdirAll(filepath.Join(to, shard+".old"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(to, shard+".old", walSegmentName(seqs[0])), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	s := openCrashable(t, dir, 2)
+	ref := newStoreModel(0)
+	for i := 0; i < 4; i++ {
+		recoveryWrite(t, ref, recoveryBatch(i, 4, 3), s)
+	}
+	walRoot := filepath.Join(dir, "wal")
+	alone := t.TempDir()
+	plant(t, walRoot, filepath.Join(alone, "wal"))
+	plant(t, walRoot, walRoot) // after a hard stop
+	re := openCrashable(t, dir, 2)
+	assertSameContents(t, re, ref, "reopened beside stray names")
+	if err := re.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint beside stray names: %v", err)
+	}
+	assertSameContents(t, re, ref, "checkpointed beside stray names")
+	again := openCrashable(t, dir, 2)
+	defer again.Close()
+	assertSameContents(t, again, ref, "reopened after the checkpoint")
+
+	st := openCrashable(t, alone, 2)
+	defer st.Close()
+	assertSameContents(t, st, newStoreModel(0), "stray names alone")
 }
 
 // TestDurablePartialWriteReportsStored kills one shard's WAL and writes

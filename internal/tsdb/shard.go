@@ -30,7 +30,7 @@ type Stats struct {
 	// Series is the number of distinct component/metric series.
 	Series int
 	// StorageBytes is the on-"disk" footprint: compressed blocks plus the
-	// uncompressed tails.
+	// uncompressed tails, and the live WAL segments.
 	StorageBytes int
 	// NetworkInBytes counts wire bytes received by Write.
 	NetworkInBytes int
@@ -66,10 +66,8 @@ type memChunk struct {
 // series holds one component/metric stream: sealed compressed chunks plus
 // an uncompressed tail.
 type series struct {
-	chunks    []memChunk
-	blockPts  int
-	tail      []Point
-	compBytes int
+	chunks []memChunk
+	tail   []Point
 
 	// key is component/metric, the string the shard's map holds the series
 	// under; compLen splits it back into its halves (see ident). reserved
@@ -143,11 +141,13 @@ func (sr *series) scanRange(from, to int64, sink pointSink, tel *StoreTelemetry)
 type shard struct {
 	mu   sync.Mutex
 	data map[string]*series // key: component/metric
-	// points and ingestCPU are the shard's cumulative accounting: points
-	// appended (replayed ones included) and the time appends took.
-	points    int
-	ingestCPU time.Duration
-	maxT      int64
+	// points and bytes are what data holds: its points, and the storage
+	// bytes of its sealed chunks plus 16 per tail point. Kept where the
+	// series change (append, seal), they leave with the series at the
+	// checkpoint cut. ingestCPU is cumulative: the time appends took.
+	points, bytes int
+	ingestCPU     time.Duration
+	maxT          int64
 	// appT is maxT over the samples outside ReservedComponent. Both marks
 	// are cumulative: they survive the checkpoint cut.
 	appT int64
@@ -162,8 +162,7 @@ type shard struct {
 	tel *StoreTelemetry
 
 	// keyGen is the owning store's catalog generation (see
-	// Sharded.catalogKeys), bumped whenever the set of keys in data
-	// changes.
+	// Sharded.catalogKeys), bumped when a series is born.
 	keyGen *atomic.Uint64
 
 	// Ingest scratch, reused under mu: key is the lookup buffer a series
@@ -261,10 +260,11 @@ func (sh *shard) lookupLocked(component, metric string) (sr *series, born bool) 
 }
 
 // appendLocked adds one point to sr, a series of this shard, keeping the
-// shard's point count and marks, and seals the tail once it is full.
+// shard's counts and marks, and seals the tail once it is full.
 func (sh *shard) appendLocked(sr *series, t int64, v float64) {
 	sr.tail = append(sr.tail, Point{T: t, V: v})
 	sh.points++
+	sh.bytes += 16
 	if t > sh.maxT {
 		sh.maxT = t
 	}
@@ -286,7 +286,8 @@ func (sh *shard) marks() (maxT, appT int64) {
 
 // sealLocked compresses the tail into a chunk, recording its time range
 // and value summary so reads can skip it (or aggregate it) without
-// decompressing. Errors (unordered timestamps) leave the tail
+// decompressing, and swaps the tail's raw bytes for the chunk's in the
+// shard's byte count. Errors (unordered timestamps) leave the tail
 // uncompressed; storage accounting then counts it raw, which only
 // overstates our footprint.
 func (sh *shard) sealLocked(sr *series) {
@@ -298,21 +299,21 @@ func (sh *shard) sealLocked(sr *series) {
 		return
 	}
 	sr.chunks = append(sr.chunks, memChunk{data: block, summary: summarizeChunk(sr.tail)})
-	sr.blockPts += len(sr.tail)
-	sr.compBytes += len(block)
+	sh.bytes += len(block) - 16*len(sr.tail)
 	sr.tail = sr.tail[:0]
 }
 
-// cutSnapshot is the shard half of a durable checkpoint: under one lock
-// hold it rotates the WAL and steals every series structure into `into`,
-// leaving the shard empty. The work under the lock is O(series) slice
-// moves — no decompression — so queries stall only for the handover, not
-// for the decode. The stolen structures are immutable from here on (the
-// shard allocates fresh ones for new arrivals), so the caller may read
-// them without locking. The returned sequence number is the cut: all
-// stolen points live in WAL segments below it, all later appends in
-// segments at or above it. On error the shard is left untouched.
-func (sh *shard) cutSnapshot(into map[string]*series) (cutSeq uint64, err error) {
+// cut is the shard half of a checkpoint cut: under one lock hold it
+// rotates the WAL and moves every series, with the shard's point and
+// byte counts, into c, leaving the shard empty. The work under the lock
+// is O(series) map moves — no decompression — so queries stall only for
+// the handover, not for the decode. The moved structures are immutable
+// from here on (the shard allocates fresh ones for new arrivals), so the
+// checkpoint may read them without locking. The returned sequence number
+// is the cut: all moved points live in WAL segments below it, all later
+// appends in segments at or above it. On error the shard is left
+// untouched.
+func (sh *shard) cut(c *flushCut) (cutSeq uint64, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cutSeq, err = sh.wal.rotate()
@@ -320,45 +321,14 @@ func (sh *shard) cutSnapshot(into map[string]*series) (cutSeq uint64, err error)
 		return 0, err
 	}
 	for key, sr := range sh.data {
-		if sr.blockPts+len(sr.tail) > 0 {
-			into[key] = sr
+		if len(sr.chunks)+len(sr.tail) > 0 {
+			c.series[key] = sr
 		}
 	}
-	sh.data = map[string]*series{}
-	sh.keyGen.Add(1)
+	c.points += sh.points
+	c.bytes += sh.bytes
+	sh.data, sh.points, sh.bytes = map[string]*series{}, 0, 0
 	return cutSeq, nil
-}
-
-// reinsertSeries splices a stolen snapshot back after a failed block
-// write, in front of whatever arrived during the flush: the merged
-// series reads back as snapshot blocks, snapshot tail, then the current
-// data — the original arrival order, so equal-timestamp points keep
-// their pre-flush query order. The cut never reset the shard's point
-// count, so only the raw data returns.
-func (sh *shard) reinsertSeries(key string, old *series) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.keyGen.Add(1)
-	cur := sh.data[key]
-	if cur == nil {
-		sh.data[key] = old
-		if len(old.tail) >= blockSize {
-			sh.sealLocked(old)
-		}
-		return
-	}
-	// The merged series keeps cur's WAL id: the open segment defined it.
-	merged := *old
-	merged.walID, merged.walSeg = cur.walID, cur.walSeg
-	if len(merged.tail) > 0 {
-		// Seal the snapshot's tail so the newer chunks can follow it.
-		sh.sealLocked(&merged)
-	}
-	merged.chunks = append(merged.chunks, cur.chunks...)
-	merged.blockPts += cur.blockPts
-	merged.compBytes += cur.compBytes
-	merged.tail = cur.tail
-	sh.data[key] = &merged
 }
 
 // Flush seals every series' tail so Stats reflects compressed storage.
@@ -399,16 +369,14 @@ func (sh *shard) addKeys(set map[string]struct{}) {
 	}
 }
 
-// addStats adds the shard's points, ingest time and in-memory storage
-// bytes to out and raises out's marks to the shard's, under one lock
-// hold.
+// addStats adds the shard's in-memory points and storage bytes and its
+// ingest time to out and raises out's marks to the shard's, under one
+// lock hold.
 func (sh *shard) addStats(out *Stats) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	out.Points += sh.points
+	out.StorageBytes += sh.bytes
 	out.IngestCPU += sh.ingestCPU
-	for _, sr := range sh.data {
-		out.StorageBytes += sr.compBytes + 16*len(sr.tail)
-	}
 	out.MaxTime, out.AppMaxTime = max(out.MaxTime, sh.maxT), max(out.AppMaxTime, sh.appT)
 }

@@ -42,11 +42,13 @@ type Sharded struct {
 	// The series catalog: the sorted union of every series key in shard
 	// memory, the checkpoint overlay and the persisted blocks, shared
 	// read-only by every read entry point and by Stats, whose Series is
-	// its length. keyGen is bumped wherever that union can change (the
-	// shards and the durable engine hold a pointer to it); a reader whose
-	// cached catalog carries an older generation rebuilds it under catMu.
-	// The write path pays one atomic add per series birth and nothing per
-	// sample.
+	// its length. keyGen is bumped wherever that union can change: a
+	// birth (the shards hold a pointer to it) and a retention pass that
+	// drops a block (the durable engine holds one too). A cut, a block
+	// publish and a compaction move keys between the three without
+	// changing the union. A reader whose cached catalog carries an older
+	// generation rebuilds it under catMu. The write path pays one atomic
+	// add per series birth and nothing per sample.
 	keyGen atomic.Uint64
 	catMu  sync.Mutex
 	cat    atomic.Pointer[catalog]
@@ -385,18 +387,22 @@ func (s *Sharded) Flush() {
 	}
 }
 
-// Stats is the one snapshot of the store's state, taken in one pass:
-// each shard lock once (points, ingest time, in-memory bytes, marks),
-// each WAL writer once (segments and bytes) and, on a durable store, the
-// block list once (block bytes and count, the point base recovered from
-// prior lives, the blocks' marks). The front door adds its wire counters
-// (ingest bytes and acks, 16 B per point returned by a read) and the
-// ingest time spent parsing and partitioning. Series counts the catalog,
-// the union of in-memory and persisted keys, so a series that spans both
-// counts once. StorageBytes adds the on-disk block chunks and live WAL
-// segments to the in-memory chunks and tails.
+// Stats is the one snapshot of the store's state, taken in one pass
+// that costs O(shards + blocks): each shard lock once (in-memory points
+// and bytes, ingest time, marks), each WAL writer once (segments and
+// bytes) and, on a durable store, the block list once (block points,
+// bytes and count, the overlay's points and bytes, the blocks' marks).
+// Points and StorageBytes are summed from where the points are held,
+// under the cut lock, so a checkpoint moving them counts them once. The
+// front door adds its wire counters (ingest bytes and acks, 16 B per
+// point returned by a read) and the ingest time spent parsing and
+// partitioning. Series counts the catalog, the union of in-memory and
+// persisted keys, so a series that spans both counts once.
 func (s *Sharded) Stats() Stats {
 	var out Stats
+	if s.dur != nil {
+		s.dur.cutMu.RLock()
+	}
 	for _, sh := range s.shards {
 		sh.addStats(&out)
 		if sh.wal != nil {
@@ -408,6 +414,7 @@ func (s *Sharded) Stats() Stats {
 	out.StorageBytes += int(out.WALBytes)
 	if s.dur != nil {
 		s.dur.addStats(&out)
+		s.dur.cutMu.RUnlock()
 	}
 	out.Series = len(s.catalogKeys())
 	out.NetworkInBytes = int(s.netIn.Load())
@@ -429,7 +436,9 @@ func (s *Sharded) DataDir() string {
 
 // Checkpoint seals all in-memory data into an immutable Gorilla block
 // directory, prunes the WAL segments it covers, and enforces retention.
-// No-op on an in-memory store.
+// A checkpoint that fails keeps what it cut readable, and the next
+// Checkpoint (or Close) writes that first, as a block of its own. No-op
+// on an in-memory store.
 func (s *Sharded) Checkpoint() error {
 	if s.dur == nil {
 		return nil
@@ -496,12 +505,4 @@ func (r storeReplay) resolve(component, metric string) seriesRef {
 
 func (storeReplay) add(ref seriesRef, t int64, v float64) {
 	ref.sh.appendLocked(ref.sr, t, v)
-}
-
-// reinsert splices stolen series snapshots back into their owning
-// shards after a failed cut or block write.
-func (s *Sharded) reinsert(snap map[string]*series) {
-	for key, sr := range snap {
-		s.shards[s.shardIndex(key)].reinsertSeries(key, sr)
-	}
 }

@@ -16,11 +16,11 @@ import (
 )
 
 // The store's differential test: a seeded generator draws a life of
-// writes, reads, checkpoints, compactions and restarts, runs it against
-// a durable store and the storeModel side by side, and compares every
-// read by float bit pattern and the store's counters after every op. A
-// failing life is shrunk to a 1-minimal op list and printed as a Go
-// literal for storeRegressions.
+// writes, reads, checkpoints (failed ones too), compactions and
+// restarts, runs it against a durable store and the storeModel side by
+// side, and compares every read by float bit pattern and the store's
+// counters after every op. A failing life is shrunk to a 1-minimal op
+// list and printed as a Go literal for storeRegressions.
 
 type opKind uint8
 
@@ -32,11 +32,12 @@ const (
 	opScan                       // scanSeries over each key Q's globs select
 	opCheckpoint
 	opCompact
-	opClose // Close, then reopen with Shards
-	opCrash // a hard stop: abandon the store unclosed, then reopen with Shards
+	opClose          // Close, then reopen with Shards
+	opCrash          // a hard stop: abandon the store unclosed, then reopen with Shards
+	opFailCheckpoint // a Checkpoint whose first block write fails
 )
 
-var opNames = [...]string{"opWrite", "opWriteSamples", "opIngestParsed", "opQueryRange", "opScan", "opCheckpoint", "opCompact", "opClose", "opCrash"}
+var opNames = [...]string{"opWrite", "opWriteSamples", "opIngestParsed", "opQueryRange", "opScan", "opCheckpoint", "opCompact", "opClose", "opCrash", "opFailCheckpoint"}
 
 func (k opKind) String() string   { return opNames[k] }
 func (k opKind) GoString() string { return opNames[k] }
@@ -155,6 +156,10 @@ func (l *storeLife) apply(o op) error {
 			return err
 		}
 		l.m.checkpoint()
+	case opFailCheckpoint:
+		if err := l.failCheckpoint(); err != nil {
+			return err
+		}
 	case opCompact:
 		if err := l.st.Compact(); err != nil {
 			return err
@@ -176,6 +181,35 @@ func (l *storeLife) apply(o op) error {
 	}
 	// After a lifecycle op, check every series' whole storage order.
 	return diffScan(l.st, l.m, "*", "*", math.MinInt64, math.MaxInt64)
+}
+
+// failCheckpoint fails a checkpoint the way a sick disk does, at its
+// first block write: a non-empty directory holds the name that write
+// renames onto (its sequence number and the time range the model
+// predicts), and goes once the checkpoint returned. A checkpoint with
+// nothing to write cannot fail there and runs as a plain one.
+func (l *storeLife) failCheckpoint() error {
+	minT, maxT, ok := l.m.nextWrite()
+	if !ok {
+		l.m.checkpoint()
+		return l.st.Checkpoint()
+	}
+	l.st.dur.mu.RLock()
+	seq := l.st.dur.nextSeq
+	l.st.dur.mu.RUnlock()
+	obstacle := filepath.Join(l.dir, "blocks", blockDirName(seq, minT, maxT))
+	if err := os.MkdirAll(filepath.Join(obstacle, "occupied"), 0o755); err != nil {
+		return err
+	}
+	err := l.st.Checkpoint()
+	if rerr := os.RemoveAll(obstacle); rerr != nil {
+		return rerr
+	}
+	if err == nil {
+		return fmt.Errorf("a checkpoint onto the occupied %s succeeded", filepath.Base(obstacle))
+	}
+	l.m.failCheckpoint()
+	return nil
 }
 
 // diffCounters compares the store's cheap summaries with the model's:
@@ -297,7 +331,7 @@ func (g *storeGen) birth() {
 }
 
 func (g *storeGen) op() op {
-	switch g.pick(45, 25, 5, 6, 9, 5, 2, 3) {
+	switch g.pick(45, 25, 5, 6, 9, 5, 2, 3, 3) {
 	case 0:
 		return g.write()
 	case 1:
@@ -319,8 +353,10 @@ func (g *storeGen) op() op {
 	case 6:
 		g.seal()
 		return op{Kind: opClose, Shards: g.shards()}
+	case 7:
+		return op{Kind: opCrash, Shards: g.shards()}
 	}
-	return op{Kind: opCrash, Shards: g.shards()}
+	return op{Kind: opFailCheckpoint}
 }
 
 func (g *storeGen) seal() {

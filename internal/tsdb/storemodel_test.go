@@ -18,8 +18,11 @@ import (
 //   - duplicates are kept and out-of-order writes are accepted;
 //   - a raw read is a stable sort by T of the arrival order;
 //   - every aggregation folds the storage order: blocks by epoch, each
-//     epoch stably sorted by T, then memory, which is arrival order with
-//     every full blockSize run of a series stably sorted when it seals;
+//     epoch stably sorted by T, then the cut a failed checkpoint kept,
+//     then memory; the last two are arrival order with every full
+//     blockSize run of a series stably sorted when it seals;
+//   - a checkpoint writes a kept cut as its own block before it cuts
+//     memory, and a hard stop replays the kept cut into memory;
 //   - retention is block-granular against AppMaxTime - R, where
 //     AppMaxTime is the newest timestamp outside ReservedComponent (a
 //     process-time stamp ahead of it ages nothing), and a merged block
@@ -38,11 +41,17 @@ type storeModel struct {
 	ordered     map[string][]modelSample // storage order by series, until the next change
 }
 
-// modelSample is one held sample; epoch 0 means it is still in memory.
+// modelSample is one held sample: epoch is the block epoch that sealed
+// it, or memoryEpoch or keptEpoch.
 type modelSample struct {
 	Point
 	epoch int
 }
+
+const (
+	memoryEpoch = 0  // still in shard memory
+	keptEpoch   = -1 // in the cut a failed checkpoint kept
+)
 
 // modelBlock is one published block: the checkpoint epochs it covers
 // (one for a checkpoint, a run for a merge) and its newest timestamp.
@@ -63,24 +72,63 @@ func (m *storeModel) add(samples []Sample) {
 	}
 }
 
-// checkpoint seals everything in memory into one block, then enforces
-// retention (a checkpoint with nothing to seal still does).
+// checkpoint seals the kept cut, if any, into one block and memory into
+// the next, then enforces retention (a checkpoint with nothing to seal
+// still does).
 func (m *storeModel) checkpoint() {
-	b := modelBlock{first: m.epoch + 1, last: m.epoch + 1, maxT: math.MinInt64}
+	for _, from := range []int{keptEpoch, memoryEpoch} {
+		if _, maxT, ok := m.unsealed(from); ok {
+			m.epoch++
+			m.retag(from, m.epoch)
+			m.blocks = append(m.blocks, modelBlock{first: m.epoch, last: m.epoch, maxT: maxT})
+		}
+	}
+	m.enforceRetention()
+}
+
+// failCheckpoint is a checkpoint whose block write fails: a kept cut
+// stays kept (its write was the one that failed), and otherwise memory
+// becomes the kept cut. Nothing else changes.
+func (m *storeModel) failCheckpoint() {
+	if _, _, ok := m.unsealed(keptEpoch); !ok {
+		m.retag(memoryEpoch, keptEpoch)
+	}
+}
+
+// nextWrite is the time range of the block a checkpoint writes first:
+// the kept cut's, or memory's when there is none (ok false when both
+// are empty and it writes nothing).
+func (m *storeModel) nextWrite() (minT, maxT int64, ok bool) {
+	if minT, maxT, ok = m.unsealed(keptEpoch); !ok {
+		minT, maxT, ok = m.unsealed(memoryEpoch)
+	}
+	return minT, maxT, ok
+}
+
+// unsealed is the time range of the samples at epoch (ok false for
+// none).
+func (m *storeModel) unsealed(epoch int) (minT, maxT int64, ok bool) {
+	minT, maxT = math.MaxInt64, math.MinInt64
 	for _, ss := range m.series {
-		for i := range ss {
-			if ss[i].epoch == 0 {
-				ss[i].epoch = b.first
-				b.maxT = max(b.maxT, ss[i].T)
+		for _, s := range ss {
+			if s.epoch == epoch {
+				minT, maxT, ok = min(minT, s.T), max(maxT, s.T), true
 			}
 		}
 	}
-	if b.maxT != math.MinInt64 {
-		m.ordered = nil
-		m.epoch++
-		m.blocks = append(m.blocks, b)
+	return minT, maxT, ok
+}
+
+// retag moves every sample at epoch from to epoch to.
+func (m *storeModel) retag(from, to int) {
+	m.ordered = nil
+	for _, ss := range m.series {
+		for i := range ss {
+			if ss[i].epoch == from {
+				ss[i].epoch = to
+			}
+		}
 	}
-	m.enforceRetention()
 }
 
 // compact merges every block into one: every block a test builds is far
@@ -97,8 +145,9 @@ func (m *storeModel) compact() {
 }
 
 // open is the store opening with n shards over what the last life left:
-// memory is what its WAL replays.
+// memory is what its WAL replays, a kept cut included.
 func (m *storeModel) open(n int) {
+	m.retag(keptEpoch, memoryEpoch)
 	if m.shards != 0 && m.shards != n {
 		m.checkpoint()
 	}
@@ -202,26 +251,30 @@ func (m *storeModel) storageOrder(key string) []modelSample {
 		return held
 	}
 	held := append([]modelSample(nil), m.series[key]...)
-	// Blocks by epoch, each by T; memory (epoch 0) last, in arrival order.
+	// Blocks by epoch, each by T; then the kept cut and memory, each in
+	// arrival order with its full blockSize runs sorted as they sealed.
 	rank := func(s modelSample) int {
-		if s.epoch == 0 {
+		switch s.epoch {
+		case keptEpoch:
+			return math.MaxInt - 1
+		case memoryEpoch:
 			return math.MaxInt
 		}
 		return s.epoch
 	}
 	slices.SortStableFunc(held, func(a, b modelSample) int {
-		if c := cmp.Compare(rank(a), rank(b)); c != 0 || a.epoch == 0 {
+		if c := cmp.Compare(rank(a), rank(b)); c != 0 || a.epoch <= memoryEpoch {
 			return c
 		}
 		return cmp.Compare(a.T, b.T)
 	})
-	memory := len(held)
-	for memory > 0 && held[memory-1].epoch == 0 {
-		memory--
-	}
-	for start := memory; start+blockSize <= len(held); start += blockSize {
-		run := held[start : start+blockSize]
-		slices.SortStableFunc(run, func(a, b modelSample) int { return cmp.Compare(a.T, b.T) })
+	for _, epoch := range []int{keptEpoch, memoryEpoch} {
+		start := slices.IndexFunc(held, func(s modelSample) bool { return s.epoch == epoch })
+		for start >= 0 && start+blockSize <= len(held) && held[start+blockSize-1].epoch == epoch {
+			run := held[start : start+blockSize]
+			slices.SortStableFunc(run, func(a, b modelSample) int { return cmp.Compare(a.T, b.T) })
+			start += blockSize
+		}
 	}
 	if m.ordered == nil {
 		m.ordered = map[string][]modelSample{}

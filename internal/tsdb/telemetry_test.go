@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -328,6 +329,68 @@ func TestStateGaugesMatchStats(t *testing.T) {
 		t.Fatalf("after compaction: %d blocks, want 1", st.Blocks)
 	}
 	check(t, "compaction", s)
+}
+
+// TestStatsCountsEachPointOnceAcrossCheckpoints takes Stats while one
+// writer appends and checkpoints run: the points move from shard memory
+// to the overlay to a block, and a snapshot that straddled a move would
+// count them twice or not at all. With no retention the count only
+// rises, and it ends at the points written.
+func TestStatsCountsEachPointOnceAcrossCheckpoints(t *testing.T) {
+	s, err := OpenSharded(4, DurabilityOptions{Dir: t.TempDir(), Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const batches, series = 500, 256
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Errorf("checkpoint: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		last := 0
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st := s.Stats()
+			if st.Points < last || st.Points > batches*series {
+				t.Errorf("Stats().Points = %d after %d", st.Points, last)
+				return
+			}
+			last = st.Points
+		}
+	}()
+	for b := 0; b < batches; b++ {
+		batch := make([]Sample, series)
+		for i := range batch {
+			batch[i] = Sample{Component: fmt.Sprintf("c%02d", i), Metric: "m", T: int64(b) * 1000, V: float64(b)}
+		}
+		if err := s.WriteSamples(batch, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if got := s.Stats().Points; got != batches*series {
+		t.Fatalf("Stats().Points = %d, want %d", got, batches*series)
+	}
 }
 
 // TestTwoStoresDoNotShareInstruments is the lab.Capture store beside a

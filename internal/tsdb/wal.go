@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -340,6 +341,8 @@ func (d *walDecoder) replayRecord(payload []byte, sink replaySink) (int, error) 
 func walSegmentName(seq uint64) string { return fmt.Sprintf("%08d.wal", seq) }
 
 // listWALSegments returns the segment sequence numbers in dir, ascending.
+// Only a file named exactly as walSegmentName names its number counts:
+// a stray 1.wal or 00000001.wal.wal would otherwise read as segment 1.
 func listWALSegments(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -347,12 +350,9 @@ func listWALSegments(dir string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name, "%08d.wal", &seq); err != nil {
+		digits, _ := strings.CutSuffix(e.Name(), ".wal")
+		seq, err := strconv.ParseUint(digits, 10, 64)
+		if e.IsDir() || err != nil || walSegmentName(seq) != e.Name() {
 			continue
 		}
 		seqs = append(seqs, seq)
