@@ -24,15 +24,17 @@
 // or 429 + Retry-After (over 1,000,000 samples), so a misbehaving
 // sender backs off instead of taking the ingest edge down.
 //
-// With -data-dir the store is durable: writes go through a per-shard
-// write-ahead log and are periodically sealed into Gorilla-compressed
-// block files, so a restarted sieved serves the same data it was killed
-// with. An empty -data-dir (the default) keeps the pure in-memory store.
-// A background compactor (cadence -compact-interval, disable with a
-// negative value) merges adjacent small blocks into larger ones up to
-// 64 MiB of chunk data each — query results are byte-identical before
-// and after. Its first pass runs as soon as the store is open, so a
-// restarted sieved is compacted without waiting an interval. With -downsample every block it writes also carries 5m and
+// The store seals its memory into Gorilla-compressed blocks every
+// -flush-interval and drops blocks older than -retention. With -data-dir
+// it is durable: writes go through a per-shard write-ahead log and the
+// blocks are files, so a restarted sieved serves the same data it was
+// killed with. An empty -data-dir (the default) runs the same store with
+// its blocks in memory and no write-ahead log, so -fsync is refused
+// without -data-dir. A background compactor (cadence -compact-interval,
+// disable with a negative value) merges adjacent small blocks into
+// larger ones up to 64 MiB of chunk data each — query results are
+// byte-identical before and after. Its first pass runs as soon as the
+// store is open, so a restarted sieved is compacted without waiting an interval. With -downsample every block it writes also carries 5m and
 // 1h downsampled summaries (a block without them that no merge takes is
 // rewritten alone to gain them) that coarse-step aggregated /query_range
 // requests (min/max/count/rate with step a multiple of the resolution)
@@ -96,10 +98,10 @@ func main() {
 	interval := flag.Duration("interval", 30*time.Second, "pipeline recompute cadence")
 	step := flag.Duration("step", 500*time.Millisecond, "analysis sampling grid")
 	appName := flag.String("app", "sieved", "application label on artifacts")
-	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory only)")
-	retention := flag.Duration("retention", 0, "drop on-disk blocks whose newest point is this far behind the newest application timestamp, the reserved \"sieve\" component excluded (0 = keep forever)")
-	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
-	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: blocks are written at shutdown only)")
+	dataDir := flag.String("data-dir", "", "durable storage directory (empty = the same store in memory, without a WAL)")
+	retention := flag.Duration("retention", 0, "drop blocks whose newest point is this far behind the newest application timestamp, the reserved \"sieve\" component excluded (0 = keep forever)")
+	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never (needs -data-dir)")
+	flushInterval := flag.Duration("flush-interval", 0, "block flush cadence (0 = default 60s, negative = disabled: with -data-dir, blocks are then written at shutdown only)")
 	compactInterval := flag.Duration("compact-interval", 0, "block compaction cadence, the first pass at start-up (0 = default 5m, negative = disabled)")
 	downsample := flag.Bool("downsample", false, "write 5m/1h downsampled summaries with every block compaction writes, for coarse-step queries")
 	incremental := flag.Bool("incremental", false, "align each analysis window's end down to the sampling grid, so windows slide by whole steps (no state carries across cycles)")
@@ -115,7 +117,9 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	if err := checkFlags(*window, *step, *interval, *retention, *flushInterval, *compactInterval, *selfScrapeInterval, *fsync, *shards, *remoteWriteComponentLabel); err != nil {
+	fsyncSet := false
+	flag.Visit(func(f *flag.Flag) { fsyncSet = fsyncSet || f.Name == "fsync" })
+	if err := checkFlags(*window, *step, *interval, *retention, *flushInterval, *compactInterval, *selfScrapeInterval, *fsync, fsyncSet && *dataDir == "", *shards, *remoteWriteComponentLabel); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
@@ -158,8 +162,8 @@ func main() {
 	}
 
 	durability := "in-memory"
-	if srv.Store().Durable() {
-		durability = fmt.Sprintf("durable at %s (fsync %s)", srv.Store().DataDir(), *fsync)
+	if dir := srv.Store().DataDir(); dir != "" {
+		durability = fmt.Sprintf("durable at %s (fsync %s)", dir, *fsync)
 		if pts := srv.Store().Stats().Points; pts > 0 {
 			fmt.Printf("recovered %d points from %s\n", pts, *dataDir)
 		}
@@ -185,8 +189,8 @@ func main() {
 // become 240s, 500ms or 30s, a sub-millisecond -retention "keep
 // forever", and a negative -shards GOMAXPROCS; a -window, -step or
 // -retention with a sub-millisecond remainder would be truncated to
-// whole milliseconds (-interval stays a Duration); -fsync would only be
-// looked at with -data-dir set; a window of fewer than
+// whole milliseconds (-interval stays a Duration); -fsync set without
+// -data-dir has no WAL to act on; a window of fewer than
 // server.MinWindowSamples grid steps ingests forever without a single
 // pipeline cycle; a positive -retention shorter than -window drops the
 // blocks holding the window's head, which resampling then makes up from
@@ -195,7 +199,7 @@ func main() {
 // cadence churns thousands of WAL segments a second), and a negative
 // -self-scrape-interval means nothing; and the reserved __name__ label
 // is always the metric, never the component.
-func checkFlags(window, step, interval, retention, flush, compact, selfScrape time.Duration, fsync string, shards int, componentLabel string) error {
+func checkFlags(window, step, interval, retention, flush, compact, selfScrape time.Duration, fsync string, fsyncWithoutDir bool, shards int, componentLabel string) error {
 	for _, f := range []struct {
 		name string
 		d    time.Duration
@@ -237,6 +241,9 @@ func checkFlags(window, step, interval, retention, flush, compact, selfScrape ti
 	case "always", "interval", "never":
 	default:
 		return fmt.Errorf("-fsync %q: must be always, interval or never", fsync)
+	}
+	if fsyncWithoutDir {
+		return fmt.Errorf("-fsync %s: needs -data-dir, without which there is no WAL to fsync", fsync)
 	}
 	if shards < 0 {
 		return fmt.Errorf("-shards %d: must be 0 (GOMAXPROCS) or positive", shards)

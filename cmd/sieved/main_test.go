@@ -98,7 +98,7 @@ func TestFlagSurface(t *testing.T) {
 // truncated), a window too short for any pipeline cycle to ever run, a
 // positive -retention shorter than -window (it would drop the window's
 // head), an
-// -fsync policy that does not exist, with or without -data-dir, the
+// -fsync policy that does not exist, any -fsync set without -data-dir, the
 // reserved __name__ label as the remote-write component label, a
 // positive -flush-interval, -compact-interval or -self-scrape-interval
 // under 1ms (the ticker would spin), and a negative
@@ -126,6 +126,7 @@ func TestRejectsUnusableDurations(t *testing.T) {
 		{"step", "5s"},            // 48 steps in the default 240s window
 		{"shards", "-3"},
 		{"fsync", "bogus"},
+		{"fsync", "always"}, // no -data-dir, so no WAL to fsync
 		{"remote-write-component-label", "__name__"},
 		{"flush-interval", "1us"}, // a WAL segment churned per tick
 		{"flush-interval", "999us"},

@@ -5,8 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/sieve-microservices/sieve/internal/app"
 	"github.com/sieve-microservices/sieve/internal/loadgen"
@@ -158,17 +160,18 @@ func TestServerRecoveryAfterCheckpointAndGracefulClose(t *testing.T) {
 }
 
 // TestServerInMemoryUnchanged pins that an empty DataDir keeps the
-// original non-durable behavior.
+// store in memory, reported as such, and that Close, which only stops
+// its loops there, leaves it serving.
 func TestServerInMemoryUnchanged(t *testing.T) {
 	s, _, c := newTestServer(t, Options{})
-	if s.store.Durable() {
+	if s.store.DataDir() != "" {
 		t.Fatal("store should be in-memory without DataDir")
 	}
 	if err := s.Close(); err != nil {
-		t.Fatalf("Close on in-memory server must be a no-op, got %v", err)
+		t.Fatalf("Close on an in-memory server: %v", err)
 	}
 	if _, err := c.Write([]byte("web,metric=cpu value=0.5 500")); err != nil {
-		t.Fatalf("write after no-op Close: %v", err)
+		t.Fatalf("write after Close: %v", err)
 	}
 	st, err := c.Stats()
 	if err != nil {
@@ -179,10 +182,72 @@ func TestServerInMemoryUnchanged(t *testing.T) {
 	}
 }
 
-// TestServerBadFsyncPolicy pins option validation.
+// TestServerBadFsyncPolicy pins option validation: an unknown policy is
+// refused with or without a DataDir.
 func TestServerBadFsyncPolicy(t *testing.T) {
-	_, err := New(Options{DataDir: t.TempDir(), Fsync: "sometimes"})
-	if err == nil {
-		t.Fatal("expected error for unknown fsync policy")
+	for _, dir := range []string{t.TempDir(), ""} {
+		if _, err := New(Options{DataDir: dir, Fsync: "sometimes"}); err == nil || !strings.Contains(err.Error(), "sometimes") {
+			t.Errorf("DataDir %q, Fsync sometimes: err %v, want it refused by name", dir, err)
+		}
+	}
+}
+
+// TestServerInMemoryRetention: without a DataDir the store still seals
+// its memory into blocks every FlushInterval and drops the blocks past
+// Retention, so a writer feeding application time at a constant rate
+// holds a constant number of points once the horizon has passed. Each
+// round writes ten minutes of application time for 256 series and waits
+// for the flusher to seal it and enforce retention; under a one-hour
+// horizon the newest seven rounds stay. The heap after each round is
+// logged beside the points.
+func TestServerInMemoryRetention(t *testing.T) {
+	const (
+		series  = 256
+		stepMS  = 10_000
+		roundMS = 10 * 60_000
+		rounds  = 14
+		kept    = 7
+	)
+	s, _, _ := newTestServer(t, Options{Retention: time.Hour, FlushInterval: 5 * time.Millisecond})
+	defer s.Close()
+	st := s.Store()
+	perRound := series * roundMS / stepMS
+	batch := make([]tsdb.Sample, 0, perRound)
+	written := 0
+	for r := 0; r < rounds; r++ {
+		batch = batch[:0]
+		for ts := int64(r * roundMS); ts < int64((r+1)*roundMS); ts += stepMS {
+			for i := 0; i < series; i++ {
+				batch = append(batch, tsdb.Sample{Component: "web", Metric: fmt.Sprintf("m%03d", i), T: ts, V: float64(i)})
+			}
+		}
+		if err := st.WriteSamples(batch, 0); err != nil {
+			t.Fatal(err)
+		}
+		written += len(batch)
+		// Sealed once a checkpoint has moved every written point into a
+		// block; retention ran once a checkpoint finishes after that.
+		deadline := time.Now().Add(10 * time.Second)
+		for st.Telemetry().CheckpointPoints.Value() < uint64(written) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no checkpoint sealed it within 10s", r)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		sealed := time.Now()
+		for !st.Checkpoints().Last.After(sealed) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no checkpoint finished after it was sealed within 10s", r)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		stats := st.Stats()
+		t.Logf("round %2d: %6d points in %2d blocks, %7d storage bytes, heap %.1f MiB", r, stats.Points, stats.Blocks, stats.StorageBytes, float64(ms.HeapAlloc)/(1<<20))
+		if want := min(r+1, kept) * perRound; stats.Points != want {
+			t.Fatalf("round %d: the store holds %d points, want %d (%d rounds of %d)", r, stats.Points, want, min(r+1, kept), perRound)
+		}
 	}
 }

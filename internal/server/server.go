@@ -57,39 +57,38 @@ type Options struct {
 
 	// DataDir, when non-empty, makes the store durable: every write is
 	// appended to a per-shard CRC-checked WAL under DataDir before it is
-	// acknowledged, a background flusher seals memory into immutable
-	// Gorilla-compressed block directories, and New recovers the
+	// acknowledged, blocks are files under DataDir, and New recovers the
 	// previous life's data (blocks + WAL replay) before the server takes
-	// traffic. Empty keeps today's pure in-memory store.
+	// traffic. Empty runs the same store in memory, without a WAL: its
+	// blocks are held in memory, and checkpoints, compaction,
+	// downsampling and retention work as on disk.
 	DataDir string
-	// Retention drops on-disk blocks whose newest point is more than
-	// this much behind the application high-water mark (0 keeps
-	// everything): the newest timestamp outside the reserved "sieve"
-	// component, so self-scrape's clock never ages application data.
-	// Blocks hold both kinds of data and self-telemetry ages with
-	// application time: without application writes nothing expires. A
-	// positive Retention shorter than the window is refused: the pipeline
-	// would read a window whose head retention had dropped. Only
-	// meaningful with DataDir.
+	// Retention drops blocks whose newest point is more than this much
+	// behind the application high-water mark (0 keeps everything): the
+	// newest timestamp outside the reserved "sieve" component, so
+	// self-scrape's clock never ages application data. Blocks hold both
+	// kinds of data and self-telemetry ages with application time:
+	// without application writes nothing expires. A positive Retention
+	// shorter than the window is refused: the pipeline would read a
+	// window whose head retention had dropped.
 	Retention time.Duration
 	// Fsync is the WAL fsync policy: "interval" (default; background
 	// fsync every 200ms), "always" (fsync per write batch), or "never"
-	// (leave it to the OS). Only meaningful with DataDir.
+	// (leave it to the OS). New refuses any other value. Only meaningful
+	// with DataDir: without it there is no WAL.
 	Fsync string
-	// FlushInterval is the cadence of the background block flusher
-	// (default 60s; negative disables it, leaving checkpoints to
-	// shutdown). Only meaningful with DataDir.
+	// FlushInterval is the cadence of the background flusher that seals
+	// shard memory into blocks (default 60s; negative disables it,
+	// leaving checkpoints to shutdown on disk).
 	FlushInterval time.Duration
 	// CompactInterval is the cadence of the background compactor that
 	// merges adjacent small blocks (default 5m; negative disables it).
-	// Its first pass runs as soon as the store is open. Only meaningful
-	// with DataDir.
+	// Its first pass runs as soon as the store is open.
 	CompactInterval time.Duration
 	// Downsample makes compaction write 5m/1h downsampled companions
 	// with every block it writes (and rewrite alone a block that lacks
 	// them and no merge takes), answering coarse-step aggregated
-	// /query_range requests without touching chunk data. Only
-	// meaningful with DataDir.
+	// /query_range requests without touching chunk data.
 	Downsample bool
 
 	// SelfScrapeInterval, when positive, makes Start also run the
@@ -227,7 +226,8 @@ type Server struct {
 // New creates a Server with its backing sharded store. With
 // Options.DataDir set the store is durable: New recovers the previous
 // life's blocks and WAL before returning, so the server answers
-// /query_range identically to the store that was killed.
+// /query_range identically to the store that was killed. Without it the
+// store is the same engine in memory.
 func New(opts Options) (*Server, error) {
 	return newServer(opts, slowOpThreshold)
 }
@@ -246,25 +246,20 @@ func newServer(opts Options, slowOp time.Duration) (*Server, error) {
 	if window := time.Duration(opts.WindowMS) * time.Millisecond; opts.Retention > 0 && opts.Retention < window {
 		return nil, fmt.Errorf("server: retention %s is shorter than the %s window, whose head it would drop", opts.Retention, window)
 	}
-	var store *tsdb.Sharded
-	if opts.DataDir != "" {
-		policy, err := tsdb.ParseFsyncPolicy(opts.Fsync)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		store, err = tsdb.OpenSharded(opts.Shards, tsdb.DurabilityOptions{
-			Dir:             opts.DataDir,
-			Fsync:           policy,
-			FlushInterval:   opts.FlushInterval,
-			RetentionMS:     opts.Retention.Milliseconds(),
-			CompactInterval: opts.CompactInterval,
-			Downsample:      opts.Downsample,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: opening durable store: %w", err)
-		}
-	} else {
-		store = tsdb.NewSharded(opts.Shards)
+	policy, err := tsdb.ParseFsyncPolicy(opts.Fsync)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	store, err := tsdb.OpenSharded(opts.Shards, tsdb.DurabilityOptions{
+		Dir:             opts.DataDir,
+		Fsync:           policy,
+		FlushInterval:   opts.FlushInterval,
+		RetentionMS:     opts.Retention.Milliseconds(),
+		CompactInterval: opts.CompactInterval,
+		Downsample:      opts.Downsample,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: opening store: %w", err)
 	}
 	s := &Server{
 		opts:                  opts,
@@ -308,15 +303,17 @@ func (s *Server) routes() map[string]http.HandlerFunc {
 func (s *Server) Options() Options { return s.opts }
 
 // Handler returns the HTTP handler (for tests and embedding). Embedders
-// of a durable server must call Close when done serving.
+// must call Close when done serving: it stops the store's loops and
+// flushes a durable store.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Store exposes the backing sharded store (read-mostly: stats, queries).
 func (s *Server) Store() *tsdb.Sharded { return s.store }
 
 // Close stops the loops Start added, waiting for a run in flight, then
-// flushes and closes a durable store (final checkpoint: remaining memory
-// is sealed into a block, the WAL pruned). Safe to call twice.
+// closes the store: its loops stop, and a durable one is flushed and
+// closed (final checkpoint: remaining memory is sealed into a block, the
+// WAL pruned). Safe to call twice.
 // ListenAndServe calls it on graceful shutdown.
 func (s *Server) Close() error {
 	s.loops.Stop()
@@ -538,9 +535,10 @@ type StatsResponse struct {
 	IngestCPUMS     int64 `json:"ingest_cpu_ms"`
 	MaxTimeMS       int64 `json:"max_time_ms"`
 
-	// Checkpoint health of a durable store: failed attempts since open
-	// and the latest failure message ("" while healthy). A growing count
-	// means WAL segments are piling up with no blocks being written.
+	// Checkpoint health: failed attempts since open and the latest
+	// failure message ("" while healthy). A growing count means no blocks
+	// are being written, so shard memory (and, with a data directory, WAL
+	// segments) piles up.
 	CheckpointFailures  int    `json:"checkpoint_failures,omitempty"`
 	LastCheckpointError string `json:"last_checkpoint_error,omitempty"`
 
@@ -579,7 +577,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		StepMS:              s.opts.StepMS,
 		WindowMS:            s.opts.WindowMS,
 		DataDir:             s.store.DataDir(),
-		Durable:             s.store.Durable(),
+		Durable:             s.store.DataDir() != "",
 		Points:              st.Points,
 		Series:              st.Series,
 		StorageBytes:        st.StorageBytes,

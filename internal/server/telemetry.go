@@ -213,8 +213,8 @@ type HealthResponse struct {
 
 // health evaluates the readiness checks: recovery (complete by
 // construction once the server answers — New replays blocks and WAL
-// before returning), checkpoint health (a durable store whose
-// checkpoints fail is accumulating WAL segments unboundedly), and the
+// before returning), checkpoint health (a store whose checkpoints
+// fail accumulates shard memory, and on disk WAL segments, unboundedly), and the
 // online loop (stalled when the driver is running but no cycle — not
 // even an ErrNoData skip — has completed within 3x the interval).
 func (s *Server) health() HealthResponse {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -136,7 +135,7 @@ type block struct {
 	dir   string
 	meta  blockMeta
 	index map[string][]chunkRef
-	f     *os.File // chunks.dat, kept open for ReadAt
+	f     file // chunks.dat, kept open for ReadAt
 	// hasAggs reports whether the index's chunk refs carry trustworthy
 	// value summaries (blocks written at version >= 2).
 	hasAggs bool
@@ -183,6 +182,7 @@ const blockWriteBuffer = 256 << 10
 // time range is not known until the last series); openBlocks sweeps
 // anything tmp-prefixed.
 type blockWriter struct {
+	fsys      fileSystem
 	blocksDir string
 	tmp       string // "" once published or aborted
 	meta      blockMeta
@@ -193,7 +193,7 @@ type blockWriter struct {
 	ds     map[int64]map[string][]summary
 	dsTime []time.Duration
 	tel    *StoreTelemetry
-	f      *os.File
+	f      file
 	w      *bufio.Writer // on chunks.dat, then reused for index.json and meta.json
 	cut    int           // points per chunk: maxChunkPoints, larger only to write an older layout in tests
 }
@@ -203,20 +203,21 @@ type blockWriter struct {
 // MaxSeq, Level); the content fields are computed as series arrive. With
 // downsample, the block's index is published with one companion per
 // downsampleResolutions entry, each timed into tel.
-func newBlockWriter(blocksDir string, meta blockMeta, downsample bool, tel *StoreTelemetry) (*blockWriter, error) {
+func newBlockWriter(fsys fileSystem, blocksDir string, meta blockMeta, downsample bool, tel *StoreTelemetry) (*blockWriter, error) {
 	tmp := filepath.Join(blocksDir, fmt.Sprintf("%sb-%08d", blockTmpPrefix, meta.Seq))
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
+	if err := fsys.MkdirAll(tmp); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(tmp, blockChunksName), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := fsys.Create(filepath.Join(tmp, blockChunksName))
 	if err != nil {
-		_ = os.RemoveAll(tmp)
+		_ = fsys.RemoveAll(tmp)
 		return nil, err
 	}
 	meta.Version = blockVersion
 	meta.MinT, meta.MaxT = int64(1)<<62-1, -int64(1)<<62
 	meta.Points, meta.Series, meta.ChunkBytes = 0, 0, 0
 	bw := &blockWriter{
+		fsys:      fsys,
 		blocksDir: blocksDir,
 		tmp:       tmp,
 		meta:      meta,
@@ -412,9 +413,9 @@ func (bw *blockWriter) publish() (*block, error) {
 		return nil, err
 	}
 	bw.tmp = ""
-	if err := syncDir(bw.blocksDir); err != nil {
+	if err := syncDir(bw.fsys, bw.blocksDir); err != nil {
 		_ = blk.close()
-		_ = removeBlockDir(blk.dir)
+		_ = removeBlockDir(bw.fsys, blk.dir)
 		return nil, err
 	}
 	return blk, nil
@@ -440,22 +441,22 @@ func (bw *blockWriter) finish() (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = writeStreamSync(filepath.Join(bw.tmp, blockMetaName), bw.w, func() error {
+	err = writeStreamSync(bw.fsys, filepath.Join(bw.tmp, blockMetaName), bw.w, func() error {
 		_, err := bw.w.Write(metaData)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := syncDir(bw.tmp); err != nil {
+	if err := syncDir(bw.fsys, bw.tmp); err != nil {
 		return nil, err
 	}
-	f, err := os.Open(filepath.Join(bw.tmp, blockChunksName))
+	f, err := bw.fsys.Open(filepath.Join(bw.tmp, blockChunksName))
 	if err != nil {
 		return nil, err
 	}
 	final := filepath.Join(bw.blocksDir, blockDirName(bw.meta.Seq, bw.meta.MinT, bw.meta.MaxT))
-	if err := os.Rename(bw.tmp, final); err != nil {
+	if err := bw.fsys.Rename(bw.tmp, final); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
@@ -469,7 +470,7 @@ func (bw *blockWriter) finish() (*block, error) {
 // (TestBlockWriterMatchesReference holds the bytes to
 // json.MarshalIndent).
 func (bw *blockWriter) writeIndex() error {
-	return writeStreamSync(filepath.Join(bw.tmp, blockIndexName), bw.w, func() error {
+	return writeStreamSync(bw.fsys, filepath.Join(bw.tmp, blockIndexName), bw.w, func() error {
 		j := newSeriesJSON(bw.w, "{\n \"series\": ", 1)
 		for _, key := range bw.keys {
 			refs := bw.index[key]
@@ -519,7 +520,7 @@ func (bw *blockWriter) abort() {
 	}
 	// Best effort: a directory that cannot be removed is still tmp-
 	// prefixed, and the next open sweeps it.
-	_ = os.RemoveAll(bw.tmp)
+	_ = bw.fsys.RemoveAll(bw.tmp)
 	bw.tmp = ""
 }
 
@@ -641,8 +642,8 @@ func appendChunkRefJSON(dst []byte, in string, r chunkRef) []byte {
 // closes, so the rename that publishes the file (or its directory) never
 // exposes a half-written one. On error the file is left for the caller
 // to remove.
-func writeStreamSync(path string, w *bufio.Writer, fill func() error) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+func writeStreamSync(fsys fileSystem, path string, w *bufio.Writer, fill func() error) error {
+	f, err := fsys.Create(path)
 	if err != nil {
 		return err
 	}
@@ -661,8 +662,8 @@ func writeStreamSync(path string, w *bufio.Writer, fill func() error) error {
 }
 
 // syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+func syncDir(fsys fileSystem, dir string) error {
+	d, err := fsys.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -678,8 +679,8 @@ func syncDir(dir string) error {
 // releases wrote beside index.json (ds-*.json, tmp-ds-*.json) are not
 // read: such a block decodes raw until compaction rewrites it, and the
 // rewrite removes them with the old directory.
-func openBlock(dir string) (*block, error) {
-	metaData, err := os.ReadFile(filepath.Join(dir, blockMetaName))
+func openBlock(fsys fileSystem, dir string) (*block, error) {
+	metaData, err := fsys.ReadFile(filepath.Join(dir, blockMetaName))
 	if err != nil {
 		return nil, err
 	}
@@ -687,7 +688,7 @@ func openBlock(dir string) (*block, error) {
 	if err := json.Unmarshal(metaData, &meta); err != nil {
 		return nil, fmt.Errorf("tsdb: block %s: bad meta: %w", dir, err)
 	}
-	idxData, err := os.ReadFile(filepath.Join(dir, blockIndexName))
+	idxData, err := fsys.ReadFile(filepath.Join(dir, blockIndexName))
 	if err != nil {
 		return nil, err
 	}
@@ -695,7 +696,7 @@ func openBlock(dir string) (*block, error) {
 	if err := json.Unmarshal(idxData, &idx); err != nil {
 		return nil, fmt.Errorf("tsdb: block %s: bad index: %w", dir, err)
 	}
-	f, err := os.Open(filepath.Join(dir, blockChunksName))
+	f, err := fsys.Open(filepath.Join(dir, blockChunksName))
 	if err != nil {
 		return nil, err
 	}
@@ -817,11 +818,11 @@ func (b *block) appMaxT() int64 {
 
 // close releases the chunks file.
 func (b *block) close() error {
-	if b.f == nil {
+	if b.f == closedFile {
 		return nil
 	}
 	err := b.f.Close()
-	b.f = nil
+	b.f = closedFile
 	return err
 }
 
@@ -835,11 +836,11 @@ func (b *block) close() error {
 // slot of its directory entry, so what follows sees the order a
 // sequential open would. On failure nothing stays open, and the error
 // names the first failing entry in directory order.
-func openBlocks(blocksDir string) ([]*block, error) {
-	if err := os.MkdirAll(blocksDir, 0o755); err != nil {
+func openBlocks(fsys fileSystem, blocksDir string) ([]*block, error) {
+	if err := fsys.MkdirAll(blocksDir); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(blocksDir)
+	entries, err := fsys.ReadDir(blocksDir)
 	if err != nil {
 		return nil, err
 	}
@@ -852,7 +853,7 @@ func openBlocks(blocksDir string) ([]*block, error) {
 		if strings.HasPrefix(name, blockTmpPrefix) {
 			// Crash mid-flush or mid-compaction: the WAL (or the source
 			// blocks) still covers this data.
-			if err := os.RemoveAll(filepath.Join(blocksDir, name)); err != nil {
+			if err := fsys.RemoveAll(filepath.Join(blocksDir, name)); err != nil {
 				return nil, err
 			}
 			continue
@@ -865,7 +866,7 @@ func openBlocks(blocksDir string) ([]*block, error) {
 	// one is opened to the end and the lowest failure is the one returned.
 	blocks := make([]*block, len(names))
 	err = parallel.ForEach(context.Background(), 0, len(names), func(_ context.Context, i int) error {
-		b, err := openBlock(filepath.Join(blocksDir, names[i]))
+		b, err := openBlock(fsys, filepath.Join(blocksDir, names[i]))
 		if err != nil {
 			return fmt.Errorf("tsdb: opening block %s: %w", names[i], err)
 		}
@@ -874,7 +875,7 @@ func openBlocks(blocksDir string) ([]*block, error) {
 	})
 	var kept []*block
 	if err == nil {
-		kept, err = dropSupersededBlocks(blocks)
+		kept, err = dropSupersededBlocks(fsys, blocks)
 	}
 	if err != nil {
 		for _, b := range blocks {
@@ -898,7 +899,7 @@ func openBlocks(blocksDir string) ([]*block, error) {
 // level, then the higher sequence number, survives. It returns the
 // survivors in a new slice and leaves blocks as it was, so a caller can
 // close them all after an error.
-func dropSupersededBlocks(blocks []*block) ([]*block, error) {
+func dropSupersededBlocks(fsys fileSystem, blocks []*block) ([]*block, error) {
 	kept := make([]*block, 0, len(blocks))
 	for _, b := range blocks {
 		super := false
@@ -923,7 +924,7 @@ func dropSupersededBlocks(blocks []*block) ([]*block, error) {
 		if err := b.close(); err != nil {
 			return nil, err
 		}
-		if err := removeBlockDir(b.dir); err != nil {
+		if err := removeBlockDir(fsys, b.dir); err != nil {
 			return nil, err
 		}
 	}
@@ -936,10 +937,10 @@ func dropSupersededBlocks(blocks []*block) ([]*block, error) {
 // RemoveAll unlinks file by file, and a process killed between two
 // unlinks leaves a b- directory without its meta.json, which openBlocks
 // rightly refuses to serve — the store then fails to open at all.
-func removeBlockDir(dir string) error {
+func removeBlockDir(fsys fileSystem, dir string) error {
 	doomed := filepath.Join(filepath.Dir(dir), blockTmpPrefix+filepath.Base(dir))
-	if err := os.Rename(dir, doomed); err != nil {
+	if err := fsys.Rename(dir, doomed); err != nil {
 		return err
 	}
-	return os.RemoveAll(doomed)
+	return fsys.RemoveAll(doomed)
 }

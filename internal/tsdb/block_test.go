@@ -49,7 +49,7 @@ func (bw *blockWriter) addSeries(key string, segs ...[]Point) error {
 // writeBlock persists series -> time-sorted points as one block through
 // the streaming writer: one segment per series, keys ascending.
 func writeBlock(blocksDir string, seq uint64, walCuts map[string]uint64, series map[string][]Point) (*block, error) {
-	bw, err := newBlockWriter(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts}, false, nil)
+	bw, err := newBlockWriter(osFS{}, blocksDir, blockMeta{Seq: seq, WALCuts: walCuts}, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func TestBlockReopenAndTmpCleanup(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(tmp, blockChunksName), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := openBlocks(dir)
+	blocks, err := openBlocks(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBlockChunkCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reblk, err := openBlock(blk.dir)
+	reblk, err := openBlock(osFS{}, blk.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestBlockRunReadFailures(t *testing.T) {
 		if err := tc.corrupt(filepath.Join(blk.dir, blockChunksName), refs); err != nil {
 			t.Fatal(err)
 		}
-		reblk, err := openBlock(blk.dir)
+		reblk, err := openBlock(osFS{}, blk.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestBlockOldLayoutReadsAndRechunks(t *testing.T) {
 		for _, s := range batch {
 			series[s.Key()] = append(series[s.Key()], Point{T: s.T, V: s.V})
 		}
-		bw, err := newBlockWriter(filepath.Join(dir, "blocks"), blockMeta{Seq: uint64(e + 1)}, false, nil)
+		bw, err := newBlockWriter(osFS{}, filepath.Join(dir, "blocks"), blockMeta{Seq: uint64(e + 1)}, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,17 +437,17 @@ func refWriteBlockParts(blocksDir string, meta blockMeta, series map[string][][]
 	// fsync the tmp directory itself: the rename below must not publish
 	// a directory whose entries could vanish on power loss — the WAL
 	// segments covering this data are deleted once the block is live.
-	if err := syncDir(tmp); err != nil {
+	if err := syncDir(osFS{}, tmp); err != nil {
 		return nil, err
 	}
 	final := filepath.Join(blocksDir, blockDirName(meta.Seq, meta.MinT, meta.MaxT))
 	if err := os.Rename(tmp, final); err != nil {
 		return nil, err
 	}
-	if err := syncDir(blocksDir); err != nil {
+	if err := syncDir(osFS{}, blocksDir); err != nil {
 		return nil, err
 	}
-	return openBlock(final)
+	return openBlock(osFS{}, final)
 }
 
 // writeFileSync is the reference writer's file primitive, moved here
@@ -579,7 +579,7 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 		}
 		tel := newStoreTelemetry(telemetry.NewRegistry())
 		downsample := seed%3 != 0
-		bw, err := newBlockWriter(dir, meta, downsample, tel)
+		bw, err := newBlockWriter(osFS{}, dir, meta, downsample, tel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,7 +607,7 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
 			t.Fatalf("seed %d: blocks dir holds %d entries (%v), want only the block", seed, len(entries), err)
 		}
-		reopened, err := openBlock(got.dir)
+		reopened, err := openBlock(osFS{}, got.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -674,7 +674,7 @@ func TestBlockWriterMatchesReference(t *testing.T) {
 // series and companion maps marshal as {} on their key's line, not as an
 // open and a close brace on separate lines.
 func TestBlockWriterCompanionEmptySeries(t *testing.T) {
-	bw, err := newBlockWriter(t.TempDir(), blockMeta{Seq: 1}, true, newStoreTelemetry(telemetry.NewRegistry()))
+	bw, err := newBlockWriter(osFS{}, t.TempDir(), blockMeta{Seq: 1}, true, newStoreTelemetry(telemetry.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,7 +717,7 @@ func TestBlockWriterRefusesAndCleansUp(t *testing.T) {
 	}
 	for name, fail := range cases {
 		dir := t.TempDir()
-		bw, err := newBlockWriter(dir, blockMeta{Seq: 1}, true, newStoreTelemetry(telemetry.NewRegistry()))
+		bw, err := newBlockWriter(osFS{}, dir, blockMeta{Seq: 1}, true, newStoreTelemetry(telemetry.NewRegistry()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -270,7 +270,7 @@ func (d *durable) mergeRun(seq uint64, run []*block) (*block, error) {
 	if len(cuts) == 0 {
 		cuts = nil
 	}
-	bw, err := newBlockWriter(d.blocksDir, blockMeta{
+	bw, err := newBlockWriter(d.fsys, d.blocksDir, blockMeta{
 		Seq:     seq,
 		WALCuts: cuts,
 		MinSeq:  run[0].meta.minSeq(),
@@ -432,7 +432,7 @@ func (d *durable) compactRun(run []*block) error {
 		if err := b.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if err := removeBlockDir(b.dir); err != nil && firstErr == nil {
+		if err := removeBlockDir(d.fsys, b.dir); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

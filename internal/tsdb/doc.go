@@ -12,16 +12,23 @@
 // Stored points and query results are identical at any shard count;
 // sharding changes scheduling, never data.
 //
-// A store is born instrumented: NewSharded and OpenSharded build its
-// own telemetry.Registry and StoreTelemetry set before the first shard
-// exists, and nothing replaces them. There is no installation step and
-// no uninstrumented mode; Registry and Telemetry expose the set.
+// A store is born instrumented: OpenSharded (which NewSharded calls)
+// builds its own telemetry.Registry and StoreTelemetry set before the
+// first shard exists, and nothing replaces them. There is no
+// installation step and no uninstrumented mode; Registry and Telemetry
+// expose the set.
 //
-// # Durable storage engine
+// # Storage engine
 //
-// A Sharded store opened with OpenSharded persists to disk with the
-// WAL-plus-blocks design of production TSDBs (Prometheus, Facebook
-// Gorilla):
+// There is one store kind. Every Sharded store runs the WAL-plus-blocks
+// design of production TSDBs (Prometheus, Facebook Gorilla) over a small
+// filesystem seam (fsys.go). With a data directory the filesystem is the
+// operating system's and the store is durable; without one it is an
+// in-memory filesystem of the store's own, and there is no WAL, since
+// there is nothing to recover: checkpoints, compaction, downsampling and
+// retention run the same code either way. NewSharded is that in-memory
+// store with the background flusher and compactor off, so its points
+// stay in shard memory until Checkpoint or Compact moves them. On disk:
 //
 //	<dir>/wal/shard-NNNN/MMMMMMMM.wal    per-shard write-ahead log
 //	<dir>/blocks/b-<seq>-<minT>-<maxT>/  immutable compressed blocks
@@ -44,8 +51,9 @@
 // block now covers. Retention drops whole blocks once every point in
 // them is further behind the application high-water mark (AppMaxTime:
 // the newest timestamp outside ReservedComponent, whose samples carry
-// process time) than the configured horizon, bounding disk while the
-// in-memory head stays bounded by the flush cadence. Blocks hold both
+// process time) than the configured horizon, bounding the blocks (on
+// disk, or in memory without a directory) while the shard-memory head
+// stays bounded by the flush cadence. Blocks hold both
 // kinds of data, so self-telemetry ages with application time: a store
 // that receives no application writes expires nothing.
 //

@@ -2,10 +2,11 @@ package tsdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -18,18 +19,21 @@ import (
 	"github.com/sieve-microservices/sieve/internal/telemetry"
 )
 
-// DurabilityOptions configures the on-disk storage engine of a Sharded
-// store opened with OpenSharded.
+// DurabilityOptions configures the storage engine of a Sharded store
+// opened with OpenSharded.
 type DurabilityOptions struct {
 	// Dir is the data directory root. It is created if missing; layout:
 	//
 	//	<dir>/wal/shard-NNNN/MMMMMMMM.wal   per-shard WAL segments
 	//	<dir>/blocks/b-<seq>-<minT>-<maxT>/ immutable compressed blocks
+	//
+	// Empty keeps the blocks in memory and writes no WAL.
 	Dir string
-	// Fsync is the WAL fsync policy (default FsyncInterval).
+	// Fsync is the WAL fsync policy (default FsyncInterval; without Dir
+	// there is no WAL, and it is ignored).
 	Fsync FsyncPolicy
 	// FlushInterval is the cadence of the background flusher that
-	// checkpoints in-memory data into blocks and prunes the WAL (default
+	// checkpoints shard memory into blocks and prunes the WAL (default
 	// 60s; negative disables the background flusher — checkpoints then
 	// only happen via Checkpoint and Close).
 	FlushInterval time.Duration
@@ -67,6 +71,9 @@ const (
 )
 
 func (o DurabilityOptions) withDefaults() DurabilityOptions {
+	if o.Dir == "" {
+		o.Fsync = FsyncNever // no WAL, so nothing to fsync
+	}
 	if o.FlushInterval == 0 {
 		o.FlushInterval = 60 * time.Second
 	}
@@ -76,14 +83,17 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 	return o
 }
 
-// durable is the persistence side of a Sharded store: the block list,
-// the checkpoint machinery, and the background ticks. The per-shard
-// WALs live inside the shards, whose locks order every append against
-// the checkpoint cut. Each point is held in exactly one place — shard
-// memory, the flushing overlay, or a block — and Stats sums each
-// place's own counts.
+// durable is the storage engine of every Sharded store, on disk or in
+// memory: the block list, the checkpoint machinery, and the background
+// ticks. The per-shard WALs (on disk only) live inside the shards, whose
+// locks order every append against the checkpoint cut. Each point is
+// held in exactly one place — shard memory, the flushing overlay, or a
+// block — and Stats sums each place's own counts.
 type durable struct {
-	opts      DurabilityOptions
+	opts DurabilityOptions
+	// fsys holds the blocks and WAL segments: the operating system's under
+	// opts.Dir, or a memFS of the store's own without it.
+	fsys      fileSystem
 	blocksDir string
 
 	// mu guards blocks, flushing, and nextSeq; writers of blocks and
@@ -145,13 +155,18 @@ type durable struct {
 	loops   *parallel.Loops // the background ticks, stopped by shutdown
 }
 
-// OpenSharded opens (or creates) a durable sharded store at opts.Dir:
-// published blocks are indexed for reading, every WAL shard directory is
-// replayed into memory — tolerating a truncated or corrupt tail, which
-// is cut off Prometheus-style and logged — and the background ticks
-// (interval fsync, checkpoint, compaction) are started. A store that was
-// killed without Close reopens to exactly the points covered by blocks
-// plus fsynced WAL records.
+// OpenSharded opens (or creates) a sharded store. With opts.Dir it is
+// durable: published blocks are indexed for reading, every WAL shard
+// directory is replayed into memory — tolerating a truncated or corrupt
+// tail, which is cut off Prometheus-style and logged — and the
+// background ticks (interval fsync, checkpoint, compaction) are started.
+// A store that was killed without Close reopens to exactly the points
+// covered by blocks plus fsynced WAL records.
+//
+// Without opts.Dir the store is the same engine over a filesystem of its
+// own in memory: checkpoints, compaction, downsampling and retention run
+// as they do on disk, but there is no WAL, since there is nothing to
+// recover, and so no fsync tick.
 //
 // Replay routes records by the current key hash, not by directory
 // position, so the shard count may change between lives (cmd/sieved
@@ -160,24 +175,21 @@ type durable struct {
 // is sealed into a block, and those directories deleted, before the
 // store is returned.
 //
-// The returned store must be Closed to flush the final checkpoint; a
-// crash without Close loses nothing that reached the WAL.
+// The returned store must be Closed to stop its ticks and, on disk, to
+// flush the final checkpoint; a crash without Close loses nothing that
+// reached the WAL.
 func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	opts = opts.withDefaults()
+	s := newSharded(n)
+	var fsys fileSystem = osFS{}
 	if opts.Dir == "" {
-		return nil, fmt.Errorf("tsdb: OpenSharded: empty data directory")
+		fsys = newMemFS()
 	}
-	s := NewSharded(n)
-	// NewSharded resolves n <= 0 to GOMAXPROCS (server.Options.Shards and
-	// cmd/sieved's -shards both default to 0). Every directory comparison
-	// below must use the resolved count: with the raw 0, each live shard
-	// dir would look like leftovers from a bigger previous life and the
-	// first checkpoint would delete them out from under their writers.
-	n = s.NumShards()
-	d := &durable{opts: opts, blocksDir: filepath.Join(opts.Dir, "blocks"), keyGen: &s.keyGen, tel: s.tel, loops: parallel.NewLoops(),
+	d := &durable{opts: opts, fsys: fsys, blocksDir: filepath.Join(opts.Dir, "blocks"), keyGen: &s.keyGen, tel: s.tel, loops: parallel.NewLoops(),
 		checkpoints: telemetry.NewReporter("checkpoint", nil), compactions: telemetry.NewReporter("compaction", s.tel.CompactionFailures)}
+	s.dur = d
 
-	blocks, err := openBlocks(d.blocksDir)
+	blocks, err := openBlocks(fsys, d.blocksDir)
 	if err != nil {
 		return nil, err
 	}
@@ -203,75 +215,10 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 		}
 	}
 
-	walRoot := filepath.Join(opts.Dir, "wal")
-	dirIdxs, err := listWALShardDirs(walRoot)
-	if err != nil {
-		closeOnErr()
-		return nil, err
-	}
-	// The directories on disk are the previous life's shards: a life
-	// that changed the count retired the others at open (below).
-	resharded := len(dirIdxs) > 0 && len(dirIdxs) != n
-	for i := 0; i < n; i++ {
-		dirIdxs[i] = struct{}{} // current shards replay (and create) their dirs
-	}
-	replayOrder := make([]int, 0, len(dirIdxs))
-	for i := range dirIdxs {
-		replayOrder = append(replayOrder, i)
-	}
-	sort.Ints(replayOrder) // deterministic replay order across directories
-	for _, i := range replayOrder {
-		shardDir := walShardDir(walRoot, i)
-		// Drop segments already covered by a published block: the cuts
-		// recorded in block metas survive a crash between a block's
-		// rename and its WAL pruning, so those records never replay on
-		// top of the block data they duplicate. Cuts are per directory,
-		// so they stay valid across shard-count changes.
-		if cut := maxRecordedCut(blocks, i); cut > 0 {
-			if _, _, err := pruneWALSegmentsBelow(shardDir, cut); err != nil {
-				closeOnErr()
-				return nil, fmt.Errorf("tsdb: pruning covered wal of shard %d: %w", i, err)
-			}
-		}
-		if err := s.replayWAL(shardDir); err != nil {
+	if opts.Dir != "" {
+		if err := d.openWAL(s); err != nil {
 			closeOnErr()
-			return nil, fmt.Errorf("tsdb: replaying %s: %w", shardDir, err)
-		}
-		if i >= n {
-			if d.staleWAL == nil {
-				d.staleWAL = map[int]string{}
-			}
-			d.staleWAL[i] = shardDir
-		}
-	}
-	for i, sh := range s.shards {
-		// A directory a previous life retired may be reused here: its
-		// segments must number above every cut a block recorded for the
-		// index, or the next open would prune them as covered. (A cut of
-		// ^0 is the marker earlier versions retired directories with.)
-		first := maxRecordedCut(blocks, i)
-		if first == ^uint64(0) {
-			first = 0
-		}
-		w, err := openWALWriter(walShardDir(walRoot, i), opts.Fsync, walSegmentBytes, s.tel, first)
-		if err != nil {
-			closeOnErr()
-			return nil, fmt.Errorf("tsdb: opening wal for shard %d: %w", i, err)
-		}
-		sh.wal = w
-	}
-	s.dur = d
-
-	// At a new shard count a replayed series appends to a different
-	// directory than the one it replayed from, and replay goes by
-	// directory index, not arrival: seal the replay into a block before
-	// the first write, so no later replay has to order one series'
-	// records across two directories. The same checkpoint retires the
-	// directories beyond the count.
-	if resharded {
-		if err := d.checkpoint(s); err != nil {
-			closeOnErr()
-			return nil, fmt.Errorf("tsdb: sealing the wal replayed at a new shard count: %w", err)
+			return nil, err
 		}
 	}
 	if err := d.enforceRetention(s.AppMaxTime()); err != nil {
@@ -298,6 +245,80 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	return s, nil
 }
 
+// openWAL replays every WAL shard directory under <dir>/wal into the
+// shards and gives each shard its writer. At a new shard count a
+// replayed series appends to a different directory than the one it
+// replayed from, and replay goes by directory index, not arrival: so the
+// replay is sealed into a block before the first write, and no later
+// replay has to order one series' records across two directories. The
+// same checkpoint retires the directories beyond the count.
+func (d *durable) openWAL(s *Sharded) error {
+	// The resolved count (server.Options.Shards and cmd/sieved's -shards
+	// default to 0, GOMAXPROCS): compared with a raw 0, every live
+	// directory would look like leftovers from a bigger previous life, and
+	// the first checkpoint would delete them out from under their writers.
+	n := s.NumShards()
+	walRoot := filepath.Join(d.opts.Dir, "wal")
+	dirIdxs, err := listWALShardDirs(d.fsys, walRoot)
+	if err != nil {
+		return err
+	}
+	// The directories on disk are the previous life's shards: a life
+	// that changed the count retired the others at open (below).
+	resharded := len(dirIdxs) > 0 && len(dirIdxs) != n
+	for i := 0; i < n; i++ {
+		dirIdxs[i] = struct{}{} // current shards replay (and create) their dirs
+	}
+	replayOrder := make([]int, 0, len(dirIdxs))
+	for i := range dirIdxs {
+		replayOrder = append(replayOrder, i)
+	}
+	sort.Ints(replayOrder) // deterministic replay order across directories
+	for _, i := range replayOrder {
+		shardDir := walShardDir(walRoot, i)
+		// Drop segments already covered by a published block: the cuts
+		// recorded in block metas survive a crash between a block's
+		// rename and its WAL pruning, so those records never replay on
+		// top of the block data they duplicate. Cuts are per directory,
+		// so they stay valid across shard-count changes.
+		if cut := maxRecordedCut(d.blocks, i); cut > 0 {
+			if _, _, err := pruneWALSegmentsBelow(d.fsys, shardDir, cut); err != nil {
+				return fmt.Errorf("tsdb: pruning covered wal of shard %d: %w", i, err)
+			}
+		}
+		if err := s.replayWAL(shardDir); err != nil {
+			return fmt.Errorf("tsdb: replaying %s: %w", shardDir, err)
+		}
+		if i >= n {
+			if d.staleWAL == nil {
+				d.staleWAL = map[int]string{}
+			}
+			d.staleWAL[i] = shardDir
+		}
+	}
+	for i, sh := range s.shards {
+		// A directory a previous life retired may be reused here: its
+		// segments must number above every cut a block recorded for the
+		// index, or the next open would prune them as covered. (A cut of
+		// ^0 is the marker earlier versions retired directories with.)
+		first := maxRecordedCut(d.blocks, i)
+		if first == ^uint64(0) {
+			first = 0
+		}
+		w, err := openWALWriter(d.fsys, walShardDir(walRoot, i), d.opts.Fsync, walSegmentBytes, s.tel, first)
+		if err != nil {
+			return fmt.Errorf("tsdb: opening wal for shard %d: %w", i, err)
+		}
+		sh.wal = w
+	}
+	if resharded {
+		if err := d.checkpoint(s); err != nil {
+			return fmt.Errorf("tsdb: sealing the wal replayed at a new shard count: %w", err)
+		}
+	}
+	return nil
+}
+
 // walShardDir formats the WAL directory of one shard index.
 func walShardDir(walRoot string, i int) string {
 	return filepath.Join(walRoot, fmt.Sprintf("shard-%04d", i))
@@ -307,11 +328,11 @@ func walShardDir(walRoot string, i int) string {
 // directories on disk (empty when the wal root does not exist yet). Only
 // a directory named exactly as walShardDir names its index counts: a
 // stray shard-0001.old would otherwise read as shard 1.
-func listWALShardDirs(walRoot string) (map[int]struct{}, error) {
+func listWALShardDirs(fsys fileSystem, walRoot string) (map[int]struct{}, error) {
 	idxs := map[int]struct{}{}
-	entries, err := os.ReadDir(walRoot)
+	entries, err := fsys.ReadDir(walRoot)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return idxs, nil
 		}
 		return nil, err
@@ -386,7 +407,7 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 	// captured them and the block (or, with nothing replayed, the empty
 	// directories themselves) now covers everything they held.
 	for _, dir := range d.staleWAL {
-		if err := os.RemoveAll(dir); err != nil {
+		if err := d.fsys.RemoveAll(dir); err != nil {
 			return fmt.Errorf("tsdb: checkpoint: removing stale wal dir %s: %w", dir, err)
 		}
 	}
@@ -407,7 +428,7 @@ func (d *durable) cut(s *Sharded) error {
 	// every shard is cut.
 	stale := make(map[string]uint64, len(d.staleWAL))
 	for idx, dir := range d.staleWAL {
-		seqs, err := listWALSegments(dir)
+		seqs, err := listWALSegments(d.fsys, dir)
 		if err != nil {
 			return fmt.Errorf("tsdb: checkpoint: listing stale wal dir %s: %w", dir, err)
 		}
@@ -427,7 +448,9 @@ func (d *durable) cut(s *Sharded) error {
 			err = fmt.Errorf("tsdb: checkpoint: cutting shard %d: %w", i, err)
 			break
 		}
-		c.walCuts[fmt.Sprintf("%d", i)] = cutSeq
+		if sh.wal != nil {
+			c.walCuts[fmt.Sprintf("%d", i)] = cutSeq
+		}
 	}
 	if err == nil {
 		maps.Copy(c.walCuts, stale)
@@ -451,7 +474,7 @@ func (d *durable) writeCut(s *Sharded) error {
 		d.nextSeq++
 		d.mu.Unlock()
 		var err error
-		if blk, err = buildBlock(d.blocksDir, seq, c.walCuts, c.series, d.writeWorkers); err != nil {
+		if blk, err = buildBlock(d.fsys, d.blocksDir, seq, c.walCuts, c.series, d.writeWorkers); err != nil {
 			return fmt.Errorf("tsdb: checkpoint: %w", err)
 		}
 	}
@@ -466,6 +489,9 @@ func (d *durable) writeCut(s *Sharded) error {
 	}
 	d.mu.Unlock()
 	for i, sh := range s.shards {
+		if sh.wal == nil {
+			continue
+		}
 		if err := sh.wal.removeSegmentsBelow(c.walCuts[fmt.Sprintf("%d", i)]); err != nil {
 			return fmt.Errorf("tsdb: checkpoint: pruning wal of shard %d: %w", i, err)
 		}
@@ -479,8 +505,8 @@ func (d *durable) writeCut(s *Sharded) error {
 // scratch and stable-sorts it by time for the writer. It writes no
 // companions, whatever Downsample says: the block gains them when
 // compaction rewrites it, which keeps the checkpoint's cost off ingest.
-func buildBlock(blocksDir string, seq uint64, walCuts map[string]uint64, snap map[string]*series, workers int) (*block, error) {
-	bw, err := newBlockWriter(blocksDir, blockMeta{Seq: seq, WALCuts: walCuts}, false, nil)
+func buildBlock(fsys fileSystem, blocksDir string, seq uint64, walCuts map[string]uint64, snap map[string]*series, workers int) (*block, error) {
+	bw, err := newBlockWriter(fsys, blocksDir, blockMeta{Seq: seq, WALCuts: walCuts}, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("writing block: %w", err)
 	}
@@ -537,7 +563,7 @@ func (d *durable) enforceRetention(appT int64) error {
 		if err := b.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if err := removeBlockDir(b.dir); err != nil && firstErr == nil {
+		if err := removeBlockDir(d.fsys, b.dir); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -638,8 +664,10 @@ func (d *durable) addStats(out *Stats) {
 	out.AppMaxTime = max(out.AppMaxTime, d.appT)
 }
 
-// shutdown stops the ticks, runs a final checkpoint so memory reaches
-// disk in compressed form, and closes WALs and block files.
+// shutdown stops the ticks and, on disk, runs a final checkpoint so
+// memory reaches disk in compressed form, and closes WALs and block
+// files. A store in memory keeps its data readable: there is nothing to
+// write it to.
 func (d *durable) shutdown(s *Sharded) error {
 	d.flushMu.Lock()
 	if d.closed {
@@ -650,6 +678,9 @@ func (d *durable) shutdown(s *Sharded) error {
 	d.flushMu.Unlock()
 
 	d.loops.Stop()
+	if d.opts.Dir == "" {
+		return nil
+	}
 
 	err := d.checkpoint(s)
 	for _, sh := range s.shards {

@@ -592,20 +592,18 @@ func compactResults(results []SeriesResult) []SeriesResult {
 // one series with T in [from, to) into sink in canonical storage order —
 // persisted blocks by sequence number, the checkpoint overlay, then shard
 // memory — which is arrival order, so a stable sort by T of the stream is
-// the same before and after any checkpoint, compaction or restart. On a
-// durable store the checkpoint-cut read lock is held for exactly this one
-// series: it is read from one consistent side of any concurrent cut
-// (never duplicated, never partially drained), while a wide fan-out over
-// cold blocks cannot stall a pending checkpoint — and, through the
-// RWMutex writer queue, every other reader — for its full duration. A key
-// that is nowhere streams nothing; callers select keys from the catalog.
+// the same before and after any checkpoint, compaction or restart. The
+// checkpoint-cut read lock is held for exactly this one series: it is
+// read from one consistent side of any concurrent cut (never duplicated,
+// never partially drained), while a wide fan-out over cold blocks cannot
+// stall a pending checkpoint — and, through the RWMutex writer queue,
+// every other reader — for its full duration. A key that is nowhere
+// streams nothing; callers select keys from the catalog.
 func (s *Sharded) scanSeries(key string, from, to int64, sink pointSink) error {
-	if s.dur != nil {
-		s.dur.cutMu.RLock()
-		defer s.dur.cutMu.RUnlock()
-		if err := s.dur.scanBlocks(key, from, to, sink); err != nil {
-			return err
-		}
+	s.dur.cutMu.RLock()
+	defer s.dur.cutMu.RUnlock()
+	if err := s.dur.scanBlocks(key, from, to, sink); err != nil {
+		return err
 	}
 	return s.shards[s.shardIndex(key)].scan(key, from, to, sink)
 }

@@ -252,7 +252,7 @@ func TestDurableWALStrayNamesIgnored(t *testing.T) {
 	plant := func(t *testing.T, from, to string) {
 		t.Helper()
 		for _, shard := range []string{"shard-0000", "shard-0001"} {
-			seqs, err := listWALSegments(filepath.Join(from, shard))
+			seqs, err := listWALSegments(osFS{}, filepath.Join(from, shard))
 			if err != nil || len(seqs) == 0 {
 				t.Fatalf("%s holds no segment (%v)", shard, err)
 			}
@@ -396,7 +396,7 @@ func TestDurableTruncatedWALTail(t *testing.T) {
 	recoveryWrite(t, nil, recoveryBatch(10, 4, 4), s)
 
 	shardDir := filepath.Join(dir, "wal", "shard-0000")
-	seqs, err := listWALSegments(shardDir)
+	seqs, err := listWALSegments(osFS{}, shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestDurableStaleWALSegmentsNotReplayed(t *testing.T) {
 	// Stash the live segments, checkpoint (which prunes them), then put
 	// them back — exactly the on-disk state of a crash mid-prune.
 	shardDir := filepath.Join(dir, "wal", "shard-0000")
-	seqs, err := listWALSegments(shardDir)
+	seqs, err := listWALSegments(osFS{}, shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -946,7 +946,7 @@ func TestDurableWALRepairIsLogged(t *testing.T) {
 	}
 	recoveryWrite(t, nil, recoveryBatch(3, 2, 2), s)
 	shardDir := filepath.Join(dir, "wal", "shard-0000")
-	seqs, err := listWALSegments(shardDir)
+	seqs, err := listWALSegments(osFS{}, shardDir)
 	if err != nil || len(seqs) != 2 {
 		t.Fatalf("segments %v (%v), want 2", seqs, err)
 	}

@@ -142,12 +142,12 @@ func TestWALRedefinesSeriesAfterRoll(t *testing.T) {
 			if err := w.close(); err != nil {
 				t.Fatal(err)
 			}
-			if seqs, _ := listWALSegments(dir); len(seqs) != 2 {
+			if seqs, _ := listWALSegments(osFS{}, dir); len(seqs) != 2 {
 				t.Fatalf("segments %v, want two", seqs)
 			}
 			path := filepath.Join(dir, walSegmentName(last))
 			var sink sampleSink
-			good, recs, n, err := replaySegment(path, &sink)
+			good, recs, n, err := replaySegment(osFS{}, path, &sink)
 			if err != nil || good >= 0 || recs != 1 || n != len(second) {
 				t.Fatalf("replaySegment alone: good=%d records=%d samples=%d err=%v", good, recs, n, err)
 			}
@@ -316,7 +316,7 @@ func TestWALBytesPinned(t *testing.T) {
 		if err := w.close(); err != nil {
 			t.Fatal(err)
 		}
-		if seqs, _ := listWALSegments(dir); len(seqs) < 4 {
+		if seqs, _ := listWALSegments(osFS{}, dir); len(seqs) < 4 {
 			t.Fatalf("%d segments, want the cap and the rotate to roll several", len(seqs))
 		}
 		if got, want := walDirDigest(t, dir), "82c9ef4764468449b1f7a8d50e83633e8c4c7501d5cbfda9366d4c41bd539260"; got != want {

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,12 +42,13 @@ type Stats struct {
 	// writes (a proxy for the monitoring stack's CPU overhead).
 	IngestCPU time.Duration
 	// WALSegments counts live WAL segment files across shards, and
-	// WALBytes the bytes they hold (both 0 for an in-memory store): the
-	// backlog a failing checkpoint leaves growing.
+	// WALBytes the bytes they hold (both 0 without a data directory,
+	// where there is no WAL): the backlog a failing checkpoint leaves
+	// growing.
 	WALSegments int
 	WALBytes    int64
-	// Blocks is the number of published immutable blocks (0 for an
-	// in-memory store).
+	// Blocks is the number of published immutable blocks, on disk or,
+	// without a data directory, in memory.
 	Blocks int
 	// MaxTime and AppMaxTime are Sharded.MaxTime and Sharded.AppMaxTime
 	// as of the snapshot.
@@ -152,18 +154,22 @@ type shard struct {
 	// are cumulative: they survive the checkpoint cut.
 	appT int64
 
-	// wal, when non-nil, is the shard's write-ahead log: set only by
-	// OpenSharded, appended to (under mu, before the memory insert) on
-	// the appendSamples path that Sharded routes ingest through.
+	// wal is the shard's write-ahead log on a store with a data directory
+	// (nil in memory): set only by OpenSharded, appended to (under mu,
+	// before the memory insert) on the appendSamples path that Sharded
+	// routes ingest through.
 	wal *walWriter
 
 	// tel is the owning store's instrument set (chunk-fate counts from
 	// scans), fixed at construction.
 	tel *StoreTelemetry
 
-	// keyGen is the owning store's catalog generation (see
-	// Sharded.catalogKeys), bumped when a series is born.
+	// keyGen and cat are the owning store's catalog generation and cached
+	// catalog (see Sharded.catalogKeys): a batch that creates series
+	// bumps the generation unless the cached catalog is current and
+	// already lists every key it created.
 	keyGen *atomic.Uint64
+	cat    *atomic.Pointer[catalog]
 
 	// Ingest scratch, reused under mu: key is the lookup buffer a series
 	// key is spelled into, refs the series of each sample of the batch
@@ -173,8 +179,8 @@ type shard struct {
 	born []*series
 }
 
-func newShard(keyGen *atomic.Uint64, tel *StoreTelemetry) *shard {
-	return &shard{data: map[string]*series{}, keyGen: keyGen, tel: tel}
+func newShard(keyGen *atomic.Uint64, cat *atomic.Pointer[catalog], tel *StoreTelemetry) *shard {
+	return &shard{data: map[string]*series{}, keyGen: keyGen, cat: cat, tel: tel}
 }
 
 // ackBytes is the fixed response size per write batch (status line),
@@ -218,7 +224,7 @@ func (sh *shard) appendSamples(samples []Sample) error {
 			delete(sh.data, sr.key)
 		}
 	} else {
-		if len(born) > 0 {
+		if len(born) > 0 && !sh.cataloged(born) {
 			sh.keyGen.Add(1)
 		}
 		for i, sr := range refs {
@@ -243,6 +249,26 @@ func (sh *shard) appendSamples(samples []Sample) error {
 		return sh.wal.commitWait(seq)
 	}
 	return nil
+}
+
+// cataloged reports whether the cached catalog is current and lists
+// every series in born: the shard re-created them after a checkpoint cut
+// while their keys still live in the overlay or a block, and the union
+// is unchanged. One binary search per birth. A stale catalog proves
+// nothing — a rebuild may already have read this shard — so it reports
+// false. Keys leave the union only through a retention pass, which
+// moves the generation, so a current catalog's keys are all still held.
+func (sh *shard) cataloged(born []*series) bool {
+	c := sh.cat.Load()
+	if c == nil || c.gen != sh.keyGen.Load() {
+		return false
+	}
+	for _, sr := range born {
+		if _, ok := slices.BinarySearch(c.keys, sr.key); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // lookupLocked returns the series of component/metric, creating it when
@@ -311,14 +337,15 @@ func (sh *shard) sealLocked(sr *series) {
 // from here on (the shard allocates fresh ones for new arrivals), so the
 // checkpoint may read them without locking. The returned sequence number
 // is the cut: all moved points live in WAL segments below it, all later
-// appends in segments at or above it. On error the shard is left
-// untouched.
+// appends in segments at or above it (0 without a WAL). On error the
+// shard is left untouched.
 func (sh *shard) cut(c *flushCut) (cutSeq uint64, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cutSeq, err = sh.wal.rotate()
-	if err != nil {
-		return 0, err
+	if sh.wal != nil {
+		if cutSeq, err = sh.wal.rotate(); err != nil {
+			return 0, err
+		}
 	}
 	for key, sr := range sh.data {
 		if len(sr.chunks)+len(sr.tail) > 0 {

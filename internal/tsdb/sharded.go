@@ -34,21 +34,24 @@ type Sharded struct {
 	netOut    atomic.Int64
 	ingestCPU atomic.Int64 // nanoseconds spent parsing+partitioning
 
-	// dur is the storage engine of a store opened with OpenSharded: WAL
-	// segments hang off the shards, dur owns the immutable block files,
-	// checkpoints, and retention. nil for a pure in-memory store.
+	// dur is the store's storage engine, set by OpenSharded and never nil:
+	// it owns the immutable blocks (on disk, or in a memFS), checkpoints,
+	// compaction and retention; the WAL segments, on disk only, hang off
+	// the shards.
 	dur *durable
 
 	// The series catalog: the sorted union of every series key in shard
 	// memory, the checkpoint overlay and the persisted blocks, shared
 	// read-only by every read entry point and by Stats, whose Series is
 	// its length. keyGen is bumped wherever that union can change: a
-	// birth (the shards hold a pointer to it) and a retention pass that
-	// drops a block (the durable engine holds one too). A cut, a block
-	// publish and a compaction move keys between the three without
-	// changing the union. A reader whose cached catalog carries an older
-	// generation rebuilds it under catMu. The write path pays one atomic
-	// add per series birth and nothing per sample.
+	// birth of a key the cached catalog lacks (the shards hold a pointer
+	// to both) and a retention pass that drops a block (the engine holds
+	// one too). A cut, a block publish, a compaction and a shard's
+	// re-creating a series whose key the overlay or a block still holds
+	// move keys between the three without changing the union. A reader
+	// whose cached catalog carries an older generation rebuilds it under
+	// catMu. The write path pays, per batch with births, one binary
+	// search per born key and at most one atomic add; nothing per sample.
 	keyGen atomic.Uint64
 	catMu  sync.Mutex
 	cat    atomic.Pointer[catalog]
@@ -78,15 +81,28 @@ type catalog struct {
 	keys []string
 }
 
-// NewSharded creates a store with n shards; n <= 0 uses GOMAXPROCS.
+// NewSharded creates an in-memory store with n shards (n <= 0 uses
+// GOMAXPROCS): OpenSharded without a directory and without the
+// background flusher and compactor, so its points stay in shard memory
+// until Checkpoint or Compact moves them.
 func NewSharded(n int) *Sharded {
+	s, err := OpenSharded(n, DurabilityOptions{FlushInterval: -1, CompactInterval: -1})
+	if err != nil {
+		panic(err) // unreachable: an empty memFS opens
+	}
+	return s
+}
+
+// newSharded builds n empty shards (n <= 0 uses GOMAXPROCS) and the
+// store's telemetry, for OpenSharded to give an engine.
+func newSharded(n int) *Sharded {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	reg := telemetry.NewRegistry()
 	s := &Sharded{shards: make([]*shard, n), reg: reg, tel: newStoreTelemetry(reg)}
 	for i := range s.shards {
-		s.shards[i] = newShard(&s.keyGen, s.tel)
+		s.shards[i] = newShard(&s.keyGen, &s.cat, s.tel)
 	}
 	s.registerStateGauges()
 	return s
@@ -192,7 +208,7 @@ const parallelIngestMinBatch = 256
 // fsyncAlways reports whether appends block on an inline durability
 // wait (the group-commit path).
 func (s *Sharded) fsyncAlways() bool {
-	return s.dur != nil && s.dur.opts.Fsync == FsyncAlways
+	return s.dur.opts.Fsync == FsyncAlways
 }
 
 // ingest partitions and appends a decoded batch, returning how many
@@ -306,10 +322,10 @@ func (s *Sharded) IngestParsed(samples []Sample, wireBytes int, parseStart time.
 	return s.ingest(samples, wireBytes, parseStart)
 }
 
-// catalogKeys returns the sorted series keys across shards and, on a
-// durable store, persisted blocks, rebuilding them only when the key set
-// may have changed since the cached generation. The slice is shared:
-// callers must not modify it.
+// catalogKeys returns the sorted series keys across shards, the overlay
+// and the blocks, rebuilding them only when the key set may have changed
+// since the cached generation. The slice is shared: callers must not
+// modify it.
 //
 // The generation is read before the keys are collected, so a change that
 // races the collection leaves the cached entry already stale and the next
@@ -331,27 +347,23 @@ func (s *Sharded) catalogKeys() []string {
 		sizeHint = len(c.keys)
 	}
 	set := make(map[string]struct{}, sizeHint)
-	if s.dur != nil {
-		// One cut-lock hold across memory and blocks: a checkpoint cut
-		// moves keys from the shards to the overlay, and a collection that
-		// straddled it could miss them on both sides.
-		s.dur.cutMu.RLock()
-	}
+	// One cut-lock hold across memory and blocks: a checkpoint cut moves
+	// keys from the shards to the overlay, and a collection that
+	// straddled it could miss them on both sides.
+	s.dur.cutMu.RLock()
 	for _, sh := range s.shards {
 		sh.addKeys(set)
 	}
-	if s.dur != nil {
-		s.dur.addKeys(set)
-		s.dur.cutMu.RUnlock()
-	}
+	s.dur.addKeys(set)
+	s.dur.cutMu.RUnlock()
 	keys := sortedKeys(set)
 	s.cat.Store(&catalog{gen: gen, keys: keys})
 	return keys
 }
 
-// MaxTime returns the largest timestamp ingested across shards and, on a
-// durable store, persisted blocks (0 when empty), self-telemetry
-// included: the default end of a range read.
+// MaxTime returns the largest timestamp ingested across shards and
+// blocks (0 when empty), self-telemetry included: the default end of a
+// range read.
 func (s *Sharded) MaxTime() int64 {
 	maxT, _ := s.marks()
 	return maxT
@@ -374,10 +386,7 @@ func (s *Sharded) marks() (maxT, appT int64) {
 		m, a := sh.marks()
 		maxT, appT = max(maxT, m), max(appT, a)
 	}
-	if s.dur != nil {
-		maxT, appT = max(maxT, s.dur.maxTime()), max(appT, s.dur.appT)
-	}
-	return maxT, appT
+	return max(maxT, s.dur.maxTime()), max(appT, s.dur.appT)
 }
 
 // Flush seals every shard's tails so Stats reflects compressed storage.
@@ -390,9 +399,9 @@ func (s *Sharded) Flush() {
 // Stats is the one snapshot of the store's state, taken in one pass
 // that costs O(shards + blocks): each shard lock once (in-memory points
 // and bytes, ingest time, marks), each WAL writer once (segments and
-// bytes) and, on a durable store, the block list once (block points,
-// bytes and count, the overlay's points and bytes, the blocks' marks).
-// Points and StorageBytes are summed from where the points are held,
+// bytes) and the block list once (block points, bytes and count, the
+// overlay's points and bytes, the blocks' marks). Points and
+// StorageBytes are summed from where the points are held,
 // under the cut lock, so a checkpoint moving them counts them once. The
 // front door adds its wire counters (ingest bytes and acks, 16 B per
 // point returned by a read) and the ingest time spent parsing and
@@ -400,9 +409,7 @@ func (s *Sharded) Flush() {
 // persisted keys, so a series that spans both counts once.
 func (s *Sharded) Stats() Stats {
 	var out Stats
-	if s.dur != nil {
-		s.dur.cutMu.RLock()
-	}
+	s.dur.cutMu.RLock()
 	for _, sh := range s.shards {
 		sh.addStats(&out)
 		if sh.wal != nil {
@@ -412,10 +419,8 @@ func (s *Sharded) Stats() Stats {
 		}
 	}
 	out.StorageBytes += int(out.WALBytes)
-	if s.dur != nil {
-		s.dur.addStats(&out)
-		s.dur.cutMu.RUnlock()
-	}
+	s.dur.addStats(&out)
+	s.dur.cutMu.RUnlock()
 	out.Series = len(s.catalogKeys())
 	out.NetworkInBytes = int(s.netIn.Load())
 	out.NetworkOutBytes = int(s.netOut.Load())
@@ -423,28 +428,14 @@ func (s *Sharded) Stats() Stats {
 	return out
 }
 
-// Durable reports whether the store persists to disk.
-func (s *Sharded) Durable() bool { return s.dur != nil }
+// DataDir returns the store's data directory, "" for a store in memory.
+func (s *Sharded) DataDir() string { return s.dur.opts.Dir }
 
-// DataDir returns the data directory of a durable store ("" otherwise).
-func (s *Sharded) DataDir() string {
-	if s.dur == nil {
-		return ""
-	}
-	return s.dur.opts.Dir
-}
-
-// Checkpoint seals all in-memory data into an immutable Gorilla block
-// directory, prunes the WAL segments it covers, and enforces retention.
-// A checkpoint that fails keeps what it cut readable, and the next
-// Checkpoint (or Close) writes that first, as a block of its own. No-op
-// on an in-memory store.
-func (s *Sharded) Checkpoint() error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.checkpoint(s)
-}
+// Checkpoint seals all of shard memory into an immutable Gorilla block,
+// prunes the WAL segments it covers, and enforces retention. A
+// checkpoint that fails keeps what it cut readable, and the next
+// Checkpoint (or Close) writes that first, as a block of its own.
+func (s *Sharded) Checkpoint() error { return s.dur.checkpoint(s) }
 
 // Compact runs one synchronous compaction pass: adjacent small blocks
 // are merged into larger ones (identical point set, identical query
@@ -452,24 +443,15 @@ func (s *Sharded) Checkpoint() error {
 // carries 5m/1h downsampled companions, and a block that lacks them and
 // no merge takes is rewritten alone to gain them. The same pass runs in
 // the background every CompactInterval; this entry point exists for
-// tests and operational tooling. No-op on an in-memory store.
-func (s *Sharded) Compact() error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.compact()
-}
+// tests and operational tooling.
+func (s *Sharded) Compact() error { return s.dur.compact() }
 
-// Close stops the background ticks, checkpoints remaining
-// in-memory data, and closes WAL and block files. Safe to call twice;
-// no-op on an in-memory store. A store killed without Close recovers on
-// the next OpenSharded from blocks plus the WAL.
-func (s *Sharded) Close() error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.shutdown(s)
-}
+// Close stops the background ticks. On disk it then checkpoints the
+// remaining shard memory and closes WAL and block files; a store in
+// memory writes no final block and stays readable. Safe to call twice. A
+// store killed without Close recovers on the next OpenSharded from
+// blocks plus the WAL.
+func (s *Sharded) Close() error { return s.dur.shutdown(s) }
 
 // replayWAL replays one WAL directory into the shards, holding every
 // shard lock. Placement follows the current key hash: replay is
@@ -484,7 +466,7 @@ func (s *Sharded) replayWAL(dir string) error {
 			sh.mu.Unlock()
 		}
 	}()
-	_, err := replayWAL(dir, storeReplay{s})
+	_, err := replayWAL(s.dur.fsys, dir, storeReplay{s})
 	return err
 }
 

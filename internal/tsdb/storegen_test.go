@@ -17,10 +17,12 @@ import (
 
 // The store's differential test: a seeded generator draws a life of
 // writes, reads, checkpoints (failed ones too), compactions and
-// restarts, runs it against a durable store and the storeModel side by
-// side, and compares every read by float bit pattern and the store's
-// counters after every op. A failing life is shrunk to a 1-minimal op
-// list and printed as a Go literal for storeRegressions.
+// restarts, runs it against a store and the storeModel side by side, and
+// compares every read by float bit pattern and the store's counters
+// after every op. A life runs on disk, or in memory (no directory),
+// where it has no restarts, since there is nothing to reopen. A failing
+// life is shrunk to a 1-minimal op list and printed as a Go literal for
+// storeRegressions.
 
 type opKind uint8
 
@@ -52,10 +54,12 @@ type op struct {
 }
 
 // storeScript is a whole life: the options of the first open and the
-// ops that follow. A hand-written script may add end, a check on the
+// ops that follow. A memory life opens without a directory and has no
+// opClose or opCrash. A hand-written script may add end, a check on the
 // last life's store once every op has agreed with the model.
 type storeScript struct {
 	name        string
+	memory      bool
 	shards      int
 	fsync       FsyncPolicy
 	retentionMS int64
@@ -63,7 +67,8 @@ type storeScript struct {
 	end         func(*Sharded) error
 }
 
-// storeLife is one store under test beside its model.
+// storeLife is one store under test beside its model; dir is "" for a
+// store in memory.
 type storeLife struct {
 	dir   string
 	fsync FsyncPolicy
@@ -81,6 +86,9 @@ func (l *storeLife) open(shards int) error {
 	}
 	l.st = st
 	l.m.open(st.NumShards())
+	if l.dir == "" {
+		return nil
+	}
 	// The next open reads this life's shard count off the WAL
 	// directories, so an open leaves exactly its own.
 	if dirs, err := os.ReadDir(filepath.Join(l.dir, "wal")); err != nil || len(dirs) != st.NumShards() {
@@ -89,16 +97,19 @@ func (l *storeLife) open(shards int) error {
 	return nil
 }
 
-// runScript plays s in a fresh directory under root and returns the
-// index of the first op whose effect differs from the model's, with
-// the difference (-1, nil when the whole life agrees). A failing end
-// check reports index len(s.ops).
+// runScript plays s in a fresh directory under root (in memory, for a
+// memory life) and returns the index of the first op whose effect
+// differs from the model's, with the difference (-1, nil when the whole
+// life agrees). A failing end check reports index len(s.ops).
 func runScript(root string, s storeScript) (int, error) {
-	dir, err := os.MkdirTemp(root, "life-")
-	if err != nil {
-		return -1, err
+	var dir string
+	if !s.memory {
+		var err error
+		if dir, err = os.MkdirTemp(root, "life-"); err != nil {
+			return -1, err
+		}
+		defer os.RemoveAll(dir)
 	}
-	defer os.RemoveAll(dir)
 	l := &storeLife{dir: dir, fsync: s.fsync, m: newStoreModel(s.retentionMS)}
 	if err := l.open(s.shards); err != nil {
 		return -1, err
@@ -194,15 +205,16 @@ func (l *storeLife) failCheckpoint() error {
 		l.m.checkpoint()
 		return l.st.Checkpoint()
 	}
-	l.st.dur.mu.RLock()
-	seq := l.st.dur.nextSeq
-	l.st.dur.mu.RUnlock()
-	obstacle := filepath.Join(l.dir, "blocks", blockDirName(seq, minT, maxT))
-	if err := os.MkdirAll(filepath.Join(obstacle, "occupied"), 0o755); err != nil {
+	d := l.st.dur
+	d.mu.RLock()
+	seq := d.nextSeq
+	d.mu.RUnlock()
+	obstacle := filepath.Join(d.blocksDir, blockDirName(seq, minT, maxT))
+	if err := d.fsys.MkdirAll(filepath.Join(obstacle, "occupied")); err != nil {
 		return err
 	}
 	err := l.st.Checkpoint()
-	if rerr := os.RemoveAll(obstacle); rerr != nil {
+	if rerr := d.fsys.RemoveAll(obstacle); rerr != nil {
 		return rerr
 	}
 	if err == nil {
@@ -286,20 +298,28 @@ const genSkewMS = 24 * 3_600_000
 
 const genTickMS = 30_000
 
-func genScript(seed int64, n int) storeScript {
+// genScript draws a life of n ops; a memory life draws again wherever
+// the generator drew opClose or opCrash.
+func genScript(seed int64, n int, memory bool) storeScript {
 	g := &storeGen{rng: rand.New(rand.NewSource(seed)), unsealed: math.MinInt64}
 	for i := 0; i < 4; i++ {
 		g.birth()
 	}
 	s := storeScript{
 		name:        fmt.Sprintf("seed=%d", seed),
+		memory:      memory,
 		shards:      g.shards(),
 		fsync:       FsyncNever,
 		retentionMS: []int64{0, 0, 30 * 60_000, 2 * 3_600_000}[g.rng.Intn(4)],
 	}
+	if memory {
+		s.name = "memory " + s.name
+	}
 	g.retentionMS = s.retentionMS
 	for len(s.ops) < n {
-		s.ops = append(s.ops, g.op())
+		if o := g.op(); !memory || (o.Kind != opClose && o.Kind != opCrash) {
+			s.ops = append(s.ops, o)
+		}
 	}
 	return s
 }
@@ -546,7 +566,7 @@ func shrinkScript(root string, s storeScript) storeScript {
 // it.
 func (s storeScript) goLiteral() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "{name: %q, shards: %d, fsync: FsyncPolicy(%d), retentionMS: %d, ops: []op{\n", s.name, s.shards, s.fsync, s.retentionMS)
+	fmt.Fprintf(&b, "{name: %q, memory: %t, shards: %d, fsync: FsyncPolicy(%d), retentionMS: %d, ops: []op{\n", s.name, s.memory, s.shards, s.fsync, s.retentionMS)
 	for _, o := range s.ops {
 		fmt.Fprintf(&b, "\t%#v,\n", o)
 	}
@@ -578,16 +598,23 @@ func playScript(t *testing.T, s storeScript) {
 	}
 }
 
-// TestStoreModelGenerated plays generated lives against the model. The
-// budget is testing.Short's alone: a few seeds of a few hundred ops in
-// tier-1, more of both otherwise.
+// TestStoreModelGenerated plays generated lives against the model, on
+// disk and, under seeds of their own, in memory. The memory seeds 104
+// and 107 draw a retention horizon, so their lives drop blocks besides
+// checkpointing, failing checkpoints and compacting. The budget is
+// testing.Short's alone: a few seeds of a few hundred ops in tier-1,
+// more of both otherwise.
 func TestStoreModelGenerated(t *testing.T) {
-	seeds, ops := 5, 300
+	seeds, memorySeeds, ops := 5, []int64{104, 107, 101}, 300
 	if testing.Short() {
-		seeds, ops = 3, 250
+		seeds, memorySeeds, ops = 3, memorySeeds[:2], 250
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		s := genScript(seed, ops)
+		s := genScript(seed, ops, false)
+		t.Run(s.name, func(t *testing.T) { checkScript(t, s) })
+	}
+	for _, seed := range memorySeeds {
+		s := genScript(seed, ops, true)
 		t.Run(s.name, func(t *testing.T) { checkScript(t, s) })
 	}
 }

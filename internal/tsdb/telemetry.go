@@ -150,15 +150,10 @@ func (s *Sharded) Telemetry() *StoreTelemetry { return s.tel }
 
 // Checkpoints returns the health of the store's checkpoints, whoever ran
 // them: failed attempts since open, the latest failure ("" once a later
-// checkpoint succeeds) and the time of the last success. Zero for an
-// in-memory store. A growing failure count means blocks are not being
-// written and WAL segments accumulate without bound (a full disk, say).
-func (s *Sharded) Checkpoints() telemetry.Health {
-	if s.dur == nil {
-		return telemetry.Health{}
-	}
-	return s.dur.checkpoints.Health()
-}
+// checkpoint succeeds) and the time of the last success. A growing
+// failure count means blocks are not being written and shard memory (and
+// on disk the WAL segments) accumulate without bound (a full disk, say).
+func (s *Sharded) Checkpoints() telemetry.Health { return s.dur.checkpoints.Health() }
 
 // registerStateGauges registers the store-state gauges on the store's
 // registry. Each collect (a /metrics scrape, a self-scrape pass) takes

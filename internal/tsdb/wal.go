@@ -2,12 +2,13 @@ package tsdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"log/slog"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -343,8 +344,8 @@ func walSegmentName(seq uint64) string { return fmt.Sprintf("%08d.wal", seq) }
 // listWALSegments returns the segment sequence numbers in dir, ascending.
 // Only a file named exactly as walSegmentName names its number counts:
 // a stray 1.wal or 00000001.wal.wal would otherwise read as segment 1.
-func listWALSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+func listWALSegments(fsys fileSystem, dir string) ([]uint64, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -366,11 +367,12 @@ func listWALSegments(dir string) ([]uint64, error) {
 // the owning shard's lock; mu orders them against the commit leader,
 // segment rotation and close.
 type walWriter struct {
+	fsys     fileSystem
 	dir      string
 	policy   FsyncPolicy
 	segMax   int64 // roll to a new segment beyond this many bytes
 	mu       sync.Mutex
-	f        *os.File
+	f        file
 	seq      uint64 // sequence number of the open segment
 	size     int64  // bytes written to the open segment
 	retained int64  // bytes in older, still-live segments
@@ -426,11 +428,11 @@ type walWriter struct {
 // openWALWriter opens dir (creating it) and starts a fresh segment after
 // the highest existing one, numbered no lower than first; existing
 // segments are left for replay and later truncation by checkpoints.
-func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelemetry, first uint64) (*walWriter, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func openWALWriter(fsys fileSystem, dir string, policy FsyncPolicy, segMax int64, tel *StoreTelemetry, first uint64) (*walWriter, error) {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	seqs, err := listWALSegments(dir)
+	seqs, err := listWALSegments(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -440,11 +442,11 @@ func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelem
 		if seq >= next {
 			next = seq + 1
 		}
-		if fi, err := os.Stat(filepath.Join(dir, walSegmentName(seq))); err == nil {
+		if fi, err := fsys.Stat(filepath.Join(dir, walSegmentName(seq))); err == nil {
 			retained += fi.Size()
 		}
 	}
-	w := &walWriter{dir: dir, policy: policy, segMax: segMax, seq: next, retained: retained, segments: len(seqs) + 1, tel: tel}
+	w := &walWriter{fsys: fsys, dir: dir, policy: policy, segMax: segMax, seq: next, retained: retained, segments: len(seqs) + 1, tel: tel}
 	w.cond = sync.NewCond(&w.mu)
 	if w.f, err = w.create(next); err != nil {
 		return nil, err
@@ -452,8 +454,8 @@ func openWALWriter(dir string, policy FsyncPolicy, segMax int64, tel *StoreTelem
 	return w, nil
 }
 
-func (w *walWriter) create(seq uint64) (*os.File, error) {
-	return os.OpenFile(filepath.Join(w.dir, walSegmentName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+func (w *walWriter) create(seq uint64) (file, error) {
+	return w.fsys.Append(filepath.Join(w.dir, walSegmentName(seq)))
 }
 
 // encodeFramesLocked rebuilds w.buf with this batch's v2 frames: one
@@ -606,10 +608,10 @@ func (w *walWriter) leadSyncLocked() {
 	target, prev, f := w.appendSeq, w.syncedSeq, w.f
 	w.syncing = true
 	w.mu.Unlock()
-	// A nil handle means close already ran; its final fsync either
+	// A closed handle means close already ran; its final fsync either
 	// advanced syncedSeq past target (checked below) or failed.
-	err := os.ErrClosed
-	if f != nil {
+	err := fs.ErrClosed
+	if f != closedFile {
 		start := time.Now()
 		err = f.Sync()
 		w.tel.WALFsyncSeconds.ObserveSince(start)
@@ -703,7 +705,7 @@ func (w *walWriter) rotate() (uint64, error) {
 // duplicate data. The open segment is never below a rotate cut, so the
 // files go without mu held.
 func (w *walWriter) removeSegmentsBelow(seq uint64) error {
-	removed, bytes, err := pruneWALSegmentsBelow(w.dir, seq)
+	removed, bytes, err := pruneWALSegmentsBelow(w.fsys, w.dir, seq)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.segments -= removed
@@ -722,7 +724,7 @@ func (w *walWriter) usage() (segments int, bytes int64) {
 func (w *walWriter) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
+	if w.f == closedFile {
 		return nil
 	}
 	// A phantom record that still cannot be cut out is surfaced, but the
@@ -740,7 +742,7 @@ func (w *walWriter) close() error {
 	if cerr := w.f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	w.f = nil
+	w.f = closedFile
 	return err
 }
 
@@ -748,10 +750,10 @@ func (w *walWriter) close() error {
 // from dir and reports how many files and bytes went; a missing
 // directory is fine. Recovery calls it before any writer has the
 // directory open, a checkpoint through walWriter.removeSegmentsBelow.
-func pruneWALSegmentsBelow(dir string, seq uint64) (removed int, bytes int64, err error) {
-	seqs, err := listWALSegments(dir)
+func pruneWALSegmentsBelow(fsys fileSystem, dir string, seq uint64) (removed int, bytes int64, err error) {
+	seqs, err := listWALSegments(fsys, dir)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return 0, 0, nil
 		}
 		return 0, 0, err
@@ -761,10 +763,10 @@ func pruneWALSegmentsBelow(dir string, seq uint64) (removed int, bytes int64, er
 			continue
 		}
 		path := filepath.Join(dir, walSegmentName(s))
-		if fi, err := os.Stat(path); err == nil {
+		if fi, err := fsys.Stat(path); err == nil {
 			bytes += fi.Size()
 		}
-		if err := os.Remove(path); err != nil {
+		if err := fsys.Remove(path); err != nil {
 			return removed, bytes, err
 		}
 		removed++
@@ -789,18 +791,18 @@ type walReplayStats struct {
 // next open starts clean, and later segments (written after the
 // corruption point, so of unknowable consistency) are removed; one
 // warning names the segment, the offset cut and the segments removed.
-func replayWAL(dir string, sink replaySink) (walReplayStats, error) {
+func replayWAL(fsys fileSystem, dir string, sink replaySink) (walReplayStats, error) {
 	var st walReplayStats
-	seqs, err := listWALSegments(dir)
+	seqs, err := listWALSegments(fsys, dir)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return st, nil
 		}
 		return st, err
 	}
 	for i, seq := range seqs {
 		path := filepath.Join(dir, walSegmentName(seq))
-		good, recs, samples, err := replaySegment(path, sink)
+		good, recs, samples, err := replaySegment(fsys, path, sink)
 		st.Records += recs
 		st.Samples += samples
 		st.Segments++
@@ -811,13 +813,13 @@ func replayWAL(dir string, sink replaySink) (walReplayStats, error) {
 			// Truncate the bad tail and drop all later segments, loudly:
 			// the records cut are gone for good.
 			st.Repaired = true
-			if err := os.Truncate(path, good); err != nil {
+			if err := fsys.Truncate(path, good); err != nil {
 				return st, err
 			}
 			removed := make([]string, 0, len(seqs)-i-1)
 			for _, later := range seqs[i+1:] {
 				name := walSegmentName(later)
-				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
 					return st, err
 				}
 				removed = append(removed, name)
@@ -842,8 +844,8 @@ func replayWAL(dir string, sink replaySink) (walReplayStats, error) {
 // decode standalone, so segments of either version — or a segment mixing
 // both record forms — replay with the same loop.
 // Records counts sample-bearing records only, matching appends.
-func replaySegment(path string, sink replaySink) (goodOffset int64, records, samples int, err error) {
-	f, err := os.Open(path)
+func replaySegment(fsys fileSystem, path string, sink replaySink) (goodOffset int64, records, samples int, err error) {
+	f, err := fsys.Open(path)
 	if err != nil {
 		return -1, 0, 0, err
 	}

@@ -17,7 +17,7 @@ import (
 // openTestWAL opens a writer the way OpenSharded does, with a fresh
 // instrument set of its own.
 func openTestWAL(dir string, policy FsyncPolicy, segMax int64) (*testWAL, error) {
-	w, err := openWALWriter(dir, policy, segMax, newStoreTelemetry(telemetry.NewRegistry()), 0)
+	w, err := openWALWriter(osFS{}, dir, policy, segMax, newStoreTelemetry(telemetry.NewRegistry()), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func appendWALSamples(buf []byte, samples []Sample) []byte {
 func replayAll(t *testing.T, dir string) ([]Sample, walReplayStats) {
 	t.Helper()
 	var sink sampleSink
-	st, err := replayWAL(dir, &sink)
+	st, err := replayWAL(osFS{}, dir, &sink)
 	if err != nil {
 		t.Fatalf("replayWAL: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestWALSegmentRollAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seqs, err := listWALSegments(dir)
+	seqs, err := listWALSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestWALTruncatedTailRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chop a few bytes off the last record, as a crash mid-write would.
-	seqs, _ := listWALSegments(dir)
+	seqs, _ := listWALSegments(osFS{}, dir)
 	path := filepath.Join(dir, walSegmentName(seqs[len(seqs)-1]))
 	fi, _ := os.Stat(path)
 	if err := os.Truncate(path, fi.Size()-5); err != nil {
@@ -251,7 +251,7 @@ func TestWALCorruptRecordDiscardsRest(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	seqs, _ := listWALSegments(dir)
+	seqs, _ := listWALSegments(osFS{}, dir)
 	if len(seqs) != 3 {
 		t.Fatalf("expected 3 segments, got %d", len(seqs))
 	}
@@ -270,7 +270,7 @@ func TestWALCorruptRecordDiscardsRest(t *testing.T) {
 		t.Fatalf("got %d samples, want only the 4 before the corruption", len(got))
 	}
 	// Segments after the corruption point are gone.
-	seqs, _ = listWALSegments(dir)
+	seqs, _ = listWALSegments(osFS{}, dir)
 	if len(seqs) != 2 {
 		t.Fatalf("expected later segment removed, have %d segments", len(seqs))
 	}

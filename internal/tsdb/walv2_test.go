@@ -181,7 +181,7 @@ func TestWALMixedVersionTornTailRepair(t *testing.T) {
 	// A segment written after the tear, as if the crash raced a roll.
 	writeV1Segment(t, dir, 3, walBatch("later", 4, 4000))
 
-	seqs, _ := listWALSegments(dir)
+	seqs, _ := listWALSegments(osFS{}, dir)
 	if len(seqs) != 3 {
 		t.Fatalf("expected 3 segments, got %d", len(seqs))
 	}
@@ -204,7 +204,7 @@ func TestWALMixedVersionTornTailRepair(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("torn-tail replay: got %d samples, want %d", len(got), len(want))
 	}
-	if seqs, _ := listWALSegments(dir); len(seqs) != 2 {
+	if seqs, _ := listWALSegments(osFS{}, dir); len(seqs) != 2 {
 		t.Errorf("later segment should be dropped, have %d segments", len(seqs))
 	}
 	// After repair the directory replays cleanly and identically.
@@ -623,7 +623,7 @@ func TestGroupCommitSingleWriterStillSyncs(t *testing.T) {
 // so the counter semantics are pinned here instead.
 func TestGroupCommitBatchedAppendsShareOneFsync(t *testing.T) {
 	tel := newStoreTelemetry(telemetry.NewRegistry())
-	ww, err := openWALWriter(t.TempDir(), FsyncAlways, 1<<20, tel, 0)
+	ww, err := openWALWriter(osFS{}, t.TempDir(), FsyncAlways, 1<<20, tel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

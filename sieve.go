@@ -211,9 +211,10 @@ type Server = server.Server
 
 // ServerOptions configures a Server: shard count, sampling grid, window
 // width, recompute cadence, optional topology —
-// durability: DataDir enables the WAL + compressed-block storage
-// engine, Retention bounds its disk use, Fsync picks the WAL sync
-// policy ("always", "interval", "never"), CompactInterval sets the
+// storage: DataDir makes the compressed-block storage engine durable
+// (without it the blocks are held in memory and there is no WAL),
+// Retention bounds what it holds, Fsync picks the WAL sync policy
+// ("always", "interval", "never"), CompactInterval sets the
 // background block compactor's cadence, and
 // Downsample adds 5m/1h summaries for coarse-step aggregated queries
 // over long retention — and window alignment: Incremental aligns each
@@ -241,10 +242,10 @@ type RangeQuery = tsdb.RangeQuery
 // driver), or Server.Handler to embed it in an existing HTTP server —
 // then start the driver with Server.Start or trigger runs via POST /run.
 // With opts.DataDir set, NewServer recovers the previous life's data
-// (block files plus WAL replay) before returning; embedders must then
-// call Server.Close on shutdown (ListenAndServe does it itself). Close
-// also stops the driver and the self-scrape Server.Start added, before
-// it closes the store.
+// (block files plus WAL replay) before returning. Embedders call
+// Server.Close on shutdown (ListenAndServe does it itself): it stops the
+// driver and the self-scrape Server.Start added, then the store's own
+// loops, and with DataDir flushes the store.
 func NewServer(opts ServerOptions) (*Server, error) {
 	return server.New(opts)
 }
