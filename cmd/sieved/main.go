@@ -26,9 +26,12 @@
 //
 // The store seals its memory into Gorilla-compressed blocks every
 // -flush-interval and drops blocks older than -retention. With -data-dir
-// it is durable: writes go through a per-shard write-ahead log and the
-// blocks are files, so a restarted sieved serves the same data it was
-// killed with. An empty -data-dir (the default) runs the same store with
+// it is durable: writes go through the store's one write-ahead log
+// (<data-dir>/wal/), to which every shard appends, and the blocks are
+// files, so a restarted sieved serves the same data it was killed with,
+// at any -shards. A data directory an earlier sieved wrote, with one log
+// directory per shard, is sealed into a block at start-up and its log
+// directories removed. An empty -data-dir (the default) runs the same store with
 // its blocks in memory and no write-ahead log, so -fsync is refused
 // without -data-dir. A background compactor (cadence -compact-interval,
 // disable with a negative value) merges adjacent small blocks into
@@ -80,6 +83,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served via -pprof-addr
 	"os"
@@ -172,11 +176,19 @@ func main() {
 	if *incremental {
 		windowEnds = "grid-aligned"
 	}
+	// Bind before saying so: the line names the address the listener got
+	// (the real port of -addr :0), and a bind failure prints none.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		_ = srv.Close()
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
 	eff := srv.Options()
 	fmt.Printf("sieved listening on %s (%d shards, window %s, step %s, interval %s, %s, %s window ends)\n",
-		*addr, srv.Store().NumShards(), time.Duration(eff.WindowMS)*time.Millisecond,
+		ln.Addr(), srv.Store().NumShards(), time.Duration(eff.WindowMS)*time.Millisecond,
 		time.Duration(eff.StepMS)*time.Millisecond, eff.Interval, durability, windowEnds)
-	if err := srv.ListenAndServe(ctx, *addr); err != nil {
+	if err := srv.Serve(ctx, ln); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
-	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -158,24 +158,33 @@ func TestRejectsUnusableDurations(t *testing.T) {
 	}
 }
 
-// TestSIGTERMExitsClean: a durable sieved with self-scrape on, once ready
-// and holding one acknowledged write, exits 0 within 10s of SIGTERM, the
-// stop a supervisor (or the benchmark driver) sends its child.
+// TestSIGTERMExitsClean: a durable sieved with self-scrape on, started
+// on port 0, names the port it bound in its "listening" line; once ready
+// and holding one acknowledged write, it exits 0 within 10s of SIGTERM,
+// the stop a supervisor (or sievebench) sends its child. A
+// second sieved on the same address exits 1 without a "listening" line.
 func TestSIGTERMExitsClean(t *testing.T) {
 	bin := buildSieved(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data-dir", t.TempDir(), "-self-scrape-interval", "50ms")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	cmd := exec.Command(bin, "-addr", addr, "-data-dir", t.TempDir(), "-self-scrape-interval", "50ms")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	lines := make(chan string, 16)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			select {
+			case lines <- sc.Text():
+			default: // nobody reads past the first line
+			}
+		}
+	}()
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 	exited := false
@@ -190,6 +199,25 @@ func TestSIGTERMExitsClean(t *testing.T) {
 		return stderr.String()
 	}
 	t.Cleanup(func() { kill() })
+
+	var addr string
+	select {
+	case line := <-lines:
+		m := regexp.MustCompile(`^sieved listening on (127\.0\.0\.1:(\d+)) `).FindStringSubmatch(line)
+		if m == nil || m[2] == "0" {
+			t.Fatalf("first line %q, want sieved listening on the bound port", line)
+		}
+		addr = m[1]
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no listening line within 10s; stderr %.300q", kill())
+	}
+
+	second := exec.Command(bin, "-addr", addr)
+	out, err := second.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || bytes.Contains(out, []byte("listening")) {
+		t.Errorf("second sieved on %s: err %v, stdout %q; want exit 1 and no listening line", addr, err, out)
+	}
 
 	client := &http.Client{Timeout: 2 * time.Second}
 	base := "http://" + addr

@@ -223,17 +223,6 @@ func (c *Client) Artifact() (*ArtifactResult, error) {
 	}, nil
 }
 
-// ListenAndServe binds addr, starts the background pipeline driver, and
-// serves HTTP until ctx is done, then shuts down gracefully. It is the
-// cmd/sieved entry point; tests use Handler with httptest instead.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.serveListener(ctx, ln)
-}
-
 // Full-request read and keep-alive idle bounds of the listener's
 // http.Server; with readHeaderTimeout they cap what one misbehaving
 // client can hold.
@@ -242,7 +231,11 @@ const (
 	idleTimeout = 2 * time.Minute
 )
 
-func (s *Server) serveListener(ctx context.Context, ln net.Listener) error {
+// Serve starts the background pipeline driver and serves HTTP on ln
+// until ctx is done, then shuts down gracefully and closes the server.
+// It is the cmd/sieved entry point, which binds ln first so it can
+// report the address it got; tests use Handler with httptest instead.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.Start(ctx)
 	// Header/read/idle timeouts bound what one misbehaving client can
 	// hold: without the header timeout a slowloris drips header bytes and

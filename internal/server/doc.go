@@ -29,14 +29,14 @@
 // # Durability
 //
 // With Options.DataDir set, the store is the durable engine of
-// internal/tsdb: every acknowledged write is covered by a per-shard
+// internal/tsdb: every acknowledged write is covered by the store's one
 // write-ahead log, a background flusher seals memory into immutable
 // Gorilla-compressed blocks, and Options.Retention bounds disk use. New
 // recovers the previous life's data — block files plus WAL replay —
 // before the server takes traffic, so a restarted sieved anchors its
 // sliding analysis window at the recovered application high-water mark
 // (tsdb.Sharded.AppMaxTime), after a graceful stop or a crash, and answers
-// /query_range byte-identically to the store that was killed. ListenAndServe
+// /query_range byte-identically to the store that was killed. Serve
 // checkpoints and closes the store on graceful shutdown; embedders
 // using Handler call Server.Close themselves. Close first stops the
 // loops Start added — the pipeline driver and the self-scrape — and

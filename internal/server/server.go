@@ -56,7 +56,7 @@ type Options struct {
 	Incremental bool
 
 	// DataDir, when non-empty, makes the store durable: every write is
-	// appended to a per-shard CRC-checked WAL under DataDir before it is
+	// appended to the store's one CRC-checked WAL under DataDir before it is
 	// acknowledged, blocks are files under DataDir, and New recovers the
 	// previous life's data (blocks + WAL replay) before the server takes
 	// traffic. Empty runs the same store in memory, without a WAL: its
@@ -314,7 +314,7 @@ func (s *Server) Store() *tsdb.Sharded { return s.store }
 // closes the store: its loops stop, and a durable one is flushed and
 // closed (final checkpoint: remaining memory is sealed into a block, the
 // WAL pruned). Safe to call twice.
-// ListenAndServe calls it on graceful shutdown.
+// Serve calls it on graceful shutdown.
 func (s *Server) Close() error {
 	s.loops.Stop()
 	return s.store.Close()

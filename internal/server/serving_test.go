@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// startServeListener runs serveListener on an OS-assigned port and
+// startServeListener runs Serve on an OS-assigned port and
 // returns the base URL, the cancel that triggers graceful shutdown, and
 // the channel carrying its return value. tune lowers the server's
 // timeouts (10s for headers, 5s to drain) before it takes traffic.
@@ -28,13 +28,13 @@ func startServeListener(t *testing.T, opts Options, tune func(*Server)) (base st
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done = make(chan error, 1)
-	go func() { done <- s.serveListener(ctx, ln) }()
+	go func() { done <- s.Serve(ctx, ln) }()
 	return "http://" + ln.Addr().String(), cancel, done
 }
 
 // TestServeListenerHeaderTimeout is the slowloris regression test: a
 // client that sends half a header line and stalls must be disconnected
-// once readHeaderTimeout elapses. The old serveListener built
+// once readHeaderTimeout elapses. The serving code once built
 // http.Server with no timeouts at all, so the connection (and its
 // goroutine) lived forever and this test hangs on that code.
 func TestServeListenerHeaderTimeout(t *testing.T) {
@@ -75,7 +75,7 @@ func isTimeout(err error) bool {
 // ordering fix: when the graceful drain times out because a /write
 // client stalls mid-body, the server must force-close that connection
 // BEFORE Close() checkpoints and closes the WAL. The old code skipped
-// the force-close, so serveListener returned with the writer still
+// the force-close, so Serve returned with the writer still
 // connected — this test fails there on the conn-severed assertion.
 func TestServeListenerShutdownForceClosesStalledWriter(t *testing.T) {
 	base, cancel, done := startServeListener(t, Options{
@@ -97,10 +97,10 @@ func TestServeListenerShutdownForceClosesStalledWriter(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("serveListener: %v", err)
+			t.Fatalf("Serve: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("serveListener did not return: shutdown hangs on the stalled writer")
+		t.Fatal("Serve did not return: shutdown hangs on the stalled writer")
 	}
 	// The stalled connection must be dead: no late body delivery can
 	// reach a checkpointed, closed store.

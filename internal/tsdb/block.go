@@ -60,10 +60,13 @@ type blockMeta struct {
 	Points     int    `json:"points"`
 	Series     int    `json:"series"`
 	ChunkBytes int64  `json:"chunk_bytes"`
-	// WALCuts records, per shard index, the first WAL segment NOT
-	// covered by this block: the block holds every record of that
-	// shard's lower-numbered segments. Recovery prunes those segments
-	// even when the writing checkpoint crashed before deleting them.
+	// WALCuts records, per log, the first WAL segment NOT covered by
+	// this block: the block holds every record of that log's
+	// lower-numbered segments. The key of the store's one log is "wal"
+	// (walKey); a shard index keys one of the per-shard logs an earlier
+	// release wrote, which the block sealing them at open records.
+	// Recovery prunes those segments even when the writing checkpoint
+	// crashed before deleting them.
 	WALCuts map[string]uint64 `json:"wal_cuts,omitempty"`
 	// MinSeq and MaxSeq are the checkpoint-sequence range this block
 	// covers: a checkpoint-written block covers exactly its own Seq

@@ -30,7 +30,7 @@
 // store with the background flusher and compactor off, so its points
 // stay in shard memory until Checkpoint or Compact moves them. On disk:
 //
-//	<dir>/wal/shard-NNNN/MMMMMMMM.wal    per-shard write-ahead log
+//	<dir>/wal/NNNNNNNN.wal               the store's one write-ahead log
 //	<dir>/blocks/b-<seq>-<minT>-<maxT>/  immutable compressed blocks
 //	  meta.json                          time range, point/series counts
 //	  index.json                         series key -> chunk offsets
@@ -41,14 +41,16 @@
 // hold up to 4096 and read the same). A read decodes only the chunks its
 // range overlaps and fetches each run of adjacent ones with one pread.
 //
-// Every ingested batch is appended to the owning shard's WAL — a
+// Every ingested batch is appended to the store's one WAL — a
 // CRC-32C-framed, segmented log with a configurable fsync policy
-// (always / interval / never) — before it becomes visible in memory. A
-// background flusher periodically checkpoints: under each shard's lock
-// it drains the in-memory points and rotates the WAL in one atomic cut,
-// seals the drained data into an immutable block directory (written to
-// a tmp- path, fsynced, then renamed), and deletes the WAL segments the
-// block now covers. Retention drops whole blocks once every point in
+// (always / interval / never), to which each shard appends its part of
+// the batch as one record under its own lock — before it becomes
+// visible in memory. Shards partition memory and its locks, not the log.
+// A background flusher periodically checkpoints: holding every shard's
+// lock it drains the in-memory points and rotates the WAL once, one
+// atomic cut, then seals the drained data into an immutable block
+// directory (written to a tmp- path, fsynced, then renamed), and deletes
+// the WAL segments the block now covers. Retention drops whole blocks once every point in
 // them is further behind the application high-water mark (AppMaxTime:
 // the newest timestamp outside ReservedComponent, whose samples carry
 // process time) than the configured horizon, bounding the blocks (on
@@ -59,8 +61,12 @@
 //
 // Recovery in OpenSharded is the reverse: published blocks are indexed
 // for reading (leftover tmp- directories from a crashed flush are
-// removed; their data is still in the WAL), then each shard's WAL is
-// replayed in segment order. A torn or corrupt record ends replay
+// removed; their data is still in the WAL), then the WAL is replayed in
+// segment order, each record's samples placed by the current key hash,
+// so the shard count may change between lives. A data directory an
+// earlier release wrote, with one WAL directory per shard
+// (<dir>/wal/shard-NNNN/), is replayed directory by directory, sealed
+// into a block and removed at open. A torn or corrupt record ends replay
 // Prometheus-style: the bad tail is truncated, later segments are
 // discarded, and everything up to the last good record — i.e. all data
 // up to the last fsynced entry — is served exactly as before the crash.

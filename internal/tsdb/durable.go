@@ -24,10 +24,14 @@ import (
 type DurabilityOptions struct {
 	// Dir is the data directory root. It is created if missing; layout:
 	//
-	//	<dir>/wal/shard-NNNN/MMMMMMMM.wal   per-shard WAL segments
+	//	<dir>/wal/NNNNNNNN.wal               the store's one WAL, in segments
 	//	<dir>/blocks/b-<seq>-<minT>-<maxT>/ immutable compressed blocks
 	//
-	// Empty keeps the blocks in memory and writes no WAL.
+	// Every shard appends to the one log. A directory an earlier release
+	// wrote, with one WAL directory per shard (<dir>/wal/shard-NNNN/),
+	// opens too: OpenSharded seals what those directories hold into a
+	// block and removes them. Empty keeps the blocks in memory and writes
+	// no WAL.
 	Dir string
 	// Fsync is the WAL fsync policy (default FsyncInterval; without Dir
 	// there is no WAL, and it is ignored).
@@ -85,8 +89,9 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 
 // durable is the storage engine of every Sharded store, on disk or in
 // memory: the block list, the checkpoint machinery, and the background
-// ticks. The per-shard WALs (on disk only) live inside the shards, whose
-// locks order every append against the checkpoint cut. Each point is
+// ticks, and the store's WAL (on disk only), to which every shard
+// appends under its own lock: the cut takes every shard lock, which
+// orders it against every append. Each point is
 // held in exactly one place — shard memory, the flushing overlay, or a
 // block — and Stats sums each place's own counts.
 type durable struct {
@@ -95,6 +100,9 @@ type durable struct {
 	// opts.Dir, or a memFS of the store's own without it.
 	fsys      fileSystem
 	blocksDir string
+	// wal is the store's write-ahead log under <dir>/wal (nil in memory),
+	// set at open and never replaced.
+	wal *walWriter
 
 	// mu guards blocks, flushing, and nextSeq; writers of blocks and
 	// flushing also hold flushMu, for a checkpoint's or a compaction
@@ -142,24 +150,16 @@ type durable struct {
 	// process. Tests set other counts to show the bytes do not depend on it.
 	writeWorkers int
 
-	// staleWAL maps shard index -> directory for WAL dirs left over from
-	// a previous life that ran with a higher shard count. Their records
-	// were hash-routed into the current shards at open; the checkpoint
-	// OpenSharded then runs seals that data into a block (recording each
-	// dir's cut in its meta, so a crash before the removal below cannot
-	// replay them again) and deletes the directories.
-	staleWAL map[int]string
-
 	flushMu sync.Mutex
 	closed  bool
 	loops   *parallel.Loops // the background ticks, stopped by shutdown
 }
 
 // OpenSharded opens (or creates) a sharded store. With opts.Dir it is
-// durable: published blocks are indexed for reading, every WAL shard
-// directory is replayed into memory — tolerating a truncated or corrupt
-// tail, which is cut off Prometheus-style and logged — and the
-// background ticks (interval fsync, checkpoint, compaction) are started.
+// durable: published blocks are indexed for reading, the WAL is replayed
+// into memory — tolerating a truncated or corrupt tail, which is cut off
+// Prometheus-style and logged — and the background ticks (interval
+// fsync, checkpoint, compaction) are started.
 // A store that was killed without Close reopens to exactly the points
 // covered by blocks plus fsynced WAL records.
 //
@@ -168,23 +168,25 @@ type durable struct {
 // as they do on disk, but there is no WAL, since there is nothing to
 // recover, and so no fsync tick.
 //
-// Replay routes records by the current key hash, not by directory
-// position, so the shard count may change between lives (cmd/sieved
-// defaults it to GOMAXPROCS, which varies across hosts): directories
-// beyond the new count are replayed too, and at a new count the replay
-// is sealed into a block, and those directories deleted, before the
-// store is returned.
+// Replay places records by the current key hash, so the shard count may
+// change between lives (cmd/sieved defaults it to GOMAXPROCS, which
+// varies across hosts) with nothing to seal: the one log keeps every
+// series' records in arrival order, whichever shard wrote them.
 //
 // The returned store must be Closed to stop its ticks and, on disk, to
 // flush the final checkpoint; a crash without Close loses nothing that
 // reached the WAL.
 func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
+	if opts.Dir == "" {
+		return openSharded(n, opts, newMemFS())
+	}
+	return openSharded(n, opts, osFS{})
+}
+
+// openSharded is OpenSharded over the given filesystem.
+func openSharded(n int, opts DurabilityOptions, fsys fileSystem) (*Sharded, error) {
 	opts = opts.withDefaults()
 	s := newSharded(n)
-	var fsys fileSystem = osFS{}
-	if opts.Dir == "" {
-		fsys = newMemFS()
-	}
 	d := &durable{opts: opts, fsys: fsys, blocksDir: filepath.Join(opts.Dir, "blocks"), keyGen: &s.keyGen, tel: s.tel, loops: parallel.NewLoops(),
 		checkpoints: telemetry.NewReporter("checkpoint", nil), compactions: telemetry.NewReporter("compaction", s.tel.CompactionFailures)}
 	s.dur = d
@@ -200,10 +202,8 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 		for _, b := range d.blocks {
 			_ = b.close()
 		}
-		for _, sh := range s.shards {
-			if sh.wal != nil {
-				_ = sh.wal.close()
-			}
+		if d.wal != nil {
+			_ = d.wal.close()
 		}
 	}
 	d.blocks = blocks
@@ -227,11 +227,7 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	}
 
 	if opts.Fsync == FsyncInterval {
-		d.loops.Every(fsyncTick, false, func(context.Context) {
-			for _, sh := range s.shards {
-				sh.wal.flush()
-			}
-		})
+		d.loops.Every(fsyncTick, false, func(context.Context) { d.wal.flush() })
 	}
 	if opts.FlushInterval > 0 {
 		d.loops.Every(opts.FlushInterval, false, func(context.Context) { _ = s.Checkpoint() })
@@ -245,120 +241,95 @@ func OpenSharded(n int, opts DurabilityOptions) (*Sharded, error) {
 	return s, nil
 }
 
-// openWAL replays every WAL shard directory under <dir>/wal into the
-// shards and gives each shard its writer. At a new shard count a
-// replayed series appends to a different directory than the one it
-// replayed from, and replay goes by directory index, not arrival: so the
-// replay is sealed into a block before the first write, and no later
-// replay has to order one series' records across two directories. The
-// same checkpoint retires the directories beyond the count.
+// walKey is the store log's key in a block's wal_cuts. No shard index
+// spells it, so a block can record it beside the cuts of the per-shard
+// directories an earlier release wrote.
+const walKey = "wal"
+
+// openWAL replays the store's log, <dir>/wal/NNNNNNNN.wal, into the
+// shards and opens its writer. A data directory an earlier release wrote
+// holds one log directory per shard instead, wal/shard-NNNN/: each is
+// replayed first, in index order, and then sealed into a block whose
+// meta records the cut covering each directory, and removed. A crash
+// after that block's publish prunes every legacy segment at the next
+// open, so nothing replays twice.
 func (d *durable) openWAL(s *Sharded) error {
-	// The resolved count (server.Options.Shards and cmd/sieved's -shards
-	// default to 0, GOMAXPROCS): compared with a raw 0, every live
-	// directory would look like leftovers from a bigger previous life, and
-	// the first checkpoint would delete them out from under their writers.
-	n := s.NumShards()
 	walRoot := filepath.Join(d.opts.Dir, "wal")
-	dirIdxs, err := listWALShardDirs(d.fsys, walRoot)
-	if err != nil {
+	entries, err := d.fsys.ReadDir(walRoot)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	// The directories on disk are the previous life's shards: a life
-	// that changed the count retired the others at open (below).
-	resharded := len(dirIdxs) > 0 && len(dirIdxs) != n
-	for i := 0; i < n; i++ {
-		dirIdxs[i] = struct{}{} // current shards replay (and create) their dirs
-	}
-	replayOrder := make([]int, 0, len(dirIdxs))
-	for i := range dirIdxs {
-		replayOrder = append(replayOrder, i)
-	}
-	sort.Ints(replayOrder) // deterministic replay order across directories
-	for _, i := range replayOrder {
-		shardDir := walShardDir(walRoot, i)
-		// Drop segments already covered by a published block: the cuts
-		// recorded in block metas survive a crash between a block's
-		// rename and its WAL pruning, so those records never replay on
-		// top of the block data they duplicate. Cuts are per directory,
-		// so they stay valid across shard-count changes.
-		if cut := maxRecordedCut(d.blocks, i); cut > 0 {
-			if _, _, err := pruneWALSegmentsBelow(d.fsys, shardDir, cut); err != nil {
-				return fmt.Errorf("tsdb: pruning covered wal of shard %d: %w", i, err)
-			}
+	legacyCuts := map[string]uint64{}
+	var legacyDirs []string
+	for _, e := range entries { // sorted by name, so by index
+		i, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "shard-"))
+		if !e.IsDir() || err != nil || i < 0 || e.Name() != fmt.Sprintf("shard-%04d", i) {
+			continue // only the exact names: shard-0001.old is no shard
 		}
-		if err := s.replayWAL(shardDir); err != nil {
-			return fmt.Errorf("tsdb: replaying %s: %w", shardDir, err)
+		dir, key := filepath.Join(walRoot, e.Name()), strconv.Itoa(i)
+		if err := d.replayLog(s, dir, recordedCut(d.blocks, key)); err != nil {
+			return err
 		}
-		if i >= n {
-			if d.staleWAL == nil {
-				d.staleWAL = map[int]string{}
-			}
-			d.staleWAL[i] = shardDir
-		}
-	}
-	for i, sh := range s.shards {
-		// A directory a previous life retired may be reused here: its
-		// segments must number above every cut a block recorded for the
-		// index, or the next open would prune them as covered. (A cut of
-		// ^0 is the marker earlier versions retired directories with.)
-		first := maxRecordedCut(d.blocks, i)
-		if first == ^uint64(0) {
-			first = 0
-		}
-		w, err := openWALWriter(d.fsys, walShardDir(walRoot, i), d.opts.Fsync, walSegmentBytes, s.tel, first)
+		seqs, err := listWALSegments(d.fsys, dir)
 		if err != nil {
-			return fmt.Errorf("tsdb: opening wal for shard %d: %w", i, err)
+			return err
 		}
-		sh.wal = w
+		legacyCuts[key] = 1
+		if len(seqs) > 0 {
+			legacyCuts[key] = seqs[len(seqs)-1] + 1
+		}
+		legacyDirs = append(legacyDirs, dir)
 	}
-	if resharded {
-		if err := d.checkpoint(s); err != nil {
-			return fmt.Errorf("tsdb: sealing the wal replayed at a new shard count: %w", err)
+	cut := recordedCut(d.blocks, walKey)
+	if err := d.replayLog(s, walRoot, cut); err != nil {
+		return err
+	}
+	// Segments number at or above every cut a block recorded: a log
+	// pruned empty would otherwise restart below it, and the next open
+	// would prune the new segments as covered.
+	if d.wal, err = openWALWriter(d.fsys, walRoot, d.opts.Fsync, walSegmentBytes, s.tel, cut); err != nil {
+		return fmt.Errorf("tsdb: opening wal: %w", err)
+	}
+	if len(legacyDirs) == 0 {
+		return nil
+	}
+	if err := d.cut(s); err != nil {
+		return fmt.Errorf("tsdb: sealing the per-shard wal: %w", err)
+	}
+	maps.Copy(d.flushing.walCuts, legacyCuts)
+	if err := d.writeCut(); err != nil {
+		return fmt.Errorf("tsdb: sealing the per-shard wal: %w", err)
+	}
+	for _, dir := range legacyDirs {
+		if err := d.fsys.RemoveAll(dir); err != nil {
+			return fmt.Errorf("tsdb: removing sealed wal dir %s: %w", dir, err)
 		}
 	}
 	return nil
 }
 
-// walShardDir formats the WAL directory of one shard index.
-func walShardDir(walRoot string, i int) string {
-	return filepath.Join(walRoot, fmt.Sprintf("shard-%04d", i))
+// replayLog drops the segments of the log in dir below cut, which a
+// published block covers (its cut survives a crash between the block's
+// rename and the prune), and replays the rest into the shards.
+func (d *durable) replayLog(s *Sharded, dir string, cut uint64) error {
+	if _, _, err := pruneWALSegmentsBelow(d.fsys, dir, cut); err != nil {
+		return fmt.Errorf("tsdb: pruning covered wal in %s: %w", dir, err)
+	}
+	if err := s.replayWAL(dir); err != nil {
+		return fmt.Errorf("tsdb: replaying %s: %w", dir, err)
+	}
+	return nil
 }
 
-// listWALShardDirs returns the set of shard indices that have WAL
-// directories on disk (empty when the wal root does not exist yet). Only
-// a directory named exactly as walShardDir names its index counts: a
-// stray shard-0001.old would otherwise read as shard 1.
-func listWALShardDirs(fsys fileSystem, walRoot string) (map[int]struct{}, error) {
-	idxs := map[int]struct{}{}
-	entries, err := fsys.ReadDir(walRoot)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return idxs, nil
-		}
-		return nil, err
-	}
-	for _, e := range entries {
-		i, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "shard-"))
-		if e.IsDir() && err == nil && i >= 0 && walShardDir(walRoot, i) == filepath.Join(walRoot, e.Name()) {
-			idxs[i] = struct{}{}
-		}
-	}
-	return idxs, nil
-}
-
-// maxRecordedCut returns the highest WAL cut any published block
-// recorded for the given shard (0 when none): segments below it are
-// fully covered by block data. Retention-expired blocks are gone by the
-// time this runs, but their cuts were superseded by every later block's.
-func maxRecordedCut(blocks []*block, shard int) uint64 {
-	key := fmt.Sprintf("%d", shard)
-	var max uint64
+// recordedCut returns the highest cut any published block recorded
+// under key (0 when none). Retention-expired blocks are gone by the time
+// this runs, but their cuts were superseded by every later block's.
+func recordedCut(blocks []*block, key string) uint64 {
+	var cut uint64
 	for _, b := range blocks {
-		if c := b.meta.WALCuts[key]; c > max {
-			max = c
-		}
+		cut = max(cut, b.meta.WALCuts[key])
 	}
-	return max
+	return cut
 }
 
 // checkpoint runs one checkpoint and reports its outcome, whoever
@@ -372,10 +343,12 @@ func (d *durable) checkpoint(s *Sharded) error {
 
 // flushCut is one checkpoint cut: the series moved out of shard memory,
 // with their points and in-memory storage bytes, and the WAL cuts the
-// block holding them records in its meta — shard index (a string, as
-// JSON map keys are) -> first segment the block does not cover. The
-// checkpoint prunes the segments below them once the block is
-// published, and an open after a crash in between drops them unread.
+// block holding them records in its meta — walKey -> the first segment
+// of the store log the block does not cover (and, for the block that
+// seals an earlier release's per-shard directories, shard index -> the
+// same for each). The checkpoint prunes the log below its cut once the
+// block is published, and an open after a crash in between drops those
+// segments unread.
 type flushCut struct {
 	series        map[string]*series
 	walCuts       map[string]uint64
@@ -392,80 +365,55 @@ func (d *durable) runCheckpoint(s *Sharded) error {
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
 	if d.flushing != nil {
-		if err := d.writeCut(s); err != nil {
+		if err := d.writeCut(); err != nil {
 			return err
 		}
 	}
 	if err := d.cut(s); err != nil {
 		return err
 	}
-	if err := d.writeCut(s); err != nil {
+	if err := d.writeCut(); err != nil {
 		return err
 	}
-	// WAL directories inherited from a life with more shards: their
-	// records were hash-routed into memory at open, so the cut above
-	// captured them and the block (or, with nothing replayed, the empty
-	// directories themselves) now covers everything they held.
-	for _, dir := range d.staleWAL {
-		if err := d.fsys.RemoveAll(dir); err != nil {
-			return fmt.Errorf("tsdb: checkpoint: removing stale wal dir %s: %w", dir, err)
-		}
-	}
-	d.staleWAL = nil
 	return d.enforceRetention(s.AppMaxTime())
 }
 
-// cut moves shard memory into the flushing overlay. Each shard rotates
-// its WAL and hands over its series under one lock hold, so every point
-// is either in the cut (and then the block) or in the post-rotation WAL
-// — never both, never neither. Only this cheap handover runs under the
-// reader-excluding cutMu; decoding and compressing the cut runs with
-// readers live, served by the overlay. A rotate that fails leaves the
-// shards cut so far in the overlay, and the rest in memory.
+// cut moves shard memory into the flushing overlay. It takes every shard
+// lock, in index order, rotates the WAL once and hands over every
+// shard's series, so every point is either in the cut (and then the
+// block) or in the post-rotation WAL — never both, never neither. Only
+// this cheap handover runs under the reader-excluding cutMu; decoding
+// and compressing the cut runs with readers live, served by the overlay.
+// A rotate that fails cuts nothing.
 func (d *durable) cut(s *Sharded) error {
-	// Stale dirs are quiescent (no writer) and their records are in
-	// memory: each is covered up to the segment after its last, once
-	// every shard is cut.
-	stale := make(map[string]uint64, len(d.staleWAL))
-	for idx, dir := range d.staleWAL {
-		seqs, err := listWALSegments(d.fsys, dir)
-		if err != nil {
-			return fmt.Errorf("tsdb: checkpoint: listing stale wal dir %s: %w", dir, err)
-		}
-		key := fmt.Sprintf("%d", idx)
-		stale[key] = 1
-		if len(seqs) > 0 {
-			stale[key] = seqs[len(seqs)-1] + 1
-		}
-	}
 	c := &flushCut{series: map[string]*series{}, walCuts: map[string]uint64{}}
 	d.cutMu.Lock()
 	defer d.cutMu.Unlock()
-	var err error
-	for i, sh := range s.shards {
-		var cutSeq uint64
-		if cutSeq, err = sh.cut(c); err != nil {
-			err = fmt.Errorf("tsdb: checkpoint: cutting shard %d: %w", i, err)
-			break
-		}
-		if sh.wal != nil {
-			c.walCuts[fmt.Sprintf("%d", i)] = cutSeq
-		}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 	}
-	if err == nil {
-		maps.Copy(c.walCuts, stale)
+	if d.wal != nil {
+		seq, err := d.wal.rotate()
+		if err != nil {
+			return fmt.Errorf("tsdb: checkpoint: rotating the wal: %w", err)
+		}
+		c.walCuts[walKey] = seq
+	}
+	for _, sh := range s.shards {
+		sh.cutLocked(c)
 	}
 	d.mu.Lock()
 	d.flushing = c
 	d.mu.Unlock()
-	return err
+	return nil
 }
 
 // writeCut writes the overlay as one block under a fresh sequence number
 // (nothing, when it holds no points), swaps the block in for it, and
 // prunes the WAL segments the block covers. A failed write keeps the
 // overlay, and its WAL segments, for the next checkpoint.
-func (d *durable) writeCut(s *Sharded) error {
+func (d *durable) writeCut() error {
 	c := d.flushing
 	var blk *block
 	if c.points > 0 {
@@ -488,12 +436,9 @@ func (d *durable) writeCut(s *Sharded) error {
 		d.tel.BlockPublishes.Inc()
 	}
 	d.mu.Unlock()
-	for i, sh := range s.shards {
-		if sh.wal == nil {
-			continue
-		}
-		if err := sh.wal.removeSegmentsBelow(c.walCuts[fmt.Sprintf("%d", i)]); err != nil {
-			return fmt.Errorf("tsdb: checkpoint: pruning wal of shard %d: %w", i, err)
+	if d.wal != nil {
+		if err := d.wal.removeSegmentsBelow(c.walCuts[walKey]); err != nil {
+			return fmt.Errorf("tsdb: checkpoint: pruning wal: %w", err)
 		}
 	}
 	return nil
@@ -517,8 +462,10 @@ func buildBlock(fsys fileSystem, blocksDir string, seq uint64, walCuts map[strin
 		}
 		pts := w.raw.pts
 		// Stable by time: preserves arrival order among equal timestamps,
-		// so queries after a flush (and after recovery) return the same
-		// bytes as before it.
+		// so raw queries after a flush (and after recovery) return the
+		// same bytes as before it. Aggregations fold storage order, which
+		// this sort changes for points that arrived out of time order: a
+		// float fold over them may round differently after the flush.
 		sort.SliceStable(pts, func(a, b int) bool { return pts[a].T < pts[b].T })
 		w.segs = append(w.segs[:0], pts)
 		return w.segs, nil
@@ -647,7 +594,7 @@ func (d *durable) maxTime() int64 {
 
 // addStats adds the persisted side to out under one hold of mu: each
 // block's points and chunk bytes, the overlay's points and bytes, the
-// block count, and the blocks' marks.
+// block count, the blocks' marks, and the WAL's segments and bytes.
 func (d *durable) addStats(out *Stats) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -662,10 +609,14 @@ func (d *durable) addStats(out *Stats) {
 	}
 	out.Blocks = len(d.blocks)
 	out.AppMaxTime = max(out.AppMaxTime, d.appT)
+	if d.wal != nil {
+		out.WALSegments, out.WALBytes = d.wal.usage()
+		out.StorageBytes += int(out.WALBytes)
+	}
 }
 
 // shutdown stops the ticks and, on disk, runs a final checkpoint so
-// memory reaches disk in compressed form, and closes WALs and block
+// memory reaches disk in compressed form, and closes the WAL and block
 // files. A store in memory keeps its data readable: there is nothing to
 // write it to.
 func (d *durable) shutdown(s *Sharded) error {
@@ -683,10 +634,8 @@ func (d *durable) shutdown(s *Sharded) error {
 	}
 
 	err := d.checkpoint(s)
-	for _, sh := range s.shards {
-		if cerr := sh.wal.close(); err == nil {
-			err = cerr
-		}
+	if cerr := d.wal.close(); err == nil {
+		err = cerr
 	}
 	d.mu.Lock()
 	for _, b := range d.blocks {

@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -224,4 +226,103 @@ func fsTree(fsys fileSystem, dir string) (string, error) {
 	}
 	err := walk("")
 	return b.String(), err
+}
+
+// faultFS is the operating system's filesystem with one scripted fault:
+// the k-th call (from 1) of kind fails with err, and every other call
+// goes through. The kinds are "Write" and "Sync", counted over every file
+// it opened, and "Rename".
+type faultFS struct {
+	osFS
+	kind string
+	k    int
+	err  error
+
+	mu    sync.Mutex
+	calls int
+}
+
+// fail counts a call of kind and returns the scripted error when it is
+// the k-th.
+func (f *faultFS) fail(kind string) error {
+	if kind != f.kind {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls++
+	if f.calls == f.k {
+		return f.err
+	}
+	return nil
+}
+
+func (f *faultFS) wrap(fl file, err error) (file, error) {
+	if err != nil {
+		return nil, err
+	}
+	return faultFile{fl, f}, nil
+}
+
+func (f *faultFS) Create(name string) (file, error) { return f.wrap(f.osFS.Create(name)) }
+func (f *faultFS) Append(name string) (file, error) { return f.wrap(f.osFS.Append(name)) }
+func (f *faultFS) Open(name string) (file, error)   { return f.wrap(f.osFS.Open(name)) }
+
+func (f *faultFS) Rename(oldpath, newpath string) error {
+	if err := f.fail("Rename"); err != nil {
+		return err
+	}
+	return f.osFS.Rename(oldpath, newpath)
+}
+
+// faultFile is a file of a faultFS.
+type faultFile struct {
+	file
+	fs *faultFS
+}
+
+func (f faultFile) Write(p []byte) (int, error) {
+	if err := f.fs.fail("Write"); err != nil {
+		return 0, err
+	}
+	return f.file.Write(p)
+}
+
+func (f faultFile) Sync() error {
+	if err := f.fs.fail("Sync"); err != nil {
+		return err
+	}
+	return f.file.Sync()
+}
+
+// TestFaultFSFailsTheKthCall: only the scripted call fails, with the
+// scripted error, and the calls around it go through.
+func TestFaultFSFailsTheKthCall(t *testing.T) {
+	dir := t.TempDir()
+	for _, kind := range []string{"Write", "Sync", "Rename"} {
+		fsys := &faultFS{kind: kind, k: 2, err: syscall.EIO}
+		var outcomes []bool
+		for i := 0; i < 3; i++ {
+			name := filepath.Join(dir, fmt.Sprintf("%s-%d", kind, i))
+			f, err := fsys.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.Write([]byte("x"))
+			if serr := f.Sync(); err == nil {
+				err = serr
+			}
+			if rerr := fsys.Rename(name, name+".moved"); err == nil {
+				err = rerr
+			}
+			f.Close()
+			if err != nil && !errors.Is(err, syscall.EIO) {
+				t.Fatalf("%s call %d: %v, want EIO", kind, i+1, err)
+			}
+			outcomes = append(outcomes, err != nil)
+		}
+		if fmt.Sprint(outcomes) != "[false true false]" {
+			t.Errorf("%s: failures %v, want only the second call", kind, outcomes)
+		}
+	}
 }

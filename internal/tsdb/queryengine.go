@@ -654,11 +654,16 @@ func (s *Sharded) evalSeries(key string, q RangeQuery, sc *seriesScratch) ([]Poi
 // points in the range are omitted.
 //
 // Each series is read under its own checkpoint-cut hold (see scanSeries),
-// not one hold across the fan-out. Against the cut itself that costs no
-// observable consistency: a cut only moves points between memory and
-// blocks, and reads are byte-identical on either side (pinned by the
-// store model's checks), so a result mixing pre- and post-cut series equals
-// the all-pre and all-post results. It is not a snapshot against
+// not one hold across the fan-out. A cut only moves points between
+// memory and blocks: raw reads are byte-identical on either side (pinned
+// by the store model's checks), so a raw result mixing pre- and post-cut
+// series equals the all-pre and all-post results. Aggregations are not:
+// they fold storage order, and the checkpoint sorts each series' cut by
+// time, so over points that arrived out of time order a float fold may
+// round differently after the cut (arrivals (t=2, 1e16), (t=3, -1e16),
+// (t=1, 1) sum to 1 before it and 0 after). Each series' aggregate is
+// then the one its pre-cut or its post-cut storage order gives, as the
+// store model predicts. A response is not a snapshot against
 // anything else: ingest racing the fan-out may reach some series and not
 // others, and with RetentionMS set a checkpoint may drop expired blocks
 // midway, so a single response can reflect different history depths

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -104,6 +105,26 @@ func TestDurableRecoveryShardCountChangeAfterCheckpoint(t *testing.T) {
 	ops := recoveryWrites(0, 10, 5, 3)
 	ops = append(ops, op{Kind: opClose, Shards: 6})
 	playScript(t, storeScript{name: "reshard after checkpoint", shards: 2, fsync: FsyncNever, ops: ops})
+}
+
+// TestDurableReshardPublishesNoBlock hard-stops a 4-shard store with
+// its data in the WAL alone and reopens it at 3, 1 and 7 shards: the one
+// log replays at any count, so no open publishes a block, and the reads
+// match the model each time.
+func TestDurableReshardPublishesNoBlock(t *testing.T) {
+	dir := t.TempDir()
+	s := openCrashable(t, dir, 4)
+	ref := newStoreModel(0)
+	for i := 0; i < 12; i++ {
+		recoveryWrite(t, ref, recoveryBatch(i, 6, 3), s)
+	}
+	for _, n := range []int{3, 1, 7} {
+		re := openCrashable(t, dir, n)
+		if st := re.Stats(); st.Blocks != 0 {
+			t.Fatalf("open at %d shards published %d blocks, want none", n, st.Blocks)
+		}
+		assertSameContents(t, re, ref, fmt.Sprintf("reopened at %d shards", n))
+	}
 }
 
 // TestDurableKeptCutRecovery fails a checkpoint, so the store keeps its
@@ -242,8 +263,9 @@ func TestDurableCheckpointFailureLeavesNoTmpDir(t *testing.T) {
 }
 
 // TestDurableWALStrayNamesIgnored plants names the store never writes
-// into the WAL tree — copies of a segment as 1.wal and
-// 00000001.wal.wal, and of a shard directory as shard-0001.old — beside
+// into the WAL directory — copies of a segment as 1.wal and
+// 00000001.wal.wal, and inside a directory shard-0001.old, which an
+// earlier release's per-shard layout would not have named so — beside
 // real data and alone. Beside it, replay must read each real segment
 // once and a checkpoint must prune without tripping on them; alone, the
 // store must open empty instead of looking for a 00000001.wal that is
@@ -251,30 +273,24 @@ func TestDurableCheckpointFailureLeavesNoTmpDir(t *testing.T) {
 func TestDurableWALStrayNamesIgnored(t *testing.T) {
 	plant := func(t *testing.T, from, to string) {
 		t.Helper()
-		for _, shard := range []string{"shard-0000", "shard-0001"} {
-			seqs, err := listWALSegments(osFS{}, filepath.Join(from, shard))
-			if err != nil || len(seqs) == 0 {
-				t.Fatalf("%s holds no segment (%v)", shard, err)
-			}
-			data, err := os.ReadFile(filepath.Join(from, shard, walSegmentName(seqs[0])))
-			if err != nil {
+		seqs, err := listWALSegments(osFS{}, from)
+		if err != nil || len(seqs) == 0 {
+			t.Fatalf("%s holds no segment (%v)", from, err)
+		}
+		data, err := os.ReadFile(filepath.Join(from, walSegmentName(seqs[0])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(to, "shard-0001.old"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, stray := range []string{
+			fmt.Sprintf("%d.wal", seqs[0]),
+			walSegmentName(seqs[0]) + ".wal",
+			filepath.Join("shard-0001.old", walSegmentName(seqs[0])),
+		} {
+			if err := os.WriteFile(filepath.Join(to, stray), data, 0o644); err != nil {
 				t.Fatal(err)
-			}
-			if err := os.MkdirAll(filepath.Join(to, shard), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			for _, stray := range []string{fmt.Sprintf("%d.wal", seqs[0]), walSegmentName(seqs[0]) + ".wal"} {
-				if err := os.WriteFile(filepath.Join(to, shard, stray), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if shard == "shard-0001" {
-				if err := os.MkdirAll(filepath.Join(to, shard+".old"), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(to, shard+".old", walSegmentName(seqs[0])), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 	}
@@ -304,19 +320,23 @@ func TestDurableWALStrayNamesIgnored(t *testing.T) {
 	assertSameContents(t, st, newStoreModel(0), "stray names alone")
 }
 
-// TestDurablePartialWriteReportsStored kills one shard's WAL and writes
-// a batch spanning all shards: Write must report exactly the samples the
-// healthy shards stored alongside the error, so a client can tell a
-// partial success from a clean failure (and not blindly replay the whole
-// payload, duplicating the stored points).
+// TestDurablePartialWriteReportsStored fails the WAL write of one
+// shard's record in a batch spanning both shards: Write must report
+// exactly the samples the other shard stored alongside the error, so a
+// client can tell a partial success from a clean failure (and not
+// blindly replay the whole payload, duplicating the stored points). The
+// store then serves, and after a hard stop recovers, that share exactly
+// once, and the next write stores whole.
 func TestDurablePartialWriteReportsStored(t *testing.T) {
 	dir := t.TempDir()
-	s := openCrashable(t, dir, 2)
-	batch := recoveryBatch(0, 8, 3)
-	// Sever shard 0's WAL out from under it: appends to it now fail.
-	if err := s.shards[0].wal.close(); err != nil {
+	// The batch is small, so the shards append in index order: the
+	// store's first WAL write is shard 0's record.
+	s, err := openSharded(2, DurabilityOptions{Dir: dir, Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1},
+		&faultFS{kind: "Write", k: 1, err: syscall.EIO})
+	if err != nil {
 		t.Fatal(err)
 	}
+	batch := recoveryBatch(0, 8, 3)
 	var healthy int
 	for _, smp := range batch {
 		if s.shardIndex(smp.Key()) != 0 {
@@ -328,7 +348,7 @@ func TestDurablePartialWriteReportsStored(t *testing.T) {
 	}
 	n, err := s.Write(EncodeLineProtocol(batch))
 	if err == nil {
-		t.Fatal("write through a dead WAL should fail")
+		t.Fatal("write whose WAL write failed should fail")
 	}
 	if !errors.Is(err, ErrStorage) {
 		t.Fatalf("want ErrStorage-wrapped failure (front ends map it to 5xx), got %v", err)
@@ -348,8 +368,15 @@ func TestDurablePartialWriteReportsStored(t *testing.T) {
 	if served != healthy {
 		t.Fatalf("stored %d points, want %d", served, healthy)
 	}
-	// No Close: shard 0's WAL is already gone; the store is abandoned
-	// like a crashed process.
+	ref := newStoreModel(0)
+	for _, smp := range batch {
+		if s.shardIndex(smp.Key()) != 0 {
+			ref.add([]Sample{smp})
+		}
+	}
+	assertSameContents(t, openCrashable(t, dir, 2), ref, "reopened after the partial write")
+	recoveryWrite(t, ref, recoveryBatch(1, 8, 3), s)
+	assertSameContents(t, openCrashable(t, dir, 3), ref, "reopened after the next write")
 }
 
 func TestDurableCrashMidFlush(t *testing.T) {
@@ -395,12 +422,12 @@ func TestDurableTruncatedWALTail(t *testing.T) {
 	// The 11th batch is torn mid-record by the crash.
 	recoveryWrite(t, nil, recoveryBatch(10, 4, 4), s)
 
-	shardDir := filepath.Join(dir, "wal", "shard-0000")
-	seqs, err := listWALSegments(osFS{}, shardDir)
+	walDir := filepath.Join(dir, "wal")
+	seqs, err := listWALSegments(osFS{}, walDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := filepath.Join(shardDir, walSegmentName(seqs[len(seqs)-1]))
+	last := filepath.Join(walDir, walSegmentName(seqs[len(seqs)-1]))
 	fi, err := os.Stat(last)
 	if err != nil {
 		t.Fatal(err)
@@ -504,15 +531,15 @@ func TestDurableStaleWALSegmentsNotReplayed(t *testing.T) {
 	}
 	// Stash the live segments, checkpoint (which prunes them), then put
 	// them back — exactly the on-disk state of a crash mid-prune.
-	shardDir := filepath.Join(dir, "wal", "shard-0000")
-	seqs, err := listWALSegments(osFS{}, shardDir)
+	walDir := filepath.Join(dir, "wal")
+	seqs, err := listWALSegments(osFS{}, walDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	saved := map[string][]byte{}
 	for _, seq := range seqs {
 		name := walSegmentName(seq)
-		data, err := os.ReadFile(filepath.Join(shardDir, name))
+		data, err := os.ReadFile(filepath.Join(walDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +549,7 @@ func TestDurableStaleWALSegmentsNotReplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range saved {
-		if err := os.WriteFile(filepath.Join(shardDir, name), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(walDir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -941,16 +968,16 @@ func TestDurableWALRepairIsLogged(t *testing.T) {
 		recoveryWrite(t, nil, recoveryBatch(i, 2, 2), s)
 	}
 	// A later segment the repair must remove with the torn tail.
-	if _, err := s.shards[0].wal.rotate(); err != nil {
+	if _, err := s.dur.wal.rotate(); err != nil {
 		t.Fatal(err)
 	}
 	recoveryWrite(t, nil, recoveryBatch(3, 2, 2), s)
-	shardDir := filepath.Join(dir, "wal", "shard-0000")
-	seqs, err := listWALSegments(osFS{}, shardDir)
+	walDir := filepath.Join(dir, "wal")
+	seqs, err := listWALSegments(osFS{}, walDir)
 	if err != nil || len(seqs) != 2 {
 		t.Fatalf("segments %v (%v), want 2", seqs, err)
 	}
-	torn := filepath.Join(shardDir, walSegmentName(seqs[0]))
+	torn := filepath.Join(walDir, walSegmentName(seqs[0]))
 	fi, err := os.Stat(torn)
 	if err != nil {
 		t.Fatal(err)
@@ -972,7 +999,7 @@ func TestDurableWALRepairIsLogged(t *testing.T) {
 		t.Fatalf("%d warnings after a torn-tail reopen, want 1:\n%s", n, got)
 	}
 	for _, want := range []string{
-		"dir=" + shardDir,
+		"dir=" + walDir,
 		"segment=" + walSegmentName(seqs[0]),
 		fmt.Sprintf("offset=%d", fi.Size()),
 		"removed=[" + walSegmentName(seqs[1]) + "]",

@@ -41,7 +41,7 @@ type Stats struct {
 	// IngestCPU is the cumulative wall time spent parsing and storing
 	// writes (a proxy for the monitoring stack's CPU overhead).
 	IngestCPU time.Duration
-	// WALSegments counts live WAL segment files across shards, and
+	// WALSegments counts the store WAL's live segment files, and
 	// WALBytes the bytes they hold (both 0 without a data directory,
 	// where there is no WAL): the backlog a failing checkpoint leaves
 	// growing.
@@ -79,7 +79,7 @@ type series struct {
 	compLen  int
 	reserved bool
 
-	// walID is the series' id in its shard's WAL segment walSeg (0: none).
+	// walID is the series' id in the store WAL's segment walSeg (0: none).
 	// The id holds only while walSeg is the open segment: a roll makes it
 	// stale, and the next append that uses the series defines it again.
 	walID  uint64
@@ -154,12 +154,6 @@ type shard struct {
 	// are cumulative: they survive the checkpoint cut.
 	appT int64
 
-	// wal is the shard's write-ahead log on a store with a data directory
-	// (nil in memory): set only by OpenSharded, appended to (under mu,
-	// before the memory insert) on the appendSamples path that Sharded
-	// routes ingest through.
-	wal *walWriter
-
 	// tel is the owning store's instrument set (chunk-fate counts from
 	// scans), fixed at construction.
 	tel *StoreTelemetry
@@ -191,19 +185,20 @@ const ackBytes = 32
 // but no network accounting: the entry point used by Sharded, whose
 // front door owns the wire-level counters. Each sample's series is looked
 // up once and carried by reference through the WAL append and the memory
-// insert. On a durable store the batch goes to the WAL first; a WAL write
-// failure rejects the whole batch, and the series it would have created
-// are unborn again, so memory never holds points (or keys) the log's file
-// does not cover. The WAL write and the memory insert happen under one
-// lock hold — that atomicity is what lets a checkpoint cut (which rotates
-// the WAL and drains memory under the same lock) never split a batch
-// between a pruned segment and post-cut memory. Under FsyncAlways the
+// insert. On a durable store (wal non-nil: the store's one log) the batch
+// goes to the WAL first, as one record; a WAL write failure rejects the
+// whole batch, and the series it would have created are unborn again, so
+// memory never holds points (or keys) the log's file does not cover. The
+// WAL write and the memory insert happen under one hold of the shard's
+// lock — that atomicity is what lets a checkpoint cut (which holds every
+// shard lock while it rotates the WAL and drains memory) never split a
+// batch between a pruned segment and post-cut memory. Under FsyncAlways the
 // durability wait happens after the lock is released, through the WAL's
 // group-commit queue: concurrent appenders queue behind one in-flight
 // fsync and the next leader commits them all with a single sync, so the
 // request still returns only once its own batch is durable but the
 // fsync count scales with coalesced groups, not with requests.
-func (sh *shard) appendSamples(samples []Sample) error {
+func (sh *shard) appendSamples(samples []Sample, wal *walWriter) error {
 	start := time.Now()
 	sh.mu.Lock()
 	refs, born := sh.refs[:0], sh.born[:0]
@@ -216,8 +211,8 @@ func (sh *shard) appendSamples(samples []Sample) error {
 	}
 	var seq uint64
 	var err error
-	if sh.wal != nil {
-		seq, err = sh.wal.append(samples, refs)
+	if wal != nil {
+		seq, err = wal.append(samples, refs)
 	}
 	if err != nil {
 		for _, sr := range born {
@@ -240,13 +235,13 @@ func (sh *shard) appendSamples(samples []Sample) error {
 	if err != nil {
 		return err
 	}
-	if sh.wal != nil && sh.wal.policy == FsyncAlways {
+	if wal != nil && wal.policy == FsyncAlways {
 		// A commitWait error means durability is unconfirmed, not that
 		// the batch was dropped: the frames are in the log and the points
 		// are in memory, but the fsync covering them failed. Callers see
 		// a storage error; a crash before a later successful fsync loses
 		// the batch, a client retry may duplicate it.
-		return sh.wal.commitWait(seq)
+		return wal.commitWait(seq)
 	}
 	return nil
 }
@@ -329,24 +324,14 @@ func (sh *shard) sealLocked(sr *series) {
 	sr.tail = sr.tail[:0]
 }
 
-// cut is the shard half of a checkpoint cut: under one lock hold it
-// rotates the WAL and moves every series, with the shard's point and
-// byte counts, into c, leaving the shard empty. The work under the lock
-// is O(series) map moves — no decompression — so queries stall only for
-// the handover, not for the decode. The moved structures are immutable
-// from here on (the shard allocates fresh ones for new arrivals), so the
-// checkpoint may read them without locking. The returned sequence number
-// is the cut: all moved points live in WAL segments below it, all later
-// appends in segments at or above it (0 without a WAL). On error the
-// shard is left untouched.
-func (sh *shard) cut(c *flushCut) (cutSeq uint64, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.wal != nil {
-		if cutSeq, err = sh.wal.rotate(); err != nil {
-			return 0, err
-		}
-	}
+// cutLocked is the shard half of a checkpoint cut, whose caller holds
+// every shard's lock across the WAL's rotation and every handover: it
+// moves every series, with the shard's point and byte counts, into c,
+// leaving the shard empty. The work is O(series) map moves — no decompression — so
+// queries stall only for the handover, not for the decode. The moved
+// structures are immutable from here on (the shard allocates fresh ones
+// for new arrivals), so the checkpoint may read them without locking.
+func (sh *shard) cutLocked(c *flushCut) {
 	for key, sr := range sh.data {
 		if len(sr.chunks)+len(sr.tail) > 0 {
 			c.series[key] = sr
@@ -355,7 +340,6 @@ func (sh *shard) cut(c *flushCut) (cutSeq uint64, err error) {
 	c.points += sh.points
 	c.bytes += sh.bytes
 	sh.data, sh.points, sh.bytes = map[string]*series{}, 0, 0
-	return cutSeq, nil
 }
 
 // Flush seals every series' tail so Stats reflects compressed storage.

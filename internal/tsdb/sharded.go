@@ -36,8 +36,8 @@ type Sharded struct {
 
 	// dur is the store's storage engine, set by OpenSharded and never nil:
 	// it owns the immutable blocks (on disk, or in a memFS), checkpoints,
-	// compaction and retention; the WAL segments, on disk only, hang off
-	// the shards.
+	// compaction, retention and, on disk only, the WAL every shard
+	// appends to.
 	dur *durable
 
 	// The series catalog: the sorted union of every series key in shard
@@ -212,8 +212,8 @@ func (s *Sharded) fsyncAlways() bool {
 }
 
 // ingest partitions and appends a decoded batch, returning how many
-// samples were confirmed stored: on a multi-shard durable store one
-// shard's WAL failure drops only that shard's sub-batch, so stored can
+// samples were confirmed stored: on a multi-shard durable store a failed
+// WAL append drops only the sub-batch of the shard it was for, so stored can
 // be anywhere in [0, len(samples)] alongside a non-nil error. Non-empty
 // sub-batches append in parallel when it pays — always under
 // FsyncAlways, where the per-shard commit waits overlap on the same
@@ -230,7 +230,7 @@ func (s *Sharded) ingest(samples []Sample, wireBytes int, start time.Time) (int,
 	} else if len(s.shards) == 1 {
 		// Single shard: nothing to partition.
 		s.ingestCPU.Add(int64(time.Since(start)))
-		if err = s.shards[0].appendSamples(samples); err == nil {
+		if err = s.shards[0].appendSamples(samples, s.dur.wal); err == nil {
 			stored = len(samples)
 		}
 	} else {
@@ -252,12 +252,12 @@ func (s *Sharded) ingest(samples []Sample, wireBytes int, start time.Time) (int,
 			// the workers are fsync-bound, not CPU-bound, so one worker
 			// per sub-batch regardless of core count.
 			_ = parallel.ForEach(context.Background(), len(order), len(order), func(_ context.Context, k int) error {
-				sc.errs[k] = s.shards[order[k]].appendSamples(parts[order[k]])
+				sc.errs[k] = s.shards[order[k]].appendSamples(parts[order[k]], s.dur.wal)
 				return nil
 			})
 		} else {
 			for k, i := range order {
-				sc.errs[k] = s.shards[i].appendSamples(parts[i])
+				sc.errs[k] = s.shards[i].appendSamples(parts[i], s.dur.wal)
 			}
 		}
 		for k, i := range order {
@@ -398,9 +398,9 @@ func (s *Sharded) Flush() {
 
 // Stats is the one snapshot of the store's state, taken in one pass
 // that costs O(shards + blocks): each shard lock once (in-memory points
-// and bytes, ingest time, marks), each WAL writer once (segments and
-// bytes) and the block list once (block points, bytes and count, the
-// overlay's points and bytes, the blocks' marks). Points and
+// and bytes, ingest time, marks) and the block list once (block points,
+// bytes and count, the overlay's points and bytes, the blocks' marks,
+// the WAL's segments and bytes). Points and
 // StorageBytes are summed from where the points are held,
 // under the cut lock, so a checkpoint moving them counts them once. The
 // front door adds its wire counters (ingest bytes and acks, 16 B per
@@ -412,13 +412,7 @@ func (s *Sharded) Stats() Stats {
 	s.dur.cutMu.RLock()
 	for _, sh := range s.shards {
 		sh.addStats(&out)
-		if sh.wal != nil {
-			segments, bytes := sh.wal.usage()
-			out.WALSegments += segments
-			out.WALBytes += bytes
-		}
 	}
-	out.StorageBytes += int(out.WALBytes)
 	s.dur.addStats(&out)
 	s.dur.cutMu.RUnlock()
 	out.Series = len(s.catalogKeys())
@@ -453,10 +447,9 @@ func (s *Sharded) Compact() error { return s.dur.compact() }
 // blocks plus the WAL.
 func (s *Sharded) Close() error { return s.dur.shutdown(s) }
 
-// replayWAL replays one WAL directory into the shards, holding every
-// shard lock. Placement follows the current key hash: replay is
-// positional on disk (one directory per previous-life shard) but the
-// shard count may have changed since.
+// replayWAL replays the WAL segments in dir into the shards, holding
+// every shard lock. Placement follows the current key hash, so the shard
+// count may have changed since the log was written.
 func (s *Sharded) replayWAL(dir string) error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()

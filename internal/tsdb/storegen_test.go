@@ -85,14 +85,13 @@ func (l *storeLife) open(shards int) error {
 		return fmt.Errorf("open with %d shards: %w", shards, err)
 	}
 	l.st = st
-	l.m.open(st.NumShards())
+	l.m.open()
 	if l.dir == "" {
 		return nil
 	}
-	// The next open reads this life's shard count off the WAL
-	// directories, so an open leaves exactly its own.
-	if dirs, err := os.ReadDir(filepath.Join(l.dir, "wal")); err != nil || len(dirs) != st.NumShards() {
-		return fmt.Errorf("%d WAL directories after an open with %d shards (%v)", len(dirs), st.NumShards(), err)
+	// Every shard appends to the one log.
+	if err := checkOneLog(l.dir); err != nil {
+		return fmt.Errorf("after an open with %d shards: %w", st.NumShards(), err)
 	}
 	return nil
 }
@@ -623,8 +622,7 @@ func TestStoreModelGenerated(t *testing.T) {
 // sequences, and every sequence the generator has shrunk.
 var storeRegressions = []storeScript{
 	// Replay routes by the current hash: a hard stop with data in the
-	// WAL, then fewer shards (the directories beyond the count still
-	// replay) and more shards than ever existed.
+	// WAL, then fewer shards and more shards than ever existed.
 	{name: "reshard live WAL", shards: 4, fsync: FsyncNever, ops: []op{
 		{Kind: opWrite, Batch: reshardBatch(0)},
 		{Kind: opCrash, Shards: 2},
@@ -632,9 +630,10 @@ var storeRegressions = []storeScript{
 		{Kind: opWrite, Batch: reshardBatch(500)},
 		{Kind: opCrash, Shards: 8},
 	}},
-	// Every life at shards=0 (GOMAXPROCS): compared with the raw 0, every
-	// live directory looked stale, and the checkpoint deleted them out
-	// from under their writers.
+	// Every life at shards=0 (GOMAXPROCS): when each shard wrote a WAL
+	// directory of its own, the open compared their count with the raw 0,
+	// every live directory looked stale, and the checkpoint deleted them
+	// out from under their writers.
 	{name: "default shards restart", shards: 0, fsync: FsyncNever, ops: []op{
 		{Kind: opWrite, Batch: reshardBatch(0)},
 		{Kind: opCrash},
@@ -667,18 +666,20 @@ var storeRegressions = []storeScript{
 		{Kind: opCheckpoint},
 		{Kind: opClose, Shards: 2},
 	}},
-	// Found by the generator: a series replayed from one directory after
-	// a reshard appended to another, and the next replay, which goes by
-	// directory index, put the newer record first.
+	// Found by the generator when each shard wrote a WAL directory of its
+	// own: a series replayed from one directory after a reshard appended
+	// to another, and the next replay, which went by directory index, put
+	// the newer record first.
 	{name: "reshard replay order", shards: 4, fsync: FsyncNever, ops: []op{
 		{Kind: opWrite, Batch: []Sample{{"web-1", "cpu", 29850037, -346.484}}},
 		{Kind: opCrash, Shards: 2},
 		{Kind: opWrite, Batch: []Sample{{"web-1", "cpu", 34320037, 188.27}}},
 		{Kind: opCrash, Shards: 1},
 	}},
-	// Found by the generator: a shrink retired directory 1 with a cut
-	// covering every segment it could ever hold; a later, wider life
-	// wrote into directory 1 again and the next open pruned it all.
+	// Found by the generator when each shard wrote a WAL directory of its
+	// own: a shrink retired directory 1 with a cut covering every segment
+	// it could ever hold; a later, wider life wrote into directory 1 again
+	// and the next open pruned it all.
 	{name: "retired dir reused", shards: 2, fsync: FsyncNever, ops: []op{
 		{Kind: opWrite, Batch: reshardBatch(0)},
 		{Kind: opCrash, Shards: 1},
@@ -686,6 +687,17 @@ var storeRegressions = []storeScript{
 		{Kind: opClose, Shards: 7},
 		{Kind: opWrite, Batch: reshardBatch(1302579)},
 		{Kind: opCrash, Shards: 2},
+	}},
+	// A checkpoint sorts what it cuts by time, and aggregations fold
+	// storage order: arrivals (t=2, 1e16), (t=3, -1e16), (t=1, 1) sum to 1
+	// in memory and to 0 once sealed, as the model predicts. Reads are not
+	// byte-identical across a cut when a float fold meets out-of-order
+	// points.
+	{name: "checkpoint reorders an out-of-order sum", shards: 1, fsync: FsyncNever, ops: []op{
+		{Kind: opWrite, Batch: []Sample{{"sum", "m", 2, 1e16}, {"sum", "m", 3, -1e16}, {"sum", "m", 1, 1}}},
+		{Kind: opQueryRange, Q: RangeQuery{"*", "*", 0, 4, AggSum, 4}},
+		{Kind: opCheckpoint},
+		{Kind: opQueryRange, Q: RangeQuery{"*", "*", 0, 4, AggSum, 4}},
 	}},
 	// A memory chunk whose first point is NaN joins a bucket an earlier
 	// chunk opened: its summary's min and max are that NaN, which loses

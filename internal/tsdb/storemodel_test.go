@@ -27,8 +27,7 @@ import (
 //     AppMaxTime is the newest timestamp outside ReservedComponent (a
 //     process-time stamp ahead of it ages nothing), and a merged block
 //     ages as one unit;
-//   - an open at a shard count other than the previous life's seals what
-//     the WAL replayed into a block before the first write.
+//   - an open replays the WAL into memory at any shard count.
 //
 // It never looks inside a store; the checks read only through exported
 // calls.
@@ -37,7 +36,6 @@ type storeModel struct {
 	series      map[string][]modelSample
 	blocks      []modelBlock
 	epoch       int                      // the last checkpoint epoch issued
-	shards      int                      // the last life's shard count, 0 before the first open
 	ordered     map[string][]modelSample // storage order by series, until the next change
 }
 
@@ -144,14 +142,10 @@ func (m *storeModel) compact() {
 	m.blocks = []modelBlock{merged}
 }
 
-// open is the store opening with n shards over what the last life left:
-// memory is what its WAL replays, a kept cut included.
-func (m *storeModel) open(n int) {
+// open is the store opening over what the last life left, at any shard
+// count: memory is what its WAL replays, a kept cut included.
+func (m *storeModel) open() {
 	m.retag(keptEpoch, memoryEpoch)
-	if m.shards != 0 && m.shards != n {
-		m.checkpoint()
-	}
-	m.shards = n
 	m.enforceRetention()
 }
 

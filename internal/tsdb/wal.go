@@ -363,9 +363,9 @@ func listWALSegments(fsys fileSystem, dir string) ([]uint64, error) {
 }
 
 // walWriter appends CRC-framed sample batches to numbered segment files
-// in one directory (one walWriter per store shard). Appends happen under
-// the owning shard's lock; mu orders them against the commit leader,
-// segment rotation and close.
+// in one directory (one walWriter per store). Each shard appends under
+// its own lock; mu orders the appends of every shard against each other,
+// the commit leader, segment rotation and close.
 type walWriter struct {
 	fsys     fileSystem
 	dir      string
@@ -689,8 +689,8 @@ func (w *walWriter) rollLocked() error {
 
 // rotate rolls to a fresh segment and returns its sequence number: every
 // record appended before rotate lives in a segment numbered below the
-// returned value, the cut checkpoints rely on. Callers must hold the
-// owning shard's lock so no append can interleave with the cut.
+// returned value, the cut checkpoints rely on. Callers must hold every
+// shard's lock so no append can interleave with the cut.
 func (w *walWriter) rotate() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -774,7 +774,7 @@ func pruneWALSegmentsBelow(fsys fileSystem, dir string, seq uint64) (removed int
 	return removed, bytes, nil
 }
 
-// walReplayStats summarizes one shard directory's replay.
+// walReplayStats summarizes one log directory's replay.
 type walReplayStats struct {
 	Segments int
 	Records  int

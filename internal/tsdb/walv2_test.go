@@ -214,28 +214,27 @@ func TestWALMixedVersionTornTailRepair(t *testing.T) {
 	}
 }
 
-// TestMixedVersionStoreRecovery is the store-level mixed-dir pin:
-// fabricated v1 segments (an old process's WAL) sit in the shard
-// directories when the current process opens, ingests more (v2), hard-
-// stops, reopens, checkpoints, and reopens again — identical to the
-// store model fed the same samples at every step, including after a
-// shard-count change.
+// TestMixedVersionStoreRecovery is the store-level mixed-dir pin: a
+// fabricated v1 segment (an old process's WAL) sits in the WAL directory
+// when the current process opens, ingests more (v2), hard-stops,
+// reopens, checkpoints, and reopens again — identical to the store model
+// fed the same samples at every step, including after a shard-count
+// change.
 func TestMixedVersionStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ref := newStoreModel(0)
 
-	// An old process's WAL: v1-only segments, all fabricated into shard
-	// 0's directory — replay routes by today's hash, not disk position,
-	// so placement must not matter.
-	shard0 := filepath.Join(dir, "wal", "shard-0000")
-	if err := os.MkdirAll(shard0, 0o755); err != nil {
+	// An old process's WAL: a v1-only segment, replayed by today's key
+	// hash into a 4-shard store.
+	walDir := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	var oldBatches [][]Sample
 	for i := 0; i < 4; i++ {
 		oldBatches = append(oldBatches, recoveryBatch(i, 6, 4))
 	}
-	writeV1Segment(t, shard0, 1, oldBatches...)
+	writeV1Segment(t, walDir, 1, oldBatches...)
 	for _, b := range oldBatches {
 		ref.add(b)
 	}

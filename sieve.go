@@ -238,12 +238,12 @@ type ServerClient = server.Client
 type RangeQuery = tsdb.RangeQuery
 
 // NewServer creates a sieved server with its backing sharded store. Use
-// Server.ListenAndServe to serve (it also starts the online pipeline
+// Server.Serve to serve on a listener (it also starts the online pipeline
 // driver), or Server.Handler to embed it in an existing HTTP server —
 // then start the driver with Server.Start or trigger runs via POST /run.
 // With opts.DataDir set, NewServer recovers the previous life's data
 // (block files plus WAL replay) before returning. Embedders call
-// Server.Close on shutdown (ListenAndServe does it itself): it stops the
+// Server.Close on shutdown (Serve does it itself): it stops the
 // driver and the self-scrape Server.Start added, then the store's own
 // loops, and with DataDir flushes the store.
 func NewServer(opts ServerOptions) (*Server, error) {
