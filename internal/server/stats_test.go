@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/sieve-microservices/sieve/internal/app"
@@ -50,11 +51,46 @@ func auxSamples(component string, fromTick, ticks int) []tsdb.Sample {
 	return out
 }
 
+// walSegmentCap is the store's WAL segment roll threshold: a record
+// that would take the open segment past it rolls to the next one first.
+const walSegmentCap = 8 << 20
+
+// fillWAL writes one-sample series with long names through w until the
+// store's open WAL segment has room for target more bytes, give or take
+// tolerance. The store must hold one segment.
+func fillWAL(t *testing.T, st *tsdb.Sharded, w *tallyWriter, target, tolerance int64) {
+	t.Helper()
+	room := func() int64 {
+		stats := st.Stats()
+		if stats.WALSegments != 1 {
+			t.Fatalf("store holds %d WAL segments, want 1", stats.WALSegments)
+		}
+		return walSegmentCap - stats.WALBytes
+	}
+	overhead := int64(64) // a one-sample record's bytes beyond its name, refined per write
+	for i := 0; ; i++ {
+		before := room()
+		need := before - target
+		if need < -tolerance {
+			t.Fatalf("WAL segment has room for %d bytes, want %d", before, target)
+		}
+		if need <= tolerance {
+			return
+		}
+		prefix := fmt.Sprintf("f%d-", i)
+		metric := prefix + strings.Repeat("x", int(min(max(need-overhead-int64(len(prefix)), 1), 1<<20)))
+		if _, err := w.WriteRemote([]tsdb.Sample{{Component: "fill", Metric: metric, T: 0, V: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		overhead = before - room() - int64(len(metric))
+	}
+}
+
 // TestStatsScriptedLife drives one scripted life through both ingest
-// protocols — accepted batches, rejected payloads, a storage failure on
-// each protocol once the WAL is dead, three pipeline cycles — and
-// compares /stats field by field with the client-side books and the
-// script's own cycle count.
+// protocols — accepted batches, rejected payloads, a partial storage
+// failure on each protocol whose stored half lands behind the previous
+// window's end, three pipeline cycles — and compares /stats field by
+// field with the client-side books and the script's own cycle count.
 func TestStatsScriptedLife(t *testing.T) {
 	dir := t.TempDir()
 	opts := incrementalOptions(2)
@@ -89,12 +125,13 @@ func TestStatsScriptedLife(t *testing.T) {
 	driveChunk(t, a, w, pattern[80:])
 	run()
 
-	// Kill the store's WAL: with its directory replaced by a file the
-	// checkpoint's segment roll closes the open segment and cannot create
-	// the next one, so every later append fails, whichever shard it is
-	// for. (A partial failure, one shard's record failing while another's
-	// is stored, needs a single failed write: internal/tsdb pins it with
-	// an injected fault.)
+	// Kill the store's WAL directory: replaced by a file, it leaves the
+	// open segment's handle working, but the roll to the next segment
+	// cannot create it. Each protocol then sends a batch of long-named
+	// series sized against the segment's room, so that shard 0's record
+	// fits and shard 1's, which the small batch appends next, rolls and
+	// fails. The second batch's names are shorter: it must fit in what
+	// the first left.
 	walDir := filepath.Join(dir, "wal")
 	if err := os.Rename(walDir, walDir+".gone"); err != nil {
 		t.Fatal(err)
@@ -102,17 +139,28 @@ func TestStatsScriptedLife(t *testing.T) {
 	if err := os.WriteFile(walDir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	for i, p := range []struct {
+		name    string
+		nameLen int
+		write   func([]tsdb.Sample) (int, error)
+	}{
+		{"line protocol", 32 << 10, func(b []tsdb.Sample) (int, error) { return w.Write(tsdb.EncodeLineProtocol(b)) }},
+		{"remote write", 1 << 10, w.WriteRemote},
+	} {
+		batch := auxSamples(fmt.Sprintf("late%d", i), 90, 1)
+		for j := range batch {
+			batch[j].Metric += strings.Repeat("x", p.nameLen)
+		}
+		// Every record costs its series' names plus a few dozen bytes:
+		// with 1 to 7 of the 8 series on shard 0, shard 0's record is at
+		// most 7 names long and the batch's at least 8.
+		fillWAL(t, s.store, w, int64(p.nameLen)*15/2, int64(p.nameLen)/4)
+		if n, err := p.write(batch); err == nil || n == 0 || n == len(batch) {
+			t.Fatalf("%s through a half-dead store: stored %d of %d, err %v; want a partial failure", p.name, n, len(batch), err)
+		}
+	}
 	if err := s.store.Checkpoint(); err == nil {
 		t.Fatal("checkpoint rolled a WAL segment into a directory that is gone")
-	}
-	for name, write := range map[string]func([]tsdb.Sample) (int, error){
-		"line protocol": func(b []tsdb.Sample) (int, error) { return w.Write(tsdb.EncodeLineProtocol(b)) },
-		"remote write":  w.WriteRemote,
-	} {
-		batch := auxSamples("late", 90, 1)
-		if n, err := write(batch); err == nil || n != 0 {
-			t.Fatalf("%s through a store with a dead WAL: stored %d of %d, err %v; want a failure that stored nothing", name, n, len(batch), err)
-		}
 	}
 	last := run()
 

@@ -249,14 +249,21 @@ const walKey = "wal"
 // openWAL replays the store's log, <dir>/wal/NNNNNNNN.wal, into the
 // shards and opens its writer. A data directory an earlier release wrote
 // holds one log directory per shard instead, wal/shard-NNNN/: each is
-// replayed first, in index order, and then sealed into a block whose
-// meta records the cut covering each directory, and removed. A crash
-// after that block's publish prunes every legacy segment at the next
-// open, so nothing replays twice.
+// replayed after the store log, in index order, and then sealed into a
+// block whose meta records the cut covering each directory, and removed.
+// A crash after that block's publish prunes every legacy segment at the
+// next open, so nothing replays twice. The store log goes first because
+// when both hold records the legacy ones are the newer: an earlier
+// release opened this directory after a hard stop, did not see the store
+// log and wrote its own.
 func (d *durable) openWAL(s *Sharded) error {
 	walRoot := filepath.Join(d.opts.Dir, "wal")
 	entries, err := d.fsys.ReadDir(walRoot)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	cut := recordedCut(d.blocks, walKey)
+	if err := d.replayLog(s, walRoot, cut); err != nil {
 		return err
 	}
 	legacyCuts := map[string]uint64{}
@@ -279,10 +286,6 @@ func (d *durable) openWAL(s *Sharded) error {
 			legacyCuts[key] = seqs[len(seqs)-1] + 1
 		}
 		legacyDirs = append(legacyDirs, dir)
-	}
-	cut := recordedCut(d.blocks, walKey)
-	if err := d.replayLog(s, walRoot, cut); err != nil {
-		return err
 	}
 	// Segments number at or above every cut a block recorded: a log
 	// pruned empty would otherwise restart below it, and the next open

@@ -86,7 +86,8 @@ func checkOneLog(dir string) error {
 // open, after Close and at the next open. A hard stop after the upgrade's
 // block publish, before the removal, counts no point twice at the next
 // open, and an upgrade whose block publish fails leaves the directories
-// for the next open.
+// for the next open. Records an earlier release wrote into a directory
+// this one hard-stopped replay after the store log's.
 func TestDurableLegacyWALUpgrade(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
@@ -129,6 +130,30 @@ func TestDurableLegacyWALUpgrade(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkLegacyAnswers(t, re, "reopened after a hard stop after the publish")
+	})
+
+	t.Run("earlier release writes after a hard stop", func(t *testing.T) {
+		// The earlier release opens a directory this one hard-stopped,
+		// does not see the store log and writes the same series at the
+		// same timestamps under wal/shard-0000/: its records are the
+		// newer, so they must read after the store log's.
+		dir, earlier := t.TempDir(), t.TempDir()
+		ref := newStoreModel(0)
+		recoveryWrite(t, ref, recoveryBatch(0, 4, 3), openCrashable(t, dir, 2))
+		later := recoveryBatch(0, 4, 3)
+		for i := range later {
+			later[i].V += 100
+		}
+		recoveryWrite(t, ref, later, openCrashable(t, earlier, 1))
+		if err := os.Rename(filepath.Join(earlier, "wal"), filepath.Join(dir, "wal", "shard-0000")); err != nil {
+			t.Fatal(err)
+		}
+		re := openCrashable(t, dir, 2)
+		defer re.Close()
+		if err := checkOneLog(dir); err != nil {
+			t.Fatal(err)
+		}
+		assertSameContents(t, re, ref, "reopened over both logs")
 	})
 
 	t.Run("failed publish", func(t *testing.T) {

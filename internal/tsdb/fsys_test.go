@@ -231,7 +231,7 @@ func fsTree(fsys fileSystem, dir string) (string, error) {
 // faultFS is the operating system's filesystem with one scripted fault:
 // the k-th call (from 1) of kind fails with err, and every other call
 // goes through. The kinds are "Write" and "Sync", counted over every file
-// it opened, and "Rename".
+// it opened, "Append" (opening a file to append to it) and "Rename".
 type faultFS struct {
 	osFS
 	kind string
@@ -265,8 +265,14 @@ func (f *faultFS) wrap(fl file, err error) (file, error) {
 }
 
 func (f *faultFS) Create(name string) (file, error) { return f.wrap(f.osFS.Create(name)) }
-func (f *faultFS) Append(name string) (file, error) { return f.wrap(f.osFS.Append(name)) }
 func (f *faultFS) Open(name string) (file, error)   { return f.wrap(f.osFS.Open(name)) }
+
+func (f *faultFS) Append(name string) (file, error) {
+	if err := f.fail("Append"); err != nil {
+		return nil, err
+	}
+	return f.wrap(f.osFS.Append(name))
+}
 
 func (f *faultFS) Rename(oldpath, newpath string) error {
 	if err := f.fail("Rename"); err != nil {
@@ -299,23 +305,22 @@ func (f faultFile) Sync() error {
 // scripted error, and the calls around it go through.
 func TestFaultFSFailsTheKthCall(t *testing.T) {
 	dir := t.TempDir()
-	for _, kind := range []string{"Write", "Sync", "Rename"} {
+	for _, kind := range []string{"Append", "Write", "Sync", "Rename"} {
 		fsys := &faultFS{kind: kind, k: 2, err: syscall.EIO}
 		var outcomes []bool
 		for i := 0; i < 3; i++ {
 			name := filepath.Join(dir, fmt.Sprintf("%s-%d", kind, i))
-			f, err := fsys.Create(name)
-			if err != nil {
-				t.Fatal(err)
+			f, err := fsys.Append(name)
+			if err == nil {
+				_, err = f.Write([]byte("x"))
+				if serr := f.Sync(); err == nil {
+					err = serr
+				}
+				if rerr := fsys.Rename(name, name+".moved"); err == nil {
+					err = rerr
+				}
+				f.Close()
 			}
-			_, err = f.Write([]byte("x"))
-			if serr := f.Sync(); err == nil {
-				err = serr
-			}
-			if rerr := fsys.Rename(name, name+".moved"); err == nil {
-				err = rerr
-			}
-			f.Close()
 			if err != nil && !errors.Is(err, syscall.EIO) {
 				t.Fatalf("%s call %d: %v, want EIO", kind, i+1, err)
 			}

@@ -202,6 +202,41 @@ func TestDurableCheckpointFailureSurfaced(t *testing.T) {
 	}
 }
 
+// TestDurableWALFailedRollKeepsAppending fails the create of the next
+// WAL segment once, at a checkpoint's rotate: the checkpoint fails and
+// cuts nothing, the open segment keeps taking writes, the next
+// checkpoint rolls and publishes, and a hard stop after it loses
+// nothing.
+func TestDurableWALFailedRollKeepsAppending(t *testing.T) {
+	dir := t.TempDir()
+	// The first Append opens the first segment; the second is the
+	// rotate's create of the next.
+	s, err := openSharded(2, DurabilityOptions{Dir: dir, Fsync: FsyncNever, FlushInterval: -1, CompactInterval: -1},
+		&faultFS{kind: "Append", k: 2, err: syscall.EMFILE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newStoreModel(0)
+	recoveryWrite(t, ref, recoveryBatch(0, 4, 3), s)
+	if err := s.Checkpoint(); !errors.Is(err, syscall.EMFILE) {
+		t.Fatalf("checkpoint whose rotate could not create a segment: %v, want EMFILE", err)
+	}
+	if len(s.dur.blocks) != 0 || s.dur.flushing != nil {
+		t.Fatalf("a failed rotate cut: %d blocks, kept cut %v", len(s.dur.blocks), s.dur.flushing != nil)
+	}
+	recoveryWrite(t, ref, recoveryBatch(1, 4, 3), s)
+	assertSameContents(t, s, ref, "after the failed roll")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the failed roll: %v", err)
+	}
+	recoveryWrite(t, ref, recoveryBatch(2, 4, 3), s)
+	seqs, err := listWALSegments(osFS{}, filepath.Join(dir, "wal"))
+	if err != nil || fmt.Sprint(seqs) != "[2]" {
+		t.Fatalf("segments %v (%v) after the checkpoint, want [2]", seqs, err)
+	}
+	assertSameContents(t, openCrashable(t, dir, 2), ref, "reopened after the checkpoint")
+}
+
 // TestDurableCheckpointFailureLeavesNoTmpDir fails a checkpoint at the
 // last step that can fail before the publish point — the rename, onto a
 // pre-created non-empty directory of the block's final name — once per

@@ -630,10 +630,8 @@ var storeRegressions = []storeScript{
 		{Kind: opWrite, Batch: reshardBatch(500)},
 		{Kind: opCrash, Shards: 8},
 	}},
-	// Every life at shards=0 (GOMAXPROCS): when each shard wrote a WAL
-	// directory of its own, the open compared their count with the raw 0,
-	// every live directory looked stale, and the checkpoint deleted them
-	// out from under their writers.
+	// Every life at shards=0 (GOMAXPROCS): restarts at the default count
+	// once lost every live WAL directory.
 	{name: "default shards restart", shards: 0, fsync: FsyncNever, ops: []op{
 		{Kind: opWrite, Batch: reshardBatch(0)},
 		{Kind: opCrash},
@@ -666,20 +664,16 @@ var storeRegressions = []storeScript{
 		{Kind: opCheckpoint},
 		{Kind: opClose, Shards: 2},
 	}},
-	// Found by the generator when each shard wrote a WAL directory of its
-	// own: a series replayed from one directory after a reshard appended
-	// to another, and the next replay, which went by directory index, put
-	// the newer record first.
+	// Found by the generator: a series' records across a reshard once
+	// replayed newest first.
 	{name: "reshard replay order", shards: 4, fsync: FsyncNever, ops: []op{
 		{Kind: opWrite, Batch: []Sample{{"web-1", "cpu", 29850037, -346.484}}},
 		{Kind: opCrash, Shards: 2},
 		{Kind: opWrite, Batch: []Sample{{"web-1", "cpu", 34320037, 188.27}}},
 		{Kind: opCrash, Shards: 1},
 	}},
-	// Found by the generator when each shard wrote a WAL directory of its
-	// own: a shrink retired directory 1 with a cut covering every segment
-	// it could ever hold; a later, wider life wrote into directory 1 again
-	// and the next open pruned it all.
+	// Found by the generator: a shrink, then a wider life, once pruned
+	// the wider life's writes unread.
 	{name: "retired dir reused", shards: 2, fsync: FsyncNever, ops: []op{
 		{Kind: opWrite, Batch: reshardBatch(0)},
 		{Kind: opCrash, Shards: 1},

@@ -656,11 +656,13 @@ func (w *walWriter) clearPendingTruncLocked() error {
 	return nil
 }
 
-// rollLocked closes the open segment (fsyncing it unless the policy is
-// never) and starts the next one. Every series id dies with the segment;
+// rollLocked starts the next segment and closes the open one (fsyncing
+// it unless the policy is never). Every series id dies with the segment;
 // the roll's fsync also commits every append so far, so waiters whose
 // records land in the rolled segment are released here rather than by a
-// leader fsync of the new (empty) file.
+// leader fsync of the new (empty) file. The next segment is created
+// before anything else changes, so a failed create leaves appends going
+// to the open segment and a later roll tries again.
 func (w *walWriter) rollLocked() error {
 	if err := w.clearPendingTruncLocked(); err != nil {
 		return err
@@ -671,20 +673,18 @@ func (w *walWriter) rollLocked() error {
 		}
 		w.markSyncedLocked(w.appendSeq)
 	}
-	if err := w.f.Close(); err != nil {
+	f, err := w.create(w.seq + 1)
+	if err != nil {
 		return err
 	}
+	old := w.f
+	w.f = f
 	w.retained += w.size
 	w.seq++
 	w.size = 0
 	w.nextID = 0
-	f, err := w.create(w.seq)
-	if err != nil {
-		return err
-	}
-	w.f = f
 	w.segments++
-	return nil
+	return old.Close()
 }
 
 // rotate rolls to a fresh segment and returns its sequence number: every

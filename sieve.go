@@ -36,7 +36,7 @@
 // over a sliding window, serving the latest Artifact — and the live
 // autoscaling signal — from its /artifact endpoint. With
 // ServerOptions.DataDir set, the store is durable: writes are covered by
-// a per-shard CRC-checked write-ahead log and periodically sealed into
+// one CRC-checked write-ahead log and periodically sealed into
 // immutable Gorilla-compressed block files with configurable retention,
 // so a killed server recovers its data on restart (see
 // docs/ARCHITECTURE.md for the storage engine's design).
